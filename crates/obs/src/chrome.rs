@@ -5,8 +5,9 @@
 //! [ui.perfetto.dev]: one duration-begin (`"B"`) / duration-end
 //! (`"E"`) pair per span, thread-scoped instants (`"i"`) for point
 //! events, and `"M"` metadata records naming each lane. Lanes map 1:1
-//! onto trace lanes ([`crate::current_tid`]): pool workers occupy
-//! stable `worker <k>` lanes at [`crate::WORKER_LANE_BASE`]` + k`,
+//! onto trace lanes ([`crate::current_tid`]): pool chunks occupy
+//! stable `worker <k>` lanes at [`crate::WORKER_LANE_BASE`]` + k`
+//! (`k` is the chunk index, whichever thread claimed the chunk),
 //! everything else a small per-OS-thread id — so a parallel kernel
 //! renders as a real multi-lane timeline.
 //!

@@ -89,7 +89,7 @@ impl fmt::Display for ObsLevel {
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct SpanId(pub u64);
 
-/// Lane ids at or above this mark a pool worker (`lane = base + worker
+/// Lane ids at or above this mark a pool chunk (`lane = base + chunk
 /// index`): stable across forks, so repeated parallel regions land on
 /// the same trace lane and chunk imbalance lines up visually. Ordinary
 /// threads get small process-unique ids well below it.
@@ -100,9 +100,10 @@ static NEXT_THREAD_TID: AtomicU64 = AtomicU64::new(0);
 thread_local! {
     /// Process-unique id of this OS thread, assigned on first use.
     static THREAD_TID: u64 = NEXT_THREAD_TID.fetch_add(1, Ordering::Relaxed);
-    /// An explicit lane override ([`with_lane`]) — how pool workers get
-    /// stable per-worker-index lanes even though the fork-join pool
-    /// spawns fresh OS threads per region.
+    /// An explicit lane override ([`with_lane`]) — how pool chunks get
+    /// stable per-chunk-index lanes even though the fork-join pool's
+    /// chunks are claimed by whichever thread is free, the caller
+    /// included.
     static LANE: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
@@ -114,16 +115,21 @@ pub fn current_tid() -> u64 {
         .unwrap_or_else(|| THREAD_TID.with(|t| *t))
 }
 
-/// Runs `f` with this thread's trace lane overridden to `lane`
-/// (restored afterwards, even though pool workers don't outlive it).
-/// The fork-join pool wraps each chunk body in
-/// `with_lane(WORKER_LANE_BASE + worker_index, ..)` so every span and
-/// event a worker records lands on that worker's lane.
+/// Runs `f` with this thread's trace lane overridden to `lane`. The
+/// previous lane is restored from a drop guard, so also when `f`
+/// panics: the calling thread and the pool's workers both outlive the
+/// region. The fork-join pool wraps each chunk body in
+/// `with_lane(WORKER_LANE_BASE + chunk_index, ..)` so every span and
+/// event a chunk records lands on that chunk index's lane.
 pub fn with_lane<T>(lane: u64, f: impl FnOnce() -> T) -> T {
-    let prev = LANE.with(|l| l.replace(Some(lane)));
-    let out = f();
-    LANE.with(|l| l.set(prev));
-    out
+    struct Restore(Option<u64>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            LANE.with(|l| l.set(self.0));
+        }
+    }
+    let _restore = Restore(LANE.with(|l| l.replace(Some(lane))));
+    f()
 }
 
 /// A tracing sink. Implementations must be cheap to call and safe to

@@ -145,3 +145,18 @@ fn concurrent_spans_keep_per_lane_depths_consistent() {
         }
     }
 }
+
+#[test]
+fn with_lane_restores_the_previous_lane_after_a_panic() {
+    // The fork-join pool's caller and workers outlive the region, so a
+    // chunk that panics must not leave its lane override behind.
+    let own = lip_obs::current_tid();
+    lip_obs::with_lane(7, || {
+        let caught = std::panic::catch_unwind(|| {
+            lip_obs::with_lane(lip_obs::WORKER_LANE_BASE + 3, || panic!("chunk body"))
+        });
+        assert!(caught.is_err());
+        assert_eq!(lip_obs::current_tid(), 7, "nested override restored");
+    });
+    assert_eq!(lip_obs::current_tid(), own, "outer override restored");
+}

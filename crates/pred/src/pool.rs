@@ -1,19 +1,36 @@
-//! Minimal fork-join parallelism over `std::thread` scoped threads.
+//! Fork-join parallelism over a persistent, process-wide worker pool.
 //!
 //! This is the one chunking/scheduling substrate shared by the whole
 //! system: the parallel executor, the LRPD/inspector tests and the
 //! predicate engine all derive their block schedules from
 //! [`chunk_bounds`], so the simulator's makespan model, the executor's
-//! worker threads and the parallel predicate evaluation agree on which
-//! iterations land on which processor. It lives in `lip_pred` (the
-//! lowest crate that spawns threads); `lip_runtime::pool` re-exports it.
+//! chunks and the parallel predicate evaluation agree on which
+//! iterations land in which chunk. It lives in `lip_pred` (the lowest
+//! crate that runs anything in parallel); `lip_runtime::pool`
+//! re-exports it.
+//!
+//! No thread is spawned per region. A region is its chunk list; the
+//! pool's parked workers *and the calling thread* claim chunks until
+//! none are left (`region`, the repository's only `unsafe`). So
+//! `nthreads` is a chunk count, not a thread count: 7 chunks on a
+//! 2-CPU box run on the two threads there are, a region nested in a
+//! chunk or opened concurrently from another thread always completes,
+//! and a region shorter than a thread wake-up finishes on the caller.
+//! Which OS thread runs a chunk is therefore not stable; the chunk
+//! index is, and that is what bodies, errors and trace lanes key on.
+
+mod region;
+
+use std::sync::Mutex;
 
 /// Splits the inclusive iteration range `[lo, hi]` into `nthreads`
 /// contiguous chunks and runs `body(chunk_index, chunk_lo, chunk_hi)`
-/// on one thread per non-empty chunk (block scheduling, as the paper's
-/// OpenMP codegen would).
+/// once per non-empty chunk, on the pool's workers and the calling
+/// thread (block scheduling, as the paper's OpenMP codegen would).
 ///
-/// Returns the first error produced by any chunk, if any.
+/// Every chunk runs even if another fails. Returns the error of the
+/// lowest-index chunk that produced one; if a chunk panics, the
+/// lowest-index panic is re-raised on the calling thread instead.
 pub fn parallel_chunks<E, F>(nthreads: usize, lo: i64, hi: i64, body: F) -> Result<(), E>
 where
     E: Send,
@@ -26,10 +43,10 @@ where
 /// `pool.forks` bump and the number of chunks per fork, plus a trace
 /// event carrying the range and schedule. At trace level each executed
 /// chunk additionally records a `pool.chunk` span on a stable
-/// per-worker-index lane ([`lip_obs::WORKER_LANE_BASE`]` + index`), so
-/// an exported timeline shows one lane per worker with the chunk's
-/// range and any imbalance between lanes — even though the fork-join
-/// pool spawns fresh OS threads per region.
+/// per-chunk-index lane ([`lip_obs::WORKER_LANE_BASE`]` + index`), so
+/// an exported timeline shows one lane per chunk index with the
+/// chunk's range and any imbalance between lanes — whichever thread
+/// claimed it.
 pub fn parallel_chunks_obs<E, F>(
     nthreads: usize,
     lo: i64,
@@ -70,24 +87,23 @@ where
         }),
         None => body(t, c_lo, c_hi),
     };
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .enumerate()
-            .map(|(t, &(c_lo, c_hi))| {
-                let run_chunk = &run_chunk;
-                scope.spawn(move || run_chunk(t, c_lo, c_hi))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect::<Vec<_>>()
+    let first_err: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    region::run(chunks.len(), &|t| {
+        let (c_lo, c_hi) = chunks[t];
+        if let Err(e) = run_chunk(t, c_lo, c_hi) {
+            let mut first = first_err.lock().expect("held across an assignment only");
+            if first.as_ref().is_none_or(|(i, _)| t < *i) {
+                *first = Some((t, e));
+            }
+        }
     });
-    for r in results {
-        r?;
+    match first_err
+        .into_inner()
+        .expect("held across an assignment only")
+    {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// The chunk bounds that [`parallel_chunks`] would assign — exposed so

@@ -12,8 +12,6 @@
 //!    LRPD speculation when every predicate failed, or sequentially.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::Ordering as AtomicOrdering;
-use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 
 use lip_analysis::{ArrayPlan, LastValue, LoopAnalysis, LoopClass};
@@ -764,8 +762,6 @@ fn run_parallel_do(
         last_scalar_values: Vec<(Sym, Value)>,
     }
     let outs: Mutex<Vec<ChunkOut>> = Mutex::new(Vec::new());
-    let any_error = AtomicBool::new(false);
-    let completed = AtomicUsize::new(0);
 
     let dlv_arrays: HashSet<Sym> = plans
         .iter()
@@ -898,10 +894,11 @@ fn run_parallel_do(
         // leaves the variable at its last executed value). The last
         // chunk ran its iterations in order ending at `hi`, so its
         // private copies of the `scalar_finals` syms hold exactly the
-        // sequential-final values too.
+        // sequential-final values too — and so do its CIVs, seeded
+        // from their traces at the chunk's first iteration.
         if chunk_idx == nchunks - 1 {
             out.last_scalar_values.push((var, Value::Int(hi)));
-            for s in scalar_finals {
+            for s in scalar_finals.iter().chain(civs.iter().map(|(s, _)| s)) {
                 if let Some(v) = local.scalar(*s) {
                     out.last_scalar_values.push((*s, v));
                 }
@@ -909,12 +906,8 @@ fn run_parallel_do(
         }
         *total_cost.lock().unwrap() += st.cost;
         outs.lock().unwrap().push(out);
-        completed.fetch_add(1, AtomicOrdering::Relaxed);
         Ok::<(), RunError>(())
     })?;
-    if any_error.load(AtomicOrdering::Relaxed) {
-        return Err(RunError::StepLimit);
-    }
 
     // Merge phase (sequential, deterministic order): typed flat-slice
     // kernels from [`crate::merge`] — Int buffers merge in `i64`, Real

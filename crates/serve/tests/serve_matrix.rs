@@ -403,6 +403,71 @@ fn worker_panics_are_nonfatal() {
     server.shutdown();
 }
 
+/// A panic that starts inside a chunk of the shared fork-join pool —
+/// on a pool worker or on the serve worker that opened the region —
+/// is re-raised on the serve worker, answered with `worker_panic`, and
+/// leaves both the connection and the pool usable. The panic is real:
+/// `i64::MIN / -1` overflows in `apply_bin`, and `-2^63` is exact in
+/// the frame's JSON numbers. (If integer division stops panicking,
+/// this test needs another way to panic inside a chunk.)
+#[test]
+fn panic_inside_a_pooled_chunk_is_nonfatal() {
+    const INT_DIV: &str = "
+SUBROUTINE quot(Q, A, B, N)
+  INTEGER Q(*), A(*), B(*)
+  INTEGER i, N
+  DO divide i = 1, N
+    Q(i) = A(i) / B(i)
+  ENDDO
+END
+";
+    let n = 64usize;
+    let run = |last: &str| {
+        let mut a = vec!["6"; n];
+        a[n - 1] = last;
+        format!(
+            "{{\"type\": \"run\", \"program\": {}, \"sub\": \"quot\", \"loop\": \"divide\", \
+             \"config\": {}, \"frame\": {{\"scalars\": {{\"N\": {n}}}, \"arrays\": {{\
+             \"Q\": {{\"len\": {n}}}, \"A\": {{\"data\": [{}]}}, \
+             \"B\": {{\"len\": {n}, \"fill\": -1}}}}}}, \"results\": [\"Q\"]}}",
+            lip_obs::json_str(INT_DIV),
+            config_json(&[("nthreads", "2"), ("backend", "bytecode")]),
+            a.join(", "),
+        )
+    };
+    let server = Server::spawn(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    let crashed = client.call(&run("-9223372036854775808")).expect("reply");
+    assert_eq!(
+        crashed.get("code").and_then(Json::as_str),
+        Some("worker_panic"),
+        "{crashed:?}"
+    );
+    // Same connection, same program, same shard key: a rebuilt shard
+    // and a two-chunk region through the pool again.
+    let ok = client.call(&run("6")).expect("server survived");
+    assert_eq!(ok.get("type").and_then(Json::as_str), Some("ok"), "{ok:?}");
+    assert_eq!(
+        ok.path(&["outcome"]).and_then(Json::as_str),
+        Some("StaticParallel"),
+        "the loop must run through the pool for this test to mean anything"
+    );
+    let q = ok
+        .path(&["results", "Q", "data"])
+        .and_then(Json::as_arr)
+        .expect("Q");
+    assert!(q.iter().all(|v| v.as_f64() == Some(-6.0)), "{q:?}");
+    let stats = client.call("{\"type\": \"stats\"}").expect("stats");
+    assert_eq!(
+        stats
+            .path(&["server", "counters", "server.worker_panic"])
+            .and_then(Json::as_u64),
+        Some(1)
+    );
+    server.shutdown();
+}
+
 /// Malformed frames and payloads: errors, never hangs or crashes.
 #[test]
 fn malformed_frames_and_payloads_are_survivable() {
