@@ -32,14 +32,23 @@ pub enum Value {
 
 impl Value {
     /// Numeric coercion to `i64` (reals truncate, as Fortran `INT`).
+    #[inline]
     pub fn as_i64(self) -> i64 {
+        // The saturating float conversion sits behind a cold call so
+        // the integer case (every subscript, every loop bound) is one
+        // predicted branch instead of a branchless convert-and-select.
+        #[cold]
+        fn truncate(v: f64) -> i64 {
+            v as i64
+        }
         match self {
             Value::Int(v) => v,
-            Value::Real(v) => v as i64,
+            Value::Real(v) => truncate(v),
         }
     }
 
     /// Numeric coercion to `f64`.
+    #[inline]
     pub fn as_f64(self) -> f64 {
         match self {
             Value::Int(v) => v as f64,
@@ -48,6 +57,7 @@ impl Value {
     }
 
     /// Fortran truthiness (non-zero).
+    #[inline]
     pub fn truthy(self) -> bool {
         match self {
             Value::Int(v) => v != 0,
@@ -109,6 +119,7 @@ impl ArrayBuf {
     }
 
     /// Number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
         match &self.cells {
             Cells::Int(v) => v.len(),
@@ -134,6 +145,7 @@ impl ArrayBuf {
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds.
+    #[inline]
     pub fn get(&self, idx: usize) -> Value {
         match &self.cells {
             Cells::Int(v) => Value::Int(v[idx].load(Ordering::Relaxed)),
@@ -146,6 +158,7 @@ impl ArrayBuf {
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds.
+    #[inline]
     pub fn set(&self, idx: usize, v: Value) {
         match &self.cells {
             Cells::Int(cells) => cells[idx].store(v.as_i64(), Ordering::Relaxed),
@@ -860,6 +873,7 @@ impl Machine {
 
 /// Applies a unary operator with the interpreter's value semantics
 /// (shared with the bytecode VM).
+#[inline]
 pub fn apply_un(op: UnOp, v: Value) -> Value {
     match op {
         UnOp::Neg => match v {
@@ -873,73 +887,97 @@ pub fn apply_un(op: UnOp, v: Value) -> Value {
 /// Applies a binary operator with the interpreter's value semantics:
 /// integer mode iff both operands are integers, Fortran truthiness for
 /// the logical connectives (shared with the bytecode VM).
+///
+/// Only the same-type arms that are one machine instruction live
+/// here; everything else is `apply_bin_cold`. `inline(always)`
+/// because the plain hint is not honoured at the VM's twelve dispatch
+/// sites (the arms still add up past the inliner's budget) and, without
+/// LTO, an out-of-line call here costs more than the operation.
+#[inline(always)]
 pub fn apply_bin(op: BinOp, x: Value, y: Value) -> Value {
     use BinOp::*;
-    let int_mode = matches!((x, y), (Value::Int(_), Value::Int(_)));
-    match op {
-        Add | Sub | Mul | Div | Pow => {
-            if int_mode {
-                let (a, b) = (x.as_i64(), y.as_i64());
-                Value::Int(match op {
-                    Add => a.wrapping_add(b),
-                    Sub => a.wrapping_sub(b),
-                    Mul => a.wrapping_mul(b),
-                    Div => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a / b
-                        }
-                    }
-                    Pow => {
-                        if b >= 0 {
-                            a.pow(b.min(62) as u32)
-                        } else {
-                            0
-                        }
-                    }
-                    _ => unreachable!(),
-                })
-            } else {
-                let (a, b) = (x.as_f64(), y.as_f64());
-                Value::Real(match op {
-                    Add => a + b,
-                    Sub => a - b,
-                    Mul => a * b,
-                    Div => a / b,
-                    Pow => a.powf(b),
-                    _ => unreachable!(),
-                })
+    use Value::{Int, Real};
+    match (x, y) {
+        (Int(a), Int(b)) => match op {
+            Add => Int(a.wrapping_add(b)),
+            Sub => Int(a.wrapping_sub(b)),
+            Mul => Int(a.wrapping_mul(b)),
+            Eq => Int(i64::from(a == b)),
+            Ne => Int(i64::from(a != b)),
+            Lt => Int(i64::from(a < b)),
+            Le => Int(i64::from(a <= b)),
+            Gt => Int(i64::from(a > b)),
+            Ge => Int(i64::from(a >= b)),
+            Div | Pow | And | Or => from_pair(apply_bin_cold(op, x, y)),
+        },
+        (Real(a), Real(b)) => match op {
+            Add => Real(a + b),
+            Sub => Real(a - b),
+            Mul => Real(a * b),
+            Div => Real(a / b),
+            Eq => Int(i64::from(a == b)),
+            Ne => Int(i64::from(a != b)),
+            Lt => Int(i64::from(a < b)),
+            Le => Int(i64::from(a <= b)),
+            Gt => Int(i64::from(a > b)),
+            Ge => Int(i64::from(a >= b)),
+            Pow | And | Or => from_pair(apply_bin_cold(op, x, y)),
+        },
+        _ => from_pair(apply_bin_cold(op, x, y)),
+    }
+}
+
+/// A [`Value`] as `(is real, payload bits)`. [`apply_bin_cold`] returns
+/// this instead of a `Value`: the pair comes back in two registers,
+/// where a `Value` comes back through a stack slot that every inlined
+/// hot arm of [`apply_bin`] would then have to write too (and the
+/// 16-byte reload of that slot right after two 8-byte stores defeats
+/// store forwarding — measured at a fifth of the `stencil` body).
+type ValuePair = (bool, u64);
+
+#[inline(always)]
+fn from_pair((real, bits): ValuePair) -> Value {
+    if real {
+        Value::Real(f64::from_bits(bits))
+    } else {
+        Value::Int(bits as i64)
+    }
+}
+
+/// The out-of-line half of [`apply_bin`]: integer `Div`/`Pow`, the
+/// logical connectives, and real mode reached by coercion (mixed
+/// operand types, real `Pow`).
+#[inline(never)]
+fn apply_bin_cold(op: BinOp, x: Value, y: Value) -> ValuePair {
+    use BinOp::*;
+    let v = match (op, x, y) {
+        (And, ..) => Value::Int(i64::from(x.truthy() && y.truthy())),
+        (Or, ..) => Value::Int(i64::from(x.truthy() || y.truthy())),
+        (Div, Value::Int(a), Value::Int(b)) => Value::Int(if b == 0 { 0 } else { a / b }),
+        (Pow, Value::Int(a), Value::Int(b)) => {
+            Value::Int(if b >= 0 { a.pow(b.min(62) as u32) } else { 0 })
+        }
+        _ => {
+            let (a, b) = (x.as_f64(), y.as_f64());
+            match op {
+                Add => Value::Real(a + b),
+                Sub => Value::Real(a - b),
+                Mul => Value::Real(a * b),
+                Div => Value::Real(a / b),
+                Pow => Value::Real(a.powf(b)),
+                Eq => Value::Int(i64::from(a == b)),
+                Ne => Value::Int(i64::from(a != b)),
+                Lt => Value::Int(i64::from(a < b)),
+                Le => Value::Int(i64::from(a <= b)),
+                Gt => Value::Int(i64::from(a > b)),
+                Ge => Value::Int(i64::from(a >= b)),
+                And | Or => unreachable!("handled above"),
             }
         }
-        Eq | Ne | Lt | Le | Gt | Ge => {
-            let r = if int_mode {
-                let (a, b) = (x.as_i64(), y.as_i64());
-                match op {
-                    Eq => a == b,
-                    Ne => a != b,
-                    Lt => a < b,
-                    Le => a <= b,
-                    Gt => a > b,
-                    Ge => a >= b,
-                    _ => unreachable!(),
-                }
-            } else {
-                let (a, b) = (x.as_f64(), y.as_f64());
-                match op {
-                    Eq => a == b,
-                    Ne => a != b,
-                    Lt => a < b,
-                    Le => a <= b,
-                    Gt => a > b,
-                    Ge => a >= b,
-                    _ => unreachable!(),
-                }
-            };
-            Value::Int(i64::from(r))
-        }
-        And => Value::Int(i64::from(x.truthy() && y.truthy())),
-        Or => Value::Int(i64::from(x.truthy() || y.truthy())),
+    };
+    match v {
+        Value::Int(i) => (false, i as u64),
+        Value::Real(r) => (true, r.to_bits()),
     }
 }
 

@@ -37,6 +37,8 @@ pub mod ast;
 pub mod interp;
 pub mod lexer;
 pub mod parser;
+#[cfg(test)]
+mod value_oracle;
 
 pub use ast::{BinOp, Decl, DimDecl, Expr, Intrinsic, LValue, Program, Stmt, Subroutine, Ty, UnOp};
 pub use interp::{

@@ -202,15 +202,36 @@ pub(crate) fn compute_civ_traces_impl(
     frame: &mut Store,
     niters_sym: Option<Sym>,
 ) -> Result<u64, RunError> {
+    let mut state = ExecState::default();
+    civ_traces_under(
+        env, machine, sub, target, civs, frame, niters_sym, &mut state,
+    )?;
+    Ok(state.cost)
+}
+
+/// [`compute_civ_traces_impl`] charging a caller-supplied state (the
+/// tests run it under a step budget).
+#[allow(clippy::too_many_arguments)]
+fn civ_traces_under(
+    env: &ExecEnv<'_>,
+    machine: &Machine,
+    sub: &Subroutine,
+    target: &Stmt,
+    civs: &[(Sym, Sym)],
+    frame: &mut Store,
+    niters_sym: Option<Sym>,
+    state: &mut ExecState,
+) -> Result<(), RunError> {
     if env.backend.is_bytecode() {
-        if let Some(r) = civ_traces_vm(env, machine, sub, target, civs, frame, niters_sym) {
+        if let Some(r) = civ_traces_vm(env, machine, sub, target, civs, frame, niters_sym, state) {
             return r;
         }
     }
-    civ_traces_treewalk(machine, sub, target, civs, frame, niters_sym)
+    civ_traces_treewalk(machine, sub, target, civs, frame, niters_sym, state)
 }
 
 /// The VM slice driver; `None` means "block didn't compile, fall back".
+#[allow(clippy::too_many_arguments)]
 fn civ_traces_vm(
     env: &ExecEnv<'_>,
     machine: &Machine,
@@ -219,10 +240,10 @@ fn civ_traces_vm(
     civs: &[(Sym, Sym)],
     frame: &mut Store,
     niters_sym: Option<Sym>,
-) -> Option<Result<u64, RunError>> {
+    state: &mut ExecState,
+) -> Option<Result<(), RunError>> {
     let targets: BTreeSet<Sym> = civs.iter().map(|(s, _)| *s).collect();
     let mut extra: Vec<Sym> = civs.iter().map(|(s, _)| *s).collect();
-    let mut state = ExecState::default();
     let mut traces: Vec<(Sym, Sym, Vec<i64>)> =
         civs.iter().map(|(s, t)| (*s, *t, Vec::new())).collect();
     match target {
@@ -240,14 +261,12 @@ fn civ_traces_vm(
             let mut f = cb.frame(frame);
             let vm = cb.vm(machine);
             let mut drive = || {
-                let lo = machine.eval(sub, frame, lo, &mut state)?.as_i64();
-                let hi = machine.eval(sub, frame, hi, &mut state)?.as_i64();
-                let mut i = lo;
-                while i <= hi {
+                let lo = machine.eval(sub, frame, lo, state)?.as_i64();
+                let hi = machine.eval(sub, frame, hi, state)?.as_i64();
+                for i in lo..=hi {
                     f.set_scalar(var_slot, Value::Int(i));
                     record(&f, &civ_slots, &mut traces);
-                    vm.run_block(cb.block, &mut f, &mut state, machine_tracer(machine))?;
-                    i += 1;
+                    vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
                 }
                 record(&f, &civ_slots, &mut traces);
                 Ok(())
@@ -268,19 +287,14 @@ fn civ_traces_vm(
             let mut n: i64 = 0;
             let mut drive = || {
                 loop {
-                    let c = vm.eval_block_expr(
-                        cb.block,
-                        0,
-                        &mut f,
-                        &mut state,
-                        machine_tracer(machine),
-                    )?;
+                    let c =
+                        vm.eval_block_expr(cb.block, 0, &mut f, state, machine_tracer(machine))?;
                     record(&f, &civ_slots, &mut traces);
                     if !c.truthy() {
                         break;
                     }
                     n += 1;
-                    vm.run_block(cb.block, &mut f, &mut state, machine_tracer(machine))?;
+                    vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
                     if n > 100_000_000 {
                         return Err(RunError::StepLimit);
                     }
@@ -299,7 +313,7 @@ fn civ_traces_vm(
         _ => {}
     }
     bind_traces(frame, traces);
-    Some(Ok(state.cost))
+    Some(Ok(()))
 }
 
 fn record(f: &lip_vm::Frame, slots: &[u16], traces: &mut [(Sym, Sym, Vec<i64>)]) {
@@ -330,8 +344,8 @@ fn civ_traces_treewalk(
     civs: &[(Sym, Sym)],
     frame: &mut Store,
     niters_sym: Option<Sym>,
-) -> Result<u64, RunError> {
-    let mut state = ExecState::default();
+    state: &mut ExecState,
+) -> Result<(), RunError> {
     let targets: BTreeSet<Sym> = civs.iter().map(|(s, _)| *s).collect();
     let mut traces: Vec<(Sym, Sym, Vec<i64>)> =
         civs.iter().map(|(s, t)| (*s, *t, Vec::new())).collect();
@@ -342,16 +356,14 @@ fn civ_traces_treewalk(
             var, lo, hi, body, ..
         } => {
             let slice = extract_slice(body, &targets);
-            let lo = machine.eval(sub, &slice_frame, lo, &mut state)?.as_i64();
-            let hi = machine.eval(sub, &slice_frame, hi, &mut state)?.as_i64();
-            let mut i = lo;
-            while i <= hi {
+            let lo = machine.eval(sub, &slice_frame, lo, state)?.as_i64();
+            let hi = machine.eval(sub, &slice_frame, hi, state)?.as_i64();
+            for i in lo..=hi {
                 slice_frame.set_scalar(*var, Value::Int(i));
                 for (s, _, vals) in traces.iter_mut() {
                     vals.push(slice_frame.scalar(*s).map(Value::as_i64).unwrap_or(0));
                 }
-                machine.exec_block(sub, &mut slice_frame, &slice, &mut state)?;
-                i += 1;
+                machine.exec_block(sub, &mut slice_frame, &slice, state)?;
             }
             // Post-loop entry (trace(hi+1)).
             for (s, _, vals) in traces.iter_mut() {
@@ -362,7 +374,7 @@ fn civ_traces_treewalk(
             let slice = extract_slice(body, &targets);
             let mut n: i64 = 0;
             loop {
-                let c = machine.eval(sub, &slice_frame, cond, &mut state)?;
+                let c = machine.eval(sub, &slice_frame, cond, state)?;
                 for (s, _, vals) in traces.iter_mut() {
                     vals.push(slice_frame.scalar(*s).map(Value::as_i64).unwrap_or(0));
                 }
@@ -370,7 +382,7 @@ fn civ_traces_treewalk(
                     break;
                 }
                 n += 1;
-                machine.exec_block(sub, &mut slice_frame, &slice, &mut state)?;
+                machine.exec_block(sub, &mut slice_frame, &slice, state)?;
                 if n > 100_000_000 {
                     return Err(RunError::StepLimit);
                 }
@@ -383,7 +395,7 @@ fn civ_traces_treewalk(
     }
 
     bind_traces(frame, traces);
-    Ok(state.cost)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -499,5 +511,57 @@ END
         let tr = frame.array(sym("k@tr")).expect("trace");
         assert_eq!(tr.get_i64(0), 1);
         assert_eq!(tr.get_i64(4), 9);
+    }
+
+    /// A DO slice whose upper bound is `i64::MAX` used to step its
+    /// counter past the end (`while i <= hi { …; i += 1 }`): a debug
+    /// panic, a wrapped endless loop in release. Both backends, under a
+    /// step budget so a regression ends in `StepLimit`, not a hang.
+    #[test]
+    fn do_slice_ending_at_i64_max_terminates() {
+        let prog = parse_program(
+            "
+SUBROUTINE t(LO, HI)
+  INTEGER i, civ, LO, HI
+  DO l1 i = LO, HI
+    civ = civ + 1
+  ENDDO
+END
+",
+        )
+        .expect("parses");
+        let sub = prog.units[0].clone();
+        let machine = Machine::new(prog.clone());
+        let target = sub.find_loop("l1").expect("loop").clone();
+        let civs = vec![(sym("civ"), sym("civ@tr"))];
+        let cache = crate::cache::MachineCache::default();
+        let obs = lip_obs::Obs::off();
+        for backend in [crate::Backend::TreeWalk, crate::Backend::Bytecode] {
+            let env = ExecEnv {
+                cache: &cache,
+                backend,
+                pred: crate::PredBackend::Tree,
+                nthreads: 1,
+                obs: &obs,
+            };
+            let run = |lo: i64| {
+                let mut frame = Store::new();
+                frame.set_int(sym("LO"), lo).set_int(sym("HI"), i64::MAX);
+                frame.set_int(sym("civ"), 0);
+                let mut state = ExecState::with_budget(10_000);
+                let r = civ_traces_under(
+                    &env, &machine, &sub, &target, &civs, &mut frame, None, &mut state,
+                );
+                (r, frame)
+            };
+            // The last three iterations of the i64 range, then done.
+            let (r, frame) = run(i64::MAX - 2);
+            assert_eq!(r, Ok(()), "{backend}");
+            let tr = frame.array(sym("civ@tr")).expect("trace bound");
+            assert_eq!(tr.buf.len(), 4, "{backend}: three entries + post-loop");
+            assert_eq!(tr.get_i64(3), 3, "{backend}");
+            // The whole positive range: the budget ends it.
+            assert_eq!(run(1).0, Err(RunError::StepLimit), "{backend}");
+        }
     }
 }

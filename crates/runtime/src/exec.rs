@@ -644,24 +644,9 @@ fn run_seq_fragment(
     }
     if env.backend.is_bytecode() {
         if let Some(cb) = CompiledBody::new(env.cache, machine, sub, body, &[], &[var]) {
-            let var_slot = cb.chunk().scalar_slot(var).expect("interned");
-            let vm = cb.vm(machine);
             let mut f = cb.frame(frame);
-            if env.obs.trace_enabled() {
-                let mut dc = lip_vm::DispatchCounts::default();
-                for i in lo..=hi {
-                    f.set_scalar(var_slot, Value::Int(i));
-                    vm.run_block_counting(cb.block, &mut f, st, machine_tracer(machine), &mut dc)?;
-                }
-                env.obs.count("vm.ops", dc.ops);
-                env.obs.count("vm.fused_ops", dc.fused_ops);
-                env.obs.count("vm.red_ops", dc.red_ops);
-            } else {
-                for i in lo..=hi {
-                    f.set_scalar(var_slot, Value::Int(i));
-                    vm.run_block(cb.block, &mut f, st, machine_tracer(machine))?;
-                }
-            }
+            let tracer = machine_tracer(machine);
+            cb.run_range(env, machine, &mut f, (var, lo, hi), st, tracer)?;
             f.writeback_scalars(cb.chunk(), frame);
             return Ok(());
         }
@@ -848,29 +833,8 @@ fn run_parallel_do(
                 Some(t) => Some(&**t),
                 None => machine_tracer(machine),
             };
-            let var_slot = cb.chunk().scalar_slot(var).expect("interned");
-            let vm = cb.vm(machine);
             let mut f = cb.frame(&local);
-            if env.obs.trace_enabled() {
-                // The counting dispatch loop is a separate
-                // monomorphization; the uncounted branch below is the
-                // exact pre-observability code path. Per-op counting
-                // is a trace-level instrument: measurable (~2 extra
-                // ALU ops per dispatch), so `metrics` skips it.
-                let mut dc = lip_vm::DispatchCounts::default();
-                for i in c_lo..=c_hi {
-                    f.set_scalar(var_slot, Value::Int(i));
-                    vm.run_block_counting(cb.block, &mut f, &mut st, dyn_tracer, &mut dc)?;
-                }
-                env.obs.count("vm.ops", dc.ops);
-                env.obs.count("vm.fused_ops", dc.fused_ops);
-                env.obs.count("vm.red_ops", dc.red_ops);
-            } else {
-                for i in c_lo..=c_hi {
-                    f.set_scalar(var_slot, Value::Int(i));
-                    vm.run_block(cb.block, &mut f, &mut st, dyn_tracer)?;
-                }
-            }
+            cb.run_range(env, machine, &mut f, (var, c_lo, c_hi), &mut st, dyn_tracer)?;
             f.writeback_scalars(cb.chunk(), &mut local);
         } else {
             let m = match &tracer {

@@ -125,8 +125,7 @@ pub fn inspect(
         conflict: AtomicBool::new(false),
     });
 
-    let mut i = lo_v;
-    while i <= hi_v {
+    for i in lo_v..=hi_v {
         let tracer = Arc::new(IterTracer {
             state: st.clone(),
             iter: i,
@@ -137,7 +136,6 @@ pub fn inspect(
         if st.conflict.load(Ordering::Relaxed) {
             return Ok((InspectVerdict::Dependent, state.cost));
         }
-        i += 1;
     }
     Ok((InspectVerdict::Independent, state.cost))
 }

@@ -115,8 +115,21 @@ pub(crate) fn per_iteration_costs_impl(
     target: &Stmt,
     frame: &mut Store,
 ) -> Result<Vec<u64>, RunError> {
+    per_iteration_costs_under(env, machine, sub, target, frame, &mut ExecState::default())
+}
+
+/// [`per_iteration_costs_impl`] charging a caller-supplied state (the
+/// tests run it under a step budget).
+fn per_iteration_costs_under(
+    env: &ExecEnv<'_>,
+    machine: &Machine,
+    sub: &Subroutine,
+    target: &Stmt,
+    frame: &mut Store,
+    state: &mut ExecState,
+) -> Result<Vec<u64>, RunError> {
     if env.backend.is_bytecode() {
-        if let Some(r) = per_iteration_costs_vm(env, machine, sub, target, frame) {
+        if let Some(r) = per_iteration_costs_vm(env, machine, sub, target, frame, state) {
             return r;
         }
     }
@@ -124,30 +137,26 @@ pub(crate) fn per_iteration_costs_impl(
         Stmt::Do {
             var, lo, hi, body, ..
         } => {
-            let mut state = ExecState::default();
-            let lo_v = machine.eval(sub, frame, lo, &mut state)?.as_i64();
-            let hi_v = machine.eval(sub, frame, hi, &mut state)?.as_i64();
+            let lo_v = machine.eval(sub, frame, lo, state)?.as_i64();
+            let hi_v = machine.eval(sub, frame, hi, state)?.as_i64();
             let mut costs = Vec::new();
-            let mut i = lo_v;
-            while i <= hi_v {
+            for i in lo_v..=hi_v {
                 frame.set_scalar(*var, Value::Int(i));
                 let before = state.cost;
-                machine.exec_block(sub, frame, body, &mut state)?;
+                machine.exec_block(sub, frame, body, state)?;
                 costs.push(state.cost - before);
-                i += 1;
             }
             Ok(costs)
         }
         Stmt::While { cond, body, .. } => {
-            let mut state = ExecState::default();
             let mut costs = Vec::new();
             loop {
-                let c = machine.eval(sub, frame, cond, &mut state)?;
+                let c = machine.eval(sub, frame, cond, state)?;
                 if !c.truthy() {
                     break;
                 }
                 let before = state.cost;
-                machine.exec_block(sub, frame, body, &mut state)?;
+                machine.exec_block(sub, frame, body, state)?;
                 costs.push(state.cost - before);
                 if costs.len() > 100_000_000 {
                     return Err(RunError::StepLimit);
@@ -156,9 +165,9 @@ pub(crate) fn per_iteration_costs_impl(
             Ok(costs)
         }
         other => {
-            let mut state = ExecState::default();
-            machine.exec_stmt(sub, frame, other, &mut state)?;
-            Ok(vec![state.cost])
+            let before = state.cost;
+            machine.exec_stmt(sub, frame, other, state)?;
+            Ok(vec![state.cost - before])
         }
     }
 }
@@ -170,6 +179,7 @@ fn per_iteration_costs_vm(
     sub: &Subroutine,
     target: &Stmt,
     frame: &mut Store,
+    state: &mut ExecState,
 ) -> Option<Result<Vec<u64>, RunError>> {
     match target {
         Stmt::Do {
@@ -177,20 +187,17 @@ fn per_iteration_costs_vm(
         } => {
             let cb = CompiledBody::new(env.cache, machine, sub, body, &[], &[*var])?;
             Some((|| {
-                let mut state = ExecState::default();
-                let lo_v = machine.eval(sub, frame, lo, &mut state)?.as_i64();
-                let hi_v = machine.eval(sub, frame, hi, &mut state)?.as_i64();
+                let lo_v = machine.eval(sub, frame, lo, state)?.as_i64();
+                let hi_v = machine.eval(sub, frame, hi, state)?.as_i64();
                 let vm = cb.vm(machine);
                 let var_slot = cb.chunk().scalar_slot(*var).expect("interned");
                 let mut f = cb.frame(frame);
                 let mut costs = Vec::new();
-                let mut i = lo_v;
-                while i <= hi_v {
+                for i in lo_v..=hi_v {
                     f.set_scalar(var_slot, Value::Int(i));
                     let before = state.cost;
-                    vm.run_block(cb.block, &mut f, &mut state, machine_tracer(machine))?;
+                    vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
                     costs.push(state.cost - before);
-                    i += 1;
                 }
                 // The driver mutates `frame` so program state stays
                 // correct for whatever follows.
@@ -201,23 +208,17 @@ fn per_iteration_costs_vm(
         Stmt::While { cond, body, .. } => {
             let cb = CompiledBody::new(env.cache, machine, sub, body, &[cond], &[])?;
             Some((|| {
-                let mut state = ExecState::default();
                 let vm = cb.vm(machine);
                 let mut f = cb.frame(frame);
                 let mut costs = Vec::new();
                 loop {
-                    let c = vm.eval_block_expr(
-                        cb.block,
-                        0,
-                        &mut f,
-                        &mut state,
-                        machine_tracer(machine),
-                    )?;
+                    let c =
+                        vm.eval_block_expr(cb.block, 0, &mut f, state, machine_tracer(machine))?;
                     if !c.truthy() {
                         break;
                     }
                     let before = state.cost;
-                    vm.run_block(cb.block, &mut f, &mut state, machine_tracer(machine))?;
+                    vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
                     costs.push(state.cost - before);
                     if costs.len() > 100_000_000 {
                         return Err(RunError::StepLimit);
@@ -228,10 +229,10 @@ fn per_iteration_costs_vm(
             })())
         }
         other => {
-            let mut state = ExecState::default();
+            let before = state.cost;
             Some(
-                exec_stmt_seq(env, machine, sub, other, frame, &mut state)
-                    .map(|()| vec![state.cost]),
+                exec_stmt_seq(env, machine, sub, other, frame, state)
+                    .map(|()| vec![state.cost - before]),
             )
         }
     }
@@ -359,5 +360,51 @@ END
         };
         assert!(r.rt_overhead() < 0.01);
         assert!(r.speedup() > 3.9);
+    }
+
+    /// `per_iteration_costs` over a DO ending at `i64::MAX` (see the
+    /// twin test in `civ.rs`): three iterations and out, and the whole
+    /// positive range ends in `StepLimit` under a budget.
+    #[test]
+    fn do_loop_ending_at_i64_max_terminates() {
+        let prog = parse_program(
+            "
+SUBROUTINE t(LO, HI)
+  INTEGER i, s, LO, HI
+  DO l1 i = LO, HI
+    s = s + 1
+  ENDDO
+END
+",
+        )
+        .expect("parses");
+        let sub = prog.units[0].clone();
+        let target = sub.find_loop("l1").expect("loop").clone();
+        let machine = Machine::new(prog);
+        let cache = crate::cache::MachineCache::default();
+        let obs = lip_obs::Obs::off();
+        for backend in [crate::Backend::TreeWalk, crate::Backend::Bytecode] {
+            let env = ExecEnv {
+                cache: &cache,
+                backend,
+                pred: crate::PredBackend::Tree,
+                nthreads: 1,
+                obs: &obs,
+            };
+            let run = |lo: i64| {
+                let mut frame = Store::new();
+                frame.set_int(sym("LO"), lo).set_int(sym("HI"), i64::MAX);
+                frame.set_int(sym("s"), 0);
+                let mut state = ExecState::with_budget(10_000);
+                per_iteration_costs_under(&env, &machine, &sub, &target, &mut frame, &mut state)
+                    .map(|costs| (costs.len(), frame.scalar(sym("i"))))
+            };
+            assert_eq!(
+                run(i64::MAX - 2),
+                Ok((3, Some(Value::Int(i64::MAX)))),
+                "{backend}"
+            );
+            assert_eq!(run(1), Err(RunError::StepLimit), "{backend}");
+        }
     }
 }

@@ -184,3 +184,26 @@ fn fissioned_explain_carries_per_fragment_sub_decisions() {
         || rescued_json.get("exact_test") != Some(&Json::Null);
     assert!(decided);
 }
+
+/// The dispatch counters come from one helper whatever path ran the
+/// loop: a sequential fallback (forced here by overriding the class)
+/// must report its reduction superinstructions like a parallel run.
+#[test]
+fn sequential_fallback_reports_reduction_dispatches_at_trace_level() {
+    let session = traced_session(2);
+    let mut p = lip_suite::INDEX_REDUCTION.prepared(256);
+    let prog = p.machine.program().clone();
+    let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
+    let target = sub.find_loop(p.label).expect("loop").clone();
+    let mut analysis = session.analyze(&prog, sub.name, p.label).expect("analysis");
+    analysis.class = lip_analysis::LoopClass::StaticSequential;
+    let stats = session
+        .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
+        .expect("runs");
+    assert_eq!(stats.outcome, lip_runtime::ExecOutcome::Sequential);
+    let m = session.metrics();
+    let count = |name: &str| m.counter(name).unwrap_or(0);
+    assert!(count("vm.red_ops") > 0, "vm.red_ops missing: {m:?}");
+    assert!(count("vm.fused_ops") >= count("vm.red_ops"));
+    assert!(count("vm.ops") > count("vm.fused_ops"));
+}

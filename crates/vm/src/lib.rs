@@ -16,7 +16,13 @@
 //! `lip_runtime` selects this backend through its `Backend` enum
 //! (environment variable `LIP_BACKEND=bytecode`); per-thread [`Frame`]s
 //! are `Send`, so the parallel executor runs compiled loop bodies
-//! directly on its worker threads.
+//! directly on its worker threads. Two entry points run a compiled
+//! block: [`Vm::run_range`] is the chunk entry point — one activation
+//! of the dispatch loop for a whole iteration range, for every driver
+//! with nothing to do between iterations — and [`Vm::run_block`] runs
+//! the block once, for drivers that need a hook per iteration (LRPD's
+//! per-iteration tracer, CIV trace recording, per-iteration cost
+//! sampling) or that run a whole statement as one block.
 //!
 //! # Example
 //!

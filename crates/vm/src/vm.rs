@@ -5,6 +5,18 @@
 //! [`Store`]. Frames are `Send`, so `lip_runtime`'s worker threads run
 //! compiled loop bodies directly instead of re-walking the AST.
 //!
+//! There is one dispatch function, `Vm::exec`, and the per-iteration
+//! loop of a chunk runs *inside* it: [`Vm::run_range`] enters it once
+//! for `lo..=hi`, so its frame, prologue and loop-invariant loads are
+//! paid per chunk, not per iteration. [`Vm::run_block`] enters it for
+//! a single pass over the block — the per-iteration entry for drivers
+//! with a hook between iterations, and the whole-block one. The arms
+//! that are rare in a loop body (`Call`, `Read`, `Fail`) are
+//! out-of-line functions so they add nothing to that frame — as is
+//! register-subscript addressing (`linearize`, which every rank > 1
+//! access goes through) — and the value model (`lip_ir::apply_bin` et
+//! al.) is inlined into the arms that use it.
+//!
 //! Semantics are the tree-walk interpreter's, bit for bit: values and
 //! operators come from `lip_ir`'s shared model ([`lip_ir::apply_bin`]
 //! et al.), addressing from [`ArrayView::linearize`], cost/budget
@@ -97,7 +109,7 @@ impl Frame {
 
 /// Dispatch statistics for one counted execution: how many
 /// instructions ran and how many of them were peephole
-/// superinstructions. Filled by [`Vm::run_block_counting`]; the
+/// superinstructions. Filled by [`Vm::run_counting`]; the
 /// uncounted entry points compile the tally out entirely (the dispatch
 /// loop is monomorphized over a `COUNT` const), so the default paths
 /// cost exactly what they did before this type existed.
@@ -177,6 +189,7 @@ impl<'p> Vm<'p> {
         self.exec::<false>(
             &csub.chunk,
             &csub.chunk.ops,
+            None,
             &mut frame,
             state,
             tracer,
@@ -186,9 +199,11 @@ impl<'p> Vm<'p> {
         Ok(())
     }
 
-    /// Runs a standalone block against `frame` (the loop-body entry
-    /// point for the parallel executor; call once per iteration after
-    /// seeding the loop variable).
+    /// Runs a standalone block against `frame` once: the entry point
+    /// for drivers that need a hook between iterations (LRPD's
+    /// per-iteration tracer, CIV trace recording, per-iteration cost
+    /// sampling — seed the loop variable, then call this) and for
+    /// running a whole statement as one block.
     ///
     /// # Errors
     ///
@@ -204,6 +219,7 @@ impl<'p> Vm<'p> {
         self.exec::<false>(
             chunk,
             &chunk.ops,
+            None,
             frame,
             state,
             tracer,
@@ -211,24 +227,61 @@ impl<'p> Vm<'p> {
         )
     }
 
-    /// [`Vm::run_block`] with dispatch counting: tallies executed and
-    /// fused instructions into `counts` (adding to whatever is already
-    /// there). A separately monomorphized dispatch loop, so the
-    /// uncounted path pays nothing for it.
+    /// Runs a loop-body block once per `i` in `lo..=hi` as a single VM
+    /// activation — the chunk entry point for the parallel executor.
+    /// Each iteration writes `Value::Int(i)` to `var_slot` verbatim and
+    /// restarts the body at its first instruction, exactly as a
+    /// [`Frame::set_scalar`] + [`Vm::run_block`] loop would; `lo > hi`
+    /// runs nothing and leaves the slot untouched, `hi == i64::MAX`
+    /// terminates. On error the frame, arrays and `state` are as that
+    /// per-iteration loop leaves them.
     ///
     /// # Errors
     ///
     /// Any [`RunError`] raised during execution.
-    pub fn run_block_counting(
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_range(
         &self,
         b: BlockId,
         frame: &mut Frame,
+        var_slot: u16,
+        lo: i64,
+        hi: i64,
+        state: &mut ExecState,
+        tracer: Option<&dyn AccessTracer>,
+    ) -> Result<(), RunError> {
+        let chunk = &self.prog.block(b).chunk;
+        self.exec::<false>(
+            chunk,
+            &chunk.ops,
+            Some((var_slot, lo, hi)),
+            frame,
+            state,
+            tracer,
+            &mut DispatchCounts::default(),
+        )
+    }
+
+    /// [`Vm::run_block`] (`range` = `None`) or [`Vm::run_range`]
+    /// (`Some((var_slot, lo, hi))`) with dispatch counting: tallies
+    /// executed and fused instructions into `counts` (adding to whatever
+    /// is already there). A separately monomorphized dispatch loop, so
+    /// the uncounted paths pay nothing for it.
+    ///
+    /// # Errors
+    ///
+    /// Any [`RunError`] raised during execution.
+    pub fn run_counting(
+        &self,
+        b: BlockId,
+        frame: &mut Frame,
+        range: Option<(u16, i64, i64)>,
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
         counts: &mut DispatchCounts,
     ) -> Result<(), RunError> {
         let chunk = &self.prog.block(b).chunk;
-        self.exec::<true>(chunk, &chunk.ops, frame, state, tracer, counts)
+        self.exec::<true>(chunk, &chunk.ops, range, frame, state, tracer, counts)
     }
 
     /// Evaluates attached expression fragment `k` of block `b` against
@@ -265,7 +318,7 @@ impl<'p> Vm<'p> {
         tracer: Option<&dyn AccessTracer>,
         counts: &mut DispatchCounts,
     ) -> Result<Value, RunError> {
-        self.exec::<COUNT>(chunk, &code.ops, frame, state, tracer, counts)?;
+        self.exec::<COUNT>(chunk, &code.ops, None, frame, state, tracer, counts)?;
         Ok(frame.regs[code.result as usize])
     }
 
@@ -370,7 +423,10 @@ impl<'p> Vm<'p> {
     /// Rank-1 linearization with the subscript taken straight from a
     /// scalar slot (the fused element ops). Error order matches the
     /// unfused `LoadScalar`-then-`LoadElem` stream: unbound subscript
-    /// first, then unbound array, then bounds.
+    /// first, then unbound array, then bounds. `inline(always)`: out of
+    /// line, the three-word result comes back through memory at every
+    /// fused element op (`int_histogram` runs 45 % slower that way).
+    #[inline(always)]
     fn linearize_slot<'f>(
         chunk: &Chunk,
         frame: &'f Frame,
@@ -421,551 +477,596 @@ impl<'p> Vm<'p> {
         Ok((name, lin, view))
     }
 
+    /// The dispatch loop. With `range = Some((var_slot, lo, hi))` one
+    /// activation runs `ops` once per `i` in `lo..=hi`, seeding the
+    /// loop-variable slot verbatim and restarting at `pc = 0` each
+    /// iteration; with `None` it runs `ops` once and seeds nothing.
+    #[allow(clippy::too_many_arguments)]
     fn exec<const COUNT: bool>(
         &self,
         chunk: &Chunk,
         ops: &[Op],
+        range: Option<(u16, i64, i64)>,
         frame: &mut Frame,
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
         counts: &mut DispatchCounts,
     ) -> Result<(), RunError> {
-        let mut pc = 0usize;
-        while pc < ops.len() {
-            if COUNT {
-                counts.ops += 1;
-                counts.fused_ops += u64::from(ops[pc].is_fused());
-                counts.red_ops += u64::from(ops[pc].is_reduction());
+        // No range is one pass: `iter == last` from the start.
+        let (var_slot, mut iter, last) = match range {
+            Some((_, lo, hi)) if lo > hi => return Ok(()),
+            Some((slot, lo, hi)) => (Some(slot), lo, hi),
+            None => (None, 0, 0),
+        };
+        loop {
+            if let Some(slot) = var_slot {
+                frame.scalars[slot as usize] = Some(Value::Int(iter));
             }
-            match &ops[pc] {
-                Op::Charge(units) => state.charge(*units as u64)?,
-                Op::Const { dst, k } => {
-                    frame.regs[*dst as usize] = chunk.consts[*k as usize];
+            let mut pc = 0usize;
+            while pc < ops.len() {
+                if COUNT {
+                    counts.ops += 1;
+                    counts.fused_ops += u64::from(ops[pc].is_fused());
+                    counts.red_ops += u64::from(ops[pc].is_reduction());
                 }
-                Op::LoadScalar { dst, slot } => {
-                    frame.regs[*dst as usize] = frame.scalars[*slot as usize]
-                        .ok_or(RunError::UnboundScalar(chunk.scalars[*slot as usize].0))?;
-                }
-                Op::StoreScalar { slot, src } => {
-                    let v = frame.regs[*src as usize];
-                    frame.scalars[*slot as usize] = Some(match chunk.scalars[*slot as usize].1 {
-                        Ty::Int => Value::Int(v.as_i64()),
-                        Ty::Real => Value::Real(v.as_f64()),
-                    });
-                }
-                Op::SetVarRaw { slot, src } => {
-                    frame.scalars[*slot as usize] = Some(frame.regs[*src as usize]);
-                }
-                Op::LoadElem { dst, arr, base, n } => {
-                    let v = {
+                match &ops[pc] {
+                    Op::Charge(units) => state.charge(*units as u64)?,
+                    Op::Const { dst, k } => {
+                        frame.regs[*dst as usize] = chunk.consts[*k as usize];
+                    }
+                    Op::LoadScalar { dst, slot } => {
+                        frame.regs[*dst as usize] = frame.scalars[*slot as usize]
+                            .ok_or(RunError::UnboundScalar(chunk.scalars[*slot as usize].0))?;
+                    }
+                    Op::StoreScalar { slot, src } => {
+                        let v = frame.regs[*src as usize];
+                        frame.scalars[*slot as usize] =
+                            Some(match chunk.scalars[*slot as usize].1 {
+                                Ty::Int => Value::Int(v.as_i64()),
+                                Ty::Real => Value::Real(v.as_f64()),
+                            });
+                    }
+                    Op::SetVarRaw { slot, src } => {
+                        frame.scalars[*slot as usize] = Some(frame.regs[*src as usize]);
+                    }
+                    Op::LoadElem { dst, arr, base, n } => {
+                        let v = {
+                            let (name, lin, view) = Self::linearize(chunk, frame, *arr, *base, *n)?;
+                            if let Some(t) = tracer {
+                                t.read(name, lin);
+                            }
+                            view.buf.get(lin)
+                        };
+                        frame.regs[*dst as usize] = v;
+                    }
+                    Op::StoreElem { arr, base, n, src } => {
+                        let v = frame.regs[*src as usize];
                         let (name, lin, view) = Self::linearize(chunk, frame, *arr, *base, *n)?;
                         if let Some(t) = tracer {
-                            t.read(name, lin);
+                            t.write(name, lin);
                         }
-                        view.buf.get(lin)
-                    };
-                    frame.regs[*dst as usize] = v;
-                }
-                Op::StoreElem { arr, base, n, src } => {
-                    let v = frame.regs[*src as usize];
-                    let (name, lin, view) = Self::linearize(chunk, frame, *arr, *base, *n)?;
-                    if let Some(t) = tracer {
-                        t.write(name, lin);
+                        view.buf.set(lin, v);
                     }
-                    view.buf.set(lin, v);
-                }
-                Op::Un { op, dst, src } => {
-                    frame.regs[*dst as usize] = apply_un(*op, frame.regs[*src as usize]);
-                }
-                Op::Bin { op, dst, a, b } => {
-                    frame.regs[*dst as usize] =
-                        apply_bin(*op, frame.regs[*a as usize], frame.regs[*b as usize]);
-                }
-                Op::Intrin { intr, dst, base, n } => {
-                    let args = &frame.regs[*base as usize..*base as usize + *n as usize];
-                    frame.regs[*dst as usize] = apply_intrinsic(*intr, args);
-                }
-                Op::Jump { target } => {
-                    pc = *target as usize;
-                    continue;
-                }
-                Op::JumpIfFalse { cond, target } => {
-                    if !frame.regs[*cond as usize].truthy() {
+                    Op::Un { op, dst, src } => {
+                        frame.regs[*dst as usize] = apply_un(*op, frame.regs[*src as usize]);
+                    }
+                    Op::Bin { op, dst, a, b } => {
+                        frame.regs[*dst as usize] =
+                            apply_bin(*op, frame.regs[*a as usize], frame.regs[*b as usize]);
+                    }
+                    Op::Intrin { intr, dst, base, n } => {
+                        let args = &frame.regs[*base as usize..*base as usize + *n as usize];
+                        frame.regs[*dst as usize] = apply_intrinsic(*intr, args);
+                    }
+                    Op::Jump { target } => {
+                        pc = *target as usize;
+                        continue;
+                    }
+                    Op::JumpIfFalse { cond, target } => {
+                        if !frame.regs[*cond as usize].truthy() {
+                            pc = *target as usize;
+                            continue;
+                        }
+                    }
+                    Op::LoopInit {
+                        i,
+                        hi,
+                        step,
+                        var_slot,
+                    } => {
+                        for r in [*i, *hi, *step] {
+                            frame.regs[r as usize] = Value::Int(frame.regs[r as usize].as_i64());
+                        }
+                        if frame.regs[*step as usize].as_i64() == 0 {
+                            return Err(RunError::BadIndex(chunk.scalars[*var_slot as usize].0));
+                        }
+                    }
+                    Op::LoopTest { i, hi, step, exit } => {
+                        let iv = frame.regs[*i as usize].as_i64();
+                        let hv = frame.regs[*hi as usize].as_i64();
+                        let sv = frame.regs[*step as usize].as_i64();
+                        if !((sv > 0 && iv <= hv) || (sv < 0 && iv >= hv)) {
+                            pc = *exit as usize;
+                            continue;
+                        }
+                    }
+                    Op::LoopIncr { i, step } => {
+                        let v = frame.regs[*i as usize]
+                            .as_i64()
+                            .wrapping_add(frame.regs[*step as usize].as_i64());
+                        frame.regs[*i as usize] = Value::Int(v);
+                    }
+                    Op::Call { site } => {
+                        self.call::<COUNT>(chunk, *site, frame, state, tracer, counts)?;
+                    }
+                    Op::Read { site } => self.read_inputs(chunk, *site, frame)?,
+                    Op::Fail { site } => return Err(Self::fail(chunk, *site)),
+
+                    // Superinstructions ([`crate::peephole`]): each arm
+                    // replays its unfused sequence exactly — folded charge
+                    // first, then operand loads, traced accesses and
+                    // register writes in the original order.
+                    Op::FusedBinSS {
+                        charge,
+                        op,
+                        dst,
+                        a_slot,
+                        b_slot,
+                    } => {
+                        if *charge > 0 {
+                            state.charge(u64::from(*charge))?;
+                        }
+                        let a = Self::slot_value(chunk, frame, *a_slot)?;
+                        let b = Self::slot_value(chunk, frame, *b_slot)?;
+                        frame.regs[*dst as usize] = apply_bin(*op, a, b);
+                    }
+                    Op::FusedBinRS {
+                        charge,
+                        op,
+                        dst,
+                        a,
+                        b_slot,
+                    } => {
+                        if *charge > 0 {
+                            state.charge(u64::from(*charge))?;
+                        }
+                        let b = Self::slot_value(chunk, frame, *b_slot)?;
+                        frame.regs[*dst as usize] = apply_bin(*op, frame.regs[*a as usize], b);
+                    }
+                    Op::FusedBinRK {
+                        charge,
+                        op,
+                        dst,
+                        a,
+                        k,
+                    } => {
+                        if *charge > 0 {
+                            state.charge(u64::from(*charge))?;
+                        }
+                        frame.regs[*dst as usize] =
+                            apply_bin(*op, frame.regs[*a as usize], chunk.consts[*k as usize]);
+                    }
+                    Op::FusedBinRE {
+                        charge,
+                        op,
+                        dst,
+                        a,
+                        arr,
+                        idx_slot,
+                    } => {
+                        if *charge > 0 {
+                            state.charge(u64::from(*charge))?;
+                        }
+                        let b = {
+                            let (name, lin, view) =
+                                Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
+                            if let Some(t) = tracer {
+                                t.read(name, lin);
+                            }
+                            view.buf.get(lin)
+                        };
+                        frame.regs[*dst as usize] = apply_bin(*op, frame.regs[*a as usize], b);
+                    }
+                    Op::FusedBinStore {
+                        charge,
+                        op,
+                        slot,
+                        dst,
+                        a,
+                        b,
+                    } => {
+                        if *charge > 0 {
+                            state.charge(u64::from(*charge))?;
+                        }
+                        let v = apply_bin(*op, frame.regs[*a as usize], frame.regs[*b as usize]);
+                        frame.regs[*dst as usize] = v;
+                        frame.scalars[*slot as usize] =
+                            Some(match chunk.scalars[*slot as usize].1 {
+                                Ty::Int => Value::Int(v.as_i64()),
+                                Ty::Real => Value::Real(v.as_f64()),
+                            });
+                    }
+                    Op::FusedLoadElemS {
+                        charge,
+                        dst,
+                        arr,
+                        idx_slot,
+                    } => {
+                        if *charge > 0 {
+                            state.charge(u64::from(*charge))?;
+                        }
+                        let v = {
+                            let (name, lin, view) =
+                                Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
+                            if let Some(t) = tracer {
+                                t.read(name, lin);
+                            }
+                            view.buf.get(lin)
+                        };
+                        frame.regs[*dst as usize] = v;
+                    }
+                    Op::FusedStoreElemS {
+                        charge,
+                        arr,
+                        idx_slot,
+                        src,
+                    } => {
+                        if *charge > 0 {
+                            state.charge(u64::from(*charge))?;
+                        }
+                        let v = frame.regs[*src as usize];
+                        let (name, lin, view) =
+                            Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
+                        if let Some(t) = tracer {
+                            t.write(name, lin);
+                        }
+                        view.buf.set(lin, v);
+                    }
+                    Op::FusedElemUpdateK {
+                        charge,
+                        op,
+                        dst,
+                        arr,
+                        idx_slot,
+                        k,
+                    } => {
+                        if *charge > 0 {
+                            state.charge(u64::from(*charge))?;
+                        }
+                        let v = {
+                            let (name, lin, view) =
+                                Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
+                            if let Some(t) = tracer {
+                                t.read(name, lin);
+                            }
+                            let v = apply_bin(*op, view.buf.get(lin), chunk.consts[*k as usize]);
+                            if let Some(t) = tracer {
+                                t.write(name, lin);
+                            }
+                            view.buf.set(lin, v);
+                            v
+                        };
+                        frame.regs[*dst as usize] = v;
+                    }
+                    Op::FusedElemUpdateS {
+                        charge,
+                        op,
+                        dst,
+                        arr,
+                        idx_slot,
+                        b_slot,
+                    } => {
+                        if *charge > 0 {
+                            state.charge(u64::from(*charge))?;
+                        }
+                        let v = {
+                            let (name, lin, view) =
+                                Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
+                            if let Some(t) = tracer {
+                                t.read(name, lin);
+                            }
+                            let cur = view.buf.get(lin);
+                            // The operand load sits between the traced
+                            // read and write in the unfused stream, so an
+                            // unbound operand errors after the read.
+                            let b = Self::slot_value(chunk, frame, *b_slot)?;
+                            let v = apply_bin(*op, cur, b);
+                            if let Some(t) = tracer {
+                                t.write(name, lin);
+                            }
+                            view.buf.set(lin, v);
+                            v
+                        };
+                        frame.regs[*dst as usize] = v;
+                    }
+                    Op::ChargedConst { charge, dst, k } => {
+                        state.charge(u64::from(*charge))?;
+                        frame.regs[*dst as usize] = chunk.consts[*k as usize];
+                    }
+                    Op::ChargedLoadScalar { charge, dst, slot } => {
+                        state.charge(u64::from(*charge))?;
+                        frame.regs[*dst as usize] = Self::slot_value(chunk, frame, *slot)?;
+                    }
+                    Op::FusedLoadElemE {
+                        charge,
+                        dst,
+                        idx_arr,
+                        idx_slot,
+                        arr,
+                    } => {
+                        if *charge > 0 {
+                            state.charge(u64::from(*charge))?;
+                        }
+                        let idx = {
+                            let (name, lin, view) =
+                                Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
+                            if let Some(t) = tracer {
+                                t.read(name, lin);
+                            }
+                            view.buf.get(lin).as_i64()
+                        };
+                        let name = chunk.arrays[*arr as usize];
+                        let v = {
+                            let view = frame.arrays[*arr as usize]
+                                .as_ref()
+                                .ok_or(RunError::UnboundArray(name))?;
+                            let abs = view.offset as i64 + (idx - 1);
+                            if abs < 0 || abs as usize >= view.buf.len() {
+                                return Err(RunError::BadIndex(name));
+                            }
+                            if let Some(t) = tracer {
+                                t.read(name, abs as usize);
+                            }
+                            view.buf.get(abs as usize)
+                        };
+                        frame.regs[*dst as usize] = v;
+                    }
+                    Op::FusedStoreElemE {
+                        charge,
+                        idx_arr,
+                        idx_slot,
+                        arr,
+                        src,
+                    } => {
+                        if *charge > 0 {
+                            state.charge(u64::from(*charge))?;
+                        }
+                        let idx = {
+                            let (name, lin, view) =
+                                Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
+                            if let Some(t) = tracer {
+                                t.read(name, lin);
+                            }
+                            view.buf.get(lin).as_i64()
+                        };
+                        let v = frame.regs[*src as usize];
+                        let name = chunk.arrays[*arr as usize];
+                        let view = frame.arrays[*arr as usize]
+                            .as_ref()
+                            .ok_or(RunError::UnboundArray(name))?;
+                        let abs = view.offset as i64 + (idx - 1);
+                        if abs < 0 || abs as usize >= view.buf.len() {
+                            return Err(RunError::BadIndex(name));
+                        }
+                        if let Some(t) = tracer {
+                            t.write(name, abs as usize);
+                        }
+                        view.buf.set(abs as usize, v);
+                    }
+                    Op::FusedElemUpdateE {
+                        charge,
+                        op,
+                        dst,
+                        arr,
+                        idx_arr,
+                        idx_slot,
+                        idx_op,
+                        idx_k,
+                        k,
+                    } => {
+                        if *charge > 0 {
+                            state.charge(u64::from(*charge))?;
+                        }
+                        let v = {
+                            let (iname, ilin, iview) =
+                                Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
+                            if let Some(t) = tracer {
+                                t.read(iname, ilin);
+                            }
+                            let idx = apply_bin(
+                                *idx_op,
+                                iview.buf.get(ilin),
+                                chunk.consts[*idx_k as usize],
+                            )
+                            .as_i64();
+                            let name = chunk.arrays[*arr as usize];
+                            let view = frame.arrays[*arr as usize]
+                                .as_ref()
+                                .ok_or(RunError::UnboundArray(name))?;
+                            let abs = view.offset as i64 + (idx - 1);
+                            if abs < 0 || abs as usize >= view.buf.len() {
+                                return Err(RunError::BadIndex(name));
+                            }
+                            if let Some(t) = tracer {
+                                t.read(name, abs as usize);
+                            }
+                            let v = apply_bin(
+                                *op,
+                                view.buf.get(abs as usize),
+                                chunk.consts[*k as usize],
+                            );
+                            // The unfused stream recomputes the subscript
+                            // for the store: a second traced index-array
+                            // read between the element read and the write
+                            // (nothing in the window writes, so neither the
+                            // index value nor the bounds outcome can differ).
+                            if let Some(t) = tracer {
+                                t.read(iname, ilin);
+                            }
+                            if let Some(t) = tracer {
+                                t.write(name, abs as usize);
+                            }
+                            view.buf.set(abs as usize, v);
+                            v
+                        };
+                        frame.regs[*dst as usize] = v;
+                    }
+                    Op::FusedRedAccS {
+                        charge,
+                        op,
+                        dst,
+                        acc_slot,
+                        arr,
+                        idx_slot,
+                    } => {
+                        // Replays `ChargedLoadScalar + FusedLoadElemS +
+                        // FusedBinStore`: charge unconditionally (built
+                        // from a ChargedLoadScalar, charge > 0), unbound
+                        // accumulator errors before the subscript load.
+                        state.charge(u64::from(*charge))?;
+                        let acc = Self::slot_value(chunk, frame, *acc_slot)?;
+                        let b = {
+                            let (name, lin, view) =
+                                Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
+                            if let Some(t) = tracer {
+                                t.read(name, lin);
+                            }
+                            view.buf.get(lin)
+                        };
+                        let v = apply_bin(*op, acc, b);
+                        frame.regs[*dst as usize] = v;
+                        frame.scalars[*acc_slot as usize] =
+                            Some(match chunk.scalars[*acc_slot as usize].1 {
+                                Ty::Int => Value::Int(v.as_i64()),
+                                Ty::Real => Value::Real(v.as_f64()),
+                            });
+                    }
+                    Op::FusedRedElemK {
+                        charge,
+                        op,
+                        dst,
+                        arr,
+                        idx_arr,
+                        idx_slot,
+                        k,
+                    }
+                    | Op::FusedRedElemS {
+                        charge,
+                        op,
+                        dst,
+                        arr,
+                        idx_arr,
+                        idx_slot,
+                        b_slot: k,
+                    } => {
+                        if *charge > 0 {
+                            state.charge(u64::from(*charge))?;
+                        }
+                        let v = {
+                            let (iname, ilin, iview) =
+                                Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
+                            if let Some(t) = tracer {
+                                t.read(iname, ilin);
+                            }
+                            let idx = iview.buf.get(ilin).as_i64();
+                            let name = chunk.arrays[*arr as usize];
+                            let view = frame.arrays[*arr as usize]
+                                .as_ref()
+                                .ok_or(RunError::UnboundArray(name))?;
+                            let abs = view.offset as i64 + (idx - 1);
+                            if abs < 0 || abs as usize >= view.buf.len() {
+                                return Err(RunError::BadIndex(name));
+                            }
+                            if let Some(t) = tracer {
+                                t.read(name, abs as usize);
+                            }
+                            let cur = view.buf.get(abs as usize);
+                            // The operand sits between the element read and
+                            // the store in the unfused stream, so an
+                            // unbound scalar operand errors after the read.
+                            let b = if matches!(&ops[pc], Op::FusedRedElemS { .. }) {
+                                Self::slot_value(chunk, frame, *k)?
+                            } else {
+                                chunk.consts[*k as usize]
+                            };
+                            let v = apply_bin(*op, cur, b);
+                            // The unfused stream recomputes the subscript
+                            // for the store: a second traced index-array
+                            // read between the element read and the write
+                            // (nothing in the window writes, so neither the
+                            // index value nor the bounds outcome can differ).
+                            if let Some(t) = tracer {
+                                t.read(iname, ilin);
+                            }
+                            if let Some(t) = tracer {
+                                t.write(name, abs as usize);
+                            }
+                            view.buf.set(abs as usize, v);
+                            v
+                        };
+                        frame.regs[*dst as usize] = v;
+                    }
+                    Op::LoopTestSet {
+                        i,
+                        hi,
+                        step,
+                        exit,
+                        var_slot,
+                    } => {
+                        let iv = frame.regs[*i as usize].as_i64();
+                        let hv = frame.regs[*hi as usize].as_i64();
+                        let sv = frame.regs[*step as usize].as_i64();
+                        if (sv > 0 && iv <= hv) || (sv < 0 && iv >= hv) {
+                            frame.scalars[*var_slot as usize] = Some(frame.regs[*i as usize]);
+                        } else {
+                            pc = *exit as usize;
+                            continue;
+                        }
+                    }
+                    Op::LoopIncrJump { i, step, target } => {
+                        let v = frame.regs[*i as usize]
+                            .as_i64()
+                            .wrapping_add(frame.regs[*step as usize].as_i64());
+                        frame.regs[*i as usize] = Value::Int(v);
                         pc = *target as usize;
                         continue;
                     }
                 }
-                Op::LoopInit {
-                    i,
-                    hi,
-                    step,
-                    var_slot,
-                } => {
-                    for r in [*i, *hi, *step] {
-                        frame.regs[r as usize] = Value::Int(frame.regs[r as usize].as_i64());
-                    }
-                    if frame.regs[*step as usize].as_i64() == 0 {
-                        return Err(RunError::BadIndex(chunk.scalars[*var_slot as usize].0));
-                    }
-                }
-                Op::LoopTest { i, hi, step, exit } => {
-                    let iv = frame.regs[*i as usize].as_i64();
-                    let hv = frame.regs[*hi as usize].as_i64();
-                    let sv = frame.regs[*step as usize].as_i64();
-                    if !((sv > 0 && iv <= hv) || (sv < 0 && iv >= hv)) {
-                        pc = *exit as usize;
-                        continue;
-                    }
-                }
-                Op::LoopIncr { i, step } => {
-                    let v = frame.regs[*i as usize]
-                        .as_i64()
-                        .wrapping_add(frame.regs[*step as usize].as_i64());
-                    frame.regs[*i as usize] = Value::Int(v);
-                }
-                Op::Call { site } => {
-                    self.call::<COUNT>(chunk, *site, frame, state, tracer, counts)?;
-                }
-                Op::Read { site } => {
-                    for slot in &chunk.reads[*site as usize] {
-                        let name = chunk.scalars[*slot as usize].0;
-                        let v = self
-                            .inputs
-                            .and_then(|m| m.get(&name))
-                            .copied()
-                            .ok_or(RunError::MissingInput(name))?;
-                        frame.scalars[*slot as usize] = Some(v);
-                    }
-                }
-                Op::Fail { site } => return Err(chunk.fails[*site as usize].clone()),
-
-                // Superinstructions ([`crate::peephole`]): each arm
-                // replays its unfused sequence exactly — folded charge
-                // first, then operand loads, traced accesses and
-                // register writes in the original order.
-                Op::FusedBinSS {
-                    charge,
-                    op,
-                    dst,
-                    a_slot,
-                    b_slot,
-                } => {
-                    if *charge > 0 {
-                        state.charge(u64::from(*charge))?;
-                    }
-                    let a = Self::slot_value(chunk, frame, *a_slot)?;
-                    let b = Self::slot_value(chunk, frame, *b_slot)?;
-                    frame.regs[*dst as usize] = apply_bin(*op, a, b);
-                }
-                Op::FusedBinRS {
-                    charge,
-                    op,
-                    dst,
-                    a,
-                    b_slot,
-                } => {
-                    if *charge > 0 {
-                        state.charge(u64::from(*charge))?;
-                    }
-                    let b = Self::slot_value(chunk, frame, *b_slot)?;
-                    frame.regs[*dst as usize] = apply_bin(*op, frame.regs[*a as usize], b);
-                }
-                Op::FusedBinRK {
-                    charge,
-                    op,
-                    dst,
-                    a,
-                    k,
-                } => {
-                    if *charge > 0 {
-                        state.charge(u64::from(*charge))?;
-                    }
-                    frame.regs[*dst as usize] =
-                        apply_bin(*op, frame.regs[*a as usize], chunk.consts[*k as usize]);
-                }
-                Op::FusedBinRE {
-                    charge,
-                    op,
-                    dst,
-                    a,
-                    arr,
-                    idx_slot,
-                } => {
-                    if *charge > 0 {
-                        state.charge(u64::from(*charge))?;
-                    }
-                    let b = {
-                        let (name, lin, view) =
-                            Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
-                        if let Some(t) = tracer {
-                            t.read(name, lin);
-                        }
-                        view.buf.get(lin)
-                    };
-                    frame.regs[*dst as usize] = apply_bin(*op, frame.regs[*a as usize], b);
-                }
-                Op::FusedBinStore {
-                    charge,
-                    op,
-                    slot,
-                    dst,
-                    a,
-                    b,
-                } => {
-                    if *charge > 0 {
-                        state.charge(u64::from(*charge))?;
-                    }
-                    let v = apply_bin(*op, frame.regs[*a as usize], frame.regs[*b as usize]);
-                    frame.regs[*dst as usize] = v;
-                    frame.scalars[*slot as usize] = Some(match chunk.scalars[*slot as usize].1 {
-                        Ty::Int => Value::Int(v.as_i64()),
-                        Ty::Real => Value::Real(v.as_f64()),
-                    });
-                }
-                Op::FusedLoadElemS {
-                    charge,
-                    dst,
-                    arr,
-                    idx_slot,
-                } => {
-                    if *charge > 0 {
-                        state.charge(u64::from(*charge))?;
-                    }
-                    let v = {
-                        let (name, lin, view) =
-                            Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
-                        if let Some(t) = tracer {
-                            t.read(name, lin);
-                        }
-                        view.buf.get(lin)
-                    };
-                    frame.regs[*dst as usize] = v;
-                }
-                Op::FusedStoreElemS {
-                    charge,
-                    arr,
-                    idx_slot,
-                    src,
-                } => {
-                    if *charge > 0 {
-                        state.charge(u64::from(*charge))?;
-                    }
-                    let v = frame.regs[*src as usize];
-                    let (name, lin, view) = Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
-                    if let Some(t) = tracer {
-                        t.write(name, lin);
-                    }
-                    view.buf.set(lin, v);
-                }
-                Op::FusedElemUpdateK {
-                    charge,
-                    op,
-                    dst,
-                    arr,
-                    idx_slot,
-                    k,
-                } => {
-                    if *charge > 0 {
-                        state.charge(u64::from(*charge))?;
-                    }
-                    let v = {
-                        let (name, lin, view) =
-                            Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
-                        if let Some(t) = tracer {
-                            t.read(name, lin);
-                        }
-                        let v = apply_bin(*op, view.buf.get(lin), chunk.consts[*k as usize]);
-                        if let Some(t) = tracer {
-                            t.write(name, lin);
-                        }
-                        view.buf.set(lin, v);
-                        v
-                    };
-                    frame.regs[*dst as usize] = v;
-                }
-                Op::FusedElemUpdateS {
-                    charge,
-                    op,
-                    dst,
-                    arr,
-                    idx_slot,
-                    b_slot,
-                } => {
-                    if *charge > 0 {
-                        state.charge(u64::from(*charge))?;
-                    }
-                    let v = {
-                        let (name, lin, view) =
-                            Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
-                        if let Some(t) = tracer {
-                            t.read(name, lin);
-                        }
-                        let cur = view.buf.get(lin);
-                        // The operand load sits between the traced
-                        // read and write in the unfused stream, so an
-                        // unbound operand errors after the read.
-                        let b = Self::slot_value(chunk, frame, *b_slot)?;
-                        let v = apply_bin(*op, cur, b);
-                        if let Some(t) = tracer {
-                            t.write(name, lin);
-                        }
-                        view.buf.set(lin, v);
-                        v
-                    };
-                    frame.regs[*dst as usize] = v;
-                }
-                Op::ChargedConst { charge, dst, k } => {
-                    state.charge(u64::from(*charge))?;
-                    frame.regs[*dst as usize] = chunk.consts[*k as usize];
-                }
-                Op::ChargedLoadScalar { charge, dst, slot } => {
-                    state.charge(u64::from(*charge))?;
-                    frame.regs[*dst as usize] = Self::slot_value(chunk, frame, *slot)?;
-                }
-                Op::FusedLoadElemE {
-                    charge,
-                    dst,
-                    idx_arr,
-                    idx_slot,
-                    arr,
-                } => {
-                    if *charge > 0 {
-                        state.charge(u64::from(*charge))?;
-                    }
-                    let idx = {
-                        let (name, lin, view) =
-                            Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
-                        if let Some(t) = tracer {
-                            t.read(name, lin);
-                        }
-                        view.buf.get(lin).as_i64()
-                    };
-                    let name = chunk.arrays[*arr as usize];
-                    let v = {
-                        let view = frame.arrays[*arr as usize]
-                            .as_ref()
-                            .ok_or(RunError::UnboundArray(name))?;
-                        let abs = view.offset as i64 + (idx - 1);
-                        if abs < 0 || abs as usize >= view.buf.len() {
-                            return Err(RunError::BadIndex(name));
-                        }
-                        if let Some(t) = tracer {
-                            t.read(name, abs as usize);
-                        }
-                        view.buf.get(abs as usize)
-                    };
-                    frame.regs[*dst as usize] = v;
-                }
-                Op::FusedStoreElemE {
-                    charge,
-                    idx_arr,
-                    idx_slot,
-                    arr,
-                    src,
-                } => {
-                    if *charge > 0 {
-                        state.charge(u64::from(*charge))?;
-                    }
-                    let idx = {
-                        let (name, lin, view) =
-                            Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
-                        if let Some(t) = tracer {
-                            t.read(name, lin);
-                        }
-                        view.buf.get(lin).as_i64()
-                    };
-                    let v = frame.regs[*src as usize];
-                    let name = chunk.arrays[*arr as usize];
-                    let view = frame.arrays[*arr as usize]
-                        .as_ref()
-                        .ok_or(RunError::UnboundArray(name))?;
-                    let abs = view.offset as i64 + (idx - 1);
-                    if abs < 0 || abs as usize >= view.buf.len() {
-                        return Err(RunError::BadIndex(name));
-                    }
-                    if let Some(t) = tracer {
-                        t.write(name, abs as usize);
-                    }
-                    view.buf.set(abs as usize, v);
-                }
-                Op::FusedElemUpdateE {
-                    charge,
-                    op,
-                    dst,
-                    arr,
-                    idx_arr,
-                    idx_slot,
-                    idx_op,
-                    idx_k,
-                    k,
-                } => {
-                    if *charge > 0 {
-                        state.charge(u64::from(*charge))?;
-                    }
-                    let v = {
-                        let (iname, ilin, iview) =
-                            Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
-                        if let Some(t) = tracer {
-                            t.read(iname, ilin);
-                        }
-                        let idx =
-                            apply_bin(*idx_op, iview.buf.get(ilin), chunk.consts[*idx_k as usize])
-                                .as_i64();
-                        let name = chunk.arrays[*arr as usize];
-                        let view = frame.arrays[*arr as usize]
-                            .as_ref()
-                            .ok_or(RunError::UnboundArray(name))?;
-                        let abs = view.offset as i64 + (idx - 1);
-                        if abs < 0 || abs as usize >= view.buf.len() {
-                            return Err(RunError::BadIndex(name));
-                        }
-                        if let Some(t) = tracer {
-                            t.read(name, abs as usize);
-                        }
-                        let v =
-                            apply_bin(*op, view.buf.get(abs as usize), chunk.consts[*k as usize]);
-                        // The unfused stream recomputes the subscript
-                        // for the store: a second traced index-array
-                        // read between the element read and the write
-                        // (nothing in the window writes, so neither the
-                        // index value nor the bounds outcome can differ).
-                        if let Some(t) = tracer {
-                            t.read(iname, ilin);
-                        }
-                        if let Some(t) = tracer {
-                            t.write(name, abs as usize);
-                        }
-                        view.buf.set(abs as usize, v);
-                        v
-                    };
-                    frame.regs[*dst as usize] = v;
-                }
-                Op::FusedRedAccS {
-                    charge,
-                    op,
-                    dst,
-                    acc_slot,
-                    arr,
-                    idx_slot,
-                } => {
-                    // Replays `ChargedLoadScalar + FusedLoadElemS +
-                    // FusedBinStore`: charge unconditionally (built
-                    // from a ChargedLoadScalar, charge > 0), unbound
-                    // accumulator errors before the subscript load.
-                    state.charge(u64::from(*charge))?;
-                    let acc = Self::slot_value(chunk, frame, *acc_slot)?;
-                    let b = {
-                        let (name, lin, view) =
-                            Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
-                        if let Some(t) = tracer {
-                            t.read(name, lin);
-                        }
-                        view.buf.get(lin)
-                    };
-                    let v = apply_bin(*op, acc, b);
-                    frame.regs[*dst as usize] = v;
-                    frame.scalars[*acc_slot as usize] =
-                        Some(match chunk.scalars[*acc_slot as usize].1 {
-                            Ty::Int => Value::Int(v.as_i64()),
-                            Ty::Real => Value::Real(v.as_f64()),
-                        });
-                }
-                Op::FusedRedElemK {
-                    charge,
-                    op,
-                    dst,
-                    arr,
-                    idx_arr,
-                    idx_slot,
-                    k,
-                }
-                | Op::FusedRedElemS {
-                    charge,
-                    op,
-                    dst,
-                    arr,
-                    idx_arr,
-                    idx_slot,
-                    b_slot: k,
-                } => {
-                    if *charge > 0 {
-                        state.charge(u64::from(*charge))?;
-                    }
-                    let v = {
-                        let (iname, ilin, iview) =
-                            Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
-                        if let Some(t) = tracer {
-                            t.read(iname, ilin);
-                        }
-                        let idx = iview.buf.get(ilin).as_i64();
-                        let name = chunk.arrays[*arr as usize];
-                        let view = frame.arrays[*arr as usize]
-                            .as_ref()
-                            .ok_or(RunError::UnboundArray(name))?;
-                        let abs = view.offset as i64 + (idx - 1);
-                        if abs < 0 || abs as usize >= view.buf.len() {
-                            return Err(RunError::BadIndex(name));
-                        }
-                        if let Some(t) = tracer {
-                            t.read(name, abs as usize);
-                        }
-                        let cur = view.buf.get(abs as usize);
-                        // The operand sits between the element read and
-                        // the store in the unfused stream, so an
-                        // unbound scalar operand errors after the read.
-                        let b = if matches!(&ops[pc], Op::FusedRedElemS { .. }) {
-                            Self::slot_value(chunk, frame, *k)?
-                        } else {
-                            chunk.consts[*k as usize]
-                        };
-                        let v = apply_bin(*op, cur, b);
-                        // The unfused stream recomputes the subscript
-                        // for the store: a second traced index-array
-                        // read between the element read and the write
-                        // (nothing in the window writes, so neither the
-                        // index value nor the bounds outcome can differ).
-                        if let Some(t) = tracer {
-                            t.read(iname, ilin);
-                        }
-                        if let Some(t) = tracer {
-                            t.write(name, abs as usize);
-                        }
-                        view.buf.set(abs as usize, v);
-                        v
-                    };
-                    frame.regs[*dst as usize] = v;
-                }
-                Op::LoopTestSet {
-                    i,
-                    hi,
-                    step,
-                    exit,
-                    var_slot,
-                } => {
-                    let iv = frame.regs[*i as usize].as_i64();
-                    let hv = frame.regs[*hi as usize].as_i64();
-                    let sv = frame.regs[*step as usize].as_i64();
-                    if (sv > 0 && iv <= hv) || (sv < 0 && iv >= hv) {
-                        frame.scalars[*var_slot as usize] = Some(frame.regs[*i as usize]);
-                    } else {
-                        pc = *exit as usize;
-                        continue;
-                    }
-                }
-                Op::LoopIncrJump { i, step, target } => {
-                    let v = frame.regs[*i as usize]
-                        .as_i64()
-                        .wrapping_add(frame.regs[*step as usize].as_i64());
-                    frame.regs[*i as usize] = Value::Int(v);
-                    pc = *target as usize;
-                    continue;
-                }
+                pc += 1;
             }
-            pc += 1;
+            // Tested before the increment, so a range ending at
+            // `i64::MAX` terminates instead of overflowing.
+            if iter == last {
+                return Ok(());
+            }
+            iter += 1;
+        }
+    }
+
+    /// `Op::Read`, out of line: READ statements sit outside hot loops.
+    #[cold]
+    #[inline(never)]
+    fn read_inputs(&self, chunk: &Chunk, site: u16, frame: &mut Frame) -> Result<(), RunError> {
+        for slot in &chunk.reads[site as usize] {
+            let name = chunk.scalars[*slot as usize].0;
+            let v = self
+                .inputs
+                .and_then(|m| m.get(&name))
+                .copied()
+                .ok_or(RunError::MissingInput(name))?;
+            frame.scalars[*slot as usize] = Some(v);
         }
         Ok(())
     }
 
+    /// `Op::Fail`, out of line (the error clone is not trivially small).
+    #[cold]
+    #[inline(never)]
+    fn fail(chunk: &Chunk, site: u16) -> RunError {
+        chunk.fails[site as usize].clone()
+    }
+
+    #[inline(never)]
     fn call<const COUNT: bool>(
         &self,
         caller: &Chunk,
@@ -1015,6 +1116,7 @@ impl<'p> Vm<'p> {
         self.exec::<COUNT>(
             &callee.chunk,
             &callee.chunk.ops,
+            None,
             &mut inner,
             state,
             tracer,

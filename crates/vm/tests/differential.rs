@@ -6,12 +6,18 @@
 //! all three on every suite kernel shape, on the example programs, and
 //! through the full predicate-guarded executor (parallel chunks, CIV
 //! slices, LRPD speculation) under both backends.
+//!
+//! The second half pins the chunk entry point: [`Vm::run_range`] — one
+//! activation for a whole iteration range — against the per-iteration
+//! `set_scalar` + `run_block` loop it replaced in the executor, down to
+//! the final frame, the cost and the access stream, on success and on
+//! a mid-range error alike.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use lip_analysis::{analyze_loop, AnalysisConfig};
-use lip_ir::{AccessTracer, ExecState, Machine, Store, Value};
+use lip_ir::{AccessTracer, ExecState, Machine, Program, RunError, Stmt, Store, Subroutine, Value};
 use lip_runtime::{Backend, ExecOutcome, Session};
 use lip_suite::Prepared;
 use lip_symbolic::{sym, Sym};
@@ -122,8 +128,8 @@ fn all_suite_kernels_match_sequentially() {
 
 /// Runs a prepared kernel through the full analyzed executor under
 /// both backends; asserts identical outcome, units and final state.
-fn differential_run_loop(shape: &'static lip_suite::KernelShape, n: usize) {
-    let ctx = format!("{} (n={n})", shape.name);
+fn differential_run_loop(shape: &'static lip_suite::KernelShape, n: usize, nthreads: usize) {
+    let ctx = format!("{} (n={n}, nthreads={nthreads})", shape.name);
     // One analysis shared by both backends: `analyze_loop` itself is
     // not bit-deterministic across calls (hash-ordered factorization),
     // and the property under test is backend equivalence *given* an
@@ -135,7 +141,10 @@ fn differential_run_loop(shape: &'static lip_suite::KernelShape, n: usize) {
     let analysis =
         analyze_loop(&prog, sub.name, p0.label, &AnalysisConfig::default()).expect("analysis");
     let run = |backend: Backend| {
-        let session = Session::builder().backend(backend).nthreads(2).build();
+        let session = Session::builder()
+            .backend(backend)
+            .nthreads(nthreads)
+            .build();
         let mut p = shape.prepared(n);
         let stats = session
             .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
@@ -158,7 +167,18 @@ fn differential_run_loop(shape: &'static lip_suite::KernelShape, n: usize) {
 #[test]
 fn executor_paths_match_on_all_kernels() {
     for shape in lip_suite::all_shapes() {
-        differential_run_loop(shape, 32);
+        differential_run_loop(shape, 32, 2);
+    }
+}
+
+/// The executor hands each chunk to `Vm::run_range`: one chunk, uneven
+/// chunks, and more chunks than some kernels have iterations to fill.
+#[test]
+fn executor_paths_match_across_chunk_counts() {
+    for shape in lip_suite::all_shapes() {
+        for nthreads in [1, 3, 7] {
+            differential_run_loop(shape, 32, nthreads);
+        }
     }
 }
 
@@ -304,8 +324,279 @@ END
 /// above; here the example-sized workloads run end to end.
 #[test]
 fn example_workloads_match_through_executor() {
-    differential_run_loop(&lip_suite::INDEX_REDUCTION, 64);
-    differential_run_loop(&lip_suite::CIV_CONDITIONAL, 64);
-    differential_run_loop(&lip_suite::CIV_WHILE, 64);
-    differential_run_loop(&lip_suite::SOLVH, 24);
+    differential_run_loop(&lip_suite::INDEX_REDUCTION, 64, 2);
+    differential_run_loop(&lip_suite::CIV_CONDITIONAL, 64, 2);
+    differential_run_loop(&lip_suite::CIV_WHILE, 64, 2);
+    differential_run_loop(&lip_suite::SOLVH, 24, 2);
+}
+
+/// Tag and payload bits: NaNs and signed zeros compare exactly.
+fn value_bits(v: Value) -> (u8, u64) {
+    match v {
+        Value::Int(i) => (0, i as u64),
+        Value::Real(r) => (1, r.to_bits()),
+    }
+}
+
+/// Everything a loop-body driver leaves behind.
+#[derive(Debug, PartialEq)]
+struct Driven {
+    result: Result<(), RunError>,
+    /// Every scalar slot of the frame, the loop variable included.
+    scalars: Vec<Option<(u8, u64)>>,
+    /// The loop variable's slot.
+    var: Option<(u8, u64)>,
+    /// The frame's `Debug` rendering: registers and bindings too.
+    frame: String,
+    arrays: BTreeMap<String, Vec<(u8, u64)>>,
+    cost: u64,
+    events: Vec<(char, Sym, usize)>,
+}
+
+/// A loop body to drive over `lo..=hi`: the program, the subroutine
+/// owning the body, the loop variable, and a builder of fresh inputs
+/// (a `Store::clone` would share the array buffers between runs).
+struct RangeCase<'a> {
+    prog: &'a Program,
+    sub: &'a Subroutine,
+    body: &'a [Stmt],
+    var: Sym,
+    inputs: &'a dyn Fn() -> (Machine, Store),
+}
+
+impl RangeCase<'_> {
+    /// Runs the body over `lo..=hi` through `run_range` and through the
+    /// per-iteration `set_scalar` + `run_block` loop, on the unfused and
+    /// the fused stream; asserts the two drivers leave identical
+    /// everything and returns what `run_range` left (fused stream).
+    fn check(&self, ctx: &str, lo: i64, hi: i64, budget: Option<u64>) -> Driven {
+        let mut last = None;
+        for fused in [false, true] {
+            let mut compiled = compile_program(self.prog).expect("compiles");
+            let block =
+                add_block(&mut compiled, self.sub, self.body, &[self.var]).expect("block compiles");
+            if fused {
+                lip_vm::optimize_program(&mut compiled);
+                lip_vm::optimize_block(&mut compiled, block);
+            }
+            let drive = |ranged: bool| {
+                let (machine, store) = (self.inputs)();
+                let vm = Vm::for_machine(&compiled, &machine);
+                let chunk = &compiled.block(block).chunk;
+                let slot = chunk.scalar_slot(self.var).expect("loop variable interned");
+                let mut frame = Frame::for_chunk(chunk, &store);
+                let rec = Recorder::default();
+                let mut state = budget.map_or_else(ExecState::default, ExecState::with_budget);
+                let result = if ranged {
+                    vm.run_range(block, &mut frame, slot, lo, hi, &mut state, Some(&rec))
+                } else {
+                    (lo..=hi).try_for_each(|i| {
+                        frame.set_scalar(slot, Value::Int(i));
+                        vm.run_block(block, &mut frame, &mut state, Some(&rec))
+                    })
+                };
+                Driven {
+                    result,
+                    scalars: (0..chunk.scalars.len())
+                        .map(|s| frame.scalar(s as u16).map(value_bits))
+                        .collect(),
+                    var: frame.scalar(slot).map(value_bits),
+                    frame: format!("{frame:?}"),
+                    arrays: store
+                        .arrays()
+                        .map(|(s, view)| {
+                            let vals = view.buf.snapshot().into_iter().map(value_bits).collect();
+                            (s.name().to_string(), vals)
+                        })
+                        .collect(),
+                    cost: state.cost,
+                    events: rec.events.into_inner().unwrap(),
+                }
+            };
+            let (per_iteration, ranged) = (drive(false), drive(true));
+            assert_eq!(
+                per_iteration, ranged,
+                "{ctx} (fused={fused}): run_range diverged from the per-iteration driver"
+            );
+            last = Some(ranged);
+        }
+        last.expect("two legs ran")
+    }
+}
+
+#[test]
+fn run_range_matches_per_iteration_on_all_suite_kernels() {
+    for shape in lip_suite::all_shapes() {
+        for n in [16usize, 64] {
+            let p = shape.prepared(n);
+            let prog = p.machine.program().clone();
+            let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
+            let Stmt::Do {
+                var, lo, hi, body, ..
+            } = sub.find_loop(p.label).expect("loop").clone()
+            else {
+                continue; // WHILE targets have no iteration range.
+            };
+            let mut st = ExecState::default();
+            let lo = p.machine.eval(&sub, &p.frame, &lo, &mut st).expect("lo");
+            let hi = p.machine.eval(&sub, &p.frame, &hi, &mut st).expect("hi");
+            let case = RangeCase {
+                prog: &prog,
+                sub: &sub,
+                body: &body,
+                var,
+                inputs: &|| {
+                    let p = shape.prepared(n);
+                    (p.machine, p.frame)
+                },
+            };
+            let ctx = format!("{} (n={n})", shape.name);
+            let (lo, hi) = (lo.as_i64(), hi.as_i64());
+            let full = case.check(&ctx, lo, hi, None).cost;
+            // A chunk-shaped interior range, and a budget that trips
+            // somewhere inside the full one.
+            case.check(&ctx, lo + (hi - lo) / 3, hi - (hi - lo) / 3, None);
+            let tripped = case.check(&ctx, lo, hi, Some(full / 2));
+            assert_eq!(tripped.result, Err(RunError::StepLimit), "{ctx}");
+        }
+    }
+}
+
+const RANGE_SRC: &str = "
+SUBROUTINE t(A, B, N)
+  DIMENSION A(*), B(*)
+  INTEGER i, k, s, N
+  DO l1 i = 1, N
+    s = s + 1
+    IF (MOD(i, 3) .EQ. 0) THEN
+      A(i) = 1.0
+    ELSE
+      DO k = 1, 3
+        A(i) = A(i) + k
+      ENDDO
+    ENDIF
+    CALL bump(B(i), i)
+  ENDDO
+END
+
+SUBROUTINE bump(V, n)
+  DIMENSION V(*)
+  INTEGER n
+  V(1) = V(1) + n
+END
+";
+
+/// Runs `f` on the `RANGE_SRC` body with `A` and `B` of `len` elements.
+fn with_range_case(len: usize, f: impl FnOnce(&RangeCase<'_>)) {
+    let prog = lip_ir::parse_program(RANGE_SRC).expect("parses");
+    let sub = prog.units[0].clone();
+    let Stmt::Do { var, body, .. } = sub.find_loop("l1").expect("loop").clone() else {
+        panic!("l1 is a DO loop")
+    };
+    f(&RangeCase {
+        prog: &prog,
+        sub: &sub,
+        body: &body,
+        var,
+        inputs: &|| {
+            let mut store = Store::new();
+            store.set_int(sym("N"), len as i64).set_int(sym("s"), 0);
+            store.set_int(sym("i"), 77);
+            store.alloc_real(sym("A"), len);
+            store.alloc_real(sym("B"), len);
+            (Machine::new(prog.clone()), store)
+        },
+    });
+}
+
+/// A body that ends at a different instruction from one iteration to
+/// the next (IF arm, inner-DO exit, after a CALL) restarts at its first
+/// instruction every time, and matches the interpreter's loop.
+#[test]
+fn run_range_restarts_the_body_each_iteration() {
+    with_range_case(24, |case| {
+        let d = case.check("if/do/call body", 1, 24, None);
+        assert_eq!(d.result, Ok(()));
+        let (machine, mut store) = (case.inputs)();
+        let target = case.sub.find_loop("l1").expect("loop");
+        machine
+            .exec_stmt(case.sub, &mut store, target, &mut ExecState::default())
+            .expect("interp runs");
+        for name in ["A", "B"] {
+            let want: Vec<_> = store.array(sym(name)).expect("bound").buf.snapshot();
+            let want: Vec<_> = want.into_iter().map(value_bits).collect();
+            assert_eq!(d.arrays[name], want, "{name} vs the interpreter");
+        }
+    });
+}
+
+#[test]
+fn run_range_with_lo_above_hi_runs_nothing() {
+    with_range_case(8, |case| {
+        let d = case.check("empty range", 5, 4, None);
+        assert_eq!((&d.result, d.cost, d.events.len()), (&Ok(()), 0, 0));
+        // The variable keeps the value it came in with.
+        assert_eq!(d.var, Some(value_bits(Value::Int(77))));
+        case.check("far-empty range", i64::MAX, i64::MIN, None);
+    });
+}
+
+#[test]
+fn run_range_stops_at_a_bad_index_like_the_per_iteration_driver() {
+    with_range_case(10, |case| {
+        // Iteration 11 subscripts past `A`.
+        let d = case.check("bad index", 1, 20, None);
+        assert_eq!(d.result, Err(RunError::BadIndex(sym("A"))));
+        assert_eq!(d.var, Some(value_bits(Value::Int(11))));
+    });
+}
+
+#[test]
+fn run_range_trips_the_step_budget_mid_range() {
+    with_range_case(64, |case| {
+        let full = case.check("unbudgeted", 1, 64, None).cost;
+        for budget in [1, full / 3, full - 1] {
+            let d = case.check("budget", 1, 64, Some(budget));
+            assert_eq!(d.result, Err(RunError::StepLimit), "budget {budget}");
+        }
+        assert_eq!(case.check("exact budget", 1, 64, Some(full)).result, Ok(()));
+    });
+}
+
+/// A range ending at `i64::MAX` stops after its last iteration instead
+/// of stepping the counter past the end; the whole positive range is
+/// ended by the budget.
+#[test]
+fn run_range_ending_at_i64_max_terminates() {
+    let prog = lip_ir::parse_program(
+        "
+SUBROUTINE t()
+  INTEGER i, s
+  DO l1 i = 1, 2
+    s = s + 1
+  ENDDO
+END
+",
+    )
+    .expect("parses");
+    let sub = prog.units[0].clone();
+    let Stmt::Do { var, body, .. } = sub.find_loop("l1").expect("loop").clone() else {
+        panic!("l1 is a DO loop")
+    };
+    let case = RangeCase {
+        prog: &prog,
+        sub: &sub,
+        body: &body,
+        var,
+        inputs: &|| {
+            let mut store = Store::new();
+            store.set_int(sym("s"), 0);
+            (Machine::new(prog.clone()), store)
+        },
+    };
+    let d = case.check("last three", i64::MAX - 2, i64::MAX, Some(10_000));
+    assert_eq!(d.result, Ok(()));
+    assert_eq!(d.var, Some(value_bits(Value::Int(i64::MAX))));
+    let d = case.check("whole range", 1, i64::MAX, Some(10_000));
+    assert_eq!(d.result, Err(RunError::StepLimit));
 }

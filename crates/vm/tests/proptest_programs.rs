@@ -382,6 +382,93 @@ proptest! {
     }
 }
 
+/// What one driver of a random loop body leaves behind: result, every
+/// scalar slot of the frame (loop variable included), both arrays, work
+/// units, trace — all as lossless bits — and the frame's `Debug`
+/// rendering for the registers.
+type Driven = (Observed, Vec<Option<(u8, u64)>>, String);
+
+/// Runs `body` once per `i` in `lo..=hi` against fresh inputs, through
+/// `Vm::run_range` (`ranged`) or the per-iteration `set_scalar` +
+/// `run_block` loop the executor used before it.
+fn drive_body(
+    prog: &Program,
+    body: &[Stmt],
+    range: (i64, i64),
+    budget: u64,
+    ranged: bool,
+) -> Driven {
+    let mut compiled = compile_program(prog).expect("compiles");
+    let block = lip_vm::add_block(&mut compiled, &prog.units[0], body, &[sym("i")])
+        .expect("block compiles");
+    optimize_program(&mut compiled);
+    lip_vm::optimize_block(&mut compiled, block);
+    let mut store = Store::new();
+    for (s, v) in int_scalars().into_iter().zip([3, 2]) {
+        store.set_int(s, v);
+    }
+    store.set_int(sym("iw"), 2);
+    for (s, v) in real_scalars().into_iter().zip([1.0, 2.0]) {
+        store.set_scalar(s, lip_ir::Value::Real(v));
+    }
+    let a = store.alloc_real(arr(), 16);
+    let b = store.alloc_int(iarr(), 16);
+    for k in 0..16 {
+        a.set(k, lip_ir::Value::Real(k as f64 * 0.5));
+        b.set(k, lip_ir::Value::Int(k as i64 - 4));
+    }
+    let chunk = &compiled.block(block).chunk;
+    let slot = chunk.scalar_slot(sym("i")).expect("interned");
+    let mut frame = lip_vm::Frame::for_chunk(chunk, &store);
+    let vm = Vm::new(&compiled);
+    let rec = Recorder::default();
+    let mut state = lip_ir::ExecState::with_budget(budget);
+    let (lo, hi) = range;
+    let result = if ranged {
+        vm.run_range(block, &mut frame, slot, lo, hi, &mut state, Some(&rec))
+    } else {
+        (lo..=hi).try_for_each(|i| {
+            frame.set_scalar(slot, lip_ir::Value::Int(i));
+            vm.run_block(block, &mut frame, &mut state, Some(&rec))
+        })
+    };
+    let slots = (0..chunk.scalars.len())
+        .map(|s| frame.scalar(s as u16).map(value_bits))
+        .collect();
+    frame.writeback_scalars(chunk, &mut store);
+    (
+        observe(&store, result, state.cost, &rec),
+        slots,
+        format!("{frame:?}"),
+    )
+}
+
+proptest! {
+    // The chunk entry point on the random corpus: a generated body that
+    // reads the loop variable, over a short (sometimes empty) range,
+    // sometimes under a budget small enough to trip mid-range.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn run_range_matches_the_per_iteration_driver(seed in 0u64..1_000_000_000u64) {
+        let mut g = Gen::new(seed ^ 0xC4_0B1E);
+        let mut body = vec![Stmt::Assign {
+            lhs: LValue::Scalar(sym("n")),
+            rhs: Expr::Var(sym("i")),
+        }];
+        let len = 1 + g.below(4) as usize;
+        body.extend(gen_block(&mut g, 2, len));
+        let lo = g.below(4) as i64 - 1;
+        let hi = lo - 1 + g.below(6) as i64;
+        let budget = if g.below(3) == 0 { 20 + g.below(300) } else { BUDGET };
+        // `main` only supplies the declarations the body compiles under.
+        let mut prog = gen_program(0);
+        prog.units[0].body.clear();
+        let per_iteration = drive_body(&prog, &body, (lo, hi), budget, false);
+        let ranged = drive_body(&prog, &body, (lo, hi), budget, true);
+        prop_assert_eq!(&per_iteration, &ranged, "run_range diverged (seed {})", seed);
+    }
+}
+
 /// Replay one corpus seed with a component-by-component report
 /// (`DBG_SEED=<seed> cargo test -p lip_vm --test proptest_programs
 /// dbg_seed -- --ignored --nocapture`). This is how the -0.0
