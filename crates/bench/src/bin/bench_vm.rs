@@ -33,7 +33,7 @@ use lip_analysis::{analyze_loop, AnalysisConfig};
 use lip_ir::{ArrayBuf, BinOp, ExecState, StoreCtx, Ty};
 use lip_obs::{NoopRecorder, ObsLevel};
 use lip_pred::{compile_pred, eval_compiled, EvalParams};
-use lip_runtime::{Backend, LoopJob, PredBackend, Session};
+use lip_runtime::{LoopJob, Session};
 use lip_suite::KernelShape;
 use lip_symbolic::sym;
 
@@ -41,8 +41,9 @@ use lip_symbolic::sym;
 /// change meaning: v2 added the `meta` and `obs_results` blocks and
 /// made `pred_results.failed_stage` nullable with a `passed_stage`
 /// companion; v3 added the `reduction_results` merge-phase block —
-/// boxed element-wise vs typed flat-slice merge kernels).
-const SCHEMA_VERSION: u32 = 3;
+/// boxed element-wise vs typed flat-slice merge kernels; v4 dropped
+/// `meta.backend` / `pred` / `opt_level` with the seams they named).
+const SCHEMA_VERSION: u32 = 4;
 
 struct Row {
     kernel: &'static str,
@@ -468,16 +469,8 @@ fn measure_fission(shape: &'static KernelShape, n: usize) -> Option<FissionRow> 
     let prog = p.machine.program().clone();
     let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
     let target = sub.find_loop(p.label).expect("loop").clone();
-    let on = Session::builder()
-        .backend(Backend::Bytecode)
-        .pred(PredBackend::Compiled)
-        .fission(true)
-        .build();
-    let off = Session::builder()
-        .backend(Backend::Bytecode)
-        .pred(PredBackend::Compiled)
-        .fission(false)
-        .build();
+    let on = Session::builder().fission(true).build();
+    let off = Session::builder().fission(false).build();
     let analysis = on.analyze(&prog, sub.name, p.label).expect("analysis");
     analysis.fission.as_ref()?;
 
@@ -532,14 +525,6 @@ struct ReuseRow {
     cold_over_warm: f64,
 }
 
-/// A session pinned to the fast pair of seams.
-fn fast_session() -> Session {
-    Session::builder()
-        .backend(Backend::Bytecode)
-        .pred(PredBackend::Compiled)
-        .build()
-}
-
 /// Times one kernel through `Session::run_many` twice over: **cold**
 /// (a fresh session per sample — every run pays program compilation,
 /// block lowering and predicate compilation) vs **warm** (one
@@ -551,7 +536,7 @@ fn measure_session_reuse(shape: &'static KernelShape, n: usize) -> ReuseRow {
     let prog = p.machine.program().clone();
     let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
     let target = sub.find_loop(p.label).expect("loop").clone();
-    let analysis = fast_session()
+    let analysis = Session::default()
         .analyze(&prog, sub.name, p.label)
         .expect("analysis");
 
@@ -569,8 +554,8 @@ fn measure_session_reuse(shape: &'static KernelShape, n: usize) -> ReuseRow {
         stats[0].loop_units
     };
 
-    let (cold_ns, _) = time_ns(|| run_once(&fast_session()));
-    let warm = fast_session();
+    let (cold_ns, _) = time_ns(|| run_once(&Session::default()));
+    let warm = Session::default();
     run_once(&warm); // populate the caches once
     let (warm_ns, _) = time_ns(|| run_once(&warm));
     ReuseRow {
@@ -587,8 +572,6 @@ fn measure_session_reuse(shape: &'static KernelShape, n: usize) -> ReuseRow {
 /// both `explain("hoist_indirect")` and `explain("do20")` resolve it.
 fn measure_obs_decision(shape: &'static KernelShape, n: usize) -> Option<String> {
     let session = Session::builder()
-        .backend(Backend::Bytecode)
-        .pred(PredBackend::Compiled)
         .fission(true)
         .observer(ObsLevel::Trace)
         .build();
@@ -632,13 +615,11 @@ fn measure_noop_overhead(shape: &'static KernelShape, n: usize) -> NoopRow {
     let prog = p.machine.program().clone();
     let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
     let target = sub.find_loop(p.label).expect("loop").clone();
-    let analysis = fast_session()
+    let analysis = Session::default()
         .analyze(&prog, sub.name, p.label)
         .expect("analysis");
-    let off = fast_session();
+    let off = Session::default();
     let noop = Session::builder()
-        .backend(Backend::Bytecode)
-        .pred(PredBackend::Compiled)
         .observer_recorder(ObsLevel::Metrics, Arc::new(NoopRecorder))
         .build();
 
@@ -697,19 +678,15 @@ fn measure_noop_overhead(shape: &'static KernelShape, n: usize) -> NoopRow {
     }
 }
 
-/// The self-describing `meta` block: schema version plus the seam
+/// The self-describing `meta` block: schema version plus the
 /// configuration the session-based legs (fission, reuse, obs) run
 /// under, so the per-PR trajectory needs no out-of-band context.
 fn meta_json() -> String {
-    let s = fast_session();
-    let cfg = s.config();
+    let cfg = lip_runtime::SessionConfig::default();
     format!(
-        "  \"meta\": {{\"schema_version\": {}, \"nthreads\": {}, \"backend\": \"{}\", \"pred\": \"{:?}\", \"opt_level\": \"{:?}\", \"fission\": {}, \"sample_budget_ms\": {}}},\n",
+        "  \"meta\": {{\"schema_version\": {}, \"nthreads\": {}, \"fission\": {}, \"sample_budget_ms\": {}}},\n",
         SCHEMA_VERSION,
         cfg.nthreads,
-        cfg.backend,
-        cfg.pred,
-        cfg.opt_level,
         cfg.fission,
         sample_budget().as_millis(),
     )

@@ -219,14 +219,7 @@ fn check_ratio(
 fn check_meta(current: &Json, baseline: &Json, v: &mut Vec<Violation>) {
     // A baseline from a different schema or session shape isn't
     // comparable — flag it rather than drowning in spurious diffs.
-    for k in [
-        "schema_version",
-        "nthreads",
-        "backend",
-        "pred",
-        "opt_level",
-        "fission",
-    ] {
+    for k in ["schema_version", "nthreads", "fission"] {
         let (c, b) = (current.path(&["meta", k]), baseline.path(&["meta", k]));
         if c != b {
             strict(v, "meta", format!("{k}: baseline {b:?}, current {c:?}"));
@@ -550,7 +543,7 @@ mod tests {
     fn doc() -> Json {
         Json::parse(
             r#"{
-              "meta": {"schema_version": 2, "nthreads": 1, "backend": "bytecode", "pred": "Compiled", "opt_level": "Fuse", "fission": true},
+              "meta": {"schema_version": 4, "nthreads": 1, "fission": true},
               "results": [
                 {"kernel": "stencil", "backend": "bytecode", "wall_ns": 100000.0, "work_units": 19459, "speedup_vs_treewalk": 2.5}
               ],
@@ -668,7 +661,7 @@ mod tests {
     fn doc_with_fraction(f: f64) -> String {
         format!(
             r#"{{
-              "meta": {{"schema_version": 2, "nthreads": 1, "backend": "bytecode", "pred": "Compiled", "opt_level": "Fuse", "fission": true}},
+              "meta": {{"schema_version": 4, "nthreads": 1, "fission": true}},
               "fission_results": [
                 {{"kernel": "hoist_indirect", "fragments": 2, "parallel_fragments": 1, "rescued_units": 13312, "loop_units": 26627, "rescued_fraction": {f:.3}, "fissioned_wall_ns": 350000000.0, "sequential_wall_ns": 640000000.0}}
               ]
@@ -679,7 +672,8 @@ mod tests {
     #[test]
     fn missing_kernel_is_strict() {
         let base = doc();
-        let cur = Json::parse(r#"{"meta": {"schema_version": 2, "nthreads": 1, "backend": "bytecode", "pred": "Compiled", "opt_level": "Fuse", "fission": true}}"#).unwrap();
+        let cur = Json::parse(r#"{"meta": {"schema_version": 4, "nthreads": 1, "fission": true}}"#)
+            .unwrap();
         let v = compare(&cur, &base, &Tolerances::default());
         assert!(v.iter().any(|x| x.detail.contains("missing")));
     }
@@ -742,7 +736,7 @@ mod tests {
         assert_eq!(parsed.get("rev").unwrap().as_str(), Some("abc1234"));
         assert_eq!(
             parsed.path(&["meta", "schema_version"]).unwrap().as_u64(),
-            Some(2)
+            Some(4)
         );
         assert!(!parsed.get("kernels").unwrap().as_arr().unwrap().is_empty());
     }

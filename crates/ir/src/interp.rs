@@ -432,6 +432,10 @@ pub enum RunError {
     MissingInput(Sym),
     /// Exceeded the step budget (runaway loop guard).
     StepLimit,
+    /// The program or target is outside what the driver can run (the
+    /// VM's static limits, a loop form it does not take); the reason is
+    /// interned so the error stays one word on the VM's return paths.
+    Unsupported(Sym),
 }
 
 impl fmt::Display for RunError {
@@ -444,6 +448,7 @@ impl fmt::Display for RunError {
             RunError::BadArity(s) => write!(f, "wrong argument count calling {s}"),
             RunError::MissingInput(s) => write!(f, "no READ input bound for {s}"),
             RunError::StepLimit => write!(f, "step budget exhausted"),
+            RunError::Unsupported(why) => write!(f, "unsupported: {why}"),
         }
     }
 }

@@ -1,5 +1,5 @@
-//! The runtime predicate engine: backend selection, per-machine compile
-//! cache and loop-invariant result memoization.
+//! The runtime predicate engine: per-machine compile cache and
+//! loop-invariant result memoization.
 //!
 //! A [`PredEngine`] is owned by one machine (see `lip_runtime`'s
 //! per-machine cache) and amortizes the two costs the paper's runtime
@@ -15,7 +15,10 @@
 //!
 //! Memoization is a *wall-clock* optimization only: charged work units
 //! (`Pdag::eval_cost`) are accounted identically on hits and misses, so
-//! every simulated table and figure is bit-identical across backends.
+//! every simulated table and figure is bit-identical to what
+//! tree-walking `Pdag::eval` (the reference the differential suites
+//! compare against, and the fallback for a predicate that does not
+//! compile) would charge.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,52 +32,6 @@ use crate::compile::compile_pred;
 use crate::prog::PredProgram;
 use crate::vm::{eval_compiled_obs, EvalParams};
 use std::sync::Arc;
-
-/// Which engine evaluates runtime predicates.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum PredBackend {
-    /// `Pdag::eval` tree-walking (the reference semantics).
-    #[default]
-    Tree,
-    /// Compiled predicate bytecode, parallel on O(N) stages.
-    Compiled,
-}
-
-impl PredBackend {
-    /// Whether this is the compiled engine.
-    pub fn is_compiled(self) -> bool {
-        self == PredBackend::Compiled
-    }
-}
-
-/// Strict parsing for configuration seams (`LIP_PRED` is read in
-/// exactly one place — `lip_runtime`'s `SessionConfig::from_env` —
-/// and a typo like `compild` is an error there, never a silent
-/// fallback to the default engine).
-impl std::str::FromStr for PredBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<PredBackend, String> {
-        if s.eq_ignore_ascii_case("tree") || s.eq_ignore_ascii_case("treewalk") {
-            Ok(PredBackend::Tree)
-        } else if s.eq_ignore_ascii_case("compiled") {
-            Ok(PredBackend::Compiled)
-        } else {
-            Err(format!(
-                "unknown predicate backend `{s}` (expected `tree`/`treewalk` or `compiled`)"
-            ))
-        }
-    }
-}
-
-impl std::fmt::Display for PredBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PredBackend::Tree => write!(f, "tree"),
-            PredBackend::Compiled => write!(f, "compiled"),
-        }
-    }
-}
 
 /// Monotonic engine counters (observability + cache tests).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -199,37 +156,34 @@ impl PredEngine {
         compiled
     }
 
-    /// Evaluates one predicate under `backend` (no memoization).
+    /// Evaluates one predicate (no memoization).
     pub fn eval_pred(
         &self,
         pred: &Pdag,
         ctx: &(dyn EvalCtx + Sync),
         iter_limit: u64,
-        backend: PredBackend,
         nthreads: usize,
     ) -> Option<bool> {
-        if backend.is_compiled() {
-            if let Some(prog) = self.program(pred) {
-                self.stats.evals.fetch_add(1, Ordering::Relaxed);
-                self.obs.count("pred.evals", 1);
-                return eval_compiled_obs(
-                    &prog,
-                    ctx,
-                    iter_limit,
-                    EvalParams {
-                        nthreads: nthreads.max(1),
-                        par_min: self.par_min,
-                    },
-                    self.obs_opt(),
-                );
-            }
-        }
-        pred.eval(ctx, iter_limit)
+        let Some(prog) = self.program(pred) else {
+            return pred.eval(ctx, iter_limit);
+        };
+        self.stats.evals.fetch_add(1, Ordering::Relaxed);
+        self.obs.count("pred.evals", 1);
+        eval_compiled_obs(
+            &prog,
+            ctx,
+            iter_limit,
+            EvalParams {
+                nthreads: nthreads.max(1),
+                par_min: self.par_min,
+            },
+            self.obs_opt(),
+        )
     }
 
     /// Evaluates the cascade stage-by-stage (cheapest first), charging
     /// each evaluated stage's `eval_cost` — identically on memo hits,
-    /// so simulated timings don't depend on the backend. Returns the
+    /// so simulated timings don't depend on the memo. Returns the
     /// index of the first succeeding stage (`None`: all failed or
     /// undecidable) plus the charged units. `fingerprint` maps a
     /// compiled stage's inputs to a memo key; returning `None` disables
@@ -239,19 +193,10 @@ impl PredEngine {
         cascade: &Cascade,
         ctx: &(dyn EvalCtx + Sync),
         iter_limit: u64,
-        backend: PredBackend,
         nthreads: usize,
         fingerprint: &mut dyn FnMut(&PredProgram) -> Option<u128>,
     ) -> (Option<usize>, u64) {
-        self.first_success_impl(
-            cascade,
-            ctx,
-            iter_limit,
-            backend,
-            nthreads,
-            fingerprint,
-            None,
-        )
+        self.first_success_impl(cascade, ctx, iter_limit, nthreads, fingerprint, None)
     }
 
     /// [`PredEngine::first_success`] that additionally appends one
@@ -259,35 +204,23 @@ impl PredEngine {
     /// complexity, rendered predicate, charged units, verdict) — the
     /// raw material of a `Session::explain` decision report. Verdicts
     /// and charged units are identical to the untraced call.
-    #[allow(clippy::too_many_arguments)] // the first_success seam + trace sink
     pub fn first_success_traced(
         &self,
         cascade: &Cascade,
         ctx: &(dyn EvalCtx + Sync),
         iter_limit: u64,
-        backend: PredBackend,
         nthreads: usize,
         fingerprint: &mut dyn FnMut(&PredProgram) -> Option<u128>,
         trace: &mut Vec<StageReport>,
     ) -> (Option<usize>, u64) {
-        self.first_success_impl(
-            cascade,
-            ctx,
-            iter_limit,
-            backend,
-            nthreads,
-            fingerprint,
-            Some(trace),
-        )
+        self.first_success_impl(cascade, ctx, iter_limit, nthreads, fingerprint, Some(trace))
     }
 
-    #[allow(clippy::too_many_arguments)] // shared body of the two seams above
     fn first_success_impl(
         &self,
         cascade: &Cascade,
         ctx: &(dyn EvalCtx + Sync),
         iter_limit: u64,
-        backend: PredBackend,
         nthreads: usize,
         fingerprint: &mut dyn FnMut(&PredProgram) -> Option<u128>,
         mut trace: Option<&mut Vec<StageReport>>,
@@ -299,17 +232,13 @@ impl PredEngine {
             let span = self.obs.span("pred.stage", || {
                 format!("stage {k} O(N^{})", stage.complexity)
             });
-            let verdict = if backend.is_compiled() {
-                let key = stage.pred.to_string();
-                match self.program_keyed(&key, &stage.pred) {
-                    Some(prog) => {
-                        let fp = fingerprint(&prog);
-                        self.eval_memo(key, &prog, ctx, iter_limit, nthreads, fp)
-                    }
-                    None => stage.pred.eval(ctx, iter_limit),
+            let key = stage.pred.to_string();
+            let verdict = match self.program_keyed(&key, &stage.pred) {
+                Some(prog) => {
+                    let fp = fingerprint(&prog);
+                    self.eval_memo(key, &prog, ctx, iter_limit, nthreads, fp)
                 }
-            } else {
-                stage.pred.eval(ctx, iter_limit)
+                None => stage.pred.eval(ctx, iter_limit),
             };
             self.obs.exit_span(
                 span,
@@ -386,17 +315,6 @@ impl PredEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pred_backend_parses_strictly() {
-        assert_eq!("tree".parse::<PredBackend>(), Ok(PredBackend::Tree));
-        assert_eq!("TREEWALK".parse::<PredBackend>(), Ok(PredBackend::Tree));
-        assert_eq!("Compiled".parse::<PredBackend>(), Ok(PredBackend::Compiled));
-        // A typo must be an error, not a silent fallback to tree-walk.
-        let err = "compild".parse::<PredBackend>().unwrap_err();
-        assert!(err.contains("compild"), "{err}");
-        assert!("".parse::<PredBackend>().is_err());
-    }
 
     #[test]
     fn default_engine_uses_the_injected_default_threshold() {

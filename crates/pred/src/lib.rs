@@ -25,8 +25,8 @@
 //!
 //! Verdicts are differential-tested against `Pdag::eval` (same
 //! `Option<bool>` tri-state, same overflow behavior, same iteration
-//! budget); `lip_runtime` selects the engine via `LIP_PRED=compiled`
-//! with tree-walking as the default reference.
+//! budget), which also stays the fallback for a predicate that does
+//! not compile; every `lip_runtime` session evaluates through here.
 //!
 //! # Example
 //!
@@ -55,6 +55,6 @@ pub mod prog;
 pub mod vm;
 
 pub use compile::compile_pred;
-pub use engine::{EngineStats, PredBackend, PredEngine};
+pub use engine::{EngineStats, PredEngine};
 pub use prog::{BodyProg, POp, PredOverflow, PredProgram};
 pub use vm::{eval_compiled, eval_compiled_obs, EvalParams};

@@ -4,7 +4,7 @@
 //! the engine caches must actually cache.
 
 use lip_core::{build_cascade, Pdag};
-use lip_pred::{compile_pred, eval_compiled, EvalParams, PredBackend, PredEngine};
+use lip_pred::{compile_pred, eval_compiled, EvalParams, PredEngine};
 use lip_symbolic::{sym, BoolExpr, MapCtx, RangeEnv, SymExpr};
 
 fn v(name: &str) -> SymExpr {
@@ -183,22 +183,13 @@ fn engine_compile_cache_hits() {
     ctx.set_array(sym("B"), 1, vec![1; 8]);
 
     let engine = PredEngine::with_par_min(1024);
-    assert_eq!(
-        engine.eval_pred(&p, &ctx, 1_000, PredBackend::Compiled, 1),
-        Some(true)
-    );
-    assert_eq!(
-        engine.eval_pred(&p, &ctx, 1_000, PredBackend::Compiled, 1),
-        Some(true)
-    );
+    assert_eq!(engine.eval_pred(&p, &ctx, 1_000, 1), Some(true));
+    assert_eq!(engine.eval_pred(&p, &ctx, 1_000, 1), Some(true));
     let stats = engine.stats();
     assert_eq!(stats.compiles, 1, "second eval must reuse the program");
     assert!(stats.program_hits >= 1);
-    // Tree backend bypasses the engine entirely.
-    assert_eq!(
-        engine.eval_pred(&p, &ctx, 1_000, PredBackend::Tree, 1),
-        Some(true)
-    );
+    // The tree-walk reference never touches the engine.
+    assert_eq!(p.eval(&ctx, 1_000), Some(true));
     assert_eq!(engine.stats().compiles, 1);
 }
 
@@ -215,23 +206,9 @@ fn engine_memoizes_and_invalidates_on_input_change() {
     let engine = PredEngine::with_par_min(1024);
     let fp_of = |f: u128| move |_: &lip_pred::PredProgram| Some(f);
 
-    let (hit1, units1) = engine.first_success(
-        &cascade,
-        &ctx,
-        100_000,
-        PredBackend::Compiled,
-        1,
-        &mut fp_of(7),
-    );
+    let (hit1, units1) = engine.first_success(&cascade, &ctx, 100_000, 1, &mut fp_of(7));
     let evals_after_first = engine.stats().evals;
-    let (hit2, units2) = engine.first_success(
-        &cascade,
-        &ctx,
-        100_000,
-        PredBackend::Compiled,
-        1,
-        &mut fp_of(7),
-    );
+    let (hit2, units2) = engine.first_success(&cascade, &ctx, 100_000, 1, &mut fp_of(7));
     assert_eq!(hit1, hit2);
     // Charged units are identical on the memo hit: the memo is a
     // wall-clock optimization, never a cost-model change.
@@ -241,14 +218,7 @@ fn engine_memoizes_and_invalidates_on_input_change() {
 
     // A different fingerprint (changed inputs) must re-evaluate.
     ctx.set_array(sym("B"), 1, vec![-1; 8]);
-    let (hit3, _) = engine.first_success(
-        &cascade,
-        &ctx,
-        100_000,
-        PredBackend::Compiled,
-        1,
-        &mut fp_of(8),
-    );
+    let (hit3, _) = engine.first_success(&cascade, &ctx, 100_000, 1, &mut fp_of(8));
     assert_ne!(hit1, hit3, "changed inputs must change the verdict here");
     assert!(engine.stats().evals > evals_after_first);
 }
@@ -256,7 +226,7 @@ fn engine_memoizes_and_invalidates_on_input_change() {
 #[test]
 fn first_success_parity_with_cascade() {
     // An O(1)-able invariant ∨ a per-iteration test (the cascade test
-    // from lip_core), under both engine backends.
+    // from lip_core): the engine against the tree-walk cascade.
     let inv = Pdag::leaf(BoolExpr::lt(v("NP").scale(8), v("NS") + k(6)));
     let per_iter = Pdag::leaf(BoolExpr::gt0(SymExpr::elem(sym("B"), v("i"))));
     let p = Pdag::forall(sym("i"), k(1), v("N"), Pdag::or(vec![inv, per_iter]));
@@ -276,9 +246,7 @@ fn first_success_parity_with_cascade() {
         .map(|s| s.pred.eval_cost(&ctx))
         .sum();
     let engine = PredEngine::with_par_min(2);
-    for backend in [PredBackend::Tree, PredBackend::Compiled] {
-        let (hit, units) = engine.first_success(&cascade, &ctx, 1_000, backend, 4, &mut |_| None);
-        assert_eq!(hit, reference, "{backend}");
-        assert_eq!(units, manual_units, "{backend}");
-    }
+    let (hit, units) = engine.first_success(&cascade, &ctx, 1_000, 4, &mut |_| None);
+    assert_eq!(hit, reference);
+    assert_eq!(units, manual_units);
 }

@@ -12,7 +12,7 @@
 //! unknown paths are exercised as heavily as the decidable ones.
 
 use lip_core::{build_cascade, Pdag};
-use lip_pred::{compile_pred, eval_compiled, EvalParams, PredBackend, PredEngine};
+use lip_pred::{compile_pred, eval_compiled, EvalParams, PredEngine};
 use lip_symbolic::{sym, BoolExpr, MapCtx, RangeEnv, Sym, SymExpr};
 use proptest::prelude::*;
 
@@ -177,7 +177,7 @@ proptest! {
     }
 
     /// `PredEngine::first_success` parity: chosen stage and charged
-    /// work units match the tree-walk reference on both backends.
+    /// work units match the tree-walk reference.
     #[test]
     fn engine_first_success_matches_reference(seed in 0u64..1_000_000) {
         let mut g = Gen::new(seed.wrapping_mul(0x9E37_79B9));
@@ -194,11 +194,8 @@ proptest! {
             .map(|s| s.pred.eval_cost(&ctx))
             .sum();
         let engine = PredEngine::with_par_min(2);
-        for backend in [PredBackend::Tree, PredBackend::Compiled] {
-            let (hit, units) =
-                engine.first_success(&cascade, &ctx, limit, backend, 3, &mut |_| None);
-            prop_assert_eq!(hit, reference, "stage diverged under {}", backend);
-            prop_assert_eq!(units, ref_units, "units diverged under {}", backend);
-        }
+        let (hit, units) = engine.first_success(&cascade, &ctx, limit, 3, &mut |_| None);
+        prop_assert_eq!(hit, reference, "stage diverged");
+        prop_assert_eq!(units, ref_units, "units diverged");
     }
 }

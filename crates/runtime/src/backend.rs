@@ -1,26 +1,17 @@
-//! Execution backend selection: tree-walk interpretation vs. compiled
-//! register bytecode.
+//! The one execution path: compiled, fused register bytecode.
 //!
-//! Both backends share one value/runtime model (`lip_ir`'s `Value`,
-//! `ArrayBuf`, `AccessTracer`, work-unit accounting), so they are
-//! interchangeable everywhere the executor runs loop iterations: the
-//! predicate-guarded parallel path, CIV slice precomputation, LRPD
-//! speculation and the sequential fallbacks. Outputs, traced access
-//! streams and work-unit counts are identical; only wall-clock speed
-//! differs.
-//!
-//! Selection is per-[`crate::Session`]: the builder field
-//! `Session::builder().backend(..)`, or the `LIP_BACKEND` environment
-//! variable read in exactly one place (`SessionConfig::from_env`,
-//! strict parsing). Programs the bytecode compiler cannot handle fall
-//! back to tree-walk interpretation transparently.
-//!
-//! Runtime *predicate* evaluation has its own seam on the same model:
-//! [`PredBackend`] (`.pred(PredBackend::Compiled)` for the `lip_pred`
-//! engine, tree-walking `Pdag::eval` as the default reference),
-//! threaded through the cascade evaluation in `exec` and the suite
-//! harness. Verdicts and charged work units are identical on both;
-//! only wall-clock differs.
+//! Every driver — the predicate-guarded parallel path, CIV slice
+//! precomputation, LRPD speculation, the measurement pass and the
+//! sequential fallbacks — runs loop iterations on the `lip_vm` VM
+//! through a `CompiledBody` fetched from the session's per-machine
+//! cache. The VM shares `lip_ir`'s value/runtime model (`Value`,
+//! `ArrayBuf`, `AccessTracer`, work-unit accounting), so outputs,
+//! traced access streams and work-unit counts are those of the
+//! tree-walking `lip_ir::Machine` — which is what the differential
+//! suites check, and why the interpreter is reached from tests, not
+//! from here. A program beyond the VM's static limits is an explicit
+//! [`RunError::Unsupported`]; `Machine::exec_stmt` remains the way to
+//! run one.
 
 use std::sync::Arc;
 
@@ -30,67 +21,13 @@ use lip_vm::{Frame, Vm};
 
 use crate::cache::{CachedBody, MachineCache};
 
-pub use lip_pred::PredBackend;
-pub use lip_vm::OptLevel;
-
-/// Which execution engine runs loop iterations.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum Backend {
-    /// The `lip_ir` tree-walk interpreter (the reference semantics).
-    #[default]
-    TreeWalk,
-    /// The `lip_vm` register bytecode VM.
-    Bytecode,
-}
-
-impl Backend {
-    /// Whether this is the bytecode VM.
-    pub fn is_bytecode(self) -> bool {
-        self == Backend::Bytecode
-    }
-}
-
-/// Strict parsing for configuration seams (`LIP_BACKEND` is read in
-/// exactly one place — [`crate::SessionConfig::from_env`] — and a typo
-/// like `bytecoed` is an error there, never a silent fallback to the
-/// tree-walk default).
-impl std::str::FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Backend, String> {
-        if s.eq_ignore_ascii_case("tree") || s.eq_ignore_ascii_case("treewalk") {
-            Ok(Backend::TreeWalk)
-        } else if s.eq_ignore_ascii_case("bytecode") || s.eq_ignore_ascii_case("vm") {
-            Ok(Backend::Bytecode)
-        } else {
-            Err(format!(
-                "unknown backend `{s}` (expected `tree`/`treewalk` or `bytecode`/`vm`)"
-            ))
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backend::TreeWalk => write!(f, "treewalk"),
-            Backend::Bytecode => write!(f, "bytecode"),
-        }
-    }
-}
-
 /// Everything one executor entry point needs beyond the loop itself:
-/// the session's per-machine compile cache plus the configured seams.
-/// Built by [`crate::Session`] per call and threaded through the
-/// internal drivers, replacing what used to be a trailing
-/// `(nthreads, backend, pred)` argument sprawl.
+/// the session's per-machine compile cache, the pool width and the
+/// observer. Built by [`crate::Session`] per call and threaded through
+/// the internal drivers.
 pub(crate) struct ExecEnv<'a> {
     /// The session's compile/predicate cache for the machine at hand.
     pub cache: &'a MachineCache,
-    /// Which engine runs loop iterations.
-    pub backend: Backend,
-    /// Which engine evaluates runtime predicates.
-    pub pred: PredBackend,
     /// Fork-join pool width.
     pub nthreads: usize,
     /// The session's observability handle (decision recording, pool
@@ -110,8 +47,8 @@ pub(crate) struct CompiledBody {
 
 impl CompiledBody {
     /// Fetches (or compiles on first use) `stmts` in `sub`'s context
-    /// plus attached expression fragments; `None` means "fall back to
-    /// tree-walk".
+    /// plus attached expression fragments; [`RunError::Unsupported`]
+    /// when the program or block exceeds the VM's static limits.
     pub fn new(
         cache: &MachineCache,
         machine: &Machine,
@@ -119,10 +56,10 @@ impl CompiledBody {
         stmts: &[Stmt],
         exprs: &[&Expr],
         extra: &[Sym],
-    ) -> Option<CompiledBody> {
+    ) -> Result<CompiledBody, RunError> {
         let body = cache.body(machine, sub, stmts, exprs, extra)?;
         let block = body.block;
-        Some(CompiledBody { body, block })
+        Ok(CompiledBody { body, block })
     }
 
     /// The block chunk (slot lookups, frame construction).
@@ -191,8 +128,8 @@ pub(crate) fn machine_tracer(machine: &Machine) -> Option<&dyn AccessTracer> {
     machine.tracer().map(|t| &**t as &dyn AccessTracer)
 }
 
-/// Executes one statement sequentially under the selected backend
-/// (used for sequential loop fallbacks and LRPD recovery re-runs).
+/// Executes one statement sequentially (sequential loop fallbacks and
+/// LRPD recovery re-runs).
 pub(crate) fn exec_stmt_seq(
     env: &ExecEnv<'_>,
     machine: &Machine,
@@ -201,41 +138,17 @@ pub(crate) fn exec_stmt_seq(
     frame: &mut Store,
     state: &mut ExecState,
 ) -> Result<(), RunError> {
-    if env.backend.is_bytecode() {
-        if let Some(cb) = CompiledBody::new(
-            env.cache,
-            machine,
-            sub,
-            std::slice::from_ref(target),
-            &[],
-            &[],
-        ) {
-            let mut f = cb.frame(frame);
-            cb.run(env, machine, &mut f, None, state, machine_tracer(machine))?;
-            f.writeback_scalars(cb.chunk(), frame);
-            return Ok(());
-        }
-    }
-    machine.exec_stmt(sub, frame, target, state)
+    let stmts = std::slice::from_ref(target);
+    let cb = CompiledBody::new(env.cache, machine, sub, stmts, &[], &[])?;
+    let mut f = cb.frame(frame);
+    cb.run(env, machine, &mut f, None, state, machine_tracer(machine))?;
+    f.writeback_scalars(cb.chunk(), frame);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_parses_strictly() {
-        assert_eq!(Backend::default(), Backend::TreeWalk);
-        assert!(Backend::Bytecode.is_bytecode());
-        assert_eq!(Backend::Bytecode.to_string(), "bytecode");
-        assert_eq!("treewalk".parse::<Backend>(), Ok(Backend::TreeWalk));
-        assert_eq!("VM".parse::<Backend>(), Ok(Backend::Bytecode));
-        assert_eq!("Bytecode".parse::<Backend>(), Ok(Backend::Bytecode));
-        // A typo must be an error, not a silent tree-walk fallback.
-        let err = "bytecoed".parse::<Backend>().unwrap_err();
-        assert!(err.contains("bytecoed"), "{err}");
-        assert!("".parse::<Backend>().is_err());
-    }
 
     #[test]
     fn exec_stmt_seq_matches_interpreter() {
@@ -265,35 +178,19 @@ END
         };
         let cache = MachineCache::default();
         let obs = lip_obs::Obs::off();
-        let env_for = |backend| ExecEnv {
+        let env = ExecEnv {
             cache: &cache,
-            backend,
-            pred: PredBackend::Tree,
             nthreads: 1,
             obs: &obs,
         };
         let mut tw = mk();
         let mut st_tw = ExecState::default();
-        exec_stmt_seq(
-            &env_for(Backend::TreeWalk),
-            &machine,
-            &sub,
-            &target,
-            &mut tw,
-            &mut st_tw,
-        )
-        .expect("tree-walk");
+        machine
+            .exec_stmt(&sub, &mut tw, &target, &mut st_tw)
+            .expect("interpreter");
         let mut bc = mk();
         let mut st_bc = ExecState::default();
-        exec_stmt_seq(
-            &env_for(Backend::Bytecode),
-            &machine,
-            &sub,
-            &target,
-            &mut bc,
-            &mut st_bc,
-        )
-        .expect("bytecode");
+        exec_stmt_seq(&env, &machine, &sub, &target, &mut bc, &mut st_bc).expect("bytecode");
         assert_eq!(st_tw.cost, st_bc.cost);
         let (a, b) = (
             tw.array(lip_symbolic::sym("A")).expect("A"),

@@ -21,11 +21,11 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use lip_ir::{Expr, Machine, Stmt, Store, Subroutine};
+use lip_ir::{Expr, Machine, RunError, Stmt, Store, Subroutine};
 use lip_obs::Obs;
 use lip_pred::PredEngine;
 use lip_symbolic::Sym;
-use lip_vm::{BlockId, CompiledProgram, OptLevel};
+use lip_vm::{BlockId, CompileError, CompiledProgram};
 
 /// A cached standalone block: the compiled program it lives in plus its
 /// block id. Shared (`Arc`) across invocations and worker threads.
@@ -38,19 +38,14 @@ pub struct CachedBody {
 
 /// Compilation caches scoped to one program.
 pub struct MachineCache {
-    /// The machine's subroutines compiled once (`None`: the program
-    /// exceeds the bytecode's static limits — remembered so callers
-    /// fall back without recompiling).
-    base: OnceLock<Option<Arc<CompiledProgram>>>,
+    /// The machine's subroutines compiled and fused once (`Err`: the
+    /// program exceeds the bytecode's static limits — remembered so
+    /// callers fail without recompiling).
+    base: OnceLock<Result<Arc<CompiledProgram>, RunError>>,
     /// Lowered statement blocks keyed by their structural rendering.
-    blocks: Mutex<HashMap<String, Option<Arc<CachedBody>>>>,
+    blocks: Mutex<HashMap<String, Result<Arc<CachedBody>, RunError>>>,
     /// The predicate engine (compile cache + verdict memo).
     pred: PredEngine,
-    /// Whether compiled chunks get the superinstruction peephole pass
-    /// (cache-wide, injected by the owning session — so a program is
-    /// fused exactly once per machine and every consumer of this cache
-    /// sees the same stream).
-    opt_level: OptLevel,
     /// Whether the executor may honor loop-fission plans (the session's
     /// `fission` knob, threaded here so the drivers read one source of
     /// truth — the cache never reads the environment).
@@ -63,28 +58,21 @@ pub struct MachineCache {
 
 impl Default for MachineCache {
     fn default() -> MachineCache {
-        MachineCache::new(
-            lip_pred::engine::DEFAULT_PAR_MIN,
-            OptLevel::default(),
-            true,
-            Obs::off(),
-        )
+        MachineCache::new(lip_pred::engine::DEFAULT_PAR_MIN, true, Obs::off())
     }
 }
 
 impl MachineCache {
     /// A cache whose predicate engine parallelizes quantifiers of at
-    /// least `par_min` iterations, whose compiled chunks are
-    /// post-processed at `opt_level`, and whose executors honor
-    /// fission plans iff `fission` (the owning session injects all
-    /// three — the cache never reads the environment). `obs` receives
-    /// compile timings and cache hit/miss counters.
-    pub fn new(par_min: i64, opt_level: OptLevel, fission: bool, obs: Obs) -> MachineCache {
+    /// least `par_min` iterations and whose executors honor fission
+    /// plans iff `fission` (the owning session injects both — the
+    /// cache never reads the environment). `obs` receives compile
+    /// timings and cache hit/miss counters.
+    pub fn new(par_min: i64, fission: bool, obs: Obs) -> MachineCache {
         MachineCache {
             base: OnceLock::new(),
             blocks: Mutex::new(HashMap::new()),
             pred: PredEngine::with_par_min_obs(par_min, obs.clone()),
-            opt_level,
             fission,
             obs,
         }
@@ -102,7 +90,12 @@ impl MachineCache {
 
     /// The compiled block for `stmts` (+ attached expression fragments
     /// and extra scalar slots) in `sub`'s context, compiling at most
-    /// once per distinct shape. `None` when it doesn't compile.
+    /// once per distinct shape.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Unsupported`] when the program or the block exceeds
+    /// the bytecode's static limits.
     pub fn body(
         &self,
         machine: &Machine,
@@ -110,7 +103,7 @@ impl MachineCache {
         stmts: &[Stmt],
         exprs: &[&Expr],
         extra: &[Sym],
-    ) -> Option<Arc<CachedBody>> {
+    ) -> Result<Arc<CachedBody>, RunError> {
         // The key is the block's exact structural rendering: linear in
         // the body size to build on every lookup, but collision-free —
         // a hashed key that aliased two different bodies would execute
@@ -128,11 +121,10 @@ impl MachineCache {
             // The cloned subs are already fused; only the fresh block
             // needs the pass.
             let mut prog = (*base).clone();
-            let block = lip_vm::add_block_with_exprs(&mut prog, sub, stmts, exprs, extra).ok()?;
-            if self.opt_level.fuses() {
-                lip_vm::optimize_block(&mut prog, block);
-            }
-            Some(Arc::new(CachedBody {
+            let block = lip_vm::add_block_with_exprs(&mut prog, sub, stmts, exprs, extra)
+                .map_err(unsupported)?;
+            lip_vm::optimize_block(&mut prog, block);
+            Ok(Arc::new(CachedBody {
                 prog: Arc::new(prog),
                 block,
             }))
@@ -145,25 +137,26 @@ impl MachineCache {
         built
     }
 
-    /// The whole program compiled (and, at the session's opt level,
-    /// fused) once.
-    fn base(&self, machine: &Machine) -> Option<Arc<CompiledProgram>> {
+    /// The whole program compiled and fused once.
+    fn base(&self, machine: &Machine) -> Result<Arc<CompiledProgram>, RunError> {
         self.base
             .get_or_init(|| {
                 self.obs.count("vm.program_compiles", 1);
                 self.obs.timed("vm.compile_ns", || {
                     lip_vm::compile_program(machine.program())
-                        .ok()
                         .map(|mut prog| {
-                            if self.opt_level.fuses() {
-                                lip_vm::optimize_program(&mut prog);
-                            }
+                            lip_vm::optimize_program(&mut prog);
                             Arc::new(prog)
                         })
+                        .map_err(unsupported)
                 })
             })
             .clone()
     }
+}
+
+fn unsupported(e: CompileError) -> RunError {
+    RunError::Unsupported(lip_symbolic::sym(&e.to_string()))
 }
 
 /// Fingerprints the loop-invariant inputs a compiled predicate reads

@@ -188,11 +188,10 @@ fn expr_syms(e: &lip_ir::Expr) -> BTreeSet<Sym> {
 
 /// The slice driver behind [`crate::Session::civ_traces`]: runs the
 /// CIV slice sequentially and records each traced scalar's value at
-/// every iteration entry (plus the post-loop value). On the
-/// bytecode backend the slice runs through the VM (identical traces
-/// and work units, faster wall-clock — the slice is the dominant
-/// runtime-test cost for the `track`-style while loops), compiled once
-/// per machine via the session's [`crate::cache::MachineCache`].
+/// every iteration entry (plus the post-loop value). The slice — the
+/// dominant runtime-test cost for the `track`-style while loops — is
+/// compiled once per machine via the session's
+/// [`crate::cache::MachineCache`].
 pub(crate) fn compute_civ_traces_impl(
     env: &ExecEnv<'_>,
     machine: &Machine,
@@ -222,26 +221,6 @@ fn civ_traces_under(
     niters_sym: Option<Sym>,
     state: &mut ExecState,
 ) -> Result<(), RunError> {
-    if env.backend.is_bytecode() {
-        if let Some(r) = civ_traces_vm(env, machine, sub, target, civs, frame, niters_sym, state) {
-            return r;
-        }
-    }
-    civ_traces_treewalk(machine, sub, target, civs, frame, niters_sym, state)
-}
-
-/// The VM slice driver; `None` means "block didn't compile, fall back".
-#[allow(clippy::too_many_arguments)]
-fn civ_traces_vm(
-    env: &ExecEnv<'_>,
-    machine: &Machine,
-    sub: &Subroutine,
-    target: &Stmt,
-    civs: &[(Sym, Sym)],
-    frame: &mut Store,
-    niters_sym: Option<Sym>,
-    state: &mut ExecState,
-) -> Option<Result<(), RunError>> {
     let targets: BTreeSet<Sym> = civs.iter().map(|(s, _)| *s).collect();
     let mut extra: Vec<Sym> = civs.iter().map(|(s, _)| *s).collect();
     let mut traces: Vec<(Sym, Sym, Vec<i64>)> =
@@ -260,20 +239,15 @@ fn civ_traces_vm(
                 .collect();
             let mut f = cb.frame(frame);
             let vm = cb.vm(machine);
-            let mut drive = || {
-                let lo = machine.eval(sub, frame, lo, state)?.as_i64();
-                let hi = machine.eval(sub, frame, hi, state)?.as_i64();
-                for i in lo..=hi {
-                    f.set_scalar(var_slot, Value::Int(i));
-                    record(&f, &civ_slots, &mut traces);
-                    vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
-                }
+            let lo = machine.eval(sub, frame, lo, state)?.as_i64();
+            let hi = machine.eval(sub, frame, hi, state)?.as_i64();
+            for i in lo..=hi {
+                f.set_scalar(var_slot, Value::Int(i));
                 record(&f, &civ_slots, &mut traces);
-                Ok(())
-            };
-            if let Err(e) = drive() {
-                return Some(Err(e));
+                vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
             }
+            // Post-loop entry (trace(hi+1)).
+            record(&f, &civ_slots, &mut traces);
         }
         Stmt::While { cond, body, .. } => {
             let slice = extract_slice(body, &targets);
@@ -285,35 +259,27 @@ fn civ_traces_vm(
             let mut f = cb.frame(frame);
             let vm = cb.vm(machine);
             let mut n: i64 = 0;
-            let mut drive = || {
-                loop {
-                    let c =
-                        vm.eval_block_expr(cb.block, 0, &mut f, state, machine_tracer(machine))?;
-                    record(&f, &civ_slots, &mut traces);
-                    if !c.truthy() {
-                        break;
-                    }
-                    n += 1;
-                    vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
-                    if n > 100_000_000 {
-                        return Err(RunError::StepLimit);
-                    }
+            loop {
+                let c = vm.eval_block_expr(cb.block, 0, &mut f, state, machine_tracer(machine))?;
+                record(&f, &civ_slots, &mut traces);
+                if !c.truthy() {
+                    break;
                 }
-                Ok(())
-            };
-            if let Err(e) = drive() {
-                return Some(Err(e));
+                n += 1;
+                vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
+                if n > 100_000_000 {
+                    return Err(RunError::StepLimit);
+                }
             }
             if let Some(ns) = niters_sym {
                 frame.set_scalar(ns, Value::Int(n));
             }
         }
-        // Non-loop targets still bind (empty) trace arrays, exactly as
-        // the tree-walk path does.
+        // Non-loop targets still bind (empty) trace arrays.
         _ => {}
     }
     bind_traces(frame, traces);
-    Some(Ok(()))
+    Ok(())
 }
 
 fn record(f: &lip_vm::Frame, slots: &[u16], traces: &mut [(Sym, Sym, Vec<i64>)]) {
@@ -335,67 +301,6 @@ fn bind_traces(frame: &mut Store, traces: Vec<(Sym, Sym, Vec<i64>)>) {
             },
         );
     }
-}
-
-fn civ_traces_treewalk(
-    machine: &Machine,
-    sub: &Subroutine,
-    target: &Stmt,
-    civs: &[(Sym, Sym)],
-    frame: &mut Store,
-    niters_sym: Option<Sym>,
-    state: &mut ExecState,
-) -> Result<(), RunError> {
-    let targets: BTreeSet<Sym> = civs.iter().map(|(s, _)| *s).collect();
-    let mut traces: Vec<(Sym, Sym, Vec<i64>)> =
-        civs.iter().map(|(s, t)| (*s, *t, Vec::new())).collect();
-    let mut slice_frame = frame.clone();
-
-    match target {
-        Stmt::Do {
-            var, lo, hi, body, ..
-        } => {
-            let slice = extract_slice(body, &targets);
-            let lo = machine.eval(sub, &slice_frame, lo, state)?.as_i64();
-            let hi = machine.eval(sub, &slice_frame, hi, state)?.as_i64();
-            for i in lo..=hi {
-                slice_frame.set_scalar(*var, Value::Int(i));
-                for (s, _, vals) in traces.iter_mut() {
-                    vals.push(slice_frame.scalar(*s).map(Value::as_i64).unwrap_or(0));
-                }
-                machine.exec_block(sub, &mut slice_frame, &slice, state)?;
-            }
-            // Post-loop entry (trace(hi+1)).
-            for (s, _, vals) in traces.iter_mut() {
-                vals.push(slice_frame.scalar(*s).map(Value::as_i64).unwrap_or(0));
-            }
-        }
-        Stmt::While { cond, body, .. } => {
-            let slice = extract_slice(body, &targets);
-            let mut n: i64 = 0;
-            loop {
-                let c = machine.eval(sub, &slice_frame, cond, state)?;
-                for (s, _, vals) in traces.iter_mut() {
-                    vals.push(slice_frame.scalar(*s).map(Value::as_i64).unwrap_or(0));
-                }
-                if !c.truthy() {
-                    break;
-                }
-                n += 1;
-                machine.exec_block(sub, &mut slice_frame, &slice, state)?;
-                if n > 100_000_000 {
-                    return Err(RunError::StepLimit);
-                }
-            }
-            if let Some(ns) = niters_sym {
-                frame.set_scalar(ns, Value::Int(n));
-            }
-        }
-        _ => {}
-    }
-
-    bind_traces(frame, traces);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -515,8 +420,8 @@ END
 
     /// A DO slice whose upper bound is `i64::MAX` used to step its
     /// counter past the end (`while i <= hi { …; i += 1 }`): a debug
-    /// panic, a wrapped endless loop in release. Both backends, under a
-    /// step budget so a regression ends in `StepLimit`, not a hang.
+    /// panic, a wrapped endless loop in release. Under a step budget so
+    /// a regression ends in `StepLimit`, not a hang.
     #[test]
     fn do_slice_ending_at_i64_max_terminates() {
         let prog = parse_program(
@@ -536,32 +441,28 @@ END
         let civs = vec![(sym("civ"), sym("civ@tr"))];
         let cache = crate::cache::MachineCache::default();
         let obs = lip_obs::Obs::off();
-        for backend in [crate::Backend::TreeWalk, crate::Backend::Bytecode] {
-            let env = ExecEnv {
-                cache: &cache,
-                backend,
-                pred: crate::PredBackend::Tree,
-                nthreads: 1,
-                obs: &obs,
-            };
-            let run = |lo: i64| {
-                let mut frame = Store::new();
-                frame.set_int(sym("LO"), lo).set_int(sym("HI"), i64::MAX);
-                frame.set_int(sym("civ"), 0);
-                let mut state = ExecState::with_budget(10_000);
-                let r = civ_traces_under(
-                    &env, &machine, &sub, &target, &civs, &mut frame, None, &mut state,
-                );
-                (r, frame)
-            };
-            // The last three iterations of the i64 range, then done.
-            let (r, frame) = run(i64::MAX - 2);
-            assert_eq!(r, Ok(()), "{backend}");
-            let tr = frame.array(sym("civ@tr")).expect("trace bound");
-            assert_eq!(tr.buf.len(), 4, "{backend}: three entries + post-loop");
-            assert_eq!(tr.get_i64(3), 3, "{backend}");
-            // The whole positive range: the budget ends it.
-            assert_eq!(run(1).0, Err(RunError::StepLimit), "{backend}");
-        }
+        let env = ExecEnv {
+            cache: &cache,
+            nthreads: 1,
+            obs: &obs,
+        };
+        let run = |lo: i64| {
+            let mut frame = Store::new();
+            frame.set_int(sym("LO"), lo).set_int(sym("HI"), i64::MAX);
+            frame.set_int(sym("civ"), 0);
+            let mut state = ExecState::with_budget(10_000);
+            let r = civ_traces_under(
+                &env, &machine, &sub, &target, &civs, &mut frame, None, &mut state,
+            );
+            (r, frame)
+        };
+        // The last three iterations of the i64 range, then done.
+        let (r, frame) = run(i64::MAX - 2);
+        assert_eq!(r, Ok(()));
+        let tr = frame.array(sym("civ@tr")).expect("trace bound");
+        assert_eq!(tr.buf.len(), 4, "three entries + post-loop");
+        assert_eq!(tr.get_i64(3), 3);
+        // The whole positive range: the budget ends it.
+        assert_eq!(run(1).0, Err(RunError::StepLimit));
     }
 }

@@ -114,12 +114,10 @@ fn executor_name(outcome: &ExecOutcome) -> String {
     }
 }
 
-/// The executor driver behind [`crate::Session::run_loop`]: the
-/// session absorbs what used to be a `(nthreads, backend, pred)`
-/// argument sprawl across three public variants. When the session's
-/// observer is on, every run additionally records a [`LoopDecision`]
-/// under the loop's label (cascade stage verdicts, exact-test outcome,
-/// fission accounting, final executor).
+/// The executor driver behind [`crate::Session::run_loop`]. When the
+/// session's observer is on, every run additionally records a
+/// [`LoopDecision`] under the loop's label (cascade stage verdicts,
+/// exact-test outcome, fission accounting, final executor).
 pub(crate) fn run_loop_impl(
     env: &ExecEnv<'_>,
     machine: &Machine,
@@ -200,7 +198,7 @@ fn run_loop_inner(
     // parallel execution from the traces. The same goes for DO loops
     // with a step other than 1: the chunked drivers below assume a
     // unit-stride iteration space, so anything else runs sequentially
-    // (correct on both backends) rather than silently mis-iterating.
+    // rather than silently mis-iterating.
     let unit_step = match target {
         Stmt::Do { step: None, .. } => true,
         Stmt::Do { step: Some(e), .. } => {
@@ -245,7 +243,6 @@ fn run_loop_inner(
                     &analysis.cascade,
                     &ctx,
                     100_000_000,
-                    env.pred,
                     env.nthreads,
                     &mut fp,
                     &mut dt.stages,
@@ -255,7 +252,6 @@ fn run_loop_inner(
                     &analysis.cascade,
                     &ctx,
                     100_000_000,
-                    env.pred,
                     env.nthreads,
                     &mut fp,
                 )
@@ -421,7 +417,6 @@ fn build_exec_plans(
                             c,
                             &ctx,
                             100_000_000,
-                            env.pred,
                             env.nthreads,
                             &mut |prog| {
                                 Some(store_fingerprint(
@@ -513,7 +508,6 @@ fn run_fissioned(
                     &a.cascade,
                     &ctx,
                     100_000_000,
-                    env.pred,
                     env.nthreads,
                     &mut |prog| {
                         Some(store_fingerprint(
@@ -642,19 +636,11 @@ fn run_seq_fragment(
     if hi < lo {
         return Ok(());
     }
-    if env.backend.is_bytecode() {
-        if let Some(cb) = CompiledBody::new(env.cache, machine, sub, body, &[], &[var]) {
-            let mut f = cb.frame(frame);
-            let tracer = machine_tracer(machine);
-            cb.run_range(env, machine, &mut f, (var, lo, hi), st, tracer)?;
-            f.writeback_scalars(cb.chunk(), frame);
-            return Ok(());
-        }
-    }
-    for i in lo..=hi {
-        frame.set_scalar(var, Value::Int(i));
-        machine.exec_block(sub, frame, body, st)?;
-    }
+    let cb = CompiledBody::new(env.cache, machine, sub, body, &[], &[var])?;
+    let mut f = cb.frame(frame);
+    let tracer = machine_tracer(machine);
+    cb.run_range(env, machine, &mut f, (var, lo, hi), st, tracer)?;
+    f.writeback_scalars(cb.chunk(), frame);
     Ok(())
 }
 
@@ -723,17 +709,12 @@ fn run_parallel_do(
         return Ok(0);
     }
     // Compile the loop body once; every worker thread then executes
-    // bytecode through its own `Send` frame instead of re-walking the
-    // AST per iteration.
-    let compiled = if env.backend.is_bytecode() {
-        let mut extra: Vec<Sym> = vec![var];
-        extra.extend(scalar_reds.iter().copied());
-        extra.extend(civs.iter().map(|(s, _)| *s));
-        extra.extend(scalar_finals.iter().copied());
-        CompiledBody::new(env.cache, machine, sub, body, &[], &extra)
-    } else {
-        None
-    };
+    // bytecode through its own `Send` frame.
+    let mut extra: Vec<Sym> = vec![var];
+    extra.extend(scalar_reds.iter().copied());
+    extra.extend(civs.iter().map(|(s, _)| *s));
+    extra.extend(scalar_finals.iter().copied());
+    let cb = CompiledBody::new(env.cache, machine, sub, body, &[], &extra)?;
     let chunks = chunk_bounds(env.nthreads, lo, hi);
     let nchunks = chunks.len();
     let total_cost = Mutex::new(0u64);
@@ -821,33 +802,20 @@ fn run_parallel_do(
             );
         }
         // Dynamic-last-value tracking needs write sets.
-        let tracer = (!dlv_arrays.is_empty()).then(|| {
-            Arc::new(WriteSetTracer {
-                interesting: dlv_arrays.clone(),
-                writes: Mutex::new(HashMap::new()),
-            })
+        let tracer = (!dlv_arrays.is_empty()).then(|| WriteSetTracer {
+            interesting: dlv_arrays.clone(),
+            writes: Mutex::new(HashMap::new()),
         });
         let mut st = ExecState::default();
-        if let Some(cb) = &compiled {
-            let dyn_tracer: Option<&dyn AccessTracer> = match &tracer {
-                Some(t) => Some(&**t),
-                None => machine_tracer(machine),
-            };
-            let mut f = cb.frame(&local);
-            cb.run_range(env, machine, &mut f, (var, c_lo, c_hi), &mut st, dyn_tracer)?;
-            f.writeback_scalars(cb.chunk(), &mut local);
-        } else {
-            let m = match &tracer {
-                Some(t) => machine.with_tracer(t.clone() as Arc<dyn AccessTracer>),
-                None => machine.clone(),
-            };
-            for i in c_lo..=c_hi {
-                local.set_scalar(var, Value::Int(i));
-                m.exec_block(sub, &mut local, body, &mut st)?;
-            }
-        }
+        let dyn_tracer: Option<&dyn AccessTracer> = match &tracer {
+            Some(t) => Some(t),
+            None => machine_tracer(machine),
+        };
+        let mut f = cb.frame(&local);
+        cb.run_range(env, machine, &mut f, (var, c_lo, c_hi), &mut st, dyn_tracer)?;
+        f.writeback_scalars(cb.chunk(), &mut local);
         if let Some(t) = tracer {
-            out.writes = std::mem::take(&mut *t.writes.lock().unwrap());
+            out.writes = t.writes.into_inner().unwrap();
         }
         for s in scalar_reds {
             if let Some(v) = local.scalar(*s) {
@@ -970,8 +938,7 @@ mod tests {
         (Machine::new(prog), sub, target, analysis)
     }
 
-    /// A default two-thread session (what the old free `run_loop`
-    /// call sites passed explicitly).
+    /// A default two-thread session.
     fn session2() -> Session {
         Session::builder().nthreads(2).build()
     }
@@ -1327,41 +1294,6 @@ END
             .run_loop(&machine, &sub, &target, &analysis, &mut frame)
             .expect("runs");
         assert_eq!(frame.scalar(sym("s")).map(Value::as_f64), Some(110.0));
-    }
-
-    #[test]
-    fn run_loop_matches_across_opt_levels() {
-        let src = "
-SUBROUTINE t(A, N)
-  DIMENSION A(*)
-  INTEGER i, N
-  DO l1 i = 1, N
-    A(i) = A(i) + 3.0
-  ENDDO
-END
-";
-        let (machine, sub, target, analysis) = full_setup(src, "l1");
-        let run = |opt| {
-            let session = Session::builder()
-                .backend(crate::Backend::Bytecode)
-                .opt_level(opt)
-                .nthreads(2)
-                .build();
-            let mut frame = Store::new();
-            frame.set_int(sym("N"), 64);
-            frame.alloc_real(sym("A"), 64);
-            let stats = session
-                .run_loop(&machine, &sub, &target, &analysis, &mut frame)
-                .expect("runs");
-            let a = frame.array(sym("A")).expect("A");
-            let snap: Vec<f64> = (0..64).map(|i| a.get_f64(i)).collect();
-            (stats.outcome, stats.test_units, stats.loop_units, snap)
-        };
-        let unfused = run(crate::backend::OptLevel::None);
-        let fused = run(crate::backend::OptLevel::Fuse);
-        assert_eq!(unfused, fused);
-        assert_eq!(fused.0, ExecOutcome::StaticParallel);
-        assert_eq!(fused.3[63], 3.0);
     }
 
     #[test]

@@ -15,14 +15,13 @@
 //! path cross-checks its shape at the host's core count.
 //!
 //! All of it is driven through one configured entry point: a
-//! [`Session`] (see [`session`]) owns the backend/predicate-engine
-//! selection, the bytecode opt level (the `lip_vm` superinstruction
-//! pass), the pool width, the per-machine compile caches and the
-//! simulator's spawn cost. Environment variables (`LIP_BACKEND`,
-//! `LIP_OPT`, `LIP_PRED`, `LIP_PRED_PAR_MIN`) are read in exactly one
-//! place, [`SessionConfig::from_env`], with strict parsing. The free
-//! functions deprecated in 0.2 (`run_loop` et al.) are gone as of
-//! 0.3 — every path goes through a `Session`.
+//! [`Session`] (see [`session`]) owns the pool width, the per-machine
+//! compile caches, the fission and observer knobs and the simulator's
+//! spawn cost, and runs every loop as fused `lip_vm` bytecode with
+//! cascade predicates on the compiled `lip_pred` engine. Environment
+//! variables (`LIP_PRED_PAR_MIN`, `LIP_FISSION`, `LIP_OBS`) are read
+//! in exactly one place, [`SessionConfig::from_env`], with strict
+//! parsing.
 
 pub mod backend;
 pub mod cache;
@@ -35,7 +34,6 @@ pub mod pool;
 pub mod session;
 pub mod sim;
 
-pub use backend::{Backend, OptLevel, PredBackend};
 pub use cache::{store_fingerprint, MachineCache};
 pub use civ::extract_slice;
 pub use exec::{ExecOutcome, ExecPlan, RunStats};
@@ -43,5 +41,6 @@ pub use inspector::{inspect, inspect_execute, InspectVerdict};
 pub use lrpd::LrpdOutcome;
 pub use merge::{clone_buf, copy_back, identity_buf, merge_into, merge_into_boxed};
 pub use pool::parallel_chunks;
+pub use session::compat::*;
 pub use session::{ConfigError, LoopJob, Session, SessionBuilder, SessionConfig};
 pub use sim::{charged_test_units, makespan, SimResult, SimSpec};

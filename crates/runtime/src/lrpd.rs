@@ -79,14 +79,12 @@ pub enum LrpdOutcome {
     Aborted,
 }
 
-/// The speculation driver behind [`crate::Session::lrpd_execute`]: on
-/// the bytecode backend both the speculative parallel run and the
-/// sequential recovery execute compiled bytecode — the shadow-array
-/// instrumentation sees the same per-iteration access stream either
-/// way, so commit/abort decisions are identical. The body compiles at
-/// most once per machine (the session's
-/// [`crate::cache::MachineCache`]), so repeated speculation on the
-/// same loop skips straight to execution.
+/// The speculation driver behind [`crate::Session::lrpd_execute`]:
+/// both the speculative parallel run and the sequential recovery
+/// execute compiled bytecode, with the shadow-array instrumentation on
+/// the per-iteration access stream. The body compiles at most once per
+/// machine (the session's [`crate::cache::MachineCache`]), so repeated
+/// speculation on the same loop skips straight to execution.
 pub(crate) fn lrpd_execute_impl(
     env: &ExecEnv<'_>,
     machine: &Machine,
@@ -104,7 +102,9 @@ pub(crate) fn lrpd_execute_impl(
         ..
     } = target
     else {
-        return Err(RunError::StepLimit);
+        return Err(RunError::Unsupported(lip_symbolic::sym(
+            "LRPD speculation takes a DO loop",
+        )));
     };
     let mut state = ExecState::default();
     // The chunked speculative driver assumes a unit-stride iteration
@@ -118,11 +118,7 @@ pub(crate) fn lrpd_execute_impl(
             return Ok((LrpdOutcome::Committed, state.cost + st.cost));
         }
     }
-    let compiled = if env.backend.is_bytecode() {
-        CompiledBody::new(env.cache, machine, sub, body, &[], &[*var])
-    } else {
-        None
-    };
+    let cb = CompiledBody::new(env.cache, machine, sub, body, &[], &[*var])?;
     let lo_v = machine.eval(sub, frame, lo, &mut state)?.as_i64();
     let hi_v = machine.eval(sub, frame, hi, &mut state)?.as_i64();
 
@@ -148,14 +144,11 @@ pub(crate) fn lrpd_execute_impl(
     });
 
     // Speculative parallel execution.
-    let var_slot = compiled
-        .as_ref()
-        .map(|cb| cb.chunk().scalar_slot(*var).expect("interned"));
+    let var_slot = cb.chunk().scalar_slot(*var).expect("interned");
     let cost = Mutex::new(state.cost);
     parallel_chunks(env.nthreads, lo_v, hi_v, |_, c_lo, c_hi| {
-        let mut local = frame.clone();
         let mut st = ExecState::default();
-        let mut vm_frame = compiled.as_ref().map(|cb| cb.frame(&local));
+        let mut f = cb.frame(frame);
         for i in c_lo..=c_hi {
             if spec.conflict.load(Ordering::Relaxed) {
                 break;
@@ -164,15 +157,9 @@ pub(crate) fn lrpd_execute_impl(
                 state: spec.clone(),
                 iter: i,
             };
-            if let (Some(cb), Some(f)) = (&compiled, &mut vm_frame) {
-                f.set_scalar(var_slot.expect("compiled"), Value::Int(i));
-                cb.vm(machine)
-                    .run_block(cb.block, f, &mut st, Some(&tracer))?;
-            } else {
-                let traced = machine.with_tracer(Arc::new(tracer));
-                local.set_scalar(*var, Value::Int(i));
-                traced.exec_block(sub, &mut local, body, &mut st)?;
-            }
+            f.set_scalar(var_slot, Value::Int(i));
+            cb.vm(machine)
+                .run_block(cb.block, &mut f, &mut st, Some(&tracer))?;
         }
         *cost.lock().unwrap() += st.cost;
         Ok::<(), RunError>(())
@@ -198,13 +185,12 @@ pub(crate) fn lrpd_execute_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Backend;
     use crate::session::Session;
     use lip_ir::parse_program;
     use lip_symbolic::sym;
 
-    fn session2(backend: Backend) -> Session {
-        Session::builder().nthreads(2).backend(backend).build()
+    fn session2() -> Session {
+        Session::builder().nthreads(2).build()
     }
 
     fn setup(src: &str) -> (Machine, Subroutine, Stmt) {
@@ -230,7 +216,7 @@ END
         let mut frame = Store::new();
         frame.set_int(sym("N"), 64);
         frame.alloc_real(sym("A"), 64);
-        let (outcome, _) = session2(Backend::TreeWalk)
+        let (outcome, _) = session2()
             .lrpd_execute(&machine, &sub, &target, &frame, &[sym("A")])
             .expect("runs");
         assert_eq!(outcome, LrpdOutcome::Committed);
@@ -256,7 +242,7 @@ END
         let mut frame = Store::new();
         frame.set_int(sym("N"), 100);
         frame.alloc_real(sym("A"), 4);
-        let (outcome, _) = session2(Backend::TreeWalk)
+        let (outcome, _) = session2()
             .lrpd_execute(&machine, &sub, &target, &frame, &[sym("A")])
             .expect("runs");
         assert_eq!(outcome, LrpdOutcome::Aborted);
@@ -269,8 +255,8 @@ END
     fn non_unit_step_loops_execute_sequentially_and_correctly() {
         // DO i = 10, 1, -2: the chunked driver assumes unit stride, so
         // this must take the sequential path — and produce the right
-        // answer — on both backends (regression: it used to run zero
-        // iterations and "commit").
+        // answer (regression: it used to run zero iterations and
+        // "commit").
         let (machine, sub, target) = setup(
             "
 SUBROUTINE t(A, N)
@@ -282,19 +268,17 @@ SUBROUTINE t(A, N)
 END
 ",
         );
-        for backend in [Backend::TreeWalk, Backend::Bytecode] {
-            let mut frame = Store::new();
-            frame.set_int(sym("N"), 10);
-            frame.alloc_real(sym("A"), 10);
-            let (outcome, _) = session2(backend)
-                .lrpd_execute(&machine, &sub, &target, &frame, &[sym("A")])
-                .expect("runs");
-            assert_eq!(outcome, LrpdOutcome::Committed);
-            let a = frame.array(sym("A")).expect("A");
-            for i in 1..=10usize {
-                let expected = if i % 2 == 0 { 1.0 } else { 0.0 };
-                assert_eq!(a.get_f64(i - 1), expected, "A({i}) [{backend}]");
-            }
+        let mut frame = Store::new();
+        frame.set_int(sym("N"), 10);
+        frame.alloc_real(sym("A"), 10);
+        let (outcome, _) = session2()
+            .lrpd_execute(&machine, &sub, &target, &frame, &[sym("A")])
+            .expect("runs");
+        assert_eq!(outcome, LrpdOutcome::Committed);
+        let a = frame.array(sym("A")).expect("A");
+        for i in 1..=10usize {
+            let expected = if i % 2 == 0 { 1.0 } else { 0.0 };
+            assert_eq!(a.get_f64(i - 1), expected, "A({i})");
         }
     }
 
@@ -319,7 +303,7 @@ END
         for i in 0..32 {
             b.set(i, Value::Int((i as i64) * 2 + 1)); // injective
         }
-        let (outcome, _) = session2(Backend::TreeWalk)
+        let (outcome, _) = session2()
             .lrpd_execute(&machine, &sub, &target, &frame, &[sym("A")])
             .expect("runs");
         assert_eq!(outcome, LrpdOutcome::Committed);

@@ -1,40 +1,37 @@
 //! `Session` — the one configured entry point to the runtime.
 //!
 //! The paper's pipeline (analyze → cascade predicates → parallel
-//! execute → simulate) used to be spread across triplicated free
-//! functions (`run_loop`/`run_loop_with`/`run_loop_with_opts`, same
-//! for CIV, LRPD and costs) whose configuration leaked in through
-//! process-global environment variables read mid-call. A [`Session`]
-//! replaces that sprawl: a builder owns **all** configuration
-//! ([`SessionConfig`]: execution backend, bytecode opt level,
-//! predicate engine, pool width, predicate fork threshold, spawn cost,
-//! analysis options) plus the shared mutable state — the per-machine
-//! compile caches and the [`lip_pred::PredEngine`] with its verdict
-//! memo — and exposes the pipeline as methods. (The free-function
-//! shims deprecated in 0.2 are gone as of 0.3.)
+//! execute → simulate) is exposed as methods on a [`Session`]: a
+//! builder owns **all** configuration ([`SessionConfig`]: pool width,
+//! predicate fork threshold, spawn cost, fission, observer, analysis
+//! options) plus the shared mutable state — the per-machine compile
+//! caches and the [`lip_pred::PredEngine`] with its verdict memo.
+//!
+//! There is one execution path: loops run as fused `lip_vm` bytecode,
+//! cascade predicates on the compiled `lip_pred` engine. The
+//! tree-walking `lip_ir::Machine` and `Pdag::eval` are what the
+//! differential suites compare a session against, not configuration.
 //!
 //! Two sessions are fully isolated: each owns its own cache registry,
-//! so two callers in one process can run different `(Backend,
-//! PredBackend)` pairs concurrently and still produce bit-identical
-//! tables (verdicts and charged work units never depend on the
-//! configuration, only wall-clock does).
+//! so two callers in one process can run differently configured
+//! sessions concurrently and still produce bit-identical tables
+//! (verdicts and charged work units never depend on the configuration,
+//! only wall-clock does).
 //!
 //! Environment variables remain supported, but they are read in
 //! exactly one place — [`SessionConfig::from_env`] — with *strict*
-//! parsing: `LIP_BACKEND=bytecoed` is a [`ConfigError`], never a
-//! silent fallback to the default backend.
+//! parsing: `LIP_FISSION=maybe` is a [`ConfigError`], never a silent
+//! fallback to the default.
 //!
 //! ```
-//! use lip_runtime::{Backend, PredBackend, Session};
+//! use lip_runtime::Session;
 //!
 //! let session = Session::builder()
-//!     .backend(Backend::Bytecode)
-//!     .pred(PredBackend::Compiled)
 //!     .nthreads(8)
 //!     .par_min(1024)
 //!     .spawn_cost(4_000)
 //!     .build();
-//! assert!(session.config().backend.is_bytecode());
+//! assert_eq!(session.config().nthreads, 8);
 //! ```
 
 use std::sync::{Arc, Mutex, Weak};
@@ -44,7 +41,7 @@ use lip_ir::{Machine, Program, RunError, Stmt, Store, Subroutine};
 use lip_obs::{LoopDecision, MetricsSnapshot, Obs, ObsLevel, TraceEvent};
 use lip_symbolic::Sym;
 
-use crate::backend::{Backend, ExecEnv, OptLevel, PredBackend};
+use crate::backend::ExecEnv;
 use crate::cache::MachineCache;
 use crate::exec::RunStats;
 use crate::lrpd::LrpdOutcome;
@@ -55,14 +52,6 @@ use crate::sim::{SimResult, SimSpec};
 /// [`SessionConfig::from_env`].
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
-    /// Which engine runs loop iterations (`LIP_BACKEND`).
-    pub backend: Backend,
-    /// Whether compiled bytecode gets the superinstruction peephole
-    /// pass (`LIP_OPT`; default on — `OptLevel::None` keeps the raw
-    /// compiler stream reachable for differential testing).
-    pub opt_level: OptLevel,
-    /// Which engine evaluates runtime predicates (`LIP_PRED`).
-    pub pred: PredBackend,
     /// Fork-join pool width for parallel execution and O(N) predicate
     /// evaluation (defaults to the host's available parallelism).
     pub nthreads: usize,
@@ -95,9 +84,6 @@ pub struct SessionConfig {
 impl Default for SessionConfig {
     fn default() -> SessionConfig {
         SessionConfig {
-            backend: Backend::default(),
-            opt_level: OptLevel::default(),
-            pred: PredBackend::default(),
             nthreads: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
@@ -129,20 +115,13 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// The environment variables [`SessionConfig::from_env`] honors.
-const ENV_VARS: [&str; 6] = [
-    "LIP_BACKEND",
-    "LIP_OPT",
-    "LIP_PRED",
-    "LIP_PRED_PAR_MIN",
-    "LIP_FISSION",
-    "LIP_OBS",
-];
+const ENV_VARS: [&str; 3] = ["LIP_PRED_PAR_MIN", "LIP_FISSION", "LIP_OBS"];
 
 impl SessionConfig {
     /// Reads the `LIP_*` environment variables — the **only** place in
     /// the workspace that does. Unset variables keep their defaults;
     /// set-but-invalid values are a [`ConfigError`] (e.g.
-    /// `LIP_BACKEND=bytecoed`, `LIP_PRED_PAR_MIN=0`).
+    /// `LIP_OBS=tracing`, `LIP_PRED_PAR_MIN=0`).
     ///
     /// # Errors
     ///
@@ -173,9 +152,6 @@ impl SessionConfig {
             reason,
         };
         match var {
-            "LIP_BACKEND" => self.backend = value.parse().map_err(err)?,
-            "LIP_OPT" => self.opt_level = value.parse().map_err(err)?,
-            "LIP_PRED" => self.pred = value.parse().map_err(err)?,
             "LIP_PRED_PAR_MIN" => self.par_min = parse_par_min(value).map_err(err)?,
             "LIP_FISSION" => self.fission = parse_switch(value).map_err(err)?,
             "LIP_OBS" => self.obs = value.parse().map_err(err)?,
@@ -194,17 +170,13 @@ impl SessionConfig {
     /// A stable rendering of every field that changes which warm
     /// [`Session`] can serve a request — the shard key a session pool
     /// (`lip_serve`) buckets by. Two configs with equal shard keys are
-    /// interchangeable: same backend, opt level, predicate engine,
-    /// pool width, fork threshold, spawn cost, fission setting and
-    /// observability level. The analysis options are not rendered: the
-    /// serve layer constructs sessions only from the wire-configurable
-    /// fields, which this key covers completely.
+    /// interchangeable: same pool width, fork threshold, spawn cost,
+    /// fission setting and observability level. The analysis options
+    /// are not rendered: the serve layer constructs sessions only from
+    /// the wire-configurable fields, which this key covers completely.
     pub fn shard_key(&self) -> String {
         format!(
-            "backend={} opt={} pred={} nthreads={} par_min={} spawn_cost={} fission={} obs={}",
-            self.backend,
-            self.opt_level,
-            self.pred,
+            "nthreads={} par_min={} spawn_cost={} fission={} obs={}",
             self.nthreads,
             self.par_min,
             self.spawn_cost,
@@ -247,28 +219,6 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// The engine that runs loop iterations.
-    #[must_use]
-    pub fn backend(mut self, backend: Backend) -> SessionBuilder {
-        self.cfg.backend = backend;
-        self
-    }
-
-    /// Whether compiled bytecode gets the superinstruction peephole
-    /// pass (default [`OptLevel::Fuse`]).
-    #[must_use]
-    pub fn opt_level(mut self, opt_level: OptLevel) -> SessionBuilder {
-        self.cfg.opt_level = opt_level;
-        self
-    }
-
-    /// The engine that evaluates runtime predicates.
-    #[must_use]
-    pub fn pred(mut self, pred: PredBackend) -> SessionBuilder {
-        self.cfg.pred = pred;
-        self
-    }
-
     /// Fork-join pool width (clamped to at least 1).
     #[must_use]
     pub fn nthreads(mut self, nthreads: usize) -> SessionBuilder {
@@ -384,8 +334,7 @@ impl Default for Session {
 }
 
 impl Session {
-    /// Starts a builder with the default configuration (tree-walk
-    /// execution, tree-walk predicates, host parallelism).
+    /// A builder with the defaults (host parallelism, fission on).
     pub fn builder() -> SessionBuilder {
         SessionBuilder::default()
     }
@@ -424,7 +373,6 @@ impl Session {
         }
         let cache = Arc::new(MachineCache::new(
             self.cfg.par_min,
-            self.cfg.opt_level,
             self.cfg.fission,
             self.obs.clone(),
         ));
@@ -433,12 +381,10 @@ impl Session {
     }
 
     /// The execution environment threaded through the internal drivers
-    /// (cache + seams), with an explicit pool width.
+    /// (cache, pool width, observer).
     pub(crate) fn exec_env<'a>(&'a self, cache: &'a MachineCache, nthreads: usize) -> ExecEnv<'a> {
         ExecEnv {
             cache,
-            backend: self.cfg.backend,
-            pred: self.cfg.pred,
             nthreads: nthreads.max(1),
             obs: &self.obs,
         }
@@ -517,7 +463,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates interpreter/VM failures.
+    /// Propagates VM failures, [`RunError::Unsupported`] included.
     pub fn run_loop(
         &self,
         machine: &Machine,
@@ -556,14 +502,15 @@ impl Session {
     }
 
     /// Materializes CIV traces by running the loop slice (CIV-COMP,
-    /// paper §3.3) on this session's backend. Returns the slice's
+    /// paper §3.3). Returns the slice's
     /// work-unit cost; traces are bound into `frame` under the trace
     /// array names, and `niters_sym` (for while loops) receives the
     /// trip count.
     ///
     /// # Errors
     ///
-    /// Propagates interpreter/VM failures from the slice execution.
+    /// Propagates VM failures from the slice execution
+    /// ([`RunError::Unsupported`] for a program beyond the VM's limits).
     pub fn civ_traces(
         &self,
         machine: &Machine,
@@ -591,7 +538,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates interpreter/VM errors from either run.
+    /// Propagates VM errors from either run; [`RunError::Unsupported`]
+    /// for a non-`DO` target or a program beyond the VM's limits.
     pub fn lrpd_execute(
         &self,
         machine: &Machine,
@@ -611,13 +559,13 @@ impl Session {
         )
     }
 
-    /// Executes the loop once sequentially (mutating `frame`) on this
-    /// session's backend and returns the per-iteration work-unit costs
-    /// — the raw material for makespans at any processor count.
+    /// Executes the loop once sequentially (mutating `frame`) and
+    /// returns the per-iteration work-unit costs — the raw material
+    /// for makespans at any processor count.
     ///
     /// # Errors
     ///
-    /// Propagates interpreter/VM failures.
+    /// Propagates VM failures, [`RunError::Unsupported`] included.
     pub fn per_iteration_costs(
         &self,
         machine: &Machine,
@@ -643,7 +591,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates interpreter/VM failures.
+    /// Propagates VM failures, [`RunError::Unsupported`] included.
     pub fn simulate(
         &self,
         machine: &Machine,
@@ -673,6 +621,57 @@ impl Session {
     }
 }
 
+/// Names `bench_e2e/src/adapter.rs` still spells out, kept only until
+/// a `benchmark` PR (the only kind that may edit that file) drops them:
+/// three one-value enums and three builder calls that change nothing —
+/// a session has no engine to select. Nothing else in the workspace
+/// uses them; they go together with the `backend`/`opt`/`pred` wire
+/// arms of `lip_serve::config::session_config_from_pairs`.
+pub mod compat {
+    use super::SessionBuilder;
+
+    /// The execution engine: fused `lip_vm` bytecode.
+    #[derive(Copy, Clone, Debug)]
+    pub enum Backend {
+        /// The only engine a session runs.
+        Bytecode,
+    }
+
+    /// The bytecode post-pass: superinstruction fusion.
+    #[derive(Copy, Clone, Debug)]
+    pub enum OptLevel {
+        /// The only stream a session runs.
+        Fuse,
+    }
+
+    /// The predicate engine: compiled `lip_pred` programs.
+    #[derive(Copy, Clone, Debug)]
+    pub enum PredBackend {
+        /// The only engine a session runs.
+        Compiled,
+    }
+
+    impl SessionBuilder {
+        /// No effect.
+        #[must_use]
+        pub fn backend(self, _: Backend) -> SessionBuilder {
+            self
+        }
+
+        /// No effect.
+        #[must_use]
+        pub fn opt_level(self, _: OptLevel) -> SessionBuilder {
+            self
+        }
+
+        /// No effect.
+        #[must_use]
+        pub fn pred(self, _: PredBackend) -> SessionBuilder {
+            self
+        }
+    }
+}
+
 /// One loop execution request for [`Session::run_many`].
 pub struct LoopJob<'a> {
     /// Interpreter over the program.
@@ -694,24 +693,17 @@ mod tests {
     #[test]
     fn builder_sets_every_field() {
         let s = Session::builder()
-            .backend(Backend::Bytecode)
-            .opt_level(OptLevel::None)
-            .pred(PredBackend::Compiled)
             .nthreads(3)
             .par_min(64)
             .spawn_cost(123)
             .fission(false)
             .build();
         let c = s.config();
-        assert_eq!(c.backend, Backend::Bytecode);
-        assert_eq!(c.opt_level, OptLevel::None);
-        assert_eq!(c.pred, PredBackend::Compiled);
         assert_eq!(c.nthreads, 3);
         assert_eq!(c.par_min, 64);
         assert_eq!(c.spawn_cost, 123);
         assert!(!c.fission);
-        // Fusion and fission are on by default.
-        assert_eq!(SessionConfig::default().opt_level, OptLevel::Fuse);
+        // Fission is on by default.
         assert!(SessionConfig::default().fission);
     }
 
@@ -724,50 +716,6 @@ mod tests {
 
     // One strict-parsing unit test per environment variable (without
     // touching the process environment — `apply` is the seam).
-
-    #[test]
-    fn lip_backend_parses_strictly() {
-        let mut cfg = SessionConfig::default();
-        cfg.apply("LIP_BACKEND", "bytecode").expect("valid");
-        assert_eq!(cfg.backend, Backend::Bytecode);
-        cfg.apply("LIP_BACKEND", "treewalk").expect("valid");
-        assert_eq!(cfg.backend, Backend::TreeWalk);
-        let err = cfg.apply("LIP_BACKEND", "bytecoed").unwrap_err();
-        assert_eq!(err.var, "LIP_BACKEND");
-        assert!(err.reason.contains("bytecoed"), "{err}");
-        // The failed apply must not have clobbered the config.
-        assert_eq!(cfg.backend, Backend::TreeWalk);
-    }
-
-    #[test]
-    fn lip_opt_parses_strictly() {
-        let mut cfg = SessionConfig::default();
-        cfg.apply("LIP_OPT", "none").expect("valid");
-        assert_eq!(cfg.opt_level, OptLevel::None);
-        cfg.apply("LIP_OPT", "fuse").expect("valid");
-        assert_eq!(cfg.opt_level, OptLevel::Fuse);
-        cfg.apply("LIP_OPT", "0").expect("valid");
-        assert_eq!(cfg.opt_level, OptLevel::None);
-        cfg.apply("LIP_OPT", "1").expect("valid");
-        assert_eq!(cfg.opt_level, OptLevel::Fuse);
-        let err = cfg.apply("LIP_OPT", "fuze").unwrap_err();
-        assert_eq!(err.var, "LIP_OPT");
-        assert!(err.reason.contains("fuze"), "{err}");
-        // The failed apply must not have clobbered the config.
-        assert_eq!(cfg.opt_level, OptLevel::Fuse);
-    }
-
-    #[test]
-    fn lip_pred_parses_strictly() {
-        let mut cfg = SessionConfig::default();
-        cfg.apply("LIP_PRED", "compiled").expect("valid");
-        assert_eq!(cfg.pred, PredBackend::Compiled);
-        cfg.apply("LIP_PRED", "tree").expect("valid");
-        assert_eq!(cfg.pred, PredBackend::Tree);
-        let err = cfg.apply("LIP_PRED", "compild").unwrap_err();
-        assert_eq!(err.var, "LIP_PRED");
-        assert!(err.reason.contains("compild"), "{err}");
-    }
 
     #[test]
     fn lip_pred_par_min_parses_strictly() {
@@ -843,22 +791,13 @@ mod tests {
         let base = SessionConfig::default();
         let mut other = base.clone();
         assert_eq!(base.shard_key(), other.shard_key());
-        other.backend = Backend::Bytecode;
+        other.nthreads += 1;
         assert_ne!(base.shard_key(), other.shard_key());
         let mut fission_off = base.clone();
         fission_off.fission = false;
         assert_ne!(base.shard_key(), fission_off.shard_key());
         // The key renders every wire-configurable field by name.
-        for field in [
-            "backend=",
-            "opt=",
-            "pred=",
-            "nthreads=",
-            "par_min=",
-            "spawn_cost=",
-            "fission=",
-            "obs=",
-        ] {
+        for field in ["nthreads=", "par_min=", "spawn_cost=", "fission=", "obs="] {
             assert!(base.shard_key().contains(field), "{}", base.shard_key());
         }
     }

@@ -104,10 +104,8 @@ pub fn charged_test_units(test_units: u64, procs: usize, spawn: u64) -> u64 {
 }
 
 /// The measurement driver behind
-/// [`crate::Session::per_iteration_costs`] (the per-iteration unit
-/// figures are identical on both backends; the bytecode backend just
-/// produces them faster — this is where the measurement harness spends
-/// most of its wall-clock).
+/// [`crate::Session::per_iteration_costs`] (this is where the
+/// measurement harness spends most of its wall-clock).
 pub(crate) fn per_iteration_costs_impl(
     env: &ExecEnv<'_>,
     machine: &Machine,
@@ -128,112 +126,52 @@ fn per_iteration_costs_under(
     frame: &mut Store,
     state: &mut ExecState,
 ) -> Result<Vec<u64>, RunError> {
-    if env.backend.is_bytecode() {
-        if let Some(r) = per_iteration_costs_vm(env, machine, sub, target, frame, state) {
-            return r;
-        }
-    }
-    match target {
-        Stmt::Do {
-            var, lo, hi, body, ..
-        } => {
-            let lo_v = machine.eval(sub, frame, lo, state)?.as_i64();
-            let hi_v = machine.eval(sub, frame, hi, state)?.as_i64();
-            let mut costs = Vec::new();
-            for i in lo_v..=hi_v {
-                frame.set_scalar(*var, Value::Int(i));
-                let before = state.cost;
-                machine.exec_block(sub, frame, body, state)?;
-                costs.push(state.cost - before);
-            }
-            Ok(costs)
-        }
-        Stmt::While { cond, body, .. } => {
-            let mut costs = Vec::new();
-            loop {
-                let c = machine.eval(sub, frame, cond, state)?;
-                if !c.truthy() {
-                    break;
-                }
-                let before = state.cost;
-                machine.exec_block(sub, frame, body, state)?;
-                costs.push(state.cost - before);
-                if costs.len() > 100_000_000 {
-                    return Err(RunError::StepLimit);
-                }
-            }
-            Ok(costs)
-        }
-        other => {
-            let before = state.cost;
-            machine.exec_stmt(sub, frame, other, state)?;
-            Ok(vec![state.cost - before])
-        }
-    }
-}
-
-/// The VM measurement driver; `None` means "fall back to tree-walk".
-fn per_iteration_costs_vm(
-    env: &ExecEnv<'_>,
-    machine: &Machine,
-    sub: &Subroutine,
-    target: &Stmt,
-    frame: &mut Store,
-    state: &mut ExecState,
-) -> Option<Result<Vec<u64>, RunError>> {
     match target {
         Stmt::Do {
             var, lo, hi, body, ..
         } => {
             let cb = CompiledBody::new(env.cache, machine, sub, body, &[], &[*var])?;
-            Some((|| {
-                let lo_v = machine.eval(sub, frame, lo, state)?.as_i64();
-                let hi_v = machine.eval(sub, frame, hi, state)?.as_i64();
-                let vm = cb.vm(machine);
-                let var_slot = cb.chunk().scalar_slot(*var).expect("interned");
-                let mut f = cb.frame(frame);
-                let mut costs = Vec::new();
-                for i in lo_v..=hi_v {
-                    f.set_scalar(var_slot, Value::Int(i));
-                    let before = state.cost;
-                    vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
-                    costs.push(state.cost - before);
-                }
-                // The driver mutates `frame` so program state stays
-                // correct for whatever follows.
-                f.writeback_scalars(cb.chunk(), frame);
-                Ok(costs)
-            })())
+            let lo_v = machine.eval(sub, frame, lo, state)?.as_i64();
+            let hi_v = machine.eval(sub, frame, hi, state)?.as_i64();
+            let vm = cb.vm(machine);
+            let var_slot = cb.chunk().scalar_slot(*var).expect("interned");
+            let mut f = cb.frame(frame);
+            let mut costs = Vec::new();
+            for i in lo_v..=hi_v {
+                f.set_scalar(var_slot, Value::Int(i));
+                let before = state.cost;
+                vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
+                costs.push(state.cost - before);
+            }
+            // The driver mutates `frame` so program state stays
+            // correct for whatever follows.
+            f.writeback_scalars(cb.chunk(), frame);
+            Ok(costs)
         }
         Stmt::While { cond, body, .. } => {
             let cb = CompiledBody::new(env.cache, machine, sub, body, &[cond], &[])?;
-            Some((|| {
-                let vm = cb.vm(machine);
-                let mut f = cb.frame(frame);
-                let mut costs = Vec::new();
-                loop {
-                    let c =
-                        vm.eval_block_expr(cb.block, 0, &mut f, state, machine_tracer(machine))?;
-                    if !c.truthy() {
-                        break;
-                    }
-                    let before = state.cost;
-                    vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
-                    costs.push(state.cost - before);
-                    if costs.len() > 100_000_000 {
-                        return Err(RunError::StepLimit);
-                    }
+            let vm = cb.vm(machine);
+            let mut f = cb.frame(frame);
+            let mut costs = Vec::new();
+            loop {
+                let c = vm.eval_block_expr(cb.block, 0, &mut f, state, machine_tracer(machine))?;
+                if !c.truthy() {
+                    break;
                 }
-                f.writeback_scalars(cb.chunk(), frame);
-                Ok(costs)
-            })())
+                let before = state.cost;
+                vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
+                costs.push(state.cost - before);
+                if costs.len() > 100_000_000 {
+                    return Err(RunError::StepLimit);
+                }
+            }
+            f.writeback_scalars(cb.chunk(), frame);
+            Ok(costs)
         }
         other => {
             let before = state.cost;
-            Some(
-                exec_stmt_seq(env, machine, sub, other, frame, state)
-                    .map(|()| vec![state.cost - before]),
-            )
+            exec_stmt_seq(env, machine, sub, other, frame, state)?;
+            Ok(vec![state.cost - before])
         }
     }
 }
@@ -383,28 +321,20 @@ END
         let machine = Machine::new(prog);
         let cache = crate::cache::MachineCache::default();
         let obs = lip_obs::Obs::off();
-        for backend in [crate::Backend::TreeWalk, crate::Backend::Bytecode] {
-            let env = ExecEnv {
-                cache: &cache,
-                backend,
-                pred: crate::PredBackend::Tree,
-                nthreads: 1,
-                obs: &obs,
-            };
-            let run = |lo: i64| {
-                let mut frame = Store::new();
-                frame.set_int(sym("LO"), lo).set_int(sym("HI"), i64::MAX);
-                frame.set_int(sym("s"), 0);
-                let mut state = ExecState::with_budget(10_000);
-                per_iteration_costs_under(&env, &machine, &sub, &target, &mut frame, &mut state)
-                    .map(|costs| (costs.len(), frame.scalar(sym("i"))))
-            };
-            assert_eq!(
-                run(i64::MAX - 2),
-                Ok((3, Some(Value::Int(i64::MAX)))),
-                "{backend}"
-            );
-            assert_eq!(run(1), Err(RunError::StepLimit), "{backend}");
-        }
+        let env = ExecEnv {
+            cache: &cache,
+            nthreads: 1,
+            obs: &obs,
+        };
+        let run = |lo: i64| {
+            let mut frame = Store::new();
+            frame.set_int(sym("LO"), lo).set_int(sym("HI"), i64::MAX);
+            frame.set_int(sym("s"), 0);
+            let mut state = ExecState::with_budget(10_000);
+            per_iteration_costs_under(&env, &machine, &sub, &target, &mut frame, &mut state)
+                .map(|costs| (costs.len(), frame.scalar(sym("i"))))
+        };
+        assert_eq!(run(i64::MAX - 2), Ok((3, Some(Value::Int(i64::MAX)))));
+        assert_eq!(run(1), Err(RunError::StepLimit));
     }
 }

@@ -2,31 +2,30 @@
 //! folds `Charge` ops into superinstructions, so the one thing it must
 //! never change is what gets charged. Every figure the repo reproduces
 //! is denominated in work units, so per-iteration costs, test units
-//! and loop units have to be bit-identical whether the session runs
-//! tree-walk, raw bytecode, or fused bytecode.
+//! and loop units have to be bit-identical on the tree-walking
+//! `lip_ir::Machine`, on the compiler's raw stream and on the fused
+//! stream. A session only runs the last; the raw stream is reached
+//! through `lip_vm` directly.
 
-use lip_ir::{parse_program, Machine, Store, Value};
-use lip_runtime::{Backend, OptLevel, Session};
-use lip_symbolic::sym;
+use lip_ir::{parse_program, ExecState, Machine, Stmt, Store, Subroutine, Value};
+use lip_runtime::{ExecOutcome, Session};
+use lip_symbolic::{sym, Sym};
+use lip_vm::{BlockId, CompiledProgram};
 
-/// `(backend, opt_level)` legs that must all agree. Tree-walk ignores
-/// the opt level by construction but runs at both settings anyway —
-/// the knob must be inert there.
-fn legs() -> Vec<(Backend, OptLevel)> {
-    vec![
-        (Backend::TreeWalk, OptLevel::None),
-        (Backend::TreeWalk, OptLevel::Fuse),
-        (Backend::Bytecode, OptLevel::None),
-        (Backend::Bytecode, OptLevel::Fuse),
-    ]
+fn session() -> Session {
+    Session::builder().nthreads(2).build()
 }
 
-fn session(backend: Backend, opt: OptLevel) -> Session {
-    Session::builder()
-        .backend(backend)
-        .opt_level(opt)
-        .nthreads(2)
-        .build()
+/// `stmts` lowered into the machine's program, unfused.
+fn unfused_block(
+    machine: &Machine,
+    sub: &Subroutine,
+    stmts: &[Stmt],
+    extra: &[Sym],
+) -> (CompiledProgram, BlockId) {
+    let mut compiled = lip_vm::compile_program(machine.program()).expect("compiles");
+    let block = lip_vm::add_block(&mut compiled, sub, stmts, extra).expect("block compiles");
+    (compiled, block)
 }
 
 /// A kernel that exercises most fusion rules per iteration: indexed
@@ -69,46 +68,83 @@ fn prepared(n: i64, m: i64) -> (Machine, lip_ir::Subroutine, lip_ir::Stmt, Store
 
 #[test]
 fn per_iteration_costs_identical_at_every_opt_level() {
-    let mut reference: Option<Vec<u64>> = None;
-    for (backend, opt) in legs() {
-        let (machine, sub, target, mut frame) = prepared(48, 6);
-        let costs = session(backend, opt)
-            .per_iteration_costs(&machine, &sub, &target, &mut frame)
-            .expect("costs");
-        assert_eq!(costs.len(), 48, "({backend}, {opt})");
-        match &reference {
-            None => reference = Some(costs),
-            Some(r) => assert_eq!(r, &costs, "({backend}, {opt}) diverged"),
-        }
+    let (machine, sub, target, mut frame) = prepared(48, 6);
+    let Stmt::Do { var, body, .. } = &target else {
+        panic!("l1 is a DO loop")
+    };
+    let mut reference = Vec::new();
+    let mut oracle_frame = prepared(48, 6).3;
+    let mut st = ExecState::default();
+    for i in 1..=48 {
+        oracle_frame.set_scalar(*var, Value::Int(i));
+        let before = st.cost;
+        machine
+            .exec_block(&sub, &mut oracle_frame, body, &mut st)
+            .expect("oracle");
+        reference.push(st.cost - before);
     }
+
+    let (compiled, block) = unfused_block(&machine, &sub, body, &[*var]);
+    let chunk = &compiled.block(block).chunk;
+    let slot = chunk.scalar_slot(*var).expect("loop variable interned");
+    let mut f = lip_vm::Frame::for_chunk(chunk, &prepared(48, 6).3);
+    let mut st = ExecState::default();
+    let unfused: Vec<u64> = (1..=48)
+        .map(|i| {
+            f.set_scalar(slot, Value::Int(i));
+            let before = st.cost;
+            lip_vm::Vm::for_machine(&compiled, &machine)
+                .run_block(block, &mut f, &mut st, None)
+                .expect("unfused iteration");
+            st.cost - before
+        })
+        .collect();
+    assert_eq!(reference, unfused, "unfused stream diverged");
+
+    let fused = session()
+        .per_iteration_costs(&machine, &sub, &target, &mut frame)
+        .expect("costs");
+    assert_eq!(reference, fused, "fused session diverged");
 }
 
 #[test]
 fn run_loop_stats_and_frames_identical_at_every_opt_level() {
-    let mut reference = None;
-    for (backend, opt) in legs() {
-        let (machine, sub, target, mut frame) = prepared(64, 4);
-        let sess = session(backend, opt);
-        let analysis = sess
-            .analyze(machine.program(), sub.name, "l1")
-            .expect("analysis");
-        let stats = sess
-            .run_loop(&machine, &sub, &target, &analysis, &mut frame)
-            .expect("runs");
+    let bits = |frame: &Store| {
         let a = frame.array(sym("A")).expect("A");
         let snap: Vec<u64> = (0..64).map(|i| a.get_f64(i).to_bits()).collect();
-        let row = (
-            format!("{:?}", stats.outcome),
-            stats.test_units,
-            stats.loop_units,
-            frame.scalar(sym("s")).map(|v| v.as_f64().to_bits()),
-            snap,
-        );
-        match &reference {
-            None => reference = Some(row),
-            Some(r) => assert_eq!(r, &row, "({backend}, {opt}) diverged"),
-        }
-    }
+        (frame.scalar(sym("s")).map(|v| v.as_f64().to_bits()), snap)
+    };
+    let (machine, sub, target, mut oracle_frame) = prepared(64, 4);
+    let mut st = ExecState::default();
+    machine
+        .exec_stmt(&sub, &mut oracle_frame, &target, &mut st)
+        .expect("oracle");
+
+    let mut raw_frame = prepared(64, 4).3;
+    let (compiled, block) = unfused_block(&machine, &sub, std::slice::from_ref(&target), &[]);
+    let chunk = &compiled.block(block).chunk;
+    let mut f = lip_vm::Frame::for_chunk(chunk, &raw_frame);
+    let mut raw_st = ExecState::default();
+    lip_vm::Vm::for_machine(&compiled, &machine)
+        .run_block(block, &mut f, &mut raw_st, None)
+        .expect("unfused loop");
+    f.writeback_scalars(chunk, &mut raw_frame);
+    assert_eq!(bits(&oracle_frame), bits(&raw_frame), "unfused stream");
+    assert_eq!(st.cost, raw_st.cost, "unfused stream");
+
+    let mut frame = prepared(64, 4).3;
+    let sess = session();
+    let analysis = sess
+        .analyze(machine.program(), sub.name, "l1")
+        .expect("analysis");
+    let stats = sess
+        .run_loop(&machine, &sub, &target, &analysis, &mut frame)
+        .expect("runs");
+    assert_eq!(bits(&oracle_frame), bits(&frame), "fused session");
+    assert_eq!(stats.outcome, ExecOutcome::StaticParallel);
+    assert_eq!(stats.test_units, 0);
+    // The parallel path does not charge the DO statement's own unit.
+    assert_eq!(stats.loop_units, st.cost - 1);
 }
 
 /// The fused stream must charge exactly like the unfused one even when

@@ -1,12 +1,13 @@
-//! The predicate-engine seam end to end: sessions pinning different
-//! `PredBackend`s must produce identical outcomes, charged test units
-//! and program state across the cascade-pass, cascade-fail and
-//! exact-USR-fallback paths — and the session-owned caches must make
-//! repeat invocations cheap.
+//! The predicate engine end to end: a session (compiled predicates,
+//! bytecode loop) must produce the outcome, charged test units and
+//! program state of the reference backends — `Pdag::eval` for the
+//! cascade, the tree-walking `lip_ir::Machine` for the loop — across
+//! the cascade-pass, cascade-fail and exact-USR-fallback paths, and
+//! the session-owned caches must make repeat invocations cheap.
 
 use lip_analysis::{analyze_loop, AnalysisConfig, LoopAnalysis};
-use lip_ir::{parse_program, Machine, Stmt, Store, Value};
-use lip_runtime::{Backend, ExecOutcome, PredBackend, Session};
+use lip_ir::{parse_program, ExecState, Machine, Stmt, Store, StoreCtx, Value};
+use lip_runtime::{ExecOutcome, Session};
 use lip_symbolic::sym;
 
 fn setup(src: &str, label: &str) -> (Machine, lip_ir::Subroutine, Stmt, LoopAnalysis) {
@@ -18,12 +19,8 @@ fn setup(src: &str, label: &str) -> (Machine, lip_ir::Subroutine, Stmt, LoopAnal
     (Machine::new(prog), sub, target, analysis)
 }
 
-fn session(backend: Backend, pred: PredBackend) -> Session {
-    Session::builder()
-        .nthreads(2)
-        .backend(backend)
-        .pred(pred)
-        .build()
+fn session() -> Session {
+    Session::builder().nthreads(2).build()
 }
 
 const OFFSET_SRC: &str = "
@@ -47,28 +44,43 @@ fn offset_frame(n: i64, m: i64) -> Store {
     frame
 }
 
-/// Runs one analyzed loop under both predicate backends (one session
-/// each) and asserts stats and final state agree element for element.
-fn assert_backends_agree(
+/// Runs one analyzed loop through a session and through the oracle
+/// (the cascade on `Pdag::eval`, the loop on the interpreter) and
+/// asserts stats and final state agree element for element.
+fn assert_matches_oracle(
     machine: &Machine,
     sub: &lip_ir::Subroutine,
     target: &Stmt,
     analysis: &LoopAnalysis,
     mk_frame: impl Fn() -> Store,
 ) -> ExecOutcome {
-    let mut tree_frame = mk_frame();
-    let tree = session(Backend::TreeWalk, PredBackend::Tree)
-        .run_loop(machine, sub, target, analysis, &mut tree_frame)
-        .expect("tree runs");
-    let mut comp_frame = mk_frame();
-    let comp = session(Backend::TreeWalk, PredBackend::Compiled)
-        .run_loop(machine, sub, target, analysis, &mut comp_frame)
-        .expect("compiled runs");
-    assert_eq!(tree.outcome, comp.outcome);
-    assert_eq!(tree.test_units, comp.test_units, "charged units diverged");
-    assert_eq!(tree.loop_units, comp.loop_units);
-    for (name, view) in tree_frame.arrays() {
-        let other = comp_frame.array(name).expect("array bound on both");
+    let mut oracle_frame = mk_frame();
+    let ctx = StoreCtx(&oracle_frame);
+    let hit = analysis.cascade.first_success(&ctx, 100_000_000);
+    let evaluated = hit.map_or(analysis.cascade.stages.len(), |k| k + 1);
+    let test_units: u64 = analysis.cascade.stages[..evaluated]
+        .iter()
+        .map(|stage| stage.pred.eval_cost(&ctx))
+        .sum();
+    let mut st = ExecState::default();
+    machine
+        .exec_stmt(sub, &mut oracle_frame, target, &mut st)
+        .expect("oracle runs");
+
+    let mut frame = mk_frame();
+    let stats = session()
+        .run_loop(machine, sub, target, analysis, &mut frame)
+        .expect("session runs");
+    match stats.outcome {
+        ExecOutcome::PredicatePassed { stage } => assert_eq!(Some(stage), hit),
+        _ => assert_eq!(hit, None, "a stage passed on the oracle"),
+    }
+    assert_eq!(stats.test_units, test_units, "charged units diverged");
+    // The parallel path does not charge the DO statement's own unit.
+    let parallel = stats.outcome != ExecOutcome::Sequential;
+    assert_eq!(stats.loop_units, st.cost - u64::from(parallel));
+    for (name, view) in oracle_frame.arrays() {
+        let other = frame.array(name).expect("array bound on both");
         for i in 0..view.buf.len() {
             assert_eq!(
                 view.buf.get_f64(i),
@@ -77,19 +89,19 @@ fn assert_backends_agree(
             );
         }
     }
-    comp.outcome
+    stats.outcome
 }
 
 #[test]
 fn predicate_pass_and_fail_agree_across_backends() {
     let (machine, sub, target, analysis) = setup(OFFSET_SRC, "l1");
     // M >= N: the cascade passes.
-    let out = assert_backends_agree(&machine, &sub, &target, &analysis, || {
+    let out = assert_matches_oracle(&machine, &sub, &target, &analysis, || {
         offset_frame(400, 400)
     });
     assert!(matches!(out, ExecOutcome::PredicatePassed { .. }));
     // M = 1: the cascade fails, sequential execution.
-    let out = assert_backends_agree(&machine, &sub, &target, &analysis, || offset_frame(400, 1));
+    let out = assert_matches_oracle(&machine, &sub, &target, &analysis, || offset_frame(400, 1));
     assert_eq!(out, ExecOutcome::Sequential);
 }
 
@@ -122,14 +134,14 @@ END
         }
         frame
     };
-    let out = assert_backends_agree(&machine, &sub, &target, &analysis, mk_frame);
+    let out = assert_matches_oracle(&machine, &sub, &target, &analysis, mk_frame);
     assert_eq!(out, ExecOutcome::ExactPredicatePassed);
 }
 
 #[test]
 fn repeat_invocations_hit_the_session_caches() {
     let (machine, sub, target, analysis) = setup(OFFSET_SRC, "l1");
-    let sess = session(Backend::Bytecode, PredBackend::Compiled);
+    let sess = session();
     let run = |sess: &Session| {
         let mut frame = offset_frame(256, 256);
         sess.run_loop(&machine, &sub, &target, &analysis, &mut frame)
@@ -158,12 +170,12 @@ fn sessions_do_not_share_predicate_state() {
     // A fresh session must start cold even after another session ran
     // the same machine: caches are session-owned, not process-global.
     let (machine, sub, target, analysis) = setup(OFFSET_SRC, "l1");
-    let warm = session(Backend::Bytecode, PredBackend::Compiled);
+    let warm = session();
     let mut frame = offset_frame(128, 128);
     warm.run_loop(&machine, &sub, &target, &analysis, &mut frame)
         .expect("runs");
     assert!(warm.cache(&machine).pred().stats().compiles > 0);
-    let cold = session(Backend::Bytecode, PredBackend::Compiled);
+    let cold = session();
     assert_eq!(
         cold.cache(&machine).pred().stats().compiles,
         0,

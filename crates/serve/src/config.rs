@@ -115,10 +115,9 @@ fn parse_at_least_one(value: &str) -> Result<usize, String> {
 }
 
 /// Builds a [`SessionConfig`] from a request's raw `config` pairs.
-/// Every pair routes through the strict parsers: the session fields
-/// via [`SessionConfig::apply`] (wire key `backend` → `LIP_BACKEND`,
-/// and so on), plus the two builder-only numeric fields `nthreads` and
-/// `spawn_cost`.
+/// Every pair routes through the strict parsers: [`SessionConfig::apply`]
+/// (wire key `fission` → `LIP_FISSION`, and so on) plus the two
+/// builder-only numeric fields `nthreads` and `spawn_cost`.
 ///
 /// # Errors
 ///
@@ -130,9 +129,10 @@ pub fn session_config_from_pairs(
     let mut cfg = SessionConfig::default();
     for (key, value) in pairs {
         let var = match key.as_str() {
-            "backend" => "LIP_BACKEND",
-            "opt" => "LIP_OPT",
-            "pred" => "LIP_PRED",
+            // Retired keys `bench_e2e` still sends (`lip_runtime::session::compat`).
+            "backend" if value == "bytecode" => continue,
+            "opt" if value == "fuse" => continue,
+            "pred" if value == "compiled" => continue,
             "par_min" => "LIP_PRED_PAR_MIN",
             "fission" => "LIP_FISSION",
             "obs" => "LIP_OBS",
@@ -154,8 +154,8 @@ pub fn session_config_from_pairs(
                 return Err((
                     ErrCode::ConfigError,
                     format!(
-                        "unknown config key `{other}` (expected backend, opt, pred, par_min, \
-                         fission, obs, nthreads or spawn_cost)"
+                        "unknown config `{other}: {value}` (expected par_min, fission, obs, \
+                         nthreads or spawn_cost)"
                     ),
                 ))
             }
@@ -169,7 +169,6 @@ pub fn session_config_from_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lip_runtime::{Backend, OptLevel, PredBackend};
 
     // One strict-parsing unit test per environment variable, matching
     // the `SessionConfig` convention: valid values land, typos are
@@ -240,7 +239,7 @@ mod tests {
     fn wire_config_pairs_reuse_the_strict_session_parsers() {
         let cfg = session_config_from_pairs(&[
             ("backend".into(), "bytecode".into()),
-            ("opt".into(), "none".into()),
+            ("opt".into(), "fuse".into()),
             ("pred".into(), "compiled".into()),
             ("par_min".into(), "64".into()),
             ("fission".into(), "off".into()),
@@ -249,23 +248,24 @@ mod tests {
             ("spawn_cost".into(), "777".into()),
         ])
         .expect("valid");
-        assert_eq!(cfg.backend, Backend::Bytecode);
-        assert_eq!(cfg.opt_level, OptLevel::None);
-        assert_eq!(cfg.pred, PredBackend::Compiled);
         assert_eq!(cfg.par_min, 64);
         assert!(!cfg.fission);
         assert_eq!(cfg.nthreads, 2);
         assert_eq!(cfg.spawn_cost, 777);
 
-        // Typos surface as config_error, with the strict parsers'
-        // messages intact.
-        let (code, detail) =
-            session_config_from_pairs(&[("backend".into(), "bytecoed".into())]).unwrap_err();
-        assert_eq!(code, ErrCode::ConfigError);
-        assert!(detail.contains("bytecoed"), "{detail}");
-        let (code, _) = session_config_from_pairs(&[("bakend".into(), "vm".into())]).unwrap_err();
-        assert_eq!(code, ErrCode::ConfigError);
-        let (code, _) = session_config_from_pairs(&[("nthreads".into(), "0".into())]).unwrap_err();
-        assert_eq!(code, ErrCode::ConfigError);
+        // Typos and retired values: config_error naming the value.
+        for (key, value) in [
+            ("fission", "maybe"),
+            ("backend", "treewalk"),
+            ("opt", "none"),
+            ("pred", "tree"),
+            ("bakend", "vm"),
+            ("nthreads", "0"),
+        ] {
+            let (code, detail) =
+                session_config_from_pairs(&[(key.into(), value.into())]).unwrap_err();
+            assert_eq!(code, ErrCode::ConfigError, "{key}={value}");
+            assert!(detail.contains(value), "{detail}");
+        }
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! * `run` — analyze and execute one loop:
 //!   `{"type": "run", "program": "<mini-Fortran source>", "sub":
-//!   "calc", "loop": "sweep", "config": {"backend": "bytecode", ...},
+//!   "calc", "loop": "sweep", "config": {"nthreads": 2, ...},
 //!   "frame": {"scalars": {"N": 256}, "arrays": {"U": {"data":
 //!   [...]}}}, "results": ["UNEW"], "deadline_ms": 500, "cost": 1000}`.
 //!   `config`, `frame`, `results`, `deadline_ms` and `cost` are
@@ -568,7 +568,7 @@ mod tests {
     fn run_request_parses() {
         let req = parse_request(
             r#"{"type": "run", "program": "src", "sub": "calc", "loop": "sweep",
-                "config": {"backend": "bytecode", "par_min": 64, "fission": true},
+                "config": {"obs": "metrics", "par_min": 64, "fission": true},
                 "frame": {"scalars": {"N": 8},
                           "arrays": {"U": {"data": [1, 2]}, "W": {"len": 8, "ty": "int"}}},
                 "results": ["W"], "deadline_ms": 250, "cost": 500}"#,
@@ -582,7 +582,7 @@ mod tests {
         assert_eq!(
             run.config,
             vec![
-                ("backend".into(), "bytecode".into()),
+                ("obs".into(), "metrics".into()),
                 ("par_min".into(), "64".into()),
                 ("fission".into(), "on".into()),
             ]
@@ -624,7 +624,7 @@ mod tests {
             "{\"type\": \"run\", \"program\": \"p\", \"sub\": \"s\", \"loop\": \"l\", \"frame\": 3}",
             "{\"type\": \"run\", \"program\": \"p\", \"sub\": \"s\", \"loop\": \"l\", \"frame\": {\"arrays\": {\"A\": {}}}}",
             "{\"type\": \"run\", \"program\": \"p\", \"sub\": \"s\", \"loop\": \"l\", \"frame\": {\"arrays\": {\"A\": {\"data\": [1], \"len\": 2}}}}",
-            "{\"type\": \"run\", \"program\": \"p\", \"sub\": \"s\", \"loop\": \"l\", \"config\": {\"backend\": [1]}}",
+            "{\"type\": \"run\", \"program\": \"p\", \"sub\": \"s\", \"loop\": \"l\", \"config\": {\"obs\": [1]}}",
             "{\"type\": \"explain\"}",
         ] {
             let (code, _) = parse_request(bad).expect_err("rejects");

@@ -487,8 +487,8 @@ mod tests {
     #[test]
     fn routing_is_stable_and_in_range() {
         for pool in [1, 3, 8] {
-            let a = route("backend=treewalk", pool);
-            assert_eq!(a, route("backend=treewalk", pool));
+            let a = route("nthreads=2 fission=on", pool);
+            assert_eq!(a, route("nthreads=2 fission=on", pool));
             assert!(a < pool);
         }
     }

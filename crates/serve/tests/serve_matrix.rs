@@ -213,13 +213,13 @@ fn reply_result(reply: &Json, kernel: &Kernel) -> Vec<f64> {
 fn concurrent_heterogeneous_clients_match_direct_sessions() {
     let configs: [&[(&str, &str)]; 8] = [
         &[],
-        &[("backend", "bytecode")],
-        &[("backend", "bytecode"), ("opt", "none")],
-        &[("pred", "compiled")],
+        &[("obs", "metrics")],
+        &[("obs", "trace"), ("nthreads", "3")],
+        &[("nthreads", "7")],
         &[("nthreads", "2")],
         &[("par_min", "8"), ("nthreads", "2")],
         &[("fission", "off")],
-        &[("backend", "bytecode"), ("nthreads", "2"), ("par_min", "4")],
+        &[("fission", "off"), ("nthreads", "2"), ("par_min", "4")],
     ];
     let server = Server::spawn(ServeConfig::default()).expect("bind");
     let addr = server.addr();
@@ -302,6 +302,80 @@ fn concurrent_heterogeneous_clients_match_direct_sessions() {
         "heterogeneous configs make distinct shards: {}",
         sessions.len()
     );
+    server.shutdown();
+}
+
+/// The `backend` / `opt` / `pred` wire keys outlived the engines they
+/// selected only because `bench_e2e` still sends them: the production
+/// spelling is accepted and lands on the shard of an empty config, a
+/// retired value is a `config_error`.
+#[test]
+fn retired_engine_keys_accept_only_the_production_spelling() {
+    let server = Server::spawn(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let production = [
+        ("backend", "bytecode"),
+        ("opt", "fuse"),
+        ("pred", "compiled"),
+    ];
+    for pairs in [&[][..], &production[..]] {
+        let reply = client
+            .call(&run_json(&STENCIL_KERNEL, pairs, 32))
+            .expect("round trip");
+        assert_eq!(reply.get("type").and_then(Json::as_str), Some("ok"));
+    }
+    let stats = client.call("{\"type\": \"stats\"}").expect("stats");
+    let shards = stats
+        .get("sessions")
+        .and_then(Json::as_arr)
+        .expect("sessions");
+    assert_eq!(shards.len(), 1, "one config, one shard: {shards:?}");
+
+    for retired in [("backend", "treewalk"), ("opt", "none"), ("pred", "tree")] {
+        let reply = client
+            .call(&run_json(&STENCIL_KERNEL, &[retired], 32))
+            .expect("round trip");
+        assert_eq!(
+            reply.get("code").and_then(Json::as_str),
+            Some("config_error"),
+            "{retired:?}: {reply:?}"
+        );
+    }
+    server.shutdown();
+}
+
+/// A program beyond the VM's static limits (an 8-subscript reference)
+/// is an explicit `exec_error`, not a panic and not a silent slow
+/// path; the connection and the server stay usable.
+#[test]
+fn programs_beyond_the_vm_limits_get_exec_error() {
+    const RANK8: &str = "
+SUBROUTINE deep(A, N)
+  DIMENSION A(1, 1, 1, 1, 1, 1, 1, *)
+  INTEGER i, N
+  DO fill i = 1, N
+    A(1, 1, 1, 1, 1, 1, 1, i) = 1.0
+  ENDDO
+END
+";
+    let payload = format!(
+        "{{\"type\": \"run\", \"program\": {}, \"sub\": \"deep\", \"loop\": \"fill\", \
+         \"frame\": {{\"scalars\": {{\"N\": 8}}, \"arrays\": {{\"A\": {{\"len\": 8}}}}}}, \
+         \"results\": [\"A\"]}}",
+        lip_obs::json_str(RANK8),
+    );
+    let server = Server::spawn(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let reply = client.call(&payload).expect("round trip");
+    assert_eq!(
+        reply.get("code").and_then(Json::as_str),
+        Some("exec_error"),
+        "{reply:?}"
+    );
+    let detail = reply.get("detail").and_then(Json::as_str).unwrap_or("");
+    assert!(detail.contains("more than 7 subscripts"), "{reply:?}");
+    let pong = client.call("{\"type\": \"ping\"}").expect("still serving");
+    assert_eq!(pong.get("type").and_then(Json::as_str), Some("pong"));
     server.shutdown();
 }
 
@@ -431,7 +505,7 @@ END
              \"Q\": {{\"len\": {n}}}, \"A\": {{\"data\": [{}]}}, \
              \"B\": {{\"len\": {n}, \"fill\": -1}}}}}}, \"results\": [\"Q\"]}}",
             lip_obs::json_str(INT_DIV),
-            config_json(&[("nthreads", "2"), ("backend", "bytecode")]),
+            config_json(&[("nthreads", "2")]),
             a.join(", "),
         )
     };

@@ -98,7 +98,6 @@ fn fragment_parallel(
                 &a.cascade,
                 &ctx,
                 100_000_000,
-                session.config().pred,
                 nthreads,
                 &mut |prog| {
                     Some(store_fingerprint(
@@ -191,11 +190,9 @@ pub fn measure_loop(
     weight: f64,
     expected: &'static str,
 ) -> LoopMeasurement {
-    // Kernel iterations (CIV slices + the measurement pass) execute on
-    // the session's backend, and cascade predicates on its predicate
-    // engine; work units and verdicts are identical either way, only
-    // wall-clock differs — Tables 1–3 are bit-identical across all
-    // four combinations (and across concurrent sessions).
+    // Work units and verdicts never depend on the session's
+    // configuration, only wall-clock does — Tables 1–3 are
+    // bit-identical across sessions (concurrent ones included).
     let nthreads = session.config().nthreads;
     let mut p = shape.prepared(size);
     let prog = p.machine.program().clone();
@@ -240,7 +237,6 @@ pub fn measure_loop(
                     &analysis.cascade,
                     &ctx,
                     100_000_000,
-                    session.config().pred,
                     nthreads,
                     &mut |prog| {
                         Some(store_fingerprint(
@@ -256,7 +252,6 @@ pub fn measure_loop(
                     &analysis.cascade,
                     &ctx,
                     100_000_000,
-                    session.config().pred,
                     nthreads,
                     &mut |prog| {
                         Some(store_fingerprint(

@@ -6,7 +6,7 @@
 //! the range evenly, unevenly and into more chunks than CPUs.
 
 use lip_ir::{ExecState, Store, Value};
-use lip_runtime::{Backend, ExecOutcome, Session};
+use lip_runtime::{ExecOutcome, Session};
 use lip_symbolic::{sym, Sym};
 
 fn value_bits(v: Value) -> (u8, u64) {
@@ -67,30 +67,24 @@ fn civ_scalar_and_arrays_match_the_interpreter_at_every_chunk_count() {
             "the reference leaves the final count in civ"
         );
 
-        for backend in [Backend::TreeWalk, Backend::Bytecode] {
-            for nthreads in [1usize, 2, 3, 7] {
-                let sess = Session::builder()
-                    .backend(backend)
-                    .nthreads(nthreads)
-                    .par_min(1)
-                    .build();
-                let analysis = sess.analyze(&prog, sub.name, seq.label).expect("analysis");
-                let mut par = prepared();
-                let stats = sess
-                    .run_loop(&par.machine, &sub, &target, &analysis, &mut par.frame)
-                    .expect("runs");
-                assert_ne!(
-                    stats.outcome,
-                    ExecOutcome::Sequential,
-                    "the CIV loop must take a parallel path for this test to mean anything"
-                );
-                assert_eq!(
-                    expected,
-                    snapshot(&par.frame, &names),
-                    "entry civ = {entry}, {backend:?}, nthreads = {nthreads} ({:?})",
-                    stats.outcome
-                );
-            }
+        for nthreads in [1usize, 2, 3, 7] {
+            let sess = Session::builder().nthreads(nthreads).par_min(1).build();
+            let analysis = sess.analyze(&prog, sub.name, seq.label).expect("analysis");
+            let mut par = prepared();
+            let stats = sess
+                .run_loop(&par.machine, &sub, &target, &analysis, &mut par.frame)
+                .expect("runs");
+            assert_ne!(
+                stats.outcome,
+                ExecOutcome::Sequential,
+                "the CIV loop must take a parallel path for this test to mean anything"
+            );
+            assert_eq!(
+                expected,
+                snapshot(&par.frame, &names),
+                "entry civ = {entry}, nthreads = {nthreads} ({:?})",
+                stats.outcome
+            );
         }
     }
 }

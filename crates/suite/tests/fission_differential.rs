@@ -17,7 +17,7 @@
 use std::sync::{Arc, Mutex};
 
 use lip_ir::{parse_program, AccessTracer, Machine, Store, Value};
-use lip_runtime::{Backend, LoopJob, PredBackend, Session};
+use lip_runtime::{LoopJob, Session};
 use lip_suite::KernelShape;
 use lip_symbolic::{sym, Sym};
 
@@ -38,8 +38,6 @@ impl AccessTracer for Recorder {
 
 fn session(fission: bool) -> Session {
     Session::builder()
-        .backend(Backend::Bytecode)
-        .pred(PredBackend::Compiled)
         .nthreads(1)
         .par_min(16)
         .fission(fission)

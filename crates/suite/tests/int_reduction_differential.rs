@@ -1,9 +1,8 @@
 //! Int-reduction differential suite: integer array and scalar
 //! reductions — sums with addends beyond 2^53, MIN/MAX over values
 //! within 2^53 of `i64::MAX`, products, wrapping overflow — must come
-//! out bit-identical to the sequential tree-walk interpreter across
-//! every executor configuration: (backend × predicate engine × opt
-//! level × fission), multi-threaded. This is the corpus that would
+//! out bit-identical to the sequential tree-walk interpreter with
+//! fission on and off, multi-threaded. This is the corpus that would
 //! have caught the `f64` merge round-trip (integer sums silently lost
 //! low bits whenever the buffered-merge path ran).
 //!
@@ -13,31 +12,22 @@
 //! still execute bit-identically everywhere.
 
 use lip_ir::{parse_program, ExecState, Machine, Store, Value};
-use lip_runtime::{Backend, OptLevel, PredBackend, Session};
+use lip_runtime::Session;
 use lip_symbolic::{sym, Sym};
 
 /// Every executor configuration the session can run a loop under.
 fn all_sessions() -> Vec<(String, Session)> {
-    let mut out = Vec::new();
-    for backend in [Backend::TreeWalk, Backend::Bytecode] {
-        for pred in [PredBackend::Tree, PredBackend::Compiled] {
-            for opt in [OptLevel::None, OptLevel::Fuse] {
-                for fission in [false, true] {
-                    let name = format!("{backend:?}/{pred:?}/{opt:?}/fission={fission}");
-                    let sess = Session::builder()
-                        .backend(backend)
-                        .pred(pred)
-                        .opt_level(opt)
-                        .nthreads(4)
-                        .par_min(1)
-                        .fission(fission)
-                        .build();
-                    out.push((name, sess));
-                }
-            }
-        }
-    }
-    out
+    [false, true]
+        .into_iter()
+        .map(|fission| {
+            let sess = Session::builder()
+                .nthreads(4)
+                .par_min(1)
+                .fission(fission)
+                .build();
+            (format!("fission={fission}"), sess)
+        })
+        .collect()
 }
 
 /// Deep-copies a store (`Store::clone` shares array buffers).

@@ -1,51 +1,46 @@
-//! Sessions across the full `(Backend, PredBackend, OptLevel,
-//! fission)` matrix, in one process: every combination must produce
-//! bit-identical measurements (the PR 3 acceptance check, now
-//! exercised through `Session` instead of env-var CI legs) — including
-//! when the sessions run concurrently from separate threads, which the
-//! old process-global configuration could not even express. The
-//! opt-level axis pins the superinstruction peephole pass: fused and
-//! unfused bytecode must measure identically (only wall-clock may
-//! differ). The fission axis pins the loop-distribution rescue pass:
-//! on kernels whose whole-loop verdict already decides execution, the
-//! knob must be observationally inert (fissioned-vs-sequential
-//! equivalence on rescued kernels lives in `fission_differential.rs`).
-
-//! The observer axis rides the same invariant: `LIP_OBS`/`observer()`
-//! may count and record whatever it likes, but outputs, work units and
-//! traced access streams must stay bit-identical to the off leg.
+//! Production sessions against the reference semantics, in one
+//! process. A session runs one execution path (fused bytecode,
+//! compiled predicates); what it can still be configured with —
+//! fission on/off, the observer level, the chunk count — must be
+//! observationally inert: every combination measures the same table
+//! rows, and those rows are what the tree-walking `lip_ir::Machine`
+//! (per-iteration costs, outputs, work units) and `Pdag::eval`
+//! (cascade verdict, charged test units) give for the same kernel —
+//! including when the sessions run concurrently from separate threads.
+//! On the kernels below the whole-loop verdict already decides
+//! execution, so the fission knob must be inert too
+//! (fissioned-vs-sequential equivalence on rescued kernels lives in
+//! `fission_differential.rs`).
 
 use std::sync::{Arc, Mutex};
 
+use lip_analysis::LoopClass;
+use lip_ir::{ExecState, Stmt, StoreCtx, Value};
 use lip_obs::ObsLevel;
-use lip_runtime::{Backend, LoopJob, OptLevel, PredBackend, Session};
+use lip_runtime::{ExecOutcome, LoopJob, Session};
 use lip_suite::{measure_loop, KernelShape, LoopMeasurement};
 use lip_symbolic::{sym, Sym};
 
-/// The sixteen seam combinations (`2 backends × 2 predicate engines ×
-/// 2 opt levels × fission on/off`; the opt level must be inert on the
-/// tree-walk legs, and fission on every kernel below).
-fn matrix() -> Vec<(Backend, PredBackend, OptLevel, bool)> {
+/// Every configuration a session can differ in: `fission {on, off} ×
+/// observer {off, metrics, trace} × nthreads {1, 2, 3, 7}` (one chunk,
+/// an even split, uneven splits, more chunks than CPUs).
+fn matrix() -> Vec<(bool, ObsLevel, usize)> {
     let mut m = Vec::new();
-    for backend in [Backend::TreeWalk, Backend::Bytecode] {
-        for pred in [PredBackend::Tree, PredBackend::Compiled] {
-            for opt in [OptLevel::None, OptLevel::Fuse] {
-                for fission in [true, false] {
-                    m.push((backend, pred, opt, fission));
-                }
+    for fission in [true, false] {
+        for obs in [ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Trace] {
+            for nthreads in [1, 2, 3, 7] {
+                m.push((fission, obs, nthreads));
             }
         }
     }
     m
 }
 
-fn session(backend: Backend, pred: PredBackend, opt: OptLevel, fission: bool) -> Session {
+fn session(fission: bool, obs: ObsLevel, nthreads: usize) -> Session {
     Session::builder()
-        .backend(backend)
-        .pred(pred)
-        .opt_level(opt)
         .fission(fission)
-        .nthreads(2)
+        .observer(obs)
+        .nthreads(nthreads)
         .par_min(64) // small threshold so the parallel predicate path runs
         .build()
 }
@@ -66,7 +61,9 @@ fn kernels() -> Vec<(&'static KernelShape, usize)> {
 
 /// The observable table row of one measurement (everything Tables 1–3
 /// derive from).
-fn row(m: &LoopMeasurement) -> (String, String, bool, bool, Vec<u64>, u64) {
+type Row = (String, String, bool, bool, Vec<u64>, u64);
+
+fn row(m: &LoopMeasurement) -> Row {
     (
         format!("{}_{} {:?}", m.shape, m.label, m.class),
         m.techniques.clone(),
@@ -77,48 +74,92 @@ fn row(m: &LoopMeasurement) -> (String, String, bool, bool, Vec<u64>, u64) {
     )
 }
 
-fn measure_all(session: &Session) -> Vec<(String, String, bool, bool, Vec<u64>, u64)> {
+fn measure_all(session: &Session) -> Vec<Row> {
     kernels()
         .into_iter()
         .map(|(shape, n)| row(&measure_loop(session, shape, n, 0.3, "-")))
         .collect()
 }
 
+/// One session's rows, checked against the reference semantics:
+/// per-iteration costs from a loop over `Machine::exec_block`, the
+/// cascade verdict and charge from `Pdag::eval`. (The CIV kernel's
+/// test units add the slice's cost; `crates/vm/tests/differential.rs`
+/// pins that against an interpreter-run slice on every kernel.)
+fn oracle_checked_rows() -> Vec<Row> {
+    let sess = session(true, ObsLevel::Off, 2);
+    let rows = measure_all(&sess);
+    for ((shape, n), got) in kernels().into_iter().zip(&rows) {
+        let mut p = shape.prepared(n);
+        let prog = p.machine.program().clone();
+        let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
+        let target = sub.find_loop(p.label).expect("loop").clone();
+        let analysis = sess.analyze(&prog, sub.name, p.label).expect("analysis");
+
+        if analysis.civs.is_empty() {
+            let ctx = StoreCtx(&p.frame);
+            let (passes, units) = match analysis.class {
+                LoopClass::Predicated { .. } => {
+                    let hit = analysis.cascade.first_success(&ctx, 100_000_000);
+                    let evaluated = hit.map_or(analysis.cascade.stages.len(), |k| k + 1);
+                    let units = analysis.cascade.stages[..evaluated]
+                        .iter()
+                        .map(|stage| stage.pred.eval_cost(&ctx))
+                        .sum();
+                    (hit.is_some(), units)
+                }
+                _ => (true, 0),
+            };
+            assert!(
+                passes,
+                "{}: pick a workload whose cascade passes",
+                shape.name
+            );
+            assert!(got.2, "{}: verdict diverged from Pdag::eval", shape.name);
+            assert_eq!(got.5, units, "{}: charged test units", shape.name);
+        }
+
+        let Stmt::Do {
+            var, lo, hi, body, ..
+        } = &target
+        else {
+            panic!("{}: not a DO loop", shape.name)
+        };
+        let mut st = ExecState::default();
+        let lo = p.machine.eval(&sub, &p.frame, lo, &mut st).expect("lo");
+        let hi = p.machine.eval(&sub, &p.frame, hi, &mut st).expect("hi");
+        let per_iter: Vec<u64> = (lo.as_i64()..=hi.as_i64())
+            .map(|i| {
+                p.frame.set_scalar(*var, Value::Int(i));
+                let before = st.cost;
+                p.machine
+                    .exec_block(&sub, &mut p.frame, body, &mut st)
+                    .expect("oracle iteration");
+                st.cost - before
+            })
+            .collect();
+        assert_eq!(got.4, per_iter, "{}: per-iteration costs", shape.name);
+    }
+    rows
+}
+
 #[test]
-fn all_backend_combinations_measure_identically_in_one_process() {
-    let reference = measure_all(&session(
-        Backend::TreeWalk,
-        PredBackend::Tree,
-        OptLevel::None,
-        true,
-    ));
-    for (backend, pred, opt, fission) in matrix() {
-        let got = measure_all(&session(backend, pred, opt, fission));
+fn all_session_combinations_match_the_oracle_in_one_process() {
+    let reference = oracle_checked_rows();
+    for (fission, obs, nthreads) in matrix() {
+        let got = measure_all(&session(fission, obs, nthreads));
         assert_eq!(
             reference, got,
-            "tables diverged under ({backend}, {pred}, {opt}, fission={fission})"
+            "tables diverged under (fission={fission}, {obs}, nthreads={nthreads})"
         );
     }
 }
 
-/// The fast seams with an observer installed at `level`.
-fn obs_session(level: ObsLevel, nthreads: usize) -> Session {
-    Session::builder()
-        .backend(Backend::Bytecode)
-        .pred(PredBackend::Compiled)
-        .opt_level(OptLevel::Fuse)
-        .fission(true)
-        .nthreads(nthreads)
-        .par_min(64)
-        .observer(level)
-        .build()
-}
-
 #[test]
 fn observer_legs_measure_identically() {
-    let off = measure_all(&obs_session(ObsLevel::Off, 2));
+    let off = measure_all(&session(true, ObsLevel::Off, 2));
     for level in [ObsLevel::Metrics, ObsLevel::Trace] {
-        let sess = obs_session(level, 2);
+        let sess = session(true, level, 2);
         let got = measure_all(&sess);
         assert_eq!(off, got, "tables diverged under observer level {level}");
         // The observer must actually have observed — identical tables
@@ -155,7 +196,7 @@ fn observer_execution_is_bit_identical_including_access_streams() {
         (&lip_suite::HOIST_INDIRECT, 64),
     ] {
         let run = |level: ObsLevel| {
-            let sess = obs_session(level, 1);
+            let sess = session(true, level, 1);
             let mut p = shape.prepared(n);
             let prog = p.machine.program().clone();
             let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
@@ -199,19 +240,15 @@ fn observer_execution_is_bit_identical_including_access_streams() {
 
 #[test]
 fn concurrent_sessions_with_different_seams_are_bit_identical() {
-    // Baseline: each combination measured alone, sequentially.
-    let baseline: Vec<_> = matrix()
-        .into_iter()
-        .map(|(b, p, o, f)| measure_all(&session(b, p, o, f)))
-        .collect();
+    let reference = oracle_checked_rows();
 
-    // All sixteen sessions measuring the same kernels at the same time
-    // from separate threads — two callers in one process with
-    // different backends, the scenario env-var seams made impossible.
+    // Every combination measuring the same kernels at the same time
+    // from separate threads — differently configured callers in one
+    // process, sharing the worker pool and nothing else.
     let concurrent: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = matrix()
             .into_iter()
-            .map(|(b, p, o, f)| scope.spawn(move || measure_all(&session(b, p, o, f))))
+            .map(|(f, o, t)| scope.spawn(move || measure_all(&session(f, o, t))))
             .collect();
         handles
             .into_iter()
@@ -219,8 +256,11 @@ fn concurrent_sessions_with_different_seams_are_bit_identical() {
             .collect()
     });
 
-    for (k, (base, conc)) in baseline.iter().zip(concurrent.iter()).enumerate() {
-        assert_eq!(base, conc, "combination {k} diverged under concurrency");
+    for (k, conc) in concurrent.iter().enumerate() {
+        assert_eq!(
+            &reference, conc,
+            "combination {k} diverged under concurrency"
+        );
     }
 }
 
@@ -228,15 +268,28 @@ fn concurrent_sessions_with_different_seams_are_bit_identical() {
 fn concurrent_executions_produce_identical_frames() {
     // Beyond the tables: actually *execute* a predicated loop through
     // run_loop from concurrent sessions and compare the final array
-    // state element for element against a single-session run.
+    // state element for element, and the work units, against the loop
+    // run sequentially on the interpreter.
     let shape = &lip_suite::OFFSET_CROSSOVER;
     let n = 256usize;
-    let run = |backend: Backend, pred: PredBackend, opt: OptLevel, fission: bool| {
-        let sess = session(backend, pred, opt, fission);
+    let snapshot = |frame: &lip_ir::Store| {
+        let a = frame.array(sym("A")).expect("A");
+        (0..a.buf.len()).map(|i| a.get_f64(i)).collect::<Vec<_>>()
+    };
+    let mut p = shape.prepared(n);
+    let prog = p.machine.program().clone();
+    let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
+    let target = sub.find_loop(p.label).expect("loop").clone();
+    let mut st = ExecState::default();
+    p.machine
+        .exec_stmt(&sub, &mut p.frame, &target, &mut st)
+        .expect("oracle runs");
+    // The parallel path does not charge the DO statement's own unit.
+    let reference = (st.cost - 1, snapshot(&p.frame));
+
+    let run = |fission: bool, obs: ObsLevel, nthreads: usize| {
+        let sess = session(fission, obs, nthreads);
         let mut p = shape.prepared(n);
-        let prog = p.machine.program().clone();
-        let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
-        let target = sub.find_loop(p.label).expect("loop").clone();
         let analysis = sess.analyze(&prog, sub.name, p.label).expect("analysis");
         let stats = sess
             .run_many([LoopJob {
@@ -249,16 +302,14 @@ fn concurrent_executions_produce_identical_frames() {
             .expect("runs")
             .pop()
             .expect("one result");
-        let a = p.frame.array(sym("A")).expect("A");
-        let snapshot: Vec<f64> = (0..a.buf.len()).map(|i| a.get_f64(i)).collect();
-        (stats.outcome, stats.test_units, stats.loop_units, snapshot)
+        assert!(matches!(stats.outcome, ExecOutcome::PredicatePassed { .. }));
+        (stats.loop_units, snapshot(&p.frame))
     };
 
-    let reference = run(Backend::TreeWalk, PredBackend::Tree, OptLevel::None, true);
     let results: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = matrix()
             .into_iter()
-            .map(|(b, p, o, f)| scope.spawn(move || run(b, p, o, f)))
+            .map(|(f, o, t)| scope.spawn(move || run(f, o, t)))
             .collect();
         handles
             .into_iter()

@@ -8,13 +8,11 @@ use std::collections::BTreeSet;
 
 use lip_obs::json::Json;
 use lip_obs::ObsLevel;
-use lip_runtime::{Backend, LoopJob, PredBackend, Session};
+use lip_runtime::{LoopJob, Session};
 use lip_symbolic::sym;
 
 fn traced_session(nthreads: usize) -> Session {
     Session::builder()
-        .backend(Backend::Bytecode)
-        .pred(PredBackend::Compiled)
         .fission(true)
         .nthreads(nthreads)
         .par_min(64)

@@ -410,6 +410,29 @@ pub enum Op {
 }
 
 impl Op {
+    /// The charge field of the superinstructions the peephole pass may
+    /// re-home a leading [`Op::Charge`] onto. `FusedRedAccS` is always
+    /// built charge-carrying (its head is a `ChargedLoadScalar`), and
+    /// widening the list to the remaining charge-carrying ops would
+    /// change intermediate streams.
+    pub fn charge_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Op::FusedBinSS { charge, .. }
+            | Op::FusedBinRS { charge, .. }
+            | Op::FusedBinRK { charge, .. }
+            | Op::FusedBinRE { charge, .. }
+            | Op::FusedBinStore { charge, .. }
+            | Op::FusedLoadElemS { charge, .. }
+            | Op::FusedStoreElemS { charge, .. }
+            | Op::FusedElemUpdateK { charge, .. }
+            | Op::FusedElemUpdateS { charge, .. }
+            | Op::FusedElemUpdateE { charge, .. }
+            | Op::FusedRedElemK { charge, .. }
+            | Op::FusedRedElemS { charge, .. } => Some(charge),
+            _ => None,
+        }
+    }
+
     /// Whether this is a superinstruction emitted by the peephole pass
     /// (never by the base compiler) — the denominator for fused-dispatch
     /// metrics is total ops, the numerator is these.

@@ -13,10 +13,10 @@
 //! counts (expression costs are folded into static
 //! [`chunk::Op::Charge`] instructions at compile time).
 //!
-//! `lip_runtime` selects this backend through its `Backend` enum
-//! (environment variable `LIP_BACKEND=bytecode`); per-thread [`Frame`]s
-//! are `Send`, so the parallel executor runs compiled loop bodies
-//! directly on its worker threads. Two entry points run a compiled
+//! Every `lip_runtime` session executes loops on this engine, with
+//! `lip_ir::Machine` as the differential reference; per-thread
+//! [`Frame`]s are `Send`, so the parallel executor runs compiled loop
+//! bodies directly on its worker threads. Two entry points run a compiled
 //! block: [`Vm::run_range`] is the chunk entry point — one activation
 //! of the dispatch loop for a whole iteration range, for every driver
 //! with nothing to do between iterations — and [`Vm::run_block`] runs
@@ -60,7 +60,7 @@ pub mod vm;
 
 pub use chunk::{BlockId, Chunk, CompileError, CompiledProgram, Op};
 pub use compile::{add_block, add_block_with_exprs, compile_program, expr_cost};
-pub use peephole::{optimize_block, optimize_chunk, optimize_program, OptLevel};
+pub use peephole::{optimize_block, optimize_chunk, optimize_program};
 pub use vm::{DispatchCounts, Frame, Vm};
 
 #[cfg(test)]

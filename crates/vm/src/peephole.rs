@@ -40,58 +40,13 @@
 //!   fusion only elides writes to operand temporaries its own window
 //!   consumes, which the stack-disciplined allocator makes dead.
 //!
-//! The pass is selected per session (`Session::builder().opt_level(..)`
-//! in `lip_runtime`, default [`OptLevel::Fuse`]; `LIP_OPT` in the
-//! environment) and applied once per machine by the session's compile
-//! cache, so both the fused and unfused streams stay reachable for
-//! differential testing.
+//! Every `lip_runtime` session runs the fused stream: its compile
+//! cache applies the pass once per machine. The compiler's raw stream
+//! stays reachable by calling [`crate::compile_program`] without
+//! [`optimize_program`], which is how the differential suites and
+//! `bench_vm` compare the two.
 
 use crate::chunk::{BlockId, Chunk, CompiledProgram, DimCode, Op};
-
-/// How aggressively compiled programs are post-processed before
-/// execution. Parsed strictly (`LIP_OPT`): unknown values are errors,
-/// never a silent fallback.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum OptLevel {
-    /// Run the compiler's raw instruction stream (the differential
-    /// reference for the fused stream).
-    None,
-    /// Apply the superinstruction peephole pass (the default).
-    #[default]
-    Fuse,
-}
-
-impl OptLevel {
-    /// Whether this level runs the fusion pass.
-    pub fn fuses(self) -> bool {
-        self == OptLevel::Fuse
-    }
-}
-
-impl std::str::FromStr for OptLevel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<OptLevel, String> {
-        if s == "0" || s.eq_ignore_ascii_case("none") {
-            Ok(OptLevel::None)
-        } else if s == "1" || s.eq_ignore_ascii_case("fuse") {
-            Ok(OptLevel::Fuse)
-        } else {
-            Err(format!(
-                "unknown opt level `{s}` (expected `0`/`none` or `1`/`fuse`)"
-            ))
-        }
-    }
-}
-
-impl std::fmt::Display for OptLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OptLevel::None => write!(f, "none"),
-            OptLevel::Fuse => write!(f, "fuse"),
-        }
-    }
-}
 
 /// Fuses every chunk of `prog`: subroutine bodies, standalone blocks,
 /// attached expression fragments, and the reshape/local-allocation
@@ -252,191 +207,13 @@ fn try_fuse(ops: &[Op], i: usize, targets: &[bool]) -> Option<(Op, usize)> {
     window_clear(targets, i, len).then_some((fused, len))
 }
 
-/// Re-homes a leading `Charge` onto a charge-carrying superinstruction
-/// that has none yet.
+/// Re-homes a leading `Charge` onto a superinstruction whose
+/// [`Op::charge_mut`] field is still zero.
 fn fold_charge(op: &Op, c: u32) -> Option<Op> {
-    match *op {
-        Op::FusedBinSS {
-            charge: 0,
-            op,
-            dst,
-            a_slot,
-            b_slot,
-        } => Some(Op::FusedBinSS {
-            charge: c,
-            op,
-            dst,
-            a_slot,
-            b_slot,
-        }),
-        Op::FusedBinRS {
-            charge: 0,
-            op,
-            dst,
-            a,
-            b_slot,
-        } => Some(Op::FusedBinRS {
-            charge: c,
-            op,
-            dst,
-            a,
-            b_slot,
-        }),
-        Op::FusedBinRK {
-            charge: 0,
-            op,
-            dst,
-            a,
-            k,
-        } => Some(Op::FusedBinRK {
-            charge: c,
-            op,
-            dst,
-            a,
-            k,
-        }),
-        Op::FusedBinRE {
-            charge: 0,
-            op,
-            dst,
-            a,
-            arr,
-            idx_slot,
-        } => Some(Op::FusedBinRE {
-            charge: c,
-            op,
-            dst,
-            a,
-            arr,
-            idx_slot,
-        }),
-        Op::FusedBinStore {
-            charge: 0,
-            op,
-            slot,
-            dst,
-            a,
-            b,
-        } => Some(Op::FusedBinStore {
-            charge: c,
-            op,
-            slot,
-            dst,
-            a,
-            b,
-        }),
-        Op::FusedLoadElemS {
-            charge: 0,
-            dst,
-            arr,
-            idx_slot,
-        } => Some(Op::FusedLoadElemS {
-            charge: c,
-            dst,
-            arr,
-            idx_slot,
-        }),
-        Op::FusedStoreElemS {
-            charge: 0,
-            arr,
-            idx_slot,
-            src,
-        } => Some(Op::FusedStoreElemS {
-            charge: c,
-            arr,
-            idx_slot,
-            src,
-        }),
-        Op::FusedElemUpdateK {
-            charge: 0,
-            op,
-            dst,
-            arr,
-            idx_slot,
-            k,
-        } => Some(Op::FusedElemUpdateK {
-            charge: c,
-            op,
-            dst,
-            arr,
-            idx_slot,
-            k,
-        }),
-        Op::FusedElemUpdateS {
-            charge: 0,
-            op,
-            dst,
-            arr,
-            idx_slot,
-            b_slot,
-        } => Some(Op::FusedElemUpdateS {
-            charge: c,
-            op,
-            dst,
-            arr,
-            idx_slot,
-            b_slot,
-        }),
-        Op::FusedElemUpdateE {
-            charge: 0,
-            op,
-            dst,
-            arr,
-            idx_arr,
-            idx_slot,
-            idx_op,
-            idx_k,
-            k,
-        } => Some(Op::FusedElemUpdateE {
-            charge: c,
-            op,
-            dst,
-            arr,
-            idx_arr,
-            idx_slot,
-            idx_op,
-            idx_k,
-            k,
-        }),
-        // `FusedRedAccS` is always built charge-carrying (its head is a
-        // `ChargedLoadScalar`), so only the element-reduction shapes can
-        // ever need a re-home.
-        Op::FusedRedElemK {
-            charge: 0,
-            op,
-            dst,
-            arr,
-            idx_arr,
-            idx_slot,
-            k,
-        } => Some(Op::FusedRedElemK {
-            charge: c,
-            op,
-            dst,
-            arr,
-            idx_arr,
-            idx_slot,
-            k,
-        }),
-        Op::FusedRedElemS {
-            charge: 0,
-            op,
-            dst,
-            arr,
-            idx_arr,
-            idx_slot,
-            b_slot,
-        } => Some(Op::FusedRedElemS {
-            charge: c,
-            op,
-            dst,
-            arr,
-            idx_arr,
-            idx_slot,
-            b_slot,
-        }),
-        _ => None,
-    }
+    let mut folded = op.clone();
+    let charge = folded.charge_mut().filter(|charge| **charge == 0)?;
+    *charge = c;
+    Some(folded)
 }
 
 /// Matches the charge-less rewrite rules at the head of `rest`,

@@ -15,7 +15,7 @@
 //! in its `obs_results` block.
 
 use lip::obs::ObsLevel;
-use lip::runtime::{Backend, LoopJob, PredBackend};
+use lip::runtime::LoopJob;
 use lip::symbolic::sym;
 use lip::Session;
 
@@ -25,8 +25,6 @@ fn main() {
     // counters; the default `off` costs one predictable branch per
     // site (the bench asserts < 2% on the hot kernels).
     let session = Session::builder()
-        .backend(Backend::Bytecode)
-        .pred(PredBackend::Compiled)
         .fission(true)
         .nthreads(2)
         .par_min(64)

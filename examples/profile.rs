@@ -14,14 +14,12 @@
 //! table and a call-path tree.
 
 use lip::obs::ObsLevel;
-use lip::runtime::{Backend, LoopJob, PredBackend};
+use lip::runtime::LoopJob;
 use lip::symbolic::sym;
 use lip::Session;
 
 fn main() {
     let session = Session::builder()
-        .backend(Backend::Bytecode)
-        .pred(PredBackend::Compiled)
         .nthreads(4)
         .par_min(64)
         .observer(ObsLevel::Trace)

@@ -15,7 +15,7 @@ use lip::Session;
 
 fn main() {
     // One configured entry point for the whole pipeline; see
-    // `Session::builder()` for backend/engine/thread knobs.
+    // `Session::builder()` for the thread, fission and observer knobs.
     let session = Session::builder().nthreads(2).build();
     let src = "
 SUBROUTINE kernel(A, N, M)

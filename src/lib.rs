@@ -23,14 +23,14 @@
 //! * [`suite`] — the PERFECT-CLUB / SPEC benchmark kernels.
 //!
 //! The configured entry point to the whole pipeline is [`Session`]
-//! (re-exported from [`runtime`]): a builder owning the execution
-//! backend, the bytecode opt level (the `lip_vm` superinstruction
-//! peephole pass, default on), the predicate engine, the pool width
-//! and the per-machine compile caches, with `analyze` / `run_loop` /
-//! `run_many` / `civ_traces` / `lrpd_execute` / `per_iteration_costs`
-//! / `simulate` methods. Environment variables (`LIP_BACKEND`,
-//! `LIP_OPT`, `LIP_PRED`, `LIP_PRED_PAR_MIN`, `LIP_FISSION`,
-//! `LIP_OBS`) are read in exactly one place,
+//! (re-exported from [`runtime`]): a builder owning the pool width,
+//! the fission and observer knobs and the per-machine compile caches,
+//! with `analyze` / `run_loop` / `run_many` / `civ_traces` /
+//! `lrpd_execute` / `per_iteration_costs` / `simulate` methods. A
+//! session runs loops as fused [`vm`] bytecode and predicates on the
+//! compiled [`pred`] engine; the tree-walking `ir::Machine` is the
+//! differential reference. Environment variables (`LIP_PRED_PAR_MIN`,
+//! `LIP_FISSION`, `LIP_OBS`) are read in exactly one place,
 //! [`SessionConfig::from_env`], with strict parsing.
 //!
 //! Observability rides the same session: `.observer(ObsLevel::Trace)`
