@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use lip_core::{build_cascade, complexity, ArrayExtent, Cascade, FactorConfig, Factorizer, Pdag};
+use lip_core::{complexity, ArrayExtent, Cascade, FactorConfig, Factorizer, Pdag, PredCtx};
 use lip_ir::{BinOp, Program, Stmt, Subroutine};
 use lip_symbolic::{BoolExpr, RangeEnv, Sym, SymExpr};
 use lip_usr::{
@@ -236,14 +236,19 @@ pub fn analyze_loop(
     label: &str,
     cfg: &AnalysisConfig,
 ) -> Option<LoopAnalysis> {
-    let sub = prog.subroutine(sub_name)?.clone();
-    let target = sub.find_loop(label)?.clone();
+    let sub = prog.subroutine(sub_name)?;
+    let target = sub.find_loop(label)?;
     let span = cfg.obs.span("analysis.loop", || label.to_owned());
-    let mut summarizer = Summarizer::new(prog);
-    let entry_env = env_at_loop(&mut summarizer, &sub, label).unwrap_or_default();
+    let entry_env = cfg.obs.in_span("analysis.summarize", || {
+        env_at_loop(&mut Summarizer::new(prog), sub, label).unwrap_or_default()
+    });
 
+    // Everything the predicate layer interns and memoizes while this
+    // loop (and its fission fragments) is analysed lives here, and
+    // dies with this call.
+    let mut cx = PredCtx::new();
     let analysis = cfg.obs.timed("analysis.classify_ns", || {
-        analyze_do(prog, &sub, &target, label, cfg, &entry_env)
+        analyze_do(prog, sub, target, label, cfg, &entry_env, &mut cx)
     });
     let Some(mut analysis) = analysis else {
         cfg.obs.exit_span(span, "not analyzable");
@@ -255,9 +260,10 @@ pub fn analyze_loop(
     // class and carry the plan as the executor's backup for the day
     // the exact test reports genuine dependences.
     if cfg.fission && analysis.class != LoopClass::StaticParallel {
-        if let Some(plan) =
-            crate::fission::plan_fission(prog, &sub, &target, label, cfg, &entry_env)
-        {
+        let plan = cfg.obs.in_span("analysis.fission_plan", || {
+            crate::fission::plan_fission(prog, sub, target, label, cfg, &entry_env, &mut cx)
+        });
+        if let Some(plan) = plan {
             if analysis.class == LoopClass::StaticSequential {
                 analysis.class = LoopClass::Fissioned {
                     fragments: plan.fragments.len(),
@@ -266,6 +272,16 @@ pub fn analyze_loop(
             analysis.fission = Some(std::rc::Rc::new(plan));
         }
     }
+    if cfg.obs.enabled() {
+        let stats = cx.stats();
+        cfg.obs.count("core.simplify_evals", stats.simplify_evals);
+        cfg.obs.count("core.simplify_hits", stats.simplify_hits);
+        cfg.obs.count("symbolic.decide_evals", stats.decide_evals);
+        cfg.obs.count("symbolic.decide_hits", stats.decide_hits);
+        cfg.obs.count("core.pdag_interned", stats.interned);
+    }
+    // Dropping the tables is part of what this analysis cost.
+    drop(cx);
     cfg.obs.count("analysis.loops", 1);
     cfg.obs.count(
         match &analysis.class {
@@ -292,21 +308,23 @@ pub(crate) fn analyze_do(
     label: &str,
     cfg: &AnalysisConfig,
     entry_env: &SymEnv,
+    cx: &mut PredCtx,
 ) -> Option<LoopAnalysis> {
-    let sub = sub.clone();
-    let target = target.clone();
-    let entry_env = entry_env.clone();
     let mut summarizer = Summarizer::new(prog);
+    let mut summarize = |var: Sym, lo, hi, body| {
+        cfg.obs.in_span("analysis.summarize", || {
+            summarizer.iteration_summary(sub, var, lo, hi, body, entry_env)
+        })
+    };
 
-    if affine_definitely_dependent(&sub, &target) {
+    if affine_definitely_dependent(sub, target) {
         // Provably dependent in the affine domain: report STATIC-SEQ
         // without emitting runtime tests (paper Table 1's qcd rows).
-        let mut summarizer2 = Summarizer::new(prog);
         if let Stmt::Do {
             var, lo, hi, body, ..
-        } = &target
+        } = target
         {
-            let it = summarizer2.iteration_summary(&sub, *var, lo, hi, body, &entry_env);
+            let it = summarize(*var, lo, hi, body);
             return Some(LoopAnalysis {
                 label: label.to_owned(),
                 var: it.var,
@@ -323,18 +341,18 @@ pub(crate) fn analyze_do(
             });
         }
     }
-    let it = match &target {
+    let it = match target {
         Stmt::Do {
             var, lo, hi, body, ..
-        } => summarizer.iteration_summary(&sub, *var, lo, hi, body, &entry_env),
+        } => summarize(*var, lo, hi, body),
         Stmt::While { .. } => {
             // While loops go through CIV-COMP: trip count and traces are
             // runtime slice outputs; model as a counted loop.
-            return analyze_while(prog, &sub, &target, label, cfg, entry_env);
+            return analyze_while(prog, sub, target, label, cfg, entry_env.clone(), cx);
         }
         _ => return None,
     };
-    Some(classify(&sub, label, it, cfg, false))
+    Some(classify(sub, label, it, cfg, cx))
 }
 
 fn analyze_while(
@@ -344,6 +362,7 @@ fn analyze_while(
     label: &str,
     cfg: &AnalysisConfig,
     entry_env: SymEnv,
+    cx: &mut PredCtx,
 ) -> Option<LoopAnalysis> {
     let Stmt::While { body, cond, .. } = target else {
         return None;
@@ -370,7 +389,7 @@ fn analyze_while(
         civs,
         kinds: BTreeMap::new(),
     };
-    let mut analysis = classify(sub, label, it, cfg, true);
+    let mut analysis = classify(sub, label, it, cfg, cx);
     analysis.techniques.insert(Technique::CivComp);
     analysis.techniques.insert(Technique::CivAgg);
     Some(analysis)
@@ -435,16 +454,20 @@ fn classify(
     label: &str,
     it: IterationSummary,
     cfg: &AnalysisConfig,
-    from_while: bool,
+    cx: &mut PredCtx,
 ) -> LoopAnalysis {
-    let mut env = RangeEnv::new();
-    env.set_range(it.var, it.lo.clone(), it.hi.clone());
-    for f in &cfg.facts {
-        env.assume(f.clone());
-    }
-    // The loop is only interesting when it runs: assume a non-empty
-    // range for static decisions (runtime guards still check it).
-    env.assume(BoolExpr::le(it.lo.clone(), it.hi.clone()));
+    let scope = cx.scope(&loop_env(it.var, &it.lo, &it.hi, cfg));
+    let obs = &cfg.obs;
+    // One equation of one array: factorize, then simplify under the
+    // loop's scope. `f` is the array's factorizer, shared by its flow,
+    // output and last-value equations (cut from one summary, they share
+    // most sub-summaries).
+    let prove_empty = |cx: &mut PredCtx, f: &mut Factorizer, u: &Usr| {
+        let raw = obs.in_span("core.factor", || f.factor_in(cx, u));
+        obs.in_span("core.simplify", || cx.simplify(&raw, scope))
+    };
+    let cascade_of =
+        |cx: &mut PredCtx, p: &Pdag| obs.in_span("core.cascade", || cx.build_cascade(p, scope));
 
     let mut techniques: BTreeSet<Technique> = BTreeSet::new();
     let mut arrays: BTreeMap<Sym, ArrayPlan> = BTreeMap::new();
@@ -490,9 +513,8 @@ fn classify(
                 cfg,
                 &mut techniques,
             );
-            let mut f = Factorizer::new(fcfg.clone());
-            let pred = lip_core::simplify(&f.factor(&oind), &env);
-            let cascade = build_cascade(&pred, &env);
+            let pred = prove_empty(cx, &mut Factorizer::new(fcfg), &oind);
+            let cascade = cascade_of(cx, &pred);
             mark_monotonicity(&cascade, &mut techniques);
             // Statically-independent reductions update shared storage
             // directly; only buffered reductions with unknown extents
@@ -533,9 +555,9 @@ fn classify(
             cfg,
             &mut techniques,
         );
-        let mut f = Factorizer::new(fcfg.clone());
-        let flow_pred = lip_core::simplify(&f.factor(&find), &env);
-        let flow_cascade = build_cascade(&flow_pred, &env);
+        let mut f = Factorizer::new(fcfg);
+        let flow_pred = prove_empty(cx, &mut f, &find);
+        let flow_cascade = cascade_of(cx, &flow_pred);
         mark_monotonicity(&flow_cascade, &mut techniques);
 
         // Output independence of the write-first set.
@@ -544,9 +566,8 @@ fn classify(
             cfg,
             &mut techniques,
         );
-        let mut f2 = Factorizer::new(fcfg.clone());
-        let out_pred = lip_core::simplify(&f2.factor(&oind), &env);
-        let out_cascade = build_cascade(&out_pred, &env);
+        let out_pred = prove_empty(cx, &mut f, &oind);
+        let out_cascade = cascade_of(cx, &out_pred);
         mark_monotonicity(&out_cascade, &mut techniques);
 
         // Coverage: every read is covered by a same-iteration prior
@@ -564,9 +585,7 @@ fn classify(
 
         // Static last value.
         let slv = slv_equation(it.var, &it.lo, &it.hi, &s.wf);
-        let mut f3 = Factorizer::new(fcfg);
-        let slv_pred = lip_core::simplify(&f3.factor(&slv), &env);
-        let slv_static = slv_pred.is_true();
+        let slv_static = prove_empty(cx, &mut f, &slv).is_true();
 
         if extended {
             techniques.insert(Technique::ExtRred);
@@ -584,7 +603,7 @@ fn classify(
                 Some(p) => {
                     techniques.insert(Technique::CivAgg);
                     let ored = Pdag::or(vec![out_pred.clone(), p]);
-                    let c = build_cascade(&ored, &env);
+                    let c = cascade_of(cx, &ored);
                     (ored, c)
                 }
                 None => (out_pred, out_cascade),
@@ -636,7 +655,7 @@ fn classify(
                 }
             } else if out_usable && !wf_invariant {
                 pred_parts.push(out_pred.clone());
-                ArrayPlan::Predicated(build_cascade(&Pdag::and(pred_parts.clone()), &env))
+                ArrayPlan::Predicated(cascade_of(cx, &Pdag::and(pred_parts.clone())))
             } else {
                 // Conditional privatization: sound whenever the flow
                 // predicate passes at runtime.
@@ -677,7 +696,7 @@ fn classify(
     // keep stages up to O(N); anything deeper is the exact fallback's
     // job, not a predicate's.
     let merged = Pdag::and(required);
-    let mut cascade = build_cascade(&merged, &env);
+    let mut cascade = cascade_of(cx, &merged);
     cascade.stages.retain(|s| s.complexity <= 1);
 
     let class = if let Some(kind) = fallback {
@@ -703,7 +722,6 @@ fn classify(
             first_stage_complexity: cascade.stages.first().map(|s| s.complexity).unwrap_or(0),
         }
     };
-    let _ = from_while;
     LoopAnalysis {
         label: label.to_owned(),
         var: it.var,
@@ -718,6 +736,19 @@ fn classify(
         ind_usr: (!exact_usrs.is_empty()).then(|| Usr::union_all(exact_usrs)),
         fission: None,
     }
+}
+
+/// The static environment of one loop: its index range, the
+/// configured facts, and a non-empty iteration space — the loop is only
+/// interesting when it runs (runtime guards still check it).
+pub(crate) fn loop_env(var: Sym, lo: &SymExpr, hi: &SymExpr, cfg: &AnalysisConfig) -> RangeEnv {
+    let mut env = RangeEnv::new();
+    env.set_range(var, lo.clone(), hi.clone());
+    for f in &cfg.facts {
+        env.assume(f.clone());
+    }
+    env.assume(BoolExpr::le(lo.clone(), hi.clone()));
+    env
 }
 
 fn reshaped(u: &Usr, cfg: &AnalysisConfig, techniques: &mut BTreeSet<Technique>) -> Usr {

@@ -34,12 +34,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use lip_core::Factorizer;
+use lip_core::{Factorizer, PredCtx};
 use lip_ir::{Expr, LValue, Program, Stmt, Subroutine};
-use lip_symbolic::{BoolExpr, RangeEnv, Sym};
+use lip_symbolic::Sym;
 use lip_usr::{Summary, Usr};
 
-use crate::classify::{analyze_do, AnalysisConfig, FallbackKind, LoopAnalysis, LoopClass};
+use crate::classify::{
+    analyze_do, loop_env, AnalysisConfig, FallbackKind, LoopAnalysis, LoopClass,
+};
 use crate::summarize::{use_before_def, Summarizer};
 use crate::symbridge::SymEnv;
 
@@ -107,6 +109,7 @@ pub(crate) fn plan_fission(
     label: &str,
     cfg: &AnalysisConfig,
     entry_env: &SymEnv,
+    cx: &mut PredCtx,
 ) -> Option<FissionPlan> {
     let Stmt::Do {
         var,
@@ -168,16 +171,12 @@ pub(crate) fn plan_fission(
     }
     let (it_lo, it_hi) = (it_lo?, it_hi?);
 
-    let mut env = RangeEnv::new();
-    env.set_range(*var, it_lo.clone(), it_hi.clone());
-    for f in &cfg.facts {
-        env.assume(f.clone());
-    }
-    env.assume(BoolExpr::le(it_lo.clone(), it_hi.clone()));
+    let scope = cx.scope(&loop_env(*var, &it_lo, &it_hi, cfg));
     let aggregate = |u: &Usr| Usr::rec_total(*var, it_lo.clone(), it_hi.clone(), u.clone());
-    let provably_empty = |u: &Usr| {
+    let mut provably_empty = |u: &Usr| {
         let mut f = Factorizer::new(cfg.factor.clone());
-        lip_core::simplify(&f.factor(u), &env).is_true()
+        let raw = f.factor_in(cx, u);
+        cx.simplify(&raw, scope).is_true()
     };
 
     // Union-find over statements; every dependence edge merges.
@@ -262,7 +261,7 @@ pub(crate) fn plan_fission(
             step: None,
             body: set.iter().map(|&i| body[i].clone()).collect(),
         };
-        let analysis = analyze_do(prog, sub, &ftarget, &flabel, &fcfg, entry_env)?;
+        let analysis = analyze_do(prog, sub, &ftarget, &flabel, &fcfg, entry_env, cx)?;
         let fragment_assigned: Vec<Sym> = set
             .iter()
             .flat_map(|&i| assigned[i].iter().copied())

@@ -15,120 +15,201 @@
 //! Generated code evaluates the stages in order; the first success
 //! proves independence and disables the rest.
 
-use lip_symbolic::{reduce_ge0, reduce_gt0, BoolExpr, RangeEnv};
+use std::cell::OnceCell;
+use std::sync::Arc;
 
-use crate::pdag::Pdag;
-use crate::simplify::simplify;
+use lip_symbolic::{reduce_ge0, reduce_gt0, BoolExpr, RangeEnv, ScopeId, Sym};
+
+use crate::ctx::PredCtx;
+use crate::pdag::{Pdag, PdagNode};
 
 /// The runtime-complexity model: maximal `ForAll` nesting depth.
 pub fn complexity(p: &Pdag) -> u32 {
-    match p {
-        Pdag::Bool(_) | Pdag::Leaf(_) => 0,
-        Pdag::And(ps) | Pdag::Or(ps) => ps.iter().map(complexity).max().unwrap_or(0),
-        Pdag::ForAll { body, .. } => 1 + complexity(body),
-        Pdag::AtCall(_, body) => complexity(body),
+    match p.node() {
+        PdagNode::Bool(_) | PdagNode::Leaf(_) => 0,
+        PdagNode::And(ps) | PdagNode::Or(ps) => ps.iter().map(complexity).max().unwrap_or(0),
+        PdagNode::ForAll { body, .. } => 1 + complexity(body),
+        PdagNode::AtCall(_, body) => complexity(body),
     }
 }
 
-/// Strengthens `p` to an O(1) sufficient condition: every `ForAll` is
-/// eliminated, either by hoisting loop-invariant parts or by
-/// Fourier–Motzkin elimination of the bound variable from comparison
-/// leaves; leaves that resist elimination become `false`.
-pub fn separate_o1(p: &Pdag, env: &RangeEnv) -> Pdag {
-    let s = strengthen_o1(p, env);
-    simplify(&s, env)
+/// [`PredCtx::build_cascade`] in a context of its own.
+pub fn build_cascade(p: &Pdag, env: &RangeEnv) -> Cascade {
+    let mut cx = PredCtx::new();
+    let scope = cx.scope(env);
+    cx.build_cascade(p, scope)
 }
 
-fn strengthen_o1(p: &Pdag, env: &RangeEnv) -> Pdag {
-    match p {
-        Pdag::Bool(_) | Pdag::Leaf(_) => p.clone(),
-        Pdag::And(ps) => Pdag::and(ps.iter().map(|q| strengthen_o1(q, env)).collect()),
-        Pdag::Or(ps) => Pdag::or(ps.iter().map(|q| strengthen_o1(q, env)).collect()),
-        Pdag::AtCall(site, body) => Pdag::at_call(*site, strengthen_o1(body, env)),
-        Pdag::ForAll { var, lo, hi, body } => {
-            let mut inner_env = env.clone();
-            inner_env.set_range(*var, lo.clone(), hi.clone());
-            let body = strengthen_o1(body, &inner_env);
-            let eliminated = eliminate_var(&body, *var, &inner_env);
-            // ∀ over an empty range is vacuously true.
-            Pdag::or(vec![
-                Pdag::leaf(BoolExpr::lt(hi.clone(), lo.clone())),
-                eliminated,
-            ])
+impl PredCtx {
+    /// Strengthens `p` to an O(1) sufficient condition: every `ForAll` is
+    /// eliminated, either by hoisting loop-invariant parts or by
+    /// Fourier–Motzkin elimination of the bound variable from comparison
+    /// leaves; leaves that resist elimination become `false`.
+    fn separate_o1(&mut self, p: &Pdag, scope: ScopeId) -> Pdag {
+        let s = self.strengthen_o1(p, scope);
+        self.simplify(&s, scope)
+    }
+
+    fn strengthen_o1(&mut self, p: &Pdag, scope: ScopeId) -> Pdag {
+        let key = (scope, p.clone());
+        if let Some(hit) = self.strengthened.get(&key) {
+            return hit.clone();
+        }
+        let out = match p.node() {
+            PdagNode::Bool(_) | PdagNode::Leaf(_) => return p.clone(),
+            PdagNode::And(ps) => {
+                let parts = ps.iter().map(|q| self.strengthen_o1(q, scope)).collect();
+                self.and(parts)
+            }
+            PdagNode::Or(ps) => {
+                let parts = ps.iter().map(|q| self.strengthen_o1(q, scope)).collect();
+                self.or(parts)
+            }
+            PdagNode::AtCall(site, body) => {
+                let body = self.strengthen_o1(body, scope);
+                self.at_call(*site, body)
+            }
+            PdagNode::ForAll { var, lo, hi, body } => {
+                let inner = self.scopes.enter(scope, *var, lo, hi);
+                let body = self.strengthen_o1(body, inner);
+                let eliminated = self.eliminate_var(&body, *var, inner);
+                // ∀ over an empty range is vacuously true.
+                let range_empty = self.leaf(BoolExpr::lt(hi.clone(), lo.clone()));
+                self.or(vec![range_empty, eliminated])
+            }
+        };
+        self.strengthened.insert(key, out.clone());
+        out
+    }
+
+    /// Replaces every leaf containing `var` by a `var`-free sufficient
+    /// condition (Fourier–Motzkin for inequalities under `scope`'s
+    /// ranges, `false` otherwise).
+    fn eliminate_var(&mut self, p: &Pdag, var: Sym, scope: ScopeId) -> Pdag {
+        let key = (scope, var, p.clone());
+        if let Some(hit) = self.eliminated.get(&key) {
+            return hit.clone();
+        }
+        let out = match p.node() {
+            PdagNode::Bool(_) => return p.clone(),
+            PdagNode::Leaf(b) if !b.contains_sym(var) => return p.clone(),
+            PdagNode::Leaf(BoolExpr::Gt0(e)) => {
+                let reduced = reduce_gt0(e, self.scopes.env(scope));
+                self.var_free_leaf(reduced, var)
+            }
+            PdagNode::Leaf(BoolExpr::Ge0(e)) => {
+                let reduced = reduce_ge0(e, self.scopes.env(scope));
+                self.var_free_leaf(reduced, var)
+            }
+            // Compound leaves (e.g. the interval disjunction emitted
+            // by DISJOINT_LMAD_1D) unfold so each comparison can be
+            // eliminated independently.
+            PdagNode::Leaf(BoolExpr::And(bs)) => {
+                let unfolded = Pdag::and(bs.iter().cloned().map(Pdag::leaf).collect());
+                self.eliminate_var(&unfolded, var, scope)
+            }
+            PdagNode::Leaf(BoolExpr::Or(bs)) => {
+                let unfolded = Pdag::or(bs.iter().cloned().map(Pdag::leaf).collect());
+                self.eliminate_var(&unfolded, var, scope)
+            }
+            PdagNode::Leaf(_) => self.bool(false),
+            PdagNode::And(ps) => {
+                let parts = ps
+                    .iter()
+                    .map(|q| self.eliminate_var(q, var, scope))
+                    .collect();
+                self.and(parts)
+            }
+            PdagNode::Or(ps) => {
+                let parts = ps
+                    .iter()
+                    .map(|q| self.eliminate_var(q, var, scope))
+                    .collect();
+                self.or(parts)
+            }
+            // Nested quantifiers were already strengthened away by the o1
+            // pass; anything left that still depends on var is dropped.
+            PdagNode::ForAll { .. } | PdagNode::AtCall(_, _) => {
+                if p.contains_sym(var) {
+                    self.bool(false)
+                } else {
+                    p.clone()
+                }
+            }
+        };
+        self.eliminated.insert(key, out.clone());
+        out
+    }
+
+    /// The leaf for an eliminated comparison, `false` when elimination
+    /// left `var` behind.
+    fn var_free_leaf(&mut self, reduced: BoolExpr, var: Sym) -> Pdag {
+        if reduced.contains_sym(var) {
+            self.bool(false)
+        } else {
+            self.leaf(reduced)
         }
     }
-}
 
-/// Replaces every leaf containing `var` by a `var`-free sufficient
-/// condition (Fourier–Motzkin for inequalities, `false` otherwise).
-fn eliminate_var(p: &Pdag, var: lip_symbolic::Sym, env: &RangeEnv) -> Pdag {
-    match p {
-        Pdag::Bool(_) => p.clone(),
-        Pdag::Leaf(b) => {
-            if !b.contains_sym(var) {
-                return p.clone();
+    /// Strengthens `p` to an O(N) sufficient condition by replacing every
+    /// inner loop node (nest depth > 1) with `false` (paper Figure 9(a)).
+    fn separate_on(&mut self, p: &Pdag, scope: ScopeId) -> Pdag {
+        let s = self.drop_inner_loops(p, 0);
+        self.simplify(&s, scope)
+    }
+
+    fn drop_inner_loops(&mut self, p: &Pdag, depth: u32) -> Pdag {
+        match p.node() {
+            PdagNode::Bool(_) | PdagNode::Leaf(_) => p.clone(),
+            PdagNode::And(ps) => {
+                let parts = ps.iter().map(|q| self.drop_inner_loops(q, depth)).collect();
+                self.and(parts)
             }
-            let reduced = match b {
-                BoolExpr::Gt0(e) => reduce_gt0(e, env),
-                BoolExpr::Ge0(e) => reduce_ge0(e, env),
-                // Compound leaves (e.g. the interval disjunction emitted
-                // by DISJOINT_LMAD_1D) unfold so each comparison can be
-                // eliminated independently.
-                BoolExpr::And(bs) => {
-                    let parts = bs.iter().cloned().map(Pdag::leaf).collect();
-                    return eliminate_var(&Pdag::and(parts), var, env);
+            PdagNode::Or(ps) => {
+                let parts = ps.iter().map(|q| self.drop_inner_loops(q, depth)).collect();
+                self.or(parts)
+            }
+            PdagNode::AtCall(site, body) => {
+                let body = self.drop_inner_loops(body, depth);
+                self.at_call(*site, body)
+            }
+            PdagNode::ForAll { var, lo, hi, body } => {
+                if depth >= 1 {
+                    self.bool(false)
+                } else {
+                    let body = self.drop_inner_loops(body, depth + 1);
+                    self.forall(*var, lo, hi, body)
                 }
-                BoolExpr::Or(bs) => {
-                    let parts = bs.iter().cloned().map(Pdag::leaf).collect();
-                    return eliminate_var(&Pdag::or(parts), var, env);
-                }
-                _ => return Pdag::f(),
+            }
+        }
+    }
+
+    /// Builds the cascade for a factorized independence predicate.
+    pub fn build_cascade(&mut self, p: &Pdag, scope: ScopeId) -> Cascade {
+        let exact = self.simplify(p, scope);
+        if exact.is_true() {
+            return Cascade {
+                stages: vec![Stage::new(exact, 0)],
             };
-            if reduced.contains_sym(var) {
-                Pdag::f()
-            } else {
-                Pdag::leaf(reduced)
-            }
         }
-        Pdag::And(ps) => Pdag::and(ps.iter().map(|q| eliminate_var(q, var, env)).collect()),
-        Pdag::Or(ps) => Pdag::or(ps.iter().map(|q| eliminate_var(q, var, env)).collect()),
-        // Nested quantifiers were already strengthened away by the o1
-        // pass; anything left that still depends on var is dropped.
-        Pdag::ForAll { .. } | Pdag::AtCall(_, _) => {
-            if p.contains_sym(var) {
-                Pdag::f()
-            } else {
-                p.clone()
-            }
+        if exact.is_false() {
+            return Cascade { stages: vec![] };
         }
-    }
-}
-
-/// Strengthens `p` to an O(N) sufficient condition by replacing every
-/// inner loop node (nest depth > 1) with `false` (paper Figure 9(a)).
-pub fn separate_on(p: &Pdag, env: &RangeEnv) -> Pdag {
-    let s = drop_inner_loops(p, 0);
-    simplify(&s, env)
-}
-
-fn drop_inner_loops(p: &Pdag, depth: u32) -> Pdag {
-    match p {
-        Pdag::Bool(_) | Pdag::Leaf(_) => p.clone(),
-        Pdag::And(ps) => Pdag::and(ps.iter().map(|q| drop_inner_loops(q, depth)).collect()),
-        Pdag::Or(ps) => Pdag::or(ps.iter().map(|q| drop_inner_loops(q, depth)).collect()),
-        Pdag::AtCall(site, body) => Pdag::at_call(*site, drop_inner_loops(body, depth)),
-        Pdag::ForAll { var, lo, hi, body } => {
-            if depth >= 1 {
-                Pdag::f()
-            } else {
-                Pdag::forall(
-                    *var,
-                    lo.clone(),
-                    hi.clone(),
-                    drop_inner_loops(body, depth + 1),
-                )
-            }
+        let mut stages: Vec<Stage> = Vec::new();
+        let o1 = self.separate_o1(&exact, scope);
+        if !o1.is_false() {
+            stages.push(Stage::new(o1, 0));
         }
+        let on = self.separate_on(&exact, scope);
+        if !on.is_false() && !stages.iter().any(|s| s.pred == on) {
+            let depth = complexity(&on);
+            stages.push(Stage::new(on, depth));
+        }
+        if !stages.iter().any(|s| s.pred == exact) {
+            let depth = complexity(&exact);
+            stages.push(Stage::new(exact, depth));
+        }
+        Cascade { stages }
     }
 }
 
@@ -139,12 +220,31 @@ pub struct Stage {
     pub pred: Pdag,
     /// Loop-nest depth of its evaluation (0 = O(1), 1 = O(N), …).
     pub complexity: u32,
+    /// `pred` rendered, on first use: the exact key the runtime engine
+    /// files the stage's compiled program and verdicts under.
+    key: OnceCell<Arc<str>>,
 }
 
 impl Stage {
+    /// A stage testing `pred` at loop-nest depth `complexity`.
+    pub fn new(pred: Pdag, complexity: u32) -> Stage {
+        Stage {
+            pred,
+            complexity,
+            key: OnceCell::new(),
+        }
+    }
+
+    /// The predicate's canonical rendering, computed once per stage.
+    /// Shared (`Arc`) because the engine's tables outlive the call and
+    /// are read from pool threads.
+    pub fn key(&self) -> &Arc<str> {
+        self.key.get_or_init(|| self.pred.to_string().into())
+    }
+
     /// Renders the stage's predicate for decision reports (`explain`).
     pub fn describe(&self) -> String {
-        self.pred.to_string()
+        self.key().to_string()
     }
 }
 
@@ -187,44 +287,6 @@ impl Cascade {
     }
 }
 
-/// Builds the cascade for a factorized independence predicate.
-pub fn build_cascade(p: &Pdag, env: &RangeEnv) -> Cascade {
-    let exact = simplify(p, env);
-    if exact.is_true() {
-        return Cascade {
-            stages: vec![Stage {
-                pred: Pdag::t(),
-                complexity: 0,
-            }],
-        };
-    }
-    if exact.is_false() {
-        return Cascade { stages: vec![] };
-    }
-    let mut stages: Vec<Stage> = Vec::new();
-    let o1 = separate_o1(&exact, env);
-    if !o1.is_false() {
-        stages.push(Stage {
-            pred: o1,
-            complexity: 0,
-        });
-    }
-    let on = separate_on(&exact, env);
-    if !on.is_false() && !stages.iter().any(|s| s.pred == on) {
-        stages.push(Stage {
-            complexity: complexity(&on),
-            pred: on,
-        });
-    }
-    if !stages.iter().any(|s| s.pred == exact) {
-        stages.push(Stage {
-            complexity: complexity(&exact),
-            pred: exact,
-        });
-    }
-    Cascade { stages }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,19 +303,19 @@ mod tests {
     #[test]
     fn complexity_counts_nesting() {
         let leaf = Pdag::leaf(BoolExpr::gt0(SymExpr::elem(sym("B"), v("i"))));
-        let inner = Pdag::ForAll {
+        let inner = Pdag::raw(PdagNode::ForAll {
             var: sym("i"),
             lo: k(1),
             hi: v("N"),
-            body: std::rc::Rc::new(leaf),
-        };
+            body: leaf,
+        });
         assert_eq!(complexity(&inner), 1);
-        let outer = Pdag::ForAll {
+        let outer = Pdag::raw(PdagNode::ForAll {
             var: sym("j"),
             lo: k(1),
             hi: v("M"),
-            body: std::rc::Rc::new(inner.subst(sym("N"), &v("j"))),
-        };
+            body: inner.subst(sym("N"), &v("j")),
+        });
         assert_eq!(complexity(&outer), 2);
     }
 
@@ -265,7 +327,9 @@ mod tests {
         let ix2 = SymExpr::elem(sym("IX"), k(2));
         let body = Pdag::leaf(BoolExpr::gt0(&ix1 + &k(1) - &ix2 - &v("i")));
         let p = Pdag::forall(sym("i"), k(1), v("NOP"), body);
-        let o1 = separate_o1(&p, &RangeEnv::new());
+        let mut cx = PredCtx::new();
+        let scope = cx.scope(&RangeEnv::new());
+        let o1 = cx.separate_o1(&p, scope);
         assert_eq!(complexity(&o1), 0);
         // IX = [big, small]: IX(2)+NOP <= IX(1) holds.
         let mut ctx = MapCtx::new();
@@ -290,7 +354,9 @@ mod tests {
         let body = Pdag::or(vec![outer_leaf, inner]);
         let p = Pdag::forall(sym("i"), k(1), v("N"), body);
         assert_eq!(complexity(&p), 2);
-        let on = separate_on(&p, &RangeEnv::new());
+        let mut cx = PredCtx::new();
+        let scope = cx.scope(&RangeEnv::new());
+        let on = cx.separate_on(&p, scope);
         assert!(complexity(&on) <= 1, "got {on}");
         // Semantics: C all positive satisfies the O(N) stage.
         let mut ctx = MapCtx::new();

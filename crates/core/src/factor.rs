@@ -15,12 +15,20 @@
 //!
 //! When no structural rule applies, [`crate::estimate`] flattens the
 //! problem to the LMAD domain and the Figure 6 predicates take over.
+//!
+//! The input is a DAG and is translated as one: a [`Factorizer`] keys
+//! its memo on USR node *identity*, so a sub-summary shared by several
+//! equations (or several times within one) is translated once, and the
+//! nodes it builds are interned in the analysis's [`PredCtx`], which
+//! also remembers each LMAD-pair predicate across factorizers.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use lip_symbolic::{BoolExpr, Sym, SymExpr};
 use lip_usr::{Usr, UsrNode};
 
+use crate::ctx::{PairOp, PredCtx};
 use crate::estimate::{overestimate, underestimate};
 use crate::pdag::Pdag;
 
@@ -54,25 +62,36 @@ impl Default for FactorConfig {
     }
 }
 
-#[derive(Copy, Clone, PartialEq, Eq, Hash)]
-enum PairOp {
-    Included,
-    Disjoint,
+/// A USR node as a memo key: compared and hashed by identity
+/// ([`Usr::id`], the node's address), which is what "the same shared
+/// sub-summary" means in a DAG. The key owns a handle to the node, so
+/// the address cannot be reused while the entry exists.
+struct ById(Usr);
+
+impl PartialEq for ById {
+    fn eq(&self, other: &ById) -> bool {
+        self.0.id() == other.0.id()
+    }
 }
 
-/// The factorization engine. One instance per independence equation;
-/// memoization is keyed on USR node identity.
+impl Eq for ById {}
+
+impl Hash for ById {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.id().hash(state);
+    }
+}
+
+/// The factorization engine. One instance serves every equation posed
+/// over the same configuration — the flow, output and last-value
+/// equations of one array are cut from one summary and share most of
+/// their sub-summaries. Memoization is keyed on USR node identity: a
+/// shared sub-summary is translated once, two structurally equal but
+/// separately built ones are translated twice.
 pub struct Factorizer {
     cfg: FactorConfig,
-    memo_factor: HashMap<usize, Pdag>,
-    memo_pair: HashMap<(PairOp, usize, usize), Pdag>,
-    /// Temporaries (renamed recurrence bodies) whose identities entered
-    /// the memo tables. Identity is an `Rc` address ([`Usr::id`]), so
-    /// every memoized node must stay alive for the factorizer's
-    /// lifetime — a dropped temporary's address can be reused by a
-    /// later allocation, turning the memo lookup into an
-    /// allocator-dependent (and unsound) stale hit.
-    kept: Vec<Usr>,
+    memo_factor: HashMap<ById, Pdag>,
+    memo_pair: HashMap<(PairOp, ById, ById), Pdag>,
     depth: u32,
 }
 
@@ -83,16 +102,8 @@ impl Factorizer {
             cfg,
             memo_factor: HashMap::new(),
             memo_pair: HashMap::new(),
-            kept: Vec::new(),
             depth: 0,
         }
-    }
-
-    /// Pins a constructed USR for the factorizer's lifetime before its
-    /// identity can enter the memo tables.
-    fn keep(&mut self, u: Usr) -> Usr {
-        self.kept.push(u.clone());
-        u
     }
 
     /// Creates a factorizer with default configuration.
@@ -100,90 +111,117 @@ impl Factorizer {
         Factorizer::new(FactorConfig::default())
     }
 
-    /// `FACTOR(S)`: a predicate sufficient for `S = ∅`.
+    /// `FACTOR(S)` in a context of its own (see [`Factorizer::factor_in`]).
     pub fn factor(&mut self, s: &Usr) -> Pdag {
-        if let Some(p) = self.memo_factor.get(&s.id()) {
+        self.factor_in(&mut PredCtx::new(), s)
+    }
+
+    /// `FACTOR(S)`: a predicate sufficient for `S = ∅`. The nodes it
+    /// builds are interned in `cx`, which also remembers the LMAD-pair
+    /// predicates across the factorizers of one analysis.
+    pub fn factor_in(&mut self, cx: &mut PredCtx, s: &Usr) -> Pdag {
+        let key = ById(s.clone());
+        if let Some(p) = self.memo_factor.get(&key) {
             return p.clone();
         }
         if self.depth >= self.cfg.max_depth {
-            return Pdag::f();
+            return cx.bool(false);
         }
         self.depth += 1;
-        let result = self.factor_uncached(s);
+        let result = self.factor_uncached(cx, s);
         self.depth -= 1;
-        self.memo_factor.insert(s.id(), result.clone());
+        self.memo_factor.insert(key, result.clone());
         result
     }
 
-    fn factor_uncached(&mut self, s: &Usr) -> Pdag {
+    fn factor_uncached(&mut self, cx: &mut PredCtx, s: &Usr) -> Pdag {
         match s.node() {
-            UsrNode::Empty => Pdag::t(),
-            UsrNode::Leaf(set) => Pdag::leaf(set.empty_pred()),
-            UsrNode::Gate(q, s1) => Pdag::or(vec![Pdag::leaf(q.clone().negate()), self.factor(s1)]),
+            UsrNode::Empty => cx.bool(true),
+            UsrNode::Leaf(set) => cx.leaf(set.empty_pred()),
+            UsrNode::Gate(q, s1) => {
+                let gate_fails = cx.leaf(q.clone().negate());
+                let f1 = self.factor_in(cx, s1);
+                cx.or(vec![gate_fails, f1])
+            }
             UsrNode::Union(a, b) => {
-                let fa = self.factor(a);
-                let fb = self.factor(b);
-                Pdag::and(vec![fa, fb])
+                let fa = self.factor_in(cx, a);
+                let fb = self.factor_in(cx, b);
+                cx.and(vec![fa, fb])
             }
             UsrNode::Subtract(a, b) => {
-                let fa = self.factor(a);
-                let inc = self.included(a, b);
-                Pdag::or(vec![fa, inc])
+                let fa = self.factor_in(cx, a);
+                let inc = self.included(cx, a, b);
+                cx.or(vec![fa, inc])
             }
             UsrNode::Intersect(a, b) => {
-                let fa = self.factor(a);
-                let fb = self.factor(b);
-                let dis = self.disjoint(a, b);
-                Pdag::or(vec![fa, fb, dis])
+                let fa = self.factor_in(cx, a);
+                let fb = self.factor_in(cx, b);
+                let dis = self.disjoint(cx, a, b);
+                cx.or(vec![fa, fb, dis])
             }
-            UsrNode::Call(site, body) => Pdag::at_call(*site, self.factor(body)),
+            UsrNode::Call(site, body) => {
+                let inner = self.factor_in(cx, body);
+                cx.at_call(*site, inner)
+            }
             UsrNode::RecTotal { var, lo, hi, body } => {
-                let mut alts = vec![Pdag::leaf(BoolExpr::lt(hi.clone(), lo.clone()))];
+                let mut alts = vec![cx.leaf(BoolExpr::lt(hi.clone(), lo.clone()))];
                 if self.cfg.monotonicity {
-                    if let Some(mono) = self.try_monotonicity(*var, lo, hi, body) {
+                    if let Some(mono) = self.try_monotonicity(cx, *var, lo, hi, body) {
                         alts.push(mono);
                     }
                 }
-                let inner = self.factor(body);
-                alts.push(Pdag::forall(*var, lo.clone(), hi.clone(), inner));
-                Pdag::or(alts)
+                let inner = self.factor_in(cx, body);
+                alts.push(cx.forall(*var, lo, hi, inner));
+                cx.or(alts)
             }
             UsrNode::RecPartial { var, lo, hi, body } => {
-                let inner = self.factor(body);
-                Pdag::or(vec![
-                    Pdag::leaf(BoolExpr::lt(hi.clone(), lo.clone())),
-                    Pdag::forall(*var, lo.clone(), hi.clone(), inner),
-                ])
+                let inner = self.factor_in(cx, body);
+                self.empty_range_or_forall(cx, *var, lo, hi, inner)
             }
         }
     }
 
+    /// `hi < lo ∨ ∧_{var=lo}^{hi} inner`: what holds of every iteration
+    /// of a recurrence holds of the recurrence.
+    fn empty_range_or_forall(
+        &mut self,
+        cx: &mut PredCtx,
+        var: Sym,
+        lo: &SymExpr,
+        hi: &SymExpr,
+        inner: Pdag,
+    ) -> Pdag {
+        let range_empty = cx.leaf(BoolExpr::lt(hi.clone(), lo.clone()));
+        let quantified = cx.forall(var, lo, hi, inner);
+        cx.or(vec![range_empty, quantified])
+    }
+
     /// `INCLUDED(S1, S2)`: a predicate sufficient for `S1 ⊆ S2`.
-    pub fn included(&mut self, s1: &Usr, s2: &Usr) -> Pdag {
+    pub fn included(&mut self, cx: &mut PredCtx, s1: &Usr, s2: &Usr) -> Pdag {
         if s1 == s2 || s1.is_empty() {
-            return Pdag::t();
+            return cx.bool(true);
         }
         if s2.is_empty() {
-            return self.factor(s1);
+            return self.factor_in(cx, s1);
         }
-        let key = (PairOp::Included, s1.id(), s2.id());
+        let key = (PairOp::Included, ById(s1.clone()), ById(s2.clone()));
         if let Some(p) = self.memo_pair.get(&key) {
             return p.clone();
         }
         if self.depth >= self.cfg.max_depth {
-            return Pdag::f();
+            return cx.bool(false);
         }
         self.depth += 1;
-        let result = self.included_uncached(s1, s2);
+        let result = self.included_uncached(cx, s1, s2);
         self.depth -= 1;
         self.memo_pair.insert(key, result.clone());
         result
     }
 
-    fn included_uncached(&mut self, s1: &Usr, s2: &Usr) -> Pdag {
+    fn included_uncached(&mut self, cx: &mut PredCtx, s1: &Usr, s2: &Usr) -> Pdag {
         // Rule (3): recurrences over the same range include iff the
         // iteration bodies do, pointwise.
-        let mut p1 = Pdag::f();
+        let mut p1 = cx.bool(false);
         if let (
             UsrNode::RecTotal {
                 var: v1,
@@ -203,162 +241,157 @@ impl Factorizer {
                 let b2r = if v1 == v2 {
                     b2.clone()
                 } else {
-                    self.keep(b2.rename_bound(*v2, *v1))
+                    b2.rename_bound(*v2, *v1)
                 };
-                let inner = self.included(b1, &b2r);
-                p1 = Pdag::forall(*v1, lo1.clone(), hi1.clone(), inner);
+                let inner = self.included(cx, b1, &b2r);
+                p1 = cx.forall(*v1, lo1, hi1, inner);
             }
         }
         if p1.is_false() {
-            p1 = self.included_h(s1, s2);
+            p1 = self.included_h(cx, s1, s2);
         }
-        let papp = self.included_app(s1, s2);
-        Pdag::or(vec![p1, papp])
+        let papp = self.included_app(cx, s1, s2);
+        cx.or(vec![p1, papp])
     }
 
     /// `INCLUDED_H(S, U)` of Figure 5(b): structural rules on both sides.
-    fn included_h(&mut self, s: &Usr, u: &Usr) -> Pdag {
+    fn included_h(&mut self, cx: &mut PredCtx, s: &Usr, u: &Usr) -> Pdag {
         // P1: case on U (the including side).
         let p1 = match u.node() {
-            UsrNode::Gate(q, u1) => Pdag::and(vec![Pdag::leaf(q.clone()), self.included(s, u1)]),
+            UsrNode::Gate(q, u1) => {
+                let gate_holds = cx.leaf(q.clone());
+                let inc = self.included(cx, s, u1);
+                cx.and(vec![gate_holds, inc])
+            }
             UsrNode::Union(a, b) => {
-                let ia = self.included(s, a);
-                let ib = self.included(s, b);
-                Pdag::or(vec![ia, ib])
+                let ia = self.included(cx, s, a);
+                let ib = self.included(cx, s, b);
+                cx.or(vec![ia, ib])
             }
             // Rule (4): S ⊆ S1 − S2 ⇐ S ⊆ S1 ∧ S ∩ S2 = ∅.
             UsrNode::Subtract(a, b) => {
-                let ia = self.included(s, a);
-                let db = self.disjoint(s, b);
-                Pdag::and(vec![ia, db])
+                let ia = self.included(cx, s, a);
+                let db = self.disjoint(cx, s, b);
+                cx.and(vec![ia, db])
             }
             UsrNode::Intersect(a, b) => {
-                let ia = self.included(s, a);
-                let ib = self.included(s, b);
-                Pdag::and(vec![ia, ib])
+                let ia = self.included(cx, s, a);
+                let ib = self.included(cx, s, b);
+                cx.and(vec![ia, ib])
             }
             // Rule (5): an LMAD filling the whole declared array includes
             // any summary of that array.
             UsrNode::Leaf(set) => match &self.cfg.array_extent {
-                Some(ext) => Pdag::or(
-                    set.lmads()
+                Some(ext) => {
+                    let fills = set
+                        .lmads()
                         .iter()
-                        .map(|l| Pdag::leaf(lip_lmad::fills_array(l, &ext.base, &ext.size)))
-                        .collect(),
-                ),
-                None => Pdag::f(),
+                        .map(|l| cx.leaf(lip_lmad::fills_array(l, &ext.base, &ext.size)))
+                        .collect();
+                    cx.or(fills)
+                }
+                None => cx.bool(false),
             },
-            _ => Pdag::f(),
+            _ => cx.bool(false),
         };
         // P2: case on S (the included side).
         let p2 = match s.node() {
             UsrNode::Gate(q, s1) => {
-                Pdag::or(vec![Pdag::leaf(q.clone().negate()), self.included(s1, u)])
+                let gate_fails = cx.leaf(q.clone().negate());
+                let inc = self.included(cx, s1, u);
+                cx.or(vec![gate_fails, inc])
             }
             UsrNode::Union(a, b) => {
-                let ia = self.included(a, u);
-                let ib = self.included(b, u);
-                Pdag::and(vec![ia, ib])
+                let ia = self.included(cx, a, u);
+                let ib = self.included(cx, b, u);
+                cx.and(vec![ia, ib])
             }
-            UsrNode::Subtract(a, _) => self.included(a, u),
+            UsrNode::Subtract(a, _) => self.included(cx, a, u),
             UsrNode::Intersect(a, b) => {
-                let ia = self.included(a, u);
-                let ib = self.included(b, u);
-                Pdag::or(vec![ia, ib])
+                let ia = self.included(cx, a, u);
+                let ib = self.included(cx, b, u);
+                cx.or(vec![ia, ib])
             }
             // ∪_i body_i ⊆ U ⇔ ∀ i: body_i ⊆ U (exact).
             UsrNode::RecTotal { var, lo, hi, body } | UsrNode::RecPartial { var, lo, hi, body } => {
-                let (var, body) = self.unshadow(*var, body, u);
-                let inner = self.included(&body, u);
-                Pdag::or(vec![
-                    Pdag::leaf(BoolExpr::lt(hi.clone(), lo.clone())),
-                    Pdag::forall(var, lo.clone(), hi.clone(), inner),
-                ])
+                let (var, body) = unshadow(*var, body, u);
+                let inner = self.included(cx, &body, u);
+                self.empty_range_or_forall(cx, var, lo, hi, inner)
             }
-            _ => Pdag::f(),
+            _ => cx.bool(false),
         };
-        Pdag::or(vec![p1, p2])
+        cx.or(vec![p1, p2])
     }
 
     /// `DISJOINT(S1, S2)`: a predicate sufficient for `S1 ∩ S2 = ∅`.
-    pub fn disjoint(&mut self, s1: &Usr, s2: &Usr) -> Pdag {
+    pub fn disjoint(&mut self, cx: &mut PredCtx, s1: &Usr, s2: &Usr) -> Pdag {
         if s1.is_empty() || s2.is_empty() {
-            return Pdag::t();
+            return cx.bool(true);
         }
         if s1 == s2 {
-            return self.factor(s1);
+            return self.factor_in(cx, s1);
         }
-        let key = (PairOp::Disjoint, s1.id(), s2.id());
+        let key = (PairOp::Disjoint, ById(s1.clone()), ById(s2.clone()));
         if let Some(p) = self.memo_pair.get(&key) {
             return p.clone();
         }
         if self.depth >= self.cfg.max_depth {
-            return Pdag::f();
+            return cx.bool(false);
         }
         self.depth += 1;
-        let h1 = self.disjoint_h(s1, s2);
-        let h2 = self.disjoint_h(s2, s1);
-        let papp = self.disjoint_app(s1, s2);
-        let result = Pdag::or(vec![h1, h2, papp]);
+        let h1 = self.disjoint_h(cx, s1, s2);
+        let h2 = self.disjoint_h(cx, s2, s1);
+        let papp = disjoint_app(cx, s1, s2);
+        let result = cx.or(vec![h1, h2, papp]);
         self.depth -= 1;
         self.memo_pair.insert(key, result.clone());
         result
     }
 
     /// `DISJOINT_H(U, S)` of Figure 5(a): structural rules on `U`.
-    fn disjoint_h(&mut self, u: &Usr, s: &Usr) -> Pdag {
+    fn disjoint_h(&mut self, cx: &mut PredCtx, u: &Usr, s: &Usr) -> Pdag {
         match u.node() {
             UsrNode::Gate(q, u1) => {
-                Pdag::or(vec![Pdag::leaf(q.clone().negate()), self.disjoint(u1, s)])
+                let gate_fails = cx.leaf(q.clone().negate());
+                let dis = self.disjoint(cx, u1, s);
+                cx.or(vec![gate_fails, dis])
             }
             UsrNode::Union(a, b) => {
-                let da = self.disjoint(a, s);
-                let db = self.disjoint(b, s);
-                Pdag::and(vec![da, db])
+                let da = self.disjoint(cx, a, s);
+                let db = self.disjoint(cx, b, s);
+                cx.and(vec![da, db])
             }
             // Rule (2): S disjoint from S1 − S2 if disjoint from S1 or
             // included in S2.
             UsrNode::Subtract(a, b) => {
-                let da = self.disjoint(a, s);
-                let ib = self.included(s, b);
-                Pdag::or(vec![da, ib])
+                let da = self.disjoint(cx, a, s);
+                let ib = self.included(cx, s, b);
+                cx.or(vec![da, ib])
             }
             UsrNode::Intersect(a, b) => {
-                let da = self.disjoint(a, s);
-                let db = self.disjoint(b, s);
-                Pdag::or(vec![da, db])
+                let da = self.disjoint(cx, a, s);
+                let db = self.disjoint(cx, b, s);
+                cx.or(vec![da, db])
             }
             // (∪_i body_i) ∩ S = ∅ ⇔ ∀ i: body_i ∩ S = ∅ (exact).
             UsrNode::RecTotal { var, lo, hi, body } | UsrNode::RecPartial { var, lo, hi, body } => {
-                let (var, body) = self.unshadow(*var, body, s);
-                let inner = self.disjoint(&body, s);
-                Pdag::or(vec![
-                    Pdag::leaf(BoolExpr::lt(hi.clone(), lo.clone())),
-                    Pdag::forall(var, lo.clone(), hi.clone(), inner),
-                ])
+                let (var, body) = unshadow(*var, body, s);
+                let inner = self.disjoint(cx, &body, s);
+                self.empty_range_or_forall(cx, var, lo, hi, inner)
             }
-            UsrNode::Call(site, body) => Pdag::at_call(*site, self.disjoint(body, s)),
-            _ => Pdag::f(),
-        }
-    }
-
-    /// Renames the recurrence variable when it would capture a free
-    /// symbol of the opposite operand. The renamed body is pinned
-    /// ([`Factorizer::keep`]): its identity flows into the memo tables.
-    fn unshadow(&mut self, var: Sym, body: &Usr, other: &Usr) -> (Sym, Usr) {
-        if other.contains_sym(var) {
-            let fresh = Sym::fresh(&var.name());
-            (fresh, self.keep(body.rename_bound(var, fresh)))
-        } else {
-            (var, body.clone())
+            UsrNode::Call(site, body) => {
+                let inner = self.disjoint(cx, body, s);
+                cx.at_call(*site, inner)
+            }
+            _ => cx.bool(false),
         }
     }
 
     /// `INCLUDED_APP(C, D)`: flatten to the LMAD domain via a conditional
     /// overestimate of `C` and underestimate of `D`.
-    fn included_app(&mut self, c: &Usr, d: &Usr) -> Pdag {
+    fn included_app(&mut self, cx: &mut PredCtx, c: &Usr, d: &Usr) -> Pdag {
         let Some(over) = overestimate(c) else {
-            return Pdag::f();
+            return cx.bool(false);
         };
         let under = match underestimate(d) {
             Some(u) => u,
@@ -366,24 +399,9 @@ impl Factorizer {
                 return over.empty_if;
             }
         };
-        let lmad_pred = lip_lmad::included_lmads(&over.set, &under.set);
-        Pdag::or(vec![
-            over.empty_if,
-            Pdag::and(vec![under.valid_if, Pdag::leaf(lmad_pred)]),
-        ])
-    }
-
-    /// `DISJOINT_APP(C, D)`: flatten to the LMAD domain via conditional
-    /// overestimates of both sides.
-    fn disjoint_app(&mut self, c: &Usr, d: &Usr) -> Pdag {
-        let Some(oc) = overestimate(c) else {
-            return Pdag::f();
-        };
-        let Some(od) = overestimate(d) else {
-            return oc.empty_if;
-        };
-        let lmad_pred = lip_lmad::disjoint_lmads(&oc.set, &od.set);
-        Pdag::or(vec![oc.empty_if, od.empty_if, Pdag::leaf(lmad_pred)])
+        let lmad_pred = cx.lmad_pair(PairOp::Included, &over.set, &under.set);
+        let flat = cx.and(vec![under.valid_if, lmad_pred]);
+        cx.or(vec![over.empty_if, flat])
     }
 
     /// The §3.3 monotonicity rule for `∪_{i}(Sᵢ ∩ ∪_{k=lo}^{i-1} Sₖ) = ∅`:
@@ -392,6 +410,7 @@ impl Factorizer {
     /// iterations overlap.
     fn try_monotonicity(
         &mut self,
+        cx: &mut PredCtx,
         var: Sym,
         lo: &SymExpr,
         hi: &SymExpr,
@@ -433,32 +452,47 @@ impl Factorizer {
         let next = &SymExpr::var(var) + &SymExpr::konst(1);
         let hlo_next = hlo.subst(var, &next);
         let hhi_next = hhi.subst(var, &next);
-        let nonempty = BoolExpr::le(hlo.clone(), hhi.clone());
-        let incr = Pdag::forall(
-            var,
-            lo.clone(),
-            hi - &SymExpr::konst(1),
-            Pdag::and(vec![
-                Pdag::leaf(BoolExpr::lt(hhi.clone(), hlo_next.clone())),
-                Pdag::leaf(nonempty.clone()),
-            ]),
-        );
-        let decr = Pdag::forall(
-            var,
-            lo.clone(),
-            hi - &SymExpr::konst(1),
-            Pdag::and(vec![
-                Pdag::leaf(BoolExpr::lt(hhi_next, hlo.clone())),
-                Pdag::leaf(nonempty),
-            ]),
-        );
-        Some(Pdag::or(vec![incr, decr]))
+        let nonempty = cx.leaf(BoolExpr::le(hlo.clone(), hhi.clone()));
+        let last = hi - &SymExpr::konst(1);
+        let consecutive = |cx: &mut PredCtx, apart: BoolExpr| {
+            let apart = cx.leaf(apart);
+            let body = cx.and(vec![apart, nonempty.clone()]);
+            cx.forall(var, lo, &last, body)
+        };
+        let incr = consecutive(cx, BoolExpr::lt(hhi, hlo_next));
+        let decr = consecutive(cx, BoolExpr::lt(hhi_next, hlo));
+        Some(cx.or(vec![incr, decr]))
     }
+}
+
+/// Renames the recurrence variable when it would capture a free
+/// symbol of the opposite operand.
+fn unshadow(var: Sym, body: &Usr, other: &Usr) -> (Sym, Usr) {
+    if other.contains_sym(var) {
+        let fresh = Sym::fresh(&var.name());
+        (fresh, body.rename_bound(var, fresh))
+    } else {
+        (var, body.clone())
+    }
+}
+
+/// `DISJOINT_APP(C, D)`: flatten to the LMAD domain via conditional
+/// overestimates of both sides.
+fn disjoint_app(cx: &mut PredCtx, c: &Usr, d: &Usr) -> Pdag {
+    let Some(oc) = overestimate(c) else {
+        return cx.bool(false);
+    };
+    let Some(od) = overestimate(d) else {
+        return oc.empty_if;
+    };
+    let lmad_pred = cx.lmad_pair(PairOp::Disjoint, &oc.set, &od.set);
+    cx.or(vec![oc.empty_if, od.empty_if, lmad_pred])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pdag::PdagNode;
     use lip_lmad::{Lmad, LmadSet};
     use lip_symbolic::{sym, MapCtx, RangeEnv};
     use lip_usr::output_independence;
@@ -605,7 +639,7 @@ mod tests {
             }),
             ..FactorConfig::default()
         });
-        let p = f.included(&s, &u);
+        let p = f.included(&mut PredCtx::new(), &s, &u);
         let env = RangeEnv::new().with_fact(BoolExpr::ge0(v("NP") - k(1)));
         assert_eq!(env.decide_pdag_leaves(&p), Some(true));
     }
@@ -636,10 +670,10 @@ mod tests {
 
     impl DecidePdag for lip_symbolic::RangeEnv {
         fn decide_pdag_leaves(&self, p: &Pdag) -> Option<bool> {
-            match p {
-                Pdag::Bool(b) => Some(*b),
-                Pdag::Leaf(b) => self.decide(b),
-                Pdag::And(ps) => {
+            match p.node() {
+                PdagNode::Bool(b) => Some(*b),
+                PdagNode::Leaf(b) => self.decide(b),
+                PdagNode::And(ps) => {
                     let mut all = true;
                     for q in ps {
                         match self.decide_pdag_leaves(q) {
@@ -650,7 +684,7 @@ mod tests {
                     }
                     all.then_some(true)
                 }
-                Pdag::Or(ps) => {
+                PdagNode::Or(ps) => {
                     let mut none = true;
                     for q in ps {
                         match self.decide_pdag_leaves(q) {
@@ -661,7 +695,7 @@ mod tests {
                     }
                     none.then_some(false)
                 }
-                Pdag::ForAll { .. } | Pdag::AtCall(_, _) => None,
+                PdagNode::ForAll { .. } | PdagNode::AtCall(_, _) => None,
             }
         }
     }

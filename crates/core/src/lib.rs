@@ -19,13 +19,15 @@
 //!    order until one succeeds (§3.5, §5).
 
 pub mod cascade;
+pub mod ctx;
 pub mod estimate;
 pub mod factor;
 pub mod pdag;
 pub mod simplify;
 
-pub use cascade::{build_cascade, complexity, separate_o1, separate_on, Cascade, Stage};
+pub use cascade::{build_cascade, complexity, Cascade, Stage};
+pub use ctx::{CtxStats, PredCtx};
 pub use estimate::{overestimate, underestimate, OverEstimate, UnderEstimate};
 pub use factor::{ArrayExtent, FactorConfig, Factorizer};
-pub use pdag::Pdag;
+pub use pdag::{Pdag, PdagNode};
 pub use simplify::simplify;

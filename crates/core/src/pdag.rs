@@ -2,19 +2,31 @@
 //!
 //! Like the USR it mirrors, a PDAG is a DAG: leaves are [`BoolExpr`]s,
 //! interior nodes are `∧`/`∨` (n-ary, flattened), irreducible loop-level
-//! conjunctions `∧_{i=lo}^{hi}` ([`Pdag::ForAll`]) and untranslatable call
-//! sites ([`Pdag::AtCall`]).
+//! conjunctions `∧_{i=lo}^{hi}` ([`PdagNode::ForAll`]) and untranslatable
+//! call sites ([`PdagNode::AtCall`]).
+//!
+//! A [`Pdag`] is a reference-counted handle to an immutable node that
+//! carries its structural hash: cloning shares the node, hashing reads
+//! the cached value, and equality is a pointer comparison first, a hash
+//! comparison second and a structural walk only for two separately
+//! built equal nodes. [`crate::PredCtx`] interns the nodes one analysis
+//! builds, so that within it equal means identical.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use lip_symbolic::{BoolExpr, EvalCtx, ScopedCtx, Sym, SymExpr};
 use lip_usr::CallSiteId;
 
-/// A predicate-DAG node.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum Pdag {
+/// One node of the predicate DAG, for pattern matching ([`Pdag::node`]).
+///
+/// Variant and field order define the canonical child order of `∧`/`∨`
+/// (which is evaluation order, hence what a runtime test costs).
+#[derive(PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum PdagNode {
     /// Constant truth value.
     Bool(bool),
     /// A boolean-expression leaf.
@@ -32,122 +44,174 @@ pub enum Pdag {
         /// Inclusive upper bound.
         hi: SymExpr,
         /// Per-iteration predicate.
-        body: Rc<Pdag>,
+        body: Pdag,
     },
     /// A predicate that must be evaluated across a call-site barrier.
-    AtCall(CallSiteId, Rc<Pdag>),
+    AtCall(CallSiteId, Pdag),
+}
+
+#[derive(Debug)]
+struct Shared {
+    /// Structural hash of `node` (children contribute their own).
+    hash: u64,
+    node: PdagNode,
+}
+
+/// A predicate-DAG node: a shared, immutable, hash-carrying handle.
+#[derive(Clone, Debug)]
+pub struct Pdag(Rc<Shared>);
+
+impl PartialEq for Pdag {
+    fn eq(&self, other: &Pdag) -> bool {
+        Rc::ptr_eq(&self.0, &other.0)
+            || (self.0.hash == other.0.hash && self.0.node == other.0.node)
+    }
+}
+
+impl Eq for Pdag {}
+
+impl PartialOrd for Pdag {
+    fn partial_cmp(&self, other: &Pdag) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Pdag {
+    fn cmp(&self, other: &Pdag) -> std::cmp::Ordering {
+        if Rc::ptr_eq(&self.0, &other.0) {
+            std::cmp::Ordering::Equal
+        } else {
+            self.0.node.cmp(&other.0.node)
+        }
+    }
+}
+
+impl Hash for Pdag {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hash);
+    }
 }
 
 impl Pdag {
+    /// Wraps `node` as is — no flattening, folding or sorting. The
+    /// smart constructors below are what keeps `∧`/`∨` canonical.
+    pub fn raw(node: PdagNode) -> Pdag {
+        let mut h = DefaultHasher::new();
+        node.hash(&mut h);
+        Pdag(Rc::new(Shared {
+            hash: h.finish(),
+            node,
+        }))
+    }
+
+    /// The node, for pattern matching.
+    pub fn node(&self) -> &PdagNode {
+        &self.0.node
+    }
+
+    /// The node's address: equal ids mean the same shared node.
+    pub fn id(&self) -> usize {
+        Rc::as_ptr(&self.0) as usize
+    }
+
+    /// How many handles share this node.
+    pub fn ref_count(&self) -> usize {
+        Rc::strong_count(&self.0)
+    }
+
     /// The constant `true`.
     pub fn t() -> Pdag {
-        Pdag::Bool(true)
+        Pdag::raw(PdagNode::Bool(true))
     }
 
     /// The constant `false`.
     pub fn f() -> Pdag {
-        Pdag::Bool(false)
+        Pdag::raw(PdagNode::Bool(false))
     }
 
     /// A leaf, folding constant boolean expressions.
     pub fn leaf(b: BoolExpr) -> Pdag {
         match b {
-            BoolExpr::Const(v) => Pdag::Bool(v),
-            other => Pdag::Leaf(other),
+            BoolExpr::Const(v) => Pdag::raw(PdagNode::Bool(v)),
+            other => Pdag::raw(PdagNode::Leaf(other)),
         }
     }
 
     /// Flattening conjunction.
     pub fn and(parts: Vec<Pdag>) -> Pdag {
-        let mut flat = BTreeSet::new();
-        for p in parts {
-            match p {
-                Pdag::Bool(true) => {}
-                Pdag::Bool(false) => return Pdag::Bool(false),
-                Pdag::And(inner) => flat.extend(inner),
-                other => {
-                    flat.insert(other);
-                }
-            }
-        }
-        let flat: Vec<_> = flat.into_iter().collect();
-        match flat.len() {
-            0 => Pdag::Bool(true),
-            1 => flat.into_iter().next().expect("len checked"),
-            _ => Pdag::And(flat),
-        }
+        Pdag::connective(parts, true)
     }
 
     /// Flattening disjunction.
     pub fn or(parts: Vec<Pdag>) -> Pdag {
+        Pdag::connective(parts, false)
+    }
+
+    /// `∧` (`conj`) or `∨` of `parts`: the unit constant drops out, the
+    /// zero constant wins, same-connective children flatten, the rest
+    /// is sorted and deduplicated.
+    fn connective(parts: Vec<Pdag>, conj: bool) -> Pdag {
         let mut flat = BTreeSet::new();
         for p in parts {
-            match p {
-                Pdag::Bool(false) => {}
-                Pdag::Bool(true) => return Pdag::Bool(true),
-                Pdag::Or(inner) => flat.extend(inner),
-                other => {
-                    flat.insert(other);
+            match p.node() {
+                PdagNode::Bool(b) if *b == conj => {}
+                PdagNode::Bool(_) => return p,
+                PdagNode::And(inner) if conj => flat.extend(inner.iter().cloned()),
+                PdagNode::Or(inner) if !conj => flat.extend(inner.iter().cloned()),
+                _ => {
+                    flat.insert(p);
                 }
             }
         }
-        let flat: Vec<_> = flat.into_iter().collect();
+        let mut flat: Vec<Pdag> = flat.into_iter().collect();
         match flat.len() {
-            0 => Pdag::Bool(false),
-            1 => flat.into_iter().next().expect("len checked"),
-            _ => Pdag::Or(flat),
+            0 => Pdag::raw(PdagNode::Bool(conj)),
+            1 => flat.pop().expect("len checked"),
+            _ if conj => Pdag::raw(PdagNode::And(flat)),
+            _ => Pdag::raw(PdagNode::Or(flat)),
         }
     }
 
     /// `∧_{var=lo}^{hi} body`: true over an empty range; a `var`-invariant
     /// body hoists out (guarded by range emptiness).
     pub fn forall(var: Sym, lo: SymExpr, hi: SymExpr, body: Pdag) -> Pdag {
-        match body {
-            Pdag::Bool(true) => Pdag::Bool(true),
-            Pdag::Bool(false) => {
-                // Vacuously true only when the range is empty.
-                Pdag::leaf(BoolExpr::lt(hi, lo))
-            }
-            body if !body.contains_sym(var) => {
-                Pdag::or(vec![Pdag::leaf(BoolExpr::lt(hi.clone(), lo.clone())), body])
-            }
-            body => Pdag::ForAll {
-                var,
-                lo,
-                hi,
-                body: Rc::new(body),
-            },
+        match body.node() {
+            PdagNode::Bool(true) => body,
+            // Vacuously true only when the range is empty.
+            PdagNode::Bool(false) => Pdag::leaf(BoolExpr::lt(hi, lo)),
+            _ if !body.contains_sym(var) => Pdag::or(vec![Pdag::leaf(BoolExpr::lt(hi, lo)), body]),
+            _ => Pdag::raw(PdagNode::ForAll { var, lo, hi, body }),
         }
     }
 
     /// Wraps a predicate behind a call-site barrier.
     pub fn at_call(site: CallSiteId, body: Pdag) -> Pdag {
-        match body {
-            Pdag::Bool(b) => Pdag::Bool(b),
-            body => Pdag::AtCall(site, Rc::new(body)),
+        match body.node() {
+            PdagNode::Bool(_) => body,
+            _ => Pdag::raw(PdagNode::AtCall(site, body)),
         }
     }
 
     /// Whether this is the constant `true`.
     pub fn is_true(&self) -> bool {
-        matches!(self, Pdag::Bool(true))
+        matches!(self.node(), PdagNode::Bool(true))
     }
 
     /// Whether this is the constant `false`.
     pub fn is_false(&self) -> bool {
-        matches!(self, Pdag::Bool(false))
+        matches!(self.node(), PdagNode::Bool(false))
     }
 
     /// Whether `s` occurs free (ForAll binds its variable).
     pub fn contains_sym(&self, s: Sym) -> bool {
-        match self {
-            Pdag::Bool(_) => false,
-            Pdag::Leaf(b) => b.contains_sym(s),
-            Pdag::And(ps) | Pdag::Or(ps) => ps.iter().any(|p| p.contains_sym(s)),
-            Pdag::ForAll { var, lo, hi, body } => {
+        match self.node() {
+            PdagNode::Bool(_) => false,
+            PdagNode::Leaf(b) => b.contains_sym(s),
+            PdagNode::And(ps) | PdagNode::Or(ps) => ps.iter().any(|p| p.contains_sym(s)),
+            PdagNode::ForAll { var, lo, hi, body } => {
                 lo.contains_sym(s) || hi.contains_sym(s) || (*var != s && body.contains_sym(s))
             }
-            Pdag::AtCall(_, body) => body.contains_sym(s),
+            PdagNode::AtCall(_, body) => body.contains_sym(s),
         }
     }
 
@@ -159,15 +223,15 @@ impl Pdag {
     }
 
     fn collect_free(&self, out: &mut BTreeSet<Sym>) {
-        match self {
-            Pdag::Bool(_) => {}
-            Pdag::Leaf(b) => out.extend(b.syms()),
-            Pdag::And(ps) | Pdag::Or(ps) => {
+        match self.node() {
+            PdagNode::Bool(_) => {}
+            PdagNode::Leaf(b) => out.extend(b.syms()),
+            PdagNode::And(ps) | PdagNode::Or(ps) => {
                 for p in ps {
                     p.collect_free(out);
                 }
             }
-            Pdag::ForAll { var, lo, hi, body } => {
+            PdagNode::ForAll { var, lo, hi, body } => {
                 out.extend(lo.syms());
                 out.extend(hi.syms());
                 let mut inner = BTreeSet::new();
@@ -175,7 +239,7 @@ impl Pdag {
                 inner.remove(var);
                 out.extend(inner);
             }
-            Pdag::AtCall(_, body) => body.collect_free(out),
+            PdagNode::AtCall(_, body) => body.collect_free(out),
         }
     }
 
@@ -184,20 +248,20 @@ impl Pdag {
         if !self.contains_sym(s) {
             return self.clone();
         }
-        match self {
-            Pdag::Bool(b) => Pdag::Bool(*b),
-            Pdag::Leaf(b) => Pdag::leaf(b.subst(s, with)),
-            Pdag::And(ps) => Pdag::and(ps.iter().map(|p| p.subst(s, with)).collect()),
-            Pdag::Or(ps) => Pdag::or(ps.iter().map(|p| p.subst(s, with)).collect()),
-            Pdag::ForAll { var, lo, hi, body } => {
+        match self.node() {
+            PdagNode::Bool(_) => self.clone(),
+            PdagNode::Leaf(b) => Pdag::leaf(b.subst(s, with)),
+            PdagNode::And(ps) => Pdag::and(ps.iter().map(|p| p.subst(s, with)).collect()),
+            PdagNode::Or(ps) => Pdag::or(ps.iter().map(|p| p.subst(s, with)).collect()),
+            PdagNode::ForAll { var, lo, hi, body } => {
                 let new_body = if *var == s {
-                    (**body).clone()
+                    body.clone()
                 } else {
                     body.subst(s, with)
                 };
                 Pdag::forall(*var, lo.subst(s, with), hi.subst(s, with), new_body)
             }
-            Pdag::AtCall(site, body) => Pdag::at_call(*site, body.subst(s, with)),
+            PdagNode::AtCall(site, body) => Pdag::at_call(*site, body.subst(s, with)),
         }
     }
 
@@ -210,10 +274,10 @@ impl Pdag {
     }
 
     fn eval_inner(&self, ctx: &dyn EvalCtx, budget: &mut u64) -> Option<bool> {
-        match self {
-            Pdag::Bool(b) => Some(*b),
-            Pdag::Leaf(b) => b.eval(ctx),
-            Pdag::And(ps) => {
+        match self.node() {
+            PdagNode::Bool(b) => Some(*b),
+            PdagNode::Leaf(b) => b.eval(ctx),
+            PdagNode::And(ps) => {
                 let mut unknown = false;
                 for p in ps {
                     match p.eval_inner(ctx, budget) {
@@ -228,7 +292,7 @@ impl Pdag {
                     Some(true)
                 }
             }
-            Pdag::Or(ps) => {
+            PdagNode::Or(ps) => {
                 let mut unknown = false;
                 for p in ps {
                     match p.eval_inner(ctx, budget) {
@@ -243,7 +307,7 @@ impl Pdag {
                     Some(false)
                 }
             }
-            Pdag::ForAll { var, lo, hi, body } => {
+            PdagNode::ForAll { var, lo, hi, body } => {
                 let lo = lo.eval(ctx)?;
                 let hi = hi.eval(ctx)?;
                 let mut iv = lo;
@@ -261,67 +325,59 @@ impl Pdag {
                 }
                 Some(true)
             }
-            Pdag::AtCall(_, body) => body.eval_inner(ctx, budget),
+            PdagNode::AtCall(_, body) => body.eval_inner(ctx, budget),
         }
     }
 
     /// The number of loop-conjunction iterations `eval` would perform —
     /// the runtime cost model used for RTov accounting.
     pub fn eval_cost(&self, ctx: &dyn EvalCtx) -> u64 {
-        match self {
-            Pdag::Bool(_) | Pdag::Leaf(_) => 1,
-            Pdag::And(ps) | Pdag::Or(ps) => ps.iter().map(|p| p.eval_cost(ctx)).sum(),
-            Pdag::ForAll { lo, hi, body, .. } => {
+        match self.node() {
+            PdagNode::Bool(_) | PdagNode::Leaf(_) => 1,
+            PdagNode::And(ps) | PdagNode::Or(ps) => ps.iter().map(|p| p.eval_cost(ctx)).sum(),
+            PdagNode::ForAll { lo, hi, body, .. } => {
                 let trip = match (lo.eval(ctx), hi.eval(ctx)) {
                     (Some(l), Some(h)) if h >= l => (h - l + 1) as u64,
                     _ => 1,
                 };
                 trip * body.eval_cost(ctx).max(1)
             }
-            Pdag::AtCall(_, body) => body.eval_cost(ctx),
+            PdagNode::AtCall(_, body) => body.eval_cost(ctx),
         }
     }
 
     /// Number of leaves (a size measure for compile-time accounting).
     pub fn leaf_count(&self) -> usize {
-        match self {
-            Pdag::Bool(_) => 0,
-            Pdag::Leaf(_) => 1,
-            Pdag::And(ps) | Pdag::Or(ps) => ps.iter().map(Pdag::leaf_count).sum(),
-            Pdag::ForAll { body, .. } | Pdag::AtCall(_, body) => body.leaf_count(),
+        match self.node() {
+            PdagNode::Bool(_) => 0,
+            PdagNode::Leaf(_) => 1,
+            PdagNode::And(ps) | PdagNode::Or(ps) => ps.iter().map(Pdag::leaf_count).sum(),
+            PdagNode::ForAll { body, .. } | PdagNode::AtCall(_, body) => body.leaf_count(),
         }
     }
 }
 
 impl fmt::Display for Pdag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Pdag::Bool(b) => write!(f, "{b}"),
-            Pdag::Leaf(b) => write!(f, "{b}"),
-            Pdag::And(ps) => {
-                write!(f, "(")?;
-                for (i, p) in ps.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " AND ")?;
-                    }
-                    write!(f, "{p}")?;
+        let join = |f: &mut fmt::Formatter<'_>, ps: &[Pdag], op: &str| {
+            write!(f, "(")?;
+            for (i, p) in ps.iter().enumerate() {
+                if i > 0 {
+                    write!(f, " {op} ")?;
                 }
-                write!(f, ")")
+                write!(f, "{p}")?;
             }
-            Pdag::Or(ps) => {
-                write!(f, "(")?;
-                for (i, p) in ps.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " OR ")?;
-                    }
-                    write!(f, "{p}")?;
-                }
-                write!(f, ")")
-            }
-            Pdag::ForAll { var, lo, hi, body } => {
+            write!(f, ")")
+        };
+        match self.node() {
+            PdagNode::Bool(b) => write!(f, "{b}"),
+            PdagNode::Leaf(b) => write!(f, "{b}"),
+            PdagNode::And(ps) => join(f, ps, "AND"),
+            PdagNode::Or(ps) => join(f, ps, "OR"),
+            PdagNode::ForAll { var, lo, hi, body } => {
                 write!(f, "ALL[{var}={lo}..{hi}]({body})")
             }
-            Pdag::AtCall(site, body) => write!(f, "atcall({site}, {body})"),
+            PdagNode::AtCall(site, body) => write!(f, "atcall({site}, {body})"),
         }
     }
 }
@@ -352,9 +408,9 @@ mod tests {
         let a = Pdag::leaf(BoolExpr::gt0(v("x")));
         let b = Pdag::leaf(BoolExpr::gt0(v("y")));
         let nested = Pdag::and(vec![a.clone(), Pdag::and(vec![b.clone(), a.clone()])]);
-        match nested {
-            Pdag::And(ps) => assert_eq!(ps.len(), 2),
-            other => panic!("expected And, got {other}"),
+        match nested.node() {
+            PdagNode::And(ps) => assert_eq!(ps.len(), 2),
+            _ => panic!("expected And, got {nested}"),
         }
     }
 
@@ -369,11 +425,11 @@ mod tests {
     fn forall_hoists_invariant_body() {
         let body = Pdag::leaf(BoolExpr::gt0(v("M")));
         let p = Pdag::forall(sym("i"), k(1), v("N"), body.clone());
-        match p {
-            Pdag::Or(parts) => {
+        match p.node() {
+            PdagNode::Or(parts) => {
                 assert!(parts.contains(&body));
             }
-            other => panic!("expected Or, got {other}"),
+            _ => panic!("expected Or, got {p}"),
         }
     }
 
@@ -417,9 +473,9 @@ mod tests {
         assert_eq!(p.subst(sym("i"), &k(3)), p);
         // Substituting N rewrites bounds and body.
         let q = p.subst(sym("N"), &k(4));
-        match q {
-            Pdag::ForAll { hi, .. } => assert_eq!(hi, k(4)),
-            other => panic!("expected ForAll, got {other}"),
+        match q.node() {
+            PdagNode::ForAll { hi, .. } => assert_eq!(*hi, k(4)),
+            _ => panic!("expected ForAll, got {q}"),
         }
     }
 

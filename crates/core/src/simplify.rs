@@ -12,186 +12,204 @@
 //!   nodes: `∧ᵢ(∨(Aⁱⁿᵛ, Bᵛᵃʳ)) → ∨(Aⁱⁿᵛ) ∨ ∧ᵢ(∨(Bᵛᵃʳ))` and
 //!   `∧(B₁∨A, …, Bₚ∨A) → ∧(B₁,…,Bₚ) ∨ A`.
 
-use lip_symbolic::{BoolExpr, RangeEnv};
+use std::collections::BTreeSet;
 
-use crate::pdag::Pdag;
+use lip_symbolic::{BoolExpr, RangeEnv, ScopeId};
 
-/// Simplifies `p` under `env`. The result is logically *equivalent* to
-/// `p` given the environment's facts (no strengthening happens here;
-/// strengthening belongs to [`crate::cascade`]).
+use crate::ctx::PredCtx;
+use crate::pdag::{Pdag, PdagNode};
+
+/// Simplifies `p` under `env` in a context of its own — see
+/// [`PredCtx::simplify`], which an analysis with more than one predicate
+/// to simplify should call on one shared context instead.
 pub fn simplify(p: &Pdag, env: &RangeEnv) -> Pdag {
-    match p {
-        Pdag::Bool(_) => p.clone(),
-        // Compound boolean leaves unfold into PDAG structure so that
-        // hoisting and propagation see through them; atomic leaves are
-        // decided against the environment.
-        Pdag::Leaf(BoolExpr::And(bs)) => simplify(
-            &Pdag::and(bs.iter().cloned().map(Pdag::leaf).collect()),
-            env,
-        ),
-        Pdag::Leaf(BoolExpr::Or(bs)) => {
-            simplify(&Pdag::or(bs.iter().cloned().map(Pdag::leaf).collect()), env)
-        }
-        Pdag::Leaf(b) => match env.decide(b) {
-            Some(v) => Pdag::Bool(v),
-            None => Pdag::Leaf(b.clone()),
-        },
-        Pdag::And(parts) => {
-            let parts: Vec<Pdag> = parts.iter().map(|q| simplify(q, env)).collect();
-            if has_complementary_leaves(&parts) {
-                return Pdag::Bool(false);
+    let mut cx = PredCtx::new();
+    let scope = cx.scope(env);
+    cx.simplify(p, scope)
+}
+
+impl PredCtx {
+    /// Simplifies `p` under `scope`. The result is logically *equivalent*
+    /// to `p` given the scope's facts and ranges (no strengthening
+    /// happens here; strengthening belongs to [`crate::cascade`]), and a
+    /// pure function of `(scope, p)`: each distinct pair is rewritten once.
+    pub fn simplify(&mut self, p: &Pdag, scope: ScopeId) -> Pdag {
+        match p.node() {
+            PdagNode::Bool(_) => return self.intern(p.clone()),
+            // Atomic leaves are decided against the environment (the
+            // scope remembers the verdict).
+            PdagNode::Leaf(b) if !matches!(b, BoolExpr::And(_) | BoolExpr::Or(_)) => {
+                return match self.scopes.decide(scope, b) {
+                    Some(v) => self.bool(v),
+                    None => self.intern(p.clone()),
+                };
             }
-            let propagated = unit_propagate(parts, true);
-            let anded = Pdag::and(propagated);
-            extract_common_factor(anded)
+            _ => {}
         }
-        Pdag::Or(parts) => {
-            let parts: Vec<Pdag> = parts.iter().map(|q| simplify(q, env)).collect();
-            if has_complementary_leaves(&parts) {
-                return Pdag::Bool(true);
+        let key = (scope, p.clone());
+        if let Some(hit) = self.simplified.get(&key) {
+            self.simplify_hits += 1;
+            return hit.clone();
+        }
+        self.simplify_evals += 1;
+        let out = self.simplify_compound(p, scope);
+        self.simplified.insert(key, out.clone());
+        out
+    }
+
+    fn simplify_compound(&mut self, p: &Pdag, scope: ScopeId) -> Pdag {
+        match p.node() {
+            // Compound boolean leaves unfold into PDAG structure so that
+            // hoisting and propagation see through them.
+            PdagNode::Leaf(BoolExpr::And(bs)) => {
+                let unfolded = Pdag::and(bs.iter().cloned().map(Pdag::leaf).collect());
+                self.simplify(&unfolded, scope)
             }
-            let propagated = unit_propagate(parts, false);
-            Pdag::or(propagated)
-        }
-        Pdag::ForAll { var, lo, hi, body } => {
-            let mut inner_env = env.clone();
-            inner_env.set_range(*var, lo.clone(), hi.clone());
-            let body = simplify(body, &inner_env);
-            // Invariant hoisting.
-            let range_empty = Pdag::leaf(BoolExpr::lt(hi.clone(), lo.clone()));
-            match body {
-                Pdag::Or(parts) => {
-                    let (inv, var_parts): (Vec<_>, Vec<_>) =
-                        parts.into_iter().partition(|q| !q.contains_sym(*var));
-                    if inv.is_empty() {
-                        Pdag::forall(*var, lo.clone(), hi.clone(), Pdag::or(var_parts))
-                    } else {
-                        let mut alts = inv;
-                        alts.push(Pdag::forall(
-                            *var,
-                            lo.clone(),
-                            hi.clone(),
-                            Pdag::or(var_parts),
-                        ));
-                        simplify(&Pdag::or(alts), env)
-                    }
+            PdagNode::Leaf(BoolExpr::Or(bs)) => {
+                let unfolded = Pdag::or(bs.iter().cloned().map(Pdag::leaf).collect());
+                self.simplify(&unfolded, scope)
+            }
+            PdagNode::Bool(_) | PdagNode::Leaf(_) => {
+                unreachable!("simplify answers constants and atomic leaves itself")
+            }
+            PdagNode::And(parts) => {
+                let parts: Vec<Pdag> = parts.iter().map(|q| self.simplify(q, scope)).collect();
+                if has_complementary_leaves(&parts) {
+                    return self.bool(false);
                 }
-                Pdag::And(parts) => {
-                    let (inv, var_parts): (Vec<_>, Vec<_>) =
-                        parts.into_iter().partition(|q| !q.contains_sym(*var));
-                    if inv.is_empty() {
-                        Pdag::forall(*var, lo.clone(), hi.clone(), Pdag::and(var_parts))
-                    } else {
-                        // ∀(A ∧ B(i)) = (empty-range ∨ A) ∧ ∀B(i).
-                        let mut conj = vec![Pdag::or({
-                            let mut v = inv;
-                            v.push(range_empty);
-                            v
-                        })];
-                        conj.push(Pdag::forall(
-                            *var,
-                            lo.clone(),
-                            hi.clone(),
-                            Pdag::and(var_parts),
-                        ));
-                        simplify(&Pdag::and(conj), env)
-                    }
+                let propagated = self.unit_propagate(parts, true);
+                let anded = self.and(propagated);
+                self.extract_common_factor(anded)
+            }
+            PdagNode::Or(parts) => {
+                let parts: Vec<Pdag> = parts.iter().map(|q| self.simplify(q, scope)).collect();
+                if has_complementary_leaves(&parts) {
+                    return self.bool(true);
                 }
-                body => Pdag::forall(*var, lo.clone(), hi.clone(), body),
+                let propagated = self.unit_propagate(parts, false);
+                self.or(propagated)
+            }
+            PdagNode::ForAll { var, lo, hi, body } => {
+                let inner = self.scopes.enter(scope, *var, lo, hi);
+                let body = self.simplify(body, inner);
+                // Invariant hoisting.
+                let (conj, parts) = match body.node() {
+                    PdagNode::Or(parts) => (false, parts),
+                    PdagNode::And(parts) => (true, parts),
+                    _ => return self.forall(*var, lo, hi, body),
+                };
+                let (inv, var_parts): (Vec<Pdag>, Vec<Pdag>) =
+                    parts.iter().cloned().partition(|q| !q.contains_sym(*var));
+                if inv.is_empty() {
+                    return self.forall(*var, lo, hi, body);
+                }
+                let hoisted = if conj {
+                    // ∀(A ∧ B(i)) = (empty-range ∨ A) ∧ ∀B(i), with A
+                    // the conjunction of every invariant part.
+                    let range_empty = self.leaf(BoolExpr::lt(hi.clone(), lo.clone()));
+                    let invariant = self.and(inv);
+                    let guarded = self.or(vec![invariant, range_empty]);
+                    let rest = self.and(var_parts);
+                    let quantified = self.forall(*var, lo, hi, rest);
+                    self.and(vec![guarded, quantified])
+                } else {
+                    let rest = self.or(var_parts);
+                    let mut alts = inv;
+                    alts.push(self.forall(*var, lo, hi, rest));
+                    self.or(alts)
+                };
+                self.simplify(&hoisted, scope)
+            }
+            PdagNode::AtCall(site, body) => {
+                let body = self.simplify(body, scope);
+                self.at_call(*site, body)
             }
         }
-        Pdag::AtCall(site, body) => Pdag::at_call(*site, simplify(body, env)),
+    }
+
+    /// Unit propagation: in a conjunction, a leaf `q` removes `¬q` from
+    /// sibling disjunctions (dually for disjunctions).
+    fn unit_propagate(&mut self, parts: Vec<Pdag>, conjunction: bool) -> Vec<Pdag> {
+        let complements: Vec<BoolExpr> = parts
+            .iter()
+            .filter_map(|p| match p.node() {
+                PdagNode::Leaf(b) => Some(b.clone().negate()),
+                _ => None,
+            })
+            .collect();
+        if complements.is_empty() {
+            return parts;
+        }
+        let survives =
+            |d: &&Pdag| !matches!(d.node(), PdagNode::Leaf(b) if complements.contains(b));
+        parts
+            .into_iter()
+            .map(|p| match (p.node(), conjunction) {
+                (PdagNode::Or(ds), true) if !ds.iter().all(|d| survives(&d)) => {
+                    let filtered = ds.iter().filter(survives).cloned().collect();
+                    self.or(filtered)
+                }
+                (PdagNode::And(cs), false) if !cs.iter().all(|c| survives(&c)) => {
+                    let filtered = cs.iter().filter(survives).cloned().collect();
+                    self.and(filtered)
+                }
+                _ => p,
+            })
+            .collect()
+    }
+
+    /// `∧(B₁∨A, …, Bₚ∨A) → ∧(B₁,…,Bₚ) ∨ A` — reduces redundancy and turns
+    /// loop-variant conjunctions into hoistable shapes.
+    fn extract_common_factor(&mut self, p: Pdag) -> Pdag {
+        let PdagNode::And(parts) = p.node() else {
+            return p;
+        };
+        if parts.len() < 2 {
+            return p;
+        }
+        fn disjuncts(q: &Pdag) -> &[Pdag] {
+            match q.node() {
+                PdagNode::Or(ds) => ds,
+                _ => std::slice::from_ref(q),
+            }
+        }
+        let mut common: Vec<Pdag> = disjuncts(&parts[0]).to_vec();
+        for q in &parts[1..] {
+            let ds = disjuncts(q);
+            common.retain(|c| ds.contains(c));
+            if common.is_empty() {
+                return p;
+            }
+        }
+        let residuals: Vec<Pdag> = parts
+            .iter()
+            .map(|q| {
+                let ds = disjuncts(q)
+                    .iter()
+                    .filter(|d| !common.contains(d))
+                    .cloned()
+                    .collect();
+                self.or(ds)
+            })
+            .collect();
+        let mut alts = common;
+        alts.push(self.and(residuals));
+        self.or(alts)
     }
 }
 
 /// Whether two leaves among `parts` are syntactic complements.
 fn has_complementary_leaves(parts: &[Pdag]) -> bool {
-    let leaves: Vec<&BoolExpr> = parts
+    let leaves: BTreeSet<&BoolExpr> = parts
         .iter()
-        .filter_map(|p| match p {
-            Pdag::Leaf(b) => Some(b),
+        .filter_map(|p| match p.node() {
+            PdagNode::Leaf(b) => Some(b),
             _ => None,
         })
         .collect();
     leaves
         .iter()
-        .any(|b| leaves.iter().any(|c| **c == (*b).clone().negate()))
-}
-
-/// Unit propagation: in a conjunction, a leaf `q` removes `¬q` from
-/// sibling disjunctions (dually for disjunctions).
-fn unit_propagate(parts: Vec<Pdag>, conjunction: bool) -> Vec<Pdag> {
-    let units: Vec<BoolExpr> = parts
-        .iter()
-        .filter_map(|p| match p {
-            Pdag::Leaf(b) => Some(b.clone()),
-            _ => None,
-        })
-        .collect();
-    if units.is_empty() {
-        return parts;
-    }
-    let complements: Vec<BoolExpr> = units.iter().map(|u| u.clone().negate()).collect();
-    parts
-        .into_iter()
-        .map(|p| match (&p, conjunction) {
-            (Pdag::Or(ds), true) => {
-                let filtered: Vec<Pdag> = ds
-                    .iter()
-                    .filter(|d| !matches!(d, Pdag::Leaf(b) if complements.contains(b)))
-                    .cloned()
-                    .collect();
-                Pdag::or(filtered)
-            }
-            (Pdag::And(cs), false) => {
-                let filtered: Vec<Pdag> = cs
-                    .iter()
-                    .filter(|c| !matches!(c, Pdag::Leaf(b) if complements.contains(b)))
-                    .cloned()
-                    .collect();
-                Pdag::and(filtered)
-            }
-            _ => p,
-        })
-        .collect()
-}
-
-/// `∧(B₁∨A, …, Bₚ∨A) → ∧(B₁,…,Bₚ) ∨ A` — reduces redundancy and turns
-/// loop-variant conjunctions into hoistable shapes.
-fn extract_common_factor(p: Pdag) -> Pdag {
-    let Pdag::And(parts) = &p else {
-        return p;
-    };
-    if parts.len() < 2 {
-        return p;
-    }
-    let as_disjuncts = |q: &Pdag| -> Vec<Pdag> {
-        match q {
-            Pdag::Or(ds) => ds.clone(),
-            other => vec![other.clone()],
-        }
-    };
-    let mut common = as_disjuncts(&parts[0]);
-    for q in &parts[1..] {
-        let ds = as_disjuncts(q);
-        common.retain(|c| ds.contains(c));
-        if common.is_empty() {
-            return p;
-        }
-    }
-    let residuals: Vec<Pdag> = parts
-        .iter()
-        .map(|q| {
-            let ds: Vec<Pdag> = as_disjuncts(q)
-                .into_iter()
-                .filter(|d| !common.contains(d))
-                .collect();
-            Pdag::or(ds)
-        })
-        .collect();
-    let mut alts = common;
-    alts.push(Pdag::and(residuals));
-    Pdag::or(alts)
+        .any(|b| leaves.contains(&(*b).clone().negate()))
 }
 
 #[cfg(test)]
@@ -221,8 +239,8 @@ mod tests {
         let expected = Pdag::and(vec![Pdag::leaf(bound), Pdag::leaf(sym_ne)]);
         // Leaf fusion may represent the result as one fused leaf; compare
         // by both shape-insensitive routes.
-        match (&s, &expected) {
-            (Pdag::Leaf(a), _) => {
+        match (s.node(), &expected) {
+            (PdagNode::Leaf(a), _) => {
                 assert_eq!(
                     *a,
                     BoolExpr::and(vec![
@@ -255,20 +273,22 @@ mod tests {
         let body = Pdag::or(vec![Pdag::leaf(pleaf.clone()), Pdag::leaf(var_leaf)]);
         let p = Pdag::forall(sym("i"), k(1), v("N"), body);
         let s = simplify(&p, &RangeEnv::new());
-        match &s {
-            Pdag::Or(parts) => {
+        match s.node() {
+            PdagNode::Or(parts) => {
                 assert!(
                     parts
                         .iter()
-                        .any(|q| matches!(q, Pdag::Leaf(b) if *b == pleaf)),
+                        .any(|q| matches!(q.node(), PdagNode::Leaf(b) if *b == pleaf)),
                     "invariant leaf must be hoisted: {s}"
                 );
                 assert!(
-                    parts.iter().any(|q| matches!(q, Pdag::ForAll { .. })),
+                    parts
+                        .iter()
+                        .any(|q| matches!(q.node(), PdagNode::ForAll { .. })),
                     "variant part must stay quantified: {s}"
                 );
             }
-            other => panic!("expected Or, got {other}"),
+            _ => panic!("expected Or, got {s}"),
         }
     }
 
@@ -298,17 +318,52 @@ mod tests {
         ]);
         let s = simplify(&p, &RangeEnv::new());
         // Expect (B1 ∧ B2) ∨ A (possibly leaf-fused).
-        match &s {
-            Pdag::Or(parts) => assert!(parts.len() >= 2, "{s}"),
-            Pdag::Leaf(b) => {
+        match s.node() {
+            PdagNode::Or(parts) => assert!(parts.len() >= 2, "{s}"),
+            PdagNode::Leaf(b) => {
                 let expected = BoolExpr::or(vec![
                     BoolExpr::gt0(v("A")),
                     BoolExpr::and(vec![BoolExpr::gt0(v("B1")), BoolExpr::gt0(v("B2"))]),
                 ]);
                 assert_eq!(*b, expected);
             }
-            other => panic!("expected Or, got {other}"),
+            _ => panic!("expected Or, got {s}"),
         }
+    }
+
+    #[test]
+    fn hoisting_keeps_every_invariant_conjunct() {
+        // ∀ i∈1..N (P>0 ∧ Q>0 ∧ B(i)>0) needs both invariants: hoisted,
+        // it is (N<1 ∨ (P>0 ∧ Q>0)) ∧ ∀ B(i)>0 — not (N<1 ∨ P>0 ∨ Q>0).
+        use lip_symbolic::MapCtx;
+        let body = Pdag::and(vec![
+            Pdag::leaf(BoolExpr::gt0(v("P"))),
+            Pdag::leaf(BoolExpr::gt0(v("Q"))),
+            Pdag::leaf(BoolExpr::gt0(SymExpr::elem(sym("B"), v("i")))),
+        ]);
+        let p = Pdag::forall(sym("i"), k(1), v("N"), body);
+        let s = simplify(&p, &RangeEnv::new());
+        let mut ctx = MapCtx::new();
+        ctx.set_scalar(sym("N"), 3).set_scalar(sym("P"), 1);
+        ctx.set_array(sym("B"), 1, vec![1, 1, 1]);
+        for q in [0, 1] {
+            ctx.set_scalar(sym("Q"), q);
+            assert_eq!(s.eval(&ctx, 100), p.eval(&ctx, 100), "Q = {q}: {s}");
+        }
+    }
+
+    #[test]
+    fn one_context_keeps_scopes_apart() {
+        // The same leaf `i > 0` under two ranges, simplified through one
+        // context: true over 1..N, left alone over 0..N.
+        let leaf = Pdag::leaf(BoolExpr::gt0(v("i")));
+        let from_one = Pdag::forall(sym("i"), k(1), v("N"), leaf.clone());
+        let from_zero = Pdag::forall(sym("i"), k(0), v("N"), leaf);
+        let mut cx = PredCtx::new();
+        let scope = cx.scope(&RangeEnv::new());
+        assert!(cx.simplify(&from_one, scope).is_true());
+        assert_eq!(cx.simplify(&from_zero, scope), from_zero);
+        assert!(cx.simplify(&from_one, scope).is_true());
     }
 
     #[test]

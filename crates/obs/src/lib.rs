@@ -939,6 +939,16 @@ impl Obs {
         }
     }
 
+    /// Runs `f` inside a span named `name` (only at `Trace`; otherwise
+    /// just `f`).
+    #[inline]
+    pub fn in_span<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
+        let id = self.span(name, String::new);
+        let out = f();
+        self.exit_span(id, "");
+        out
+    }
+
     /// Emits a point event (only at `Trace`); `detail` built lazily.
     #[inline]
     pub fn event(&self, name: &str, detail: impl FnOnce() -> String) {

@@ -25,7 +25,7 @@
 //!   short-circuit jumps so the budget trace matches the tree-walk
 //!   decrement for decrement.
 
-use lip_core::Pdag;
+use lip_core::{Pdag, PdagNode};
 use lip_symbolic::{Atom, BoolExpr, Monomial, Sym, SymExpr};
 
 use crate::prog::{
@@ -162,8 +162,8 @@ impl Compiler {
     /// Compiles a `Pdag` node; the tri-state result lands in exactly
     /// one new register.
     fn node(&mut self, b: &mut BodyBuilder, p: &Pdag) -> Result<PReg, PredOverflow> {
-        match p {
-            Pdag::Bool(v) => {
+        match p.node() {
+            PdagNode::Bool(v) => {
                 let dst = b.push_reg()?;
                 b.emit(POp::SetTri {
                     dst,
@@ -171,11 +171,11 @@ impl Compiler {
                 });
                 Ok(dst)
             }
-            Pdag::Leaf(be) => self.bool_expr(b, be),
-            Pdag::And(ps) => self.connective(b, ps, false),
-            Pdag::Or(ps) => self.connective(b, ps, true),
-            Pdag::AtCall(_, body) => self.node(b, body),
-            Pdag::ForAll { var, lo, hi, body } => {
+            PdagNode::Leaf(be) => self.bool_expr(b, be),
+            PdagNode::And(ps) => self.connective(b, ps, false),
+            PdagNode::Or(ps) => self.connective(b, ps, true),
+            PdagNode::AtCall(_, body) => self.node(b, body),
+            PdagNode::ForAll { var, lo, hi, body } => {
                 let dst = b.push_reg()?;
                 let mark = b.next;
                 let saved = std::mem::take(&mut b.pending_fails);

@@ -56,9 +56,8 @@ struct Counters {
 
 /// Bound on memoized verdicts. Workloads whose inputs change every
 /// invocation would otherwise grow the memo forever (one entry per
-/// distinct fingerprint, each owning a copy of the predicate
-/// rendering); at the cap the memo resets wholesale — a generation
-/// flip, cheap and hit-path-free.
+/// distinct fingerprint); at the cap the memo resets wholesale — a
+/// generation flip, cheap and hit-path-free.
 const RESULT_MEMO_CAP: usize = 4096;
 
 /// Default trip-count threshold past which quantified O(N) stages fork
@@ -67,14 +66,17 @@ const RESULT_MEMO_CAP: usize = 4096;
 /// `SessionConfig::from_env`, the single environment seam).
 pub const DEFAULT_PAR_MIN: i64 = 1024;
 
+/// (predicate rendering, 128-bit input fingerprint, iteration budget).
+type VerdictKey = (Arc<str>, u128, u64);
+
 /// The per-machine predicate engine.
 pub struct PredEngine {
     /// Compiled programs keyed by the predicate's canonical rendering
-    /// (`Pdag` holds `Rc`s, so the key must be owned plain data).
-    programs: RwLock<HashMap<String, Option<Arc<PredProgram>>>>,
-    /// Memoized verdicts keyed by (predicate, 128-bit input
-    /// fingerprint, iteration budget).
-    results: Mutex<HashMap<(String, u128, u64), Option<bool>>>,
+    /// (`Pdag` holds `Rc`s, so the key must be owned plain data; a
+    /// cascade stage renders itself once — `Stage::key`).
+    programs: RwLock<HashMap<Arc<str>, Option<Arc<PredProgram>>>>,
+    /// Memoized verdicts.
+    results: Mutex<HashMap<VerdictKey, Option<bool>>>,
     par_min: i64,
     stats: Counters,
     /// Observability handle (shared with the owning session): engine
@@ -137,10 +139,10 @@ impl PredEngine {
     /// `None` when the predicate exceeds the bytecode's static limits
     /// (callers tree-walk instead).
     pub fn program(&self, pred: &Pdag) -> Option<Arc<PredProgram>> {
-        self.program_keyed(&pred.to_string(), pred)
+        self.program_keyed(&pred.to_string().into(), pred)
     }
 
-    fn program_keyed(&self, key: &str, pred: &Pdag) -> Option<Arc<PredProgram>> {
+    fn program_keyed(&self, key: &Arc<str>, pred: &Pdag) -> Option<Arc<PredProgram>> {
         if let Some(cached) = self.programs.read().expect("engine lock").get(key) {
             self.stats.program_hits.fetch_add(1, Ordering::Relaxed);
             self.obs.count("pred.program_hits", 1);
@@ -152,7 +154,7 @@ impl PredEngine {
         self.stats.compiles.fetch_add(1, Ordering::Relaxed);
         self.obs.count("pred.compiles", 1);
         let mut w = self.programs.write().expect("engine lock");
-        w.entry(key.to_owned()).or_insert_with(|| compiled.clone());
+        w.entry(key.clone()).or_insert_with(|| compiled.clone());
         compiled
     }
 
@@ -232,11 +234,11 @@ impl PredEngine {
             let span = self.obs.span("pred.stage", || {
                 format!("stage {k} O(N^{})", stage.complexity)
             });
-            let key = stage.pred.to_string();
-            let verdict = match self.program_keyed(&key, &stage.pred) {
+            let key = stage.key();
+            let verdict = match self.program_keyed(key, &stage.pred) {
                 Some(prog) => {
                     let fp = fingerprint(&prog);
-                    self.eval_memo(key, &prog, ctx, iter_limit, nthreads, fp)
+                    self.eval_memo(key.clone(), &prog, ctx, iter_limit, nthreads, fp)
                 }
                 None => stage.pred.eval(ctx, iter_limit),
             };
@@ -274,7 +276,7 @@ impl PredEngine {
 
     fn eval_memo(
         &self,
-        pred_key: String,
+        pred_key: Arc<str>,
         prog: &Arc<PredProgram>,
         ctx: &(dyn EvalCtx + Sync),
         iter_limit: u64,

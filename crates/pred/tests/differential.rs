@@ -3,7 +3,7 @@
 //! including tri-state unknowns, overflow and budget exhaustion — and
 //! the engine caches must actually cache.
 
-use lip_core::{build_cascade, Pdag};
+use lip_core::{build_cascade, Pdag, PdagNode};
 use lip_pred::{compile_pred, eval_compiled, EvalParams, PredEngine};
 use lip_symbolic::{sym, BoolExpr, MapCtx, RangeEnv, SymExpr};
 
@@ -153,18 +153,18 @@ fn min_max_atoms_and_compound_leaves() {
 fn shadowed_quantifier_variable_resolves_innermost() {
     // ∀_{i=1}^{1} ∀_{i=2}^{2} B(i) > 0: the inner binding shadows the
     // outer one (ScopedCtx semantics), so only B(2) is read.
-    let inner = Pdag::ForAll {
+    let inner = Pdag::raw(PdagNode::ForAll {
         var: sym("i"),
         lo: k(2),
         hi: k(2),
-        body: std::rc::Rc::new(Pdag::leaf(BoolExpr::gt0(SymExpr::elem(sym("B"), v("i"))))),
-    };
-    let p = Pdag::ForAll {
+        body: Pdag::leaf(BoolExpr::gt0(SymExpr::elem(sym("B"), v("i")))),
+    });
+    let p = Pdag::raw(PdagNode::ForAll {
         var: sym("i"),
         lo: k(1),
         hi: k(1),
-        body: std::rc::Rc::new(inner),
-    };
+        body: inner,
+    });
     let mut ctx = MapCtx::new();
     ctx.set_array(sym("B"), 1, vec![0, 5]);
     assert_eq!(p.eval(&ctx, 100), Some(true));

@@ -9,7 +9,8 @@
 //!   (variables, array elements such as `IB(i+1)`, and `min`/`max` terms),
 //! * [`BoolExpr`] — a negation-closed language of integer predicates
 //!   (comparisons against zero, divisibility, conjunction, disjunction),
-//! * [`RangeEnv`] — symbolic variable ranges plus assumed facts, and
+//! * [`RangeEnv`] — symbolic variable ranges plus assumed facts ([`Scopes`]
+//!   is the tree of them a quantifier walk visits, with memoized verdicts), and
 //! * [`reduce_gt0`] — the symbolic Fourier–Motzkin-like elimination of
 //!   Figure 6(b) of the paper, which turns `expr > 0` into a *sufficient*
 //!   predicate free of a chosen bounded symbol.
@@ -44,5 +45,5 @@ pub use boolexpr::{BoolExpr, CmpOp};
 pub use eval::{EvalCtx, MapCtx, ScopedCtx};
 pub use expr::{Atom, Monomial, SymExpr};
 pub use fm::{prove_ge0, prove_gt0, reduce_ge0, reduce_gt0};
-pub use range::RangeEnv;
+pub use range::{RangeEnv, ScopeId, Scopes};
 pub use sym::{sym, Sym};

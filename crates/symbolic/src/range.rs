@@ -5,6 +5,11 @@
 //! *assumed facts* (predicates known to hold, e.g. `N ≥ 1` from a loop's
 //! trip-count guard). Ranges feed the Fourier–Motzkin elimination of
 //! [`crate::fm`] and the static decision procedure [`RangeEnv::decide`].
+//!
+//! An analysis that walks nested quantifiers asks the same question of
+//! the same environment many times over. [`Scopes`] is the tree of
+//! environments such a walk visits — a root plus, per node, the chain of
+//! `set_range` calls that led there — with one decision memo per node.
 
 use std::collections::HashMap;
 
@@ -13,7 +18,7 @@ use crate::expr::SymExpr;
 use crate::sym::Sym;
 
 /// Symbolic bounds for one variable.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct VarRange {
     /// Inclusive lower bound, if known.
     pub lo: Option<SymExpr>,
@@ -22,7 +27,7 @@ pub struct VarRange {
 }
 
 /// A set of variable ranges plus assumed facts.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct RangeEnv {
     ranges: HashMap<Sym, VarRange>,
     facts: Vec<BoolExpr>,
@@ -207,6 +212,103 @@ impl RangeEnv {
     }
 }
 
+/// One environment of a [`Scopes`] tree.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub struct ScopeId(u32);
+
+struct Scope {
+    env: RangeEnv,
+    is_root: bool,
+    /// `(var, lo, hi, child)`: the scope `set_range(var, lo, hi)` leads to.
+    children: Vec<(Sym, SymExpr, SymExpr, ScopeId)>,
+    decided: HashMap<BoolExpr, Option<bool>>,
+}
+
+/// A tree of [`RangeEnv`]s with memoized [`RangeEnv::decide`] verdicts.
+///
+/// A scope is identified by its root environment and the chain of
+/// [`Scopes::enter`] calls from it, so every visit of the same quantifier
+/// nest shares one environment (built once) and one verdict per leaf.
+/// Verdicts never cross scopes: `i > 0` is true under `i ∈ 1..N` and
+/// undecided under `i ∈ 0..N`.
+#[derive(Default)]
+pub struct Scopes {
+    scopes: Vec<Scope>,
+    decide_evals: u64,
+    decide_hits: u64,
+}
+
+impl Scopes {
+    /// An empty tree.
+    pub fn new() -> Scopes {
+        Scopes::default()
+    }
+
+    fn push(&mut self, env: RangeEnv, is_root: bool) -> ScopeId {
+        let id = ScopeId(u32::try_from(self.scopes.len()).expect("scope count fits u32"));
+        self.scopes.push(Scope {
+            env,
+            is_root,
+            children: Vec::new(),
+            decided: HashMap::new(),
+        });
+        id
+    }
+
+    /// The root scope for `env` (an equal root registered earlier is
+    /// reused, with everything already decided under it).
+    pub fn root(&mut self, env: &RangeEnv) -> ScopeId {
+        let known = self.scopes.iter().position(|s| s.is_root && s.env == *env);
+        match known {
+            Some(k) => ScopeId(k as u32),
+            None => self.push(env.clone(), true),
+        }
+    }
+
+    /// The scope reached from `parent` by `set_range(var, lo, hi)`.
+    pub fn enter(&mut self, parent: ScopeId, var: Sym, lo: &SymExpr, hi: &SymExpr) -> ScopeId {
+        let p = &self.scopes[parent.0 as usize];
+        let known = p
+            .children
+            .iter()
+            .find(|(v, l, h, _)| *v == var && l == lo && h == hi);
+        if let Some((_, _, _, child)) = known {
+            return *child;
+        }
+        let mut env = p.env.clone();
+        env.set_range(var, lo.clone(), hi.clone());
+        let child = self.push(env, false);
+        self.scopes[parent.0 as usize]
+            .children
+            .push((var, lo.clone(), hi.clone(), child));
+        child
+    }
+
+    /// The environment of `scope`.
+    pub fn env(&self, scope: ScopeId) -> &RangeEnv {
+        &self.scopes[scope.0 as usize].env
+    }
+
+    /// [`RangeEnv::decide`] under `scope`, evaluated once per distinct
+    /// predicate.
+    pub fn decide(&mut self, scope: ScopeId, p: &BoolExpr) -> Option<bool> {
+        let s = &mut self.scopes[scope.0 as usize];
+        if let Some(v) = s.decided.get(p) {
+            self.decide_hits += 1;
+            return *v;
+        }
+        self.decide_evals += 1;
+        let v = s.env.decide(p);
+        s.decided.insert(p.clone(), v);
+        v
+    }
+
+    /// `(evaluations, memo hits)` of [`Scopes::decide`] so far.
+    pub fn decide_counts(&self) -> (u64, u64) {
+        (self.decide_evals, self.decide_hits)
+    }
+}
+
 /// Syntactic single-fact implication `f ⇒ p`.
 pub fn implies(f: &BoolExpr, p: &BoolExpr) -> bool {
     if f == p {
@@ -282,6 +384,32 @@ mod tests {
             BoolExpr::ge0(SymExpr::konst(10) - v("i")),
         ]);
         assert_eq!(env.decide(&both), Some(true));
+    }
+
+    /// The same leaf under two different quantifier ranges must not
+    /// share a verdict: `∀ i∈1..N: i>0` is true, `∀ i∈0..N: i>0` is not
+    /// decided.
+    #[test]
+    fn scopes_keep_verdicts_apart() {
+        let mut scopes = Scopes::new();
+        let root = scopes.root(&RangeEnv::new());
+        let leaf = BoolExpr::gt0(v("i"));
+        let from_one = scopes.enter(root, sym("i"), &SymExpr::konst(1), &v("N"));
+        let from_zero = scopes.enter(root, sym("i"), &SymExpr::konst(0), &v("N"));
+        assert_ne!(from_one, from_zero);
+        assert_eq!(scopes.decide(from_one, &leaf), Some(true));
+        assert_eq!(scopes.decide(from_zero, &leaf), None);
+        assert_eq!(scopes.decide(root, &leaf), None);
+        // Re-entering finds the same scope and its memo.
+        let again = scopes.enter(root, sym("i"), &SymExpr::konst(1), &v("N"));
+        assert_eq!(again, from_one);
+        assert_eq!(scopes.decide(again, &leaf), Some(true));
+        assert_eq!(scopes.decide_counts(), (3, 1));
+        // An equal root is the same root; a different one is not.
+        assert_eq!(scopes.root(&RangeEnv::new()), root);
+        let other = scopes.root(&RangeEnv::new().with_fact(BoolExpr::gt0(v("i"))));
+        assert_ne!(other, root);
+        assert_eq!(scopes.decide(other, &leaf), Some(true));
     }
 
     #[test]

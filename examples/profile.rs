@@ -12,6 +12,12 @@
 //! one lane per pool worker with per-chunk spans), and
 //! `Session::profile()` folds the same spans into a flat hot-phase
 //! table and a call-path tree.
+//!
+//! A second session then profiles the *cold* path: analysing the
+//! `solvh` kernel from scratch. `analysis.loop` breaks down into
+//! `analysis.summarize`, `core.factor`, `core.simplify`, `core.cascade`
+//! and `analysis.fission_plan`, and the predicate context reports how
+//! much of its work the memo tables answered.
 
 use lip::obs::ObsLevel;
 use lip::runtime::LoopJob;
@@ -57,4 +63,25 @@ fn main() {
 
     // The aggregation: self/total per phase plus the call-path tree.
     print!("{}", session.profile().render_text());
+
+    // The cold path, layer by layer: where one never-seen loop's
+    // analysis spends its time, and what the per-analysis memo tables
+    // saved (evaluations vs. hits; the counts repeat exactly).
+    let cold = Session::builder().observer(ObsLevel::Trace).build();
+    let shape = &lip::suite::SOLVH;
+    let prog = lip::ir::parse_program(shape.source).expect("parses");
+    cold.analyze(&prog, sym(shape.sub), shape.label)
+        .expect("analysis");
+    println!("\ncold analysis of {}:", shape.name);
+    print!("{}", cold.profile().render_text());
+    let metrics = cold.metrics();
+    for name in [
+        "core.simplify_evals",
+        "core.simplify_hits",
+        "symbolic.decide_evals",
+        "symbolic.decide_hits",
+        "core.pdag_interned",
+    ] {
+        println!("  {name:<24} {}", metrics.counter(name).unwrap_or(0));
+    }
 }
