@@ -9,8 +9,4 @@ fn main() {
         4,
         "Intel-style",
     );
-    println!(
-        "average speedup: {:.2}x",
-        lip_bench::average_speedup(&session, lip_suite::PERFECT_CLUB, 4)
-    );
 }

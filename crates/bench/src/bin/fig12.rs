@@ -9,8 +9,4 @@ fn main() {
         8,
         "XLF-style",
     );
-    println!(
-        "average speedup: {:.2}x",
-        lip_bench::average_speedup(&session, lip_suite::SPEC2006, 8)
-    );
 }

@@ -6,9 +6,7 @@
 //! static-affine baseline; `fig13` the 1–16 processor scalability.
 
 use lip_runtime::Session;
-use lip_suite::{measure_benchmark, BenchDef, KernelShape};
-
-pub mod sentry;
+use lip_suite::{measure_benchmark, BenchDef};
 
 /// Spawn overhead (work units) used across all harnesses.
 pub const SPAWN: u64 = 3_000;
@@ -25,54 +23,6 @@ pub fn harness_session() -> Session {
             std::process::exit(2);
         }
     }
-}
-
-/// The hot suite kernels (and their problem sizes) used by the
-/// interp-vs-VM dispatch measurements (`benches/vm_dispatch.rs` and
-/// the `bench_vm` binary): shapes safe to re-execute arbitrarily often
-/// on the same frame — no CIV growth, no input dependence.
-pub fn vm_hot_kernels() -> Vec<(&'static KernelShape, usize)> {
-    vec![
-        (&lip_suite::STENCIL, 1024),
-        (&lip_suite::OFFSET_CROSSOVER, 1024),
-        (&lip_suite::PRIVATE_SCRATCH, 256),
-        (&lip_suite::INDEX_REDUCTION, 512),
-        (&lip_suite::STATIC_REDUCTION, 512),
-        (&lip_suite::INT_HISTOGRAM, 512),
-        (&lip_suite::SEQ_RECURRENCE, 1024),
-    ]
-}
-
-/// The suite kernels whose cascades contain a quantified O(N) stage
-/// that actually iterates on the prepared workload (the O(N) stages of
-/// `offset_crossover`, `tls_feedback` and `civ_conditional` decide in
-/// O(1) there via an invariant disjunct, so timing them measures
-/// setup, not the scan), with the problem sizes used by the
-/// predicate-evaluation timings in `bench_vm` (tree-walk `Pdag::eval`
-/// vs the `lip_pred` engine, sequential and chunk-parallel).
-pub fn pred_kernels() -> Vec<(&'static KernelShape, usize)> {
-    vec![
-        (&lip_suite::SOLVH, 2048),
-        (&lip_suite::MONOTONE_WINDOWS, 8192),
-        (&lip_suite::HOIST_INDIRECT, 16384),
-        (&lip_suite::EXT_REDUCTION, 16384),
-    ]
-}
-
-/// The kernels (and problem sizes) for the loop-fission rescue
-/// measurements in `bench_vm`. Sizes are moderate on purpose: both
-/// the fissioned and the fully sequential leg hoist and exactly
-/// evaluate an indirect-access USR whose evaluation cost grows
-/// superlinearly with the array size, and the comparison needs
-/// several samples per leg. Kernels without a fission plan (solvh's
-/// cascade rescues the whole loop before distribution is considered)
-/// are listed so the bench keeps probing them and reports the moment
-/// a classification change hands them a plan.
-pub fn fission_kernels() -> Vec<(&'static KernelShape, usize)> {
-    vec![
-        (&lip_suite::HOIST_INDIRECT, 1024),
-        (&lip_suite::SOLVH, 1024),
-    ]
 }
 
 /// Renders one paper-style table for a suite.
@@ -147,7 +97,8 @@ fn render_class(l: &lip_suite::LoopMeasurement) -> String {
 }
 
 /// Renders a Figure 10/11/12-style comparison (normalized parallel
-/// time; sequential = 1.0).
+/// time; sequential = 1.0), closed by the suite's average speedup at
+/// `procs` (the abstract's 2.4x/5.4x style aggregate).
 pub fn print_figure(
     session: &Session,
     title: &str,
@@ -160,22 +111,26 @@ pub fn print_figure(
         "{:<11} {:>14} {:>14} {:>9}",
         "BENCH", "Factorization", baseline_name, "RTov%"
     );
+    let (mut speedups, mut measured) = (0.0, 0.0);
     for def in defs {
         if def.name == "gamess" {
             continue; // not measured in the paper's figures
         }
         let t = measure_benchmark(session, def);
         let seq = t.seq_units() as f64;
-        let ours = t.par_units(procs, SPAWN) as f64 / seq;
+        let par = t.par_units(procs, SPAWN) as f64;
         let base = t.baseline_units(procs, SPAWN) as f64 / seq;
         println!(
             "{:<11} {:>14.3} {:>14.3} {:>9.2}",
             def.name,
-            ours,
+            par / seq,
             base,
             t.rt_overhead(procs, SPAWN) * 100.0
         );
+        speedups += seq / par;
+        measured += 1.0;
     }
+    println!("average speedup: {:.2}x", speedups / measured);
 }
 
 /// Renders the Figure 13-style scalability sweep.
@@ -199,20 +154,4 @@ pub fn print_scalability(session: &Session, title: &str, defs: &[BenchDef], proc
         }
         println!();
     }
-}
-
-/// Average speedup across a suite at `procs` (the abstract's 2.4x/5.4x
-/// style aggregate).
-pub fn average_speedup(session: &Session, defs: &[BenchDef], procs: usize) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0.0;
-    for def in defs {
-        if def.name == "gamess" {
-            continue;
-        }
-        let t = measure_benchmark(session, def);
-        sum += t.seq_units() as f64 / t.par_units(procs, SPAWN) as f64;
-        n += 1.0;
-    }
-    sum / n
 }

@@ -4,7 +4,7 @@
 //! everything the predicate layer remembers while it works:
 //!
 //! * the **intern table** — every node [`crate::factor`],
-//!   [`crate::simplify`] and [`crate::cascade`] build goes through it,
+//!   [`mod@crate::simplify`] and [`crate::cascade`] build goes through it,
 //!   so equal nodes are one shared node and the tables below compare
 //!   keys by address;
 //! * the **scope tree** ([`Scopes`]) — a scope is the root [`RangeEnv`]

@@ -1,11 +1,12 @@
 //! A minimal JSON reader for the workspace's own artifacts.
 //!
-//! The bench sentry and the trace-validation tests need to read back
-//! the JSON this workspace emits (`BENCH_vm.json`, the Chrome trace
-//! export, `BENCH_history.jsonl` lines). The build is offline, so
-//! instead of serde this is a ~150-line recursive-descent parser in
-//! the same spirit as the in-tree `proptest`/`criterion` stand-ins:
-//! full JSON syntax, numbers as `f64`, objects in insertion order.
+//! `bench_check`, the serve layer and the trace-validation tests need
+//! to read back the JSON this workspace emits (`bench_e2e` report
+//! lines and `BENCHMARK.json`, request frames, the Chrome trace
+//! export). The build is offline, so instead of serde this is a
+//! ~150-line recursive-descent parser in the same spirit as the
+//! in-tree `proptest` stand-in: full JSON syntax, numbers as `f64`,
+//! objects in insertion order.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]

@@ -1,16 +1,16 @@
 //! Observability substrate for the lip pipeline: structured decision
 //! tracing, session metrics, and per-loop `explain` reports.
 //!
-//! Zero-dependency and in-tree (like the `proptest`/`criterion`
-//! stand-ins) so every layer of the workspace — analysis, predicate
-//! engine, VM, executor, pool — can record what it decided without
-//! pulling an external tracing stack into an offline build.
+//! Zero-dependency and in-tree (like the `proptest` stand-in) so
+//! every layer of the workspace — analysis, predicate engine, VM,
+//! executor, pool — can record what it decided without pulling an
+//! external tracing stack into an offline build.
 //!
 //! Three pieces:
 //!
-//! - **[`Recorder`]** — span/event tracing with monotonic timestamps
-//!   and nested spans. [`NoopRecorder`] is the disabled sink;
-//!   [`TraceRecorder`] buffers [`TraceEvent`]s in memory.
+//! - **[`TraceRecorder`]** — span/event tracing with monotonic
+//!   timestamps and nested spans, buffering [`TraceEvent`]s in memory;
+//!   it exists only at [`ObsLevel::Trace`].
 //! - **[`Metrics`]** — a registry of named atomic counters and
 //!   fixed-bucket (power-of-two) latency histograms, snapshotted into
 //!   a serializable [`MetricsSnapshot`].
@@ -43,8 +43,8 @@ pub use profile::ProfileReport;
 /// How much the pipeline records.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub enum ObsLevel {
-    /// Nothing: the no-op recorder, counters untouched, no decisions
-    /// kept. The default.
+    /// Nothing: no recorder, counters untouched, no decisions kept.
+    /// The default.
     #[default]
     Off,
     /// Cheap aggregates only: counters and latency histograms. No
@@ -132,39 +132,6 @@ pub fn with_lane<T>(lane: u64, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// A tracing sink. Implementations must be cheap to call and safe to
-/// share across the pool's worker threads.
-pub trait Recorder: Send + Sync + fmt::Debug {
-    /// Whether this recorder keeps anything at all (lets callers skip
-    /// building `detail` strings).
-    fn is_enabled(&self) -> bool;
-    /// Opens a nested span; the returned id must be passed to `exit`.
-    fn enter(&self, name: &str, detail: &str) -> SpanId;
-    /// Closes a span with an outcome (e.g. `pass`, `fail`, a class).
-    fn exit(&self, id: SpanId, outcome: &str);
-    /// A point event inside the current span nesting.
-    fn event(&self, name: &str, detail: &str);
-    /// The buffered trace, if this recorder keeps one.
-    fn events(&self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-}
-
-/// The disabled sink: every call is a no-op.
-#[derive(Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn is_enabled(&self) -> bool {
-        false
-    }
-    fn enter(&self, _name: &str, _detail: &str) -> SpanId {
-        SpanId(0)
-    }
-    fn exit(&self, _id: SpanId, _outcome: &str) {}
-    fn event(&self, _name: &str, _detail: &str) {}
-}
-
 /// What a [`TraceEvent`] marks.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum TraceKind {
@@ -209,8 +176,10 @@ struct TraceState {
     next: u64,
 }
 
-/// An in-memory recorder: nested spans with monotonic nanosecond
-/// timestamps, drained via [`Recorder::events`].
+/// The in-memory trace sink behind [`ObsLevel::Trace`]: nested spans
+/// with monotonic nanosecond timestamps, cheap to call and shared
+/// across the pool's worker threads, drained via
+/// [`TraceRecorder::events`].
 #[derive(Debug)]
 pub struct TraceRecorder {
     start: Instant,
@@ -235,14 +204,9 @@ impl TraceRecorder {
     fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
-}
 
-impl Recorder for TraceRecorder {
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    fn enter(&self, name: &str, detail: &str) -> SpanId {
+    /// Opens a nested span; the returned id must be passed to `exit`.
+    pub fn enter(&self, name: &str, detail: &str) -> SpanId {
         let at_ns = self.now_ns();
         let tid = current_tid();
         let mut st = self.state.lock().unwrap();
@@ -262,7 +226,8 @@ impl Recorder for TraceRecorder {
         SpanId(id)
     }
 
-    fn exit(&self, id: SpanId, outcome: &str) {
+    /// Closes a span with an outcome (e.g. `pass`, `fail`, a class).
+    pub fn exit(&self, id: SpanId, outcome: &str) {
         let at_ns = self.now_ns();
         let mut st = self.state.lock().unwrap();
         let (name, depth, tid) = st.open.remove(&id.0).unwrap_or_else(|| {
@@ -281,7 +246,8 @@ impl Recorder for TraceRecorder {
         });
     }
 
-    fn event(&self, name: &str, detail: &str) {
+    /// A point event inside the current span nesting.
+    pub fn event(&self, name: &str, detail: &str) {
         let at_ns = self.now_ns();
         let tid = current_tid();
         let mut st = self.state.lock().unwrap();
@@ -296,7 +262,8 @@ impl Recorder for TraceRecorder {
         });
     }
 
-    fn events(&self) -> Vec<TraceEvent> {
+    /// The buffered trace.
+    pub fn events(&self) -> Vec<TraceEvent> {
         self.state.lock().unwrap().events.clone()
     }
 }
@@ -828,7 +795,8 @@ pub fn json_str(s: &str) -> String {
 #[derive(Clone, Debug)]
 pub struct Obs {
     level: ObsLevel,
-    recorder: Arc<dyn Recorder>,
+    /// `Some` exactly at [`ObsLevel::Trace`].
+    recorder: Option<Arc<TraceRecorder>>,
     metrics: Arc<Metrics>,
     decisions: Arc<Mutex<BTreeMap<String, LoopDecision>>>,
 }
@@ -840,38 +808,17 @@ impl Default for Obs {
 }
 
 impl Obs {
-    /// The disabled handle: no-op recorder, every call one branch.
+    /// The disabled handle: every call one branch.
     pub fn off() -> Self {
-        Obs {
-            level: ObsLevel::Off,
-            recorder: Arc::new(NoopRecorder),
-            metrics: Arc::new(Metrics::default()),
-            decisions: Arc::new(Mutex::new(BTreeMap::new())),
-        }
+        Obs::with_level(ObsLevel::Off)
     }
 
-    /// A handle at `level`, with the matching built-in recorder
-    /// (`Trace` buffers events; `Metrics`/`Off` use the no-op sink).
+    /// A handle at `level`: `Trace` buffers spans and events in a
+    /// [`TraceRecorder`]; `Metrics`/`Off` keep no stream.
     pub fn with_level(level: ObsLevel) -> Self {
-        let recorder: Arc<dyn Recorder> = match level {
-            ObsLevel::Trace => Arc::new(TraceRecorder::new()),
-            _ => Arc::new(NoopRecorder),
-        };
         Obs {
             level,
-            recorder,
-            metrics: Arc::new(Metrics::default()),
-            decisions: Arc::new(Mutex::new(BTreeMap::new())),
-        }
-    }
-
-    /// A handle at `level` with a caller-supplied recorder (custom
-    /// sinks; also how the no-op-overhead bench drives every
-    /// instrumentation call into a null sink).
-    pub fn with_recorder(level: ObsLevel, recorder: Arc<dyn Recorder>) -> Self {
-        Obs {
-            level,
-            recorder,
+            recorder: (level == ObsLevel::Trace).then(|| Arc::new(TraceRecorder::new())),
             metrics: Arc::new(Metrics::default()),
             decisions: Arc::new(Mutex::new(BTreeMap::new())),
         }
@@ -924,18 +871,15 @@ impl Obs {
     /// Opens a span (only at `Trace`); `detail` is built lazily.
     #[inline]
     pub fn span(&self, name: &str, detail: impl FnOnce() -> String) -> Option<SpanId> {
-        if self.trace_enabled() {
-            Some(self.recorder.enter(name, &detail()))
-        } else {
-            None
-        }
+        let recorder = self.recorder.as_ref()?;
+        Some(recorder.enter(name, &detail()))
     }
 
     /// Closes a span opened by [`Obs::span`].
     #[inline]
     pub fn exit_span(&self, id: Option<SpanId>, outcome: &str) {
-        if let Some(id) = id {
-            self.recorder.exit(id, outcome);
+        if let (Some(id), Some(recorder)) = (id, &self.recorder) {
+            recorder.exit(id, outcome);
         }
     }
 
@@ -952,8 +896,8 @@ impl Obs {
     /// Emits a point event (only at `Trace`); `detail` built lazily.
     #[inline]
     pub fn event(&self, name: &str, detail: impl FnOnce() -> String) {
-        if self.trace_enabled() {
-            self.recorder.event(name, &detail());
+        if let Some(recorder) = &self.recorder {
+            recorder.event(name, &detail());
         }
     }
 
@@ -962,9 +906,9 @@ impl Obs {
         self.metrics.snapshot()
     }
 
-    /// The buffered trace (empty unless the recorder keeps one).
+    /// The buffered trace (empty below [`ObsLevel::Trace`]).
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.recorder.events()
+        self.recorder.as_ref().map_or_else(Vec::new, |r| r.events())
     }
 
     /// Stores (or replaces) a decision under its label — and under its

@@ -39,7 +39,7 @@ pub use civ::extract_slice;
 pub use exec::{ExecOutcome, ExecPlan, RunStats};
 pub use inspector::{inspect, inspect_execute, InspectVerdict};
 pub use lrpd::LrpdOutcome;
-pub use merge::{clone_buf, copy_back, identity_buf, merge_into, merge_into_boxed};
+pub use merge::{clone_buf, copy_back, identity_buf, merge_into};
 pub use pool::parallel_chunks;
 pub use session::compat::*;
 pub use session::{ConfigError, LoopJob, Session, SessionBuilder, SessionConfig};

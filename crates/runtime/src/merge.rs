@@ -2,7 +2,7 @@
 //!
 //! Buffered reductions, privatized copy-in and last-value copy-back
 //! all move whole arrays between a thread's private buffer and the
-//! shared one. Doing that element-wise through boxed [`Value`]s — as
+//! shared one. Doing that element-wise through boxed `Value`s — as
 //! the first executor did — has two costs: every element pays an
 //! enum-dispatch, and, worse, an `f64` round-trip silently corrupts
 //! `Ty::Int` buffers (sums lose bits above 2^53, MIN/MAX identities
@@ -21,13 +21,13 @@
 //! order; `f64` merges are deterministic given the deterministic chunk
 //! partition.
 //!
-//! [`merge_into_boxed`] keeps the corrected element-wise reference:
-//! the differential tests pin `merge_into` against it, and `bench_vm`'s
-//! `reduction_results` block measures the flat kernels' win over it.
+//! The unit tests pin [`merge_into`] against the corrected
+//! element-wise reference (`merge_into_boxed`, test-only);
+//! `bench_e2e`'s `runtime.merge_us` times the flat kernels.
 
 use std::sync::Arc;
 
-use lip_ir::{ArrayBuf, BinOp, Ty, Value};
+use lip_ir::{ArrayBuf, BinOp, Ty};
 
 /// The per-thread starting buffer for a buffered reduction: every cell
 /// holds the operator's identity *in the buffer's own type*. The
@@ -150,33 +150,32 @@ pub fn merge_into(shared: &ArrayBuf, private: &ArrayBuf, op: BinOp) {
     }
 }
 
-/// The element-wise boxed reference for [`merge_into`]: one
-/// [`Value`]-typed merge per element through the shared [`ArrayBuf`]
-/// API. Correct (it dispatches on the element values, so Int buffers
-/// merge in `i64`), but a scalar enum-dispatch per element — the
-/// differential tests pin the flat kernels against it and the bench
-/// quantifies the gap.
-pub fn merge_into_boxed(shared: &ArrayBuf, private: &ArrayBuf, op: BinOp) {
-    for idx in 0..shared.len() {
-        let (a, b) = (shared.get(idx), private.get(idx));
-        let int_mode = matches!((a, b), (Value::Int(_), Value::Int(_)));
-        let merged = match op {
-            BinOp::Mul => lip_ir::apply_bin(BinOp::Mul, a, b),
-            BinOp::Lt => lip_ir::apply_intrinsic(lip_ir::Intrinsic::Min, &[a, b]),
-            BinOp::Gt => lip_ir::apply_intrinsic(lip_ir::Intrinsic::Max, &[a, b]),
-            _ => lip_ir::apply_bin(BinOp::Add, a, b),
-        };
-        debug_assert_eq!(int_mode, matches!(merged, Value::Int(_)));
-        shared.set(idx, merged);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lip_ir::Value;
 
     fn ops() -> [BinOp; 4] {
         [BinOp::Add, BinOp::Mul, BinOp::Lt, BinOp::Gt]
+    }
+
+    /// The element-wise boxed reference for [`merge_into`]: one
+    /// [`Value`]-typed merge per element through the shared [`ArrayBuf`]
+    /// API. Correct (it dispatches on the element values, so Int buffers
+    /// merge in `i64`), but a scalar enum-dispatch per element.
+    fn merge_into_boxed(shared: &ArrayBuf, private: &ArrayBuf, op: BinOp) {
+        for idx in 0..shared.len() {
+            let (a, b) = (shared.get(idx), private.get(idx));
+            let int_mode = matches!((a, b), (Value::Int(_), Value::Int(_)));
+            let merged = match op {
+                BinOp::Mul => lip_ir::apply_bin(BinOp::Mul, a, b),
+                BinOp::Lt => lip_ir::apply_intrinsic(lip_ir::Intrinsic::Min, &[a, b]),
+                BinOp::Gt => lip_ir::apply_intrinsic(lip_ir::Intrinsic::Max, &[a, b]),
+                _ => lip_ir::apply_bin(BinOp::Add, a, b),
+            };
+            debug_assert_eq!(int_mode, matches!(merged, Value::Int(_)));
+            shared.set(idx, merged);
+        }
     }
 
     /// The flat kernels must match the boxed reference bit-for-bit, in

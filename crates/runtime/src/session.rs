@@ -3,9 +3,9 @@
 //! The paper's pipeline (analyze → cascade predicates → parallel
 //! execute → simulate) is exposed as methods on a [`Session`]: a
 //! builder owns **all** configuration ([`SessionConfig`]: pool width,
-//! predicate fork threshold, spawn cost, fission, observer, analysis
-//! options) plus the shared mutable state — the per-machine compile
-//! caches and the [`lip_pred::PredEngine`] with its verdict memo.
+//! predicate fork threshold, fission, observer, analysis options) plus
+//! the shared mutable state — the per-machine compile caches and the
+//! [`lip_pred::PredEngine`] with its verdict memo.
 //!
 //! There is one execution path: loops run as fused `lip_vm` bytecode,
 //! cascade predicates on the compiled `lip_pred` engine. The
@@ -29,7 +29,6 @@
 //! let session = Session::builder()
 //!     .nthreads(8)
 //!     .par_min(1024)
-//!     .spawn_cost(4_000)
 //!     .build();
 //! assert_eq!(session.config().nthreads, 8);
 //! ```
@@ -58,9 +57,6 @@ pub struct SessionConfig {
     /// Trip-count threshold past which quantified O(N) predicate
     /// stages fork across the pool (`LIP_PRED_PAR_MIN`; must be ≥ 1).
     pub par_min: i64,
-    /// Work units charged per parallel-region spawn by the cost-model
-    /// simulator ([`crate::Session::simulate`]).
-    pub spawn_cost: u64,
     /// Loop-fission rescue pass (`LIP_FISSION`; default on). Governs
     /// both sides of the seam: [`Session::analyze`] plans distribution
     /// for cascade-fail loops, and [`Session::run_loop`] honors those
@@ -88,7 +84,6 @@ impl Default for SessionConfig {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
             par_min: lip_pred::engine::DEFAULT_PAR_MIN,
-            spawn_cost: 4_000,
             fission: true,
             obs: ObsLevel::Off,
             analysis: AnalysisConfig::default(),
@@ -170,16 +165,15 @@ impl SessionConfig {
     /// A stable rendering of every field that changes which warm
     /// [`Session`] can serve a request — the shard key a session pool
     /// (`lip_serve`) buckets by. Two configs with equal shard keys are
-    /// interchangeable: same pool width, fork threshold, spawn cost,
-    /// fission setting and observability level. The analysis options
+    /// interchangeable: same pool width, fork threshold, fission
+    /// setting and observability level. The analysis options
     /// are not rendered: the serve layer constructs sessions only from
     /// the wire-configurable fields, which this key covers completely.
     pub fn shard_key(&self) -> String {
         format!(
-            "nthreads={} par_min={} spawn_cost={} fission={} obs={}",
+            "nthreads={} par_min={} fission={} obs={}",
             self.nthreads,
             self.par_min,
-            self.spawn_cost,
             if self.fission { "on" } else { "off" },
             self.obs,
         )
@@ -215,7 +209,6 @@ fn parse_par_min(value: &str) -> Result<i64, String> {
 #[derive(Clone, Debug, Default)]
 pub struct SessionBuilder {
     cfg: SessionConfig,
-    recorder: Option<std::sync::Arc<dyn lip_obs::Recorder>>,
 }
 
 impl SessionBuilder {
@@ -231,13 +224,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn par_min(mut self, par_min: i64) -> SessionBuilder {
         self.cfg.par_min = par_min.max(1);
-        self
-    }
-
-    /// Simulator work units charged per parallel-region spawn.
-    #[must_use]
-    pub fn spawn_cost(mut self, spawn_cost: u64) -> SessionBuilder {
-        self.cfg.spawn_cost = spawn_cost;
         self
     }
 
@@ -262,23 +248,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Like [`SessionBuilder::observer`], but sinks spans and events
-    /// into a custom [`lip_obs::Recorder`] instead of the default
-    /// in-memory trace buffer. The metrics registry and decision store
-    /// are unaffected. A [`lip_obs::NoopRecorder`] here exercises every
-    /// instrumentation call site while discarding the stream — the
-    /// configuration the no-op overhead benchmark measures.
-    #[must_use]
-    pub fn observer_recorder(
-        mut self,
-        level: ObsLevel,
-        recorder: std::sync::Arc<dyn lip_obs::Recorder>,
-    ) -> SessionBuilder {
-        self.cfg.obs = level;
-        self.recorder = Some(recorder);
-        self
-    }
-
     /// Static-analysis options used by [`Session::analyze`].
     #[must_use]
     pub fn analysis(mut self, analysis: AnalysisConfig) -> SessionBuilder {
@@ -296,13 +265,9 @@ impl SessionBuilder {
 
     /// Finishes the builder.
     pub fn build(self) -> Session {
-        let obs = match self.recorder {
-            Some(r) => Obs::with_recorder(self.cfg.obs, r),
-            None => Obs::with_level(self.cfg.obs),
-        };
         Session {
+            obs: Obs::with_level(self.cfg.obs),
             cfg: self.cfg,
-            obs,
             caches: Mutex::new(Vec::new()),
         }
     }
@@ -485,9 +450,9 @@ impl Session {
 
     /// Runs a batch of loops through one session, reusing compiled
     /// programs, lowered blocks and predicate verdict memos across
-    /// jobs (the warm-session path `bench_vm` tracks as
-    /// `session_reuse`). Returns one [`RunStats`] per job, in order;
-    /// the first error aborts the rest of the batch.
+    /// jobs (the warm path whose saving `bench_e2e` reports as
+    /// `runtime.cache_cold_us`). Returns one [`RunStats`] per job, in
+    /// order; the first error aborts the rest of the batch.
     ///
     /// # Errors
     ///
@@ -586,8 +551,7 @@ impl Session {
     /// Executes the loop once sequentially (mutating `frame`, so
     /// program state stays correct for whatever follows) and derives
     /// the simulated parallel timing on `spec.procs` virtual
-    /// processors, charging this session's `spawn_cost` per
-    /// parallel-region spawn.
+    /// processors, charging `spec.spawn` per parallel-region spawn.
     ///
     /// # Errors
     ///
@@ -602,7 +566,7 @@ impl Session {
     ) -> Result<SimResult, RunError> {
         let per_iter = self.per_iteration_costs(machine, sub, target, frame)?;
         let seq_units: u64 = per_iter.iter().sum();
-        let spawn = self.cfg.spawn_cost;
+        let spawn = spec.spawn;
         let test_units = if spec.parallel_test {
             crate::sim::charged_test_units(spec.test_seq_units, spec.procs, spawn)
         } else {
@@ -695,13 +659,11 @@ mod tests {
         let s = Session::builder()
             .nthreads(3)
             .par_min(64)
-            .spawn_cost(123)
             .fission(false)
             .build();
         let c = s.config();
         assert_eq!(c.nthreads, 3);
         assert_eq!(c.par_min, 64);
-        assert_eq!(c.spawn_cost, 123);
         assert!(!c.fission);
         // Fission is on by default.
         assert!(SessionConfig::default().fission);
@@ -797,7 +759,7 @@ mod tests {
         fission_off.fission = false;
         assert_ne!(base.shard_key(), fission_off.shard_key());
         // The key renders every wire-configurable field by name.
-        for field in ["nthreads=", "par_min=", "spawn_cost=", "fission=", "obs="] {
+        for field in ["nthreads=", "par_min=", "fission=", "obs="] {
             assert!(base.shard_key().contains(field), "{}", base.shard_key());
         }
     }

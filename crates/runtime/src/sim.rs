@@ -17,13 +17,14 @@ use crate::backend::{exec_stmt_seq, machine_tracer, CompiledBody, ExecEnv};
 use crate::pool::chunk_bounds;
 
 /// What to simulate for one loop ([`crate::Session::simulate`]): the
-/// virtual processor count plus the runtime-test charge. The spawn
-/// overhead comes from the session's `spawn_cost` — configuration, not
-/// a per-call argument.
+/// virtual machine (processor count, spawn overhead) plus the
+/// runtime-test charge.
 #[derive(Copy, Clone, Debug)]
 pub struct SimSpec {
     /// Number of virtual processors.
     pub procs: usize,
+    /// Work units charged per parallel-region spawn.
+    pub spawn: u64,
     /// Sequential cost of the runtime tests (cascade stages evaluated
     /// + CIV slices).
     pub test_seq_units: u64,
@@ -39,6 +40,7 @@ impl Default for SimSpec {
     fn default() -> SimSpec {
         SimSpec {
             procs: 4,
+            spawn: 4_000,
             test_seq_units: 0,
             parallel_test: false,
             run_parallel: true,
@@ -232,9 +234,7 @@ END
         let mut frame = Store::new();
         frame.set_int(sym("N"), 20_000);
         frame.alloc_real(sym("A"), 20_000);
-        let r = Session::builder()
-            .spawn_cost(1_000)
-            .build()
+        let r = Session::default()
             .simulate(
                 &machine,
                 &sub,
@@ -242,6 +242,7 @@ END
                 &mut frame,
                 SimSpec {
                     procs: 4,
+                    spawn: 1_000,
                     ..SimSpec::default()
                 },
             )
@@ -272,9 +273,7 @@ END
         let mut frame = Store::new();
         frame.set_int(sym("N"), 16);
         frame.alloc_real(sym("A"), 16);
-        let r = Session::builder()
-            .spawn_cost(4_000)
-            .build()
+        let r = Session::default()
             .simulate(
                 &machine,
                 &sub,
@@ -282,6 +281,7 @@ END
                 &mut frame,
                 SimSpec {
                     procs: 4,
+                    spawn: 4_000,
                     ..SimSpec::default()
                 },
             )

@@ -116,8 +116,8 @@ fn parse_at_least_one(value: &str) -> Result<usize, String> {
 
 /// Builds a [`SessionConfig`] from a request's raw `config` pairs.
 /// Every pair routes through the strict parsers: [`SessionConfig::apply`]
-/// (wire key `fission` → `LIP_FISSION`, and so on) plus the two
-/// builder-only numeric fields `nthreads` and `spawn_cost`.
+/// (wire key `fission` → `LIP_FISSION`, and so on) plus the
+/// builder-only numeric field `nthreads`.
 ///
 /// # Errors
 ///
@@ -141,21 +141,12 @@ pub fn session_config_from_pairs(
                     .map_err(|e| (ErrCode::ConfigError, format!("nthreads: {e}")))?;
                 continue;
             }
-            "spawn_cost" => {
-                cfg.spawn_cost = value.parse::<u64>().map_err(|_| {
-                    (
-                        ErrCode::ConfigError,
-                        format!("spawn_cost: not an integer: `{value}`"),
-                    )
-                })?;
-                continue;
-            }
             other => {
                 return Err((
                     ErrCode::ConfigError,
                     format!(
-                        "unknown config `{other}: {value}` (expected par_min, fission, obs, \
-                         nthreads or spawn_cost)"
+                        "unknown config `{other}: {value}` (expected par_min, fission, obs \
+                         or nthreads)"
                     ),
                 ))
             }
@@ -245,13 +236,11 @@ mod tests {
             ("fission".into(), "off".into()),
             ("obs".into(), "metrics".into()),
             ("nthreads".into(), "2".into()),
-            ("spawn_cost".into(), "777".into()),
         ])
         .expect("valid");
         assert_eq!(cfg.par_min, 64);
         assert!(!cfg.fission);
         assert_eq!(cfg.nthreads, 2);
-        assert_eq!(cfg.spawn_cost, 777);
 
         // Typos and retired values: config_error naming the value.
         for (key, value) in [
@@ -260,6 +249,7 @@ mod tests {
             ("opt", "none"),
             ("pred", "tree"),
             ("bakend", "vm"),
+            ("spawn_cost", "777"),
             ("nthreads", "0"),
         ] {
             let (code, detail) =

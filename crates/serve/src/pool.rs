@@ -16,7 +16,7 @@
 //! only the loops whose analysis inputs actually changed are
 //! re-analyzed; untouched loops skip straight to execution. Batches of
 //! compatible requests drain through [`Session::run_many`], the warm
-//! path the `session_reuse` bench tracks.
+//! path `bench_e2e`'s `serve_mix` `hit` row runs.
 
 use std::collections::HashMap;
 use std::rc::Rc;

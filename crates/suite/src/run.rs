@@ -298,8 +298,8 @@ pub fn measure_loop(
         // as parallel with a test as expensive as one sequential pass.
         LoopClass::NeedsFallback(_) => true,
         // Fissioned loops are partial wins: the tables' PAR/SEQ column
-        // stays conservative (SEQ) here; `bench_vm`'s fission_results
-        // section reports the rescued fraction per fragment.
+        // stays conservative (SEQ) here; `Session::explain` reports
+        // the rescued fraction per fragment.
         LoopClass::Fissioned { .. } => false,
     };
 

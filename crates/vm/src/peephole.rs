@@ -1,11 +1,12 @@
 //! Superinstruction peephole pass over compiled chunks.
 //!
-//! `BENCH_vm.json` shows the dispatch loop is the bytecode backend's
-//! hot path: once per-node accounting and `HashMap` lookups are gone,
-//! most of a kernel's wall-clock is the `match` in [`crate::vm`]
-//! turning over short, highly regular instruction sequences. This pass
-//! rewrites a compiled [`Chunk`] after the fact, fusing those dominant
-//! sequences into the dedicated superinstructions of [`crate::chunk`]:
+//! The dispatch loop is the bytecode backend's hot path (`bench_e2e`'s
+//! `vm.seq_exec_ms` / `vm.ns_per_unit`): once per-node accounting and
+//! `HashMap` lookups are gone, most of a kernel's wall-clock is the
+//! `match` in [`crate::vm`] turning over short, highly regular
+//! instruction sequences. This pass rewrites a compiled [`Chunk`]
+//! after the fact, fusing those dominant sequences into the dedicated
+//! superinstructions of [`crate::chunk`]:
 //!
 //! * `Charge + LoadScalar + Bin` (and the scalar/scalar, reg/const,
 //!   reg/element operand shapes) → `FusedBin*`,
@@ -44,7 +45,8 @@
 //! cache applies the pass once per machine. The compiler's raw stream
 //! stays reachable by calling [`crate::compile_program`] without
 //! [`optimize_program`], which is how the differential suites and
-//! `bench_vm` compare the two.
+//! `bench_e2e` (`vm.ops_unfused` against `vm.ops_fused`) compare the
+//! two.
 
 use crate::chunk::{BlockId, Chunk, CompiledProgram, DimCode, Op};
 

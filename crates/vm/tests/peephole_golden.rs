@@ -1,6 +1,6 @@
 //! Golden fused-stream tests: the exact superinstruction streams the
-//! peephole pass produces for the six hot suite kernels (the loops
-//! `bench_vm` measures). An accidental fusion regression — a rule that
+//! peephole pass produces for the six hot suite kernels (loops
+//! `bench_e2e`'s `hot_*` workloads run). An accidental fusion regression — a rule that
 //! stops firing, a pattern that over-matches — shows up here as a
 //! readable line diff instead of a silent perf cliff.
 //!

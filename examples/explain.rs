@@ -11,8 +11,7 @@
 //! verdict and charged units, the fission rescue plan with its
 //! parallel/sequential fragments and rescued work fraction, and the
 //! executor that finally ran the loop. Finishes with the session's
-//! aggregate metrics snapshot, the same data `BENCH_vm.json` exports
-//! in its `obs_results` block.
+//! aggregate metrics snapshot.
 
 use lip::obs::ObsLevel;
 use lip::runtime::LoopJob;
