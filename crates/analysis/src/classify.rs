@@ -9,8 +9,10 @@
 //! (privatization, last value, reductions, CIV, BOUNDS-COMP) that the
 //! paper's Tables 1–3 report per benchmark.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use lip_core::{complexity, ArrayExtent, Cascade, FactorConfig, Factorizer, Pdag, PredCtx};
 use lip_ir::{BinOp, Program, Stmt, Subroutine};
@@ -197,6 +199,33 @@ pub struct LoopAnalysis {
     /// [`LoopClass::Predicated`] it is the backup used when the exact
     /// test reports genuine dependences.
     pub fission: Option<std::rc::Rc<crate::fission::FissionPlan>>,
+    /// [`LoopAnalysis::exact_key`], on first use.
+    exact_key: OnceCell<ExactKey>,
+}
+
+/// What the runtime memoizes the exact test's verdict under: `ind_usr`
+/// rendered, and the symbols whose bindings it reads.
+#[derive(Clone, Debug)]
+pub struct ExactKey {
+    /// The USR's rendering (structural, so equal keys denote equal
+    /// sets), marked so it cannot meet a predicate's in a shared table.
+    pub key: Arc<str>,
+    /// `Usr::free_syms()` — scalars and index arrays alike; which is
+    /// which is the frame's to say.
+    pub syms: Vec<Sym>,
+}
+
+impl LoopAnalysis {
+    /// The memo key of the exact test over [`LoopAnalysis::ind_usr`],
+    /// computed once per analysis (as `Stage::key` is per stage) and
+    /// only if the executor ever gets that far.
+    pub fn exact_key(&self) -> Option<&ExactKey> {
+        let u = self.ind_usr.as_ref()?;
+        Some(self.exact_key.get_or_init(|| ExactKey {
+            key: format!("exact {u}").into(),
+            syms: u.free_syms().into_iter().collect(),
+        }))
+    }
 }
 
 /// Options controlling the analysis (ablation switches).
@@ -338,6 +367,7 @@ pub(crate) fn analyze_do(
                 scalar_reductions: Vec::new(),
                 ind_usr: None,
                 fission: None,
+                exact_key: OnceCell::new(),
             });
         }
     }
@@ -514,7 +544,11 @@ fn classify(
                 &mut techniques,
             );
             let pred = prove_empty(cx, &mut Factorizer::new(fcfg), &oind);
-            let cascade = cascade_of(cx, &pred);
+            let mut cascade = cascade_of(cx, &pred);
+            // Same bound as the loop-level cascade below (§3.6): past
+            // O(N) the fallback is cheaper — here the buffered merge,
+            // O(extent), which no O(N²) scan beats at size.
+            cascade.stages.retain(|s| s.complexity <= 1);
             mark_monotonicity(&cascade, &mut techniques);
             // Statically-independent reductions update shared storage
             // directly; only buffered reductions with unknown extents
@@ -735,6 +769,7 @@ fn classify(
         scalar_reductions,
         ind_usr: (!exact_usrs.is_empty()).then(|| Usr::union_all(exact_usrs)),
         fission: None,
+        exact_key: OnceCell::new(),
     }
 }
 

@@ -22,8 +22,8 @@ pub mod symbridge;
 
 pub use baseline::baseline_parallel;
 pub use classify::{
-    analyze_loop, AnalysisConfig, ArrayPlan, FallbackKind, LastValue, LoopAnalysis, LoopClass,
-    RedKind, Technique,
+    analyze_loop, AnalysisConfig, ArrayPlan, ExactKey, FallbackKind, LastValue, LoopAnalysis,
+    LoopClass, RedKind, Technique,
 };
 pub use fission::{fragment_rescuable, FissionFragment, FissionPlan};
 pub use summarize::{ArrayFacts, ScopeSummary, Summarizer};

@@ -493,11 +493,18 @@ pub struct FragmentReport {
     pub parallel: bool,
     /// Work units the fragment accounts for.
     pub units: u64,
+    /// Work units charged to the fragment's own runtime tests (CIV
+    /// slice, cascade stages, exact test).
+    pub test_units: u64,
     /// The fragment's own cascade stages, in the order tried (empty
     /// when the fragment was decided statically).
     pub stages: Vec<StageReport>,
     /// Verdict of the fragment's hoisted exact USR test, when it ran.
     pub exact_test: Option<bool>,
+    /// Work units that exact test counted (charged on hit and miss).
+    pub exact_units: u64,
+    /// Whether its verdict came out of the session's memo.
+    pub exact_memo_hit: bool,
 }
 
 /// The fission rescue as planned and executed for one loop.
@@ -541,6 +548,10 @@ pub struct LoopDecision {
     pub passed_stage: Option<usize>,
     /// Verdict of the hoisted exact USR test, when it ran.
     pub exact_test: Option<bool>,
+    /// Work units that exact test counted (charged on hit and miss).
+    pub exact_units: u64,
+    /// Whether its verdict came out of the session's memo.
+    pub exact_memo_hit: bool,
     /// The fission rescue, when a plan existed.
     pub fission: Option<FissionReport>,
     /// The executor finally chosen (`parallel`, `sequential`,
@@ -562,6 +573,8 @@ impl LoopDecision {
             stages: Vec::new(),
             passed_stage: None,
             exact_test: None,
+            exact_units: 0,
+            exact_memo_hit: false,
             fission: None,
             executor: String::new(),
             test_units: 0,
@@ -600,11 +613,8 @@ impl LoopDecision {
                 out.push('\n');
             }
         }
-        if let Some(v) = self.exact_test {
-            out.push_str(&format!(
-                "  exact USR test: {}\n",
-                if v { "independent" } else { "dependent" }
-            ));
+        if let Some(line) = exact_line(self.exact_test, self.exact_units, self.exact_memo_hit) {
+            out.push_str(&format!("  {line}\n"));
         }
         if let Some(f) = &self.fission {
             out.push_str(&format!(
@@ -652,18 +662,19 @@ impl LoopDecision {
                     }
                     out.push('\n');
                 }
-                if let Some(v) = fr.exact_test {
-                    out.push_str(&format!(
-                        "      exact USR test: {}\n",
-                        if v { "independent" } else { "dependent" }
-                    ));
+                if let Some(line) = exact_line(fr.exact_test, fr.exact_units, fr.exact_memo_hit) {
+                    out.push_str(&format!("      {line}\n"));
                 }
+                out.push_str(&format!(
+                    "      {}\n",
+                    test_to_loop_line(fr.test_units, fr.units)
+                ));
             }
         }
         out.push_str(&format!("  executor: {}\n", self.executor));
         out.push_str(&format!(
-            "  work: {} test units, {} loop units\n",
-            self.test_units, self.loop_units
+            "  {}\n",
+            test_to_loop_line(self.test_units, self.loop_units)
         ));
         out
     }
@@ -683,13 +694,9 @@ impl LoopDecision {
             out.push_str(&stage_json(s));
         }
         out.push_str(&format!(
-            "], \"passed_stage\": {}, \"exact_test\": {}, \"fission\": ",
+            "], \"passed_stage\": {}, {}, \"fission\": ",
             opt_num(self.passed_stage),
-            match self.exact_test {
-                Some(true) => "\"independent\"",
-                Some(false) => "\"dependent\"",
-                None => "null",
-            }
+            exact_json(self.exact_test, self.exact_units, self.exact_memo_hit)
         ));
         match &self.fission {
             None => out.push_str("null"),
@@ -714,11 +721,12 @@ impl LoopDecision {
                     };
                     out.push_str(&format!(
                         "{{\"label\": {}, \"class\": {}, \"parallel\": {}, \"units\": {}, \
-                         \"share\": {:.3}, \"stages\": [",
+                         \"test_units\": {}, \"share\": {:.3}, \"stages\": [",
                         json_str(&fr.label),
                         json_str(&fr.class),
                         fr.parallel,
                         fr.units,
+                        fr.test_units,
                         share
                     ));
                     for (j, s) in fr.stages.iter().enumerate() {
@@ -728,12 +736,8 @@ impl LoopDecision {
                         out.push_str(&stage_json(s));
                     }
                     out.push_str(&format!(
-                        "], \"exact_test\": {}}}",
-                        match fr.exact_test {
-                            Some(true) => "\"independent\"",
-                            Some(false) => "\"dependent\"",
-                            None => "null",
-                        }
+                        "], {}}}",
+                        exact_json(fr.exact_test, fr.exact_units, fr.exact_memo_hit)
                     ));
                 }
                 out.push_str("]}");
@@ -747,6 +751,50 @@ impl LoopDecision {
         ));
         out
     }
+}
+
+/// The `exact USR test: …` line of a loop or fragment report, when
+/// the test ran (a verdict, or units spent without reaching one).
+fn exact_line(verdict: Option<bool>, units: u64, memo_hit: bool) -> Option<String> {
+    let word = match verdict {
+        Some(true) => "independent",
+        Some(false) => "dependent",
+        None if units > 0 => "undecided",
+        None => return None,
+    };
+    let memo = if memo_hit { "hit" } else { "miss" };
+    Some(format!(
+        "exact USR test: {word} ({units} units, memo {memo})"
+    ))
+}
+
+/// `test : loop = T : L units (r)` — what the runtime tests cost next to
+/// the work they guarded.
+fn test_to_loop_line(test_units: u64, loop_units: u64) -> String {
+    let ratio = if loop_units == 0 {
+        "-".to_owned()
+    } else {
+        format!("{:.2}", test_units as f64 / loop_units as f64)
+    };
+    format!("test : loop = {test_units} : {loop_units} units ({ratio})")
+}
+
+/// The three exact-test members of a loop or fragment JSON object.
+fn exact_json(verdict: Option<bool>, units: u64, memo_hit: bool) -> String {
+    let ran = verdict.is_some() || units > 0;
+    format!(
+        "\"exact_test\": {}, \"exact_units\": {units}, \"exact_memo\": {}",
+        match verdict {
+            Some(true) => "\"independent\"",
+            Some(false) => "\"dependent\"",
+            None => "null",
+        },
+        match (ran, memo_hit) {
+            (false, _) => "null",
+            (true, true) => "\"hit\"",
+            (true, false) => "\"miss\"",
+        }
+    )
 }
 
 fn opt_num(v: Option<usize>) -> String {
@@ -1075,6 +1123,9 @@ mod tests {
             verdict: Some(false),
         });
         d.exact_test = Some(true);
+        d.exact_units = 12;
+        d.test_units = 54;
+        d.loop_units = 100;
         d.fission = Some(FissionReport {
             fragments: vec![
                 FragmentReport {
@@ -1082,6 +1133,7 @@ mod tests {
                     class: "NeedsFallback(HoistUsr)".into(),
                     parallel: true,
                     units: 50,
+                    test_units: 16,
                     stages: vec![StageReport {
                         index: 0,
                         complexity: 0,
@@ -1090,14 +1142,19 @@ mod tests {
                         verdict: Some(true),
                     }],
                     exact_test: Some(true),
+                    exact_units: 9,
+                    exact_memo_hit: true,
                 },
                 FragmentReport {
                     label: "do20~f1".into(),
                     class: "StaticSequential".into(),
                     parallel: false,
                     units: 50,
+                    test_units: 0,
                     stages: Vec::new(),
                     exact_test: None,
+                    exact_units: 0,
+                    exact_memo_hit: false,
                 },
             ],
             rescued_units: 50,
@@ -1116,12 +1173,23 @@ mod tests {
             text.contains("do20~f0 [NeedsFallback(HoistUsr)]: parallel (50 units, 0.50 of loop)")
         );
         assert!(text.contains("      stage 0 [O(1)] cost 7 units: PASS   frag hull check"));
-        assert!(text.contains("      exact USR test: independent"));
+        assert!(text.contains("\n  exact USR test: independent (12 units, memo miss)\n"));
+        assert!(text.contains("      exact USR test: independent (9 units, memo hit)\n"));
+        assert!(text.contains("      test : loop = 16 : 50 units (0.32)\n"));
+        assert!(text.contains("      test : loop = 0 : 50 units (0.00)\n"));
+        assert!(text.ends_with("  test : loop = 54 : 100 units (0.54)\n"));
         let json = got.to_json();
         assert!(json.contains("\"verdict\": \"fail\""));
         assert!(json.contains("\"rescued_fraction\": 0.500"));
         assert!(json.contains("\"parallel_fragments\": 1"));
-        assert!(json.contains("\"exact_test\": \"independent\""));
+        assert!(json.contains(
+            "\"exact_test\": \"independent\", \"exact_units\": 12, \"exact_memo\": \"miss\""
+        ));
+        assert!(json.contains(
+            "\"exact_test\": \"independent\", \"exact_units\": 9, \"exact_memo\": \"hit\""
+        ));
+        assert!(json.contains("\"exact_test\": null, \"exact_units\": 0, \"exact_memo\": null"));
+        assert!(json.contains("\"test_units\": 16"));
         assert!(json.contains("\"share\": 0.500"));
         assert!(json.contains("\"cost_units\": 7"));
     }

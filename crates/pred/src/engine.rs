@@ -11,7 +11,10 @@
 //! * **evaluation** — stage verdicts are memoized against a fingerprint
 //!   of the loop-invariant inputs the predicate reads (its free scalars
 //!   and the contents of the arrays it indexes), so re-invoking the
-//!   same loop on unchanged inputs skips the O(N) re-test entirely.
+//!   same loop on unchanged inputs skips the O(N) re-test entirely. The
+//!   exact USR test (`lip_usr::exact`, the cascade's last resort) files
+//!   its verdict *and* the units it counted in the same memo
+//!   ([`PredEngine::exact_memo`]) — the "hoist" of HOIST-USR.
 //!
 //! Memoization is a *wall-clock* optimization only: charged work units
 //! (`Pdag::eval_cost`) are accounted identically on hits and misses, so
@@ -44,6 +47,10 @@ pub struct EngineStats {
     pub evals: u64,
     /// Result-memo hits (evaluation skipped).
     pub memo_hits: u64,
+    /// Exact USR tests evaluated ([`PredEngine::exact_memo`] misses).
+    pub exact_evals: u64,
+    /// Exact USR tests answered from the memo.
+    pub exact_memo_hits: u64,
 }
 
 #[derive(Default)]
@@ -52,6 +59,8 @@ struct Counters {
     program_hits: AtomicU64,
     evals: AtomicU64,
     memo_hits: AtomicU64,
+    exact_evals: AtomicU64,
+    exact_memo_hits: AtomicU64,
 }
 
 /// Bound on memoized verdicts. Workloads whose inputs change every
@@ -66,8 +75,13 @@ const RESULT_MEMO_CAP: usize = 4096;
 /// `SessionConfig::from_env`, the single environment seam).
 pub const DEFAULT_PAR_MIN: i64 = 1024;
 
-/// (predicate rendering, 128-bit input fingerprint, iteration budget).
+/// (test rendering, 128-bit input fingerprint, iteration / unit budget).
 type VerdictKey = (Arc<str>, u128, u64);
+
+/// A memoized answer and the work units finding it counted. A cascade
+/// stage files 0: its charge is `Pdag::eval_cost`, which the caller
+/// computes from the bindings, hit or miss.
+type Verdict = (Option<bool>, u64);
 
 /// The per-machine predicate engine.
 pub struct PredEngine {
@@ -76,7 +90,7 @@ pub struct PredEngine {
     /// cascade stage renders itself once — `Stage::key`).
     programs: RwLock<HashMap<Arc<str>, Option<Arc<PredProgram>>>>,
     /// Memoized verdicts.
-    results: Mutex<HashMap<VerdictKey, Option<bool>>>,
+    results: Mutex<HashMap<VerdictKey, Verdict>>,
     par_min: i64,
     stats: Counters,
     /// Observability handle (shared with the owning session): engine
@@ -132,6 +146,8 @@ impl PredEngine {
             program_hits: self.stats.program_hits.load(Ordering::Relaxed),
             evals: self.stats.evals.load(Ordering::Relaxed),
             memo_hits: self.stats.memo_hits.load(Ordering::Relaxed),
+            exact_evals: self.stats.exact_evals.load(Ordering::Relaxed),
+            exact_memo_hits: self.stats.exact_memo_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -284,25 +300,62 @@ impl PredEngine {
         fp: Option<u128>,
     ) -> Option<bool> {
         let key = fp.map(|f| (pred_key, f, iter_limit));
+        let ((verdict, _), hit) = self.memoized(key, || {
+            let verdict = eval_compiled_obs(
+                prog,
+                ctx,
+                iter_limit,
+                EvalParams {
+                    nthreads: nthreads.max(1),
+                    par_min: self.par_min,
+                },
+                self.obs_opt(),
+            );
+            (verdict, 0)
+        });
+        let (counter, name) = if hit {
+            (&self.stats.memo_hits, "pred.memo_hits")
+        } else {
+            (&self.stats.evals, "pred.evals")
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.obs.count(name, 1);
+        verdict
+    }
+
+    /// The exact USR test's way into the verdict memo: the verdict and
+    /// units filed under `(key, fingerprint, budget)`, or `eval`'s,
+    /// filed now. Returns them with whether it was a hit — the units
+    /// are the evaluation's own count either way, so a caller charges
+    /// the same on hit and miss. Counted in
+    /// [`EngineStats::exact_evals`] / [`EngineStats::exact_memo_hits`].
+    pub fn exact_memo(
+        &self,
+        key: &Arc<str>,
+        fingerprint: u128,
+        budget: u64,
+        eval: impl FnOnce() -> (Option<bool>, u64),
+    ) -> ((Option<bool>, u64), bool) {
+        let (verdict, hit) = self.memoized(Some((key.clone(), fingerprint, budget)), eval);
+        let counter = if hit {
+            &self.stats.exact_memo_hits
+        } else {
+            &self.stats.exact_evals
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (verdict, hit)
+    }
+
+    /// The one entry point of the verdict memo: the answer filed under
+    /// `key`, or `eval`'s, filed now (`None`: not memoizable, just
+    /// evaluate). The lock is not held while `eval` runs.
+    fn memoized(&self, key: Option<VerdictKey>, eval: impl FnOnce() -> Verdict) -> (Verdict, bool) {
         if let Some(key) = &key {
             if let Some(hit) = self.results.lock().expect("engine lock").get(key) {
-                self.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
-                self.obs.count("pred.memo_hits", 1);
-                return *hit;
+                return (*hit, true);
             }
         }
-        self.stats.evals.fetch_add(1, Ordering::Relaxed);
-        self.obs.count("pred.evals", 1);
-        let verdict = eval_compiled_obs(
-            prog,
-            ctx,
-            iter_limit,
-            EvalParams {
-                nthreads: nthreads.max(1),
-                par_min: self.par_min,
-            },
-            self.obs_opt(),
-        );
+        let verdict = eval();
         if let Some(key) = key {
             let mut memo = self.results.lock().expect("engine lock");
             if memo.len() >= RESULT_MEMO_CAP {
@@ -310,7 +363,7 @@ impl PredEngine {
             }
             memo.insert(key, verdict);
         }
-        verdict
+        (verdict, false)
     }
 }
 

@@ -88,6 +88,11 @@ impl MachineCache {
         self.fission
     }
 
+    /// The owning session's observer.
+    pub(crate) fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
     /// The compiled block for `stmts` (+ attached expression fragments
     /// and extra scalar slots) in `sub`'s context, compiling at most
     /// once per distinct shape.

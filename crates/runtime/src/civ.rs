@@ -267,7 +267,7 @@ fn civ_traces_under(
                 }
                 n += 1;
                 vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
-                if n > 100_000_000 {
+                if n as u64 > crate::exec::TEST_BUDGET {
                     return Err(RunError::StepLimit);
                 }
             }

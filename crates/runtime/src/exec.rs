@@ -5,7 +5,8 @@
 //!
 //! 1. precompute CIV traces via the loop slice (CIV-COMP),
 //! 2. evaluate the predicate cascade against live state (cheapest
-//!    stage first; the first success disables the rest),
+//!    stage first; the first success disables the rest), and when
+//!    every stage fails the hoisted exact USR test ([`exact_test`]),
 //! 3. execute: in parallel — with privatized copies (+ static/dynamic
 //!    last value), per-thread reduction buffers (or direct shared
 //!    updates when the runtime test proved independence) — or through
@@ -21,13 +22,162 @@ use lip_ir::{
 };
 use lip_obs::{FissionReport, FragmentReport, LoopDecision, StageReport};
 use lip_symbolic::Sym;
+use lip_usr::Exact;
 use std::sync::Mutex;
 
 use crate::backend::{exec_stmt_seq, machine_tracer, CompiledBody, ExecEnv};
-use crate::cache::store_fingerprint;
+use crate::cache::{store_fingerprint, MachineCache};
 use crate::lrpd::LrpdOutcome;
 use crate::merge::{clone_buf, copy_back, identity_buf, merge_into};
 use crate::pool::{chunk_bounds, parallel_chunks_obs};
+
+/// What any one runtime test may spend before it gives up: cascade
+/// stage iterations, exact-test work units, CIV-slice and measurement
+/// trip counts. A constant, not a knob — a budget proportional to the
+/// guarded loop's work is ROADMAP's cost gate.
+pub const TEST_BUDGET: u64 = 100_000_000;
+
+/// Runs `cascade` on the machine's predicate engine against `frame`:
+/// the first passing stage and the units charged. `report` collects
+/// one [`StageReport`] per evaluated stage; those render predicate
+/// strings, so ask only when a decision record is being kept — the
+/// verdict and the charge are the same either way.
+pub fn cascade_test(
+    cache: &MachineCache,
+    cascade: &lip_core::Cascade,
+    frame: &Store,
+    nthreads: usize,
+    report: Option<&mut Vec<StageReport>>,
+) -> (Option<usize>, u64) {
+    let ctx = StoreCtx(frame);
+    let mut fp = |prog: &lip_pred::PredProgram| {
+        Some(store_fingerprint(
+            frame,
+            prog.scalar_syms(),
+            prog.array_syms(),
+        ))
+    };
+    let engine = cache.pred();
+    match report {
+        Some(stages) => {
+            engine.first_success_traced(cascade, &ctx, TEST_BUDGET, nthreads, &mut fp, stages)
+        }
+        None => engine.first_success(cascade, &ctx, TEST_BUDGET, nthreads, &mut fp),
+    }
+}
+
+/// The cascade's last resort (§5; HOIST-USR, §7): decides whether
+/// `analysis.ind_usr` is empty on `frame` with the one-pass evaluator
+/// ([`lip_usr::exact`]). The verdict and the units it counted are
+/// hoisted — memoized in the machine's predicate engine under the USR's
+/// rendering and a fingerprint of the scalars and index arrays it reads
+/// — so re-running the loop on unchanged inputs costs the fingerprint.
+/// Returns the result (units as counted by the evaluation, to be
+/// charged on hit and miss alike) and whether the memo answered. No
+/// `ind_usr`: undecided at no cost.
+pub fn exact_test(cache: &MachineCache, analysis: &LoopAnalysis, frame: &Store) -> (Exact, bool) {
+    let (Some(usr), Some(key)) = (&analysis.ind_usr, analysis.exact_key()) else {
+        let undecided = Exact {
+            verdict: None,
+            units: 0,
+        };
+        return (undecided, false);
+    };
+    let obs = cache.obs();
+    let span = obs.span("run.exact", || analysis.label.clone());
+    // Each free symbol is looked up both ways: the frame binds it as a
+    // scalar or as an array, and the side it does not bind hashes as
+    // "unbound".
+    let fingerprint = store_fingerprint(frame, &key.syms, &key.syms);
+    let ((verdict, units), hit) =
+        cache
+            .pred()
+            .exact_memo(&key.key, fingerprint, TEST_BUDGET, || {
+                let e = lip_usr::exact::independent(usr, &StoreCtx(frame), TEST_BUDGET);
+                (e.verdict, e.units)
+            });
+    obs.exit_span(
+        span,
+        match (verdict, hit) {
+            (Some(true), false) => "independent",
+            (Some(false), false) => "dependent",
+            (None, false) => "undecided",
+            (Some(true), true) => "independent (memo)",
+            (Some(false), true) => "dependent (memo)",
+            (None, true) => "undecided (memo)",
+        },
+    );
+    obs.count(
+        if hit {
+            "run.exact_memo_hits"
+        } else {
+            "run.exact_evals"
+        },
+        1,
+    );
+    obs.count("run.exact_units", units);
+    (Exact { verdict, units }, hit)
+}
+
+/// One fission fragment's runtime decision.
+pub struct FragmentTests {
+    /// Whether the fragment may run parallel.
+    pub parallel: bool,
+    /// Units its cascade and its exact test charged.
+    pub units: u64,
+    /// The cascade stages evaluated (empty unless asked for).
+    pub stages: Vec<StageReport>,
+    /// The exact test's result and memo hit, when it ran.
+    pub exact: Option<(Exact, bool)>,
+}
+
+/// Decides one fragment of a distributed loop against `frame` — the
+/// store as the fragments before it left it: a static fragment runs
+/// parallel outright, a predicated one tests its cascade with the
+/// exact test as the last resort, a hoisted-USR fallback goes straight
+/// to the exact test, anything else stays sequential (fragments never
+/// speculate). `report` keeps the stage reports.
+pub fn fragment_tests(
+    cache: &MachineCache,
+    a: &LoopAnalysis,
+    frame: &Store,
+    nthreads: usize,
+    report: bool,
+) -> FragmentTests {
+    let mut t = FragmentTests {
+        parallel: false,
+        units: 0,
+        stages: Vec::new(),
+        exact: None,
+    };
+    let cascade_passed = match &a.class {
+        LoopClass::StaticParallel => true,
+        LoopClass::Predicated { .. } => {
+            let stages = report.then_some(&mut t.stages);
+            let (passed, units) = cascade_test(cache, &a.cascade, frame, nthreads, stages);
+            t.units += units;
+            passed.is_some()
+        }
+        LoopClass::NeedsFallback(lip_analysis::FallbackKind::HoistUsr) => false,
+        _ => return t,
+    };
+    t.parallel = cascade_passed || {
+        let (exact, hit) = exact_test(cache, a, frame);
+        t.units += exact.units;
+        t.exact = Some((exact, hit));
+        exact.verdict == Some(true)
+    };
+    t
+}
+
+/// An exact test's result as decision records carry it: `exact_test`,
+/// `exact_units`, `exact_memo_hit` (all blank when it did not run).
+pub fn exact_report(exact: Option<(Exact, bool)>) -> (Option<bool>, u64, bool) {
+    match exact {
+        Some((found, memo_hit)) => (found.verdict, found.units, memo_hit),
+        None => (None, 0, false),
+    }
+}
 
 /// How the loop ended up being executed.
 #[derive(Clone, Debug, PartialEq)]
@@ -67,7 +217,8 @@ pub enum ExecOutcome {
 pub struct RunStats {
     /// How the loop executed.
     pub outcome: ExecOutcome,
-    /// Units spent on runtime tests (cascade + CIV slices).
+    /// Units spent on runtime tests (CIV slices, cascade stages and
+    /// the exact test's own count, memo hit or miss).
     pub test_units: u64,
     /// Units spent executing the loop body.
     pub loop_units: u64,
@@ -87,14 +238,14 @@ pub enum ExecPlan {
 }
 
 /// Decision evidence accumulated while one loop runs: the evaluated
-/// cascade stages, the exact-test verdict (when reached) and the
-/// per-fragment outcomes of a fissioned execution. Populated only when
-/// the session's observer is on; folded into a [`LoopDecision`] by
-/// [`run_loop_impl`].
+/// cascade stages, the exact test's result and memo hit (when reached)
+/// and the per-fragment outcomes of a fissioned execution. Populated
+/// only when the session's observer is on; folded into a
+/// [`LoopDecision`] by [`run_loop_impl`].
 #[derive(Default)]
 struct DecisionTrace {
     stages: Vec<StageReport>,
-    exact_test: Option<bool>,
+    exact: Option<(Exact, bool)>,
     fragments: Vec<FragmentReport>,
 }
 
@@ -148,7 +299,7 @@ pub(crate) fn run_loop_impl(
                     ExecOutcome::PredicatePassed { stage } => Some(stage),
                     _ => None,
                 };
-                d.exact_test = dt.exact_test;
+                (d.exact_test, d.exact_units, d.exact_memo_hit) = exact_report(dt.exact);
                 d.executor = executor_name(&stats.outcome);
                 d.test_units = stats.test_units;
                 d.loop_units = stats.loop_units;
@@ -228,42 +379,18 @@ fn run_loop_inner(
         LoopClass::StaticParallel => (true, ExecOutcome::StaticParallel),
         LoopClass::StaticSequential => (false, ExecOutcome::Sequential),
         LoopClass::Predicated { .. } => {
-            let ctx = StoreCtx(frame);
-            let mut fp = |prog: &lip_pred::PredProgram| {
-                Some(store_fingerprint(
-                    frame,
-                    prog.scalar_syms(),
-                    prog.array_syms(),
-                ))
-            };
             // Stage reports render predicate strings — only pay for
             // that when the observer keeps decision records (trace).
-            let (passed, units) = if env.obs.trace_enabled() {
-                env.cache.pred().first_success_traced(
-                    &analysis.cascade,
-                    &ctx,
-                    100_000_000,
-                    env.nthreads,
-                    &mut fp,
-                    &mut dt.stages,
-                )
-            } else {
-                env.cache.pred().first_success(
-                    &analysis.cascade,
-                    &ctx,
-                    100_000_000,
-                    env.nthreads,
-                    &mut fp,
-                )
-            };
+            let report = env.obs.trace_enabled().then_some(&mut dt.stages);
+            let (passed, units) =
+                cascade_test(env.cache, &analysis.cascade, frame, env.nthreads, report);
             test_units += units;
             match passed {
                 Some(k) => (true, ExecOutcome::PredicatePassed { stage: k }),
                 None => {
                     // A fragment already classified statically
                     // sequential carries a dependence the whole-loop
-                    // exact test is all but guaranteed to rediscover
-                    // (at a cost superlinear in the array sizes), so
+                    // exact test is certain to find again, so
                     // distribute right away: fragments that can be
                     // rescued run their own, smaller tests, and the
                     // sequential residue runs as it would have anyway.
@@ -279,16 +406,14 @@ fn run_loop_inner(
                         }
                     }
                     // Last resort (§5): exact USR evaluation, then TLS.
-                    let exact = analysis
-                        .ind_usr
-                        .as_ref()
-                        .and_then(|u| lip_usr::eval_usr(u, &ctx, 100_000_000));
+                    let (exact, hit) = exact_test(env.cache, analysis, frame);
+                    test_units += exact.units;
                     if env.obs.trace_enabled() {
-                        dt.exact_test = exact.as_ref().map(|s| s.is_empty());
+                        dt.exact = Some((exact, hit));
                     }
-                    match exact {
-                        Some(s) if s.is_empty() => (true, ExecOutcome::ExactPredicatePassed),
-                        Some(_) => {
+                    match exact.verdict {
+                        Some(true) => (true, ExecOutcome::ExactPredicatePassed),
+                        Some(false) => {
                             // Genuine dependences: the whole loop can't
                             // run parallel, but a fission plan may
                             // still salvage the independent fragments.
@@ -408,24 +533,11 @@ fn build_exec_plans(
                 let _ = kind;
                 let direct = match cascade {
                     Some(c) => {
-                        let ctx = StoreCtx(frame);
                         // Reduction cascades were never charged to
                         // test_units (the plan decision is part of the
                         // codegen template); the engine call keeps it
                         // that way while sharing the compile cache.
-                        let (hit, _units) = env.cache.pred().first_success(
-                            c,
-                            &ctx,
-                            100_000_000,
-                            env.nthreads,
-                            &mut |prog| {
-                                Some(store_fingerprint(
-                                    frame,
-                                    prog.scalar_syms(),
-                                    prog.array_syms(),
-                                ))
-                            },
-                        );
+                        let (hit, _units) = cascade_test(env.cache, c, frame, env.nthreads, None);
                         hit.is_some()
                     }
                     None => true,
@@ -483,6 +595,7 @@ fn run_fissioned(
         let Stmt::Do { body: fbody, .. } = &frag.target else {
             continue;
         };
+        let tests_before = test_units;
         // CIV traces first: a fragment's cascade may reference them.
         if !a.civs.is_empty() {
             test_units += crate::civ::compute_civ_traces_impl(
@@ -495,57 +608,12 @@ fn run_fissioned(
                 None,
             )?;
         }
-        // Per-fragment sub-decision, recorded into the explain report
-        // when tracing: cascade stages tried and the hoisted exact-test
-        // verdict, mirroring the top-level decision shape.
-        let mut frag_stages: Vec<StageReport> = Vec::new();
-        let mut frag_exact: Option<bool> = None;
-        let parallel_ok = match &a.class {
-            LoopClass::StaticParallel => true,
-            LoopClass::Predicated { .. } => {
-                let ctx = StoreCtx(frame);
-                let (passed, units) = env.cache.pred().first_success_traced(
-                    &a.cascade,
-                    &ctx,
-                    100_000_000,
-                    env.nthreads,
-                    &mut |prog| {
-                        Some(store_fingerprint(
-                            frame,
-                            prog.scalar_syms(),
-                            prog.array_syms(),
-                        ))
-                    },
-                    &mut frag_stages,
-                );
-                test_units += units;
-                if passed.is_some() {
-                    true
-                } else {
-                    let exact = matches!(
-                        a.ind_usr
-                            .as_ref()
-                            .and_then(|u| lip_usr::eval_usr(u, &ctx, 100_000_000)),
-                        Some(s) if s.is_empty()
-                    );
-                    frag_exact = Some(exact);
-                    exact
-                }
-            }
-            LoopClass::NeedsFallback(lip_analysis::FallbackKind::HoistUsr) => {
-                let ctx = StoreCtx(frame);
-                let exact = matches!(
-                    a.ind_usr
-                        .as_ref()
-                        .and_then(|u| lip_usr::eval_usr(u, &ctx, 100_000_000)),
-                    Some(s) if s.is_empty()
-                );
-                frag_exact = Some(exact);
-                exact
-            }
-            _ => false,
-        };
-        let ran_parallel = parallel_ok && hi_v >= lo_v;
+        // The fragment's own tests, against the store as the fragments
+        // before it left it; stage reports only for the explain record.
+        let tracing = env.obs.trace_enabled();
+        let tests = fragment_tests(env.cache, a, frame, env.nthreads, tracing);
+        test_units += tests.units;
+        let ran_parallel = tests.parallel && hi_v >= lo_v;
         let frag_units = if ran_parallel {
             let plans = build_exec_plans(env, a, frame);
             let shape = DoShape {
@@ -577,7 +645,7 @@ fn run_fissioned(
             loop_units += fst.cost;
             fst.cost
         };
-        if env.obs.trace_enabled() {
+        if tracing {
             let flabel = match &frag.target {
                 Stmt::Do { label: Some(l), .. } => l.clone(),
                 _ => format!("fragment {}", dt.fragments.len()),
@@ -592,13 +660,17 @@ fn run_fissioned(
                     }
                 )
             });
+            let (exact_test, exact_units, exact_memo_hit) = exact_report(tests.exact);
             dt.fragments.push(FragmentReport {
                 label: flabel,
                 class: format!("{:?}", a.class),
                 parallel: ran_parallel,
                 units: frag_units,
-                stages: std::mem::take(&mut frag_stages),
-                exact_test: frag_exact,
+                test_units: test_units - tests_before,
+                stages: tests.stages,
+                exact_test,
+                exact_units,
+                exact_memo_hit,
             });
         }
     }

@@ -36,7 +36,10 @@ pub mod sim;
 
 pub use cache::{store_fingerprint, MachineCache};
 pub use civ::extract_slice;
-pub use exec::{ExecOutcome, ExecPlan, RunStats};
+pub use exec::{
+    cascade_test, exact_report, exact_test, fragment_tests, ExecOutcome, ExecPlan, FragmentTests,
+    RunStats, TEST_BUDGET,
+};
 pub use inspector::{inspect, inspect_execute, InspectVerdict};
 pub use lrpd::LrpdOutcome;
 pub use merge::{clone_buf, copy_back, identity_buf, merge_into};

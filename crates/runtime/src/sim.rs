@@ -163,7 +163,7 @@ fn per_iteration_costs_under(
                 let before = state.cost;
                 vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
                 costs.push(state.cost - before);
-                if costs.len() > 100_000_000 {
+                if costs.len() as u64 > crate::exec::TEST_BUDGET {
                     return Err(RunError::StepLimit);
                 }
             }

@@ -7,7 +7,7 @@
 
 use lip_analysis::{analyze_loop, AnalysisConfig, LoopAnalysis};
 use lip_ir::{parse_program, ExecState, Machine, Stmt, Store, StoreCtx, Value};
-use lip_runtime::{ExecOutcome, Session};
+use lip_runtime::{ExecOutcome, Session, TEST_BUDGET};
 use lip_symbolic::sym;
 
 fn setup(src: &str, label: &str) -> (Machine, lip_ir::Subroutine, Stmt, LoopAnalysis) {
@@ -45,8 +45,9 @@ fn offset_frame(n: i64, m: i64) -> Store {
 }
 
 /// Runs one analyzed loop through a session and through the oracle
-/// (the cascade on `Pdag::eval`, the loop on the interpreter) and
-/// asserts stats and final state agree element for element.
+/// (the cascade on `Pdag::eval`, the exact test's own count where the
+/// cascade fails, the loop on the interpreter) and asserts stats and
+/// final state agree element for element.
 fn assert_matches_oracle(
     machine: &Machine,
     sub: &lip_ir::Subroutine,
@@ -56,12 +57,18 @@ fn assert_matches_oracle(
 ) -> ExecOutcome {
     let mut oracle_frame = mk_frame();
     let ctx = StoreCtx(&oracle_frame);
-    let hit = analysis.cascade.first_success(&ctx, 100_000_000);
+    let hit = analysis.cascade.first_success(&ctx, TEST_BUDGET);
     let evaluated = hit.map_or(analysis.cascade.stages.len(), |k| k + 1);
-    let test_units: u64 = analysis.cascade.stages[..evaluated]
+    let mut test_units: u64 = analysis.cascade.stages[..evaluated]
         .iter()
         .map(|stage| stage.pred.eval_cost(&ctx))
         .sum();
+    // A failed cascade falls into the exact test (one-statement loops:
+    // no fission plan pre-empts it), charged what it counts.
+    assert!(analysis.fission.is_none());
+    if let (None, Some(u)) = (hit, &analysis.ind_usr) {
+        test_units += lip_usr::exact::independent(u, &ctx, TEST_BUDGET).units;
+    }
     let mut st = ExecState::default();
     machine
         .exec_stmt(sub, &mut oracle_frame, target, &mut st)

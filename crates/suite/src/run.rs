@@ -7,22 +7,15 @@
 //! sequential work (Amdahl), scaled from the measured loops.
 
 use lip_analysis::{baseline_parallel, LoopClass};
-use lip_ir::{Stmt, StoreCtx};
+use lip_ir::Stmt;
 use lip_obs::{FissionReport, FragmentReport, LoopDecision, StageReport};
 use lip_runtime::sim::{charged_test_units, makespan};
-use lip_runtime::{store_fingerprint, Session};
+use lip_runtime::{cascade_test, exact_report, exact_test, fragment_tests, Session};
 use lip_symbolic::sym;
+use lip_usr::Exact;
 
 use crate::bench_def::BenchDef;
 use crate::kernels::KernelShape;
-
-/// Rough size of the reference set an exact USR evaluation touches
-/// (drives the HOIST-USR cost model).
-fn all_refs_estimate(u: &lip_usr::Usr, ctx: &dyn lip_symbolic::EvalCtx) -> u64 {
-    lip_usr::eval::eval_usr(u, ctx, 10_000_000)
-        .map(|s| s.len() as u64 * 4)
-        .unwrap_or(0)
-}
 
 /// Measurement of one representative loop.
 #[derive(Clone, Debug)]
@@ -77,62 +70,6 @@ impl LoopMeasurement {
     }
 }
 
-/// Mirrors the executor's per-fragment parallel decision for the
-/// explain report: static fragments run parallel outright, predicated
-/// fragments re-test their cascade (exact USR evaluation as the last
-/// resort) against the live store, hoisted-USR fallbacks evaluate the
-/// exact test, everything else stays sequential.
-fn fragment_parallel(
-    session: &Session,
-    machine: &lip_ir::Machine,
-    frame: &lip_ir::Store,
-    a: &lip_analysis::LoopAnalysis,
-    nthreads: usize,
-) -> (bool, Vec<StageReport>, Option<bool>) {
-    let ctx = StoreCtx(frame);
-    match &a.class {
-        LoopClass::StaticParallel => (true, Vec::new(), None),
-        LoopClass::Predicated { .. } => {
-            let mut stages = Vec::new();
-            let (hit, _) = session.cache(machine).pred().first_success_traced(
-                &a.cascade,
-                &ctx,
-                100_000_000,
-                nthreads,
-                &mut |prog| {
-                    Some(store_fingerprint(
-                        frame,
-                        prog.scalar_syms(),
-                        prog.array_syms(),
-                    ))
-                },
-                &mut stages,
-            );
-            let exact = if hit.is_some() {
-                None
-            } else {
-                Some(matches!(
-                    a.ind_usr
-                        .as_ref()
-                        .and_then(|u| lip_usr::eval_usr(u, &ctx, 100_000_000)),
-                    Some(s) if s.is_empty()
-                ))
-            };
-            (hit.is_some() || exact == Some(true), stages, exact)
-        }
-        LoopClass::NeedsFallback(lip_analysis::FallbackKind::HoistUsr) => {
-            let exact = matches!(
-                a.ind_usr
-                    .as_ref()
-                    .and_then(|u| lip_usr::eval_usr(u, &ctx, 100_000_000)),
-                Some(s) if s.is_empty()
-            );
-            (exact, Vec::new(), Some(exact))
-        }
-        _ => (false, Vec::new(), None),
-    }
-}
-
 /// Accounts a fission rescue plan for the explain report: runs the
 /// fragments in program order on a fresh workload (each fragment's
 /// cascade is tested against the store state its execution would see,
@@ -151,28 +88,33 @@ fn account_fission(
     let mut fragments = Vec::new();
     let mut rescued_units = 0u64;
     let mut loop_units = 0u64;
+    let cache = session.cache(&fw.machine);
     for frag in &plan.fragments {
-        let (parallel, stages, exact_test) =
-            fragment_parallel(session, &fw.machine, &fw.frame, &frag.analysis, nthreads);
+        // The executor's own per-fragment decision, stage reports kept.
+        let tests = fragment_tests(&cache, &frag.analysis, &fw.frame, nthreads, true);
         let units: u64 = session
             .per_iteration_costs(&fw.machine, &fsub, &frag.target, &mut fw.frame)
             .map(|v| v.iter().sum())
             .unwrap_or(0);
         loop_units += units;
-        if parallel {
+        if tests.parallel {
             rescued_units += units;
         }
         let label = match &frag.target {
             Stmt::Do { label: Some(l), .. } => l.clone(),
             _ => format!("fragment {}", fragments.len()),
         };
+        let (exact_test, exact_units, exact_memo_hit) = exact_report(tests.exact);
         fragments.push(FragmentReport {
             label,
             class: format!("{:?}", frag.analysis.class),
-            parallel,
+            parallel: tests.parallel,
             units,
-            stages,
+            test_units: tests.units,
+            stages: tests.stages,
             exact_test,
+            exact_units,
+            exact_memo_hit,
         });
     }
     FissionReport {
@@ -221,73 +163,37 @@ pub fn measure_loop(
     let obs_on = session.obs().trace_enabled();
     let mut stages: Vec<StageReport> = Vec::new();
     let mut passed_stage: Option<usize> = None;
-    let mut exact_test: Option<bool> = None;
+    let mut exact: Option<(Exact, bool)> = None;
     let mut tls_speculated = false;
     let parallel = match &analysis.class {
         LoopClass::StaticParallel => true,
         LoopClass::StaticSequential => false,
         LoopClass::Predicated { .. } => {
-            let ctx = StoreCtx(&p.frame);
-            let frame = &p.frame;
-            // The traced variant reports per-stage verdicts for
-            // `Session::explain`; verdicts and charged units are
-            // identical to the untraced call either way.
-            let (hit, units) = if obs_on {
-                session.cache(&p.machine).pred().first_success_traced(
-                    &analysis.cascade,
-                    &ctx,
-                    100_000_000,
-                    nthreads,
-                    &mut |prog| {
-                        Some(store_fingerprint(
-                            frame,
-                            prog.scalar_syms(),
-                            prog.array_syms(),
-                        ))
-                    },
-                    &mut stages,
-                )
-            } else {
-                session.cache(&p.machine).pred().first_success(
-                    &analysis.cascade,
-                    &ctx,
-                    100_000_000,
-                    nthreads,
-                    &mut |prog| {
-                        Some(store_fingerprint(
-                            frame,
-                            prog.scalar_syms(),
-                            prog.array_syms(),
-                        ))
-                    },
-                )
-            };
+            let cache = session.cache(&p.machine);
+            // Stage reports are for `Session::explain`; verdicts and
+            // charged units are the same with and without them.
+            let report = obs_on.then_some(&mut stages);
+            let (hit, units) = cascade_test(&cache, &analysis.cascade, &p.frame, nthreads, report);
             test_units += units;
             passed_stage = hit;
             let mut passed = hit.is_some();
-            if !passed {
+            if !passed && analysis.ind_usr.is_some() {
                 // The paper's last resort: exact (hoisted) USR
-                // evaluation, then TLS (§5). Cost ≈ the touched
-                // reference count; amortized across invocations when
-                // hoistable (memoized, per §7's apsi discussion).
-                if let Some(u) = &analysis.ind_usr {
-                    match lip_usr::eval_usr(u, &ctx, 100_000_000) {
-                        Some(s) if s.is_empty() => {
-                            let refs = all_refs_estimate(u, &ctx);
-                            test_units += refs / 4;
-                            exact_test = Some(true);
-                            passed = true;
-                        }
-                        Some(_) => {
-                            exact_test = Some(false);
-                        }
-                        None => {
-                            // Not evaluable: thread-level speculation.
-                            // LRPD commits on independent workloads at
-                            // the cost of shadowing every reference.
-                            tls_speculated = true;
-                            passed = true;
-                        }
+                // evaluation, then TLS (§5). It costs the units the
+                // evaluation counts, whatever it finds, as in the
+                // executor; across invocations it is memoized (§7's
+                // apsi discussion).
+                let (found, memo_hit) = exact_test(&cache, &analysis, &p.frame);
+                test_units += found.units;
+                exact = Some((found, memo_hit));
+                match found.verdict {
+                    Some(independent) => passed = independent,
+                    None => {
+                        // Not evaluable: thread-level speculation.
+                        // LRPD commits on independent workloads at
+                        // the cost of shadowing every reference.
+                        tls_speculated = true;
+                        passed = true;
                     }
                 }
             }
@@ -325,7 +231,9 @@ pub fn measure_loop(
             (LoopClass::StaticParallel, _) => "parallel (static)".to_string(),
             (LoopClass::Predicated { .. }, true) => match passed_stage {
                 Some(k) => format!("parallel (stage {k} passed)"),
-                None if exact_test == Some(true) => "parallel (exact test passed)".to_string(),
+                None if exact.is_some_and(|(e, _)| e.verdict == Some(true)) => {
+                    "parallel (exact test passed)".to_string()
+                }
                 None => "speculated (modelled)".to_string(),
             },
             (LoopClass::NeedsFallback(_), _) => "parallel (fallback, modelled)".to_string(),
@@ -337,7 +245,7 @@ pub fn measure_loop(
         d.class = format!("{:?}", analysis.class);
         d.stages = stages;
         d.passed_stage = passed_stage;
-        d.exact_test = exact_test;
+        (d.exact_test, d.exact_units, d.exact_memo_hit) = exact_report(exact);
         d.executor = executor;
         d.test_units = test_units;
         d.loop_units = per_iter.iter().sum();
@@ -648,6 +556,7 @@ mod shape_report {
 mod solvh_debug {
     use super::*;
     use lip_analysis::ArrayPlan;
+    use lip_ir::StoreCtx;
     use lip_symbolic::sym;
 
     #[test]
@@ -669,8 +578,8 @@ mod solvh_debug {
             );
         }
         if let Some(u) = &analysis.ind_usr {
-            let r = lip_usr::eval_usr(u, &ctx, 1_000_000);
-            println!("exact eval: {:?}", r.map(|s| s.len()));
+            let r = lip_usr::exact::independent(u, &ctx, 1_000_000);
+            println!("exact test: {:?} in {} units", r.verdict, r.units);
         } else {
             println!("no ind_usr");
         }

@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use lip_analysis::LoopClass;
 use lip_ir::{ExecState, Stmt, StoreCtx, Value};
 use lip_obs::ObsLevel;
-use lip_runtime::{ExecOutcome, LoopJob, Session};
+use lip_runtime::{ExecOutcome, LoopJob, Session, TEST_BUDGET};
 use lip_suite::{measure_loop, KernelShape, LoopMeasurement};
 use lip_symbolic::{sym, Sym};
 
@@ -47,7 +47,8 @@ fn session(fission: bool, obs: ObsLevel, nthreads: usize) -> Session {
 
 /// The kernels the differential sweep measures: a static-parallel
 /// stencil, O(1)/O(N) predicated loops, an interprocedural kernel, an
-/// index reduction and a CIV compaction.
+/// index reduction, a CIV compaction, and a loop whose cascade fails
+/// into the exact test (which finds it dependent).
 fn kernels() -> Vec<(&'static KernelShape, usize)> {
     vec![
         (&lip_suite::STENCIL, 96),
@@ -56,6 +57,7 @@ fn kernels() -> Vec<(&'static KernelShape, usize)> {
         (&lip_suite::SOLVH, 24),
         (&lip_suite::INDEX_REDUCTION, 64),
         (&lip_suite::CIV_CONDITIONAL, 64),
+        (&lip_suite::HOIST_INDIRECT, 48),
     ]
 }
 
@@ -83,7 +85,8 @@ fn measure_all(session: &Session) -> Vec<Row> {
 
 /// One session's rows, checked against the reference semantics:
 /// per-iteration costs from a loop over `Machine::exec_block`, the
-/// cascade verdict and charge from `Pdag::eval`. (The CIV kernel's
+/// cascade verdict and charge from `Pdag::eval`, plus the exact test's
+/// own count where a cascade fails. (The CIV kernel's
 /// test units add the slice's cost; `crates/vm/tests/differential.rs`
 /// pins that against an interpreter-run slice on every kernel.)
 fn oracle_checked_rows() -> Vec<Row> {
@@ -100,22 +103,31 @@ fn oracle_checked_rows() -> Vec<Row> {
             let ctx = StoreCtx(&p.frame);
             let (passes, units) = match analysis.class {
                 LoopClass::Predicated { .. } => {
-                    let hit = analysis.cascade.first_success(&ctx, 100_000_000);
+                    let hit = analysis.cascade.first_success(&ctx, TEST_BUDGET);
                     let evaluated = hit.map_or(analysis.cascade.stages.len(), |k| k + 1);
-                    let units = analysis.cascade.stages[..evaluated]
+                    let units: u64 = analysis.cascade.stages[..evaluated]
                         .iter()
                         .map(|stage| stage.pred.eval_cost(&ctx))
                         .sum();
-                    (hit.is_some(), units)
+                    // A failed cascade falls into the exact test,
+                    // charged what it counts.
+                    match (hit, &analysis.ind_usr) {
+                        (None, Some(u)) => {
+                            let exact = lip_usr::exact::independent(u, &ctx, TEST_BUDGET);
+                            (exact.verdict == Some(true), units + exact.units)
+                        }
+                        _ => (hit.is_some(), units),
+                    }
                 }
                 _ => (true, 0),
             };
-            assert!(
+            assert_eq!(
                 passes,
+                shape.name != "hoist_indirect",
                 "{}: pick a workload whose cascade passes",
                 shape.name
             );
-            assert!(got.2, "{}: verdict diverged from Pdag::eval", shape.name);
+            assert_eq!(got.2, passes, "{}: verdict diverged", shape.name);
             assert_eq!(got.5, units, "{}: charged test units", shape.name);
         }
 

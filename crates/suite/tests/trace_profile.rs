@@ -183,6 +183,80 @@ fn fissioned_explain_carries_per_fragment_sub_decisions() {
     assert!(decided);
 }
 
+/// The exact USR test at every observer level: counted at `metrics`,
+/// a `run.exact` span under `run.loop` at `trace`, and explained with
+/// its units, its memo hit and one `test : loop` line per fragment and
+/// per loop.
+#[test]
+fn exact_test_is_counted_spanned_and_explained() {
+    for level in [ObsLevel::Metrics, ObsLevel::Trace] {
+        let session = Session::builder().nthreads(2).observer(level).build();
+        let p = lip_suite::HOIST_INDIRECT.prepared(256);
+        let prog = p.machine.program().clone();
+        let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
+        let target = sub.find_loop(p.label).expect("loop").clone();
+        let analysis = session.analyze(&prog, sub.name, p.label).expect("analysis");
+        // Twice on the same inputs (fresh buffers): a miss, then a hit.
+        let units: Vec<u64> = (0..2)
+            .map(|_| {
+                let mut frame = lip_suite::HOIST_INDIRECT.prepared(256).frame;
+                session
+                    .run_loop(&p.machine, &sub, &target, &analysis, &mut frame)
+                    .expect("runs")
+                    .test_units
+            })
+            .collect();
+        assert_eq!(units[0], units[1], "a memo hit is charged like a miss");
+
+        let m = session.metrics();
+        assert_eq!(m.counter("run.exact_evals"), Some(1), "{level}");
+        assert_eq!(m.counter("run.exact_memo_hits"), Some(1), "{level}");
+        let exact_units = m.counter("run.exact_units").expect("units counted");
+        assert!(exact_units > 0 && exact_units.is_multiple_of(2));
+        assert!(exact_units < m.counter("run.test_units").expect("test units"));
+
+        if level != ObsLevel::Trace {
+            assert!(session.explain("do20").is_none());
+            continue;
+        }
+        fn has_child(node: &lip_obs::profile::TreeNode, parent: &str, child: &str) -> bool {
+            (node.name == parent && node.children.iter().any(|c| c.name == child))
+                || node.children.iter().any(|c| has_child(c, parent, child))
+        }
+        let profile = session.profile();
+        assert!(
+            profile
+                .roots
+                .iter()
+                .any(|r| has_child(r, "run.loop", "run.exact")),
+            "run.exact must fold under run.loop:\n{}",
+            profile.render_text()
+        );
+        let d = session.explain_decision("do20").expect("decision");
+        let rescued = &d.fission.as_ref().expect("fissioned").fragments[0];
+        assert_eq!(rescued.exact_test, Some(true));
+        assert_eq!(rescued.exact_units, exact_units / 2);
+        assert!(
+            rescued.exact_memo_hit,
+            "the second run is the one on record"
+        );
+        assert!(rescued.test_units > rescued.exact_units, "cascade + exact");
+        let text = d.render_text();
+        assert!(
+            text.contains(&format!(
+                "exact USR test: independent ({} units, memo hit)",
+                rescued.exact_units
+            )),
+            "{text}"
+        );
+        assert_eq!(text.matches("test : loop = ").count(), 3, "{text}");
+        assert!(text.contains(&format!(
+            "  test : loop = {} : {} units",
+            d.test_units, d.loop_units
+        )));
+    }
+}
+
 /// The dispatch counters come from one helper whatever path ran the
 /// loop: a sequential fallback (forced here by overriding the class)
 /// must report its reduction superinstructions like a parallel run.

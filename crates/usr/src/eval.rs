@@ -1,10 +1,19 @@
-//! Exact runtime evaluation of USRs (the paper's fallback independence
-//! test, and the reference semantics for property tests).
+//! Set-valued evaluation of USRs: the reference semantics.
 //!
 //! Evaluation computes the concrete index set denoted by a USR under an
-//! [`EvalCtx`] binding. The cost is proportional to the number of touched
-//! locations — exactly why the paper prefers predicates and reserves USR
-//! evaluation for hoistable cases (§2.2, §5).
+//! [`EvalCtx`] binding, element by element. It is what the property
+//! tests and [`crate::exact`]'s differential compare against, and what
+//! `Machine` is to the VM: an oracle, not a production path — the
+//! executor's last-resort independence test (§2.2, §5) is
+//! [`crate::exact::independent`].
+//!
+//! The paper prices exact evaluation at "the touched locations"; this
+//! evaluator does not meet that price. A recurrence re-evaluates its
+//! body from `lo` every time it is reached, so the `∪_{k<i}` prefix of
+//! Eq. 2/3 ([`UsrNode::RecPartial`] under a [`UsrNode::RecTotal`]) is
+//! rebuilt for every `i` — N²/2 insertions for N iterations — and every
+//! set is a `BTreeSet` of single indices, so a contiguous window of
+//! width `L` is `L` insertions. Nothing is kept between calls.
 
 use std::collections::BTreeSet;
 

@@ -19,16 +19,22 @@
 //! * [`equations`] — the FIND/OIND independence equations (Eq. 2–3),
 //! * [`mod@reshape`] — Fig. 8's accuracy-enabling transformations
 //!   (subtraction reassociation and UMEG preservation),
-//! * [`eval`] — exact runtime evaluation against concrete bindings.
+//! * [`exact`] — the production independence test: one-pass USR
+//!   emptiness (running prefix unions, early exit, run-length sets),
+//!   counted in work units,
+//! * [`eval`] — the set-valued reference semantics [`exact`] is tested
+//!   against.
 
 pub mod equations;
 pub mod eval;
+pub mod exact;
 pub mod node;
 pub mod reshape;
 pub mod summary;
 
 pub use equations::{flow_independence, output_independence, slv_equation};
 pub use eval::eval_usr;
+pub use exact::Exact;
 pub use node::{CallSiteId, Usr, UsrNode};
 pub use reshape::{reshape, ReshapeConfig};
 pub use summary::Summary;

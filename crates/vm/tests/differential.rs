@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
-use lip_analysis::{analyze_loop, AnalysisConfig, LoopAnalysis, LoopClass};
+use lip_analysis::{analyze_loop, AnalysisConfig, FallbackKind, LoopAnalysis, LoopClass};
 use lip_ir::{
     AccessTracer, ArrayBuf, ArrayView, ExecState, Machine, Program, RunError, Stmt, Store,
     StoreCtx, Subroutine, Value,
@@ -163,13 +163,16 @@ fn all_suite_kernels_match_sequentially() {
 /// executes `target`: the CIV slice on the interpreter (each CIV's
 /// value at every iteration entry bound under its trace name, a while
 /// loop's trip count under `<label>@niters`), then the cascade on
-/// `Pdag::eval`. Returns the charged units.
+/// `Pdag::eval`, then — where the executor gets that far — the exact
+/// test's own count. `fragment`: `target` is one fragment of a
+/// distributed loop. Returns the charged units.
 fn oracle_tests(
     machine: &Machine,
     sub: &Subroutine,
     target: &Stmt,
     a: &LoopAnalysis,
     frame: &mut Store,
+    fragment: bool,
 ) -> u64 {
     let mut st = ExecState::default();
     let civ_syms: BTreeSet<Sym> = a.civs.iter().map(|(s, _)| *s).collect();
@@ -235,14 +238,32 @@ fn oracle_tests(
         frame.bind_array(*trace, view);
     }
     let mut units = st.cost;
+    let ctx = StoreCtx(frame);
+    let mut cascade_failed = false;
     if unit_step_do && matches!(a.class, LoopClass::Predicated { .. }) {
-        let ctx = StoreCtx(frame);
-        let hit = a.cascade.first_success(&ctx, 100_000_000);
+        let hit = a.cascade.first_success(&ctx, lip_runtime::TEST_BUDGET);
         let evaluated = hit.map_or(a.cascade.stages.len(), |k| k + 1);
         units += a.cascade.stages[..evaluated]
             .iter()
             .map(|stage| stage.pred.eval_cost(&ctx))
             .sum::<u64>();
+        cascade_failed = hit.is_none();
+    }
+    // The exact test runs on a fragment whose cascade failed or that
+    // is a HOIST-USR fallback, and on a whole loop whose cascade failed
+    // — unless its plan already holds a statically sequential fragment:
+    // then the executor distributes without asking.
+    let doomed = a.fission.as_deref().is_some_and(|plan| {
+        let mut classes = plan.fragments.iter().map(|f| &f.analysis.class);
+        classes.any(|c| *c == LoopClass::StaticSequential)
+    });
+    let runs_exact = match a.class {
+        LoopClass::Predicated { .. } => cascade_failed && (fragment || !doomed),
+        LoopClass::NeedsFallback(FallbackKind::HoistUsr) => fragment,
+        _ => false,
+    };
+    if let (true, Some(u)) = (runs_exact, &a.ind_usr) {
+        units += lip_usr::exact::independent(u, &ctx, lip_runtime::TEST_BUDGET).units;
     }
     units
 }
@@ -271,15 +292,16 @@ fn differential_run_loop(shape: &'static lip_suite::KernelShape, n: usize, nthre
     // distributed the loop — each fragment's, on the state the
     // fragments before it left.
     let mut tests_frame = shape.prepared(n).frame;
-    let mut test_units = oracle_tests(&oracle.machine, &sub, &target, &analysis, &mut tests_frame);
+    let m = &oracle.machine;
+    let mut test_units = oracle_tests(m, &sub, &target, &analysis, &mut tests_frame, false);
     if let ExecOutcome::Fissioned { .. } = stats.outcome {
         let plan = analysis
             .fission
             .as_deref()
             .expect("fissioned without a plan");
         for frag in &plan.fragments {
-            let m = &oracle.machine;
-            test_units += oracle_tests(m, &sub, &frag.target, &frag.analysis, &mut tests_frame);
+            let (target, a) = (&frag.target, &frag.analysis);
+            test_units += oracle_tests(m, &sub, target, a, &mut tests_frame, true);
             m.exec_stmt(
                 &sub,
                 &mut tests_frame,

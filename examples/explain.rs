@@ -9,9 +9,12 @@
 //! with the observer at trace level, then prints the per-loop decision
 //! report (`Session::explain`): every evaluated cascade stage with its
 //! verdict and charged units, the fission rescue plan with its
-//! parallel/sequential fragments and rescued work fraction, and the
-//! executor that finally ran the loop. Finishes with the session's
-//! aggregate metrics snapshot.
+//! parallel/sequential fragments and rescued work fraction, the exact
+//! USR test each fragment fell into (verdict, units, memo hit or miss),
+//! one `test : loop` cost line per fragment and per loop, and the
+//! executor that finally ran the loop. A second run on the same inputs
+//! shows the exact test answered from the memo at the same charge.
+//! Finishes with the session's aggregate metrics snapshot.
 
 use lip::obs::ObsLevel;
 use lip::runtime::LoopJob;
@@ -63,6 +66,17 @@ fn main() {
     // `lip::suite::measure_loop`.)
     let report = session.explain(p.label).expect("trace-level decision");
     println!("{report}");
+
+    // The exact test is hoisted (HOIST-USR): the same index arrays
+    // again cost a fingerprint, and are charged the same units.
+    let mut again = shape.prepared(n);
+    session
+        .run_loop(&p.machine, &sub, &target, &analysis, &mut again.frame)
+        .expect("runs again");
+    let report = session.explain(p.label).expect("trace-level decision");
+    for line in report.lines().filter(|l| l.contains("exact USR test")) {
+        println!("same inputs again: {}\n", line.trim());
+    }
 
     // The aggregate side: every counter the run touched. This is the
     // serializable `MetricsSnapshot` a long-running service would
