@@ -21,7 +21,8 @@
 
 use std::collections::BTreeSet;
 
-use crate::{json_str, TraceEvent, TraceKind, WORKER_LANE_BASE};
+use crate::json::Writer;
+use crate::{TraceEvent, TraceKind, WORKER_LANE_BASE};
 
 /// The fixed process id every exported event carries (the trace is
 /// single-process by construction).
@@ -35,56 +36,51 @@ const PID: u64 = 1;
 /// distinct lane gets a `thread_name` metadata record so Perfetto
 /// shows `worker 0`, `worker 1`, … instead of raw ids.
 pub fn trace_chrome_json(events: &[TraceEvent]) -> String {
-    let mut out = String::from("{\"traceEvents\": [");
-    let mut first = true;
-    let mut push = |out: &mut String, s: String| {
-        if !std::mem::take(&mut first) {
-            out.push_str(",\n");
+    Writer::render(|w| {
+        w.begin_obj();
+        w.key("traceEvents").begin_arr();
+        let tids: BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
+        for tid in tids {
+            w.begin_obj();
+            w.key("ph").str("M");
+            w.key("name").str("thread_name");
+            w.key("pid").u64(PID);
+            w.key("tid").u64(tid);
+            w.key("args").begin_obj();
+            w.key("name").str(&lane_name(tid));
+            w.end_obj();
+            w.end_obj();
         }
-        out.push_str(&s);
-    };
-
-    let tids: BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
-    for tid in &tids {
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {PID}, \"tid\": {tid}, \
-                 \"args\": {{\"name\": {}}}}}",
-                json_str(&lane_name(*tid))
-            ),
-        );
-    }
-
-    for e in events {
-        let ts = micros(e.at_ns);
-        let ev = match e.kind {
-            TraceKind::Enter => format!(
-                "{{\"ph\": \"B\", \"name\": {}, \"cat\": \"lip\", \"pid\": {PID}, \
-                 \"tid\": {}, \"ts\": {ts}{}}}",
-                json_str(&e.name),
-                e.tid,
-                detail_args(&e.detail, "detail")
-            ),
-            TraceKind::Exit => format!(
-                "{{\"ph\": \"E\", \"name\": {}, \"cat\": \"lip\", \"pid\": {PID}, \
-                 \"tid\": {}, \"ts\": {ts}{}}}",
-                json_str(&e.name),
-                e.tid,
-                detail_args(&e.detail, "outcome")
-            ),
-            TraceKind::Event => format!(
-                "{{\"ph\": \"i\", \"s\": \"t\", \"name\": {}, \"cat\": \"lip\", \
-                 \"pid\": {PID}, \"tid\": {}, \"ts\": {ts}{}}}",
-                json_str(&e.name),
-                e.tid,
-                detail_args(&e.detail, "detail")
-            ),
-        };
-        push(&mut out, ev);
-    }
-    out.push_str("]}");
-    out
+        for e in events {
+            let (ph, detail_key) = match e.kind {
+                TraceKind::Enter => ("B", "detail"),
+                TraceKind::Exit => ("E", "outcome"),
+                TraceKind::Event => ("i", "detail"),
+            };
+            w.begin_obj();
+            w.key("ph").str(ph);
+            if e.kind == TraceKind::Event {
+                // Thread-scoped instant.
+                w.key("s").str("t");
+            }
+            w.key("name").str(&e.name);
+            w.key("cat").str("lip");
+            w.key("pid").u64(PID);
+            w.key("tid").u64(e.tid);
+            // Nanoseconds as the format's microseconds, sub-µs
+            // precision kept.
+            w.key("ts")
+                .number_fmt(format_args!("{}.{:03}", e.at_ns / 1_000, e.at_ns % 1_000));
+            if !e.detail.is_empty() {
+                w.key("args").begin_obj();
+                w.key(detail_key).str(&e.detail);
+                w.end_obj();
+            }
+            w.end_obj();
+        }
+        w.end_arr();
+        w.end_obj();
+    })
 }
 
 /// The display name of a trace lane: `worker <k>` for pool-worker
@@ -94,21 +90,6 @@ fn lane_name(tid: u64) -> String {
         format!("worker {}", tid - WORKER_LANE_BASE)
     } else {
         format!("thread {tid}")
-    }
-}
-
-/// Nanoseconds → the format's microseconds, keeping sub-µs precision.
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-/// An `"args"` object carrying the event detail, or nothing when the
-/// detail is empty.
-fn detail_args(detail: &str, key: &str) -> String {
-    if detail.is_empty() {
-        String::new()
-    } else {
-        format!(", \"args\": {{\"{key}\": {}}}", json_str(detail))
     }
 }
 

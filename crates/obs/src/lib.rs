@@ -435,34 +435,37 @@ impl MetricsSnapshot {
 
     /// Renders the snapshot as a JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {v}", json_str(k)));
+        json::Writer::render(|w| self.write_json(w))
+    }
+
+    /// Writes the snapshot as one JSON object value (what
+    /// [`MetricsSnapshot::to_json`] renders), for embedding in a larger
+    /// document.
+    pub fn write_json(&self, w: &mut json::Writer<'_>) {
+        w.begin_obj();
+        w.key("counters").begin_obj();
+        for (k, v) in &self.counters {
+            w.key(k).u64(*v);
         }
-        out.push_str("}, \"histograms\": [");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        w.end_obj();
+        w.key("histograms").begin_arr();
+        for h in &self.histograms {
+            w.begin_obj();
+            w.key("name").str(&h.name);
+            w.key("count").u64(h.count);
+            w.key("sum_ns").u64(h.sum_ns);
+            w.key("buckets").begin_arr();
+            for (upper, n) in &h.buckets {
+                w.begin_obj();
+                w.key("le_ns").u64(*upper);
+                w.key("count").u64(*n);
+                w.end_obj();
             }
-            out.push_str(&format!(
-                "{{\"name\": {}, \"count\": {}, \"sum_ns\": {}, \"buckets\": [",
-                json_str(&h.name),
-                h.count,
-                h.sum_ns
-            ));
-            for (j, (upper, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("{{\"le_ns\": {upper}, \"count\": {n}}}"));
-            }
-            out.push_str("]}");
+            w.end_arr();
+            w.end_obj();
         }
-        out.push_str("]}");
-        out
+        w.end_arr();
+        w.end_obj();
     }
 }
 
@@ -681,75 +684,56 @@ impl LoopDecision {
 
     /// One JSON object (single line; stable key order).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"label\": {}, \"kernel\": {}, \"class\": {}, \"stages\": [",
-            json_str(&self.label),
-            self.kernel.as_deref().map_or("null".into(), json_str),
-            json_str(&self.class)
-        );
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&stage_json(s));
-        }
-        out.push_str(&format!(
-            "], \"passed_stage\": {}, {}, \"fission\": ",
-            opt_num(self.passed_stage),
-            exact_json(self.exact_test, self.exact_units, self.exact_memo_hit)
-        ));
-        match &self.fission {
-            None => out.push_str("null"),
-            Some(f) => {
-                out.push_str(&format!(
-                    "{{\"fragments\": {}, \"parallel_fragments\": {}, \"rescued_units\": {}, \
-                     \"loop_units\": {}, \"rescued_fraction\": {:.3}, \"per_fragment\": [",
-                    f.fragments.len(),
-                    f.fragments.iter().filter(|fr| fr.parallel).count(),
-                    f.rescued_units,
-                    f.loop_units,
-                    f.rescued_fraction()
-                ));
-                for (i, fr) in f.fragments.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
+        json::Writer::render(|w| {
+            w.begin_obj();
+            w.key("label").str(&self.label);
+            w.key("kernel").opt_str(self.kernel.as_deref());
+            w.key("class").str(&self.class);
+            w.key("stages");
+            stages_json(w, &self.stages);
+            w.key("passed_stage")
+                .opt_u64(self.passed_stage.map(|s| s as u64));
+            exact_json(w, self.exact_test, self.exact_units, self.exact_memo_hit);
+            w.key("fission");
+            match &self.fission {
+                None => w.null(),
+                Some(f) => {
+                    w.begin_obj();
+                    w.key("fragments").u64(f.fragments.len() as u64);
+                    w.key("parallel_fragments")
+                        .u64(f.fragments.iter().filter(|fr| fr.parallel).count() as u64);
+                    w.key("rescued_units").u64(f.rescued_units);
+                    w.key("loop_units").u64(f.loop_units);
+                    w.key("rescued_fraction")
+                        .number_fmt(format_args!("{:.3}", f.rescued_fraction()));
+                    w.key("per_fragment").begin_arr();
+                    for fr in &f.fragments {
+                        let share = if f.loop_units == 0 {
+                            0.0
+                        } else {
+                            fr.units as f64 / f.loop_units as f64
+                        };
+                        w.begin_obj();
+                        w.key("label").str(&fr.label);
+                        w.key("class").str(&fr.class);
+                        w.key("parallel").bool(fr.parallel);
+                        w.key("units").u64(fr.units);
+                        w.key("test_units").u64(fr.test_units);
+                        w.key("share").number_fmt(format_args!("{share:.3}"));
+                        w.key("stages");
+                        stages_json(w, &fr.stages);
+                        exact_json(w, fr.exact_test, fr.exact_units, fr.exact_memo_hit);
+                        w.end_obj();
                     }
-                    let share = if f.loop_units == 0 {
-                        0.0
-                    } else {
-                        fr.units as f64 / f.loop_units as f64
-                    };
-                    out.push_str(&format!(
-                        "{{\"label\": {}, \"class\": {}, \"parallel\": {}, \"units\": {}, \
-                         \"test_units\": {}, \"share\": {:.3}, \"stages\": [",
-                        json_str(&fr.label),
-                        json_str(&fr.class),
-                        fr.parallel,
-                        fr.units,
-                        fr.test_units,
-                        share
-                    ));
-                    for (j, s) in fr.stages.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&stage_json(s));
-                    }
-                    out.push_str(&format!(
-                        "], {}}}",
-                        exact_json(fr.exact_test, fr.exact_units, fr.exact_memo_hit)
-                    ));
+                    w.end_arr();
+                    w.end_obj();
                 }
-                out.push_str("]}");
             }
-        }
-        out.push_str(&format!(
-            ", \"executor\": {}, \"test_units\": {}, \"loop_units\": {}}}",
-            json_str(&self.executor),
-            self.test_units,
-            self.loop_units
-        ));
-        out
+            w.key("executor").str(&self.executor);
+            w.key("test_units").u64(self.test_units);
+            w.key("loop_units").u64(self.loop_units);
+            w.end_obj();
+        })
     }
 }
 
@@ -780,61 +764,34 @@ fn test_to_loop_line(test_units: u64, loop_units: u64) -> String {
 }
 
 /// The three exact-test members of a loop or fragment JSON object.
-fn exact_json(verdict: Option<bool>, units: u64, memo_hit: bool) -> String {
+fn exact_json(w: &mut json::Writer<'_>, verdict: Option<bool>, units: u64, memo_hit: bool) {
     let ran = verdict.is_some() || units > 0;
-    format!(
-        "\"exact_test\": {}, \"exact_units\": {units}, \"exact_memo\": {}",
-        match verdict {
-            Some(true) => "\"independent\"",
-            Some(false) => "\"dependent\"",
-            None => "null",
-        },
-        match (ran, memo_hit) {
-            (false, _) => "null",
-            (true, true) => "\"hit\"",
-            (true, false) => "\"miss\"",
-        }
-    )
+    w.key("exact_test")
+        .opt_str(verdict.map(|v| if v { "independent" } else { "dependent" }));
+    w.key("exact_units").u64(units);
+    w.key("exact_memo")
+        .opt_str(ran.then_some(if memo_hit { "hit" } else { "miss" }));
 }
 
-fn opt_num(v: Option<usize>) -> String {
-    v.map_or("null".to_owned(), |n| n.to_string())
-}
-
-fn stage_json(s: &StageReport) -> String {
-    format!(
-        "{{\"index\": {}, \"complexity\": {}, \"cost_units\": {}, \"verdict\": {}}}",
-        s.index,
-        s.complexity,
-        s.cost_units,
-        match s.verdict {
-            Some(true) => "\"pass\"",
-            Some(false) => "\"fail\"",
-            None => "null",
-        }
-    )
-}
-
-/// Escapes `s` as a JSON string literal (quotes included) — the
-/// workspace's hand-rolled emitters (`MetricsSnapshot::to_json`, the
-/// trace export, the `lip_serve` wire protocol) all share this one
-/// escaper so their output stays parseable by [`json::Json::parse`].
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+fn stages_json(w: &mut json::Writer<'_>, stages: &[StageReport]) {
+    w.begin_arr();
+    for s in stages {
+        w.begin_obj();
+        w.key("index").u64(s.index as u64);
+        w.key("complexity").u64(u64::from(s.complexity));
+        w.key("cost_units").u64(s.cost_units);
+        w.key("verdict")
+            .opt_str(s.verdict.map(|v| if v { "pass" } else { "fail" }));
+        w.end_obj();
     }
-    out.push('"');
-    out
+    w.end_arr();
+}
+
+/// Escapes `s` as a JSON string literal (quotes included): the escaper
+/// of [`json::Writer`] returning a `String`, for callers that splice one
+/// string into a document they hold as text (a request built by hand).
+pub fn json_str(s: &str) -> String {
+    json::Writer::render(|w| w.str(s))
 }
 
 /// The shared observability handle: a level, a recorder, a metrics

@@ -14,7 +14,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::{json_str, TraceEvent, TraceKind};
+use crate::json::Writer;
+use crate::{TraceEvent, TraceKind};
 
 /// Flat totals for one span name.
 #[derive(Clone, Debug, Default)]
@@ -197,31 +198,27 @@ impl ProfileReport {
 
     /// The report as one JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"wall_ns\": {}, \"lanes\": {}, \"flat\": [",
-            self.wall_ns, self.lanes
-        );
-        for (i, e) in self.flat.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        Writer::render(|w| {
+            w.begin_obj();
+            w.key("wall_ns").u64(self.wall_ns);
+            w.key("lanes").u64(self.lanes as u64);
+            w.key("flat").begin_arr();
+            for e in &self.flat {
+                w.begin_obj();
+                w.key("name").str(&e.name);
+                w.key("count").u64(e.count);
+                w.key("total_ns").u64(e.total_ns);
+                w.key("self_ns").u64(e.self_ns);
+                w.end_obj();
             }
-            out.push_str(&format!(
-                "{{\"name\": {}, \"count\": {}, \"total_ns\": {}, \"self_ns\": {}}}",
-                json_str(&e.name),
-                e.count,
-                e.total_ns,
-                e.self_ns
-            ));
-        }
-        out.push_str("], \"tree\": [");
-        for (i, r) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+            w.end_arr();
+            w.key("tree").begin_arr();
+            for r in &self.roots {
+                node_json(w, r);
             }
-            node_json(&mut out, r);
-        }
-        out.push_str("]}");
-        out
+            w.end_arr();
+            w.end_obj();
+        })
     }
 }
 
@@ -244,20 +241,17 @@ fn render_node(out: &mut String, node: &TreeNode, depth: usize, wall_ns: u64) {
     }
 }
 
-fn node_json(out: &mut String, node: &TreeNode) {
-    out.push_str(&format!(
-        "{{\"name\": {}, \"count\": {}, \"total_ns\": {}, \"children\": [",
-        json_str(&node.name),
-        node.count,
-        node.total_ns
-    ));
-    for (i, c) in node.children.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        node_json(out, c);
+fn node_json(w: &mut Writer<'_>, node: &TreeNode) {
+    w.begin_obj();
+    w.key("name").str(&node.name);
+    w.key("count").u64(node.count);
+    w.key("total_ns").u64(node.total_ns);
+    w.key("children").begin_arr();
+    for c in &node.children {
+        node_json(w, c);
     }
-    out.push_str("]}");
+    w.end_arr();
+    w.end_obj();
 }
 
 #[cfg(test)]

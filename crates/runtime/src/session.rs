@@ -33,7 +33,7 @@
 //! assert_eq!(session.config().nthreads, 8);
 //! ```
 
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use lip_analysis::{analyze_loop, AnalysisConfig, LoopAnalysis};
 use lip_ir::{Machine, Program, RunError, Stmt, Store, Subroutine};
@@ -79,10 +79,16 @@ pub struct SessionConfig {
 
 impl Default for SessionConfig {
     fn default() -> SessionConfig {
+        // Asked once per process: the answer is a `sched_getaffinity`
+        // plus a cgroup read, and a served request builds a default
+        // configuration before it applies its own pairs.
+        static NPROC: OnceLock<usize> = OnceLock::new();
         SessionConfig {
-            nthreads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            nthreads: *NPROC.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            }),
             par_min: lip_pred::engine::DEFAULT_PAR_MIN,
             fission: true,
             obs: ObsLevel::Off,

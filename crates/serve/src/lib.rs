@@ -40,6 +40,8 @@ pub mod config;
 pub mod fingerprint;
 pub mod pool;
 pub mod protocol;
+#[cfg(test)]
+mod protocol_oracle;
 pub mod scheduler;
 pub mod server;
 

@@ -18,17 +18,20 @@
 //! compatible requests drain through [`Session::run_many`], the warm
 //! path `bench_e2e`'s `serve_mix` `hit` row runs.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::time::Instant;
 
 use lip_analysis::LoopAnalysis;
 use lip_ir::{parse_program, ArrayBuf, ArrayView, Machine, Store, Subroutine, Ty, Value};
-use lip_obs::{json_str, Obs};
+use lip_obs::json::Writer;
+use lip_obs::Obs;
 use lip_runtime::{LoopJob, RunStats, Session, SessionConfig};
 use lip_symbolic::{sym, Sym};
 
 use crate::fingerprint::{loop_fingerprint, source_fingerprint};
-use crate::protocol::{error_json, ArraySpec, ErrCode, FrameSpec, RunRequest};
+use crate::protocol::{ArraySpec, ErrCode, Frame, FrameSpec, RunRequest, MAX_ARRAY_LEN, MAX_FRAME};
 
 /// A parsed program kept warm: holding the [`Machine`] pins the
 /// `Arc<Program>` identity, so the session's per-machine compile cache
@@ -37,6 +40,34 @@ use crate::protocol::{error_json, ArraySpec, ErrCode, FrameSpec, RunRequest};
 pub struct CachedProgram {
     /// The interpreter over the cached program.
     pub machine: Machine,
+    /// [`loop_fingerprint`] of the loops run so far. The entry is keyed
+    /// by source fingerprint, so a loop's fingerprint is a function of
+    /// `(sub, label)` alone; only loops that exist are remembered.
+    loop_fps: RefCell<Vec<(Sym, String, u128)>>,
+}
+
+impl CachedProgram {
+    /// The subroutine and loop statement a prepared request names.
+    fn target(&self, sub: Sym, label: &str) -> (&Subroutine, &lip_ir::Stmt) {
+        let sub = self
+            .machine
+            .program()
+            .units
+            .iter()
+            .find(|u| u.name == sub)
+            .expect("validated in prepare");
+        (sub, sub.find_loop(label).expect("validated in prepare"))
+    }
+
+    fn loop_fingerprint(&self, sub: Sym, label: &str) -> Option<u128> {
+        let mut known = self.loop_fps.borrow_mut();
+        if let Some((_, _, fp)) = known.iter().find(|(s, l, _)| *s == sub && l == label) {
+            return Some(*fp);
+        }
+        let fp = loop_fingerprint(self.machine.program(), sub, label)?;
+        known.push((sub, label.to_owned(), fp));
+        Some(fp)
+    }
 }
 
 /// One warm session plus its incremental caches. See the module docs
@@ -48,17 +79,19 @@ pub struct ShardState {
     analyses: HashMap<u128, Rc<LoopAnalysis>>,
 }
 
-struct Prepared {
+/// A request ready to run: everything borrowed from the request stays
+/// borrowed.
+struct Prepared<'r> {
     prog: Rc<CachedProgram>,
     analysis: Rc<LoopAnalysis>,
     sub: Sym,
-    label: String,
+    req: &'r RunRequest,
     store: Store,
-    spec: FrameSpec,
-    results: Vec<String>,
     analysis_hit: bool,
     program_hit: bool,
 }
+
+type Rejected = (ErrCode, String);
 
 impl ShardState {
     /// Builds the shard's warm session from an already-validated
@@ -89,10 +122,7 @@ impl ShardState {
         self.session.explain(label)
     }
 
-    fn resolve_program(
-        &mut self,
-        src: &str,
-    ) -> Result<(Rc<CachedProgram>, bool), (ErrCode, String)> {
+    fn resolve_program(&mut self, src: &str) -> Result<(Rc<CachedProgram>, bool), Rejected> {
         let fp = source_fingerprint(src);
         if let Some(p) = self.programs.get(&fp) {
             return Ok((p.clone(), true));
@@ -105,12 +135,13 @@ impl ShardState {
         })?;
         let entry = Rc::new(CachedProgram {
             machine: Machine::new(prog),
+            loop_fps: RefCell::default(),
         });
         self.programs.insert(fp, entry.clone());
         Ok((entry, false))
     }
 
-    fn prepare(&mut self, req: &RunRequest) -> Result<Prepared, (ErrCode, String)> {
+    fn prepare<'r>(&mut self, req: &'r RunRequest) -> Result<Prepared<'r>, Rejected> {
         let (prog, program_hit) = self.resolve_program(&req.program)?;
         let sub_sym = sym(&req.sub);
         let program = prog.machine.program();
@@ -120,7 +151,7 @@ impl ShardState {
                 format!("no subroutine `{}` in program", req.sub),
             ));
         };
-        let Some(loop_fp) = loop_fingerprint(program, sub_sym, &req.label) else {
+        let Some(loop_fp) = prog.loop_fingerprint(sub_sym, &req.label) else {
             return Err((
                 ErrCode::UnknownLoop,
                 format!("no loop labelled `{}` in `{}`", req.label, req.sub),
@@ -148,22 +179,30 @@ impl ShardState {
             prog,
             analysis,
             sub: sub_sym,
-            label: req.label.clone(),
+            req,
             store,
-            spec: req.frame.clone(),
-            results: req.results.clone(),
             analysis_hit,
             program_hit,
         })
     }
 
     /// Runs a batch of requests, all bound to this shard, through
-    /// [`Session::run_many`]; returns one response payload per request
-    /// in order. A batch-aborting error degrades to per-request
+    /// [`Session::run_many`], and writes the response to `reqs[i]` into
+    /// `replies[i]`. A batch-aborting error degrades to per-request
     /// execution on rebuilt input frames, so one failing request never
     /// poisons its neighbors' results.
-    pub fn run_batch(&mut self, reqs: &[RunRequest], server_obs: &Obs) -> Vec<String> {
-        let mut prepared: Vec<Result<Prepared, (ErrCode, String)>> =
+    ///
+    /// Per request, `server_obs` gets one `serve.run_ns` observation
+    /// (preparing and running the batch it was in) and one
+    /// `serve.encode_ns` (results to reply bytes).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one reply frame per request.
+    pub fn run_batch(&mut self, reqs: &[&RunRequest], replies: &mut [Frame], server_obs: &Obs) {
+        assert_eq!(reqs.len(), replies.len(), "one reply frame per request");
+        let started = Instant::now();
+        let mut prepared: Vec<Result<Prepared, Rejected>> =
             reqs.iter().map(|r| self.prepare(r)).collect();
         for p in prepared.iter().filter_map(|r| r.as_ref().ok()) {
             server_obs.count(
@@ -189,167 +228,176 @@ impl ShardState {
 
         let mut jobs: Vec<LoopJob> = Vec::new();
         for p in prepared.iter_mut().filter_map(|r| r.as_mut().ok()) {
-            let Prepared {
-                prog,
-                analysis,
-                sub,
-                label,
-                store,
-                ..
-            } = p;
-            let program = prog.machine.program();
-            let subr = program
-                .units
-                .iter()
-                .find(|u| u.name == *sub)
-                .expect("validated in prepare");
-            let target = subr.find_loop(label).expect("validated in prepare");
+            let (sub, target) = p.prog.target(p.sub, &p.req.label);
             jobs.push(LoopJob {
-                machine: &prog.machine,
-                sub: subr,
+                machine: &p.prog.machine,
+                sub,
                 target,
-                analysis,
-                frame: store,
+                analysis: &p.analysis,
+                frame: &mut p.store,
             });
         }
-        let batch = self.session.run_many(jobs);
+        // Someone in the batch failing aborts `run_many` with frames
+        // partially mutated: each request is then re-run on a freshly
+        // built frame for an isolated verdict.
+        let mut batch = self.session.run_many(jobs).ok().map(Vec::into_iter);
+        let ran: Vec<Result<(Prepared, RunStats), Rejected>> = prepared
+            .into_iter()
+            .map(|p| {
+                let mut p = p?;
+                let stats = match &mut batch {
+                    Some(stats) => stats.next().expect("one RunStats per prepared job"),
+                    None => self.run_single(&mut p)?,
+                };
+                Ok((p, stats))
+            })
+            .collect();
+        let run_ns = started.elapsed().as_nanos() as u64;
 
-        match batch {
-            Ok(stats) => {
-                let mut stats = stats.into_iter();
-                prepared
-                    .into_iter()
-                    .map(|r| match r {
-                        Err((code, detail)) => error_json(code, &detail),
-                        Ok(p) => {
-                            let s = stats.next().expect("one RunStats per prepared job");
-                            ok_response(&p, &s, &p.store)
-                        }
-                    })
-                    .collect()
+        for (ran, reply) in ran.into_iter().zip(replies) {
+            let encode_from = Instant::now();
+            match ran {
+                Ok((p, stats)) => ok_response(reply, &p, &stats),
+                Err((code, detail)) => reply.error(code, &detail),
             }
-            Err(_) => {
-                // Someone in the batch failed and `run_many` aborted;
-                // frames may be partially mutated. Re-run each request
-                // on a freshly built frame for an isolated verdict.
-                prepared
-                    .into_iter()
-                    .map(|r| match r {
-                        Err((code, detail)) => error_json(code, &detail),
-                        Ok(p) => self.run_single(&p),
-                    })
-                    .collect()
-            }
+            server_obs.record_ns("serve.run_ns", run_ns);
+            server_obs.record_ns("serve.encode_ns", encode_from.elapsed().as_nanos() as u64);
         }
     }
 
-    fn run_single(&self, p: &Prepared) -> String {
-        let program = p.prog.machine.program();
-        let subr = program
-            .units
-            .iter()
-            .find(|u| u.name == p.sub)
-            .expect("validated in prepare");
-        let target = subr.find_loop(&p.label).expect("validated in prepare");
-        let mut store = match build_store(&p.spec, subr) {
-            Ok(s) => s,
-            Err((code, detail)) => return error_json(code, &detail),
-        };
-        match self
-            .session
-            .run_loop(&p.prog.machine, subr, target, &p.analysis, &mut store)
-        {
-            Ok(stats) => ok_response(p, &stats, &store),
-            Err(e) => error_json(ErrCode::ExecError, &format!("{e}")),
-        }
+    /// Runs `p` alone, on a frame rebuilt from its request.
+    fn run_single(&self, p: &mut Prepared) -> Result<RunStats, Rejected> {
+        let (sub, target) = p.prog.target(p.sub, &p.req.label);
+        p.store = build_store(&p.req.frame, sub)?;
+        self.session
+            .run_loop(&p.prog.machine, sub, target, &p.analysis, &mut p.store)
+            .map_err(|e| (ErrCode::ExecError, format!("{e}")))
     }
 }
 
-fn ok_response(p: &Prepared, stats: &RunStats, store: &Store) -> String {
-    format!(
-        "{{\"type\": \"ok\", \"outcome\": {}, \"cache\": \"{}\", \"program_cache\": \"{}\", \
-         \"test_units\": {}, \"loop_units\": {}, \"results\": {}}}",
-        json_str(&format!("{:?}", stats.outcome)),
-        if p.analysis_hit { "hit" } else { "miss" },
-        if p.program_hit { "hit" } else { "miss" },
-        stats.test_units,
-        stats.loop_units,
-        encode_results(store, &p.results),
-    )
+fn hit_or_miss(hit: bool) -> &'static str {
+    if hit {
+        "hit"
+    } else {
+        "miss"
+    }
 }
 
-fn value_json(v: Value) -> String {
+fn ok_response(reply: &mut Frame, p: &Prepared, stats: &RunStats) {
+    let mut w = reply.begin();
+    w.begin_obj();
+    w.key("type").str("ok");
+    w.key("outcome").str(&format!("{:?}", stats.outcome));
+    w.key("cache").str(hit_or_miss(p.analysis_hit));
+    w.key("program_cache").str(hit_or_miss(p.program_hit));
+    w.key("test_units").u64(stats.test_units);
+    w.key("loop_units").u64(stats.loop_units);
+    w.key("results");
+    encode_results(&mut w, &p.store, &p.req.results);
+    w.end_obj();
+    reply.seal();
+}
+
+fn ty_name(ty: Ty) -> &'static str {
+    match ty {
+        Ty::Int => "int",
+        Ty::Real => "real",
+    }
+}
+
+fn value_json(w: &mut Writer<'_>, v: Value) {
     match v {
-        Value::Int(i) => format!("{i}"),
-        Value::Real(r) if r.is_finite() => format!("{r}"),
-        Value::Real(_) => "null".to_owned(),
+        Value::Int(i) => w.i64(i),
+        Value::Real(r) => w.f64(r),
     }
 }
 
-/// Renders the requested result bindings from the post-run store.
+/// Elements encoded between two looks at the reply's size.
+const ENCODE_CHUNK: usize = 4096;
+
+/// Writes the requested result bindings from the post-run store.
 /// Scalars render as `{"ty": ..., "value": v}`, arrays as
-/// `{"ty": ..., "data": [...]}`; unknown names render as `null`.
-fn encode_results(store: &Store, names: &[String]) -> String {
-    let mut out = String::from("{");
-    for (i, name) in names.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&json_str(name));
-        out.push_str(": ");
+/// `{"ty": ..., "data": [...]}`; unknown names render as `null`. Stops
+/// early (leaving the document unfinished) once the reply is past
+/// [`MAX_FRAME`]: sealing it then reports the size reached.
+fn encode_results(w: &mut Writer<'_>, store: &Store, names: &[String]) {
+    w.begin_obj();
+    for name in names {
+        w.key(name);
         let s = sym(name);
         if let Some(v) = store.scalar(s) {
-            let ty = if matches!(v, Value::Int(_)) {
-                "int"
-            } else {
-                "real"
-            };
-            out.push_str(&format!(
-                "{{\"ty\": \"{ty}\", \"value\": {}}}",
-                value_json(v)
-            ));
+            w.begin_obj();
+            w.key("ty").str(match v {
+                Value::Int(_) => "int",
+                Value::Real(_) => "real",
+            });
+            w.key("value");
+            value_json(w, v);
+            w.end_obj();
         } else if let Some(view) = store.array(s) {
-            let ty = if view.buf.ty() == Ty::Int {
-                "int"
-            } else {
-                "real"
-            };
-            out.push_str(&format!("{{\"ty\": \"{ty}\", \"data\": ["));
-            for k in 0..view.buf.len() {
-                if k > 0 {
-                    out.push_str(", ");
+            w.begin_obj();
+            w.key("ty").str(ty_name(view.buf.ty()));
+            w.key("data").begin_arr();
+            let len = view.buf.len();
+            for from in (0..len).step_by(ENCODE_CHUNK) {
+                for k in from..len.min(from + ENCODE_CHUNK) {
+                    value_json(w, view.buf.get(k));
                 }
-                out.push_str(&value_json(view.buf.get(k)));
+                if w.buffer_len() > MAX_FRAME {
+                    return;
+                }
             }
-            out.push_str("]}");
+            w.end_arr();
+            w.end_obj();
         } else {
-            out.push_str("null");
+            w.null();
         }
     }
-    out.push('}');
-    out
+    w.end_obj();
+}
+
+/// `n` as the value of an INTEGER binding: integral and within ±2^53,
+/// the range in which the wire's `f64` names one integer.
+fn integer(n: f64) -> Option<i64> {
+    (n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0).then_some(n as i64)
 }
 
 /// Materializes a request's `frame` into a [`Store`], typing each
 /// binding by the subroutine's declarations (or the implicit I–N
 /// rule), overridable per array via `ty`.
-fn build_store(spec: &FrameSpec, sub: &Subroutine) -> Result<Store, (ErrCode, String)> {
+fn build_store(spec: &FrameSpec, sub: &Subroutine) -> Result<Store, Rejected> {
     let mut store = Store::new();
     for (name, n) in &spec.scalars {
         let s = sym(name);
-        match sub.ty_of(s) {
-            Ty::Int => {
-                if n.fract() != 0.0 {
-                    return Err((
-                        ErrCode::BadRequest,
-                        format!("scalar `{name}` is INTEGER but got {n}"),
-                    ));
-                }
-                store.set_scalar(s, Value::Int(*n as i64));
-            }
-            Ty::Real => {
-                store.set_scalar(s, Value::Real(*n));
-            }
+        let v = match sub.ty_of(s) {
+            Ty::Int => Value::Int(integer(*n).ok_or_else(|| {
+                (
+                    ErrCode::BadRequest,
+                    format!("scalar `{name}` is INTEGER but got {n}"),
+                )
+            })?),
+            Ty::Real => Value::Real(*n),
+        };
+        store.set_scalar(s, v);
+    }
+    // Sized before anything is allocated.
+    let array_len = |a: &ArraySpec| {
+        a.data
+            .as_ref()
+            .map_or(0, Vec::len)
+            .saturating_add(a.len.unwrap_or(0))
+    };
+    let mut elements = 0usize;
+    for (name, array) in &spec.arrays {
+        elements = elements.saturating_add(array_len(array));
+        if elements > MAX_ARRAY_LEN {
+            return Err((
+                ErrCode::BadRequest,
+                format!(
+                    "array `{name}` brings the frame to {elements} elements \
+                     (limit {MAX_ARRAY_LEN})"
+                ),
+            ));
         }
     }
     for (name, array) in &spec.arrays {
@@ -377,34 +425,29 @@ fn materialize(
     name: &str,
     array: &ArraySpec,
     ty: Ty,
-) -> Result<std::sync::Arc<ArrayBuf>, (ErrCode, String)> {
+) -> Result<std::sync::Arc<ArrayBuf>, Rejected> {
+    let not_integer = |what: &str, v: f64| {
+        (
+            ErrCode::BadRequest,
+            format!("array `{name}` is INTEGER but {what} {v}"),
+        )
+    };
     match (&array.data, array.len) {
         (Some(data), _) => match ty {
             Ty::Real => Ok(ArrayBuf::from_f64(data)),
             Ty::Int => {
-                let mut ints = Vec::with_capacity(data.len());
-                for v in data {
-                    if v.fract() != 0.0 {
-                        return Err((
-                            ErrCode::BadRequest,
-                            format!("array `{name}` is INTEGER but got {v}"),
-                        ));
-                    }
-                    ints.push(*v as i64);
-                }
+                let ints = data
+                    .iter()
+                    .map(|v| integer(*v).ok_or_else(|| not_integer("got", *v)))
+                    .collect::<Result<Vec<i64>, _>>()?;
                 Ok(ArrayBuf::from_i64(&ints))
             }
         },
         (None, Some(len)) => match ty {
             Ty::Real => Ok(ArrayBuf::from_f64(&vec![array.fill; len])),
             Ty::Int => {
-                if array.fill.fract() != 0.0 {
-                    return Err((
-                        ErrCode::BadRequest,
-                        format!("array `{name}` is INTEGER but fill is {}", array.fill),
-                    ));
-                }
-                Ok(ArrayBuf::from_i64(&vec![array.fill as i64; len]))
+                let fill = integer(array.fill).ok_or_else(|| not_integer("fill is", array.fill))?;
+                Ok(ArrayBuf::from_i64(&vec![fill; len]))
             }
         },
         (None, None) => Err((
@@ -473,14 +516,24 @@ END
         }
     }
 
+    /// `run_batch` over owned requests, replies parsed.
+    fn run(shard: &mut ShardState, reqs: &[RunRequest], obs: &Obs) -> Vec<Json> {
+        let reqs: Vec<&RunRequest> = reqs.iter().collect();
+        let mut replies: Vec<Frame> = reqs.iter().map(|_| Frame::default()).collect();
+        shard.run_batch(&reqs, &mut replies, obs);
+        replies
+            .iter()
+            .map(|f| Json::parse(f.payload()).expect("valid JSON"))
+            .collect()
+    }
+
     #[test]
     fn shard_runs_and_caches_incrementally() {
         let obs = Obs::with_level(lip_obs::ObsLevel::Metrics);
         let mut shard = ShardState::new("test".into(), SessionConfig::default());
         let req = stencil_request(16);
 
-        let first = shard.run_batch(std::slice::from_ref(&req), &obs);
-        let first = Json::parse(&first[0]).expect("valid JSON");
+        let first = run(&mut shard, std::slice::from_ref(&req), &obs).remove(0);
         assert_eq!(first.get("type").and_then(Json::as_str), Some("ok"));
         assert_eq!(first.get("cache").and_then(Json::as_str), Some("miss"));
         let units = first
@@ -497,8 +550,7 @@ END
 
         // Identical resubmission: parse and analysis both hit, results
         // identical.
-        let second = shard.run_batch(std::slice::from_ref(&req), &obs);
-        let second = Json::parse(&second[0]).expect("valid JSON");
+        let second = run(&mut shard, std::slice::from_ref(&req), &obs).remove(0);
         assert_eq!(second.get("cache").and_then(Json::as_str), Some("hit"));
         assert_eq!(
             second.get("program_cache").and_then(Json::as_str),
@@ -514,13 +566,70 @@ END
         // cache misses, but the analysis cache still hits.
         let mut edited = req.clone();
         edited.program.push('\n');
-        let third = shard.run_batch(std::slice::from_ref(&edited), &obs);
-        let third = Json::parse(&third[0]).expect("valid JSON");
+        let third = run(&mut shard, std::slice::from_ref(&edited), &obs).remove(0);
         assert_eq!(
             third.get("program_cache").and_then(Json::as_str),
             Some("miss")
         );
         assert_eq!(third.get("cache").and_then(Json::as_str), Some("hit"));
+
+        // Every request left one observation in each stage histogram.
+        let snap = obs.snapshot();
+        for name in ["serve.run_ns", "serve.encode_ns"] {
+            let h = snap.histograms.iter().find(|h| h.name == name);
+            assert_eq!(h.map(|h| h.count), Some(3), "{name}");
+        }
+    }
+
+    /// The loop fingerprint is remembered per cached program, so what
+    /// decides a hit is still the fingerprint: an edit to a declaration,
+    /// to the loop or to a callee is a new program entry whose loop
+    /// fingerprints differ (analysis miss); an edit that parses to the
+    /// same AST is a new entry with the same fingerprint (hit).
+    #[test]
+    fn loop_fingerprint_memo_still_misses_on_edits_that_matter() {
+        let obs = Obs::off();
+        let mut shard = ShardState::new("test".into(), SessionConfig::default());
+        let base = stencil_request(8);
+        let cache = |shard: &mut ShardState, req: &RunRequest| {
+            let reply = run(shard, std::slice::from_ref(req), &obs).remove(0);
+            assert_eq!(reply.get("type").and_then(Json::as_str), Some("ok"));
+            reply
+                .get("cache")
+                .and_then(Json::as_str)
+                .expect("cache")
+                .to_owned()
+        };
+        assert_eq!(cache(&mut shard, &base), "miss");
+        assert_eq!(cache(&mut shard, &base), "hit");
+        let edit = |from: &str, to: &str| {
+            let mut req = base.clone();
+            assert!(req.program.contains(from));
+            req.program = req.program.replace(from, to);
+            req
+        };
+        let decl = edit("DIMENSION UNEW(*)", "DIMENSION UNEW(64)");
+        let body = edit("0.5 * U(i)", "0.75 * U(i)");
+        let mut callee = base.clone();
+        callee
+            .program
+            .push_str("\nSUBROUTINE extra(X)\n  DIMENSION X(*)\n  X(1) = 0.0\nEND\n");
+        for (what, req) in [("declaration", &decl), ("loop", &body), ("callee", &callee)] {
+            assert_eq!(cache(&mut shard, req), "miss", "{what} edit");
+            assert_eq!(cache(&mut shard, req), "hit", "{what} edit, resubmitted");
+        }
+        let spaced = edit("DO sweep i = 1, N", "DO sweep i = 1,   N");
+        assert_eq!(cache(&mut shard, &spaced), "hit", "whitespace edit");
+        // The memo holds loops that exist, never a label that does not.
+        let mut unknown = base.clone();
+        unknown.label = "nolabel".into();
+        let reply = run(&mut shard, std::slice::from_ref(&unknown), &obs).remove(0);
+        assert_eq!(
+            reply.get("code").and_then(Json::as_str),
+            Some("unknown_loop")
+        );
+        let entry = &shard.programs[&source_fingerprint(&base.program)];
+        assert_eq!(entry.loop_fps.borrow().len(), 1);
     }
 
     #[test]
@@ -531,18 +640,15 @@ END
         // U unbound: the run fails at execution time.
         let mut bad = stencil_request(8);
         bad.frame.arrays.retain(|(n, _)| n != "U");
-        let out = shard.run_batch(&[good.clone(), bad, good.clone()], &obs);
-        let first = Json::parse(&out[0]).expect("valid");
-        let mid = Json::parse(&out[1]).expect("valid");
-        let last = Json::parse(&out[2]).expect("valid");
+        let out = run(&mut shard, &[good.clone(), bad, good.clone()], &obs);
+        let (first, mid, last) = (&out[0], &out[1], &out[2]);
         assert_eq!(first.get("type").and_then(Json::as_str), Some("ok"));
         assert_eq!(mid.get("type").and_then(Json::as_str), Some("error"));
         assert_eq!(mid.get("code").and_then(Json::as_str), Some("exec_error"));
         assert_eq!(last.get("type").and_then(Json::as_str), Some("ok"));
         // The rescued neighbors ran on fresh frames: same results as a
         // clean run.
-        let clean = shard.run_batch(std::slice::from_ref(&good), &obs);
-        let clean = Json::parse(&clean[0]).expect("valid");
+        let clean = run(&mut shard, std::slice::from_ref(&good), &obs).remove(0);
         assert_eq!(first.get("results"), clean.get("results"));
         assert_eq!(last.get("results"), clean.get("results"));
     }
@@ -553,13 +659,62 @@ END
         let mut shard = ShardState::new("test".into(), SessionConfig::default());
         let mut req = stencil_request(4);
         req.sub = "nope".into();
-        let out = shard.run_batch(std::slice::from_ref(&req), &obs);
-        let out = Json::parse(&out[0]).expect("valid");
+        let out = run(&mut shard, std::slice::from_ref(&req), &obs).remove(0);
         assert_eq!(out.get("code").and_then(Json::as_str), Some("unknown_loop"));
         let mut req = stencil_request(4);
         req.label = "nolabel".into();
-        let out = shard.run_batch(std::slice::from_ref(&req), &obs);
-        let out = Json::parse(&out[0]).expect("valid");
+        let out = run(&mut shard, std::slice::from_ref(&req), &obs).remove(0);
         assert_eq!(out.get("code").and_then(Json::as_str), Some("unknown_loop"));
+    }
+
+    #[test]
+    fn frames_beyond_the_caps_are_bad_request() {
+        let obs = Obs::off();
+        let mut shard = ShardState::new("test".into(), SessionConfig::default());
+        let rejected = |shard: &mut ShardState, req: &RunRequest| {
+            let out = run(shard, std::slice::from_ref(req), &obs).remove(0);
+            assert_eq!(
+                out.get("code").and_then(Json::as_str),
+                Some("bad_request"),
+                "{out:?}"
+            );
+            out.get("detail")
+                .and_then(Json::as_str)
+                .expect("detail")
+                .to_owned()
+        };
+        // A `len` no allocator should be asked for.
+        let mut req = stencil_request(4);
+        req.frame.arrays[0].1.len = Some(1_000_000_000_000_000);
+        assert!(rejected(&mut shard, &req).contains("limit"));
+        // The cap is on the frame: two arrays that fit one by one.
+        let mut req = stencil_request(4);
+        for k in [1, 2] {
+            req.frame.arrays[k].1.data = None;
+            req.frame.arrays[k].1.len = Some(MAX_ARRAY_LEN / 2 + 1);
+        }
+        assert!(rejected(&mut shard, &req).contains("`V`"));
+        // INTEGER bindings take integers the wire's f64 names exactly.
+        for n in [1e300, -1e300, 9_007_199_254_740_994.0, 2.5] {
+            let mut req = stencil_request(4);
+            req.frame.scalars[0].1 = n;
+            assert!(rejected(&mut shard, &req).contains("INTEGER"), "{n}");
+            let mut req = stencil_request(4);
+            req.frame.arrays[1].1.ty = Some("int".into());
+            req.frame.arrays[1].1.data = Some(vec![1.0, n, 3.0, 4.0]);
+            assert!(rejected(&mut shard, &req).contains("INTEGER"), "{n}");
+            let mut req = stencil_request(4);
+            req.frame.arrays[0].1.ty = Some("int".into());
+            req.frame.arrays[0].1.fill = n;
+            assert!(rejected(&mut shard, &req).contains("INTEGER"), "{n}");
+        }
+        let mut req = stencil_request(4);
+        req.frame.scalars[0].1 = -9_007_199_254_740_992.0;
+        let out = run(&mut shard, std::slice::from_ref(&req), &obs).remove(0);
+        assert_eq!(
+            out.get("type").and_then(Json::as_str),
+            Some("ok"),
+            "{out:?}"
+        );
     }
 }

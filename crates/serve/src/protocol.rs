@@ -3,10 +3,31 @@
 //! A frame is a 4-byte big-endian payload length followed by that many
 //! bytes of UTF-8 JSON — trivial to implement in any language, and
 //! self-delimiting so one TCP connection carries any number of
-//! request/response pairs in order. The JSON itself is read with the
-//! workspace's own zero-dependency parser ([`lip_obs::json`]) and
-//! written with the shared escaper ([`lip_obs::json_str`]), so the
+//! request/response pairs in order. The JSON is read and written with
+//! the workspace's own zero-dependency [`lip_obs::json`], so the
 //! protocol layer adds no new dependency surface.
+//!
+//! ## Decode once, encode once
+//!
+//! [`parse_request`] drives [`lip_obs::json::Reader`] directly: every
+//! byte of a request is visited once and `frame.arrays.*.data` lands in
+//! its `Vec<f64>` with no tree in between. The reader's contract is the
+//! decoder's — strict RFC 8259 numbers, bit-identical to
+//! `str::parse::<f64>`, nesting capped at
+//! [`lip_obs::json::MAX_DEPTH`] — and the decoder adds the request
+//! rules: the first occurrence of a duplicate key wins, unknown
+//! top-level keys are ignored, unknown `frame` keys are rejected, and a
+//! syntax error anywhere in the payload is `parse_error` even when a
+//! structurally wrong member came first (the decoder notes the first
+//! structural miss per member and keeps reading to the end). A
+//! tree-walking decoder over [`lip_obs::json::Json`] survives as the
+//! test oracle that pins all of this.
+//!
+//! A reply is written by [`lip_obs::json::Writer`] straight into its
+//! [`Frame`], behind the length prefix, and goes to the socket in one
+//! write; numbers are byte-identical to `format!("{v}")`. A reply that
+//! outgrows [`MAX_FRAME`] is replaced by an `exec_error` naming its
+//! size.
 //!
 //! ## Requests
 //!
@@ -18,7 +39,10 @@
 //!   "frame": {"scalars": {"N": 256}, "arrays": {"U": {"data":
 //!   [...]}}}, "results": ["UNEW"], "deadline_ms": 500, "cost": 1000}`.
 //!   `config`, `frame`, `results`, `deadline_ms` and `cost` are
-//!   optional; `cost` is the admission-control work-unit estimate.
+//!   optional; `cost` is the admission-control work-unit estimate. A
+//!   frame's arrays hold at most [`MAX_ARRAY_LEN`] elements in total,
+//!   and a value bound to an INTEGER must be an integer of magnitude at
+//!   most 2^53 (`bad_request` otherwise).
 //! * `stats` — server counters, latency quantiles, admission state and
 //!   every shard session's metrics snapshot. Answered inline, never
 //!   queued.
@@ -42,12 +66,107 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
-use lip_obs::json::Json;
-use lip_obs::json_str;
+use lip_obs::json::{f64_as_u64, Json, Kind, Reader, Writer};
 
 /// Frames above this payload size are rejected (`bad_frame`); the
 /// connection cannot be resynchronized afterwards and is closed.
 pub const MAX_FRAME: usize = 1 << 24;
+
+/// Elements the arrays of one request's `frame` may hold in total
+/// (`bad_request` beyond it). No `data` array can be longer than a
+/// frame has bytes; this keeps a `len` from naming more.
+pub const MAX_ARRAY_LEN: usize = 1 << 24;
+
+/// One outgoing frame: length prefix and payload in a single buffer,
+/// so the payload is written where it is sent from.
+#[derive(Debug, Default)]
+pub struct Frame {
+    buf: Vec<u8>,
+}
+
+impl Frame {
+    /// Starts the frame over and returns the writer of its payload;
+    /// [`Frame::seal`] completes it.
+    pub fn begin(&mut self) -> Writer<'_> {
+        self.buf.clear();
+        self.buf.extend_from_slice(&[0; 4]);
+        Writer::new(&mut self.buf)
+    }
+
+    /// Fills in the length prefix. A payload above [`MAX_FRAME`] cannot
+    /// be sent: it is replaced by an `exec_error` naming its size.
+    pub fn seal(&mut self) {
+        let len = self.payload_len();
+        if len > MAX_FRAME {
+            return self.error(
+                ErrCode::ExecError,
+                &format!("reply of {len} bytes exceeds the {MAX_FRAME}-byte frame limit"),
+            );
+        }
+        self.buf[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    }
+
+    /// Makes this an error response frame.
+    pub fn error(&mut self, code: ErrCode, detail: &str) {
+        let mut w = self.begin();
+        w.begin_obj();
+        w.key("type").str("error");
+        w.key("code").str(code.as_str());
+        w.key("detail").str(detail);
+        w.end_obj();
+        self.seal();
+    }
+
+    /// Makes this a frame carrying `payload` as is.
+    ///
+    /// # Errors
+    ///
+    /// A payload above [`MAX_FRAME`] is `InvalidInput`.
+    pub fn set_payload(&mut self, payload: &str) -> io::Result<()> {
+        if payload.len() > MAX_FRAME {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "frame exceeds MAX_FRAME",
+            ));
+        }
+        self.buf.clear();
+        self.buf
+            .extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        self.buf.extend_from_slice(payload.as_bytes());
+        Ok(())
+    }
+
+    /// Payload bytes written so far.
+    pub fn payload_len(&self) -> usize {
+        self.buf.len().saturating_sub(4)
+    }
+
+    /// The payload text.
+    pub fn payload(&self) -> &str {
+        std::str::from_utf8(self.buf.get(4..).unwrap_or_default())
+            .expect("payloads are written as UTF-8")
+    }
+
+    /// Sends prefix and payload in one write: a separate prefix write
+    /// would interact with Nagle's algorithm + delayed ACKs for ~40 ms
+    /// per direction.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures.
+    pub fn send(&self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(&self.buf)?;
+        w.flush()
+    }
+
+    /// Gives back the buffer of a frame that outgrew `keep` bytes, so
+    /// one large reply does not pin its size for the connection's life.
+    pub fn trim(&mut self, keep: usize) {
+        if self.buf.capacity() > keep {
+            self.buf = Vec::new();
+        }
+    }
+}
 
 /// Writes one length-prefixed frame.
 ///
@@ -56,20 +175,9 @@ pub const MAX_FRAME: usize = 1 << 24;
 /// Propagates I/O failures; a payload above [`MAX_FRAME`] is
 /// `InvalidInput`.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
-    if bytes.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame exceeds MAX_FRAME",
-        ));
-    }
-    // One write per frame: a separate prefix write would interact with
-    // Nagle's algorithm + delayed ACKs for ~40 ms per direction.
-    let mut frame = Vec::with_capacity(4 + bytes.len());
-    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    frame.extend_from_slice(bytes);
-    w.write_all(&frame)?;
-    w.flush()
+    let mut frame = Frame::default();
+    frame.set_payload(payload)?;
+    frame.send(w)
 }
 
 /// Why a frame could not be read.
@@ -85,13 +193,15 @@ pub enum FrameError {
     Io(io::Error),
 }
 
-/// Reads one length-prefixed frame.
+/// Reads one length-prefixed frame into `buf` (reused across calls,
+/// so a connection does not allocate per frame) and returns its
+/// payload.
 ///
 /// # Errors
 ///
 /// [`FrameError::Closed`] on clean EOF before a length prefix; see
 /// [`FrameError`] for the rest.
-pub fn read_frame(r: &mut impl Read) -> Result<String, FrameError> {
+pub fn read_frame<'b>(r: &mut impl Read, buf: &'b mut Vec<u8>) -> Result<&'b str, FrameError> {
     let mut len4 = [0u8; 4];
     if let Err(e) = r.read_exact(&mut len4) {
         return Err(if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -104,9 +214,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<String, FrameError> {
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf).map_err(FrameError::Io)?;
-    String::from_utf8(buf).map_err(|_| FrameError::Utf8)
+    buf.resize(len, 0);
+    r.read_exact(buf).map_err(FrameError::Io)?;
+    std::str::from_utf8(buf).map_err(|_| FrameError::Utf8)
 }
 
 /// Error codes of `{"type": "error"}` responses.
@@ -163,14 +273,6 @@ impl std::fmt::Display for ErrCode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
-}
-
-/// Renders an error response frame payload.
-pub fn error_json(code: ErrCode, detail: &str) -> String {
-    format!(
-        "{{\"type\": \"error\", \"code\": \"{code}\", \"detail\": {}}}",
-        json_str(detail)
-    )
 }
 
 /// One array initializer in a `run` request's `frame`.
@@ -249,210 +351,368 @@ pub enum Request {
     },
 }
 
-fn bad(detail: impl Into<String>) -> (ErrCode, String) {
-    (ErrCode::BadRequest, detail.into())
-}
+/// One known member of an object being decoded: not seen yet, decoded,
+/// or structurally wrong (the `bad_request` detail). The first
+/// occurrence of a key fills its slot; later ones are skipped.
+type Slot<T> = Option<Result<T, String>>;
 
-/// Renders a config JSON value (string / number / bool) to the string
-/// form the strict parsers take.
-fn config_value(v: &Json) -> Option<String> {
-    match v {
-        Json::Str(s) => Some(s.clone()),
-        Json::Num(n) if n.fract() == 0.0 => Some(format!("{}", *n as i64)),
-        Json::Num(n) => Some(format!("{n}")),
-        Json::Bool(b) => Some(if *b { "on" } else { "off" }.to_owned()),
-        _ => None,
+/// A decoding step: `None` is a syntax error (the whole payload is
+/// `parse_error`), `Some(Err(detail))` a structural miss that was read
+/// past, to the end of the member.
+type Decoded<T> = Option<Result<T, String>>;
+
+/// Fills `slot` from the next value, or skips the value when an earlier
+/// occurrence of the key already did.
+fn fill<T>(
+    slot: &mut Slot<T>,
+    r: &mut Reader<'_>,
+    decode: impl FnOnce(&mut Reader<'_>) -> Decoded<T>,
+) -> Option<()> {
+    if slot.is_some() {
+        return r.skip_value();
     }
+    *slot = Some(decode(r)?);
+    Some(())
 }
 
-fn parse_config(v: Option<&Json>) -> Result<Vec<(String, String)>, (ErrCode, String)> {
-    let Some(v) = v else {
-        return Ok(Vec::new());
-    };
-    let Some(obj) = v.as_obj() else {
-        return Err(bad("`config` must be an object"));
-    };
-    obj.iter()
-        .map(|(k, v)| {
-            config_value(v)
-                .map(|s| (k.clone(), s))
-                .ok_or_else(|| bad(format!("config `{k}` must be a string, number or bool")))
-        })
-        .collect()
+/// Skips the next value and reports `detail` for it.
+fn miss<T>(r: &mut Reader<'_>, detail: String) -> Decoded<T> {
+    r.skip_value()?;
+    Some(Err(detail))
 }
 
-fn parse_frame(v: Option<&Json>) -> Result<FrameSpec, (ErrCode, String)> {
-    let mut spec = FrameSpec::default();
-    let Some(v) = v else {
-        return Ok(spec);
-    };
-    let Some(obj) = v.as_obj() else {
-        return Err(bad("`frame` must be an object"));
-    };
-    if let Some(scalars) = v.get("scalars") {
-        let Some(pairs) = scalars.as_obj() else {
-            return Err(bad("`frame.scalars` must be an object"));
-        };
-        for (k, v) in pairs {
-            let Some(n) = v.as_f64() else {
-                return Err(bad(format!("scalar `{k}` must be a number")));
+/// Walks the members of the object that comes next; `not_object` is
+/// the miss when something else does. A miss stops nothing: `member`
+/// sees every key, the first miss (`member`'s or the shape's) is kept.
+fn object<'a>(
+    r: &mut Reader<'a>,
+    not_object: impl FnOnce() -> String,
+    mut member: impl FnMut(&mut Reader<'a>, &str) -> Decoded<()>,
+) -> Decoded<()> {
+    if r.peek()? != Kind::Obj {
+        return miss(r, not_object());
+    }
+    r.begin_object()?;
+    let mut first_miss = Ok(());
+    while let Some(key) = r.next_key()? {
+        let step = member(r, &key)?;
+        if first_miss.is_ok() {
+            first_miss = step;
+        }
+    }
+    Some(first_miss)
+}
+
+fn string_member(r: &mut Reader<'_>, key: &str) -> Decoded<String> {
+    if r.peek()? != Kind::Str {
+        return miss(r, format!("missing string field `{key}`"));
+    }
+    Some(Ok(r.string()?.into_owned()))
+}
+
+/// The next value as a number, when it is one (skipped otherwise).
+fn number(r: &mut Reader<'_>) -> Option<Option<f64>> {
+    if r.peek()? != Kind::Num {
+        r.skip_value()?;
+        return Some(None);
+    }
+    r.number().map(Some)
+}
+
+fn u64_member(r: &mut Reader<'_>, key: &str) -> Decoded<u64> {
+    Some(
+        number(r)?
+            .and_then(f64_as_u64)
+            .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
+    )
+}
+
+/// `config`: every value rendered to the string form the strict parsers
+/// take.
+fn config_member(r: &mut Reader<'_>) -> Decoded<Vec<(String, String)>> {
+    let mut pairs = Vec::new();
+    let shape = object(
+        r,
+        || "`config` must be an object".to_owned(),
+        |r, key| {
+            let value = match r.peek()? {
+                Kind::Str => r.string()?.into_owned(),
+                Kind::Num => {
+                    let n = r.number()?;
+                    if n.fract() == 0.0 {
+                        format!("{}", n as i64)
+                    } else {
+                        format!("{n}")
+                    }
+                }
+                Kind::Bool => if r.bool()? { "on" } else { "off" }.to_owned(),
+                _ => {
+                    return miss(
+                        r,
+                        format!("config `{key}` must be a string, number or bool"),
+                    )
+                }
             };
-            spec.scalars.push((k.clone(), n));
+            pairs.push((key.to_owned(), value));
+            Some(Ok(()))
+        },
+    )?;
+    Some(shape.map(|()| pairs))
+}
+
+fn results_member(r: &mut Reader<'_>) -> Decoded<Vec<String>> {
+    let wrong = || "`results` must be an array of names".to_owned();
+    if r.peek()? != Kind::Arr {
+        return miss(r, wrong());
+    }
+    r.begin_array()?;
+    let mut names = Vec::new();
+    let mut all_names = true;
+    while r.next_element()? {
+        if r.peek()? == Kind::Str {
+            names.push(r.string()?.into_owned());
+        } else {
+            r.skip_value()?;
+            all_names = false;
         }
     }
-    if let Some(arrays) = v.get("arrays") {
-        let Some(pairs) = arrays.as_obj() else {
-            return Err(bad("`frame.arrays` must be an object"));
+    Some(if all_names { Ok(names) } else { Err(wrong()) })
+}
+
+/// `frame`: its members are checked in the order `scalars`, `arrays`,
+/// unknown keys, wherever they stand in the document.
+fn frame_member(r: &mut Reader<'_>) -> Decoded<FrameSpec> {
+    let (mut scalars, mut arrays, mut unknown) = (None, None, None);
+    let shape = object(
+        r,
+        || "`frame` must be an object".to_owned(),
+        |r, key| {
+            match key {
+                "scalars" => fill(&mut scalars, r, scalars_member)?,
+                "arrays" => fill(&mut arrays, r, arrays_member)?,
+                _ => {
+                    unknown.get_or_insert_with(|| format!("unknown `frame` key `{key}`"));
+                    r.skip_value()?;
+                }
+            }
+            Some(Ok(()))
+        },
+    )?;
+    Some((|| {
+        shape?;
+        let spec = FrameSpec {
+            scalars: scalars.transpose()?.unwrap_or_default(),
+            arrays: arrays.transpose()?.unwrap_or_default(),
         };
-        for (k, v) in pairs {
-            spec.arrays.push((k.clone(), parse_array_spec(k, v)?));
-        }
-    }
-    for (k, _) in obj {
-        if k != "scalars" && k != "arrays" {
-            return Err(bad(format!("unknown `frame` key `{k}`")));
-        }
-    }
-    Ok(spec)
+        unknown.map_or(Ok(spec), Err)
+    })())
 }
 
-fn parse_array_spec(name: &str, v: &Json) -> Result<ArraySpec, (ErrCode, String)> {
-    let Some(_) = v.as_obj() else {
-        return Err(bad(format!("array `{name}` must be an object")));
-    };
-    let ty = match v.get("ty") {
-        None => None,
-        Some(t) => match t.as_str() {
-            Some(t @ ("int" | "real")) => Some(t.to_owned()),
-            _ => {
-                return Err(bad(format!(
-                    "array `{name}` ty must be \"int\" or \"real\""
-                )))
-            }
+fn scalars_member(r: &mut Reader<'_>) -> Decoded<Vec<(String, f64)>> {
+    let mut pairs = Vec::new();
+    let shape = object(
+        r,
+        || "`frame.scalars` must be an object".to_owned(),
+        |r, key| {
+            Some(match number(r)? {
+                Some(n) => {
+                    pairs.push((key.to_owned(), n));
+                    Ok(())
+                }
+                None => Err(format!("scalar `{key}` must be a number")),
+            })
         },
-    };
-    let data = match v.get("data") {
-        None => None,
-        Some(d) => {
-            let Some(arr) = d.as_arr() else {
-                return Err(bad(format!("array `{name}` data must be an array")));
-            };
-            let mut out = Vec::with_capacity(arr.len());
-            for e in arr {
-                let Some(n) = e.as_f64() else {
-                    return Err(bad(format!("array `{name}` data must be numbers")));
-                };
-                out.push(n);
+    )?;
+    Some(shape.map(|()| pairs))
+}
+
+fn arrays_member(r: &mut Reader<'_>) -> Decoded<Vec<(String, ArraySpec)>> {
+    let mut specs = Vec::new();
+    let shape = object(
+        r,
+        || "`frame.arrays` must be an object".to_owned(),
+        |r, key| Some(array_spec(r, key)?.map(|spec| specs.push((key.to_owned(), spec)))),
+    )?;
+    Some(shape.map(|()| specs))
+}
+
+/// One array initializer: members checked in the order `ty`, `data`,
+/// `len`, `fill`, then that exactly one of `data` / `len` is there;
+/// other keys are ignored.
+fn array_spec(r: &mut Reader<'_>, name: &str) -> Decoded<ArraySpec> {
+    let (mut ty, mut data, mut len, mut fill_value) = (None, None, None, None);
+    let shape = object(
+        r,
+        || format!("array `{name}` must be an object"),
+        |r, key| {
+            match key {
+                "ty" => fill(&mut ty, r, |r| {
+                    let wrong = || format!("array `{name}` ty must be \"int\" or \"real\"");
+                    if r.peek()? != Kind::Str {
+                        return miss(r, wrong());
+                    }
+                    let t = r.string()?;
+                    Some(if matches!(&*t, "int" | "real") {
+                        Ok(t.into_owned())
+                    } else {
+                        Err(wrong())
+                    })
+                })?,
+                "data" => fill(&mut data, r, |r| array_data(r, name))?,
+                "len" => fill(&mut len, r, |r| {
+                    Some(
+                        number(r)?
+                            .and_then(f64_as_u64)
+                            .map(|l| l as usize)
+                            .ok_or_else(|| {
+                                format!("array `{name}` len must be a non-negative integer")
+                            }),
+                    )
+                })?,
+                "fill" => fill(&mut fill_value, r, |r| {
+                    Some(number(r)?.ok_or_else(|| format!("array `{name}` fill must be a number")))
+                })?,
+                _ => r.skip_value()?,
             }
-            Some(out)
-        }
-    };
-    let len = match v.get("len") {
-        None => None,
-        Some(l) => match l.as_u64() {
-            Some(l) => Some(l as usize),
-            None => {
-                return Err(bad(format!(
-                    "array `{name}` len must be a non-negative integer"
-                )))
-            }
+            Some(Ok(()))
         },
-    };
-    let fill = match v.get("fill") {
-        None => 0.0,
-        Some(f) => f
-            .as_f64()
-            .ok_or_else(|| bad(format!("array `{name}` fill must be a number")))?,
-    };
-    match (&data, len) {
-        (None, None) => Err(bad(format!("array `{name}` needs `data` or `len`"))),
-        (Some(_), Some(_)) => Err(bad(format!(
-            "array `{name}`: `data` and `len` are exclusive"
-        ))),
-        _ => Ok(ArraySpec {
-            ty,
-            data,
-            len,
-            fill,
-        }),
+    )?;
+    Some((|| {
+        shape?;
+        let spec = ArraySpec {
+            ty: ty.transpose()?,
+            data: data.transpose()?,
+            len: len.transpose()?,
+            fill: fill_value.transpose()?.unwrap_or(0.0),
+        };
+        match (&spec.data, spec.len) {
+            (None, None) => Err(format!("array `{name}` needs `data` or `len`")),
+            (Some(_), Some(_)) => Err(format!("array `{name}`: `data` and `len` are exclusive")),
+            _ => Ok(spec),
+        }
+    })())
+}
+
+/// `data`: the elements go straight into their `Vec<f64>`.
+fn array_data(r: &mut Reader<'_>, name: &str) -> Decoded<Vec<f64>> {
+    if r.peek()? != Kind::Arr {
+        return miss(r, format!("array `{name}` data must be an array"));
+    }
+    r.begin_array()?;
+    let mut out = Vec::new();
+    let mut all_numbers = true;
+    while r.next_element()? {
+        match number(r)? {
+            Some(n) => out.push(n),
+            None => all_numbers = false,
+        }
+    }
+    Some(if all_numbers {
+        Ok(out)
+    } else {
+        Err(format!("array `{name}` data must be numbers"))
+    })
+}
+
+/// The known top-level members of a request, each filled by the first
+/// occurrence of its key. Which of them a request needs depends on
+/// `type`, which may come last, so all are decoded as they pass.
+#[derive(Default)]
+struct Members {
+    ty: Slot<String>,
+    program: Slot<String>,
+    sub: Slot<String>,
+    label: Slot<String>,
+    config: Slot<Vec<(String, String)>>,
+    frame: Slot<FrameSpec>,
+    results: Slot<Vec<String>>,
+    deadline_ms: Slot<u64>,
+    cost: Slot<u64>,
+    ms: Slot<u64>,
+}
+
+fn required(slot: Slot<String>, key: &str) -> Result<String, String> {
+    slot.unwrap_or_else(|| Err(format!("missing string field `{key}`")))
+}
+
+impl Members {
+    /// The request these members make, checking them in a fixed order
+    /// per type — so the first miss reported does not depend on where
+    /// the members stood in the document.
+    fn assemble(self) -> Result<Request, String> {
+        let config =
+            |slot: Slot<Vec<(String, String)>>| slot.transpose().map(Option::unwrap_or_default);
+        match required(self.ty, "type")?.as_str() {
+            "run" => {
+                let results = self.results.transpose()?.unwrap_or_default();
+                Ok(Request::Run(Box::new(RunRequest {
+                    program: required(self.program, "program")?,
+                    sub: required(self.sub, "sub")?,
+                    label: required(self.label, "loop")?,
+                    config: config(self.config)?,
+                    frame: self.frame.transpose()?.unwrap_or_default(),
+                    results,
+                    deadline_ms: self.deadline_ms.transpose()?,
+                    cost: self.cost.transpose()?,
+                })))
+            }
+            "stats" => Ok(Request::Stats),
+            "ping" => Ok(Request::Ping),
+            "explain" => Ok(Request::Explain {
+                label: required(self.label, "loop")?,
+                config: config(self.config)?,
+            }),
+            "burn" => Ok(Request::Burn {
+                ms: self.ms.transpose()?.unwrap_or(0),
+                cost: self.cost.transpose()?,
+                config: config(self.config)?,
+            }),
+            "crash" => Ok(Request::Crash {
+                config: config(self.config)?,
+            }),
+            other => Err(format!("unknown request type `{other}`")),
+        }
     }
 }
 
-fn req_str(v: &Json, key: &str) -> Result<String, (ErrCode, String)> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| bad(format!("missing string field `{key}`")))
+fn decode(r: &mut Reader<'_>) -> Decoded<Request> {
+    let mut m = Members::default();
+    let shape = object(
+        r,
+        || "request must be a JSON object".to_owned(),
+        |r, key| {
+            match key {
+                "type" => fill(&mut m.ty, r, |r| string_member(r, "type"))?,
+                "program" => fill(&mut m.program, r, |r| string_member(r, "program"))?,
+                "sub" => fill(&mut m.sub, r, |r| string_member(r, "sub"))?,
+                "loop" => fill(&mut m.label, r, |r| string_member(r, "loop"))?,
+                "config" => fill(&mut m.config, r, config_member)?,
+                "frame" => fill(&mut m.frame, r, frame_member)?,
+                "results" => fill(&mut m.results, r, results_member)?,
+                "deadline_ms" => fill(&mut m.deadline_ms, r, |r| u64_member(r, "deadline_ms"))?,
+                "cost" => fill(&mut m.cost, r, |r| u64_member(r, "cost"))?,
+                "ms" => fill(&mut m.ms, r, |r| u64_member(r, "ms"))?,
+                _ => r.skip_value()?,
+            }
+            Some(Ok(()))
+        },
+    )?;
+    r.finish()?;
+    Some(shape.and_then(|()| m.assemble()))
 }
 
-fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, (ErrCode, String)> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(n) => n
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| bad(format!("`{key}` must be a non-negative integer"))),
-    }
-}
-
-/// Parses one request payload.
+/// Parses one request payload, in one pass over its bytes (see the
+/// module docs for the rules).
 ///
 /// # Errors
 ///
-/// `(code, detail)` pairs ready for [`error_json`]: `parse_error` for
+/// `(code, detail)` pairs ready for [`Frame::error`]: `parse_error` for
 /// non-JSON, `bad_request` for anything structurally off.
 pub fn parse_request(payload: &str) -> Result<Request, (ErrCode, String)> {
-    let Some(json) = Json::parse(payload) else {
-        return Err((ErrCode::ParseError, "payload is not valid JSON".into()));
-    };
-    if json.as_obj().is_none() {
-        return Err(bad("request must be a JSON object"));
-    }
-    let ty = req_str(&json, "type")?;
-    match ty.as_str() {
-        "run" => {
-            let results = match json.get("results") {
-                None => Vec::new(),
-                Some(r) => {
-                    let Some(arr) = r.as_arr() else {
-                        return Err(bad("`results` must be an array of names"));
-                    };
-                    let mut out = Vec::with_capacity(arr.len());
-                    for e in arr {
-                        let Some(s) = e.as_str() else {
-                            return Err(bad("`results` must be an array of names"));
-                        };
-                        out.push(s.to_owned());
-                    }
-                    out
-                }
-            };
-            Ok(Request::Run(Box::new(RunRequest {
-                program: req_str(&json, "program")?,
-                sub: req_str(&json, "sub")?,
-                label: req_str(&json, "loop")?,
-                config: parse_config(json.get("config"))?,
-                frame: parse_frame(json.get("frame"))?,
-                results,
-                deadline_ms: opt_u64(&json, "deadline_ms")?,
-                cost: opt_u64(&json, "cost")?,
-            })))
-        }
-        "stats" => Ok(Request::Stats),
-        "ping" => Ok(Request::Ping),
-        "explain" => Ok(Request::Explain {
-            label: req_str(&json, "loop")?,
-            config: parse_config(json.get("config"))?,
-        }),
-        "burn" => Ok(Request::Burn {
-            ms: opt_u64(&json, "ms")?.unwrap_or(0),
-            cost: opt_u64(&json, "cost")?,
-            config: parse_config(json.get("config"))?,
-        }),
-        "crash" => Ok(Request::Crash {
-            config: parse_config(json.get("config"))?,
-        }),
-        other => Err(bad(format!("unknown request type `{other}`"))),
+    match decode(&mut Reader::new(payload)) {
+        None => Err((ErrCode::ParseError, "payload is not valid JSON".into())),
+        Some(Err(detail)) => Err((ErrCode::BadRequest, detail)),
+        Some(Ok(request)) => Ok(request),
     }
 }
 
@@ -460,6 +720,9 @@ pub fn parse_request(payload: &str) -> Result<Request, (ErrCode, String)> {
 /// the bench traffic generator and `examples/serve.rs` drive.
 pub struct Client {
     stream: TcpStream,
+    /// The request frame and the reply bytes, reused across calls.
+    out: Frame,
+    inbuf: Vec<u8>,
 }
 
 impl Client {
@@ -471,7 +734,11 @@ impl Client {
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        Ok(Client {
+            stream,
+            out: Frame::default(),
+            inbuf: Vec::new(),
+        })
     }
 
     /// Sends one request payload and reads the matching response.
@@ -481,19 +748,9 @@ impl Client {
     /// I/O failures, a closed connection, or an unparseable response
     /// are all `io::Error`s.
     pub fn call(&mut self, payload: &str) -> io::Result<Json> {
-        write_frame(&mut self.stream, payload)?;
-        let reply = match read_frame(&mut self.stream) {
-            Ok(s) => s,
-            Err(FrameError::Io(e)) => return Err(e),
-            Err(e) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unreadable response frame: {e:?}"),
-                ))
-            }
-        };
-        Json::parse(&reply)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "response is not valid JSON"))
+        self.out.set_payload(payload)?;
+        self.out.send(&mut self.stream)?;
+        self.read_reply()
     }
 
     /// Sends raw bytes on the wire (malformed-frame testing).
@@ -512,18 +769,28 @@ impl Client {
     ///
     /// See [`Client::call`].
     pub fn read_reply(&mut self) -> io::Result<Json> {
-        let reply = match read_frame(&mut self.stream) {
-            Ok(s) => s,
-            Err(FrameError::Io(e)) => return Err(e),
-            Err(e) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unreadable response frame: {e:?}"),
-                ))
-            }
-        };
-        Json::parse(&reply)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "response is not valid JSON"))
+        self.read_reply_text().and_then(|reply| {
+            Json::parse(reply).ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidData, "response is not valid JSON")
+            })
+        })
+    }
+
+    /// Reads one response frame and returns its payload as sent (what
+    /// the byte-pinned reply tests compare).
+    ///
+    /// # Errors
+    ///
+    /// I/O failures and unreadable frames.
+    pub fn read_reply_text(&mut self) -> io::Result<&str> {
+        match read_frame(&mut self.stream, &mut self.inbuf) {
+            Ok(reply) => Ok(reply),
+            Err(FrameError::Io(e)) => Err(e),
+            Err(e) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unreadable response frame: {e:?}"),
+            )),
+        }
     }
 }
 
@@ -533,35 +800,81 @@ mod tests {
 
     #[test]
     fn frames_round_trip() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, "{\"type\": \"ping\"}").expect("write");
+        write_frame(&mut wire, "second").expect("write");
+        let mut r = &wire[..];
         let mut buf = Vec::new();
-        write_frame(&mut buf, "{\"type\": \"ping\"}").expect("write");
-        write_frame(&mut buf, "second").expect("write");
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).expect("one"), "{\"type\": \"ping\"}");
-        assert_eq!(read_frame(&mut r).expect("two"), "second");
-        assert!(matches!(read_frame(&mut r), Err(FrameError::Closed)));
+        assert_eq!(
+            read_frame(&mut r, &mut buf).expect("one"),
+            "{\"type\": \"ping\"}"
+        );
+        assert_eq!(read_frame(&mut r, &mut buf).expect("two"), "second");
+        assert!(matches!(
+            read_frame(&mut r, &mut buf),
+            Err(FrameError::Closed)
+        ));
     }
 
     #[test]
     fn oversized_and_malformed_frames_are_rejected() {
+        let mut buf = Vec::new();
         let mut huge = Vec::new();
         huge.extend_from_slice(&(MAX_FRAME as u32 + 1).to_be_bytes());
         assert!(matches!(
-            read_frame(&mut &huge[..]),
+            read_frame(&mut &huge[..], &mut buf),
             Err(FrameError::TooLarge(_))
         ));
         let mut bad_utf8 = Vec::new();
         bad_utf8.extend_from_slice(&2u32.to_be_bytes());
         bad_utf8.extend_from_slice(&[0xff, 0xfe]);
         assert!(matches!(
-            read_frame(&mut &bad_utf8[..]),
+            read_frame(&mut &bad_utf8[..], &mut buf),
             Err(FrameError::Utf8)
         ));
         // Truncated mid-frame: an I/O error, not a clean close.
         let mut cut = Vec::new();
         cut.extend_from_slice(&10u32.to_be_bytes());
         cut.extend_from_slice(b"abc");
-        assert!(matches!(read_frame(&mut &cut[..]), Err(FrameError::Io(_))));
+        assert!(matches!(
+            read_frame(&mut &cut[..], &mut buf),
+            Err(FrameError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn a_frame_is_written_behind_its_prefix_and_capped() {
+        let mut frame = Frame::default();
+        let mut w = frame.begin();
+        w.begin_obj();
+        w.key("type").str("pong");
+        w.end_obj();
+        frame.seal();
+        assert_eq!(frame.payload(), "{\"type\": \"pong\"}");
+        let mut wire = Vec::new();
+        frame.send(&mut wire).expect("write");
+        let mut buf = Vec::new();
+        assert_eq!(
+            read_frame(&mut &wire[..], &mut buf).expect("reads back"),
+            frame.payload()
+        );
+
+        // One byte over the limit: the payload becomes an error naming
+        // the size, and that frame is sendable.
+        let mut w = frame.begin();
+        w.str(&"x".repeat(MAX_FRAME - 1));
+        frame.seal();
+        let reply = Json::parse(frame.payload()).expect("valid JSON");
+        assert_eq!(reply.get("code").and_then(Json::as_str), Some("exec_error"));
+        let detail = reply.get("detail").and_then(Json::as_str).expect("detail");
+        assert!(detail.contains(&format!("{}", MAX_FRAME + 1)), "{detail}");
+        // Exactly at the limit it goes through.
+        let mut w = frame.begin();
+        w.str(&"x".repeat(MAX_FRAME - 2));
+        frame.seal();
+        assert_eq!(frame.payload_len(), MAX_FRAME);
+        assert!(frame.payload().starts_with("\"xx"));
+        assert!(frame.set_payload(&"x".repeat(MAX_FRAME + 1)).is_err());
     }
 
     #[test]
@@ -599,6 +912,12 @@ mod tests {
     #[test]
     fn malformed_requests_are_bad_request_not_panic() {
         // The malformed corpus from lip_obs::json plus structural misses.
+        let deep = format!(
+            "{{\"type\": \"ping\", \"x\": {}1{}}}",
+            "[".repeat(64),
+            "]".repeat(64)
+        );
+        let abyss = "[".repeat(1_000_000);
         for bad in [
             "",
             "{",
@@ -610,9 +929,27 @@ mod tests {
             "{\"a\":}",
             "[,]",
             "nan",
+            "01",
+            "1.",
+            ".5",
+            "+1",
+            "1e",
+            "-",
+            "--1",
+            "{\"type\": \"ping\", \"n\": 01}",
+            "{\"type\": \"burn\", \"ms\": 1.}",
+            // 65 containers deep; 64 would parse.
+            deep.as_str(),
+            abyss.as_str(),
+            // A structural miss followed by a syntax error is still a
+            // syntax error.
+            "{\"type\": \"run\", \"program\": 7, \"oops\": tru}",
+            "{\"type\": \"run\", \"frame\": {\"arrays\": {\"A\": 3}}, \"x\": }",
+            "[] x",
         ] {
             let (code, _) = parse_request(bad).expect_err("rejects");
-            assert_eq!(code, ErrCode::ParseError, "{bad:?}");
+            let shown = &bad[..bad.len().min(60)];
+            assert_eq!(code, ErrCode::ParseError, "{shown:?}");
         }
         for bad in [
             "null",
@@ -630,12 +967,25 @@ mod tests {
             let (code, _) = parse_request(bad).expect_err("rejects");
             assert_eq!(code, ErrCode::BadRequest, "{bad:?}");
         }
+        // At the depth cap (the request object + 63 arrays) an ignored
+        // member still parses.
+        let at_cap = format!(
+            "{{\"type\": \"ping\", \"x\": {}1{}}}",
+            "[".repeat(63),
+            "]".repeat(63)
+        );
+        assert_eq!(parse_request(&at_cap), Ok(Request::Ping));
     }
 
     #[test]
     fn error_json_escapes_detail() {
-        let e = error_json(ErrCode::Overloaded, "queue \"full\"\n");
-        let parsed = Json::parse(&e).expect("valid JSON");
+        let mut frame = Frame::default();
+        frame.error(ErrCode::Overloaded, "queue \"full\"\n");
+        assert_eq!(
+            frame.payload(),
+            "{\"type\": \"error\", \"code\": \"overloaded\", \"detail\": \"queue \\\"full\\\"\\n\"}"
+        );
+        let parsed = Json::parse(frame.payload()).expect("valid JSON");
         assert_eq!(
             parsed.get("code").and_then(Json::as_str),
             Some("overloaded")

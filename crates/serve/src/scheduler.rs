@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use lip_runtime::SessionConfig;
 
-use crate::protocol::RunRequest;
+use crate::protocol::{Frame, RunRequest};
 
 /// What a queued [`Job`] asks the worker to do.
 pub enum JobKind {
@@ -56,8 +56,15 @@ pub struct Job {
     pub cost: u64,
     /// Expiry instant; checked when the worker dequeues the job.
     pub deadline: Option<Instant>,
-    /// Where the response payload goes.
-    pub reply: mpsc::Sender<String>,
+    /// When the job passed admission (`serve.queue_ns` runs from here
+    /// to the dequeue).
+    pub admitted: Instant,
+    /// The connection's reply frame: the worker writes the response
+    /// into it and sends it back through `reply`, so the buffer is the
+    /// connection's from one request to the next.
+    pub frame: Frame,
+    /// Where the finished response frame goes.
+    pub reply: mpsc::Sender<Frame>,
 }
 
 /// The server-wide admission gate. Lock-free: counters are reserved
@@ -234,7 +241,7 @@ impl WorkerQueue {
 mod tests {
     use super::*;
 
-    fn job(shard: &str, kind: JobKind) -> (Job, mpsc::Receiver<String>) {
+    fn job(shard: &str, kind: JobKind) -> (Job, mpsc::Receiver<Frame>) {
         let (tx, rx) = mpsc::channel();
         (
             Job {
@@ -243,6 +250,8 @@ mod tests {
                 kind,
                 cost: 1,
                 deadline: None,
+                admitted: Instant::now(),
+                frame: Frame::default(),
                 reply: tx,
             },
             rx,

@@ -21,7 +21,13 @@
 //! `server.worker_panic`, `server.batched`, `server.cache.{hit,miss}`,
 //! `server.cache.{program_hit,program_miss}`, plus the
 //! `serve.request_ns` latency histogram that `stats` turns into
-//! p50/p99.
+//! p50/p99 and four histograms that say where a `run` request's time
+//! went: `serve.decode_ns` (frame read → [`Request`]),
+//! `serve.queue_ns` (admission → dequeue by the worker),
+//! `serve.run_ns` (preparing and running the batch it was in) and
+//! `serve.encode_ns` (results → reply bytes). What `serve.request_ns`
+//! holds beyond their sum is configuration, admission and the reply's
+//! way back to the connection thread.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -33,14 +39,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lip_obs::json_str;
 use lip_obs::{Obs, ObsLevel};
 
 use crate::config::{session_config_from_pairs, ServeConfig};
 use crate::pool::ShardState;
-use crate::protocol::{
-    error_json, parse_request, read_frame, write_frame, ErrCode, FrameError, Request,
-};
+use crate::protocol::{parse_request, read_frame, ErrCode, Frame, FrameError, Request, RunRequest};
 use crate::scheduler::{Admission, Job, JobKind, WorkerQueue};
 
 /// Work-unit estimate for requests that do not declare a `cost`.
@@ -48,6 +51,14 @@ const DEFAULT_COST: u64 = 1_000;
 
 /// Most `run` jobs drained into one `run_many` batch.
 const MAX_BATCH: usize = 8;
+
+/// A connection keeps its request and reply buffers from one request
+/// to the next unless one grew past this.
+const KEEP_BUFFER: usize = 1 << 20;
+
+/// Wait before retrying `accept` after it failed (out of descriptors,
+/// say): the condition does not clear by asking again at once.
+const ACCEPT_RETRY: Duration = Duration::from_millis(5);
 
 struct Shared {
     admission: Admission,
@@ -141,6 +152,7 @@ impl Server {
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         let Ok((stream, _)) = listener.accept() else {
+            std::thread::sleep(ACCEPT_RETRY);
             continue;
         };
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -156,115 +168,132 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+    let mut inbuf = Vec::new();
+    let mut reply = Frame::default();
     loop {
-        let payload = match read_frame(&mut stream) {
+        let payload = match read_frame(&mut stream, &mut inbuf) {
             Ok(p) => p,
             Err(FrameError::Closed | FrameError::Io(_)) => return,
             Err(FrameError::TooLarge(len)) => {
                 // The stream cannot be resynchronized after a bogus
                 // length prefix: answer and hang up.
-                let _ = write_frame(
-                    &mut stream,
-                    &error_json(
-                        ErrCode::BadFrame,
-                        &format!("frame of {len} bytes exceeds limit"),
-                    ),
+                reply.error(
+                    ErrCode::BadFrame,
+                    &format!("frame of {len} bytes exceeds limit"),
                 );
+                let _ = reply.send(&mut stream);
                 return;
             }
             Err(FrameError::Utf8) => {
-                if write_frame(
-                    &mut stream,
-                    &error_json(ErrCode::BadFrame, "payload is not UTF-8"),
-                )
-                .is_err()
-                {
+                reply.error(ErrCode::BadFrame, "payload is not UTF-8");
+                if reply.send(&mut stream).is_err() {
                     return;
                 }
                 continue;
             }
         };
         let started = Instant::now();
-        let response = respond(&payload, shared);
+        respond(payload, shared, &mut reply, started);
         shared.obs.count("server.requests", 1);
         shared
             .obs
             .record_ns("serve.request_ns", started.elapsed().as_nanos() as u64);
-        if write_frame(&mut stream, &response).is_err() {
+        if reply.send(&mut stream).is_err() {
             return;
+        }
+        reply.trim(KEEP_BUFFER);
+        if inbuf.capacity() > KEEP_BUFFER {
+            inbuf = Vec::new();
         }
     }
 }
 
-fn respond(payload: &str, shared: &Arc<Shared>) -> String {
-    let request = match parse_request(payload) {
-        Ok(r) => r,
-        Err((code, detail)) => return error_json(code, &detail),
-    };
+/// Writes the response to `payload` into `reply`.
+fn respond(payload: &str, shared: &Arc<Shared>, reply: &mut Frame, started: Instant) {
+    let request = parse_request(payload);
+    shared
+        .obs
+        .record_ns("serve.decode_ns", started.elapsed().as_nanos() as u64);
     match request {
-        Request::Ping => "{\"type\": \"pong\"}".to_owned(),
-        Request::Stats => render_stats(shared),
-        Request::Run(run) => {
+        Err((code, detail)) => reply.error(code, &detail),
+        Ok(Request::Ping) => {
+            let mut w = reply.begin();
+            w.begin_obj();
+            w.key("type").str("pong");
+            w.end_obj();
+            reply.seal();
+        }
+        Ok(Request::Stats) => render_stats(shared, reply),
+        Ok(Request::Run(mut run)) => {
             let cost = run.cost.unwrap_or(DEFAULT_COST);
             let deadline = run
                 .deadline_ms
                 .map(|ms| Instant::now() + Duration::from_millis(ms));
-            let config = run.config.clone();
-            dispatch(shared, &config, JobKind::Run(run), cost, deadline)
+            let config = std::mem::take(&mut run.config);
+            dispatch(shared, &config, JobKind::Run(run), cost, deadline, reply);
         }
-        Request::Explain { label, config } => {
-            dispatch(shared, &config, JobKind::Explain { label }, 1, None)
+        Ok(Request::Explain { label, config }) => {
+            dispatch(shared, &config, JobKind::Explain { label }, 1, None, reply);
         }
-        Request::Burn { ms, cost, config } => dispatch(
+        Ok(Request::Burn { ms, cost, config }) => dispatch(
             shared,
             &config,
             JobKind::Burn { ms },
             cost.unwrap_or(DEFAULT_COST),
             None,
+            reply,
         ),
-        Request::Crash { config } => dispatch(shared, &config, JobKind::Crash, 1, None),
+        Ok(Request::Crash { config }) => {
+            dispatch(shared, &config, JobKind::Crash, 1, None, reply);
+        }
     }
 }
 
 /// Validates the config, passes admission, routes to the shard's
-/// worker and waits for the reply.
+/// worker and waits for the response frame. The connection's `reply`
+/// frame travels with the job and comes back filled.
 fn dispatch(
     shared: &Arc<Shared>,
     config: &[(String, String)],
     kind: JobKind,
     cost: u64,
     deadline: Option<Instant>,
-) -> String {
+    reply: &mut Frame,
+) {
     let cfg = match session_config_from_pairs(config) {
         Ok(cfg) => cfg,
-        Err((code, detail)) => return error_json(code, &detail),
+        Err((code, detail)) => return reply.error(code, &detail),
     };
     let shard_key = cfg.shard_key();
     if let Err(reason) = shared.admission.try_admit(cost) {
         shared.obs.count("server.rejected.overload", 1);
-        return error_json(ErrCode::Overloaded, &reason);
+        return reply.error(ErrCode::Overloaded, &reason);
     }
     shared.obs.count("server.admitted", 1);
+    let idx = route(&shard_key, shared.queues.len());
     let (reply_tx, reply_rx) = mpsc::channel();
     let job = Job {
-        shard_key: shard_key.clone(),
+        shard_key,
         cfg,
         kind,
         cost,
         deadline,
+        admitted: Instant::now(),
+        frame: std::mem::take(reply),
         reply: reply_tx,
     };
-    let idx = route(&shard_key, shared.queues.len());
-    if shared.queues[idx].push(job).is_err() {
+    if let Err(job) = shared.queues[idx].push(job) {
         shared.admission.release(cost);
-        return error_json(ErrCode::ShuttingDown, "server is shutting down");
+        *reply = job.frame;
+        return reply.error(ErrCode::ShuttingDown, "server is shutting down");
     }
     // The worker releases the admission reservation after replying. A
     // dropped sender (a panic outside the guarded batch) still yields
     // a response rather than a hang.
-    reply_rx
-        .recv()
-        .unwrap_or_else(|_| error_json(ErrCode::WorkerPanic, "worker dropped the request"))
+    match reply_rx.recv() {
+        Ok(frame) => *reply = frame,
+        Err(_) => reply.error(ErrCode::WorkerPanic, "worker dropped the request"),
+    }
 }
 
 fn route(shard_key: &str, pool: usize) -> usize {
@@ -284,61 +313,80 @@ fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }
 
+/// What every dequeued job goes through first: its queue wait is
+/// recorded, and a job whose deadline passed in the queue is answered
+/// and released instead of returned.
+fn dequeued(shared: &Arc<Shared>, mut job: Job) -> Option<Job> {
+    shared
+        .obs
+        .record_ns("serve.queue_ns", job.admitted.elapsed().as_nanos() as u64);
+    if !expired(job.deadline) {
+        return Some(job);
+    }
+    shared.obs.count("server.rejected.deadline", 1);
+    job.frame
+        .error(ErrCode::Deadline, "deadline expired in queue");
+    finish(shared, job);
+    None
+}
+
+/// Sends a job's response frame back and releases its reservation.
+fn finish(shared: &Arc<Shared>, job: Job) {
+    let _ = job.reply.send(job.frame);
+    shared.admission.release(job.cost);
+}
+
 fn handle_job(
     shared: &Arc<Shared>,
     idx: usize,
     shards: &mut HashMap<String, ShardState>,
     job: Job,
 ) {
-    if expired(job.deadline) {
-        shared.obs.count("server.rejected.deadline", 1);
-        let _ = job
-            .reply
-            .send(error_json(ErrCode::Deadline, "deadline expired in queue"));
-        shared.admission.release(job.cost);
+    let Some(mut job) = dequeued(shared, job) else {
         return;
-    }
+    };
     match job.kind {
-        JobKind::Run(_) => run_batch_starting_with(shared, idx, shards, job),
-        JobKind::Explain { ref label } => {
-            let response = match shards.get(&job.shard_key) {
-                None => error_json(
+        JobKind::Run(_) => return run_batch_starting_with(shared, idx, shards, job),
+        JobKind::Explain { ref label } => match shards.get(&job.shard_key) {
+            None => job.frame.error(
+                ErrCode::UnknownLoop,
+                "no warm session for this configuration yet",
+            ),
+            Some(shard) => match shard.explain(label) {
+                Some(report) => {
+                    let mut w = job.frame.begin();
+                    w.begin_obj();
+                    w.key("type").str("ok");
+                    w.key("explain").str(&report);
+                    w.end_obj();
+                    job.frame.seal();
+                }
+                None => job.frame.error(
                     ErrCode::UnknownLoop,
-                    "no warm session for this configuration yet",
+                    &format!("no decision recorded for `{label}` (run it with \"obs\": \"trace\")"),
                 ),
-                Some(shard) => match shard.explain(label) {
-                    Some(report) => {
-                        format!("{{\"type\": \"ok\", \"explain\": {}}}", json_str(&report))
-                    }
-                    None => error_json(
-                        ErrCode::UnknownLoop,
-                        &format!(
-                            "no decision recorded for `{label}` (run it with \"obs\": \"trace\")"
-                        ),
-                    ),
-                },
-            };
-            let _ = job.reply.send(response);
-            shared.admission.release(job.cost);
-        }
+            },
+        },
         JobKind::Burn { ms } => {
             std::thread::sleep(Duration::from_millis(ms));
-            let _ = job
-                .reply
-                .send(format!("{{\"type\": \"ok\", \"burned_ms\": {ms}}}"));
-            shared.admission.release(job.cost);
+            let mut w = job.frame.begin();
+            w.begin_obj();
+            w.key("type").str("ok");
+            w.key("burned_ms").u64(ms);
+            w.end_obj();
+            job.frame.seal();
         }
         JobKind::Crash => {
             shared.obs.count("server.worker_panic", 1);
             // Exercise the same cache-drop path a real panic takes.
             drop_shard(shared, shards, &job.shard_key);
-            let _ = job.reply.send(error_json(
+            job.frame.error(
                 ErrCode::WorkerPanic,
                 "worker panicked (crash requested); shard caches dropped",
-            ));
-            shared.admission.release(job.cost);
+            );
         }
     }
+    finish(shared, job);
 }
 
 /// Grows one dequeued `run` into a batch of same-shard `run`s, gets or
@@ -350,58 +398,51 @@ fn run_batch_starting_with(
     shards: &mut HashMap<String, ShardState>,
     first: Job,
 ) {
-    let shard_key = first.shard_key.clone();
-    let cfg = first.cfg.clone();
+    let extras = shared.queues[idx].drain_matching(&first.shard_key, MAX_BATCH - 1);
     let mut batch = vec![first];
-    for extra in shared.queues[idx].drain_matching(&shard_key, MAX_BATCH - 1) {
-        if expired(extra.deadline) {
-            shared.obs.count("server.rejected.deadline", 1);
-            let _ = extra
-                .reply
-                .send(error_json(ErrCode::Deadline, "deadline expired in queue"));
-            shared.admission.release(extra.cost);
-        } else {
-            batch.push(extra);
-        }
+    batch.extend(extras.into_iter().filter_map(|job| dequeued(shared, job)));
+    // The requests stay where the jobs own them; only the reply frames
+    // are taken out, to be written while the requests are borrowed.
+    let mut frames: Vec<Frame> = batch
+        .iter_mut()
+        .map(|j| std::mem::take(&mut j.frame))
+        .collect();
+    let shard_key = batch[0].shard_key.as_str();
+
+    if !shards.contains_key(shard_key) {
+        let shard = ShardState::new(shard_key.to_owned(), batch[0].cfg.clone());
+        shared
+            .sessions
+            .lock()
+            .expect("sessions lock")
+            .insert(shard_key.to_owned(), shard.obs_handle());
+        shards.insert(shard_key.to_owned(), shard);
     }
+    let shard = shards.get_mut(shard_key).expect("inserted above");
 
-    let shard = shards
-        .entry(shard_key.clone())
-        .or_insert_with(|| ShardState::new(shard_key.clone(), cfg));
-    shared
-        .sessions
-        .lock()
-        .expect("sessions lock")
-        .entry(shard_key.clone())
-        .or_insert_with(|| shard.obs_handle());
-
-    let requests: Vec<_> = batch
+    let requests: Vec<&RunRequest> = batch
         .iter()
         .map(|j| match &j.kind {
-            JobKind::Run(r) => (**r).clone(),
+            JobKind::Run(r) => &**r,
             _ => unreachable!("batch holds only Run jobs"),
         })
         .collect();
-    let outcome = catch_unwind(AssertUnwindSafe(|| shard.run_batch(&requests, &shared.obs)));
-    match outcome {
-        Ok(responses) => {
-            for (job, response) in batch.iter().zip(responses) {
-                let _ = job.reply.send(response);
-            }
-        }
-        Err(_) => {
-            shared.obs.count("server.worker_panic", batch.len() as u64);
-            drop_shard(shared, shards, &shard_key);
-            for job in &batch {
-                let _ = job.reply.send(error_json(
-                    ErrCode::WorkerPanic,
-                    "worker panicked executing the batch; shard caches dropped",
-                ));
-            }
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        shard.run_batch(&requests, &mut frames, &shared.obs);
+    }));
+    if outcome.is_err() {
+        shared.obs.count("server.worker_panic", batch.len() as u64);
+        drop_shard(shared, shards, shard_key);
+        for frame in &mut frames {
+            frame.error(
+                ErrCode::WorkerPanic,
+                "worker panicked executing the batch; shard caches dropped",
+            );
         }
     }
-    for job in &batch {
-        shared.admission.release(job.cost);
+    for (mut job, frame) in batch.into_iter().zip(frames) {
+        job.frame = frame;
+        finish(shared, job);
     }
 }
 
@@ -410,55 +451,48 @@ fn drop_shard(shared: &Arc<Shared>, shards: &mut HashMap<String, ShardState>, ke
     shared.sessions.lock().expect("sessions lock").remove(key);
 }
 
-fn render_stats(shared: &Arc<Shared>) -> String {
+fn render_stats(shared: &Arc<Shared>, reply: &mut Frame) {
     let snap = shared.obs.snapshot();
     let latency = snap
         .histograms
         .iter()
         .find(|h| h.name == "serve.request_ns");
-    let quant = |q: f64| {
-        latency
-            .and_then(|h| h.quantile(q))
-            .map_or_else(|| "null".to_owned(), |n| n.to_string())
-    };
+    let quantile = |q: f64| latency.and_then(|h| h.quantile(q));
     let hits = snap.counter("server.cache.hit").unwrap_or(0);
     let misses = snap.counter("server.cache.miss").unwrap_or(0);
-    let hit_rate = if hits + misses == 0 {
-        "null".to_owned()
+
+    let mut w = reply.begin();
+    w.begin_obj();
+    w.key("type").str("stats");
+    w.key("admission").begin_obj();
+    w.key("queued").u64(shared.admission.queued() as u64);
+    w.key("units").u64(shared.admission.units());
+    w.key("queue_cap").u64(shared.admission.queue_cap() as u64);
+    w.key("budget").u64(shared.admission.budget());
+    w.end_obj();
+    w.key("latency").begin_obj();
+    w.key("p50_ns").opt_u64(quantile(0.5));
+    w.key("p99_ns").opt_u64(quantile(0.99));
+    w.end_obj();
+    w.key("cache_hit_rate");
+    if hits + misses == 0 {
+        w.null();
     } else {
-        format!("{}", hits as f64 / (hits + misses) as f64)
-    };
-    let sessions = {
-        let registry = shared.sessions.lock().expect("sessions lock");
-        let mut out = String::from("[");
-        for (i, (key, obs)) in registry.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"shard\": {}, \"metrics\": {}}}",
-                json_str(key),
-                obs.snapshot().to_json()
-            ));
-        }
-        out.push(']');
-        out
-    };
-    format!(
-        "{{\"type\": \"stats\", \
-         \"admission\": {{\"queued\": {}, \"units\": {}, \"queue_cap\": {}, \"budget\": {}}}, \
-         \"latency\": {{\"p50_ns\": {}, \"p99_ns\": {}}}, \
-         \"cache_hit_rate\": {hit_rate}, \
-         \"server\": {}, \
-         \"sessions\": {sessions}}}",
-        shared.admission.queued(),
-        shared.admission.units(),
-        shared.admission.queue_cap(),
-        shared.admission.budget(),
-        quant(0.5),
-        quant(0.99),
-        snap.to_json(),
-    )
+        w.f64(hits as f64 / (hits + misses) as f64);
+    }
+    w.key("server");
+    snap.write_json(&mut w);
+    w.key("sessions").begin_arr();
+    for (key, obs) in shared.sessions.lock().expect("sessions lock").iter() {
+        w.begin_obj();
+        w.key("shard").str(key);
+        w.key("metrics");
+        obs.snapshot().write_json(&mut w);
+        w.end_obj();
+    }
+    w.end_arr();
+    w.end_obj();
+    reply.seal();
 }
 
 #[cfg(test)]

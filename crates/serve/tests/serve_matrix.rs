@@ -6,13 +6,15 @@
 //! kernel under the same configuration — outputs *and* work-unit
 //! counts. The rest of the matrix covers graceful overload, queue
 //! deadlines, worker panics, malformed frames and the incremental
-//! re-analysis counters.
+//! re-analysis counters, the benchmark's large-frame shape, the frames
+//! that used to abort the process, the reply bytes pinned as a
+//! contract, and the per-stage histograms of `stats`.
 
-use lip_ir::{parse_program, ArrayBuf, ArrayView, Machine, Store, Value};
+use lip_ir::{parse_program, ArrayBuf, ArrayView, Machine, Store, Ty, Value};
 use lip_obs::json::Json;
 use lip_runtime::Session;
 use lip_serve::config::session_config_from_pairs;
-use lip_serve::protocol::Client;
+use lip_serve::protocol::{Client, MAX_FRAME};
 use lip_serve::{ServeConfig, Server};
 use lip_symbolic::sym;
 
@@ -481,27 +483,28 @@ fn worker_panics_are_nonfatal() {
 /// on a pool worker or on the serve worker that opened the region —
 /// is re-raised on the serve worker, answered with `worker_panic`, and
 /// leaves both the connection and the pool usable. The panic is real:
-/// `i64::MIN / -1` overflows in `apply_bin`, and `-2^63` is exact in
-/// the frame's JSON numbers. (If integer division stops panicking,
+/// `i64::MIN / -1` overflows in `apply_bin`. An INTEGER binding takes
+/// magnitudes up to 2^53 from the wire, so the loop builds `-2^63`
+/// itself, as `-2^31 * 2^32`. (If integer division stops panicking,
 /// this test needs another way to panic inside a chunk.)
 #[test]
 fn panic_inside_a_pooled_chunk_is_nonfatal() {
     const INT_DIV: &str = "
-SUBROUTINE quot(Q, A, B, N)
+SUBROUTINE quot(Q, A, B, N, S)
   INTEGER Q(*), A(*), B(*)
-  INTEGER i, N
+  INTEGER i, N, S
   DO divide i = 1, N
-    Q(i) = A(i) / B(i)
+    Q(i) = (A(i) * S) / B(i)
   ENDDO
 END
 ";
     let n = 64usize;
-    let run = |last: &str| {
+    let run = |last: &str, scale: &str| {
         let mut a = vec!["6"; n];
         a[n - 1] = last;
         format!(
             "{{\"type\": \"run\", \"program\": {}, \"sub\": \"quot\", \"loop\": \"divide\", \
-             \"config\": {}, \"frame\": {{\"scalars\": {{\"N\": {n}}}, \"arrays\": {{\
+             \"config\": {}, \"frame\": {{\"scalars\": {{\"N\": {n}, \"S\": {scale}}}, \"arrays\": {{\
              \"Q\": {{\"len\": {n}}}, \"A\": {{\"data\": [{}]}}, \
              \"B\": {{\"len\": {n}, \"fill\": -1}}}}}}, \"results\": [\"Q\"]}}",
             lip_obs::json_str(INT_DIV),
@@ -512,7 +515,9 @@ END
     let server = Server::spawn(ServeConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
 
-    let crashed = client.call(&run("-9223372036854775808")).expect("reply");
+    let crashed = client
+        .call(&run("-2147483648", "4294967296"))
+        .expect("reply");
     assert_eq!(
         crashed.get("code").and_then(Json::as_str),
         Some("worker_panic"),
@@ -520,7 +525,7 @@ END
     );
     // Same connection, same program, same shard key: a rebuilt shard
     // and a two-chunk region through the pool again.
-    let ok = client.call(&run("6")).expect("server survived");
+    let ok = client.call(&run("6", "1")).expect("server survived");
     assert_eq!(ok.get("type").and_then(Json::as_str), Some("ok"), "{ok:?}");
     assert_eq!(
         ok.path(&["outcome"]).and_then(Json::as_str),
@@ -561,6 +566,10 @@ fn malformed_frames_and_payloads_are_survivable() {
         "{\"a\":}",
         "[,]",
         "nan",
+        // Numbers `str::parse` would take and RFC 8259 does not.
+        "{\"type\": \"ping\", \"n\": 01}",
+        "{\"type\": \"ping\", \"n\": 1.}",
+        "{\"type\": \"ping\", \"n\": -.5}",
     ] {
         let reply = client.call(bad).expect("framed garbage gets a reply");
         assert_eq!(
@@ -667,5 +676,324 @@ fn incremental_reanalysis_and_explain_over_the_wire() {
         .and_then(Json::as_str)
         .expect("report text");
     assert!(report.contains("sweep"), "{report}");
+    server.shutdown();
+}
+
+/// The benchmark's `large_frame` shape — stencil at `n` = 16 384, two
+/// input arrays of dyadic values in the request, all three arrays in
+/// the reply (197 KB in, 328 KB out) — bit-identical to a direct
+/// session, element by element.
+#[test]
+fn a_large_frame_matches_the_direct_session_bit_for_bit() {
+    let n = 16_384usize;
+    let u: Vec<f64> = (0..n).map(|i| ((i * 37) % 64) as f64 / 8.0).collect();
+    let v: Vec<f64> = (0..n).map(|i| ((i * 11) % 64) as f64 / 8.0).collect();
+    let payload = format!(
+        "{{\"type\": \"run\", \"program\": {}, \"sub\": \"calc\", \"loop\": \"sweep\", \
+         \"config\": {{\"nthreads\": 2}}, \"frame\": {{\"scalars\": {{\"N\": {n}}}, \"arrays\": {{\
+         \"UNEW\": {{\"ty\": \"real\", \"len\": {n}}}, \"U\": {{\"ty\": \"real\", \"data\": [{}]}}, \
+         \"V\": {{\"ty\": \"real\", \"data\": [{}]}}}}}}, \"results\": [\"UNEW\", \"U\", \"V\"]}}",
+        lip_obs::json_str(STENCIL),
+        num_list(&u),
+        num_list(&v),
+    );
+    assert!(payload.len() > 150_000, "{}", payload.len());
+
+    let session = Session::builder().nthreads(2).build();
+    let machine = Machine::new(parse_program(STENCIL).expect("parses"));
+    let subr = &machine.program().units[0];
+    let target = subr.find_loop("sweep").expect("loop");
+    let analysis = session
+        .analyze(machine.program(), subr.name, "sweep")
+        .expect("analyzable");
+    let mut store = Store::new();
+    store.set_scalar(sym("N"), Value::Int(n as i64));
+    bind(&mut store, "UNEW", &vec![0.0; n]);
+    bind(&mut store, "U", &u);
+    bind(&mut store, "V", &v);
+    let stats = session
+        .run_loop(&machine, subr, target, &analysis, &mut store)
+        .expect("runs");
+
+    let server = Server::spawn(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for round in 0..2 {
+        let reply = client.call(&payload).expect("round trip");
+        assert_eq!(reply.get("type").and_then(Json::as_str), Some("ok"));
+        assert_eq!(
+            reply.get("loop_units").and_then(Json::as_u64),
+            Some(stats.loop_units)
+        );
+        for name in ["UNEW", "U", "V"] {
+            let got = reply
+                .path(&["results", name, "data"])
+                .and_then(Json::as_arr)
+                .expect("data");
+            let want = store.array(sym(name)).expect("bound");
+            assert_eq!(got.len(), n, "{name}");
+            for (k, x) in got.iter().enumerate() {
+                let Value::Real(w) = want.buf.get(k) else {
+                    panic!("{name} is real");
+                };
+                assert_eq!(
+                    x.as_f64().map(f64::to_bits),
+                    Some(w.to_bits()),
+                    "{name}({k}) round {round}"
+                );
+            }
+        }
+    }
+    server.shutdown();
+}
+
+/// Five frames that used to kill the process or the connection — JSON
+/// nested past any stack, an array length no allocator can serve, an
+/// INTEGER no `i64` holds, a reply past the frame limit, a bogus length
+/// prefix — each get their error frame, and the server answers `ping`
+/// afterwards: on the same connection for the first four, on a new one
+/// after the prefix (which cannot be resynchronized, as before).
+#[test]
+fn hostile_frames_get_an_error_frame_and_the_connection_lives() {
+    let server = Server::spawn(ServeConfig::default()).expect("bind");
+    let addr = server.addr();
+    let mut client = Client::connect(addr).expect("connect");
+    let stencil = |scalars: &str, unew: &str| {
+        format!(
+            "{{\"type\": \"run\", \"program\": {}, \"sub\": \"calc\", \"loop\": \"sweep\", \
+             \"frame\": {{\"scalars\": {scalars}, \"arrays\": {{\"UNEW\": {unew}, \
+             \"U\": {{\"data\": [1, 2, 3, 4]}}, \"V\": {{\"data\": [4, 3, 2, 1]}}}}}}, \
+             \"results\": [\"UNEW\"]}}",
+            lip_obs::json_str(STENCIL)
+        )
+    };
+    let abyss = format!("{{\"type\": \"ping\", \"x\": {}", "[".repeat(4_000_000));
+    let nested_65 = format!(
+        "{{\"type\": \"ping\", \"x\": {}{}}}",
+        "[".repeat(64),
+        "]".repeat(64)
+    );
+    let hostile = [
+        ("4 MB of `[`", abyss, "parse_error", ""),
+        ("65 levels", nested_65, "parse_error", ""),
+        (
+            "len 1e15",
+            stencil("{\"N\": 4}", "{\"len\": 1e15}"),
+            "bad_request",
+            "1000000000000000 elements",
+        ),
+        (
+            "N 1e300",
+            stencil("{\"N\": 1e300}", "{\"len\": 4}"),
+            "bad_request",
+            "INTEGER",
+        ),
+        (
+            // 10^6 elements of 15 digits: a 17 MB reply.
+            "17 MB reply",
+            stencil(
+                "{\"N\": 4}",
+                "{\"len\": 1000000, \"fill\": 0.1234567890123}",
+            ),
+            "exec_error",
+            "exceeds the 16777216-byte frame limit",
+        ),
+    ];
+    for (what, payload, code, detail) in &hostile {
+        assert!(payload.len() <= MAX_FRAME, "{what}");
+        let reply = client.call(payload).expect(what);
+        assert_eq!(
+            reply.get("code").and_then(Json::as_str),
+            Some(*code),
+            "{what}: {reply:?}"
+        );
+        let said = reply.get("detail").and_then(Json::as_str).expect("detail");
+        assert!(said.contains(detail), "{what}: {said}");
+        let pong = client
+            .call("{\"type\": \"ping\"}")
+            .expect("same connection");
+        assert_eq!(
+            pong.get("type").and_then(Json::as_str),
+            Some("pong"),
+            "{what}"
+        );
+    }
+    // Just inside the caps everything still runs.
+    let ok = client
+        .call(&stencil("{\"N\": 4}", "{\"len\": 4}"))
+        .expect("reply");
+    assert_eq!(ok.get("type").and_then(Json::as_str), Some("ok"), "{ok:?}");
+
+    let mut rogue = Client::connect(addr).expect("connect");
+    rogue.send_raw(&[0xff, 0xff, 0xff, 0xff]).expect("send raw");
+    let reply = rogue.read_reply().expect("bad_frame reply");
+    assert_eq!(reply.get("code").and_then(Json::as_str), Some("bad_frame"));
+    assert!(rogue.call("{\"type\": \"ping\"}").is_err(), "hung up");
+
+    for conn in [&mut client, &mut Client::connect(addr).expect("connect")] {
+        let pong = conn.call("{\"type\": \"ping\"}").expect("alive");
+        assert_eq!(pong.get("type").and_then(Json::as_str), Some("pong"));
+    }
+    let stats = client.call("{\"type\": \"stats\"}").expect("stats");
+    assert_eq!(
+        stats.path(&["server", "counters", "server.worker_panic"]),
+        None,
+        "no request above may have been survived by catching a panic"
+    );
+    server.shutdown();
+}
+
+/// One `run` request for a suite kernel at size `n`: every binding of
+/// the kernel's own frame, sorted by name, every name asked back.
+fn suite_request(shape: &lip_suite::KernelShape, n: usize) -> String {
+    let (frame, _) = (shape.prepare)(n);
+    let mut scalars: Vec<(String, String)> = frame
+        .scalars()
+        .map(|(s, v)| (s.name(), format!("{v}")))
+        .collect();
+    scalars.sort();
+    let mut arrays: Vec<(String, String)> = frame
+        .arrays()
+        .map(|(s, view)| {
+            let ty = if view.buf.ty() == Ty::Int {
+                "int"
+            } else {
+                "real"
+            };
+            let data: Vec<String> = (0..view.buf.len())
+                .map(|k| match view.buf.get(k) {
+                    Value::Int(i) => format!("{i}"),
+                    Value::Real(r) => format!("{r}"),
+                })
+                .collect();
+            (
+                s.name(),
+                format!("{{\"ty\": \"{ty}\", \"data\": [{}]}}", data.join(", ")),
+            )
+        })
+        .collect();
+    arrays.sort();
+    let names: Vec<String> = scalars
+        .iter()
+        .chain(&arrays)
+        .map(|(k, _)| format!("\"{k}\""))
+        .collect();
+    let members = |pairs: &[(String, String)]| {
+        let parts: Vec<String> = pairs.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        parts.join(", ")
+    };
+    format!(
+        "{{\"type\": \"run\", \"program\": {}, \"sub\": \"{}\", \"loop\": \"{}\", \
+         \"config\": {{\"nthreads\": 2}}, \"frame\": {{\"scalars\": {{{}}}, \"arrays\": {{{}}}}}, \
+         \"results\": [{}]}}",
+        lip_obs::json_str(shape.source),
+        shape.sub,
+        shape.label,
+        members(&scalars),
+        members(&arrays),
+        names.join(", "),
+    )
+}
+
+/// The wire format is a contract: one request per suite kernel (ints,
+/// reals, scalars, every outcome rendering, the frames the wire cannot
+/// carry) and one per kind of error frame, replies compared byte for
+/// byte with `golden/replies.tsv`, which says where its bytes are from.
+#[test]
+fn replies_are_byte_identical_to_the_pinned_wire_format() {
+    let pinned: Vec<Vec<&str>> = include_str!("golden/replies.tsv")
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| l.split('\t').collect())
+        .collect();
+    let shapes = lip_suite::all_shapes();
+    let kernels: Vec<&str> = pinned
+        .iter()
+        .filter(|l| l[0] != "RAW")
+        .map(|l| l[0])
+        .collect();
+    assert_eq!(
+        kernels,
+        shapes.iter().map(|s| s.name).collect::<Vec<_>>(),
+        "one pinned reply per suite kernel"
+    );
+
+    let server = Server::spawn(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for line in &pinned {
+        let (request, want) = match line[..] {
+            ["RAW", request, want] => (request.to_owned(), want),
+            [kernel, want] => {
+                let shape = shapes.iter().find(|s| s.name == kernel).expect("listed");
+                (suite_request(shape, 8), want)
+            }
+            _ => panic!("malformed golden line: {line:?}"),
+        };
+        let mut framed = (request.len() as u32).to_be_bytes().to_vec();
+        framed.extend_from_slice(request.as_bytes());
+        client.send_raw(&framed).expect("send");
+        let got = client.read_reply_text().expect("reply");
+        assert_eq!(got, want, "reply to `{}`", line[..line.len() - 1].join(" "));
+    }
+    server.shutdown();
+}
+
+/// `stats` says where a request's time went: the four stage histograms
+/// sit in `server.histograms` beside `serve.request_ns`, one
+/// observation per `run` request each, and — the stages follow one
+/// another inside the request — what comes after the decode never sums
+/// to more than the requests took.
+#[test]
+fn stats_break_a_request_into_its_stages() {
+    let server = Server::spawn(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let runs = 5;
+    for _ in 0..runs {
+        let reply = client
+            .call(&run_json(&STENCIL_KERNEL, &[], 64))
+            .expect("round trip");
+        assert_eq!(reply.get("type").and_then(Json::as_str), Some("ok"));
+    }
+    let stats = client.call("{\"type\": \"stats\"}").expect("stats");
+    let histograms = stats
+        .path(&["server", "histograms"])
+        .and_then(Json::as_arr)
+        .expect("histograms");
+    let names: Vec<&str> = histograms
+        .iter()
+        .filter_map(|h| h.get("name").and_then(Json::as_str))
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "serve.decode_ns",
+            "serve.encode_ns",
+            "serve.queue_ns",
+            "serve.request_ns",
+            "serve.run_ns"
+        ]
+    );
+    let field = |name: &str, field: &str| {
+        histograms
+            .iter()
+            .find(|h| h.get("name").and_then(Json::as_str) == Some(name))
+            .and_then(|h| h.get(field))
+            .and_then(Json::as_u64)
+            .expect("histogram field")
+    };
+    // The `stats` request itself is still in flight: decoded, not done.
+    assert_eq!(field("serve.decode_ns", "count"), runs + 1);
+    assert!(field("serve.decode_ns", "sum_ns") > 0);
+    assert_eq!(field("serve.request_ns", "count"), runs);
+    let mut after_decode_ns = 0;
+    for stage in ["serve.queue_ns", "serve.run_ns", "serve.encode_ns"] {
+        assert_eq!(field(stage, "count"), runs, "{stage}");
+        assert!(field(stage, "sum_ns") > 0, "{stage}");
+        after_decode_ns += field(stage, "sum_ns");
+    }
+    assert!(
+        after_decode_ns < field("serve.request_ns", "sum_ns"),
+        "{after_decode_ns} ns queued, running and encoding in {} ns of requests",
+        field("serve.request_ns", "sum_ns")
+    );
     server.shutdown();
 }
