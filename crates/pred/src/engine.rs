@@ -174,67 +174,18 @@ impl PredEngine {
         compiled
     }
 
-    /// Evaluates one predicate (no memoization).
-    pub fn eval_pred(
-        &self,
-        pred: &Pdag,
-        ctx: &(dyn EvalCtx + Sync),
-        iter_limit: u64,
-        nthreads: usize,
-    ) -> Option<bool> {
-        let Some(prog) = self.program(pred) else {
-            return pred.eval(ctx, iter_limit);
-        };
-        self.stats.evals.fetch_add(1, Ordering::Relaxed);
-        self.obs.count("pred.evals", 1);
-        eval_compiled_obs(
-            &prog,
-            ctx,
-            iter_limit,
-            EvalParams {
-                nthreads: nthreads.max(1),
-                par_min: self.par_min,
-            },
-            self.obs_opt(),
-        )
-    }
-
     /// Evaluates the cascade stage-by-stage (cheapest first), charging
     /// each evaluated stage's `eval_cost` — identically on memo hits,
     /// so simulated timings don't depend on the memo. Returns the
     /// index of the first succeeding stage (`None`: all failed or
     /// undecidable) plus the charged units. `fingerprint` maps a
     /// compiled stage's inputs to a memo key; returning `None` disables
-    /// memoization for that stage.
+    /// memoization for that stage. `trace`, when given, receives one
+    /// [`StageReport`] per *evaluated* stage (index, complexity,
+    /// rendered predicate, charged units, verdict) — the raw material
+    /// of a `Session::explain` decision report; verdicts and charged
+    /// units do not depend on it.
     pub fn first_success(
-        &self,
-        cascade: &Cascade,
-        ctx: &(dyn EvalCtx + Sync),
-        iter_limit: u64,
-        nthreads: usize,
-        fingerprint: &mut dyn FnMut(&PredProgram) -> Option<u128>,
-    ) -> (Option<usize>, u64) {
-        self.first_success_impl(cascade, ctx, iter_limit, nthreads, fingerprint, None)
-    }
-
-    /// [`PredEngine::first_success`] that additionally appends one
-    /// [`StageReport`] per *evaluated* stage to `trace` (index,
-    /// complexity, rendered predicate, charged units, verdict) — the
-    /// raw material of a `Session::explain` decision report. Verdicts
-    /// and charged units are identical to the untraced call.
-    pub fn first_success_traced(
-        &self,
-        cascade: &Cascade,
-        ctx: &(dyn EvalCtx + Sync),
-        iter_limit: u64,
-        nthreads: usize,
-        fingerprint: &mut dyn FnMut(&PredProgram) -> Option<u128>,
-        trace: &mut Vec<StageReport>,
-    ) -> (Option<usize>, u64) {
-        self.first_success_impl(cascade, ctx, iter_limit, nthreads, fingerprint, Some(trace))
-    }
-
-    fn first_success_impl(
         &self,
         cascade: &Cascade,
         ctx: &(dyn EvalCtx + Sync),

@@ -183,8 +183,13 @@ fn engine_compile_cache_hits() {
     ctx.set_array(sym("B"), 1, vec![1; 8]);
 
     let engine = PredEngine::with_par_min(1024);
-    assert_eq!(engine.eval_pred(&p, &ctx, 1_000, 1), Some(true));
-    assert_eq!(engine.eval_pred(&p, &ctx, 1_000, 1), Some(true));
+    for _ in 0..2 {
+        let prog = engine.program(&p).expect("compiles");
+        assert_eq!(
+            eval_compiled(&prog, &ctx, 1_000, EvalParams::default()),
+            Some(true)
+        );
+    }
     let stats = engine.stats();
     assert_eq!(stats.compiles, 1, "second eval must reuse the program");
     assert!(stats.program_hits >= 1);
@@ -206,9 +211,9 @@ fn engine_memoizes_and_invalidates_on_input_change() {
     let engine = PredEngine::with_par_min(1024);
     let fp_of = |f: u128| move |_: &lip_pred::PredProgram| Some(f);
 
-    let (hit1, units1) = engine.first_success(&cascade, &ctx, 100_000, 1, &mut fp_of(7));
+    let (hit1, units1) = engine.first_success(&cascade, &ctx, 100_000, 1, &mut fp_of(7), None);
     let evals_after_first = engine.stats().evals;
-    let (hit2, units2) = engine.first_success(&cascade, &ctx, 100_000, 1, &mut fp_of(7));
+    let (hit2, units2) = engine.first_success(&cascade, &ctx, 100_000, 1, &mut fp_of(7), None);
     assert_eq!(hit1, hit2);
     // Charged units are identical on the memo hit: the memo is a
     // wall-clock optimization, never a cost-model change.
@@ -218,7 +223,7 @@ fn engine_memoizes_and_invalidates_on_input_change() {
 
     // A different fingerprint (changed inputs) must re-evaluate.
     ctx.set_array(sym("B"), 1, vec![-1; 8]);
-    let (hit3, _) = engine.first_success(&cascade, &ctx, 100_000, 1, &mut fp_of(8));
+    let (hit3, _) = engine.first_success(&cascade, &ctx, 100_000, 1, &mut fp_of(8), None);
     assert_ne!(hit1, hit3, "changed inputs must change the verdict here");
     assert!(engine.stats().evals > evals_after_first);
 }
@@ -246,7 +251,7 @@ fn first_success_parity_with_cascade() {
         .map(|s| s.pred.eval_cost(&ctx))
         .sum();
     let engine = PredEngine::with_par_min(2);
-    let (hit, units) = engine.first_success(&cascade, &ctx, 1_000, 4, &mut |_| None);
+    let (hit, units) = engine.first_success(&cascade, &ctx, 1_000, 4, &mut |_| None, None);
     assert_eq!(hit, reference);
     assert_eq!(units, manual_units);
 }

@@ -194,7 +194,7 @@ proptest! {
             .map(|s| s.pred.eval_cost(&ctx))
             .sum();
         let engine = PredEngine::with_par_min(2);
-        let (hit, units) = engine.first_success(&cascade, &ctx, limit, 3, &mut |_| None);
+        let (hit, units) = engine.first_success(&cascade, &ctx, limit, 3, &mut |_| None, None);
         prop_assert_eq!(hit, reference, "stage diverged");
         prop_assert_eq!(units, ref_units, "units diverged");
     }

@@ -57,13 +57,9 @@ pub fn cascade_test(
             prog.array_syms(),
         ))
     };
-    let engine = cache.pred();
-    match report {
-        Some(stages) => {
-            engine.first_success_traced(cascade, &ctx, TEST_BUDGET, nthreads, &mut fp, stages)
-        }
-        None => engine.first_success(cascade, &ctx, TEST_BUDGET, nthreads, &mut fp),
-    }
+    cache
+        .pred()
+        .first_success(cascade, &ctx, TEST_BUDGET, nthreads, &mut fp, report)
 }
 
 /// The cascade's last resort (§5; HOIST-USR, §7): decides whether

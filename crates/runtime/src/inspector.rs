@@ -1,66 +1,24 @@
-//! The inspector/executor runtime test (paper §1, citing Rauchwerger,
-//! Amato & Padua \[26\]).
+//! The inspector half of the inspector/executor runtime test (paper §1,
+//! citing Rauchwerger, Amato & Padua \[26\]).
 //!
 //! Where LRPD speculates on shared state (and must restore on
-//! conflict), the inspector first *dry-runs* the loop on a disposable
-//! copy of the written arrays while shadow-recording accesses; if no
-//! cross-iteration conflict is observed, the real loop executes in
-//! parallel directly on the shared state — no backup, no restore, at
-//! the cost of executing the loop body twice (which is why the paper
-//! prefers predicates and uses reference-proportional tests last).
+//! conflict), the inspector *dry-runs* the loop on a disposable copy of
+//! the written arrays while the shadow detector it shares with
+//! [`crate::lrpd`] records accesses; no cross-iteration conflict means
+//! the real loop may execute in parallel directly on the shared state —
+//! no backup, no restore, at the cost of executing the loop body twice
+//! (which is why the paper prefers predicates and uses
+//! reference-proportional tests last). No [`crate::Session`] path runs
+//! it: the dry run is on the tree-walking `lip_ir::Machine`, and its
+//! one caller is the `bench_e2e` probe behind `runtime.exact_test_us`.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 
-use lip_ir::{
-    AccessTracer, ArrayBuf, ArrayView, ExecState, Machine, RunError, Stmt, Store, Subroutine, Ty,
-    Value,
-};
+use lip_ir::{ArrayView, ExecState, Machine, RunError, Stmt, Store, Subroutine, Value};
 use lip_symbolic::Sym;
 
-use crate::pool::parallel_chunks;
-
-struct Shadow {
-    writer: Vec<AtomicI64>,
-    reader: Vec<AtomicI64>,
-}
-
-struct InspectState {
-    shadows: HashMap<Sym, Shadow>,
-    conflict: AtomicBool,
-}
-
-struct IterTracer {
-    state: Arc<InspectState>,
-    iter: i64,
-}
-
-impl AccessTracer for IterTracer {
-    fn read(&self, arr: Sym, idx: usize) {
-        if let Some(sh) = self.state.shadows.get(&arr) {
-            if let Some(w) = sh.writer.get(idx) {
-                let prev = w.load(Ordering::Relaxed);
-                if prev >= 0 && prev != self.iter {
-                    self.state.conflict.store(true, Ordering::Relaxed);
-                }
-                sh.reader[idx].store(self.iter, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn write(&self, arr: Sym, idx: usize) {
-        if let Some(sh) = self.state.shadows.get(&arr) {
-            if let Some(w) = sh.writer.get(idx) {
-                let prev = w.swap(self.iter, Ordering::Relaxed);
-                let r = sh.reader[idx].load(Ordering::Relaxed);
-                if (prev >= 0 && prev != self.iter) || (r >= 0 && r != self.iter) {
-                    self.state.conflict.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-}
+use crate::lrpd::{IterTracer, SpecState};
+use crate::merge::clone_buf;
 
 /// Result of the inspection pass.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -98,32 +56,19 @@ pub fn inspect(
 
     // Disposable copies of the monitored arrays + shadows.
     let mut scratch = frame.clone();
-    let mut shadows = HashMap::new();
     for a in arrays {
         if let Some(view) = frame.array(*a) {
-            let copy = clone_buf(&view.buf);
             scratch.bind_array(
                 *a,
                 ArrayView {
-                    buf: copy,
+                    buf: clone_buf(&view.buf),
                     offset: view.offset,
                     extents: view.extents.clone(),
                 },
             );
-            let len = view.buf.len();
-            shadows.insert(
-                *a,
-                Shadow {
-                    writer: (0..len).map(|_| AtomicI64::new(-1)).collect(),
-                    reader: (0..len).map(|_| AtomicI64::new(-1)).collect(),
-                },
-            );
         }
     }
-    let st = Arc::new(InspectState {
-        shadows,
-        conflict: AtomicBool::new(false),
-    });
+    let st = SpecState::new(frame, arrays);
 
     for i in lo_v..=hi_v {
         let tracer = Arc::new(IterTracer {
@@ -133,69 +78,11 @@ pub fn inspect(
         let traced = machine.with_tracer(tracer);
         scratch.set_scalar(*var, Value::Int(i));
         traced.exec_block(sub, &mut scratch, body, &mut state)?;
-        if st.conflict.load(Ordering::Relaxed) {
+        if st.conflict() {
             return Ok((InspectVerdict::Dependent, state.cost));
         }
     }
     Ok((InspectVerdict::Independent, state.cost))
-}
-
-/// Inspector/executor: inspect on disposable state, then execute the
-/// loop — in parallel when independent, sequentially otherwise. Unlike
-/// [`crate::Session::lrpd_execute`] there is never anything to roll
-/// back.
-///
-/// Returns the verdict and total work units (inspection + execution).
-///
-/// # Errors
-///
-/// Propagates interpreter failures.
-pub fn inspect_execute(
-    machine: &Machine,
-    sub: &Subroutine,
-    target: &Stmt,
-    frame: &mut Store,
-    arrays: &[Sym],
-    nthreads: usize,
-) -> Result<(InspectVerdict, u64), RunError> {
-    let (verdict, inspect_cost) = inspect(machine, sub, target, frame, arrays)?;
-    let Stmt::Do {
-        var, lo, hi, body, ..
-    } = target
-    else {
-        return Ok((verdict, inspect_cost));
-    };
-    let mut state = ExecState::default();
-    match verdict {
-        InspectVerdict::Independent => {
-            let lo_v = machine.eval(sub, frame, lo, &mut state)?.as_i64();
-            let hi_v = machine.eval(sub, frame, hi, &mut state)?.as_i64();
-            let cost = std::sync::Mutex::new(state.cost + inspect_cost);
-            parallel_chunks(nthreads, lo_v, hi_v, |_, c_lo, c_hi| {
-                let mut local = frame.clone();
-                let mut st = ExecState::default();
-                for i in c_lo..=c_hi {
-                    local.set_scalar(*var, Value::Int(i));
-                    machine.exec_block(sub, &mut local, body, &mut st)?;
-                }
-                *cost.lock().unwrap() += st.cost;
-                Ok::<(), RunError>(())
-            })?;
-            Ok((verdict, cost.into_inner().unwrap()))
-        }
-        InspectVerdict::Dependent => {
-            machine.exec_stmt(sub, frame, target, &mut state)?;
-            Ok((verdict, inspect_cost + state.cost))
-        }
-    }
-}
-
-fn clone_buf(buf: &Arc<ArrayBuf>) -> Arc<ArrayBuf> {
-    let snap = buf.snapshot();
-    match buf.ty() {
-        Ty::Int => ArrayBuf::from_i64(&snap.iter().map(|v| v.as_i64()).collect::<Vec<_>>()),
-        Ty::Real => ArrayBuf::from_f64(&snap.iter().map(|v| v.as_f64()).collect::<Vec<_>>()),
-    }
 }
 
 #[cfg(test)]
@@ -242,37 +129,7 @@ END
     }
 
     #[test]
-    fn executor_runs_parallel_after_clean_inspection() {
-        let (machine, sub, target) = setup(
-            "
-SUBROUTINE t(A, B, N)
-  DIMENSION A(*)
-  INTEGER B(*)
-  INTEGER i, N
-  DO l1 i = 1, N
-    A(B(i)) = A(B(i)) + 1.0
-  ENDDO
-END
-",
-            "l1",
-        );
-        let mut frame = Store::new();
-        frame.set_int(sym("N"), 64);
-        frame.alloc_real(sym("A"), 128);
-        let b = frame.alloc_int(sym("B"), 64);
-        for i in 0..64 {
-            b.set(i, Value::Int(2 * i as i64 + 1)); // injective
-        }
-        let (verdict, _) =
-            inspect_execute(&machine, &sub, &target, &mut frame, &[sym("A")], 2).expect("runs");
-        assert_eq!(verdict, InspectVerdict::Independent);
-        let a = frame.array(sym("A")).expect("A");
-        assert_eq!(a.get_f64(0), 1.0);
-        assert_eq!(a.get_f64(1), 0.0);
-    }
-
-    #[test]
-    fn conflicting_loop_detected_and_run_sequentially() {
+    fn conflicting_loop_is_dependent() {
         let (machine, sub, target) = setup(
             "
 SUBROUTINE t(A, N)
@@ -288,10 +145,9 @@ END
         let mut frame = Store::new();
         frame.set_int(sym("N"), 50);
         frame.alloc_real(sym("A"), 4);
-        let (verdict, _) =
-            inspect_execute(&machine, &sub, &target, &mut frame, &[sym("A")], 2).expect("runs");
+        let (verdict, _) = inspect(&machine, &sub, &target, &frame, &[sym("A")]).expect("inspects");
         assert_eq!(verdict, InspectVerdict::Dependent);
-        let a = frame.array(sym("A")).expect("A");
-        assert_eq!(a.get_f64(0), (50 * 51 / 2) as f64);
+        // The dry run stopped at the second iteration, on its own copy.
+        assert_eq!(frame.array(sym("A")).expect("A").get_f64(0), 0.0);
     }
 }

@@ -6,22 +6,24 @@
 //! precomputes CIV traces via a loop slice ([`civ`]), then executes the
 //! iterations — in parallel over real threads ([`pool`]) with
 //! privatization, last-value restoration and reduction merging, falling
-//! back to LRPD thread-level speculation ([`lrpd`]) or sequential
-//! execution when every test fails.
+//! back to LRPD thread-level speculation ([`lrpd`], whose shadow
+//! detector the [`inspector`]'s dry run shares) or sequential execution
+//! when every test fails.
 //!
-//! The [`sim`] module provides the deterministic cost-model simulator
-//! (virtual `P` processors over interpreter work units) that regenerates
-//! the paper's 4/8/16-processor figures on any host; the real-thread
-//! path cross-checks its shape at the host's core count.
+//! The [`sim`] module provides the pieces of the deterministic cost
+//! model (virtual `P` processors over interpreter work units:
+//! per-iteration costs, [`makespan`], [`charged_test_units`]) from which
+//! `lip_suite` regenerates the paper's 4/8/16-processor figures on any
+//! host; the real-thread path cross-checks its shape at the host's core
+//! count.
 //!
 //! All of it is driven through one configured entry point: a
 //! [`Session`] (see [`session`]) owns the pool width, the per-machine
-//! compile caches, the fission and observer knobs and the simulator's
-//! spawn cost, and runs every loop as fused `lip_vm` bytecode with
-//! cascade predicates on the compiled `lip_pred` engine. Environment
-//! variables (`LIP_PRED_PAR_MIN`, `LIP_FISSION`, `LIP_OBS`) are read
-//! in exactly one place, [`SessionConfig::from_env`], with strict
-//! parsing.
+//! compile caches and the fission and observer knobs, and runs every
+//! loop as fused `lip_vm` bytecode with cascade predicates on the
+//! compiled `lip_pred` engine. Environment variables
+//! (`LIP_PRED_PAR_MIN`, `LIP_FISSION`, `LIP_OBS`) are read in exactly
+//! one place, [`SessionConfig::from_env`], with strict parsing.
 
 pub mod backend;
 pub mod cache;
@@ -40,10 +42,10 @@ pub use exec::{
     cascade_test, exact_report, exact_test, fragment_tests, ExecOutcome, ExecPlan, FragmentTests,
     RunStats, TEST_BUDGET,
 };
-pub use inspector::{inspect, inspect_execute, InspectVerdict};
+pub use inspector::{inspect, InspectVerdict};
 pub use lrpd::LrpdOutcome;
 pub use merge::{clone_buf, copy_back, identity_buf, merge_into};
 pub use pool::parallel_chunks;
 pub use session::compat::*;
-pub use session::{ConfigError, LoopJob, Session, SessionBuilder, SessionConfig};
-pub use sim::{charged_test_units, makespan, SimResult, SimSpec};
+pub use session::{ConfigError, Session, SessionBuilder, SessionConfig};
+pub use sim::{charged_test_units, makespan};

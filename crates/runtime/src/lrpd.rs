@@ -28,16 +28,46 @@ struct Shadow {
     reader: Vec<AtomicI64>,
 }
 
-/// Shared speculation state: shadows plus the conflict flag.
-struct SpecState {
+/// The shadow detector both reference-proportional tests share (LRPD
+/// here, the dry run in [`crate::inspector`]): per-element shadows for
+/// the monitored arrays plus the conflict flag.
+pub(crate) struct SpecState {
     shadows: HashMap<Sym, Shadow>,
     conflict: AtomicBool,
 }
 
-/// The tracer bound to one speculative iteration.
-struct IterTracer {
-    state: Arc<SpecState>,
-    iter: i64,
+impl SpecState {
+    /// Clean shadows for every one of `arrays` that `frame` binds.
+    pub(crate) fn new(frame: &Store, arrays: &[Sym]) -> Arc<SpecState> {
+        let fresh = |len: usize| (0..len).map(|_| AtomicI64::new(-1)).collect();
+        let shadows = arrays
+            .iter()
+            .filter_map(|a| {
+                let len = frame.array(*a)?.buf.len();
+                let shadow = Shadow {
+                    writer: fresh(len),
+                    reader: fresh(len),
+                };
+                Some((*a, shadow))
+            })
+            .collect();
+        Arc::new(SpecState {
+            shadows,
+            conflict: AtomicBool::new(false),
+        })
+    }
+
+    /// Whether any two distinct iterations touched one element, one of
+    /// them writing.
+    pub(crate) fn conflict(&self) -> bool {
+        self.conflict.load(Ordering::Relaxed)
+    }
+}
+
+/// The tracer bound to one iteration.
+pub(crate) struct IterTracer {
+    pub(crate) state: Arc<SpecState>,
+    pub(crate) iter: i64,
 }
 
 impl AccessTracer for IterTracer {
@@ -123,25 +153,11 @@ pub(crate) fn lrpd_execute_impl(
     let hi_v = machine.eval(sub, frame, hi, &mut state)?.as_i64();
 
     // Backup + shadow allocation.
-    let mut backups: Vec<(Sym, Vec<Value>)> = Vec::new();
-    let mut shadows = HashMap::new();
-    for a in arrays {
-        if let Some(view) = frame.array(*a) {
-            backups.push((*a, view.buf.snapshot()));
-            let len = view.buf.len();
-            shadows.insert(
-                *a,
-                Shadow {
-                    writer: (0..len).map(|_| AtomicI64::new(-1)).collect(),
-                    reader: (0..len).map(|_| AtomicI64::new(-1)).collect(),
-                },
-            );
-        }
-    }
-    let spec = Arc::new(SpecState {
-        shadows,
-        conflict: AtomicBool::new(false),
-    });
+    let backups: Vec<(Sym, Vec<Value>)> = arrays
+        .iter()
+        .filter_map(|a| Some((*a, frame.array(*a)?.buf.snapshot())))
+        .collect();
+    let spec = SpecState::new(frame, arrays);
 
     // Speculative parallel execution.
     let var_slot = cb.chunk().scalar_slot(*var).expect("interned");
@@ -150,7 +166,7 @@ pub(crate) fn lrpd_execute_impl(
         let mut st = ExecState::default();
         let mut f = cb.frame(frame);
         for i in c_lo..=c_hi {
-            if spec.conflict.load(Ordering::Relaxed) {
+            if spec.conflict() {
                 break;
             }
             let tracer = IterTracer {
@@ -166,7 +182,7 @@ pub(crate) fn lrpd_execute_impl(
     })?;
     let mut total_cost = cost.into_inner().unwrap();
 
-    if spec.conflict.load(Ordering::Relaxed) {
+    if spec.conflict() {
         // Restore and re-run sequentially.
         for (a, snap) in &backups {
             if let Some(view) = frame.array(*a) {

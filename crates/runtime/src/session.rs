@@ -1,7 +1,7 @@
 //! `Session` — the one configured entry point to the runtime.
 //!
 //! The paper's pipeline (analyze → cascade predicates → parallel
-//! execute → simulate) is exposed as methods on a [`Session`]: a
+//! execute → measure) is exposed as methods on a [`Session`]: a
 //! builder owns **all** configuration ([`SessionConfig`]: pool width,
 //! predicate fork threshold, fission, observer, analysis options) plus
 //! the shared mutable state — the per-machine compile caches and the
@@ -44,7 +44,6 @@ use crate::backend::ExecEnv;
 use crate::cache::MachineCache;
 use crate::exec::RunStats;
 use crate::lrpd::LrpdOutcome;
-use crate::sim::{SimResult, SimSpec};
 
 /// All configuration a [`Session`] owns. Construct via
 /// [`Session::builder`], [`SessionConfig::default`] or
@@ -280,13 +279,14 @@ impl SessionBuilder {
 }
 
 /// A configured runtime session: the single entry point for analyzing,
-/// executing and simulating loops. See the [module docs](self) for the
+/// executing and measuring loops. See the [module docs](self) for the
 /// design rationale.
 ///
 /// The session owns the per-machine compile caches (bytecode programs,
 /// lowered blocks, compiled predicates, verdict memos) and the
-/// configuration of the fork-join pool, so repeated invocations — and
-/// [`Session::run_many`] batches — skip straight to execution.
+/// configuration of the fork-join pool, so repeated invocations skip
+/// straight to execution (the warm path whose saving `bench_e2e`
+/// reports as `runtime.cache_cold_us`).
 pub struct Session {
     cfg: SessionConfig,
     /// The session-wide observability handle: metrics registry, trace
@@ -454,24 +454,6 @@ impl Session {
         )
     }
 
-    /// Runs a batch of loops through one session, reusing compiled
-    /// programs, lowered blocks and predicate verdict memos across
-    /// jobs (the warm path whose saving `bench_e2e` reports as
-    /// `runtime.cache_cold_us`). Returns one [`RunStats`] per job, in
-    /// order; the first error aborts the rest of the batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first interpreter/VM failure.
-    pub fn run_many<'a>(
-        &self,
-        jobs: impl IntoIterator<Item = LoopJob<'a>>,
-    ) -> Result<Vec<RunStats>, RunError> {
-        jobs.into_iter()
-            .map(|job| self.run_loop(job.machine, job.sub, job.target, job.analysis, job.frame))
-            .collect()
-    }
-
     /// Materializes CIV traces by running the loop slice (CIV-COMP,
     /// paper §3.3). Returns the slice's
     /// work-unit cost; traces are bound into `frame` under the trace
@@ -553,42 +535,6 @@ impl Session {
             frame,
         )
     }
-
-    /// Executes the loop once sequentially (mutating `frame`, so
-    /// program state stays correct for whatever follows) and derives
-    /// the simulated parallel timing on `spec.procs` virtual
-    /// processors, charging `spec.spawn` per parallel-region spawn.
-    ///
-    /// # Errors
-    ///
-    /// Propagates VM failures, [`RunError::Unsupported`] included.
-    pub fn simulate(
-        &self,
-        machine: &Machine,
-        sub: &Subroutine,
-        target: &Stmt,
-        frame: &mut Store,
-        spec: SimSpec,
-    ) -> Result<SimResult, RunError> {
-        let per_iter = self.per_iteration_costs(machine, sub, target, frame)?;
-        let seq_units: u64 = per_iter.iter().sum();
-        let spawn = spec.spawn;
-        let test_units = if spec.parallel_test {
-            crate::sim::charged_test_units(spec.test_seq_units, spec.procs, spawn)
-        } else {
-            spec.test_seq_units
-        };
-        let par_units = if spec.run_parallel && !per_iter.is_empty() {
-            crate::sim::makespan(&per_iter, spec.procs) + spawn
-        } else {
-            seq_units
-        };
-        Ok(SimResult {
-            seq_units,
-            par_units,
-            test_units,
-        })
-    }
 }
 
 /// Names `bench_e2e/src/adapter.rs` still spells out, kept only until
@@ -640,20 +586,6 @@ pub mod compat {
             self
         }
     }
-}
-
-/// One loop execution request for [`Session::run_many`].
-pub struct LoopJob<'a> {
-    /// Interpreter over the program.
-    pub machine: &'a Machine,
-    /// Subroutine containing the loop.
-    pub sub: &'a lip_ir::Subroutine,
-    /// The loop statement.
-    pub target: &'a lip_ir::Stmt,
-    /// Its hybrid analysis.
-    pub analysis: &'a LoopAnalysis,
-    /// Live program state (mutated by the run).
-    pub frame: &'a mut lip_ir::Store,
 }
 
 #[cfg(test)]

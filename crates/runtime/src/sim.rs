@@ -10,91 +10,24 @@
 //! in parallel). This preserves exactly the *shape* claims the paper
 //! makes — speedups, scalability, overhead percentages, and the
 //! granularity-induced slowdowns of tiny loops.
+//!
+//! The model is three pieces a caller composes with its own spawn
+//! overhead, as `lip_suite`'s `LoopMeasurement::par_units` does:
+//! [`crate::Session::per_iteration_costs`], [`makespan`] and
+//! [`charged_test_units`].
 
 use lip_ir::{ExecState, Machine, RunError, Stmt, Store, Subroutine, Value};
 
 use crate::backend::{exec_stmt_seq, machine_tracer, CompiledBody, ExecEnv};
 use crate::pool::chunk_bounds;
 
-/// What to simulate for one loop ([`crate::Session::simulate`]): the
-/// virtual machine (processor count, spawn overhead) plus the
-/// runtime-test charge.
-#[derive(Copy, Clone, Debug)]
-pub struct SimSpec {
-    /// Number of virtual processors.
-    pub procs: usize,
-    /// Work units charged per parallel-region spawn.
-    pub spawn: u64,
-    /// Sequential cost of the runtime tests (cascade stages evaluated
-    /// + CIV slices).
-    pub test_seq_units: u64,
-    /// Whether the test is and/or-reduced across processors (the
-    /// paper's generated code evaluates O(N) predicates in parallel).
-    pub parallel_test: bool,
-    /// Whether the loop body itself runs in parallel (false: the tests
-    /// failed — charge the sequential time).
-    pub run_parallel: bool,
-}
-
-impl Default for SimSpec {
-    fn default() -> SimSpec {
-        SimSpec {
-            procs: 4,
-            spawn: 4_000,
-            test_seq_units: 0,
-            parallel_test: false,
-            run_parallel: true,
-        }
-    }
-}
-
-/// The simulated timing of one loop execution.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct SimResult {
-    /// Sequential work units of the loop body.
-    pub seq_units: u64,
-    /// Parallel makespan (block schedule + spawn overhead), excluding
-    /// tests.
-    pub par_units: u64,
-    /// Runtime-test units (already divided across processors where the
-    /// test is a parallel and/or-reduction).
-    pub test_units: u64,
-}
-
-impl SimResult {
-    /// Parallel time including tests.
-    pub fn par_total(&self) -> u64 {
-        self.par_units + self.test_units
-    }
-
-    /// Test overhead as a fraction of the parallel runtime (the paper's
-    /// RTov column).
-    pub fn rt_overhead(&self) -> f64 {
-        if self.par_total() == 0 {
-            0.0
-        } else {
-            self.test_units as f64 / self.par_total() as f64
-        }
-    }
-
-    /// Speedup of the parallel execution over sequential.
-    pub fn speedup(&self) -> f64 {
-        if self.par_total() == 0 {
-            1.0
-        } else {
-            self.seq_units as f64 / self.par_total() as f64
-        }
-    }
-}
-
 /// Runtime-test units charged on the critical path: small (O(1)-ish)
 /// tests run inline; larger ones are and/or-reduced across processors
 /// at the price of one extra spawn. This is the single charging rule
-/// shared by the simulator and the suite harness, and it mirrors what
-/// the `lip_pred` engine actually does at runtime — quantified O(N)
-/// stages fork across the pool only past a trip-count threshold
-/// (`LIP_PRED_PAR_MIN`), never for tests too small to amortize the
-/// fork.
+/// (the suite harness applies it), and it mirrors what the `lip_pred`
+/// engine actually does at runtime — quantified O(N) stages fork across
+/// the pool only past a trip-count threshold (`LIP_PRED_PAR_MIN`),
+/// never for tests too small to amortize the fork.
 pub fn charged_test_units(test_units: u64, procs: usize, spawn: u64) -> u64 {
     if test_units == 0 {
         0
@@ -214,40 +147,38 @@ mod tests {
         assert!(makespan(&skewed, 4) >= 1000);
     }
 
-    #[test]
-    fn simulation_produces_speedup_for_big_loops() {
-        let prog = parse_program(
+    /// Sequential units over `makespan + spawn` on four processors for
+    /// `A(i) = <rhs>`, `i = 1..n` — the formula
+    /// `lip_suite::LoopMeasurement::par_units` applies.
+    fn speedup_on_4(rhs: &str, n: usize, spawn: u64) -> f64 {
+        let prog = parse_program(&format!(
             "
 SUBROUTINE t(A, N)
   DIMENSION A(*)
   INTEGER i, N
   DO l1 i = 1, N
-    A(i) = A(i) * 1.5 + 2.0
+    A(i) = {rhs}
   ENDDO
 END
-",
-        )
+"
+        ))
         .expect("parses");
         let sub = prog.units[0].clone();
         let target = sub.find_loop("l1").expect("loop").clone();
         let machine = Machine::new(prog);
         let mut frame = Store::new();
-        frame.set_int(sym("N"), 20_000);
-        frame.alloc_real(sym("A"), 20_000);
-        let r = Session::default()
-            .simulate(
-                &machine,
-                &sub,
-                &target,
-                &mut frame,
-                SimSpec {
-                    procs: 4,
-                    spawn: 1_000,
-                    ..SimSpec::default()
-                },
-            )
-            .expect("simulates");
-        let s = r.speedup();
+        frame.set_int(sym("N"), n as i64);
+        frame.alloc_real(sym("A"), n);
+        let per_iter = Session::default()
+            .per_iteration_costs(&machine, &sub, &target, &mut frame)
+            .expect("measures");
+        assert_eq!(per_iter.len(), n);
+        per_iter.iter().sum::<u64>() as f64 / (makespan(&per_iter, 4) + spawn) as f64
+    }
+
+    #[test]
+    fn simulation_produces_speedup_for_big_loops() {
+        let s = speedup_on_4("A(i) * 1.5 + 2.0", 20_000, 1_000);
         assert!(s > 3.0 && s <= 4.0, "speedup {s}");
     }
 
@@ -255,49 +186,8 @@ END
     fn tiny_loops_slow_down() {
         // The flo52/ocean effect: granularity too small to amortize the
         // spawn overhead.
-        let prog = parse_program(
-            "
-SUBROUTINE t(A, N)
-  DIMENSION A(*)
-  INTEGER i, N
-  DO l1 i = 1, N
-    A(i) = 1.0
-  ENDDO
-END
-",
-        )
-        .expect("parses");
-        let sub = prog.units[0].clone();
-        let target = sub.find_loop("l1").expect("loop").clone();
-        let machine = Machine::new(prog);
-        let mut frame = Store::new();
-        frame.set_int(sym("N"), 16);
-        frame.alloc_real(sym("A"), 16);
-        let r = Session::default()
-            .simulate(
-                &machine,
-                &sub,
-                &target,
-                &mut frame,
-                SimSpec {
-                    procs: 4,
-                    spawn: 4_000,
-                    ..SimSpec::default()
-                },
-            )
-            .expect("simulates");
-        assert!(r.speedup() < 1.0, "speedup {}", r.speedup());
-    }
-
-    #[test]
-    fn rt_overhead_accounting() {
-        let r = SimResult {
-            seq_units: 100_000,
-            par_units: 25_000,
-            test_units: 250,
-        };
-        assert!(r.rt_overhead() < 0.01);
-        assert!(r.speedup() > 3.9);
+        let s = speedup_on_4("1.0", 16, 4_000);
+        assert!(s < 1.0, "speedup {s}");
     }
 
     /// `per_iteration_costs` over a DO ending at `i64::MAX` (see the

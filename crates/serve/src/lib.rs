@@ -12,14 +12,16 @@
 //! configuration fingerprint ([`pool`], [`lip_runtime::SessionConfig::shard_key`]),
 //! and re-analyzes only what changed ([`fingerprint`]): edit-and-rerun
 //! traffic that leaves a loop (and its declaration context) intact
-//! skips the analysis entirely and goes straight to execution.
+//! skips the analysis entirely and goes straight to execution. A `run`
+//! is one job, one [`ShardState::run`], one reply: the amortization is
+//! in the shard's warm state, so requests are never grouped.
 //!
 //! Overload degrades gracefully, never hangs ([`scheduler`]): a
 //! bounded queue plus a work-unit admission budget turn excess traffic
 //! into explicit `overloaded` error responses, per-request deadlines
 //! expire in the queue rather than occupying a worker, and a panicking
-//! request is caught, answered with a `worker_panic` error and counted
-//! — the listener stays up.
+//! request is caught, answered — it alone — with a `worker_panic` error
+//! and counted; the listener stays up.
 //!
 //! Telemetry rides the `lip_obs` substrate: a `stats` request returns
 //! the server's counters and latency histograms plus every shard

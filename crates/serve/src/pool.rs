@@ -14,9 +14,11 @@
 //! keyed by source fingerprint (byte-identical resubmission skips the
 //! parser), the analysis cache by loop fingerprint — so after an edit
 //! only the loops whose analysis inputs actually changed are
-//! re-analyzed; untouched loops skip straight to execution. Batches of
-//! compatible requests drain through [`Session::run_many`], the warm
-//! path `bench_e2e`'s `serve_mix` `hit` row runs.
+//! re-analyzed; untouched loops skip straight to execution. One
+//! request is one [`ShardState::run`] — prepare, one
+//! [`Session::run_loop`], encode — and what makes a resubmission cheap
+//! (`bench_e2e`'s `serve_mix` `hit` row) is the shard's warm state, not
+//! the company it arrives in.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -27,7 +29,7 @@ use lip_analysis::LoopAnalysis;
 use lip_ir::{parse_program, ArrayBuf, ArrayView, Machine, Store, Subroutine, Ty, Value};
 use lip_obs::json::Writer;
 use lip_obs::Obs;
-use lip_runtime::{LoopJob, RunStats, Session, SessionConfig};
+use lip_runtime::{RunStats, Session, SessionConfig};
 use lip_symbolic::{sym, Sym};
 
 use crate::fingerprint::{loop_fingerprint, source_fingerprint};
@@ -79,13 +81,11 @@ pub struct ShardState {
     analyses: HashMap<u128, Rc<LoopAnalysis>>,
 }
 
-/// A request ready to run: everything borrowed from the request stays
-/// borrowed.
-struct Prepared<'r> {
+/// A request ready to run.
+struct Prepared {
     prog: Rc<CachedProgram>,
     analysis: Rc<LoopAnalysis>,
     sub: Sym,
-    req: &'r RunRequest,
     store: Store,
     analysis_hit: bool,
     program_hit: bool,
@@ -141,7 +141,7 @@ impl ShardState {
         Ok((entry, false))
     }
 
-    fn prepare<'r>(&mut self, req: &'r RunRequest) -> Result<Prepared<'r>, Rejected> {
+    fn prepare(&mut self, req: &RunRequest) -> Result<Prepared, Rejected> {
         let (prog, program_hit) = self.resolve_program(&req.program)?;
         let sub_sym = sym(&req.sub);
         let program = prog.machine.program();
@@ -179,32 +179,22 @@ impl ShardState {
             prog,
             analysis,
             sub: sub_sym,
-            req,
             store,
             analysis_hit,
             program_hit,
         })
     }
 
-    /// Runs a batch of requests, all bound to this shard, through
-    /// [`Session::run_many`], and writes the response to `reqs[i]` into
-    /// `replies[i]`. A batch-aborting error degrades to per-request
-    /// execution on rebuilt input frames, so one failing request never
-    /// poisons its neighbors' results.
+    /// Runs one request on this shard — prepare (the parse and analysis
+    /// caches), one [`Session::run_loop`], encode — and writes the
+    /// response, `ok` or the error frame, into `reply`.
     ///
-    /// Per request, `server_obs` gets one `serve.run_ns` observation
-    /// (preparing and running the batch it was in) and one
+    /// `server_obs` gets the cache counters of a request that prepared,
+    /// one `serve.run_ns` observation (prepare + run) and one
     /// `serve.encode_ns` (results to reply bytes).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless there is one reply frame per request.
-    pub fn run_batch(&mut self, reqs: &[&RunRequest], replies: &mut [Frame], server_obs: &Obs) {
-        assert_eq!(reqs.len(), replies.len(), "one reply frame per request");
+    pub fn run(&mut self, req: &RunRequest, reply: &mut Frame, server_obs: &Obs) {
         let started = Instant::now();
-        let mut prepared: Vec<Result<Prepared, Rejected>> =
-            reqs.iter().map(|r| self.prepare(r)).collect();
-        for p in prepared.iter().filter_map(|r| r.as_ref().ok()) {
+        let ran = self.prepare(req).and_then(|mut p| {
             server_obs.count(
                 if p.analysis_hit {
                     "server.cache.hit"
@@ -221,57 +211,21 @@ impl ShardState {
                 },
                 1,
             );
-        }
-        if reqs.len() > 1 {
-            server_obs.count("server.batched", reqs.len() as u64);
-        }
+            let (sub, target) = p.prog.target(p.sub, &req.label);
+            let stats = self
+                .session
+                .run_loop(&p.prog.machine, sub, target, &p.analysis, &mut p.store)
+                .map_err(|e| (ErrCode::ExecError, format!("{e}")))?;
+            Ok((p, stats))
+        });
+        server_obs.record_ns("serve.run_ns", started.elapsed().as_nanos() as u64);
 
-        let mut jobs: Vec<LoopJob> = Vec::new();
-        for p in prepared.iter_mut().filter_map(|r| r.as_mut().ok()) {
-            let (sub, target) = p.prog.target(p.sub, &p.req.label);
-            jobs.push(LoopJob {
-                machine: &p.prog.machine,
-                sub,
-                target,
-                analysis: &p.analysis,
-                frame: &mut p.store,
-            });
+        let encode_from = Instant::now();
+        match ran {
+            Ok((p, stats)) => ok_response(reply, &p, &stats, &req.results),
+            Err((code, detail)) => reply.error(code, &detail),
         }
-        // Someone in the batch failing aborts `run_many` with frames
-        // partially mutated: each request is then re-run on a freshly
-        // built frame for an isolated verdict.
-        let mut batch = self.session.run_many(jobs).ok().map(Vec::into_iter);
-        let ran: Vec<Result<(Prepared, RunStats), Rejected>> = prepared
-            .into_iter()
-            .map(|p| {
-                let mut p = p?;
-                let stats = match &mut batch {
-                    Some(stats) => stats.next().expect("one RunStats per prepared job"),
-                    None => self.run_single(&mut p)?,
-                };
-                Ok((p, stats))
-            })
-            .collect();
-        let run_ns = started.elapsed().as_nanos() as u64;
-
-        for (ran, reply) in ran.into_iter().zip(replies) {
-            let encode_from = Instant::now();
-            match ran {
-                Ok((p, stats)) => ok_response(reply, &p, &stats),
-                Err((code, detail)) => reply.error(code, &detail),
-            }
-            server_obs.record_ns("serve.run_ns", run_ns);
-            server_obs.record_ns("serve.encode_ns", encode_from.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Runs `p` alone, on a frame rebuilt from its request.
-    fn run_single(&self, p: &mut Prepared) -> Result<RunStats, Rejected> {
-        let (sub, target) = p.prog.target(p.sub, &p.req.label);
-        p.store = build_store(&p.req.frame, sub)?;
-        self.session
-            .run_loop(&p.prog.machine, sub, target, &p.analysis, &mut p.store)
-            .map_err(|e| (ErrCode::ExecError, format!("{e}")))
+        server_obs.record_ns("serve.encode_ns", encode_from.elapsed().as_nanos() as u64);
     }
 }
 
@@ -283,7 +237,7 @@ fn hit_or_miss(hit: bool) -> &'static str {
     }
 }
 
-fn ok_response(reply: &mut Frame, p: &Prepared, stats: &RunStats) {
+fn ok_response(reply: &mut Frame, p: &Prepared, stats: &RunStats, results: &[String]) {
     let mut w = reply.begin();
     w.begin_obj();
     w.key("type").str("ok");
@@ -293,7 +247,7 @@ fn ok_response(reply: &mut Frame, p: &Prepared, stats: &RunStats) {
     w.key("test_units").u64(stats.test_units);
     w.key("loop_units").u64(stats.loop_units);
     w.key("results");
-    encode_results(&mut w, &p.store, &p.req.results);
+    encode_results(&mut w, &p.store, results);
     w.end_obj();
     reply.seal();
 }
@@ -516,15 +470,11 @@ END
         }
     }
 
-    /// `run_batch` over owned requests, replies parsed.
-    fn run(shard: &mut ShardState, reqs: &[RunRequest], obs: &Obs) -> Vec<Json> {
-        let reqs: Vec<&RunRequest> = reqs.iter().collect();
-        let mut replies: Vec<Frame> = reqs.iter().map(|_| Frame::default()).collect();
-        shard.run_batch(&reqs, &mut replies, obs);
-        replies
-            .iter()
-            .map(|f| Json::parse(f.payload()).expect("valid JSON"))
-            .collect()
+    /// [`ShardState::run`], the reply parsed.
+    fn run(shard: &mut ShardState, req: &RunRequest, obs: &Obs) -> Json {
+        let mut reply = Frame::default();
+        shard.run(req, &mut reply, obs);
+        Json::parse(reply.payload()).expect("valid JSON")
     }
 
     #[test]
@@ -533,7 +483,7 @@ END
         let mut shard = ShardState::new("test".into(), SessionConfig::default());
         let req = stencil_request(16);
 
-        let first = run(&mut shard, std::slice::from_ref(&req), &obs).remove(0);
+        let first = run(&mut shard, &req, &obs);
         assert_eq!(first.get("type").and_then(Json::as_str), Some("ok"));
         assert_eq!(first.get("cache").and_then(Json::as_str), Some("miss"));
         let units = first
@@ -550,7 +500,7 @@ END
 
         // Identical resubmission: parse and analysis both hit, results
         // identical.
-        let second = run(&mut shard, std::slice::from_ref(&req), &obs).remove(0);
+        let second = run(&mut shard, &req, &obs);
         assert_eq!(second.get("cache").and_then(Json::as_str), Some("hit"));
         assert_eq!(
             second.get("program_cache").and_then(Json::as_str),
@@ -566,7 +516,7 @@ END
         // cache misses, but the analysis cache still hits.
         let mut edited = req.clone();
         edited.program.push('\n');
-        let third = run(&mut shard, std::slice::from_ref(&edited), &obs).remove(0);
+        let third = run(&mut shard, &edited, &obs);
         assert_eq!(
             third.get("program_cache").and_then(Json::as_str),
             Some("miss")
@@ -592,7 +542,7 @@ END
         let mut shard = ShardState::new("test".into(), SessionConfig::default());
         let base = stencil_request(8);
         let cache = |shard: &mut ShardState, req: &RunRequest| {
-            let reply = run(shard, std::slice::from_ref(req), &obs).remove(0);
+            let reply = run(shard, req, &obs);
             assert_eq!(reply.get("type").and_then(Json::as_str), Some("ok"));
             reply
                 .get("cache")
@@ -623,7 +573,7 @@ END
         // The memo holds loops that exist, never a label that does not.
         let mut unknown = base.clone();
         unknown.label = "nolabel".into();
-        let reply = run(&mut shard, std::slice::from_ref(&unknown), &obs).remove(0);
+        let reply = run(&mut shard, &unknown, &obs);
         assert_eq!(
             reply.get("code").and_then(Json::as_str),
             Some("unknown_loop")
@@ -633,37 +583,16 @@ END
     }
 
     #[test]
-    fn batch_isolates_a_failing_request() {
-        let obs = Obs::off();
-        let mut shard = ShardState::new("test".into(), SessionConfig::default());
-        let good = stencil_request(8);
-        // U unbound: the run fails at execution time.
-        let mut bad = stencil_request(8);
-        bad.frame.arrays.retain(|(n, _)| n != "U");
-        let out = run(&mut shard, &[good.clone(), bad, good.clone()], &obs);
-        let (first, mid, last) = (&out[0], &out[1], &out[2]);
-        assert_eq!(first.get("type").and_then(Json::as_str), Some("ok"));
-        assert_eq!(mid.get("type").and_then(Json::as_str), Some("error"));
-        assert_eq!(mid.get("code").and_then(Json::as_str), Some("exec_error"));
-        assert_eq!(last.get("type").and_then(Json::as_str), Some("ok"));
-        // The rescued neighbors ran on fresh frames: same results as a
-        // clean run.
-        let clean = run(&mut shard, std::slice::from_ref(&good), &obs).remove(0);
-        assert_eq!(first.get("results"), clean.get("results"));
-        assert_eq!(last.get("results"), clean.get("results"));
-    }
-
-    #[test]
     fn unknown_sub_and_label_are_unknown_loop() {
         let obs = Obs::off();
         let mut shard = ShardState::new("test".into(), SessionConfig::default());
         let mut req = stencil_request(4);
         req.sub = "nope".into();
-        let out = run(&mut shard, std::slice::from_ref(&req), &obs).remove(0);
+        let out = run(&mut shard, &req, &obs);
         assert_eq!(out.get("code").and_then(Json::as_str), Some("unknown_loop"));
         let mut req = stencil_request(4);
         req.label = "nolabel".into();
-        let out = run(&mut shard, std::slice::from_ref(&req), &obs).remove(0);
+        let out = run(&mut shard, &req, &obs);
         assert_eq!(out.get("code").and_then(Json::as_str), Some("unknown_loop"));
     }
 
@@ -672,7 +601,7 @@ END
         let obs = Obs::off();
         let mut shard = ShardState::new("test".into(), SessionConfig::default());
         let rejected = |shard: &mut ShardState, req: &RunRequest| {
-            let out = run(shard, std::slice::from_ref(req), &obs).remove(0);
+            let out = run(shard, req, &obs);
             assert_eq!(
                 out.get("code").and_then(Json::as_str),
                 Some("bad_request"),
@@ -710,7 +639,7 @@ END
         }
         let mut req = stencil_request(4);
         req.frame.scalars[0].1 = -9_007_199_254_740_992.0;
-        let out = run(&mut shard, std::slice::from_ref(&req), &obs).remove(0);
+        let out = run(&mut shard, &req, &obs);
         assert_eq!(
             out.get("type").and_then(Json::as_str),
             Some("ok"),

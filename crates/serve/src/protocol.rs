@@ -50,9 +50,10 @@
 //!   the shard selected by `config` (decision reports are recorded at
 //!   `"obs": "trace"`).
 //! * `ping` — liveness probe, answered inline with `pong`.
-//! * `burn` — diagnostic: hold a pool worker for `ms` milliseconds
-//!   under a `cost`-unit admission charge (how the overload tests make
-//!   the queue fill deterministically).
+//! * `burn` — diagnostic: hold a pool worker for `ms` milliseconds (at
+//!   most 10 000, `bad_request` beyond) under a `cost`-unit admission
+//!   charge (how the overload tests make the queue fill
+//!   deterministically).
 //! * `crash` — diagnostic: panic inside the pool worker (exercises the
 //!   catch → `worker_panic` error response path).
 //!
@@ -76,6 +77,10 @@ pub const MAX_FRAME: usize = 1 << 24;
 /// (`bad_request` beyond it). No `data` array can be longer than a
 /// frame has bytes; this keeps a `len` from naming more.
 pub const MAX_ARRAY_LEN: usize = 1 << 24;
+
+/// Longest a `burn` may hold a pool worker (`bad_request` beyond it):
+/// the wire does not get to park one for as long as it likes.
+pub(crate) const MAX_BURN_MS: u64 = 10_000;
 
 /// One outgoing frame: length prefix and payload in a single buffer,
 /// so the payload is written where it is sent from.
@@ -662,11 +667,17 @@ impl Members {
                 label: required(self.label, "loop")?,
                 config: config(self.config)?,
             }),
-            "burn" => Ok(Request::Burn {
-                ms: self.ms.transpose()?.unwrap_or(0),
-                cost: self.cost.transpose()?,
-                config: config(self.config)?,
-            }),
+            "burn" => {
+                let ms = self.ms.transpose()?.unwrap_or(0);
+                if ms > MAX_BURN_MS {
+                    return Err(format!("`ms` is {ms} (limit {MAX_BURN_MS})"));
+                }
+                Ok(Request::Burn {
+                    ms,
+                    cost: self.cost.transpose()?,
+                    config: config(self.config)?,
+                })
+            }
             "crash" => Ok(Request::Crash {
                 config: config(self.config)?,
             }),

@@ -13,7 +13,9 @@ use lip_obs::json::Json;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
-use crate::protocol::{parse_request, ArraySpec, ErrCode, FrameSpec, Request, RunRequest};
+use crate::protocol::{
+    parse_request, ArraySpec, ErrCode, FrameSpec, Request, RunRequest, MAX_BURN_MS,
+};
 
 fn bad(detail: impl Into<String>) -> (ErrCode, String) {
     (ErrCode::BadRequest, detail.into())
@@ -206,11 +208,17 @@ fn oracle(payload: &str) -> Result<Request, (ErrCode, String)> {
             label: req_str(&json, "loop")?,
             config: parse_config(json.get("config"))?,
         }),
-        "burn" => Ok(Request::Burn {
-            ms: opt_u64(&json, "ms")?.unwrap_or(0),
-            cost: opt_u64(&json, "cost")?,
-            config: parse_config(json.get("config"))?,
-        }),
+        "burn" => {
+            let ms = opt_u64(&json, "ms")?.unwrap_or(0);
+            if ms > MAX_BURN_MS {
+                return Err(bad(format!("`ms` is {ms} (limit {MAX_BURN_MS})")));
+            }
+            Ok(Request::Burn {
+                ms,
+                cost: opt_u64(&json, "cost")?,
+                config: parse_config(json.get("config"))?,
+            })
+        }
         "crash" => Ok(Request::Crash {
             config: parse_config(json.get("config"))?,
         }),
@@ -281,6 +289,8 @@ fn decoders_agree_on_the_request_corpus() {
         "{\"type\": \"explain\", \"loop\": \"l\", \"config\": {\"obs\": \"trace\"}}",
         "{\"type\": \"burn\", \"ms\": 5, \"cost\": 10}",
         "{\"type\": \"burn\", \"ms\": -5}",
+        "{\"type\": \"burn\", \"ms\": 10000}",
+        "{\"type\": \"burn\", \"ms\": 9007199254740992, \"cost\": -1}",
         "{\"type\": \"burn\", \"config\": []}",
         "{\"type\": \"crash\", \"config\": {\"nthreads\": 2}}",
         // A structural miss, then a syntax error: still `parse_error`.

@@ -7,15 +7,16 @@
 //!   of work-unit estimates of in-flight requests stays under the
 //!   budget. Rejection is immediate and explicit (`overloaded`), on
 //!   the connection thread, before anything is enqueued.
-//! * [`WorkerQueue`] — one bounded-by-admission FIFO per pool worker.
+//! * [`WorkerQueue`] — one bounded-by-admission FIFO per pool worker,
+//!   popped one job at a time: nothing overtakes, whatever its shard.
 //!   Requests route to workers by shard-key hash, so a shard's
 //!   non-`Send` caches stay thread-affine ([`crate::pool`]). A closed
 //!   queue refuses new work (`shutting_down`) but still drains what it
 //!   already accepted.
 //!
-//! Deadlines are checked at *dequeue* time: a request whose deadline
-//! expired while queued is answered with `deadline` and never occupies
-//! a worker.
+//! Deadlines are checked at *dequeue* time, when that request is about
+//! to run: a request whose deadline expired while queued is answered
+//! with `deadline` and never occupies a worker.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -28,7 +29,7 @@ use crate::protocol::{Frame, RunRequest};
 
 /// What a queued [`Job`] asks the worker to do.
 pub enum JobKind {
-    /// Analyze + execute a loop (the only kind that batches).
+    /// Analyze + execute a loop.
     Run(Box<RunRequest>),
     /// Proxy `Session::explain` on the job's shard.
     Explain {
@@ -208,28 +209,6 @@ impl WorkerQueue {
         }
     }
 
-    /// Non-blocking: extracts up to `max` queued `Run` jobs bound to
-    /// `shard_key`, preserving the relative order of everything else.
-    /// This is how a worker grows one dequeued request into a
-    /// [`crate::ShardState::run_batch`] batch.
-    pub fn drain_matching(&self, shard_key: &str, max: usize) -> Vec<Job> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        let mut taken = Vec::new();
-        let mut rest = VecDeque::with_capacity(inner.jobs.len());
-        while let Some(job) = inner.jobs.pop_front() {
-            let matches = taken.len() < max
-                && job.shard_key == shard_key
-                && matches!(job.kind, JobKind::Run(_));
-            if matches {
-                taken.push(job);
-            } else {
-                rest.push_back(job);
-            }
-        }
-        inner.jobs = rest;
-        taken
-    }
-
     /// Closes the queue: future pushes fail, blocked `pop`s wake.
     pub fn close(&self) {
         self.inner.lock().expect("queue lock").closed = true;
@@ -256,19 +235,6 @@ mod tests {
             },
             rx,
         )
-    }
-
-    fn run_kind() -> JobKind {
-        JobKind::Run(Box::new(RunRequest {
-            program: String::new(),
-            sub: String::new(),
-            label: String::new(),
-            config: Vec::new(),
-            frame: crate::protocol::FrameSpec::default(),
-            results: Vec::new(),
-            deadline_ms: None,
-            cost: None,
-        }))
     }
 
     #[test]
@@ -316,27 +282,5 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         assert!(waiter.join().expect("no panic"), "pop must observe close");
-    }
-
-    #[test]
-    fn drain_matching_takes_only_same_shard_runs() {
-        let q = WorkerQueue::new();
-        let (r1, _x1) = job("alpha", run_kind());
-        let (other, _x2) = job("beta", run_kind());
-        let (burn, _x3) = job("alpha", JobKind::Burn { ms: 0 });
-        let (r2, _x4) = job("alpha", run_kind());
-        assert!(q.push(r1).is_ok());
-        assert!(q.push(other).is_ok());
-        assert!(q.push(burn).is_ok());
-        assert!(q.push(r2).is_ok());
-
-        let batch = q.drain_matching("alpha", 8);
-        assert_eq!(batch.len(), 2, "runs on `alpha` only");
-        // Everything else survives in order.
-        assert_eq!(q.pop().expect("beta run").shard_key, "beta");
-        assert!(matches!(
-            q.pop().expect("alpha burn").kind,
-            JobKind::Burn { ms: 0 }
-        ));
     }
 }

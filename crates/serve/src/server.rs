@@ -7,25 +7,25 @@
 //!   validates requests, answers `ping`/`stats` inline, and routes
 //!   everything else through admission control to a pool worker.
 //! * `pool` **worker threads**, each owning the [`ShardState`]s whose
-//!   shard key hashes to it. A worker dequeues a job, rejects it if
-//!   its deadline expired in the queue, opportunistically drains more
-//!   same-shard `run` jobs into one [`ShardState::run_batch`] call,
-//!   and replies over the job's channel. A panic inside the batch is
-//!   caught: every job in the batch gets a `worker_panic` error, the
+//!   shard key hashes to it. A worker dequeues one job at a time, in
+//!   arrival order, rejects it if its deadline expired in the queue,
+//!   runs it — a `run` is one [`ShardState::run`] on the shard it gets
+//!   or builds — and replies over the job's channel. A panic inside
+//!   the run is caught: that job gets a `worker_panic` error, the
 //!   shard's caches are dropped (rebuilt on next use), and the server
 //!   keeps serving.
 //!
 //! Counters live on the server's own [`Obs`] (metrics level):
 //! `server.accepted`, `server.requests`, `server.admitted`,
 //! `server.rejected.overload`, `server.rejected.deadline`,
-//! `server.worker_panic`, `server.batched`, `server.cache.{hit,miss}`,
+//! `server.worker_panic`, `server.cache.{hit,miss}`,
 //! `server.cache.{program_hit,program_miss}`, plus the
 //! `serve.request_ns` latency histogram that `stats` turns into
 //! p50/p99 and four histograms that say where a `run` request's time
-//! went: `serve.decode_ns` (frame read → [`Request`]),
-//! `serve.queue_ns` (admission → dequeue by the worker),
-//! `serve.run_ns` (preparing and running the batch it was in) and
-//! `serve.encode_ns` (results → reply bytes). What `serve.request_ns`
+//! went, each the request's own: `serve.decode_ns` (frame read →
+//! [`Request`]), `serve.queue_ns` (admission → dequeue by the worker),
+//! `serve.run_ns` (preparing and running it) and `serve.encode_ns`
+//! (results → reply bytes). What `serve.request_ns`
 //! holds beyond their sum is configuration, admission and the reply's
 //! way back to the connection thread.
 
@@ -43,14 +43,11 @@ use lip_obs::{Obs, ObsLevel};
 
 use crate::config::{session_config_from_pairs, ServeConfig};
 use crate::pool::ShardState;
-use crate::protocol::{parse_request, read_frame, ErrCode, Frame, FrameError, Request, RunRequest};
+use crate::protocol::{parse_request, read_frame, ErrCode, Frame, FrameError, Request};
 use crate::scheduler::{Admission, Job, JobKind, WorkerQueue};
 
 /// Work-unit estimate for requests that do not declare a `cost`.
 const DEFAULT_COST: u64 = 1_000;
-
-/// Most `run` jobs drained into one `run_many` batch.
-const MAX_BATCH: usize = 8;
 
 /// A connection keeps its request and reply buffers from one request
 /// to the next unless one grew past this.
@@ -288,8 +285,8 @@ fn dispatch(
         return reply.error(ErrCode::ShuttingDown, "server is shutting down");
     }
     // The worker releases the admission reservation after replying. A
-    // dropped sender (a panic outside the guarded batch) still yields
-    // a response rather than a hang.
+    // dropped sender (a panic outside the guarded run) still yields a
+    // response rather than a hang.
     match reply_rx.recv() {
         Ok(frame) => *reply = frame,
         Err(_) => reply.error(ErrCode::WorkerPanic, "worker dropped the request"),
@@ -305,7 +302,7 @@ fn route(shard_key: &str, pool: usize) -> usize {
 fn worker_loop(shared: &Arc<Shared>, idx: usize) {
     let mut shards: HashMap<String, ShardState> = HashMap::new();
     while let Some(job) = shared.queues[idx].pop() {
-        handle_job(shared, idx, &mut shards, job);
+        handle_job(shared, &mut shards, job);
     }
 }
 
@@ -336,17 +333,34 @@ fn finish(shared: &Arc<Shared>, job: Job) {
     shared.admission.release(job.cost);
 }
 
-fn handle_job(
-    shared: &Arc<Shared>,
-    idx: usize,
-    shards: &mut HashMap<String, ShardState>,
-    job: Job,
-) {
+fn handle_job(shared: &Arc<Shared>, shards: &mut HashMap<String, ShardState>, job: Job) {
     let Some(mut job) = dequeued(shared, job) else {
         return;
     };
     match job.kind {
-        JobKind::Run(_) => return run_batch_starting_with(shared, idx, shards, job),
+        JobKind::Run(ref request) => {
+            if !shards.contains_key(&job.shard_key) {
+                let shard = ShardState::new(job.shard_key.clone(), job.cfg.clone());
+                shared
+                    .sessions
+                    .lock()
+                    .expect("sessions lock")
+                    .insert(job.shard_key.clone(), shard.obs_handle());
+                shards.insert(job.shard_key.clone(), shard);
+            }
+            let shard = shards.get_mut(&job.shard_key).expect("inserted above");
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                shard.run(request, &mut job.frame, &shared.obs);
+            }));
+            if outcome.is_err() {
+                shared.obs.count("server.worker_panic", 1);
+                drop_shard(shared, shards, &job.shard_key);
+                job.frame.error(
+                    ErrCode::WorkerPanic,
+                    "worker panicked executing the request; shard caches dropped",
+                );
+            }
+        }
         JobKind::Explain { ref label } => match shards.get(&job.shard_key) {
             None => job.frame.error(
                 ErrCode::UnknownLoop,
@@ -387,63 +401,6 @@ fn handle_job(
         }
     }
     finish(shared, job);
-}
-
-/// Grows one dequeued `run` into a batch of same-shard `run`s, gets or
-/// builds the shard, executes under `catch_unwind`, replies to every
-/// job, releases every reservation.
-fn run_batch_starting_with(
-    shared: &Arc<Shared>,
-    idx: usize,
-    shards: &mut HashMap<String, ShardState>,
-    first: Job,
-) {
-    let extras = shared.queues[idx].drain_matching(&first.shard_key, MAX_BATCH - 1);
-    let mut batch = vec![first];
-    batch.extend(extras.into_iter().filter_map(|job| dequeued(shared, job)));
-    // The requests stay where the jobs own them; only the reply frames
-    // are taken out, to be written while the requests are borrowed.
-    let mut frames: Vec<Frame> = batch
-        .iter_mut()
-        .map(|j| std::mem::take(&mut j.frame))
-        .collect();
-    let shard_key = batch[0].shard_key.as_str();
-
-    if !shards.contains_key(shard_key) {
-        let shard = ShardState::new(shard_key.to_owned(), batch[0].cfg.clone());
-        shared
-            .sessions
-            .lock()
-            .expect("sessions lock")
-            .insert(shard_key.to_owned(), shard.obs_handle());
-        shards.insert(shard_key.to_owned(), shard);
-    }
-    let shard = shards.get_mut(shard_key).expect("inserted above");
-
-    let requests: Vec<&RunRequest> = batch
-        .iter()
-        .map(|j| match &j.kind {
-            JobKind::Run(r) => &**r,
-            _ => unreachable!("batch holds only Run jobs"),
-        })
-        .collect();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        shard.run_batch(&requests, &mut frames, &shared.obs);
-    }));
-    if outcome.is_err() {
-        shared.obs.count("server.worker_panic", batch.len() as u64);
-        drop_shard(shared, shards, shard_key);
-        for frame in &mut frames {
-            frame.error(
-                ErrCode::WorkerPanic,
-                "worker panicked executing the batch; shard caches dropped",
-            );
-        }
-    }
-    for (mut job, frame) in batch.into_iter().zip(frames) {
-        job.frame = frame;
-        finish(shared, job);
-    }
 }
 
 fn drop_shard(shared: &Arc<Shared>, shards: &mut HashMap<String, ShardState>, key: &str) {

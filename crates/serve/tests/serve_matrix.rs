@@ -479,6 +479,34 @@ fn worker_panics_are_nonfatal() {
     server.shutdown();
 }
 
+const INT_DIV: &str = "
+SUBROUTINE quot(Q, A, B, N, S)
+  INTEGER Q(*), A(*), B(*)
+  INTEGER i, N, S
+  DO divide i = 1, N
+    Q(i) = (A(i) * S) / B(i)
+  ENDDO
+END
+";
+
+/// `Q(i) = (A(i) * S) / B(i)` over 64 elements, `A` all 6 but the last,
+/// `B` all -1, `S` = `scale`: `("6", "1")` runs, `("-2147483648",
+/// "4294967296")` divides `i64::MIN` by -1 in the last chunk.
+fn int_div_json(last: &str, scale: &str, pairs: &[(&str, &str)]) -> String {
+    let n = 64usize;
+    let mut a = vec!["6"; n];
+    a[n - 1] = last;
+    format!(
+        "{{\"type\": \"run\", \"program\": {}, \"sub\": \"quot\", \"loop\": \"divide\", \
+         \"config\": {}, \"frame\": {{\"scalars\": {{\"N\": {n}, \"S\": {scale}}}, \"arrays\": {{\
+         \"Q\": {{\"len\": {n}}}, \"A\": {{\"data\": [{}]}}, \
+         \"B\": {{\"len\": {n}, \"fill\": -1}}}}}}, \"results\": [\"Q\"]}}",
+        lip_obs::json_str(INT_DIV),
+        config_json(pairs),
+        a.join(", "),
+    )
+}
+
 /// A panic that starts inside a chunk of the shared fork-join pool —
 /// on a pool worker or on the serve worker that opened the region —
 /// is re-raised on the serve worker, answered with `worker_panic`, and
@@ -489,29 +517,7 @@ fn worker_panics_are_nonfatal() {
 /// this test needs another way to panic inside a chunk.)
 #[test]
 fn panic_inside_a_pooled_chunk_is_nonfatal() {
-    const INT_DIV: &str = "
-SUBROUTINE quot(Q, A, B, N, S)
-  INTEGER Q(*), A(*), B(*)
-  INTEGER i, N, S
-  DO divide i = 1, N
-    Q(i) = (A(i) * S) / B(i)
-  ENDDO
-END
-";
-    let n = 64usize;
-    let run = |last: &str, scale: &str| {
-        let mut a = vec!["6"; n];
-        a[n - 1] = last;
-        format!(
-            "{{\"type\": \"run\", \"program\": {}, \"sub\": \"quot\", \"loop\": \"divide\", \
-             \"config\": {}, \"frame\": {{\"scalars\": {{\"N\": {n}, \"S\": {scale}}}, \"arrays\": {{\
-             \"Q\": {{\"len\": {n}}}, \"A\": {{\"data\": [{}]}}, \
-             \"B\": {{\"len\": {n}, \"fill\": -1}}}}}}, \"results\": [\"Q\"]}}",
-            lip_obs::json_str(INT_DIV),
-            config_json(&[("nthreads", "2")]),
-            a.join(", "),
-        )
-    };
+    let run = |last: &str, scale: &str| int_div_json(last, scale, &[("nthreads", "2")]);
     let server = Server::spawn(ServeConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
 
@@ -543,6 +549,120 @@ END
             .path(&["server", "counters", "server.worker_panic"])
             .and_then(Json::as_u64),
         Some(1)
+    );
+    server.shutdown();
+}
+
+/// Holds the one worker of a `pool: 1` server with a `burn`, queues
+/// `payloads` behind it — a connection each, the next sent once `stats`
+/// shows the one before admitted — and returns their replies in that
+/// order. (The order is what the batching worker needed to get these
+/// wrong; the replies asserted on do not depend on it.)
+fn queued_behind_a_burn(addr: std::net::SocketAddr, payloads: [String; 3]) -> Vec<Json> {
+    let mut probe = Client::connect(addr).expect("connect");
+    let mut sent = 0;
+    let mut send = |payload: String| {
+        let handle = std::thread::spawn(move || {
+            let mut c = Client::connect(addr).expect("connect");
+            c.call(&payload).expect("reply")
+        });
+        sent += 1;
+        loop {
+            let stats = probe.call("{\"type\": \"stats\"}").expect("stats");
+            let admitted = stats.path(&["admission", "queued"]).and_then(Json::as_u64);
+            if admitted >= Some(sent) || handle.is_finished() {
+                return handle;
+            }
+            std::thread::yield_now();
+        }
+    };
+    let holder = send("{\"type\": \"burn\", \"ms\": 400}".to_owned());
+    let waiting: Vec<_> = payloads.into_iter().map(&mut send).collect();
+    let replies = waiting
+        .into_iter()
+        .map(|h| h.join().expect("no deadlock, no panic"))
+        .collect();
+    let held = holder.join().expect("holder");
+    assert_eq!(held.get("type").and_then(Json::as_str), Some("ok"));
+    replies
+}
+
+fn reply_kinds(replies: &[Json]) -> Vec<&str> {
+    replies
+        .iter()
+        .map(|r| {
+            r.get("code")
+                .or_else(|| r.get("type"))
+                .and_then(Json::as_str)
+                .expect("type or code")
+        })
+        .collect()
+}
+
+/// A request that panics takes down nobody else's: the `run`s queued
+/// around it on the same shard are answered with their results.
+#[test]
+fn a_panicking_request_spares_the_ones_queued_around_it() {
+    let server = Server::spawn(ServeConfig {
+        pool: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let pairs = [("nthreads", "2"), ("obs", "metrics")];
+    let good = || int_div_json("6", "1", &pairs);
+    let replies = queued_behind_a_burn(
+        server.addr(),
+        [
+            good(),
+            int_div_json("-2147483648", "4294967296", &pairs),
+            good(),
+        ],
+    );
+    assert_eq!(reply_kinds(&replies), ["ok", "worker_panic", "ok"]);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let clean = client.call(&good()).expect("clean run");
+    assert!(clean.get("results").is_some(), "{clean:?}");
+    assert_eq!(replies[0].get("results"), clean.get("results"));
+    assert_eq!(replies[2].get("results"), clean.get("results"));
+    let stats = client.call("{\"type\": \"stats\"}").expect("stats");
+    assert_eq!(
+        stats
+            .path(&["server", "counters", "server.worker_panic"])
+            .and_then(Json::as_u64),
+        Some(1)
+    );
+    server.shutdown();
+}
+
+/// A request that fails costs nobody else a second execution: the
+/// shard ran exactly the two loops that were answered `ok`.
+#[test]
+fn a_failing_request_leaves_its_neighbours_run_once() {
+    let server = Server::spawn(ServeConfig {
+        pool: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let good = || run_json(&STENCIL_KERNEL, &[("obs", "metrics")], 8);
+    // U unbound: the run fails at execution time.
+    let no_u = good().replacen("\"U\": {", "\"U_\": {", 1);
+    assert_ne!(no_u, good());
+    let replies = queued_behind_a_burn(server.addr(), [good(), no_u, good()]);
+    assert_eq!(reply_kinds(&replies), ["ok", "exec_error", "ok"]);
+    assert_eq!(replies[0].get("results"), replies[2].get("results"));
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let stats = client.call("{\"type\": \"stats\"}").expect("stats");
+    let sessions = stats
+        .get("sessions")
+        .and_then(Json::as_arr)
+        .expect("sessions");
+    assert_eq!(sessions.len(), 1, "one shard key: {sessions:?}");
+    assert_eq!(
+        sessions[0]
+            .path(&["metrics", "counters", "run.loops"])
+            .and_then(Json::as_u64),
+        Some(2),
+        "each `ok` ran once"
     );
     server.shutdown();
 }
@@ -796,6 +916,13 @@ fn hostile_frames_get_an_error_frame_and_the_connection_lives() {
             ),
             "exec_error",
             "exceeds the 16777216-byte frame limit",
+        ),
+        (
+            // A `thread::sleep` of 285 000 years on a pool worker.
+            "burn 2^53 ms",
+            "{\"type\": \"burn\", \"ms\": 9007199254740992}".to_owned(),
+            "bad_request",
+            "limit 10000",
         ),
     ];
     for (what, payload, code, detail) in &hostile {

@@ -17,7 +17,7 @@
 use std::sync::{Arc, Mutex};
 
 use lip_ir::{parse_program, AccessTracer, Machine, Store, Value};
-use lip_runtime::{LoopJob, Session};
+use lip_runtime::Session;
 use lip_suite::KernelShape;
 use lip_symbolic::{sym, Sym};
 
@@ -104,16 +104,8 @@ fn run_leg(machine: &Machine, frame: &Store, sub_name: &str, label: &str, fissio
     let traced = machine.with_tracer(rec.clone());
     let mut frame = deep_clone(frame);
     let stats = sess
-        .run_many([LoopJob {
-            machine: &traced,
-            sub: &sub,
-            target: &target,
-            analysis: &analysis,
-            frame: &mut frame,
-        }])
-        .expect("runs")
-        .pop()
-        .expect("one result");
+        .run_loop(&traced, &sub, &target, &analysis, &mut frame)
+        .expect("runs");
 
     let scalars = scalar_names
         .into_iter()

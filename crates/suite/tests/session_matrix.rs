@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use lip_analysis::LoopClass;
 use lip_ir::{ExecState, Stmt, StoreCtx, Value};
 use lip_obs::ObsLevel;
-use lip_runtime::{ExecOutcome, LoopJob, Session, TEST_BUDGET};
+use lip_runtime::{ExecOutcome, Session, TEST_BUDGET};
 use lip_suite::{measure_loop, KernelShape, LoopMeasurement};
 use lip_symbolic::{sym, Sym};
 
@@ -217,16 +217,8 @@ fn observer_execution_is_bit_identical_including_access_streams() {
             let log = Arc::new(AccessLog::default());
             let traced = p.machine.with_tracer(log.clone());
             let stats = sess
-                .run_many([LoopJob {
-                    machine: &traced,
-                    sub: &sub,
-                    target: &target,
-                    analysis: &analysis,
-                    frame: &mut p.frame,
-                }])
-                .expect("runs")
-                .pop()
-                .expect("one result");
+                .run_loop(&traced, &sub, &target, &analysis, &mut p.frame)
+                .expect("runs");
             let a = p.frame.array(sym("A")).expect("A");
             let snapshot: Vec<u64> = (0..a.buf.len()).map(|i| a.get_f64(i).to_bits()).collect();
             let events = log.events.lock().unwrap().clone();
@@ -304,16 +296,8 @@ fn concurrent_executions_produce_identical_frames() {
         let mut p = shape.prepared(n);
         let analysis = sess.analyze(&prog, sub.name, p.label).expect("analysis");
         let stats = sess
-            .run_many([LoopJob {
-                machine: &p.machine,
-                sub: &sub,
-                target: &target,
-                analysis: &analysis,
-                frame: &mut p.frame,
-            }])
-            .expect("runs")
-            .pop()
-            .expect("one result");
+            .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
+            .expect("runs");
         assert!(matches!(stats.outcome, ExecOutcome::PredicatePassed { .. }));
         (stats.loop_units, snapshot(&p.frame))
     };

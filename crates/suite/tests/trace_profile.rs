@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 
 use lip_obs::json::Json;
 use lip_obs::ObsLevel;
-use lip_runtime::{LoopJob, Session};
+use lip_runtime::Session;
 use lip_symbolic::sym;
 
 fn traced_session(nthreads: usize) -> Session {
@@ -28,13 +28,7 @@ fn run_kernel(session: &Session, shape: &'static lip_suite::KernelShape, n: usiz
     let target = sub.find_loop(p.label).expect("loop").clone();
     let analysis = session.analyze(&prog, sub.name, p.label).expect("analysis");
     session
-        .run_many([LoopJob {
-            machine: &p.machine,
-            sub: &sub,
-            target: &target,
-            analysis: &analysis,
-            frame: &mut p.frame,
-        }])
+        .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
         .expect("runs");
 }
 

@@ -17,7 +17,6 @@
 //! Finishes with the session's aggregate metrics snapshot.
 
 use lip::obs::ObsLevel;
-use lip::runtime::LoopJob;
 use lip::symbolic::sym;
 use lip::Session;
 
@@ -46,16 +45,8 @@ fn main() {
 
     let analysis = session.analyze(&prog, sub.name, p.label).expect("analysis");
     let stats = session
-        .run_many([LoopJob {
-            machine: &p.machine,
-            sub: &sub,
-            target: &target,
-            analysis: &analysis,
-            frame: &mut p.frame,
-        }])
-        .expect("runs")
-        .pop()
-        .expect("one result");
+        .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
+        .expect("runs");
     println!(
         "ran {} (n = {n}): outcome {:?}\n",
         shape.name, stats.outcome

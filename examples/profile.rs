@@ -20,7 +20,6 @@
 //! much of its work the memo tables answered.
 
 use lip::obs::ObsLevel;
-use lip::runtime::LoopJob;
 use lip::symbolic::sym;
 use lip::Session;
 
@@ -43,13 +42,7 @@ fn main() {
     let analysis = session.analyze(&prog, sub.name, p.label).expect("analysis");
     for _ in 0..3 {
         session
-            .run_many([LoopJob {
-                machine: &p.machine,
-                sub: &sub,
-                target: &target,
-                analysis: &analysis,
-                frame: &mut p.frame,
-            }])
+            .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
             .expect("runs");
     }
 

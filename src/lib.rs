@@ -25,13 +25,13 @@
 //! The configured entry point to the whole pipeline is [`Session`]
 //! (re-exported from [`runtime`]): a builder owning the pool width,
 //! the fission and observer knobs and the per-machine compile caches,
-//! with `analyze` / `run_loop` / `run_many` / `civ_traces` /
-//! `lrpd_execute` / `per_iteration_costs` / `simulate` methods. A
-//! session runs loops as fused [`vm`] bytecode and predicates on the
-//! compiled [`pred`] engine; the tree-walking `ir::Machine` is the
-//! differential reference. Environment variables (`LIP_PRED_PAR_MIN`,
-//! `LIP_FISSION`, `LIP_OBS`) are read in exactly one place,
-//! [`SessionConfig::from_env`], with strict parsing.
+//! with `analyze` / `run_loop` / `civ_traces` / `lrpd_execute` /
+//! `per_iteration_costs` methods. A session runs loops as fused [`vm`]
+//! bytecode and predicates on the compiled [`pred`] engine; the
+//! tree-walking `ir::Machine` is the differential reference.
+//! Environment variables (`LIP_PRED_PAR_MIN`, `LIP_FISSION`, `LIP_OBS`)
+//! are read in exactly one place, [`SessionConfig::from_env`], with
+//! strict parsing.
 //!
 //! Observability rides the same session: `.observer(ObsLevel::Trace)`
 //! turns on metrics, span tracing and per-loop decision records, read
@@ -53,4 +53,4 @@ pub use lip_symbolic as symbolic;
 pub use lip_usr as usr;
 pub use lip_vm as vm;
 
-pub use lip_runtime::{ConfigError, LoopJob, Session, SessionBuilder, SessionConfig};
+pub use lip_runtime::{ConfigError, Session, SessionBuilder, SessionConfig};
