@@ -733,7 +733,33 @@ fn classify(
     let mut cascade = cascade_of(cx, &merged);
     cascade.stages.retain(|s| s.complexity <= 1);
 
-    let class = if let Some(kind) = fallback {
+    let ind_usr = (!exact_usrs.is_empty()).then(|| Usr::union_all(exact_usrs));
+    // Every runtime test reads the frame as the loop finds it. An array
+    // the loop (or a callee) writes that a test also reads — in a
+    // subscript, a gate or a bound — may hold other values by the time
+    // an iteration reads it, so no verdict on its pre-loop contents
+    // licenses a parallel run. Until the summarizer substitutes the
+    // written value (ROADMAP item 1) such a loop stays sequential;
+    // speculation is no landing either while its detector misses races.
+    let tested = |w: Sym| {
+        cascade.stages.iter().any(|st| st.pred.contains_sym(w))
+            || ind_usr.as_ref().is_some_and(|u| u.contains_sym(w))
+            || it.lo.contains_sym(w)
+            || it.hi.contains_sym(w)
+            || arrays.values().any(|plan| {
+                matches!(plan, ArrayPlan::Reduction { cascade: Some(c), .. }
+                    if c.stages.iter().any(|st| st.pred.contains_sym(w)))
+            })
+    };
+    let tests_own_writes = it
+        .body
+        .arrays
+        .iter()
+        .any(|(arr, facts)| !facts.summary.written().is_empty() && tested(*arr));
+
+    let class = if tests_own_writes {
+        LoopClass::StaticSequential
+    } else if let Some(kind) = fallback {
         techniques.insert(match kind {
             FallbackKind::HoistUsr => Technique::HoistUsr,
             FallbackKind::Tls => Technique::Tls,
@@ -742,7 +768,7 @@ fn classify(
     } else if merged.is_true() {
         LoopClass::StaticParallel
     } else if cascade.needs_fallback() {
-        if exact_usrs.is_empty() {
+        if ind_usr.is_none() {
             // All predicates constant-false: heuristically dependent.
             LoopClass::StaticSequential
         } else {
@@ -767,7 +793,7 @@ fn classify(
         cascade,
         civs: it.civs,
         scalar_reductions,
-        ind_usr: (!exact_usrs.is_empty()).then(|| Usr::union_all(exact_usrs)),
+        ind_usr,
         fission: None,
         exact_key: OnceCell::new(),
     }

@@ -1,6 +1,7 @@
 //! The mini-Fortran abstract syntax tree.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use lip_symbolic::Sym;
 
@@ -44,7 +45,7 @@ pub struct Decl {
 }
 
 /// Binary operators.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -75,7 +76,7 @@ pub enum BinOp {
 }
 
 /// Unary operators.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -84,7 +85,7 @@ pub enum UnOp {
 }
 
 /// Intrinsic functions.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Intrinsic {
     /// `MIN(a, b, ...)`
     Min,
@@ -166,8 +167,26 @@ impl Expr {
     }
 }
 
+/// Structural hash for keyed lookups that confirm with `==` (the
+/// runtime's block cache). Reals hash by bit pattern, so `0.0` and
+/// `-0.0` — equal under `PartialEq`, different programs — land apart.
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Expr::Int(v) => v.hash(h),
+            Expr::Real(v) => v.to_bits().hash(h),
+            Expr::Var(s) => s.hash(h),
+            Expr::Elem(a, idx) => (a, idx).hash(h),
+            Expr::Bin(op, a, b) => (op, a, b).hash(h),
+            Expr::Un(op, a) => (op, a).hash(h),
+            Expr::Intrin(f, args) => (f, args).hash(h),
+        }
+    }
+}
+
 /// Assignment targets.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum LValue {
     /// Scalar assignment.
     Scalar(Sym),
@@ -176,7 +195,7 @@ pub enum LValue {
 }
 
 /// Statements.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum Stmt {
     /// `lhs = rhs`.
     Assign {

@@ -176,6 +176,31 @@ impl ArrayBuf {
         self.get(idx).as_i64()
     }
 
+    /// Copies cells `start .. start + out.len()` out under the `i64`
+    /// view of [`Value::as_i64`] (Real cells truncate): the typed bulk
+    /// read behind the runtime's input digests — one `match` per block,
+    /// no `Value` per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    #[inline]
+    pub fn read_i64(&self, start: usize, out: &mut [i64]) {
+        let range = start..start + out.len();
+        match &self.cells {
+            Cells::Int(v) => {
+                for (o, c) in out.iter_mut().zip(&v[range]) {
+                    *o = c.load(Ordering::Relaxed);
+                }
+            }
+            Cells::Real(v) => {
+                for (o, c) in out.iter_mut().zip(&v[range]) {
+                    *o = f64::from_bits(c.load(Ordering::Relaxed)) as i64;
+                }
+            }
+        }
+    }
+
     /// Copies an Int buffer out as a flat `i64` vector (`None` for a
     /// Real buffer). The relaxed per-cell atomic API cannot
     /// autovectorize; a plain vector can, so the runtime's merge

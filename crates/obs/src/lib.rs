@@ -564,6 +564,11 @@ pub struct LoopDecision {
     pub test_units: u64,
     /// Work units charged to the loop body.
     pub loop_units: u64,
+    /// Array elements digested to key the verdict memo for this run.
+    pub key_elems: u64,
+    /// Wall time spent building those keys (apart from evaluating or
+    /// fetching the verdicts they key).
+    pub key_ns: u64,
 }
 
 impl LoopDecision {
@@ -582,6 +587,8 @@ impl LoopDecision {
             executor: String::new(),
             test_units: 0,
             loop_units: 0,
+            key_elems: 0,
+            key_ns: 0,
         }
     }
 
@@ -675,6 +682,13 @@ impl LoopDecision {
             }
         }
         out.push_str(&format!("  executor: {}\n", self.executor));
+        if self.key_ns > 0 {
+            out.push_str(&format!(
+                "  memo keys: {} elements digested in {:.1} us\n",
+                self.key_elems,
+                self.key_ns as f64 / 1e3
+            ));
+        }
         out.push_str(&format!(
             "  {}\n",
             test_to_loop_line(self.test_units, self.loop_units)

@@ -9,6 +9,14 @@
 //! same for cascade predicates (plus verdict memoization keyed on the
 //! loop-invariant inputs).
 //!
+//! Both lookups cost less than what they find. A block is found by a
+//! structural hash of its statements (the [`crate::digest`] state as
+//! the `Hasher`), confirmed by `==` against the stored copy — no rendering
+//! per `run_loop`. A verdict is found under a 128-bit digest of the
+//! inputs the predicate reads ([`store_fingerprint`]; within a run,
+//! [`crate::digest::InputDigests`] reads each array once however many
+//! tests name it); the collision argument is in [`crate::digest`].
+//!
 //! Caches are owned by a [`crate::Session`], keyed on the identity of
 //! the machine's shared `Program` handle (`Machine::program_handle`):
 //! machines cloned from one another — e.g. tracer-instrumented copies
@@ -18,7 +26,7 @@
 //! sessions with different configurations cannot observe each other.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use lip_ir::{Expr, Machine, RunError, Stmt, Store, Subroutine};
@@ -26,6 +34,8 @@ use lip_obs::Obs;
 use lip_pred::PredEngine;
 use lip_symbolic::Sym;
 use lip_vm::{BlockId, CompileError, CompiledProgram};
+
+use crate::digest::{Digest, InputDigests, KeyCost};
 
 /// A cached standalone block: the compiled program it lives in plus its
 /// block id. Shared (`Arc`) across invocations and worker threads.
@@ -42,8 +52,9 @@ pub struct MachineCache {
     /// program exceeds the bytecode's static limits — remembered so
     /// callers fail without recompiling).
     base: OnceLock<Result<Arc<CompiledProgram>, RunError>>,
-    /// Lowered statement blocks keyed by their structural rendering.
-    blocks: Mutex<HashMap<String, Result<Arc<CachedBody>, RunError>>>,
+    /// Lowered statement blocks by structural hash; a bucket holds the
+    /// blocks themselves, which a lookup compares before it answers.
+    blocks: Mutex<HashMap<u128, Vec<KeyedBlock>>>,
     /// The predicate engine (compile cache + verdict memo).
     pred: PredEngine,
     /// Whether the executor may honor loop-fission plans (the session's
@@ -54,6 +65,15 @@ pub struct MachineCache {
     /// block hit/miss counters; `Obs::off()` costs one branch per
     /// lookup).
     obs: Obs,
+}
+
+/// One cached block with the shape it was compiled from.
+struct KeyedBlock {
+    sub: Sym,
+    stmts: Vec<Stmt>,
+    exprs: Vec<Expr>,
+    extra: Vec<Sym>,
+    built: Result<Arc<CachedBody>, RunError>,
 }
 
 impl Default for MachineCache {
@@ -109,15 +129,27 @@ impl MachineCache {
         exprs: &[&Expr],
         extra: &[Sym],
     ) -> Result<Arc<CachedBody>, RunError> {
-        // The key is the block's exact structural rendering: linear in
-        // the body size to build on every lookup, but collision-free —
-        // a hashed key that aliased two different bodies would execute
-        // the wrong code. The formatting cost is small next to the
-        // whole-program compile this cache avoids.
-        let key = format!("{}|{stmts:?}|{exprs:?}|{extra:?}", sub.name);
-        if let Some(cached) = self.blocks.lock().expect("cache lock").get(&key) {
+        // A hash finds the bucket, structural equality picks the block:
+        // a key that aliased two bodies would execute the wrong code,
+        // so a match is never taken on the hash's word.
+        let mut key = Digest::default();
+        (sub.name, stmts, exprs, extra).hash(&mut key);
+        let key = key.finish128();
+        let same = |b: &KeyedBlock| {
+            b.sub == sub.name
+                && b.stmts == stmts
+                && b.exprs.iter().eq(exprs.iter().copied())
+                && b.extra == extra
+        };
+        if let Some(cached) = self
+            .blocks
+            .lock()
+            .expect("cache lock")
+            .get(&key)
+            .and_then(|bucket| bucket.iter().find(|b| same(b)))
+        {
             self.obs.count("vm.block_hits", 1);
-            return cached.clone();
+            return cached.built.clone();
         }
         self.obs.count("vm.block_compiles", 1);
         let built = self.base(machine).and_then(|base| {
@@ -134,11 +166,17 @@ impl MachineCache {
                 block,
             }))
         });
-        self.blocks
-            .lock()
-            .expect("cache lock")
-            .entry(key)
-            .or_insert_with(|| built.clone());
+        let mut blocks = self.blocks.lock().expect("cache lock");
+        let bucket = blocks.entry(key).or_default();
+        if !bucket.iter().any(same) {
+            bucket.push(KeyedBlock {
+                sub: sub.name,
+                stmts: stmts.to_vec(),
+                exprs: exprs.iter().map(|e| (*e).clone()).collect(),
+                extra: extra.to_vec(),
+                built: built.clone(),
+            });
+        }
         built
     }
 
@@ -170,39 +208,11 @@ fn unsupported(e: CompileError) -> RunError {
 /// fingerprints ⇒ the predicate sees identical inputs, so its verdict
 /// can be memoized (the `PredEngine` result cache).
 ///
-/// A colliding fingerprint would replay a stale verdict — and a stale
-/// `Some(true)` runs a dependent loop in parallel — so the fingerprint
-/// is 128 bits: two domain-separated passes over the same inputs,
-/// pushing the per-pair collision odds to ~2⁻¹²⁸ (storing the inputs
-/// themselves would cost as much as the evaluation the memo skips).
+/// This is the one-shot form of [`InputDigests::key`] (same value); a
+/// run that tests several predicates shares one table instead. Why 128
+/// bits, and what a collision would take: [`crate::digest`].
 pub fn store_fingerprint(frame: &Store, scalars: &[Sym], arrays: &[Sym]) -> u128 {
-    let lo = fingerprint_pass(0xF00D, frame, scalars, arrays);
-    let hi = fingerprint_pass(0xBEEF_CAFE, frame, scalars, arrays);
-    (u128::from(hi) << 64) | u128::from(lo)
-}
-
-fn fingerprint_pass(domain: u64, frame: &Store, scalars: &[Sym], arrays: &[Sym]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    domain.hash(&mut h);
-    for s in scalars {
-        match frame.scalar(*s) {
-            Some(v) => (1u8, v.as_i64()).hash(&mut h),
-            None => 0u8.hash(&mut h),
-        }
-    }
-    for a in arrays {
-        match frame.array(*a) {
-            Some(view) => {
-                let len = view.buf.len();
-                (1u8, view.offset, len).hash(&mut h);
-                for i in 0..len {
-                    view.buf.get(i).as_i64().hash(&mut h);
-                }
-            }
-            None => 0u8.hash(&mut h),
-        }
-    }
-    h.finish()
+    InputDigests::new(frame, &mut KeyCost::default()).key(scalars, arrays)
 }
 
 #[cfg(test)]

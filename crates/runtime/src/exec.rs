@@ -6,7 +6,12 @@
 //! 1. precompute CIV traces via the loop slice (CIV-COMP),
 //! 2. evaluate the predicate cascade against live state (cheapest
 //!    stage first; the first success disables the rest), and when
-//!    every stage fails the hoisted exact USR test ([`exact_test`]),
+//!    every stage fails the hoisted exact USR test ([`exact_test`]) —
+//!    every verdict memoized under a key over the inputs it read, built
+//!    from one [`InputDigests`] table per test phase (the whole loop's
+//!    cascade, exact test and reduction cascades; each fission
+//!    fragment's), so a warm run reads each index array once, at memory
+//!    speed, and `run.fingerprint_ns` says what that cost,
 //! 3. execute: in parallel — with privatized copies (+ static/dynamic
 //!    last value), per-thread reduction buffers (or direct shared
 //!    updates when the runtime test proved independence) — or through
@@ -26,7 +31,8 @@ use lip_usr::Exact;
 use std::sync::Mutex;
 
 use crate::backend::{exec_stmt_seq, machine_tracer, CompiledBody, ExecEnv};
-use crate::cache::{store_fingerprint, MachineCache};
+use crate::cache::MachineCache;
+use crate::digest::{InputDigests, KeyCost};
 use crate::lrpd::LrpdOutcome;
 use crate::merge::{clone_buf, copy_back, identity_buf, merge_into};
 use crate::pool::{chunk_bounds, parallel_chunks_obs};
@@ -37,26 +43,24 @@ use crate::pool::{chunk_bounds, parallel_chunks_obs};
 /// guarded loop's work is ROADMAP's cost gate.
 pub const TEST_BUDGET: u64 = 100_000_000;
 
-/// Runs `cascade` on the machine's predicate engine against `frame`:
-/// the first passing stage and the units charged. `report` collects
-/// one [`StageReport`] per evaluated stage; those render predicate
-/// strings, so ask only when a decision record is being kept — the
-/// verdict and the charge are the same either way.
+/// Runs `cascade` on the machine's predicate engine against
+/// `inputs.frame()`: the first passing stage and the units charged.
+/// Each evaluated stage is looked up in the verdict memo under a key
+/// from `inputs` — the digest table of this test phase, so an array
+/// several stages (or the exact test after them) read is read once.
+/// `report` collects one [`StageReport`] per evaluated stage; those
+/// render predicate strings, so ask only when a decision record is
+/// being kept — the verdict and the charge are the same either way.
 pub fn cascade_test(
     cache: &MachineCache,
     cascade: &lip_core::Cascade,
-    frame: &Store,
+    inputs: &mut InputDigests<'_>,
     nthreads: usize,
     report: Option<&mut Vec<StageReport>>,
 ) -> (Option<usize>, u64) {
-    let ctx = StoreCtx(frame);
-    let mut fp = |prog: &lip_pred::PredProgram| {
-        Some(store_fingerprint(
-            frame,
-            prog.scalar_syms(),
-            prog.array_syms(),
-        ))
-    };
+    let ctx = StoreCtx(inputs.frame());
+    let mut fp =
+        |prog: &lip_pred::PredProgram| Some(inputs.key(prog.scalar_syms(), prog.array_syms()));
     cache
         .pred()
         .first_success(cascade, &ctx, TEST_BUDGET, nthreads, &mut fp, report)
@@ -66,12 +70,17 @@ pub fn cascade_test(
 /// `analysis.ind_usr` is empty on `frame` with the one-pass evaluator
 /// ([`lip_usr::exact`]). The verdict and the units it counted are
 /// hoisted — memoized in the machine's predicate engine under the USR's
-/// rendering and a fingerprint of the scalars and index arrays it reads
-/// — so re-running the loop on unchanged inputs costs the fingerprint.
-/// Returns the result (units as counted by the evaluation, to be
-/// charged on hit and miss alike) and whether the memo answered. No
-/// `ind_usr`: undecided at no cost.
-pub fn exact_test(cache: &MachineCache, analysis: &LoopAnalysis, frame: &Store) -> (Exact, bool) {
+/// rendering and a key over the scalars and index arrays it reads — so
+/// re-running the loop on unchanged inputs costs the key, and an array
+/// the cascade before it already read costs nothing (`inputs` is the
+/// phase's shared table). Returns the result (units as counted by the
+/// evaluation, to be charged on hit and miss alike) and whether the
+/// memo answered. No `ind_usr`: undecided at no cost.
+pub fn exact_test(
+    cache: &MachineCache,
+    analysis: &LoopAnalysis,
+    inputs: &mut InputDigests<'_>,
+) -> (Exact, bool) {
     let (Some(usr), Some(key)) = (&analysis.ind_usr, analysis.exact_key()) else {
         let undecided = Exact {
             verdict: None,
@@ -84,7 +93,8 @@ pub fn exact_test(cache: &MachineCache, analysis: &LoopAnalysis, frame: &Store) 
     // Each free symbol is looked up both ways: the frame binds it as a
     // scalar or as an array, and the side it does not bind hashes as
     // "unbound".
-    let fingerprint = store_fingerprint(frame, &key.syms, &key.syms);
+    let fingerprint = inputs.key(&key.syms, &key.syms);
+    let frame = inputs.frame();
     let ((verdict, units), hit) =
         cache
             .pred()
@@ -127,8 +137,9 @@ pub struct FragmentTests {
     pub exact: Option<(Exact, bool)>,
 }
 
-/// Decides one fragment of a distributed loop against `frame` — the
-/// store as the fragments before it left it: a static fragment runs
+/// Decides one fragment of a distributed loop against `inputs` — a
+/// fresh table over the store as the fragments before it left it,
+/// shared with the fragment's reduction cascades: a static fragment runs
 /// parallel outright, a predicated one tests its cascade with the
 /// exact test as the last resort, a hoisted-USR fallback goes straight
 /// to the exact test, anything else stays sequential (fragments never
@@ -136,7 +147,7 @@ pub struct FragmentTests {
 pub fn fragment_tests(
     cache: &MachineCache,
     a: &LoopAnalysis,
-    frame: &Store,
+    inputs: &mut InputDigests<'_>,
     nthreads: usize,
     report: bool,
 ) -> FragmentTests {
@@ -150,7 +161,7 @@ pub fn fragment_tests(
         LoopClass::StaticParallel => true,
         LoopClass::Predicated { .. } => {
             let stages = report.then_some(&mut t.stages);
-            let (passed, units) = cascade_test(cache, &a.cascade, frame, nthreads, stages);
+            let (passed, units) = cascade_test(cache, &a.cascade, inputs, nthreads, stages);
             t.units += units;
             passed.is_some()
         }
@@ -158,7 +169,7 @@ pub fn fragment_tests(
         _ => return t,
     };
     t.parallel = cascade_passed || {
-        let (exact, hit) = exact_test(cache, a, frame);
+        let (exact, hit) = exact_test(cache, a, inputs);
         t.units += exact.units;
         t.exact = Some((exact, hit));
         exact.verdict == Some(true)
@@ -235,14 +246,16 @@ pub enum ExecPlan {
 
 /// Decision evidence accumulated while one loop runs: the evaluated
 /// cascade stages, the exact test's result and memo hit (when reached)
-/// and the per-fragment outcomes of a fissioned execution. Populated
-/// only when the session's observer is on; folded into a
-/// [`LoopDecision`] by [`run_loop_impl`].
+/// and the per-fragment outcomes of a fissioned execution (populated
+/// only when the session's observer keeps decisions), plus what keying
+/// the run's tests cost. Folded into a [`LoopDecision`] by
+/// [`run_loop_impl`].
 #[derive(Default)]
 struct DecisionTrace {
     stages: Vec<StageReport>,
     exact: Option<(Exact, bool)>,
     fragments: Vec<FragmentReport>,
+    keys: KeyCost,
 }
 
 /// How the chosen execution path reads in a decision report.
@@ -274,6 +287,7 @@ pub(crate) fn run_loop_impl(
     frame: &mut Store,
 ) -> Result<RunStats, RunError> {
     let mut dt = DecisionTrace::default();
+    dt.keys.timed = env.obs.enabled();
     let span = env.obs.span("run.loop", || analysis.label.clone());
     let result = run_loop_inner(env, machine, sub, target, analysis, frame, &mut dt);
     match &result {
@@ -283,6 +297,12 @@ pub(crate) fn run_loop_impl(
                 env.obs.count("run.loops", 1);
                 env.obs.count("run.test_units", stats.test_units);
                 env.obs.count("run.loop_units", stats.loop_units);
+                // Key time apart from evaluation time: one sample per
+                // run that keyed a test, whatever the memo then answered.
+                if dt.keys.ns > 0 {
+                    env.obs.count("run.fingerprint_elems", dt.keys.elems);
+                    env.obs.record_ns("run.fingerprint_ns", dt.keys.ns);
+                }
             }
             // Decision records allocate (stage strings, map inserts);
             // like spans, they are a `trace`-level instrument so the
@@ -299,6 +319,8 @@ pub(crate) fn run_loop_impl(
                 d.executor = executor_name(&stats.outcome);
                 d.test_units = stats.test_units;
                 d.loop_units = stats.loop_units;
+                d.key_elems = dt.keys.elems;
+                d.key_ns = dt.keys.ns;
                 if let ExecOutcome::Fissioned { rescued_units, .. } = stats.outcome {
                     d.fission = Some(FissionReport {
                         fragments: std::mem::take(&mut dt.fragments),
@@ -370,7 +392,10 @@ fn run_loop_inner(
         });
     };
 
-    // Evaluate the cascade.
+    // The whole-loop test phase: cascade, exact test and the reduction
+    // cascades of the plans all read this frame before anything writes
+    // it, so they share one digest table.
+    let mut inputs = InputDigests::new(frame, &mut dt.keys);
     let (parallel_ok, outcome) = match &analysis.class {
         LoopClass::StaticParallel => (true, ExecOutcome::StaticParallel),
         LoopClass::StaticSequential => (false, ExecOutcome::Sequential),
@@ -378,8 +403,13 @@ fn run_loop_inner(
             // Stage reports render predicate strings — only pay for
             // that when the observer keeps decision records (trace).
             let report = env.obs.trace_enabled().then_some(&mut dt.stages);
-            let (passed, units) =
-                cascade_test(env.cache, &analysis.cascade, frame, env.nthreads, report);
+            let (passed, units) = cascade_test(
+                env.cache,
+                &analysis.cascade,
+                &mut inputs,
+                env.nthreads,
+                report,
+            );
             test_units += units;
             match passed {
                 Some(k) => (true, ExecOutcome::PredicatePassed { stage: k }),
@@ -402,7 +432,7 @@ fn run_loop_inner(
                         }
                     }
                     // Last resort (§5): exact USR evaluation, then TLS.
-                    let (exact, hit) = exact_test(env.cache, analysis, frame);
+                    let (exact, hit) = exact_test(env.cache, analysis, &mut inputs);
                     test_units += exact.units;
                     if env.obs.trace_enabled() {
                         dt.exact = Some((exact, hit));
@@ -468,7 +498,7 @@ fn run_loop_inner(
     }
 
     // Build per-array execution plans.
-    let plans = build_exec_plans(env, analysis, frame);
+    let plans = build_exec_plans(env, analysis, &mut inputs);
 
     let mut st = ExecState::default();
     let lo_v = machine.eval(sub, frame, lo, &mut st)?.as_i64();
@@ -510,7 +540,7 @@ fn fission_plan<'a>(
 fn build_exec_plans(
     env: &ExecEnv<'_>,
     analysis: &LoopAnalysis,
-    frame: &Store,
+    inputs: &mut InputDigests<'_>,
 ) -> HashMap<Sym, ExecPlan> {
     let mut plans: HashMap<Sym, ExecPlan> = HashMap::new();
     for (arr, plan) in &analysis.arrays {
@@ -533,7 +563,7 @@ fn build_exec_plans(
                         // test_units (the plan decision is part of the
                         // codegen template); the engine call keeps it
                         // that way while sharing the compile cache.
-                        let (hit, _units) = cascade_test(env.cache, c, frame, env.nthreads, None);
+                        let (hit, _units) = cascade_test(env.cache, c, inputs, env.nthreads, None);
                         hit.is_some()
                     }
                     None => true,
@@ -607,11 +637,12 @@ fn run_fissioned(
         // The fragment's own tests, against the store as the fragments
         // before it left it; stage reports only for the explain record.
         let tracing = env.obs.trace_enabled();
-        let tests = fragment_tests(env.cache, a, frame, env.nthreads, tracing);
+        let mut inputs = InputDigests::new(frame, &mut dt.keys);
+        let tests = fragment_tests(env.cache, a, &mut inputs, env.nthreads, tracing);
         test_units += tests.units;
         let ran_parallel = tests.parallel && hi_v >= lo_v;
         let frag_units = if ran_parallel {
-            let plans = build_exec_plans(env, a, frame);
+            let plans = build_exec_plans(env, a, &mut inputs);
             let shape = DoShape {
                 var: *var,
                 lo: lo_v,

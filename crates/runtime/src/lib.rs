@@ -28,6 +28,7 @@
 pub mod backend;
 pub mod cache;
 pub mod civ;
+pub mod digest;
 pub mod exec;
 pub mod inspector;
 pub mod lrpd;
@@ -38,6 +39,7 @@ pub mod sim;
 
 pub use cache::{store_fingerprint, MachineCache};
 pub use civ::extract_slice;
+pub use digest::{InputDigests, KeyCost};
 pub use exec::{
     cascade_test, exact_report, exact_test, fragment_tests, ExecOutcome, ExecPlan, FragmentTests,
     RunStats, TEST_BUDGET,

@@ -1,13 +1,13 @@
 //! Fingerprints for incremental re-analysis.
 //!
-//! The same 128-bit, domain-separated construction as
-//! [`lip_runtime::store_fingerprint`] (the `PredEngine`'s verdict-memo
-//! key over loop-invariant inputs), applied one level up — to the
-//! *inputs of static analysis* — so edit-and-rerun traffic only pays
-//! for what changed:
+//! The 128-bit digest of [`lip_runtime::digest`] — the construction
+//! under [`lip_runtime::store_fingerprint`], the `PredEngine`'s
+//! verdict-memo key over loop-invariant inputs, not a copy of it —
+//! applied one level up, to the *inputs of static analysis*, so
+//! edit-and-rerun traffic only pays for what changed:
 //!
 //! * [`source_fingerprint`] keys the parse cache: byte-identical
-//!   source skips the parser entirely.
+//!   source skips the parser entirely (one pass over the text).
 //! * [`loop_fingerprint`] keys the analysis cache: it covers exactly
 //!   what [`lip_runtime::Session::analyze`] reads for one loop — the
 //!   loop statement itself, the enclosing subroutine's name, parameters
@@ -18,39 +18,29 @@
 //!
 //! The hashed rendering is the AST's `Debug` form: stable within a
 //! build, structural (whitespace/comment edits that parse identically
-//! hash identically), and collision-checked by 2 × 64 independent
-//! bits, the same odds argument as the verdict memo.
-
-use std::hash::{Hash, Hasher};
+//! hash identically). Parts are length-delimited, the lanes are seeded
+//! per process (a fingerprint means nothing outside the process that
+//! made it, and a client cannot aim two programs at one cache slot);
+//! the collision odds are argued in [`lip_runtime::digest`].
 
 use lip_ir::{Program, Subroutine};
+use lip_runtime::digest::digest_bytes;
 use lip_symbolic::Sym;
 
-fn pass(domain: u64, parts: &[&str]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    domain.hash(&mut h);
-    for p in parts {
-        p.hash(&mut h);
-    }
-    h.finish()
-}
-
-fn fp128(parts: &[&str]) -> u128 {
-    let lo = pass(0x5E12_F00D, parts);
-    let hi = pass(0xCAFE_D00D_BEEF, parts);
-    (u128::from(hi) << 64) | u128::from(lo)
+fn fp128(parts: &[String]) -> u128 {
+    let parts: Vec<&[u8]> = parts.iter().map(String::as_bytes).collect();
+    digest_bytes(&parts)
 }
 
 /// Fingerprint of raw program text (the parse-cache key).
 pub fn source_fingerprint(src: &str) -> u128 {
-    fp128(&[src])
+    digest_bytes(&[src.as_bytes()])
 }
 
 /// Structural fingerprint of a whole parsed program.
 pub fn program_fingerprint(prog: &Program) -> u128 {
     let rendered: Vec<String> = prog.units.iter().map(|u| format!("{u:?}")).collect();
-    let parts: Vec<&str> = rendered.iter().map(String::as_str).collect();
-    fp128(&parts)
+    fp128(&rendered)
 }
 
 /// Fingerprint of everything the analysis of one loop depends on:
@@ -70,8 +60,7 @@ pub fn loop_fingerprint(prog: &Program, sub_name: Sym, label: &str) -> Option<u1
     for other in prog.units.iter().filter(|u| u.name != sub_name) {
         rendered.push(format!("{other:?}"));
     }
-    let parts: Vec<&str> = rendered.iter().map(String::as_str).collect();
-    Some(fp128(&parts))
+    Some(fp128(&rendered))
 }
 
 #[cfg(test)]

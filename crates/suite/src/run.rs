@@ -10,7 +10,9 @@ use lip_analysis::{baseline_parallel, LoopClass};
 use lip_ir::Stmt;
 use lip_obs::{FissionReport, FragmentReport, LoopDecision, StageReport};
 use lip_runtime::sim::{charged_test_units, makespan};
-use lip_runtime::{cascade_test, exact_report, exact_test, fragment_tests, Session};
+use lip_runtime::{
+    cascade_test, exact_report, exact_test, fragment_tests, InputDigests, KeyCost, Session,
+};
 use lip_symbolic::sym;
 use lip_usr::Exact;
 
@@ -90,8 +92,11 @@ fn account_fission(
     let mut loop_units = 0u64;
     let cache = session.cache(&fw.machine);
     for frag in &plan.fragments {
-        // The executor's own per-fragment decision, stage reports kept.
-        let tests = fragment_tests(&cache, &frag.analysis, &fw.frame, nthreads, true);
+        // The executor's own per-fragment decision (a fresh digest
+        // table per fragment, as there), stage reports kept.
+        let mut keys = KeyCost::default();
+        let mut inputs = InputDigests::new(&fw.frame, &mut keys);
+        let tests = fragment_tests(&cache, &frag.analysis, &mut inputs, nthreads, true);
         let units: u64 = session
             .per_iteration_costs(&fw.machine, &fsub, &frag.target, &mut fw.frame)
             .map(|v| v.iter().sum())
@@ -170,10 +175,13 @@ pub fn measure_loop(
         LoopClass::StaticSequential => false,
         LoopClass::Predicated { .. } => {
             let cache = session.cache(&p.machine);
+            let mut keys = KeyCost::default();
+            let mut inputs = InputDigests::new(&p.frame, &mut keys);
             // Stage reports are for `Session::explain`; verdicts and
             // charged units are the same with and without them.
             let report = obs_on.then_some(&mut stages);
-            let (hit, units) = cascade_test(&cache, &analysis.cascade, &p.frame, nthreads, report);
+            let (hit, units) =
+                cascade_test(&cache, &analysis.cascade, &mut inputs, nthreads, report);
             test_units += units;
             passed_stage = hit;
             let mut passed = hit.is_some();
@@ -183,7 +191,7 @@ pub fn measure_loop(
                 // evaluation counts, whatever it finds, as in the
                 // executor; across invocations it is memoized (§7's
                 // apsi discussion).
-                let (found, memo_hit) = exact_test(&cache, &analysis, &p.frame);
+                let (found, memo_hit) = exact_test(&cache, &analysis, &mut inputs);
                 test_units += found.units;
                 exact = Some((found, memo_hit));
                 match found.verdict {

@@ -1,0 +1,214 @@
+//! What a warm run pays to *find* what it cached, gated by counts that
+//! repeat exactly (no clocks).
+//!
+//! * **Verdict keys.** `run.fingerprint_elems` counts the array elements
+//!   a run digests to key the verdict memo. Per test phase it is Σ len
+//!   over the *distinct* arrays that phase's tests read, however many
+//!   stages, reduction cascades and exact tests name them (two
+//!   SipHash passes per test used to make it 2–4× that); a fission
+//!   fragment is a phase of its own, because fragments write between
+//!   tests.
+//! * **Same verdict traffic.** A cheaper key must not change which
+//!   lookups hit: the engine's `evals` / `memo_hits` / `exact_evals` /
+//!   `exact_memo_hits` and the block cache's `vm.block_hits` /
+//!   `vm.block_compiles` over a cold and a warm run of every suite
+//!   kernel are the numbers the two-pass key and the rendered block key
+//!   produced at `cb2fbd4`.
+//! * **Block keys are structural.** Equal bodies from different
+//!   `clone()`s share a block; one literal or one extra symbol apart,
+//!   they do not.
+
+use lip_ir::{Expr, LValue, Stmt};
+use lip_obs::ObsLevel;
+use lip_runtime::Session;
+use lip_suite::KernelShape;
+use lip_symbolic::sym;
+
+const N: usize = 64;
+
+struct Counts {
+    /// `run.fingerprint_elems` of the cold and of the warm run.
+    elems: [u64; 2],
+    /// `evals, memo_hits, exact_evals, exact_memo_hits` (engine), then
+    /// `vm.block_hits, vm.block_compiles`, over both runs.
+    traffic: [u64; 6],
+    /// Σ len of the named arrays, per `phases` entry, after the run.
+    expected_elems: u64,
+}
+
+/// Runs `shape` twice on one machine — equal inputs, so the second run
+/// is all memo hits — and reads the counters. `phases` names, per test
+/// phase, the arrays its tests read.
+fn counts(shape: &KernelShape, phases: &[&[&str]]) -> Counts {
+    let sess = Session::builder()
+        .nthreads(2)
+        .observer(ObsLevel::Metrics)
+        .build();
+    let first = shape.prepared(N);
+    let prog = first.machine.program().clone();
+    let sub = prog.subroutine(sym(first.sub)).expect("sub").clone();
+    let target = sub.find_loop(first.label).expect("loop").clone();
+    let analysis = sess
+        .analyze(&prog, sub.name, first.label)
+        .expect("analysis");
+    let counter = |name: &str| sess.metrics().counter(name).unwrap_or(0);
+    let mut elems = [0u64; 2];
+    let mut expected_elems = 0;
+    for digested in &mut elems {
+        let before = counter("run.fingerprint_elems");
+        let mut frame = shape.prepared(N).frame;
+        sess.run_loop(&first.machine, &sub, &target, &analysis, &mut frame)
+            .expect("runs");
+        *digested = counter("run.fingerprint_elems") - before;
+        expected_elems = phases
+            .iter()
+            .flat_map(|arrays| arrays.iter())
+            .map(|a| frame.array(sym(a)).expect("named array").buf.len() as u64)
+            .sum();
+    }
+    let st = sess.cache(&first.machine).pred().stats();
+    Counts {
+        elems,
+        traffic: [
+            st.evals,
+            st.memo_hits,
+            st.exact_evals,
+            st.exact_memo_hits,
+            counter("vm.block_hits"),
+            counter("vm.block_compiles"),
+        ],
+        expected_elems,
+    }
+}
+
+#[test]
+fn each_array_is_digested_once_per_test_phase() {
+    // The arrays the tests of each phase read. `hoist_indirect`: the
+    // whole-loop cascade and exact test, then the rescued fragment's
+    // (the other fragment is statically sequential and tests nothing).
+    let kernels: [(&KernelShape, &[&[&str]]); 6] = [
+        (&lip_suite::INDEX_REDUCTION, &[&["J"]]),
+        (&lip_suite::INT_HISTOGRAM, &[&["J"]]),
+        (&lip_suite::EXT_REDUCTION, &[&["B"]]),
+        (&lip_suite::CIV_CONDITIONAL, &[&["C", "civ@trace1"]]),
+        (&lip_suite::HOIST_INDIRECT, &[&["P", "Q"], &["P", "Q"]]),
+        (&lip_suite::SOLVH, &[&["IA", "IB"]]),
+    ];
+    for (shape, phases) in kernels {
+        let c = counts(shape, phases);
+        assert!(c.expected_elems > 0, "{}", shape.name);
+        assert_eq!(
+            c.elems, [c.expected_elems; 2],
+            "{}: elements digested by the cold and the warm run",
+            shape.name
+        );
+        assert!(
+            c.traffic[1] + c.traffic[3] > 0,
+            "{}: the warm run must be answered by the memo for this to be a warm-run gate",
+            shape.name
+        );
+    }
+}
+
+#[test]
+fn verdict_and_block_traffic_is_what_the_old_keys_produced() {
+    // [evals, memo_hits, exact_evals, exact_memo_hits, vm.block_hits,
+    // vm.block_compiles] after a cold and a warm run, measured at the
+    // parent commit with this same procedure.
+    let parent: [(&str, [u64; 6]); 16] = [
+        ("stencil", [0, 0, 0, 0, 1, 1]),
+        ("solvh", [2, 2, 0, 0, 1, 1]),
+        ("offset_crossover", [1, 1, 0, 0, 1, 1]),
+        ("monotone_windows", [2, 2, 0, 0, 1, 1]),
+        ("index_reduction", [2, 2, 0, 0, 1, 1]),
+        ("gated_branches", [0, 0, 0, 0, 1, 1]),
+        ("civ_conditional", [2, 2, 0, 0, 2, 2]),
+        ("civ_while", [0, 0, 0, 0, 2, 2]),
+        ("private_scratch", [0, 0, 0, 0, 1, 1]),
+        ("seq_recurrence", [0, 0, 0, 0, 1, 1]),
+        ("hoist_indirect", [2, 2, 1, 1, 2, 2]),
+        ("tls_feedback", [2, 2, 1, 1, 2, 2]),
+        ("ext_reduction", [1, 1, 0, 0, 1, 1]),
+        ("static_reduction", [2, 2, 0, 0, 1, 1]),
+        ("int_histogram", [2, 2, 0, 0, 1, 1]),
+        ("tiny_loop", [0, 0, 0, 0, 1, 1]),
+    ];
+    let shapes = lip_suite::all_shapes();
+    assert_eq!(shapes.len(), parent.len(), "a kernel was added: pin it");
+    for (shape, (name, want)) in shapes.iter().zip(parent) {
+        assert_eq!(shape.name, name);
+        assert_eq!(counts(shape, &[]).traffic, want, "{name}");
+    }
+}
+
+#[test]
+fn block_keys_are_structural() {
+    let shape = &lip_suite::STENCIL;
+    let p = shape.prepared(N);
+    let prog = p.machine.program().clone();
+    let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
+    let Stmt::Do { body, var, .. } = sub.find_loop(p.label).expect("loop").clone() else {
+        panic!("stencil is a DO loop")
+    };
+    let sess = Session::builder().observer(ObsLevel::Metrics).build();
+    let cache = sess.cache(&p.machine);
+    let counter = |name: &str| sess.metrics().counter(name).unwrap_or(0);
+    let block = |stmts: &[Stmt], extra: &[lip_symbolic::Sym]| {
+        cache
+            .body(&p.machine, &sub, stmts, &[], extra)
+            .expect("compiles")
+    };
+
+    let first = block(&body, &[var]);
+    assert_eq!(
+        (counter("vm.block_hits"), counter("vm.block_compiles")),
+        (0, 1)
+    );
+    // Two separately allocated copies of the same statements.
+    let again = block(&body.clone(), &[var]);
+    assert!(std::sync::Arc::ptr_eq(&first, &again));
+    let reparsed = lip_ir::parse_program(shape.source).expect("parses");
+    let Stmt::Do { body: twin, .. } = reparsed.units[0].find_loop(p.label).expect("loop").clone()
+    else {
+        panic!("stencil is a DO loop")
+    };
+    assert!(std::sync::Arc::ptr_eq(&first, &block(&twin, &[var])));
+    assert_eq!(
+        (counter("vm.block_hits"), counter("vm.block_compiles")),
+        (2, 1)
+    );
+
+    // One literal apart.
+    fn bump_first_literal(e: &mut Expr) -> bool {
+        match e {
+            Expr::Real(v) => {
+                *v += 1.0;
+                true
+            }
+            Expr::Int(v) => {
+                *v += 1;
+                true
+            }
+            Expr::Var(_) => false,
+            Expr::Elem(_, args) | Expr::Intrin(_, args) => args.iter_mut().any(bump_first_literal),
+            Expr::Bin(_, a, b) => bump_first_literal(a) || bump_first_literal(b),
+            Expr::Un(_, a) => bump_first_literal(a),
+        }
+    }
+    let mut edited = body.clone();
+    let Some(Stmt::Assign { rhs, lhs }) = edited.first_mut() else {
+        panic!("stencil's body starts with an assignment")
+    };
+    assert!(matches!(lhs, LValue::Element(..)));
+    assert!(bump_first_literal(rhs), "stencil's body has a literal");
+    assert!(!std::sync::Arc::ptr_eq(&first, &block(&edited, &[var])));
+    // One extra symbol apart.
+    assert!(!std::sync::Arc::ptr_eq(
+        &first,
+        &block(&body, &[var, sym("zz_extra")])
+    ));
+    assert_eq!(
+        (counter("vm.block_hits"), counter("vm.block_compiles")),
+        (2, 3)
+    );
+}
