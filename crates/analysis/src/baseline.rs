@@ -206,7 +206,7 @@ fn affine_split(array: Sym, lin: &SymExpr, var: Sym, is_write: bool) -> Option<A
 
 fn contains_elem(e: &SymExpr) -> bool {
     e.terms().any(|(m, _)| {
-        m.0.iter().any(|(a, _)| {
+        m.atoms().iter().any(|(a, _)| {
             matches!(
                 a,
                 lip_symbolic::Atom::Elem(_, _)

@@ -626,7 +626,7 @@ fn map_sym_expr(e: &SymExpr, map: &CallMap) -> SymExpr {
     let mut out = SymExpr::zero();
     for (m, c) in e.terms() {
         let mut term = SymExpr::konst(c);
-        for (atom, p) in &m.0 {
+        for (atom, p) in m.atoms() {
             let mapped = map_atom(atom, map);
             for _ in 0..*p {
                 term = &term * &mapped;

@@ -252,7 +252,7 @@ fn try_cond(sub: &Subroutine, env: &SymEnv, e: &Expr) -> Option<BoolExpr> {
                 _ => None,
             }
         }
-        Expr::Un(UnOp::Not, x) => Some(try_cond(sub, env, x)?.negate()),
+        Expr::Un(UnOp::Not, x) => Some(try_cond(sub, env, x)?.negated()),
         _ => None,
     }
 }
@@ -324,7 +324,7 @@ END
         let g = cond_to_bool(&sub, &mut env, &r);
         assert!(!g.is_true() && !g.is_false());
         // Complement detection survives the opaque encoding.
-        assert!(BoolExpr::and(vec![g.clone(), g.negate()]).is_false());
+        assert!(BoolExpr::and(vec![g.clone(), g.negated()]).is_false());
     }
 
     #[test]

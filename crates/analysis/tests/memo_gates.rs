@@ -120,3 +120,39 @@ fn nothing_outlives_analyze_loop() {
     }
     assert_nothing_else_holds_its_nodes(&analyze_solvh(Obs::off()));
 }
+
+/// What the one process-global table keeps per analysis: no name — the
+/// strings are bounded by the program texts seen — and one stringless
+/// entry per fresh symbol. (While `Sym::fresh` interned `i$35`,
+/// `i$35k$80`, … as strings, 20 s of `bench_e2e cold_pipeline` grew the
+/// process by 1.5 KB per analysis; other tests intern names of their
+/// own meanwhile, hence its own process below a bound, not `== 0`.)
+#[test]
+fn a_repeated_analysis_interns_no_new_name() {
+    let shapes = [
+        &lip_suite::SOLVH,
+        &lip_suite::CIV_WHILE,
+        &lip_suite::HOIST_INDIRECT,
+    ];
+    let programs = shapes.map(|shape| parse_program(shape.source).expect("parses"));
+    let analyze_all = || {
+        for (shape, prog) in shapes.iter().zip(&programs) {
+            let cfg = AnalysisConfig::default();
+            analyze_loop(prog, sym(shape.sub), shape.label, &cfg).expect("analyzable");
+        }
+    };
+    analyze_all();
+    let (names, fresh) = lip_symbolic::interner_size();
+    for _ in 0..40 {
+        analyze_all();
+    }
+    let (names_after, fresh_after) = lip_symbolic::interner_size();
+    assert!(fresh_after > fresh, "analyses mint fresh symbols");
+    // The other tests of this binary analyse solvh too: a handful of
+    // names on their first run, none per repetition here.
+    assert!(
+        names_after - names < 40,
+        "{} names interned by 40 repetitions of three analyses",
+        names_after - names
+    );
+}

@@ -21,7 +21,7 @@
 use std::collections::{HashMap, HashSet};
 
 use lip_lmad::LmadSet;
-use lip_symbolic::{BoolExpr, RangeEnv, ScopeId, Scopes, Sym, SymExpr};
+use lip_symbolic::{BoolExpr, RangeEnv, ScopeId, Scopes, Sym, SymExpr, TermBuildHasher};
 use lip_usr::CallSiteId;
 
 use crate::pdag::Pdag;
@@ -49,17 +49,23 @@ pub(crate) enum PairOp {
     Disjoint,
 }
 
+/// A table keyed by handles and terms that carry their hash: one cheap
+/// mixing step per key, not a SipHash pass.
+pub(crate) type TermMap<K, V> = HashMap<K, V, TermBuildHasher>;
+
 /// The predicate layer's working memory for one analysis.
 #[derive(Default)]
 pub struct PredCtx {
     pub(crate) scopes: Scopes,
-    interned: HashSet<Pdag>,
-    pub(crate) simplified: HashMap<(ScopeId, Pdag), Pdag>,
-    pub(crate) strengthened: HashMap<(ScopeId, Pdag), Pdag>,
-    pub(crate) eliminated: HashMap<(ScopeId, Sym, Pdag), Pdag>,
+    interned: HashSet<Pdag, TermBuildHasher>,
+    /// The interned `false` and `true`, once asked for.
+    consts: [Option<Pdag>; 2],
+    pub(crate) simplified: TermMap<(ScopeId, Pdag), Pdag>,
+    pub(crate) strengthened: TermMap<(ScopeId, Pdag), Pdag>,
+    pub(crate) eliminated: TermMap<(ScopeId, Sym, Pdag), Pdag>,
     /// `op → left set → right set → leaf`, nested so that a lookup
     /// borrows the sets instead of cloning them into a key.
-    lmad_pairs: HashMap<PairOp, HashMap<LmadSet, HashMap<LmadSet, Pdag>>>,
+    lmad_pairs: TermMap<PairOp, TermMap<LmadSet, TermMap<LmadSet, Pdag>>>,
     pub(crate) simplify_evals: u64,
     pub(crate) simplify_hits: u64,
 }
@@ -118,7 +124,12 @@ impl PredCtx {
     }
 
     pub(crate) fn bool(&mut self, v: bool) -> Pdag {
-        self.intern(if v { Pdag::t() } else { Pdag::f() })
+        if let Some(known) = &self.consts[usize::from(v)] {
+            return known.clone();
+        }
+        let node = self.intern(if v { Pdag::t() } else { Pdag::f() });
+        self.consts[usize::from(v)] = Some(node.clone());
+        node
     }
 
     pub(crate) fn leaf(&mut self, b: BoolExpr) -> Pdag {

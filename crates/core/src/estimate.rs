@@ -70,7 +70,7 @@ pub fn overestimate(u: &Usr) -> Option<OverEstimate> {
         UsrNode::Gate(p, body) => {
             let e = overestimate(body)?;
             Some(OverEstimate {
-                empty_if: Pdag::or(vec![Pdag::leaf(p.clone().negate()), e.empty_if]),
+                empty_if: Pdag::or(vec![Pdag::leaf(p.negated()), e.empty_if]),
                 set: e.set,
             })
         }

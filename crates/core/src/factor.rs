@@ -22,13 +22,12 @@
 //! nodes it builds are interned in the analysis's [`PredCtx`], which
 //! also remembers each LMAD-pair predicate across factorizers.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use lip_symbolic::{BoolExpr, Sym, SymExpr};
 use lip_usr::{Usr, UsrNode};
 
-use crate::ctx::{PairOp, PredCtx};
+use crate::ctx::{PairOp, PredCtx, TermMap};
 use crate::estimate::{overestimate, underestimate};
 use crate::pdag::Pdag;
 
@@ -90,8 +89,8 @@ impl Hash for ById {
 /// separately built ones are translated twice.
 pub struct Factorizer {
     cfg: FactorConfig,
-    memo_factor: HashMap<ById, Pdag>,
-    memo_pair: HashMap<(PairOp, ById, ById), Pdag>,
+    memo_factor: TermMap<ById, Pdag>,
+    memo_pair: TermMap<(PairOp, ById, ById), Pdag>,
     depth: u32,
 }
 
@@ -100,8 +99,8 @@ impl Factorizer {
     pub fn new(cfg: FactorConfig) -> Factorizer {
         Factorizer {
             cfg,
-            memo_factor: HashMap::new(),
-            memo_pair: HashMap::new(),
+            memo_factor: TermMap::default(),
+            memo_pair: TermMap::default(),
             depth: 0,
         }
     }
@@ -139,7 +138,7 @@ impl Factorizer {
             UsrNode::Empty => cx.bool(true),
             UsrNode::Leaf(set) => cx.leaf(set.empty_pred()),
             UsrNode::Gate(q, s1) => {
-                let gate_fails = cx.leaf(q.clone().negate());
+                let gate_fails = cx.leaf(q.negated());
                 let f1 = self.factor_in(cx, s1);
                 cx.or(vec![gate_fails, f1])
             }
@@ -297,7 +296,7 @@ impl Factorizer {
         // P2: case on S (the included side).
         let p2 = match s.node() {
             UsrNode::Gate(q, s1) => {
-                let gate_fails = cx.leaf(q.clone().negate());
+                let gate_fails = cx.leaf(q.negated());
                 let inc = self.included(cx, s1, u);
                 cx.or(vec![gate_fails, inc])
             }
@@ -352,7 +351,7 @@ impl Factorizer {
     fn disjoint_h(&mut self, cx: &mut PredCtx, u: &Usr, s: &Usr) -> Pdag {
         match u.node() {
             UsrNode::Gate(q, u1) => {
-                let gate_fails = cx.leaf(q.clone().negate());
+                let gate_fails = cx.leaf(q.negated());
                 let dis = self.disjoint(cx, u1, s);
                 cx.or(vec![gate_fails, dis])
             }
@@ -469,7 +468,7 @@ impl Factorizer {
 /// symbol of the opposite operand.
 fn unshadow(var: Sym, body: &Usr, other: &Usr) -> (Sym, Usr) {
     if other.contains_sym(var) {
-        let fresh = Sym::fresh(&var.name());
+        let fresh = Sym::fresh_from(var, "");
         (fresh, body.rename_bound(var, fresh))
     } else {
         (var, body.clone())
@@ -515,7 +514,7 @@ mod tests {
     #[test]
     fn figure4_xe_example() {
         let g1 = BoolExpr::ne(v("SYM"), k(1));
-        let g2 = g1.clone().negate();
+        let g2 = g1.negated();
         let s1 = Usr::subtract(iv(k(0), v("NS") - k(1)), iv(k(0), v("NP").scale(16) - k(1)));
         let s2 = iv(k(0), v("NS") - k(1));
         let a = Usr::gate(g1.clone(), s1);
@@ -611,7 +610,7 @@ mod tests {
         // the gate rules.
         let c = BoolExpr::gt0(v("x"));
         let s = Usr::gate(c.clone(), iv(k(0), k(9)));
-        let t = Usr::gate(c.negate(), iv(k(0), k(9)));
+        let t = Usr::gate(c.negated(), iv(k(0), k(9)));
         let mut f = Factorizer::with_defaults();
         let p = f.factor(&Usr::intersect(s, t));
         // (¬c ∨ ...) ∨ (c ∨ ...) — the disjunction of complementary

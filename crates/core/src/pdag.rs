@@ -12,13 +12,12 @@
 //! built equal nodes. [`crate::PredCtx`] interns the nodes one analysis
 //! builds, so that within it equal means identical.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
-use lip_symbolic::{BoolExpr, EvalCtx, ScopedCtx, Sym, SymExpr};
+use lip_symbolic::{BoolExpr, EvalCtx, ScopedCtx, Sym, SymExpr, TermHasher};
 use lip_usr::CallSiteId;
 
 /// One node of the predicate DAG, for pattern matching ([`Pdag::node`]).
@@ -96,7 +95,7 @@ impl Pdag {
     /// Wraps `node` as is — no flattening, folding or sorting. The
     /// smart constructors below are what keeps `∧`/`∨` canonical.
     pub fn raw(node: PdagNode) -> Pdag {
-        let mut h = DefaultHasher::new();
+        let mut h = TermHasher::default();
         node.hash(&mut h);
         Pdag(Rc::new(Shared {
             hash: h.finish(),
@@ -151,19 +150,32 @@ impl Pdag {
     /// zero constant wins, same-connective children flatten, the rest
     /// is sorted and deduplicated.
     fn connective(parts: Vec<Pdag>, conj: bool) -> Pdag {
-        let mut flat = BTreeSet::new();
-        for p in parts {
-            match p.node() {
-                PdagNode::Bool(b) if *b == conj => {}
-                PdagNode::Bool(_) => return p,
-                PdagNode::And(inner) if conj => flat.extend(inner.iter().cloned()),
-                PdagNode::Or(inner) if !conj => flat.extend(inner.iter().cloned()),
-                _ => {
-                    flat.insert(p);
-                }
-            }
+        if let Some(zero) = parts
+            .iter()
+            .find(|p| matches!(p.node(), PdagNode::Bool(b) if *b != conj))
+        {
+            return zero.clone();
         }
-        let mut flat: Vec<Pdag> = flat.into_iter().collect();
+        let nested = |p: &Pdag| match p.node() {
+            PdagNode::And(_) => conj,
+            PdagNode::Or(_) => !conj,
+            _ => false,
+        };
+        // Nearly always there is nothing to flatten: `parts` is reused.
+        let mut flat = parts;
+        if flat.iter().any(nested) {
+            flat = flat
+                .iter()
+                .flat_map(|p| match p.node() {
+                    PdagNode::And(inner) | PdagNode::Or(inner) if nested(p) => inner.as_slice(),
+                    _ => std::slice::from_ref(p),
+                })
+                .cloned()
+                .collect();
+        }
+        flat.retain(|p| !matches!(p.node(), PdagNode::Bool(_)));
+        flat.sort_unstable();
+        flat.dedup();
         match flat.len() {
             0 => Pdag::raw(PdagNode::Bool(conj)),
             1 => flat.pop().expect("len checked"),
@@ -225,15 +237,15 @@ impl Pdag {
     fn collect_free(&self, out: &mut BTreeSet<Sym>) {
         match self.node() {
             PdagNode::Bool(_) => {}
-            PdagNode::Leaf(b) => out.extend(b.syms()),
+            PdagNode::Leaf(b) => b.collect_syms(out),
             PdagNode::And(ps) | PdagNode::Or(ps) => {
                 for p in ps {
                     p.collect_free(out);
                 }
             }
             PdagNode::ForAll { var, lo, hi, body } => {
-                out.extend(lo.syms());
-                out.extend(hi.syms());
+                lo.collect_syms(out);
+                hi.collect_syms(out);
                 let mut inner = BTreeSet::new();
                 body.collect_free(&mut inner);
                 inner.remove(var);

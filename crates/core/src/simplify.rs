@@ -12,8 +12,6 @@
 //!   nodes: `∧ᵢ(∨(Aⁱⁿᵛ, Bᵛᵃʳ)) → ∨(Aⁱⁿᵛ) ∨ ∧ᵢ(∨(Bᵛᵃʳ))` and
 //!   `∧(B₁∨A, …, Bₚ∨A) → ∧(B₁,…,Bₚ) ∨ A`.
 
-use std::collections::BTreeSet;
-
 use lip_symbolic::{BoolExpr, RangeEnv, ScopeId};
 
 use crate::ctx::PredCtx;
@@ -130,18 +128,20 @@ impl PredCtx {
     /// Unit propagation: in a conjunction, a leaf `q` removes `¬q` from
     /// sibling disjunctions (dually for disjunctions).
     fn unit_propagate(&mut self, parts: Vec<Pdag>, conjunction: bool) -> Vec<Pdag> {
-        let complements: Vec<BoolExpr> = parts
+        let units: Vec<Pdag> = parts
             .iter()
-            .filter_map(|p| match p.node() {
-                PdagNode::Leaf(b) => Some(b.clone().negate()),
-                _ => None,
-            })
+            .filter(|p| matches!(p.node(), PdagNode::Leaf(_)))
+            .cloned()
             .collect();
-        if complements.is_empty() {
+        if units.is_empty() {
             return parts;
         }
-        let survives =
-            |d: &&Pdag| !matches!(d.node(), PdagNode::Leaf(b) if complements.contains(b));
+        let refuted = |b: &BoolExpr| {
+            units
+                .iter()
+                .any(|u| matches!(u.node(), PdagNode::Leaf(q) if b.is_negation_of(q)))
+        };
+        let survives = |d: &&Pdag| !matches!(d.node(), PdagNode::Leaf(b) if refuted(b));
         parts
             .into_iter()
             .map(|p| match (p.node(), conjunction) {
@@ -200,16 +200,10 @@ impl PredCtx {
 
 /// Whether two leaves among `parts` are syntactic complements.
 fn has_complementary_leaves(parts: &[Pdag]) -> bool {
-    let leaves: BTreeSet<&BoolExpr> = parts
-        .iter()
-        .filter_map(|p| match p.node() {
-            PdagNode::Leaf(b) => Some(b),
-            _ => None,
-        })
-        .collect();
-    leaves
-        .iter()
-        .any(|b| leaves.contains(&(*b).clone().negate()))
+    BoolExpr::any_complementary(parts.iter().filter_map(|p| match p.node() {
+        PdagNode::Leaf(b) => Some(b),
+        _ => None,
+    }))
 }
 
 #[cfg(test)]
@@ -229,7 +223,7 @@ mod tests {
     fn figure4_unit_propagation() {
         // (SYM.EQ.1 ∨ NS ≤ 16·NP) ∧ SYM.NE.1  →  NS ≤ 16·NP ∧ SYM.NE.1.
         let sym_ne = BoolExpr::ne(v("SYM"), k(1));
-        let sym_eq = sym_ne.clone().negate();
+        let sym_eq = sym_ne.negated();
         let bound = BoolExpr::le(v("NS"), v("NP").scale(16));
         let p = Pdag::and(vec![
             Pdag::or(vec![Pdag::leaf(sym_eq), Pdag::leaf(bound.clone())]),

@@ -16,6 +16,16 @@
 //!
 //! Loop labels are written `DO label: i = 1, N` — a small extension over
 //! F77's numeric labels that keeps the paper's `SOLVH_do20`-style names.
+//!
+//! The grammar recurses (`expr → … → atom → expr`, `stmt → block →
+//! stmt`), and so does everything that later walks the tree it builds.
+//! Source text arrives over the wire, so both are bounded here:
+//! [`MAX_NESTING`] caps how deep blocks, parentheses, subscripts, calls
+//! and prefix operators may nest, and the binary operators of one
+//! expression are charged to the same budget (a left-leaning chain
+//! `1+1+1+…` is parsed by a loop, but it is as deep a tree as `((((…`).
+//! Past the cap parsing ends in a [`ParseError`] — a stack overflow
+//! would take the process down, `catch_unwind` or not.
 
 use std::fmt;
 
@@ -50,10 +60,20 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The nesting budget of one expression or block (see the module
+/// documentation): no tree the parser returns is deeper than twice this.
+pub const MAX_NESTING: u32 = 200;
+
 /// Parses a whole program.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+        exprs_open: 0,
+        links: 0,
+    };
     let mut units = Vec::new();
     p.skip_newlines();
     while !p.at_end() {
@@ -66,6 +86,12 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Open blocks, parentheses, subscripts, calls and prefix operators.
+    depth: u32,
+    /// Open `expr` calls: zero between two outermost expressions.
+    exprs_open: u32,
+    /// Binary operators of the outermost expression being parsed so far.
+    links: u32,
 }
 
 impl Parser {
@@ -95,6 +121,32 @@ impl Parser {
             message: msg.into(),
             line: self.line(),
         })
+    }
+
+    /// Runs `parse` one nesting level down.
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.charge()?;
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Charges one binary operator to the expression being parsed.
+    fn link(&mut self) -> Result<(), ParseError> {
+        self.charge()?;
+        self.links += 1;
+        Ok(())
+    }
+
+    fn charge(&self) -> Result<(), ParseError> {
+        if self.depth + self.links >= MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, tok: &Tok) -> Result<(), ParseError> {
@@ -250,7 +302,7 @@ impl Parser {
                 None if self.at_end() => {
                     return self.err(format!("missing terminator {terminators:?}"))
                 }
-                _ => out.push(self.stmt()?),
+                _ => out.push(self.nested(Parser::stmt)?),
             }
         }
     }
@@ -415,7 +467,7 @@ impl Parser {
                     // ELSEIF (cond) THEN ... — desugar to nested IF.
                     // Rewrite by parsing an if-stmt whose IF keyword was
                     // ELSEIF; the nested parse consumes up to ENDIF.
-                    else_body = vec![self.if_stmt()?];
+                    else_body = vec![self.nested(Parser::if_stmt)?];
                     // The nested call consumed ENDIF and the newline.
                     return Ok(Stmt::If {
                         cond,
@@ -436,7 +488,7 @@ impl Parser {
             })
         } else {
             // Logical IF: one simple statement on the same line.
-            let body = self.stmt()?;
+            let body = self.nested(Parser::stmt)?;
             Ok(Stmt::If {
                 cond,
                 then_body: vec![body],
@@ -448,7 +500,13 @@ impl Parser {
     // Expressions: precedence climbing.
     // or < and < not < comparison < add/sub < mul/div < unary minus < power.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        if self.exprs_open == 0 {
+            self.links = 0;
+        }
+        self.exprs_open += 1;
+        let out = self.nested(Parser::or_expr);
+        self.exprs_open -= 1;
+        out
     }
 
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
@@ -456,6 +514,7 @@ impl Parser {
         while let Some(Tok::DotOp(op)) = self.peek() {
             if op == "OR" {
                 self.pos += 1;
+                self.link()?;
                 let rhs = self.and_expr()?;
                 lhs = Expr::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
             } else {
@@ -470,6 +529,7 @@ impl Parser {
         while let Some(Tok::DotOp(op)) = self.peek() {
             if op == "AND" {
                 self.pos += 1;
+                self.link()?;
                 let rhs = self.not_expr()?;
                 lhs = Expr::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
             } else {
@@ -483,7 +543,7 @@ impl Parser {
         if let Some(Tok::DotOp(op)) = self.peek() {
             if op == "NOT" {
                 self.pos += 1;
-                let inner = self.not_expr()?;
+                let inner = self.nested(Parser::not_expr)?;
                 return Ok(Expr::Un(UnOp::Not, Box::new(inner)));
             }
         }
@@ -504,6 +564,7 @@ impl Parser {
             };
             if let Some(bin) = bin {
                 self.pos += 1;
+                self.link()?;
                 let rhs = self.add_expr()?;
                 return Ok(Expr::Bin(bin, Box::new(lhs), Box::new(rhs)));
             }
@@ -517,11 +578,13 @@ impl Parser {
             match self.peek() {
                 Some(Tok::Plus) => {
                     self.pos += 1;
+                    self.link()?;
                     let rhs = self.mul_expr()?;
                     lhs = Expr::Bin(BinOp::Add, Box::new(lhs), Box::new(rhs));
                 }
                 Some(Tok::Minus) => {
                     self.pos += 1;
+                    self.link()?;
                     let rhs = self.mul_expr()?;
                     lhs = Expr::Bin(BinOp::Sub, Box::new(lhs), Box::new(rhs));
                 }
@@ -536,11 +599,13 @@ impl Parser {
             match self.peek() {
                 Some(Tok::Star) => {
                     self.pos += 1;
+                    self.link()?;
                     let rhs = self.unary_expr()?;
                     lhs = Expr::Bin(BinOp::Mul, Box::new(lhs), Box::new(rhs));
                 }
                 Some(Tok::Slash) => {
                     self.pos += 1;
+                    self.link()?;
                     let rhs = self.unary_expr()?;
                     lhs = Expr::Bin(BinOp::Div, Box::new(lhs), Box::new(rhs));
                 }
@@ -553,12 +618,12 @@ impl Parser {
         match self.peek() {
             Some(Tok::Minus) => {
                 self.pos += 1;
-                let inner = self.unary_expr()?;
+                let inner = self.nested(Parser::unary_expr)?;
                 Ok(Expr::Un(UnOp::Neg, Box::new(inner)))
             }
             Some(Tok::Plus) => {
                 self.pos += 1;
-                self.unary_expr()
+                self.nested(Parser::unary_expr)
             }
             _ => self.pow_expr(),
         }
@@ -569,7 +634,7 @@ impl Parser {
         if self.peek() == Some(&Tok::StarStar) {
             self.pos += 1;
             // Right-associative.
-            let exp = self.unary_expr()?;
+            let exp = self.nested(Parser::unary_expr)?;
             return Ok(Expr::Bin(BinOp::Pow, Box::new(base), Box::new(exp)));
         }
         Ok(base)
@@ -781,5 +846,69 @@ END
 ";
         let err = parse_program(src).expect_err("should fail");
         assert!(err.line >= 2, "line was {}", err.line);
+    }
+
+    fn assignment(rhs: &str) -> String {
+        format!("SUBROUTINE t(A, x)\n  DIMENSION A(*)\n  x = {rhs}\nEND\n")
+    }
+
+    /// Hostile nesting is a parse error, not a stack overflow: 100 000
+    /// levels of parentheses, of subscripts, of intrinsic calls, of
+    /// prefix operators, of blocks — and a 100 000-term sum, which is
+    /// parsed by a loop but would be as deep a tree.
+    #[test]
+    fn nesting_is_capped() {
+        let n = 100_000;
+        let hostile = [
+            assignment(&format!("{}1{}", "(".repeat(n), ")".repeat(n))),
+            assignment(&"(".repeat(n)),
+            assignment(&format!("{}1{}", "A(".repeat(n), ")".repeat(n))),
+            assignment(&"A(".repeat(n)),
+            assignment(&format!("{}1{}", "ABS(".repeat(n), ")".repeat(n))),
+            assignment(&format!("{}1", "-".repeat(n))),
+            assignment(&format!("{}1", ".NOT. ".repeat(n))),
+            assignment(&format!("1{}", " ** 2".repeat(n))),
+            assignment(&format!("1{}", " + 1".repeat(n))),
+            assignment(&format!("1{}", " * x .OR. 1".repeat(n))),
+            format!(
+                "SUBROUTINE t(x)\n{}  x = 1\n{}END\n",
+                "  IF (x .GT. 0) THEN\n".repeat(n),
+                "  ENDIF\n".repeat(n)
+            ),
+            format!(
+                "SUBROUTINE t(x)\n{}  x = 1\nEND\n",
+                "  IF (x .GT. 0) ".repeat(n)
+            ),
+        ];
+        for src in &hostile {
+            let err = parse_program(src).expect_err("too deep to parse");
+            assert!(
+                err.message.contains("nesting") || err.message.contains("expected"),
+                "{err}"
+            );
+        }
+        // The first one is the cap itself speaking, on the line it hit it.
+        let err = parse_program(&hostile[0]).expect_err("too deep");
+        assert_eq!(err.line, 3);
+        assert!(
+            err.message.contains("nesting deeper than 200 levels"),
+            "{err}"
+        );
+    }
+
+    /// Anything a person writes is far inside the cap.
+    #[test]
+    fn ordinary_nesting_parses() {
+        let deep = 150;
+        let src = assignment(&format!("{}1{}", "(".repeat(deep), ")".repeat(deep)));
+        parse_program(&src).expect("150 parentheses");
+        let src = assignment(&format!("{}1{}", "A(".repeat(deep), ")".repeat(deep)));
+        parse_program(&src).expect("150 subscripts");
+        let src = assignment(&format!("x{}", " + A(x) * 2".repeat(90)));
+        parse_program(&src).expect("180 operators");
+        // The operator budget is per expression, not per program.
+        let line = format!("  x = x{}\n", " + 1".repeat(150));
+        let src = format!("SUBROUTINE t(x)\n{}END\n", line.repeat(20));
+        parse_program(&src).expect("20 statements of 150 operators");
     }
 }

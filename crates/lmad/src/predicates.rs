@@ -134,36 +134,13 @@ fn divide_by(e: &SymExpr, d: &SymExpr) -> Option<(SymExpr, SymExpr)> {
     }
     let mut q = SymExpr::zero();
     let mut r = SymExpr::zero();
-    'term: for (m, c) in e.terms() {
-        if c % dc == 0 {
-            // Try dividing the monomial by dm.
-            let mut rem = m.0.clone();
-            for (atom, pow) in &dm.0 {
-                match rem.iter_mut().find(|(a, _)| a == atom) {
-                    Some(entry) if entry.1 >= *pow => entry.1 -= pow,
-                    _ => {
-                        r = &r + &monomial_expr(m, c);
-                        continue 'term;
-                    }
-                }
-            }
-            rem.retain(|(_, p)| *p > 0);
-            q = &q + &monomial_expr(&lip_symbolic::Monomial(rem), c / dc);
-        } else {
-            r = &r + &monomial_expr(m, c);
+    for (m, c) in e.terms() {
+        match m.div(dm) {
+            Some(rest) if c % dc == 0 => q = &q + &SymExpr::term(rest, c / dc),
+            _ => r = &r + &SymExpr::term(m.clone(), c),
         }
     }
     Some((q, r))
-}
-
-fn monomial_expr(m: &lip_symbolic::Monomial, c: i64) -> SymExpr {
-    let mut e = SymExpr::konst(c);
-    for (a, p) in &m.0 {
-        for _ in 0..*p {
-            e = &e * &SymExpr::atom(a.clone());
-        }
-    }
-    e
 }
 
 fn const_stride(l: &Lmad) -> Option<i64> {

@@ -104,7 +104,7 @@ fn split_offset(offset: &SymExpr, stride: &SymExpr) -> (SymExpr, SymExpr) {
             let mut aligned = SymExpr::zero();
             let mut rem = SymExpr::zero();
             for (m, coeff) in offset.terms() {
-                let part = monomial_expr(m, coeff);
+                let part = SymExpr::term(m.clone(), coeff);
                 if coeff % c == 0 {
                     aligned = &aligned + &part;
                 } else {
@@ -127,35 +127,15 @@ fn split_offset(offset: &SymExpr, stride: &SymExpr) -> (SymExpr, SymExpr) {
     }
     let mut aligned = SymExpr::zero();
     let mut rem = SymExpr::zero();
-    'term: for (m, coeff) in offset.terms() {
-        let part = monomial_expr(m, coeff);
-        if coeff % sc == 0 {
-            let mut have = m.0.clone();
-            for (atom, pow) in &sm.0 {
-                match have.iter_mut().find(|(a, _)| a == atom) {
-                    Some(entry) if entry.1 >= *pow => entry.1 -= pow,
-                    _ => {
-                        rem = &rem + &part;
-                        continue 'term;
-                    }
-                }
-            }
+    for (m, coeff) in offset.terms() {
+        let part = SymExpr::term(m.clone(), coeff);
+        if coeff % sc == 0 && m.div(sm).is_some() {
             aligned = &aligned + &part;
         } else {
             rem = &rem + &part;
         }
     }
     (aligned, rem)
-}
-
-fn monomial_expr(m: &lip_symbolic::Monomial, c: i64) -> SymExpr {
-    let mut e = SymExpr::konst(c);
-    for (a, p) in &m.0 {
-        for _ in 0..*p {
-            e = &e * &SymExpr::atom(a.clone());
-        }
-    }
-    e
 }
 
 /// Sufficient disjointness predicate for LMADs where at least one side is

@@ -415,15 +415,17 @@ impl Compiler {
     /// single-atom power-1 monomial therefore compiles to just the
     /// atom load.
     fn monomial(&mut self, b: &mut BodyBuilder, m: &Monomial) -> Result<PReg, PredOverflow> {
-        let acc = self.atom(b, &m.0[0].0)?;
-        if m.0.len() == 1 && m.0[0].1 == 1 {
+        let ((first, first_pow), rest) =
+            m.atoms().split_first().expect("not the constant monomial");
+        let acc = self.atom(b, first)?;
+        if rest.is_empty() && *first_pow == 1 {
             return Ok(acc);
         }
         // General form: re-stage the first atom's value so higher
         // powers can keep multiplying by it.
         let av0 = b.push_reg()?;
         b.emit(POp::Copy { dst: av0, src: acc });
-        for _ in 1..m.0[0].1 {
+        for _ in 1..*first_pow {
             b.emit_failable(POp::Mul {
                 dst: acc,
                 a: acc,
@@ -432,7 +434,7 @@ impl Compiler {
             });
         }
         b.pop_to(av0);
-        for (atom, p) in &m.0[1..] {
+        for (atom, p) in rest {
             let av = self.atom(b, atom)?;
             for _ in 0..*p {
                 b.emit_failable(POp::Mul {

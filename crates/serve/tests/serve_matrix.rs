@@ -866,12 +866,13 @@ fn a_large_frame_matches_the_direct_session_bit_for_bit() {
     server.shutdown();
 }
 
-/// Five frames that used to kill the process or the connection — JSON
-/// nested past any stack, an array length no allocator can serve, an
-/// INTEGER no `i64` holds, a reply past the frame limit, a bogus length
+/// Frames that used to kill the process or the connection — a program
+/// whose expressions nest 100 000 deep, JSON nested past any stack, an
+/// array length no allocator can serve, an INTEGER no `i64` holds, a
+/// reply past the frame limit, a `burn` of 285 000 years, a bogus length
 /// prefix — each get their error frame, and the server answers `ping`
-/// afterwards: on the same connection for the first four, on a new one
-/// after the prefix (which cannot be resynchronized, as before).
+/// afterwards: on the same connection for all but the last, on a new
+/// one after the prefix (which cannot be resynchronized, as before).
 #[test]
 fn hostile_frames_get_an_error_frame_and_the_connection_lives() {
     let server = Server::spawn(ServeConfig::default()).expect("bind");
@@ -892,7 +893,31 @@ fn hostile_frames_get_an_error_frame_and_the_connection_lives() {
         "[".repeat(64),
         "]".repeat(64)
     );
+    // A program whose one expression nests 100 000 deep: the parser's
+    // recursion — and whatever would have walked the tree it built —
+    // ends in an error, where a stack overflow would end the process.
+    let deep_program = |open: &str| {
+        let rhs = format!("{}1{}", open.repeat(100_000), ")".repeat(100_000));
+        let program = STENCIL.replace("0.25 * (U(i) + V(i)) + 0.5 * U(i)", &rhs);
+        format!(
+            "{{\"type\": \"run\", \"program\": {}, \"sub\": \"calc\", \"loop\": \"sweep\", \
+             \"frame\": {{\"scalars\": {{\"N\": 4}}, \"arrays\": {{}}}}, \"results\": []}}",
+            lip_obs::json_str(&program)
+        )
+    };
     let hostile = [
+        (
+            "100 000 `(`",
+            deep_program("("),
+            "program_error",
+            "nesting deeper than 200 levels",
+        ),
+        (
+            "100 000 `U(`",
+            deep_program("U("),
+            "program_error",
+            "nesting deeper than 200 levels",
+        ),
         ("4 MB of `[`", abyss, "parse_error", ""),
         ("65 levels", nested_65, "parse_error", ""),
         (

@@ -5,9 +5,26 @@
 //! language is *negation closed* — `¬` is computed structurally rather than
 //! represented — which keeps simplification and complement detection
 //! (`p ∧ ¬p → false`) purely syntactic.
+//!
+//! # Representation
+//!
+//! A comparison leaf holds one [`SymExpr`] — a shared, immutable slice
+//! with a cached structural hash — so cloning, hashing and the pointer
+//! test of `==` on a leaf cost the same whatever the size of the term.
+//! `And` / `Or` hold their operands the same way, as a shared slice:
+//! flattened (no `And` directly under `And`), sorted by the derived
+//! order (variant order, then the term order of `crate::expr`),
+//! deduplicated, constants folded away, never shorter than two. That
+//! order is the one the owned `Vec` / `BTreeMap` form had; it decides
+//! the child order of PDAG nodes and with it the stage order of every
+//! cascade `lip_analysis`'s `cascade_golden.rs` pins. Negation is by
+//! reference ([`BoolExpr::negated`]), and whether two predicates are
+//! complements is decided term by term without building either
+//! negation ([`BoolExpr::is_negation_of`]).
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::eval::EvalCtx;
 use crate::expr::SymExpr;
@@ -48,9 +65,9 @@ pub enum BoolExpr {
     /// `k ∤ e` with `k > 0`.
     NotDivides(i64, SymExpr),
     /// Conjunction (flattened, sorted, deduplicated).
-    And(Vec<BoolExpr>),
+    And(Arc<[BoolExpr]>),
     /// Disjunction (flattened, sorted, deduplicated).
-    Or(Vec<BoolExpr>),
+    Or(Arc<[BoolExpr]>),
 }
 
 impl BoolExpr {
@@ -66,14 +83,13 @@ impl BoolExpr {
 
     /// `a OP b` via difference against zero.
     pub fn cmp(op: CmpOp, a: SymExpr, b: SymExpr) -> BoolExpr {
-        let d = &b - &a;
         match op {
-            CmpOp::Le => BoolExpr::ge0(d),
-            CmpOp::Lt => BoolExpr::gt0(d),
-            CmpOp::Ge => BoolExpr::ge0(-d),
-            CmpOp::Gt => BoolExpr::gt0(-d),
-            CmpOp::Eq => BoolExpr::eq0(d),
-            CmpOp::Ne => BoolExpr::ne0(d),
+            CmpOp::Le => BoolExpr::ge0(&b - &a),
+            CmpOp::Lt => BoolExpr::gt0(&b - &a),
+            CmpOp::Ge => BoolExpr::ge0(&a - &b),
+            CmpOp::Gt => BoolExpr::gt0(&a - &b),
+            CmpOp::Eq => BoolExpr::eq0(&b - &a),
+            CmpOp::Ne => BoolExpr::ne0(&b - &a),
         }
     }
 
@@ -161,74 +177,109 @@ impl BoolExpr {
     ///
     /// Panics if `k == 0`.
     pub fn not_divides(k: i64, e: SymExpr) -> BoolExpr {
-        BoolExpr::divides(k, e).negate()
+        BoolExpr::divides(k, e).negated()
     }
 
     /// Flattening, constant-eliminating conjunction.
     pub fn and(parts: Vec<BoolExpr>) -> BoolExpr {
-        let mut flat = BTreeSet::new();
-        for p in parts {
-            match p {
-                BoolExpr::Const(true) => {}
-                BoolExpr::Const(false) => return BoolExpr::Const(false),
-                BoolExpr::And(inner) => flat.extend(inner),
-                other => {
-                    flat.insert(other);
-                }
-            }
-        }
-        // Complement detection: p ∧ ¬p = false.
-        for p in &flat {
-            if flat.contains(&p.clone().negate()) {
-                return BoolExpr::Const(false);
-            }
-        }
-        let flat: Vec<_> = flat.into_iter().collect();
-        match flat.len() {
-            0 => BoolExpr::Const(true),
-            1 => flat.into_iter().next().expect("len checked"),
-            _ => BoolExpr::And(flat),
-        }
+        BoolExpr::connective(parts, true)
     }
 
     /// Flattening, constant-eliminating disjunction.
     pub fn or(parts: Vec<BoolExpr>) -> BoolExpr {
-        let mut flat = BTreeSet::new();
-        for p in parts {
-            match p {
-                BoolExpr::Const(false) => {}
-                BoolExpr::Const(true) => return BoolExpr::Const(true),
-                BoolExpr::Or(inner) => flat.extend(inner),
-                other => {
-                    flat.insert(other);
-                }
-            }
+        BoolExpr::connective(parts, false)
+    }
+
+    /// `∧` (`conj`) or `∨` of `parts`: the unit constant drops out, the
+    /// zero constant wins, same-connective operands flatten, the rest is
+    /// sorted and deduplicated, and `p` beside `¬p` is the zero constant.
+    fn connective(parts: Vec<BoolExpr>, conj: bool) -> BoolExpr {
+        if parts.contains(&BoolExpr::Const(!conj)) {
+            return BoolExpr::Const(!conj);
         }
-        for p in &flat {
-            if flat.contains(&p.clone().negate()) {
-                return BoolExpr::Const(true);
-            }
+        let nested = |p: &BoolExpr| match p {
+            BoolExpr::And(_) => conj,
+            BoolExpr::Or(_) => !conj,
+            _ => false,
+        };
+        // Nearly always there is nothing to flatten: `parts` is reused.
+        let mut flat = parts;
+        if flat.iter().any(nested) {
+            flat = flat
+                .iter()
+                .flat_map(|p| match p {
+                    BoolExpr::And(inner) | BoolExpr::Or(inner) if nested(p) => &inner[..],
+                    _ => std::slice::from_ref(p),
+                })
+                .cloned()
+                .collect();
         }
-        let flat: Vec<_> = flat.into_iter().collect();
+        flat.retain(|p| !matches!(p, BoolExpr::Const(_)));
+        flat.sort_unstable();
+        flat.dedup();
+        if BoolExpr::any_complementary(flat.iter()) {
+            return BoolExpr::Const(!conj);
+        }
         match flat.len() {
-            0 => BoolExpr::Const(false),
-            1 => flat.into_iter().next().expect("len checked"),
-            _ => BoolExpr::Or(flat),
+            0 => BoolExpr::Const(conj),
+            1 => flat.pop().expect("len checked"),
+            _ if conj => BoolExpr::And(flat.into()),
+            _ => BoolExpr::Or(flat.into()),
         }
     }
 
+    /// Whether some predicate among `ps` is the negation of another.
+    pub fn any_complementary<'a, I>(ps: I) -> bool
+    where
+        I: Iterator<Item = &'a BoolExpr> + Clone,
+    {
+        ps.clone().any(|p| match p {
+            // A compound is negated once, not once per candidate.
+            BoolExpr::And(_) | BoolExpr::Or(_) => {
+                let n = p.negated();
+                ps.clone().any(|q| *q == n)
+            }
+            _ => ps.clone().any(|q| q.is_negation_of(p)),
+        })
+    }
+
     /// Structural negation (the language is closed under `¬`).
-    pub fn negate(self) -> BoolExpr {
+    pub fn negated(&self) -> BoolExpr {
         match self {
             BoolExpr::Const(b) => BoolExpr::Const(!b),
             BoolExpr::Ge0(e) => BoolExpr::gt0(-e),
             BoolExpr::Gt0(e) => BoolExpr::ge0(-e),
-            BoolExpr::Eq0(e) => BoolExpr::ne0(e),
-            BoolExpr::Ne0(e) => BoolExpr::eq0(e),
-            BoolExpr::Divides(k, e) => BoolExpr::NotDivides(k, e),
-            BoolExpr::NotDivides(k, e) => BoolExpr::Divides(k, e),
-            BoolExpr::And(ps) => BoolExpr::or(ps.into_iter().map(BoolExpr::negate).collect()),
-            BoolExpr::Or(ps) => BoolExpr::and(ps.into_iter().map(BoolExpr::negate).collect()),
+            BoolExpr::Eq0(e) => BoolExpr::ne0(e.clone()),
+            BoolExpr::Ne0(e) => BoolExpr::eq0(e.clone()),
+            BoolExpr::Divides(k, e) => BoolExpr::NotDivides(*k, e.clone()),
+            BoolExpr::NotDivides(k, e) => BoolExpr::Divides(*k, e.clone()),
+            BoolExpr::And(ps) => BoolExpr::or(ps.iter().map(BoolExpr::negated).collect()),
+            BoolExpr::Or(ps) => BoolExpr::and(ps.iter().map(BoolExpr::negated).collect()),
+        }
+    }
+
+    /// Whether `self == p.negated()`, without building the negation of a
+    /// comparison: `¬(e ≥ 0)` is `−e > 0`, `¬(e > 0)` is `−e/g ≥ 0` for
+    /// the coefficient gcd `g`, `¬(e = 0)` is `±e/g ≠ 0`, each a
+    /// term-by-term test of two slices.
+    pub fn is_negation_of(&self, p: &BoolExpr) -> bool {
+        // A constant comparison folds when negated, to a `Const`.
+        let symbolic = |e: &SymExpr| e.as_const().is_none();
+        let lead_sign = |e: &SymExpr| e.terms().next().map_or(1, |(_, c)| c.signum());
+        // g·n == k·e
+        let equal =
+            |n: &SymExpr, g: i64, e: &SymExpr, k: i64| n.combination_const(g, -k, e) == Some(0);
+        match (p, self) {
+            (BoolExpr::Const(a), BoolExpr::Const(b)) => a != b,
+            (BoolExpr::Ge0(e), BoolExpr::Gt0(n)) => symbolic(e) && equal(n, 1, e, -1),
+            (BoolExpr::Gt0(e), BoolExpr::Ge0(n)) => symbolic(e) && equal(n, e.coeff_gcd(), e, -1),
+            (BoolExpr::Eq0(e), BoolExpr::Ne0(n)) | (BoolExpr::Ne0(e), BoolExpr::Eq0(n)) => {
+                symbolic(e) && equal(n, e.coeff_gcd(), e, lead_sign(e))
+            }
+            (BoolExpr::Divides(k, e), BoolExpr::NotDivides(j, n))
+            | (BoolExpr::NotDivides(k, e), BoolExpr::Divides(j, n)) => k == j && e == n,
+            (BoolExpr::And(_) | BoolExpr::Or(_), _) => p.negated() == *self,
+            _ => false,
         }
     }
 
@@ -239,7 +290,8 @@ impl BoolExpr {
         out
     }
 
-    fn collect_syms(&self, out: &mut BTreeSet<Sym>) {
+    /// Adds every symbol mentioned in the predicate to `out`.
+    pub fn collect_syms(&self, out: &mut BTreeSet<Sym>) {
         match self {
             BoolExpr::Const(_) => {}
             BoolExpr::Ge0(e)
@@ -249,7 +301,7 @@ impl BoolExpr {
             | BoolExpr::Divides(_, e)
             | BoolExpr::NotDivides(_, e) => e.collect_syms(out),
             BoolExpr::And(ps) | BoolExpr::Or(ps) => {
-                for p in ps {
+                for p in ps.iter() {
                     p.collect_syms(out);
                 }
             }
@@ -300,7 +352,7 @@ impl BoolExpr {
                 // Short-circuit but still report None if undecidable parts
                 // remain and no false part was found.
                 let mut unknown = false;
-                for p in ps {
+                for p in ps.iter() {
                     match p.eval(ctx) {
                         Some(false) => return Some(false),
                         Some(true) => {}
@@ -315,7 +367,7 @@ impl BoolExpr {
             }
             BoolExpr::Or(ps) => {
                 let mut unknown = false;
-                for p in ps {
+                for p in ps.iter() {
                     match p.eval(ctx) {
                         Some(true) => return Some(true),
                         Some(false) => {}
@@ -422,22 +474,22 @@ mod tests {
     #[test]
     fn negation_round_trips() {
         let p = BoolExpr::le(v("a"), v("b"));
-        assert_eq!(p.clone().negate().negate(), p);
+        assert_eq!(p.negated().negated(), p);
         let q = BoolExpr::and(vec![p.clone(), BoolExpr::ne(v("c"), SymExpr::konst(1))]);
-        assert_eq!(q.clone().negate().negate(), q);
+        assert_eq!(q.negated().negated(), q);
     }
 
     #[test]
     fn and_detects_complement() {
         let p = BoolExpr::ne(v("SYM"), SymExpr::konst(1));
-        let np = p.clone().negate();
+        let np = p.negated();
         assert!(BoolExpr::and(vec![p, np]).is_false());
     }
 
     #[test]
     fn or_detects_complement() {
         let p = BoolExpr::gt0(v("x"));
-        let np = p.clone().negate();
+        let np = p.negated();
         assert!(BoolExpr::or(vec![p, np]).is_true());
     }
 
@@ -477,8 +529,7 @@ mod tests {
         let a = BoolExpr::lt(v("NP").scale(8), v("NS") + SymExpr::konst(6));
         let b = BoolExpr::lt(v("NP").scale(16), v("NS").scale(2) + SymExpr::konst(12));
         // Gt0 keeps raw form; compare through ge0 by negating twice.
-        assert_eq!(a.clone().negate(), b.negate());
-        drop(a);
+        assert_eq!(a.negated(), b.negated());
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn reduce(expr: &SymExpr, env: &RangeEnv, strict: bool, depth: u32) -> BoolExpr 
     // the one with the highest degree so quadratic indexes shrink fastest.
     let mut candidate: Option<(crate::sym::Sym, SymExpr, SymExpr, SymExpr, SymExpr)> = None;
     let mut best_degree = 0;
-    for s in expr.syms() {
+    for s in expr.factor_vars() {
         let Some(r) = env.range(s) else { continue };
         let (Some(lo), Some(hi)) = (&r.lo, &r.hi) else {
             continue;
@@ -81,7 +81,7 @@ fn reduce(expr: &SymExpr, env: &RangeEnv, strict: bool, depth: u32) -> BoolExpr 
     // (a >= 0 ∧ a*L+b > 0) ∨ (a < 0 ∧ a*U+b > 0)
     let a_nonneg = reduce(&(&a + &SymExpr::konst(1)), env, true, depth + 1);
     let at_lo = reduce(&(&a * &lo + &b), env, true, depth + 1);
-    let a_neg = reduce(&-a.clone(), env, true, depth + 1);
+    let a_neg = reduce(&-&a, env, true, depth + 1);
     let at_hi = reduce(&(&a * &hi + &b), env, true, depth + 1);
     BoolExpr::or(vec![
         BoolExpr::and(vec![a_nonneg, at_lo]),

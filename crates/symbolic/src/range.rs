@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use crate::boolexpr::BoolExpr;
-use crate::expr::SymExpr;
+use crate::expr::{SymExpr, TermBuildHasher};
 use crate::sym::Sym;
 
 /// Symbolic bounds for one variable.
@@ -68,8 +68,8 @@ impl RangeEnv {
         match fact {
             BoolExpr::Const(_) => {}
             BoolExpr::And(parts) => {
-                for p in parts {
-                    self.assume(p);
+                for p in parts.iter() {
+                    self.assume(p.clone());
                 }
             }
             other => self.facts.push(other),
@@ -108,7 +108,7 @@ impl RangeEnv {
             BoolExpr::Const(b) => Some(*b),
             BoolExpr::And(ps) => {
                 let mut all = true;
-                for q in ps {
+                for q in ps.iter() {
                     match self.decide(q) {
                         Some(false) => return Some(false),
                         Some(true) => {}
@@ -119,7 +119,7 @@ impl RangeEnv {
             }
             BoolExpr::Or(ps) => {
                 let mut none = true;
-                for q in ps {
+                for q in ps.iter() {
                     match self.decide(q) {
                         Some(true) => return Some(true),
                         Some(false) => {}
@@ -132,7 +132,7 @@ impl RangeEnv {
                 if self.implied_by_facts(p) {
                     return Some(true);
                 }
-                if self.implied_by_facts(&p.clone().negate()) {
+                if self.implied_by_facts(&p.negated()) {
                     return Some(false);
                 }
                 match p {
@@ -164,42 +164,41 @@ impl RangeEnv {
     /// A constant lower bound of `e`, if derivable by substituting bounded
     /// symbols (depth-limited).
     pub fn lower_bound(&self, e: &SymExpr, depth: u32) -> Option<i64> {
+        self.extreme(e, false, depth)
+    }
+
+    /// A constant upper bound of `e`, if derivable.
+    pub fn upper_bound(&self, e: &SymExpr, depth: u32) -> Option<i64> {
+        self.extreme(e, true, depth)
+    }
+
+    /// The lower (or `upper`) bound of `e`: pick a bounded symbol that
+    /// occurs as `c·s` with a constant `c` and nowhere else, substitute
+    /// the end of its range that minimizes (maximizes) `e`, repeat.
+    fn extreme(&self, e: &SymExpr, upper: bool, depth: u32) -> Option<i64> {
         if let Some(c) = e.as_const() {
             return Some(c);
         }
         if depth > 8 {
             return None;
         }
-        // Pick a bounded symbol occurring linearly and substitute the bound
-        // that minimizes the expression.
-        for s in e.syms() {
+        for s in e.factor_vars() {
             let Some(r) = self.ranges.get(&s) else {
                 continue;
             };
-            let Some((a, b)) = e.split_linear(s) else {
+            let Some(c) = e.linear_coeff(s) else {
                 continue;
             };
-            if a.is_zero() {
+            // e = c·s + b: a positive `c` is smallest at `lo`.
+            let end = if (c > 0) != upper { &r.lo } else { &r.hi };
+            let Some(end) = end else {
                 continue;
-            }
-            // e = a*s + b. For a constant-sign `a`, substitute lo or hi.
-            let candidate = match (a.as_const(), &r.lo, &r.hi) {
-                (Some(c), Some(lo), _) if c > 0 => Some(&a * lo + &b),
-                (Some(c), _, Some(hi)) if c < 0 => Some(&a * hi + &b),
-                _ => None,
             };
-            if let Some(next) = candidate {
-                if let Some(v) = self.lower_bound(&next, depth + 1) {
-                    return Some(v);
-                }
+            if let Some(v) = self.extreme(&e.subst(s, end), upper, depth + 1) {
+                return Some(v);
             }
         }
         None
-    }
-
-    /// A constant upper bound of `e`, if derivable.
-    pub fn upper_bound(&self, e: &SymExpr, depth: u32) -> Option<i64> {
-        self.lower_bound(&-e.clone(), depth).map(|v| -v)
     }
 
     /// Whether some recorded fact syntactically implies `p`.
@@ -221,7 +220,7 @@ struct Scope {
     is_root: bool,
     /// `(var, lo, hi, child)`: the scope `set_range(var, lo, hi)` leads to.
     children: Vec<(Sym, SymExpr, SymExpr, ScopeId)>,
-    decided: HashMap<BoolExpr, Option<bool>>,
+    decided: HashMap<BoolExpr, Option<bool>, TermBuildHasher>,
 }
 
 /// A tree of [`RangeEnv`]s with memoized [`RangeEnv::decide`] verdicts.
@@ -250,7 +249,7 @@ impl Scopes {
             env,
             is_root,
             children: Vec::new(),
-            decided: HashMap::new(),
+            decided: HashMap::default(),
         });
         id
     }
@@ -314,20 +313,24 @@ pub fn implies(f: &BoolExpr, p: &BoolExpr) -> bool {
     if f == p {
         return true;
     }
+    // `ep − ef`, when that is a constant.
+    let above = |ep: &SymExpr, ef: &SymExpr| ep.combination_const(1, -1, ef);
     match (f, p) {
         // f: ef ≥ 0, p: ep ≥ 0 — holds if ep = ef + c with c ≥ 0.
-        (BoolExpr::Ge0(ef), BoolExpr::Ge0(ep)) => (ep - ef).as_const().is_some_and(|c| c >= 0),
+        (BoolExpr::Ge0(ef), BoolExpr::Ge0(ep)) => above(ep, ef).is_some_and(|c| c >= 0),
         // f: ef > 0, p: ep ≥ 0 — holds if ep = ef + c with c ≥ -1.
-        (BoolExpr::Gt0(ef), BoolExpr::Ge0(ep)) => (ep - ef).as_const().is_some_and(|c| c >= -1),
-        (BoolExpr::Gt0(ef), BoolExpr::Gt0(ep)) => (ep - ef).as_const().is_some_and(|c| c >= 0),
-        (BoolExpr::Ge0(ef), BoolExpr::Gt0(ep)) => (ep - ef).as_const().is_some_and(|c| c >= 1),
+        (BoolExpr::Gt0(ef), BoolExpr::Ge0(ep)) => above(ep, ef).is_some_and(|c| c >= -1),
+        (BoolExpr::Gt0(ef), BoolExpr::Gt0(ep)) => above(ep, ef).is_some_and(|c| c >= 0),
+        (BoolExpr::Ge0(ef), BoolExpr::Gt0(ep)) => above(ep, ef).is_some_and(|c| c >= 1),
         // Equality implies both non-strict inequalities on the same expr.
         (BoolExpr::Eq0(ef), BoolExpr::Ge0(ep)) => {
-            (ep - ef).as_const().is_some_and(|c| c >= 0)
-                || (ep + ef).as_const().is_some_and(|c| c >= 0)
+            above(ep, ef).is_some_and(|c| c >= 0)
+                || ep.combination_const(1, 1, ef).is_some_and(|c| c >= 0)
         }
         // Strict inequality implies disequality.
-        (BoolExpr::Gt0(ef), BoolExpr::Ne0(ep)) => ef == ep || (&-ef.clone()) == ep,
+        (BoolExpr::Gt0(ef), BoolExpr::Ne0(ep)) => {
+            ef == ep || ep.combination_const(1, 1, ef) == Some(0)
+        }
         _ => false,
     }
 }

@@ -1,9 +1,16 @@
 //! Interned program symbols.
 //!
 //! Symbols are cheap `Copy` handles into a process-global interner. Two
-//! symbols compare equal iff their names are equal, and ordering follows the
-//! interning order (stable within a process, which is all the analysis
+//! symbols compare equal iff they are the same entry, and ordering follows
+//! the interning order (stable within a process, which is all the analysis
 //! needs: deterministic canonical forms for [`crate::SymExpr`]).
+//!
+//! An entry is either a *name* — a string, found again by [`sym`] — or a
+//! *fresh* symbol ([`Sym::fresh`]): a base symbol, a literal suffix and
+//! the entry's own index, rendered `base` `suffix` `$index`. A fresh symbol is never looked up by
+//! name, so it owns no string and no table slot: an analysis mints
+//! hundreds of them (bound variables, opaque unknowns), a server
+//! analyses programs forever, and the interner only grows.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -25,73 +32,100 @@ use std::sync::RwLock;
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Sym(u32);
 
+enum Entry {
+    Name(Box<str>),
+    /// Rendered `base`, `suffix`, `$n` — `n` being this entry's index.
+    Fresh(Sym, &'static str),
+}
+
 struct Interner {
-    names: Vec<String>,
-    map: HashMap<String, u32>,
+    entries: Vec<Entry>,
+    by_name: HashMap<Box<str>, Sym>,
 }
 
 fn interner() -> &'static RwLock<Interner> {
     static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
         RwLock::new(Interner {
-            names: Vec::new(),
-            map: HashMap::new(),
+            entries: Vec::new(),
+            by_name: HashMap::new(),
         })
     })
 }
 
-/// Interns `name` and returns its symbol handle.
-pub fn sym(name: &str) -> Sym {
-    {
-        let guard = interner().read().unwrap();
-        if let Some(&id) = guard.map.get(name) {
-            return Sym(id);
+impl Interner {
+    fn push(&mut self, entry: Entry) -> Sym {
+        let id = u32::try_from(self.entries.len()).expect("symbol interner overflow");
+        self.entries.push(entry);
+        Sym(id)
+    }
+
+    fn write_name(&self, s: Sym, out: &mut dyn fmt::Write) -> fmt::Result {
+        match &self.entries[s.0 as usize] {
+            Entry::Name(name) => out.write_str(name),
+            Entry::Fresh(base, suffix) => {
+                self.write_name(*base, out)?;
+                write!(out, "{suffix}${}", s.0)
+            }
         }
     }
-    let mut guard = interner().write().unwrap();
-    if let Some(&id) = guard.map.get(name) {
-        return Sym(id);
+}
+
+/// Interns `name` and returns its symbol handle.
+pub fn sym(name: &str) -> Sym {
+    if let Some(&known) = interner().read().unwrap().by_name.get(name) {
+        return known;
     }
-    let id = u32::try_from(guard.names.len()).expect("symbol interner overflow");
-    guard.names.push(name.to_owned());
-    guard.map.insert(name.to_owned(), id);
-    Sym(id)
+    let mut guard = interner().write().unwrap();
+    if let Some(&known) = guard.by_name.get(name) {
+        return known;
+    }
+    let s = guard.push(Entry::Name(name.into()));
+    guard.by_name.insert(name.into(), s);
+    s
+}
+
+/// `(names, fresh symbols)` interned so far in this process: the first
+/// is bounded by the program texts seen, the second by the analyses run.
+pub fn interner_size() -> (usize, usize) {
+    let guard = interner().read().unwrap();
+    let names = guard.by_name.len();
+    (names, guard.entries.len() - names)
 }
 
 impl Sym {
     /// Returns the symbol's name.
     ///
-    /// This clones the interned string; symbols are meant to be compared and
-    /// hashed, with names only materialized for diagnostics.
+    /// This builds a string; symbols are meant to be compared and hashed,
+    /// with names only materialized for diagnostics ([`fmt::Display`]
+    /// writes the name without the copy).
     pub fn name(self) -> String {
-        interner().read().unwrap().names[self.0 as usize].clone()
+        self.to_string()
     }
 
-    /// A fresh symbol guaranteed not to collide with any previously interned
-    /// name, derived from `base` (used for renaming recurrence variables).
+    /// A fresh symbol, distinct from every other one, rendered as `base`
+    /// with a suffix (used for renaming recurrence variables).
     pub fn fresh(base: &str) -> Sym {
-        let guard = interner().read().unwrap();
-        let mut n = guard.names.len();
-        drop(guard);
-        loop {
-            let candidate = format!("{base}${n}");
-            if !interner().read().unwrap().map.contains_key(&candidate) {
-                return sym(&candidate);
-            }
-            n += 1;
-        }
+        Sym::fresh_from(sym(base), "")
+    }
+
+    /// [`Sym::fresh`] named after a symbol — another fresh one included,
+    /// which nests the numbers (`i$35k$80` for base `i$35` and suffix
+    /// `k`) — without interning the name it is rendered with.
+    pub fn fresh_from(base: Sym, suffix: &'static str) -> Sym {
+        interner().write().unwrap().push(Entry::Fresh(base, suffix))
     }
 }
 
 impl fmt::Display for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
+        interner().read().unwrap().write_name(*self, f)
     }
 }
 
 impl fmt::Debug for Sym {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Sym({})", self.name())
+        write!(f, "Sym({self})")
     }
 }
 
@@ -115,6 +149,25 @@ mod tests {
         let a = Sym::fresh("k");
         let b = Sym::fresh("k");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn fresh_symbols_render_their_base_and_own_no_string() {
+        let (names, fresh) = interner_size();
+        let a = Sym::fresh("fresh_base");
+        let b = Sym::fresh_from(a, "k");
+        assert!(a < b, "ordered by creation");
+        let (rendered_a, rendered_b) = (a.name(), b.name());
+        assert!(rendered_a.starts_with("fresh_base$"), "{rendered_a}");
+        assert!(
+            rendered_b.starts_with(&format!("{rendered_a}k$")),
+            "{rendered_b}"
+        );
+        assert_eq!(format!("{a:?}"), format!("Sym({rendered_a})"));
+        // Other tests intern concurrently: at least ours, one name only.
+        let (names_after, fresh_after) = interner_size();
+        assert!(fresh_after >= fresh + 2);
+        assert!(names_after > names);
     }
 
     #[test]

@@ -149,9 +149,9 @@ proptest! {
         let mut ctx = MapCtx::new();
         ctx.set_scalar(x, v);
         let pv = p.eval(&ctx);
-        prop_assert_eq!(pv.map(|t| !t), p.clone().negate().eval(&ctx),
+        prop_assert_eq!(pv.map(|t| !t), p.negated().eval(&ctx),
             "negate must complement: {}", p);
-        prop_assert_eq!(pv, p.clone().negate().negate().eval(&ctx),
+        prop_assert_eq!(pv, p.negated().negated().eval(&ctx),
             "double negation must be the semantic identity: {}", p);
     }
 }
@@ -172,9 +172,6 @@ fn boolexpr_and_or_flatten_and_short_circuit() {
     assert_eq!(BoolExpr::or(vec![BoolExpr::f(), p.clone()]), p);
     assert_eq!(BoolExpr::or(vec![BoolExpr::t(), p.clone()]), BoolExpr::t());
     // p ∧ ¬p is recognized as false, p ∨ ¬p as true.
-    assert_eq!(
-        BoolExpr::and(vec![p.clone(), p.clone().negate()]),
-        BoolExpr::f()
-    );
-    assert_eq!(BoolExpr::or(vec![p.clone(), p.negate()]), BoolExpr::t());
+    assert_eq!(BoolExpr::and(vec![p.clone(), p.negated()]), BoolExpr::f());
+    assert_eq!(BoolExpr::or(vec![p.clone(), p.negated()]), BoolExpr::t());
 }

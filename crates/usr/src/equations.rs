@@ -22,7 +22,7 @@ pub fn output_independence(var: Sym, lo: &SymExpr, hi: &SymExpr, wf_i: &Usr) -> 
     if wf_i.is_empty() {
         return Usr::empty();
     }
-    let k = Sym::fresh(&format!("{var}k"));
+    let k = Sym::fresh_from(var, "k");
     let prefix = Usr::rec_partial(
         k,
         lo.clone(),
@@ -49,7 +49,7 @@ pub fn flow_independence(var: Sym, lo: &SymExpr, hi: &SymExpr, s: &Summary) -> U
     let t4 = if s.rw.is_empty() {
         Usr::empty()
     } else {
-        let k = Sym::fresh(&format!("{var}k"));
+        let k = Sym::fresh_from(var, "k");
         let prefix = Usr::rec_partial(
             k,
             lo.clone(),

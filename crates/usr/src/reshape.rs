@@ -209,7 +209,7 @@ mod tests {
         // X = (c # S1) ∪ (¬c # S2), Y = (c # T1) ∪ (¬c # T2):
         // X − Y = (c # (S1 − T1)) ∪ (¬c # (S2 − T2)).
         let c = BoolExpr::ne(v("jbeg"), v("js"));
-        let nc = c.clone().negate();
+        let nc = c.negated();
         let s1 = iv(k(0), k(9));
         let s2 = iv(k(20), k(29));
         let t1 = iv(k(0), k(9));
@@ -248,7 +248,7 @@ mod tests {
         // X = c#S1 ∪ ¬c#S2, Y = c#S2 ∪ ¬c#S1 — intersect distributes to
         // (c # S1∩S2) ∪ (¬c # S2∩S1), which keeps gate structure.
         let c = BoolExpr::eq(v("p"), k(1));
-        let nc = c.clone().negate();
+        let nc = c.negated();
         let s1 = iv(k(0), k(3));
         let s2 = iv(k(10), k(13));
         let x = Usr::union(

@@ -132,7 +132,7 @@ impl Summary {
     /// produce the same component, the gate is elided (the paper's
     /// motivating example for summary-based analyses in §7).
     pub fn branch(cond: &BoolExpr, then_s: &Summary, else_s: &Summary) -> Summary {
-        let not_cond = cond.clone().negate();
+        let not_cond = cond.negated();
         let merge = |a: &Usr, b: &Usr| -> Usr {
             if a == b {
                 return a.clone();
@@ -216,7 +216,7 @@ impl Summary {
         }
         // General case. The prefix union ∪_{k<i}(ROk ∪ RWk) runs under a
         // fresh variable, as in the paper's Figure 3.
-        let k = Sym::fresh(&format!("{}k", var));
+        let k = Sym::fresh_from(var, "k");
         let read_i = Usr::union(self.ro.clone(), self.rw.clone());
         let read_prefix = Usr::rec_partial(
             k,

@@ -79,11 +79,11 @@ fn umeg_distribution_preserves_gated_semantics() {
     let g = BoolExpr::gt0(SymExpr::var(gsym));
     let x = Usr::union(
         Usr::gate(g.clone(), iv(0, 9)),
-        Usr::gate(g.clone().negate(), iv(10, 19)),
+        Usr::gate(g.negated(), iv(10, 19)),
     );
     let y = Usr::union(
         Usr::gate(g.clone(), iv(4, 9)),
-        Usr::gate(g.negate(), iv(10, 14)),
+        Usr::gate(g.negated(), iv(10, 14)),
     );
     let u = Usr::subtract(x, y);
     let r = reshape(&u, ReshapeConfig::default());

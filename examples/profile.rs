@@ -13,8 +13,9 @@
 //! `Session::profile()` folds the same spans into a flat hot-phase
 //! table and a call-path tree.
 //!
-//! A second session then profiles the *cold* path: analysing the
-//! `solvh` kernel from scratch. `analysis.loop` breaks down into
+//! Then the *cold* path, one fresh session per kernel: analysing the
+//! three kernels whose analysis is slowest (`solvh`, `hoist_indirect`,
+//! `offset_crossover`) from scratch. `analysis.loop` breaks down into
 //! `analysis.summarize`, `core.factor`, `core.simplify`, `core.cascade`
 //! and `analysis.fission_plan`, and the predicate context reports how
 //! much of its work the memo tables answered.
@@ -59,22 +60,28 @@ fn main() {
 
     // The cold path, layer by layer: where one never-seen loop's
     // analysis spends its time, and what the per-analysis memo tables
-    // saved (evaluations vs. hits; the counts repeat exactly).
-    let cold = Session::builder().observer(ObsLevel::Trace).build();
-    let shape = &lip::suite::SOLVH;
-    let prog = lip::ir::parse_program(shape.source).expect("parses");
-    cold.analyze(&prog, sym(shape.sub), shape.label)
-        .expect("analysis");
-    println!("\ncold analysis of {}:", shape.name);
-    print!("{}", cold.profile().render_text());
-    let metrics = cold.metrics();
-    for name in [
-        "core.simplify_evals",
-        "core.simplify_hits",
-        "symbolic.decide_evals",
-        "symbolic.decide_hits",
-        "core.pdag_interned",
+    // saved (evaluations vs. hits; the counts repeat exactly). The three
+    // kernels are the three slowest rows of `bench_e2e`'s cold_pipeline.
+    for shape in [
+        &lip::suite::SOLVH,
+        &lip::suite::HOIST_INDIRECT,
+        &lip::suite::OFFSET_CROSSOVER,
     ] {
-        println!("  {name:<24} {}", metrics.counter(name).unwrap_or(0));
+        let cold = Session::builder().observer(ObsLevel::Trace).build();
+        let prog = lip::ir::parse_program(shape.source).expect("parses");
+        cold.analyze(&prog, sym(shape.sub), shape.label)
+            .expect("analysis");
+        println!("\ncold analysis of {}:", shape.name);
+        print!("{}", cold.profile().render_text());
+        let metrics = cold.metrics();
+        for name in [
+            "core.simplify_evals",
+            "core.simplify_hits",
+            "symbolic.decide_evals",
+            "symbolic.decide_hits",
+            "core.pdag_interned",
+        ] {
+            println!("  {name:<24} {}", metrics.counter(name).unwrap_or(0));
+        }
     }
 }

@@ -28,7 +28,7 @@ fn main() {
     let read = Usr::leaf(LmadSet::single(Lmad::interval(k(0), v("NS") - k(1))));
     let find = Usr::union(
         Usr::gate(g.clone(), Usr::subtract(read.clone(), written)),
-        Usr::gate(g.clone().negate(), read),
+        Usr::gate(g.negated(), read),
     );
     println!("FIND-USR(XE) = {find}");
 
