@@ -216,6 +216,13 @@ pub struct ExactKey {
 }
 
 impl LoopAnalysis {
+    /// `<label>@niters`, the trip count of the WHILE loop `label`: its
+    /// analysis bounds the iteration space by it, the runtime's CIV
+    /// slice binds it before the cascade reads it.
+    pub fn niters_sym(label: &str) -> Sym {
+        lip_symbolic::sym(&format!("{label}@niters"))
+    }
+
     /// The memo key of the exact test over [`LoopAnalysis::ind_usr`],
     /// computed once per analysis (as `Stage::key` is per stage) and
     /// only if the executor ever gets that far.
@@ -400,7 +407,7 @@ fn analyze_while(
     let mut summarizer = Summarizer::new(prog);
     // Fresh iteration space 1..=niters with every assigned scalar traced.
     let itvar = Sym::fresh(&format!("{label}@it"));
-    let niters = lip_symbolic::sym(&format!("{label}@niters"));
+    let niters = LoopAnalysis::niters_sym(label);
     let mut iter_env = entry_env;
     let mut civs = Vec::new();
     for s in crate::summarize::assigned_scalars(body) {

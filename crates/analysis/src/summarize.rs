@@ -434,6 +434,8 @@ impl<'p> Summarizer<'p> {
         // a CIV by construction.
         self.call_counter += 1;
         let itvar = Sym::fresh(&format!("{}@it", label.unwrap_or("while")));
+        // Not `LoopAnalysis::niters_sym`: nothing binds a nested WHILE's
+        // trip count, so each summarized occurrence names its own.
         let niters = lip_symbolic::sym(&format!(
             "{}@niters{}",
             label.unwrap_or("while"),

@@ -568,7 +568,7 @@ impl Machine {
 
     /// The underlying program as a shared handle. Machines cloned from
     /// one another (e.g. via [`Machine::with_tracer`]) return the same
-    /// `Arc`, which is what per-machine caches key on.
+    /// `Arc` (what `lip_runtime`'s compat wrappers find a cache by).
     pub fn program_handle(&self) -> Arc<Program> {
         self.prog.clone()
     }

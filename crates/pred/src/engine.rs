@@ -1,12 +1,12 @@
-//! The runtime predicate engine: per-machine compile cache and
+//! The runtime predicate engine: per-program compile cache and
 //! loop-invariant result memoization.
 //!
-//! A [`PredEngine`] is owned by one machine (see `lip_runtime`'s
-//! per-machine cache) and amortizes the two costs the paper's runtime
+//! A [`PredEngine`] is owned by one loaded program (`lip_runtime`'s
+//! `Loaded`) and amortizes the two costs the paper's runtime
 //! cascade pays on every loop invocation:
 //!
 //! * **compilation** — each cascade stage's `Pdag` is compiled to
-//!   predicate bytecode once and reused across `run_loop` calls, CIV
+//!   predicate bytecode once and reused across loop runs, CIV
 //!   slicing and LRPD decisions;
 //! * **evaluation** — stage verdicts are memoized against a fingerprint
 //!   of the loop-invariant inputs the predicate reads (its free scalars
@@ -83,7 +83,7 @@ type VerdictKey = (Arc<str>, u128, u64);
 /// computes from the bindings, hit or miss.
 type Verdict = (Option<bool>, u64);
 
-/// The per-machine predicate engine.
+/// The per-program predicate engine.
 pub struct PredEngine {
     /// Compiled programs keyed by the predicate's canonical rendering
     /// (`Pdag` holds `Rc`s, so the key must be owned plain data; a

@@ -18,8 +18,8 @@
 //!   [`pool`] with chunked early-exit (a failing chunk cancels later
 //!   siblings, preserving the sequential first-failure verdict) and an
 //!   exact budget-replay fallback.
-//! * [`engine::PredEngine`] adds the per-machine caches: compiled
-//!   programs are reused across `run_loop` invocations and stage
+//! * [`engine::PredEngine`] adds the per-program caches: compiled
+//!   programs are reused across loop runs and stage
 //!   verdicts are memoized against a fingerprint of the loop-invariant
 //!   inputs, so repeated invocations of the same loop skip re-testing.
 //!

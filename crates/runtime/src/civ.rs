@@ -11,10 +11,11 @@
 
 use std::collections::BTreeSet;
 
-use lip_ir::{ExecState, LValue, Machine, RunError, Stmt, Store, Subroutine, Value};
+use lip_analysis::LoopAnalysis;
+use lip_ir::{ExecState, LValue, RunError, Stmt, Store, Subroutine, Value};
 use lip_symbolic::Sym;
 
-use crate::backend::{machine_tracer, CompiledBody, ExecEnv};
+use crate::backend::ExecEnv;
 
 /// Extracts the slice of `body` needed to compute `targets` each
 /// iteration: the transitive closure of statements assigning needed
@@ -186,41 +187,40 @@ fn expr_syms(e: &lip_ir::Expr) -> BTreeSet<Sym> {
     out
 }
 
-/// The slice driver behind [`crate::Session::civ_traces`]: runs the
-/// CIV slice sequentially and records each traced scalar's value at
-/// every iteration entry (plus the post-loop value). The slice — the
-/// dominant runtime-test cost for the `track`-style while loops — is
-/// compiled once per machine via the session's
-/// [`crate::cache::MachineCache`].
-pub(crate) fn compute_civ_traces_impl(
+/// [`crate::LoopHandle::civ_traces`] of `target` under `analysis` (a
+/// run's first step).
+pub(crate) fn loop_traces(
     env: &ExecEnv<'_>,
-    machine: &Machine,
     sub: &Subroutine,
     target: &Stmt,
-    civs: &[(Sym, Sym)],
+    analysis: &LoopAnalysis,
     frame: &mut Store,
-    niters_sym: Option<Sym>,
 ) -> Result<u64, RunError> {
-    let mut state = ExecState::default();
-    civ_traces_under(
-        env, machine, sub, target, civs, frame, niters_sym, &mut state,
-    )?;
-    Ok(state.cost)
+    let is_while = matches!(target, Stmt::While { .. });
+    if analysis.civs.is_empty() && !is_while {
+        return Ok(0);
+    }
+    let niters = is_while.then(|| LoopAnalysis::niters_sym(&analysis.label));
+    let state = ExecState::default();
+    civ_traces(env, sub, target, &analysis.civs, frame, niters, state)
 }
 
-/// [`compute_civ_traces_impl`] charging a caller-supplied state (the
-/// tests run it under a step budget).
-#[allow(clippy::too_many_arguments)]
-fn civ_traces_under(
+/// The slice driver: runs the CIV slice sequentially and records each
+/// traced scalar's value at every iteration entry (plus the post-loop
+/// value); `niters_sym` (for while loops) receives the trip count.
+/// Returns the work units charged to `state` (the tests give it a step
+/// budget). The slice — the dominant runtime-test cost for the
+/// `track`-style while loops — is compiled once per program.
+pub(crate) fn civ_traces(
     env: &ExecEnv<'_>,
-    machine: &Machine,
     sub: &Subroutine,
     target: &Stmt,
     civs: &[(Sym, Sym)],
     frame: &mut Store,
     niters_sym: Option<Sym>,
-    state: &mut ExecState,
-) -> Result<(), RunError> {
+    mut state: ExecState,
+) -> Result<u64, RunError> {
+    let state = &mut state;
     let targets: BTreeSet<Sym> = civs.iter().map(|(s, _)| *s).collect();
     let mut extra: Vec<Sym> = civs.iter().map(|(s, _)| *s).collect();
     let mut traces: Vec<(Sym, Sym, Vec<i64>)> =
@@ -231,42 +231,42 @@ fn civ_traces_under(
         } => {
             extra.push(*var);
             let slice = extract_slice(body, &targets);
-            let cb = CompiledBody::new(env.cache, machine, sub, &slice, &[], &extra)?;
+            let cb = env.body(sub, &slice, &[], &extra)?;
             let var_slot = cb.chunk().scalar_slot(*var).expect("interned");
             let civ_slots: Vec<u16> = civs
                 .iter()
                 .map(|(s, _)| cb.chunk().scalar_slot(*s).expect("interned"))
                 .collect();
             let mut f = cb.frame(frame);
-            let vm = cb.vm(machine);
-            let lo = machine.eval(sub, frame, lo, state)?.as_i64();
-            let hi = machine.eval(sub, frame, hi, state)?.as_i64();
+            let vm = cb.vm(env);
+            let lo = env.eval(sub, frame, lo, state)?;
+            let hi = env.eval(sub, frame, hi, state)?;
             for i in lo..=hi {
                 f.set_scalar(var_slot, Value::Int(i));
                 record(&f, &civ_slots, &mut traces);
-                vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
+                vm.run_block(cb.block, &mut f, state, env.tracer())?;
             }
             // Post-loop entry (trace(hi+1)).
             record(&f, &civ_slots, &mut traces);
         }
         Stmt::While { cond, body, .. } => {
             let slice = extract_slice(body, &targets);
-            let cb = CompiledBody::new(env.cache, machine, sub, &slice, &[cond], &extra)?;
+            let cb = env.body(sub, &slice, &[cond], &extra)?;
             let civ_slots: Vec<u16> = civs
                 .iter()
                 .map(|(s, _)| cb.chunk().scalar_slot(*s).expect("interned"))
                 .collect();
             let mut f = cb.frame(frame);
-            let vm = cb.vm(machine);
+            let vm = cb.vm(env);
             let mut n: i64 = 0;
             loop {
-                let c = vm.eval_block_expr(cb.block, 0, &mut f, state, machine_tracer(machine))?;
+                let c = vm.eval_block_expr(cb.block, 0, &mut f, state, env.tracer())?;
                 record(&f, &civ_slots, &mut traces);
                 if !c.truthy() {
                     break;
                 }
                 n += 1;
-                vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
+                vm.run_block(cb.block, &mut f, state, env.tracer())?;
                 if n as u64 > crate::exec::TEST_BUDGET {
                     return Err(RunError::StepLimit);
                 }
@@ -279,7 +279,7 @@ fn civ_traces_under(
         _ => {}
     }
     bind_traces(frame, traces);
-    Ok(())
+    Ok(state.cost)
 }
 
 fn record(f: &lip_vm::Frame, slots: &[u16], traces: &mut [(Sym, Sym, Vec<i64>)]) {
@@ -306,7 +306,7 @@ fn bind_traces(frame: &mut Store, traces: Vec<(Sym, Sym, Vec<i64>)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lip_ir::parse_program;
+    use lip_ir::{parse_program, Machine};
     use lip_symbolic::sym;
 
     #[test]
@@ -439,26 +439,22 @@ END
         let machine = Machine::new(prog.clone());
         let target = sub.find_loop("l1").expect("loop").clone();
         let civs = vec![(sym("civ"), sym("civ@tr"))];
-        let cache = crate::cache::MachineCache::default();
-        let obs = lip_obs::Obs::off();
+        let cache = crate::backend::test_cache();
         let env = ExecEnv {
+            machine: &machine,
             cache: &cache,
-            nthreads: 1,
-            obs: &obs,
         };
         let run = |lo: i64| {
             let mut frame = Store::new();
             frame.set_int(sym("LO"), lo).set_int(sym("HI"), i64::MAX);
             frame.set_int(sym("civ"), 0);
-            let mut state = ExecState::with_budget(10_000);
-            let r = civ_traces_under(
-                &env, &machine, &sub, &target, &civs, &mut frame, None, &mut state,
-            );
+            let state = ExecState::with_budget(10_000);
+            let r = civ_traces(&env, &sub, &target, &civs, &mut frame, None, state);
             (r, frame)
         };
         // The last three iterations of the i64 range, then done.
         let (r, frame) = run(i64::MAX - 2);
-        assert_eq!(r, Ok(()));
+        assert!(r.is_ok(), "{r:?}");
         let tr = frame.array(sym("civ@tr")).expect("trace bound");
         assert_eq!(tr.buf.len(), 4, "three entries + post-loop");
         assert_eq!(tr.get_i64(3), 3);

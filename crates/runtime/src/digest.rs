@@ -1,6 +1,6 @@
 //! The one 128-bit digest in the tree: the verdict memo's input key
 //! ([`InputDigests`], [`crate::store_fingerprint`]), the block cache's
-//! structural key ([`crate::MachineCache::body`]) and `lip_serve`'s
+//! structural key (`ProgramCache::body`) and `lip_serve`'s
 //! source / loop fingerprints ([`digest_bytes`]) all run through one
 //! streaming state, `Digest`.
 //!

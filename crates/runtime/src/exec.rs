@@ -1,12 +1,12 @@
 //! The conditional-parallelization executor (paper §5).
 //!
-//! [`crate::Session::run_loop`] puts everything together for one
+//! [`crate::LoopHandle::run`] puts everything together for one
 //! analyzed loop:
 //!
 //! 1. precompute CIV traces via the loop slice (CIV-COMP),
 //! 2. evaluate the predicate cascade against live state (cheapest
 //!    stage first; the first success disables the rest), and when
-//!    every stage fails the hoisted exact USR test ([`exact_test`]) —
+//!    every stage fails the hoisted exact USR test —
 //!    every verdict memoized under a key over the inputs it read, built
 //!    from one [`InputDigests`] table per test phase (the whole loop's
 //!    cascade, exact test and reduction cascades; each fission
@@ -20,18 +20,16 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use lip_analysis::{ArrayPlan, LastValue, LoopAnalysis, LoopClass};
+use lip_analysis::{ArrayPlan, FissionFragment, LastValue, LoopAnalysis, LoopClass};
 use lip_ir::{
-    AccessTracer, ArrayBuf, ArrayView, BinOp, ExecState, Machine, RunError, Stmt, Store, StoreCtx,
-    Ty, Value,
+    AccessTracer, ArrayBuf, ArrayView, BinOp, ExecState, RunError, Stmt, Store, StoreCtx, Ty, Value,
 };
 use lip_obs::{FissionReport, FragmentReport, LoopDecision, StageReport};
 use lip_symbolic::Sym;
 use lip_usr::Exact;
 use std::sync::Mutex;
 
-use crate::backend::{exec_stmt_seq, machine_tracer, CompiledBody, ExecEnv};
-use crate::cache::MachineCache;
+use crate::backend::{exec_stmt_seq, ExecEnv};
 use crate::digest::{InputDigests, KeyCost};
 use crate::lrpd::LrpdOutcome;
 use crate::merge::{clone_buf, copy_back, identity_buf, merge_into};
@@ -43,41 +41,31 @@ use crate::pool::{chunk_bounds, parallel_chunks_obs};
 /// guarded loop's work is ROADMAP's cost gate.
 pub const TEST_BUDGET: u64 = 100_000_000;
 
-/// Runs `cascade` on the machine's predicate engine against
-/// `inputs.frame()`: the first passing stage and the units charged.
-/// Each evaluated stage is looked up in the verdict memo under a key
-/// from `inputs` — the digest table of this test phase, so an array
-/// several stages (or the exact test after them) read is read once.
-/// `report` collects one [`StageReport`] per evaluated stage; those
-/// render predicate strings, so ask only when a decision record is
-/// being kept — the verdict and the charge are the same either way.
-pub fn cascade_test(
-    cache: &MachineCache,
+/// [`crate::LoopHandle::cascade_test`] of any cascade (a loop's, a
+/// fragment's, a reduction plan's).
+pub(crate) fn cascade_test(
+    env: &ExecEnv<'_>,
     cascade: &lip_core::Cascade,
     inputs: &mut InputDigests<'_>,
-    nthreads: usize,
     report: Option<&mut Vec<StageReport>>,
 ) -> (Option<usize>, u64) {
     let ctx = StoreCtx(inputs.frame());
     let mut fp =
         |prog: &lip_pred::PredProgram| Some(inputs.key(prog.scalar_syms(), prog.array_syms()));
-    cache
-        .pred()
-        .first_success(cascade, &ctx, TEST_BUDGET, nthreads, &mut fp, report)
+    env.cache.pred.first_success(
+        cascade,
+        &ctx,
+        TEST_BUDGET,
+        env.cache.nthreads,
+        &mut fp,
+        report,
+    )
 }
 
-/// The cascade's last resort (§5; HOIST-USR, §7): decides whether
-/// `analysis.ind_usr` is empty on `frame` with the one-pass evaluator
-/// ([`lip_usr::exact`]). The verdict and the units it counted are
-/// hoisted — memoized in the machine's predicate engine under the USR's
-/// rendering and a key over the scalars and index arrays it reads — so
-/// re-running the loop on unchanged inputs costs the key, and an array
-/// the cascade before it already read costs nothing (`inputs` is the
-/// phase's shared table). Returns the result (units as counted by the
-/// evaluation, to be charged on hit and miss alike) and whether the
-/// memo answered. No `ind_usr`: undecided at no cost.
-pub fn exact_test(
-    cache: &MachineCache,
+/// [`crate::LoopHandle::exact_test`] of `analysis`: the one-pass
+/// evaluator ([`lip_usr::exact`]) behind the program's memo.
+pub(crate) fn exact_test(
+    env: &ExecEnv<'_>,
     analysis: &LoopAnalysis,
     inputs: &mut InputDigests<'_>,
 ) -> (Exact, bool) {
@@ -88,7 +76,7 @@ pub fn exact_test(
         };
         return (undecided, false);
     };
-    let obs = cache.obs();
+    let obs = &env.cache.obs;
     let span = obs.span("run.exact", || analysis.label.clone());
     // Each free symbol is looked up both ways: the frame binds it as a
     // scalar or as an array, and the side it does not bind hashes as
@@ -96,8 +84,8 @@ pub fn exact_test(
     let fingerprint = inputs.key(&key.syms, &key.syms);
     let frame = inputs.frame();
     let ((verdict, units), hit) =
-        cache
-            .pred()
+        env.cache
+            .pred
             .exact_memo(&key.key, fingerprint, TEST_BUDGET, || {
                 let e = lip_usr::exact::independent(usr, &StoreCtx(frame), TEST_BUDGET);
                 (e.verdict, e.units)
@@ -137,18 +125,14 @@ pub struct FragmentTests {
     pub exact: Option<(Exact, bool)>,
 }
 
-/// Decides one fragment of a distributed loop against `inputs` — a
+/// [`crate::LoopHandle::fragment_tests`] of `a`, against `inputs` — a
 /// fresh table over the store as the fragments before it left it,
-/// shared with the fragment's reduction cascades: a static fragment runs
-/// parallel outright, a predicated one tests its cascade with the
-/// exact test as the last resort, a hoisted-USR fallback goes straight
-/// to the exact test, anything else stays sequential (fragments never
-/// speculate). `report` keeps the stage reports.
-pub fn fragment_tests(
-    cache: &MachineCache,
+/// shared with the fragment's reduction cascades (fragments never
+/// speculate).
+pub(crate) fn fragment_tests(
+    env: &ExecEnv<'_>,
     a: &LoopAnalysis,
     inputs: &mut InputDigests<'_>,
-    nthreads: usize,
     report: bool,
 ) -> FragmentTests {
     let mut t = FragmentTests {
@@ -161,7 +145,7 @@ pub fn fragment_tests(
         LoopClass::StaticParallel => true,
         LoopClass::Predicated { .. } => {
             let stages = report.then_some(&mut t.stages);
-            let (passed, units) = cascade_test(cache, &a.cascade, inputs, nthreads, stages);
+            let (passed, units) = cascade_test(env, &a.cascade, inputs, stages);
             t.units += units;
             passed.is_some()
         }
@@ -169,12 +153,42 @@ pub fn fragment_tests(
         _ => return t,
     };
     t.parallel = cascade_passed || {
-        let (exact, hit) = exact_test(cache, a, inputs);
+        let (exact, hit) = exact_test(env, a, inputs);
         t.units += exact.units;
         t.exact = Some((exact, hit));
         exact.verdict == Some(true)
     };
     t
+}
+
+impl FragmentTests {
+    /// The explain record of `frag`, fragment number `k`, once it ran
+    /// (`parallel` or not) for `units` after `test_units` of tests.
+    pub fn report(
+        self,
+        frag: &FissionFragment,
+        k: usize,
+        parallel: bool,
+        units: u64,
+        test_units: u64,
+    ) -> FragmentReport {
+        let label = match &frag.target {
+            Stmt::Do { label: Some(l), .. } => l.clone(),
+            _ => format!("fragment {k}"),
+        };
+        let (exact_test, exact_units, exact_memo_hit) = exact_report(self.exact);
+        FragmentReport {
+            label,
+            class: format!("{:?}", frag.analysis.class),
+            parallel,
+            units,
+            test_units,
+            stages: self.stages,
+            exact_test,
+            exact_units,
+            exact_memo_hit,
+        }
+    }
 }
 
 /// An exact test's result as decision records carry it: `exact_test`,
@@ -233,7 +247,7 @@ pub struct RunStats {
 
 /// Per-array parallel-execution mode derived from the analysis.
 #[derive(Clone, Debug)]
-pub enum ExecPlan {
+enum ExecPlan {
     /// Access the shared buffer directly.
     Shared,
     /// Per-chunk private copy; `true` = static last value (the chunk
@@ -244,12 +258,9 @@ pub enum ExecPlan {
     ReductionBuffer(BinOp),
 }
 
-/// Decision evidence accumulated while one loop runs: the evaluated
-/// cascade stages, the exact test's result and memo hit (when reached)
-/// and the per-fragment outcomes of a fissioned execution (populated
-/// only when the session's observer keeps decisions), plus what keying
-/// the run's tests cost. Folded into a [`LoopDecision`] by
-/// [`run_loop_impl`].
+/// Decision evidence of one run — stages, exact test, fragments (kept
+/// only when the observer keeps decisions) and what keying the tests
+/// cost — folded into a [`LoopDecision`] by [`run_loop_impl`].
 #[derive(Default)]
 struct DecisionTrace {
     stages: Vec<StageReport>,
@@ -274,40 +285,41 @@ fn executor_name(outcome: &ExecOutcome) -> String {
     }
 }
 
-/// The executor driver behind [`crate::Session::run_loop`]. When the
+/// The executor driver behind [`crate::LoopHandle::run`]. When the
 /// session's observer is on, every run additionally records a
 /// [`LoopDecision`] under the loop's label (cascade stage verdicts,
 /// exact-test outcome, fission accounting, final executor).
 pub(crate) fn run_loop_impl(
     env: &ExecEnv<'_>,
-    machine: &Machine,
     sub: &lip_ir::Subroutine,
     target: &Stmt,
     analysis: &LoopAnalysis,
     frame: &mut Store,
 ) -> Result<RunStats, RunError> {
     let mut dt = DecisionTrace::default();
-    dt.keys.timed = env.obs.enabled();
-    let span = env.obs.span("run.loop", || analysis.label.clone());
-    let result = run_loop_inner(env, machine, sub, target, analysis, frame, &mut dt);
+    dt.keys.timed = env.cache.obs.enabled();
+    let span = env.cache.obs.span("run.loop", || analysis.label.clone());
+    let result = run_loop_inner(env, sub, target, analysis, frame, &mut dt);
     match &result {
         Ok(stats) => {
-            env.obs.exit_span(span, &executor_name(&stats.outcome));
-            if env.obs.enabled() {
-                env.obs.count("run.loops", 1);
-                env.obs.count("run.test_units", stats.test_units);
-                env.obs.count("run.loop_units", stats.loop_units);
+            env.cache
+                .obs
+                .exit_span(span, &executor_name(&stats.outcome));
+            if env.cache.obs.enabled() {
+                env.cache.obs.count("run.loops", 1);
+                env.cache.obs.count("run.test_units", stats.test_units);
+                env.cache.obs.count("run.loop_units", stats.loop_units);
                 // Key time apart from evaluation time: one sample per
                 // run that keyed a test, whatever the memo then answered.
                 if dt.keys.ns > 0 {
-                    env.obs.count("run.fingerprint_elems", dt.keys.elems);
-                    env.obs.record_ns("run.fingerprint_ns", dt.keys.ns);
+                    env.cache.obs.count("run.fingerprint_elems", dt.keys.elems);
+                    env.cache.obs.record_ns("run.fingerprint_ns", dt.keys.ns);
                 }
             }
             // Decision records allocate (stage strings, map inserts);
             // like spans, they are a `trace`-level instrument so the
             // `metrics` level stays pure cheap aggregates.
-            if env.obs.trace_enabled() {
+            if env.cache.obs.trace_enabled() {
                 let mut d = LoopDecision::new(&analysis.label);
                 d.class = format!("{:?}", analysis.class);
                 d.stages = std::mem::take(&mut dt.stages);
@@ -328,39 +340,32 @@ pub(crate) fn run_loop_impl(
                         loop_units: stats.loop_units,
                     });
                 }
-                env.obs.record_decision(d);
+                env.cache.obs.record_decision(d);
             }
         }
-        Err(e) => env.obs.exit_span(span, &format!("error: {e:?}")),
+        Err(e) => env.cache.obs.exit_span(span, &format!("error: {e:?}")),
     }
     result
 }
 
+/// Where a unit-stride DO loop's tests sent it.
+enum Route<'a> {
+    Parallel(ExecOutcome),
+    Sequential,
+    Speculate,
+    Fission(&'a lip_analysis::FissionPlan),
+}
+
 fn run_loop_inner(
     env: &ExecEnv<'_>,
-    machine: &Machine,
     sub: &lip_ir::Subroutine,
     target: &Stmt,
     analysis: &LoopAnalysis,
     frame: &mut Store,
     dt: &mut DecisionTrace,
 ) -> Result<RunStats, RunError> {
-    let mut test_units = 0u64;
-
     // CIV-COMP: materialize traces + while-loop trip counts.
-    if !analysis.civs.is_empty() || matches!(target, Stmt::While { .. }) {
-        let niters = matches!(target, Stmt::While { .. })
-            .then(|| lip_symbolic::sym(&format!("{}@niters", analysis.label)));
-        test_units += crate::civ::compute_civ_traces_impl(
-            env,
-            machine,
-            sub,
-            target,
-            &analysis.civs,
-            frame,
-            niters,
-        )?;
-    }
+    let mut test_units = crate::civ::loop_traces(env, sub, target, analysis, frame)?;
 
     // While loops execute sequentially in this executor (their parallel
     // form requires iteration re-indexing); the simulator models their
@@ -371,8 +376,7 @@ fn run_loop_inner(
     let unit_step = match target {
         Stmt::Do { step: None, .. } => true,
         Stmt::Do { step: Some(e), .. } => {
-            let mut st = ExecState::default();
-            machine.eval(sub, frame, e, &mut st).map(Value::as_i64) == Ok(1)
+            env.eval(sub, frame, e, &mut ExecState::default()) == Ok(1)
         }
         _ => false,
     };
@@ -383,130 +387,86 @@ fn run_loop_inner(
         true,
     ) = (target, unit_step)
     else {
-        let mut st = ExecState::default();
-        exec_stmt_seq(env, machine, sub, target, frame, &mut st)?;
-        return Ok(RunStats {
-            outcome: ExecOutcome::Sequential,
-            test_units,
-            loop_units: st.cost,
-        });
+        return run_sequential(env, sub, target, frame, test_units);
     };
 
     // The whole-loop test phase: cascade, exact test and the reduction
     // cascades of the plans all read this frame before anything writes
     // it, so they share one digest table.
     let mut inputs = InputDigests::new(frame, &mut dt.keys);
-    let (parallel_ok, outcome) = match &analysis.class {
-        LoopClass::StaticParallel => (true, ExecOutcome::StaticParallel),
-        LoopClass::StaticSequential => (false, ExecOutcome::Sequential),
+    // The analysis' fission plan, iff the session's fission knob is on.
+    let fission = analysis.fission.as_deref().filter(|_| env.cache.fission);
+    let tracing = env.cache.obs.trace_enabled();
+    let route = match &analysis.class {
+        LoopClass::StaticParallel => Route::Parallel(ExecOutcome::StaticParallel),
+        LoopClass::StaticSequential => Route::Sequential,
+        // Straight to speculation on the written arrays.
+        LoopClass::NeedsFallback(_) => Route::Speculate,
+        // Knob off at run time (or a plan-less class, which the
+        // analysis never produces): plain sequential execution.
+        LoopClass::Fissioned { .. } => fission.map_or(Route::Sequential, Route::Fission),
         LoopClass::Predicated { .. } => {
             // Stage reports render predicate strings — only pay for
             // that when the observer keeps decision records (trace).
-            let report = env.obs.trace_enabled().then_some(&mut dt.stages);
-            let (passed, units) = cascade_test(
-                env.cache,
-                &analysis.cascade,
-                &mut inputs,
-                env.nthreads,
-                report,
-            );
+            let report = tracing.then_some(&mut dt.stages);
+            let (passed, units) = cascade_test(env, &analysis.cascade, &mut inputs, report);
             test_units += units;
-            match passed {
-                Some(k) => (true, ExecOutcome::PredicatePassed { stage: k }),
-                None => {
-                    // A fragment already classified statically
-                    // sequential carries a dependence the whole-loop
-                    // exact test is certain to find again, so
-                    // distribute right away: fragments that can be
-                    // rescued run their own, smaller tests, and the
-                    // sequential residue runs as it would have anyway.
-                    if let Some(fp) = fission_plan(env, analysis) {
-                        if fp
-                            .fragments
-                            .iter()
-                            .any(|f| f.analysis.class == LoopClass::StaticSequential)
-                        {
-                            return run_fissioned(
-                                env, machine, sub, target, fp, frame, test_units, dt,
-                            );
-                        }
-                    }
-                    // Last resort (§5): exact USR evaluation, then TLS.
-                    let (exact, hit) = exact_test(env.cache, analysis, &mut inputs);
+            match (passed, fission) {
+                (Some(stage), _) => Route::Parallel(ExecOutcome::PredicatePassed { stage }),
+                // A fragment already classified statically sequential
+                // carries a dependence the whole-loop exact test is
+                // certain to find again, so distribute right away:
+                // fragments that can be rescued run their own, smaller
+                // tests, and the sequential residue runs as it would
+                // have anyway.
+                (None, Some(fp))
+                    if fp
+                        .fragments
+                        .iter()
+                        .any(|f| f.analysis.class == LoopClass::StaticSequential) =>
+                {
+                    Route::Fission(fp)
+                }
+                // Last resort (§5): exact USR evaluation, then TLS.
+                (None, _) => {
+                    let (exact, hit) = exact_test(env, analysis, &mut inputs);
                     test_units += exact.units;
-                    if env.obs.trace_enabled() {
+                    if tracing {
                         dt.exact = Some((exact, hit));
                     }
                     match exact.verdict {
-                        Some(true) => (true, ExecOutcome::ExactPredicatePassed),
-                        Some(false) => {
-                            // Genuine dependences: the whole loop can't
-                            // run parallel, but a fission plan may
-                            // still salvage the independent fragments.
-                            if let Some(fp) = fission_plan(env, analysis) {
-                                return run_fissioned(
-                                    env, machine, sub, target, fp, frame, test_units, dt,
-                                );
-                            }
-                            (false, ExecOutcome::Sequential)
-                        }
-                        None => {
-                            let arrays: Vec<Sym> = analysis.arrays.keys().copied().collect();
-                            let (out, cost) = crate::lrpd::lrpd_execute_impl(
-                                env, machine, sub, target, frame, &arrays,
-                            )?;
-                            return Ok(RunStats {
-                                outcome: ExecOutcome::Speculated(out),
-                                test_units,
-                                loop_units: cost,
-                            });
-                        }
+                        Some(true) => Route::Parallel(ExecOutcome::ExactPredicatePassed),
+                        // Genuine dependences: the whole loop can't run
+                        // parallel, but a fission plan may still
+                        // salvage the independent fragments.
+                        Some(false) => fission.map_or(Route::Sequential, Route::Fission),
+                        None => Route::Speculate,
                     }
                 }
             }
         }
-        LoopClass::NeedsFallback(_) => {
-            // Straight to speculation on the written arrays.
+    };
+    let outcome = match route {
+        Route::Parallel(outcome) => outcome,
+        Route::Sequential => return run_sequential(env, sub, target, frame, test_units),
+        Route::Fission(fp) => return run_fissioned(env, sub, target, fp, frame, test_units, dt),
+        Route::Speculate => {
             let arrays: Vec<Sym> = analysis.arrays.keys().copied().collect();
-            let (out, cost) =
-                crate::lrpd::lrpd_execute_impl(env, machine, sub, target, frame, &arrays)?;
+            let (out, cost) = crate::lrpd::lrpd_execute_impl(env, sub, target, frame, &arrays)?;
             return Ok(RunStats {
                 outcome: ExecOutcome::Speculated(out),
                 test_units,
                 loop_units: cost,
             });
         }
-        LoopClass::Fissioned { .. } => match fission_plan(env, analysis) {
-            Some(fp) => {
-                return run_fissioned(env, machine, sub, target, fp, frame, test_units, dt);
-            }
-            // Knob off at run time (or a plan-less class, which the
-            // analysis never produces): plain sequential execution.
-            None => (false, ExecOutcome::Sequential),
-        },
     };
 
-    if !parallel_ok {
-        // Sequential execution; reductions/privatization unnecessary.
-        let mut st = ExecState::default();
-        exec_stmt_seq(env, machine, sub, target, frame, &mut st)?;
-        return Ok(RunStats {
-            outcome: ExecOutcome::Sequential,
-            test_units,
-            loop_units: st.cost,
-        });
-    }
-
-    // Build per-array execution plans.
     let plans = build_exec_plans(env, analysis, &mut inputs);
-
     let mut st = ExecState::default();
-    let lo_v = machine.eval(sub, frame, lo, &mut st)?.as_i64();
-    let hi_v = machine.eval(sub, frame, hi, &mut st)?.as_i64();
     let shape = DoShape {
         var: *var,
-        lo: lo_v,
-        hi: hi_v,
+        lo: env.eval(sub, frame, lo, &mut st)?,
+        hi: env.eval(sub, frame, hi, &mut st)?,
         body,
     };
     let plan = BodyPlan {
@@ -515,7 +475,7 @@ fn run_loop_inner(
         civs: &analysis.civs,
         scalar_finals: &[],
     };
-    let loop_units = run_parallel_do(env, machine, sub, &shape, frame, &plan)?;
+    let loop_units = run_parallel_do(env, sub, &shape, frame, &plan)?;
     Ok(RunStats {
         outcome,
         test_units,
@@ -523,15 +483,22 @@ fn run_loop_inner(
     })
 }
 
-/// The analysis' fission plan, iff the session's fission knob is on.
-fn fission_plan<'a>(
+/// The loop executed sequentially; reductions and privatization are
+/// unnecessary.
+fn run_sequential(
     env: &ExecEnv<'_>,
-    analysis: &'a LoopAnalysis,
-) -> Option<&'a lip_analysis::FissionPlan> {
-    env.cache
-        .fission()
-        .then_some(analysis.fission.as_deref())
-        .flatten()
+    sub: &lip_ir::Subroutine,
+    target: &Stmt,
+    frame: &mut Store,
+    test_units: u64,
+) -> Result<RunStats, RunError> {
+    let mut st = ExecState::default();
+    exec_stmt_seq(env, sub, target, frame, &mut st)?;
+    Ok(RunStats {
+        outcome: ExecOutcome::Sequential,
+        test_units,
+        loop_units: st.cost,
+    })
 }
 
 /// Lowers the per-array analysis plans to execution modes against live
@@ -551,24 +518,15 @@ fn build_exec_plans(
             ArrayPlan::Privatized { last_value, .. } => {
                 ExecPlan::Private(matches!(last_value, LastValue::Static))
             }
-            ArrayPlan::Reduction { kind, op, cascade } => {
+            ArrayPlan::Reduction { op, cascade, .. } => {
                 // No cascade stored = statically independent; a passing
                 // cascade proves distinct iterations touch distinct
                 // elements. Either way direct shared updates are safe;
-                // otherwise buffer per thread and merge.
-                let _ = kind;
-                let direct = match cascade {
-                    Some(c) => {
-                        // Reduction cascades were never charged to
-                        // test_units (the plan decision is part of the
-                        // codegen template); the engine call keeps it
-                        // that way while sharing the compile cache.
-                        let (hit, _units) = cascade_test(env.cache, c, inputs, env.nthreads, None);
-                        hit.is_some()
-                    }
-                    None => true,
-                };
-                if direct {
+                // otherwise buffer per thread and merge. Reduction
+                // cascades were never charged to test_units (the plan
+                // decision is part of the codegen template).
+                let passes = |c| cascade_test(env, c, inputs, None).0.is_some();
+                if cascade.as_ref().is_none_or(passes) {
                     ExecPlan::Shared
                 } else {
                     ExecPlan::ReductionBuffer(*op)
@@ -592,10 +550,8 @@ fn build_exec_plans(
 /// unfissioned sequential run on the same state. Fragments never enter
 /// speculation: LRPD's misspeculation re-runs would break that
 /// determinism for no model payoff.
-#[allow(clippy::too_many_arguments)]
 fn run_fissioned(
     env: &ExecEnv<'_>,
-    machine: &Machine,
     sub: &lip_ir::Subroutine,
     target: &Stmt,
     plan: &lip_analysis::FissionPlan,
@@ -610,8 +566,8 @@ fn run_fissioned(
     // then its bounds, once.
     let mut st = ExecState::default();
     st.cost += 1;
-    let lo_v = machine.eval(sub, frame, lo, &mut st)?.as_i64();
-    let hi_v = machine.eval(sub, frame, hi, &mut st)?.as_i64();
+    let lo_v = env.eval(sub, frame, lo, &mut st)?;
+    let hi_v = env.eval(sub, frame, hi, &mut st)?;
     let mut loop_units = st.cost;
     let mut rescued_units = 0u64;
     let mut parallel = 0usize;
@@ -623,22 +579,12 @@ fn run_fissioned(
         };
         let tests_before = test_units;
         // CIV traces first: a fragment's cascade may reference them.
-        if !a.civs.is_empty() {
-            test_units += crate::civ::compute_civ_traces_impl(
-                env,
-                machine,
-                sub,
-                &frag.target,
-                &a.civs,
-                frame,
-                None,
-            )?;
-        }
+        test_units += crate::civ::loop_traces(env, sub, &frag.target, a, frame)?;
         // The fragment's own tests, against the store as the fragments
         // before it left it; stage reports only for the explain record.
-        let tracing = env.obs.trace_enabled();
+        let tracing = env.cache.obs.trace_enabled();
         let mut inputs = InputDigests::new(frame, &mut dt.keys);
-        let tests = fragment_tests(env.cache, a, &mut inputs, env.nthreads, tracing);
+        let tests = fragment_tests(env, a, &mut inputs, tracing);
         test_units += tests.units;
         let ran_parallel = tests.parallel && hi_v >= lo_v;
         let frag_units = if ran_parallel {
@@ -661,44 +607,28 @@ fn run_fissioned(
                 civs: &a.civs,
                 scalar_finals: &finals,
             };
-            let units = run_parallel_do(env, machine, sub, &shape, frame, &bp)?;
+            let units = run_parallel_do(env, sub, &shape, frame, &bp)?;
             rescued_units += units;
             loop_units += units;
             parallel += 1;
             units
         } else {
             let mut fst = ExecState::default();
-            run_seq_fragment(env, machine, sub, *var, lo_v, hi_v, fbody, frame, &mut fst)?;
+            run_seq_fragment(env, sub, *var, lo_v, hi_v, fbody, frame, &mut fst)?;
             loop_units += fst.cost;
             fst.cost
         };
         if tracing {
-            let flabel = match &frag.target {
-                Stmt::Do { label: Some(l), .. } => l.clone(),
-                _ => format!("fragment {}", dt.fragments.len()),
+            let (k, tested) = (dt.fragments.len(), test_units - tests_before);
+            let report = tests.report(frag, k, ran_parallel, frag_units, tested);
+            let how = if ran_parallel {
+                "parallel"
+            } else {
+                "sequential"
             };
-            env.obs.event("run.fragment", || {
-                format!(
-                    "{flabel}: {} ({frag_units} units)",
-                    if ran_parallel {
-                        "parallel"
-                    } else {
-                        "sequential"
-                    }
-                )
-            });
-            let (exact_test, exact_units, exact_memo_hit) = exact_report(tests.exact);
-            dt.fragments.push(FragmentReport {
-                label: flabel,
-                class: format!("{:?}", a.class),
-                parallel: ran_parallel,
-                units: frag_units,
-                test_units: test_units - tests_before,
-                stages: tests.stages,
-                exact_test,
-                exact_units,
-                exact_memo_hit,
-            });
+            let what = || format!("{}: {how} ({frag_units} units)", report.label);
+            env.cache.obs.event("run.fragment", what);
+            dt.fragments.push(report);
         }
     }
     // Sequential DO semantics leave the variable at its last value.
@@ -723,7 +653,6 @@ fn run_fissioned(
 #[allow(clippy::too_many_arguments)]
 fn run_seq_fragment(
     env: &ExecEnv<'_>,
-    machine: &Machine,
     sub: &lip_ir::Subroutine,
     var: Sym,
     lo: i64,
@@ -735,10 +664,10 @@ fn run_seq_fragment(
     if hi < lo {
         return Ok(());
     }
-    let cb = CompiledBody::new(env.cache, machine, sub, body, &[], &[var])?;
+    let cb = env.body(sub, body, &[], &[var])?;
     let mut f = cb.frame(frame);
-    let tracer = machine_tracer(machine);
-    cb.run_range(env, machine, &mut f, (var, lo, hi), st, tracer)?;
+    let slot = cb.chunk().scalar_slot(var).expect("interned");
+    cb.run(env, &mut f, Some((slot, lo, hi)), st, env.tracer())?;
     f.writeback_scalars(cb.chunk(), frame);
     Ok(())
 }
@@ -769,6 +698,14 @@ struct BodyPlan<'a> {
     scalar_finals: &'a [Sym],
 }
 
+/// The typed zero a reduction accumulator starts from.
+fn zero(ty: Ty) -> Value {
+    match ty {
+        Ty::Int => Value::Int(0),
+        Ty::Real => Value::Real(0.0),
+    }
+}
+
 /// A tracer recording written element indexes (dynamic last value).
 struct WriteSetTracer {
     interesting: HashSet<Sym>,
@@ -791,7 +728,6 @@ impl AccessTracer for WriteSetTracer {
 
 fn run_parallel_do(
     env: &ExecEnv<'_>,
-    machine: &Machine,
     sub: &lip_ir::Subroutine,
     shape: &DoShape<'_>,
     frame: &mut Store,
@@ -813,11 +749,13 @@ fn run_parallel_do(
     extra.extend(scalar_reds.iter().copied());
     extra.extend(civs.iter().map(|(s, _)| *s));
     extra.extend(scalar_finals.iter().copied());
-    let cb = CompiledBody::new(env.cache, machine, sub, body, &[], &extra)?;
-    let chunks = chunk_bounds(env.nthreads, lo, hi);
+    let cb = env.body(sub, body, &[], &extra)?;
+    let slot = cb.chunk().scalar_slot(var).expect("interned");
+    let chunks = chunk_bounds(env.cache.nthreads, lo, hi);
     let nchunks = chunks.len();
     let total_cost = Mutex::new(0u64);
 
+    #[derive(Default)]
     struct ChunkOut {
         idx: usize,
         red: Vec<(Sym, Arc<ArrayBuf>, BinOp)>,
@@ -834,116 +772,105 @@ fn run_parallel_do(
         .map(|(a, _)| *a)
         .collect();
 
-    let obs_opt = env.obs.enabled().then_some(env.obs);
-    parallel_chunks_obs(env.nthreads, lo, hi, obs_opt, |chunk_idx, c_lo, c_hi| {
-        let mut local = frame.clone();
-        let mut out = ChunkOut {
-            idx: chunk_idx,
-            red: Vec::new(),
-            privs: Vec::new(),
-            writes: HashMap::new(),
-            scalars: Vec::new(),
-            last_scalar_values: Vec::new(),
-        };
-        // Rebind privatized / reduction arrays.
-        for (arr, plan) in plans {
-            let Some(view) = frame.array(*arr) else {
-                continue;
+    let obs_opt = env.cache.obs.enabled().then_some(&env.cache.obs);
+    parallel_chunks_obs(
+        env.cache.nthreads,
+        lo,
+        hi,
+        obs_opt,
+        |chunk_idx, c_lo, c_hi| {
+            let mut local = frame.clone();
+            let mut out = ChunkOut {
+                idx: chunk_idx,
+                ..ChunkOut::default()
             };
-            match plan {
-                ExecPlan::Shared => {}
-                ExecPlan::Private(slv) => {
-                    // Copy-in.
-                    let buf = clone_buf(&view.buf);
-                    local.bind_array(
-                        *arr,
-                        ArrayView {
-                            buf: buf.clone(),
-                            offset: view.offset,
-                            extents: view.extents.clone(),
-                        },
-                    );
-                    out.privs.push((*arr, buf, *slv));
-                }
-                ExecPlan::ReductionBuffer(op) => {
-                    let buf = identity_buf(&view.buf, *op);
-                    local.bind_array(
-                        *arr,
-                        ArrayView {
-                            buf: buf.clone(),
-                            offset: view.offset,
-                            extents: view.extents.clone(),
-                        },
-                    );
-                    out.red.push((*arr, buf, *op));
+            // Rebind privatized (copied in) / reduction arrays.
+            for (arr, plan) in plans {
+                let Some(view) = frame.array(*arr) else {
+                    continue;
+                };
+                let buf = match plan {
+                    ExecPlan::Shared => continue,
+                    ExecPlan::Private(slv) => {
+                        let buf = clone_buf(&view.buf);
+                        out.privs.push((*arr, buf.clone(), *slv));
+                        buf
+                    }
+                    ExecPlan::ReductionBuffer(op) => {
+                        let buf = identity_buf(&view.buf, *op);
+                        out.red.push((*arr, buf.clone(), *op));
+                        buf
+                    }
+                };
+                let (offset, extents) = (view.offset, view.extents.clone());
+                local.bind_array(
+                    *arr,
+                    ArrayView {
+                        buf,
+                        offset,
+                        extents,
+                    },
+                );
+            }
+            // CIV-COMP: seed loop-carried scalars from their precomputed
+            // traces at the chunk's first iteration (the whole point of the
+            // slice precomputation — chunks become independent).
+            for (s, trace) in civs {
+                if let Some(view) = frame.array(*trace) {
+                    if let Some(v) = view.get_lin(c_lo) {
+                        local.set_scalar(*s, v);
+                    }
                 }
             }
-        }
-        // CIV-COMP: seed loop-carried scalars from their precomputed
-        // traces at the chunk's first iteration (the whole point of the
-        // slice precomputation — chunks become independent).
-        for (s, trace) in civs {
-            if let Some(view) = frame.array(*trace) {
-                if let Some(v) = view.get_lin(c_lo) {
-                    local.set_scalar(*s, v);
-                }
+            // Scalar reductions start from the identity.
+            for s in scalar_reds {
+                local.set_scalar(*s, zero(sub.ty_of(*s)));
             }
-        }
-        // Scalar reductions start from the identity.
-        for s in scalar_reds {
-            let ty = sub.ty_of(*s);
-            local.set_scalar(
-                *s,
-                match ty {
-                    Ty::Int => Value::Int(0),
-                    Ty::Real => Value::Real(0.0),
-                },
-            );
-        }
-        // Dynamic-last-value tracking needs write sets.
-        let tracer = (!dlv_arrays.is_empty()).then(|| WriteSetTracer {
-            interesting: dlv_arrays.clone(),
-            writes: Mutex::new(HashMap::new()),
-        });
-        let mut st = ExecState::default();
-        let dyn_tracer: Option<&dyn AccessTracer> = match &tracer {
-            Some(t) => Some(t),
-            None => machine_tracer(machine),
-        };
-        let mut f = cb.frame(&local);
-        cb.run_range(env, machine, &mut f, (var, c_lo, c_hi), &mut st, dyn_tracer)?;
-        f.writeback_scalars(cb.chunk(), &mut local);
-        if let Some(t) = tracer {
-            out.writes = t.writes.into_inner().unwrap();
-        }
-        for s in scalar_reds {
-            if let Some(v) = local.scalar(*s) {
-                out.scalars.push((*s, v));
+            // Dynamic-last-value tracking needs write sets.
+            let tracer = (!dlv_arrays.is_empty()).then(|| WriteSetTracer {
+                interesting: dlv_arrays.clone(),
+                writes: Mutex::new(HashMap::new()),
+            });
+            let mut st = ExecState::default();
+            let dyn_tracer: Option<&dyn AccessTracer> = match &tracer {
+                Some(t) => Some(t),
+                None => env.tracer(),
+            };
+            let mut f = cb.frame(&local);
+            cb.run(env, &mut f, Some((slot, c_lo, c_hi)), &mut st, dyn_tracer)?;
+            f.writeback_scalars(cb.chunk(), &mut local);
+            if let Some(t) = tracer {
+                out.writes = t.writes.into_inner().unwrap();
             }
-        }
-        // Live-out loop variable (sequential semantics: the interpreter
-        // leaves the variable at its last executed value). The last
-        // chunk ran its iterations in order ending at `hi`, so its
-        // private copies of the `scalar_finals` syms hold exactly the
-        // sequential-final values too — and so do its CIVs, seeded
-        // from their traces at the chunk's first iteration.
-        if chunk_idx == nchunks - 1 {
-            out.last_scalar_values.push((var, Value::Int(hi)));
-            for s in scalar_finals.iter().chain(civs.iter().map(|(s, _)| s)) {
+            for s in scalar_reds {
                 if let Some(v) = local.scalar(*s) {
-                    out.last_scalar_values.push((*s, v));
+                    out.scalars.push((*s, v));
                 }
             }
-        }
-        *total_cost.lock().unwrap() += st.cost;
-        outs.lock().unwrap().push(out);
-        Ok::<(), RunError>(())
-    })?;
+            // Live-out loop variable (sequential semantics: the interpreter
+            // leaves the variable at its last executed value). The last
+            // chunk ran its iterations in order ending at `hi`, so its
+            // private copies of the `scalar_finals` syms hold exactly the
+            // sequential-final values too — and so do its CIVs, seeded
+            // from their traces at the chunk's first iteration.
+            if chunk_idx == nchunks - 1 {
+                out.last_scalar_values.push((var, Value::Int(hi)));
+                for s in scalar_finals.iter().chain(civs.iter().map(|(s, _)| s)) {
+                    if let Some(v) = local.scalar(*s) {
+                        out.last_scalar_values.push((*s, v));
+                    }
+                }
+            }
+            *total_cost.lock().unwrap() += st.cost;
+            outs.lock().unwrap().push(out);
+            Ok::<(), RunError>(())
+        },
+    )?;
 
     // Merge phase (sequential, deterministic order): typed flat-slice
     // kernels from [`crate::merge`] — Int buffers merge in `i64`, Real
     // buffers in `f64`, never through a boxed round-trip.
-    let merge_start = env.obs.enabled().then(std::time::Instant::now);
+    let merge_start = env.cache.obs.enabled().then(std::time::Instant::now);
     let mut outs = outs.into_inner().unwrap();
     outs.sort_by_key(|o| o.idx);
     for out in &outs {
@@ -983,38 +910,19 @@ fn run_parallel_do(
     // `apply_bin`'s in-loop arithmetic).
     for s in scalar_reds {
         let ty = sub.ty_of(*s);
-        let init = frame.scalar(*s).unwrap_or(match ty {
-            Ty::Int => Value::Int(0),
-            Ty::Real => Value::Real(0.0),
-        });
+        let init = frame.scalar(*s).unwrap_or(zero(ty));
+        let deltas = outs.iter().flat_map(|o| &o.scalars).filter(|(t, _)| t == s);
         let v = match ty {
             Ty::Int => {
-                let mut acc = init.as_i64();
-                for out in &outs {
-                    for (t, v) in &out.scalars {
-                        if t == s {
-                            acc = acc.wrapping_add(v.as_i64());
-                        }
-                    }
-                }
-                Value::Int(acc)
+                Value::Int(deltas.fold(init.as_i64(), |a, (_, v)| a.wrapping_add(v.as_i64())))
             }
-            Ty::Real => {
-                let mut acc = init.as_f64();
-                for out in &outs {
-                    for (t, v) in &out.scalars {
-                        if t == s {
-                            acc += v.as_f64();
-                        }
-                    }
-                }
-                Value::Real(acc)
-            }
+            Ty::Real => Value::Real(deltas.fold(init.as_f64(), |a, (_, v)| a + v.as_f64())),
         };
         frame.set_scalar(*s, v);
     }
     if let Some(start) = merge_start {
-        env.obs
+        env.cache
+            .obs
             .record_ns("exec.merge_ns", start.elapsed().as_nanos() as u64);
     }
     Ok(total_cost.into_inner().unwrap())
@@ -1025,7 +933,7 @@ mod tests {
     use super::*;
     use crate::session::Session;
     use lip_analysis::{analyze_loop, AnalysisConfig};
-    use lip_ir::parse_program;
+    use lip_ir::{parse_program, Machine};
     use lip_symbolic::sym;
 
     fn full_setup(src: &str, label: &str) -> (Machine, lip_ir::Subroutine, Stmt, LoopAnalysis) {

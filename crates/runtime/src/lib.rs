@@ -6,9 +6,8 @@
 //! precomputes CIV traces via a loop slice ([`civ`]), then executes the
 //! iterations — in parallel over real threads ([`pool`]) with
 //! privatization, last-value restoration and reduction merging, falling
-//! back to LRPD thread-level speculation ([`lrpd`], whose shadow
-//! detector the [`inspector`]'s dry run shares) or sequential execution
-//! when every test fails.
+//! back to LRPD thread-level speculation ([`lrpd`]) or sequential
+//! execution when every test fails.
 //!
 //! The [`sim`] module provides the pieces of the deterministic cost
 //! model (virtual `P` processors over interpreter work units:
@@ -18,33 +17,31 @@
 //! count.
 //!
 //! All of it is driven through one configured entry point: a
-//! [`Session`] (see [`session`]) owns the pool width, the per-machine
-//! compile caches and the fission and observer knobs, and runs every
-//! loop as fused `lip_vm` bytecode with cascade predicates on the
-//! compiled `lip_pred` engine. Environment variables
-//! (`LIP_PRED_PAR_MIN`, `LIP_FISSION`, `LIP_OBS`) are read in exactly
-//! one place, [`SessionConfig::from_env`], with strict parsing.
+//! [`Session`] (see [`session`]) owns the pool width and the fission
+//! and observer knobs; [`Session::load`] gives a program its own
+//! compile cache ([`Loaded`]) and [`Loaded::prepare`] resolves a loop
+//! once ([`LoopHandle`]), which runs as fused `lip_vm` bytecode with
+//! cascade predicates on the compiled `lip_pred` engine. Environment
+//! variables (`LIP_PRED_PAR_MIN`, `LIP_FISSION`, `LIP_OBS`) are read in
+//! exactly one place, [`SessionConfig::from_env`], with strict parsing.
 
-pub mod backend;
-pub mod cache;
+mod backend;
+mod cache;
 pub mod civ;
 pub mod digest;
 pub mod exec;
-pub mod inspector;
+mod loaded;
 pub mod lrpd;
 pub mod merge;
 pub mod pool;
 pub mod session;
 pub mod sim;
 
-pub use cache::{store_fingerprint, MachineCache};
+pub use cache::store_fingerprint;
 pub use civ::extract_slice;
 pub use digest::{InputDigests, KeyCost};
-pub use exec::{
-    cascade_test, exact_report, exact_test, fragment_tests, ExecOutcome, ExecPlan, FragmentTests,
-    RunStats, TEST_BUDGET,
-};
-pub use inspector::{inspect, InspectVerdict};
+pub use exec::{exact_report, ExecOutcome, FragmentTests, RunStats, TEST_BUDGET};
+pub use loaded::{Loaded, LoopHandle};
 pub use lrpd::LrpdOutcome;
 pub use merge::{clone_buf, copy_back, identity_buf, merge_into};
 pub use pool::parallel_chunks;

@@ -1,100 +1,126 @@
 //! LRPD-style thread-level speculation (the paper's last-resort test,
 //! citing Rauchwerger & Padua \[25\]).
 //!
-//! The loop runs speculatively in parallel while *shadow arrays* record,
-//! per element, which iteration last wrote it and whether any other
-//! iteration read it. A cross-iteration conflict (write/write or
-//! read-write between distinct iterations) marks the speculation failed;
-//! the arrays are then restored from a backup and the loop re-runs
-//! sequentially.
+//! The loop runs speculatively in parallel while *shadow arrays* mark,
+//! per element, the last iteration that wrote it and the least and the
+//! greatest that read it. An element written by one iteration and read
+//! by another (its reader witnesses are not both the writer), or written
+//! by two (the second swap of the writer sees the first: swaps of one
+//! element are totally ordered), is a cross-iteration dependence: the
+//! arrays are restored from a backup and the loop re-runs sequentially.
+//! The verdict is a scan of the shadows *after the join*, which orders
+//! every mark before it, so no interleaving can hide a conflict; what
+//! the marks notice on the fly only lets chunks stop early.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
 
-use lip_ir::{AccessTracer, ExecState, Machine, RunError, Stmt, Store, Subroutine, Value};
+use lip_ir::{AccessTracer, ArrayView, ExecState, RunError, Stmt, Store, Subroutine, Value};
 use lip_symbolic::Sym;
 use std::sync::Mutex;
 
-use crate::backend::{exec_stmt_seq, CompiledBody, ExecEnv};
+use crate::backend::{exec_stmt_seq, ExecEnv};
+use crate::merge::clone_buf;
 use crate::pool::parallel_chunks;
 
-/// Per-array shadow state.
+/// No writer / no reader yet: iterations are ordinals from 0.
+const NONE: i64 = -1;
+
+/// Per-array shadow state, per element: the last writing iteration
+/// (swapped in) and the least and greatest reading one.
 struct Shadow {
-    /// Last writing iteration per element (-1 = none).
     writer: Vec<AtomicI64>,
-    /// Any reading iteration per element (-1 = none; only one witness is
-    /// needed to detect a cross-iteration read/write pair).
-    reader: Vec<AtomicI64>,
+    min_reader: Vec<AtomicI64>,
+    max_reader: Vec<AtomicI64>,
 }
 
-/// The shadow detector both reference-proportional tests share (LRPD
-/// here, the dry run in [`crate::inspector`]): per-element shadows for
-/// the monitored arrays plus the conflict flag.
-pub(crate) struct SpecState {
+impl Shadow {
+    /// Whether element `k` was read by an iteration other than `iter`.
+    fn read_by_other(&self, k: usize, iter: i64) -> bool {
+        let hi = self.max_reader[k].load(Ordering::Relaxed);
+        hi != NONE && (hi != iter || self.min_reader[k].load(Ordering::Relaxed) != iter)
+    }
+}
+
+/// The shadow detector of LRPD and the inspector's [`dry_run`]: the
+/// monitored arrays' shadows, and whether a mark noticed a conflict on
+/// the fly — a sure one, not every one: it stops chunks early and holds
+/// the write/write conflicts.
+struct SpecState {
     shadows: HashMap<Sym, Shadow>,
-    conflict: AtomicBool,
+    noticed: AtomicBool,
 }
 
 impl SpecState {
     /// Clean shadows for every one of `arrays` that `frame` binds.
-    pub(crate) fn new(frame: &Store, arrays: &[Sym]) -> Arc<SpecState> {
-        let fresh = |len: usize| (0..len).map(|_| AtomicI64::new(-1)).collect();
-        let shadows = arrays
-            .iter()
-            .filter_map(|a| {
-                let len = frame.array(*a)?.buf.len();
-                let shadow = Shadow {
-                    writer: fresh(len),
-                    reader: fresh(len),
-                };
-                Some((*a, shadow))
+    fn new(frame: &Store, arrays: &[Sym]) -> SpecState {
+        let fill = |len: usize, v: i64| (0..len).map(|_| AtomicI64::new(v)).collect();
+        let shadows = arrays.iter().filter_map(|a| {
+            let len = frame.array(*a)?.buf.len();
+            let shadow = Shadow {
+                writer: fill(len, NONE),
+                min_reader: fill(len, i64::MAX),
+                max_reader: fill(len, NONE),
+            };
+            Some((*a, shadow))
+        });
+        SpecState {
+            shadows: shadows.collect(),
+            noticed: AtomicBool::new(false),
+        }
+    }
+
+    fn noticed(&self) -> bool {
+        self.noticed.load(Ordering::Relaxed)
+    }
+
+    /// The verdict, once every mark happened before this call (after
+    /// the join): whether two distinct iterations touched one element,
+    /// one of them writing.
+    fn conflict(&self) -> bool {
+        self.noticed()
+            || self.shadows.values().any(|sh| {
+                let writers = sh.writer.iter().map(|w| w.load(Ordering::Relaxed));
+                (writers.enumerate()).any(|(k, w)| w != NONE && sh.read_by_other(k, w))
             })
-            .collect();
-        Arc::new(SpecState {
-            shadows,
-            conflict: AtomicBool::new(false),
-        })
-    }
-
-    /// Whether any two distinct iterations touched one element, one of
-    /// them writing.
-    pub(crate) fn conflict(&self) -> bool {
-        self.conflict.load(Ordering::Relaxed)
     }
 }
 
-/// The tracer bound to one iteration.
-pub(crate) struct IterTracer {
-    pub(crate) state: Arc<SpecState>,
-    pub(crate) iter: i64,
+/// The tracer bound to one iteration (its ordinal).
+struct IterTracer<'s> {
+    state: &'s SpecState,
+    iter: i64,
 }
 
-impl AccessTracer for IterTracer {
+impl IterTracer<'_> {
+    fn shadow(&self, arr: Sym, idx: usize) -> Option<&Shadow> {
+        self.state
+            .shadows
+            .get(&arr)
+            .filter(|sh| idx < sh.writer.len())
+    }
+}
+
+impl AccessTracer for IterTracer<'_> {
     fn read(&self, arr: Sym, idx: usize) {
-        let Some(sh) = self.state.shadows.get(&arr) else {
+        let Some(sh) = self.shadow(arr, idx) else {
             return;
         };
-        let Some(w) = sh.writer.get(idx) else { return };
-        let prev_writer = w.load(Ordering::Relaxed);
-        if prev_writer >= 0 && prev_writer != self.iter {
-            self.state.conflict.store(true, Ordering::Relaxed);
+        sh.min_reader[idx].fetch_min(self.iter, Ordering::Relaxed);
+        sh.max_reader[idx].fetch_max(self.iter, Ordering::Relaxed);
+        let w = sh.writer[idx].load(Ordering::Relaxed);
+        if w != NONE && w != self.iter {
+            self.state.noticed.store(true, Ordering::Relaxed);
         }
-        sh.reader[idx].store(self.iter, Ordering::Relaxed);
     }
 
     fn write(&self, arr: Sym, idx: usize) {
-        let Some(sh) = self.state.shadows.get(&arr) else {
+        let Some(sh) = self.shadow(arr, idx) else {
             return;
         };
-        let Some(w) = sh.writer.get(idx) else { return };
-        let prev_writer = w.swap(self.iter, Ordering::Relaxed);
-        if prev_writer >= 0 && prev_writer != self.iter {
-            self.state.conflict.store(true, Ordering::Relaxed);
-        }
-        let r = sh.reader[idx].load(Ordering::Relaxed);
-        if r >= 0 && r != self.iter {
-            self.state.conflict.store(true, Ordering::Relaxed);
+        let prev = sh.writer[idx].swap(self.iter, Ordering::Relaxed);
+        if (prev != NONE && prev != self.iter) || sh.read_by_other(idx, self.iter) {
+            self.state.noticed.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -109,101 +135,151 @@ pub enum LrpdOutcome {
     Aborted,
 }
 
-/// The speculation driver behind [`crate::Session::lrpd_execute`]:
-/// both the speculative parallel run and the sequential recovery
-/// execute compiled bytecode, with the shadow-array instrumentation on
-/// the per-iteration access stream. The body compiles at most once per
-/// machine (the session's [`crate::cache::MachineCache`]), so repeated
-/// speculation on the same loop skips straight to execution.
+/// The speculation driver: [`speculate`] on the shared arrays, restored
+/// from a backup and re-run sequentially on conflict. A step other than
+/// 1 runs sequentially instead (and trivially commits).
 pub(crate) fn lrpd_execute_impl(
     env: &ExecEnv<'_>,
-    machine: &Machine,
     sub: &Subroutine,
     target: &Stmt,
     frame: &Store,
     arrays: &[Sym],
 ) -> Result<(LrpdOutcome, u64), RunError> {
+    let mut state = ExecState::default();
+    if let Stmt::Do { step: Some(e), .. } = target {
+        if env.eval(sub, frame, e, &mut state)? != 1 {
+            let mut st = ExecState::default();
+            exec_stmt_seq(env, sub, target, &mut frame.clone(), &mut st)?;
+            return Ok((LrpdOutcome::Committed, state.cost + st.cost));
+        }
+    }
+    let backups: Vec<(Sym, Vec<Value>)> = arrays
+        .iter()
+        .filter_map(|a| Some((*a, frame.array(*a)?.buf.snapshot())))
+        .collect();
+    let (conflict, cost) = speculate(env, sub, target, frame, arrays, state)?;
+    if !conflict {
+        return Ok((LrpdOutcome::Committed, cost));
+    }
+    for (a, snap) in &backups {
+        if let Some(view) = frame.array(*a) {
+            view.buf.restore(snap);
+        }
+    }
+    let mut st = ExecState::default();
+    exec_stmt_seq(env, sub, target, &mut frame.clone(), &mut st)?;
+    Ok((LrpdOutcome::Aborted, cost + st.cost))
+}
+
+/// The inspector's dry run (paper §1, citing Rauchwerger, Amato &
+/// Padua \[26\]): [`speculate`] on disposable copies of `arrays`,
+/// `frame` untouched. Whether it found a conflict, and the units.
+pub(crate) fn dry_run(
+    env: &ExecEnv<'_>,
+    sub: &Subroutine,
+    target: &Stmt,
+    frame: &Store,
+    arrays: &[Sym],
+) -> Result<(bool, u64), RunError> {
+    let mut scratch = frame.clone();
+    for (a, view) in frame.arrays().filter(|(a, _)| arrays.contains(a)) {
+        let buf = clone_buf(&view.buf);
+        scratch.bind_array(
+            a,
+            ArrayView {
+                buf,
+                ..view.clone()
+            },
+        );
+    }
+    speculate(env, sub, target, &scratch, arrays, ExecState::default())
+}
+
+/// Runs the DO loop `target` in parallel on `frame`, marking `arrays`'
+/// shadows (the bounds charged to `state`): the verdict and the units.
+fn speculate(
+    env: &ExecEnv<'_>,
+    sub: &Subroutine,
+    target: &Stmt,
+    frame: &Store,
+    arrays: &[Sym],
+    mut state: ExecState,
+) -> Result<(bool, u64), RunError> {
     let Stmt::Do {
-        var,
-        lo,
-        hi,
-        step,
-        body,
-        ..
+        var, lo, hi, body, ..
     } = target
     else {
         return Err(RunError::Unsupported(lip_symbolic::sym(
             "LRPD speculation takes a DO loop",
         )));
     };
-    let mut state = ExecState::default();
-    // The chunked speculative driver assumes a unit-stride iteration
-    // space; any other step executes sequentially instead (correct by
-    // construction, so the "speculation" trivially commits).
-    if let Some(e) = step {
-        if machine.eval(sub, frame, e, &mut state)?.as_i64() != 1 {
-            let mut seq_frame = frame.clone();
-            let mut st = ExecState::default();
-            exec_stmt_seq(env, machine, sub, target, &mut seq_frame, &mut st)?;
-            return Ok((LrpdOutcome::Committed, state.cost + st.cost));
-        }
-    }
-    let cb = CompiledBody::new(env.cache, machine, sub, body, &[], &[*var])?;
-    let lo_v = machine.eval(sub, frame, lo, &mut state)?.as_i64();
-    let hi_v = machine.eval(sub, frame, hi, &mut state)?.as_i64();
-
-    // Backup + shadow allocation.
-    let backups: Vec<(Sym, Vec<Value>)> = arrays
-        .iter()
-        .filter_map(|a| Some((*a, frame.array(*a)?.buf.snapshot())))
-        .collect();
+    let cb = env.body(sub, body, &[], &[*var])?;
+    let lo_v = env.eval(sub, frame, lo, &mut state)?;
+    let hi_v = env.eval(sub, frame, hi, &mut state)?;
     let spec = SpecState::new(frame, arrays);
-
-    // Speculative parallel execution.
     let var_slot = cb.chunk().scalar_slot(*var).expect("interned");
     let cost = Mutex::new(state.cost);
-    parallel_chunks(env.nthreads, lo_v, hi_v, |_, c_lo, c_hi| {
+    parallel_chunks(env.cache.nthreads, lo_v, hi_v, |_, c_lo, c_hi| {
         let mut st = ExecState::default();
         let mut f = cb.frame(frame);
         for i in c_lo..=c_hi {
-            if spec.conflict() {
+            if spec.noticed() {
                 break;
             }
             let tracer = IterTracer {
-                state: spec.clone(),
-                iter: i,
+                state: &spec,
+                iter: i.wrapping_sub(lo_v),
             };
             f.set_scalar(var_slot, Value::Int(i));
-            cb.vm(machine)
+            cb.vm(env)
                 .run_block(cb.block, &mut f, &mut st, Some(&tracer))?;
         }
         *cost.lock().unwrap() += st.cost;
         Ok::<(), RunError>(())
     })?;
-    let mut total_cost = cost.into_inner().unwrap();
-
-    if spec.conflict() {
-        // Restore and re-run sequentially.
-        for (a, snap) in &backups {
-            if let Some(view) = frame.array(*a) {
-                view.buf.restore(snap);
-            }
-        }
-        let mut seq_frame = frame.clone();
-        let mut st = ExecState::default();
-        exec_stmt_seq(env, machine, sub, target, &mut seq_frame, &mut st)?;
-        total_cost += st.cost;
-        return Ok((LrpdOutcome::Aborted, total_cost));
-    }
-    Ok((LrpdOutcome::Committed, total_cost))
+    Ok((spec.conflict(), cost.into_inner().unwrap()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::Session;
-    use lip_ir::parse_program;
+    use lip_ir::{parse_program, Machine};
     use lip_symbolic::sym;
+
+    /// The order the on-the-fly detector missed: a later iteration
+    /// reads the element, then the writer reads it and writes it. The
+    /// writer's own read hides the first reader from a one-witness
+    /// shadow; the least / greatest witnesses keep both, and the scan
+    /// after the join finds them.
+    #[test]
+    fn a_read_before_the_writers_own_read_is_a_conflict() {
+        let mut frame = Store::new();
+        frame.alloc_real(sym("A"), 4);
+        let spec = SpecState::new(&frame, &[sym("A")]);
+        let later = IterTracer {
+            state: &spec,
+            iter: 32,
+        };
+        let writer = IterTracer {
+            state: &spec,
+            iter: 0,
+        };
+        later.read(sym("A"), 0);
+        writer.read(sym("A"), 0);
+        writer.write(sym("A"), 0);
+        assert!(spec.conflict(), "iteration 32 read what iteration 0 wrote");
+        // An element only its writer touches is no conflict.
+        let spec = SpecState::new(&frame, &[sym("A")]);
+        let own = IterTracer {
+            state: &spec,
+            iter: 5,
+        };
+        own.read(sym("A"), 1);
+        own.write(sym("A"), 1);
+        own.read(sym("A"), 1);
+        assert!(!spec.conflict());
+    }
 
     fn session2() -> Session {
         Session::builder().nthreads(2).build()

@@ -1,49 +1,62 @@
 //! `Session` — the one configured entry point to the runtime.
 //!
 //! The paper's pipeline (analyze → cascade predicates → parallel
-//! execute → measure) is exposed as methods on a [`Session`]: a
-//! builder owns **all** configuration ([`SessionConfig`]: pool width,
-//! predicate fork threshold, fission, observer, analysis options) plus
-//! the shared mutable state — the per-machine compile caches and the
-//! [`lip_pred::PredEngine`] with its verdict memo.
+//! execute → measure) runs through a [`Session`], whose builder owns
+//! **all** configuration ([`SessionConfig`]: pool width, predicate fork
+//! threshold, fission, observer, analysis options). `Session::load`
+//! gives a program its compile cache and [`crate::Loaded::prepare`]
+//! resolves a loop once, so every later run pays only test and
+//! execution:
+//!
+//! ```
+//! use lip_runtime::{ExecOutcome, Session};
+//! use lip_symbolic::sym;
+//!
+//! let prog = lip_ir::parse_program(
+//!     "SUBROUTINE kernel(A, N, M)
+//!        DIMENSION A(*)
+//!        INTEGER i, N, M
+//!        DO main_loop i = 1, N
+//!          A(i) = A(i + M) + 1.0
+//!        ENDDO
+//!      END",
+//! );
+//! let session = Session::builder().nthreads(2).build();
+//! let main_loop = session.load(prog.unwrap()).prepare(sym("kernel"), "main_loop").unwrap();
+//!
+//! let mut frame = lip_ir::Store::new();
+//! frame.set_int(sym("N"), 1000).set_int(sym("M"), 1000);
+//! frame.alloc_real(sym("A"), 2000);
+//! // Independent iff M >= N: an O(1) test passes, the loop runs parallel.
+//! let stats = main_loop.run(&mut frame)?;
+//! assert!(matches!(stats.outcome, ExecOutcome::PredicatePassed { .. }));
+//! # Ok::<(), lip_ir::RunError>(())
+//! ```
 //!
 //! There is one execution path: loops run as fused `lip_vm` bytecode,
 //! cascade predicates on the compiled `lip_pred` engine. The
 //! tree-walking `lip_ir::Machine` and `Pdag::eval` are what the
 //! differential suites compare a session against, not configuration.
 //!
-//! Two sessions are fully isolated: each owns its own cache registry,
-//! so two callers in one process can run differently configured
-//! sessions concurrently and still produce bit-identical tables
-//! (verdicts and charged work units never depend on the configuration,
-//! only wall-clock does).
+//! Two sessions are fully isolated: each load owns its own caches, so
+//! two callers in one process can run differently configured sessions
+//! concurrently and still produce bit-identical tables (verdicts and
+//! charged work units never depend on the configuration, only
+//! wall-clock does).
 //!
 //! Environment variables remain supported, but they are read in
 //! exactly one place — [`SessionConfig::from_env`] — with *strict*
 //! parsing: `LIP_FISSION=maybe` is a [`ConfigError`], never a silent
 //! fallback to the default.
-//!
-//! ```
-//! use lip_runtime::Session;
-//!
-//! let session = Session::builder()
-//!     .nthreads(8)
-//!     .par_min(1024)
-//!     .build();
-//! assert_eq!(session.config().nthreads, 8);
-//! ```
 
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use lip_analysis::{analyze_loop, AnalysisConfig, LoopAnalysis};
-use lip_ir::{Machine, Program, RunError, Stmt, Store, Subroutine};
+use lip_ir::Program;
 use lip_obs::{LoopDecision, MetricsSnapshot, Obs, ObsLevel, TraceEvent};
 use lip_symbolic::Sym;
 
-use crate::backend::ExecEnv;
-use crate::cache::MachineCache;
-use crate::exec::RunStats;
-use crate::lrpd::LrpdOutcome;
+use crate::cache::ProgramCache;
 
 /// All configuration a [`Session`] owns. Construct via
 /// [`Session::builder`], [`SessionConfig::default`] or
@@ -57,8 +70,8 @@ pub struct SessionConfig {
     /// stages fork across the pool (`LIP_PRED_PAR_MIN`; must be ≥ 1).
     pub par_min: i64,
     /// Loop-fission rescue pass (`LIP_FISSION`; default on). Governs
-    /// both sides of the seam: [`Session::analyze`] plans distribution
-    /// for cascade-fail loops, and [`Session::run_loop`] honors those
+    /// both sides of the seam: analysis plans distribution for
+    /// cascade-fail loops, and [`crate::LoopHandle::run`] honors those
     /// plans. Off = classic whole-loop behavior (the ablation leg).
     pub fission: bool,
     /// Observability level (`LIP_OBS`; default off). `metrics` turns
@@ -70,9 +83,8 @@ pub struct SessionConfig {
     /// on the level.
     pub obs: ObsLevel,
     /// Static-analysis options ([`lip_analysis::AnalysisConfig`],
-    /// folded in so `Session::analyze` needs no extra argument; its
-    /// own `fission` flag is overridden by the session-level knob
-    /// above).
+    /// folded in so analysis needs no extra argument; its own
+    /// `fission` flag is overridden by the session-level knob above).
     pub analysis: AnalysisConfig,
 }
 
@@ -233,9 +245,9 @@ impl SessionBuilder {
     }
 
     /// Loop-fission rescue pass on/off (default on). Governs both
-    /// [`Session::analyze`] (whether distribution plans are built for
-    /// cascade-fail loops) and [`Session::run_loop`] (whether carried
-    /// plans are honored). Environment equivalent: `LIP_FISSION`.
+    /// analysis (whether distribution plans are built for cascade-fail
+    /// loops) and [`crate::LoopHandle::run`] (whether carried plans are
+    /// honored). Environment equivalent: `LIP_FISSION`.
     #[must_use]
     pub fn fission(mut self, fission: bool) -> SessionBuilder {
         self.cfg.fission = fission;
@@ -253,7 +265,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Static-analysis options used by [`Session::analyze`].
+    /// Static-analysis options used by [`crate::Loaded::prepare`] and
+    /// [`Session::analyze`].
     #[must_use]
     pub fn analysis(mut self, analysis: AnalysisConfig) -> SessionBuilder {
         self.cfg.analysis = analysis;
@@ -273,7 +286,7 @@ impl SessionBuilder {
         Session {
             obs: Obs::with_level(self.cfg.obs),
             cfg: self.cfg,
-            caches: Mutex::new(Vec::new()),
+            compat: Mutex::new(Vec::new()),
         }
     }
 }
@@ -282,20 +295,20 @@ impl SessionBuilder {
 /// executing and measuring loops. See the [module docs](self) for the
 /// design rationale.
 ///
-/// The session owns the per-machine compile caches (bytecode programs,
-/// lowered blocks, compiled predicates, verdict memos) and the
-/// configuration of the fork-join pool, so repeated invocations skip
-/// straight to execution (the warm path whose saving `bench_e2e`
+/// Each [`crate::Loaded`] program it hands out owns its compile cache
+/// (bytecode programs, lowered blocks, compiled predicates, verdict
+/// memos) under the session's configuration, so repeated invocations
+/// skip straight to execution (the warm path whose saving `bench_e2e`
 /// reports as `runtime.cache_cold_us`).
 pub struct Session {
     cfg: SessionConfig,
     /// The session-wide observability handle: metrics registry, trace
     /// recorder and per-loop decision store, shared (cloned) into every
-    /// cache and execution environment this session creates.
+    /// cache this session creates.
     obs: Obs,
-    /// Per-program caches, keyed by program-handle identity; weak so
-    /// caches die with their programs.
-    caches: Mutex<Vec<(Weak<Program>, Arc<MachineCache>)>>,
+    /// Where the [`compat`] wrappers find a machine's cache: keyed by
+    /// program-handle identity, weak so caches die with their programs.
+    compat: Mutex<Vec<(Weak<Program>, Arc<ProgramCache>)>>,
 }
 
 impl Default for Session {
@@ -327,38 +340,13 @@ impl Session {
         &self.cfg
     }
 
-    /// The compilation/predicate cache for `machine`'s program within
-    /// this session, created on first use. Machines cloned from one
-    /// another (tracer-instrumented copies) share one cache; distinct
-    /// programs — and distinct sessions — never collide.
-    pub fn cache(&self, machine: &Machine) -> Arc<MachineCache> {
-        let handle = machine.program_handle();
-        let mut reg = self.caches.lock().expect("session cache lock");
-        reg.retain(|(w, _)| w.strong_count() > 0);
-        for (w, cache) in reg.iter() {
-            if let Some(p) = w.upgrade() {
-                if Arc::ptr_eq(&p, &handle) {
-                    return cache.clone();
-                }
-            }
-        }
-        let cache = Arc::new(MachineCache::new(
-            self.cfg.par_min,
-            self.cfg.fission,
-            self.obs.clone(),
-        ));
-        reg.push((Arc::downgrade(&handle), cache.clone()));
-        cache
-    }
-
-    /// The execution environment threaded through the internal drivers
-    /// (cache, pool width, observer).
-    pub(crate) fn exec_env<'a>(&'a self, cache: &'a MachineCache, nthreads: usize) -> ExecEnv<'a> {
-        ExecEnv {
-            cache,
-            nthreads: nthreads.max(1),
-            obs: &self.obs,
-        }
+    /// The analysis options with the session's fission knob and
+    /// observer folded in.
+    pub(crate) fn analysis_config(&self) -> AnalysisConfig {
+        let mut cfg = self.cfg.analysis.clone();
+        cfg.fission = self.cfg.fission;
+        cfg.obs = self.obs.clone();
+        cfg
     }
 
     /// The session's observability handle (counters, spans, recorded
@@ -400,7 +388,7 @@ impl Session {
     }
 
     /// The recorded decision for the loop labelled (or kernel named)
-    /// `label`, if [`Session::run_loop`] analyzed-and-ran it at
+    /// `label`, if a [`crate::LoopHandle::run`] ran it at
     /// [`ObsLevel::Trace`] (decision records are a trace-level
     /// instrument — they allocate per loop run).
     pub fn explain_decision(&self, label: &str) -> Option<LoopDecision> {
@@ -422,129 +410,34 @@ impl Session {
     /// cascade construction). Returns `None` when the loop cannot be
     /// found.
     pub fn analyze(&self, prog: &Program, sub_name: Sym, label: &str) -> Option<LoopAnalysis> {
-        let mut cfg = self.cfg.analysis.clone();
-        cfg.fission = self.cfg.fission;
-        cfg.obs = self.obs.clone();
-        analyze_loop(prog, sub_name, label, &cfg)
-    }
-
-    /// Runs the analyzed loop against `frame`: CIV traces, predicate
-    /// cascade, then parallel / speculative / sequential execution —
-    /// all under this session's configuration (paper §5).
-    ///
-    /// # Errors
-    ///
-    /// Propagates VM failures, [`RunError::Unsupported`] included.
-    pub fn run_loop(
-        &self,
-        machine: &Machine,
-        sub: &Subroutine,
-        target: &Stmt,
-        analysis: &LoopAnalysis,
-        frame: &mut Store,
-    ) -> Result<RunStats, RunError> {
-        let cache = self.cache(machine);
-        crate::exec::run_loop_impl(
-            &self.exec_env(&cache, self.cfg.nthreads),
-            machine,
-            sub,
-            target,
-            analysis,
-            frame,
-        )
-    }
-
-    /// Materializes CIV traces by running the loop slice (CIV-COMP,
-    /// paper §3.3). Returns the slice's
-    /// work-unit cost; traces are bound into `frame` under the trace
-    /// array names, and `niters_sym` (for while loops) receives the
-    /// trip count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates VM failures from the slice execution
-    /// ([`RunError::Unsupported`] for a program beyond the VM's limits).
-    pub fn civ_traces(
-        &self,
-        machine: &Machine,
-        sub: &Subroutine,
-        target: &Stmt,
-        civs: &[(Sym, Sym)],
-        frame: &mut Store,
-        niters_sym: Option<Sym>,
-    ) -> Result<u64, RunError> {
-        let cache = self.cache(machine);
-        crate::civ::compute_civ_traces_impl(
-            &self.exec_env(&cache, self.cfg.nthreads),
-            machine,
-            sub,
-            target,
-            civs,
-            frame,
-            niters_sym,
-        )
-    }
-
-    /// Speculatively executes the DO loop in parallel under LRPD
-    /// shadow monitoring, restoring and re-running sequentially on
-    /// conflict. Returns the outcome and accumulated work units.
-    ///
-    /// # Errors
-    ///
-    /// Propagates VM errors from either run; [`RunError::Unsupported`]
-    /// for a non-`DO` target or a program beyond the VM's limits.
-    pub fn lrpd_execute(
-        &self,
-        machine: &Machine,
-        sub: &Subroutine,
-        target: &Stmt,
-        frame: &Store,
-        arrays: &[Sym],
-    ) -> Result<(LrpdOutcome, u64), RunError> {
-        let cache = self.cache(machine);
-        crate::lrpd::lrpd_execute_impl(
-            &self.exec_env(&cache, self.cfg.nthreads),
-            machine,
-            sub,
-            target,
-            frame,
-            arrays,
-        )
-    }
-
-    /// Executes the loop once sequentially (mutating `frame`) and
-    /// returns the per-iteration work-unit costs — the raw material
-    /// for makespans at any processor count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates VM failures, [`RunError::Unsupported`] included.
-    pub fn per_iteration_costs(
-        &self,
-        machine: &Machine,
-        sub: &Subroutine,
-        target: &Stmt,
-        frame: &mut Store,
-    ) -> Result<Vec<u64>, RunError> {
-        let cache = self.cache(machine);
-        crate::sim::per_iteration_costs_impl(
-            &self.exec_env(&cache, self.cfg.nthreads),
-            machine,
-            sub,
-            target,
-            frame,
-        )
+        analyze_loop(prog, sub_name, label, &self.analysis_config())
     }
 }
 
 /// Names `bench_e2e/src/adapter.rs` still spells out, kept only until
-/// a `benchmark` PR (the only kind that may edit that file) drops them:
-/// three one-value enums and three builder calls that change nothing —
-/// a session has no engine to select. Nothing else in the workspace
-/// uses them; they go together with the `backend`/`opt`/`pred` wire
-/// arms of `lip_serve::config::session_config_from_pairs`.
+/// a `benchmark` PR (the only kind that may edit that file) drops them
+/// with their callers — ROADMAP item 2's queue, entries (1) and (6):
+///
+/// 1. three one-value enums and three builder calls that change nothing
+///    (a session has no engine to select), with the `backend` / `opt` /
+///    `pred` wire arms of `lip_serve::config::session_config_from_pairs`;
+/// 6. the `Machine`-taking `Session::{run_loop, civ_traces,
+///    lrpd_execute}` and [`crate::inspect`]: second entry points into
+///    the drivers a [`crate::LoopHandle`] runs, never second drivers,
+///    that find the machine's program's cache in the session's
+///    weak-handle registry (a mutex and a scan per call).
 pub mod compat {
-    use super::SessionBuilder;
+    use std::sync::Arc;
+
+    use lip_analysis::LoopAnalysis;
+    use lip_ir::{ExecState, Machine, RunError, Stmt, Store, Subroutine};
+    use lip_symbolic::Sym;
+
+    use super::{Session, SessionBuilder};
+    use crate::backend::ExecEnv;
+    use crate::cache::ProgramCache;
+    use crate::exec::RunStats;
+    use crate::lrpd::LrpdOutcome;
 
     /// The execution engine: fused `lip_vm` bytecode.
     #[derive(Copy, Clone, Debug)]
@@ -567,6 +460,41 @@ pub mod compat {
         Compiled,
     }
 
+    /// The verdict of the inspector's dry run.
+    #[derive(Copy, Clone, PartialEq, Eq, Debug)]
+    pub enum InspectVerdict {
+        /// No cross-iteration conflicts: the loop may run in parallel.
+        Independent,
+        /// Conflicts observed: run sequentially.
+        Dependent,
+    }
+
+    /// LRPD's marking run of the DO loop `target` on one chunk and on
+    /// disposable copies of `arrays` (`frame` untouched): the verdict and
+    /// the work units. The program compiles per call.
+    ///
+    /// # Errors
+    ///
+    /// VM failures; [`RunError::Unsupported`] for a non-`DO` target.
+    pub fn inspect(
+        machine: &Machine,
+        sub: &Subroutine,
+        target: &Stmt,
+        frame: &Store,
+        arrays: &[Sym],
+    ) -> Result<(InspectVerdict, u64), RunError> {
+        let one_chunk = Session::builder().nthreads(1).build();
+        let (conflict, units) = one_chunk.compat_env(machine, |env| {
+            crate::lrpd::dry_run(env, sub, target, frame, arrays)
+        })?;
+        let verdict = if conflict {
+            InspectVerdict::Dependent
+        } else {
+            InspectVerdict::Independent
+        };
+        Ok((verdict, units))
+    }
+
     impl SessionBuilder {
         /// No effect.
         #[must_use]
@@ -586,11 +514,100 @@ pub mod compat {
             self
         }
     }
+
+    impl Session {
+        /// [`crate::LoopHandle::run`] on `target` of `machine`'s program.
+        ///
+        /// # Errors
+        ///
+        /// VM failures, [`RunError::Unsupported`] included.
+        pub fn run_loop(
+            &self,
+            machine: &Machine,
+            sub: &Subroutine,
+            target: &Stmt,
+            analysis: &LoopAnalysis,
+            frame: &mut Store,
+        ) -> Result<RunStats, RunError> {
+            self.compat_env(machine, |env| {
+                crate::exec::run_loop_impl(env, sub, target, analysis, frame)
+            })
+        }
+
+        /// CIV-COMP (paper §3.3) for `civs`, the trip count of a WHILE
+        /// into `niters_sym`: the slice's work units.
+        ///
+        /// # Errors
+        ///
+        /// VM failures from the slice.
+        pub fn civ_traces(
+            &self,
+            machine: &Machine,
+            sub: &Subroutine,
+            target: &Stmt,
+            civs: &[(Sym, Sym)],
+            frame: &mut Store,
+            niters_sym: Option<Sym>,
+        ) -> Result<u64, RunError> {
+            let state = ExecState::default();
+            self.compat_env(machine, |env| {
+                crate::civ::civ_traces(env, sub, target, civs, frame, niters_sym, state)
+            })
+        }
+
+        /// LRPD speculation on the DO loop `target`, monitoring `arrays`:
+        /// the outcome and the work units.
+        ///
+        /// # Errors
+        ///
+        /// VM failures; [`RunError::Unsupported`] for a non-`DO` target.
+        pub fn lrpd_execute(
+            &self,
+            machine: &Machine,
+            sub: &Subroutine,
+            target: &Stmt,
+            frame: &Store,
+            arrays: &[Sym],
+        ) -> Result<(LrpdOutcome, u64), RunError> {
+            self.compat_env(machine, |env| {
+                crate::lrpd::lrpd_execute_impl(env, sub, target, frame, arrays)
+            })
+        }
+
+        /// Runs `f` on `machine`'s program with its cache in this
+        /// session, created on first use: machines cloned from one
+        /// another share one, distinct programs and sessions never do.
+        pub(crate) fn compat_env<R>(
+            &self,
+            machine: &Machine,
+            f: impl FnOnce(&ExecEnv<'_>) -> R,
+        ) -> R {
+            let handle = machine.program_handle();
+            let mut reg = self.compat.lock().expect("session cache lock");
+            reg.retain(|(w, _)| w.strong_count() > 0);
+            let cache = match reg.iter().find(|(w, _)| w.as_ptr() == Arc::as_ptr(&handle)) {
+                Some((_, cache)) => cache.clone(),
+                None => {
+                    let cache = Arc::new(ProgramCache::new(&self.cfg, self.obs.clone()));
+                    reg.push((Arc::downgrade(&handle), cache.clone()));
+                    cache
+                }
+            };
+            drop(reg);
+            f(&ExecEnv {
+                machine,
+                cache: &cache,
+            })
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::compat::{inspect, InspectVerdict};
     use super::*;
+    use lip_ir::{Machine, Store, Value};
+    use lip_symbolic::sym;
 
     #[test]
     fn builder_sets_every_field() {
@@ -725,8 +742,67 @@ END
         let m3 = Machine::new(lip_ir::parse_program(src).expect("parses"));
         let s1 = Session::default();
         let s2 = Session::default();
-        assert!(Arc::ptr_eq(&s1.cache(&m1), &s1.cache(&m2)));
-        assert!(!Arc::ptr_eq(&s1.cache(&m1), &s1.cache(&m3)));
-        assert!(!Arc::ptr_eq(&s1.cache(&m1), &s2.cache(&m1)));
+        // The registry holds the caches, so their addresses are stable.
+        let cache = |s: &Session, m: &Machine| s.compat_env(m, |env| env.cache as *const _);
+        assert_eq!(cache(&s1, &m1), cache(&s1, &m2));
+        assert_ne!(cache(&s1, &m1), cache(&s1, &m3));
+        assert_ne!(cache(&s1, &m1), cache(&s2, &m1));
+    }
+
+    fn inspected(src: &str, frame: &Store) -> (InspectVerdict, u64) {
+        let prog = lip_ir::parse_program(src).expect("parses");
+        let sub = prog.units[0].clone();
+        let target = sub.find_loop("l1").expect("loop").clone();
+        inspect(&Machine::new(prog), &sub, &target, frame, &[sym("A")]).expect("inspects")
+    }
+
+    #[test]
+    fn inspection_leaves_shared_state_untouched() {
+        let mut frame = Store::new();
+        frame.set_int(sym("N"), 32);
+        let a = frame.alloc_real(sym("A"), 32);
+        for i in 0..32 {
+            a.set(i, Value::Real(7.0));
+        }
+        let (verdict, cost) = inspected(
+            "
+SUBROUTINE t(A, N)
+  DIMENSION A(*)
+  INTEGER i, N
+  DO l1 i = 1, N
+    A(i) = A(i) + 1.0
+  ENDDO
+END
+",
+            &frame,
+        );
+        assert_eq!(verdict, InspectVerdict::Independent);
+        assert!(cost > 0);
+        // Shared A untouched by the dry run.
+        for i in 0..32 {
+            assert_eq!(a.get_f64(i), 7.0);
+        }
+    }
+
+    #[test]
+    fn conflicting_loop_is_dependent() {
+        let mut frame = Store::new();
+        frame.set_int(sym("N"), 50);
+        frame.alloc_real(sym("A"), 4);
+        let (verdict, _) = inspected(
+            "
+SUBROUTINE t(A, N)
+  DIMENSION A(*)
+  INTEGER i, N
+  DO l1 i = 1, N
+    A(1) = A(1) + i
+  ENDDO
+END
+",
+            &frame,
+        );
+        assert_eq!(verdict, InspectVerdict::Dependent);
+        // The dry run stopped at the second iteration, on its own copy.
+        assert_eq!(frame.array(sym("A")).expect("A").get_f64(0), 0.0);
     }
 }

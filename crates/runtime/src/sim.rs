@@ -13,12 +13,12 @@
 //!
 //! The model is three pieces a caller composes with its own spawn
 //! overhead, as `lip_suite`'s `LoopMeasurement::par_units` does:
-//! [`crate::Session::per_iteration_costs`], [`makespan`] and
+//! [`crate::LoopHandle::per_iteration_costs`], [`makespan`] and
 //! [`charged_test_units`].
 
-use lip_ir::{ExecState, Machine, RunError, Stmt, Store, Subroutine, Value};
+use lip_ir::{ExecState, RunError, Stmt, Store, Subroutine, Value};
 
-use crate::backend::{exec_stmt_seq, machine_tracer, CompiledBody, ExecEnv};
+use crate::backend::{exec_stmt_seq, ExecEnv};
 use crate::pool::chunk_bounds;
 
 /// Runtime-test units charged on the critical path: small (O(1)-ish)
@@ -39,43 +39,32 @@ pub fn charged_test_units(test_units: u64, procs: usize, spawn: u64) -> u64 {
 }
 
 /// The measurement driver behind
-/// [`crate::Session::per_iteration_costs`] (this is where the
-/// measurement harness spends most of its wall-clock).
-pub(crate) fn per_iteration_costs_impl(
+/// [`crate::LoopHandle::per_iteration_costs`] (this is where the
+/// measurement harness spends most of its wall-clock), charging
+/// `state` (the tests give it a step budget).
+pub(crate) fn per_iteration_costs(
     env: &ExecEnv<'_>,
-    machine: &Machine,
     sub: &Subroutine,
     target: &Stmt,
     frame: &mut Store,
+    mut state: ExecState,
 ) -> Result<Vec<u64>, RunError> {
-    per_iteration_costs_under(env, machine, sub, target, frame, &mut ExecState::default())
-}
-
-/// [`per_iteration_costs_impl`] charging a caller-supplied state (the
-/// tests run it under a step budget).
-fn per_iteration_costs_under(
-    env: &ExecEnv<'_>,
-    machine: &Machine,
-    sub: &Subroutine,
-    target: &Stmt,
-    frame: &mut Store,
-    state: &mut ExecState,
-) -> Result<Vec<u64>, RunError> {
+    let state = &mut state;
     match target {
         Stmt::Do {
             var, lo, hi, body, ..
         } => {
-            let cb = CompiledBody::new(env.cache, machine, sub, body, &[], &[*var])?;
-            let lo_v = machine.eval(sub, frame, lo, state)?.as_i64();
-            let hi_v = machine.eval(sub, frame, hi, state)?.as_i64();
-            let vm = cb.vm(machine);
+            let cb = env.body(sub, body, &[], &[*var])?;
+            let lo_v = env.eval(sub, frame, lo, state)?;
+            let hi_v = env.eval(sub, frame, hi, state)?;
+            let vm = cb.vm(env);
             let var_slot = cb.chunk().scalar_slot(*var).expect("interned");
             let mut f = cb.frame(frame);
             let mut costs = Vec::new();
             for i in lo_v..=hi_v {
                 f.set_scalar(var_slot, Value::Int(i));
                 let before = state.cost;
-                vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
+                vm.run_block(cb.block, &mut f, state, env.tracer())?;
                 costs.push(state.cost - before);
             }
             // The driver mutates `frame` so program state stays
@@ -84,17 +73,17 @@ fn per_iteration_costs_under(
             Ok(costs)
         }
         Stmt::While { cond, body, .. } => {
-            let cb = CompiledBody::new(env.cache, machine, sub, body, &[cond], &[])?;
-            let vm = cb.vm(machine);
+            let cb = env.body(sub, body, &[cond], &[])?;
+            let vm = cb.vm(env);
             let mut f = cb.frame(frame);
             let mut costs = Vec::new();
             loop {
-                let c = vm.eval_block_expr(cb.block, 0, &mut f, state, machine_tracer(machine))?;
+                let c = vm.eval_block_expr(cb.block, 0, &mut f, state, env.tracer())?;
                 if !c.truthy() {
                     break;
                 }
                 let before = state.cost;
-                vm.run_block(cb.block, &mut f, state, machine_tracer(machine))?;
+                vm.run_block(cb.block, &mut f, state, env.tracer())?;
                 costs.push(state.cost - before);
                 if costs.len() as u64 > crate::exec::TEST_BUDGET {
                     return Err(RunError::StepLimit);
@@ -105,7 +94,7 @@ fn per_iteration_costs_under(
         }
         other => {
             let before = state.cost;
-            exec_stmt_seq(env, machine, sub, other, frame, state)?;
+            exec_stmt_seq(env, sub, other, frame, state)?;
             Ok(vec![state.cost - before])
         }
     }
@@ -133,7 +122,7 @@ pub fn makespan(per_iter: &[u64], procs: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::session::Session;
-    use lip_ir::parse_program;
+    use lip_ir::{parse_program, Machine};
     use lip_symbolic::sym;
 
     #[test]
@@ -163,15 +152,14 @@ END
 "
         ))
         .expect("parses");
-        let sub = prog.units[0].clone();
-        let target = sub.find_loop("l1").expect("loop").clone();
-        let machine = Machine::new(prog);
+        let lp = Session::default()
+            .load(prog)
+            .prepare(sym("t"), "l1")
+            .expect("loop");
         let mut frame = Store::new();
         frame.set_int(sym("N"), n as i64);
         frame.alloc_real(sym("A"), n);
-        let per_iter = Session::default()
-            .per_iteration_costs(&machine, &sub, &target, &mut frame)
-            .expect("measures");
+        let per_iter = lp.per_iteration_costs(&mut frame).expect("measures");
         assert_eq!(per_iter.len(), n);
         per_iter.iter().sum::<u64>() as f64 / (makespan(&per_iter, 4) + spawn) as f64
     }
@@ -209,19 +197,17 @@ END
         let sub = prog.units[0].clone();
         let target = sub.find_loop("l1").expect("loop").clone();
         let machine = Machine::new(prog);
-        let cache = crate::cache::MachineCache::default();
-        let obs = lip_obs::Obs::off();
+        let cache = crate::backend::test_cache();
         let env = ExecEnv {
+            machine: &machine,
             cache: &cache,
-            nthreads: 1,
-            obs: &obs,
         };
         let run = |lo: i64| {
             let mut frame = Store::new();
             frame.set_int(sym("LO"), lo).set_int(sym("HI"), i64::MAX);
             frame.set_int(sym("s"), 0);
-            let mut state = ExecState::with_budget(10_000);
-            per_iteration_costs_under(&env, &machine, &sub, &target, &mut frame, &mut state)
+            let state = ExecState::with_budget(10_000);
+            per_iteration_costs(&env, &sub, &target, &mut frame, state)
                 .map(|costs| (costs.len(), frame.scalar(sym("i"))))
         };
         assert_eq!(run(i64::MAX - 2), Ok((3, Some(Value::Int(i64::MAX)))));

@@ -102,7 +102,10 @@ fn per_iteration_costs_identical_at_every_opt_level() {
     assert_eq!(reference, unfused, "unfused stream diverged");
 
     let fused = session()
-        .per_iteration_costs(&machine, &sub, &target, &mut frame)
+        .load(machine.program().clone())
+        .prepare(sub.name, "l1")
+        .expect("loop")
+        .per_iteration_costs(&mut frame)
         .expect("costs");
     assert_eq!(reference, fused, "fused session diverged");
 }
@@ -133,12 +136,11 @@ fn run_loop_stats_and_frames_identical_at_every_opt_level() {
     assert_eq!(st.cost, raw_st.cost, "unfused stream");
 
     let mut frame = prepared(64, 4).3;
-    let sess = session();
-    let analysis = sess
-        .analyze(machine.program(), sub.name, "l1")
-        .expect("analysis");
-    let stats = sess
-        .run_loop(&machine, &sub, &target, &analysis, &mut frame)
+    let stats = session()
+        .load(machine.program().clone())
+        .prepare(sub.name, "l1")
+        .expect("loop")
+        .run(&mut frame)
         .expect("runs");
     assert_eq!(bits(&oracle_frame), bits(&frame), "fused session");
     assert_eq!(stats.outcome, ExecOutcome::StaticParallel);

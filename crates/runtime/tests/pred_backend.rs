@@ -76,7 +76,10 @@ fn assert_matches_oracle(
 
     let mut frame = mk_frame();
     let stats = session()
-        .run_loop(machine, sub, target, analysis, &mut frame)
+        .load(machine.program().clone())
+        .prepare(sub.name, &analysis.label)
+        .expect("loop")
+        .run(&mut frame)
         .expect("session runs");
     match stats.outcome {
         ExecOutcome::PredicatePassed { stage } => assert_eq!(Some(stage), hit),
@@ -147,18 +150,13 @@ END
 
 #[test]
 fn repeat_invocations_hit_the_session_caches() {
-    let (machine, sub, target, analysis) = setup(OFFSET_SRC, "l1");
-    let sess = session();
-    let run = |sess: &Session| {
-        let mut frame = offset_frame(256, 256);
-        sess.run_loop(&machine, &sub, &target, &analysis, &mut frame)
-            .expect("runs")
-    };
-    let first = run(&sess);
-    let engine = sess.cache(&machine);
-    let stats_after_first = engine.pred().stats();
-    let second = run(&sess);
-    let stats_after_second = engine.pred().stats();
+    let loaded = session().load(parse_program(OFFSET_SRC).expect("parses"));
+    let handle = loaded.prepare(sym("t"), "l1").expect("loop");
+    let run = || handle.run(&mut offset_frame(256, 256)).expect("runs");
+    let first = run();
+    let stats_after_first = loaded.pred_stats();
+    let second = run();
+    let stats_after_second = loaded.pred_stats();
     assert_eq!(first.outcome, second.outcome);
     assert_eq!(first.test_units, second.test_units);
     assert_eq!(
@@ -175,16 +173,15 @@ fn repeat_invocations_hit_the_session_caches() {
 #[test]
 fn sessions_do_not_share_predicate_state() {
     // A fresh session must start cold even after another session ran
-    // the same machine: caches are session-owned, not process-global.
-    let (machine, sub, target, analysis) = setup(OFFSET_SRC, "l1");
-    let warm = session();
-    let mut frame = offset_frame(128, 128);
-    warm.run_loop(&machine, &sub, &target, &analysis, &mut frame)
-        .expect("runs");
-    assert!(warm.cache(&machine).pred().stats().compiles > 0);
-    let cold = session();
+    // the same program: caches are owned per load, not process-global.
+    let prog = parse_program(OFFSET_SRC).expect("parses");
+    let warm = session().load(prog.clone());
+    let handle = warm.prepare(sym("t"), "l1").expect("loop");
+    handle.run(&mut offset_frame(128, 128)).expect("runs");
+    assert!(warm.pred_stats().compiles > 0);
+    let cold = session().load(prog);
     assert_eq!(
-        cold.cache(&machine).pred().stats().compiles,
+        cold.pred_stats().compiles,
         0,
         "a fresh session must own a fresh predicate engine"
     );

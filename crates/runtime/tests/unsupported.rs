@@ -27,11 +27,9 @@ END
     .expect("parses");
     let sub = prog.units[0].clone();
     let target = sub.find_loop("l1").expect("loop").clone();
-    let machine = Machine::new(prog);
+    let machine = Machine::new(prog.clone());
     let session = Session::builder().nthreads(2).build();
-    let analysis = session
-        .analyze(machine.program(), sub.name, "l1")
-        .expect("analysis");
+    let handle = session.load(prog).prepare(sub.name, "l1").expect("loop");
     let (a, k, n) = (sym("A"), sym("k"), 8);
     let mut frame = Store::new();
     frame.set_int(sym("N"), n).set_int(k, 0);
@@ -48,11 +46,7 @@ END
         }
         other => panic!("expected Unsupported, got {other:?}"),
     };
-    unsupported(
-        session
-            .run_loop(&machine, &sub, &target, &analysis, &mut frame)
-            .unwrap_err(),
-    );
+    unsupported(handle.run(&mut frame).unwrap_err());
     untouched(&frame);
     let civs = [(k, sym("k@tr"))];
     unsupported(
@@ -67,11 +61,7 @@ END
             .unwrap_err(),
     );
     untouched(&frame);
-    unsupported(
-        session
-            .per_iteration_costs(&machine, &sub, &target, &mut frame)
-            .unwrap_err(),
-    );
+    unsupported(handle.per_iteration_costs(&mut frame).unwrap_err());
     untouched(&frame);
 }
 

@@ -10,66 +10,37 @@
 //! session's own fork-join pool; parallelism *across* shards comes
 //! from the worker pool.
 //!
-//! The caches implement incremental re-analysis: the parse cache is
-//! keyed by source fingerprint (byte-identical resubmission skips the
-//! parser), the analysis cache by loop fingerprint — so after an edit
-//! only the loops whose analysis inputs actually changed are
-//! re-analyzed; untouched loops skip straight to execution. One
-//! request is one [`ShardState::run`] — prepare, one
-//! [`Session::run_loop`], encode — and what makes a resubmission cheap
-//! (`bench_e2e`'s `serve_mix` `hit` row) is the shard's warm state, not
-//! the company it arrives in.
+//! The caches implement incremental re-analysis: a source fingerprint
+//! names a [`Loaded`] program (byte-identical resubmission skips the
+//! parser, and the program's compile cache lives as long as its entry)
+//! with the [`LoopHandle`]s prepared on it so far; the analysis cache is
+//! keyed by loop fingerprint — so after an edit only the loops whose
+//! analysis inputs actually changed are re-analyzed; untouched loops
+//! skip straight to execution. One request is one [`ShardState::run`] —
+//! prepare, one [`LoopHandle::run`], encode — and what makes a
+//! resubmission cheap (`bench_e2e`'s `serve_mix` `hit` row) is the
+//! shard's warm state, not the company it arrives in.
 
-use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
 
 use lip_analysis::LoopAnalysis;
-use lip_ir::{parse_program, ArrayBuf, ArrayView, Machine, Store, Subroutine, Ty, Value};
+use lip_ir::{parse_program, ArrayBuf, ArrayView, Store, Subroutine, Ty, Value};
 use lip_obs::json::Writer;
 use lip_obs::Obs;
-use lip_runtime::{RunStats, Session, SessionConfig};
+use lip_runtime::{Loaded, LoopHandle, RunStats, Session, SessionConfig};
 use lip_symbolic::{sym, Sym};
 
 use crate::fingerprint::{loop_fingerprint, source_fingerprint};
 use crate::protocol::{ArraySpec, ErrCode, Frame, FrameSpec, RunRequest, MAX_ARRAY_LEN, MAX_FRAME};
 
-/// A parsed program kept warm: holding the [`Machine`] pins the
-/// `Arc<Program>` identity, so the session's per-machine compile cache
-/// (bytecode, lowered blocks, predicate memos) stays valid across
-/// requests.
-pub struct CachedProgram {
-    /// The interpreter over the cached program.
-    pub machine: Machine,
-    /// [`loop_fingerprint`] of the loops run so far. The entry is keyed
-    /// by source fingerprint, so a loop's fingerprint is a function of
-    /// `(sub, label)` alone; only loops that exist are remembered.
-    loop_fps: RefCell<Vec<(Sym, String, u128)>>,
-}
-
-impl CachedProgram {
-    /// The subroutine and loop statement a prepared request names.
-    fn target(&self, sub: Sym, label: &str) -> (&Subroutine, &lip_ir::Stmt) {
-        let sub = self
-            .machine
-            .program()
-            .units
-            .iter()
-            .find(|u| u.name == sub)
-            .expect("validated in prepare");
-        (sub, sub.find_loop(label).expect("validated in prepare"))
-    }
-
-    fn loop_fingerprint(&self, sub: Sym, label: &str) -> Option<u128> {
-        let mut known = self.loop_fps.borrow_mut();
-        if let Some((_, _, fp)) = known.iter().find(|(s, l, _)| *s == sub && l == label) {
-            return Some(*fp);
-        }
-        let fp = loop_fingerprint(self.machine.program(), sub, label)?;
-        known.push((sub, label.to_owned(), fp));
-        Some(fp)
-    }
+/// A parsed program kept warm, with the loops prepared on it so far —
+/// only loops that exist and analyze are remembered.
+struct CachedProgram {
+    loaded: Loaded,
+    loops: Vec<(Sym, String, Rc<LoopHandle>)>,
 }
 
 /// One warm session plus its incremental caches. See the module docs
@@ -77,15 +48,17 @@ impl CachedProgram {
 pub struct ShardState {
     key: String,
     session: Session,
-    programs: HashMap<u128, Rc<CachedProgram>>,
+    /// By source fingerprint.
+    programs: HashMap<u128, CachedProgram>,
+    /// By loop fingerprint: shared by every program whose loop has the
+    /// same analysis inputs (a whitespace edit is a new program, not a
+    /// new analysis).
     analyses: HashMap<u128, Rc<LoopAnalysis>>,
 }
 
 /// A request ready to run.
 struct Prepared {
-    prog: Rc<CachedProgram>,
-    analysis: Rc<LoopAnalysis>,
-    sub: Sym,
+    handle: Rc<LoopHandle>,
     store: Store,
     analysis_hit: bool,
     program_hit: bool,
@@ -122,63 +95,61 @@ impl ShardState {
         self.session.explain(label)
     }
 
-    fn resolve_program(&mut self, src: &str) -> Result<(Rc<CachedProgram>, bool), Rejected> {
-        let fp = source_fingerprint(src);
-        if let Some(p) = self.programs.get(&fp) {
-            return Ok((p.clone(), true));
-        }
-        let prog = parse_program(src).map_err(|e| {
-            (
-                ErrCode::ProgramError,
-                format!("program does not parse: {e:?}"),
-            )
-        })?;
-        let entry = Rc::new(CachedProgram {
-            machine: Machine::new(prog),
-            loop_fps: RefCell::default(),
-        });
-        self.programs.insert(fp, entry.clone());
-        Ok((entry, false))
-    }
-
     fn prepare(&mut self, req: &RunRequest) -> Result<Prepared, Rejected> {
-        let (prog, program_hit) = self.resolve_program(&req.program)?;
-        let sub_sym = sym(&req.sub);
-        let program = prog.machine.program();
-        let Some(subr) = program.units.iter().find(|u| u.name == sub_sym) else {
-            return Err((
-                ErrCode::UnknownLoop,
-                format!("no subroutine `{}` in program", req.sub),
-            ));
-        };
-        let Some(loop_fp) = prog.loop_fingerprint(sub_sym, &req.label) else {
-            return Err((
-                ErrCode::UnknownLoop,
-                format!("no loop labelled `{}` in `{}`", req.label, req.sub),
-            ));
-        };
-        let (analysis, analysis_hit) = match self.analyses.get(&loop_fp) {
-            Some(a) => (a.clone(), true),
-            None => {
-                let a = self
-                    .session
-                    .analyze(program, sub_sym, &req.label)
-                    .ok_or_else(|| {
-                        (
-                            ErrCode::UnknownLoop,
-                            format!("loop `{}` could not be analyzed", req.label),
-                        )
-                    })?;
-                let a = Rc::new(a);
-                self.analyses.insert(loop_fp, a.clone());
-                (a, false)
+        let (entry, program_hit) = match self.programs.entry(source_fingerprint(&req.program)) {
+            Entry::Occupied(e) => (e.into_mut(), true),
+            Entry::Vacant(e) => {
+                let prog = parse_program(&req.program).map_err(|e| {
+                    (
+                        ErrCode::ProgramError,
+                        format!("program does not parse: {e:?}"),
+                    )
+                })?;
+                let loaded = self.session.load(prog);
+                let entry = e.insert(CachedProgram {
+                    loaded,
+                    loops: Vec::new(),
+                });
+                (entry, false)
             }
         };
-        let store = build_store(&req.frame, subr)?;
+        let sub = sym(&req.sub);
+        let known = entry
+            .loops
+            .iter()
+            .find(|(s, l, _)| *s == sub && *l == req.label);
+        let (handle, analysis_hit) = match known {
+            Some((_, _, handle)) => (handle.clone(), true),
+            None => {
+                let unknown = |detail: String| (ErrCode::UnknownLoop, detail);
+                let program = entry.loaded.program();
+                if program.subroutine(sub).is_none() {
+                    return Err(unknown(format!("no subroutine `{}` in program", req.sub)));
+                }
+                let loop_fp = loop_fingerprint(program, sub, &req.label).ok_or_else(|| {
+                    unknown(format!("no loop labelled `{}` in `{}`", req.label, req.sub))
+                })?;
+                let (analysis, hit) =
+                    match self.analyses.get(&loop_fp) {
+                        Some(a) => (a.clone(), true),
+                        None => {
+                            let a = self.session.analyze(program, sub, &req.label).ok_or_else(
+                                || unknown(format!("loop `{}` could not be analyzed", req.label)),
+                            )?;
+                            let a = Rc::new(a);
+                            self.analyses.insert(loop_fp, a.clone());
+                            (a, false)
+                        }
+                    };
+                let handle = entry.loaded.prepare_analyzed(sub, &req.label, analysis);
+                let handle = Rc::new(handle.expect("the loop exists"));
+                entry.loops.push((sub, req.label.clone(), handle.clone()));
+                (handle, hit)
+            }
+        };
+        let store = build_store(&req.frame, handle.sub())?;
         Ok(Prepared {
-            prog,
-            analysis,
-            sub: sub_sym,
+            handle,
             store,
             analysis_hit,
             program_hit,
@@ -186,7 +157,7 @@ impl ShardState {
     }
 
     /// Runs one request on this shard — prepare (the parse and analysis
-    /// caches), one [`Session::run_loop`], encode — and writes the
+    /// caches), one [`LoopHandle::run`], encode — and writes the
     /// response, `ok` or the error frame, into `reply`.
     ///
     /// `server_obs` gets the cache counters of a request that prepared,
@@ -211,10 +182,9 @@ impl ShardState {
                 },
                 1,
             );
-            let (sub, target) = p.prog.target(p.sub, &req.label);
-            let stats = self
-                .session
-                .run_loop(&p.prog.machine, sub, target, &p.analysis, &mut p.store)
+            let stats = p
+                .handle
+                .run(&mut p.store)
                 .map_err(|e| (ErrCode::ExecError, format!("{e}")))?;
             Ok((p, stats))
         });
@@ -531,8 +501,8 @@ END
         }
     }
 
-    /// The loop fingerprint is remembered per cached program, so what
-    /// decides a hit is still the fingerprint: an edit to a declaration,
+    /// Prepared loops are remembered per cached program, so what
+    /// decides a hit is still the loop fingerprint: an edit to a declaration,
     /// to the loop or to a callee is a new program entry whose loop
     /// fingerprints differ (analysis miss); an edit that parses to the
     /// same AST is a new entry with the same fingerprint (hit).
@@ -579,7 +549,7 @@ END
             Some("unknown_loop")
         );
         let entry = &shard.programs[&source_fingerprint(&base.program)];
-        assert_eq!(entry.loop_fps.borrow().len(), 1);
+        assert_eq!(entry.loops.len(), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! that used to abort the process, the reply bytes pinned as a
 //! contract, and the per-stage histograms of `stats`.
 
-use lip_ir::{parse_program, ArrayBuf, ArrayView, Machine, Store, Ty, Value};
+use lip_ir::{parse_program, ArrayBuf, ArrayView, Store, Ty, Value};
 use lip_obs::json::Json;
 use lip_runtime::Session;
 use lip_serve::config::session_config_from_pairs;
@@ -133,18 +133,10 @@ fn run_direct(kernel: &Kernel, pairs: &[(&str, &str)], n: usize) -> Direct {
     let cfg = session_config_from_pairs(&owned).expect("valid config");
     let session = Session::builder().config(cfg).build();
     let prog = parse_program(kernel.program).expect("kernel parses");
-    let machine = Machine::new(prog);
-    let sub_sym = sym(kernel.sub);
-    let program = machine.program();
-    let subr = program
-        .units
-        .iter()
-        .find(|u| u.name == sub_sym)
-        .expect("sub exists");
-    let target = subr.find_loop(kernel.label).expect("loop exists");
-    let analysis = session
-        .analyze(program, sub_sym, kernel.label)
-        .expect("analyzable");
+    let handle = session
+        .load(prog)
+        .prepare(sym(kernel.sub), kernel.label)
+        .expect("analyzable loop");
 
     let (u, v) = inputs(n);
     let mut store = Store::new();
@@ -156,9 +148,7 @@ fn run_direct(kernel: &Kernel, pairs: &[(&str, &str)], n: usize) -> Direct {
     } else {
         store.set_scalar(sym(kernel.result), Value::Real(0.0));
     }
-    let stats = session
-        .run_loop(&machine, subr, target, &analysis, &mut store)
-        .expect("runs");
+    let stats = handle.run(&mut store).expect("runs");
     let result = if kernel.result_is_array {
         let view = store.array(sym(kernel.result)).expect("bound");
         (0..view.buf.len())
@@ -819,21 +809,18 @@ fn a_large_frame_matches_the_direct_session_bit_for_bit() {
     );
     assert!(payload.len() > 150_000, "{}", payload.len());
 
-    let session = Session::builder().nthreads(2).build();
-    let machine = Machine::new(parse_program(STENCIL).expect("parses"));
-    let subr = &machine.program().units[0];
-    let target = subr.find_loop("sweep").expect("loop");
-    let analysis = session
-        .analyze(machine.program(), subr.name, "sweep")
-        .expect("analyzable");
+    let sweep = Session::builder()
+        .nthreads(2)
+        .build()
+        .load(parse_program(STENCIL).expect("parses"))
+        .prepare(sym("calc"), "sweep")
+        .expect("analyzable loop");
     let mut store = Store::new();
     store.set_scalar(sym("N"), Value::Int(n as i64));
     bind(&mut store, "UNEW", &vec![0.0; n]);
     bind(&mut store, "U", &u);
     bind(&mut store, "V", &v);
-    let stats = session
-        .run_loop(&machine, subr, target, &analysis, &mut store)
-        .expect("runs");
+    let stats = sweep.run(&mut store).expect("runs");
 
     let server = Server::spawn(ServeConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");

@@ -6,13 +6,12 @@
 //! Whole-benchmark times add the unmeasured remainder `(1−SC)` as
 //! sequential work (Amdahl), scaled from the measured loops.
 
-use lip_analysis::{baseline_parallel, LoopClass};
-use lip_ir::Stmt;
-use lip_obs::{FissionReport, FragmentReport, LoopDecision, StageReport};
+use std::rc::Rc;
+
+use lip_analysis::{baseline_parallel, LoopAnalysis, LoopClass};
+use lip_obs::{FissionReport, LoopDecision, StageReport};
 use lip_runtime::sim::{charged_test_units, makespan};
-use lip_runtime::{
-    cascade_test, exact_report, exact_test, fragment_tests, InputDigests, KeyCost, Session,
-};
+use lip_runtime::{exact_report, InputDigests, KeyCost, Session};
 use lip_symbolic::sym;
 use lip_usr::Exact;
 
@@ -73,54 +72,40 @@ impl LoopMeasurement {
 }
 
 /// Accounts a fission rescue plan for the explain report: runs the
-/// fragments in program order on a fresh workload (each fragment's
-/// cascade is tested against the store state its execution would see,
-/// exactly as the fissioned executor does) and tallies the work units
-/// a parallel fragment rescues.
+/// fragments in program order on a fresh workload, loaded afresh (each
+/// fragment's cascade is tested against the store state its execution
+/// would see, exactly as the fissioned executor does) and tallies the
+/// work units a parallel fragment rescues.
 fn account_fission(
     session: &Session,
     shape: &'static KernelShape,
     size: usize,
-    plan: &lip_analysis::FissionPlan,
-    nthreads: usize,
+    analysis: &LoopAnalysis,
 ) -> FissionReport {
     let mut fw = shape.prepared(size);
-    let fprog = fw.machine.program().clone();
-    let fsub = fprog.subroutine(sym(fw.sub)).expect("subroutine").clone();
+    let whole = session
+        .load(fw.machine.program().clone())
+        .prepare_analyzed(sym(fw.sub), fw.label, Rc::new(analysis.clone()))
+        .expect("loop");
     let mut fragments = Vec::new();
     let mut rescued_units = 0u64;
     let mut loop_units = 0u64;
-    let cache = session.cache(&fw.machine);
-    for frag in &plan.fragments {
+    for frag in whole.analysis().fission.iter().flat_map(|p| &p.fragments) {
         // The executor's own per-fragment decision (a fresh digest
         // table per fragment, as there), stage reports kept.
         let mut keys = KeyCost::default();
         let mut inputs = InputDigests::new(&fw.frame, &mut keys);
-        let tests = fragment_tests(&cache, &frag.analysis, &mut inputs, nthreads, true);
-        let units: u64 = session
-            .per_iteration_costs(&fw.machine, &fsub, &frag.target, &mut fw.frame)
+        let tests = whole.fragment_tests(frag, &mut inputs, true);
+        let units: u64 = whole
+            .fragment_costs(frag, &mut fw.frame)
             .map(|v| v.iter().sum())
             .unwrap_or(0);
         loop_units += units;
         if tests.parallel {
             rescued_units += units;
         }
-        let label = match &frag.target {
-            Stmt::Do { label: Some(l), .. } => l.clone(),
-            _ => format!("fragment {}", fragments.len()),
-        };
-        let (exact_test, exact_units, exact_memo_hit) = exact_report(tests.exact);
-        fragments.push(FragmentReport {
-            label,
-            class: format!("{:?}", frag.analysis.class),
-            parallel: tests.parallel,
-            units,
-            test_units: tests.units,
-            stages: tests.stages,
-            exact_test,
-            exact_units,
-            exact_memo_hit,
-        });
+        let (parallel, test_units) = (tests.parallel, tests.units);
+        fragments.push(tests.report(frag, fragments.len(), parallel, units, test_units));
     }
     FissionReport {
         fragments,
@@ -140,31 +125,16 @@ pub fn measure_loop(
     // Work units and verdicts never depend on the session's
     // configuration, only wall-clock does — Tables 1–3 are
     // bit-identical across sessions (concurrent ones included).
-    let nthreads = session.config().nthreads;
     let mut p = shape.prepared(size);
-    let prog = p.machine.program().clone();
-    let sub = prog.subroutine(sym(p.sub)).expect("subroutine").clone();
-    let target = sub.find_loop(p.label).expect("loop").clone();
-
-    let analysis = session.analyze(&prog, sub.name, p.label).expect("analysis");
-    let base = baseline_parallel(&sub, &target);
+    let handle = session
+        .load(p.machine.program().clone())
+        .prepare(sym(p.sub), p.label)
+        .expect("loop");
+    let analysis = handle.analysis();
+    let base = baseline_parallel(handle.sub(), handle.target());
 
     // Runtime tests on the live workload.
-    let mut test_units = 0u64;
-    if !analysis.civs.is_empty() || matches!(target, Stmt::While { .. }) {
-        let niters = matches!(target, Stmt::While { .. })
-            .then(|| sym(&format!("{}@niters", analysis.label)));
-        test_units += session
-            .civ_traces(
-                &p.machine,
-                &sub,
-                &target,
-                &analysis.civs,
-                &mut p.frame,
-                niters,
-            )
-            .expect("civ slice");
-    }
+    let mut test_units = handle.civ_traces(&mut p.frame).expect("civ slice");
     let obs_on = session.obs().trace_enabled();
     let mut stages: Vec<StageReport> = Vec::new();
     let mut passed_stage: Option<usize> = None;
@@ -174,14 +144,12 @@ pub fn measure_loop(
         LoopClass::StaticParallel => true,
         LoopClass::StaticSequential => false,
         LoopClass::Predicated { .. } => {
-            let cache = session.cache(&p.machine);
             let mut keys = KeyCost::default();
             let mut inputs = InputDigests::new(&p.frame, &mut keys);
             // Stage reports are for `Session::explain`; verdicts and
             // charged units are the same with and without them.
             let report = obs_on.then_some(&mut stages);
-            let (hit, units) =
-                cascade_test(&cache, &analysis.cascade, &mut inputs, nthreads, report);
+            let (hit, units) = handle.cascade_test(&mut inputs, report);
             test_units += units;
             passed_stage = hit;
             let mut passed = hit.is_some();
@@ -191,7 +159,7 @@ pub fn measure_loop(
                 // evaluation counts, whatever it finds, as in the
                 // executor; across invocations it is memoized (§7's
                 // apsi discussion).
-                let (found, memo_hit) = exact_test(&cache, &analysis, &mut inputs);
+                let (found, memo_hit) = handle.exact_test(&mut inputs);
                 test_units += found.units;
                 exact = Some((found, memo_hit));
                 match found.verdict {
@@ -217,9 +185,7 @@ pub fn measure_loop(
         LoopClass::Fissioned { .. } => false,
     };
 
-    let per_iter = session
-        .per_iteration_costs(&p.machine, &sub, &target, &mut p.frame)
-        .expect("measure");
+    let per_iter = handle.per_iteration_costs(&mut p.frame).expect("measure");
     if tls_speculated {
         test_units += per_iter.iter().sum::<u64>() / 4;
     }
@@ -262,8 +228,8 @@ pub fn measure_loop(
         if !parallel {
             d.fission = analysis
                 .fission
-                .as_deref()
-                .map(|plan| account_fission(session, shape, size, plan, nthreads));
+                .is_some()
+                .then(|| account_fission(session, shape, size, analysis));
         }
         session.obs().record_decision(d);
     }

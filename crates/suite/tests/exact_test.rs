@@ -16,7 +16,7 @@
 
 use lip_analysis::{analyze_loop, AnalysisConfig, LoopAnalysis};
 use lip_ir::{ExecState, Machine, Stmt, Store, StoreCtx, Subroutine, Value};
-use lip_runtime::{ExecOutcome, RunStats, Session, TEST_BUDGET};
+use lip_runtime::{ExecOutcome, Loaded, LoopHandle, RunStats, Session, TEST_BUDGET};
 use lip_suite::KernelShape;
 use lip_symbolic::sym;
 use lip_usr::{eval_usr, exact, Usr};
@@ -199,19 +199,23 @@ fn verdicts_equal_the_reference_on_every_shaped_input() {
     assert!(verdicts.contains(&("hoist_indirect", "fragment 0".into(), false, false)));
 }
 
-/// One kernel under one session: runs on deep-copied frames and counts
-/// the engine's exact evaluations.
+/// One kernel loaded into one session: runs on deep-copied frames and
+/// counts the engine's exact evaluations.
 struct Hoisted {
     a: Analyzed,
-    session: Session,
+    loaded: Loaded,
+    handle: LoopHandle,
 }
 
 impl Hoisted {
     fn new(shape: &'static KernelShape) -> Hoisted {
-        Hoisted {
-            a: analyzed(shape),
-            session: Session::builder().nthreads(2).build(),
-        }
+        let a = analyzed(shape);
+        let loaded = Session::builder()
+            .nthreads(2)
+            .build()
+            .load(a.machine.program().clone());
+        let handle = loaded.prepare(a.sub.name, shape.label).expect("loop");
+        Hoisted { a, loaded, handle }
     }
 
     /// Runs the loop on `frame`, checks the result against the
@@ -222,15 +226,12 @@ impl Hoisted {
             machine,
             sub,
             target,
-            analysis,
+            ..
         } = &self.a;
-        let before = self.session.cache(machine).pred().stats();
+        let before = self.loaded.pred_stats();
         let mut got = deep_copy(frame);
-        let stats = self
-            .session
-            .run_loop(machine, sub, target, analysis, &mut got)
-            .expect("runs");
-        let after = self.session.cache(machine).pred().stats();
+        let stats = self.handle.run(&mut got).expect("runs");
+        let after = self.loaded.pred_stats();
         let mut want = deep_copy(frame);
         machine
             .exec_stmt(sub, &mut want, target, &mut ExecState::default())

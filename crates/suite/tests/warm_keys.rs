@@ -14,11 +14,11 @@
 //!   `vm.block_compiles` over a cold and a warm run of every suite
 //!   kernel are the numbers the two-pass key and the rendered block key
 //!   produced at `cb2fbd4`.
-//! * **Block keys are structural.** Equal bodies from different
-//!   `clone()`s share a block; one literal or one extra symbol apart,
-//!   they do not.
+//!
+//! (That block keys are structural — equal bodies from different
+//! `clone()`s share a block, one literal or one extra symbol apart they
+//! do not — is `lip_runtime`'s `cache::tests::block_keys_are_structural`.)
 
-use lip_ir::{Expr, LValue, Stmt};
 use lip_obs::ObsLevel;
 use lip_runtime::Session;
 use lip_suite::KernelShape;
@@ -36,20 +36,17 @@ struct Counts {
     expected_elems: u64,
 }
 
-/// Runs `shape` twice on one machine — equal inputs, so the second run
-/// is all memo hits — and reads the counters. `phases` names, per test
+/// Runs `shape` twice through one handle — equal inputs, so the second
+/// run is all memo hits — and reads the counters. `phases` names, per test
 /// phase, the arrays its tests read.
 fn counts(shape: &KernelShape, phases: &[&[&str]]) -> Counts {
     let sess = Session::builder()
         .nthreads(2)
         .observer(ObsLevel::Metrics)
         .build();
-    let first = shape.prepared(N);
-    let prog = first.machine.program().clone();
-    let sub = prog.subroutine(sym(first.sub)).expect("sub").clone();
-    let target = sub.find_loop(first.label).expect("loop").clone();
-    let analysis = sess
-        .analyze(&prog, sub.name, first.label)
+    let loaded = sess.load(lip_ir::parse_program(shape.source).expect("parses"));
+    let handle = loaded
+        .prepare(sym(shape.sub), shape.label)
         .expect("analysis");
     let counter = |name: &str| sess.metrics().counter(name).unwrap_or(0);
     let mut elems = [0u64; 2];
@@ -57,8 +54,7 @@ fn counts(shape: &KernelShape, phases: &[&[&str]]) -> Counts {
     for digested in &mut elems {
         let before = counter("run.fingerprint_elems");
         let mut frame = shape.prepared(N).frame;
-        sess.run_loop(&first.machine, &sub, &target, &analysis, &mut frame)
-            .expect("runs");
+        handle.run(&mut frame).expect("runs");
         *digested = counter("run.fingerprint_elems") - before;
         expected_elems = phases
             .iter()
@@ -66,7 +62,7 @@ fn counts(shape: &KernelShape, phases: &[&[&str]]) -> Counts {
             .map(|a| frame.array(sym(a)).expect("named array").buf.len() as u64)
             .sum();
     }
-    let st = sess.cache(&first.machine).pred().stats();
+    let st = loaded.pred_stats();
     Counts {
         elems,
         traffic: [
@@ -139,76 +135,4 @@ fn verdict_and_block_traffic_is_what_the_old_keys_produced() {
         assert_eq!(shape.name, name);
         assert_eq!(counts(shape, &[]).traffic, want, "{name}");
     }
-}
-
-#[test]
-fn block_keys_are_structural() {
-    let shape = &lip_suite::STENCIL;
-    let p = shape.prepared(N);
-    let prog = p.machine.program().clone();
-    let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
-    let Stmt::Do { body, var, .. } = sub.find_loop(p.label).expect("loop").clone() else {
-        panic!("stencil is a DO loop")
-    };
-    let sess = Session::builder().observer(ObsLevel::Metrics).build();
-    let cache = sess.cache(&p.machine);
-    let counter = |name: &str| sess.metrics().counter(name).unwrap_or(0);
-    let block = |stmts: &[Stmt], extra: &[lip_symbolic::Sym]| {
-        cache
-            .body(&p.machine, &sub, stmts, &[], extra)
-            .expect("compiles")
-    };
-
-    let first = block(&body, &[var]);
-    assert_eq!(
-        (counter("vm.block_hits"), counter("vm.block_compiles")),
-        (0, 1)
-    );
-    // Two separately allocated copies of the same statements.
-    let again = block(&body.clone(), &[var]);
-    assert!(std::sync::Arc::ptr_eq(&first, &again));
-    let reparsed = lip_ir::parse_program(shape.source).expect("parses");
-    let Stmt::Do { body: twin, .. } = reparsed.units[0].find_loop(p.label).expect("loop").clone()
-    else {
-        panic!("stencil is a DO loop")
-    };
-    assert!(std::sync::Arc::ptr_eq(&first, &block(&twin, &[var])));
-    assert_eq!(
-        (counter("vm.block_hits"), counter("vm.block_compiles")),
-        (2, 1)
-    );
-
-    // One literal apart.
-    fn bump_first_literal(e: &mut Expr) -> bool {
-        match e {
-            Expr::Real(v) => {
-                *v += 1.0;
-                true
-            }
-            Expr::Int(v) => {
-                *v += 1;
-                true
-            }
-            Expr::Var(_) => false,
-            Expr::Elem(_, args) | Expr::Intrin(_, args) => args.iter_mut().any(bump_first_literal),
-            Expr::Bin(_, a, b) => bump_first_literal(a) || bump_first_literal(b),
-            Expr::Un(_, a) => bump_first_literal(a),
-        }
-    }
-    let mut edited = body.clone();
-    let Some(Stmt::Assign { rhs, lhs }) = edited.first_mut() else {
-        panic!("stencil's body starts with an assignment")
-    };
-    assert!(matches!(lhs, LValue::Element(..)));
-    assert!(bump_first_literal(rhs), "stencil's body has a literal");
-    assert!(!std::sync::Arc::ptr_eq(&first, &block(&edited, &[var])));
-    // One extra symbol apart.
-    assert!(!std::sync::Arc::ptr_eq(
-        &first,
-        &block(&body, &[var, sym("zz_extra")])
-    ));
-    assert_eq!(
-        (counter("vm.block_hits"), counter("vm.block_compiles")),
-        (2, 3)
-    );
 }

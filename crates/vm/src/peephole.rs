@@ -71,7 +71,7 @@ pub fn optimize_program(prog: &mut CompiledProgram) {
 }
 
 /// Fuses one standalone block (chunk + attached expression fragments)
-/// — what the per-machine cache runs after lowering a new block into
+/// — what the per-program cache runs after lowering a new block into
 /// an already-fused program copy.
 pub fn optimize_block(prog: &mut CompiledProgram, b: BlockId) {
     let block = &mut prog.blocks[b.0];

@@ -11,19 +11,18 @@
 //! predicate validates output independence.
 
 use lip::analysis::Technique;
-use lip::ir::{Machine, Store, Value};
+use lip::ir::{Store, Value};
 use lip::symbolic::sym;
 use lip::Session;
 
 fn main() {
     let session = Session::builder().nthreads(2).build();
-    let prepared = lip::suite::CIV_CONDITIONAL.prepared(0);
-    let prog = prepared.machine.program().clone();
-    let sub = prog.subroutine(sym("actfor")).expect("sub").clone();
-    let target = sub.find_loop("do240").expect("loop").clone();
-    let analysis = session
-        .analyze(&prog, sub.name, "do240")
+    let prog = lip::ir::parse_program(lip::suite::CIV_CONDITIONAL.source).expect("parses");
+    let do240 = session
+        .load(prog)
+        .prepare(sym("actfor"), "do240")
         .expect("analyzable");
+    let analysis = do240.analysis();
     println!("classification: {:?}", analysis.class);
     assert!(analysis.techniques.contains(&Technique::CivAgg));
     println!(
@@ -35,7 +34,6 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    let machine = Machine::new(prog);
     let n = 6000usize;
     let mut frame = Store::new();
     frame
@@ -47,9 +45,7 @@ fn main() {
     for i in 0..n {
         c.set(i, Value::Int(i64::from(i % 3 == 0)));
     }
-    let stats = session
-        .run_loop(&machine, &sub, &target, &analysis, &mut frame)
-        .expect("runs");
+    let stats = do240.run(&mut frame).expect("runs");
     println!(
         "outcome {:?}; CIV slice + cascade cost {} units vs loop {} units",
         stats.outcome, stats.test_units, stats.loop_units

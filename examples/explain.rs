@@ -38,15 +38,13 @@ fn main() {
     // work onto the parallel path.
     let shape = &lip::suite::HOIST_INDIRECT;
     let n = 2048usize;
-    let mut p = shape.prepared(n);
-    let prog = p.machine.program().clone();
-    let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
-    let target = sub.find_loop(p.label).expect("loop").clone();
-
-    let analysis = session.analyze(&prog, sub.name, p.label).expect("analysis");
-    let stats = session
-        .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
-        .expect("runs");
+    let prog = lip::ir::parse_program(shape.source).expect("parses");
+    let kernel = session
+        .load(prog)
+        .prepare(sym(shape.sub), shape.label)
+        .expect("analysis");
+    let mut frame = shape.prepared(n).frame;
+    let stats = kernel.run(&mut frame).expect("runs");
     println!(
         "ran {} (n = {n}): outcome {:?}\n",
         shape.name, stats.outcome
@@ -55,16 +53,15 @@ fn main() {
     // The decision report, addressable by loop label. (Suite-level
     // reports are also addressable by kernel name; see
     // `lip::suite::measure_loop`.)
-    let report = session.explain(p.label).expect("trace-level decision");
+    let report = session.explain(shape.label).expect("trace-level decision");
     println!("{report}");
 
     // The exact test is hoisted (HOIST-USR): the same index arrays
     // again cost a fingerprint, and are charged the same units.
-    let mut again = shape.prepared(n);
-    session
-        .run_loop(&p.machine, &sub, &target, &analysis, &mut again.frame)
+    kernel
+        .run(&mut shape.prepared(n).frame)
         .expect("runs again");
-    let report = session.explain(p.label).expect("trace-level decision");
+    let report = session.explain(shape.label).expect("trace-level decision");
     for line in report.lines().filter(|l| l.contains("exact USR test")) {
         println!("same inputs again: {}\n", line.trim());
     }
@@ -79,7 +76,7 @@ fn main() {
 
     // The loop really did execute: the indirect update wrote through
     // the permutation.
-    let a = p.frame.array(sym("A")).expect("A");
+    let a = frame.array(sym("A")).expect("A");
     let touched = (0..n).filter(|&i| a.get_f64(i) != 0.0).count();
     assert!(touched > 0, "kernel ran");
 }

@@ -11,19 +11,18 @@
 //! index) and buffered per-thread reduction (colliding index). Both
 //! paths produce exact results.
 
-use lip::ir::{Machine, Store, Value};
+use lip::ir::{Store, Value};
 use lip::symbolic::sym;
 use lip::Session;
 
 fn main() {
     let session = Session::builder().nthreads(2).build();
-    let prepared = lip::suite::INDEX_REDUCTION.prepared(0);
-    let prog = prepared.machine.program().clone();
-    let sub = prog.subroutine(sym("inl1130")).expect("sub").clone();
-    let target = sub.find_loop("do1130").expect("loop").clone();
-    let analysis = session
-        .analyze(&prog, sub.name, "do1130")
+    let prog = lip::ir::parse_program(lip::suite::INDEX_REDUCTION.source).expect("parses");
+    let do1130 = session
+        .load(prog)
+        .prepare(sym("inl1130"), "do1130")
         .expect("analyzable");
+    let analysis = do1130.analysis();
     println!("classification: {:?}", analysis.class);
     println!(
         "techniques: {:?}",
@@ -34,7 +33,6 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    let machine = Machine::new(prog);
     let n = 3000usize;
 
     // Injective index: every iteration owns a disjoint triplet.
@@ -45,9 +43,7 @@ fn main() {
     for i in 0..n {
         j.set(i, Value::Int(3 * i as i64 + 1));
     }
-    let stats = session
-        .run_loop(&machine, &sub, &target, &analysis, &mut frame)
-        .expect("runs");
+    let stats = do1130.run(&mut frame).expect("runs");
     println!("injective J: outcome {:?}", stats.outcome);
     let f = frame.array(sym("F")).expect("F");
     assert_eq!(f.get_f64(0), 0.5);
@@ -61,9 +57,7 @@ fn main() {
     for i in 0..n {
         j2.set(i, Value::Int((i % 4) as i64 * 3 + 1));
     }
-    let stats2 = session
-        .run_loop(&machine, &sub, &target, &analysis, &mut frame2)
-        .expect("runs");
+    let stats2 = do1130.run(&mut frame2).expect("runs");
     println!("colliding J: outcome {:?}", stats2.outcome);
     let f2 = frame2.array(sym("F")).expect("F");
     let total: f64 = (0..16).map(|k| f2.get_f64(k)).sum();

@@ -36,15 +36,14 @@ fn main() {
     // worker per fork.
     let shape = &lip::suite::STENCIL;
     let n = 4096usize;
-    let mut p = shape.prepared(n);
-    let prog = p.machine.program().clone();
-    let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
-    let target = sub.find_loop(p.label).expect("loop").clone();
-    let analysis = session.analyze(&prog, sub.name, p.label).expect("analysis");
+    let prog = lip::ir::parse_program(shape.source).expect("parses");
+    let sweep = session
+        .load(prog)
+        .prepare(sym(shape.sub), shape.label)
+        .expect("analysis");
+    let mut frame = shape.prepared(n).frame;
     for _ in 0..3 {
-        session
-            .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
-            .expect("runs");
+        sweep.run(&mut frame).expect("runs");
     }
 
     // The timeline: load this file in Perfetto to see the lanes.

@@ -8,7 +8,7 @@
 //! undecidable at compile time, decided by an O(1) predicate at runtime
 //! (paper §1's hybrid-analysis pitch in miniature).
 
-use lip::ir::{parse_program, Machine, Store, Value};
+use lip::ir::{parse_program, Store, Value};
 use lip::runtime::ExecOutcome;
 use lip::symbolic::sym;
 use lip::Session;
@@ -26,22 +26,19 @@ SUBROUTINE kernel(A, N, M)
   ENDDO
 END
 ";
-    let prog = parse_program(src).expect("parses");
-    let sub = prog.units[0].clone();
-    let target = sub.find_loop("main_loop").expect("loop").clone();
-
-    // 1. Hybrid analysis: summaries -> independence USRs -> factorized
-    //    predicate cascade.
-    let analysis = session
-        .analyze(&prog, sub.name, "main_loop")
+    // 1. Load the program, prepare the loop once — hybrid analysis:
+    //    summaries -> independence USRs -> factorized predicate cascade.
+    let main_loop = session
+        .load(parse_program(src).expect("parses"))
+        .prepare(sym("kernel"), "main_loop")
         .expect("analyzable");
+    let analysis = main_loop.analysis();
     println!("classification: {:?}", analysis.class);
     for (i, stage) in analysis.cascade.stages.iter().enumerate() {
         println!("  stage {i} (O(N^{})): {}", stage.complexity, stage.pred);
     }
 
     // 2. Execute with a passing predicate (M >= N): parallel.
-    let machine = Machine::new(prog.clone());
     let n = 10_000usize;
     let mut frame = Store::new();
     frame
@@ -51,9 +48,7 @@ END
     for i in 0..2 * n {
         a.set(i, Value::Real(i as f64));
     }
-    let stats = session
-        .run_loop(&machine, &sub, &target, &analysis, &mut frame)
-        .expect("runs");
+    let stats = main_loop.run(&mut frame).expect("runs");
     println!(
         "M = N: outcome {:?}, test units {}, loop units {}",
         stats.outcome, stats.test_units, stats.loop_units
@@ -68,8 +63,6 @@ END
     for i in 0..=n {
         a2.set(i, Value::Real(0.0));
     }
-    let stats2 = session
-        .run_loop(&machine, &sub, &target, &analysis, &mut frame2)
-        .expect("runs");
+    let stats2 = main_loop.run(&mut frame2).expect("runs");
     println!("M = 1: outcome {:?}", stats2.outcome);
 }

@@ -58,10 +58,10 @@ fn main() {
     println!("SYM=1              ->  {:?}", simplified.eval(&ctx, 1000));
 
     // And the full interprocedural kernel classifies + runs end to end.
-    let prepared = lip::suite::SOLVH.prepared(32);
-    let prog = prepared.machine.program().clone();
+    let shape = &lip::suite::SOLVH;
+    let prog = lip::ir::parse_program(shape.source).expect("parses");
     let analysis = lip::Session::default()
-        .analyze(&prog, sym(prepared.sub), prepared.label)
+        .analyze(&prog, sym(shape.sub), shape.label)
         .expect("analyzable");
     println!(
         "SOLVH_do20: {:?}, techniques {:?}",

@@ -23,12 +23,13 @@
 //! * [`suite`] — the PERFECT-CLUB / SPEC benchmark kernels.
 //!
 //! The configured entry point to the whole pipeline is [`Session`]
-//! (re-exported from [`runtime`]): a builder owning the pool width,
-//! the fission and observer knobs and the per-machine compile caches,
-//! with `analyze` / `run_loop` / `civ_traces` / `lrpd_execute` /
-//! `per_iteration_costs` methods. A session runs loops as fused [`vm`]
-//! bytecode and predicates on the compiled [`pred`] engine; the
-//! tree-walking `ir::Machine` is the differential reference.
+//! (re-exported from [`runtime`]): a builder owning the pool width and
+//! the fission and observer knobs. `Session::load` gives a program its
+//! own compile cache, `Loaded::prepare` resolves and analyzes a loop
+//! once, and the `LoopHandle` it returns runs it (`run`, `civ_traces`,
+//! `per_iteration_costs`, the runtime tests) as fused [`vm`] bytecode
+//! with predicates on the compiled [`pred`] engine; the tree-walking
+//! `ir::Machine` is the differential reference.
 //! Environment variables (`LIP_PRED_PAR_MIN`, `LIP_FISSION`, `LIP_OBS`)
 //! are read in exactly one place, [`SessionConfig::from_env`], with
 //! strict parsing.

@@ -17,25 +17,23 @@ fn session2() -> Session {
 /// Runs the loop sequentially and in parallel on cloned state; the
 /// shared arrays must end identical.
 fn parity_check(src: &str, sub_name: &str, label: &str, setup: impl Fn(&mut Store)) {
-    let session = session2();
     let prog = parse_program(src).expect("parses");
-    let sub = prog.subroutine(sym(sub_name)).expect("sub").clone();
-    let target = sub.find_loop(label).expect("loop").clone();
-    let analysis = session.analyze(&prog, sub.name, label).expect("analyzable");
-    let machine = Machine::new(prog);
+    let machine = Machine::new(prog.clone());
+    let handle = session2()
+        .load(prog)
+        .prepare(sym(sub_name), label)
+        .expect("analyzable");
 
     let mut seq_frame = Store::new();
     setup(&mut seq_frame);
     let mut st = ExecState::default();
     machine
-        .exec_stmt(&sub, &mut seq_frame, &target, &mut st)
+        .exec_stmt(handle.sub(), &mut seq_frame, handle.target(), &mut st)
         .expect("sequential run");
 
     let mut par_frame = Store::new();
     setup(&mut par_frame);
-    session
-        .run_loop(&machine, &sub, &target, &analysis, &mut par_frame)
-        .expect("parallel run");
+    handle.run(&mut par_frame).expect("parallel run");
 
     for (name, seq_view) in seq_frame.arrays() {
         let par_view = par_frame.array(name).expect("array bound in both");
@@ -202,17 +200,12 @@ fn o1_predicate_has_constant_cost() {
 #[test]
 fn lrpd_fallback_commits_on_benign_data() {
     // INT(real) indexing defeats every predicate; speculation decides.
-    let session = session2();
     let p = lip::suite::TLS_FEEDBACK.prepared(128);
-    let prog = p.machine.program().clone();
-    let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
-    let target = sub.find_loop(p.label).expect("loop").clone();
-    let analysis = session
-        .analyze(&prog, sym(p.sub), p.label)
-        .expect("analyzable");
-    let mut frame = p.frame.clone();
-    let stats = session
-        .run_loop(&p.machine, &sub, &target, &analysis, &mut frame)
+    let stats = session2()
+        .load(p.machine.program().clone())
+        .prepare(sym(p.sub), p.label)
+        .expect("analyzable")
+        .run(&mut p.frame.clone())
         .expect("runs");
     match stats.outcome {
         ExecOutcome::Speculated(_)
