@@ -312,6 +312,10 @@ pub fn analyze_loop(
         let stats = cx.stats();
         cfg.obs.count("core.simplify_evals", stats.simplify_evals);
         cfg.obs.count("core.simplify_hits", stats.simplify_hits);
+        cfg.obs.count("core.factor_evals", stats.factor_evals);
+        cfg.obs.count("core.factor_hits", stats.factor_hits);
+        cfg.obs.count("core.estimate_evals", stats.estimate_evals);
+        cfg.obs.count("core.estimate_hits", stats.estimate_hits);
         cfg.obs.count("symbolic.decide_evals", stats.decide_evals);
         cfg.obs.count("symbolic.decide_hits", stats.decide_hits);
         cfg.obs.count("core.pdag_interned", stats.interned);
@@ -405,8 +409,9 @@ fn analyze_while(
         return None;
     };
     let mut summarizer = Summarizer::new(prog);
-    // Fresh iteration space 1..=niters with every assigned scalar traced.
-    let itvar = Sym::fresh(&format!("{label}@it"));
+    // Iteration space 1..=niters with every assigned scalar traced; the
+    // iteration variable is a binder the entry values do not mention.
+    let itvar = entry_env.binders().first_free();
     let niters = LoopAnalysis::niters_sym(label);
     let mut iter_env = entry_env;
     let mut civs = Vec::new();

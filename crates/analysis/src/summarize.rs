@@ -429,11 +429,11 @@ impl<'p> Summarizer<'p> {
         body: &[Stmt],
         mut env: SymEnv,
     ) -> ScopeSummary {
-        // Model as a counted loop over a fresh iteration variable with a
-        // slice-computed trip count (CIV-COMP): every assigned scalar is
-        // a CIV by construction.
+        // Model as a counted loop with a slice-computed trip count
+        // (CIV-COMP): every assigned scalar is a CIV by construction. The
+        // iteration variable is a binder the entry values do not mention.
         self.call_counter += 1;
-        let itvar = Sym::fresh(&format!("{}@it", label.unwrap_or("while")));
+        let itvar = env.binders().first_free();
         // Not `LoopAnalysis::niters_sym`: nothing binds a nested WHILE's
         // trip count, so each summarized occurrence names its own.
         let niters = lip_symbolic::sym(&format!(

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use lip_ir::{BinOp, Expr, Intrinsic, Subroutine, UnOp};
-use lip_symbolic::{sym, BoolExpr, CmpOp, Sym, SymExpr};
+use lip_symbolic::{sym, Binders, BoolExpr, CmpOp, Sym, SymExpr};
 
 /// A symbolic scalar environment.
 ///
@@ -49,6 +49,14 @@ impl SymEnv {
             .get(&s)
             .cloned()
             .unwrap_or_else(|| SymExpr::var(s))
+    }
+
+    /// The pool binders the bound values mention: what the iteration
+    /// variable of a loop entered with this environment must avoid.
+    pub fn binders(&self) -> Binders {
+        self.bindings
+            .values()
+            .fold(Binders::default(), |acc, e| acc | e.binders())
     }
 
     /// Whether `s` has an explicit binding.

@@ -4,10 +4,12 @@
 //! arithmetic costs is what it allocates: while `SymExpr` was an owned
 //! `BTreeMap`, one `solvh` analysis made 695 351 allocations
 //! (101.5 MB), `hoist_indirect` 112 605 (16.5 MB) and
-//! `offset_crossover` 32 178 (4.9 MB). Terms are shared slices now, and
-//! the counts below — exact, and the same on every run — are what keeps
-//! them shared: a `bench_check` bound of 0.25 on a wall clock would not
-//! notice a deep copy creeping back into one operator.
+//! `offset_crossover` 32 178 (4.9 MB); with shared-slice terms but
+//! process-unique binders and identity-keyed factorizer memos, 102 576
+//! (9.3 MB), 19 248 (1.6 MB) and 8 374 (0.72 MB). The counts below —
+//! exact, and the same on every run — are what keeps terms shared and
+//! each sub-problem solved once: a `bench_check` bound of 0.25 on a wall
+//! clock would not notice a deep copy or a missed memo creeping back.
 //!
 //! Its own test binary, because of the counting `#[global_allocator]`.
 //! The counters are per thread — one analysis runs on one thread — so
@@ -76,10 +78,10 @@ fn cold_analysis(shape: &KernelShape) -> (u64, u64) {
     (a1 - a0, b1 - b0)
 }
 
-/// Bounds ~10 % above what the shared-slice algebra reaches (102 576 /
-/// 19 248 / 8 374 allocations, 9.3 / 1.6 / 0.72 MB), and the same count
-/// twice: a few allocations of slack for the interner's own tables,
-/// which grow when they grow.
+/// Bounds 10–15 % above what canonical binders and structural memo keys
+/// reach (36 375 / 7 324 / 3 528 allocations, 3.36 / 0.68 / 0.34 MB),
+/// and the same count twice: a few allocations of slack for the
+/// interner's own tables, which grow when they grow.
 fn gate(shape: &KernelShape, max_allocs: u64, max_bytes: u64) {
     // The first analysis in a process interns the kernel's names.
     cold_analysis(shape);
@@ -105,15 +107,15 @@ fn gate(shape: &KernelShape, max_allocs: u64, max_bytes: u64) {
 
 #[test]
 fn solvh_cold_analysis_allocations() {
-    gate(&lip_suite::SOLVH, 113_000, 10_200_000);
+    gate(&lip_suite::SOLVH, 41_000, 3_800_000);
 }
 
 #[test]
 fn hoist_indirect_cold_analysis_allocations() {
-    gate(&lip_suite::HOIST_INDIRECT, 21_400, 1_800_000);
+    gate(&lip_suite::HOIST_INDIRECT, 8_300, 770_000);
 }
 
 #[test]
 fn offset_crossover_cold_analysis_allocations() {
-    gate(&lip_suite::OFFSET_CROSSOVER, 9_300, 800_000);
+    gate(&lip_suite::OFFSET_CROSSOVER, 4_000, 390_000);
 }

@@ -12,18 +12,28 @@
 //!   environment is built once and carries its own `decide` memo;
 //! * the memo tables of `simplify(scope, node)`,
 //!   `strengthen_o1(scope, node)`, `eliminate_var(scope, var, node)` and
-//!   the LMAD-pair predicates the factorizers bottom out in.
+//!   the LMAD-pair predicates the factorizers bottom out in;
+//! * the factorizers' answers — `FACTOR`, `INCLUDED` and `DISJOINT` per
+//!   [`FactorConfig`] and USR *structure*, and the LMAD over- and
+//!   underestimate per USR — shared by every factorizer of the analysis
+//!   ([`crate::factor`] says why structure is enough).
+//!
+//! Each memo counts its misses (`*_evals`) and hits in [`CtxStats`];
+//! `analyze_loop` reports them as `core.*` / `symbolic.*` counters.
 //!
 //! Nothing here is global or thread-local: dropping the context drops
 //! every table, and a server that analyses never-seen programs forever
 //! retains only what each returned analysis itself references.
 
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 use lip_lmad::LmadSet;
 use lip_symbolic::{BoolExpr, RangeEnv, ScopeId, Scopes, Sym, SymExpr, TermBuildHasher};
-use lip_usr::CallSiteId;
+use lip_usr::{CallSiteId, Usr};
 
+use crate::estimate::{OverEstimate, UnderEstimate};
+use crate::factor::FactorConfig;
 use crate::pdag::Pdag;
 
 /// What one [`PredCtx`] did so far (all counts exact and deterministic).
@@ -37,6 +47,15 @@ pub struct CtxStats {
     pub decide_evals: u64,
     /// Leaves answered from a scope's `decide` memo.
     pub decide_hits: u64,
+    /// `FACTOR` / `INCLUDED` / `DISJOINT` questions a factorizer
+    /// answered (memo misses).
+    pub factor_evals: u64,
+    /// Questions answered from the factorizers' shared memo.
+    pub factor_hits: u64,
+    /// LMAD over- and underestimates computed (memo misses).
+    pub estimate_evals: u64,
+    /// Estimates answered from their memo.
+    pub estimate_hits: u64,
     /// Distinct nodes in the intern table.
     pub interned: u64,
 }
@@ -53,6 +72,13 @@ pub(crate) enum PairOp {
 /// mixing step per key, not a SipHash pass.
 pub(crate) type TermMap<K, V> = HashMap<K, V, TermBuildHasher>;
 
+/// A question of Figure 5: is `S` empty, or does the pair relation hold.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub(crate) enum Question {
+    Empty(Usr),
+    Pair(PairOp, Usr, Usr),
+}
+
 /// The predicate layer's working memory for one analysis.
 #[derive(Default)]
 pub struct PredCtx {
@@ -66,8 +92,15 @@ pub struct PredCtx {
     /// `op → left set → right set → leaf`, nested so that a lookup
     /// borrows the sets instead of cloning them into a key.
     lmad_pairs: TermMap<PairOp, TermMap<LmadSet, TermMap<LmadSet, Pdag>>>,
+    pub(crate) factored: TermMap<(FactorConfig, Question), Pdag>,
+    pub(crate) overestimates: TermMap<Usr, Option<Rc<OverEstimate>>>,
+    pub(crate) underestimates: TermMap<Usr, Option<Rc<UnderEstimate>>>,
     pub(crate) simplify_evals: u64,
     pub(crate) simplify_hits: u64,
+    pub(crate) factor_evals: u64,
+    pub(crate) factor_hits: u64,
+    pub(crate) estimate_evals: u64,
+    pub(crate) estimate_hits: u64,
 }
 
 impl PredCtx {
@@ -90,6 +123,10 @@ impl PredCtx {
             simplify_hits: self.simplify_hits,
             decide_evals,
             decide_hits,
+            factor_evals: self.factor_evals,
+            factor_hits: self.factor_hits,
+            estimate_evals: self.estimate_evals,
+            estimate_hits: self.estimate_hits,
             interned: self.interned.len() as u64,
         }
     }

@@ -6,11 +6,17 @@
 //! `⌈C⌉` an LMAD set with `C ⊆ ⌈C⌉` unconditionally. Dually, `D` is
 //! underestimated as `(P_D, ⌊D⌋)` where `⌊D⌋ ⊆ D` holds *when `P_D`
 //! holds*.
+//!
+//! The factorizer asks for the same summary's estimates over and over
+//! (every pair it flattens): [`PredCtx`] computes each once per analysis.
+
+use std::rc::Rc;
 
 use lip_lmad::{Lmad, LmadSet};
 use lip_symbolic::{BoolExpr, Sym, SymExpr};
 use lip_usr::{Usr, UsrNode};
 
+use crate::ctx::PredCtx;
 use crate::pdag::Pdag;
 
 /// `(empty_if, set)` with `usr ⊆ set` always, and `usr = ∅` when
@@ -183,6 +189,32 @@ pub fn underestimate(u: &Usr) -> Option<UnderEstimate> {
             })
         }
         UsrNode::RecPartial { .. } => None,
+    }
+}
+
+impl PredCtx {
+    /// [`overestimate`] of `u`, computed once per distinct summary.
+    pub(crate) fn overestimate(&mut self, u: &Usr) -> Option<Rc<OverEstimate>> {
+        if let Some(known) = self.overestimates.get(u) {
+            self.estimate_hits += 1;
+            return known.clone();
+        }
+        self.estimate_evals += 1;
+        let e = overestimate(u).map(Rc::new);
+        self.overestimates.insert(u.clone(), e.clone());
+        e
+    }
+
+    /// [`underestimate`] of `u`, computed once per distinct summary.
+    pub(crate) fn underestimate(&mut self, u: &Usr) -> Option<Rc<UnderEstimate>> {
+        if let Some(known) = self.underestimates.get(u) {
+            self.estimate_hits += 1;
+            return known.clone();
+        }
+        self.estimate_evals += 1;
+        let e = underestimate(u).map(Rc::new);
+        self.underestimates.insert(u.clone(), e.clone());
+        e
     }
 }
 

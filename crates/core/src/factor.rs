@@ -16,23 +16,24 @@
 //! When no structural rule applies, [`crate::estimate`] flattens the
 //! problem to the LMAD domain and the Figure 6 predicates take over.
 //!
-//! The input is a DAG and is translated as one: a [`Factorizer`] keys
-//! its memo on USR node *identity*, so a sub-summary shared by several
-//! equations (or several times within one) is translated once, and the
-//! nodes it builds are interned in the analysis's [`PredCtx`], which
-//! also remembers each LMAD-pair predicate across factorizers.
-
-use std::hash::{Hash, Hasher};
+//! The input is a DAG and is translated as one. Every question —
+//! `FACTOR(S)`, `INCLUDED(S1, S2)`, `DISJOINT(S1, S2)` and the LMAD
+//! estimates below them — is answered once per analysis: the answers
+//! live in the analysis's [`PredCtx`], keyed by the USRs' *structure*
+//! (plus the [`FactorConfig`] they were asked under), and USR binders
+//! are canonical pool symbols. So a sub-summary met again — shared by
+//! several equations, rebuilt by another array's or another fission
+//! fragment's factorizer, or renamed apart by `unshadow` — is
+//! translated once, and the nodes built for it are interned there too.
 
 use lip_symbolic::{BoolExpr, Sym, SymExpr};
 use lip_usr::{Usr, UsrNode};
 
-use crate::ctx::{PairOp, PredCtx, TermMap};
-use crate::estimate::{overestimate, underestimate};
+use crate::ctx::{PairOp, PredCtx, Question};
 use crate::pdag::Pdag;
 
 /// Declared extent of the array under analysis (enables `FILLS_ARR`).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ArrayExtent {
     /// First valid index.
     pub base: SymExpr,
@@ -41,7 +42,9 @@ pub struct ArrayExtent {
 }
 
 /// Tunables for the factorization (the ablation benches flip these).
-#[derive(Clone, Debug)]
+/// Every field can change an answer, so all of it is part of the key
+/// an answer is remembered under.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct FactorConfig {
     /// Enable the §3.3 monotonicity rule.
     pub monotonicity: bool,
@@ -61,48 +64,19 @@ impl Default for FactorConfig {
     }
 }
 
-/// A USR node as a memo key: compared and hashed by identity
-/// ([`Usr::id`], the node's address), which is what "the same shared
-/// sub-summary" means in a DAG. The key owns a handle to the node, so
-/// the address cannot be reused while the entry exists.
-struct ById(Usr);
-
-impl PartialEq for ById {
-    fn eq(&self, other: &ById) -> bool {
-        self.0.id() == other.0.id()
-    }
-}
-
-impl Eq for ById {}
-
-impl Hash for ById {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.id().hash(state);
-    }
-}
-
-/// The factorization engine. One instance serves every equation posed
-/// over the same configuration — the flow, output and last-value
-/// equations of one array are cut from one summary and share most of
-/// their sub-summaries. Memoization is keyed on USR node identity: a
-/// shared sub-summary is translated once, two structurally equal but
-/// separately built ones are translated twice.
+/// The factorization engine: a configuration and a recursion depth.
+/// What it has answered is remembered in the [`PredCtx`] it is handed,
+/// so every factorizer of one analysis — one per array, one per fission
+/// conflict test — shares one memo.
 pub struct Factorizer {
     cfg: FactorConfig,
-    memo_factor: TermMap<ById, Pdag>,
-    memo_pair: TermMap<(PairOp, ById, ById), Pdag>,
     depth: u32,
 }
 
 impl Factorizer {
     /// Creates a factorizer with the given configuration.
     pub fn new(cfg: FactorConfig) -> Factorizer {
-        Factorizer {
-            cfg,
-            memo_factor: TermMap::default(),
-            memo_pair: TermMap::default(),
-            depth: 0,
-        }
+        Factorizer { cfg, depth: 0 }
     }
 
     /// Creates a factorizer with default configuration.
@@ -119,17 +93,32 @@ impl Factorizer {
     /// builds are interned in `cx`, which also remembers the LMAD-pair
     /// predicates across the factorizers of one analysis.
     pub fn factor_in(&mut self, cx: &mut PredCtx, s: &Usr) -> Pdag {
-        let key = ById(s.clone());
-        if let Some(p) = self.memo_factor.get(&key) {
+        self.memoized(cx, Question::Empty(s.clone()), |f, cx| {
+            f.factor_uncached(cx, s)
+        })
+    }
+
+    /// `answer`, or what `cx` remembers of `q` under this configuration.
+    /// Past the depth budget the answer is `false` (sound, unremembered).
+    fn memoized(
+        &mut self,
+        cx: &mut PredCtx,
+        q: Question,
+        answer: impl FnOnce(&mut Factorizer, &mut PredCtx) -> Pdag,
+    ) -> Pdag {
+        let key = (self.cfg.clone(), q);
+        if let Some(p) = cx.factored.get(&key) {
+            cx.factor_hits += 1;
             return p.clone();
         }
         if self.depth >= self.cfg.max_depth {
             return cx.bool(false);
         }
+        cx.factor_evals += 1;
         self.depth += 1;
-        let result = self.factor_uncached(cx, s);
+        let result = answer(self, cx);
         self.depth -= 1;
-        self.memo_factor.insert(key, result.clone());
+        cx.factored.insert(key, result.clone());
         result
     }
 
@@ -203,18 +192,8 @@ impl Factorizer {
         if s2.is_empty() {
             return self.factor_in(cx, s1);
         }
-        let key = (PairOp::Included, ById(s1.clone()), ById(s2.clone()));
-        if let Some(p) = self.memo_pair.get(&key) {
-            return p.clone();
-        }
-        if self.depth >= self.cfg.max_depth {
-            return cx.bool(false);
-        }
-        self.depth += 1;
-        let result = self.included_uncached(cx, s1, s2);
-        self.depth -= 1;
-        self.memo_pair.insert(key, result.clone());
-        result
+        let q = Question::Pair(PairOp::Included, s1.clone(), s2.clone());
+        self.memoized(cx, q, |f, cx| f.included_uncached(cx, s1, s2))
     }
 
     fn included_uncached(&mut self, cx: &mut PredCtx, s1: &Usr, s2: &Usr) -> Pdag {
@@ -237,13 +216,18 @@ impl Factorizer {
         ) = (s1.node(), s2.node())
         {
             if lo1 == lo2 && hi1 == hi2 {
-                let b2r = if v1 == v2 {
-                    b2.clone()
+                // One variable for both bodies: `v1` unless `b2` mentions
+                // it free, then a binder occurring in neither side.
+                let (v, b1, b2) = if v1 == v2 {
+                    (*v1, b1.clone(), b2.clone())
+                } else if !b2.contains_sym(*v1) {
+                    (*v1, b1.clone(), b2.rename_bound(*v2, *v1))
                 } else {
-                    b2.rename_bound(*v2, *v1)
+                    let w = (s1.binders() | s2.binders()).first_free();
+                    (w, b1.rename_bound(*v1, w), b2.rename_bound(*v2, w))
                 };
-                let inner = self.included(cx, b1, &b2r);
-                p1 = cx.forall(*v1, lo1, hi1, inner);
+                let inner = self.included(cx, &b1, &b2);
+                p1 = cx.forall(v, lo1, hi1, inner);
             }
         }
         if p1.is_false() {
@@ -313,7 +297,7 @@ impl Factorizer {
             }
             // ∪_i body_i ⊆ U ⇔ ∀ i: body_i ⊆ U (exact).
             UsrNode::RecTotal { var, lo, hi, body } | UsrNode::RecPartial { var, lo, hi, body } => {
-                let (var, body) = unshadow(*var, body, u);
+                let (var, body) = unshadow(s, *var, body, u);
                 let inner = self.included(cx, &body, u);
                 self.empty_range_or_forall(cx, var, lo, hi, inner)
             }
@@ -330,21 +314,13 @@ impl Factorizer {
         if s1 == s2 {
             return self.factor_in(cx, s1);
         }
-        let key = (PairOp::Disjoint, ById(s1.clone()), ById(s2.clone()));
-        if let Some(p) = self.memo_pair.get(&key) {
-            return p.clone();
-        }
-        if self.depth >= self.cfg.max_depth {
-            return cx.bool(false);
-        }
-        self.depth += 1;
-        let h1 = self.disjoint_h(cx, s1, s2);
-        let h2 = self.disjoint_h(cx, s2, s1);
-        let papp = disjoint_app(cx, s1, s2);
-        let result = cx.or(vec![h1, h2, papp]);
-        self.depth -= 1;
-        self.memo_pair.insert(key, result.clone());
-        result
+        let q = Question::Pair(PairOp::Disjoint, s1.clone(), s2.clone());
+        self.memoized(cx, q, |f, cx| {
+            let h1 = f.disjoint_h(cx, s1, s2);
+            let h2 = f.disjoint_h(cx, s2, s1);
+            let papp = disjoint_app(cx, s1, s2);
+            cx.or(vec![h1, h2, papp])
+        })
     }
 
     /// `DISJOINT_H(U, S)` of Figure 5(a): structural rules on `U`.
@@ -374,7 +350,7 @@ impl Factorizer {
             }
             // (∪_i body_i) ∩ S = ∅ ⇔ ∀ i: body_i ∩ S = ∅ (exact).
             UsrNode::RecTotal { var, lo, hi, body } | UsrNode::RecPartial { var, lo, hi, body } => {
-                let (var, body) = unshadow(*var, body, s);
+                let (var, body) = unshadow(u, *var, body, s);
                 let inner = self.disjoint(cx, &body, s);
                 self.empty_range_or_forall(cx, var, lo, hi, inner)
             }
@@ -389,18 +365,15 @@ impl Factorizer {
     /// `INCLUDED_APP(C, D)`: flatten to the LMAD domain via a conditional
     /// overestimate of `C` and underestimate of `D`.
     fn included_app(&mut self, cx: &mut PredCtx, c: &Usr, d: &Usr) -> Pdag {
-        let Some(over) = overestimate(c) else {
+        let Some(over) = cx.overestimate(c) else {
             return cx.bool(false);
         };
-        let under = match underestimate(d) {
-            Some(u) => u,
-            None => {
-                return over.empty_if;
-            }
+        let Some(under) = cx.underestimate(d) else {
+            return over.empty_if.clone();
         };
         let lmad_pred = cx.lmad_pair(PairOp::Included, &over.set, &under.set);
-        let flat = cx.and(vec![under.valid_if, lmad_pred]);
-        cx.or(vec![over.empty_if, flat])
+        let flat = cx.and(vec![under.valid_if.clone(), lmad_pred]);
+        cx.or(vec![over.empty_if.clone(), flat])
     }
 
     /// The §3.3 monotonicity rule for `∪_{i}(Sᵢ ∩ ∪_{k=lo}^{i-1} Sₖ) = ∅`:
@@ -446,7 +419,7 @@ impl Factorizer {
             return None;
         }
         // Hull of S_i as a function of i.
-        let over = overestimate(si)?;
+        let over = cx.overestimate(si)?;
         let (hlo, hhi) = over.set.hull()?;
         let next = &SymExpr::var(var) + &SymExpr::konst(1);
         let hlo_next = hlo.subst(var, &next);
@@ -464,12 +437,15 @@ impl Factorizer {
     }
 }
 
-/// Renames the recurrence variable when it would capture a free
-/// symbol of the opposite operand.
-fn unshadow(var: Sym, body: &Usr, other: &Usr) -> (Sym, Usr) {
+/// The variable and body of recurrence `rec` (`∪_{var} body`) as seen
+/// beside `other`: renamed when `other` mentions `var` free, to the
+/// lowest binder occurring nowhere — free or bound — in `rec` or in
+/// `other`, so the renaming cannot capture and the same pair of
+/// summaries is always renamed alike.
+fn unshadow(rec: &Usr, var: Sym, body: &Usr, other: &Usr) -> (Sym, Usr) {
     if other.contains_sym(var) {
-        let fresh = Sym::fresh_from(var, "");
-        (fresh, body.rename_bound(var, fresh))
+        let to = (rec.binders() | other.binders()).first_free();
+        (to, body.rename_bound(var, to))
     } else {
         (var, body.clone())
     }
@@ -478,14 +454,14 @@ fn unshadow(var: Sym, body: &Usr, other: &Usr) -> (Sym, Usr) {
 /// `DISJOINT_APP(C, D)`: flatten to the LMAD domain via conditional
 /// overestimates of both sides.
 fn disjoint_app(cx: &mut PredCtx, c: &Usr, d: &Usr) -> Pdag {
-    let Some(oc) = overestimate(c) else {
+    let Some(oc) = cx.overestimate(c) else {
         return cx.bool(false);
     };
-    let Some(od) = overestimate(d) else {
-        return oc.empty_if;
+    let Some(od) = cx.overestimate(d) else {
+        return oc.empty_if.clone();
     };
     let lmad_pred = cx.lmad_pair(PairOp::Disjoint, &oc.set, &od.set);
-    cx.or(vec![oc.empty_if, od.empty_if, lmad_pred])
+    cx.or(vec![oc.empty_if.clone(), od.empty_if.clone(), lmad_pred])
 }
 
 #[cfg(test)]
@@ -494,7 +470,7 @@ mod tests {
     use crate::pdag::PdagNode;
     use lip_lmad::{Lmad, LmadSet};
     use lip_symbolic::{sym, MapCtx, RangeEnv};
-    use lip_usr::output_independence;
+    use lip_usr::{eval_usr, output_independence};
 
     fn v(name: &str) -> SymExpr {
         SymExpr::var(sym(name))
@@ -659,6 +635,71 @@ mod tests {
         let p = f.factor(&u);
         // Must terminate and produce *something* (possibly just false).
         let _ = format!("{p}");
+    }
+
+    /// `unshadow` must avoid the binders bound *inside* the recurrence,
+    /// not only the free ones: the lowest pool symbol, @0, is bound in
+    /// the body here, so renaming `i` to it would capture.
+    #[test]
+    fn unshadow_skips_a_binder_bound_in_the_body() {
+        let (i, at0) = (sym("i"), Sym::binder(0));
+        let b_at0 = SymExpr::elem(sym("B"), SymExpr::var(at0));
+        let body = Usr::rec_total(
+            at0,
+            k(1),
+            v("i"),
+            Usr::leaf(LmadSet::single(Lmad::point(&b_at0 + &v("i")))),
+        );
+        let rec = Usr::rec_total(i, k(1), v("N"), body.clone());
+        let other = iv(v("i"), v("i"));
+        let (var, renamed) = unshadow(&rec, i, &body, &other);
+        assert_ne!(var, at0, "captured by the binder inside: {renamed}");
+        assert_eq!(var, Sym::binder(1));
+        let again = Usr::rec_total(var, k(1), v("N"), renamed);
+        let mut ctx = MapCtx::new();
+        ctx.set_scalar(sym("N"), 3)
+            .set_scalar(i, 7)
+            .set_scalar(at0, 9);
+        ctx.set_array(sym("B"), 1, vec![10, 20, 30]);
+        assert_eq!(eval_usr(&again, &ctx, 1_000), eval_usr(&rec, &ctx, 1_000));
+        assert!(eval_usr(&rec, &ctx, 1_000).is_some_and(|s| s.len() == 6));
+    }
+
+    /// Two separately built summaries, alpha-equal (each equation mints
+    /// its own prefix binder), are one question: the second factorizer
+    /// asks nothing the first did not.
+    #[test]
+    fn alpha_equal_summaries_are_factorized_once() {
+        let wf = || {
+            Usr::leaf(LmadSet::single(Lmad::point(SymExpr::elem(
+                sym("B"),
+                v("i"),
+            ))))
+        };
+        let a = output_independence(sym("i"), &k(1), &v("N"), &wf());
+        let b = output_independence(sym("i"), &k(1), &v("N"), &wf());
+        assert_ne!(a.id(), b.id());
+        let mut cx = PredCtx::new();
+        let pa = Factorizer::with_defaults().factor_in(&mut cx, &a);
+        let before = cx.stats();
+        assert!(before.factor_evals > 0);
+        let pb = Factorizer::with_defaults().factor_in(&mut cx, &b);
+        let after = cx.stats();
+        assert_eq!(pa, pb);
+        assert_eq!(after.factor_evals, before.factor_evals);
+        assert_eq!(after.factor_hits, before.factor_hits + 1);
+        // Another configuration is another question (FILLS_ARR reads
+        // the extent).
+        let extent = Some(ArrayExtent {
+            base: k(1),
+            size: v("N"),
+        });
+        let cfg = FactorConfig {
+            array_extent: extent,
+            ..FactorConfig::default()
+        };
+        Factorizer::new(cfg).factor_in(&mut cx, &b);
+        assert!(cx.stats().factor_evals > after.factor_evals);
     }
 
     /// Test-only helper: decide a PDAG whose leaves are all statically

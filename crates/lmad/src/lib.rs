@@ -29,7 +29,7 @@ pub mod project;
 use std::collections::BTreeSet;
 use std::fmt;
 
-use lip_symbolic::{BoolExpr, EvalCtx, Sym, SymExpr};
+use lip_symbolic::{Binders, BoolExpr, EvalCtx, Sym, SymExpr};
 
 pub use predicates::{disjoint_lmads, fills_array, included_lmads};
 
@@ -208,6 +208,13 @@ impl Lmad {
                 .any(|d| d.stride.contains_sym(s) || d.span.contains_sym(s))
     }
 
+    /// The pool binders mentioned in any component.
+    pub fn binders(&self) -> Binders {
+        self.dims.iter().fold(self.offset.binders(), |acc, d| {
+            acc | d.stride.binders() | d.span.binders()
+        })
+    }
+
     /// All symbols mentioned.
     pub fn syms(&self) -> BTreeSet<Sym> {
         let mut out = self.offset.syms();
@@ -379,6 +386,13 @@ impl LmadSet {
     /// Whether `s` occurs in any member.
     pub fn contains_sym(&self, s: Sym) -> bool {
         self.0.iter().any(|l| l.contains_sym(s))
+    }
+
+    /// The pool binders mentioned in any member.
+    pub fn binders(&self) -> Binders {
+        self.0
+            .iter()
+            .fold(Binders::default(), |acc, l| acc | l.binders())
     }
 
     /// All symbols mentioned.

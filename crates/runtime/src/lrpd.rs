@@ -138,6 +138,11 @@ pub enum LrpdOutcome {
 /// The speculation driver: [`speculate`] on the shared arrays, restored
 /// from a backup and re-run sequentially on conflict. A step other than
 /// 1 runs sequentially instead (and trivially commits).
+///
+/// The units are those of the run that produced the result. An aborted
+/// attempt's units depend on how far each chunk got before the conflict
+/// stopped it — on the schedule — so they are not charged to the loop
+/// but counted apart, as `lrpd.aborted_units`.
 pub(crate) fn lrpd_execute_impl(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
@@ -166,9 +171,10 @@ pub(crate) fn lrpd_execute_impl(
             view.buf.restore(snap);
         }
     }
+    env.cache.obs.count("lrpd.aborted_units", cost);
     let mut st = ExecState::default();
     exec_stmt_seq(env, sub, target, &mut frame.clone(), &mut st)?;
-    Ok((LrpdOutcome::Aborted, cost + st.cost))
+    Ok((LrpdOutcome::Aborted, st.cost))
 }
 
 /// The inspector's dry run (paper §1, citing Rauchwerger, Amato &

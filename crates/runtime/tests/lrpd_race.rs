@@ -4,7 +4,9 @@
 //! on-the-fly detector kept one reader witness and decided inside the
 //! marking (a Dekker pair), so a few thousandths of the runs at widths
 //! 2, 3 and 7 committed `B(1) = 10` instead of 11 (measured in release).
-//! Every run must abort and leave the sequential result.
+//! Every run must abort and leave the sequential result — and, on
+//! `tls_feedback`'s loop, be charged the same `loop_units` whatever the
+//! schedule did to the discarded attempt.
 
 use lip_ir::{parse_program, Machine, Store, Value};
 use lip_runtime::{LrpdOutcome, Session};
@@ -52,5 +54,67 @@ fn speculation_never_commits_a_cross_iteration_read() {
             }
         }
         assert_eq!(wrong, 0, "{wrong} of {RUNS} runs at nthreads = {nthreads}");
+    }
+}
+
+/// `tls_feedback`'s loop on its failing input: iteration `i` writes
+/// `A(i)` and reads `A(i + 1)`, which iteration `i + 1` writes.
+const FEEDBACK: &str = "
+SUBROUTINE nlfilt(A, W, N)
+  DIMENSION A(*), W(*)
+  INTEGER i, N, pos
+  DO do300 i = 1, N
+    pos = INT(W(i))
+    A(pos) = A(pos + 1) * 0.5 + 1.0
+  ENDDO
+END
+";
+
+/// An aborted speculation is charged the sequential re-run only. The
+/// discarded attempt stopped wherever each chunk noticed the conflict —
+/// 36 905, 36 923 or 36 941 units on `bench_e2e`'s `tls_feedback` fail
+/// row while they were added in — so its units are counted apart.
+#[test]
+fn an_aborted_speculation_charges_the_same_units_every_run() {
+    let n = 4096;
+    for nthreads in [2, 7] {
+        let session = Session::builder()
+            .nthreads(nthreads)
+            .observer(lip_obs::ObsLevel::Metrics)
+            .build();
+        let prog = parse_program(FEEDBACK).expect("parses");
+        let handle = session
+            .load(prog)
+            .prepare(sym("nlfilt"), "do300")
+            .expect("analysis");
+        let mut units = std::collections::BTreeSet::new();
+        let mut finals = std::collections::BTreeSet::new();
+        for _ in 0..50 {
+            let mut frame = Store::new();
+            frame.set_int(sym("N"), n as i64);
+            let a = frame.alloc_real(sym("A"), n + 2);
+            for k in 0..n + 2 {
+                a.set(k, Value::Real(k as f64));
+            }
+            let w = frame.alloc_real(sym("W"), n);
+            for k in 0..n {
+                w.set(k, Value::Real((k + 1) as f64));
+            }
+            let stats = handle.run(&mut frame).expect("runs");
+            assert_eq!(
+                stats.outcome,
+                lip_runtime::ExecOutcome::Speculated(LrpdOutcome::Aborted)
+            );
+            units.insert(stats.loop_units);
+            finals.insert(frame.array(sym("A")).expect("A").get_f64(n - 1).to_bits());
+        }
+        assert_eq!(
+            units.len(),
+            1,
+            "loop_units {units:?} at nthreads = {nthreads}"
+        );
+        assert_eq!(finals.len(), 1);
+        let wasted = session.metrics().counter("lrpd.aborted_units");
+        assert!(wasted.is_some_and(|w| w > 0), "{wasted:?}");
     }
 }

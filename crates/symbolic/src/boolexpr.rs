@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use crate::eval::EvalCtx;
 use crate::expr::SymExpr;
-use crate::sym::Sym;
+use crate::sym::{Binders, Sym};
 
 /// Comparison operators for the convenience constructors.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -305,6 +305,22 @@ impl BoolExpr {
                     p.collect_syms(out);
                 }
             }
+        }
+    }
+
+    /// The pool binders ([`Sym::binder`]) the predicate mentions.
+    pub fn binders(&self) -> Binders {
+        match self {
+            BoolExpr::Const(_) => Binders::default(),
+            BoolExpr::Ge0(e)
+            | BoolExpr::Gt0(e)
+            | BoolExpr::Eq0(e)
+            | BoolExpr::Ne0(e)
+            | BoolExpr::Divides(_, e)
+            | BoolExpr::NotDivides(_, e) => e.binders(),
+            BoolExpr::And(ps) | BoolExpr::Or(ps) => ps
+                .iter()
+                .fold(Binders::default(), |acc, p| acc | p.binders()),
         }
     }
 

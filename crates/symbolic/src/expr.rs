@@ -47,7 +47,7 @@ use std::ops::{Add, Mul, Neg, Sub};
 use std::sync::{Arc, OnceLock};
 
 use crate::eval::EvalCtx;
-use crate::sym::Sym;
+use crate::sym::{Binders, Sym};
 
 /// The hasher behind the cached structural hashes, and the one the
 /// analysis' own tables are keyed with ([`TermBuildHasher`]): per word
@@ -216,6 +216,14 @@ impl Atom {
                 a.collect_syms(out);
                 b.collect_syms(out);
             }
+        }
+    }
+
+    fn binders(&self) -> Binders {
+        match self {
+            Atom::Var(s) => Binders::of(*s),
+            Atom::Elem(a, e) => Binders::of(*a) | e.binders(),
+            Atom::Min(a, b) | Atom::Max(a, b) => a.binders() | b.binders(),
         }
     }
 
@@ -555,6 +563,14 @@ impl SymExpr {
                 a.syms(out);
             }
         }
+    }
+
+    /// The pool binders ([`crate::Sym::binder`]) the expression mentions.
+    pub fn binders(&self) -> Binders {
+        self.slice()
+            .iter()
+            .flat_map(|(m, _)| m.atoms())
+            .fold(Binders::default(), |acc, (a, _)| acc | a.binders())
     }
 
     /// The variables that occur as factors of some term (not the ones

@@ -46,4 +46,4 @@ pub use eval::{EvalCtx, MapCtx, ScopedCtx};
 pub use expr::{Atom, Monomial, SymExpr, TermBuildHasher, TermHasher};
 pub use fm::{prove_ge0, prove_gt0, reduce_ge0, reduce_gt0};
 pub use range::{RangeEnv, ScopeId, Scopes};
-pub use sym::{interner_size, sym, Sym};
+pub use sym::{interner_size, sym, Binders, Sym};

@@ -9,7 +9,7 @@
 //! An analysis that walks nested quantifiers asks the same question of
 //! the same environment many times over. [`Scopes`] is the tree of
 //! environments such a walk visits — a root plus, per node, the chain of
-//! `set_range` calls that led there — with one decision memo per node.
+//! `bind` calls that led there — with one decision memo per node.
 
 use std::collections::HashMap;
 
@@ -49,6 +49,22 @@ impl RangeEnv {
     pub fn with_fact(mut self, fact: BoolExpr) -> RangeEnv {
         self.assume(fact);
         self
+    }
+
+    /// Enters a quantifier: `s` becomes a *new* variable ranging over
+    /// `lo ..= hi`. Whatever the environment said about a symbol of that
+    /// name — an enclosing quantifier over the same variable, which
+    /// binders drawn from one pool make common — is about the outer one:
+    /// its range, other ranges and facts mentioning it are dropped, and
+    /// bounds in terms of it bound nothing.
+    pub fn bind(&mut self, s: Sym, lo: SymExpr, hi: SymExpr) {
+        let mentions = |e: &Option<SymExpr>| e.as_ref().is_some_and(|e| e.contains_sym(s));
+        self.ranges
+            .retain(|v, r| *v != s && !mentions(&r.lo) && !mentions(&r.hi));
+        self.facts.retain(|f| !f.contains_sym(s));
+        if !lo.contains_sym(s) && !hi.contains_sym(s) {
+            self.set_range(s, lo, hi);
+        }
     }
 
     /// Adds an inclusive range `lo ≤ s ≤ hi`.
@@ -218,7 +234,7 @@ pub struct ScopeId(u32);
 struct Scope {
     env: RangeEnv,
     is_root: bool,
-    /// `(var, lo, hi, child)`: the scope `set_range(var, lo, hi)` leads to.
+    /// `(var, lo, hi, child)`: the scope `bind(var, lo, hi)` leads to.
     children: Vec<(Sym, SymExpr, SymExpr, ScopeId)>,
     decided: HashMap<BoolExpr, Option<bool>, TermBuildHasher>,
 }
@@ -264,7 +280,7 @@ impl Scopes {
         }
     }
 
-    /// The scope reached from `parent` by `set_range(var, lo, hi)`.
+    /// The scope reached from `parent` by `bind(var, lo, hi)`.
     pub fn enter(&mut self, parent: ScopeId, var: Sym, lo: &SymExpr, hi: &SymExpr) -> ScopeId {
         let p = &self.scopes[parent.0 as usize];
         let known = p
@@ -275,7 +291,7 @@ impl Scopes {
             return *child;
         }
         let mut env = p.env.clone();
-        env.set_range(var, lo.clone(), hi.clone());
+        env.bind(var, lo.clone(), hi.clone());
         let child = self.push(env, false);
         self.scopes[parent.0 as usize]
             .children
@@ -413,6 +429,32 @@ mod tests {
         let other = scopes.root(&RangeEnv::new().with_fact(BoolExpr::gt0(v("i"))));
         assert_ne!(other, root);
         assert_eq!(scopes.decide(other, &leaf), Some(true));
+    }
+
+    /// `∀ j ∈ 1..i-1: ∀ i ∈ 5..6: …` — the inner `i` is a new variable:
+    /// `j ≤ i - 1` was about the outer one and must not bound the inner.
+    #[test]
+    fn binding_forgets_the_outer_variable() {
+        let (i, j) = (sym("i"), sym("j"));
+        let mut env = RangeEnv::new()
+            .with_range(i, SymExpr::konst(1), v("N"))
+            .with_range(j, SymExpr::konst(1), v("i") - SymExpr::konst(1))
+            .with_fact(BoolExpr::gt0(v("i") - SymExpr::konst(3)))
+            .with_fact(BoolExpr::gt0(v("N")));
+        // Under the outer binding, j < i holds.
+        let j_below_i = BoolExpr::gt0(v("i") - v("j"));
+        assert_eq!(env.decide(&j_below_i), Some(true));
+        env.bind(i, SymExpr::konst(5), SymExpr::konst(6));
+        assert_eq!(env.decide(&j_below_i), None);
+        assert!(env.range(j).is_none());
+        assert_eq!(env.facts(), &[BoolExpr::gt0(v("N"))]);
+        assert_eq!(
+            env.decide(&BoolExpr::gt0(v("i") - SymExpr::konst(4))),
+            Some(true)
+        );
+        // Bounds in terms of the variable being bound are not recorded.
+        env.bind(i, SymExpr::konst(1), v("i"));
+        assert!(env.range(i).is_none());
     }
 
     #[test]

@@ -6,14 +6,28 @@
 //! needs: deterministic canonical forms for [`crate::SymExpr`]).
 //!
 //! An entry is either a *name* — a string, found again by [`sym`] — or a
-//! *fresh* symbol ([`Sym::fresh`]): a base symbol, a literal suffix and
-//! the entry's own index, rendered `base` `suffix` `$index`. A fresh symbol is never looked up by
-//! name, so it owns no string and no table slot: an analysis mints
-//! hundreds of them (bound variables, opaque unknowns), a server
-//! analyses programs forever, and the interner only grows.
+//! *fresh* symbol ([`Sym::fresh`]): a base symbol and the entry's own
+//! index, rendered `base$index`. A fresh symbol is never looked up by
+//! name, so it owns no string and no table slot; the analysis mints
+//! them only for opaque unknowns (a value it cannot name), and the
+//! interner only grows.
+//!
+//! # Binders
+//!
+//! Bound variables — recurrence and quantifier variables, the prefix
+//! `k` of `∪_{k<i}`, a WHILE loop's iteration counter — come from a
+//! fixed pool of [`Sym::binder`]s instead, rendered `@0`, `@1`, … . A
+//! binder is chosen as the lowest pool symbol that occurs nowhere, free
+//! or bound, in the terms it enters ([`Binders::first_free`]), so
+//! renaming to it cannot capture anything, and the same sub-problem
+//! built twice is the same term: equal, equally hashed and rendered
+//! byte for byte alike in every process. The pool lives above every
+//! interner entry — a binder sorts after every name and fresh symbol,
+//! whatever the process interned before — and owns no entry at all.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::BitOr;
 use std::sync::OnceLock;
 
 use std::sync::RwLock;
@@ -32,10 +46,17 @@ use std::sync::RwLock;
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Sym(u32);
 
+/// Binders in the pool: one bit each in a [`Binders`] set.
+const POOL: u32 = 64;
+
+/// The pool's first id: the top of the id space, which the interner
+/// never reaches.
+const POOL_BASE: u32 = u32::MAX - (POOL - 1);
+
 enum Entry {
     Name(Box<str>),
-    /// Rendered `base`, `suffix`, `$n` — `n` being this entry's index.
-    Fresh(Sym, &'static str),
+    /// Rendered `base$n`, `n` being this entry's index.
+    Fresh(Sym),
 }
 
 struct Interner {
@@ -55,17 +76,23 @@ fn interner() -> &'static RwLock<Interner> {
 
 impl Interner {
     fn push(&mut self, entry: Entry) -> Sym {
-        let id = u32::try_from(self.entries.len()).expect("symbol interner overflow");
+        let id = u32::try_from(self.entries.len())
+            .ok()
+            .filter(|id| *id < POOL_BASE)
+            .expect("symbol interner overflow");
         self.entries.push(entry);
         Sym(id)
     }
 
     fn write_name(&self, s: Sym, out: &mut dyn fmt::Write) -> fmt::Result {
+        if let Some(n) = s.binder_index() {
+            return write!(out, "@{n}");
+        }
         match &self.entries[s.0 as usize] {
             Entry::Name(name) => out.write_str(name),
-            Entry::Fresh(base, suffix) => {
+            Entry::Fresh(base) => {
                 self.write_name(*base, out)?;
-                write!(out, "{suffix}${}", s.0)
+                write!(out, "${}", s.0)
             }
         }
     }
@@ -103,17 +130,52 @@ impl Sym {
         self.to_string()
     }
 
-    /// A fresh symbol, distinct from every other one, rendered as `base`
-    /// with a suffix (used for renaming recurrence variables).
+    /// A fresh symbol, distinct from every other one, rendered `base$n`
+    /// (an opaque unknown: a value the analysis cannot name).
     pub fn fresh(base: &str) -> Sym {
-        Sym::fresh_from(sym(base), "")
+        let base = sym(base);
+        interner().write().unwrap().push(Entry::Fresh(base))
     }
 
-    /// [`Sym::fresh`] named after a symbol — another fresh one included,
-    /// which nests the numbers (`i$35k$80` for base `i$35` and suffix
-    /// `k`) — without interning the name it is rendered with.
-    pub fn fresh_from(base: Sym, suffix: &'static str) -> Sym {
-        interner().write().unwrap().push(Entry::Fresh(base, suffix))
+    /// Binder `n` of the pool (see the module documentation); `n < 64`.
+    pub fn binder(n: u32) -> Sym {
+        assert!(n < POOL, "binder {n} is outside the pool");
+        Sym(POOL_BASE + n)
+    }
+
+    /// `Some(n)` for [`Sym::binder`]`(n)`, `None` for every other symbol.
+    pub fn binder_index(self) -> Option<u32> {
+        self.0.checked_sub(POOL_BASE)
+    }
+}
+
+/// A set of pool binders, one bit each: which binders occur in a term.
+#[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
+pub struct Binders(u64);
+
+impl Binders {
+    /// `{s}` when `s` is a binder, the empty set otherwise.
+    pub fn of(s: Sym) -> Binders {
+        Binders(s.binder_index().map_or(0, |n| 1 << n))
+    }
+
+    /// The lowest binder not in the set: the one to bind in terms whose
+    /// binders, free or bound, are `self`. Should one term ever hold the
+    /// whole pool, a fresh symbol stands in (still distinct from
+    /// everything, just not canonical).
+    pub fn first_free(self) -> Sym {
+        match (!self.0).trailing_zeros() {
+            n if n < POOL => Sym::binder(n),
+            _ => Sym::fresh("binder"),
+        }
+    }
+}
+
+impl BitOr for Binders {
+    type Output = Binders;
+
+    fn bitor(self, other: Binders) -> Binders {
+        Binders(self.0 | other.0)
     }
 }
 
@@ -155,14 +217,12 @@ mod tests {
     fn fresh_symbols_render_their_base_and_own_no_string() {
         let (names, fresh) = interner_size();
         let a = Sym::fresh("fresh_base");
-        let b = Sym::fresh_from(a, "k");
+        let b = Sym::fresh("fresh_base");
         assert!(a < b, "ordered by creation");
         let (rendered_a, rendered_b) = (a.name(), b.name());
         assert!(rendered_a.starts_with("fresh_base$"), "{rendered_a}");
-        assert!(
-            rendered_b.starts_with(&format!("{rendered_a}k$")),
-            "{rendered_b}"
-        );
+        assert!(rendered_b.starts_with("fresh_base$"), "{rendered_b}");
+        assert_ne!(rendered_a, rendered_b);
         assert_eq!(format!("{a:?}"), format!("Sym({rendered_a})"));
         // Other tests intern concurrently: at least ours, one name only.
         let (names_after, fresh_after) = interner_size();
@@ -173,5 +233,29 @@ mod tests {
     #[test]
     fn display_shows_name() {
         assert_eq!(format!("{}", sym("NP")), "NP");
+    }
+
+    #[test]
+    fn binders_sort_last_and_render_fixed() {
+        let b = Sym::binder(3);
+        assert_eq!(b.to_string(), "@3");
+        assert_eq!(b.binder_index(), Some(3));
+        assert_eq!(sym("x").binder_index(), None);
+        // After every entry, including ones interned later.
+        assert!(sym("binders_sort_last") < Sym::binder(0));
+        assert!(Sym::fresh("late") < Sym::binder(0));
+        assert!(Sym::binder(0) < b);
+    }
+
+    #[test]
+    fn first_free_binder_skips_every_member() {
+        assert_eq!(Binders::default().first_free(), Sym::binder(0));
+        let used =
+            Binders::of(Sym::binder(0)) | Binders::of(Sym::binder(1)) | Binders::of(sym("y"));
+        assert_eq!(used.first_free(), Sym::binder(2));
+        let gap = Binders::of(Sym::binder(0)) | Binders::of(Sym::binder(2));
+        assert_eq!(gap.first_free(), Sym::binder(1));
+        let full = (0..64).fold(Binders::default(), |b, n| b | Binders::of(Sym::binder(n)));
+        assert_eq!(full.first_free().binder_index(), None);
     }
 }

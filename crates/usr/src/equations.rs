@@ -12,7 +12,7 @@
 //! * **Static last value** (§4): the loop's whole WF set is covered by the
 //!   last iteration's — `∪_i WFi − WF(hi) = ∅`.
 
-use lip_symbolic::{Sym, SymExpr};
+use lip_symbolic::{Binders, Sym, SymExpr};
 
 use crate::node::Usr;
 use crate::summary::Summary;
@@ -22,18 +22,25 @@ pub fn output_independence(var: Sym, lo: &SymExpr, hi: &SymExpr, wf_i: &Usr) -> 
     if wf_i.is_empty() {
         return Usr::empty();
     }
-    let k = Sym::fresh_from(var, "k");
-    let prefix = Usr::rec_partial(
-        k,
-        lo.clone(),
-        &SymExpr::var(var) - &SymExpr::konst(1),
-        wf_i.rename_bound(var, k),
-    );
     Usr::rec_total(
         var,
         lo.clone(),
         hi.clone(),
-        Usr::intersect(wf_i.clone(), prefix),
+        Usr::intersect(wf_i.clone(), prefix(var, lo, wf_i)),
+    )
+}
+
+/// `∪_{k=lo}^{var-1} s[var := k]`, the iterations before `var`'s (the
+/// paper's Figure 3 prefix), bound by the lowest binder that occurs
+/// nowhere in `s`, `lo` or `var`: two equal summaries get equal
+/// prefixes, and the renaming cannot capture.
+pub(crate) fn prefix(var: Sym, lo: &SymExpr, s: &Usr) -> Usr {
+    let k = (Binders::of(var) | lo.binders() | s.binders()).first_free();
+    Usr::rec_partial(
+        k,
+        lo.clone(),
+        &SymExpr::var(var) - &SymExpr::konst(1),
+        s.rename_bound(var, k),
     )
 }
 
@@ -49,18 +56,11 @@ pub fn flow_independence(var: Sym, lo: &SymExpr, hi: &SymExpr, s: &Summary) -> U
     let t4 = if s.rw.is_empty() {
         Usr::empty()
     } else {
-        let k = Sym::fresh_from(var, "k");
-        let prefix = Usr::rec_partial(
-            k,
-            lo.clone(),
-            &SymExpr::var(var) - &SymExpr::konst(1),
-            s.rw.rename_bound(var, k),
-        );
         Usr::rec_total(
             var,
             lo.clone(),
             hi.clone(),
-            Usr::intersect(s.rw.clone(), prefix),
+            Usr::intersect(s.rw.clone(), prefix(var, lo, &s.rw)),
         )
     };
     Usr::union_all([t1, t2, t3, t4])

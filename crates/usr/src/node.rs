@@ -1,12 +1,23 @@
 //! The USR DAG and its simplifying smart constructors.
+//!
+//! A [`Usr`] is a reference-counted handle to an immutable node that
+//! carries its structural hash, as [`lip_symbolic::SymExpr`] and the
+//! PDAG do: cloning shares the node, `Hash` writes the cached `u64`,
+//! and `==` is a pointer test, then a hash test, then a structural walk
+//! (which only two separately built equal nodes get to). Binders come
+//! from the fixed pool of [`Sym::binder`]s, chosen by what occurs in the
+//! terms they bind over, so a sub-summary built twice — by two
+//! equations, two fission fragments or two analyses of one loop — is
+//! one key of every table keyed by USRs.
 
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use lip_lmad::LmadSet;
-use lip_symbolic::{BoolExpr, Sym, SymExpr};
+use lip_symbolic::{Binders, BoolExpr, Sym, SymExpr, TermHasher};
 
 /// Identifies an unanalyzable call site (paper's `./ CallSite` nodes).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -55,7 +66,8 @@ pub enum UsrNode {
     /// Partial recurrence `∪_{var=lo}^{hi} body(var)` where `hi` mentions
     /// an enclosing recurrence variable (typically `i−1`).
     RecPartial {
-        /// Bound recurrence variable (fresh, per the paper's Fig. 3).
+        /// Bound recurrence variable (a name of its own, per the
+        /// paper's Fig. 3: a pool binder).
         var: Sym,
         /// Inclusive lower bound.
         lo: SymExpr,
@@ -64,6 +76,14 @@ pub enum UsrNode {
         /// Per-iteration body, parametrized by `var`.
         body: Usr,
     },
+}
+
+struct Shared {
+    /// Structural hash of `node` (children contribute their own).
+    hash: u64,
+    /// Every pool binder occurring in `node`, free or bound, on first use.
+    binders: OnceCell<Binders>,
+    node: UsrNode,
 }
 
 /// A reference-counted USR with structural equality and simplifying
@@ -83,25 +103,45 @@ pub enum UsrNode {
 /// // Gating with `false` collapses to the empty set.
 /// assert!(Usr::gate(BoolExpr::f(), a).is_empty());
 /// ```
-#[derive(Clone, Eq, Debug)]
-pub struct Usr(Rc<UsrNode>);
+#[derive(Clone)]
+pub struct Usr(Rc<Shared>);
 
 impl PartialEq for Usr {
     fn eq(&self, other: &Usr) -> bool {
-        Rc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        Rc::ptr_eq(&self.0, &other.0)
+            || (self.0.hash == other.0.hash && self.0.node == other.0.node)
     }
 }
 
+impl Eq for Usr {}
+
 impl Hash for Usr {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
+        state.write_u64(self.0.hash);
+    }
+}
+
+impl fmt::Debug for Usr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Usr").field(&self.0.node).finish()
     }
 }
 
 impl Usr {
+    /// Wraps `node` as is; the smart constructors below simplify first.
+    fn new(node: UsrNode) -> Usr {
+        let mut h = TermHasher::default();
+        node.hash(&mut h);
+        Usr(Rc::new(Shared {
+            hash: h.finish(),
+            binders: OnceCell::new(),
+            node,
+        }))
+    }
+
     /// The empty set.
     pub fn empty() -> Usr {
-        Usr(Rc::new(UsrNode::Empty))
+        Usr::new(UsrNode::Empty)
     }
 
     /// An exact LMAD-set leaf (an empty set collapses to [`Usr::empty`]).
@@ -109,19 +149,19 @@ impl Usr {
         if set.is_empty() {
             Usr::empty()
         } else {
-            Usr(Rc::new(UsrNode::Leaf(set)))
+            Usr::new(UsrNode::Leaf(set))
         }
     }
 
     /// `a ∪ b` with unit/idempotence simplification; unions of leaves are
     /// computed exactly in the LMAD domain.
     pub fn union(a: Usr, b: Usr) -> Usr {
-        match (&*a.0, &*b.0) {
+        match (a.node(), b.node()) {
             (UsrNode::Empty, _) => b,
             (_, UsrNode::Empty) => a,
             (UsrNode::Leaf(x), UsrNode::Leaf(y)) => Usr::leaf(x.union(y)),
             _ if a == b => a,
-            _ => Usr(Rc::new(UsrNode::Union(a, b))),
+            _ => Usr::new(UsrNode::Union(a, b)),
         }
     }
 
@@ -132,20 +172,20 @@ impl Usr {
 
     /// `a ∩ b` with zero/idempotence simplification.
     pub fn intersect(a: Usr, b: Usr) -> Usr {
-        match (&*a.0, &*b.0) {
+        match (a.node(), b.node()) {
             (UsrNode::Empty, _) | (_, UsrNode::Empty) => Usr::empty(),
             _ if a == b => a,
-            _ => Usr(Rc::new(UsrNode::Intersect(a, b))),
+            _ => Usr::new(UsrNode::Intersect(a, b)),
         }
     }
 
     /// `a − b` with zero/idempotence simplification.
     pub fn subtract(a: Usr, b: Usr) -> Usr {
-        match (&*a.0, &*b.0) {
+        match (a.node(), b.node()) {
             (UsrNode::Empty, _) => Usr::empty(),
             (_, UsrNode::Empty) => a,
             _ if a == b => Usr::empty(),
-            _ => Usr(Rc::new(UsrNode::Subtract(a, b))),
+            _ => Usr::new(UsrNode::Subtract(a, b)),
         }
     }
 
@@ -157,11 +197,11 @@ impl Usr {
         if p.is_false() || s.is_empty() {
             return Usr::empty();
         }
-        if let UsrNode::Gate(q, inner) = &*s.0 {
+        if let UsrNode::Gate(q, inner) = s.node() {
             let merged = BoolExpr::and(vec![p, q.clone()]);
             return Usr::gate(merged, inner.clone());
         }
-        Usr(Rc::new(UsrNode::Gate(p, s)))
+        Usr::new(UsrNode::Gate(p, s))
     }
 
     /// Wraps a summary that cannot be translated across `site`.
@@ -169,7 +209,7 @@ impl Usr {
         if body.is_empty() {
             Usr::empty()
         } else {
-            Usr(Rc::new(UsrNode::Call(site, body)))
+            Usr::new(UsrNode::Call(site, body))
         }
     }
 
@@ -184,25 +224,25 @@ impl Usr {
         if !body.contains_sym(var) {
             return Usr::gate(BoolExpr::le(lo, hi), body);
         }
-        if let UsrNode::Gate(p, inner) = &*body.0 {
+        if let UsrNode::Gate(p, inner) = body.node() {
             if !p.contains_sym(var) {
                 return Usr::gate(p.clone(), Usr::rec_total(var, lo, hi, inner.clone()));
             }
         }
-        if let UsrNode::Leaf(set) = &*body.0 {
+        if let UsrNode::Leaf(set) = body.node() {
             if let Some(agg) = set.aggregate(var, &lo, &hi) {
                 return Usr::gate(BoolExpr::le(lo, hi), Usr::leaf(agg));
             }
         }
         // Unions distribute through recurrences exactly.
-        if let UsrNode::Union(x, y) = &*body.0 {
+        if let UsrNode::Union(x, y) = body.node() {
             let (x, y) = (x.clone(), y.clone());
             return Usr::union(
                 Usr::rec_total(var, lo.clone(), hi.clone(), x),
                 Usr::rec_total(var, lo, hi, y),
             );
         }
-        Usr(Rc::new(UsrNode::RecTotal { var, lo, hi, body }))
+        Usr::new(UsrNode::RecTotal { var, lo, hi, body })
     }
 
     /// Partial recurrence (same simplifications as [`Usr::rec_total`]).
@@ -213,24 +253,43 @@ impl Usr {
         if !body.contains_sym(var) {
             return Usr::gate(BoolExpr::le(lo, hi), body);
         }
-        if let UsrNode::Leaf(set) = &*body.0 {
+        if let UsrNode::Leaf(set) = body.node() {
             if let Some(agg) = set.aggregate(var, &lo, &hi) {
                 return Usr::gate(BoolExpr::le(lo, hi), Usr::leaf(agg));
             }
         }
-        if let UsrNode::Union(x, y) = &*body.0 {
+        if let UsrNode::Union(x, y) = body.node() {
             let (x, y) = (x.clone(), y.clone());
             return Usr::union(
                 Usr::rec_partial(var, lo.clone(), hi.clone(), x),
                 Usr::rec_partial(var, lo, hi, y),
             );
         }
-        Usr(Rc::new(UsrNode::RecPartial { var, lo, hi, body }))
+        Usr::new(UsrNode::RecPartial { var, lo, hi, body })
     }
 
     /// The underlying node, for pattern matching.
     pub fn node(&self) -> &UsrNode {
-        &self.0
+        &self.0.node
+    }
+
+    /// Every pool binder occurring in the summary, free or bound
+    /// (computed once per node). `first_free()` of it, joined with the
+    /// binders of whatever else a new binder scopes over, is a binder
+    /// that renaming to cannot capture.
+    pub fn binders(&self) -> Binders {
+        *self.0.binders.get_or_init(|| match self.node() {
+            UsrNode::Empty => Binders::default(),
+            UsrNode::Leaf(set) => set.binders(),
+            UsrNode::Union(a, b) | UsrNode::Intersect(a, b) | UsrNode::Subtract(a, b) => {
+                a.binders() | b.binders()
+            }
+            UsrNode::Gate(p, body) => p.binders() | body.binders(),
+            UsrNode::Call(_, body) => body.binders(),
+            UsrNode::RecTotal { var, lo, hi, body } | UsrNode::RecPartial { var, lo, hi, body } => {
+                Binders::of(*var) | lo.binders() | hi.binders() | body.binders()
+            }
+        })
     }
 
     /// A stable identity for memoization tables.
@@ -240,14 +299,14 @@ impl Usr {
 
     /// Whether this is syntactically the empty set.
     pub fn is_empty(&self) -> bool {
-        matches!(&*self.0, UsrNode::Empty)
+        matches!(self.node(), UsrNode::Empty)
     }
 
     /// Whether the symbol `s` occurs anywhere (bound recurrence variables
     /// shadow: occurrences of a recurrence's own variable inside its body
     /// do not count as free).
     pub fn contains_sym(&self, s: Sym) -> bool {
-        match &*self.0 {
+        match self.node() {
             UsrNode::Empty => false,
             UsrNode::Leaf(set) => set.contains_sym(s),
             UsrNode::Union(a, b) | UsrNode::Intersect(a, b) | UsrNode::Subtract(a, b) => {
@@ -269,7 +328,7 @@ impl Usr {
     }
 
     fn collect_free(&self, out: &mut BTreeSet<Sym>) {
-        match &*self.0 {
+        match self.node() {
             UsrNode::Empty => {}
             UsrNode::Leaf(set) => out.extend(set.syms()),
             UsrNode::Union(a, b) | UsrNode::Intersect(a, b) | UsrNode::Subtract(a, b) => {
@@ -292,12 +351,15 @@ impl Usr {
         }
     }
 
-    /// Substitutes `with` for free occurrences of variable `s`.
+    /// Substitutes `with` for free occurrences of variable `s`. A
+    /// recurrence whose variable `with` mentions is renamed first, to a
+    /// binder occurring nowhere in its body, in `with` or as `s`, so
+    /// nothing `with` brings in is captured.
     pub fn subst(&self, s: Sym, with: &SymExpr) -> Usr {
         if !self.contains_sym(s) {
             return self.clone();
         }
-        match &*self.0 {
+        match self.node() {
             UsrNode::Empty => Usr::empty(),
             UsrNode::Leaf(set) => Usr::leaf(set.subst(s, with)),
             UsrNode::Union(a, b) => Usr::union(a.subst(s, with), b.subst(s, with)),
@@ -305,21 +367,21 @@ impl Usr {
             UsrNode::Subtract(a, b) => Usr::subtract(a.subst(s, with), b.subst(s, with)),
             UsrNode::Gate(p, body) => Usr::gate(p.subst(s, with), body.subst(s, with)),
             UsrNode::Call(site, body) => Usr::call(*site, body.subst(s, with)),
-            UsrNode::RecTotal { var, lo, hi, body } => {
-                let body = if *var == s {
-                    body.clone()
-                } else {
-                    body.subst(s, with)
-                };
-                Usr::rec_total(*var, lo.subst(s, with), hi.subst(s, with), body)
-            }
-            UsrNode::RecPartial { var, lo, hi, body } => {
-                let body = if *var == s {
-                    body.clone()
-                } else {
-                    body.subst(s, with)
-                };
-                Usr::rec_partial(*var, lo.subst(s, with), hi.subst(s, with), body)
+            UsrNode::RecTotal { var, lo, hi, body } | UsrNode::RecPartial { var, lo, hi, body } => {
+                let (mut var, mut body) = (*var, body.clone());
+                if var != s && body.contains_sym(s) {
+                    if with.contains_sym(var) {
+                        let to = (body.binders() | with.binders() | Binders::of(s)).first_free();
+                        body = body.rename_bound(var, to);
+                        var = to;
+                    }
+                    body = body.subst(s, with);
+                }
+                let (lo, hi) = (lo.subst(s, with), hi.subst(s, with));
+                match self.node() {
+                    UsrNode::RecTotal { .. } => Usr::rec_total(var, lo, hi, body),
+                    _ => Usr::rec_partial(var, lo, hi, body),
+                }
             }
         }
     }
@@ -340,7 +402,7 @@ impl Usr {
         if !seen.insert(self.id()) {
             return 0;
         }
-        1 + match &*self.0 {
+        1 + match self.node() {
             UsrNode::Empty | UsrNode::Leaf(_) => 0,
             UsrNode::Union(a, b) | UsrNode::Intersect(a, b) | UsrNode::Subtract(a, b) => {
                 a.size_inner(seen) + b.size_inner(seen)
@@ -355,7 +417,7 @@ impl Usr {
 
 impl fmt::Display for Usr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &*self.0 {
+        match self.node() {
             UsrNode::Empty => write!(f, "{{}}"),
             UsrNode::Leaf(set) => write!(f, "{set}"),
             UsrNode::Union(a, b) => write!(f, "({a} u {b})"),
@@ -498,6 +560,8 @@ mod tests {
     }
 
     #[test]
+    // The lazily filled binder set is not part of `Hash` or `Eq`.
+    #[allow(clippy::mutable_key_type)]
     fn structural_equality_and_hash() {
         use std::collections::HashSet;
         let a = iv(k(0), v("N"));

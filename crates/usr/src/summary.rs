@@ -11,6 +11,7 @@
 use lip_lmad::LmadSet;
 use lip_symbolic::{BoolExpr, Sym, SymExpr};
 
+use crate::equations::prefix;
 use crate::node::{CallSiteId, Usr};
 
 /// The (WF, RO, RW) summary triple of a program region.
@@ -214,16 +215,9 @@ impl Summary {
                 rw: Usr::empty(),
             };
         }
-        // General case. The prefix union ∪_{k<i}(ROk ∪ RWk) runs under a
-        // fresh variable, as in the paper's Figure 3.
-        let k = Sym::fresh_from(var, "k");
+        // General case: WF subtracts the prefix union ∪_{k<i}(ROk ∪ RWk).
         let read_i = Usr::union(self.ro.clone(), self.rw.clone());
-        let read_prefix = Usr::rec_partial(
-            k,
-            lo.clone(),
-            &SymExpr::var(var) - &SymExpr::konst(1),
-            read_i.rename_bound(var, k),
-        );
+        let read_prefix = prefix(var, lo, &read_i);
         let wf = Usr::rec_total(
             var,
             lo.clone(),

@@ -74,6 +74,10 @@ fn main() {
         print!("{}", cold.profile().render_text());
         let metrics = cold.metrics();
         for name in [
+            "core.factor_evals",
+            "core.factor_hits",
+            "core.estimate_evals",
+            "core.estimate_hits",
             "core.simplify_evals",
             "core.simplify_hits",
             "symbolic.decide_evals",
