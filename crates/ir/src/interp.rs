@@ -166,6 +166,28 @@ impl ArrayBuf {
         }
     }
 
+    /// The cells of an Int buffer (`None` for a Real one): what the
+    /// VM's typed stream resolves an INTEGER array to once per
+    /// activation, so an element access is one relaxed load with no
+    /// representation `match`.
+    #[inline]
+    pub fn int_cells(&self) -> Option<&[AtomicI64]> {
+        match &self.cells {
+            Cells::Int(v) => Some(v),
+            Cells::Real(_) => None,
+        }
+    }
+
+    /// The cells of a Real buffer as `f64` bit patterns (`None` for an
+    /// Int one); the REAL counterpart of [`ArrayBuf::int_cells`].
+    #[inline]
+    pub fn real_cells(&self) -> Option<&[AtomicU64]> {
+        match &self.cells {
+            Cells::Real(v) => Some(v),
+            Cells::Int(_) => None,
+        }
+    }
+
     /// Reads element `idx` as `f64`.
     pub fn get_f64(&self, idx: usize) -> f64 {
         self.get(idx).as_f64()
@@ -306,14 +328,16 @@ impl ArrayView {
         let mut lin: i64 = 0;
         let mut stride: i64 = 1;
         for (k, &i) in idx.iter().enumerate() {
-            lin += (i - 1) * stride;
+            // Checked: a subscript whose offset leaves `i64` is out of
+            // bounds on every build profile, not a debug-only panic.
+            lin = lin.checked_add(i.checked_sub(1)?.checked_mul(stride)?)?;
             // The stride is only needed for the *next* dimension, so an
             // assumed-size (i64::MAX) last extent never enters a product.
             if k + 1 < idx.len() {
                 stride = stride.checked_mul(*self.extents.get(k)?)?;
             }
         }
-        let abs = self.offset as i64 + lin;
+        let abs = (self.offset as i64).checked_add(lin)?;
         if abs < 0 || abs as usize >= self.buf.len() {
             return None;
         }
@@ -322,7 +346,7 @@ impl ArrayView {
 
     /// Reads the element at 1-based, 1-D index `i` relative to the view.
     pub fn get_lin(&self, i: i64) -> Option<Value> {
-        let abs = self.offset as i64 + (i - 1);
+        let abs = (self.offset as i64).wrapping_add(i.wrapping_sub(1));
         if abs < 0 || abs as usize >= self.buf.len() {
             return None;
         }
@@ -461,6 +485,10 @@ pub enum RunError {
     /// VM's static limits, a loop form it does not take); the reason is
     /// interned so the error stays one word on the VM's return paths.
     Unsupported(Sym),
+    /// An integer operation whose result does not fit in `i64`:
+    /// `i64::MIN / -1`, `-i64::MIN`, `ABS(i64::MIN)`, or an integer
+    /// `**` past the range. (`+`, `-` and `*` wrap, as they always did.)
+    IntOverflow,
 }
 
 impl fmt::Display for RunError {
@@ -474,6 +502,7 @@ impl fmt::Display for RunError {
             RunError::MissingInput(s) => write!(f, "no READ input bound for {s}"),
             RunError::StepLimit => write!(f, "step budget exhausted"),
             RunError::Unsupported(why) => write!(f, "unsupported: {why}"),
+            RunError::IntOverflow => write!(f, "integer overflow"),
         }
     }
 }
@@ -723,7 +752,7 @@ impl Machine {
                 while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
                     frame.set_scalar(*var, Value::Int(i));
                     self.exec_block(sub, frame, body, state)?;
-                    i += step;
+                    i = i.wrapping_add(step);
                 }
                 Ok(())
             }
@@ -883,40 +912,43 @@ impl Machine {
             }
             Expr::Un(op, a) => {
                 let v = self.eval(sub, frame, a, state)?;
-                Ok(apply_un(*op, v))
+                apply_un(*op, v)
             }
             Expr::Bin(op, a, b) => {
                 let x = self.eval(sub, frame, a, state)?;
                 let y = self.eval(sub, frame, b, state)?;
-                Ok(apply_bin(*op, x, y))
+                apply_bin(*op, x, y)
             }
             Expr::Intrin(intr, args) => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
                     vals.push(self.eval(sub, frame, a, state)?);
                 }
-                Ok(apply_intrinsic(*intr, &vals))
+                apply_intrinsic(*intr, &vals)
             }
         }
     }
 }
 
 /// Applies a unary operator with the interpreter's value semantics
-/// (shared with the bytecode VM).
+/// (shared with the bytecode VM). `-i64::MIN` is
+/// [`RunError::IntOverflow`].
 #[inline]
-pub fn apply_un(op: UnOp, v: Value) -> Value {
-    match op {
+pub fn apply_un(op: UnOp, v: Value) -> Result<Value, RunError> {
+    Ok(match op {
         UnOp::Neg => match v {
-            Value::Int(x) => Value::Int(-x),
+            Value::Int(x) => Value::Int(x.checked_neg().ok_or(RunError::IntOverflow)?),
             Value::Real(x) => Value::Real(-x),
         },
         UnOp::Not => Value::Int(i64::from(!v.truthy())),
-    }
+    })
 }
 
 /// Applies a binary operator with the interpreter's value semantics:
 /// integer mode iff both operands are integers, Fortran truthiness for
-/// the logical connectives (shared with the bytecode VM).
+/// the logical connectives (shared with the bytecode VM). Integer `+`,
+/// `-` and `*` wrap; a division or power whose result leaves `i64` is
+/// [`RunError::IntOverflow`] ([`int_div_pow`]).
 ///
 /// Only the same-type arms that are one machine instruction live
 /// here; everything else is `apply_bin_cold`. `inline(always)`
@@ -924,10 +956,10 @@ pub fn apply_un(op: UnOp, v: Value) -> Value {
 /// sites (the arms still add up past the inliner's budget) and, without
 /// LTO, an out-of-line call here costs more than the operation.
 #[inline(always)]
-pub fn apply_bin(op: BinOp, x: Value, y: Value) -> Value {
+pub fn apply_bin(op: BinOp, x: Value, y: Value) -> Result<Value, RunError> {
     use BinOp::*;
     use Value::{Int, Real};
-    match (x, y) {
+    Ok(match (x, y) {
         (Int(a), Int(b)) => match op {
             Add => Int(a.wrapping_add(b)),
             Sub => Int(a.wrapping_sub(b)),
@@ -938,7 +970,7 @@ pub fn apply_bin(op: BinOp, x: Value, y: Value) -> Value {
             Le => Int(i64::from(a <= b)),
             Gt => Int(i64::from(a > b)),
             Ge => Int(i64::from(a >= b)),
-            Div | Pow | And | Or => from_pair(apply_bin_cold(op, x, y)),
+            Div | Pow | And | Or => return from_pair(apply_bin_cold(op, x, y)),
         },
         (Real(a), Real(b)) => match op {
             Add => Real(a + b),
@@ -951,27 +983,52 @@ pub fn apply_bin(op: BinOp, x: Value, y: Value) -> Value {
             Le => Int(i64::from(a <= b)),
             Gt => Int(i64::from(a > b)),
             Ge => Int(i64::from(a >= b)),
-            Pow | And | Or => from_pair(apply_bin_cold(op, x, y)),
+            Pow | And | Or => return from_pair(apply_bin_cold(op, x, y)),
         },
-        _ => from_pair(apply_bin_cold(op, x, y)),
+        _ => return from_pair(apply_bin_cold(op, x, y)),
+    })
+}
+
+/// A [`Value`] as `(tag, payload bits)`: tag 0 is Int, 1 is Real and
+/// [`PAIR_OVERFLOW`] an integer overflow. [`apply_bin_cold`] returns
+/// this instead of a `Result<Value, _>`: the pair comes back in two
+/// registers, where a `Value` comes back through a stack slot that
+/// every inlined hot arm of [`apply_bin`] would then have to write too
+/// (and the 16-byte reload of that slot right after two 8-byte stores
+/// defeats store forwarding — measured at a fifth of the `stencil`
+/// body).
+type ValuePair = (u8, u64);
+
+const PAIR_OVERFLOW: u8 = 2;
+
+#[inline(always)]
+fn from_pair((tag, bits): ValuePair) -> Result<Value, RunError> {
+    match tag {
+        0 => Ok(Value::Int(bits as i64)),
+        1 => Ok(Value::Real(f64::from_bits(bits))),
+        _ => Err(RunError::IntOverflow),
     }
 }
 
-/// A [`Value`] as `(is real, payload bits)`. [`apply_bin_cold`] returns
-/// this instead of a `Value`: the pair comes back in two registers,
-/// where a `Value` comes back through a stack slot that every inlined
-/// hot arm of [`apply_bin`] would then have to write too (and the
-/// 16-byte reload of that slot right after two 8-byte stores defeats
-/// store forwarding — measured at a fifth of the `stencil` body).
-type ValuePair = (bool, u64);
-
-#[inline(always)]
-fn from_pair((real, bits): ValuePair) -> Value {
-    if real {
-        Value::Real(f64::from_bits(bits))
-    } else {
-        Value::Int(bits as i64)
-    }
+/// Integer `Div` / `Pow` with the interpreter's edge semantics:
+/// division by zero is 0, a negative exponent is 0, the exponent clamps
+/// at 62; a result outside `i64` (`i64::MIN / -1`, an overflowing
+/// power) is [`RunError::IntOverflow`]. Shared by every engine (the
+/// interpreter, the VM's `Value` stream and its typed `Int` ops).
+///
+/// # Panics
+///
+/// Panics if `op` is neither `Div` nor `Pow`.
+#[inline(never)]
+pub fn int_div_pow(op: BinOp, a: i64, b: i64) -> Result<i64, RunError> {
+    let v = match op {
+        BinOp::Div if b == 0 => Some(0),
+        BinOp::Div => a.checked_div(b),
+        BinOp::Pow if b < 0 => Some(0),
+        BinOp::Pow => a.checked_pow(b.min(62) as u32),
+        _ => panic!("int_div_pow on {op:?}"),
+    };
+    v.ok_or(RunError::IntOverflow)
 }
 
 /// The out-of-line half of [`apply_bin`]: integer `Div`/`Pow`, the
@@ -983,10 +1040,10 @@ fn apply_bin_cold(op: BinOp, x: Value, y: Value) -> ValuePair {
     let v = match (op, x, y) {
         (And, ..) => Value::Int(i64::from(x.truthy() && y.truthy())),
         (Or, ..) => Value::Int(i64::from(x.truthy() || y.truthy())),
-        (Div, Value::Int(a), Value::Int(b)) => Value::Int(if b == 0 { 0 } else { a / b }),
-        (Pow, Value::Int(a), Value::Int(b)) => {
-            Value::Int(if b >= 0 { a.pow(b.min(62) as u32) } else { 0 })
-        }
+        (Div | Pow, Value::Int(a), Value::Int(b)) => match int_div_pow(op, a, b) {
+            Ok(v) => Value::Int(v),
+            Err(_) => return (PAIR_OVERFLOW, 0),
+        },
         _ => {
             let (a, b) = (x.as_f64(), y.as_f64());
             match op {
@@ -1006,16 +1063,17 @@ fn apply_bin_cold(op: BinOp, x: Value, y: Value) -> ValuePair {
         }
     };
     match v {
-        Value::Int(i) => (false, i as u64),
-        Value::Real(r) => (true, r.to_bits()),
+        Value::Int(i) => (0, i as u64),
+        Value::Real(r) => (1, r.to_bits()),
     }
 }
 
 /// Applies an intrinsic with the interpreter's value semantics (integer
 /// mode for MIN/MAX iff every argument is an integer; shared with the
-/// bytecode VM).
-pub fn apply_intrinsic(intr: Intrinsic, vals: &[Value]) -> Value {
-    match intr {
+/// bytecode VM). `ABS(i64::MIN)` is [`RunError::IntOverflow`];
+/// `MOD(i64::MIN, -1)` is 0.
+pub fn apply_intrinsic(intr: Intrinsic, vals: &[Value]) -> Result<Value, RunError> {
+    Ok(match intr {
         Intrinsic::Min => {
             let int_mode = vals.iter().all(|v| matches!(v, Value::Int(_)));
             if int_mode {
@@ -1044,13 +1102,13 @@ pub fn apply_intrinsic(intr: Intrinsic, vals: &[Value]) -> Value {
             let a = vals.first().copied().unwrap_or(Value::Int(0));
             let b = vals.get(1).copied().unwrap_or(Value::Int(1));
             match (a, b) {
-                (Value::Int(x), Value::Int(y)) if y != 0 => Value::Int(x % y),
+                (Value::Int(x), Value::Int(y)) if y != 0 => Value::Int(x.wrapping_rem(y)),
                 (Value::Int(_), Value::Int(_)) => Value::Int(0),
                 _ => Value::Real(a.as_f64() % b.as_f64()),
             }
         }
         Intrinsic::Abs => match vals.first() {
-            Some(Value::Int(x)) => Value::Int(x.abs()),
+            Some(Value::Int(x)) => Value::Int(x.checked_abs().ok_or(RunError::IntOverflow)?),
             Some(Value::Real(x)) => Value::Real(x.abs()),
             None => Value::Int(0),
         },
@@ -1060,7 +1118,7 @@ pub fn apply_intrinsic(intr: Intrinsic, vals: &[Value]) -> Value {
         Intrinsic::Cos => Value::Real(vals.first().map(|v| v.as_f64().cos()).unwrap_or(1.0)),
         Intrinsic::Int => Value::Int(vals.first().map(|v| v.as_i64()).unwrap_or(0)),
         Intrinsic::Dble => Value::Real(vals.first().map(|v| v.as_f64()).unwrap_or(0.0)),
-    }
+    })
 }
 
 #[cfg(test)]

@@ -12,20 +12,20 @@
 use std::panic::{catch_unwind, set_hook, take_hook};
 
 use crate::ast::{BinOp, UnOp};
-use crate::interp::{apply_bin, apply_un, Value};
+use crate::interp::{apply_bin, apply_un, RunError, Value};
 
-/// `apply_un` as it stood before the split, verbatim.
+/// `apply_un` as it stood before the split, overflow checked.
 fn oracle_apply_un(op: UnOp, v: Value) -> Value {
     match op {
         UnOp::Neg => match v {
-            Value::Int(x) => Value::Int(-x),
+            Value::Int(x) => Value::Int(x.checked_neg().expect("overflow")),
             Value::Real(x) => Value::Real(-x),
         },
         UnOp::Not => Value::Int(i64::from(!v.truthy())),
     }
 }
 
-/// `apply_bin` as it stood before the split, verbatim.
+/// `apply_bin` as it stood before the split, overflow checked.
 fn oracle_apply_bin(op: BinOp, x: Value, y: Value) -> Value {
     use BinOp::*;
     let int_mode = matches!((x, y), (Value::Int(_), Value::Int(_)));
@@ -41,12 +41,12 @@ fn oracle_apply_bin(op: BinOp, x: Value, y: Value) -> Value {
                         if b == 0 {
                             0
                         } else {
-                            a / b
+                            a.checked_div(b).expect("overflow")
                         }
                     }
                     Pow => {
                         if b >= 0 {
-                            a.pow(b.min(62) as u32)
+                            a.checked_pow(b.min(62) as u32).expect("overflow")
                         } else {
                             0
                         }
@@ -178,26 +178,43 @@ fn grid() -> Vec<Value> {
         .collect()
 }
 
-/// Tag and payload bits (`None`: the call panicked).
-fn bits(f: impl FnOnce() -> Value + std::panic::UnwindSafe) -> Option<(u8, u64)> {
-    catch_unwind(f).ok().map(|v| match v {
+fn tagged(v: Value) -> (u8, u64) {
+    match v {
         Value::Int(i) => (0, i as u64),
         Value::Real(r) => (1, r.to_bits()),
-    })
+    }
+}
+
+/// The oracle's tag and payload bits (`None`: it panicked).
+fn oracle_bits(f: impl FnOnce() -> Value + std::panic::UnwindSafe) -> Option<(u8, u64)> {
+    catch_unwind(f).ok().map(tagged)
+}
+
+/// The new code's tag and payload bits (`None`: it returned
+/// [`RunError::IntOverflow`]; any other error or a panic fails).
+fn new_bits(r: Result<Value, RunError>) -> Option<(u8, u64)> {
+    match r {
+        Ok(v) => Some(tagged(v)),
+        Err(RunError::IntOverflow) => None,
+        Err(e) => panic!("unexpected {e:?}"),
+    }
 }
 
 #[test]
 fn value_model_matches_the_pre_split_oracle() {
     let grid = grid();
     let mut diverged = Vec::new();
-    // The expected panics would otherwise print a few hundred
+    // The oracle's expected panics would otherwise print a few hundred
     // backtrace headers; mismatches are collected and reported after
     // the hook is back.
     let hook = take_hook();
     set_hook(Box::new(|_| {}));
     for &x in &grid {
         for op in [UnOp::Neg, UnOp::Not] {
-            let (new, old) = (bits(|| apply_un(op, x)), bits(|| oracle_apply_un(op, x)));
+            let (new, old) = (
+                new_bits(apply_un(op, x)),
+                oracle_bits(|| oracle_apply_un(op, x)),
+            );
             if new != old {
                 diverged.push(format!("{op:?} {x:?}: {new:?} vs oracle {old:?}"));
             }
@@ -207,8 +224,8 @@ fn value_model_matches_the_pre_split_oracle() {
         }
         for &y in &grid {
             for op in BIN_OPS {
-                let new = bits(|| apply_bin(op, x, y));
-                let old = bits(|| oracle_apply_bin(op, x, y));
+                let new = new_bits(apply_bin(op, x, y));
+                let old = oracle_bits(|| oracle_apply_bin(op, x, y));
                 if new != old {
                     diverged.push(format!("{x:?} {op:?} {y:?}: {new:?} vs oracle {old:?}"));
                 }

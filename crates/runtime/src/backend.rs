@@ -83,8 +83,11 @@ impl CompiledBody {
     /// [`Vm::run_block`], or with `range = (slot, lo, hi)` the body once
     /// per value of that scalar as one activation ([`Vm::run_range`]:
     /// what every driver with no work between iterations uses); at
-    /// trace level through the counting dispatch loop, publishing its
-    /// tally (~2 extra ALU ops per dispatch, so `metrics` skips it).
+    /// trace level through the counting dispatch loops — the typed
+    /// stream or the `Value` stream, whichever the guard picks, as in
+    /// production — publishing their tally (~2 extra ALU ops per
+    /// dispatch, so `metrics` skips it) and the activation counts
+    /// `vm.typed_runs` / `vm.untyped_runs`, callee bodies included.
     pub fn run(
         &self,
         env: &ExecEnv<'_>,
@@ -105,6 +108,8 @@ impl CompiledBody {
         obs.count("vm.ops", dc.ops);
         obs.count("vm.fused_ops", dc.fused_ops);
         obs.count("vm.red_ops", dc.red_ops);
+        obs.count("vm.typed_runs", dc.typed_runs);
+        obs.count("vm.untyped_runs", dc.untyped_runs);
         Ok(())
     }
 }

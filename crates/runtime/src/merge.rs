@@ -172,7 +172,8 @@ mod tests {
                 BinOp::Lt => lip_ir::apply_intrinsic(lip_ir::Intrinsic::Min, &[a, b]),
                 BinOp::Gt => lip_ir::apply_intrinsic(lip_ir::Intrinsic::Max, &[a, b]),
                 _ => lip_ir::apply_bin(BinOp::Add, a, b),
-            };
+            }
+            .expect("+, * wrap and MIN / MAX cannot overflow");
             debug_assert_eq!(int_mode, matches!(merged, Value::Int(_)));
             shared.set(idx, merged);
         }

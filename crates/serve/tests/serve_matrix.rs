@@ -497,23 +497,83 @@ fn int_div_json(last: &str, scale: &str, pairs: &[(&str, &str)]) -> String {
     )
 }
 
+/// `i64::MIN / -1` is an integer overflow: an `exec_error` naming it,
+/// on every build profile, and the connection answers the next run.
+#[test]
+fn integer_overflow_is_an_exec_error_and_the_connection_lives() {
+    let run = |last: &str, scale: &str| int_div_json(last, scale, &[("nthreads", "2")]);
+    let server = Server::spawn(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let failed = client
+        .call(&run("-2147483648", "4294967296"))
+        .expect("reply");
+    assert_eq!(
+        failed.get("code").and_then(Json::as_str),
+        Some("exec_error"),
+        "{failed:?}"
+    );
+    let detail = format!("{failed:?}");
+    assert!(detail.contains("integer overflow"), "{detail}");
+    let ok = client.call(&run("6", "1")).expect("connection lives");
+    assert_eq!(ok.get("type").and_then(Json::as_str), Some("ok"), "{ok:?}");
+    let stats = client.call("{\"type\": \"stats\"}").expect("stats");
+    assert_eq!(
+        stats.path(&["server", "counters", "server.worker_panic"]),
+        None,
+        "the overflow must not have been survived by catching a panic"
+    );
+    server.shutdown();
+}
+
+const HUGE_LOCAL: &str = "
+SUBROUTINE spread(Q, A, N)
+  INTEGER Q(*), A(*)
+  INTEGER i, N
+  DO fill i = 1, N
+    CALL put(Q, i, A(i) + 0)
+  ENDDO
+END
+
+SUBROUTINE put(Q, i, K)
+  INTEGER Q(*), W(K, K)
+  INTEGER i, K
+  Q(i) = -6 * K
+END
+";
+
+/// `CALL put(Q, i, A(i))` over 64 elements, `A` all 1 but the last:
+/// `"1"` runs, `"2147483648"` makes the last call allocate its local
+/// `W(K, K)` with 2^62 cells, which panics (`capacity overflow`) on
+/// every build profile.
+fn huge_local_json(last: &str, pairs: &[(&str, &str)]) -> String {
+    let n = 64usize;
+    let mut a = vec!["1"; n];
+    a[n - 1] = last;
+    format!(
+        "{{\"type\": \"run\", \"program\": {}, \"sub\": \"spread\", \"loop\": \"fill\", \
+         \"config\": {}, \"frame\": {{\"scalars\": {{\"N\": {n}}}, \"arrays\": {{\
+         \"Q\": {{\"len\": {n}}}, \"A\": {{\"data\": [{}]}}}}}}, \"results\": [\"Q\"]}}",
+        lip_obs::json_str(HUGE_LOCAL),
+        config_json(pairs),
+        a.join(", "),
+    )
+}
+
 /// A panic that starts inside a chunk of the shared fork-join pool —
 /// on a pool worker or on the serve worker that opened the region —
 /// is re-raised on the serve worker, answered with `worker_panic`, and
 /// leaves both the connection and the pool usable. The panic is real:
-/// `i64::MIN / -1` overflows in `apply_bin`. An INTEGER binding takes
-/// magnitudes up to 2^53 from the wire, so the loop builds `-2^63`
-/// itself, as `-2^31 * 2^32`. (If integer division stops panicking,
-/// this test needs another way to panic inside a chunk.)
+/// the last iteration's callee allocates a local array of 2^62 cells
+/// (integer overflow, the earlier panic source, is an `exec_error`
+/// now; if allocation stops panicking too, this test needs another way
+/// to panic inside a chunk).
 #[test]
 fn panic_inside_a_pooled_chunk_is_nonfatal() {
-    let run = |last: &str, scale: &str| int_div_json(last, scale, &[("nthreads", "2")]);
+    let run = |last: &str| huge_local_json(last, &[("nthreads", "2")]);
     let server = Server::spawn(ServeConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
 
-    let crashed = client
-        .call(&run("-2147483648", "4294967296"))
-        .expect("reply");
+    let crashed = client.call(&run("2147483648")).expect("reply");
     assert_eq!(
         crashed.get("code").and_then(Json::as_str),
         Some("worker_panic"),
@@ -521,7 +581,7 @@ fn panic_inside_a_pooled_chunk_is_nonfatal() {
     );
     // Same connection, same program, same shard key: a rebuilt shard
     // and a two-chunk region through the pool again.
-    let ok = client.call(&run("6", "1")).expect("server survived");
+    let ok = client.call(&run("1")).expect("server survived");
     assert_eq!(ok.get("type").and_then(Json::as_str), Some("ok"), "{ok:?}");
     assert_eq!(
         ok.path(&["outcome"]).and_then(Json::as_str),
@@ -599,14 +659,10 @@ fn a_panicking_request_spares_the_ones_queued_around_it() {
     })
     .expect("bind");
     let pairs = [("nthreads", "2"), ("obs", "metrics")];
-    let good = || int_div_json("6", "1", &pairs);
+    let good = || huge_local_json("1", &pairs);
     let replies = queued_behind_a_burn(
         server.addr(),
-        [
-            good(),
-            int_div_json("-2147483648", "4294967296", &pairs),
-            good(),
-        ],
+        [good(), huge_local_json("2147483648", &pairs), good()],
     );
     assert_eq!(reply_kinds(&replies), ["ok", "worker_panic", "ok"]);
     let mut client = Client::connect(server.addr()).expect("connect");

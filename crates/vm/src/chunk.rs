@@ -9,8 +9,12 @@
 //! successful run accumulates exactly the same cost the tree-walk
 //! interpreter would.
 
+use std::sync::Arc;
+
 use lip_ir::{BinOp, Intrinsic, RunError, Ty, UnOp, Value};
 use lip_symbolic::Sym;
+
+use crate::typed::Typed;
 
 /// A register index.
 pub type Reg = u16;
@@ -543,14 +547,18 @@ pub struct Chunk {
     pub nregs: usize,
     /// Scalar slot table: symbol + declared/implicit type.
     pub scalars: Vec<(Sym, Ty)>,
-    /// Array slot table.
-    pub arrays: Vec<Sym>,
+    /// Array slot table: symbol + declared/implicit element type.
+    pub arrays: Vec<(Sym, Ty)>,
     /// CALL sites referenced by [`Op::Call`].
     pub calls: Vec<CallSite>,
     /// READ target lists referenced by [`Op::Read`].
     pub reads: Vec<Vec<u16>>,
     /// Late compile-diagnosed failures referenced by [`Op::Fail`].
     pub fails: Vec<RunError>,
+    /// The stream typed against the declared types, when the block has
+    /// one ([`crate::typed`]; filled by the optimize passes, `None` for
+    /// a genuinely dynamic block). Shares `ops`' slot and site tables.
+    pub typed: Option<Arc<Typed>>,
 }
 
 impl Chunk {
@@ -564,7 +572,10 @@ impl Chunk {
 
     /// The array slot bound to `s`, if any.
     pub fn array_slot(&self, s: Sym) -> Option<u16> {
-        self.arrays.iter().position(|t| *t == s).map(|i| i as u16)
+        self.arrays
+            .iter()
+            .position(|(t, _)| *t == s)
+            .map(|i| i as u16)
     }
 
     /// A readable rendering of the instruction stream, one op per line
@@ -579,12 +590,12 @@ impl Chunk {
         out
     }
 
-    fn scalar_name(&self, slot: u16) -> String {
+    pub(crate) fn scalar_name(&self, slot: u16) -> String {
         self.scalars[slot as usize].0.name()
     }
 
-    fn array_name(&self, arr: u16) -> String {
-        self.arrays[arr as usize].name()
+    pub(crate) fn array_name(&self, arr: u16) -> String {
+        self.arrays[arr as usize].0.name()
     }
 
     fn render_op(&self, op: &Op) -> String {
@@ -885,6 +896,11 @@ pub struct ParamMeta {
     /// Declared reshape dimensions (`None` when the callee has no
     /// declaration for the formal: the incoming view passes unchanged).
     pub reshape: Option<Vec<DimCode>>,
+    /// The types an activation may leave in the formal's scalar slot
+    /// besides the value it was passed ([`crate::typed`]'s `INT` /
+    /// `REAL` bits): what a scalar copy-out can hand back to a typed
+    /// caller. Both until [`crate::optimize_program`] computes it.
+    pub writes: u8,
 }
 
 /// A standalone compiled block (loop body, CIV slice, single statement)

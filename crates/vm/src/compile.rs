@@ -53,21 +53,23 @@ fn charge_amount(units: u64) -> u32 {
 /// interpreter's exact value semantics (`apply_bin` et al., so integer
 /// wrapping, division-by-zero-is-zero and `Pow` clamping are bit-for-
 /// bit). Returns `None` as soon as a variable or array element is
-/// involved. This is the constant-folding slice of the peephole pass:
-/// subscript arithmetic like `A(2*k+1)` with literal `k` collapses to
-/// a single `Const`, shrinking the dispatch stream without touching
-/// the statically-charged work units (costs are computed from the
+/// involved, and for an integer overflow, which stays a run-time
+/// [`RunError::IntOverflow`] at the statement that evaluates it. This
+/// is the constant-folding slice of the peephole pass: subscript
+/// arithmetic like `A(2*k+1)` with literal `k` collapses to a single
+/// `Const`, shrinking the dispatch stream without touching the
+/// statically-charged work units (costs are computed from the
 /// unfolded AST).
 fn try_const(e: &Expr) -> Option<Value> {
     match e {
         Expr::Int(v) => Some(Value::Int(*v)),
         Expr::Real(v) => Some(Value::Real(*v)),
         Expr::Var(_) | Expr::Elem(_, _) => None,
-        Expr::Un(op, a) => Some(apply_un(*op, try_const(a)?)),
-        Expr::Bin(op, a, b) => Some(apply_bin(*op, try_const(a)?, try_const(b)?)),
+        Expr::Un(op, a) => apply_un(*op, try_const(a)?).ok(),
+        Expr::Bin(op, a, b) => apply_bin(*op, try_const(a)?, try_const(b)?).ok(),
         Expr::Intrin(intr, args) => {
             let vals = args.iter().map(try_const).collect::<Option<Vec<Value>>>()?;
-            Some(apply_intrinsic(*intr, &vals))
+            apply_intrinsic(*intr, &vals).ok()
         }
     }
 }
@@ -179,6 +181,7 @@ fn compile_sub(index: &[(Sym, usize)], sub: &Subroutine) -> Result<CompiledSub, 
                 scalar,
                 arr,
                 reshape,
+                writes: crate::typed::ANY,
             })
         })
         .collect::<Result<Vec<_>, CompileError>>()?;
@@ -269,7 +272,7 @@ impl<'p> ChunkBuilder<'p> {
         if self.chunk.arrays.len() > u16::MAX as usize {
             return Err(CompileError::TooLarge("array slot"));
         }
-        self.chunk.arrays.push(s);
+        self.chunk.arrays.push((s, self.sub.ty_of(s)));
         Ok((self.chunk.arrays.len() - 1) as u16)
     }
 

@@ -24,6 +24,22 @@
 //! per-iteration tracer, CIV trace recording, per-iteration cost
 //! sampling) or that run a whole statement as one block.
 //!
+//! # Two streams, one guard
+//!
+//! The optimize passes ([`optimize_program`], [`optimize_block`]) fuse
+//! each chunk ([`peephole`]) and then type it once against the
+//! program's declared and implicit types ([`typed`]): a second stream,
+//! [`Typed`], runs `Int` / `Real` ops on raw 64-bit registers with the
+//! operand types fixed per instruction. Every activation — a block, a
+//! chunk range, the entry subroutine, each callee body — checks its
+//! live-in scalars and addressed arrays against the declared types
+//! (O(live-ins)) and runs the typed stream when they match, the `Value`
+//! stream when they do not, or when the chunk is genuinely dynamic (a
+//! `READ` target used afterwards, `Int` and `Real` meeting at a join).
+//! There is no switch: the bindings decide. Both streams charge, trace
+//! and fail identically, so which one ran is visible only in
+//! [`DispatchCounts`] (`typed_runs` / `untyped_runs`).
+//!
 //! # Example
 //!
 //! ```
@@ -56,11 +72,13 @@
 pub mod chunk;
 pub mod compile;
 pub mod peephole;
+pub mod typed;
 pub mod vm;
 
 pub use chunk::{BlockId, Chunk, CompileError, CompiledProgram, Op};
 pub use compile::{add_block, add_block_with_exprs, compile_program, expr_cost};
 pub use peephole::{optimize_block, optimize_chunk, optimize_program};
+pub use typed::Typed;
 pub use vm::{DispatchCounts, Frame, Vm};
 
 #[cfg(test)]
@@ -298,6 +316,51 @@ END
         assert_eq!(is.scalar(sym("s")), Some(Value::Int(30)));
         assert_eq!(vs.scalar(sym("s")), Some(Value::Int(30)));
         assert_eq!(ic, vc);
+    }
+
+    /// `i64::MIN / -1`, `-i64::MIN`, `ABS(i64::MIN)` and an overflowing
+    /// integer `**` are `RunError::IntOverflow` on the interpreter, the
+    /// `Value` stream and the typed stream alike, on every build
+    /// profile; `MOD(i64::MIN, -1)` is 0.
+    #[test]
+    fn integer_overflow_is_an_error_on_every_engine() {
+        let run = |stmt: &str| {
+            let src = format!(
+                "
+SUBROUTINE main()
+  INTEGER m, k
+  m = -9223372036854775807 - 1
+  {stmt}
+END
+"
+            );
+            let prog = parse_program(&src).expect("parses");
+            let interp = Machine::new(prog.clone()).run(&mut Store::new());
+            let value = compile_program(&prog).expect("compiles");
+            let mut typed = value.clone();
+            optimize_program(&mut typed);
+            assert!(typed.subs[0].chunk.typed.is_some(), "{stmt}: not typed");
+            let runs = [&value, &typed].map(|c| {
+                let mut store = Store::new();
+                let r = Vm::new(c).run(&mut store);
+                (r, store.scalar(sym("k")))
+            });
+            assert_eq!(runs[0], runs[1], "{stmt}: Value vs typed stream");
+            assert_eq!(interp, runs[0].0, "{stmt}: interpreter vs VM");
+            runs[0].clone()
+        };
+        for stmt in [
+            "k = m / (0 - 1)",
+            "k = -m",
+            "k = ABS(m)",
+            "k = m ** 2",
+            "k = 3 ** 40",
+        ] {
+            assert_eq!(run(stmt), (Err(RunError::IntOverflow), None), "{stmt}");
+        }
+        let (units, k) = run("k = MOD(m, 0 - 1)");
+        assert!(units.is_ok());
+        assert_eq!(k, Some(Value::Int(0)));
     }
 
     #[test]

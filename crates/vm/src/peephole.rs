@@ -48,11 +48,15 @@
 //! `bench_e2e` (`vm.ops_unfused` against `vm.ops_fused`) compare the
 //! two.
 
+use std::sync::Arc;
+
 use crate::chunk::{BlockId, Chunk, CompiledProgram, DimCode, Op};
+use crate::typed::{self, ANY};
 
 /// Fuses every chunk of `prog`: subroutine bodies, standalone blocks,
 /// attached expression fragments, and the reshape/local-allocation
-/// dimension fragments. Idempotent.
+/// dimension fragments; then types the subroutine bodies and blocks
+/// ([`crate::typed`]). Idempotent.
 pub fn optimize_program(prog: &mut CompiledProgram) {
     for sub in &mut prog.subs {
         optimize_chunk(&mut sub.chunk);
@@ -65,20 +69,86 @@ pub fn optimize_program(prog: &mut CompiledProgram) {
             optimize_dims(&mut local.dims);
         }
     }
+    type_subs(prog);
     for b in 0..prog.blocks.len() {
         optimize_block(prog, BlockId(b));
     }
 }
 
-/// Fuses one standalone block (chunk + attached expression fragments)
-/// — what the per-program cache runs after lowering a new block into
-/// an already-fused program copy.
+/// Types every subroutine body, with each formal's write summary
+/// ([`crate::chunk::ParamMeta::writes`]) grown from nothing to a
+/// fixpoint over the call graph: a body's summary feeds the typing of
+/// its callers' copy-outs. Callees are typed before their callers, so
+/// a program without recursion types each body once.
+fn type_subs(prog: &mut CompiledProgram) {
+    let n = prog.subs.len();
+    let mut callers = vec![Vec::new(); n];
+    for (i, sub) in prog.subs.iter().enumerate() {
+        for cs in &sub.chunk.calls {
+            callers[cs.callee].push(i);
+        }
+    }
+    // Callees first: a post-order walk of the call graph.
+    let mut order = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
+    for root in 0..n {
+        let mut stack = vec![(root, 0usize)];
+        while let Some((i, next)) = stack.pop() {
+            if next == 0 {
+                if seen[i] {
+                    continue;
+                }
+                seen[i] = true;
+            }
+            match prog.subs[i].chunk.calls.get(next) {
+                Some(cs) => {
+                    stack.push((i, next + 1));
+                    stack.push((cs.callee, 0));
+                }
+                None => order.push(i),
+            }
+        }
+    }
+    for pm in prog.subs.iter_mut().flat_map(|s| &mut s.params) {
+        pm.writes = 0;
+    }
+    let mut dirty = vec![true; n];
+    while dirty.contains(&true) {
+        for &i in &order {
+            if !std::mem::take(&mut dirty[i]) {
+                continue;
+            }
+            let subs = &prog.subs;
+            let typing = typed::type_chunk(&subs[i].chunk, &|c, p| subs[c].params[p].writes);
+            let sub = &mut prog.subs[i];
+            let mut grew = false;
+            for pm in &mut sub.params {
+                let w = typing.exit[pm.scalar as usize] & ANY;
+                grew |= w & !pm.writes != 0;
+                pm.writes |= w;
+            }
+            sub.chunk.typed = typing.typed.map(Arc::new);
+            if grew {
+                for &c in &callers[i] {
+                    dirty[c] = true;
+                }
+            }
+        }
+    }
+}
+
+/// Fuses and types one standalone block (chunk + attached expression
+/// fragments) — what the per-program cache runs after lowering a new
+/// block into an already-fused program copy.
 pub fn optimize_block(prog: &mut CompiledProgram, b: BlockId) {
     let block = &mut prog.blocks[b.0];
     optimize_chunk(&mut block.chunk);
     for code in &mut block.exprs {
         optimize_ops(&mut code.ops);
     }
+    let subs = &prog.subs;
+    let typing = typed::type_chunk(&prog.blocks[b.0].chunk, &|c, p| subs[c].params[p].writes);
+    prog.blocks[b.0].chunk.typed = typing.typed.map(Arc::new);
 }
 
 /// Fuses one chunk's instruction stream in place.
@@ -1037,10 +1107,8 @@ END
                 consts: vec![lip_ir::Value::Int(1), lip_ir::Value::Real(0.25)],
                 nregs: 4,
                 scalars: vec![(sym("i"), Ty::Int)],
-                arrays: vec![sym("F"), sym("J")],
-                calls: vec![],
-                reads: vec![],
-                fails: vec![],
+                arrays: vec![(sym("F"), Ty::Real), (sym("J"), Ty::Int)],
+                ..Chunk::default()
             };
             optimize_chunk(&mut chunk);
             chunk
@@ -1132,10 +1200,8 @@ END
             consts: vec![lip_ir::Value::Int(7)],
             nregs: 4,
             scalars: vec![(sym("s0"), Ty::Int), (sym("s1"), Ty::Int)],
-            arrays: vec![sym("A")],
-            calls: vec![],
-            reads: vec![],
-            fails: vec![],
+            arrays: vec![(sym("A"), Ty::Real)],
+            ..Chunk::default()
         }
     }
 

@@ -17,6 +17,14 @@
 //! access goes through) — and the value model (`lip_ir::apply_bin` et
 //! al.) is inlined into the arms that use it.
 //!
+//! Two streams run here, behind one guard. Every activation goes
+//! through `Vm::activate`: when the chunk has a typed stream
+//! ([`crate::typed`]) and the frame's live-in scalars and arrays carry
+//! the declared types, `Vm::exec_typed` runs it on raw registers;
+//! otherwise `Vm::exec` runs the `Value` stream below. Scalar slots are
+//! shared by both as raw bits plus a tag (`Slot`), so a frame moves
+//! between the two from one activation to the next.
+//!
 //! Semantics are the tree-walk interpreter's, bit for bit: values and
 //! operators come from `lip_ir`'s shared model ([`lip_ir::apply_bin`]
 //! et al.), addressing from [`ArrayView::linearize`], cost/budget
@@ -36,14 +44,72 @@ use crate::chunk::{
     ArgSpec, BlockId, Chunk, CompiledProgram, CompiledSub, DimCode, ExprCode, LocalAlloc, Op,
     ParamMeta,
 };
+use crate::typed;
+
+/// A scalar slot as both streams share it: the value's raw 64 bits
+/// (an `Int`'s `i64`, a `Real`'s `f64`) and its tag — [`typed::INT`],
+/// [`typed::REAL`], or 0 while unbound. The typed stream reads `bits`
+/// without looking at the tag; its guard checked the tag once.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Slot {
+    pub bits: u64,
+    pub tag: u8,
+}
+
+impl Slot {
+    #[inline(always)]
+    pub fn int(i: i64) -> Slot {
+        Slot {
+            bits: i as u64,
+            tag: typed::INT,
+        }
+    }
+
+    #[inline(always)]
+    pub fn of(v: Value) -> Slot {
+        match v {
+            Value::Int(i) => Slot::int(i),
+            Value::Real(r) => Slot {
+                bits: r.to_bits(),
+                tag: typed::REAL,
+            },
+        }
+    }
+
+    fn bound(v: Option<Value>) -> Slot {
+        v.map(Slot::of).unwrap_or_default()
+    }
+
+    #[inline(always)]
+    pub fn get(self) -> Option<Value> {
+        match self.tag {
+            typed::INT => Some(Value::Int(self.bits as i64)),
+            typed::REAL => Some(Value::Real(f64::from_bits(self.bits))),
+            _ => None,
+        }
+    }
+
+    /// An assignment's value coerced to the slot's declared type.
+    #[inline(always)]
+    fn coerced(v: Value, ty: Ty) -> Slot {
+        Slot::of(match ty {
+            Ty::Int => Value::Int(v.as_i64()),
+            Ty::Real => Value::Real(v.as_f64()),
+        })
+    }
+}
 
 /// Per-thread execution state for one chunk: registers, scalar slots
 /// and resolved array views. `Send`, so worker threads own one each.
 #[derive(Clone, Debug)]
 pub struct Frame {
-    regs: Vec<Value>,
-    scalars: Vec<Option<Value>>,
-    arrays: Vec<Option<ArrayView>>,
+    /// The `Value` stream's registers and the typed stream's raw ones,
+    /// each sized on the first activation that needs it (a typed callee
+    /// frame never allocates the `Value` file unless it calls out).
+    pub(crate) regs: Vec<Value>,
+    pub(crate) tregs: Vec<u64>,
+    pub(crate) scalars: Vec<Slot>,
+    pub(crate) arrays: Vec<Option<ArrayView>>,
 }
 
 impl Frame {
@@ -51,45 +117,55 @@ impl Frame {
     /// (unbound names stay empty and only error if touched).
     pub fn for_chunk(chunk: &Chunk, store: &Store) -> Frame {
         Frame {
-            regs: vec![Value::Int(0); chunk.nregs],
+            regs: Vec::new(),
+            tregs: Vec::new(),
             scalars: chunk
                 .scalars
                 .iter()
-                .map(|(s, _)| store.scalar(*s))
+                .map(|(s, _)| Slot::bound(store.scalar(*s)))
                 .collect(),
             arrays: chunk
                 .arrays
                 .iter()
-                .map(|s| store.array(*s).cloned())
+                .map(|(s, _)| store.array(*s).cloned())
                 .collect(),
         }
     }
 
     fn empty(chunk: &Chunk) -> Frame {
         Frame {
-            regs: vec![Value::Int(0); chunk.nregs],
-            scalars: vec![None; chunk.scalars.len()],
+            regs: Vec::new(),
+            tregs: Vec::new(),
+            scalars: vec![Slot::default(); chunk.scalars.len()],
             arrays: vec![None; chunk.arrays.len()],
         }
     }
 
     /// Reads a scalar slot.
     pub fn scalar(&self, slot: u16) -> Option<Value> {
-        self.scalars[slot as usize]
+        self.scalars[slot as usize].get()
     }
 
     /// Writes a scalar slot verbatim (loop-variable / seeding
     /// semantics: no type coercion, like `Store::set_scalar`).
     pub fn set_scalar(&mut self, slot: u16, v: Value) {
-        self.scalars[slot as usize] = Some(v);
+        self.scalars[slot as usize] = Slot::of(v);
+    }
+
+    /// Sizes the `Value` register file for `chunk`.
+    #[inline]
+    pub(crate) fn value_regs(&mut self, chunk: &Chunk) {
+        if self.regs.len() < chunk.nregs {
+            self.regs.resize(chunk.nregs, Value::Int(0));
+        }
     }
 
     /// Copies every bound scalar slot back into `store` (chunk supplies
     /// the slot→symbol mapping).
     pub fn writeback_scalars(&self, chunk: &Chunk, store: &mut Store) {
         for (i, v) in self.scalars.iter().enumerate() {
-            if let Some(v) = v {
-                store.set_scalar(chunk.scalars[i].0, *v);
+            if let Some(v) = v.get() {
+                store.set_scalar(chunk.scalars[i].0, v);
             }
         }
     }
@@ -101,7 +177,7 @@ impl Frame {
         self.writeback_scalars(chunk, store);
         for (i, v) in self.arrays.iter().enumerate() {
             if let Some(view) = v {
-                store.bind_array(chunk.arrays[i], view.clone());
+                store.bind_array(chunk.arrays[i].0, view.clone());
             }
         }
     }
@@ -122,6 +198,11 @@ pub struct DispatchCounts {
     /// Of the superinstructions, dedicated reduction ops
     /// ([`Op::is_reduction`]).
     pub red_ops: u64,
+    /// Activations (blocks, ranges, callee bodies) the guard admitted
+    /// to the typed stream.
+    pub typed_runs: u64,
+    /// Activations that ran the `Value` stream.
+    pub untyped_runs: u64,
 }
 
 impl DispatchCounts {
@@ -130,6 +211,8 @@ impl DispatchCounts {
         self.ops += other.ops;
         self.fused_ops += other.fused_ops;
         self.red_ops += other.red_ops;
+        self.typed_runs += other.typed_runs;
+        self.untyped_runs += other.untyped_runs;
     }
 }
 
@@ -178,23 +261,40 @@ impl<'p> Vm<'p> {
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
     ) -> Result<(), RunError> {
+        self.run_entry::<false>(store, state, tracer, &mut DispatchCounts::default())
+    }
+
+    /// [`Vm::run_with_state`] with dispatch counting, as
+    /// [`Vm::run_counting`] is for a block.
+    ///
+    /// # Errors
+    ///
+    /// Any [`RunError`] raised during execution.
+    pub fn run_program_counting(
+        &self,
+        store: &mut Store,
+        state: &mut ExecState,
+        tracer: Option<&dyn AccessTracer>,
+        counts: &mut DispatchCounts,
+    ) -> Result<(), RunError> {
+        self.run_entry::<true>(store, state, tracer, counts)
+    }
+
+    fn run_entry<const COUNT: bool>(
+        &self,
+        store: &mut Store,
+        state: &mut ExecState,
+        tracer: Option<&dyn AccessTracer>,
+        counts: &mut DispatchCounts,
+    ) -> Result<(), RunError> {
         let entry = self
             .prog
             .entry
             .ok_or(RunError::NoSuchSubroutine(sym("main")))?;
         let csub = &self.prog.subs[entry];
         let mut frame = Frame::for_chunk(&csub.chunk, store);
-        let counts = &mut DispatchCounts::default();
-        self.alloc_locals::<false>(csub, &mut frame, state, tracer, counts)?;
-        self.exec::<false>(
-            &csub.chunk,
-            &csub.chunk.ops,
-            None,
-            &mut frame,
-            state,
-            tracer,
-            counts,
-        )?;
+        self.alloc_locals::<COUNT>(csub, &mut frame, state, tracer, counts)?;
+        self.activate::<COUNT>(&csub.chunk, None, &mut frame, state, tracer, counts)?;
         frame.writeback_all(&csub.chunk, store);
         Ok(())
     }
@@ -216,9 +316,8 @@ impl<'p> Vm<'p> {
         tracer: Option<&dyn AccessTracer>,
     ) -> Result<(), RunError> {
         let chunk = &self.prog.block(b).chunk;
-        self.exec::<false>(
+        self.activate::<false>(
             chunk,
-            &chunk.ops,
             None,
             frame,
             state,
@@ -251,9 +350,8 @@ impl<'p> Vm<'p> {
         tracer: Option<&dyn AccessTracer>,
     ) -> Result<(), RunError> {
         let chunk = &self.prog.block(b).chunk;
-        self.exec::<false>(
+        self.activate::<false>(
             chunk,
-            &chunk.ops,
             Some((var_slot, lo, hi)),
             frame,
             state,
@@ -281,7 +379,7 @@ impl<'p> Vm<'p> {
         counts: &mut DispatchCounts,
     ) -> Result<(), RunError> {
         let chunk = &self.prog.block(b).chunk;
-        self.exec::<true>(chunk, &chunk.ops, range, frame, state, tracer, counts)
+        self.activate::<true>(chunk, range, frame, state, tracer, counts)
     }
 
     /// Evaluates attached expression fragment `k` of block `b` against
@@ -318,6 +416,7 @@ impl<'p> Vm<'p> {
         tracer: Option<&dyn AccessTracer>,
         counts: &mut DispatchCounts,
     ) -> Result<Value, RunError> {
+        frame.value_regs(chunk);
         self.exec::<COUNT>(chunk, &code.ops, None, frame, state, tracer, counts)?;
         Ok(frame.regs[code.result as usize])
     }
@@ -412,11 +511,60 @@ impl<'p> Vm<'p> {
         })
     }
 
+    /// One activation of `chunk`: the typed stream when the chunk has
+    /// one and [`typed::Typed::admits`] the frame (for a range of more than one
+    /// iteration, also [`typed::Typed::loops`]), the `Value` stream otherwise.
+    /// A range's loop variable is seeded before the guard looks, as the
+    /// first iteration would seed it anyway; an empty range is no
+    /// activation at all.
+    #[inline]
+    fn activate<const COUNT: bool>(
+        &self,
+        chunk: &Chunk,
+        range: Option<(u16, i64, i64)>,
+        frame: &mut Frame,
+        state: &mut ExecState,
+        tracer: Option<&dyn AccessTracer>,
+        counts: &mut DispatchCounts,
+    ) -> Result<(), RunError> {
+        if matches!(range, Some((_, lo, hi)) if lo > hi) {
+            return Ok(());
+        }
+        if let Some(t) = chunk.typed.as_deref() {
+            let restarts = match range {
+                Some((slot, lo, hi)) => {
+                    frame.scalars[slot as usize] = Slot::int(lo);
+                    lo != hi
+                }
+                None => false,
+            };
+            if (t.loops || !restarts) && t.admits(frame) {
+                if COUNT {
+                    counts.typed_runs += 1;
+                }
+                if frame.tregs.len() < t.nregs {
+                    frame.tregs.resize(t.nregs, 0);
+                }
+                if !chunk.calls.is_empty() {
+                    // A call hands its arguments over in `Value` registers.
+                    frame.value_regs(chunk);
+                }
+                return self.exec_typed::<COUNT>(chunk, t, range, frame, state, tracer, counts);
+            }
+        }
+        if COUNT {
+            counts.untyped_runs += 1;
+        }
+        frame.value_regs(chunk);
+        self.exec::<COUNT>(chunk, &chunk.ops, range, frame, state, tracer, counts)
+    }
+
     /// Reads a scalar slot, erroring like `Op::LoadScalar` when
     /// unbound (the fused ops inline their operand loads).
     #[inline]
     fn slot_value(chunk: &Chunk, frame: &Frame, slot: u16) -> Result<Value, RunError> {
         frame.scalars[slot as usize]
+            .get()
             .ok_or_else(|| RunError::UnboundScalar(chunk.scalars[slot as usize].0))
     }
 
@@ -434,11 +582,11 @@ impl<'p> Vm<'p> {
         idx_slot: u16,
     ) -> Result<(Sym, usize, &'f ArrayView), RunError> {
         let i = Self::slot_value(chunk, frame, idx_slot)?.as_i64();
-        let name = chunk.arrays[arr as usize];
+        let name = chunk.arrays[arr as usize].0;
         let view = frame.arrays[arr as usize]
             .as_ref()
             .ok_or(RunError::UnboundArray(name))?;
-        let abs = view.offset as i64 + (i - 1);
+        let abs = (view.offset as i64).wrapping_add(i.wrapping_sub(1));
         if abs < 0 || abs as usize >= view.buf.len() {
             return Err(RunError::BadIndex(name));
         }
@@ -447,21 +595,22 @@ impl<'p> Vm<'p> {
 
     fn linearize<'f>(
         chunk: &Chunk,
-        frame: &'f Frame,
+        arrays: &'f [Option<ArrayView>],
+        regs: &[Value],
         arr: u16,
         base: u16,
         n: u8,
     ) -> Result<(Sym, usize, &'f ArrayView), RunError> {
-        let name = chunk.arrays[arr as usize];
-        let view = frame.arrays[arr as usize]
+        let name = chunk.arrays[arr as usize].0;
+        let view = arrays[arr as usize]
             .as_ref()
             .ok_or(RunError::UnboundArray(name))?;
         // Rank-1 fast path: `ArrayView::linearize` never consults
         // extents for a single subscript, so this is exactly
         // `offset + (i - 1)` with the same bounds check.
         if n == 1 {
-            let i = frame.regs[base as usize].as_i64();
-            let abs = view.offset as i64 + (i - 1);
+            let i = regs[base as usize].as_i64();
+            let abs = (view.offset as i64).wrapping_add(i.wrapping_sub(1));
             if abs < 0 || abs as usize >= view.buf.len() {
                 return Err(RunError::BadIndex(name));
             }
@@ -469,7 +618,7 @@ impl<'p> Vm<'p> {
         }
         let mut idx = [0i64; 7];
         for (k, slot) in idx.iter_mut().take(n as usize).enumerate() {
-            *slot = frame.regs[base as usize + k].as_i64();
+            *slot = regs[base as usize + k].as_i64();
         }
         let lin = view
             .linearize(&idx[..n as usize])
@@ -500,7 +649,7 @@ impl<'p> Vm<'p> {
         };
         loop {
             if let Some(slot) = var_slot {
-                frame.scalars[slot as usize] = Some(Value::Int(iter));
+                frame.scalars[slot as usize] = Slot::int(iter);
             }
             let mut pc = 0usize;
             while pc < ops.len() {
@@ -515,23 +664,26 @@ impl<'p> Vm<'p> {
                         frame.regs[*dst as usize] = chunk.consts[*k as usize];
                     }
                     Op::LoadScalar { dst, slot } => {
-                        frame.regs[*dst as usize] = frame.scalars[*slot as usize]
-                            .ok_or(RunError::UnboundScalar(chunk.scalars[*slot as usize].0))?;
+                        frame.regs[*dst as usize] = Self::slot_value(chunk, frame, *slot)?;
                     }
                     Op::StoreScalar { slot, src } => {
                         let v = frame.regs[*src as usize];
                         frame.scalars[*slot as usize] =
-                            Some(match chunk.scalars[*slot as usize].1 {
-                                Ty::Int => Value::Int(v.as_i64()),
-                                Ty::Real => Value::Real(v.as_f64()),
-                            });
+                            Slot::coerced(v, chunk.scalars[*slot as usize].1);
                     }
                     Op::SetVarRaw { slot, src } => {
-                        frame.scalars[*slot as usize] = Some(frame.regs[*src as usize]);
+                        frame.scalars[*slot as usize] = Slot::of(frame.regs[*src as usize]);
                     }
                     Op::LoadElem { dst, arr, base, n } => {
                         let v = {
-                            let (name, lin, view) = Self::linearize(chunk, frame, *arr, *base, *n)?;
+                            let (name, lin, view) = Self::linearize(
+                                chunk,
+                                &frame.arrays,
+                                &frame.regs,
+                                *arr,
+                                *base,
+                                *n,
+                            )?;
                             if let Some(t) = tracer {
                                 t.read(name, lin);
                             }
@@ -541,22 +693,23 @@ impl<'p> Vm<'p> {
                     }
                     Op::StoreElem { arr, base, n, src } => {
                         let v = frame.regs[*src as usize];
-                        let (name, lin, view) = Self::linearize(chunk, frame, *arr, *base, *n)?;
+                        let (name, lin, view) =
+                            Self::linearize(chunk, &frame.arrays, &frame.regs, *arr, *base, *n)?;
                         if let Some(t) = tracer {
                             t.write(name, lin);
                         }
                         view.buf.set(lin, v);
                     }
                     Op::Un { op, dst, src } => {
-                        frame.regs[*dst as usize] = apply_un(*op, frame.regs[*src as usize]);
+                        frame.regs[*dst as usize] = apply_un(*op, frame.regs[*src as usize])?;
                     }
                     Op::Bin { op, dst, a, b } => {
                         frame.regs[*dst as usize] =
-                            apply_bin(*op, frame.regs[*a as usize], frame.regs[*b as usize]);
+                            apply_bin(*op, frame.regs[*a as usize], frame.regs[*b as usize])?;
                     }
                     Op::Intrin { intr, dst, base, n } => {
                         let args = &frame.regs[*base as usize..*base as usize + *n as usize];
-                        frame.regs[*dst as usize] = apply_intrinsic(*intr, args);
+                        frame.regs[*dst as usize] = apply_intrinsic(*intr, args)?;
                     }
                     Op::Jump { target } => {
                         pc = *target as usize;
@@ -597,9 +750,17 @@ impl<'p> Vm<'p> {
                         frame.regs[*i as usize] = Value::Int(v);
                     }
                     Op::Call { site } => {
-                        self.call::<COUNT>(chunk, *site, frame, state, tracer, counts)?;
+                        let Frame {
+                            regs,
+                            scalars,
+                            arrays,
+                            ..
+                        } = frame;
+                        self.call::<COUNT>(
+                            chunk, *site, arrays, scalars, regs, state, tracer, counts,
+                        )?;
                     }
-                    Op::Read { site } => self.read_inputs(chunk, *site, frame)?,
+                    Op::Read { site } => self.read_inputs(chunk, *site, &mut frame.scalars)?,
                     Op::Fail { site } => return Err(Self::fail(chunk, *site)),
 
                     // Superinstructions ([`crate::peephole`]): each arm
@@ -618,7 +779,7 @@ impl<'p> Vm<'p> {
                         }
                         let a = Self::slot_value(chunk, frame, *a_slot)?;
                         let b = Self::slot_value(chunk, frame, *b_slot)?;
-                        frame.regs[*dst as usize] = apply_bin(*op, a, b);
+                        frame.regs[*dst as usize] = apply_bin(*op, a, b)?;
                     }
                     Op::FusedBinRS {
                         charge,
@@ -631,7 +792,7 @@ impl<'p> Vm<'p> {
                             state.charge(u64::from(*charge))?;
                         }
                         let b = Self::slot_value(chunk, frame, *b_slot)?;
-                        frame.regs[*dst as usize] = apply_bin(*op, frame.regs[*a as usize], b);
+                        frame.regs[*dst as usize] = apply_bin(*op, frame.regs[*a as usize], b)?;
                     }
                     Op::FusedBinRK {
                         charge,
@@ -644,7 +805,7 @@ impl<'p> Vm<'p> {
                             state.charge(u64::from(*charge))?;
                         }
                         frame.regs[*dst as usize] =
-                            apply_bin(*op, frame.regs[*a as usize], chunk.consts[*k as usize]);
+                            apply_bin(*op, frame.regs[*a as usize], chunk.consts[*k as usize])?;
                     }
                     Op::FusedBinRE {
                         charge,
@@ -665,7 +826,7 @@ impl<'p> Vm<'p> {
                             }
                             view.buf.get(lin)
                         };
-                        frame.regs[*dst as usize] = apply_bin(*op, frame.regs[*a as usize], b);
+                        frame.regs[*dst as usize] = apply_bin(*op, frame.regs[*a as usize], b)?;
                     }
                     Op::FusedBinStore {
                         charge,
@@ -678,13 +839,10 @@ impl<'p> Vm<'p> {
                         if *charge > 0 {
                             state.charge(u64::from(*charge))?;
                         }
-                        let v = apply_bin(*op, frame.regs[*a as usize], frame.regs[*b as usize]);
+                        let v = apply_bin(*op, frame.regs[*a as usize], frame.regs[*b as usize])?;
                         frame.regs[*dst as usize] = v;
                         frame.scalars[*slot as usize] =
-                            Some(match chunk.scalars[*slot as usize].1 {
-                                Ty::Int => Value::Int(v.as_i64()),
-                                Ty::Real => Value::Real(v.as_f64()),
-                            });
+                            Slot::coerced(v, chunk.scalars[*slot as usize].1);
                     }
                     Op::FusedLoadElemS {
                         charge,
@@ -739,7 +897,7 @@ impl<'p> Vm<'p> {
                             if let Some(t) = tracer {
                                 t.read(name, lin);
                             }
-                            let v = apply_bin(*op, view.buf.get(lin), chunk.consts[*k as usize]);
+                            let v = apply_bin(*op, view.buf.get(lin), chunk.consts[*k as usize])?;
                             if let Some(t) = tracer {
                                 t.write(name, lin);
                             }
@@ -770,7 +928,7 @@ impl<'p> Vm<'p> {
                             // read and write in the unfused stream, so an
                             // unbound operand errors after the read.
                             let b = Self::slot_value(chunk, frame, *b_slot)?;
-                            let v = apply_bin(*op, cur, b);
+                            let v = apply_bin(*op, cur, b)?;
                             if let Some(t) = tracer {
                                 t.write(name, lin);
                             }
@@ -805,12 +963,12 @@ impl<'p> Vm<'p> {
                             }
                             view.buf.get(lin).as_i64()
                         };
-                        let name = chunk.arrays[*arr as usize];
+                        let name = chunk.arrays[*arr as usize].0;
                         let v = {
                             let view = frame.arrays[*arr as usize]
                                 .as_ref()
                                 .ok_or(RunError::UnboundArray(name))?;
-                            let abs = view.offset as i64 + (idx - 1);
+                            let abs = (view.offset as i64).wrapping_add(idx.wrapping_sub(1));
                             if abs < 0 || abs as usize >= view.buf.len() {
                                 return Err(RunError::BadIndex(name));
                             }
@@ -840,11 +998,11 @@ impl<'p> Vm<'p> {
                             view.buf.get(lin).as_i64()
                         };
                         let v = frame.regs[*src as usize];
-                        let name = chunk.arrays[*arr as usize];
+                        let name = chunk.arrays[*arr as usize].0;
                         let view = frame.arrays[*arr as usize]
                             .as_ref()
                             .ok_or(RunError::UnboundArray(name))?;
-                        let abs = view.offset as i64 + (idx - 1);
+                        let abs = (view.offset as i64).wrapping_add(idx.wrapping_sub(1));
                         if abs < 0 || abs as usize >= view.buf.len() {
                             return Err(RunError::BadIndex(name));
                         }
@@ -877,13 +1035,13 @@ impl<'p> Vm<'p> {
                                 *idx_op,
                                 iview.buf.get(ilin),
                                 chunk.consts[*idx_k as usize],
-                            )
+                            )?
                             .as_i64();
-                            let name = chunk.arrays[*arr as usize];
+                            let name = chunk.arrays[*arr as usize].0;
                             let view = frame.arrays[*arr as usize]
                                 .as_ref()
                                 .ok_or(RunError::UnboundArray(name))?;
-                            let abs = view.offset as i64 + (idx - 1);
+                            let abs = (view.offset as i64).wrapping_add(idx.wrapping_sub(1));
                             if abs < 0 || abs as usize >= view.buf.len() {
                                 return Err(RunError::BadIndex(name));
                             }
@@ -894,7 +1052,7 @@ impl<'p> Vm<'p> {
                                 *op,
                                 view.buf.get(abs as usize),
                                 chunk.consts[*k as usize],
-                            );
+                            )?;
                             // The unfused stream recomputes the subscript
                             // for the store: a second traced index-array
                             // read between the element read and the write
@@ -933,13 +1091,10 @@ impl<'p> Vm<'p> {
                             }
                             view.buf.get(lin)
                         };
-                        let v = apply_bin(*op, acc, b);
+                        let v = apply_bin(*op, acc, b)?;
                         frame.regs[*dst as usize] = v;
                         frame.scalars[*acc_slot as usize] =
-                            Some(match chunk.scalars[*acc_slot as usize].1 {
-                                Ty::Int => Value::Int(v.as_i64()),
-                                Ty::Real => Value::Real(v.as_f64()),
-                            });
+                            Slot::coerced(v, chunk.scalars[*acc_slot as usize].1);
                     }
                     Op::FusedRedElemK {
                         charge,
@@ -969,11 +1124,11 @@ impl<'p> Vm<'p> {
                                 t.read(iname, ilin);
                             }
                             let idx = iview.buf.get(ilin).as_i64();
-                            let name = chunk.arrays[*arr as usize];
+                            let name = chunk.arrays[*arr as usize].0;
                             let view = frame.arrays[*arr as usize]
                                 .as_ref()
                                 .ok_or(RunError::UnboundArray(name))?;
-                            let abs = view.offset as i64 + (idx - 1);
+                            let abs = (view.offset as i64).wrapping_add(idx.wrapping_sub(1));
                             if abs < 0 || abs as usize >= view.buf.len() {
                                 return Err(RunError::BadIndex(name));
                             }
@@ -989,7 +1144,7 @@ impl<'p> Vm<'p> {
                             } else {
                                 chunk.consts[*k as usize]
                             };
-                            let v = apply_bin(*op, cur, b);
+                            let v = apply_bin(*op, cur, b)?;
                             // The unfused stream recomputes the subscript
                             // for the store: a second traced index-array
                             // read between the element read and the write
@@ -1017,7 +1172,7 @@ impl<'p> Vm<'p> {
                         let hv = frame.regs[*hi as usize].as_i64();
                         let sv = frame.regs[*step as usize].as_i64();
                         if (sv > 0 && iv <= hv) || (sv < 0 && iv >= hv) {
-                            frame.scalars[*var_slot as usize] = Some(frame.regs[*i as usize]);
+                            frame.scalars[*var_slot as usize] = Slot::of(frame.regs[*i as usize]);
                         } else {
                             pc = *exit as usize;
                             continue;
@@ -1046,7 +1201,12 @@ impl<'p> Vm<'p> {
     /// `Op::Read`, out of line: READ statements sit outside hot loops.
     #[cold]
     #[inline(never)]
-    fn read_inputs(&self, chunk: &Chunk, site: u16, frame: &mut Frame) -> Result<(), RunError> {
+    pub(crate) fn read_inputs(
+        &self,
+        chunk: &Chunk,
+        site: u16,
+        scalars: &mut [Slot],
+    ) -> Result<(), RunError> {
         for slot in &chunk.reads[site as usize] {
             let name = chunk.scalars[*slot as usize].0;
             let v = self
@@ -1054,7 +1214,7 @@ impl<'p> Vm<'p> {
                 .and_then(|m| m.get(&name))
                 .copied()
                 .ok_or(RunError::MissingInput(name))?;
-            frame.scalars[*slot as usize] = Some(v);
+            scalars[*slot as usize] = Slot::of(v);
         }
         Ok(())
     }
@@ -1062,16 +1222,23 @@ impl<'p> Vm<'p> {
     /// `Op::Fail`, out of line (the error clone is not trivially small).
     #[cold]
     #[inline(never)]
-    fn fail(chunk: &Chunk, site: u16) -> RunError {
+    pub(crate) fn fail(chunk: &Chunk, site: u16) -> RunError {
         chunk.fails[site as usize].clone()
     }
 
+    /// `Op::Call` for either stream: the caller's array views, scalar
+    /// slots and `Value` registers (the typed stream materializes the
+    /// registers a call reads first). The callee body is one more
+    /// guarded activation.
+    #[allow(clippy::too_many_arguments)]
     #[inline(never)]
-    fn call<const COUNT: bool>(
+    pub(crate) fn call<const COUNT: bool>(
         &self,
         caller: &Chunk,
         site: u16,
-        caller_frame: &mut Frame,
+        arrays: &[Option<ArrayView>],
+        scalars: &mut [Slot],
+        regs: &[Value],
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
         counts: &mut DispatchCounts,
@@ -1084,23 +1251,23 @@ impl<'p> Vm<'p> {
         for (pm, spec) in callee.params.iter().zip(cs.args.iter()) {
             match spec {
                 ArgSpec::Value { reg } => {
-                    inner.scalars[pm.scalar as usize] = Some(caller_frame.regs[*reg as usize]);
+                    inner.scalars[pm.scalar as usize] = Slot::of(regs[*reg as usize]);
                 }
                 ArgSpec::Var { arr, scalar } => {
-                    if let Some(view) = caller_frame.arrays[*arr as usize].clone() {
+                    if let Some(view) = arrays[*arr as usize].clone() {
                         let reshaped = self.reshape::<COUNT>(
                             callee, pm, view, &mut inner, state, tracer, counts,
                         )?;
                         inner.arrays[pm.arr as usize] = Some(reshaped);
-                    } else if let Some(v) = caller_frame.scalars[*scalar as usize] {
-                        inner.scalars[pm.scalar as usize] = Some(v);
+                    } else if scalars[*scalar as usize].tag != 0 {
+                        inner.scalars[pm.scalar as usize] = scalars[*scalar as usize];
                         copy_out.push((pm.scalar, *scalar));
                     } else {
                         return Err(RunError::UnboundScalar(caller.scalars[*scalar as usize].0));
                     }
                 }
                 ArgSpec::Section { arr, base, n } => {
-                    let (_, lin, view) = Self::linearize(caller, caller_frame, *arr, *base, *n)?;
+                    let (_, lin, view) = Self::linearize(caller, arrays, regs, *arr, *base, *n)?;
                     let section = ArrayView {
                         buf: view.buf.clone(),
                         offset: lin,
@@ -1113,18 +1280,11 @@ impl<'p> Vm<'p> {
             }
         }
         self.alloc_locals::<COUNT>(callee, &mut inner, state, tracer, counts)?;
-        self.exec::<COUNT>(
-            &callee.chunk,
-            &callee.chunk.ops,
-            None,
-            &mut inner,
-            state,
-            tracer,
-            counts,
-        )?;
+        self.activate::<COUNT>(&callee.chunk, None, &mut inner, state, tracer, counts)?;
         for (callee_slot, caller_slot) in copy_out {
-            if let Some(v) = inner.scalars[callee_slot as usize] {
-                caller_frame.scalars[caller_slot as usize] = Some(v);
+            let v = inner.scalars[callee_slot as usize];
+            if v.tag != 0 {
+                scalars[caller_slot as usize] = v;
             }
         }
         Ok(())

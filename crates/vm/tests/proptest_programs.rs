@@ -1,8 +1,10 @@
 //! Property: on randomly generated straight-line/loop programs, the
-//! tree-walk interpreter, the unfused bytecode VM and the
-//! peephole-fused bytecode VM agree three ways on every scalar, every
-//! array element, the exact work-unit count **and** the exact traced
-//! access stream (reads and writes, in order).
+//! tree-walk interpreter, the unfused bytecode VM, the peephole-fused
+//! `Value` stream and the typed stream agree four ways on every scalar,
+//! every array element, the exact work-unit count **and** the exact
+//! traced access stream (reads and writes, in order) — on runs that
+//! complete and on runs that fail (a step budget tripped mid-program,
+//! an integer overflow). The typed leg is checked to have run typed.
 //!
 //! Programs are built directly as ASTs from a seeded splitmix64 stream:
 //! scalar and element assignments, IF/THEN/ELSE, nested DO loops (and
@@ -13,7 +15,14 @@
 //! is the reduction target: the generator emits
 //! sum/MIN/MAX/product self-updates with operands beyond 2^53, the
 //! exact shape the peephole pass fuses to `FusedRed*` superinstructions
-//! and where any `f64` detour loses integer bits.
+//! and where any `f64` detour loses integer bits. Element statements
+//! through a bare slot subscript (`ix` INTEGER, `r` REAL), optionally
+//! through an index array (`P` INTEGER, `Q` REAL) and a constant offset,
+//! give every fused element form with `Int` and `Real` subscripts, so the
+//! typed stream runs both its typed superinstructions and the unfused
+//! expansions it falls back to. An occasional division is
+//! `i64::MIN / -1`, which every engine must report as
+//! `RunError::IntOverflow`.
 
 use std::sync::{Arc, Mutex};
 
@@ -22,7 +31,8 @@ use lip_ir::{
     Subroutine, Ty, UnOp,
 };
 use lip_symbolic::{sym, Sym};
-use lip_vm::{compile_program, optimize_program, Vm};
+use lip_vm::typed::TOp;
+use lip_vm::{compile_program, optimize_program, CompiledProgram, DispatchCounts, Vm};
 use proptest::prelude::*;
 
 /// Records every traced access in order.
@@ -124,6 +134,10 @@ fn gen_expr(g: &mut Gen, depth: u32) -> Expr {
                 BinOp::And,
                 BinOp::Or,
             ][g.below(9) as usize];
+            if op == BinOp::Div && g.below(8) == 0 {
+                // Overflows at run time (constant folding leaves it).
+                return Expr::Bin(op, Box::new(Expr::Int(i64::MIN)), Box::new(Expr::Int(-1)));
+            }
             Expr::Bin(
                 op,
                 Box::new(gen_expr(g, depth - 1)),
@@ -149,8 +163,65 @@ fn gen_expr(g: &mut Gen, depth: u32) -> Expr {
     }
 }
 
+/// A subscript the peephole pass fuses on: a bare slot, or an index
+/// array at that slot plus an optional constant offset. Every choice is
+/// in bounds: `ix` is 1..=8, `r` truncates to 1..=8, `P` holds 1..=14
+/// and `Q` 1.5..=13.5 (see [`gen_program`]).
+fn slot_subscript(g: &mut Gen) -> Expr {
+    let slot = Expr::Var([sym("ix"), sym("r")][g.below(2) as usize]);
+    let index = match g.below(3) {
+        0 => return slot,
+        1 => Expr::Elem(sym("P"), vec![slot]),
+        _ => Expr::Elem(sym("Q"), vec![slot]),
+    };
+    let offset = match g.below(3) {
+        0 => return index,
+        1 => Expr::Int(1),
+        _ => Expr::Real(1.0),
+    };
+    Expr::Bin(BinOp::Add, Box::new(index), Box::new(offset))
+}
+
+/// An element statement through [`slot_subscript`]: a read-modify-write
+/// (`Fused{ElemUpdate,RedElem}*`), a scalar accumulation
+/// (`FusedRedAccS`, `FusedBinRE`) or a plain store (`Fused*StoreElem*`).
+fn gen_indexed(g: &mut Gen) -> Stmt {
+    let sub = slot_subscript(g);
+    let target = if g.below(2) == 0 { arr() } else { iarr() };
+    let cur = Expr::Elem(target, vec![sub.clone()]);
+    let op = [BinOp::Add, BinOp::Sub, BinOp::Mul][g.below(3) as usize];
+    let operand = match g.below(5) {
+        0 => Expr::Int(2),
+        1 => Expr::Real(0.5),
+        2 => Expr::Var(int_scalars()[g.below(2) as usize]),
+        3 => Expr::Var(real_scalars()[g.below(2) as usize]),
+        // An element through the bare `ix` slot: `FusedBinRE`.
+        _ => Expr::Elem(
+            [arr(), iarr()][g.below(2) as usize],
+            vec![Expr::Var(sym("ix"))],
+        ),
+    };
+    match g.below(4) {
+        0 | 1 => Stmt::Assign {
+            lhs: LValue::Element(target, vec![sub]),
+            rhs: Expr::Bin(op, Box::new(cur), Box::new(operand)),
+        },
+        2 => {
+            let acc = [int_scalars(), real_scalars()][g.below(2) as usize][g.below(2) as usize];
+            Stmt::Assign {
+                lhs: LValue::Scalar(acc),
+                rhs: Expr::Bin(op, Box::new(Expr::Var(acc)), Box::new(cur)),
+            }
+        }
+        _ => Stmt::Assign {
+            lhs: LValue::Element(target, vec![sub]),
+            rhs: gen_expr(g, 1),
+        },
+    }
+}
+
 fn gen_stmt(g: &mut Gen, depth: u32) -> Stmt {
-    let choices = if depth == 0 { 4 } else { 7 };
+    let choices = if depth == 0 { 4 } else { 8 };
     match g.below(choices) {
         0 => Stmt::Assign {
             lhs: LValue::Scalar(int_scalars()[g.below(2) as usize]),
@@ -211,6 +282,7 @@ fn gen_stmt(g: &mut Gen, depth: u32) -> Stmt {
                 },
             }
         }
+        7 => gen_indexed(g),
         _ => {
             // A bounded WHILE over `iw`, a counter the generated
             // assignments never touch (it is in no scalar pool), so
@@ -267,6 +339,61 @@ fn gen_program(seed: u64) -> Program {
             lhs: LValue::Scalar(sym("iw")),
             rhs: Expr::Int(1 + g.below(4) as i64),
         },
+        // The slot subscripts and index arrays of `slot_subscript`,
+        // which no generated statement assigns.
+        Stmt::Assign {
+            lhs: LValue::Scalar(sym("ix")),
+            rhs: Expr::Int(1 + g.below(8) as i64),
+        },
+        Stmt::Assign {
+            lhs: LValue::Scalar(sym("r")),
+            rhs: Expr::Real(1.5 + g.below(8) as f64),
+        },
+        Stmt::Do {
+            label: None,
+            var: sym("ip"),
+            lo: Expr::Int(1),
+            hi: Expr::Int(16),
+            step: None,
+            body: vec![
+                Stmt::Assign {
+                    lhs: LValue::Element(sym("P"), vec![Expr::Var(sym("ip"))]),
+                    rhs: Expr::Bin(
+                        BinOp::Add,
+                        Box::new(Expr::Intrin(
+                            Intrinsic::Mod,
+                            vec![
+                                Expr::Bin(
+                                    BinOp::Mul,
+                                    Box::new(Expr::Var(sym("ip"))),
+                                    Box::new(Expr::Int(5)),
+                                ),
+                                Expr::Int(14),
+                            ],
+                        )),
+                        Box::new(Expr::Int(1)),
+                    ),
+                },
+                Stmt::Assign {
+                    lhs: LValue::Element(sym("Q"), vec![Expr::Var(sym("ip"))]),
+                    rhs: Expr::Bin(
+                        BinOp::Add,
+                        Box::new(Expr::Intrin(
+                            Intrinsic::Mod,
+                            vec![
+                                Expr::Bin(
+                                    BinOp::Mul,
+                                    Box::new(Expr::Var(sym("ip"))),
+                                    Box::new(Expr::Int(3)),
+                                ),
+                                Expr::Int(13),
+                            ],
+                        )),
+                        Box::new(Expr::Real(1.5)),
+                    ),
+                },
+            ],
+        },
     ];
     let len = 3 + g.below(5) as usize;
     body.extend(gen_block(&mut g, 2, len));
@@ -284,6 +411,16 @@ fn gen_program(seed: u64) -> Program {
                     name: iarr(),
                     dims: vec![DimDecl::Fixed(Expr::Int(16))],
                     ty: Ty::Int,
+                },
+                Decl {
+                    name: sym("P"),
+                    dims: vec![DimDecl::Fixed(Expr::Int(16))],
+                    ty: Ty::Int,
+                },
+                Decl {
+                    name: sym("Q"),
+                    dims: vec![DimDecl::Fixed(Expr::Int(16))],
+                    ty: Ty::Real,
                 },
             ],
             body,
@@ -334,51 +471,156 @@ fn observe(
 
 const BUDGET: u64 = 2_000_000;
 
-fn run_interp(prog: &Program) -> Observed {
+fn run_interp(prog: &Program, budget: u64) -> Observed {
     let rec = Arc::new(Recorder::default());
     let machine = Machine::new(prog.clone()).with_tracer(rec.clone());
     let mut store = Store::new();
-    let mut state = lip_ir::ExecState::with_budget(BUDGET);
+    let mut state = lip_ir::ExecState::with_budget(budget);
     let result = machine.run_with_state(&mut store, &mut state);
     observe(&store, result, state.cost, &rec)
 }
 
-fn run_vm(prog: &Program, fused: bool) -> Observed {
-    let mut compiled = compile_program(prog).expect("compiles");
-    if fused {
-        optimize_program(&mut compiled);
+/// The executor a bytecode run takes.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum Leg {
+    /// The compiler's stream (never typed: typing is an optimize pass).
+    Unfused,
+    /// The fused stream with the typed streams removed.
+    FusedValue,
+    /// The fused stream with its typed streams, as production runs it.
+    Typed,
+}
+
+fn compiled(prog: &Program, leg: Leg) -> CompiledProgram {
+    let mut c = compile_program(prog).expect("compiles");
+    if leg != Leg::Unfused {
+        optimize_program(&mut c);
     }
-    let rec = Recorder::default();
-    let mut store = Store::new();
-    let mut state = lip_ir::ExecState::with_budget(BUDGET);
-    let result = Vm::new(&compiled).run_with_state(&mut store, &mut state, Some(&rec));
-    observe(&store, result, state.cost, &rec)
+    if leg == Leg::FusedValue {
+        strip_typed(&mut c);
+    }
+    c
+}
+
+fn strip_typed(c: &mut CompiledProgram) {
+    for sub in &mut c.subs {
+        sub.chunk.typed = None;
+    }
+    for block in &mut c.blocks {
+        block.chunk.typed = None;
+    }
+}
+
+/// One uncounted run of `leg`, and the activation tally of a second,
+/// counted one (which must observe the same).
+fn run_vm(prog: &Program, leg: Leg, budget: u64) -> (Observed, DispatchCounts) {
+    let c = compiled(prog, leg);
+    let run = |counts: Option<&mut DispatchCounts>| {
+        let rec = Recorder::default();
+        let mut store = Store::new();
+        let mut state = lip_ir::ExecState::with_budget(budget);
+        let vm = Vm::new(&c);
+        let result = match counts {
+            Some(counts) => vm.run_program_counting(&mut store, &mut state, Some(&rec), counts),
+            None => vm.run_with_state(&mut store, &mut state, Some(&rec)),
+        };
+        observe(&store, result, state.cost, &rec)
+    };
+    let mut counts = DispatchCounts::default();
+    let observed = run(None);
+    assert_eq!(
+        observed,
+        run(Some(&mut counts)),
+        "{leg:?}: counting changed the run"
+    );
+    (observed, counts)
 }
 
 proptest! {
-    // A 384-case corpus (three engines each): deterministic via the
-    // in-tree splitmix64 proptest stand-in, so CI failures replay.
+    // A 384-case corpus (four engines each, under a budget that lets it
+    // finish and under one that trips it halfway): deterministic via
+    // the in-tree splitmix64 proptest stand-in, so CI failures replay.
     #![proptest_config(ProptestConfig::with_cases(384))]
     #[test]
-    fn vm_streams_match_interpreter_three_ways(seed in 0u64..1_000_000_000u64) {
+    fn vm_streams_match_interpreter_four_ways(seed in 0u64..1_000_000_000u64) {
         let prog = gen_program(seed);
-        // A generous step budget caps even pathological programs; when
-        // it trips, it trips identically on every engine (total cost
-        // and the trip point are equal).
-        let interp = run_interp(&prog);
-        let unfused = run_vm(&prog, false);
-        let fused = run_vm(&prog, true);
-        // The two bytecode streams charge at identical points, so they
-        // must agree bit for bit even on a mid-program error.
-        prop_assert_eq!(&unfused, &fused, "unfused vs fused diverged (seed {})", seed);
-        if interp.0.is_ok() && unfused.0.is_ok() {
-            prop_assert_eq!(&interp, &unfused, "interp vs bytecode diverged (seed {})", seed);
-        } else {
-            // On failure only the error is comparable: the interpreter
-            // charges per node mid-statement, the VM per statement up
-            // front, so a budget trip leaves different partial state.
-            prop_assert_eq!(&interp.0, &unfused.0, "errors diverged (seed {})", seed);
+        let full = run_interp(&prog, BUDGET);
+        // A generous step budget caps even pathological programs; the
+        // second budget trips every program mid-way.
+        for budget in [BUDGET, 1 + full.3 / 2] {
+            let interp = run_interp(&prog, budget);
+            let (unfused, _) = run_vm(&prog, Leg::Unfused, budget);
+            let (fused, value_counts) = run_vm(&prog, Leg::FusedValue, budget);
+            let (typed, counts) = run_vm(&prog, Leg::Typed, budget);
+            // The generated `main` has no live-in and no `READ`: it is
+            // typed, and the guard admits it.
+            prop_assert_eq!(
+                (counts.typed_runs, counts.untyped_runs),
+                (1, 0),
+                "the typed leg did not run typed (seed {})",
+                seed
+            );
+            prop_assert_eq!(value_counts.typed_runs, 0);
+            // The bytecode streams charge at identical points, so they
+            // must agree bit for bit even on a mid-program error.
+            prop_assert_eq!(&unfused, &fused, "unfused vs fused diverged (seed {})", seed);
+            prop_assert_eq!(&fused, &typed, "fused Value vs typed diverged (seed {})", seed);
+            if interp.0.is_ok() && unfused.0.is_ok() {
+                prop_assert_eq!(&interp, &unfused, "interp vs bytecode diverged (seed {})", seed);
+            } else {
+                // On failure only the error is comparable: the
+                // interpreter charges per node mid-statement, the VM
+                // per statement up front, so a budget trip leaves
+                // different partial state.
+                prop_assert_eq!(&interp.0, &unfused.0, "errors diverged (seed {})", seed);
+            }
         }
+    }
+}
+
+/// The corpus reaches every typed element superinstruction and, through
+/// `REAL` subscripts and index arrays, the unfused expansions the typed
+/// stream falls back to: a generator change that stops producing one
+/// fails here instead of silently narrowing the differential above.
+#[test]
+fn the_corpus_reaches_every_typed_element_form() {
+    let mut seen = std::collections::BTreeSet::new();
+    for seed in 0..384 {
+        let c = compiled(&gen_program(seed), Leg::Typed);
+        let typed = c.subs[0].chunk.typed.as_ref().expect("typed");
+        for op in &typed.ops {
+            let name = match op {
+                TOp::LoadN { reals, .. } | TOp::StoreN { reals, .. } if *reals != 0 => {
+                    "real subscript".to_owned()
+                }
+                _ => format!("{op:?}")
+                    .split([' ', '('])
+                    .next()
+                    .unwrap_or("")
+                    .to_owned(),
+            };
+            seen.insert(name);
+        }
+    }
+    for form in [
+        "BinRE",
+        "LoadElemS",
+        "StoreElemS",
+        "ElemUpdateK",
+        "ElemUpdateS",
+        "LoadElemE",
+        "StoreElemE",
+        "ElemUpdateE",
+        "RedAccS",
+        "RedElemK",
+        "RedElemS",
+        "real subscript",
+        "Cvt",
+    ] {
+        assert!(
+            seen.contains(form),
+            "no typed {form} in the corpus: {seen:?}"
+        );
     }
 }
 
@@ -397,25 +639,39 @@ fn drive_body(
     range: (i64, i64),
     budget: u64,
     ranged: bool,
+    leg: Leg,
 ) -> Driven {
     let mut compiled = compile_program(prog).expect("compiles");
     let block = lip_vm::add_block(&mut compiled, &prog.units[0], body, &[sym("i")])
         .expect("block compiles");
     optimize_program(&mut compiled);
     lip_vm::optimize_block(&mut compiled, block);
+    if leg == Leg::FusedValue {
+        strip_typed(&mut compiled);
+    }
     let mut store = Store::new();
     for (s, v) in int_scalars().into_iter().zip([3, 2]) {
         store.set_int(s, v);
     }
     store.set_int(sym("iw"), 2);
-    for (s, v) in real_scalars().into_iter().zip([1.0, 2.0]) {
+    store.set_int(sym("ix"), 3);
+    for (s, v) in real_scalars()
+        .into_iter()
+        .chain([sym("r")])
+        .zip([1.0, 2.0, 5.5])
+    {
         store.set_scalar(s, lip_ir::Value::Real(v));
     }
     let a = store.alloc_real(arr(), 16);
     let b = store.alloc_int(iarr(), 16);
+    let p = store.alloc_int(sym("P"), 16);
+    let q = store.alloc_real(sym("Q"), 16);
     for k in 0..16 {
         a.set(k, lip_ir::Value::Real(k as f64 * 0.5));
         b.set(k, lip_ir::Value::Int(k as i64 - 4));
+        // As `gen_program`'s prologue fills them.
+        p.set(k, lip_ir::Value::Int(((k + 1) * 5 % 14 + 1) as i64));
+        q.set(k, lip_ir::Value::Real(((k + 1) * 3 % 13) as f64 + 1.5));
     }
     let chunk = &compiled.block(block).chunk;
     let slot = chunk.scalar_slot(sym("i")).expect("interned");
@@ -424,7 +680,24 @@ fn drive_body(
     let rec = Recorder::default();
     let mut state = lip_ir::ExecState::with_budget(budget);
     let (lo, hi) = range;
-    let result = if ranged {
+    let result = if ranged && leg == Leg::Typed && lo <= hi {
+        // Counted, to check the guard admitted the whole range.
+        let mut counts = DispatchCounts::default();
+        let r = vm.run_counting(
+            block,
+            &mut frame,
+            Some((slot, lo, hi)),
+            &mut state,
+            Some(&rec),
+            &mut counts,
+        );
+        assert_eq!(
+            (counts.typed_runs, counts.untyped_runs),
+            (1, 0),
+            "not typed"
+        );
+        r
+    } else if ranged {
         vm.run_range(block, &mut frame, slot, lo, hi, &mut state, Some(&rec))
     } else {
         (lo..=hi).try_for_each(|i| {
@@ -463,9 +736,18 @@ proptest! {
         // `main` only supplies the declarations the body compiles under.
         let mut prog = gen_program(0);
         prog.units[0].body.clear();
-        let per_iteration = drive_body(&prog, &body, (lo, hi), budget, false);
-        let ranged = drive_body(&prog, &body, (lo, hi), budget, true);
+        let per_iteration = drive_body(&prog, &body, (lo, hi), budget, false, Leg::Typed);
+        let ranged = drive_body(&prog, &body, (lo, hi), budget, true, Leg::Typed);
         prop_assert_eq!(&per_iteration, &ranged, "run_range diverged (seed {})", seed);
+        // The same range on the `Value` stream: everything but the
+        // register files (each stream keeps its own).
+        let value = drive_body(&prog, &body, (lo, hi), budget, true, Leg::FusedValue);
+        prop_assert_eq!(
+            (&value.0, &value.1),
+            (&ranged.0, &ranged.1),
+            "typed vs Value run_range diverged (seed {})",
+            seed
+        );
     }
 }
 
@@ -484,8 +766,8 @@ fn dbg_seed() {
         return;
     };
     let prog = gen_program(seed);
-    let interp = run_interp(&prog);
-    let unfused = run_vm(&prog, false);
+    let interp = run_interp(&prog, BUDGET);
+    let (unfused, _) = run_vm(&prog, Leg::Unfused, BUDGET);
     println!("result  i={:?} u={:?}", interp.0, unfused.0);
     println!("cost    i={} u={}", interp.3, unfused.3);
     for (a, b) in interp.1.iter().zip(unfused.1.iter()) {

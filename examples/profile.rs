@@ -11,7 +11,10 @@
 //! open it at <https://ui.perfetto.dev> or `chrome://tracing` to see
 //! one lane per pool worker with per-chunk spans), and
 //! `Session::profile()` folds the same spans into a flat hot-phase
-//! table and a call-path tree.
+//! table and a call-path tree. The VM's dispatch counters follow: ops
+//! executed, and how many activations the typed-register stream ran
+//! versus the `Value` stream (a kernel typed as declared shows none of
+//! the latter).
 //!
 //! Then the *cold* path, one fresh session per kernel: analysing the
 //! three kernels whose analysis is slowest (`solvh`, `hoist_indirect`,
@@ -56,6 +59,11 @@ fn main() {
 
     // The aggregation: self/total per phase plus the call-path tree.
     print!("{}", session.profile().render_text());
+    let metrics = session.metrics();
+    println!("\nVM dispatch:");
+    for name in ["vm.ops", "vm.fused_ops", "vm.typed_runs", "vm.untyped_runs"] {
+        println!("  {name:<24} {}", metrics.counter(name).unwrap_or(0));
+    }
 
     // The cold path, layer by layer: where one never-seen loop's
     // analysis spends its time, and what the per-analysis memo tables
