@@ -751,8 +751,7 @@ fn classify(
     // subscript, a gate or a bound — may hold other values by the time
     // an iteration reads it, so no verdict on its pre-loop contents
     // licenses a parallel run. Until the summarizer substitutes the
-    // written value (ROADMAP item 1) such a loop stays sequential;
-    // speculation is no landing either while its detector misses races.
+    // written value (ROADMAP item 1) such a loop stays sequential.
     let tested = |w: Sym| {
         cascade.stages.iter().any(|st| st.pred.contains_sym(w))
             || ind_usr.as_ref().is_some_and(|u| u.contains_sym(w))

@@ -1,37 +1,68 @@
 #!/bin/sh
-# Mutation check for the typed stream's differential tests.
+# Mutation check for the VM's differential tests.
 #
-# Copies the working tree into SCRATCH_DIR/mutant, turns the typed
-# stream's integer `Add` into a float add there (exact below 2^53, wrong
-# above it), and runs the VM's differential suites against the mutant.
-# They must fail: if they pass, they no longer see what the typed stream
-# computes. The repository itself is never modified.
+# For each mutation below, copies the working tree into
+# SCRATCH_DIR/mutant, replaces one line of one file there, and runs the
+# VM's unit tests (the peephole rule table's per-row check among them),
+# the four-way corpus and the typed fallbacks against the mutant. They
+# must fail: if they pass, they no longer see what the mutated code
+# does. The repository itself is never modified.
 #
 #   crates/vm/mutation_check.sh SCRATCH_DIR
+#
+# Each mutation is three lines — file, the line as it is, the line as
+# the mutant has it — followed by a blank line:
+#   * the typed stream's integer `Add` as a float add (exact below 2^53,
+#     wrong above it);
+#   * the peephole table without its hole-distinctness check (a window
+#     whose elided temporary is one of the superinstruction's own
+#     registers fuses, and computes something else);
+#   * the `Value` stream's `FusedRedAccS` arm loading its accumulator
+#     from the subscript slot.
 set -eu
 scratch=${1:?usage: $0 SCRATCH_DIR}
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 mutant="$scratch/mutant"
-rm -rf "$mutant"
-mkdir -p "$mutant"
-(cd "$root" && git ls-files -z --cached --others --exclude-standard |
-    xargs -0 tar -cf -) | tar -xf - -C "$mutant"
 
-file="$mutant/crates/vm/src/typed.rs"
-from='        Add => a.wrapping_add(b),'
-to='        Add => (a as f64 + b as f64) as i64,'
-test "$(grep -cF "$from" "$file")" = 1 || {
-    echo "mutation site not found exactly once in typed.rs" >&2
-    exit 2
-}
-sed -i "s|^$from\$|$to|" "$file"
-grep -qF "$to" "$file"
+mutations='crates/vm/src/typed.rs
+        Add => a.wrapping_add(b),
+        Add => (a as f64 + b as f64) as i64,
 
-if CARGO_TARGET_DIR="$scratch/mutant-target" cargo test --release -q \
-    --manifest-path "$mutant/Cargo.toml" -p lip_vm \
-    --test proptest_programs --test typed_fallback >"$scratch/mutant.log" 2>&1; then
-    echo "mutation SURVIVED: typed Int Add as a float add passes the tests" >&2
-    exit 1
-fi
-grep -E 'diverged|panicked' "$scratch/mutant.log" | head -3
-echo "mutation caught (log: $scratch/mutant.log)"
+crates/vm/src/peephole.rs
+            if hole.is_some_and(|h| names.contains(&h)) {
+            if false {
+
+crates/vm/src/vm.rs
+                        let acc = Self::slot_value(chunk, frame, *acc_slot)?;
+                        let acc = Self::slot_value(chunk, frame, *idx_slot)?;
+'
+
+printf '%s\n' "$mutations" | while IFS= read -r file && IFS= read -r from && IFS= read -r to; do
+    read -r _ || true
+    rm -rf "$mutant"
+    mkdir -p "$mutant"
+    (cd "$root" && git ls-files -z --cached --others --exclude-standard |
+        xargs -0 tar -cf -) | tar -xf - -C "$mutant"
+    target="$mutant/$file"
+    test "$(grep -cxF -- "$from" "$target")" = 1 || {
+        echo "mutation site not found exactly once in $file: $from" >&2
+        exit 2
+    }
+    awk -v from="$from" -v to="$to" '$0 == from { print to; next } { print }' \
+        "$target" >"$target.new"
+    mv "$target.new" "$target"
+    grep -qxF -- "$to" "$target"
+    log="$scratch/mutant-$(basename "$file" .rs).log"
+    if CARGO_TARGET_DIR="$scratch/mutant-target" cargo test --release -q \
+        --manifest-path "$mutant/Cargo.toml" -p lip_vm \
+        --lib --test proptest_programs --test typed_fallback >"$log" 2>&1 </dev/null; then
+        echo "mutation SURVIVED in $file: the tests pass with: $to" >&2
+        exit 1
+    fi
+    grep -q 'panicked' "$log" || {
+        echo "the mutant of $file did not build (log: $log)" >&2
+        exit 2
+    }
+    grep -E 'diverged|panicked' "$log" | head -3
+    echo "mutation caught: $file (log: $log)"
+done

@@ -24,7 +24,7 @@ pub type Reg = u16;
 /// Multi-value operands (array subscripts, intrinsic arguments) live in
 /// consecutive registers starting at `base` — the stack-disciplined
 /// register allocator guarantees adjacency.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Op {
     /// Add statically-known work units to the execution state.
     Charge(u32),
@@ -414,11 +414,9 @@ pub enum Op {
 }
 
 impl Op {
-    /// The charge field of the superinstructions the peephole pass may
-    /// re-home a leading [`Op::Charge`] onto. `FusedRedAccS` is always
-    /// built charge-carrying (its head is a `ChargedLoadScalar`), and
-    /// widening the list to the remaining charge-carrying ops would
-    /// change intermediate streams.
+    /// The folded-charge field of a superinstruction that has one. Which
+    /// of them a leading [`Op::Charge`] may be re-homed onto is the
+    /// peephole table's per-row `folds` flag ([`crate::peephole`]).
     pub fn charge_mut(&mut self) -> Option<&mut u32> {
         match self {
             Op::FusedBinSS { charge, .. }
@@ -430,7 +428,12 @@ impl Op {
             | Op::FusedStoreElemS { charge, .. }
             | Op::FusedElemUpdateK { charge, .. }
             | Op::FusedElemUpdateS { charge, .. }
+            | Op::ChargedConst { charge, .. }
+            | Op::ChargedLoadScalar { charge, .. }
+            | Op::FusedLoadElemE { charge, .. }
+            | Op::FusedStoreElemE { charge, .. }
             | Op::FusedElemUpdateE { charge, .. }
+            | Op::FusedRedAccS { charge, .. }
             | Op::FusedRedElemK { charge, .. }
             | Op::FusedRedElemS { charge, .. } => Some(charge),
             _ => None,

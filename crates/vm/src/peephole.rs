@@ -23,9 +23,21 @@
 //! * the per-iteration loop overhead `LoopTest + SetVarRaw` and
 //!   `LoopIncr + Jump` → `LoopTestSet` / `LoopIncrJump`.
 //!
-//! Correctness obligations, checked by the three-way differential
-//! suites (`crates/vm/tests/proptest_programs.rs`, `peephole_golden.rs`
-//! and the unit tests below):
+//! **One rule table.** Each superinstruction is one row of `RULES`,
+//! which says how to *project* the superinstruction's fields out of the
+//! window it replaces and how to *expand* it one level back into that
+//! window, with the operand temporary the window writes and consumes as
+//! the row's *hole* register. A window fuses only when expanding the
+//! projected superinstruction gives the window back exactly and the hole
+//! is none of the registers the superinstruction names, so every
+//! equality guard is derived, not written. The matcher tries, longest
+//! window first, only the rows opening with the op it stands on; rows
+//! over other rows' superinstructions fuse in a later sweep, so the pass
+//! runs to a fixpoint. The typed stream ([`crate::typed`]) runs a
+//! superinstruction whose operand types have no typed form as the same
+//! expansion applied down to plain ops (`expand_full`).
+//!
+//! Correctness obligations:
 //!
 //! * **Charging is exact.** A fused op carries the folded leading
 //!   [`Op::Charge`] and applies it first, so work-unit totals and the
@@ -38,19 +50,35 @@
 //! * **Observable state is identical.** Traced reads/writes happen in
 //!   the unfused order, errors are raised at the same points, and
 //!   every register a later instruction could read is still written —
-//!   fusion only elides writes to operand temporaries its own window
-//!   consumes, which the stack-disciplined allocator makes dead.
+//!   fusion only elides writes to the hole, which the window itself
+//!   consumes and the stack-disciplined allocator makes dead.
 //!
-//! Every `lip_runtime` session runs the fused stream: its compile
-//! cache applies the pass once per machine. The compiler's raw stream
+//! The unit tests below check every row on random fields and frames:
+//! fusing its expansion gives the op back, and the `Value` stream runs
+//! the op and its full expansion alike — which is also what tests the
+//! superinstruction arms of [`crate::vm`]. They also pin the windows that
+//! must not fuse. The four-way corpus (`tests/proptest_programs.rs`) and
+//! the stream goldens (`tests/peephole_golden.rs`,
+//! `tests/stream_golden.rs`) cover the compiled programs.
+//!
+//! Every `lip_runtime` session runs the fused stream: its per-program
+//! cache applies [`optimize_program`] once when it compiles a program and
+//! [`optimize_block`] once per block it lowers. The compiler's raw stream
 //! stays reachable by calling [`crate::compile_program`] without
 //! [`optimize_program`], which is how the differential suites and
 //! `bench_e2e` (`vm.ops_unfused` against `vm.ops_fused`) compare the
 //! two.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use crate::chunk::{BlockId, Chunk, CompiledProgram, DimCode, Op};
+use crate::chunk::Op::{
+    Bin, Charge, ChargedConst, ChargedLoadScalar, Const, FusedBinRE, FusedBinRK, FusedBinRS,
+    FusedBinSS, FusedBinStore, FusedElemUpdateE, FusedElemUpdateK, FusedElemUpdateS,
+    FusedLoadElemE, FusedLoadElemS, FusedRedAccS, FusedRedElemK, FusedRedElemS, FusedStoreElemE,
+    FusedStoreElemS, Jump, LoadElem, LoadScalar, LoopIncr, LoopIncrJump, LoopTest, LoopTestSet,
+    SetVarRaw, StoreElem, StoreScalar,
+};
+use crate::chunk::{BlockId, Chunk, CompiledProgram, DimCode, Op, Reg};
 use crate::typed::{self, ANY};
 
 /// Fuses every chunk of `prog`: subroutine bodies, standalone blocks,
@@ -169,7 +197,8 @@ fn optimize_dims(dims: &mut [DimCode]) {
 /// scan, and every rewrite strictly shrinks the stream, so this
 /// terminates.
 fn optimize_ops(ops: &mut Vec<Op>) {
-    while rewrite_pass(ops) {}
+    let mut expansion = Vec::new();
+    while rewrite_pass(ops, &mut expansion) {}
 }
 
 /// Indices that are the target of some jump (including one past the
@@ -196,14 +225,14 @@ fn window_clear(targets: &[bool], i: usize, len: usize) -> bool {
     (i + 1..i + len).all(|j| !targets[j])
 }
 
-fn rewrite_pass(ops: &mut Vec<Op>) -> bool {
+fn rewrite_pass(ops: &mut Vec<Op>, expansion: &mut Vec<Op>) -> bool {
     let targets = jump_targets(ops);
     let mut out: Vec<Op> = Vec::with_capacity(ops.len());
     let mut map = vec![0usize; ops.len() + 1];
     let mut i = 0;
     let mut changed = false;
     while i < ops.len() {
-        if let Some((fused, len)) = try_fuse(ops, i, &targets) {
+        if let Some((fused, len)) = try_fuse(ops, i, &targets, expansion) {
             // Interior indices are never jump targets (checked), so
             // mapping them to the fused op is only for completeness.
             for m in map.iter_mut().skip(i).take(len) {
@@ -235,495 +264,486 @@ fn rewrite_pass(ops: &mut Vec<Op>) -> bool {
     changed
 }
 
-/// The longest fusion starting at `i`, if any: `(fused op, ops
-/// consumed)`.
-fn try_fuse(ops: &[Op], i: usize, targets: &[bool]) -> Option<(Op, usize)> {
+/// The fusion at `i`, if any: `(superinstruction, ops consumed)`.
+fn try_fuse(
+    ops: &[Op],
+    i: usize,
+    targets: &[bool],
+    expansion: &mut Vec<Op>,
+) -> Option<(Op, usize)> {
     if let Op::Charge(c) = ops[i] {
         // A leading charge folds into the fused op (which charges
         // first), but only when the op carries no charge yet — two
         // `Charge`s are never merged, so budget-trip points and
         // saturation behavior stay bit-identical.
-        if let Some((fused, len)) = fuse_body(&ops[i + 1..]) {
-            if window_clear(targets, i, 1 + len) {
-                if let Some(f) = fold_charge(&fused, c) {
-                    return Some((f, 1 + len));
+        if let Some((fused, rule)) = fuse_window(&ops[i + 1..], expansion) {
+            if window_clear(targets, i, 1 + rule.len) {
+                if let Some(f) = fold_charge(rule, fused, c) {
+                    return Some((f, 1 + rule.len));
                 }
             }
         }
         if i + 1 < ops.len() && window_clear(targets, i, 2) {
-            if let Some(f) = fold_charge(&ops[i + 1], c) {
-                return Some((f, 2));
-            }
-            // Last resort: statements that open with a bare literal or
-            // scalar load still save the `Charge` dispatch.
-            match ops[i + 1] {
-                Op::Const { dst, k } => {
-                    return Some((Op::ChargedConst { charge: c, dst, k }, 2));
+            if let Some((rule, _)) = rule_of(&ops[i + 1]) {
+                if let Some(f) = fold_charge(rule, ops[i + 1].clone(), c) {
+                    return Some((f, 2));
                 }
-                Op::LoadScalar { dst, slot } => {
-                    return Some((
-                        Op::ChargedLoadScalar {
-                            charge: c,
-                            dst,
-                            slot,
-                        },
-                        2,
-                    ));
-                }
-                _ => {}
             }
         }
-        return None;
+        // Last resort, the rows opening with the `Charge` itself:
+        // statements that open with a bare literal or scalar load still
+        // save the `Charge` dispatch.
     }
-    let (fused, len) = fuse_body(&ops[i..])?;
-    window_clear(targets, i, len).then_some((fused, len))
+    let (fused, rule) = fuse_window(&ops[i..], expansion)?;
+    window_clear(targets, i, rule.len).then_some((fused, rule.len))
 }
 
-/// Re-homes a leading `Charge` onto a superinstruction whose
-/// [`Op::charge_mut`] field is still zero.
-fn fold_charge(op: &Op, c: u32) -> Option<Op> {
-    let mut folded = op.clone();
-    let charge = folded.charge_mut().filter(|charge| **charge == 0)?;
+/// `op`, the superinstruction of `rule`, with a leading `Charge` of `c`
+/// re-homed onto it — when the row folds charges and the op's own
+/// charge is still zero.
+fn fold_charge(rule: &Rule, mut op: Op, c: u32) -> Option<Op> {
+    let charge = op
+        .charge_mut()
+        .filter(|charge| rule.folds && **charge == 0)?;
     *charge = c;
-    Some(folded)
+    Some(op)
 }
 
-/// Matches the charge-less rewrite rules at the head of `rest`,
-/// longest window first.
-fn fuse_body(rest: &[Op]) -> Option<(Op, usize)> {
-    // The whole register-indexed read-modify-write statement,
-    // `F(J(i)+1) += c` (second level: pass one has already fused the
-    // index loads and constant bin-ops):
-    //   r = J[i]; r = r ⊕ k1; r = F[r]; r = r op c; r2 = J[i];
-    //   r2 = r2 ⊕ k1; F[r2] = r
-    // The two subscript computations must be structurally identical
-    // (same index array, slot, operator and constant) and nothing in
-    // the window writes, so one computation is exact; the VM arm still
-    // replays the second traced index-array read.
-    if let [Op::FusedLoadElemS {
-        charge,
-        dst: r,
-        arr: idx_arr,
-        idx_slot,
-    }, Op::FusedBinRK {
-        charge: 0,
-        op: idx_op,
-        dst: d1,
-        a: a1,
-        k: idx_k,
-    }, Op::LoadElem {
-        dst: d2,
-        arr,
-        base,
-        n: 1,
-    }, Op::FusedBinRK {
-        charge: 0,
-        op,
-        dst: d3,
-        a: a3,
-        k,
-    }, Op::FusedLoadElemS {
-        charge: 0,
-        dst: r2,
-        arr: idx_arr2,
-        idx_slot: idx_slot2,
-    }, Op::FusedBinRK {
-        charge: 0,
-        op: idx_op2,
-        dst: d4,
-        a: a4,
-        k: idx_k2,
-    }, Op::StoreElem {
-        arr: s_arr,
-        base: s_base,
-        n: 1,
-        src,
-    }, ..] = rest
-    {
-        if d1 == r
-            && a1 == r
-            && d2 == r
-            && base == r
-            && d3 == r
-            && a3 == r
-            && r2 != r
-            && idx_arr2 == idx_arr
-            && idx_slot2 == idx_slot
-            && d4 == r2
-            && a4 == r2
-            && idx_op2 == idx_op
-            && idx_k2 == idx_k
-            && s_arr == arr
-            && s_base == r2
-            && src == r
-        {
-            return Some((
-                Op::FusedElemUpdateE {
-                    charge: *charge,
-                    op: *op,
-                    dst: *r,
-                    arr: *arr,
-                    idx_arr: *idx_arr,
-                    idx_slot: *idx_slot,
-                    idx_op: *idx_op,
-                    idx_k: *idx_k,
-                    k: *k,
-                },
-                7,
-            ));
-        }
-    }
-    // The whole rank-1 read-modify-write statement:
-    //   r = idx; r = arr[r]; o = opnd; r = r op o; t = idx; arr[t] = r
-    // with a constant or scalar operand. The subscript slot is read
-    // twice in the original with no interposed write, so one
-    // linearization is exact.
-    if let [Op::LoadScalar {
-        dst: r_idx,
-        slot: idx_slot,
-    }, Op::LoadElem {
-        dst: le_dst,
-        arr,
-        base: le_base,
-        n: 1,
-    }, opnd, Op::Bin {
-        op,
-        dst: b_dst,
-        a: b_a,
-        b: b_b,
-    }, Op::LoadScalar {
-        dst: r_idx2,
-        slot: idx_slot2,
-    }, Op::StoreElem {
-        arr: s_arr,
-        base: s_base,
-        n: 1,
-        src,
-    }, ..] = rest
-    {
-        if le_dst == r_idx
-            && le_base == r_idx
-            && b_dst == r_idx
-            && b_a == r_idx
-            && b_b != r_idx
-            && idx_slot2 == idx_slot
-            && s_arr == arr
-            && s_base == r_idx2
-            && src == r_idx
-        {
-            match opnd {
-                Op::Const { dst: o_dst, k } if o_dst == b_b => {
-                    return Some((
-                        Op::FusedElemUpdateK {
-                            charge: 0,
-                            op: *op,
-                            dst: *r_idx,
-                            arr: *arr,
-                            idx_slot: *idx_slot,
-                            k: *k,
-                        },
-                        6,
-                    ));
-                }
-                Op::LoadScalar { dst: o_dst, slot } if o_dst == b_b => {
-                    return Some((
-                        Op::FusedElemUpdateS {
-                            charge: 0,
-                            op: *op,
-                            dst: *r_idx,
-                            arr: *arr,
-                            idx_slot: *idx_slot,
-                            b_slot: *slot,
-                        },
-                        6,
-                    ));
-                }
-                _ => {}
+/// The first row, in table order, that fuses the window at the head of
+/// `rest`, and the superinstruction it fuses to. `expansion` is the
+/// buffer the projected superinstruction expands into.
+fn fuse_window(rest: &[Op], expansion: &mut Vec<Op>) -> Option<(Op, &'static Rule)> {
+    rows_opening(Head::of(rest.first()?)?)
+        .iter()
+        .find_map(|rule| {
+            let window = rest.get(..rule.len)?;
+            let (op, hole) = (rule.project)(window)?;
+            let names = (rule.regs)(&op)?;
+            if hole.is_some_and(|h| names.contains(&h)) {
+                return None;
             }
-        }
-    }
-    // The whole scalar-accumulating reduction statement `s = s op A(i)`
-    // (third level: earlier passes have produced `ChargedLoadScalar +
-    // FusedLoadElemS + FusedBinStore`). The accumulator slot is both
-    // the left operand and the store target, so the statement collapses
-    // to one op; the elided registers are operand temps the window
-    // itself consumes.
-    if let [Op::ChargedLoadScalar {
-        charge,
-        dst: ra,
-        slot: acc,
-    }, Op::FusedLoadElemS {
-        charge: 0,
-        dst: rb,
-        arr,
-        idx_slot,
-    }, Op::FusedBinStore {
-        charge: 0,
-        op,
-        slot,
-        dst,
-        a,
-        b,
-    }, ..] = rest
-    {
-        if slot == acc && dst == ra && a == ra && b == rb && ra != rb {
-            return Some((
-                Op::FusedRedAccS {
-                    charge: *charge,
-                    op: *op,
-                    dst: *ra,
-                    acc_slot: *acc,
-                    arr: *arr,
-                    idx_slot: *idx_slot,
-                },
-                3,
-            ));
-        }
-    }
-    // The whole indirect reduction statement `A(B(i)) = A(B(i)) op v`
-    // with a constant or scalar operand (third level: earlier passes
-    // have produced `FusedLoadElemE + FusedBinR{K,S} + FusedStoreElemE`).
-    // Both subscripts read the same index element and nothing in the
-    // window writes before the final store, so one linearization is
-    // exact; the VM arm still replays the store's traced index read.
-    if let [Op::FusedLoadElemE {
-        charge,
-        dst: r,
-        idx_arr,
-        idx_slot,
-        arr,
-    }, opnd, Op::FusedStoreElemE {
-        charge: 0,
-        idx_arr: idx_arr2,
-        idx_slot: idx_slot2,
-        arr: arr2,
-        src,
-    }, ..] = rest
-    {
-        if idx_arr2 == idx_arr && idx_slot2 == idx_slot && arr2 == arr && src == r {
-            match opnd {
-                Op::FusedBinRK {
-                    charge: 0,
-                    op,
-                    dst,
-                    a,
-                    k,
-                } if dst == r && a == r => {
-                    return Some((
-                        Op::FusedRedElemK {
-                            charge: *charge,
-                            op: *op,
-                            dst: *r,
-                            arr: *arr,
-                            idx_arr: *idx_arr,
-                            idx_slot: *idx_slot,
-                            k: *k,
-                        },
-                        3,
-                    ));
-                }
-                Op::FusedBinRS {
-                    charge: 0,
-                    op,
-                    dst,
-                    a,
-                    b_slot,
-                } if dst == r && a == r => {
-                    return Some((
-                        Op::FusedRedElemS {
-                            charge: *charge,
-                            op: *op,
-                            dst: *r,
-                            arr: *arr,
-                            idx_arr: *idx_arr,
-                            idx_slot: *idx_slot,
-                            b_slot: *b_slot,
-                        },
-                        3,
-                    ));
-                }
-                _ => {}
-            }
-        }
-    }
-    // Two scalar loads feeding a binary op.
-    if let [Op::LoadScalar {
-        dst: ra,
-        slot: a_slot,
-    }, Op::LoadScalar {
-        dst: rb,
-        slot: b_slot,
-    }, Op::Bin { op, dst, a, b }, ..] = rest
-    {
-        if a == ra && b == rb && dst == ra && ra != rb {
-            return Some((
-                Op::FusedBinSS {
-                    charge: 0,
-                    op: *op,
-                    dst: *dst,
-                    a_slot: *a_slot,
-                    b_slot: *b_slot,
-                },
-                3,
-            ));
-        }
-    }
-    let [first, second, ..] = rest else {
-        return None;
-    };
-    let fused = match (first, second) {
-        // Rank-1 indexed load: the subscript register is the element
-        // destination, so no write is even elided.
-        (
-            Op::LoadScalar { dst: r, slot },
-            Op::LoadElem {
-                dst,
-                arr,
-                base,
-                n: 1,
-            },
-        ) if dst == r && base == r => Op::FusedLoadElemS {
-            charge: 0,
-            dst: *r,
-            arr: *arr,
-            idx_slot: *slot,
-        },
-        // Rank-1 indexed store (the subscript temp is dead after).
-        (
-            Op::LoadScalar { dst: r, slot },
-            Op::StoreElem {
-                arr,
-                base,
-                n: 1,
-                src,
-            },
-        ) if base == r && src != r => Op::FusedStoreElemS {
-            charge: 0,
-            arr: *arr,
-            idx_slot: *slot,
-            src: *src,
-        },
-        // Scalar right operand.
-        (Op::LoadScalar { dst: rb, slot }, Op::Bin { op, dst, a, b })
-            if b == rb && dst == a && a != rb =>
-        {
-            Op::FusedBinRS {
-                charge: 0,
-                op: *op,
-                dst: *dst,
-                a: *a,
-                b_slot: *slot,
-            }
-        }
-        // Constant right operand.
-        (Op::Const { dst: rk, k }, Op::Bin { op, dst, a, b }) if b == rk && dst == a && a != rk => {
-            Op::FusedBinRK {
-                charge: 0,
-                op: *op,
-                dst: *dst,
-                a: *a,
-                k: *k,
-            }
-        }
-        // Indirect load through an index array, `F(J(i))` (second
-        // level: the pass-one `FusedLoadElemS` loads the index, the
-        // raw `LoadElem` consumes it as its only subscript).
-        (
-            Op::FusedLoadElemS {
-                charge,
-                dst: r,
-                arr: idx_arr,
-                idx_slot,
-            },
-            Op::LoadElem {
-                dst,
-                arr,
-                base,
-                n: 1,
-            },
-        ) if dst == r && base == r => Op::FusedLoadElemE {
-            charge: *charge,
-            dst: *r,
-            idx_arr: *idx_arr,
-            idx_slot: *idx_slot,
-            arr: *arr,
-        },
-        // Indirect store through an index array, `F(J(i)) = v`.
-        (
-            Op::FusedLoadElemS {
-                charge,
-                dst: r,
-                arr: idx_arr,
-                idx_slot,
-            },
-            Op::StoreElem {
-                arr,
-                base,
-                n: 1,
-                src,
-            },
-        ) if base == r && src != r => Op::FusedStoreElemE {
-            charge: *charge,
-            idx_arr: *idx_arr,
-            idx_slot: *idx_slot,
-            arr: *arr,
-            src: *src,
-        },
-        // Element right operand (second-level: consumes a pass-one
-        // `FusedLoadElemS`, inheriting its folded charge).
-        (
-            Op::FusedLoadElemS {
-                charge,
-                dst: r,
-                arr,
-                idx_slot,
-            },
-            Op::Bin { op, dst, a, b },
-        ) if b == r && dst == a && a != r => Op::FusedBinRE {
-            charge: *charge,
-            op: *op,
-            dst: *dst,
-            a: *a,
-            arr: *arr,
-            idx_slot: *idx_slot,
-        },
-        // Binary op straight into a scalar slot.
-        (Op::Bin { op, dst, a, b }, Op::StoreScalar { slot, src }) if src == dst => {
-            Op::FusedBinStore {
-                charge: 0,
-                op: *op,
-                slot: *slot,
-                dst: *dst,
-                a: *a,
-                b: *b,
-            }
-        }
-        // Per-iteration DO overhead: head test + variable publish...
-        (Op::LoopTest { i, hi, step, exit }, Op::SetVarRaw { slot, src }) if src == i => {
-            Op::LoopTestSet {
-                i: *i,
-                hi: *hi,
-                step: *step,
-                exit: *exit,
-                var_slot: *slot,
-            }
-        }
-        // ...and tail increment + back-jump.
-        (Op::LoopIncr { i, step }, Op::Jump { target }) => Op::LoopIncrJump {
-            i: *i,
-            step: *step,
-            target: *target,
-        },
-        _ => return None,
-    };
-    Some((fused, 2))
+            expansion.clear();
+            (rule.expand)(&op, hole.unwrap_or(0), expansion);
+            (expansion[..] == *window).then_some((op, *rule))
+        })
 }
+
+/// Appends what `op` runs as in plain ops: its row's window with each
+/// op expanded again, down to ops no row produces. A level's hole is
+/// the first of `scratch` its superinstruction does not name (two
+/// registers serve every row — the unit tests check that).
+pub(crate) fn expand_full(op: &Op, scratch: &[Reg], out: &mut Vec<Op>) {
+    let Some((rule, names)) = rule_of(op) else {
+        out.push(op.clone());
+        return;
+    };
+    let hole = scratch
+        .iter()
+        .find(|r| !names.contains(r))
+        .expect("a scratch register the superinstruction does not name");
+    let mut window = Vec::with_capacity(rule.len + 1);
+    (rule.expand)(op, *hole, &mut window);
+    for w in &window {
+        expand_full(w, scratch, out);
+    }
+}
+
+/// The row of superinstruction `op` and the registers `op` names.
+fn rule_of(op: &Op) -> Option<(&'static Rule, [Reg; 3])> {
+    if !op.is_fused() {
+        return None;
+    }
+    RULES.iter().find_map(|rule| Some((rule, (rule.regs)(op)?)))
+}
+
+/// The rows whose window opens with `head`, in table order.
+fn rows_opening(head: Head) -> &'static [&'static Rule] {
+    static BY_HEAD: OnceLock<Vec<Vec<&'static Rule>>> = OnceLock::new();
+    &BY_HEAD.get_or_init(|| {
+        let mut by_head = vec![Vec::new(); Head::COUNT];
+        for rule in &RULES {
+            by_head[rule.head as usize].push(rule);
+        }
+        by_head
+    })[head as usize]
+}
+
+/// The ops a window can open with.
+#[derive(Clone, Copy)]
+enum Head {
+    Charge,
+    Const,
+    LoadScalar,
+    Bin,
+    LoopTest,
+    LoopIncr,
+    LoadElemS,
+    ChargedLoadScalar,
+    LoadElemE,
+}
+
+impl Head {
+    const COUNT: usize = 9;
+
+    fn of(op: &Op) -> Option<Head> {
+        Some(match op {
+            Op::Charge(_) => Head::Charge,
+            Op::Const { .. } => Head::Const,
+            Op::LoadScalar { .. } => Head::LoadScalar,
+            Op::Bin { .. } => Head::Bin,
+            Op::LoopTest { .. } => Head::LoopTest,
+            Op::LoopIncr { .. } => Head::LoopIncr,
+            Op::FusedLoadElemS { .. } => Head::LoadElemS,
+            Op::ChargedLoadScalar { .. } => Head::ChargedLoadScalar,
+            Op::FusedLoadElemE { .. } => Head::LoadElemE,
+            _ => return None,
+        })
+    }
+}
+
+/// One superinstruction: how to read it off the window it replaces and
+/// how to write it back as that window.
+struct Rule {
+    /// The op the window opens with.
+    head: Head,
+    /// The window's length (a leading `Charge` folded onto it not
+    /// counted).
+    len: usize,
+    /// Whether a leading [`Op::Charge`] may be re-homed onto the
+    /// superinstruction while its own charge is zero. `FusedRedAccS` is
+    /// always built charge-carrying (its head is a `ChargedLoadScalar`),
+    /// and setting the flag on the remaining charge-carrying rows would
+    /// change intermediate streams.
+    folds: bool,
+    /// The registers the superinstruction names (repeated to fill the
+    /// array), if the op is this row's superinstruction: what the hole
+    /// may not be.
+    regs: fn(&Op) -> Option<[Reg; 3]>,
+    /// The superinstruction's fields, each read off one place of a
+    /// window of the right op kinds, and the hole, if the window has
+    /// one. `expand` checks every other place; a condition the expansion
+    /// does not imply is a guard here.
+    project: fn(&[Op]) -> Option<Projection>,
+    /// Appends the window the superinstruction replaces, one level down,
+    /// with the hole on the given register — led by a `Charge` when the
+    /// window's first op cannot carry the charge.
+    expand: fn(&Op, Reg, &mut Vec<Op>),
+}
+
+/// A superinstruction read off a window, and the window's hole.
+type Projection = (Op, Option<Reg>);
+
+/// A leading `Charge` for a charge the window's first op cannot carry.
+fn lead(charge: u32, out: &mut Vec<Op>) {
+    if charge > 0 {
+        out.push(Charge(charge));
+    }
+}
+
+/// The rewrite rules, longest window first within each head; the
+/// last two fire only on a `Charge` no other row could fold.
+#[rustfmt::skip]
+static RULES: [Rule; 19] = [
+    // `F(J(i) ⊕ k1) op= k`, the whole register-indexed read-modify-write
+    // statement (second level: pass one fused the index loads and the
+    // constant bin-ops). Nothing in the window writes before the store,
+    // so one subscript computation serves both; the VM arm still replays
+    // the second index-array read.
+    Rule {
+        head: Head::LoadElemS, len: 7, folds: true,
+        regs: |s| match *s { FusedElemUpdateE { dst, .. } => Some([dst; 3]), _ => None },
+        project: |w| match *w {
+            [FusedLoadElemS { charge, dst, arr: idx_arr, idx_slot }, FusedBinRK { op: idx_op, k: idx_k, .. },
+             LoadElem { arr, .. }, FusedBinRK { op, k, .. }, FusedLoadElemS { dst: h, .. }, _, _] =>
+                Some((FusedElemUpdateE { charge, op, dst, arr, idx_arr, idx_slot, idx_op, idx_k, k }, Some(h))),
+            _ => None,
+        },
+        expand: |s, h, out| if let FusedElemUpdateE { charge, op, dst, arr, idx_arr, idx_slot, idx_op, idx_k, k } = *s {
+            out.extend([
+                FusedLoadElemS { charge, dst, arr: idx_arr, idx_slot },
+                FusedBinRK { charge: 0, op: idx_op, dst, a: dst, k: idx_k },
+                LoadElem { dst, arr, base: dst, n: 1 },
+                FusedBinRK { charge: 0, op, dst, a: dst, k },
+                FusedLoadElemS { charge: 0, dst: h, arr: idx_arr, idx_slot },
+                FusedBinRK { charge: 0, op: idx_op, dst: h, a: h, k: idx_k },
+                StoreElem { arr, base: h, n: 1, src: dst },
+            ]);
+        },
+    },
+    // `A(i) = A(i) op k` / `A(i) = A(i) op s`, the whole rank-1
+    // read-modify-write statement: the subscript slot is read twice with
+    // no write between, so one linearization serves both.
+    Rule {
+        head: Head::LoadScalar, len: 6, folds: true,
+        regs: |s| match *s { FusedElemUpdateK { dst, .. } => Some([dst; 3]), _ => None },
+        project: |w| match *w {
+            [LoadScalar { dst, slot: idx_slot }, LoadElem { arr, .. }, Const { dst: h, k }, Bin { op, .. }, _, _] =>
+                Some((FusedElemUpdateK { charge: 0, op, dst, arr, idx_slot, k }, Some(h))),
+            _ => None,
+        },
+        expand: |s, h, out| if let FusedElemUpdateK { charge, op, dst, arr, idx_slot, k } = *s {
+            lead(charge, out);
+            out.extend([
+                LoadScalar { dst, slot: idx_slot },
+                LoadElem { dst, arr, base: dst, n: 1 },
+                Const { dst: h, k },
+                Bin { op, dst, a: dst, b: h },
+                LoadScalar { dst: h, slot: idx_slot },
+                StoreElem { arr, base: h, n: 1, src: dst },
+            ]);
+        },
+    },
+    Rule {
+        head: Head::LoadScalar, len: 6, folds: true,
+        regs: |s| match *s { FusedElemUpdateS { dst, .. } => Some([dst; 3]), _ => None },
+        project: |w| match *w {
+            [LoadScalar { dst, slot: idx_slot }, LoadElem { arr, .. }, LoadScalar { dst: h, slot: b_slot }, Bin { op, .. }, _, _] =>
+                Some((FusedElemUpdateS { charge: 0, op, dst, arr, idx_slot, b_slot }, Some(h))),
+            _ => None,
+        },
+        expand: |s, h, out| if let FusedElemUpdateS { charge, op, dst, arr, idx_slot, b_slot } = *s {
+            lead(charge, out);
+            out.extend([
+                LoadScalar { dst, slot: idx_slot },
+                LoadElem { dst, arr, base: dst, n: 1 },
+                LoadScalar { dst: h, slot: b_slot },
+                Bin { op, dst, a: dst, b: h },
+                LoadScalar { dst: h, slot: idx_slot },
+                StoreElem { arr, base: h, n: 1, src: dst },
+            ]);
+        },
+    },
+    // `s = s op A(i)`, the whole scalar-accumulating reduction statement
+    // (third level: `ChargedLoadScalar + FusedLoadElemS + FusedBinStore`).
+    Rule {
+        head: Head::ChargedLoadScalar, len: 3, folds: false,
+        regs: |s| match *s { FusedRedAccS { dst, .. } => Some([dst; 3]), _ => None },
+        project: |w| match *w {
+            [ChargedLoadScalar { charge, dst, slot: acc_slot }, FusedLoadElemS { dst: h, arr, idx_slot, .. }, FusedBinStore { op, .. }] =>
+                Some((FusedRedAccS { charge, op, dst, acc_slot, arr, idx_slot }, Some(h))),
+            _ => None,
+        },
+        expand: |s, h, out| if let FusedRedAccS { charge, op, dst, acc_slot, arr, idx_slot } = *s {
+            out.extend([
+                ChargedLoadScalar { charge, dst, slot: acc_slot },
+                FusedLoadElemS { charge: 0, dst: h, arr, idx_slot },
+                FusedBinStore { charge: 0, op, slot: acc_slot, dst, a: dst, b: h },
+            ]);
+        },
+    },
+    // `A(B(i)) = A(B(i)) op k` / `op s`, the whole indirect reduction
+    // statement (third level: `FusedLoadElemE + FusedBinR{K,S} +
+    // FusedStoreElemE`). Nothing in the window writes before the store,
+    // so one linearization serves both; the VM arm still replays the
+    // store's index-array read.
+    Rule {
+        head: Head::LoadElemE, len: 3, folds: true,
+        regs: |s| match *s { FusedRedElemK { dst, .. } => Some([dst; 3]), _ => None },
+        project: |w| match *w {
+            [FusedLoadElemE { charge, dst, idx_arr, idx_slot, arr }, FusedBinRK { op, k, .. }, _] =>
+                Some((FusedRedElemK { charge, op, dst, arr, idx_arr, idx_slot, k }, None)),
+            _ => None,
+        },
+        expand: |s, _, out| if let FusedRedElemK { charge, op, dst, arr, idx_arr, idx_slot, k } = *s {
+            out.extend([
+                FusedLoadElemE { charge, dst, idx_arr, idx_slot, arr },
+                FusedBinRK { charge: 0, op, dst, a: dst, k },
+                FusedStoreElemE { charge: 0, idx_arr, idx_slot, arr, src: dst },
+            ]);
+        },
+    },
+    Rule {
+        head: Head::LoadElemE, len: 3, folds: true,
+        regs: |s| match *s { FusedRedElemS { dst, .. } => Some([dst; 3]), _ => None },
+        project: |w| match *w {
+            [FusedLoadElemE { charge, dst, idx_arr, idx_slot, arr }, FusedBinRS { op, b_slot, .. }, _] =>
+                Some((FusedRedElemS { charge, op, dst, arr, idx_arr, idx_slot, b_slot }, None)),
+            _ => None,
+        },
+        expand: |s, _, out| if let FusedRedElemS { charge, op, dst, arr, idx_arr, idx_slot, b_slot } = *s {
+            out.extend([
+                FusedLoadElemE { charge, dst, idx_arr, idx_slot, arr },
+                FusedBinRS { charge: 0, op, dst, a: dst, b_slot },
+                FusedStoreElemE { charge: 0, idx_arr, idx_slot, arr, src: dst },
+            ]);
+        },
+    },
+    // Two scalar loads feeding a binary op.
+    Rule {
+        head: Head::LoadScalar, len: 3, folds: true,
+        regs: |s| match *s { FusedBinSS { dst, .. } => Some([dst; 3]), _ => None },
+        project: |w| match *w {
+            [LoadScalar { dst, slot: a_slot }, LoadScalar { dst: h, slot: b_slot }, Bin { op, .. }] =>
+                Some((FusedBinSS { charge: 0, op, dst, a_slot, b_slot }, Some(h))),
+            _ => None,
+        },
+        expand: |s, h, out| if let FusedBinSS { charge, op, dst, a_slot, b_slot } = *s {
+            lead(charge, out);
+            out.extend([LoadScalar { dst, slot: a_slot }, LoadScalar { dst: h, slot: b_slot }, Bin { op, dst, a: dst, b: h }]);
+        },
+    },
+    // Rank-1 indexed load: the subscript register is the element
+    // destination, so no write is even elided.
+    Rule {
+        head: Head::LoadScalar, len: 2, folds: true,
+        regs: |s| match *s { FusedLoadElemS { dst, .. } => Some([dst; 3]), _ => None },
+        project: |w| match *w {
+            [LoadScalar { dst, slot: idx_slot }, LoadElem { arr, .. }] => Some((FusedLoadElemS { charge: 0, dst, arr, idx_slot }, None)),
+            _ => None,
+        },
+        expand: |s, _, out| if let FusedLoadElemS { charge, dst, arr, idx_slot } = *s {
+            lead(charge, out);
+            out.extend([LoadScalar { dst, slot: idx_slot }, LoadElem { dst, arr, base: dst, n: 1 }]);
+        },
+    },
+    // Rank-1 indexed store.
+    Rule {
+        head: Head::LoadScalar, len: 2, folds: true,
+        regs: |s| match *s { FusedStoreElemS { src, .. } => Some([src; 3]), _ => None },
+        project: |w| match *w {
+            [LoadScalar { dst: h, slot: idx_slot }, StoreElem { arr, src, .. }] => Some((FusedStoreElemS { charge: 0, arr, idx_slot, src }, Some(h))),
+            _ => None,
+        },
+        expand: |s, h, out| if let FusedStoreElemS { charge, arr, idx_slot, src } = *s {
+            lead(charge, out);
+            out.extend([LoadScalar { dst: h, slot: idx_slot }, StoreElem { arr, base: h, n: 1, src }]);
+        },
+    },
+    // Scalar right operand, into the left operand's register.
+    Rule {
+        head: Head::LoadScalar, len: 2, folds: true,
+        regs: |s| match *s { FusedBinRS { dst, a, .. } => Some([dst, a, a]), _ => None },
+        project: |w| match *w {
+            [LoadScalar { dst: h, slot: b_slot }, Bin { op, dst, a, .. }] if dst == a => Some((FusedBinRS { charge: 0, op, dst, a, b_slot }, Some(h))),
+            _ => None,
+        },
+        expand: |s, h, out| if let FusedBinRS { charge, op, dst, a, b_slot } = *s {
+            lead(charge, out);
+            out.extend([LoadScalar { dst: h, slot: b_slot }, Bin { op, dst, a, b: h }]);
+        },
+    },
+    // Constant right operand, into the left operand's register.
+    Rule {
+        head: Head::Const, len: 2, folds: true,
+        regs: |s| match *s { FusedBinRK { dst, a, .. } => Some([dst, a, a]), _ => None },
+        project: |w| match *w {
+            [Const { dst: h, k }, Bin { op, dst, a, .. }] if dst == a => Some((FusedBinRK { charge: 0, op, dst, a, k }, Some(h))),
+            _ => None,
+        },
+        expand: |s, h, out| if let FusedBinRK { charge, op, dst, a, k } = *s {
+            lead(charge, out);
+            out.extend([Const { dst: h, k }, Bin { op, dst, a, b: h }]);
+        },
+    },
+    // Indirect load through an index array, `F(J(i))` (second level).
+    Rule {
+        head: Head::LoadElemS, len: 2, folds: false,
+        regs: |s| match *s { FusedLoadElemE { dst, .. } => Some([dst; 3]), _ => None },
+        project: |w| match *w {
+            [FusedLoadElemS { charge, dst, arr: idx_arr, idx_slot }, LoadElem { arr, .. }] =>
+                Some((FusedLoadElemE { charge, dst, idx_arr, idx_slot, arr }, None)),
+            _ => None,
+        },
+        expand: |s, _, out| if let FusedLoadElemE { charge, dst, idx_arr, idx_slot, arr } = *s {
+            out.extend([FusedLoadElemS { charge, dst, arr: idx_arr, idx_slot }, LoadElem { dst, arr, base: dst, n: 1 }]);
+        },
+    },
+    // Indirect store through an index array, `F(J(i)) = v` (second level).
+    Rule {
+        head: Head::LoadElemS, len: 2, folds: false,
+        regs: |s| match *s { FusedStoreElemE { src, .. } => Some([src; 3]), _ => None },
+        project: |w| match *w {
+            [FusedLoadElemS { charge, dst: h, arr: idx_arr, idx_slot }, StoreElem { arr, src, .. }] =>
+                Some((FusedStoreElemE { charge, idx_arr, idx_slot, arr, src }, Some(h))),
+            _ => None,
+        },
+        expand: |s, h, out| if let FusedStoreElemE { charge, idx_arr, idx_slot, arr, src } = *s {
+            out.extend([FusedLoadElemS { charge, dst: h, arr: idx_arr, idx_slot }, StoreElem { arr, base: h, n: 1, src }]);
+        },
+    },
+    // Element right operand, into the left operand's register (second
+    // level: inherits the element load's folded charge).
+    Rule {
+        head: Head::LoadElemS, len: 2, folds: true,
+        regs: |s| match *s { FusedBinRE { dst, a, .. } => Some([dst, a, a]), _ => None },
+        project: |w| match *w {
+            [FusedLoadElemS { charge, dst: h, arr, idx_slot }, Bin { op, dst, a, .. }] if dst == a =>
+                Some((FusedBinRE { charge, op, dst, a, arr, idx_slot }, Some(h))),
+            _ => None,
+        },
+        expand: |s, h, out| if let FusedBinRE { charge, op, dst, a, arr, idx_slot } = *s {
+            out.extend([FusedLoadElemS { charge, dst: h, arr, idx_slot }, Bin { op, dst, a, b: h }]);
+        },
+    },
+    // Binary op straight into a scalar slot.
+    Rule {
+        head: Head::Bin, len: 2, folds: true,
+        regs: |s| match *s { FusedBinStore { dst, a, b, .. } => Some([dst, a, b]), _ => None },
+        project: |w| match *w {
+            [Bin { op, dst, a, b }, StoreScalar { slot, .. }] => Some((FusedBinStore { charge: 0, op, slot, dst, a, b }, None)),
+            _ => None,
+        },
+        expand: |s, _, out| if let FusedBinStore { charge, op, slot, dst, a, b } = *s {
+            lead(charge, out);
+            out.extend([Bin { op, dst, a, b }, StoreScalar { slot, src: dst }]);
+        },
+    },
+    // Per-iteration DO overhead: head test + variable publish...
+    Rule {
+        head: Head::LoopTest, len: 2, folds: false,
+        regs: |s| match *s { LoopTestSet { i, hi, step, .. } => Some([i, hi, step]), _ => None },
+        project: |w| match *w {
+            [LoopTest { i, hi, step, exit }, SetVarRaw { slot: var_slot, .. }] => Some((LoopTestSet { i, hi, step, exit, var_slot }, None)),
+            _ => None,
+        },
+        expand: |s, _, out| if let LoopTestSet { i, hi, step, exit, var_slot } = *s {
+            out.extend([LoopTest { i, hi, step, exit }, SetVarRaw { slot: var_slot, src: i }]);
+        },
+    },
+    // ...and tail increment + back-jump.
+    Rule {
+        head: Head::LoopIncr, len: 2, folds: false,
+        regs: |s| match *s { LoopIncrJump { i, step, .. } => Some([i, step, step]), _ => None },
+        project: |w| match *w {
+            [LoopIncr { i, step }, Jump { target }] => Some((LoopIncrJump { i, step, target }, None)),
+            _ => None,
+        },
+        expand: |s, _, out| if let LoopIncrJump { i, step, target } = *s {
+            out.extend([LoopIncr { i, step }, Jump { target }]);
+        },
+    },
+    // A statement that opens with a bare literal or scalar load.
+    Rule {
+        head: Head::Charge, len: 2, folds: false,
+        regs: |s| match *s { ChargedConst { dst, .. } => Some([dst; 3]), _ => None },
+        project: |w| match *w {
+            [Charge(charge), Const { dst, k }] => Some((ChargedConst { charge, dst, k }, None)),
+            _ => None,
+        },
+        expand: |s, _, out| if let ChargedConst { charge, dst, k } = *s {
+            out.extend([Charge(charge), Const { dst, k }]);
+        },
+    },
+    Rule {
+        head: Head::Charge, len: 2, folds: false,
+        regs: |s| match *s { ChargedLoadScalar { dst, .. } => Some([dst; 3]), _ => None },
+        project: |w| match *w {
+            [Charge(charge), LoadScalar { dst, slot }] => Some((ChargedLoadScalar { charge, dst, slot }, None)),
+            _ => None,
+        },
+        expand: |s, _, out| if let ChargedLoadScalar { charge, dst, slot } = *s {
+            out.extend([Charge(charge), LoadScalar { dst, slot }]);
+        },
+    },
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lip_ir::{parse_program, BinOp, Machine, Store, Ty};
-    use lip_symbolic::sym;
+    use crate::chunk::Reg;
+    use crate::vm::{Frame, Slot};
+    use lip_ir::{parse_program, AccessTracer, BinOp, Machine, RunError, Store, Ty, Value};
+    use lip_symbolic::{sym, Sym};
 
     /// Compiles `src`, returning the entry chunk unfused and fused.
     fn compile_both(src: &str) -> (Chunk, Chunk) {
@@ -1365,6 +1385,478 @@ END
         };
         assert_eq!(run(ops), u64::from(u32::MAX));
         assert_eq!(run(chunk.ops), u64::from(u32::MAX));
+    }
+
+    /// Records every traced access, in order.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<(bool, Sym, usize)>>);
+
+    impl AccessTracer for Recorder {
+        fn read(&self, arr: Sym, idx: usize) {
+            self.0.lock().unwrap().push((false, arr, idx));
+        }
+        fn write(&self, arr: Sym, idx: usize) {
+            self.0.lock().unwrap().push((true, arr, idx));
+        }
+    }
+
+    fn bits(v: Value) -> (bool, u64) {
+        match v {
+            Value::Int(i) => (false, i as u64),
+            Value::Real(r) => (true, r.to_bits()),
+        }
+    }
+
+    /// What one `Value`-stream run leaves behind: its result, work units
+    /// and traced accesses, every scalar slot and array cell, and the
+    /// registers outside `scratch` — after a completed run only: an
+    /// error abandons the register file.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        result: Result<(), RunError>,
+        units: u64,
+        trace: Vec<(bool, Sym, usize)>,
+        scalars: Vec<Slot>,
+        cells: Vec<Vec<(bool, u64)>>,
+        regs: Option<Vec<(bool, u64)>>,
+    }
+
+    /// Runs `chunk`'s `Value` stream once as a block on `frame`, under a
+    /// step budget (0: none).
+    fn observe(chunk: Chunk, mut frame: Frame, budget: u64, scratch: &[Reg]) -> Observed {
+        let prog = CompiledProgram {
+            subs: vec![],
+            blocks: vec![crate::chunk::CompiledBlock {
+                chunk,
+                exprs: vec![],
+            }],
+            entry: None,
+        };
+        let rec = Recorder::default();
+        let mut state = lip_ir::ExecState::with_budget(budget);
+        let result =
+            crate::vm::Vm::new(&prog).run_block(BlockId(0), &mut frame, &mut state, Some(&rec));
+        let regs = result.is_ok().then(|| {
+            (0..frame.regs.len())
+                .filter(|r| !scratch.contains(&(*r as Reg)))
+                .map(|r| bits(frame.regs[r]))
+                .collect()
+        });
+        let trace = rec.0.into_inner().unwrap();
+        Observed {
+            result,
+            units: state.cost,
+            trace,
+            scalars: frame.scalars.clone(),
+            cells: frame
+                .arrays
+                .iter()
+                .map(|a| {
+                    a.as_ref().map_or(vec![], |v| {
+                        (0..v.buf.len()).map(|k| bits(v.buf.get(k))).collect()
+                    })
+                })
+                .collect(),
+            regs,
+        }
+    }
+
+    /// `r = i; r = A[r]; o = k; r = r op o; r = i; A[r] = r` stores the
+    /// *index* into `A(i)` and leaves `r = i`: the store's subscript
+    /// temporary is the value register, so the window is no
+    /// read-modify-write and must not become `FusedElemUpdateK`.
+    #[test]
+    fn rmw_window_whose_store_subscript_reuses_the_value_register_does_not_fuse() {
+        let chunk = Chunk {
+            ops: vec![
+                Op::LoadScalar { dst: 0, slot: 0 },
+                Op::LoadElem {
+                    dst: 0,
+                    arr: 0,
+                    base: 0,
+                    n: 1,
+                },
+                Op::Const { dst: 1, k: 0 },
+                Op::Bin {
+                    op: BinOp::Add,
+                    dst: 0,
+                    a: 0,
+                    b: 1,
+                },
+                Op::LoadScalar { dst: 0, slot: 0 },
+                Op::StoreElem {
+                    arr: 0,
+                    base: 0,
+                    n: 1,
+                    src: 0,
+                },
+            ],
+            consts: vec![Value::Real(0.5)],
+            nregs: 2,
+            scalars: vec![(sym("i"), Ty::Int)],
+            arrays: vec![(sym("A"), Ty::Real)],
+            ..Chunk::default()
+        };
+        let mut fused = chunk.clone();
+        optimize_chunk(&mut fused);
+        let frame = || {
+            let buf = lip_ir::ArrayBuf::new_real(3);
+            for k in 0..3 {
+                buf.set(k, Value::Real(k as f64 + 1.0));
+            }
+            Frame {
+                regs: vec![Value::Int(0); 2],
+                tregs: vec![],
+                scalars: vec![Slot::int(2)],
+                arrays: vec![Some(lip_ir::ArrayView {
+                    buf,
+                    offset: 0,
+                    extents: vec![],
+                })],
+            }
+        };
+        // `r1`, the operand temporary, is dead after the window.
+        assert_eq!(
+            observe(fused.clone(), frame(), 0, &[1]),
+            observe(chunk, frame(), 0, &[1]),
+            "fused stream {:?} diverged from the window",
+            fused.ops
+        );
+        assert!(
+            !fused
+                .ops
+                .iter()
+                .any(|op| matches!(op, Op::FusedElemUpdateK { .. })),
+            "{:?}",
+            fused.ops
+        );
+    }
+
+    /// SplitMix64: the random fields and frames of the per-row check.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len() as u64) as usize]
+        }
+
+        fn value(&mut self) -> Value {
+            if self.below(3) == 0 {
+                Value::Real(self.pick(&[0.5, 1.0, 2.0, -1.5, 3.75, f64::NAN]))
+            } else {
+                Value::Int(self.pick(&[-1, 0, 1, 2, 3, 4, 5, i64::MAX, i64::MIN]))
+            }
+        }
+    }
+
+    /// The registers the random superinstructions name; the two after
+    /// them are the expansions' holes.
+    const NAMED: Reg = 4;
+    const SCRATCH: [Reg; 2] = [NAMED, NAMED + 1];
+
+    /// One random instance of every superinstruction, in table order.
+    /// `FusedBinR*` keep `dst == a`, their rows' guard; jump targets are
+    /// 0, the window's own head.
+    fn random_superinstructions(g: &mut Gen) -> Vec<Op> {
+        let ops = [
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::Div,
+            BinOp::Pow,
+            BinOp::Lt,
+            BinOp::Eq,
+            BinOp::And,
+        ];
+        let [mut g1, mut g2, mut g3, mut g4, mut g5, mut g6] = [(); 6].map(|()| Gen(g.next()));
+        let mut op = || g1.pick(&ops);
+        let mut r = || g2.below(u64::from(NAMED)) as Reg;
+        let mut slot = || g3.below(4) as u16;
+        let mut arr = || g4.below(3) as u16;
+        let mut k = || g5.below(4) as u16;
+        let mut charge = || g6.pick(&[0, 0, 1, 2, 7]);
+        let (dst, a) = (r(), r());
+        vec![
+            Op::FusedElemUpdateE {
+                charge: charge(),
+                op: op(),
+                dst,
+                arr: arr(),
+                idx_arr: arr(),
+                idx_slot: slot(),
+                idx_op: op(),
+                idx_k: k(),
+                k: k(),
+            },
+            Op::FusedElemUpdateK {
+                charge: charge(),
+                op: op(),
+                dst,
+                arr: arr(),
+                idx_slot: slot(),
+                k: k(),
+            },
+            Op::FusedElemUpdateS {
+                charge: charge(),
+                op: op(),
+                dst,
+                arr: arr(),
+                idx_slot: slot(),
+                b_slot: slot(),
+            },
+            Op::FusedRedAccS {
+                charge: charge(),
+                op: op(),
+                dst,
+                acc_slot: slot(),
+                arr: arr(),
+                idx_slot: slot(),
+            },
+            Op::FusedRedElemK {
+                charge: charge(),
+                op: op(),
+                dst,
+                arr: arr(),
+                idx_arr: arr(),
+                idx_slot: slot(),
+                k: k(),
+            },
+            Op::FusedRedElemS {
+                charge: charge(),
+                op: op(),
+                dst,
+                arr: arr(),
+                idx_arr: arr(),
+                idx_slot: slot(),
+                b_slot: slot(),
+            },
+            Op::FusedBinSS {
+                charge: charge(),
+                op: op(),
+                dst,
+                a_slot: slot(),
+                b_slot: slot(),
+            },
+            Op::FusedLoadElemS {
+                charge: charge(),
+                dst,
+                arr: arr(),
+                idx_slot: slot(),
+            },
+            Op::FusedStoreElemS {
+                charge: charge(),
+                arr: arr(),
+                idx_slot: slot(),
+                src: a,
+            },
+            Op::FusedBinRS {
+                charge: charge(),
+                op: op(),
+                dst,
+                a: dst,
+                b_slot: slot(),
+            },
+            Op::FusedBinRK {
+                charge: charge(),
+                op: op(),
+                dst,
+                a: dst,
+                k: k(),
+            },
+            Op::FusedLoadElemE {
+                charge: charge(),
+                dst,
+                idx_arr: arr(),
+                idx_slot: slot(),
+                arr: arr(),
+            },
+            Op::FusedStoreElemE {
+                charge: charge(),
+                idx_arr: arr(),
+                idx_slot: slot(),
+                arr: arr(),
+                src: a,
+            },
+            Op::FusedBinRE {
+                charge: charge(),
+                op: op(),
+                dst,
+                a: dst,
+                arr: arr(),
+                idx_slot: slot(),
+            },
+            Op::FusedBinStore {
+                charge: charge(),
+                op: op(),
+                slot: slot(),
+                dst,
+                a,
+                b: r(),
+            },
+            Op::LoopTestSet {
+                i: dst,
+                hi: a,
+                step: r(),
+                exit: 0,
+                var_slot: slot(),
+            },
+            Op::LoopIncrJump {
+                i: dst,
+                step: a,
+                target: 0,
+            },
+            Op::ChargedConst {
+                charge: charge(),
+                dst,
+                k: k(),
+            },
+            Op::ChargedLoadScalar {
+                charge: charge(),
+                dst,
+                slot: slot(),
+            },
+        ]
+    }
+
+    /// A chunk running `ops` over random tables: four scalar slots and
+    /// three arrays of random declared types, four random constants.
+    fn random_chunk(g: &mut Gen, ops: Vec<Op>) -> Chunk {
+        let mut ty = || if g.below(2) == 0 { Ty::Int } else { Ty::Real };
+        let scalars = (0..4).map(|s| (sym(&format!("s{s}")), ty())).collect();
+        let arrays = (0..3).map(|a| (sym(&format!("A{a}")), ty())).collect();
+        Chunk {
+            ops,
+            consts: (0..4).map(|_| g.value()).collect(),
+            nregs: usize::from(NAMED) + SCRATCH.len(),
+            scalars,
+            arrays,
+            ..Chunk::default()
+        }
+    }
+
+    /// A random frame for [`random_chunk`]'s tables: slots unbound or
+    /// bound to small values, arrays unbound or short `Int` / `Real`
+    /// buffers of small subscripts (the third sometimes aliasing the
+    /// first), registers random. Built afresh for every run.
+    fn random_frame(seed: u64) -> Frame {
+        let mut g = Gen(seed);
+        let scalars = (0..4)
+            .map(|_| {
+                if g.below(8) == 0 {
+                    Slot::default()
+                } else {
+                    Slot::of(g.value())
+                }
+            })
+            .collect();
+        let mut arrays: Vec<Option<lip_ir::ArrayView>> = (0..3)
+            .map(|_| {
+                (g.below(10) != 0).then(|| {
+                    let len = g.below(6) as usize;
+                    let buf = if g.below(2) == 0 {
+                        lip_ir::ArrayBuf::new_int(len)
+                    } else {
+                        lip_ir::ArrayBuf::new_real(len)
+                    };
+                    for k in 0..len {
+                        buf.set(k, g.value());
+                    }
+                    lip_ir::ArrayView {
+                        buf,
+                        offset: g.below(2) as usize,
+                        extents: vec![],
+                    }
+                })
+            })
+            .collect();
+        if g.below(6) == 0 {
+            arrays[2] = arrays[0].clone();
+        }
+        Frame {
+            regs: (0..NAMED + 2).map(|_| g.value()).collect(),
+            tregs: vec![],
+            scalars,
+            arrays,
+        }
+    }
+
+    /// Points every jump at the end of `ops`.
+    fn jump_to_end(mut ops: Vec<Op>) -> Vec<Op> {
+        let end = ops.len() as u32;
+        for op in &mut ops {
+            if let Op::LoopTest { exit: t, .. }
+            | Op::LoopTestSet { exit: t, .. }
+            | Op::Jump { target: t }
+            | Op::LoopIncrJump { target: t, .. } = op
+            {
+                *t = end;
+            }
+        }
+        ops
+    }
+
+    /// Every row, on random fields and frames: fusing the row's one-level
+    /// expansion gives the superinstruction back; its full expansion is
+    /// plain ops on two scratch registers; and the `Value` stream leaves
+    /// the same slots, array cells, registers (holes aside), traced
+    /// accesses, work units and error running the superinstruction — its
+    /// hand-written arm in `crate::vm` — as running that expansion.
+    #[test]
+    fn every_row_round_trips_and_runs_as_its_expansion() {
+        let mut g = Gen(7);
+        let mut completed = [0u32; RULES.len()];
+        for case in 0..1000 {
+            let sups = random_superinstructions(&mut g);
+            assert_eq!(sups.len(), RULES.len());
+            for (row, sup) in sups.into_iter().enumerate() {
+                let (rule, _) = rule_of(&sup).expect("a superinstruction");
+                assert!(std::ptr::eq(rule, &RULES[row]), "{sup:?}: row {row}");
+
+                let mut window = Vec::new();
+                (rule.expand)(&sup, NAMED, &mut window);
+                optimize_ops(&mut window);
+                assert_eq!(
+                    window,
+                    std::slice::from_ref(&sup),
+                    "case {case}: fuse(expand(op)) != op"
+                );
+
+                let mut plain = Vec::new();
+                expand_full(&sup, &SCRATCH, &mut plain);
+                assert!(
+                    plain.iter().all(|op| !op.is_fused()),
+                    "{sup:?} expands to {plain:?}"
+                );
+                let fused = random_chunk(&mut g, jump_to_end(vec![sup.clone()]));
+                let unfused = Chunk {
+                    ops: jump_to_end(plain),
+                    ..fused.clone()
+                };
+                let (frame, budget) = (g.next(), g.pick(&[0, 0, 0, 1, 2, 3, 5, 8]));
+                let ran = observe(fused, random_frame(frame), budget, &SCRATCH);
+                assert_eq!(
+                    ran,
+                    observe(unfused.clone(), random_frame(frame), budget, &SCRATCH),
+                    "case {case}: {sup:?} diverged from {:?}",
+                    unfused.ops
+                );
+                completed[row] += u32::from(ran.result.is_ok());
+            }
+        }
+        // Not only errors: every row also ran to completion.
+        assert!(completed.iter().all(|&n| n >= 50), "{completed:?}");
     }
 
     /// The pass is idempotent: a second run changes nothing.

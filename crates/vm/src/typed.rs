@@ -33,8 +33,9 @@
 //! charges in the same order (so `StepLimit` trips at the same point),
 //! the same traced reads and writes in the same order, the same
 //! `BadIndex` / `IntOverflow` errors, the same scalar-slot writes. A
-//! superinstruction whose operand types have no typed form is expanded
-//! into its unfused sequence on two scratch registers. Calls, `READ`
+//! superinstruction whose operand types have no typed form runs as its
+//! expansion through the peephole rule table, down to plain ops, with
+//! the operand temporaries on two scratch registers. Calls, `READ`
 //! and late failures go through the `Value` machinery, with the
 //! registers a call reads materialized first.
 
@@ -46,6 +47,7 @@ use lip_ir::{
 };
 
 use crate::chunk::{ArgSpec, Chunk, Op, Reg};
+use crate::peephole;
 use crate::vm::{DispatchCounts, Frame, Slot, Vm};
 
 /// Type bit: the slot or register may hold an `Int` (also a bound
@@ -1359,309 +1361,14 @@ impl Lower<'_> {
                 self.set_reg(st, i, Ty::Int);
             }
             _ => {
-                for simple in unfuse(op, self.scratch, self.scratch + 1) {
-                    self.lower(&simple, st);
+                let mut plain = Vec::new();
+                peephole::expand_full(op, &[self.scratch, self.scratch + 1], &mut plain);
+                for simple in &plain {
+                    self.lower(simple, st);
                 }
             }
         }
     }
-}
-
-/// The unfused sequence a superinstruction replaces, with the operand
-/// temporaries it elides on scratch registers `s0` / `s1`: what a
-/// superinstruction without a typed form for its operand types runs as.
-/// The sequence replays the fused op's charge, traced accesses and
-/// errors in the same order (`crate::peephole` fuses exactly these).
-fn unfuse(fused: &Op, s0: Reg, s1: Reg) -> Vec<Op> {
-    use Op::{Bin, Charge, Const, LoadElem, LoadScalar, StoreElem, StoreScalar};
-    let load = |dst: Reg, arr: u16, base: Reg| LoadElem {
-        dst,
-        arr,
-        base,
-        n: 1,
-    };
-    let store = |arr: u16, base: Reg, src: Reg| StoreElem {
-        arr,
-        base,
-        n: 1,
-        src,
-    };
-    let (charge, body): (u32, Vec<Op>) = match *fused {
-        Op::FusedBinRE {
-            charge,
-            op,
-            dst,
-            a,
-            arr,
-            idx_slot,
-        } => (
-            charge,
-            vec![
-                LoadScalar {
-                    dst: s0,
-                    slot: idx_slot,
-                },
-                load(s0, arr, s0),
-                Bin { op, dst, a, b: s0 },
-            ],
-        ),
-        Op::FusedLoadElemS {
-            charge,
-            dst,
-            arr,
-            idx_slot,
-        } => (
-            charge,
-            vec![
-                LoadScalar {
-                    dst,
-                    slot: idx_slot,
-                },
-                load(dst, arr, dst),
-            ],
-        ),
-        Op::FusedStoreElemS {
-            charge,
-            arr,
-            idx_slot,
-            src,
-        } => (
-            charge,
-            vec![
-                LoadScalar {
-                    dst: s0,
-                    slot: idx_slot,
-                },
-                store(arr, s0, src),
-            ],
-        ),
-        Op::FusedElemUpdateK {
-            charge,
-            op,
-            dst,
-            arr,
-            idx_slot,
-            k,
-        } => (
-            charge,
-            vec![
-                LoadScalar {
-                    dst,
-                    slot: idx_slot,
-                },
-                load(dst, arr, dst),
-                Const { dst: s0, k },
-                Bin {
-                    op,
-                    dst,
-                    a: dst,
-                    b: s0,
-                },
-                LoadScalar {
-                    dst: s1,
-                    slot: idx_slot,
-                },
-                store(arr, s1, dst),
-            ],
-        ),
-        Op::FusedElemUpdateS {
-            charge,
-            op,
-            dst,
-            arr,
-            idx_slot,
-            b_slot,
-        } => (
-            charge,
-            vec![
-                LoadScalar {
-                    dst,
-                    slot: idx_slot,
-                },
-                load(dst, arr, dst),
-                LoadScalar {
-                    dst: s0,
-                    slot: b_slot,
-                },
-                Bin {
-                    op,
-                    dst,
-                    a: dst,
-                    b: s0,
-                },
-                LoadScalar {
-                    dst: s1,
-                    slot: idx_slot,
-                },
-                store(arr, s1, dst),
-            ],
-        ),
-        Op::FusedLoadElemE {
-            charge,
-            dst,
-            idx_arr,
-            idx_slot,
-            arr,
-        } => (
-            charge,
-            vec![
-                LoadScalar {
-                    dst,
-                    slot: idx_slot,
-                },
-                load(dst, idx_arr, dst),
-                load(dst, arr, dst),
-            ],
-        ),
-        Op::FusedStoreElemE {
-            charge,
-            idx_arr,
-            idx_slot,
-            arr,
-            src,
-        } => (
-            charge,
-            vec![
-                LoadScalar {
-                    dst: s0,
-                    slot: idx_slot,
-                },
-                load(s0, idx_arr, s0),
-                store(arr, s0, src),
-            ],
-        ),
-        Op::FusedElemUpdateE {
-            charge,
-            op,
-            dst,
-            arr,
-            idx_arr,
-            idx_slot,
-            idx_op,
-            idx_k,
-            k,
-        } => {
-            let index = |r: Reg| {
-                [
-                    LoadScalar {
-                        dst: r,
-                        slot: idx_slot,
-                    },
-                    load(r, idx_arr, r),
-                    Const { dst: s0, k: idx_k },
-                    Bin {
-                        op: idx_op,
-                        dst: r,
-                        a: r,
-                        b: s0,
-                    },
-                ]
-            };
-            let mut v = index(dst).to_vec();
-            v.extend([
-                load(dst, arr, dst),
-                Const { dst: s0, k },
-                Bin {
-                    op,
-                    dst,
-                    a: dst,
-                    b: s0,
-                },
-            ]);
-            v.extend(index(s1));
-            v.push(store(arr, s1, dst));
-            (charge, v)
-        }
-        Op::FusedRedAccS {
-            charge,
-            op,
-            dst,
-            acc_slot,
-            arr,
-            idx_slot,
-        } => (
-            charge,
-            vec![
-                LoadScalar {
-                    dst,
-                    slot: acc_slot,
-                },
-                LoadScalar {
-                    dst: s0,
-                    slot: idx_slot,
-                },
-                load(s0, arr, s0),
-                Bin {
-                    op,
-                    dst,
-                    a: dst,
-                    b: s0,
-                },
-                StoreScalar {
-                    slot: acc_slot,
-                    src: dst,
-                },
-            ],
-        ),
-        Op::FusedRedElemK {
-            charge,
-            op,
-            dst,
-            arr,
-            idx_arr,
-            idx_slot,
-            ..
-        }
-        | Op::FusedRedElemS {
-            charge,
-            op,
-            dst,
-            arr,
-            idx_arr,
-            idx_slot,
-            ..
-        } => {
-            let operand = match *fused {
-                Op::FusedRedElemK { k, .. } => Const { dst: s0, k },
-                Op::FusedRedElemS { b_slot, .. } => LoadScalar {
-                    dst: s0,
-                    slot: b_slot,
-                },
-                _ => unreachable!("matched above"),
-            };
-            (
-                charge,
-                vec![
-                    LoadScalar {
-                        dst,
-                        slot: idx_slot,
-                    },
-                    load(dst, idx_arr, dst),
-                    load(dst, arr, dst),
-                    operand,
-                    Bin {
-                        op,
-                        dst,
-                        a: dst,
-                        b: s0,
-                    },
-                    LoadScalar {
-                        dst: s1,
-                        slot: idx_slot,
-                    },
-                    load(s1, idx_arr, s1),
-                    store(arr, s1, dst),
-                ],
-            )
-        }
-        _ => (0, vec![fused.clone()]),
-    };
-    let mut ops = Vec::with_capacity(body.len() + 1);
-    if charge > 0 {
-        ops.push(Charge(charge));
-    }
-    ops.extend(body);
-    ops
 }
 
 // ---- Execution ---------------------------------------------------------
