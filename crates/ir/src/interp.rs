@@ -281,23 +281,6 @@ impl ArrayBuf {
             Cells::Int(_) => panic!("store_f64 into an Int buffer"),
         }
     }
-
-    /// Copies the whole buffer out (LRPD backup, workload capture).
-    pub fn snapshot(&self) -> Vec<Value> {
-        (0..self.len()).map(|i| self.get(i)).collect()
-    }
-
-    /// Restores a snapshot taken by [`ArrayBuf::snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot length differs.
-    pub fn restore(&self, snap: &[Value]) {
-        assert_eq!(snap.len(), self.len(), "snapshot length mismatch");
-        for (i, v) in snap.iter().enumerate() {
-            self.set(i, *v);
-        }
-    }
 }
 
 impl fmt::Debug for ArrayBuf {
@@ -538,12 +521,21 @@ impl ExecState {
 }
 
 /// Observes every array-element access during interpretation (the hook
-/// used by the LRPD speculation test and the inspector/executor).
+/// used by the LRPD speculation test, the dynamic-last-value marks and
+/// the inspector/executor).
+///
+/// Each access names the array as the executing unit spells it *and*
+/// hands over the buffer behind that name. The runtime's hooks key on
+/// the buffer (by address): a callee reaching the array through a
+/// formal of another name touches the same memory, so it is the same
+/// array to them. The name is for recorders that compare access streams.
 pub trait AccessTracer: Send + Sync {
-    /// An element of `arr` at absolute buffer index `idx` was read.
-    fn read(&self, arr: Sym, idx: usize);
-    /// An element of `arr` at absolute buffer index `idx` was written.
-    fn write(&self, arr: Sym, idx: usize);
+    /// Element `idx` (absolute buffer index) of `buf`, bound to `arr`
+    /// in the executing unit, was read.
+    fn read(&self, arr: Sym, buf: &ArrayBuf, idx: usize);
+    /// Element `idx` (absolute buffer index) of `buf`, bound to `arr`
+    /// in the executing unit, was written.
+    fn write(&self, arr: Sym, buf: &ArrayBuf, idx: usize);
 }
 
 /// The interpreter: a program plus READ-input bindings.
@@ -712,7 +704,7 @@ impl Machine {
                         let lin = self.index_of(sub, frame, *a, idx, state)?;
                         let view = frame.array(*a).ok_or(RunError::UnboundArray(*a))?;
                         if let Some(t) = &self.tracer {
-                            t.write(*a, lin);
+                            t.write(*a, &view.buf, lin);
                         }
                         view.buf.set(lin, v);
                     }
@@ -906,7 +898,7 @@ impl Machine {
                 let lin = self.index_of(sub, frame, *a, idx, state)?;
                 let view = frame.array(*a).ok_or(RunError::UnboundArray(*a))?;
                 if let Some(t) = &self.tracer {
-                    t.read(*a, lin);
+                    t.read(*a, &view.buf, lin);
                 }
                 Ok(view.buf.get(lin))
             }

@@ -16,9 +16,18 @@
 //!    last value), per-thread reduction buffers (or direct shared
 //!    updates when the runtime test proved independence) — or through
 //!    LRPD speculation when every predicate failed, or sequentially.
+//!    A dynamic last value merges, in chunk order, the elements each
+//!    chunk's write mask marks; the mask is keyed by the chunk's private
+//!    buffer, so writes through a callee's formal count.
+//!
+//! Every access hook the runtime installs — those masks, LRPD's shadows
+//! — finds its array by the buffer the access reaches, never by name.
+//! A DLV chunk passes each access on to the caller's tracer, when one
+//! is installed.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 use lip_analysis::{ArrayPlan, FissionFragment, LastValue, LoopAnalysis, LoopClass};
 use lip_ir::{
@@ -27,7 +36,6 @@ use lip_ir::{
 use lip_obs::{FissionReport, FragmentReport, LoopDecision, StageReport};
 use lip_symbolic::Sym;
 use lip_usr::Exact;
-use std::sync::Mutex;
 
 use crate::backend::{exec_stmt_seq, ExecEnv};
 use crate::digest::{InputDigests, KeyCost};
@@ -706,22 +714,33 @@ fn zero(ty: Ty) -> Value {
     }
 }
 
-/// A tracer recording written element indexes (dynamic last value).
-struct WriteSetTracer {
-    interesting: HashSet<Sym>,
-    writes: Mutex<HashMap<Sym, HashSet<usize>>>,
+/// One chunk's dynamic-last-value write marks: per DLV array, the
+/// chunk's private buffer and a mask of one byte per element, set when
+/// the chunk wrote that element. A write finds its mask by comparing
+/// buffer addresses over the one or two DLV arrays, so a write through
+/// any name — a callee's formal included — marks it; the store is a
+/// relaxed byte store, with no lock and no hashing (the tracer is the
+/// chunk's own, and the join orders every mark before the merge reads
+/// it). Every access is forwarded to the session's tracer, when one is
+/// installed, so a recorder sees the chunk as it sees any other.
+struct WriteMasks<'t> {
+    masks: Vec<(Sym, Arc<ArrayBuf>, Box<[AtomicBool]>)>,
+    session: Option<&'t dyn AccessTracer>,
 }
 
-impl AccessTracer for WriteSetTracer {
-    fn read(&self, _arr: Sym, _idx: usize) {}
-    fn write(&self, arr: Sym, idx: usize) {
-        if self.interesting.contains(&arr) {
-            self.writes
-                .lock()
-                .unwrap()
-                .entry(arr)
-                .or_default()
-                .insert(idx);
+impl AccessTracer for WriteMasks<'_> {
+    fn read(&self, arr: Sym, buf: &ArrayBuf, idx: usize) {
+        if let Some(t) = self.session {
+            t.read(arr, buf, idx);
+        }
+    }
+
+    fn write(&self, arr: Sym, buf: &ArrayBuf, idx: usize) {
+        if let Some((.., mask)) = self.masks.iter().find(|(_, b, _)| std::ptr::eq(&**b, buf)) {
+            mask[idx].store(true, Ordering::Relaxed);
+        }
+        if let Some(t) = self.session {
+            t.write(arr, buf, idx);
         }
     }
 }
@@ -759,18 +778,14 @@ fn run_parallel_do(
     struct ChunkOut {
         idx: usize,
         red: Vec<(Sym, Arc<ArrayBuf>, BinOp)>,
-        privs: Vec<(Sym, Arc<ArrayBuf>, bool)>,
-        writes: HashMap<Sym, HashSet<usize>>,
+        /// Static-last-value private copies.
+        slv: Vec<(Sym, Arc<ArrayBuf>)>,
+        /// Dynamic-last-value private copies and their write masks.
+        dlv: Vec<(Sym, Arc<ArrayBuf>, Box<[AtomicBool]>)>,
         scalars: Vec<(Sym, Value)>,
         last_scalar_values: Vec<(Sym, Value)>,
     }
     let outs: Mutex<Vec<ChunkOut>> = Mutex::new(Vec::new());
-
-    let dlv_arrays: HashSet<Sym> = plans
-        .iter()
-        .filter(|(_, p)| matches!(p, ExecPlan::Private(false)))
-        .map(|(a, _)| *a)
-        .collect();
 
     let obs_opt = env.cache.obs.enabled().then_some(&env.cache.obs);
     parallel_chunks_obs(
@@ -784,6 +799,10 @@ fn run_parallel_do(
                 idx: chunk_idx,
                 ..ChunkOut::default()
             };
+            let mut masks = WriteMasks {
+                masks: Vec::new(),
+                session: env.tracer(),
+            };
             // Rebind privatized (copied in) / reduction arrays.
             for (arr, plan) in plans {
                 let Some(view) = frame.array(*arr) else {
@@ -791,9 +810,15 @@ fn run_parallel_do(
                 };
                 let buf = match plan {
                     ExecPlan::Shared => continue,
-                    ExecPlan::Private(slv) => {
+                    ExecPlan::Private(true) => {
                         let buf = clone_buf(&view.buf);
-                        out.privs.push((*arr, buf.clone(), *slv));
+                        out.slv.push((*arr, buf.clone()));
+                        buf
+                    }
+                    ExecPlan::Private(false) => {
+                        let buf = clone_buf(&view.buf);
+                        let mask = (0..buf.len()).map(|_| AtomicBool::new(false)).collect();
+                        masks.masks.push((*arr, buf.clone(), mask));
                         buf
                     }
                     ExecPlan::ReductionBuffer(op) => {
@@ -826,22 +851,17 @@ fn run_parallel_do(
             for s in scalar_reds {
                 local.set_scalar(*s, zero(sub.ty_of(*s)));
             }
-            // Dynamic-last-value tracking needs write sets.
-            let tracer = (!dlv_arrays.is_empty()).then(|| WriteSetTracer {
-                interesting: dlv_arrays.clone(),
-                writes: Mutex::new(HashMap::new()),
-            });
+            // Dynamic last values need the chunk's write masks.
             let mut st = ExecState::default();
-            let dyn_tracer: Option<&dyn AccessTracer> = match &tracer {
-                Some(t) => Some(t),
-                None => env.tracer(),
+            let tracer: Option<&dyn AccessTracer> = if masks.masks.is_empty() {
+                env.tracer()
+            } else {
+                Some(&masks)
             };
             let mut f = cb.frame(&local);
-            cb.run(env, &mut f, Some((slot, c_lo, c_hi)), &mut st, dyn_tracer)?;
+            cb.run(env, &mut f, Some((slot, c_lo, c_hi)), &mut st, tracer)?;
             f.writeback_scalars(cb.chunk(), &mut local);
-            if let Some(t) = tracer {
-                out.writes = t.writes.into_inner().unwrap();
-            }
+            out.dlv = masks.masks;
             for s in scalar_reds {
                 if let Some(v) = local.scalar(*s) {
                     out.scalars.push((*s, v));
@@ -879,15 +899,11 @@ fn run_parallel_do(
             let shared = frame.array(*arr).expect("bound").buf.clone();
             merge_into(&shared, buf, *op);
         }
-        // DLV: chunk order, written elements only (sparse, so the
-        // per-element path stays).
-        for (arr, buf, slv) in &out.privs {
-            if *slv {
-                continue;
-            }
-            if let Some(written) = out.writes.get(arr) {
-                let shared = frame.array(*arr).expect("bound").buf.clone();
-                for &idx in written {
+        // DLV: chunk order, the elements each chunk's mask marks.
+        for (arr, buf, mask) in &out.dlv {
+            let shared = &frame.array(*arr).expect("bound").buf;
+            for (idx, written) in mask.iter().enumerate() {
+                if written.load(Ordering::Relaxed) {
                     shared.set(idx, buf.get(idx));
                 }
             }
@@ -895,11 +911,8 @@ fn run_parallel_do(
     }
     // SLV: the chunk containing the last iteration writes back wholesale.
     if let Some(last) = outs.last() {
-        for (arr, buf, slv) in &last.privs {
-            if *slv {
-                let shared = frame.array(*arr).expect("bound").buf.clone();
-                copy_back(&shared, buf);
-            }
+        for (arr, buf) in &last.slv {
+            copy_back(&frame.array(*arr).expect("bound").buf, buf);
         }
         for (s, v) in &last.last_scalar_values {
             frame.set_scalar(*s, *v);

@@ -8,19 +8,24 @@
 //! by two (the second swap of the writer sees the first: swaps of one
 //! element are totally ordered), is a cross-iteration dependence: the
 //! arrays are restored from a backup and the loop re-runs sequentially.
+//! Shadows are per buffer: each monitored array's buffer gets one, and
+//! an access finds it by the buffer's address, so an access through a
+//! callee's formal, whatever its name, is marked like one through the
+//! loop's own name.
 //! The verdict is a scan of the shadows *after the join*, which orders
 //! every mark before it, so no interleaving can hide a conflict; what
 //! the marks notice on the fly only lets chunks stop early.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::{Arc, Mutex};
 
-use lip_ir::{AccessTracer, ArrayView, ExecState, RunError, Stmt, Store, Subroutine, Value};
+use lip_ir::{
+    AccessTracer, ArrayBuf, ArrayView, ExecState, RunError, Stmt, Store, Subroutine, Value,
+};
 use lip_symbolic::Sym;
-use std::sync::Mutex;
 
 use crate::backend::{exec_stmt_seq, ExecEnv};
-use crate::merge::clone_buf;
+use crate::merge::{clone_buf, copy_back};
 use crate::pool::parallel_chunks;
 
 /// No writer / no reader yet: iterations are ordinals from 0.
@@ -42,30 +47,35 @@ impl Shadow {
     }
 }
 
-/// The shadow detector of LRPD and the inspector's [`dry_run`]: the
-/// monitored arrays' shadows, and whether a mark noticed a conflict on
-/// the fly — a sure one, not every one: it stops chunks early and holds
-/// the write/write conflicts.
+/// The shadow detector of LRPD and the inspector's [`dry_run`]: one
+/// shadow per monitored buffer, and whether a mark noticed a conflict
+/// on the fly — a sure one, not every one: it stops chunks early and
+/// holds the write/write conflicts.
 struct SpecState {
-    shadows: HashMap<Sym, Shadow>,
+    shadows: Vec<(Arc<ArrayBuf>, Shadow)>,
     noticed: AtomicBool,
 }
 
 impl SpecState {
-    /// Clean shadows for every one of `arrays` that `frame` binds.
+    /// Clean shadows for the buffers `frame` binds to `arrays`, one per
+    /// buffer however many of the names share it.
     fn new(frame: &Store, arrays: &[Sym]) -> SpecState {
         let fill = |len: usize, v: i64| (0..len).map(|_| AtomicI64::new(v)).collect();
-        let shadows = arrays.iter().filter_map(|a| {
-            let len = frame.array(*a)?.buf.len();
+        let mut shadows: Vec<(Arc<ArrayBuf>, Shadow)> = Vec::new();
+        for view in arrays.iter().filter_map(|a| frame.array(*a)) {
+            if shadows.iter().any(|(b, _)| Arc::ptr_eq(b, &view.buf)) {
+                continue;
+            }
+            let len = view.buf.len();
             let shadow = Shadow {
                 writer: fill(len, NONE),
                 min_reader: fill(len, i64::MAX),
                 max_reader: fill(len, NONE),
             };
-            Some((*a, shadow))
-        });
+            shadows.push((view.buf.clone(), shadow));
+        }
         SpecState {
-            shadows: shadows.collect(),
+            shadows,
             noticed: AtomicBool::new(false),
         }
     }
@@ -79,7 +89,7 @@ impl SpecState {
     /// one of them writing.
     fn conflict(&self) -> bool {
         self.noticed()
-            || self.shadows.values().any(|sh| {
+            || self.shadows.iter().any(|(_, sh)| {
                 let writers = sh.writer.iter().map(|w| w.load(Ordering::Relaxed));
                 (writers.enumerate()).any(|(k, w)| w != NONE && sh.read_by_other(k, w))
             })
@@ -93,17 +103,17 @@ struct IterTracer<'s> {
 }
 
 impl IterTracer<'_> {
-    fn shadow(&self, arr: Sym, idx: usize) -> Option<&Shadow> {
-        self.state
-            .shadows
-            .get(&arr)
-            .filter(|sh| idx < sh.writer.len())
+    /// The shadow of `buf`, if it is monitored.
+    fn shadow(&self, buf: &ArrayBuf) -> Option<&Shadow> {
+        let shadows = &self.state.shadows;
+        let found = shadows.iter().find(|(b, _)| std::ptr::eq(&**b, buf));
+        found.map(|(_, sh)| sh)
     }
 }
 
 impl AccessTracer for IterTracer<'_> {
-    fn read(&self, arr: Sym, idx: usize) {
-        let Some(sh) = self.shadow(arr, idx) else {
+    fn read(&self, _: Sym, buf: &ArrayBuf, idx: usize) {
+        let Some(sh) = self.shadow(buf) else {
             return;
         };
         sh.min_reader[idx].fetch_min(self.iter, Ordering::Relaxed);
@@ -114,8 +124,8 @@ impl AccessTracer for IterTracer<'_> {
         }
     }
 
-    fn write(&self, arr: Sym, idx: usize) {
-        let Some(sh) = self.shadow(arr, idx) else {
+    fn write(&self, _: Sym, buf: &ArrayBuf, idx: usize) {
+        let Some(sh) = self.shadow(buf) else {
             return;
         };
         let prev = sh.writer[idx].swap(self.iter, Ordering::Relaxed);
@@ -158,18 +168,17 @@ pub(crate) fn lrpd_execute_impl(
             return Ok((LrpdOutcome::Committed, state.cost + st.cost));
         }
     }
-    let backups: Vec<(Sym, Vec<Value>)> = arrays
+    let backups: Vec<(&Arc<ArrayBuf>, Arc<ArrayBuf>)> = arrays
         .iter()
-        .filter_map(|a| Some((*a, frame.array(*a)?.buf.snapshot())))
+        .filter_map(|a| frame.array(*a))
+        .map(|view| (&view.buf, clone_buf(&view.buf)))
         .collect();
     let (conflict, cost) = speculate(env, sub, target, frame, arrays, state)?;
     if !conflict {
         return Ok((LrpdOutcome::Committed, cost));
     }
-    for (a, snap) in &backups {
-        if let Some(view) = frame.array(*a) {
-            view.buf.restore(snap);
-        }
+    for (buf, backup) in &backups {
+        copy_back(buf, backup);
     }
     env.cache.obs.count("lrpd.aborted_units", cost);
     let mut st = ExecState::default();
@@ -261,7 +270,7 @@ mod tests {
     #[test]
     fn a_read_before_the_writers_own_read_is_a_conflict() {
         let mut frame = Store::new();
-        frame.alloc_real(sym("A"), 4);
+        let a = frame.alloc_real(sym("A"), 4);
         let spec = SpecState::new(&frame, &[sym("A")]);
         let later = IterTracer {
             state: &spec,
@@ -271,9 +280,9 @@ mod tests {
             state: &spec,
             iter: 0,
         };
-        later.read(sym("A"), 0);
-        writer.read(sym("A"), 0);
-        writer.write(sym("A"), 0);
+        later.read(sym("A"), &a, 0);
+        writer.read(sym("A"), &a, 0);
+        writer.write(sym("A"), &a, 0);
         assert!(spec.conflict(), "iteration 32 read what iteration 0 wrote");
         // An element only its writer touches is no conflict.
         let spec = SpecState::new(&frame, &[sym("A")]);
@@ -281,9 +290,9 @@ mod tests {
             state: &spec,
             iter: 5,
         };
-        own.read(sym("A"), 1);
-        own.write(sym("A"), 1);
-        own.read(sym("A"), 1);
+        own.read(sym("A"), &a, 1);
+        own.write(sym("A"), &a, 1);
+        own.read(sym("A"), &a, 1);
         assert!(!spec.conflict());
     }
 

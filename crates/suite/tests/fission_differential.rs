@@ -28,10 +28,10 @@ struct Recorder {
 }
 
 impl AccessTracer for Recorder {
-    fn read(&self, arr: Sym, idx: usize) {
+    fn read(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
         self.events.lock().unwrap().push(('r', arr, idx));
     }
-    fn write(&self, arr: Sym, idx: usize) {
+    fn write(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
         self.events.lock().unwrap().push(('w', arr, idx));
     }
 }
@@ -78,7 +78,9 @@ fn deep_clone(frame: &Store) -> Store {
             lip_ir::Ty::Int => lip_ir::ArrayBuf::new_int(view.buf.len()),
             _ => lip_ir::ArrayBuf::new_real(view.buf.len()),
         };
-        buf.restore(&view.buf.snapshot());
+        for i in 0..buf.len() {
+            buf.set(i, view.buf.get(i));
+        }
         out.bind_array(
             s,
             lip_ir::ArrayView {

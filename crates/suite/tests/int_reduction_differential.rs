@@ -41,7 +41,9 @@ fn deep_clone(frame: &Store) -> Store {
             lip_ir::Ty::Int => lip_ir::ArrayBuf::new_int(view.buf.len()),
             _ => lip_ir::ArrayBuf::new_real(view.buf.len()),
         };
-        buf.restore(&view.buf.snapshot());
+        for i in 0..buf.len() {
+            buf.set(i, view.buf.get(i));
+        }
         out.bind_array(
             s,
             lip_ir::ArrayView {

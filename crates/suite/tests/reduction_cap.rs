@@ -11,6 +11,11 @@ use lip_ir::{ExecState, StoreCtx, Value};
 use lip_runtime::{ExecOutcome, Session, TEST_BUDGET};
 use lip_symbolic::sym;
 
+/// Every element of `buf`, in order.
+fn cells(buf: &lip_ir::ArrayBuf) -> Vec<Value> {
+    (0..buf.len()).map(|i| buf.get(i)).collect()
+}
+
 #[test]
 fn no_reduction_cascade_holds_a_stage_deeper_than_o_n() {
     let mut capped = 0;
@@ -81,7 +86,7 @@ fn shuffled_triplets_merge_bit_identically_at_every_chunk_count() {
     seq.machine
         .exec_stmt(&sub, &mut seq.frame, &target, &mut ExecState::default())
         .expect("interpreter runs");
-    let want = seq.frame.array(sym("F")).expect("F").buf.snapshot();
+    let want = cells(&seq.frame.array(sym("F")).expect("F").buf);
     for nthreads in [1, 2, 3, 7] {
         let mut p = prepared();
         let stats = Session::builder()
@@ -90,7 +95,7 @@ fn shuffled_triplets_merge_bit_identically_at_every_chunk_count() {
             .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
             .expect("runs");
         assert_eq!(stats.outcome, ExecOutcome::StaticParallel);
-        let got = p.frame.array(sym("F")).expect("F").buf.snapshot();
+        let got = cells(&p.frame.array(sym("F")).expect("F").buf);
         let bits = |v: &Value| v.as_f64().to_bits();
         assert!(
             want.iter().map(bits).eq(got.iter().map(bits)),

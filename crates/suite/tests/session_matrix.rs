@@ -188,10 +188,10 @@ struct AccessLog {
 }
 
 impl lip_ir::AccessTracer for AccessLog {
-    fn read(&self, arr: Sym, idx: usize) {
+    fn read(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
         self.events.lock().unwrap().push(('r', arr, idx));
     }
-    fn write(&self, arr: Sym, idx: usize) {
+    fn write(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
         self.events.lock().unwrap().push(('w', arr, idx));
     }
 }
@@ -239,6 +239,55 @@ fn observer_execution_is_bit_identical_including_access_streams() {
                 shape.name
             );
         }
+    }
+}
+
+/// `solvh`'s privatized `XE` has a dynamic last value, so its chunks
+/// run under the executor's write-mask tracer, which forwards every
+/// access to the tracer the caller installed. At one chunk the
+/// session's stream is the interpreter's, access for access; at more
+/// chunks it holds the same accesses in another order.
+#[test]
+fn an_installed_tracer_sees_every_dynamic_last_value_chunk() {
+    let shape = &lip_suite::SOLVH;
+    let n = 24;
+    let mut p = shape.prepared(n);
+    let prog = p.machine.program().clone();
+    let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
+    let target = sub.find_loop(p.label).expect("loop").clone();
+    let log = Arc::new(AccessLog::default());
+    p.machine
+        .with_tracer(log.clone())
+        .exec_stmt(&sub, &mut p.frame, &target, &mut ExecState::default())
+        .expect("oracle runs");
+    let mut want = log.events.lock().unwrap().clone();
+    assert!(want.iter().any(|&(rw, a, _)| rw == 'w' && a == sym("XE")));
+    for nthreads in [1, 2, 3] {
+        let sess = session(true, ObsLevel::Off, nthreads);
+        let mut p = shape.prepared(n);
+        let analysis = sess.analyze(&prog, sub.name, p.label).expect("analysis");
+        let log = Arc::new(AccessLog::default());
+        let traced = p.machine.with_tracer(log.clone());
+        let stats = sess
+            .run_loop(&traced, &sub, &target, &analysis, &mut p.frame)
+            .expect("runs");
+        assert!(
+            matches!(
+                stats.outcome,
+                ExecOutcome::StaticParallel | ExecOutcome::PredicatePassed { .. }
+            ),
+            "{:?} at nthreads = {nthreads}",
+            stats.outcome
+        );
+        let mut got = log.events.lock().unwrap().clone();
+        if nthreads > 1 {
+            got.sort_unstable();
+            want.sort_unstable();
+        }
+        assert!(
+            got == want,
+            "access stream diverged at nthreads = {nthreads}"
+        );
     }
 }
 

@@ -1392,10 +1392,10 @@ END
     struct Recorder(std::sync::Mutex<Vec<(bool, Sym, usize)>>);
 
     impl AccessTracer for Recorder {
-        fn read(&self, arr: Sym, idx: usize) {
+        fn read(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
             self.0.lock().unwrap().push((false, arr, idx));
         }
-        fn write(&self, arr: Sym, idx: usize) {
+        fn write(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
             self.0.lock().unwrap().push((true, arr, idx));
         }
     }

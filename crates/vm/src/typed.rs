@@ -1644,17 +1644,19 @@ impl Vm<'_> {
                 }
             };
         }
+        // An access only reaches the hook after `at` resolved its view.
+        let buf = |arr: u16| &*arrays[arr as usize].as_ref().expect("resolved").buf;
         macro_rules! read {
             ($arr:expr, $abs:expr) => {
                 if let Some(tr) = tracer {
-                    tr.read(name($arr), $abs);
+                    tr.read(name($arr), buf($arr), $abs);
                 }
             };
         }
         macro_rules! write {
             ($arr:expr, $abs:expr) => {
                 if let Some(tr) = tracer {
-                    tr.write(name($arr), $abs);
+                    tr.write(name($arr), buf($arr), $abs);
                 }
             };
         }

@@ -685,7 +685,7 @@ impl<'p> Vm<'p> {
                                 *n,
                             )?;
                             if let Some(t) = tracer {
-                                t.read(name, lin);
+                                t.read(name, &view.buf, lin);
                             }
                             view.buf.get(lin)
                         };
@@ -696,7 +696,7 @@ impl<'p> Vm<'p> {
                         let (name, lin, view) =
                             Self::linearize(chunk, &frame.arrays, &frame.regs, *arr, *base, *n)?;
                         if let Some(t) = tracer {
-                            t.write(name, lin);
+                            t.write(name, &view.buf, lin);
                         }
                         view.buf.set(lin, v);
                     }
@@ -822,7 +822,7 @@ impl<'p> Vm<'p> {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
                             if let Some(t) = tracer {
-                                t.read(name, lin);
+                                t.read(name, &view.buf, lin);
                             }
                             view.buf.get(lin)
                         };
@@ -857,7 +857,7 @@ impl<'p> Vm<'p> {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
                             if let Some(t) = tracer {
-                                t.read(name, lin);
+                                t.read(name, &view.buf, lin);
                             }
                             view.buf.get(lin)
                         };
@@ -876,7 +876,7 @@ impl<'p> Vm<'p> {
                         let (name, lin, view) =
                             Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
                         if let Some(t) = tracer {
-                            t.write(name, lin);
+                            t.write(name, &view.buf, lin);
                         }
                         view.buf.set(lin, v);
                     }
@@ -895,11 +895,11 @@ impl<'p> Vm<'p> {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
                             if let Some(t) = tracer {
-                                t.read(name, lin);
+                                t.read(name, &view.buf, lin);
                             }
                             let v = apply_bin(*op, view.buf.get(lin), chunk.consts[*k as usize])?;
                             if let Some(t) = tracer {
-                                t.write(name, lin);
+                                t.write(name, &view.buf, lin);
                             }
                             view.buf.set(lin, v);
                             v
@@ -921,7 +921,7 @@ impl<'p> Vm<'p> {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
                             if let Some(t) = tracer {
-                                t.read(name, lin);
+                                t.read(name, &view.buf, lin);
                             }
                             let cur = view.buf.get(lin);
                             // The operand load sits between the traced
@@ -930,7 +930,7 @@ impl<'p> Vm<'p> {
                             let b = Self::slot_value(chunk, frame, *b_slot)?;
                             let v = apply_bin(*op, cur, b)?;
                             if let Some(t) = tracer {
-                                t.write(name, lin);
+                                t.write(name, &view.buf, lin);
                             }
                             view.buf.set(lin, v);
                             v
@@ -959,7 +959,7 @@ impl<'p> Vm<'p> {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
                             if let Some(t) = tracer {
-                                t.read(name, lin);
+                                t.read(name, &view.buf, lin);
                             }
                             view.buf.get(lin).as_i64()
                         };
@@ -973,7 +973,7 @@ impl<'p> Vm<'p> {
                                 return Err(RunError::BadIndex(name));
                             }
                             if let Some(t) = tracer {
-                                t.read(name, abs as usize);
+                                t.read(name, &view.buf, abs as usize);
                             }
                             view.buf.get(abs as usize)
                         };
@@ -993,7 +993,7 @@ impl<'p> Vm<'p> {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
                             if let Some(t) = tracer {
-                                t.read(name, lin);
+                                t.read(name, &view.buf, lin);
                             }
                             view.buf.get(lin).as_i64()
                         };
@@ -1007,7 +1007,7 @@ impl<'p> Vm<'p> {
                             return Err(RunError::BadIndex(name));
                         }
                         if let Some(t) = tracer {
-                            t.write(name, abs as usize);
+                            t.write(name, &view.buf, abs as usize);
                         }
                         view.buf.set(abs as usize, v);
                     }
@@ -1029,7 +1029,7 @@ impl<'p> Vm<'p> {
                             let (iname, ilin, iview) =
                                 Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
                             if let Some(t) = tracer {
-                                t.read(iname, ilin);
+                                t.read(iname, &iview.buf, ilin);
                             }
                             let idx = apply_bin(
                                 *idx_op,
@@ -1046,7 +1046,7 @@ impl<'p> Vm<'p> {
                                 return Err(RunError::BadIndex(name));
                             }
                             if let Some(t) = tracer {
-                                t.read(name, abs as usize);
+                                t.read(name, &view.buf, abs as usize);
                             }
                             let v = apply_bin(
                                 *op,
@@ -1059,10 +1059,10 @@ impl<'p> Vm<'p> {
                             // (nothing in the window writes, so neither the
                             // index value nor the bounds outcome can differ).
                             if let Some(t) = tracer {
-                                t.read(iname, ilin);
+                                t.read(iname, &iview.buf, ilin);
                             }
                             if let Some(t) = tracer {
-                                t.write(name, abs as usize);
+                                t.write(name, &view.buf, abs as usize);
                             }
                             view.buf.set(abs as usize, v);
                             v
@@ -1087,7 +1087,7 @@ impl<'p> Vm<'p> {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
                             if let Some(t) = tracer {
-                                t.read(name, lin);
+                                t.read(name, &view.buf, lin);
                             }
                             view.buf.get(lin)
                         };
@@ -1121,7 +1121,7 @@ impl<'p> Vm<'p> {
                             let (iname, ilin, iview) =
                                 Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
                             if let Some(t) = tracer {
-                                t.read(iname, ilin);
+                                t.read(iname, &iview.buf, ilin);
                             }
                             let idx = iview.buf.get(ilin).as_i64();
                             let name = chunk.arrays[*arr as usize].0;
@@ -1133,7 +1133,7 @@ impl<'p> Vm<'p> {
                                 return Err(RunError::BadIndex(name));
                             }
                             if let Some(t) = tracer {
-                                t.read(name, abs as usize);
+                                t.read(name, &view.buf, abs as usize);
                             }
                             let cur = view.buf.get(abs as usize);
                             // The operand sits between the element read and
@@ -1151,10 +1151,10 @@ impl<'p> Vm<'p> {
                             // (nothing in the window writes, so neither the
                             // index value nor the bounds outcome can differ).
                             if let Some(t) = tracer {
-                                t.read(iname, ilin);
+                                t.read(iname, &iview.buf, ilin);
                             }
                             if let Some(t) = tracer {
-                                t.write(name, abs as usize);
+                                t.write(name, &view.buf, abs as usize);
                             }
                             view.buf.set(abs as usize, v);
                             v

@@ -34,12 +34,17 @@ struct Recorder {
 }
 
 impl AccessTracer for Recorder {
-    fn read(&self, arr: Sym, idx: usize) {
+    fn read(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
         self.events.lock().unwrap().push(('r', arr, idx));
     }
-    fn write(&self, arr: Sym, idx: usize) {
+    fn write(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
         self.events.lock().unwrap().push(('w', arr, idx));
     }
+}
+
+/// Every element of `buf`, in order.
+fn cells(buf: &ArrayBuf) -> Vec<Value> {
+    (0..buf.len()).map(|i| buf.get(i)).collect()
 }
 
 /// Flattens a store for comparison: every scalar and every array
@@ -51,7 +56,7 @@ fn observe(store: &Store) -> (BTreeMap<String, Value>, BTreeMap<String, Vec<Valu
         .collect();
     let arrays = store
         .arrays()
-        .map(|(s, view)| (s.name().to_string(), view.buf.snapshot()))
+        .map(|(s, view)| (s.name().to_string(), cells(&view.buf)))
         .collect();
     (scalars, arrays)
 }
@@ -589,7 +594,7 @@ impl RangeCase<'_> {
                     arrays: store
                         .arrays()
                         .map(|(s, view)| {
-                            let vals = view.buf.snapshot().into_iter().map(value_bits).collect();
+                            let vals = cells(&view.buf).into_iter().map(value_bits).collect();
                             (s.name().to_string(), vals)
                         })
                         .collect(),
@@ -707,7 +712,7 @@ fn run_range_restarts_the_body_each_iteration() {
             .exec_stmt(case.sub, &mut store, target, &mut ExecState::default())
             .expect("interp runs");
         for name in ["A", "B"] {
-            let want: Vec<_> = store.array(sym(name)).expect("bound").buf.snapshot();
+            let want = cells(&store.array(sym(name)).expect("bound").buf);
             let want: Vec<_> = want.into_iter().map(value_bits).collect();
             assert_eq!(d.arrays[name], want, "{name} vs the interpreter");
         }

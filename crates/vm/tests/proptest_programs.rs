@@ -42,10 +42,10 @@ struct Recorder {
 }
 
 impl AccessTracer for Recorder {
-    fn read(&self, arr: Sym, idx: usize) {
+    fn read(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
         self.events.lock().unwrap().push(('r', arr, idx));
     }
-    fn write(&self, arr: Sym, idx: usize) {
+    fn write(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
         self.events.lock().unwrap().push(('w', arr, idx));
     }
 }
