@@ -472,6 +472,9 @@ pub enum RunError {
     /// `i64::MIN / -1`, `-i64::MIN`, `ABS(i64::MIN)`, or an integer
     /// `**` past the range. (`+`, `-` and `*` wrap, as they always did.)
     IntOverflow,
+    /// A CALL of the named subroutine would nest deeper than
+    /// [`MAX_CALL_DEPTH`] (a recursive program; Fortran 77 has none).
+    CallDepth(Sym),
 }
 
 impl fmt::Display for RunError {
@@ -486,11 +489,19 @@ impl fmt::Display for RunError {
             RunError::StepLimit => write!(f, "step budget exhausted"),
             RunError::Unsupported(why) => write!(f, "unsupported: {why}"),
             RunError::IntOverflow => write!(f, "integer overflow"),
+            RunError::CallDepth(s) => {
+                write!(f, "calling {s} nests deeper than {MAX_CALL_DEPTH} calls")
+            }
         }
     }
 }
 
 impl std::error::Error for RunError {}
+
+/// How deep CALLs may nest, in both engines: the call that would be
+/// the `MAX_CALL_DEPTH + 1`-th open one fails with
+/// [`RunError::CallDepth`] instead of exhausting the thread's stack.
+pub const MAX_CALL_DEPTH: u32 = 64;
 
 /// Execution statistics.
 #[derive(Copy, Clone, Debug, Default)]
@@ -499,12 +510,41 @@ pub struct ExecState {
     pub cost: u64,
     /// Remaining step budget (0 = unlimited when starting from default).
     budget: u64,
+    /// CALLs currently open.
+    depth: u32,
 }
 
 impl ExecState {
     /// A state with the given step budget.
     pub fn with_budget(budget: u64) -> ExecState {
-        ExecState { cost: 0, budget }
+        ExecState {
+            budget,
+            ..ExecState::default()
+        }
+    }
+
+    /// Opens a CALL of `callee`, after its arguments are bound and
+    /// before its locals are allocated — the same point in both
+    /// engines, so a too-deep call leaves the same partial state.
+    /// A call this opens is closed by [`ExecState::leave_call`] once
+    /// its body has run, successfully or not.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::CallDepth`] when [`MAX_CALL_DEPTH`] calls are open.
+    #[inline]
+    pub fn enter_call(&mut self, callee: Sym) -> Result<(), RunError> {
+        if self.depth >= MAX_CALL_DEPTH {
+            return Err(RunError::CallDepth(callee));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Closes the innermost open CALL.
+    #[inline]
+    pub fn leave_call(&mut self) {
+        self.depth -= 1;
     }
 
     /// Adds `units` work units, failing with [`RunError::StepLimit`]
@@ -536,6 +576,13 @@ pub trait AccessTracer: Send + Sync {
     /// Element `idx` (absolute buffer index) of `buf`, bound to `arr`
     /// in the executing unit, was written.
     fn write(&self, arr: Sym, buf: &ArrayBuf, idx: usize);
+    /// Whether [`AccessTracer::read`] does anything. A tracer that
+    /// answers `false` promises its `read` is a no-op, and the bytecode
+    /// VM, which asks once per activation, then makes no call for a
+    /// read at all.
+    fn wants_reads(&self) -> bool {
+        true
+    }
 }
 
 /// The interpreter: a program plus READ-input bindings.
@@ -824,8 +871,12 @@ impl Machine {
                 }
             }
         }
-        self.alloc_locals(&callee, &mut inner, state)?;
-        self.exec_block(&callee, &mut inner, &callee.body, state)?;
+        state.enter_call(callee_name)?;
+        let ran = self
+            .alloc_locals(&callee, &mut inner, state)
+            .and_then(|()| self.exec_block(&callee, &mut inner, &callee.body, state));
+        state.leave_call();
+        ran?;
         for (formal, actual) in copy_out {
             if let Some(v) = inner.scalar(formal) {
                 frame.set_scalar(actual, v);

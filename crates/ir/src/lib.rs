@@ -43,6 +43,6 @@ mod value_oracle;
 pub use ast::{BinOp, Decl, DimDecl, Expr, Intrinsic, LValue, Program, Stmt, Subroutine, Ty, UnOp};
 pub use interp::{
     apply_bin, apply_intrinsic, apply_un, int_div_pow, AccessTracer, ArrayBuf, ArrayView,
-    ExecState, Machine, RunError, Store, StoreCtx, Value,
+    ExecState, Machine, RunError, Store, StoreCtx, Value, MAX_CALL_DEPTH,
 };
 pub use parser::{parse_program, ParseError};

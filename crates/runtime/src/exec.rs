@@ -735,6 +735,12 @@ impl AccessTracer for WriteMasks<'_> {
         }
     }
 
+    /// Reads are only forwarded: without a session tracer that wants
+    /// them, the VM skips the hook for every read.
+    fn wants_reads(&self) -> bool {
+        self.session.is_some_and(|t| t.wants_reads())
+    }
+
     fn write(&self, arr: Sym, buf: &ArrayBuf, idx: usize) {
         if let Some((.., mask)) = self.masks.iter().find(|(_, b, _)| std::ptr::eq(&**b, buf)) {
             mask[idx].store(true, Ordering::Relaxed);

@@ -525,6 +525,61 @@ fn integer_overflow_is_an_exec_error_and_the_connection_lives() {
     server.shutdown();
 }
 
+const RECURSIVE: &str = "
+SUBROUTINE mark(A, N)
+  DIMENSION A(*)
+  INTEGER i, N
+  DO l1 i = 1, N
+    CALL f(A, i)
+  ENDDO
+END
+
+SUBROUTINE f(B, k)
+  DIMENSION B(*)
+  INTEGER k
+  B(k) = 1.0
+  CALL f(B, k)
+END
+";
+
+/// A subroutine that calls itself without end nests its CALLs past
+/// `lip_ir::MAX_CALL_DEPTH`: an `exec_error` naming the callee (it
+/// used to overflow the pool worker's stack and abort the server), on
+/// the same connection as a run that succeeds right after it, with no
+/// panic caught on the way.
+#[test]
+fn a_recursive_call_is_an_exec_error_and_the_connection_lives() {
+    let n = 64usize;
+    let recursive = format!(
+        "{{\"type\": \"run\", \"program\": {}, \"sub\": \"mark\", \"loop\": \"l1\", \
+         \"config\": {}, \"frame\": {{\"scalars\": {{\"N\": {n}}}, \"arrays\": {{\
+         \"A\": {{\"len\": {n}}}}}}}, \"results\": [\"A\"]}}",
+        lip_obs::json_str(RECURSIVE),
+        config_json(&[("nthreads", "2")]),
+    );
+    let server = Server::spawn(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let failed = client.call(&recursive).expect("reply");
+    assert_eq!(
+        failed.get("code").and_then(Json::as_str),
+        Some("exec_error"),
+        "{failed:?}"
+    );
+    let detail = format!("{failed:?}");
+    assert!(detail.contains("calling f nests deeper"), "{detail}");
+    let ok = client
+        .call(&run_json(&STENCIL_KERNEL, &[], 16))
+        .expect("connection lives");
+    assert_eq!(ok.get("type").and_then(Json::as_str), Some("ok"), "{ok:?}");
+    let stats = client.call("{\"type\": \"stats\"}").expect("stats");
+    assert_eq!(
+        stats.path(&["server", "counters", "server.worker_panic"]),
+        None,
+        "the recursion must not have been survived by catching a panic"
+    );
+    server.shutdown();
+}
+
 const HUGE_LOCAL: &str = "
 SUBROUTINE spread(Q, A, N)
   INTEGER Q(*), A(*)

@@ -18,7 +18,9 @@
 #     whose elided temporary is one of the superinstruction's own
 #     registers fuses, and computes something else);
 #   * the `Value` stream's `FusedRedAccS` arm loading its accumulator
-#     from the subscript slot.
+#     from the subscript slot;
+#   * a callee frame's reset keeping the previous call's scalar slots
+#     (a callee local set on one call is still bound on the next).
 set -eu
 scratch=${1:?usage: $0 SCRATCH_DIR}
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
@@ -35,6 +37,10 @@ crates/vm/src/peephole.rs
 crates/vm/src/vm.rs
                         let acc = Self::slot_value(chunk, frame, *acc_slot)?;
                         let acc = Self::slot_value(chunk, frame, *idx_slot)?;
+
+crates/vm/src/vm.rs
+        self.scalars.clear();
+        self.scalars.truncate(csub.chunk.scalars.len());
 '
 
 printf '%s\n' "$mutations" | while IFS= read -r file && IFS= read -r from && IFS= read -r to; do

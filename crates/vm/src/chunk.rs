@@ -520,6 +520,9 @@ pub struct ExprCode {
 pub enum DimCode {
     /// Assumed size `(*)` — extent `i64::MAX`.
     Assumed,
+    /// A declared extent that is a compile-time constant (`H(8, *)`),
+    /// folded: `charge` is what evaluating its expression charges.
+    Const { charge: u32, extent: i64 },
     /// A declared extent evaluated in the callee frame.
     Fixed(ExprCode),
 }

@@ -619,11 +619,18 @@ impl<'p> ChunkBuilder<'p> {
         })
     }
 
-    /// Compiles one declared dimension (reshape / local allocation).
+    /// Compiles one declared dimension (reshape / local allocation); a
+    /// constant extent folds to its value and its charge.
     fn dim_code(&mut self, dim: &DimDecl) -> Result<DimCode, CompileError> {
         Ok(match dim {
             DimDecl::Assumed => DimCode::Assumed,
-            DimDecl::Fixed(e) => DimCode::Fixed(self.expr_code(e)?),
+            DimDecl::Fixed(e) => match try_const(e) {
+                Some(v) => DimCode::Const {
+                    charge: charge_amount(expr_cost(e)),
+                    extent: v.as_i64(),
+                },
+                None => DimCode::Fixed(self.expr_code(e)?),
+            },
         })
     }
 }

@@ -1513,6 +1513,7 @@ END
                     offset: 0,
                     extents: vec![],
                 })],
+                ..Frame::default()
             }
         };
         // `r1`, the operand temporary, is dead after the window.
@@ -1789,6 +1790,7 @@ END
             tregs: vec![],
             scalars,
             arrays,
+            ..Frame::default()
         }
     }
 

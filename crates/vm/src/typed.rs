@@ -1609,6 +1609,8 @@ impl Vm<'_> {
             tregs: r,
             scalars: s,
             arrays,
+            callees,
+            ..
         } = frame;
         let arrays = &arrays[..];
         let mut stack = [TArr::EMPTY; 8];
@@ -1646,9 +1648,10 @@ impl Vm<'_> {
         }
         // An access only reaches the hook after `at` resolved its view.
         let buf = |arr: u16| &*arrays[arr as usize].as_ref().expect("resolved").buf;
+        let reader = tracer.filter(|t| t.wants_reads());
         macro_rules! read {
             ($arr:expr, $abs:expr) => {
-                if let Some(tr) = tracer {
+                if let Some(tr) = reader {
                     tr.read(name($arr), buf($arr), $abs);
                 }
             };
@@ -2098,7 +2101,9 @@ impl Vm<'_> {
                         for &(reg, ty) in &t.call_regs[site as usize] {
                             vregs[reg as usize] = value(r[reg as usize], ty == Ty::Real);
                         }
-                        self.call::<COUNT>(chunk, site, arrays, s, vregs, state, tracer, counts)?;
+                        self.call::<COUNT>(
+                            chunk, site, arrays, s, vregs, callees, state, tracer, counts,
+                        )?;
                     }
                     TOp::Read { site } => self.read_inputs(chunk, site, s)?,
                     TOp::Fail { site } => return Err(Self::fail(chunk, site)),

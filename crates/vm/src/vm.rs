@@ -25,6 +25,18 @@
 //! shared by both as raw bits plus a tag (`Slot`), so a frame moves
 //! between the two from one activation to the next.
 //!
+//! A CALL costs slot and register copies, not heap traffic. The frames
+//! callees run in hang off the root activation's frame, one per callee
+//! and depth ([`Frame`]); each call resets its frame in place and
+//! rebinds the formals' views in place, so a steady-state CALL
+//! allocates nothing. A reshape extent that is a compile-time constant
+//! (`DIMENSION H(8, *)`) is folded to a [`DimCode::Const`] that charges
+//! what its fragment would; only extents that read callee scalars run a
+//! fragment. Calls nest at most [`lip_ir::MAX_CALL_DEPTH`] deep, checked
+//! through [`ExecState::enter_call`] exactly where the interpreter
+//! checks it, so a recursive program fails with
+//! [`RunError::CallDepth`] instead of exhausting the thread's stack.
+//!
 //! Semantics are the tree-walk interpreter's, bit for bit: values and
 //! operators come from `lip_ir`'s shared model ([`lip_ir::apply_bin`]
 //! et al.), addressing from [`ArrayView::linearize`], cost/budget
@@ -33,6 +45,7 @@
 //! executor instrument.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use lip_ir::{
     apply_bin, apply_intrinsic, apply_un, AccessTracer, ArrayBuf, ArrayView, ExecState, Machine,
@@ -42,7 +55,6 @@ use lip_symbolic::{sym, Sym};
 
 use crate::chunk::{
     ArgSpec, BlockId, Chunk, CompiledProgram, CompiledSub, DimCode, ExprCode, LocalAlloc, Op,
-    ParamMeta,
 };
 use crate::typed;
 
@@ -101,15 +113,31 @@ impl Slot {
 
 /// Per-thread execution state for one chunk: registers, scalar slots
 /// and resolved array views. `Send`, so worker threads own one each.
-#[derive(Clone, Debug)]
+///
+/// A frame also owns the frames its CALLs run in: one per subroutine it
+/// calls (`callees`, indexed like [`CompiledProgram::subs`]), each
+/// owning the frames of its own calls, so the path from the root
+/// activation's frame to the running callee is the call stack. A callee
+/// frame is reset on each call (`Frame::reset`) and kept for the next
+/// call of the same subroutine from the same frame: a CALL in steady
+/// state allocates nothing and, passing the arrays it passed last time,
+/// leaves their reference counts alone. The frames are dropped with the
+/// root frame.
+#[derive(Clone, Debug, Default)]
 pub struct Frame {
     /// The `Value` stream's registers and the typed stream's raw ones,
     /// each sized on the first activation that needs it (a typed callee
-    /// frame never allocates the `Value` file unless it calls out).
+    /// frame never sizes the `Value` file unless it calls out).
     pub(crate) regs: Vec<Value>,
     pub(crate) tregs: Vec<u64>,
     pub(crate) scalars: Vec<Slot>,
     pub(crate) arrays: Vec<Option<ArrayView>>,
+    /// The frames of this frame's CALLs, by callee, made on first call.
+    pub(crate) callees: Vec<Option<Box<Frame>>>,
+    /// In a callee frame, each formal's view from the previous call
+    /// (by parameter position), parked by [`Frame::reset`] for this
+    /// call to rebind in place.
+    pub(crate) parked: Vec<Option<ArrayView>>,
 }
 
 impl Frame {
@@ -117,8 +145,6 @@ impl Frame {
     /// (unbound names stay empty and only error if touched).
     pub fn for_chunk(chunk: &Chunk, store: &Store) -> Frame {
         Frame {
-            regs: Vec::new(),
-            tregs: Vec::new(),
             scalars: chunk
                 .scalars
                 .iter()
@@ -129,15 +155,29 @@ impl Frame {
                 .iter()
                 .map(|(s, _)| store.array(*s).cloned())
                 .collect(),
+            ..Frame::default()
         }
     }
 
-    fn empty(chunk: &Chunk) -> Frame {
-        Frame {
-            regs: Vec::new(),
-            tregs: Vec::new(),
-            scalars: vec![Slot::default(); chunk.scalars.len()],
-            arrays: vec![None; chunk.arrays.len()],
+    /// Makes this frame of callee `csub` a fresh one without freeing
+    /// anything: every slot unbound, no register sized (the activation
+    /// sizes them, zeroed), and each formal's previous view parked. A
+    /// callee frame only ever binds formals and locals.
+    fn reset(&mut self, csub: &CompiledSub) {
+        self.regs.clear();
+        self.tregs.clear();
+        self.scalars.clear();
+        self.scalars
+            .resize(csub.chunk.scalars.len(), Slot::default());
+        self.arrays.resize(csub.chunk.arrays.len(), None);
+        self.parked.resize(csub.params.len(), None);
+        for (pm, parked) in csub.params.iter().zip(&mut self.parked) {
+            if let Some(view) = self.arrays[pm.arr as usize].take() {
+                *parked = Some(view);
+            }
+        }
+        for local in &csub.locals {
+            self.arrays[local.arr as usize] = None;
         }
     }
 
@@ -293,10 +333,15 @@ impl<'p> Vm<'p> {
             .ok_or(RunError::NoSuchSubroutine(sym("main")))?;
         let csub = &self.prog.subs[entry];
         let mut frame = Frame::for_chunk(&csub.chunk, store);
-        self.alloc_locals::<COUNT>(csub, &mut frame, state, tracer, counts)?;
-        self.activate::<COUNT>(&csub.chunk, None, &mut frame, state, tracer, counts)?;
+        let ran = self
+            .alloc_locals::<COUNT>(csub, &mut frame, state, tracer, counts)
+            .and_then(|()| {
+                self.activate::<COUNT>(&csub.chunk, None, &mut frame, state, tracer, counts)
+            });
+        // Published on failure too: the interpreter runs the entry in
+        // the store itself, so its partial state is there either way.
         frame.writeback_all(&csub.chunk, store);
-        Ok(())
+        ran
     }
 
     /// Runs a standalone block against `frame` once: the entry point
@@ -462,53 +507,87 @@ impl<'p> Vm<'p> {
         let mut extents = Vec::new();
         let mut len: i64 = 1;
         for dim in &local.dims {
-            match dim {
-                DimCode::Fixed(code) => {
-                    let v = self
-                        .eval_code::<COUNT>(&csub.chunk, code, frame, state, tracer, counts)?
-                        .as_i64();
-                    extents.push(v);
-                    len = len.saturating_mul(v.max(0));
-                }
-                DimCode::Assumed => return Err(RunError::BadIndex(local.name)),
-            }
+            let v = self
+                .extent::<COUNT>(&csub.chunk, dim, frame, state, tracer, counts)?
+                .ok_or(RunError::BadIndex(local.name))?;
+            extents.push(v);
+            len = len.saturating_mul(v.max(0));
         }
         Ok((extents, usize::try_from(len.max(0)).unwrap_or(0)))
     }
 
-    /// Applies the callee's declared extents to an incoming view
-    /// (array reshaping at the call site).
-    #[allow(clippy::too_many_arguments)]
-    fn reshape<const COUNT: bool>(
+    /// A declared extent, charged as its expression is (a constant one
+    /// without running a fragment); `None` for an assumed size.
+    fn extent<const COUNT: bool>(
         &self,
-        csub: &CompiledSub,
-        pm: &ParamMeta,
-        view: ArrayView,
+        chunk: &Chunk,
+        dim: &DimCode,
         frame: &mut Frame,
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
         counts: &mut DispatchCounts,
-    ) -> Result<ArrayView, RunError> {
-        let Some(dims) = &pm.reshape else {
-            return Ok(view);
-        };
-        let mut extents = Vec::new();
-        for dim in dims {
-            match dim {
-                DimCode::Fixed(code) => {
-                    extents.push(
-                        self.eval_code::<COUNT>(&csub.chunk, code, frame, state, tracer, counts)?
-                            .as_i64(),
-                    );
+    ) -> Result<Option<i64>, RunError> {
+        Ok(match dim {
+            DimCode::Assumed => None,
+            DimCode::Const { charge, extent } => {
+                state.charge(u64::from(*charge))?;
+                Some(*extent)
+            }
+            DimCode::Fixed(code) => Some(
+                self.eval_code::<COUNT>(chunk, code, frame, state, tracer, counts)?
+                    .as_i64(),
+            ),
+        })
+    }
+
+    /// Binds formal `j` of `csub` in the callee frame `inner` to the
+    /// section of `buf` starting at `offset`, rebuilding the view the
+    /// formal had last call in place. The extents are the callee's
+    /// declared ones when it declares the formal (array reshaping at the
+    /// call site, evaluated in `inner`, where the formals before this
+    /// one are bound), else `incoming` — the caller's extents for a
+    /// whole array, none for an element section.
+    #[allow(clippy::too_many_arguments)]
+    fn bind_view<const COUNT: bool>(
+        &self,
+        csub: &CompiledSub,
+        j: usize,
+        buf: &Arc<ArrayBuf>,
+        offset: usize,
+        incoming: &[i64],
+        inner: &mut Frame,
+        state: &mut ExecState,
+        tracer: Option<&dyn AccessTracer>,
+        counts: &mut DispatchCounts,
+    ) -> Result<(), RunError> {
+        let mut view = match inner.parked[j].take() {
+            Some(mut view) => {
+                if !Arc::ptr_eq(&view.buf, buf) {
+                    view.buf = buf.clone();
                 }
-                DimCode::Assumed => extents.push(i64::MAX),
+                view.offset = offset;
+                view.extents.clear();
+                view
+            }
+            None => ArrayView {
+                buf: buf.clone(),
+                offset,
+                extents: Vec::new(),
+            },
+        };
+        let pm = &csub.params[j];
+        match &pm.reshape {
+            None => view.extents.extend_from_slice(incoming),
+            Some(dims) => {
+                for dim in dims {
+                    let extent =
+                        self.extent::<COUNT>(&csub.chunk, dim, inner, state, tracer, counts)?;
+                    view.extents.push(extent.unwrap_or(i64::MAX));
+                }
             }
         }
-        Ok(ArrayView {
-            buf: view.buf,
-            offset: view.offset,
-            extents,
-        })
+        inner.arrays[pm.arr as usize] = Some(view);
+        Ok(())
     }
 
     /// One activation of `chunk`: the typed stream when the chunk has
@@ -641,6 +720,7 @@ impl<'p> Vm<'p> {
         tracer: Option<&dyn AccessTracer>,
         counts: &mut DispatchCounts,
     ) -> Result<(), RunError> {
+        let reader = tracer.filter(|t| t.wants_reads());
         // No range is one pass: `iter == last` from the start.
         let (var_slot, mut iter, last) = match range {
             Some((_, lo, hi)) if lo > hi => return Ok(()),
@@ -684,7 +764,7 @@ impl<'p> Vm<'p> {
                                 *base,
                                 *n,
                             )?;
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(name, &view.buf, lin);
                             }
                             view.buf.get(lin)
@@ -754,10 +834,11 @@ impl<'p> Vm<'p> {
                             regs,
                             scalars,
                             arrays,
+                            callees,
                             ..
                         } = frame;
                         self.call::<COUNT>(
-                            chunk, *site, arrays, scalars, regs, state, tracer, counts,
+                            chunk, *site, arrays, scalars, regs, callees, state, tracer, counts,
                         )?;
                     }
                     Op::Read { site } => self.read_inputs(chunk, *site, &mut frame.scalars)?,
@@ -821,7 +902,7 @@ impl<'p> Vm<'p> {
                         let b = {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(name, &view.buf, lin);
                             }
                             view.buf.get(lin)
@@ -856,7 +937,7 @@ impl<'p> Vm<'p> {
                         let v = {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(name, &view.buf, lin);
                             }
                             view.buf.get(lin)
@@ -894,7 +975,7 @@ impl<'p> Vm<'p> {
                         let v = {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(name, &view.buf, lin);
                             }
                             let v = apply_bin(*op, view.buf.get(lin), chunk.consts[*k as usize])?;
@@ -920,7 +1001,7 @@ impl<'p> Vm<'p> {
                         let v = {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(name, &view.buf, lin);
                             }
                             let cur = view.buf.get(lin);
@@ -958,7 +1039,7 @@ impl<'p> Vm<'p> {
                         let idx = {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(name, &view.buf, lin);
                             }
                             view.buf.get(lin).as_i64()
@@ -972,7 +1053,7 @@ impl<'p> Vm<'p> {
                             if abs < 0 || abs as usize >= view.buf.len() {
                                 return Err(RunError::BadIndex(name));
                             }
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(name, &view.buf, abs as usize);
                             }
                             view.buf.get(abs as usize)
@@ -992,7 +1073,7 @@ impl<'p> Vm<'p> {
                         let idx = {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(name, &view.buf, lin);
                             }
                             view.buf.get(lin).as_i64()
@@ -1028,7 +1109,7 @@ impl<'p> Vm<'p> {
                         let v = {
                             let (iname, ilin, iview) =
                                 Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(iname, &iview.buf, ilin);
                             }
                             let idx = apply_bin(
@@ -1045,7 +1126,7 @@ impl<'p> Vm<'p> {
                             if abs < 0 || abs as usize >= view.buf.len() {
                                 return Err(RunError::BadIndex(name));
                             }
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(name, &view.buf, abs as usize);
                             }
                             let v = apply_bin(
@@ -1058,7 +1139,7 @@ impl<'p> Vm<'p> {
                             // read between the element read and the write
                             // (nothing in the window writes, so neither the
                             // index value nor the bounds outcome can differ).
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(iname, &iview.buf, ilin);
                             }
                             if let Some(t) = tracer {
@@ -1086,7 +1167,7 @@ impl<'p> Vm<'p> {
                         let b = {
                             let (name, lin, view) =
                                 Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(name, &view.buf, lin);
                             }
                             view.buf.get(lin)
@@ -1120,7 +1201,7 @@ impl<'p> Vm<'p> {
                         let v = {
                             let (iname, ilin, iview) =
                                 Self::linearize_slot(chunk, frame, *idx_arr, *idx_slot)?;
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(iname, &iview.buf, ilin);
                             }
                             let idx = iview.buf.get(ilin).as_i64();
@@ -1132,7 +1213,7 @@ impl<'p> Vm<'p> {
                             if abs < 0 || abs as usize >= view.buf.len() {
                                 return Err(RunError::BadIndex(name));
                             }
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(name, &view.buf, abs as usize);
                             }
                             let cur = view.buf.get(abs as usize);
@@ -1150,7 +1231,7 @@ impl<'p> Vm<'p> {
                             // read between the element read and the write
                             // (nothing in the window writes, so neither the
                             // index value nor the bounds outcome can differ).
-                            if let Some(t) = tracer {
+                            if let Some(t) = reader {
                                 t.read(iname, &iview.buf, ilin);
                             }
                             if let Some(t) = tracer {
@@ -1227,9 +1308,15 @@ impl<'p> Vm<'p> {
     }
 
     /// `Op::Call` for either stream: the caller's array views, scalar
-    /// slots and `Value` registers (the typed stream materializes the
-    /// registers a call reads first). The callee body is one more
-    /// guarded activation.
+    /// slots, `Value` registers (the typed stream materializes the
+    /// registers a call reads first) and callee frame. The callee runs
+    /// in that frame, reset: arguments are bound in parameter order,
+    /// the call is opened on `state` ([`ExecState::enter_call`], which
+    /// stops a call nested deeper than [`lip_ir::MAX_CALL_DEPTH`]),
+    /// locals are allocated, and the body is one more guarded
+    /// activation. Scalars passed as bare variables are copied back in
+    /// parameter order, so of one scalar passed twice the later formal
+    /// wins.
     #[allow(clippy::too_many_arguments)]
     #[inline(never)]
     pub(crate) fn call<const COUNT: bool>(
@@ -1239,52 +1326,61 @@ impl<'p> Vm<'p> {
         arrays: &[Option<ArrayView>],
         scalars: &mut [Slot],
         regs: &[Value],
+        callees: &mut Vec<Option<Box<Frame>>>,
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
         counts: &mut DispatchCounts,
     ) -> Result<(), RunError> {
         let cs = &caller.calls[site as usize];
         let callee = &self.prog.subs[cs.callee];
-        let mut inner = Frame::empty(&callee.chunk);
-        // (callee slot, caller slot) pairs for scalar copy-out.
-        let mut copy_out: Vec<(u16, u16)> = Vec::new();
-        for (pm, spec) in callee.params.iter().zip(cs.args.iter()) {
-            match spec {
+        if callees.is_empty() {
+            callees.resize_with(self.prog.subs.len(), || None);
+        }
+        let inner = &mut **callees[cs.callee].get_or_insert_with(Box::default);
+        inner.reset(callee);
+        for (j, (pm, spec)) in callee.params.iter().zip(&cs.args).enumerate() {
+            // An array argument: the caller's view, where the formal's
+            // starts in its buffer, and the extents it passes on.
+            let (view, offset, incoming) = match spec {
                 ArgSpec::Value { reg } => {
                     inner.scalars[pm.scalar as usize] = Slot::of(regs[*reg as usize]);
+                    continue;
                 }
-                ArgSpec::Var { arr, scalar } => {
-                    if let Some(view) = arrays[*arr as usize].clone() {
-                        let reshaped = self.reshape::<COUNT>(
-                            callee, pm, view, &mut inner, state, tracer, counts,
-                        )?;
-                        inner.arrays[pm.arr as usize] = Some(reshaped);
-                    } else if scalars[*scalar as usize].tag != 0 {
+                ArgSpec::Var { arr, scalar } => match &arrays[*arr as usize] {
+                    Some(view) => (view, view.offset, &view.extents[..]),
+                    None if scalars[*scalar as usize].tag != 0 => {
                         inner.scalars[pm.scalar as usize] = scalars[*scalar as usize];
-                        copy_out.push((pm.scalar, *scalar));
-                    } else {
-                        return Err(RunError::UnboundScalar(caller.scalars[*scalar as usize].0));
+                        continue;
                     }
-                }
+                    None => {
+                        return Err(RunError::UnboundScalar(caller.scalars[*scalar as usize].0))
+                    }
+                },
                 ArgSpec::Section { arr, base, n } => {
                     let (_, lin, view) = Self::linearize(caller, arrays, regs, *arr, *base, *n)?;
-                    let section = ArrayView {
-                        buf: view.buf.clone(),
-                        offset: lin,
-                        extents: vec![],
-                    };
-                    let reshaped = self
-                        .reshape::<COUNT>(callee, pm, section, &mut inner, state, tracer, counts)?;
-                    inner.arrays[pm.arr as usize] = Some(reshaped);
+                    (view, lin, &[][..])
                 }
-            }
+            };
+            self.bind_view::<COUNT>(
+                callee, j, &view.buf, offset, incoming, inner, state, tracer, counts,
+            )?;
         }
-        self.alloc_locals::<COUNT>(callee, &mut inner, state, tracer, counts)?;
-        self.activate::<COUNT>(&callee.chunk, None, &mut inner, state, tracer, counts)?;
-        for (callee_slot, caller_slot) in copy_out {
-            let v = inner.scalars[callee_slot as usize];
-            if v.tag != 0 {
-                scalars[caller_slot as usize] = v;
+        state.enter_call(callee.name)?;
+        let ran = self
+            .alloc_locals::<COUNT>(callee, inner, state, tracer, counts)
+            .and_then(|()| {
+                self.activate::<COUNT>(&callee.chunk, None, inner, state, tracer, counts)
+            });
+        state.leave_call();
+        ran?;
+        // Copy-out: every bare-variable argument the caller has no array
+        // for was copied in above (or the call failed).
+        for (pm, spec) in callee.params.iter().zip(&cs.args) {
+            if let ArgSpec::Var { arr, scalar } = spec {
+                let v = inner.scalars[pm.scalar as usize];
+                if arrays[*arr as usize].is_none() && v.tag != 0 {
+                    scalars[*scalar as usize] = v;
+                }
             }
         }
         Ok(())

@@ -23,6 +23,15 @@
 //! expansions it falls back to. An occasional division is
 //! `i64::MIN / -1`, which every engine must report as
 //! `RunError::IntOverflow`.
+//!
+//! The call axis (`gen_call_program`) runs the same four-way comparison
+//! on programs whose `main` calls generated subroutines, nested up to
+//! three deep and from inside a DO loop: whole-array and element-section
+//! arguments, reshapes by constant and by scalar extents, scalars copied
+//! in and out (one of them sometimes passed twice), by-value arguments,
+//! budgets that trip inside a callee, and a callee local that only a
+//! stale frame would still have bound. A call nested past
+//! `lip_ir::MAX_CALL_DEPTH` fails alike on every engine.
 
 use std::sync::{Arc, Mutex};
 
@@ -47,6 +56,23 @@ impl AccessTracer for Recorder {
     }
     fn write(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
         self.events.lock().unwrap().push(('w', arr, idx));
+    }
+}
+
+/// Records writes, and answers that it wants no reads: the VM must not
+/// hand it one.
+#[derive(Default)]
+struct WritesOnly(Recorder);
+
+impl AccessTracer for WritesOnly {
+    fn read(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
+        panic!("read of {arr}({idx}) reached a tracer that wants none");
+    }
+    fn write(&self, arr: Sym, buf: &lip_ir::ArrayBuf, idx: usize) {
+        self.0.write(arr, buf, idx);
+    }
+    fn wants_reads(&self) -> bool {
+        false
     }
 }
 
@@ -316,9 +342,10 @@ fn gen_block(g: &mut Gen, depth: u32, len: usize) -> Vec<Stmt> {
     (0..len).map(|_| gen_stmt(g, depth)).collect()
 }
 
-fn gen_program(seed: u64) -> Program {
-    let mut g = Gen::new(seed);
-    let mut body = vec![
+/// The start of every generated `main`: the scalar pools, the WHILE
+/// counter, the slot subscripts and the index arrays `P` / `Q`.
+fn prologue(g: &mut Gen) -> Vec<Stmt> {
+    vec![
         Stmt::Assign {
             lhs: LValue::Scalar(sym("n")),
             rhs: Expr::Int(3),
@@ -394,38 +421,297 @@ fn gen_program(seed: u64) -> Program {
                 },
             ],
         },
-    ];
+    ]
+}
+
+/// `main`'s arrays: `A` and `B` of `len` elements, `P` and `Q` of 16.
+fn main_decls(len: i64) -> Vec<Decl> {
+    [(arr(), len, Ty::Real), (iarr(), len, Ty::Int)]
+        .into_iter()
+        .chain([(sym("P"), 16, Ty::Int), (sym("Q"), 16, Ty::Real)])
+        .map(|(name, len, ty)| Decl {
+            name,
+            dims: vec![DimDecl::Fixed(Expr::Int(len))],
+            ty,
+        })
+        .collect()
+}
+
+fn gen_program(seed: u64) -> Program {
+    let mut g = Gen::new(seed);
+    let mut body = prologue(&mut g);
     let len = 3 + g.below(5) as usize;
     body.extend(gen_block(&mut g, 2, len));
     Program {
         units: vec![Subroutine {
             name: sym("main"),
             params: vec![],
-            decls: vec![
-                Decl {
-                    name: arr(),
-                    dims: vec![DimDecl::Fixed(Expr::Int(16))],
-                    ty: Ty::Real,
-                },
-                Decl {
-                    name: iarr(),
-                    dims: vec![DimDecl::Fixed(Expr::Int(16))],
-                    ty: Ty::Int,
-                },
-                Decl {
-                    name: sym("P"),
-                    dims: vec![DimDecl::Fixed(Expr::Int(16))],
-                    ty: Ty::Int,
-                },
-                Decl {
-                    name: sym("Q"),
-                    dims: vec![DimDecl::Fixed(Expr::Int(16))],
-                    ty: Ty::Real,
-                },
-            ],
+            decls: main_decls(16),
             body,
         }],
     }
+}
+
+// ---- The call axis -------------------------------------------------------
+//
+// Programs whose `main` calls three generated subroutines `s1`..`s3`,
+// each of which may call the ones after it (so calls nest up to three
+// deep), from straight-line code, inside a DO loop and under an IF. Every
+// subroutine takes the same formals — the extent scalar `ke`, then every
+// array and scalar the statement generator uses — so its body is drawn
+// from the same generator as `main`'s. `main`'s `A` and `B` have 32
+// elements, so an element section starting at `ix` (1..=8), and one more
+// at 2 in each callee, still holds every subscript a body makes.
+
+/// The formals of every generated subroutine, `ke` first so the array
+/// reshapes it feeds see it bound.
+fn callee_params() -> [Sym; 12] {
+    [
+        sym("ke"),
+        arr(),
+        iarr(),
+        sym("P"),
+        sym("Q"),
+        sym("n"),
+        sym("m"),
+        sym("x"),
+        sym("y"),
+        sym("ix"),
+        sym("r"),
+        sym("iw"),
+    ]
+}
+
+/// `1 + MOD(ABS(e), n)`: a generated value in 1..=n.
+fn one_to(g: &mut Gen, n: i64) -> Expr {
+    Expr::Bin(
+        BinOp::Add,
+        Box::new(Expr::Intrin(
+            Intrinsic::Mod,
+            vec![
+                Expr::Intrin(Intrinsic::Abs, vec![gen_expr(g, 1)]),
+                Expr::Int(n),
+            ],
+        )),
+        Box::new(Expr::Int(1)),
+    )
+}
+
+/// An argument passed by value: a generated expression that is not a
+/// bare variable or element, which would pass by reference.
+fn by_value(g: &mut Gen) -> Expr {
+    match gen_expr(g, 1) {
+        e @ (Expr::Var(_) | Expr::Elem(..)) => {
+            Expr::Bin(BinOp::Add, Box::new(e), Box::new(Expr::Int(0)))
+        }
+        e => e,
+    }
+}
+
+/// A CALL of `s{callee}`: arrays whole or as an element section, scalars
+/// as bare variables (copy-in/copy-out; `n` sometimes twice) or by value.
+/// `ke` is `extent` when given (`main`'s DO variable), else the caller's
+/// own `ke` in a callee, else a small value.
+fn gen_call(g: &mut Gen, callee: usize, in_main: bool, extent: Option<Expr>) -> Stmt {
+    let var = |s: &str| Expr::Var(sym(s));
+    let ke = match extent {
+        Some(e) => e,
+        None if !in_main => var("ke"),
+        None => one_to(g, 3),
+    };
+    let mut args = vec![ke];
+    for a in [arr(), iarr()] {
+        args.push(match g.below(3) {
+            0 => Expr::Var(a),
+            1 if in_main => Expr::Elem(a, vec![var("ix")]),
+            _ => Expr::Elem(a, vec![Expr::Int(2)]),
+        });
+    }
+    args.extend([var("P"), var("Q")]);
+    // `n`, `m`: either may be `n`, so one scalar is passed twice.
+    for s in ["n", "m"] {
+        args.push(match g.below(4) {
+            0 => by_value(g),
+            1 => var("n"),
+            _ => var(s),
+        });
+    }
+    for s in ["x", "y"] {
+        args.push(if g.below(3) == 0 { by_value(g) } else { var(s) });
+    }
+    args.push(var("ix"));
+    args.push(if g.below(3) == 0 {
+        Expr::Real(1.5 + g.below(8) as f64)
+    } else {
+        var("r")
+    });
+    args.push(if g.below(3) == 0 {
+        Expr::Int(g.below(3) as i64)
+    } else {
+        var("iw")
+    });
+    Stmt::Call {
+        callee: sym(&format!("s{callee}")),
+        args,
+    }
+}
+
+/// A declared shape for a formal array: none (the incoming view's
+/// extents), a constant, a constant expression, assumed size, or two
+/// dimensions whose first is `ke` or a constant. Returns the dimensions
+/// and whether they are two.
+fn gen_dims(g: &mut Gen) -> Option<(Vec<DimDecl>, bool)> {
+    let k = |v| DimDecl::Fixed(Expr::Int(v));
+    Some(match g.below(6) {
+        0 => return None,
+        1 => (vec![k(16)], false),
+        2 => (
+            vec![DimDecl::Fixed(Expr::Bin(
+                BinOp::Mul,
+                Box::new(Expr::Int(4)),
+                Box::new(Expr::Int(4)),
+            ))],
+            false,
+        ),
+        3 => (vec![DimDecl::Assumed], false),
+        4 => (
+            vec![DimDecl::Fixed(Expr::Var(sym("ke"))), DimDecl::Assumed],
+            true,
+        ),
+        _ => (vec![k(2), DimDecl::Assumed], true),
+    })
+}
+
+/// `s{idx}` of `nsubs`: declarations, a generated body with calls to the
+/// later subroutines, and on some the stale-frame probe — `t` set only
+/// on a call with `ke = 1`, then read — which must fail on a later call
+/// with another `ke` exactly as the interpreter's fresh frame does.
+fn gen_callee(g: &mut Gen, idx: usize, nsubs: usize) -> Subroutine {
+    let mut decls = vec![
+        Decl {
+            name: sym("P"),
+            dims: vec![DimDecl::Assumed],
+            ty: Ty::Int,
+        },
+        Decl {
+            name: sym("Q"),
+            dims: vec![DimDecl::Assumed],
+            ty: Ty::Real,
+        },
+    ];
+    let mut body = Vec::new();
+    if g.below(8) == 0 {
+        body.push(Stmt::If {
+            cond: Expr::Bin(
+                BinOp::Eq,
+                Box::new(Expr::Var(sym("ke"))),
+                Box::new(Expr::Int(1)),
+            ),
+            then_body: vec![Stmt::Assign {
+                lhs: LValue::Scalar(sym("t")),
+                rhs: Expr::Int(2),
+            }],
+            else_body: vec![],
+        });
+        body.push(Stmt::Assign {
+            lhs: LValue::Scalar(sym("x")),
+            rhs: Expr::Bin(
+                BinOp::Add,
+                Box::new(Expr::Var(sym("x"))),
+                Box::new(Expr::Var(sym("t"))),
+            ),
+        });
+    }
+    for (name, ty) in [(arr(), Ty::Real), (iarr(), Ty::Int)] {
+        match gen_dims(g) {
+            // An undeclared `B` would be implicitly REAL.
+            None if ty == Ty::Real => {}
+            None => decls.push(Decl {
+                name,
+                dims: vec![DimDecl::Assumed],
+                ty,
+            }),
+            Some((dims, two)) => {
+                if two {
+                    // A rank-2 update through the declared extents.
+                    let idx = vec![one_to(g, 2), one_to(g, 7)];
+                    body.push(Stmt::Assign {
+                        lhs: LValue::Element(name, idx.clone()),
+                        rhs: Expr::Bin(
+                            BinOp::Add,
+                            Box::new(Expr::Elem(name, idx)),
+                            Box::new(gen_expr(g, 1)),
+                        ),
+                    });
+                }
+                decls.push(Decl { name, dims, ty });
+            }
+        }
+    }
+    let len = 1 + g.below(3) as usize;
+    body.extend(gen_block(g, 2, len));
+    for later in idx + 1..=nsubs {
+        if g.below(2) == 0 {
+            let at = g.below(body.len() as u64 + 1) as usize;
+            body.insert(at, gen_call(g, later, false, None));
+        }
+    }
+    Subroutine {
+        name: sym(&format!("s{idx}")),
+        params: callee_params().to_vec(),
+        decls,
+        body,
+    }
+}
+
+/// A `main` calling `s1`..`s3` (see the section comment).
+fn gen_call_program(seed: u64) -> Program {
+    const NSUBS: usize = 3;
+    let mut g = Gen::new(seed ^ 0xCA11);
+    let mut body = prologue(&mut g);
+    let pick = |g: &mut Gen| 1 + g.below(NSUBS as u64) as usize;
+    for _ in 0..1 + g.below(3) {
+        let stmt = match g.below(4) {
+            0 => {
+                let callee = pick(&mut g);
+                gen_call(&mut g, callee, true, None)
+            }
+            1 => {
+                let callee = pick(&mut g);
+                Stmt::If {
+                    cond: gen_expr(&mut g, 1),
+                    then_body: vec![gen_call(&mut g, callee, true, None)],
+                    else_body: vec![],
+                }
+            }
+            2 => gen_stmt(&mut g, 1),
+            // The loop a driver would parallelize, a CALL in its body.
+            _ => {
+                let callee = pick(&mut g);
+                let call = gen_call(&mut g, callee, true, Some(Expr::Var(sym("i"))));
+                let len = g.below(2) as usize;
+                let mut loop_body = gen_block(&mut g, 1, len);
+                loop_body.push(call);
+                Stmt::Do {
+                    label: None,
+                    var: sym("i"),
+                    lo: Expr::Int(1),
+                    hi: Expr::Int(1 + g.below(3) as i64),
+                    step: None,
+                    body: loop_body,
+                }
+            }
+        };
+        body.push(stmt);
+    }
+    let mut units = vec![Subroutine {
+        name: sym("main"),
+        params: vec![],
+        decls: main_decls(32),
+        body,
+    }];
+    units.extend((1..=NSUBS).map(|k| gen_callee(&mut g, k, NSUBS)));
+    Program { units }
 }
 
 /// One engine's observable outcome: result, store snapshot, work
@@ -460,10 +746,10 @@ fn observe(
         .collect();
     let mut elems: Vec<(u8, u64)> = store
         .array(arr())
-        .map(|a| (0..16).map(|k| value_bits(a.buf.get(k))).collect())
+        .map(|a| (0..a.buf.len()).map(|k| value_bits(a.buf.get(k))).collect())
         .unwrap_or_default();
     if let Some(a) = store.array(iarr()) {
-        elems.extend((0..16).map(|k| value_bits(a.buf.get(k))));
+        elems.extend((0..a.buf.len()).map(|k| value_bits(a.buf.get(k))));
     }
     let events = std::mem::take(&mut *rec.events.lock().unwrap());
     (result, scalars, elems, cost, events)
@@ -573,6 +859,169 @@ proptest! {
                 // per statement up front, so a budget trip leaves
                 // different partial state.
                 prop_assert_eq!(&interp.0, &unfused.0, "errors diverged (seed {})", seed);
+            }
+        }
+    }
+}
+
+proptest! {
+    // The call axis: the same four-way comparison on programs whose
+    // `main` calls nested subroutines, under a budget that lets them
+    // finish and one that trips halfway — often inside a callee.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn calls_match_interpreter_four_ways(seed in 0u64..1_000_000_000u64) {
+        let prog = gen_call_program(seed);
+        let full = run_interp(&prog, BUDGET);
+        for budget in [BUDGET, 1 + full.3 / 2] {
+            let interp = run_interp(&prog, budget);
+            let (unfused, _) = run_vm(&prog, Leg::Unfused, budget);
+            let (fused, value_counts) = run_vm(&prog, Leg::FusedValue, budget);
+            let (typed, counts) = run_vm(&prog, Leg::Typed, budget);
+            // Each body runs typed or not (a formal's type can be
+            // dynamic, and a guard can refuse), but no body is skipped.
+            prop_assert_eq!(
+                counts.typed_runs + counts.untyped_runs,
+                value_counts.untyped_runs,
+                "the typed leg activated another number of bodies (seed {})",
+                seed
+            );
+            prop_assert_eq!(&unfused, &fused, "unfused vs fused diverged (seed {})", seed);
+            prop_assert_eq!(&fused, &typed, "fused Value vs typed diverged (seed {})", seed);
+            if interp.0.is_ok() && unfused.0.is_ok() {
+                prop_assert_eq!(&interp, &unfused, "interp vs bytecode diverged (seed {})", seed);
+            } else {
+                // As in the straight-line corpus: a budget trip leaves
+                // different partial state, so only the error compares.
+                prop_assert_eq!(&interp.0, &unfused.0, "errors diverged (seed {})", seed);
+            }
+        }
+    }
+}
+
+/// The call corpus has every argument and reshape form the call axis is
+/// for, and its runs reach every outcome: a generator change that stops
+/// producing one fails here instead of silently narrowing the property.
+#[test]
+fn the_call_corpus_reaches_every_call_form() {
+    let mut seen = std::collections::BTreeSet::new();
+    for seed in 0..256 {
+        let prog = gen_call_program(seed);
+        let c = compiled(&prog, Leg::Typed);
+        for (unit, sub) in prog.units.iter().zip(&c.subs) {
+            for pm in &sub.params {
+                for dim in pm.reshape.iter().flatten() {
+                    seen.insert(match dim {
+                        lip_vm::chunk::DimCode::Const { .. } => "constant extent",
+                        lip_vm::chunk::DimCode::Fixed(_) => "scalar extent",
+                        lip_vm::chunk::DimCode::Assumed => "assumed size",
+                    });
+                }
+            }
+            let mut stack: Vec<(&Stmt, bool)> = unit.body.iter().map(|s| (s, false)).collect();
+            while let Some((stmt, in_do)) = stack.pop() {
+                match stmt {
+                    Stmt::Call { args, .. } => {
+                        seen.insert(if unit.name == sym("main") {
+                            "call from main"
+                        } else {
+                            "nested call"
+                        });
+                        if in_do {
+                            seen.insert("call in a DO loop");
+                        }
+                        if args.iter().any(|a| matches!(a, Expr::Elem(..))) {
+                            seen.insert("section argument");
+                        }
+                        if args[1] == Expr::Var(arr()) {
+                            seen.insert("whole-array argument");
+                        }
+                        if args[5] == args[6] {
+                            seen.insert("a scalar passed twice");
+                        }
+                    }
+                    Stmt::If {
+                        then_body,
+                        else_body,
+                        ..
+                    } => stack.extend(then_body.iter().chain(else_body).map(|s| (s, in_do))),
+                    Stmt::Do { body, .. } | Stmt::While { body, .. } => {
+                        stack.extend(body.iter().map(|s| (s, true)));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let full = run_interp(&prog, BUDGET);
+        seen.insert(match &full.0 {
+            Ok(()) => "completed",
+            Err(lip_ir::RunError::UnboundScalar(s)) if *s == sym("t") => "stale-frame probe",
+            Err(_) => "failed otherwise",
+        });
+        // A budget that trips after at least one callee has started.
+        let (half, counts) = run_vm(&prog, Leg::FusedValue, 1 + full.3 / 2);
+        if half.0 == Err(lip_ir::RunError::StepLimit) && counts.untyped_runs > 1 {
+            seen.insert("budget trip past a call");
+        }
+        let main_typed = c.subs[0].chunk.typed.is_some();
+        let (_, counts) = run_vm(&prog, Leg::Typed, BUDGET);
+        if main_typed && counts.typed_runs > 1 {
+            seen.insert("typed main and callee");
+        }
+        if counts.untyped_runs > 0 && counts.typed_runs > 0 {
+            seen.insert("typed and untyped bodies in one run");
+        }
+    }
+    for form in [
+        "constant extent",
+        "scalar extent",
+        "assumed size",
+        "call from main",
+        "nested call",
+        "call in a DO loop",
+        "section argument",
+        "whole-array argument",
+        "a scalar passed twice",
+        "completed",
+        "stale-frame probe",
+        "budget trip past a call",
+        "typed main and callee",
+        "typed and untyped bodies in one run",
+    ] {
+        assert!(
+            seen.contains(form),
+            "no {form} in the call corpus: {seen:?}"
+        );
+    }
+}
+
+/// A tracer that wants no reads gets every write, in order, and no
+/// read, from every stream, callee bodies included.
+#[test]
+fn a_tracer_that_wants_no_reads_gets_only_the_writes() {
+    for seed in 0..64 {
+        for prog in [gen_program(seed), gen_call_program(seed)] {
+            for leg in [Leg::Unfused, Leg::FusedValue, Leg::Typed] {
+                let c = compiled(&prog, leg);
+                let all = Recorder::default();
+                let writes = WritesOnly::default();
+                let mut outcomes = Vec::new();
+                for tracer in [&all as &dyn AccessTracer, &writes] {
+                    let mut store = Store::new();
+                    let mut state = lip_ir::ExecState::with_budget(BUDGET);
+                    let result = Vm::new(&c).run_with_state(&mut store, &mut state, Some(tracer));
+                    outcomes.push((result, state.cost));
+                }
+                assert_eq!(outcomes[0], outcomes[1], "seed {seed}, {leg:?}");
+                let expected: Vec<_> = std::mem::take(&mut *all.events.lock().unwrap())
+                    .into_iter()
+                    .filter(|e| e.0 == 'w')
+                    .collect();
+                assert_eq!(
+                    *writes.0.events.lock().unwrap(),
+                    expected,
+                    "seed {seed}, {leg:?}"
+                );
             }
         }
     }
@@ -798,4 +1247,58 @@ fn dbg_seed() {
     }
     println!("trace len i={} u={}", interp.4.len(), unfused.4.len());
     println!("{prog:#?}");
+}
+
+/// `f` nests `d` calls deep from `main`'s one, then stops; with `d` past
+/// the cap, or with no stop at all, the call that would open one past
+/// `MAX_CALL_DEPTH` fails.
+fn nested_calls(stop: Option<u32>) -> Program {
+    let guard = match stop {
+        Some(d) => format!("IF (d .LT. {d}) THEN\n    CALL f(B, k, d + 1)\n  ENDIF"),
+        None => "CALL f(B, k, d + 1)".to_owned(),
+    };
+    lip_ir::parse_program(&format!(
+        "
+SUBROUTINE main()
+  DIMENSION A(8)
+  INTEGER i, N
+  N = 4
+  DO l1 i = 1, N
+    CALL f(A, i, 1)
+  ENDDO
+END
+
+SUBROUTINE f(B, k, d)
+  DIMENSION B(*)
+  INTEGER k, d
+  B(k) = B(k) + 1.0
+  {guard}
+END
+"
+    ))
+    .expect("parses")
+}
+
+/// A CALL nested past the cap is `RunError::CallDepth` on every engine,
+/// with the same partial store, work units and access stream: the cap
+/// is checked at the same point of the call everywhere (arguments
+/// bound, locals not yet allocated). Calls nested exactly to the cap
+/// run.
+#[test]
+fn a_call_past_the_depth_cap_fails_alike_on_every_engine() {
+    let cap = lip_ir::MAX_CALL_DEPTH;
+    for (stop, fails) in [(Some(cap), false), (Some(cap + 1), true), (None, true)] {
+        let prog = nested_calls(stop);
+        let interp = run_interp(&prog, BUDGET);
+        let expected = if fails {
+            Err(lip_ir::RunError::CallDepth(sym("f")))
+        } else {
+            Ok(())
+        };
+        assert_eq!(interp.0, expected, "stop {stop:?}");
+        for leg in [Leg::Unfused, Leg::FusedValue, Leg::Typed] {
+            let (vm, _) = run_vm(&prog, leg, BUDGET);
+            assert_eq!(vm, interp, "{leg:?}, stop {stop:?}");
+        }
+    }
 }
