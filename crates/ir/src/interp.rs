@@ -504,22 +504,31 @@ impl std::error::Error for RunError {}
 pub const MAX_CALL_DEPTH: u32 = 64;
 
 /// Execution statistics.
-#[derive(Copy, Clone, Debug, Default)]
+#[derive(Copy, Clone, Debug)]
 pub struct ExecState {
     /// Accumulated work units.
     pub cost: u64,
-    /// Remaining step budget (0 = unlimited when starting from default).
-    budget: u64,
+    /// The most work units a run may accumulate: the step budget, or
+    /// `u64::MAX` for none, so a charge makes one compare.
+    limit: u64,
     /// CALLs currently open.
     depth: u32,
 }
 
+impl Default for ExecState {
+    /// No cost yet and no budget.
+    fn default() -> ExecState {
+        ExecState::with_budget(0)
+    }
+}
+
 impl ExecState {
-    /// A state with the given step budget.
+    /// A state with the given step budget (0 = unlimited).
     pub fn with_budget(budget: u64) -> ExecState {
         ExecState {
-            budget,
-            ..ExecState::default()
+            cost: 0,
+            limit: if budget == 0 { u64::MAX } else { budget },
+            depth: 0,
         }
     }
 
@@ -553,7 +562,7 @@ impl ExecState {
     #[inline]
     pub fn charge(&mut self, units: u64) -> Result<(), RunError> {
         self.cost += units;
-        if self.budget > 0 && self.cost > self.budget {
+        if self.cost > self.limit {
             return Err(RunError::StepLimit);
         }
         Ok(())
@@ -581,6 +590,15 @@ pub trait AccessTracer: Send + Sync {
     /// VM, which asks once per activation, then makes no call for a
     /// read at all.
     fn wants_reads(&self) -> bool {
+        true
+    }
+    /// Whether [`AccessTracer::write`] does anything for `buf`. A tracer
+    /// that answers `false` promises its `write` is a no-op for that
+    /// buffer, and the bytecode VM, which asks at most once per
+    /// activation and array, then makes no call for a write to it
+    /// (except through an array slot past a chunk's 64th, which the
+    /// `Value` stream hooks without asking).
+    fn wants_writes(&self, _buf: &ArrayBuf) -> bool {
         true
     }
 }

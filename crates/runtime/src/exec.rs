@@ -728,6 +728,16 @@ struct WriteMasks<'t> {
     session: Option<&'t dyn AccessTracer>,
 }
 
+impl WriteMasks<'_> {
+    /// The write mask of `buf`, when it is a DLV array's private buffer.
+    fn mask(&self, buf: &ArrayBuf) -> Option<&[AtomicBool]> {
+        self.masks
+            .iter()
+            .find(|(_, b, _)| std::ptr::eq(&**b, buf))
+            .map(|(.., mask)| &**mask)
+    }
+}
+
 impl AccessTracer for WriteMasks<'_> {
     fn read(&self, arr: Sym, buf: &ArrayBuf, idx: usize) {
         if let Some(t) = self.session {
@@ -741,8 +751,15 @@ impl AccessTracer for WriteMasks<'_> {
         self.session.is_some_and(|t| t.wants_reads())
     }
 
+    /// A mask buffer's writes are marked; any other buffer's only
+    /// forwarded, so without a session tracer that wants them the VM
+    /// skips the hook for every write to it (a shared array's, say).
+    fn wants_writes(&self, buf: &ArrayBuf) -> bool {
+        self.mask(buf).is_some() || self.session.is_some_and(|t| t.wants_writes(buf))
+    }
+
     fn write(&self, arr: Sym, buf: &ArrayBuf, idx: usize) {
-        if let Some((.., mask)) = self.masks.iter().find(|(_, b, _)| std::ptr::eq(&**b, buf)) {
+        if let Some(mask) = self.mask(buf) {
             mask[idx].store(true, Ordering::Relaxed);
         }
         if let Some(t) = self.session {

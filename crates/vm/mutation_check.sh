@@ -21,6 +21,9 @@
 #     from the subscript slot;
 #   * a callee frame's reset keeping the previous call's scalar slots
 #     (a callee local set on one call is still bound on the next).
+#   * the typed register bound admitting two registers too many (a
+#     chunk of 255 or 256 registers is typed, and its scratch registers
+#     alias r0 and r1 of the 256-entry file).
 set -eu
 scratch=${1:?usage: $0 SCRATCH_DIR}
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
@@ -41,6 +44,10 @@ crates/vm/src/vm.rs
 crates/vm/src/vm.rs
         self.scalars.clear();
         self.scalars.truncate(csub.chunk.scalars.len());
+
+crates/vm/src/typed.rs
+    if chunk.nregs + 2 > TREGS {
+    if chunk.nregs > TREGS {
 '
 
 printf '%s\n' "$mutations" | while IFS= read -r file && IFS= read -r from && IFS= read -r to; do

@@ -1506,7 +1506,7 @@ END
             }
             Frame {
                 regs: vec![Value::Int(0); 2],
-                tregs: vec![],
+                tregs: None,
                 scalars: vec![Slot::int(2)],
                 arrays: vec![Some(lip_ir::ArrayView {
                     buf,
@@ -1787,7 +1787,7 @@ END
         }
         Frame {
             regs: (0..NAMED + 2).map(|_| g.value()).collect(),
-            tregs: vec![],
+            tregs: None,
             scalars,
             arrays,
             ..Frame::default()

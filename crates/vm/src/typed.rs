@@ -38,6 +38,17 @@
 //! the operand temporaries on two scratch registers. Calls, `READ`
 //! and late failures go through the `Value` machinery, with the
 //! registers a call reads materialized first.
+//!
+//! **Layout.** Typing proves each operand's range, so the dispatch loop
+//! checks none of them. A typed register is a [`TReg`] (`u8`) into the
+//! frame's fixed file of [`TREGS`] (256) words: a chunk is typed only
+//! when its registers and the two scratch registers fit, and a wider one
+//! runs the `Value` stream, as a dynamic one does. Every register access
+//! is then in bounds by its type. [`TOp`] is `repr(u8)`, a one-byte tag
+//! at offset 0 that dispatch turns into one jump-table jump, and its
+//! fields are ordered so no variant pads past 32 bytes, a size a `const`
+//! assertion pins. The tracer's `wants_writes` is asked once per
+//! activation and addressed array, and kept in its `TArr`.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -162,273 +173,289 @@ impl Cvt {
     }
 }
 
+/// A typed register: an index into the frame's [`TREGS`]-entry typed
+/// file, in bounds by its type.
+pub type TReg = u8;
+
+/// Entries in a frame's typed register file. `type_chunk` types a
+/// chunk only when its registers and the two scratch registers fit, so
+/// every [`TReg`] a stream names is one of the chunk's own.
+pub const TREGS: usize = 256;
+
 /// One typed instruction: the [`Op`] of the same name (or the fused op
 /// it replaces, without the `Fused` prefix) on raw 64-bit registers.
 /// `mode` fixes a binary op's operand types, `cvt` the coercion of a
 /// stored value, `tag` the type a scalar slot is left with.
+///
+/// `repr(u8)`: the variant is a one-byte tag at offset 0, so dispatch
+/// reads one byte and takes one jump-table jump. Each variant's fields
+/// are declared one-byte first, then `u16`, `u32`, `u64`, so none pads
+/// past 32 bytes (`ElemUpdateE` fills them exactly); the size is pinned
+/// below, as a wider op is a slower stream.
 #[derive(Clone, Debug)]
 #[allow(missing_docs)]
+#[repr(u8)]
 pub enum TOp {
     Charge(u32),
     Const {
-        dst: Reg,
-        bits: u64,
+        dst: TReg,
         real: bool,
+        bits: u64,
     },
     ChargedConst {
-        charge: u32,
-        dst: Reg,
-        bits: u64,
+        dst: TReg,
         real: bool,
+        charge: u32,
+        bits: u64,
     },
     LoadSlot {
-        dst: Reg,
+        dst: TReg,
         slot: u16,
     },
     ChargedLoadSlot {
-        charge: u32,
-        dst: Reg,
+        dst: TReg,
         slot: u16,
+        charge: u32,
     },
     StoreSlot {
-        slot: u16,
-        src: Reg,
+        src: TReg,
         cvt: Cvt,
         tag: u8,
+        slot: u16,
     },
     Cvt {
-        dst: Reg,
-        src: Reg,
+        dst: TReg,
+        src: TReg,
         cvt: Cvt,
     },
     Un {
         op: UnOp,
         real: bool,
-        dst: Reg,
-        src: Reg,
+        dst: TReg,
+        src: TReg,
     },
     Bin {
         op: BinOp,
         mode: Mode,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
+        dst: TReg,
+        a: TReg,
+        b: TReg,
     },
     BinSS {
-        charge: u32,
         op: BinOp,
         mode: Mode,
-        dst: Reg,
+        dst: TReg,
         a_slot: u16,
         b_slot: u16,
+        charge: u32,
     },
     BinRS {
-        charge: u32,
         op: BinOp,
         mode: Mode,
-        dst: Reg,
-        a: Reg,
+        dst: TReg,
+        a: TReg,
         b_slot: u16,
+        charge: u32,
     },
     BinRK {
-        charge: u32,
         op: BinOp,
         mode: Mode,
-        dst: Reg,
-        a: Reg,
+        dst: TReg,
+        a: TReg,
+        charge: u32,
         k: u64,
     },
     BinRE {
-        charge: u32,
         op: BinOp,
         mode: Mode,
-        dst: Reg,
-        a: Reg,
+        dst: TReg,
+        a: TReg,
         arr: u16,
         idx_slot: u16,
+        charge: u32,
     },
     BinStore {
-        charge: u32,
         op: BinOp,
         mode: Mode,
-        slot: u16,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
+        dst: TReg,
+        a: TReg,
+        b: TReg,
         cvt: Cvt,
         tag: u8,
+        slot: u16,
+        charge: u32,
     },
     /// `SQRT` / `EXP` / `SIN` / `COS` of one argument, on `f64`.
     Math {
         intr: Intrinsic,
         real: bool,
-        dst: Reg,
-        src: Reg,
+        dst: TReg,
+        src: TReg,
     },
     /// Any other intrinsic; bit `k` of `reals` marks argument `k` Real.
     Intrin {
         intr: Intrinsic,
-        dst: Reg,
-        base: Reg,
+        dst: TReg,
+        base: TReg,
         n: u8,
         reals: u32,
     },
     /// Rank-1 load with an `Int` subscript register.
     Load {
-        dst: Reg,
+        dst: TReg,
+        idx: TReg,
         arr: u16,
-        idx: Reg,
     },
     /// Any other load (rank > 1, or `Real` subscripts marked in `reals`).
     LoadN {
-        dst: Reg,
-        arr: u16,
-        base: Reg,
+        dst: TReg,
+        base: TReg,
         n: u8,
         reals: u8,
+        arr: u16,
     },
     Store {
-        arr: u16,
-        idx: Reg,
-        src: Reg,
+        idx: TReg,
+        src: TReg,
         cvt: Cvt,
+        arr: u16,
     },
     StoreN {
-        arr: u16,
-        base: Reg,
+        base: TReg,
         n: u8,
         reals: u8,
-        src: Reg,
+        src: TReg,
         cvt: Cvt,
+        arr: u16,
     },
     LoadElemS {
-        charge: u32,
-        dst: Reg,
+        dst: TReg,
         arr: u16,
         idx_slot: u16,
+        charge: u32,
     },
     StoreElemS {
-        charge: u32,
+        src: TReg,
+        cvt: Cvt,
         arr: u16,
         idx_slot: u16,
-        src: Reg,
-        cvt: Cvt,
+        charge: u32,
     },
     ElemUpdateK {
-        charge: u32,
         op: BinOp,
         mode: Mode,
-        dst: Reg,
+        dst: TReg,
+        cvt: Cvt,
         arr: u16,
         idx_slot: u16,
+        charge: u32,
         k: u64,
-        cvt: Cvt,
     },
     ElemUpdateS {
-        charge: u32,
         op: BinOp,
         mode: Mode,
-        dst: Reg,
+        dst: TReg,
+        cvt: Cvt,
         arr: u16,
         idx_slot: u16,
         b_slot: u16,
-        cvt: Cvt,
+        charge: u32,
     },
     LoadElemE {
-        charge: u32,
-        dst: Reg,
+        dst: TReg,
         idx_arr: u16,
         idx_slot: u16,
         arr: u16,
+        charge: u32,
     },
     StoreElemE {
-        charge: u32,
+        src: TReg,
+        cvt: Cvt,
         idx_arr: u16,
         idx_slot: u16,
         arr: u16,
-        src: Reg,
-        cvt: Cvt,
+        charge: u32,
     },
     ElemUpdateE {
-        charge: u32,
         op: BinOp,
         mode: Mode,
-        dst: Reg,
+        dst: TReg,
+        idx_op: BinOp,
+        cvt: Cvt,
         arr: u16,
         idx_arr: u16,
         idx_slot: u16,
-        idx_op: BinOp,
+        charge: u32,
         idx_k: i64,
         k: u64,
-        cvt: Cvt,
     },
     RedAccS {
-        charge: u32,
         op: BinOp,
         mode: Mode,
-        dst: Reg,
+        dst: TReg,
+        cvt: Cvt,
+        tag: u8,
         acc_slot: u16,
         arr: u16,
         idx_slot: u16,
-        cvt: Cvt,
-        tag: u8,
+        charge: u32,
     },
     RedElemK {
-        charge: u32,
         op: BinOp,
         mode: Mode,
-        dst: Reg,
+        dst: TReg,
+        cvt: Cvt,
         arr: u16,
         idx_arr: u16,
         idx_slot: u16,
+        charge: u32,
         k: u64,
-        cvt: Cvt,
     },
     RedElemS {
-        charge: u32,
         op: BinOp,
         mode: Mode,
-        dst: Reg,
+        dst: TReg,
+        cvt: Cvt,
         arr: u16,
         idx_arr: u16,
         idx_slot: u16,
         b_slot: u16,
-        cvt: Cvt,
+        charge: u32,
     },
     Jump {
         target: u32,
     },
     JumpIfFalse {
-        cond: Reg,
-        target: u32,
+        cond: TReg,
         real: bool,
+        target: u32,
     },
     /// `Op::LoopInit` once its control registers are `Int` (a `Real`
     /// one is converted in place by a `Cvt` before it).
     LoopInit {
-        step: Reg,
+        step: TReg,
         var_slot: u16,
     },
     LoopTest {
-        i: Reg,
-        hi: Reg,
-        step: Reg,
+        i: TReg,
+        hi: TReg,
+        step: TReg,
         exit: u32,
     },
     LoopTestSet {
-        i: Reg,
-        hi: Reg,
-        step: Reg,
-        exit: u32,
+        i: TReg,
+        hi: TReg,
+        step: TReg,
         var_slot: u16,
+        exit: u32,
     },
     LoopIncr {
-        i: Reg,
-        step: Reg,
+        i: TReg,
+        step: TReg,
     },
     LoopIncrJump {
-        i: Reg,
-        step: Reg,
+        i: TReg,
+        step: TReg,
         target: u32,
     },
     Call {
@@ -441,6 +468,8 @@ pub enum TOp {
         site: u16,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<TOp>() == 32);
 
 impl TOp {
     /// Whether this is the typed form of a superinstruction (the
@@ -498,8 +527,9 @@ impl TOp {
 pub struct Typed {
     /// The instruction stream (jump targets index it).
     pub ops: Vec<TOp>,
-    /// Typed register file size: the chunk's registers plus two scratch
-    /// registers for expanded superinstructions.
+    /// Typed registers the stream names: the chunk's registers plus two
+    /// scratch registers for expanded superinstructions, at most
+    /// [`TREGS`].
     pub nregs: usize,
     /// Guard: the live-in scalar slots and the tag each must carry.
     pub scalars: Vec<(u16, u8)>,
@@ -509,7 +539,7 @@ pub struct Typed {
     /// Per call site, the registers the call reads (by-value arguments,
     /// section subscripts) with their types, written to the `Value`
     /// registers before the call runs.
-    pub call_regs: Vec<Vec<(Reg, Ty)>>,
+    pub call_regs: Vec<Vec<(TReg, Ty)>>,
     /// Whether the exit state satisfies the guard's assumptions, so a
     /// `run_range` activation may restart the stream at pc 0.
     pub loops: bool,
@@ -545,15 +575,15 @@ pub(crate) struct Typing {
 pub(crate) fn type_chunk(chunk: &Chunk, writes: &dyn Fn(usize, usize) -> u8) -> Typing {
     let n = chunk.ops.len();
     let nslots = chunk.scalars.len();
-    let Some(scratch) = u16::try_from(chunk.nregs)
-        .ok()
-        .filter(|r| *r <= u16::MAX - 2)
-    else {
+    // The chunk's registers and the two scratch registers must all be
+    // `TReg`s; a wider chunk runs the `Value` stream.
+    if chunk.nregs + 2 > TREGS {
         return Typing {
             typed: None,
             exit: vec![ANY; nslots],
         };
-    };
+    }
+    let scratch = chunk.nregs as Reg;
     let width = nslots + chunk.nregs + 2;
     let mut lw = Lower {
         chunk,
@@ -714,7 +744,13 @@ struct Lower<'a> {
     /// A read saw more than one possible type.
     dynamic: bool,
     out: Vec<TOp>,
-    call_regs: Vec<Vec<(Reg, Ty)>>,
+    call_regs: Vec<Vec<(TReg, Ty)>>,
+}
+
+/// `r` as a typed register: exact, as [`type_chunk`] types only a chunk
+/// whose registers, scratch included, are below [`TREGS`].
+fn treg(r: Reg) -> TReg {
+    r as TReg
 }
 
 impl Lower<'_> {
@@ -802,12 +838,19 @@ impl Lower<'_> {
             Op::Const { dst, k } => {
                 let (bits, ty) = self.konst(k);
                 let real = ty == Ty::Real;
-                self.emit(TOp::Const { dst, bits, real });
+                self.emit(TOp::Const {
+                    dst: treg(dst),
+                    bits,
+                    real,
+                });
                 self.set_reg(st, dst, ty);
             }
             Op::LoadScalar { dst, slot } => {
                 let t = self.slot(st, slot);
-                self.emit(TOp::LoadSlot { dst, slot });
+                self.emit(TOp::LoadSlot {
+                    dst: treg(dst),
+                    slot,
+                });
                 self.set_reg(st, dst, t);
             }
             Op::StoreScalar { slot, src } => {
@@ -815,7 +858,7 @@ impl Lower<'_> {
                 let (cvt, tag) = (Cvt::between(t, d), bit(d));
                 self.emit(TOp::StoreSlot {
                     slot,
-                    src,
+                    src: treg(src),
                     cvt,
                     tag,
                 });
@@ -826,7 +869,7 @@ impl Lower<'_> {
                 let tag = bit(t);
                 self.emit(TOp::StoreSlot {
                     slot,
-                    src,
+                    src: treg(src),
                     cvt: Cvt::No,
                     tag,
                 });
@@ -837,15 +880,15 @@ impl Lower<'_> {
                 let k = self.arr(arr);
                 self.emit(if n == 1 && reals == 0 {
                     TOp::Load {
-                        dst,
+                        dst: treg(dst),
                         arr,
-                        idx: base,
+                        idx: treg(base),
                     }
                 } else {
                     TOp::LoadN {
-                        dst,
+                        dst: treg(dst),
                         arr,
-                        base,
+                        base: treg(base),
                         n,
                         reals,
                     }
@@ -859,17 +902,17 @@ impl Lower<'_> {
                 self.emit(if n == 1 && reals == 0 {
                     TOp::Store {
                         arr,
-                        idx: base,
-                        src,
+                        idx: treg(base),
+                        src: treg(src),
                         cvt,
                     }
                 } else {
                     TOp::StoreN {
                         arr,
-                        base,
+                        base: treg(base),
                         n,
                         reals,
-                        src,
+                        src: treg(src),
                         cvt,
                     }
                 });
@@ -877,7 +920,12 @@ impl Lower<'_> {
             Op::Un { op, dst, src } => {
                 let t = self.reg(st, src);
                 let real = t == Ty::Real;
-                self.emit(TOp::Un { op, real, dst, src });
+                self.emit(TOp::Un {
+                    op,
+                    real,
+                    dst: treg(dst),
+                    src: treg(src),
+                });
                 self.set_reg(st, dst, if op == UnOp::Neg { t } else { Ty::Int });
             }
             Op::Bin { op, dst, a, b } => {
@@ -885,9 +933,9 @@ impl Lower<'_> {
                 self.emit(TOp::Bin {
                     op,
                     mode,
-                    dst,
-                    a,
-                    b,
+                    dst: treg(dst),
+                    a: treg(a),
+                    b: treg(b),
                 });
                 self.set_reg(st, dst, mode.result(op));
             }
@@ -895,7 +943,11 @@ impl Lower<'_> {
             Op::Jump { target } => self.emit(TOp::Jump { target }),
             Op::JumpIfFalse { cond, target } => {
                 let real = self.reg(st, cond) == Ty::Real;
-                self.emit(TOp::JumpIfFalse { cond, target, real });
+                self.emit(TOp::JumpIfFalse {
+                    cond: treg(cond),
+                    target,
+                    real,
+                });
             }
             Op::LoopInit {
                 i,
@@ -906,22 +958,33 @@ impl Lower<'_> {
                 for r in [i, hi, step] {
                     if self.reg(st, r) == Ty::Real {
                         self.emit(TOp::Cvt {
-                            dst: r,
-                            src: r,
+                            dst: treg(r),
+                            src: treg(r),
                             cvt: Cvt::RtoI,
                         });
                     }
                     self.set_reg(st, r, Ty::Int);
                 }
-                self.emit(TOp::LoopInit { step, var_slot });
+                self.emit(TOp::LoopInit {
+                    step: treg(step),
+                    var_slot,
+                });
             }
             Op::LoopTest { i, hi, step, exit } => {
                 self.ints(st, [i, hi, step]);
-                self.emit(TOp::LoopTest { i, hi, step, exit });
+                self.emit(TOp::LoopTest {
+                    i: treg(i),
+                    hi: treg(hi),
+                    step: treg(step),
+                    exit,
+                });
             }
             Op::LoopIncr { i, step } => {
                 self.ints(st, [i, step, step]);
-                self.emit(TOp::LoopIncr { i, step });
+                self.emit(TOp::LoopIncr {
+                    i: treg(i),
+                    step: treg(step),
+                });
                 self.set_reg(st, i, Ty::Int);
             }
             Op::Call { site } => self.call(st, site),
@@ -957,19 +1020,19 @@ impl Lower<'_> {
                 TOp::Math {
                     intr,
                     real: *t == Ty::Real,
-                    dst,
-                    src: base,
+                    dst: treg(dst),
+                    src: treg(base),
                 }
             }
             (Intrinsic::Int | Intrinsic::Dble, [t]) => TOp::Cvt {
-                dst,
-                src: base,
+                dst: treg(dst),
+                src: treg(base),
                 cvt: Cvt::between(*t, res),
             },
             _ if n <= 32 => TOp::Intrin {
                 intr,
-                dst,
-                base,
+                dst: treg(dst),
+                base: treg(base),
                 n,
                 reals: tys
                     .iter()
@@ -990,10 +1053,10 @@ impl Lower<'_> {
         let mut regs = Vec::new();
         for (p, spec) in cs.args.iter().enumerate() {
             match *spec {
-                ArgSpec::Value { reg } => regs.push((reg, self.reg(st, reg))),
+                ArgSpec::Value { reg } => regs.push((treg(reg), self.reg(st, reg))),
                 ArgSpec::Section { base, n, .. } => {
                     for k in 0..u16::from(n) {
-                        regs.push((base + k, self.reg(st, base + k)));
+                        regs.push((treg(base + k), self.reg(st, base + k)));
                     }
                 }
                 // Copy-in / copy-out runs on the frame's tagged slots;
@@ -1020,7 +1083,7 @@ impl Lower<'_> {
                     charge,
                     op,
                     mode,
-                    dst,
+                    dst: treg(dst),
                     a_slot,
                     b_slot,
                 });
@@ -1038,8 +1101,8 @@ impl Lower<'_> {
                     charge,
                     op,
                     mode,
-                    dst,
-                    a,
+                    dst: treg(dst),
+                    a: treg(a),
                     b_slot,
                 });
                 self.set_reg(st, dst, mode.result(op));
@@ -1056,8 +1119,8 @@ impl Lower<'_> {
                     charge,
                     op,
                     mode,
-                    dst,
-                    a,
+                    dst: treg(dst),
+                    a: treg(a),
                     k,
                 });
                 self.set_reg(st, dst, mode.result(op));
@@ -1075,8 +1138,8 @@ impl Lower<'_> {
                     charge,
                     op,
                     mode,
-                    dst,
-                    a,
+                    dst: treg(dst),
+                    a: treg(a),
                     arr,
                     idx_slot,
                 });
@@ -1097,9 +1160,9 @@ impl Lower<'_> {
                     op,
                     mode,
                     slot,
-                    dst,
-                    a,
-                    b,
+                    dst: treg(dst),
+                    a: treg(a),
+                    b: treg(b),
                     cvt: Cvt::between(res, d),
                     tag: bit(d),
                 });
@@ -1115,7 +1178,7 @@ impl Lower<'_> {
                 let k = self.arr(arr);
                 self.emit(TOp::LoadElemS {
                     charge,
-                    dst,
+                    dst: treg(dst),
                     arr,
                     idx_slot,
                 });
@@ -1132,7 +1195,7 @@ impl Lower<'_> {
                     charge,
                     arr,
                     idx_slot,
-                    src,
+                    src: treg(src),
                     cvt,
                 });
             }
@@ -1151,7 +1214,7 @@ impl Lower<'_> {
                     charge,
                     op,
                     mode,
-                    dst,
+                    dst: treg(dst),
                     arr,
                     idx_slot,
                     k,
@@ -1174,7 +1237,7 @@ impl Lower<'_> {
                     charge,
                     op,
                     mode,
-                    dst,
+                    dst: treg(dst),
                     arr,
                     idx_slot,
                     b_slot,
@@ -1187,7 +1250,7 @@ impl Lower<'_> {
                 let real = ty == Ty::Real;
                 self.emit(TOp::ChargedConst {
                     charge,
-                    dst,
+                    dst: treg(dst),
                     bits,
                     real,
                 });
@@ -1195,7 +1258,11 @@ impl Lower<'_> {
             }
             Op::ChargedLoadScalar { charge, dst, slot } => {
                 let t = self.slot(st, slot);
-                self.emit(TOp::ChargedLoadSlot { charge, dst, slot });
+                self.emit(TOp::ChargedLoadSlot {
+                    charge,
+                    dst: treg(dst),
+                    slot,
+                });
                 self.set_reg(st, dst, t);
             }
             Op::FusedLoadElemE {
@@ -1208,7 +1275,7 @@ impl Lower<'_> {
                 let k = self.arr(arr);
                 self.emit(TOp::LoadElemE {
                     charge,
-                    dst,
+                    dst: treg(dst),
                     idx_arr,
                     idx_slot,
                     arr,
@@ -1228,7 +1295,7 @@ impl Lower<'_> {
                     idx_arr,
                     idx_slot,
                     arr,
-                    src,
+                    src: treg(src),
                     cvt,
                 });
             }
@@ -1253,7 +1320,7 @@ impl Lower<'_> {
                     charge,
                     op,
                     mode,
-                    dst,
+                    dst: treg(dst),
                     arr,
                     idx_arr,
                     idx_slot,
@@ -1278,7 +1345,7 @@ impl Lower<'_> {
                     charge,
                     op,
                     mode,
-                    dst,
+                    dst: treg(dst),
                     acc_slot,
                     arr,
                     idx_slot,
@@ -1304,7 +1371,7 @@ impl Lower<'_> {
                     charge,
                     op,
                     mode,
-                    dst,
+                    dst: treg(dst),
                     arr,
                     idx_arr,
                     idx_slot,
@@ -1329,7 +1396,7 @@ impl Lower<'_> {
                     charge,
                     op,
                     mode,
-                    dst,
+                    dst: treg(dst),
                     arr,
                     idx_arr,
                     idx_slot,
@@ -1347,9 +1414,9 @@ impl Lower<'_> {
             } => {
                 self.ints(st, [i, hi, step]);
                 self.emit(TOp::LoopTestSet {
-                    i,
-                    hi,
-                    step,
+                    i: treg(i),
+                    hi: treg(hi),
+                    step: treg(step),
                     exit,
                     var_slot,
                 });
@@ -1357,7 +1424,11 @@ impl Lower<'_> {
             }
             Op::LoopIncrJump { i, step, target } => {
                 self.ints(st, [i, step, step]);
-                self.emit(TOp::LoopIncrJump { i, step, target });
+                self.emit(TOp::LoopIncrJump {
+                    i: treg(i),
+                    step: treg(step),
+                    target,
+                });
                 self.set_reg(st, i, Ty::Int);
             }
             _ => {
@@ -1374,8 +1445,9 @@ impl Lower<'_> {
 // ---- Execution ---------------------------------------------------------
 
 /// An array resolved once per activation: its typed cells (the other
-/// kind's slice is empty) and the view offset less one, so a rank-1
-/// subscript `i` addresses cell `base + i`.
+/// kind's slice is empty), the view offset less one, so a rank-1
+/// subscript `i` addresses cell `base + i`, and whether the tracer
+/// wants its writes.
 #[derive(Clone, Copy)]
 struct TArr<'f> {
     ints: &'f [AtomicI64],
@@ -1383,6 +1455,8 @@ struct TArr<'f> {
     len: usize,
     base: i64,
     real: bool,
+    /// [`AccessTracer::wants_writes`] of the buffer, asked once.
+    hooked: bool,
     /// The first declared extent: the column stride of a rank-2 access.
     ext0: Option<i64>,
 }
@@ -1394,12 +1468,13 @@ impl<'f> TArr<'f> {
         len: 0,
         base: 0,
         real: false,
+        hooked: false,
         ext0: None,
     };
 
     /// `view` as cells of `ty`, which the guard checked it holds.
     #[inline(always)]
-    fn of(view: &'f ArrayView, ty: Ty) -> TArr<'f> {
+    fn of(view: &'f ArrayView, ty: Ty, tracer: Option<&dyn AccessTracer>) -> TArr<'f> {
         let (ints, reals) = match ty {
             Ty::Int => (view.buf.int_cells().unwrap_or(&[]), &[][..]),
             Ty::Real => (&[][..], view.buf.real_cells().unwrap_or(&[])),
@@ -1410,6 +1485,7 @@ impl<'f> TArr<'f> {
             len: ints.len() + reals.len(),
             base: (view.offset as i64).wrapping_sub(1),
             real: ty == Ty::Real,
+            hooked: tracer.is_some_and(|t| t.wants_writes(&view.buf)),
             ext0: view.extents.first().copied(),
         }
     }
@@ -1549,13 +1625,14 @@ fn index_n(
     chunk: &Chunk,
     arrays: &[Option<ArrayView>],
     tab: &[TArr],
-    r: &[u64],
-    (arr, base, n, reals): (u16, Reg, u8, u8),
+    r: &[u64; TREGS],
+    (arr, base, n, reals): (u16, TReg, u8, u8),
 ) -> Result<usize, RunError> {
     if n == 2 && reals == 0 {
-        let b = base as usize;
+        // `base + 1` is the chunk's register, so the wrap never happens.
+        let (i, j) = (r[base as usize], r[base.wrapping_add(1) as usize]);
         return tab[arr as usize]
-            .index2(r[b] as i64, r[b + 1] as i64)
+            .index2(i as i64, j as i64)
             .ok_or_else(|| bad_index(chunk, arr));
     }
     index_general(chunk, arrays, tab, r, (arr, base, n, reals))
@@ -1568,8 +1645,8 @@ fn index_general(
     chunk: &Chunk,
     arrays: &[Option<ArrayView>],
     tab: &[TArr],
-    r: &[u64],
-    (arr, base, n, reals): (u16, Reg, u8, u8),
+    r: &[u64; TREGS],
+    (arr, base, n, reals): (u16, TReg, u8, u8),
 ) -> Result<usize, RunError> {
     let mut idx = [0i64; 7];
     for (k, i) in idx.iter_mut().take(n as usize).enumerate() {
@@ -1606,12 +1683,13 @@ impl Vm<'_> {
     ) -> Result<(), RunError> {
         let Frame {
             regs: vregs,
-            tregs: r,
+            tregs,
             scalars: s,
             arrays,
             callees,
             ..
         } = frame;
+        let r = &mut **tregs.get_or_insert_with(|| Box::new([0; TREGS]));
         let arrays = &arrays[..];
         let mut stack = [TArr::EMPTY; 8];
         let mut heap = Vec::new();
@@ -1623,7 +1701,7 @@ impl Vm<'_> {
         };
         for &(a, ty) in &t.arrays {
             if let Some(view) = &arrays[a as usize] {
-                tab[a as usize] = TArr::of(view, ty);
+                tab[a as usize] = TArr::of(view, ty, tracer);
             }
         }
         let tab = &*tab;
@@ -1659,7 +1737,9 @@ impl Vm<'_> {
         macro_rules! write {
             ($arr:expr, $abs:expr) => {
                 if let Some(tr) = tracer {
-                    tr.write(name($arr), buf($arr), $abs);
+                    if tab[$arr as usize].hooked {
+                        tr.write(name($arr), buf($arr), $abs);
+                    }
                 }
             };
         }

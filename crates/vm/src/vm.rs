@@ -123,13 +123,21 @@ impl Slot {
 /// state allocates nothing and, passing the arrays it passed last time,
 /// leaves their reference counts alone. The frames are dropped with the
 /// root frame.
+///
+/// The typed stream's registers are one fixed file of
+/// [`typed::TREGS`] words per frame, so every [`typed::TReg`] indexes
+/// it without a bounds check; a callee frame's reset zeroes only the
+/// callee's own registers in it.
 #[derive(Clone, Debug, Default)]
 pub struct Frame {
-    /// The `Value` stream's registers and the typed stream's raw ones,
-    /// each sized on the first activation that needs it (a typed callee
-    /// frame never sizes the `Value` file unless it calls out).
+    /// The `Value` stream's registers, sized on the first activation
+    /// that needs them (a typed callee frame never sizes them unless it
+    /// calls out).
     pub(crate) regs: Vec<Value>,
-    pub(crate) tregs: Vec<u64>,
+    /// The typed stream's raw registers: a fixed file of
+    /// [`typed::TREGS`] words, made on the first typed activation, that
+    /// any [`typed::TReg`] indexes without a bounds check.
+    pub(crate) tregs: Option<Box<[u64; typed::TREGS]>>,
     pub(crate) scalars: Vec<Slot>,
     pub(crate) arrays: Vec<Option<ArrayView>>,
     /// The frames of this frame's CALLs, by callee, made on first call.
@@ -160,12 +168,15 @@ impl Frame {
     }
 
     /// Makes this frame of callee `csub` a fresh one without freeing
-    /// anything: every slot unbound, no register sized (the activation
-    /// sizes them, zeroed), and each formal's previous view parked. A
-    /// callee frame only ever binds formals and locals.
+    /// anything: every slot unbound, no `Value` register sized (the
+    /// activation sizes them, zeroed), the callee's typed registers
+    /// zeroed, and each formal's previous view parked. A callee frame
+    /// only ever binds formals and locals.
     fn reset(&mut self, csub: &CompiledSub) {
         self.regs.clear();
-        self.tregs.clear();
+        if let (Some(r), Some(t)) = (&mut self.tregs, csub.chunk.typed.as_deref()) {
+            r[..t.nregs].fill(0);
+        }
         self.scalars.clear();
         self.scalars
             .resize(csub.chunk.scalars.len(), Slot::default());
@@ -220,6 +231,45 @@ impl Frame {
                 store.bind_array(chunk.arrays[i].0, view.clone());
             }
         }
+    }
+}
+
+/// The tracer, per array slot, when it wants the writes to the buffer
+/// bound there. [`AccessTracer::wants_writes`] is asked at the slot's
+/// first write in the activation, so an activation that writes no array
+/// (an expression fragment, say) asks nothing. A slot past the first 64
+/// is never asked: its writes all go to the tracer, which the trait's
+/// contract makes harmless when it would have refused them.
+struct Writers<'t> {
+    tracer: Option<&'t dyn AccessTracer>,
+    asked: u64,
+    wanted: u64,
+}
+
+impl<'t> Writers<'t> {
+    fn new(tracer: Option<&'t dyn AccessTracer>) -> Writers<'t> {
+        Writers {
+            tracer,
+            asked: 0,
+            wanted: 0,
+        }
+    }
+
+    /// The tracer to hand a write to `buf`, bound at array slot `arr`,
+    /// if any.
+    #[inline(always)]
+    fn get(&mut self, arr: u16, buf: &ArrayBuf) -> Option<&'t dyn AccessTracer> {
+        let t = self.tracer?;
+        let Some(bit) = 1u64.checked_shl(u32::from(arr)) else {
+            return Some(t);
+        };
+        if self.asked & bit == 0 {
+            self.asked |= bit;
+            if t.wants_writes(buf) {
+                self.wanted |= bit;
+            }
+        }
+        (self.wanted & bit != 0).then_some(t)
     }
 }
 
@@ -621,9 +671,6 @@ impl<'p> Vm<'p> {
                 if COUNT {
                     counts.typed_runs += 1;
                 }
-                if frame.tregs.len() < t.nregs {
-                    frame.tregs.resize(t.nregs, 0);
-                }
                 if !chunk.calls.is_empty() {
                     // A call hands its arguments over in `Value` registers.
                     frame.value_regs(chunk);
@@ -721,6 +768,7 @@ impl<'p> Vm<'p> {
         counts: &mut DispatchCounts,
     ) -> Result<(), RunError> {
         let reader = tracer.filter(|t| t.wants_reads());
+        let mut writers = Writers::new(tracer);
         // No range is one pass: `iter == last` from the start.
         let (var_slot, mut iter, last) = match range {
             Some((_, lo, hi)) if lo > hi => return Ok(()),
@@ -775,7 +823,7 @@ impl<'p> Vm<'p> {
                         let v = frame.regs[*src as usize];
                         let (name, lin, view) =
                             Self::linearize(chunk, &frame.arrays, &frame.regs, *arr, *base, *n)?;
-                        if let Some(t) = tracer {
+                        if let Some(t) = writers.get(*arr, &view.buf) {
                             t.write(name, &view.buf, lin);
                         }
                         view.buf.set(lin, v);
@@ -956,7 +1004,7 @@ impl<'p> Vm<'p> {
                         let v = frame.regs[*src as usize];
                         let (name, lin, view) =
                             Self::linearize_slot(chunk, frame, *arr, *idx_slot)?;
-                        if let Some(t) = tracer {
+                        if let Some(t) = writers.get(*arr, &view.buf) {
                             t.write(name, &view.buf, lin);
                         }
                         view.buf.set(lin, v);
@@ -979,7 +1027,7 @@ impl<'p> Vm<'p> {
                                 t.read(name, &view.buf, lin);
                             }
                             let v = apply_bin(*op, view.buf.get(lin), chunk.consts[*k as usize])?;
-                            if let Some(t) = tracer {
+                            if let Some(t) = writers.get(*arr, &view.buf) {
                                 t.write(name, &view.buf, lin);
                             }
                             view.buf.set(lin, v);
@@ -1010,7 +1058,7 @@ impl<'p> Vm<'p> {
                             // unbound operand errors after the read.
                             let b = Self::slot_value(chunk, frame, *b_slot)?;
                             let v = apply_bin(*op, cur, b)?;
-                            if let Some(t) = tracer {
+                            if let Some(t) = writers.get(*arr, &view.buf) {
                                 t.write(name, &view.buf, lin);
                             }
                             view.buf.set(lin, v);
@@ -1087,7 +1135,7 @@ impl<'p> Vm<'p> {
                         if abs < 0 || abs as usize >= view.buf.len() {
                             return Err(RunError::BadIndex(name));
                         }
-                        if let Some(t) = tracer {
+                        if let Some(t) = writers.get(*arr, &view.buf) {
                             t.write(name, &view.buf, abs as usize);
                         }
                         view.buf.set(abs as usize, v);
@@ -1142,7 +1190,7 @@ impl<'p> Vm<'p> {
                             if let Some(t) = reader {
                                 t.read(iname, &iview.buf, ilin);
                             }
-                            if let Some(t) = tracer {
+                            if let Some(t) = writers.get(*arr, &view.buf) {
                                 t.write(name, &view.buf, abs as usize);
                             }
                             view.buf.set(abs as usize, v);
@@ -1234,7 +1282,7 @@ impl<'p> Vm<'p> {
                             if let Some(t) = reader {
                                 t.read(iname, &iview.buf, ilin);
                             }
-                            if let Some(t) = tracer {
+                            if let Some(t) = writers.get(*arr, &view.buf) {
                                 t.write(name, &view.buf, abs as usize);
                             }
                             view.buf.set(abs as usize, v);

@@ -76,6 +76,44 @@ impl AccessTracer for WritesOnly {
     }
 }
 
+/// Records every access as [`Recorder`] does, a write to an `INTEGER`
+/// buffer as `'i'`.
+#[derive(Default)]
+struct KindRecorder(Recorder);
+
+impl AccessTracer for KindRecorder {
+    fn read(&self, arr: Sym, buf: &lip_ir::ArrayBuf, idx: usize) {
+        self.0.read(arr, buf, idx);
+    }
+    fn write(&self, arr: Sym, buf: &lip_ir::ArrayBuf, idx: usize) {
+        let kind = if buf.ty() == Ty::Int { 'i' } else { 'w' };
+        self.0.events.lock().unwrap().push((kind, arr, idx));
+    }
+}
+
+/// Records every access, and wants no write to an `INTEGER` buffer
+/// (`B`'s, whatever a callee's formal calls it): the VM must not hand
+/// it one.
+#[derive(Default)]
+struct RealWritesOnly(Recorder);
+
+impl AccessTracer for RealWritesOnly {
+    fn read(&self, arr: Sym, buf: &lip_ir::ArrayBuf, idx: usize) {
+        self.0.read(arr, buf, idx);
+    }
+    fn write(&self, arr: Sym, buf: &lip_ir::ArrayBuf, idx: usize) {
+        assert_ne!(
+            buf.ty(),
+            Ty::Int,
+            "write of {arr}({idx}) reached a tracer that refuses it"
+        );
+        self.0.write(arr, buf, idx);
+    }
+    fn wants_writes(&self, buf: &lip_ir::ArrayBuf) -> bool {
+        buf.ty() != Ty::Int
+    }
+}
+
 struct Gen {
     state: u64,
 }
@@ -1027,6 +1065,37 @@ fn a_tracer_that_wants_no_reads_gets_only_the_writes() {
     }
 }
 
+#[test]
+fn a_tracer_that_refuses_a_buffer_gets_every_write_but_its() {
+    let mut refused = 0;
+    for seed in 0..64 {
+        for prog in [gen_program(seed), gen_call_program(seed)] {
+            for leg in [Leg::Unfused, Leg::FusedValue, Leg::Typed] {
+                let c = compiled(&prog, leg);
+                let all = KindRecorder::default();
+                let some = RealWritesOnly::default();
+                let mut outcomes = Vec::new();
+                for tracer in [&all as &dyn AccessTracer, &some] {
+                    let mut store = Store::new();
+                    let mut state = lip_ir::ExecState::with_budget(BUDGET);
+                    let result = Vm::new(&c).run_with_state(&mut store, &mut state, Some(tracer));
+                    outcomes.push((result, state.cost));
+                }
+                assert_eq!(outcomes[0], outcomes[1], "seed {seed}, {leg:?}");
+                let events = std::mem::take(&mut *all.0.events.lock().unwrap());
+                refused += events.iter().filter(|e| e.0 == 'i').count();
+                let expected: Vec<_> = events.into_iter().filter(|e| e.0 != 'i').collect();
+                assert_eq!(
+                    *some.0.events.lock().unwrap(),
+                    expected,
+                    "seed {seed}, {leg:?}"
+                );
+            }
+        }
+    }
+    assert!(refused > 0, "the corpus writes no INTEGER array");
+}
+
 /// The corpus reaches every typed element superinstruction and, through
 /// `REAL` subscripts and index arrays, the unfused expansions the typed
 /// stream falls back to: a generator change that stops producing one
@@ -1300,5 +1369,90 @@ fn a_call_past_the_depth_cap_fails_alike_on_every_engine() {
             let (vm, _) = run_vm(&prog, leg, BUDGET);
             assert_eq!(vm, interp, "{leg:?}, stop {stop:?}");
         }
+    }
+}
+
+/// A chunk binding 66 arrays writes to slot 64 and past it, on every
+/// leg: with no tracer (the runs still match the interpreter), with a
+/// tracer that takes every write (the interpreter's access stream) and
+/// with one that refuses the `INTEGER` buffer in slot 0 (that stream
+/// less its writes to `B0`; a slot past 64 is never asked, and the
+/// refusing tracer would panic on a write to `B0`).
+#[test]
+fn a_chunk_with_66_arrays_traces_the_writes_past_slot_64() {
+    let names: Vec<String> = (1..66).map(|j| format!("A{j}")).collect();
+    let src = format!(
+        "
+SUBROUTINE main()
+  INTEGER i
+  INTEGER B0(3)
+  DIMENSION {}
+  B0(1) = 4
+{}
+  DO i = 1, 3
+    A64(i) = A64(i) + i
+    A65(i) = B0(1) * 2.5
+    B0(i) = i
+  ENDDO
+END
+",
+        names
+            .iter()
+            .map(|a| format!("{a}(3)"))
+            .collect::<Vec<_>>()
+            .join(", "),
+        names
+            .iter()
+            .map(|a| format!("  {a}(2) = 1.5\n"))
+            .collect::<String>(),
+    );
+    let prog = lip_ir::parse_program(&src).expect("parses");
+    let arrays: Vec<Sym> = std::iter::once(sym("B0"))
+        .chain(names.iter().map(|a| sym(a)))
+        .collect();
+    let elems = |store: &Store| -> Vec<(u8, u64)> {
+        arrays
+            .iter()
+            .flat_map(|&a| {
+                let a = store.array(a).expect("bound");
+                (0..a.buf.len()).map(|k| value_bits(a.buf.get(k)))
+            })
+            .collect()
+    };
+    let rec = Arc::new(KindRecorder::default());
+    let machine = Machine::new(prog.clone()).with_tracer(rec.clone());
+    let mut store = Store::new();
+    let mut state = lip_ir::ExecState::with_budget(BUDGET);
+    machine
+        .run_with_state(&mut store, &mut state)
+        .expect("runs");
+    let expected = (elems(&store), state.cost);
+    let trace = std::mem::take(&mut *rec.0.events.lock().unwrap());
+    assert!(trace.iter().any(|&(_, a, _)| a == sym("A64")));
+    assert!(trace.iter().any(|&(_, a, _)| a == sym("A65")));
+    assert!(trace.iter().any(|&(k, _, _)| k == 'i'));
+    let untraced_ints: Vec<_> = trace.iter().filter(|e| e.0 != 'i').copied().collect();
+    for leg in [Leg::Unfused, Leg::FusedValue, Leg::Typed] {
+        let c = compiled(&prog, leg);
+        let slots = &c.subs[0].chunk.arrays;
+        assert_eq!(slots.len(), 66, "{leg:?}");
+        assert!(
+            slots[64..]
+                .iter()
+                .all(|&(a, _)| a == sym("A64") || a == sym("A65")),
+            "{leg:?}: A64 and A65 bound past slot 63"
+        );
+        let all = KindRecorder::default();
+        let some = RealWritesOnly::default();
+        for tracer in [None, Some(&all as &dyn AccessTracer), Some(&some)] {
+            let mut store = Store::new();
+            let mut state = lip_ir::ExecState::with_budget(BUDGET);
+            Vm::new(&c)
+                .run_with_state(&mut store, &mut state, tracer)
+                .expect("runs");
+            assert_eq!((elems(&store), state.cost), expected, "{leg:?}");
+        }
+        assert_eq!(*all.0.events.lock().unwrap(), trace, "{leg:?}");
+        assert_eq!(*some.0.events.lock().unwrap(), untraced_ints, "{leg:?}");
     }
 }

@@ -245,3 +245,59 @@ END
     };
     assert_eq!(skipped.check(), (0, 1));
 }
+
+/// `main` with `y` set from a nest of `MAX`es that holds `nregs`
+/// registers at its deepest point (each level keeps 31 arguments live
+/// while the 32nd, the next level, evaluates; at most 32 arguments
+/// each, so every intrinsic has a typed form), after a read-modify-write
+/// whose `REAL` subscript expands its superinstruction onto the two
+/// scratch registers (which, were they allowed past the file, would
+/// alias `r0` and `r1`, the element's value among them).
+fn wide(nregs: usize) -> Case {
+    let args = |n: usize| -> Vec<&str> { (0..n).map(|j| ["k", "m"][j % 2]).collect() };
+    let mut max = format!("MAX({})", args(nregs % 31).join(", "));
+    for _ in 0..nregs / 31 {
+        max = format!("MAX({}, {max})", args(31).join(", "));
+    }
+    let src = format!(
+        "
+SUBROUTINE main()
+  INTEGER k, m
+  REAL x, z, y, w
+  DIMENSION A(4)
+  A(2) = 7.25
+  A(x) = A(x) + 1.5
+  w = z + A(x)
+  y = {max}
+END
+"
+    );
+    Case {
+        src: Box::leak(src.into_boxed_str()),
+        seed: vec![
+            ("k", Value::Int(3)),
+            ("m", Value::Int(5)),
+            ("x", Value::Real(2.5)),
+            ("z", Value::Real(1.5)),
+        ],
+        inputs: vec![],
+        scalars: &["y", "w"],
+        arrays: &["A"],
+    }
+}
+
+#[test]
+fn a_chunk_past_the_typed_register_file_runs_the_value_stream() {
+    for (nregs, runs) in [(254, (1, 0)), (255, (0, 1)), (256, (0, 1))] {
+        let case = wide(nregs);
+        let mut compiled = compile_program(case.machine().program()).expect("compiles");
+        assert_eq!(compiled.subs[0].chunk.nregs, nregs);
+        optimize_program(&mut compiled);
+        assert_eq!(
+            compiled.subs[0].chunk.typed.is_some(),
+            runs.0 == 1,
+            "{nregs} registers and 2 scratch in a 256-entry file"
+        );
+        assert_eq!(case.check(), runs, "{nregs} registers");
+    }
+}
