@@ -189,6 +189,14 @@ pub struct LoopAnalysis {
     pub civs: Vec<(Sym, Sym)>,
     /// Whether any scalar is a reduction accumulator.
     pub scalar_reductions: Vec<Sym>,
+    /// The scalars the body assigns that are neither reductions nor
+    /// CIVs. A parallel run gives each chunk its own copy, and the copy
+    /// of the chunk that ran the last iteration holds the final value.
+    pub private_scalars: Vec<Sym>,
+    /// The affine induction scalars among them (`s = s + step` once per
+    /// iteration, `step` invariant): a chunk's copy starts at the value
+    /// the scalar has on entry to the chunk's first iteration.
+    pub affine_ivs: Vec<(Sym, SymExpr)>,
     /// The union of the unresolved arrays' independence USRs: the exact
     /// last-resort test (hoisted USR evaluation, paper §5). `None` when
     /// everything is statically resolved.
@@ -376,6 +384,8 @@ pub(crate) fn analyze_do(
                 cascade: Cascade::default(),
                 civs: Vec::new(),
                 scalar_reductions: Vec::new(),
+                private_scalars: Vec::new(),
+                affine_ivs: Vec::new(),
                 ind_usr: None,
                 fission: None,
                 exact_key: OnceCell::new(),
@@ -516,6 +526,7 @@ fn classify(
     let mut required: Vec<Pdag> = Vec::new();
     let mut fallback: Option<FallbackKind> = None;
     let mut scalar_reductions = Vec::new();
+    let mut affine_ivs = Vec::new();
     let mut exact_usrs: Vec<Usr> = Vec::new();
 
     if !it.civs.is_empty() {
@@ -528,12 +539,19 @@ fn classify(
                 techniques.insert(Technique::Sred);
                 scalar_reductions.push(*s);
             }
-            ScalarKind::Recomputed | ScalarKind::AffineIv { .. } => {
+            ScalarKind::Recomputed => {
                 techniques.insert(Technique::Priv);
+            }
+            ScalarKind::AffineIv { step } => {
+                techniques.insert(Technique::Priv);
+                affine_ivs.push((*s, step.clone()));
             }
             _ => {}
         }
     }
+    let private_scalars = (it.kinds.keys().copied())
+        .filter(|s| !scalar_reductions.contains(s) && !it.civs.iter().any(|(c, _)| c == s))
+        .collect();
 
     for (arr, facts) in &it.body.arrays {
         let s = &facts.summary;
@@ -804,6 +822,8 @@ fn classify(
         cascade,
         civs: it.civs,
         scalar_reductions,
+        private_scalars,
+        affine_ivs,
         ind_usr,
         fission: None,
         exact_key: OnceCell::new(),

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use lip_ir::{AccessTracer, ExecState, Expr, Machine, RunError, Stmt, Store, Subroutine};
 use lip_symbolic::Sym;
-use lip_vm::{Frame, Vm};
+use lip_vm::{DispatchCounts, Frame, Vm};
 
 use crate::cache::{CompiledBody, ProgramCache};
 
@@ -96,21 +96,49 @@ impl CompiledBody {
         st: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
     ) -> Result<(), RunError> {
-        let (vm, b, obs) = (self.vm(env), self.block, &env.cache.obs);
-        if !obs.trace_enabled() {
-            return match range {
-                Some((slot, lo, hi)) => vm.run_range(b, f, slot, lo, hi, st, tracer),
-                None => vm.run_block(b, f, st, tracer),
-            };
+        let mut tally = env.tally();
+        self.activate(env, f, range, st, tracer, &mut tally)?;
+        env.publish(tally);
+        Ok(())
+    }
+
+    /// [`CompiledBody::run`] for a driver that activates the body once
+    /// per iteration (LRPD, the CIV slice, the measurement pass): the
+    /// counts add to `tally`, which the driver publishes once.
+    pub fn activate(
+        &self,
+        env: &ExecEnv<'_>,
+        f: &mut Frame,
+        range: Option<(u16, i64, i64)>,
+        st: &mut ExecState,
+        tracer: Option<&dyn AccessTracer>,
+        tally: &mut Option<DispatchCounts>,
+    ) -> Result<(), RunError> {
+        let (vm, b) = (self.vm(env), self.block);
+        match (tally, range) {
+            (Some(dc), _) => vm.run_counting(b, f, range, st, tracer, dc),
+            (None, Some((slot, lo, hi))) => vm.run_range(b, f, slot, lo, hi, st, tracer),
+            (None, None) => vm.run_block(b, f, st, tracer),
         }
-        let mut dc = lip_vm::DispatchCounts::default();
-        vm.run_counting(b, f, range, st, tracer, &mut dc)?;
+    }
+}
+
+impl ExecEnv<'_> {
+    /// An empty dispatch tally at trace level, none below it.
+    pub fn tally(&self) -> Option<DispatchCounts> {
+        self.cache.obs.trace_enabled().then(DispatchCounts::default)
+    }
+
+    /// Publishes a driver's dispatch tally.
+    pub fn publish(&self, tally: Option<DispatchCounts>) {
+        let (Some(dc), obs) = (tally, &self.cache.obs) else {
+            return;
+        };
         obs.count("vm.ops", dc.ops);
         obs.count("vm.fused_ops", dc.fused_ops);
         obs.count("vm.red_ops", dc.red_ops);
         obs.count("vm.typed_runs", dc.typed_runs);
         obs.count("vm.untyped_runs", dc.untyped_runs);
-        Ok(())
     }
 }
 

@@ -12,10 +12,12 @@
 use std::collections::BTreeSet;
 
 use lip_analysis::LoopAnalysis;
-use lip_ir::{ExecState, LValue, RunError, Stmt, Store, Subroutine, Value};
+use lip_ir::{ArrayBuf, ExecState, LValue, RunError, Stmt, Store, Subroutine, Ty, Value};
 use lip_symbolic::Sym;
+use lip_vm::Frame;
 
 use crate::backend::ExecEnv;
+use crate::cache::CompiledBody;
 
 /// Extracts the slice of `body` needed to compute `targets` each
 /// iteration: the transitive closure of statements assigning needed
@@ -210,7 +212,9 @@ pub(crate) fn loop_traces(
 /// value); `niters_sym` (for while loops) receives the trip count.
 /// Returns the work units charged to `state` (the tests give it a step
 /// budget). The slice — the dominant runtime-test cost for the
-/// `track`-style while loops — is compiled once per program.
+/// `track`-style while loops — is compiled once per program. It is a
+/// runtime test, charged to `test_units`, so it runs with no tracer:
+/// its reads are not the loop's.
 pub(crate) fn civ_traces(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
@@ -223,8 +227,12 @@ pub(crate) fn civ_traces(
     let state = &mut state;
     let targets: BTreeSet<Sym> = civs.iter().map(|(s, _)| *s).collect();
     let mut extra: Vec<Sym> = civs.iter().map(|(s, _)| *s).collect();
-    let mut traces: Vec<(Sym, Sym, Vec<i64>)> =
+    let mut traces: Vec<(Sym, Sym, Vec<Value>)> =
         civs.iter().map(|(s, t)| (*s, *t, Vec::new())).collect();
+    let mut tally = env.tally();
+    let mut step = |cb: &CompiledBody, f: &mut Frame, state: &mut ExecState| {
+        cb.activate(env, f, None, state, None, &mut tally)
+    };
     match target {
         Stmt::Do {
             var, lo, hi, body, ..
@@ -238,13 +246,12 @@ pub(crate) fn civ_traces(
                 .map(|(s, _)| cb.chunk().scalar_slot(*s).expect("interned"))
                 .collect();
             let mut f = cb.frame(frame);
-            let vm = cb.vm(env);
             let lo = env.eval(sub, frame, lo, state)?;
             let hi = env.eval(sub, frame, hi, state)?;
             for i in lo..=hi {
                 f.set_scalar(var_slot, Value::Int(i));
                 record(&f, &civ_slots, &mut traces);
-                vm.run_block(cb.block, &mut f, state, env.tracer())?;
+                step(&cb, &mut f, state)?;
             }
             // Post-loop entry (trace(hi+1)).
             record(&f, &civ_slots, &mut traces);
@@ -260,13 +267,13 @@ pub(crate) fn civ_traces(
             let vm = cb.vm(env);
             let mut n: i64 = 0;
             loop {
-                let c = vm.eval_block_expr(cb.block, 0, &mut f, state, env.tracer())?;
+                let c = vm.eval_block_expr(cb.block, 0, &mut f, state, None)?;
                 record(&f, &civ_slots, &mut traces);
                 if !c.truthy() {
                     break;
                 }
                 n += 1;
-                vm.run_block(cb.block, &mut f, state, env.tracer())?;
+                step(&cb, &mut f, state)?;
                 if n as u64 > crate::exec::TEST_BUDGET {
                     return Err(RunError::StepLimit);
                 }
@@ -278,19 +285,26 @@ pub(crate) fn civ_traces(
         // Non-loop targets still bind (empty) trace arrays.
         _ => {}
     }
-    bind_traces(frame, traces);
+    env.publish(tally);
+    bind_traces(sub, frame, traces);
     Ok(state.cost)
 }
 
-fn record(f: &lip_vm::Frame, slots: &[u16], traces: &mut [(Sym, Sym, Vec<i64>)]) {
+fn record(f: &Frame, slots: &[u16], traces: &mut [(Sym, Sym, Vec<Value>)]) {
     for (slot, (_, _, vals)) in slots.iter().zip(traces.iter_mut()) {
-        vals.push(f.scalar(*slot).map(Value::as_i64).unwrap_or(0));
+        vals.push(f.scalar(*slot).unwrap_or(Value::Int(0)));
     }
 }
 
-fn bind_traces(frame: &mut Store, traces: Vec<(Sym, Sym, Vec<i64>)>) {
-    for (_, trace, vals) in traces {
-        let buf = lip_ir::ArrayBuf::from_i64(&vals);
+/// Binds each trace as a 1-D array of its scalar's declared type: a
+/// `REAL` carried from one iteration into the next seeds a chunk with
+/// its value, not with that value truncated.
+fn bind_traces(sub: &Subroutine, frame: &mut Store, traces: Vec<(Sym, Sym, Vec<Value>)>) {
+    for (civ, trace, vals) in traces {
+        let buf = match sub.ty_of(civ) {
+            Ty::Int => ArrayBuf::from_i64(&vals.iter().map(|v| v.as_i64()).collect::<Vec<_>>()),
+            Ty::Real => ArrayBuf::from_f64(&vals.iter().map(|v| v.as_f64()).collect::<Vec<_>>()),
+        };
         frame.bind_array(
             trace,
             lip_ir::ArrayView {

@@ -481,7 +481,8 @@ fn run_loop_inner(
         arrays: &plans,
         scalar_reds: &analysis.scalar_reductions,
         civs: &analysis.civs,
-        scalar_finals: &[],
+        scalar_finals: &analysis.private_scalars,
+        affine: &analysis.affine_ivs,
     };
     let loop_units = run_parallel_do(env, sub, &shape, frame, &plan)?;
     Ok(RunStats {
@@ -614,6 +615,7 @@ fn run_fissioned(
                 scalar_reds: &a.scalar_reductions,
                 civs: &a.civs,
                 scalar_finals: &finals,
+                affine: &a.affine_ivs,
             };
             let units = run_parallel_do(env, sub, &shape, frame, &bp)?;
             rescued_units += units;
@@ -699,11 +701,13 @@ struct BodyPlan<'a> {
     civs: &'a [(Sym, Sym)],
     /// Privatized scalars whose sequential-final values (the last
     /// chunk's, which executed iteration `hi` last) are restored after
-    /// the parallel run. The fission path uses this so a rescued
-    /// fragment stays observationally identical to its sequential
-    /// execution; the whole-loop paths keep the classic convention
-    /// (empty — private scalar finals are dead by classification).
+    /// the parallel run, so the run stays observationally identical to
+    /// its sequential execution.
     scalar_finals: &'a [Sym],
+    /// Affine induction scalars and their steps: each chunk's copy
+    /// starts where the sequential loop has it on entry to the chunk's
+    /// first iteration.
+    affine: &'a [(Sym, lip_symbolic::SymExpr)],
 }
 
 /// The typed zero a reduction accumulator starts from.
@@ -781,10 +785,18 @@ fn run_parallel_do(
         scalar_reds,
         civs,
         scalar_finals,
+        affine,
     } = *plan;
     if hi < lo {
         return Ok(0);
     }
+    // Each affine scalar's value on loop entry and its step, when both
+    // are bound (otherwise the body's own update fails as it would
+    // sequentially).
+    let affine: Vec<(Sym, Value, i64)> = affine
+        .iter()
+        .filter_map(|(s, step)| Some((*s, frame.scalar(*s)?, step.eval(&StoreCtx(frame))?)))
+        .collect();
     // Compile the loop body once; every worker thread then executes
     // bytecode through its own `Send` frame.
     let mut extra: Vec<Sym> = vec![var];
@@ -869,6 +881,16 @@ fn run_parallel_do(
                         local.set_scalar(*s, v);
                     }
                 }
+            }
+            // Affine scalars start `c_lo - lo` steps in, stepped as the
+            // body steps them: `i64` wraps, `f64` rounds at every step.
+            for &(s, entry, step) in &affine {
+                let k = c_lo - lo;
+                let v = match entry {
+                    Value::Int(v) => Value::Int(v.wrapping_add(step.wrapping_mul(k))),
+                    Value::Real(v) => Value::Real((0..k).fold(v, |v, _| v + step as f64)),
+                };
+                local.set_scalar(s, v);
             }
             // Scalar reductions start from the identity.
             for s in scalar_reds {

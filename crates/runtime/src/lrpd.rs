@@ -15,6 +15,10 @@
 //! The verdict is a scan of the shadows *after the join*, which orders
 //! every mark before it, so no interleaving can hide a conflict; what
 //! the marks notice on the fly only lets chunks stop early.
+//! A caller's tracer sees a committed attempt, which is the run, access
+//! for access: each chunk holds its accesses until the verdict. An
+//! aborted attempt's writes are rolled back, so it reports nothing; the
+//! sequential re-run reports its own.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -96,10 +100,58 @@ impl SpecState {
     }
 }
 
-/// The tracer bound to one iteration (its ordinal).
+/// One chunk's accesses, held for the caller's tracer until the
+/// verdict is in.
+struct Held {
+    /// The buffers the events name, by the address an access reached:
+    /// the input's own, or a copy taken at its first access of one the
+    /// run drops (a callee's local).
+    bufs: Vec<(usize, Arc<ArrayBuf>)>,
+    /// `(write, name, buffer, element)`, in order.
+    events: Vec<(bool, Sym, usize, usize)>,
+}
+
+impl Held {
+    fn new(frame: &Store) -> Held {
+        let bufs = frame
+            .arrays()
+            .map(|(_, view)| (Arc::as_ptr(&view.buf) as usize, view.buf.clone()));
+        Held {
+            bufs: bufs.collect(),
+            events: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, write: bool, arr: Sym, buf: &ArrayBuf, idx: usize) {
+        let at = buf as *const ArrayBuf as usize;
+        let k = match self.bufs.iter().position(|(a, _)| *a == at) {
+            Some(k) => k,
+            None => {
+                self.bufs.push((at, clone_buf(buf)));
+                self.bufs.len() - 1
+            }
+        };
+        self.events.push((write, arr, k, idx));
+    }
+
+    fn replay(&self, to: &dyn AccessTracer) {
+        for &(write, arr, k, idx) in &self.events {
+            let buf = &self.bufs[k].1;
+            if write {
+                to.write(arr, buf, idx);
+            } else {
+                to.read(arr, buf, idx);
+            }
+        }
+    }
+}
+
+/// The tracer bound to one iteration (its ordinal), holding its
+/// accesses for the caller's tracer when there is one.
 struct IterTracer<'s> {
     state: &'s SpecState,
     iter: i64,
+    held: Option<&'s Mutex<Held>>,
 }
 
 impl IterTracer<'_> {
@@ -112,7 +164,10 @@ impl IterTracer<'_> {
 }
 
 impl AccessTracer for IterTracer<'_> {
-    fn read(&self, _: Sym, buf: &ArrayBuf, idx: usize) {
+    fn read(&self, arr: Sym, buf: &ArrayBuf, idx: usize) {
+        if let Some(held) = self.held {
+            held.lock().unwrap().push(false, arr, buf, idx);
+        }
         let Some(sh) = self.shadow(buf) else {
             return;
         };
@@ -124,7 +179,10 @@ impl AccessTracer for IterTracer<'_> {
         }
     }
 
-    fn write(&self, _: Sym, buf: &ArrayBuf, idx: usize) {
+    fn write(&self, arr: Sym, buf: &ArrayBuf, idx: usize) {
+        if let Some(held) = self.held {
+            held.lock().unwrap().push(true, arr, buf, idx);
+        }
         let Some(sh) = self.shadow(buf) else {
             return;
         };
@@ -173,7 +231,7 @@ pub(crate) fn lrpd_execute_impl(
         .filter_map(|a| frame.array(*a))
         .map(|view| (&view.buf, clone_buf(&view.buf)))
         .collect();
-    let (conflict, cost) = speculate(env, sub, target, frame, arrays, state)?;
+    let (conflict, cost) = speculate(env, sub, target, frame, arrays, state, env.tracer())?;
     if !conflict {
         return Ok((LrpdOutcome::Committed, cost));
     }
@@ -207,11 +265,21 @@ pub(crate) fn dry_run(
             },
         );
     }
-    speculate(env, sub, target, &scratch, arrays, ExecState::default())
+    speculate(
+        env,
+        sub,
+        target,
+        &scratch,
+        arrays,
+        ExecState::default(),
+        None,
+    )
 }
 
 /// Runs the DO loop `target` in parallel on `frame`, marking `arrays`'
 /// shadows (the bounds charged to `state`): the verdict and the units.
+/// Without a conflict, the attempt's accesses go to `report` in chunk
+/// order.
 fn speculate(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
@@ -219,6 +287,7 @@ fn speculate(
     frame: &Store,
     arrays: &[Sym],
     mut state: ExecState,
+    report: Option<&dyn AccessTracer>,
 ) -> Result<(bool, u64), RunError> {
     let Stmt::Do {
         var, lo, hi, body, ..
@@ -234,9 +303,12 @@ fn speculate(
     let spec = SpecState::new(frame, arrays);
     let var_slot = cb.chunk().scalar_slot(*var).expect("interned");
     let cost = Mutex::new(state.cost);
-    parallel_chunks(env.cache.nthreads, lo_v, hi_v, |_, c_lo, c_hi| {
+    let held = Mutex::new(Vec::new());
+    parallel_chunks(env.cache.nthreads, lo_v, hi_v, |k, c_lo, c_hi| {
         let mut st = ExecState::default();
         let mut f = cb.frame(frame);
+        let mut tally = env.tally();
+        let chunk = report.map(|_| Mutex::new(Held::new(frame)));
         for i in c_lo..=c_hi {
             if spec.noticed() {
                 break;
@@ -244,15 +316,25 @@ fn speculate(
             let tracer = IterTracer {
                 state: &spec,
                 iter: i.wrapping_sub(lo_v),
+                held: chunk.as_ref(),
             };
             f.set_scalar(var_slot, Value::Int(i));
-            cb.vm(env)
-                .run_block(cb.block, &mut f, &mut st, Some(&tracer))?;
+            cb.activate(env, &mut f, None, &mut st, Some(&tracer), &mut tally)?;
         }
+        env.publish(tally);
         *cost.lock().unwrap() += st.cost;
+        if let Some(chunk) = chunk {
+            held.lock().unwrap().push((k, chunk.into_inner().unwrap()));
+        }
         Ok::<(), RunError>(())
     })?;
-    Ok((spec.conflict(), cost.into_inner().unwrap()))
+    let conflict = spec.conflict();
+    if let (Some(to), false) = (report, conflict) {
+        let mut held = held.into_inner().unwrap();
+        held.sort_by_key(|(k, _)| *k);
+        held.iter().for_each(|(_, chunk)| chunk.replay(to));
+    }
+    Ok((conflict, cost.into_inner().unwrap()))
 }
 
 #[cfg(test)]
@@ -275,10 +357,12 @@ mod tests {
         let later = IterTracer {
             state: &spec,
             iter: 32,
+            held: None,
         };
         let writer = IterTracer {
             state: &spec,
             iter: 0,
+            held: None,
         };
         later.read(sym("A"), &a, 0);
         writer.read(sym("A"), &a, 0);
@@ -289,6 +373,7 @@ mod tests {
         let own = IterTracer {
             state: &spec,
             iter: 5,
+            held: None,
         };
         own.read(sym("A"), &a, 1);
         own.write(sym("A"), &a, 1);

@@ -50,27 +50,27 @@ pub(crate) fn per_iteration_costs(
     mut state: ExecState,
 ) -> Result<Vec<u64>, RunError> {
     let state = &mut state;
-    match target {
+    let mut tally = env.tally();
+    let costs = match target {
         Stmt::Do {
             var, lo, hi, body, ..
         } => {
             let cb = env.body(sub, body, &[], &[*var])?;
             let lo_v = env.eval(sub, frame, lo, state)?;
             let hi_v = env.eval(sub, frame, hi, state)?;
-            let vm = cb.vm(env);
             let var_slot = cb.chunk().scalar_slot(*var).expect("interned");
             let mut f = cb.frame(frame);
             let mut costs = Vec::new();
             for i in lo_v..=hi_v {
                 f.set_scalar(var_slot, Value::Int(i));
                 let before = state.cost;
-                vm.run_block(cb.block, &mut f, state, env.tracer())?;
+                cb.activate(env, &mut f, None, state, env.tracer(), &mut tally)?;
                 costs.push(state.cost - before);
             }
             // The driver mutates `frame` so program state stays
             // correct for whatever follows.
             f.writeback_scalars(cb.chunk(), frame);
-            Ok(costs)
+            costs
         }
         Stmt::While { cond, body, .. } => {
             let cb = env.body(sub, body, &[cond], &[])?;
@@ -83,21 +83,23 @@ pub(crate) fn per_iteration_costs(
                     break;
                 }
                 let before = state.cost;
-                vm.run_block(cb.block, &mut f, state, env.tracer())?;
+                cb.activate(env, &mut f, None, state, env.tracer(), &mut tally)?;
                 costs.push(state.cost - before);
                 if costs.len() as u64 > crate::exec::TEST_BUDGET {
                     return Err(RunError::StepLimit);
                 }
             }
             f.writeback_scalars(cb.chunk(), frame);
-            Ok(costs)
+            costs
         }
         other => {
             let before = state.cost;
             exec_stmt_seq(env, sub, other, frame, state)?;
-            Ok(vec![state.cost - before])
+            vec![state.cost - before]
         }
-    }
+    };
+    env.publish(tally);
+    Ok(costs)
 }
 
 /// Block-scheduled makespan of the per-iteration costs on `procs`

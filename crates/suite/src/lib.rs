@@ -7,9 +7,11 @@
 //! technique, same test complexity), plus a workload generator. The
 //! [`run`] module measures them over the deterministic cost-model
 //! simulator and the whole-benchmark Amdahl model used by the figure
-//! harnesses.
+//! harnesses. The [`check`] module is the differential suites' one
+//! check that a loop a session runs is the sequential loop.
 
 pub mod bench_def;
+pub mod check;
 pub mod kernels;
 pub mod run;
 

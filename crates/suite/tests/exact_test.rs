@@ -6,7 +6,8 @@
 //!   `n` = 192 → 384 → 768, and a fail-shaped input never costs more
 //!   than the pass-shaped one of the same size (early exit).
 //! * **Reference.** On every such input the one-pass verdict is
-//!   `eval_usr(..).is_empty()`.
+//!   `eval_usr(..).is_empty()`, and the run is the sequential loop
+//!   (`lip_suite::check`).
 //! * **Memo.** A second `run_loop` on unchanged inputs performs no exact
 //!   evaluation and charges the same `test_units`; changing one element
 //!   of an index array or one free scalar the USR reads re-evaluates,
@@ -15,8 +16,9 @@
 //!   left it.
 
 use lip_analysis::{analyze_loop, AnalysisConfig, LoopAnalysis};
-use lip_ir::{ExecState, Machine, Stmt, Store, StoreCtx, Subroutine, Value};
+use lip_ir::{Program, Store, StoreCtx, Value};
 use lip_runtime::{ExecOutcome, Loaded, LoopHandle, RunStats, Session, TEST_BUDGET};
+use lip_suite::check::{deep_copy, observationally_sequential};
 use lip_suite::KernelShape;
 use lip_symbolic::sym;
 use lip_usr::{eval_usr, exact, Usr};
@@ -96,26 +98,17 @@ const KERNELS: [&KernelShape; 5] = [
     &lip_suite::OFFSET_CROSSOVER,
 ];
 
-struct Analyzed {
-    machine: Machine,
-    sub: Subroutine,
-    target: Stmt,
-    analysis: LoopAnalysis,
-}
-
-fn analyzed(shape: &'static KernelShape) -> Analyzed {
-    let p = shape.prepared(8);
-    let prog = p.machine.program().clone();
-    let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
-    let target = sub.find_loop(p.label).expect("loop").clone();
-    let analysis =
-        analyze_loop(&prog, sub.name, p.label, &AnalysisConfig::default()).expect("analysis");
-    Analyzed {
-        machine: p.machine,
-        sub,
-        target,
-        analysis,
-    }
+/// `shape`'s program and the analysis of its loop.
+fn analyzed(shape: &'static KernelShape) -> (Program, LoopAnalysis) {
+    let prog = shape.prepared(8).machine.program().clone();
+    let analysis = analyze_loop(
+        &prog,
+        sym(shape.sub),
+        shape.label,
+        &AnalysisConfig::default(),
+    )
+    .expect("analysis");
+    (prog, analysis)
 }
 
 /// Every independence USR the executor may ask about: the loop's, and
@@ -140,8 +133,8 @@ fn usrs(a: &LoopAnalysis) -> Vec<(String, Usr)> {
 #[test]
 fn units_are_linear_in_n_and_a_fail_costs_no_more_than_a_pass() {
     for shape in KERNELS {
-        let a = analyzed(shape);
-        for (which, u) in usrs(&a.analysis) {
+        let (_, a) = analyzed(shape);
+        for (which, u) in usrs(&a) {
             let units = |n: usize, pass: bool| {
                 let frame = shaped(shape, n, pass);
                 let e = exact::independent(&u, &StoreCtx(&frame), TEST_BUDGET);
@@ -173,9 +166,15 @@ fn units_are_linear_in_n_and_a_fail_costs_no_more_than_a_pass() {
 #[test]
 fn verdicts_equal_the_reference_on_every_shaped_input() {
     let mut verdicts = Vec::new();
+    let session = Session::builder().nthreads(2).build();
     for shape in KERNELS {
-        let a = analyzed(shape);
-        for (which, u) in usrs(&a.analysis) {
+        let (prog, a) = analyzed(shape);
+        for pass in [true, false] {
+            let frame = shaped(shape, 96, pass);
+            observationally_sequential(&session, &prog, sym(shape.sub), shape.label, &frame)
+                .assert_sequential();
+        }
+        for (which, u) in usrs(&a) {
             for pass in [true, false] {
                 let frame = shaped(shape, 96, pass);
                 let ctx = StoreCtx(&frame);
@@ -202,76 +201,30 @@ fn verdicts_equal_the_reference_on_every_shaped_input() {
 /// One kernel loaded into one session: runs on deep-copied frames and
 /// counts the engine's exact evaluations.
 struct Hoisted {
-    a: Analyzed,
     loaded: Loaded,
     handle: LoopHandle,
 }
 
 impl Hoisted {
     fn new(shape: &'static KernelShape) -> Hoisted {
-        let a = analyzed(shape);
-        let loaded = Session::builder()
-            .nthreads(2)
-            .build()
-            .load(a.machine.program().clone());
-        let handle = loaded.prepare(a.sub.name, shape.label).expect("loop");
-        Hoisted { a, loaded, handle }
+        let (prog, _) = analyzed(shape);
+        let loaded = Session::builder().nthreads(2).build().load(prog);
+        let handle = loaded.prepare(sym(shape.sub), shape.label).expect("loop");
+        Hoisted { loaded, handle }
     }
 
-    /// Runs the loop on `frame`, checks the result against the
-    /// interpreter on a copy, and returns the stats with how many
-    /// exact evaluations and memo hits the run made.
+    /// Runs the loop on a copy of `frame` and returns the stats with how
+    /// many exact evaluations and memo hits the run made.
     fn run(&self, frame: &Store) -> (RunStats, u64, u64) {
-        let Analyzed {
-            machine,
-            sub,
-            target,
-            ..
-        } = &self.a;
         let before = self.loaded.pred_stats();
-        let mut got = deep_copy(frame);
-        let stats = self.handle.run(&mut got).expect("runs");
+        let stats = self.handle.run(&mut deep_copy(frame)).expect("runs");
         let after = self.loaded.pred_stats();
-        let mut want = deep_copy(frame);
-        machine
-            .exec_stmt(sub, &mut want, target, &mut ExecState::default())
-            .expect("interpreter runs");
-        for (name, view) in want.arrays() {
-            let other = &got.array(name).expect("bound on both").buf;
-            for k in 0..view.buf.len() {
-                assert_eq!(view.buf.get(k), other.get(k), "{name}[{k}]");
-            }
-        }
         (
             stats,
             after.exact_evals - before.exact_evals,
             after.exact_memo_hits - before.exact_memo_hits,
         )
     }
-}
-
-/// `Store::clone` shares its array buffers; a run must not see what an
-/// earlier run wrote.
-fn deep_copy(frame: &Store) -> Store {
-    let mut out = Store::new();
-    for (s, v) in frame.scalars() {
-        out.set_scalar(s, v);
-    }
-    for (s, view) in frame.arrays() {
-        let buf = match view.buf.to_i64_vec() {
-            Some(ints) => lip_ir::ArrayBuf::from_i64(&ints),
-            None => lip_ir::ArrayBuf::from_f64(&view.buf.to_f64_vec().expect("real array")),
-        };
-        out.bind_array(
-            s,
-            lip_ir::ArrayView {
-                buf,
-                offset: view.offset,
-                extents: view.extents.clone(),
-            },
-        );
-    }
-    out
 }
 
 fn bump(frame: &Store, array: &str, at: usize, by: i64) {

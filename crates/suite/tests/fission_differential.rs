@@ -1,40 +1,22 @@
 //! Fission differential suite: with the loop-fission rescue pass on
-//! and off, every suite kernel and a seeded random-loop corpus must
-//! produce bit-identical outputs — declared arrays element for
-//! element, every scalar, the exact work-unit count — plus matching
-//! traced access streams. Fission re-orders *statements* (all
-//! iterations of fragment 0 run before fragment 1), so the streams
-//! are compared per array as multisets of `(kind, index)` events; a
-//! missing or duplicated access is visible, only legal re-ordering is
-//! not. Must-not-fission shapes (cross-fragment scalar dependences,
-//! use-before-def) pin the legality analysis: they must come out with
-//! no plan at all.
+//! and off, every suite kernel and a seeded random-loop corpus must be
+//! the sequential loop by `lip_suite::check` — every scalar and array
+//! bit for bit, the exact work-unit count and the traced accesses.
+//! Fission re-orders *statements* (all iterations of fragment 0 run
+//! before fragment 1), which the check's per-array access multisets
+//! allow and nothing else does. Must-not-fission shapes (cross-fragment
+//! scalar dependences, use-before-def) pin the legality analysis: they
+//! must come out with no plan at all.
 //!
-//! Sessions run single-threaded so both legs' traces are
-//! deterministic; the parallel executor still runs its full
-//! privatization/reduction machinery on one chunk.
+//! Sessions run single-threaded; the parallel executor still runs its
+//! full privatization/reduction machinery on one chunk.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use lip_ir::{parse_program, AccessTracer, Machine, Store, Value};
-use lip_runtime::Session;
-use lip_suite::KernelShape;
-use lip_symbolic::{sym, Sym};
-
-/// Records every traced access.
-#[derive(Default)]
-struct Recorder {
-    events: Mutex<Vec<(char, Sym, usize)>>,
-}
-
-impl AccessTracer for Recorder {
-    fn read(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
-        self.events.lock().unwrap().push(('r', arr, idx));
-    }
-    fn write(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
-        self.events.lock().unwrap().push(('w', arr, idx));
-    }
-}
+use lip_ir::{parse_program, Program, Store, Value};
+use lip_runtime::{ExecOutcome, Session};
+use lip_suite::check::{self, observationally_sequential, Report};
+use lip_symbolic::sym;
 
 fn session(fission: bool) -> Session {
     Session::builder()
@@ -44,182 +26,55 @@ fn session(fission: bool) -> Session {
         .build()
 }
 
-/// Lossless value snapshot: Int/Real confusion and NaN payloads stay
-/// visible.
-fn value_bits(v: Value) -> (u8, u64) {
-    match v {
-        Value::Int(i) => (0, i as u64),
-        Value::Real(r) => (1, r.to_bits()),
-    }
-}
-
-/// One leg's observable outcome. Arrays and scalars are keyed by name
-/// and restricted to what existed *before* the run: execution may
-/// allocate internal trace arrays under fresh names (and the fission
-/// leg labels its fragments differently), which are not outputs.
-struct Leg {
-    outcome: String,
-    loop_units: u64,
-    scalars: Vec<(Sym, (u8, u64))>,
-    arrays: Vec<(Sym, Vec<(u8, u64)>)>,
-    /// Per-array sorted multiset of traced `(kind, index)` events.
-    accesses: Vec<(Sym, Vec<(char, usize)>)>,
-}
-
-/// `Store::clone` shares the `Arc<ArrayBuf>` backing stores, so one
-/// leg's run would leak into the other's inputs — copy the buffers.
-fn deep_clone(frame: &Store) -> Store {
-    let mut out = Store::new();
-    for (s, v) in frame.scalars() {
-        out.set_scalar(s, v);
-    }
-    for (s, view) in frame.arrays() {
-        let buf = match view.buf.ty() {
-            lip_ir::Ty::Int => lip_ir::ArrayBuf::new_int(view.buf.len()),
-            _ => lip_ir::ArrayBuf::new_real(view.buf.len()),
-        };
-        for i in 0..buf.len() {
-            buf.set(i, view.buf.get(i));
-        }
-        out.bind_array(
-            s,
-            lip_ir::ArrayView {
-                buf,
-                offset: view.offset,
-                extents: view.extents.clone(),
-            },
-        );
-    }
-    out
-}
-
-fn run_leg(machine: &Machine, frame: &Store, sub_name: &str, label: &str, fission: bool) -> Leg {
-    let sess = session(fission);
-    let prog = machine.program().clone();
-    let sub = prog.subroutine(sym(sub_name)).expect("sub").clone();
-    let target = sub.find_loop(label).expect("loop").clone();
-    let analysis = sess.analyze(&prog, sub.name, label).expect("analysis");
-
-    let declared: Vec<Sym> = frame.arrays().map(|(s, _)| s).collect();
-    let scalar_names: Vec<Sym> = frame.scalars().map(|(s, _)| s).collect();
-    let rec = Arc::new(Recorder::default());
-    let traced = machine.with_tracer(rec.clone());
-    let mut frame = deep_clone(frame);
-    let stats = sess
-        .run_loop(&traced, &sub, &target, &analysis, &mut frame)
-        .expect("runs");
-
-    let scalars = scalar_names
-        .into_iter()
-        .map(|s| (s, value_bits(frame.scalar(s).expect("scalar survives"))))
-        .collect();
-    let arrays = declared
-        .iter()
-        .map(|&s| {
-            let a = frame.array(s).expect("array survives");
-            (
-                s,
-                (0..a.buf.len()).map(|k| value_bits(a.buf.get(k))).collect(),
-            )
-        })
-        .collect();
-    let events = std::mem::take(&mut *rec.events.lock().unwrap());
-    let accesses = declared
-        .iter()
-        .map(|&s| {
-            let mut evs: Vec<(char, usize)> = events
-                .iter()
-                .filter(|(_, arr, _)| *arr == s)
-                .map(|&(k, _, i)| (k, i))
-                .collect();
-            evs.sort_unstable();
-            (s, evs)
-        })
-        .collect();
-    Leg {
-        outcome: format!("{:?}", stats.outcome),
-        loop_units: stats.loop_units,
-        scalars,
-        arrays,
-        accesses,
-    }
-}
-
-/// Asserts both legs agree on everything observable.
-fn assert_legs_match(name: &str, on: &Leg, off: &Leg) {
-    assert_eq!(
-        on.loop_units, off.loop_units,
-        "{name}: work units diverged (fission on: {}, off: {}; outcomes {} vs {})",
-        on.loop_units, off.loop_units, on.outcome, off.outcome
-    );
-    assert_eq!(on.scalars, off.scalars, "{name}: scalars diverged");
-    for ((s, a), (_, b)) in on.arrays.iter().zip(off.arrays.iter()) {
-        assert_eq!(
-            a, b,
-            "{name}: array {s} diverged ({} vs {})",
-            on.outcome, off.outcome
-        );
-    }
-    for ((s, a), (_, b)) in on.accesses.iter().zip(off.accesses.iter()) {
-        assert_eq!(
-            a, b,
-            "{name}: traced accesses on {s} diverged ({} vs {})",
-            on.outcome, off.outcome
-        );
-    }
-}
-
-fn check_kernel(shape: &KernelShape, n: usize) {
-    let p = shape.prepared(n);
-    let on = run_leg(&p.machine, &p.frame, p.sub, p.label, true);
-    let off = run_leg(&p.machine, &p.frame, p.sub, p.label, false);
-    assert_legs_match(shape.name, &on, &off);
+/// Loop `gl` of `prog`'s subroutine `gen` on `frame`, with the rescue
+/// pass on and off.
+fn on_and_off(prog: &Program, frame: &Store) -> [Report; 2] {
+    [true, false]
+        .map(|fission| observationally_sequential(&session(fission), prog, sym("gen"), "gl", frame))
 }
 
 #[test]
 fn all_suite_kernels_bit_identical_with_and_without_fission() {
     for shape in lip_suite::all_shapes() {
-        check_kernel(shape, 32);
+        for fission in [true, false] {
+            check::kernel(&session(fission), &shape.prepared(32)).assert_sequential();
+        }
     }
 }
 
 #[test]
 fn hoist_indirect_is_rescued_by_fission() {
-    let shape = &lip_suite::HOIST_INDIRECT;
-    let p = shape.prepared(64);
-    let on = run_leg(&p.machine, &p.frame, p.sub, p.label, true);
-    let off = run_leg(&p.machine, &p.frame, p.sub, p.label, false);
+    let p = lip_suite::HOIST_INDIRECT.prepared(64);
+    let [on, off] = [true, false].map(|fission| check::kernel(&session(fission), &p));
+    on.assert_sequential();
+    off.assert_sequential();
     assert!(
-        on.outcome.starts_with("Fissioned"),
-        "fission leg should distribute, got {}",
-        on.outcome
+        matches!(on.stats.outcome, ExecOutcome::Fissioned { .. }),
+        "fission leg should distribute, got {:?}",
+        on.stats.outcome
     );
-    assert_eq!(off.outcome, "Sequential", "classic leg stays sequential");
-    assert_legs_match(shape.name, &on, &off);
+    assert_eq!(off.stats.outcome, ExecOutcome::Sequential);
 }
 
 // ---------------------------------------------------------------------
 // Hand-written legality pins.
 // ---------------------------------------------------------------------
 
-fn custom(src: &str, prep: impl FnOnce(&mut Store)) -> (Machine, Store) {
-    let machine = Machine::new(parse_program(src).expect("parses"));
+fn custom(src: &str, prep: impl FnOnce(&mut Store)) -> (Program, Store) {
     let mut frame = Store::new();
     prep(&mut frame);
-    (machine, frame)
+    (parse_program(src).expect("parses"), frame)
 }
 
-fn analyze_with_fission(machine: &Machine, label: &str) -> lip_analysis::LoopAnalysis {
-    let prog = machine.program().clone();
-    let sub = prog.units[0].clone();
+fn analyze_with_fission(prog: &Program, label: &str) -> lip_analysis::LoopAnalysis {
     session(true)
-        .analyze(&prog, sub.name, label)
+        .analyze(prog, prog.units[0].name, label)
         .expect("analysis")
 }
 
 #[test]
 fn map_plus_scan_gets_a_two_fragment_plan() {
-    let (machine, frame) = custom(
+    let (prog, frame) = custom(
         "
 SUBROUTINE gen(A, B, C, S, N)
   DIMENSION A(*), B(*), C(*), S(*)
@@ -238,7 +93,7 @@ END
             f.alloc_real(sym("S"), 50);
         },
     );
-    let analysis = analyze_with_fission(&machine, "gl");
+    let analysis = analyze_with_fission(&prog, "gl");
     let plan = analysis
         .fission
         .as_deref()
@@ -250,14 +105,14 @@ END
     );
     assert_eq!(plan.rescuable(), 1, "exactly the map fragment is rescuable");
 
-    let on = run_leg(&machine, &frame, "gen", "gl", true);
-    let off = run_leg(&machine, &frame, "gen", "gl", false);
+    let [on, off] = on_and_off(&prog, &frame);
+    on.assert_sequential();
+    off.assert_sequential();
     assert!(
-        on.outcome.starts_with("Fissioned"),
-        "fission leg should distribute, got {}",
-        on.outcome
+        matches!(on.stats.outcome, ExecOutcome::Fissioned { .. }),
+        "fission leg should distribute, got {:?}",
+        on.stats.outcome
     );
-    assert_legs_match("map_plus_scan", &on, &off);
 }
 
 #[test]
@@ -265,7 +120,7 @@ fn cross_fragment_scalar_anti_dependence_must_not_fission() {
     // `A(i) = T` reads the value `T = B(i)` wrote in the *previous*
     // iteration: splitting the statements apart would feed every
     // iteration the same initial T.
-    let (machine, frame) = custom(
+    let (prog, frame) = custom(
         "
 SUBROUTINE gen(A, B, T, N)
   DIMENSION A(*), B(*)
@@ -283,22 +138,22 @@ END
             f.alloc_real(sym("B"), 34);
         },
     );
-    let analysis = analyze_with_fission(&machine, "gl");
+    let analysis = analyze_with_fission(&prog, "gl");
     assert!(
         analysis.fission.is_none(),
         "scalar anti-dependence must merge the statements: {:?}",
         analysis.class
     );
-    let on = run_leg(&machine, &frame, "gen", "gl", true);
-    let off = run_leg(&machine, &frame, "gen", "gl", false);
-    assert_legs_match("scalar_anti_dep", &on, &off);
+    on_and_off(&prog, &frame)
+        .iter()
+        .for_each(Report::assert_sequential);
 }
 
 #[test]
 fn use_before_def_recurrence_must_not_fission() {
     // T is used before it is (re)defined each iteration, so the scan
     // through T chains every statement together.
-    let (machine, frame) = custom(
+    let (prog, frame) = custom(
         "
 SUBROUTINE gen(A, C, T, N)
   DIMENSION A(*), C(*)
@@ -316,15 +171,15 @@ END
             f.alloc_real(sym("C"), 34);
         },
     );
-    let analysis = analyze_with_fission(&machine, "gl");
+    let analysis = analyze_with_fission(&prog, "gl");
     assert!(
         analysis.fission.is_none(),
         "use-before-def must merge the statements: {:?}",
         analysis.class
     );
-    let on = run_leg(&machine, &frame, "gen", "gl", true);
-    let off = run_leg(&machine, &frame, "gen", "gl", false);
-    assert_legs_match("use_before_def", &on, &off);
+    on_and_off(&prog, &frame)
+        .iter()
+        .for_each(Report::assert_sequential);
 }
 
 // ---------------------------------------------------------------------
@@ -432,13 +287,13 @@ fn random_loop_corpus_bit_identical_with_and_without_fission() {
     let mut fissioned = 0usize;
     for seed in 0..192u64 {
         let src = gen_source(seed);
-        let (machine, frame) = custom(&src, corpus_frame(24));
-        let on = run_leg(&machine, &frame, "gen", "gl", true);
-        let off = run_leg(&machine, &frame, "gen", "gl", false);
-        if on.outcome.starts_with("Fissioned") {
-            fissioned += 1;
+        let (prog, frame) = custom(&src, corpus_frame(24));
+        for report in on_and_off(&prog, &frame) {
+            assert!(!report.differs(), "corpus seed {seed}\n{src}\n{report}");
+            if let ExecOutcome::Fissioned { .. } = report.stats.outcome {
+                fissioned += 1;
+            }
         }
-        assert_legs_match(&format!("corpus seed {seed}\n{src}"), &on, &off);
     }
     // The corpus must actually exercise the rescue path, not just
     // degenerate shapes the planner rejects.

@@ -11,132 +11,40 @@
 //! before) is NOT a reduction, must not classify as one, and must
 //! still execute bit-identically everywhere.
 
-use lip_ir::{parse_program, ExecState, Machine, Store, Value};
+use lip_ir::{parse_program, Program, Store, Value};
 use lip_runtime::Session;
-use lip_symbolic::{sym, Sym};
+use lip_suite::check::observationally_sequential;
+use lip_symbolic::sym;
 
-/// Every executor configuration the session can run a loop under.
-fn all_sessions() -> Vec<(String, Session)> {
-    [false, true]
-        .into_iter()
-        .map(|fission| {
-            let sess = Session::builder()
-                .nthreads(4)
-                .par_min(1)
-                .fission(fission)
-                .build();
-            (format!("fission={fission}"), sess)
-        })
-        .collect()
-}
-
-/// Deep-copies a store (`Store::clone` shares array buffers).
-fn deep_clone(frame: &Store) -> Store {
-    let mut out = Store::new();
-    for (s, v) in frame.scalars() {
-        out.set_scalar(s, v);
-    }
-    for (s, view) in frame.arrays() {
-        let buf = match view.buf.ty() {
-            lip_ir::Ty::Int => lip_ir::ArrayBuf::new_int(view.buf.len()),
-            _ => lip_ir::ArrayBuf::new_real(view.buf.len()),
-        };
-        for i in 0..buf.len() {
-            buf.set(i, view.buf.get(i));
-        }
-        out.bind_array(
-            s,
-            lip_ir::ArrayView {
-                buf,
-                offset: view.offset,
-                extents: view.extents.clone(),
-            },
-        );
-    }
-    out
-}
-
-fn value_bits(v: Value) -> (u8, u64) {
-    match v {
-        Value::Int(i) => (0, i as u64),
-        Value::Real(r) => (1, r.to_bits()),
+/// Runs loop `label` of `prog`'s first subroutine with fission on and
+/// off at four chunks through `lip_suite::check`.
+fn assert_matches_sequential_everywhere(prog: &Program, label: &str, frame: &Store) {
+    for fission in [false, true] {
+        let sess = Session::builder()
+            .nthreads(4)
+            .par_min(1)
+            .fission(fission)
+            .build();
+        observationally_sequential(&sess, prog, prog.units[0].name, label, frame)
+            .assert_sequential();
     }
 }
 
-/// Observable output: every pre-existing scalar and array, bit-exact.
-fn snapshot(frame: &Store, scalars: &[Sym], arrays: &[Sym]) -> Vec<(Sym, Vec<(u8, u64)>)> {
-    let mut out = Vec::new();
-    for &s in scalars {
-        out.push((s, vec![value_bits(frame.scalar(s).expect("scalar"))]));
-    }
-    for &s in arrays {
-        let a = frame.array(s).expect("array");
-        out.push((
-            s,
-            (0..a.buf.len()).map(|k| value_bits(a.buf.get(k))).collect(),
-        ));
-    }
-    out
-}
-
-/// Runs `label` under every session configuration and asserts each
-/// output is bit-identical to the sequential interpreter's.
-fn assert_matches_sequential_everywhere(name: &str, machine: &Machine, frame: &Store, label: &str) {
-    let prog = machine.program().clone();
-    let sub = prog
-        .units
-        .iter()
-        .find(|u| u.find_loop(label).is_some())
-        .expect("loop owner")
-        .clone();
-    let target = sub.find_loop(label).expect("loop").clone();
-    let scalars: Vec<Sym> = frame.scalars().map(|(s, _)| s).collect();
-    let arrays: Vec<Sym> = frame.arrays().map(|(s, _)| s).collect();
-
-    let mut seq = deep_clone(frame);
-    machine
-        .exec_block(
-            &sub,
-            &mut seq,
-            std::slice::from_ref(&target),
-            &mut ExecState::default(),
-        )
-        .expect("sequential reference");
-    let expected = snapshot(&seq, &scalars, &arrays);
-
-    for (cfg, sess) in all_sessions() {
-        let analysis = sess.analyze(&prog, sub.name, label).expect("analysis");
-        let mut par = deep_clone(frame);
-        let stats = sess
-            .run_loop(machine, &sub, &target, &analysis, &mut par)
-            .expect("runs");
-        let got = snapshot(&par, &scalars, &arrays);
-        for ((s, e), (_, g)) in expected.iter().zip(got.iter()) {
-            assert_eq!(
-                e, g,
-                "{name}: {s} diverged from sequential under {cfg} (outcome {:?})",
-                stats.outcome
-            );
-        }
-    }
-}
-
-fn custom(src: &str, prep: impl FnOnce(&mut Store)) -> (Machine, Store) {
-    let machine = Machine::new(parse_program(src).expect("parses"));
+fn custom(src: &str, prep: impl FnOnce(&mut Store)) -> (Program, Store) {
     let mut frame = Store::new();
     prep(&mut frame);
-    (machine, frame)
+    (parse_program(src).expect("parses"), frame)
 }
 
 #[test]
 fn int_histogram_kernel_bit_identical_across_matrix() {
     let p = lip_suite::INT_HISTOGRAM.prepared(256);
-    assert_matches_sequential_everywhere("int_histogram", &p.machine, &p.frame, p.label);
+    assert_matches_sequential_everywhere(p.machine.program(), p.label, &p.frame);
 }
 
 #[test]
 fn int_sum_beyond_2_pow_53_bit_identical_across_matrix() {
-    let (machine, frame) = custom(
+    let (prog, frame) = custom(
         "
 SUBROUTINE t(H, B, N)
   INTEGER H(32)
@@ -159,7 +67,7 @@ END
             }
         },
     );
-    assert_matches_sequential_everywhere("int_sum", &machine, &frame, "l1");
+    assert_matches_sequential_everywhere(&prog, "l1", &frame);
 }
 
 #[test]
@@ -178,7 +86,7 @@ END
 "
         );
         let seed = if intr == "MIN" { i64::MAX } else { i64::MIN };
-        let (machine, frame) = custom(&src, |f| {
+        let (prog, frame) = custom(&src, |f| {
             f.set_int(sym("N"), 200);
             let h = f.alloc_int(sym("H"), 16);
             for k in 0..16 {
@@ -192,7 +100,7 @@ END
                 c.set(i, Value::Int(i64::MAX - 4096 * i as i64 - 3));
             }
         });
-        assert_matches_sequential_everywhere(&format!("int_{intr}"), &machine, &frame, "l1");
+        assert_matches_sequential_everywhere(&prog, "l1", &frame);
     }
 }
 
@@ -200,7 +108,7 @@ END
 fn int_product_and_wrapping_sum_bit_identical_across_matrix() {
     // Wrapping i64 arithmetic is associative mod 2^64, so even
     // overflowing reductions merge bit-identically.
-    let (machine, frame) = custom(
+    let (prog, frame) = custom(
         "
 SUBROUTINE t(H, G, B, N)
   INTEGER H(8), G(8)
@@ -226,12 +134,12 @@ END
             }
         },
     );
-    assert_matches_sequential_everywhere("int_mul_wrap", &machine, &frame, "l1");
+    assert_matches_sequential_everywhere(&prog, "l1", &frame);
 }
 
 #[test]
 fn int_scalar_reduction_bit_identical_across_matrix() {
-    let (machine, frame) = custom(
+    let (prog, frame) = custom(
         "
 SUBROUTINE t(A, N, s)
   INTEGER A(*)
@@ -250,7 +158,7 @@ END
             }
         },
     );
-    assert_matches_sequential_everywhere("int_scalar_sum", &machine, &frame, "l1");
+    assert_matches_sequential_everywhere(&prog, "l1", &frame);
 }
 
 /// The legality pin: `H(B(i)) = c - H(B(i))` is NOT a reduction (the
@@ -260,7 +168,7 @@ END
 /// still match sequential execution exactly.
 #[test]
 fn non_commutative_self_update_is_not_a_reduction() {
-    let (machine, frame) = custom(
+    let (prog, frame) = custom(
         "
 SUBROUTINE t(H, B, N)
   INTEGER H(8)
@@ -283,7 +191,6 @@ END
             }
         },
     );
-    let prog = machine.program().clone();
     let analysis = Session::builder()
         .build()
         .analyze(&prog, prog.units[0].name, "l1")
@@ -296,5 +203,5 @@ END
         "non-commutative self-update classified as reduction: {:?}",
         analysis.arrays.get(&sym("H"))
     );
-    assert_matches_sequential_everywhere("non_commutative", &machine, &frame, "l1");
+    assert_matches_sequential_everywhere(&prog, "l1", &frame);
 }

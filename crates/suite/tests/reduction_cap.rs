@@ -7,14 +7,9 @@
 //! interpreter at every chunk count.
 
 use lip_analysis::{analyze_loop, AnalysisConfig, ArrayPlan};
-use lip_ir::{ExecState, StoreCtx, Value};
+use lip_ir::{StoreCtx, Value};
 use lip_runtime::{ExecOutcome, Session, TEST_BUDGET};
 use lip_symbolic::sym;
-
-/// Every element of `buf`, in order.
-fn cells(buf: &lip_ir::ArrayBuf) -> Vec<Value> {
-    (0..buf.len()).map(|i| buf.get(i)).collect()
-}
 
 #[test]
 fn no_reduction_cascade_holds_a_stage_deeper_than_o_n() {
@@ -47,27 +42,20 @@ fn no_reduction_cascade_holds_a_stage_deeper_than_o_n() {
 
 #[test]
 fn shuffled_triplets_merge_bit_identically_at_every_chunk_count() {
-    let shape = &lip_suite::INDEX_REDUCTION;
     let n = 384usize;
-    let prepared = || {
-        let p = shape.prepared(n);
-        // Disjoint triplets in an order no O(N) stage can prove apart.
-        let j = &p.frame.array(sym("J")).expect("J").buf;
-        for k in 0..n {
-            j.set(k, Value::Int(3 * ((k * 7919 + 13) % n) as i64 + 1));
-        }
-        let f = &p.frame.array(sym("F")).expect("F").buf;
-        for k in 0..f.len() {
-            f.set(k, Value::Real((k % 11) as f64 * 0.125));
-        }
-        p
-    };
-    let mut seq = prepared();
-    let prog = seq.machine.program().clone();
-    let sub = prog.subroutine(sym(seq.sub)).expect("sub").clone();
-    let target = sub.find_loop(seq.label).expect("loop").clone();
+    let p = lip_suite::INDEX_REDUCTION.prepared(n);
+    // Disjoint triplets in an order no O(N) stage can prove apart.
+    let j = &p.frame.array(sym("J")).expect("J").buf;
+    for k in 0..n {
+        j.set(k, Value::Int(3 * ((k * 7919 + 13) % n) as i64 + 1));
+    }
+    let f = &p.frame.array(sym("F")).expect("F").buf;
+    for k in 0..f.len() {
+        f.set(k, Value::Real((k % 11) as f64 * 0.125));
+    }
+    let prog = p.machine.program();
     let analysis =
-        analyze_loop(&prog, sub.name, seq.label, &AnalysisConfig::default()).expect("analysis");
+        analyze_loop(prog, sym(p.sub), p.label, &AnalysisConfig::default()).expect("analysis");
 
     // Every remaining stage fails on this input: the plan is the
     // buffered merge.
@@ -79,27 +67,13 @@ fn shuffled_triplets_merge_bit_identically_at_every_chunk_count() {
         panic!("F is not a runtime reduction: {:?}", analysis.arrays)
     };
     assert_eq!(
-        cascade.first_success(&StoreCtx(&seq.frame), TEST_BUDGET),
+        cascade.first_success(&StoreCtx(&p.frame), TEST_BUDGET),
         None
     );
 
-    seq.machine
-        .exec_stmt(&sub, &mut seq.frame, &target, &mut ExecState::default())
-        .expect("interpreter runs");
-    let want = cells(&seq.frame.array(sym("F")).expect("F").buf);
     for nthreads in [1, 2, 3, 7] {
-        let mut p = prepared();
-        let stats = Session::builder()
-            .nthreads(nthreads)
-            .build()
-            .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
-            .expect("runs");
-        assert_eq!(stats.outcome, ExecOutcome::StaticParallel);
-        let got = cells(&p.frame.array(sym("F")).expect("F").buf);
-        let bits = |v: &Value| v.as_f64().to_bits();
-        assert!(
-            want.iter().map(bits).eq(got.iter().map(bits)),
-            "F diverged from the interpreter at nthreads = {nthreads}"
-        );
+        let report = lip_suite::check::kernel(&Session::builder().nthreads(nthreads).build(), &p);
+        report.assert_sequential();
+        assert_eq!(report.stats.outcome, ExecOutcome::StaticParallel);
     }
 }

@@ -8,13 +8,14 @@
 //! second statement `A(i+1) = A(i) + 1`, a recurrence. Run in two
 //! chunks on that verdict, every element of the second chunk is wrong
 //! (50 000 of `A`'s 200 002 at `n` = 10⁵, outcome
-//! `ExactPredicatePassed`, before the classifier's guard). Every array
-//! is compared bit for bit with the `lip_ir` tree-walk interpreter,
-//! with the fission rescue on and off.
+//! `ExactPredicatePassed`, before the classifier's guard).
+//! `lip_suite::check` compares the run with the `lip_ir` tree-walk
+//! interpreter, with the fission rescue on and off.
 
 use lip_analysis::LoopClass;
-use lip_ir::{parse_program, ExecState, Machine, Store, Value};
+use lip_ir::{parse_program, Store, Value};
 use lip_runtime::Session;
+use lip_suite::check::observationally_sequential;
 use lip_symbolic::sym;
 
 const SRC: &str = "
@@ -51,52 +52,14 @@ fn frame(n: usize) -> Store {
     f
 }
 
-fn bits(f: &Store) -> Vec<(String, Vec<u64>)> {
-    let mut out: Vec<_> = ["A", "P", "Q", "K"]
-        .iter()
-        .map(|name| {
-            let buf = &f.array(sym(name)).expect("bound").buf;
-            let cells = (0..buf.len())
-                .map(|k| match buf.get(k) {
-                    Value::Int(v) => v as u64,
-                    Value::Real(v) => v.to_bits(),
-                })
-                .collect();
-            ((*name).to_owned(), cells)
-        })
-        .collect();
-    out.sort();
-    out
-}
-
 #[test]
 fn a_loop_that_rewrites_its_index_array_matches_the_interpreter() {
     let n = 100_000usize;
     let prog = parse_program(SRC).expect("parses");
-    let sub = prog.units[0].clone();
-    let target = sub.find_loop("l1").expect("loop").clone();
-    let machine = Machine::new(prog.clone());
-
-    let mut seq = frame(n);
-    machine
-        .exec_block(
-            &sub,
-            &mut seq,
-            std::slice::from_ref(&target),
-            &mut ExecState::default(),
-        )
-        .expect("sequential reference");
-    let expected = bits(&seq);
-    // The recurrence really is one: A(n+1) = A(1) + n.
-    assert_eq!(
-        seq.array(sym("A")).expect("A").get_f64(n),
-        n as f64,
-        "reference"
-    );
-
+    let input = frame(n);
     for fission in [true, false] {
         let sess = Session::builder().nthreads(2).fission(fission).build();
-        let analysis = sess.analyze(&prog, sub.name, "l1").expect("analysis");
+        let analysis = sess.analyze(&prog, sym("t"), "l1").expect("analysis");
         assert!(
             !matches!(
                 analysis.class,
@@ -105,24 +68,10 @@ fn a_loop_that_rewrites_its_index_array_matches_the_interpreter() {
             "fission {fission}: a test on the pre-loop P cannot license this loop ({:?})",
             analysis.class
         );
-        // Twice: a memoized verdict must not change the answer either.
-        for round in 0..2 {
-            let mut par = frame(n);
-            let stats = sess
-                .run_loop(&machine, &sub, &target, &analysis, &mut par)
-                .expect("runs");
-            let got = bits(&par);
-            for ((name, want), (_, have)) in expected.iter().zip(&got) {
-                let wrong = want.iter().zip(have).filter(|(w, h)| w != h).count();
-                assert_eq!(
-                    wrong,
-                    0,
-                    "fission {fission}, round {round}: {wrong} of {} elements of {name} differ \
-                     from the interpreter ({:?})",
-                    want.len(),
-                    stats.outcome
-                );
-            }
-        }
+        let report = observationally_sequential(&sess, &prog, sym("t"), "l1", &input);
+        report.assert_sequential();
+        // The recurrence really is one: A(n+1) = A(1) + n.
+        let a = report.after.array(sym("A")).expect("A");
+        assert_eq!(a.get_f64(n), n as f64, "{report}");
     }
 }

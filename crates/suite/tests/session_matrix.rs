@@ -1,33 +1,26 @@
-//! Production sessions against the reference semantics, in one
-//! process. A session runs one execution path (fused bytecode,
-//! compiled predicates); what it can still be configured with —
-//! fission on/off, the observer level, the chunk count — must be
-//! observationally inert: every combination measures the same table
-//! rows, and those rows are what the tree-walking `lip_ir::Machine`
-//! (per-iteration costs, outputs, work units) and `Pdag::eval`
-//! (cascade verdict, charged test units) give for the same kernel —
-//! including when the sessions run concurrently from separate threads.
-//! On the kernels below the whole-loop verdict already decides
-//! execution, so the fission knob must be inert too
-//! (fissioned-vs-sequential equivalence on rescued kernels lives in
-//! `fission_differential.rs`).
+//! Every suite kernel, and the hand-written rows below, through
+//! `lip_suite::check`: a session's run of each loop must be the
+//! sequential loop — store, units, access multiset, outcome — under
+//! every configuration a session can differ in (fission on/off, the
+//! observer level, the chunk count), also from concurrent sessions in
+//! one process. The measurement table built on the same runs
+//! (per-iteration costs, verdicts, charged test units) must not depend
+//! on the configuration either.
 
-use std::sync::{Arc, Mutex};
-
-use lip_analysis::LoopClass;
-use lip_ir::{ExecState, Stmt, StoreCtx, Value};
+use lip_ir::{ExecState, Stmt, Store, Value};
 use lip_obs::ObsLevel;
-use lip_runtime::{ExecOutcome, Session, TEST_BUDGET};
+use lip_runtime::{ExecOutcome, LrpdOutcome, Session};
+use lip_suite::check::{self, observationally_sequential, Report};
 use lip_suite::{measure_loop, KernelShape, LoopMeasurement};
-use lip_symbolic::{sym, Sym};
+use lip_symbolic::sym;
 
 /// Every configuration a session can differ in: `fission {on, off} ×
-/// observer {off, metrics, trace} × nthreads {1, 2, 3, 7}` (one chunk,
-/// an even split, uneven splits, more chunks than CPUs).
+/// observer {off, trace} × nthreads {1, 2, 3, 7}` (one chunk, an even
+/// split, uneven splits, more chunks than CPUs).
 fn matrix() -> Vec<(bool, ObsLevel, usize)> {
     let mut m = Vec::new();
     for fission in [true, false] {
-        for obs in [ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Trace] {
+        for obs in [ObsLevel::Off, ObsLevel::Trace] {
             for nthreads in [1, 2, 3, 7] {
                 m.push((fission, obs, nthreads));
             }
@@ -45,7 +38,245 @@ fn session(fission: bool, obs: ObsLevel, nthreads: usize) -> Session {
         .build()
 }
 
-/// The kernels the differential sweep measures: a static-parallel
+/// Checks `src`'s loop `label` (in its first subroutine) on `input`.
+fn check_source(sess: &Session, src: &str, label: &str, input: &Store) -> Report {
+    let prog = lip_ir::parse_program(src).expect("parses");
+    let sub = prog.units[0].name;
+    observationally_sequential(sess, &prog, sub, label, input)
+}
+
+#[test]
+fn all_session_combinations_match_the_oracle_in_one_process() {
+    for (fission, obs, nthreads) in matrix() {
+        let sess = session(fission, obs, nthreads);
+        for shape in lip_suite::all_shapes() {
+            check::kernel(&sess, &shape.prepared(64)).assert_sequential();
+        }
+    }
+}
+
+/// `tls_feedback`'s loop speculates. On the kernel's own input every
+/// iteration reads what the next one writes, and the attempt aborts; on
+/// `W(i) = 2i + 1` no two iterations meet, and it commits. A committed
+/// attempt is the run: its accesses are the loop's.
+#[test]
+fn speculation_commits_and_aborts_like_the_sequential_loop() {
+    let n = 64;
+    let commit = {
+        let mut p = lip_suite::TLS_FEEDBACK.prepared(n);
+        p.frame.alloc_real(sym("A"), 2 * n + 4);
+        let w = &p.frame.array(sym("W")).expect("W").buf;
+        (0..n).for_each(|i| w.set(i, Value::Real((2 * i + 1) as f64)));
+        p
+    };
+    let abort = lip_suite::TLS_FEEDBACK.prepared(n);
+    for (fission, obs, nthreads) in matrix() {
+        let sess = session(fission, obs, nthreads);
+        let reports = [
+            (check::kernel(&sess, &abort), LrpdOutcome::Aborted),
+            (check::kernel(&sess, &commit), LrpdOutcome::Committed),
+        ];
+        for (report, want) in reports {
+            report.assert_sequential();
+            assert_eq!(report.stats.outcome, ExecOutcome::Speculated(want));
+        }
+    }
+}
+
+/// The cascade's pass and fail paths and the exact test after a failed
+/// cascade, on one-statement loops (no fission plan pre-empts the exact
+/// test).
+#[test]
+fn cascade_pass_fail_and_exact_rows_match_the_oracle() {
+    let offset = |n: i64, m: i64| {
+        let mut frame = Store::new();
+        frame.set_int(sym("N"), n).set_int(sym("M"), m);
+        let len = (n + n.max(m) + 1) as usize;
+        let a = frame.alloc_real(sym("A"), len);
+        (0..len).for_each(|i| a.set(i, Value::Real(i as f64)));
+        frame
+    };
+    let indirect = {
+        let n = 96;
+        let mut frame = Store::new();
+        frame.set_int(sym("N"), n);
+        frame.alloc_real(sym("A"), (2 * n + 1) as usize);
+        let p = frame.alloc_int(sym("P"), n as usize);
+        let q = frame.alloc_int(sym("Q"), n as usize);
+        for i in 0..n {
+            p.set(i as usize, Value::Int(i + 1));
+            q.set(i as usize, Value::Int(i + n + 1)); // disjoint from P
+        }
+        frame
+    };
+    let rows = [
+        (OFFSET_SRC, offset(400, 400), "PredicatePassed"),
+        (OFFSET_SRC, offset(400, 1), "Sequential"),
+        // No stage can decide opaque index arrays; the hoisted exact
+        // USR evaluation proves them disjoint (paper §5's last resort).
+        (INDIRECT_SRC, indirect, "ExactPredicatePassed"),
+    ];
+    for (fission, obs, nthreads) in matrix() {
+        let sess = session(fission, obs, nthreads);
+        for (src, input, want) in &rows {
+            let report = check_source(&sess, src, "l1", input);
+            report.assert_sequential();
+            assert!(format!("{:?}", report.stats.outcome).starts_with(want));
+        }
+    }
+}
+
+const OFFSET_SRC: &str = "
+SUBROUTINE t(A, N, M)
+  DIMENSION A(*)
+  INTEGER i, N, M
+  DO l1 i = 1, N
+    A(i) = A(i + M) + 1.0
+  ENDDO
+END
+";
+
+const INDIRECT_SRC: &str = "
+SUBROUTINE run20(A, P, Q, N)
+  DIMENSION A(*)
+  INTEGER P(*), Q(*)
+  INTEGER i, N
+  DO l1 i = 1, N
+    A(P(i)) = A(Q(i)) + 1.0
+  ENDDO
+END
+";
+
+/// A loop most superinstructions fire in, per iteration: indexed
+/// read-modify-writes with constant and scalar operands, a scalar
+/// reduction, an inner loop and a conditional. Fusion folds `Charge`
+/// ops into them, so what is charged is what it must not change.
+#[test]
+fn a_loop_the_peephole_pass_fuses_throughout_matches_the_oracle() {
+    let mut input = Store::new();
+    input.set_int(sym("N"), 64).set_int(sym("M"), 4);
+    input.set_scalar(sym("x"), Value::Real(1.5));
+    input.set_scalar(sym("s"), Value::Real(0.0));
+    let a = input.alloc_real(sym("A"), 64);
+    (0..64).for_each(|i| a.set(i, Value::Real(i as f64)));
+    input.alloc_real(sym("W"), 4);
+    let src = "
+SUBROUTINE t(A, W, N, M)
+  DIMENSION A(*), W(*)
+  INTEGER i, j, N, M
+  s = 0.0
+  DO l1 i = 1, N
+    A(i) = A(i) + 0.5
+    A(i) = A(i) * x
+    DO j = 1, M
+      W(j) = A(i) * 0.25 + j
+    ENDDO
+    IF (A(i) .GT. 2.0) THEN
+      s = s + A(i)
+    ENDIF
+  ENDDO
+END
+";
+    for (fission, obs, nthreads) in matrix() {
+        let report = check_source(&session(fission, obs, nthreads), src, "l1", &input);
+        report.assert_sequential();
+        assert_eq!(report.stats.outcome, ExecOutcome::StaticParallel);
+    }
+}
+
+/// Scalars a loop carries or leaves behind: an affine induction
+/// variable read in the body (each chunk must start where the
+/// sequential loop has it), a `REAL` carried from one iteration into
+/// the next (its trace must not truncate it), and a privatized scalar
+/// the caller sees afterwards (the last iteration's value, restored).
+#[test]
+fn scalars_a_loop_carries_or_leaves_are_the_sequential_ones() {
+    let mut input = Store::new();
+    input.set_int(sym("N"), 40).set_int(sym("K"), 5);
+    input.set_scalar(sym("T"), Value::Real(0.5));
+    for a in ["A", "B"] {
+        let buf = input.alloc_real(sym(a), 42);
+        (0..42).for_each(|k| buf.set(k, Value::Real(k as f64 * 0.75)));
+    }
+    for body in [
+        "K = K + 2\n    A(i) = K",
+        "A(i) = T\n    T = B(i)",
+        "T = B(i) + 1.0\n    A(i) = T",
+    ] {
+        let src = format!(
+            "
+SUBROUTINE t(A, B, T, K, N)
+  DIMENSION A(*), B(*)
+  INTEGER i, N, K
+  DO l1 i = 1, N
+    {body}
+  ENDDO
+END
+"
+        );
+        for (fission, obs, nthreads) in matrix() {
+            let report = check_source(&session(fission, obs, nthreads), &src, "l1", &input);
+            report.assert_sequential();
+            assert_ne!(report.stats.outcome, ExecOutcome::Sequential, "{body}");
+        }
+    }
+}
+
+#[test]
+fn observer_execution_is_bit_identical_including_access_streams() {
+    // The `metrics` level too, which the matrix leaves out: a level that
+    // only counts must not change a run either.
+    for (shape, n) in [
+        (&lip_suite::OFFSET_CROSSOVER, 128usize),
+        (&lip_suite::HOIST_INDIRECT, 64),
+    ] {
+        for level in [ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Trace] {
+            check::kernel(&session(true, level, 1), &shape.prepared(n)).assert_sequential();
+        }
+    }
+}
+
+/// `solvh`'s privatized `XE` has a dynamic last value, so its chunks
+/// run under the executor's write-mask tracer, which must forward every
+/// access to the tracer the caller installed.
+#[test]
+fn an_installed_tracer_sees_every_dynamic_last_value_chunk() {
+    for nthreads in [1, 2, 3] {
+        let report = check::kernel(
+            &session(true, ObsLevel::Off, nthreads),
+            &lip_suite::SOLVH.prepared(24),
+        );
+        report.assert_sequential();
+        assert!(
+            matches!(
+                report.stats.outcome,
+                ExecOutcome::StaticParallel | ExecOutcome::PredicatePassed { .. }
+            ),
+            "{report}"
+        );
+    }
+}
+
+#[test]
+fn concurrent_executions_produce_identical_frames() {
+    // Every configuration at once, from separate threads, sharing the
+    // worker pool and nothing else.
+    let shape = &lip_suite::OFFSET_CROSSOVER;
+    std::thread::scope(|scope| {
+        for (f, o, t) in matrix() {
+            scope.spawn(move || {
+                let report = check::kernel(&session(f, o, t), &shape.prepared(256));
+                report.assert_sequential();
+                assert!(matches!(
+                    report.stats.outcome,
+                    ExecOutcome::PredicatePassed { .. }
+                ));
+            });
+        }
+    });
+}
+
+/// The kernels the measurement table covers: a static-parallel
 /// stencil, O(1)/O(N) predicated loops, an interprocedural kernel, an
 /// index reduction, a CIV compaction, and a loop whose cascade fails
 /// into the exact test (which finds it dependent).
@@ -83,69 +314,30 @@ fn measure_all(session: &Session) -> Vec<Row> {
         .collect()
 }
 
-/// One session's rows, checked against the reference semantics:
-/// per-iteration costs from a loop over `Machine::exec_block`, the
-/// cascade verdict and charge from `Pdag::eval`, plus the exact test's
-/// own count where a cascade fails. (The CIV kernel's
-/// test units add the slice's cost; `crates/vm/tests/differential.rs`
-/// pins that against an interpreter-run slice on every kernel.)
-fn oracle_checked_rows() -> Vec<Row> {
-    let sess = session(true, ObsLevel::Off, 2);
-    let rows = measure_all(&sess);
+/// One session's rows, their per-iteration costs checked against a
+/// loop over `Machine::exec_block` (verdicts and charged units are what
+/// the check compares).
+fn reference_rows() -> Vec<Row> {
+    let rows = measure_all(&session(true, ObsLevel::Off, 2));
     for ((shape, n), got) in kernels().into_iter().zip(&rows) {
         let mut p = shape.prepared(n);
         let prog = p.machine.program().clone();
-        let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
-        let target = sub.find_loop(p.label).expect("loop").clone();
-        let analysis = sess.analyze(&prog, sub.name, p.label).expect("analysis");
-
-        if analysis.civs.is_empty() {
-            let ctx = StoreCtx(&p.frame);
-            let (passes, units) = match analysis.class {
-                LoopClass::Predicated { .. } => {
-                    let hit = analysis.cascade.first_success(&ctx, TEST_BUDGET);
-                    let evaluated = hit.map_or(analysis.cascade.stages.len(), |k| k + 1);
-                    let units: u64 = analysis.cascade.stages[..evaluated]
-                        .iter()
-                        .map(|stage| stage.pred.eval_cost(&ctx))
-                        .sum();
-                    // A failed cascade falls into the exact test,
-                    // charged what it counts.
-                    match (hit, &analysis.ind_usr) {
-                        (None, Some(u)) => {
-                            let exact = lip_usr::exact::independent(u, &ctx, TEST_BUDGET);
-                            (exact.verdict == Some(true), units + exact.units)
-                        }
-                        _ => (hit.is_some(), units),
-                    }
-                }
-                _ => (true, 0),
-            };
-            assert_eq!(
-                passes,
-                shape.name != "hoist_indirect",
-                "{}: pick a workload whose cascade passes",
-                shape.name
-            );
-            assert_eq!(got.2, passes, "{}: verdict diverged", shape.name);
-            assert_eq!(got.5, units, "{}: charged test units", shape.name);
-        }
-
-        let Stmt::Do {
+        let sub = prog.subroutine(sym(p.sub)).expect("sub");
+        let Some(Stmt::Do {
             var, lo, hi, body, ..
-        } = &target
+        }) = sub.find_loop(p.label)
         else {
             panic!("{}: not a DO loop", shape.name)
         };
         let mut st = ExecState::default();
-        let lo = p.machine.eval(&sub, &p.frame, lo, &mut st).expect("lo");
-        let hi = p.machine.eval(&sub, &p.frame, hi, &mut st).expect("hi");
+        let lo = p.machine.eval(sub, &p.frame, lo, &mut st).expect("lo");
+        let hi = p.machine.eval(sub, &p.frame, hi, &mut st).expect("hi");
         let per_iter: Vec<u64> = (lo.as_i64()..=hi.as_i64())
             .map(|i| {
                 p.frame.set_scalar(*var, Value::Int(i));
                 let before = st.cost;
                 p.machine
-                    .exec_block(&sub, &mut p.frame, body, &mut st)
+                    .exec_block(sub, &mut p.frame, body, &mut st)
                     .expect("oracle iteration");
                 st.cost - before
             })
@@ -153,18 +345,6 @@ fn oracle_checked_rows() -> Vec<Row> {
         assert_eq!(got.4, per_iter, "{}: per-iteration costs", shape.name);
     }
     rows
-}
-
-#[test]
-fn all_session_combinations_match_the_oracle_in_one_process() {
-    let reference = oracle_checked_rows();
-    for (fission, obs, nthreads) in matrix() {
-        let got = measure_all(&session(fission, obs, nthreads));
-        assert_eq!(
-            reference, got,
-            "tables diverged under (fission={fission}, {obs}, nthreads={nthreads})"
-        );
-    }
 }
 
 #[test]
@@ -181,119 +361,9 @@ fn observer_legs_measure_identically() {
     }
 }
 
-/// Records every traced access, in order.
-#[derive(Default)]
-struct AccessLog {
-    events: Mutex<Vec<(char, Sym, usize)>>,
-}
-
-impl lip_ir::AccessTracer for AccessLog {
-    fn read(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
-        self.events.lock().unwrap().push(('r', arr, idx));
-    }
-    fn write(&self, arr: Sym, _: &lip_ir::ArrayBuf, idx: usize) {
-        self.events.lock().unwrap().push(('w', arr, idx));
-    }
-}
-
-#[test]
-fn observer_execution_is_bit_identical_including_access_streams() {
-    // Actually *execute* a predicated loop and a fission-rescued loop
-    // under each observer level with an access tracer installed:
-    // outcome, work units, final array state and the exact traced
-    // access stream must match the off leg. Single-threaded so the
-    // stream order is deterministic.
-    for (shape, n) in [
-        (&lip_suite::OFFSET_CROSSOVER, 128usize),
-        (&lip_suite::HOIST_INDIRECT, 64),
-    ] {
-        let run = |level: ObsLevel| {
-            let sess = session(true, level, 1);
-            let mut p = shape.prepared(n);
-            let prog = p.machine.program().clone();
-            let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
-            let target = sub.find_loop(p.label).expect("loop").clone();
-            let analysis = sess.analyze(&prog, sub.name, p.label).expect("analysis");
-            let log = Arc::new(AccessLog::default());
-            let traced = p.machine.with_tracer(log.clone());
-            let stats = sess
-                .run_loop(&traced, &sub, &target, &analysis, &mut p.frame)
-                .expect("runs");
-            let a = p.frame.array(sym("A")).expect("A");
-            let snapshot: Vec<u64> = (0..a.buf.len()).map(|i| a.get_f64(i).to_bits()).collect();
-            let events = log.events.lock().unwrap().clone();
-            (
-                format!("{:?}", stats.outcome),
-                stats.test_units,
-                stats.loop_units,
-                snapshot,
-                events,
-            )
-        };
-        let reference = run(ObsLevel::Off);
-        for level in [ObsLevel::Metrics, ObsLevel::Trace] {
-            assert_eq!(
-                reference,
-                run(level),
-                "{}: execution diverged under observer level {level}",
-                shape.name
-            );
-        }
-    }
-}
-
-/// `solvh`'s privatized `XE` has a dynamic last value, so its chunks
-/// run under the executor's write-mask tracer, which forwards every
-/// access to the tracer the caller installed. At one chunk the
-/// session's stream is the interpreter's, access for access; at more
-/// chunks it holds the same accesses in another order.
-#[test]
-fn an_installed_tracer_sees_every_dynamic_last_value_chunk() {
-    let shape = &lip_suite::SOLVH;
-    let n = 24;
-    let mut p = shape.prepared(n);
-    let prog = p.machine.program().clone();
-    let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
-    let target = sub.find_loop(p.label).expect("loop").clone();
-    let log = Arc::new(AccessLog::default());
-    p.machine
-        .with_tracer(log.clone())
-        .exec_stmt(&sub, &mut p.frame, &target, &mut ExecState::default())
-        .expect("oracle runs");
-    let mut want = log.events.lock().unwrap().clone();
-    assert!(want.iter().any(|&(rw, a, _)| rw == 'w' && a == sym("XE")));
-    for nthreads in [1, 2, 3] {
-        let sess = session(true, ObsLevel::Off, nthreads);
-        let mut p = shape.prepared(n);
-        let analysis = sess.analyze(&prog, sub.name, p.label).expect("analysis");
-        let log = Arc::new(AccessLog::default());
-        let traced = p.machine.with_tracer(log.clone());
-        let stats = sess
-            .run_loop(&traced, &sub, &target, &analysis, &mut p.frame)
-            .expect("runs");
-        assert!(
-            matches!(
-                stats.outcome,
-                ExecOutcome::StaticParallel | ExecOutcome::PredicatePassed { .. }
-            ),
-            "{:?} at nthreads = {nthreads}",
-            stats.outcome
-        );
-        let mut got = log.events.lock().unwrap().clone();
-        if nthreads > 1 {
-            got.sort_unstable();
-            want.sort_unstable();
-        }
-        assert!(
-            got == want,
-            "access stream diverged at nthreads = {nthreads}"
-        );
-    }
-}
-
 #[test]
 fn concurrent_sessions_with_different_seams_are_bit_identical() {
-    let reference = oracle_checked_rows();
+    let reference = reference_rows();
 
     // Every combination measuring the same kernels at the same time
     // from separate threads — differently configured callers in one
@@ -314,54 +384,5 @@ fn concurrent_sessions_with_different_seams_are_bit_identical() {
             &reference, conc,
             "combination {k} diverged under concurrency"
         );
-    }
-}
-
-#[test]
-fn concurrent_executions_produce_identical_frames() {
-    // Beyond the tables: actually *execute* a predicated loop through
-    // run_loop from concurrent sessions and compare the final array
-    // state element for element, and the work units, against the loop
-    // run sequentially on the interpreter.
-    let shape = &lip_suite::OFFSET_CROSSOVER;
-    let n = 256usize;
-    let snapshot = |frame: &lip_ir::Store| {
-        let a = frame.array(sym("A")).expect("A");
-        (0..a.buf.len()).map(|i| a.get_f64(i)).collect::<Vec<_>>()
-    };
-    let mut p = shape.prepared(n);
-    let prog = p.machine.program().clone();
-    let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
-    let target = sub.find_loop(p.label).expect("loop").clone();
-    let mut st = ExecState::default();
-    p.machine
-        .exec_stmt(&sub, &mut p.frame, &target, &mut st)
-        .expect("oracle runs");
-    // The parallel path does not charge the DO statement's own unit.
-    let reference = (st.cost - 1, snapshot(&p.frame));
-
-    let run = |fission: bool, obs: ObsLevel, nthreads: usize| {
-        let sess = session(fission, obs, nthreads);
-        let mut p = shape.prepared(n);
-        let analysis = sess.analyze(&prog, sub.name, p.label).expect("analysis");
-        let stats = sess
-            .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
-            .expect("runs");
-        assert!(matches!(stats.outcome, ExecOutcome::PredicatePassed { .. }));
-        (stats.loop_units, snapshot(&p.frame))
-    };
-
-    let results: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = matrix()
-            .into_iter()
-            .map(|(f, o, t)| scope.spawn(move || run(f, o, t)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    for (k, got) in results.iter().enumerate() {
-        assert_eq!(&reference, got, "combination {k} diverged");
     }
 }

@@ -5,6 +5,7 @@
 //! report must carry per-fragment sub-decisions.
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use lip_obs::json::Json;
 use lip_obs::ObsLevel;
@@ -20,16 +21,12 @@ fn traced_session(nthreads: usize) -> Session {
         .build()
 }
 
-/// Runs one suite kernel through `session` and returns its run.
+/// Runs one suite kernel through `session`.
 fn run_kernel(session: &Session, shape: &'static lip_suite::KernelShape, n: usize) {
     let mut p = shape.prepared(n);
-    let prog = p.machine.program().clone();
-    let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
-    let target = sub.find_loop(p.label).expect("loop").clone();
-    let analysis = session.analyze(&prog, sub.name, p.label).expect("analysis");
-    session
-        .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
-        .expect("runs");
+    let handle = session.load(p.machine.program().clone());
+    let handle = handle.prepare(sym(p.sub), p.label).expect("loop");
+    handle.run(&mut p.frame).expect("runs");
 }
 
 #[test]
@@ -186,18 +183,13 @@ fn exact_test_is_counted_spanned_and_explained() {
     for level in [ObsLevel::Metrics, ObsLevel::Trace] {
         let session = Session::builder().nthreads(2).observer(level).build();
         let p = lip_suite::HOIST_INDIRECT.prepared(256);
-        let prog = p.machine.program().clone();
-        let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
-        let target = sub.find_loop(p.label).expect("loop").clone();
-        let analysis = session.analyze(&prog, sub.name, p.label).expect("analysis");
+        let loaded = session.load(p.machine.program().clone());
+        let handle = loaded.prepare(sym(p.sub), p.label).expect("loop");
         // Twice on the same inputs (fresh buffers): a miss, then a hit.
         let units: Vec<u64> = (0..2)
             .map(|_| {
                 let mut frame = lip_suite::HOIST_INDIRECT.prepared(256).frame;
-                session
-                    .run_loop(&p.machine, &sub, &target, &analysis, &mut frame)
-                    .expect("runs")
-                    .test_units
+                handle.run(&mut frame).expect("runs").test_units
             })
             .collect();
         assert_eq!(units[0], units[1], "a memo hit is charged like a miss");
@@ -258,14 +250,14 @@ fn exact_test_is_counted_spanned_and_explained() {
 fn sequential_fallback_reports_reduction_dispatches_at_trace_level() {
     let session = traced_session(2);
     let mut p = lip_suite::INDEX_REDUCTION.prepared(256);
-    let prog = p.machine.program().clone();
-    let sub = prog.subroutine(sym(p.sub)).expect("sub").clone();
-    let target = sub.find_loop(p.label).expect("loop").clone();
-    let mut analysis = session.analyze(&prog, sub.name, p.label).expect("analysis");
+    let loaded = session.load(p.machine.program().clone());
+    let (sub, label) = (sym(p.sub), p.label);
+    let mut analysis = session
+        .analyze(loaded.program(), sub, label)
+        .expect("analysis");
     analysis.class = lip_analysis::LoopClass::StaticSequential;
-    let stats = session
-        .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
-        .expect("runs");
+    let handle = loaded.prepare_analyzed(sub, label, Rc::new(analysis));
+    let stats = handle.expect("loop").run(&mut p.frame).expect("runs");
     assert_eq!(stats.outcome, lip_runtime::ExecOutcome::Sequential);
     let m = session.metrics();
     let count = |name: &str| m.counter(name).unwrap_or(0);

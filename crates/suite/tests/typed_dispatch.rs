@@ -4,10 +4,15 @@
 //! bindings that do not match the declared types, and none of these
 //! kernels has one, so a fallback here is a lost typed form, seen as
 //! a count instead of as a slowdown.
+//!
+//! The drivers that activate the body once per iteration — the CIV
+//! slice, LRPD speculation — count those activations too, or the
+//! counts above would say nothing about them.
 
+use lip_ir::Value;
 use lip_obs::ObsLevel;
 use lip_runtime::Session;
-use lip_suite::KernelShape;
+use lip_suite::{KernelShape, Prepared};
 use lip_symbolic::sym;
 
 /// The rows of `bench_e2e`'s `hot_large` workload.
@@ -25,15 +30,14 @@ const HOT_LARGE: [&KernelShape; 11] = [
     &lip_suite::CIV_CONDITIONAL,
 ];
 
-/// `(typed, untyped)` activations of one traced run of `shape`.
-fn activations(shape: &'static KernelShape, n: usize) -> (u64, u64) {
+/// `(typed, untyped)` activations of one traced run of `p`.
+fn activations(p: Prepared) -> (u64, u64) {
     let session = Session::builder()
         .fission(true)
         .nthreads(2)
         .par_min(16)
         .observer(ObsLevel::Trace)
         .build();
-    let p = shape.prepared(n);
     let mut store = p.frame;
     let loaded = session.load(p.machine.program().clone());
     let handle = loaded.prepare(sym(p.sub), p.label).expect("analysis");
@@ -47,7 +51,7 @@ fn activations(shape: &'static KernelShape, n: usize) -> (u64, u64) {
 fn every_hot_large_kernel_runs_typed() {
     let mut untyped = Vec::new();
     for shape in HOT_LARGE {
-        let (typed, fallbacks) = activations(shape, 256);
+        let (typed, fallbacks) = activations(shape.prepared(256));
         assert!(typed > 0, "{}: no typed activation counted", shape.name);
         if fallbacks > 0 {
             untyped.push(format!(
@@ -58,4 +62,32 @@ fn every_hot_large_kernel_runs_typed() {
         }
     }
     assert!(untyped.is_empty(), "untyped activations: {untyped:?}");
+}
+
+/// `civ_conditional`'s slice runs once per iteration before the loop
+/// does, `civ_while`'s once per trip, and a committed speculation of
+/// `tls_feedback`'s loop once per iteration: each of those activations
+/// is counted.
+#[test]
+fn per_iteration_drivers_count_every_activation() {
+    let n = 256;
+    let commit = {
+        let mut p = lip_suite::TLS_FEEDBACK.prepared(n);
+        p.frame.alloc_real(sym("A"), 2 * n + 4);
+        let w = &p.frame.array(sym("W")).expect("W").buf;
+        (0..n).for_each(|i| w.set(i, Value::Real((2 * i + 1) as f64)));
+        p
+    };
+    let rows = [
+        ("civ_conditional", lip_suite::CIV_CONDITIONAL.prepared(n), n),
+        ("civ_while", lip_suite::CIV_WHILE.prepared(n), n / 2),
+        ("tls_feedback", commit, n),
+    ];
+    for (name, p, per_iteration) in rows {
+        let (typed, untyped) = activations(p);
+        assert!(
+            typed + untyped >= per_iteration as u64,
+            "{name}: {typed} typed + {untyped} untyped activations, {per_iteration} iterations"
+        );
+    }
 }

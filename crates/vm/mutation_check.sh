@@ -1,17 +1,19 @@
 #!/bin/sh
-# Mutation check for the VM's differential tests.
+# Mutation check for the differential tests.
 #
 # For each mutation below, copies the working tree into
 # SCRATCH_DIR/mutant, replaces one line of one file there, and runs the
-# VM's unit tests (the peephole rule table's per-row check among them),
-# the four-way corpus and the typed fallbacks against the mutant. They
-# must fail: if they pass, they no longer see what the mutated code
-# does. The repository itself is never modified.
+# tests the entry names against the mutant. They must fail: if they
+# pass, they no longer see what the mutated code does. The repository
+# itself is never modified.
 #
 #   crates/vm/mutation_check.sh SCRATCH_DIR
 #
-# Each mutation is three lines — file, the line as it is, the line as
-# the mutant has it — followed by a blank line:
+# Each mutation is four lines — the `cargo test` arguments that select
+# its tests, the file, the line as it is, the line as the mutant has it —
+# followed by a blank line. The VM's entries run its unit tests (the
+# peephole rule table's per-row check among them), the four-way corpus
+# and the typed fallbacks:
 #   * the typed stream's integer `Add` as a float add (exact below 2^53,
 #     wrong above it);
 #   * the peephole table without its hole-distinctness check (a window
@@ -24,33 +26,64 @@
 #   * the typed register bound admitting two registers too many (a
 #     chunk of 255 or 256 registers is typed, and its scratch registers
 #     alias r0 and r1 of the 256-entry file).
+# The runtime's entries run `lip_suite`'s session matrix, whose rows go
+# through `lip_suite::check`:
+#   * the DO statement's own unit charged on the parallel path (the
+#     loop-units comparison);
+#   * the CIV slice run under the caller's tracer again (its reads reach
+#     the access comparison as if the loop made them);
+#   * LRPD's committed attempt no longer replayed to the caller's tracer
+#     (the access comparison sees none of the loop's accesses).
 set -eu
 scratch=${1:?usage: $0 SCRATCH_DIR}
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 mutant="$scratch/mutant"
 
-mutations='crates/vm/src/typed.rs
+vm_tests='-p lip_vm --lib --test proptest_programs --test typed_fallback'
+check_tests='-p lip_suite --test session_matrix'
+mutations="$vm_tests
+crates/vm/src/typed.rs
         Add => a.wrapping_add(b),
         Add => (a as f64 + b as f64) as i64,
 
+$vm_tests
 crates/vm/src/peephole.rs
             if hole.is_some_and(|h| names.contains(&h)) {
             if false {
 
+$vm_tests
 crates/vm/src/vm.rs
                         let acc = Self::slot_value(chunk, frame, *acc_slot)?;
                         let acc = Self::slot_value(chunk, frame, *idx_slot)?;
 
+$vm_tests
 crates/vm/src/vm.rs
         self.scalars.clear();
         self.scalars.truncate(csub.chunk.scalars.len());
 
+$vm_tests
 crates/vm/src/typed.rs
     if chunk.nregs + 2 > TREGS {
     if chunk.nregs > TREGS {
-'
 
-printf '%s\n' "$mutations" | while IFS= read -r file && IFS= read -r from && IFS= read -r to; do
+$check_tests
+crates/runtime/src/exec.rs
+        loop_units: loop_units + st.cost,
+        loop_units: loop_units + st.cost + 1,
+
+$check_tests
+crates/runtime/src/civ.rs
+        cb.activate(env, f, None, state, None, &mut tally)
+        cb.activate(env, f, None, state, env.tracer(), &mut tally)
+
+$check_tests
+crates/runtime/src/lrpd.rs
+        held.iter().for_each(|(_, chunk)| chunk.replay(to));
+        held.iter().for_each(|_| ());
+"
+
+printf '%s\n' "$mutations" | while IFS= read -r tests && IFS= read -r file &&
+    IFS= read -r from && IFS= read -r to; do
     read -r _ || true
     rm -rf "$mutant"
     mkdir -p "$mutant"
@@ -66,9 +99,10 @@ printf '%s\n' "$mutations" | while IFS= read -r file && IFS= read -r from && IFS
     mv "$target.new" "$target"
     grep -qxF -- "$to" "$target"
     log="$scratch/mutant-$(basename "$file" .rs).log"
+    # $tests is a list of arguments: split on purpose.
+    # shellcheck disable=SC2086
     if CARGO_TARGET_DIR="$scratch/mutant-target" cargo test --release -q \
-        --manifest-path "$mutant/Cargo.toml" -p lip_vm \
-        --lib --test proptest_programs --test typed_fallback >"$log" 2>&1 </dev/null; then
+        --manifest-path "$mutant/Cargo.toml" $tests >"$log" 2>&1 </dev/null; then
         echo "mutation SURVIVED in $file: the tests pass with: $to" >&2
         exit 1
     fi
