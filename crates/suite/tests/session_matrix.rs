@@ -5,45 +5,18 @@
 //! observer level, the chunk count), also from concurrent sessions in
 //! one process. The measurement table built on the same runs
 //! (per-iteration costs, verdicts, charged test units) must not depend
-//! on the configuration either.
+//! on the configuration either. The cascade's pass, fail and exact rows
+//! are `pred_backend.rs`'s.
 
+mod common;
+
+use common::{check_source, matrix, session};
 use lip_ir::{ExecState, Stmt, Store, Value};
 use lip_obs::ObsLevel;
 use lip_runtime::{ExecOutcome, LrpdOutcome, Session};
-use lip_suite::check::{self, observationally_sequential, Report};
+use lip_suite::check;
 use lip_suite::{measure_loop, KernelShape, LoopMeasurement};
 use lip_symbolic::sym;
-
-/// Every configuration a session can differ in: `fission {on, off} ×
-/// observer {off, trace} × nthreads {1, 2, 3, 7}` (one chunk, an even
-/// split, uneven splits, more chunks than CPUs).
-fn matrix() -> Vec<(bool, ObsLevel, usize)> {
-    let mut m = Vec::new();
-    for fission in [true, false] {
-        for obs in [ObsLevel::Off, ObsLevel::Trace] {
-            for nthreads in [1, 2, 3, 7] {
-                m.push((fission, obs, nthreads));
-            }
-        }
-    }
-    m
-}
-
-fn session(fission: bool, obs: ObsLevel, nthreads: usize) -> Session {
-    Session::builder()
-        .fission(fission)
-        .observer(obs)
-        .nthreads(nthreads)
-        .par_min(64) // small threshold so the parallel predicate path runs
-        .build()
-}
-
-/// Checks `src`'s loop `label` (in its first subroutine) on `input`.
-fn check_source(sess: &Session, src: &str, label: &str, input: &Store) -> Report {
-    let prog = lip_ir::parse_program(src).expect("parses");
-    let sub = prog.units[0].name;
-    observationally_sequential(sess, &prog, sub, label, input)
-}
 
 #[test]
 fn all_session_combinations_match_the_oracle_in_one_process() {
@@ -82,70 +55,6 @@ fn speculation_commits_and_aborts_like_the_sequential_loop() {
         }
     }
 }
-
-/// The cascade's pass and fail paths and the exact test after a failed
-/// cascade, on one-statement loops (no fission plan pre-empts the exact
-/// test).
-#[test]
-fn cascade_pass_fail_and_exact_rows_match_the_oracle() {
-    let offset = |n: i64, m: i64| {
-        let mut frame = Store::new();
-        frame.set_int(sym("N"), n).set_int(sym("M"), m);
-        let len = (n + n.max(m) + 1) as usize;
-        let a = frame.alloc_real(sym("A"), len);
-        (0..len).for_each(|i| a.set(i, Value::Real(i as f64)));
-        frame
-    };
-    let indirect = {
-        let n = 96;
-        let mut frame = Store::new();
-        frame.set_int(sym("N"), n);
-        frame.alloc_real(sym("A"), (2 * n + 1) as usize);
-        let p = frame.alloc_int(sym("P"), n as usize);
-        let q = frame.alloc_int(sym("Q"), n as usize);
-        for i in 0..n {
-            p.set(i as usize, Value::Int(i + 1));
-            q.set(i as usize, Value::Int(i + n + 1)); // disjoint from P
-        }
-        frame
-    };
-    let rows = [
-        (OFFSET_SRC, offset(400, 400), "PredicatePassed"),
-        (OFFSET_SRC, offset(400, 1), "Sequential"),
-        // No stage can decide opaque index arrays; the hoisted exact
-        // USR evaluation proves them disjoint (paper §5's last resort).
-        (INDIRECT_SRC, indirect, "ExactPredicatePassed"),
-    ];
-    for (fission, obs, nthreads) in matrix() {
-        let sess = session(fission, obs, nthreads);
-        for (src, input, want) in &rows {
-            let report = check_source(&sess, src, "l1", input);
-            report.assert_sequential();
-            assert!(format!("{:?}", report.stats.outcome).starts_with(want));
-        }
-    }
-}
-
-const OFFSET_SRC: &str = "
-SUBROUTINE t(A, N, M)
-  DIMENSION A(*)
-  INTEGER i, N, M
-  DO l1 i = 1, N
-    A(i) = A(i + M) + 1.0
-  ENDDO
-END
-";
-
-const INDIRECT_SRC: &str = "
-SUBROUTINE run20(A, P, Q, N)
-  DIMENSION A(*)
-  INTEGER P(*), Q(*)
-  INTEGER i, N
-  DO l1 i = 1, N
-    A(P(i)) = A(Q(i)) + 1.0
-  ENDDO
-END
-";
 
 /// A loop most superinstructions fire in, per iteration: indexed
 /// read-modify-writes with constant and scalar operands, a scalar
