@@ -190,8 +190,10 @@ pub struct LoopAnalysis {
     /// Whether any scalar is a reduction accumulator.
     pub scalar_reductions: Vec<Sym>,
     /// The scalars the body assigns that are neither reductions nor
-    /// CIVs. A parallel run gives each chunk its own copy, and the copy
-    /// of the chunk that ran the last iteration holds the final value.
+    /// CIVs, so every iteration assigns them (one an iteration may skip
+    /// is a CIV). A parallel run gives each chunk its own copy, and the
+    /// copy of the chunk that ran the last iteration holds the final
+    /// value.
     pub private_scalars: Vec<Sym>,
     /// The affine induction scalars among them (`s = s + step` once per
     /// iteration, `step` invariant): a chunk's copy starts at the value

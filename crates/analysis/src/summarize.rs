@@ -904,13 +904,30 @@ pub fn classify_scalar(
         }
         return ScalarKind::Civ;
     }
-    // Recomputed: no assignment derives from s's previous value and no
-    // use precedes the first unconditional definition.
+    // Recomputed: no assignment derives from s's previous value, no
+    // use precedes the first unconditional definition, and every
+    // iteration assigns it. One an iteration may skip carries an
+    // earlier iteration's value out of the loop, and needs a trace.
     let self_free = assigns.iter().all(|(rhs, _)| !rhs.mentions(s));
-    if self_free && !use_before_def(body, s) {
+    if self_free && !use_before_def(body, s) && assigned_outside_ifs(body, s) {
         return ScalarKind::Recomputed;
     }
     ScalarKind::Civ
+}
+
+/// Whether `s` is assigned outside every IF and WHILE of `stmts`: at
+/// top level or in a nested DO's body (whose zero trips leave what the
+/// iterations before left, as the executor's restore assumes).
+fn assigned_outside_ifs(stmts: &[Stmt], s: Sym) -> bool {
+    stmts.iter().any(|st| match st {
+        Stmt::Assign {
+            lhs: LValue::Scalar(v),
+            ..
+        } => *v == s,
+        Stmt::Read { targets } => targets.contains(&s),
+        Stmt::Do { body, .. } => assigned_outside_ifs(body, s),
+        _ => false,
+    })
 }
 
 /// Whether `s` is read anywhere other than in its own `s = s ± e`

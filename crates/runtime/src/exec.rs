@@ -460,7 +460,13 @@ fn run_loop_inner(
         Route::Fission(fp) => return run_fissioned(env, sub, target, fp, frame, test_units, dt),
         Route::Speculate => {
             let arrays: Vec<Sym> = analysis.arrays.keys().copied().collect();
-            let (out, cost) = crate::lrpd::lrpd_execute_impl(env, sub, target, frame, &arrays)?;
+            let scalars = crate::lrpd::Scalars {
+                finals: &analysis.private_scalars,
+                affine: &analysis.affine_ivs,
+                reductions: &analysis.scalar_reductions,
+            };
+            let (out, cost) =
+                crate::lrpd::lrpd_execute_impl(env, sub, target, frame, &arrays, scalars)?;
             return Ok(RunStats {
                 outcome: ExecOutcome::Speculated(out),
                 test_units,
@@ -604,17 +610,11 @@ fn run_fissioned(
                 hi: hi_v,
                 body: fbody,
             };
-            let finals: Vec<Sym> = frag
-                .assigned
-                .iter()
-                .copied()
-                .filter(|s| !a.scalar_reductions.contains(s) && !a.civs.iter().any(|(c, _)| c == s))
-                .collect();
             let bp = BodyPlan {
                 arrays: &plans,
                 scalar_reds: &a.scalar_reductions,
                 civs: &a.civs,
-                scalar_finals: &finals,
+                scalar_finals: &a.private_scalars,
                 affine: &a.affine_ivs,
             };
             let units = run_parallel_do(env, sub, &shape, frame, &bp)?;
@@ -710,11 +710,49 @@ struct BodyPlan<'a> {
     affine: &'a [(Sym, lip_symbolic::SymExpr)],
 }
 
+/// Each affine scalar's value on loop entry and its step, when both
+/// are bound (otherwise the body's own update fails as it would
+/// sequentially).
+pub(crate) fn affine_entries(
+    frame: &Store,
+    affine: &[(Sym, lip_symbolic::SymExpr)],
+) -> Vec<(Sym, Value, i64)> {
+    affine
+        .iter()
+        .filter_map(|(s, step)| Some((*s, frame.scalar(*s)?, step.eval(&StoreCtx(frame))?)))
+        .collect()
+}
+
+/// An affine scalar's value `k` iterations in: a chunk's copy starts
+/// there, stepped as the body steps it (`i64` wraps, `f64` rounds at
+/// every step).
+pub(crate) fn stepped(entry: Value, step: i64, k: i64) -> Value {
+    match entry {
+        Value::Int(v) => Value::Int(v.wrapping_add(step.wrapping_mul(k))),
+        Value::Real(v) => Value::Real((0..k).fold(v, |v, _| v + step as f64)),
+    }
+}
+
 /// The typed zero a reduction accumulator starts from.
-fn zero(ty: Ty) -> Value {
+pub(crate) fn zero(ty: Ty) -> Value {
     match ty {
         Ty::Int => Value::Int(0),
         Ty::Real => Value::Real(0.0),
+    }
+}
+
+/// A scalar reduction after a chunked run: its entry value plus each
+/// chunk's partial sum, accumulated in the scalar's declared type (the
+/// `Int` path wraps, matching `apply_bin`'s in-loop arithmetic).
+pub(crate) fn reduced(
+    ty: Ty,
+    entry: Option<Value>,
+    partials: impl Iterator<Item = Value>,
+) -> Value {
+    let init = entry.unwrap_or(zero(ty));
+    match ty {
+        Ty::Int => Value::Int(partials.fold(init.as_i64(), |a, v| a.wrapping_add(v.as_i64()))),
+        Ty::Real => Value::Real(partials.fold(init.as_f64(), |a, v| a + v.as_f64())),
     }
 }
 
@@ -790,13 +828,7 @@ fn run_parallel_do(
     if hi < lo {
         return Ok(0);
     }
-    // Each affine scalar's value on loop entry and its step, when both
-    // are bound (otherwise the body's own update fails as it would
-    // sequentially).
-    let affine: Vec<(Sym, Value, i64)> = affine
-        .iter()
-        .filter_map(|(s, step)| Some((*s, frame.scalar(*s)?, step.eval(&StoreCtx(frame))?)))
-        .collect();
+    let affine = affine_entries(frame, affine);
     // Compile the loop body once; every worker thread then executes
     // bytecode through its own `Send` frame.
     let mut extra: Vec<Sym> = vec![var];
@@ -882,15 +914,8 @@ fn run_parallel_do(
                     }
                 }
             }
-            // Affine scalars start `c_lo - lo` steps in, stepped as the
-            // body steps them: `i64` wraps, `f64` rounds at every step.
             for &(s, entry, step) in &affine {
-                let k = c_lo - lo;
-                let v = match entry {
-                    Value::Int(v) => Value::Int(v.wrapping_add(step.wrapping_mul(k))),
-                    Value::Real(v) => Value::Real((0..k).fold(v, |v, _| v + step as f64)),
-                };
-                local.set_scalar(s, v);
+                local.set_scalar(s, stepped(entry, step, c_lo - lo));
             }
             // Scalar reductions start from the identity.
             for s in scalar_reds {
@@ -963,19 +988,9 @@ fn run_parallel_do(
             frame.set_scalar(*s, *v);
         }
     }
-    // Scalar reductions: initial + Σ deltas, accumulated in the
-    // scalar's declared type (the Int path wraps, matching
-    // `apply_bin`'s in-loop arithmetic).
     for s in scalar_reds {
-        let ty = sub.ty_of(*s);
-        let init = frame.scalar(*s).unwrap_or(zero(ty));
         let deltas = outs.iter().flat_map(|o| &o.scalars).filter(|(t, _)| t == s);
-        let v = match ty {
-            Ty::Int => {
-                Value::Int(deltas.fold(init.as_i64(), |a, (_, v)| a.wrapping_add(v.as_i64())))
-            }
-            Ty::Real => Value::Real(deltas.fold(init.as_f64(), |a, (_, v)| a + v.as_f64())),
-        };
+        let v = reduced(sub.ty_of(*s), frame.scalar(*s), deltas.map(|(_, v)| *v));
         frame.set_scalar(*s, v);
     }
     if let Some(start) = merge_start {

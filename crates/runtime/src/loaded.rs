@@ -105,6 +105,11 @@ pub struct LoopHandle {
 }
 
 impl LoopHandle {
+    /// The program the loop is in.
+    pub fn program(&self) -> &Program {
+        self.loaded.program()
+    }
+
     /// The subroutine the loop is in.
     pub fn sub(&self) -> &Subroutine {
         &self.loaded.program().units[self.sub]

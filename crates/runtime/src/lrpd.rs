@@ -26,9 +26,10 @@ use std::sync::{Arc, Mutex};
 use lip_ir::{
     AccessTracer, ArrayBuf, ArrayView, ExecState, RunError, Stmt, Store, Subroutine, Value,
 };
-use lip_symbolic::Sym;
+use lip_symbolic::{Sym, SymExpr};
 
 use crate::backend::{exec_stmt_seq, ExecEnv};
+use crate::exec::{affine_entries, reduced, stepped, zero};
 use crate::merge::{clone_buf, copy_back};
 use crate::pool::parallel_chunks;
 
@@ -203,9 +204,25 @@ pub enum LrpdOutcome {
     Aborted,
 }
 
+/// The scalars a speculated loop leaves behind, as the executor's
+/// parallel path handles them: the privatized ones
+/// (`LoopAnalysis::private_scalars`), which a commit takes from the
+/// chunk that ran the last iteration; the affine induction scalars
+/// among them, which each chunk starts where the sequential loop has
+/// them; and the scalar reductions, which each chunk sums from zero and
+/// a commit adds to the entry value.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Scalars<'a> {
+    pub finals: &'a [Sym],
+    pub affine: &'a [(Sym, SymExpr)],
+    pub reductions: &'a [Sym],
+}
+
 /// The speculation driver: [`speculate`] on the shared arrays, restored
 /// from a backup and re-run sequentially on conflict. A step other than
-/// 1 runs sequentially instead (and trivially commits).
+/// 1 runs sequentially instead (and trivially commits). Either way
+/// `frame` ends as the sequential loop leaves it, `scalars` and the
+/// loop variable included.
 ///
 /// The units are those of the run that produced the result. An aborted
 /// attempt's units depend on how far each chunk got before the conflict
@@ -215,32 +232,50 @@ pub(crate) fn lrpd_execute_impl(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
     target: &Stmt,
-    frame: &Store,
+    frame: &mut Store,
     arrays: &[Sym],
+    scalars: Scalars<'_>,
 ) -> Result<(LrpdOutcome, u64), RunError> {
     let mut state = ExecState::default();
     if let Stmt::Do { step: Some(e), .. } = target {
         if env.eval(sub, frame, e, &mut state)? != 1 {
             let mut st = ExecState::default();
-            exec_stmt_seq(env, sub, target, &mut frame.clone(), &mut st)?;
+            exec_stmt_seq(env, sub, target, frame, &mut st)?;
             return Ok((LrpdOutcome::Committed, state.cost + st.cost));
         }
     }
-    let backups: Vec<(&Arc<ArrayBuf>, Arc<ArrayBuf>)> = arrays
+    let backups: Vec<(Arc<ArrayBuf>, Arc<ArrayBuf>)> = arrays
         .iter()
         .filter_map(|a| frame.array(*a))
-        .map(|view| (&view.buf, clone_buf(&view.buf)))
+        .map(|view| (view.buf.clone(), clone_buf(&view.buf)))
         .collect();
-    let (conflict, cost) = speculate(env, sub, target, frame, arrays, state, env.tracer())?;
-    if !conflict {
-        return Ok((LrpdOutcome::Committed, cost));
+    let spec = speculate(
+        env,
+        sub,
+        target,
+        frame,
+        arrays,
+        scalars,
+        state,
+        env.tracer(),
+    )?;
+    if !spec.conflict {
+        for (s, v) in spec.finals {
+            frame.set_scalar(s, v);
+        }
+        for &s in scalars.reductions {
+            let partials = spec.partials.iter().filter(|(t, _)| *t == s);
+            let v = reduced(sub.ty_of(s), frame.scalar(s), partials.map(|(_, v)| *v));
+            frame.set_scalar(s, v);
+        }
+        return Ok((LrpdOutcome::Committed, spec.units));
     }
     for (buf, backup) in &backups {
         copy_back(buf, backup);
     }
-    env.cache.obs.count("lrpd.aborted_units", cost);
+    env.cache.obs.count("lrpd.aborted_units", spec.units);
     let mut st = ExecState::default();
-    exec_stmt_seq(env, sub, target, &mut frame.clone(), &mut st)?;
+    exec_stmt_seq(env, sub, target, frame, &mut st)?;
     Ok((LrpdOutcome::Aborted, st.cost))
 }
 
@@ -265,30 +300,45 @@ pub(crate) fn dry_run(
             },
         );
     }
-    speculate(
+    let spec = speculate(
         env,
         sub,
         target,
         &scratch,
         arrays,
+        Scalars::default(),
         ExecState::default(),
         None,
-    )
+    )?;
+    Ok((spec.conflict, spec.units))
+}
+
+/// What a speculative attempt found.
+struct Attempt {
+    conflict: bool,
+    units: u64,
+    /// The loop variable and `Scalars::finals` as the chunk that ran
+    /// the last iteration left them.
+    finals: Vec<(Sym, Value)>,
+    /// Each chunk's sum of each `Scalars::reductions` scalar.
+    partials: Vec<(Sym, Value)>,
 }
 
 /// Runs the DO loop `target` in parallel on `frame`, marking `arrays`'
-/// shadows (the bounds charged to `state`): the verdict and the units.
-/// Without a conflict, the attempt's accesses go to `report` in chunk
-/// order.
+/// shadows (the bounds charged to `state`): the verdict, the units and
+/// the scalars the loop leaves. Without a conflict, the attempt's
+/// accesses go to `report` in chunk order.
+#[allow(clippy::too_many_arguments)]
 fn speculate(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
     target: &Stmt,
     frame: &Store,
     arrays: &[Sym],
+    scalars: Scalars<'_>,
     mut state: ExecState,
     report: Option<&dyn AccessTracer>,
-) -> Result<(bool, u64), RunError> {
+) -> Result<Attempt, RunError> {
     let Stmt::Do {
         var, lo, hi, body, ..
     } = target
@@ -297,16 +347,29 @@ fn speculate(
             "LRPD speculation takes a DO loop",
         )));
     };
-    let cb = env.body(sub, body, &[], &[*var])?;
+    let mut extra = vec![*var];
+    extra.extend_from_slice(scalars.finals);
+    extra.extend_from_slice(scalars.reductions);
+    let cb = env.body(sub, body, &[], &extra)?;
     let lo_v = env.eval(sub, frame, lo, &mut state)?;
     let hi_v = env.eval(sub, frame, hi, &mut state)?;
     let spec = SpecState::new(frame, arrays);
-    let var_slot = cb.chunk().scalar_slot(*var).expect("interned");
+    let slot = |s: Sym| cb.chunk().scalar_slot(s).expect("interned");
+    let var_slot = slot(*var);
+    let affine = affine_entries(frame, scalars.affine);
     let cost = Mutex::new(state.cost);
     let held = Mutex::new(Vec::new());
+    let finals = Mutex::new(Vec::new());
+    let partials = Mutex::new(Vec::new());
     parallel_chunks(env.cache.nthreads, lo_v, hi_v, |k, c_lo, c_hi| {
         let mut st = ExecState::default();
         let mut f = cb.frame(frame);
+        for &(s, entry, step) in &affine {
+            f.set_scalar(slot(s), stepped(entry, step, c_lo - lo_v));
+        }
+        for &s in scalars.reductions {
+            f.set_scalar(slot(s), zero(sub.ty_of(s)));
+        }
         let mut tally = env.tally();
         let chunk = report.map(|_| Mutex::new(Held::new(frame)));
         for i in c_lo..=c_hi {
@@ -326,6 +389,17 @@ fn speculate(
         if let Some(chunk) = chunk {
             held.lock().unwrap().push((k, chunk.into_inner().unwrap()));
         }
+        let sums = scalars.reductions.iter().map(|&s| (s, f.scalar(slot(s))));
+        partials
+            .lock()
+            .unwrap()
+            .extend(sums.filter_map(|(s, v)| Some((s, v?))));
+        if c_hi == hi_v {
+            let mut last = vec![(*var, Value::Int(hi_v))];
+            let left = scalars.finals.iter().map(|&s| (s, f.scalar(slot(s))));
+            last.extend(left.filter_map(|(s, v)| Some((s, v?))));
+            *finals.lock().unwrap() = last;
+        }
         Ok::<(), RunError>(())
     })?;
     let conflict = spec.conflict();
@@ -334,7 +408,12 @@ fn speculate(
         held.sort_by_key(|(k, _)| *k);
         held.iter().for_each(|(_, chunk)| chunk.replay(to));
     }
-    Ok((conflict, cost.into_inner().unwrap()))
+    Ok(Attempt {
+        conflict,
+        units: cost.into_inner().unwrap(),
+        finals: finals.into_inner().unwrap(),
+        partials: partials.into_inner().unwrap(),
+    })
 }
 
 #[cfg(test)]

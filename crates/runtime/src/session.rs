@@ -570,7 +570,15 @@ pub mod compat {
             arrays: &[Sym],
         ) -> Result<(LrpdOutcome, u64), RunError> {
             self.compat_env(machine, |env| {
-                crate::lrpd::lrpd_execute_impl(env, sub, target, frame, arrays)
+                let scalars = crate::lrpd::Scalars::default();
+                crate::lrpd::lrpd_execute_impl(
+                    env,
+                    sub,
+                    target,
+                    &mut frame.clone(),
+                    arrays,
+                    scalars,
+                )
             })
         }
 

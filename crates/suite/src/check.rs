@@ -7,27 +7,32 @@
 //!
 //! - **the oracle**: the tree-walking interpreter,
 //!   `lip_ir::Machine::exec_stmt`, under a recording tracer;
-//! - **the handle leg**: the production path, `Session::load` →
-//!   `Loaded::prepare` → `LoopHandle::run`, untraced;
+//! - **the handle leg**: the production path, `LoopHandle::run` on the
+//!   caller's handle, untraced. A handle that has run before answers
+//!   from its memo, and that run is checked as a cold one is ([`cold`]
+//!   loads a fresh one);
 //! - **the traced leg**: the same drivers through the `Machine`-taking
 //!   `Session::run_loop`, on `Machine::with_tracer`. It is the only
 //!   entry into the drivers that can trace.
 //!
 //! The [`Report`] holds one [`Verdict`] per comparison:
 //!
-//! 1. **store**: every scalar and array the input binds, as tagged bits
-//!    (`Int` or `Real`, then the 64 bits). Names the run mints, such as
-//!    CIV trace arrays, are not outputs and are skipped;
+//! 1. **store**: each session leg's store against the oracle's, on
+//!    every scalar and array the input binds, as tagged bits (`Int` or
+//!    `Real`, then the 64 bits). Names the run mints, such as CIV trace
+//!    arrays, are not outputs and are skipped;
 //! 2. **loop units**: the oracle's cost, less the DO statement's own
 //!    unit on the paths that run the body in chunks;
 //! 3. **test units**: the cascade's charge by `Pdag::eval`, plus
-//!    `lip_usr::exact::independent`'s units when the cascade fails;
+//!    `lip_usr::exact::independent`'s units when the cascade fails
+//!    ([`reference_tests`], which the measurement table's tests also
+//!    compare with);
 //! 4. **accesses**: per array name, the sorted `(kind, index)` events
 //!    of the traced leg against the oracle's;
 //! 5. **stage**: for a predicated loop, the stage that passed is the
 //!    reference's first success;
-//! 6. **legs**: the handle leg and the traced leg agree on outcome,
-//!    units and store.
+//! 6. **legs**: the handle leg and the traced leg agree on outcome
+//!    and units.
 //!
 //! A comparison that cannot be made for a run says why, and every such
 //! reason is written in one `match` (`not_compared`), so no caller can
@@ -43,7 +48,7 @@ use lip_analysis::{LoopAnalysis, LoopClass};
 use lip_ir::{
     AccessTracer, ArrayBuf, ArrayView, ExecState, Machine, Program, Stmt, Store, StoreCtx, Value,
 };
-use lip_runtime::{ExecOutcome, LrpdOutcome, RunStats, Session, TEST_BUDGET};
+use lip_runtime::{ExecOutcome, LoopHandle, LrpdOutcome, RunStats, Session, TEST_BUDGET};
 use lip_symbolic::Sym;
 
 /// How one comparison ended.
@@ -65,7 +70,7 @@ pub struct Report {
     pub stats: RunStats,
     /// The traced leg's store after the run.
     pub after: Store,
-    /// Every name the input binds, as tagged bits.
+    /// Each session leg's store against the oracle's, as tagged bits.
     pub store: Verdict,
     /// `loop_units` against the oracle's cost.
     pub loop_units: Verdict,
@@ -75,7 +80,7 @@ pub struct Report {
     pub accesses: Verdict,
     /// The stage that passed against the reference's first success.
     pub stage: Verdict,
-    /// The handle leg against the traced leg.
+    /// The handle leg's outcome and units against the traced leg's.
     pub legs: Verdict,
 }
 
@@ -119,25 +124,21 @@ impl fmt::Display for Report {
     }
 }
 
-/// Runs loop `label` of subroutine `sub` on copies of `input` three
-/// ways and compares them (see the module docs). Panics when the loop
-/// is not found or a leg fails to run.
-pub fn observationally_sequential(
-    session: &Session,
-    prog: &Program,
-    sub: Sym,
-    label: &str,
-    input: &Store,
-) -> Report {
+/// Runs `handle`'s loop on copies of `input` three ways and compares
+/// them (see the module docs). The handle leg runs on `handle` as the
+/// caller left it, so a run its memo answers is checked like a cold
+/// one; the traced leg always starts cold. `session` is the one
+/// `handle` was loaded into. Panics when a leg fails to run.
+pub fn observationally_sequential(session: &Session, handle: &LoopHandle, input: &Store) -> Report {
     let cfg = session.config();
+    let (unit, target, analysis) = (handle.sub(), handle.target(), handle.analysis());
+    let label = analysis.label.as_str();
     let context = format!(
-        "{sub}/{label} (fission {}, nthreads {}, observer {})",
-        cfg.fission, cfg.nthreads, cfg.obs
+        "{}/{label} (fission {}, nthreads {}, observer {})",
+        unit.name, cfg.fission, cfg.nthreads, cfg.obs
     );
-    let unit = prog.subroutine(sub).expect("subroutine");
-    let target = unit.find_loop(label).expect("loop");
 
-    let machine = Machine::new(prog.clone());
+    let machine = Machine::new(handle.program().clone());
     let seen = Arc::new(Recorder::default());
     let mut want = deep_copy(input);
     let mut st = ExecState::default();
@@ -146,17 +147,12 @@ pub fn observationally_sequential(
         panic!("{context}: the oracle failed: {e}")
     }
 
-    let handle = session
-        .load(prog.clone())
-        .prepare(sub, label)
-        .expect("loop");
     let mut untraced = deep_copy(input);
     let plain = handle.run(&mut untraced);
     let plain = plain.unwrap_or_else(|e| panic!("{context}: LoopHandle::run failed: {e}"));
 
     let traced = Arc::new(Recorder::default());
     let mut after = deep_copy(input);
-    let analysis = handle.analysis();
     let run = session.run_loop(
         &machine.with_tracer(traced.clone()),
         unit,
@@ -175,7 +171,7 @@ pub fn observationally_sequential(
         _ => false,
     };
     let reason = |c| not_compared(c, analysis, target, unit_step, &stats.outcome);
-    let (first_success, charged) = reference_tests(analysis, input);
+    let reference = reference_tests(analysis, input);
     let passed = match stats.outcome {
         ExecOutcome::PredicatePassed { stage } => Some(stage),
         _ => None,
@@ -195,34 +191,46 @@ pub fn observationally_sequential(
         compare("outcome", &stats.outcome, &plain.outcome),
         compare("test units", &stats.test_units, &plain.test_units),
         compare("loop units", &stats.loop_units, &plain.loop_units),
-        compare_stores(input, &after, &untraced),
+    ];
+    let stores = [
+        ("traced leg", compare_stores(input, &want, &after)),
+        ("handle leg", compare_stores(input, &want, &untraced)),
     ];
     Report {
-        store: compare_stores(input, &want, &after),
+        store: first_difference(stores.into_iter().map(|(leg, v)| match v {
+            Verdict::Differs(d) => Verdict::Differs(format!("{leg}: {d}")),
+            v => v,
+        })),
         loop_units: compare("loop units", &(st.cost - do_unit), &stats.loop_units),
         test_units: reason(Compared::TestUnits).map_or_else(
-            || compare("test units", &charged, &stats.test_units),
+            || compare("test units", &reference.units, &stats.test_units),
             Verdict::NotCompared,
         ),
         accesses: compare_accesses(&seen.by_array(), &traced.by_array()),
         stage: reason(Compared::Stage).map_or_else(
-            || compare("passed stage", &first_success, &passed),
+            || compare("passed stage", &reference.first_success, &passed),
             Verdict::NotCompared,
         ),
-        legs: legs
-            .into_iter()
-            .find(|v| *v != Verdict::Equal)
-            .unwrap_or(Verdict::Equal),
+        legs: first_difference(legs),
         context,
         stats,
         after,
     }
 }
 
-/// [`observationally_sequential`] on a prepared suite kernel.
+/// [`observationally_sequential`] on loop `label` of subroutine `sub`
+/// of `prog`, freshly loaded into `session`: every cache cold. Panics
+/// when there is no such loop.
+pub fn cold(session: &Session, prog: &Program, sub: Sym, label: &str, input: &Store) -> Report {
+    let handle = session.load(prog.clone()).prepare(sub, label);
+    let handle = handle.unwrap_or_else(|| panic!("no loop {sub}/{label}"));
+    observationally_sequential(session, &handle, input)
+}
+
+/// [`cold`] on a prepared suite kernel.
 pub fn kernel(session: &Session, p: &crate::Prepared) -> Report {
     let prog = p.machine.program();
-    observationally_sequential(session, prog, lip_symbolic::sym(p.sub), p.label, &p.frame)
+    cold(session, prog, lip_symbolic::sym(p.sub), p.label, &p.frame)
 }
 
 /// The comparisons a run can leave out.
@@ -259,22 +267,56 @@ fn not_compared(
     }
 }
 
-/// The reference charge of `a`'s tests on `input`: the cascade's first
-/// success by `Pdag::eval` and the units of the stages evaluated up to
-/// it, plus the exact test's count when no stage passes.
-fn reference_tests(a: &LoopAnalysis, input: &Store) -> (Option<usize>, u64) {
+/// What a loop's tests decide and charge on an input, computed apart
+/// from the executor.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Reference {
+    /// The cascade's first passing stage, by `Pdag::eval`.
+    pub first_success: Option<usize>,
+    /// Whether the tests license a parallel run: a stage passes, or
+    /// else the exact test finds the loop independent. A loop with no
+    /// cascade has no test to fail.
+    pub passes: bool,
+    /// The units of the stages evaluated up to the first success, plus
+    /// the exact test's count when no stage passes.
+    pub units: u64,
+}
+
+/// The reference of `a`'s tests on `input`: the charge the check's
+/// `test units` verdict compares with, and what the measurement table
+/// records for a loop without a CIV slice.
+pub fn reference_tests(a: &LoopAnalysis, input: &Store) -> Reference {
     if !matches!(a.class, LoopClass::Predicated { .. }) {
-        return (None, 0);
+        return Reference {
+            first_success: None,
+            passes: true,
+            units: 0,
+        };
     }
     let ctx = StoreCtx(input);
     let hit = a.cascade.first_success(&ctx, TEST_BUDGET);
     let evaluated = hit.map_or(a.cascade.stages.len(), |k| k + 1);
     let stages = a.cascade.stages[..evaluated].iter();
     let mut units: u64 = stages.map(|stage| stage.pred.eval_cost(&ctx)).sum();
+    let mut passes = hit.is_some();
     if let (None, Some(u)) = (hit, &a.ind_usr) {
-        units += lip_usr::exact::independent(u, &ctx, TEST_BUDGET).units;
+        let exact = lip_usr::exact::independent(u, &ctx, TEST_BUDGET);
+        units += exact.units;
+        passes = exact.verdict == Some(true);
     }
-    (hit, units)
+    Reference {
+        first_success: hit,
+        passes,
+        units,
+    }
+}
+
+/// The first verdict that is not `Equal`, if any.
+fn first_difference(verdicts: impl IntoIterator<Item = Verdict>) -> Verdict {
+    let mut verdicts = verdicts.into_iter();
+    verdicts
+        .find(|v| *v != Verdict::Equal)
+        .unwrap_or(Verdict::Equal)
 }
 
 fn compare<T: PartialEq + fmt::Debug>(what: &str, want: &T, got: &T) -> Verdict {

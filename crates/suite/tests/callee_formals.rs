@@ -10,7 +10,7 @@
 
 use lip_ir::{parse_program, Store, Value};
 use lip_runtime::{ExecOutcome, LrpdOutcome, Session};
-use lip_suite::check::{observationally_sequential, Report};
+use lip_suite::check::{cold, Report};
 use lip_symbolic::sym;
 
 /// `tls_feedback`'s loop with its update moved into a callee: with
@@ -105,7 +105,7 @@ fn check(src: &str, sub: &str, frame: &Store, runs: usize) -> Vec<Report> {
                 .fission(fission)
                 .build();
             for _ in 0..runs {
-                let report = observationally_sequential(&session, &prog, sym(sub), "l1", frame);
+                let report = cold(&session, &prog, sym(sub), "l1", frame);
                 report.assert_sequential();
                 reports.push(report);
             }

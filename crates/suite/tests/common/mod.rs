@@ -4,7 +4,7 @@
 use lip_ir::Store;
 use lip_obs::ObsLevel;
 use lip_runtime::Session;
-use lip_suite::check::{observationally_sequential, Report};
+use lip_suite::check::{cold, Report};
 
 /// Every configuration a session can differ in: `fission {on, off} ×
 /// observer {off, trace} × nthreads {1, 2, 3, 7}` (one chunk, an even
@@ -34,5 +34,5 @@ pub fn session(fission: bool, obs: ObsLevel, nthreads: usize) -> Session {
 pub fn check_source(sess: &Session, src: &str, label: &str, input: &Store) -> Report {
     let prog = lip_ir::parse_program(src).expect("parses");
     let sub = prog.units[0].name;
-    observationally_sequential(sess, &prog, sub, label, input)
+    cold(sess, &prog, sub, label, input)
 }

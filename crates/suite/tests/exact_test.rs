@@ -6,8 +6,8 @@
 //!   `n` = 192 → 384 → 768, and a fail-shaped input never costs more
 //!   than the pass-shaped one of the same size (early exit).
 //! * **Reference.** On every such input the one-pass verdict is
-//!   `eval_usr(..).is_empty()`, and the run is the sequential loop
-//!   (`lip_suite::check`).
+//!   `eval_usr(..).is_empty()`, and every run below, memo-answered or
+//!   not, is the sequential loop (`lip_suite::check`).
 //! * **Memo.** A second `run_loop` on unchanged inputs performs no exact
 //!   evaluation and charges the same `test_units`; changing one element
 //!   of an index array or one free scalar the USR reads re-evaluates,
@@ -18,7 +18,7 @@
 use lip_analysis::{analyze_loop, AnalysisConfig, LoopAnalysis};
 use lip_ir::{Program, Store, StoreCtx, Value};
 use lip_runtime::{ExecOutcome, Loaded, LoopHandle, RunStats, Session, TEST_BUDGET};
-use lip_suite::check::{deep_copy, observationally_sequential};
+use lip_suite::check::{cold, observationally_sequential};
 use lip_suite::KernelShape;
 use lip_symbolic::sym;
 use lip_usr::{eval_usr, exact, Usr};
@@ -171,8 +171,7 @@ fn verdicts_equal_the_reference_on_every_shaped_input() {
         let (prog, a) = analyzed(shape);
         for pass in [true, false] {
             let frame = shaped(shape, 96, pass);
-            observationally_sequential(&session, &prog, sym(shape.sub), shape.label, &frame)
-                .assert_sequential();
+            cold(&session, &prog, sym(shape.sub), shape.label, &frame).assert_sequential();
         }
         for (which, u) in usrs(&a) {
             for pass in [true, false] {
@@ -198,9 +197,11 @@ fn verdicts_equal_the_reference_on_every_shaped_input() {
     assert!(verdicts.contains(&("hoist_indirect", "fragment 0".into(), false, false)));
 }
 
-/// One kernel loaded into one session: runs on deep-copied frames and
-/// counts the engine's exact evaluations.
+/// One kernel loaded into one session: every run goes through
+/// `lip_suite::check`, memo-answered ones included, and counts the
+/// engine's exact evaluations.
 struct Hoisted {
+    session: Session,
     loaded: Loaded,
     handle: LoopHandle,
 }
@@ -208,19 +209,27 @@ struct Hoisted {
 impl Hoisted {
     fn new(shape: &'static KernelShape) -> Hoisted {
         let (prog, _) = analyzed(shape);
-        let loaded = Session::builder().nthreads(2).build().load(prog);
+        let session = Session::builder().nthreads(2).build();
+        let loaded = session.load(prog);
         let handle = loaded.prepare(sym(shape.sub), shape.label).expect("loop");
-        Hoisted { loaded, handle }
+        Hoisted {
+            session,
+            loaded,
+            handle,
+        }
     }
 
-    /// Runs the loop on a copy of `frame` and returns the stats with how
-    /// many exact evaluations and memo hits the run made.
+    /// Runs the loop on copies of `frame`, checks it is the sequential
+    /// loop, and returns the stats with how many exact evaluations and
+    /// memo hits the handle's run made (the check's traced leg runs in
+    /// a cache of its own).
     fn run(&self, frame: &Store) -> (RunStats, u64, u64) {
         let before = self.loaded.pred_stats();
-        let stats = self.handle.run(&mut deep_copy(frame)).expect("runs");
+        let report = observationally_sequential(&self.session, &self.handle, frame);
+        report.assert_sequential();
         let after = self.loaded.pred_stats();
         (
-            stats,
+            report.stats,
             after.exact_evals - before.exact_evals,
             after.exact_memo_hits - before.exact_memo_hits,
         )

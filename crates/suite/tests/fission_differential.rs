@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use lip_ir::{parse_program, Program, Store, Value};
 use lip_runtime::{ExecOutcome, Session};
-use lip_suite::check::{self, observationally_sequential, Report};
+use lip_suite::check::{self, cold, Report};
 use lip_symbolic::sym;
 
 fn session(fission: bool) -> Session {
@@ -29,8 +29,7 @@ fn session(fission: bool) -> Session {
 /// Loop `gl` of `prog`'s subroutine `gen` on `frame`, with the rescue
 /// pass on and off.
 fn on_and_off(prog: &Program, frame: &Store) -> [Report; 2] {
-    [true, false]
-        .map(|fission| observationally_sequential(&session(fission), prog, sym("gen"), "gl", frame))
+    [true, false].map(|fission| cold(&session(fission), prog, sym("gen"), "gl", frame))
 }
 
 #[test]

@@ -13,7 +13,7 @@
 
 use lip_ir::{parse_program, Program, Store, Value};
 use lip_runtime::Session;
-use lip_suite::check::observationally_sequential;
+use lip_suite::check::cold;
 use lip_symbolic::sym;
 
 /// Runs loop `label` of `prog`'s first subroutine with fission on and
@@ -25,8 +25,7 @@ fn assert_matches_sequential_everywhere(prog: &Program, label: &str, frame: &Sto
             .par_min(1)
             .fission(fission)
             .build();
-        observationally_sequential(&sess, prog, prog.units[0].name, label, frame)
-            .assert_sequential();
+        cold(&sess, prog, prog.units[0].name, label, frame).assert_sequential();
     }
 }
 

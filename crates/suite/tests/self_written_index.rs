@@ -10,7 +10,8 @@
 //! (50 000 of `A`'s 200 002 at `n` = 10⁵, outcome
 //! `ExactPredicatePassed`, before the classifier's guard).
 //! `lip_suite::check` compares the run with the `lip_ir` tree-walk
-//! interpreter, with the fission rescue on and off.
+//! interpreter, with the fission rescue on and off, cold and again on
+//! the same handle.
 
 use lip_analysis::LoopClass;
 use lip_ir::{parse_program, Store, Value};
@@ -59,7 +60,9 @@ fn a_loop_that_rewrites_its_index_array_matches_the_interpreter() {
     let input = frame(n);
     for fission in [true, false] {
         let sess = Session::builder().nthreads(2).fission(fission).build();
-        let analysis = sess.analyze(&prog, sym("t"), "l1").expect("analysis");
+        let handle = sess.load(prog.clone()).prepare(sym("t"), "l1");
+        let handle = handle.expect("loop");
+        let analysis = handle.analysis();
         assert!(
             !matches!(
                 analysis.class,
@@ -68,10 +71,14 @@ fn a_loop_that_rewrites_its_index_array_matches_the_interpreter() {
             "fission {fission}: a test on the pre-loop P cannot license this loop ({:?})",
             analysis.class
         );
-        let report = observationally_sequential(&sess, &prog, sym("t"), "l1", &input);
-        report.assert_sequential();
-        // The recurrence really is one: A(n+1) = A(1) + n.
-        let a = report.after.array(sym("A")).expect("A");
-        assert_eq!(a.get_f64(n), n as f64, "{report}");
+        // Twice on one handle: a memoized verdict must not change the
+        // answer either.
+        for round in 0..2 {
+            let report = observationally_sequential(&sess, &handle, &input);
+            report.assert_sequential();
+            // The recurrence really is one: A(n+1) = A(1) + n.
+            let a = report.after.array(sym("A")).expect("A");
+            assert_eq!(a.get_f64(n), n as f64, "round {round}: {report}");
+        }
     }
 }

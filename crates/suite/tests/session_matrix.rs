@@ -31,9 +31,24 @@ fn all_session_combinations_match_the_oracle_in_one_process() {
 /// `tls_feedback`'s loop speculates. On the kernel's own input every
 /// iteration reads what the next one writes, and the attempt aborts; on
 /// `W(i) = 2i + 1` no two iterations meet, and it commits. A committed
-/// attempt is the run: its accesses are the loop's.
+/// attempt is the run: its accesses are the loop's. The same loop with
+/// scalars the caller sees afterwards — an affine `K`, which each chunk
+/// must start where the sequential loop has it, the privatized `pos`,
+/// and the sum `S` — leaves them as the sequential loop does.
 #[test]
 fn speculation_commits_and_aborts_like_the_sequential_loop() {
+    let with_scalars = "
+SUBROUTINE t(A, W, K, N)
+  DIMENSION A(*), W(*)
+  INTEGER i, N, K, pos
+  DO l1 i = 1, N
+    K = K + 1
+    pos = INT(W(i))
+    A(pos) = A(pos + 1) * 0.5 + K
+    S = S + W(i)
+  ENDDO
+END
+";
     let n = 64;
     let commit = {
         let mut p = lip_suite::TLS_FEEDBACK.prepared(n);
@@ -45,13 +60,21 @@ fn speculation_commits_and_aborts_like_the_sequential_loop() {
     let abort = lip_suite::TLS_FEEDBACK.prepared(n);
     for (fission, obs, nthreads) in matrix() {
         let sess = session(fission, obs, nthreads);
-        let reports = [
-            (check::kernel(&sess, &abort), LrpdOutcome::Aborted),
-            (check::kernel(&sess, &commit), LrpdOutcome::Committed),
-        ];
-        for (report, want) in reports {
-            report.assert_sequential();
-            assert_eq!(report.stats.outcome, ExecOutcome::Speculated(want));
+        for (p, want) in [
+            (&abort, LrpdOutcome::Aborted),
+            (&commit, LrpdOutcome::Committed),
+        ] {
+            let mut input = p.frame.clone();
+            input.set_int(sym("K"), 0).set_int(sym("pos"), 0);
+            input.set_scalar(sym("S"), Value::Real(0.25));
+            let reports = [
+                check::kernel(&sess, p),
+                check_source(&sess, with_scalars, "l1", &input),
+            ];
+            for report in reports {
+                report.assert_sequential();
+                assert_eq!(report.stats.outcome, ExecOutcome::Speculated(want.clone()));
+            }
         }
     }
 }
@@ -96,21 +119,24 @@ END
 /// Scalars a loop carries or leaves behind: an affine induction
 /// variable read in the body (each chunk must start where the
 /// sequential loop has it), a `REAL` carried from one iteration into
-/// the next (its trace must not truncate it), and a privatized scalar
-/// the caller sees afterwards (the last iteration's value, restored).
+/// the next (its trace must not truncate it), a privatized scalar the
+/// caller sees afterwards (the last iteration's value, restored), and
+/// one assigned only under a condition that no iteration of the second
+/// half meets (the value an iteration of the first half left).
 #[test]
 fn scalars_a_loop_carries_or_leaves_are_the_sequential_ones() {
     let mut input = Store::new();
     input.set_int(sym("N"), 40).set_int(sym("K"), 5);
     input.set_scalar(sym("T"), Value::Real(0.5));
-    for a in ["A", "B"] {
-        let buf = input.alloc_real(sym(a), 42);
-        (0..42).for_each(|k| buf.set(k, Value::Real(k as f64 * 0.75)));
-    }
+    let a = input.alloc_real(sym("A"), 42);
+    (0..42).for_each(|k| a.set(k, Value::Real(k as f64 * 0.75)));
+    let b = input.alloc_real(sym("B"), 42);
+    (0..42).for_each(|k| b.set(k, Value::Real((20.0 - k as f64) * 0.75)));
     for body in [
         "K = K + 2\n    A(i) = K",
         "A(i) = T\n    T = B(i)",
         "T = B(i) + 1.0\n    A(i) = T",
+        "A(i) = B(i) * 2.0\n    IF (B(i) .GT. 0) T = B(i)",
     ] {
         let src = format!(
             "
@@ -223,14 +249,28 @@ fn measure_all(session: &Session) -> Vec<Row> {
         .collect()
 }
 
-/// One session's rows, their per-iteration costs checked against a
-/// loop over `Machine::exec_block` (verdicts and charged units are what
-/// the check compares).
+/// One session's rows, checked against the reference: the verdict and
+/// the charged test units of each loop without a CIV slice against
+/// `check::reference_tests`, the per-iteration costs against a loop
+/// over `Machine::exec_block`.
 fn reference_rows() -> Vec<Row> {
-    let rows = measure_all(&session(true, ObsLevel::Off, 2));
+    let sess = session(true, ObsLevel::Off, 2);
+    let rows = measure_all(&sess);
     for ((shape, n), got) in kernels().into_iter().zip(&rows) {
         let mut p = shape.prepared(n);
         let prog = p.machine.program().clone();
+        let analysis = sess.analyze(&prog, sym(p.sub), p.label).expect("analysis");
+        if analysis.civs.is_empty() {
+            let reference = check::reference_tests(&analysis, &p.frame);
+            assert_eq!(
+                reference.passes,
+                shape.name != "hoist_indirect",
+                "{}: pick a workload whose cascade passes",
+                shape.name
+            );
+            assert_eq!(got.2, reference.passes, "{}: verdict diverged", shape.name);
+            assert_eq!(got.5, reference.units, "{}: charged test units", shape.name);
+        }
         let sub = prog.subroutine(sym(p.sub)).expect("sub");
         let Some(Stmt::Do {
             var, lo, hi, body, ..
