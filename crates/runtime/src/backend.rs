@@ -1,18 +1,18 @@
 //! The one execution path: compiled, fused register bytecode.
 //!
-//! Every driver — the predicate-guarded parallel path, CIV slice
-//! precomputation, LRPD speculation, the measurement pass and the
-//! sequential fallbacks — takes one [`ExecEnv`] and runs loop
-//! iterations on the `lip_vm` VM through a `CompiledBody` fetched from
-//! the program's compile cache. The VM shares `lip_ir`'s value/runtime
-//! model (`Value`, `ArrayBuf`, `AccessTracer`, work-unit accounting),
-//! so outputs, traced access streams and work-unit counts are those of
-//! the tree-walking `lip_ir::Machine` — which is what the differential
-//! suites check. The environment's machine delivers READ inputs and the
-//! tracer and evaluates single bound expressions; no statement runs on
-//! it. A program beyond the VM's static limits is an explicit
-//! [`RunError::Unsupported`]; `Machine::exec_stmt` remains the way to
-//! run one.
+//! Every driver — the chunked DO of the predicate-guarded parallel path
+//! and of LRPD speculation, CIV slice precomputation, the measurement
+//! pass and the sequential fallbacks — takes one [`ExecEnv`] and runs
+//! loop iterations on the `lip_vm` VM through a `CompiledBody` fetched
+//! from the program's compile cache. The VM shares `lip_ir`'s
+//! value/runtime model (`Value`, `ArrayBuf`, `AccessTracer`, work-unit
+//! accounting), so outputs, traced access streams and work-unit counts
+//! are those of the tree-walking `lip_ir::Machine` — which is what the
+//! differential suites check. The environment's machine delivers READ
+//! inputs and the tracer, and evaluates a DO's bounds, in one place
+//! ([`ExecEnv::do_shape`]); no statement runs on it. A program beyond
+//! the VM's static limits is an explicit [`RunError::Unsupported`];
+//! `Machine::exec_stmt` remains the way to run one.
 
 use std::sync::Arc;
 
@@ -23,9 +23,9 @@ use lip_vm::{DispatchCounts, Frame, Vm};
 use crate::cache::{CompiledBody, ProgramCache};
 
 /// The one execution context every driver takes: the program with its
-/// READ inputs and tracer (a `Machine`, which evaluates single bound
-/// expressions, never a statement) and the program's cache, which
-/// carries the session settings it runs under.
+/// READ inputs and tracer (a `Machine`, which evaluates a DO's bounds,
+/// never a statement) and the program's cache, which carries the
+/// session settings it runs under.
 pub(crate) struct ExecEnv<'a> {
     pub machine: &'a Machine,
     pub cache: &'a ProgramCache,
@@ -37,15 +37,43 @@ impl<'a> ExecEnv<'a> {
         self.machine.tracer().map(|t| &**t as &dyn AccessTracer)
     }
 
-    /// One bound expression (a DO's `lo` / `hi` / `step`) in `frame`.
-    pub fn eval(
+    /// The evaluated iteration space of `target`, `None` unless it is a
+    /// DO: `lo`, `hi` and `step` in `frame`, each charged to `st` as the
+    /// interpreter charges them. The one place a driver evaluates an
+    /// expression on the tree-walker.
+    pub fn do_shape<'t>(
         &self,
         sub: &Subroutine,
+        target: &'t Stmt,
         frame: &Store,
-        e: &Expr,
         st: &mut ExecState,
-    ) -> Result<i64, RunError> {
-        Ok(self.machine.eval(sub, frame, e, st)?.as_i64())
+    ) -> Result<Option<DoShape<'t>>, RunError> {
+        let Stmt::Do {
+            var,
+            lo,
+            hi,
+            step,
+            body,
+            ..
+        } = target
+        else {
+            return Ok(None);
+        };
+        let before = st.cost;
+        let mut eval = |e: &Expr| Ok::<_, RunError>(self.machine.eval(sub, frame, e, st)?.as_i64());
+        let (lo, hi) = (eval(lo)?, eval(hi)?);
+        let step = step.as_ref().map_or(Ok(1), eval)?;
+        if step == 0 {
+            return Err(RunError::BadIndex(*var));
+        }
+        Ok(Some(DoShape {
+            var: *var,
+            lo,
+            hi,
+            step,
+            body,
+            units: st.cost - before,
+        }))
     }
 
     /// `stmts` in `sub`'s context plus attached expression fragments
@@ -61,6 +89,29 @@ impl<'a> ExecEnv<'a> {
     ) -> Result<Arc<CompiledBody>, RunError> {
         let prog = self.machine.program();
         self.cache.body(prog, sub, stmts, exprs, extra)
+    }
+}
+
+/// The evaluated iteration space of a DO loop ([`ExecEnv::do_shape`]).
+#[derive(Clone, Copy)]
+pub(crate) struct DoShape<'a> {
+    pub var: Sym,
+    pub lo: i64,
+    pub hi: i64,
+    pub step: i64,
+    pub body: &'a [Stmt],
+    /// What evaluating `lo`, `hi` and `step` charged.
+    pub units: u64,
+}
+
+impl DoShape<'_> {
+    /// The loop variable's values in order, as the interpreter steps
+    /// it, ending at `hi` rather than stepping past `i64::MAX`.
+    pub fn iters(&self) -> impl Iterator<Item = i64> {
+        let (lo, hi, by) = (self.lo, self.hi, self.step.unsigned_abs() as usize);
+        let up = (self.step > 0).then(|| (lo..=hi).step_by(by));
+        let down = (self.step < 0).then(|| (hi..=lo).rev().step_by(by));
+        up.into_iter().flatten().chain(down.into_iter().flatten())
     }
 }
 

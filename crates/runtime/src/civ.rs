@@ -233,22 +233,18 @@ pub(crate) fn civ_traces(
     let mut step = |cb: &CompiledBody, f: &mut Frame, state: &mut ExecState| {
         cb.activate(env, f, None, state, None, &mut tally)
     };
-    match target {
-        Stmt::Do {
-            var, lo, hi, body, ..
-        } => {
-            extra.push(*var);
-            let slice = extract_slice(body, &targets);
+    match (env.do_shape(sub, target, frame, state)?, target) {
+        (Some(shape), _) => {
+            extra.push(shape.var);
+            let slice = extract_slice(shape.body, &targets);
             let cb = env.body(sub, &slice, &[], &extra)?;
-            let var_slot = cb.chunk().scalar_slot(*var).expect("interned");
+            let var_slot = cb.chunk().scalar_slot(shape.var).expect("interned");
             let civ_slots: Vec<u16> = civs
                 .iter()
                 .map(|(s, _)| cb.chunk().scalar_slot(*s).expect("interned"))
                 .collect();
             let mut f = cb.frame(frame);
-            let lo = env.eval(sub, frame, lo, state)?;
-            let hi = env.eval(sub, frame, hi, state)?;
-            for i in lo..=hi {
+            for i in shape.iters() {
                 f.set_scalar(var_slot, Value::Int(i));
                 record(&f, &civ_slots, &mut traces);
                 step(&cb, &mut f, state)?;
@@ -256,7 +252,7 @@ pub(crate) fn civ_traces(
             // Post-loop entry (trace(hi+1)).
             record(&f, &civ_slots, &mut traces);
         }
-        Stmt::While { cond, body, .. } => {
+        (None, Stmt::While { cond, body, .. }) => {
             let slice = extract_slice(body, &targets);
             let cb = env.body(sub, &slice, &[cond], &extra)?;
             let civ_slots: Vec<u16> = civs

@@ -20,12 +20,15 @@
 //!    chunk's write mask marks; the mask is keyed by the chunk's private
 //!    buffer, so writes through a callee's formal count.
 //!
+//! The parallel path and LRPD run a DO's chunks through one driver,
+//! [`run_chunks`], which sets up every chunk, and leave what the loop
+//! leaves through one [`Chunks::commit`].
+//!
 //! Every access hook the runtime installs — those masks, LRPD's shadows
 //! — finds its array by the buffer the access reaches, never by name.
 //! A DLV chunk passes each access on to the caller's tracer, when one
 //! is installed.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -37,11 +40,13 @@ use lip_obs::{FissionReport, FragmentReport, LoopDecision, StageReport};
 use lip_symbolic::Sym;
 use lip_usr::Exact;
 
-use crate::backend::{exec_stmt_seq, ExecEnv};
+use crate::backend::{exec_stmt_seq, DoShape, ExecEnv};
+use crate::cache::CompiledBody;
 use crate::digest::{InputDigests, KeyCost};
 use crate::lrpd::LrpdOutcome;
 use crate::merge::{clone_buf, copy_back, identity_buf, merge_into};
 use crate::pool::{chunk_bounds, parallel_chunks_obs};
+use lip_vm::Frame;
 
 /// What any one runtime test may spend before it gives up: cascade
 /// stage iterations, exact-test work units, CIV-slice and measurement
@@ -255,7 +260,7 @@ pub struct RunStats {
 
 /// Per-array parallel-execution mode derived from the analysis.
 #[derive(Clone, Debug)]
-enum ExecPlan {
+pub(crate) enum ExecPlan {
     /// Access the shared buffer directly.
     Shared,
     /// Per-chunk private copy; `true` = static last value (the chunk
@@ -378,24 +383,12 @@ fn run_loop_inner(
     // While loops execute sequentially in this executor (their parallel
     // form requires iteration re-indexing); the simulator models their
     // parallel execution from the traces. The same goes for DO loops
-    // with a step other than 1: the chunked drivers below assume a
+    // with a step other than 1: the chunked driver below assumes a
     // unit-stride iteration space, so anything else runs sequentially
     // rather than silently mis-iterating.
-    let unit_step = match target {
-        Stmt::Do { step: None, .. } => true,
-        Stmt::Do { step: Some(e), .. } => {
-            env.eval(sub, frame, e, &mut ExecState::default()) == Ok(1)
-        }
-        _ => false,
-    };
-    let (
-        Stmt::Do {
-            var, lo, hi, body, ..
-        },
-        true,
-    ) = (target, unit_step)
-    else {
-        return run_sequential(env, sub, target, frame, test_units);
+    let shape = match env.do_shape(sub, target, frame, &mut ExecState::default())? {
+        Some(shape) if shape.step == 1 => shape,
+        _ => return run_sequential(env, sub, target, frame, test_units),
     };
 
     // The whole-loop test phase: cascade, exact test and the reduction
@@ -457,44 +450,26 @@ fn run_loop_inner(
     let outcome = match route {
         Route::Parallel(outcome) => outcome,
         Route::Sequential => return run_sequential(env, sub, target, frame, test_units),
-        Route::Fission(fp) => return run_fissioned(env, sub, target, fp, frame, test_units, dt),
+        Route::Fission(fp) => return run_fissioned(env, sub, &shape, fp, frame, test_units, dt),
         Route::Speculate => {
             let arrays: Vec<Sym> = analysis.arrays.keys().copied().collect();
-            let scalars = crate::lrpd::Scalars {
-                finals: &analysis.private_scalars,
-                affine: &analysis.affine_ivs,
-                reductions: &analysis.scalar_reductions,
-            };
-            let (out, cost) =
-                crate::lrpd::lrpd_execute_impl(env, sub, target, frame, &arrays, scalars)?;
+            let plan = BodyPlan::of(analysis, &[]);
+            let (out, loop_units) =
+                crate::lrpd::lrpd_execute_impl(env, sub, &shape, frame, &arrays, &plan)?;
             return Ok(RunStats {
                 outcome: ExecOutcome::Speculated(out),
                 test_units,
-                loop_units: cost,
+                loop_units,
             });
         }
     };
 
     let plans = build_exec_plans(env, analysis, &mut inputs);
-    let mut st = ExecState::default();
-    let shape = DoShape {
-        var: *var,
-        lo: env.eval(sub, frame, lo, &mut st)?,
-        hi: env.eval(sub, frame, hi, &mut st)?,
-        body,
-    };
-    let plan = BodyPlan {
-        arrays: &plans,
-        scalar_reds: &analysis.scalar_reductions,
-        civs: &analysis.civs,
-        scalar_finals: &analysis.private_scalars,
-        affine: &analysis.affine_ivs,
-    };
-    let loop_units = run_parallel_do(env, sub, &shape, frame, &plan)?;
+    let loop_units = run_parallel_do(env, sub, &shape, frame, &BodyPlan::of(analysis, &plans))?;
     Ok(RunStats {
         outcome,
         test_units,
-        loop_units: loop_units + st.cost,
+        loop_units: loop_units + shape.units,
     })
 }
 
@@ -523,8 +498,8 @@ fn build_exec_plans(
     env: &ExecEnv<'_>,
     analysis: &LoopAnalysis,
     inputs: &mut InputDigests<'_>,
-) -> HashMap<Sym, ExecPlan> {
-    let mut plans: HashMap<Sym, ExecPlan> = HashMap::new();
+) -> Vec<(Sym, ExecPlan)> {
+    let mut plans = Vec::new();
     for (arr, plan) in &analysis.arrays {
         let mode = match plan {
             ArrayPlan::ReadOnly | ArrayPlan::Independent | ArrayPlan::Predicated(_) => {
@@ -549,7 +524,7 @@ fn build_exec_plans(
             }
             ArrayPlan::Fallback(_) => ExecPlan::Shared, // handled above
         };
-        plans.insert(*arr, mode);
+        plans.push((*arr, mode));
     }
     plans
 }
@@ -568,30 +543,24 @@ fn build_exec_plans(
 fn run_fissioned(
     env: &ExecEnv<'_>,
     sub: &lip_ir::Subroutine,
-    target: &Stmt,
+    shape: &DoShape<'_>,
     plan: &lip_analysis::FissionPlan,
     frame: &mut Store,
     mut test_units: u64,
     dt: &mut DecisionTrace,
 ) -> Result<RunStats, RunError> {
-    let Stmt::Do { var, lo, hi, .. } = target else {
-        return Err(RunError::StepLimit);
-    };
     // Mirror the interpreter's DO accounting: the statement itself,
     // then its bounds, once.
-    let mut st = ExecState::default();
-    st.cost += 1;
-    let lo_v = env.eval(sub, frame, lo, &mut st)?;
-    let hi_v = env.eval(sub, frame, hi, &mut st)?;
-    let mut loop_units = st.cost;
+    let mut loop_units = 1 + shape.units;
     let mut rescued_units = 0u64;
     let mut parallel = 0usize;
 
     for frag in &plan.fragments {
         let a = &frag.analysis;
-        let Stmt::Do { body: fbody, .. } = &frag.target else {
+        let Stmt::Do { body, .. } = &frag.target else {
             continue;
         };
+        let fshape = DoShape { body, ..*shape };
         let tests_before = test_units;
         // CIV traces first: a fragment's cascade may reference them.
         test_units += crate::civ::loop_traces(env, sub, &frag.target, a, frame)?;
@@ -601,33 +570,17 @@ fn run_fissioned(
         let mut inputs = InputDigests::new(frame, &mut dt.keys);
         let tests = fragment_tests(env, a, &mut inputs, tracing);
         test_units += tests.units;
-        let ran_parallel = tests.parallel && hi_v >= lo_v;
+        let ran_parallel = tests.parallel && shape.hi >= shape.lo;
         let frag_units = if ran_parallel {
             let plans = build_exec_plans(env, a, &mut inputs);
-            let shape = DoShape {
-                var: *var,
-                lo: lo_v,
-                hi: hi_v,
-                body: fbody,
-            };
-            let bp = BodyPlan {
-                arrays: &plans,
-                scalar_reds: &a.scalar_reductions,
-                civs: &a.civs,
-                scalar_finals: &a.private_scalars,
-                affine: &a.affine_ivs,
-            };
-            let units = run_parallel_do(env, sub, &shape, frame, &bp)?;
+            let units = run_parallel_do(env, sub, &fshape, frame, &BodyPlan::of(a, &plans))?;
             rescued_units += units;
-            loop_units += units;
             parallel += 1;
             units
         } else {
-            let mut fst = ExecState::default();
-            run_seq_fragment(env, sub, *var, lo_v, hi_v, fbody, frame, &mut fst)?;
-            loop_units += fst.cost;
-            fst.cost
+            run_seq_do(env, sub, &fshape, frame)?
         };
+        loop_units += frag_units;
         if tracing {
             let (k, tested) = (dt.fragments.len(), test_units - tests_before);
             let report = tests.report(frag, k, ran_parallel, frag_units, tested);
@@ -642,8 +595,8 @@ fn run_fissioned(
         }
     }
     // Sequential DO semantics leave the variable at its last value.
-    if hi_v >= lo_v {
-        frame.set_scalar(*var, Value::Int(hi_v));
+    if shape.hi >= shape.lo {
+        frame.set_scalar(shape.var, Value::Int(shape.hi));
     }
     Ok(RunStats {
         outcome: ExecOutcome::Fissioned {
@@ -656,53 +609,38 @@ fn run_fissioned(
     })
 }
 
-/// Sequential residue of a fissioned loop: iterate the (already
-/// evaluated) bounds over just this fragment's statements, charging
-/// only per-iteration body costs — the enclosing DO was charged once by
-/// the caller.
-#[allow(clippy::too_many_arguments)]
-fn run_seq_fragment(
+/// The unit-step DO `shape` run sequentially, charging only the body's
+/// per-iteration costs (the DO and its bounds are the caller's): a
+/// fissioned loop's sequential residue, an aborted speculation's re-run.
+pub(crate) fn run_seq_do(
     env: &ExecEnv<'_>,
     sub: &lip_ir::Subroutine,
-    var: Sym,
-    lo: i64,
-    hi: i64,
-    body: &[Stmt],
+    shape: &DoShape<'_>,
     frame: &mut Store,
-    st: &mut ExecState,
-) -> Result<(), RunError> {
-    if hi < lo {
-        return Ok(());
+) -> Result<u64, RunError> {
+    if shape.hi < shape.lo {
+        return Ok(0);
     }
-    let cb = env.body(sub, body, &[], &[var])?;
+    let cb = env.body(sub, shape.body, &[], &[shape.var])?;
     let mut f = cb.frame(frame);
-    let slot = cb.chunk().scalar_slot(var).expect("interned");
-    cb.run(env, &mut f, Some((slot, lo, hi)), st, env.tracer())?;
+    let slot = cb.chunk().scalar_slot(shape.var).expect("interned");
+    let (range, mut st) = (Some((slot, shape.lo, shape.hi)), ExecState::default());
+    cb.run(env, &mut f, range, &mut st, env.tracer())?;
     f.writeback_scalars(cb.chunk(), frame);
-    Ok(())
-}
-
-/// The concrete (evaluated-bounds) iteration space of a unit-stride DO
-/// loop handed to the parallel driver.
-#[derive(Clone, Copy)]
-struct DoShape<'a> {
-    var: Sym,
-    lo: i64,
-    hi: i64,
-    body: &'a [Stmt],
+    Ok(st.cost)
 }
 
 /// How the loop body's state splits across chunks: per-array execution
 /// plans, scalar reduction accumulators and CIV trace seeds.
-#[derive(Clone, Copy)]
-struct BodyPlan<'a> {
-    arrays: &'a HashMap<Sym, ExecPlan>,
+#[derive(Clone, Copy, Default)]
+pub(crate) struct BodyPlan<'a> {
+    arrays: &'a [(Sym, ExecPlan)],
     scalar_reds: &'a [Sym],
     civs: &'a [(Sym, Sym)],
     /// Privatized scalars whose sequential-final values (the last
     /// chunk's, which executed iteration `hi` last) are restored after
-    /// the parallel run, so the run stays observationally identical to
-    /// its sequential execution.
+    /// the run, so the run stays observationally identical to its
+    /// sequential execution.
     scalar_finals: &'a [Sym],
     /// Affine induction scalars and their steps: each chunk's copy
     /// starts where the sequential loop has it on entry to the chunk's
@@ -710,10 +648,24 @@ struct BodyPlan<'a> {
     affine: &'a [(Sym, lip_symbolic::SymExpr)],
 }
 
+impl<'a> BodyPlan<'a> {
+    /// `a`'s scalars, with `arrays`' execution modes (an array not
+    /// listed is shared).
+    pub(crate) fn of(a: &'a LoopAnalysis, arrays: &'a [(Sym, ExecPlan)]) -> BodyPlan<'a> {
+        BodyPlan {
+            arrays,
+            scalar_reds: &a.scalar_reductions,
+            civs: &a.civs,
+            scalar_finals: &a.private_scalars,
+            affine: &a.affine_ivs,
+        }
+    }
+}
+
 /// Each affine scalar's value on loop entry and its step, when both
 /// are bound (otherwise the body's own update fails as it would
 /// sequentially).
-pub(crate) fn affine_entries(
+fn affine_entries(
     frame: &Store,
     affine: &[(Sym, lip_symbolic::SymExpr)],
 ) -> Vec<(Sym, Value, i64)> {
@@ -726,7 +678,7 @@ pub(crate) fn affine_entries(
 /// An affine scalar's value `k` iterations in: a chunk's copy starts
 /// there, stepped as the body steps it (`i64` wraps, `f64` rounds at
 /// every step).
-pub(crate) fn stepped(entry: Value, step: i64, k: i64) -> Value {
+fn stepped(entry: Value, step: i64, k: i64) -> Value {
     match entry {
         Value::Int(v) => Value::Int(v.wrapping_add(step.wrapping_mul(k))),
         Value::Real(v) => Value::Real((0..k).fold(v, |v, _| v + step as f64)),
@@ -734,7 +686,7 @@ pub(crate) fn stepped(entry: Value, step: i64, k: i64) -> Value {
 }
 
 /// The typed zero a reduction accumulator starts from.
-pub(crate) fn zero(ty: Ty) -> Value {
+fn zero(ty: Ty) -> Value {
     match ty {
         Ty::Int => Value::Int(0),
         Ty::Real => Value::Real(0.0),
@@ -744,11 +696,7 @@ pub(crate) fn zero(ty: Ty) -> Value {
 /// A scalar reduction after a chunked run: its entry value plus each
 /// chunk's partial sum, accumulated in the scalar's declared type (the
 /// `Int` path wraps, matching `apply_bin`'s in-loop arithmetic).
-pub(crate) fn reduced(
-    ty: Ty,
-    entry: Option<Value>,
-    partials: impl Iterator<Item = Value>,
-) -> Value {
+fn reduced(ty: Ty, entry: Option<Value>, partials: impl Iterator<Item = Value>) -> Value {
     let init = entry.unwrap_or(zero(ty));
     match ty {
         Ty::Int => Value::Int(partials.fold(init.as_i64(), |a, v| a.wrapping_add(v.as_i64()))),
@@ -810,6 +758,8 @@ impl AccessTracer for WriteMasks<'_> {
     }
 }
 
+/// The unit-step DO `shape` run in chunks on `frame` under `plan`,
+/// then committed: the chunks' units.
 fn run_parallel_do(
     env: &ExecEnv<'_>,
     sub: &lip_ir::Subroutine,
@@ -817,188 +767,243 @@ fn run_parallel_do(
     frame: &mut Store,
     plan: &BodyPlan<'_>,
 ) -> Result<u64, RunError> {
-    let DoShape { var, lo, hi, body } = *shape;
-    let BodyPlan {
-        arrays: plans,
-        scalar_reds,
-        civs,
-        scalar_finals,
-        affine,
-    } = *plan;
+    let chunks = run_chunks(env, sub, shape, frame, plan, |c| {
+        let range = Some((c.var, c.lo, c.hi));
+        c.cb.run(env, &mut c.f, range, &mut c.st, c.tracer)
+    })?;
+    let units = chunks.units;
+    chunks.commit(frame);
+    Ok(units)
+}
+
+/// One chunk of a chunked DO as [`run_chunks`] hands it to its runner:
+/// the chunk's iterations, the compiled body, a frame seeded for the
+/// chunk's first iteration, and the tracer its accesses go to (the
+/// caller's, or the write masks that forward to it).
+pub(crate) struct ChunkRun<'c> {
+    pub idx: usize,
+    pub lo: i64,
+    pub hi: i64,
+    pub cb: &'c CompiledBody,
+    pub f: Frame,
+    /// The loop variable's slot.
+    pub var: u16,
+    pub st: ExecState,
+    pub tracer: Option<&'c dyn AccessTracer>,
+}
+
+/// What one chunk left behind.
+#[derive(Default)]
+struct ChunkOut {
+    red: Vec<(Sym, Arc<ArrayBuf>, BinOp)>,
+    /// Static-last-value private copies.
+    slv: Vec<(Sym, Arc<ArrayBuf>)>,
+    /// Dynamic-last-value private copies and their write masks.
+    dlv: Vec<(Sym, Arc<ArrayBuf>, Box<[AtomicBool]>)>,
+    /// Each scalar reduction's partial sum.
+    sums: Vec<(Sym, Value)>,
+    /// The last chunk's only: the loop variable, the privatized scalars
+    /// and the CIVs as the sequential loop leaves them.
+    finals: Vec<(Sym, Value)>,
+}
+
+/// A chunked run's outputs in chunk order, for [`Chunks::commit`] or
+/// to be dropped.
+pub(crate) struct Chunks<'a> {
+    outs: Vec<ChunkOut>,
+    /// The units the chunks spent.
+    pub units: u64,
+    sub: &'a lip_ir::Subroutine,
+    scalar_reds: &'a [Sym],
+    obs: &'a lip_obs::Obs,
+}
+
+/// The one driver of a chunked, unit-step DO — the parallel path's and
+/// LRPD's. Each chunk gets its own privatized and reduction buffers,
+/// its CIVs seeded from their traces and its affine scalars stepped in
+/// from their entry values, at its first iteration, and its scalar
+/// reductions from zero; `runner` runs it, and the chunk's outputs and
+/// units are collected. Nothing reaches `frame` before
+/// [`Chunks::commit`].
+pub(crate) fn run_chunks<'a>(
+    env: &'a ExecEnv<'_>,
+    sub: &'a lip_ir::Subroutine,
+    shape: &DoShape<'_>,
+    frame: &Store,
+    plan: &BodyPlan<'a>,
+    runner: impl Fn(&mut ChunkRun<'_>) -> Result<(), RunError> + Sync,
+) -> Result<Chunks<'a>, RunError> {
+    let DoShape {
+        var, lo, hi, body, ..
+    } = *shape;
+    let mut chunks = Chunks {
+        outs: Vec::new(),
+        units: 0,
+        sub,
+        scalar_reds: plan.scalar_reds,
+        obs: &env.cache.obs,
+    };
     if hi < lo {
-        return Ok(0);
+        return Ok(chunks);
     }
-    let affine = affine_entries(frame, affine);
+    let affine = affine_entries(frame, plan.affine);
     // Compile the loop body once; every worker thread then executes
     // bytecode through its own `Send` frame.
     let mut extra: Vec<Sym> = vec![var];
-    extra.extend(scalar_reds.iter().copied());
-    extra.extend(civs.iter().map(|(s, _)| *s));
-    extra.extend(scalar_finals.iter().copied());
+    extra.extend(plan.scalar_reds.iter().copied());
+    extra.extend(plan.civs.iter().map(|(s, _)| *s));
+    extra.extend(plan.scalar_finals.iter().copied());
     let cb = env.body(sub, body, &[], &extra)?;
-    let slot = cb.chunk().scalar_slot(var).expect("interned");
-    let chunks = chunk_bounds(env.cache.nthreads, lo, hi);
-    let nchunks = chunks.len();
-    let total_cost = Mutex::new(0u64);
-
-    #[derive(Default)]
-    struct ChunkOut {
-        idx: usize,
-        red: Vec<(Sym, Arc<ArrayBuf>, BinOp)>,
-        /// Static-last-value private copies.
-        slv: Vec<(Sym, Arc<ArrayBuf>)>,
-        /// Dynamic-last-value private copies and their write masks.
-        dlv: Vec<(Sym, Arc<ArrayBuf>, Box<[AtomicBool]>)>,
-        scalars: Vec<(Sym, Value)>,
-        last_scalar_values: Vec<(Sym, Value)>,
-    }
-    let outs: Mutex<Vec<ChunkOut>> = Mutex::new(Vec::new());
-
-    let obs_opt = env.cache.obs.enabled().then_some(&env.cache.obs);
-    parallel_chunks_obs(
-        env.cache.nthreads,
-        lo,
-        hi,
-        obs_opt,
-        |chunk_idx, c_lo, c_hi| {
-            let mut local = frame.clone();
-            let mut out = ChunkOut {
-                idx: chunk_idx,
-                ..ChunkOut::default()
+    let slot = |s: Sym| cb.chunk().scalar_slot(s).expect("interned");
+    let nchunks = chunk_bounds(env.cache.nthreads, lo, hi).len();
+    let outs: Mutex<Vec<(usize, ChunkOut)>> = Mutex::new(Vec::new());
+    let units = Mutex::new(0u64);
+    let obs = env.cache.obs.enabled().then_some(&env.cache.obs);
+    parallel_chunks_obs(env.cache.nthreads, lo, hi, obs, |idx, c_lo, c_hi| {
+        let mut out = ChunkOut::default();
+        let mut masks = WriteMasks {
+            masks: Vec::new(),
+            session: env.tracer(),
+        };
+        // Rebind privatized (copied in) / reduction arrays, on a copy
+        // of the store only when there is one to rebind.
+        let mut local: Option<Store> = None;
+        for (arr, mode) in plan.arrays {
+            let Some(view) = frame.array(*arr) else {
+                continue;
             };
-            let mut masks = WriteMasks {
-                masks: Vec::new(),
-                session: env.tracer(),
+            let buf = match mode {
+                ExecPlan::Shared => continue,
+                ExecPlan::Private(true) => {
+                    let buf = clone_buf(&view.buf);
+                    out.slv.push((*arr, buf.clone()));
+                    buf
+                }
+                ExecPlan::Private(false) => {
+                    let buf = clone_buf(&view.buf);
+                    let mask = (0..buf.len()).map(|_| AtomicBool::new(false)).collect();
+                    masks.masks.push((*arr, buf.clone(), mask));
+                    buf
+                }
+                ExecPlan::ReductionBuffer(op) => {
+                    let buf = identity_buf(&view.buf, *op);
+                    out.red.push((*arr, buf.clone(), *op));
+                    buf
+                }
             };
-            // Rebind privatized (copied in) / reduction arrays.
-            for (arr, plan) in plans {
-                let Some(view) = frame.array(*arr) else {
-                    continue;
-                };
-                let buf = match plan {
-                    ExecPlan::Shared => continue,
-                    ExecPlan::Private(true) => {
-                        let buf = clone_buf(&view.buf);
-                        out.slv.push((*arr, buf.clone()));
-                        buf
-                    }
-                    ExecPlan::Private(false) => {
-                        let buf = clone_buf(&view.buf);
-                        let mask = (0..buf.len()).map(|_| AtomicBool::new(false)).collect();
-                        masks.masks.push((*arr, buf.clone(), mask));
-                        buf
-                    }
-                    ExecPlan::ReductionBuffer(op) => {
-                        let buf = identity_buf(&view.buf, *op);
-                        out.red.push((*arr, buf.clone(), *op));
-                        buf
-                    }
-                };
-                let (offset, extents) = (view.offset, view.extents.clone());
-                local.bind_array(
-                    *arr,
-                    ArrayView {
-                        buf,
-                        offset,
-                        extents,
-                    },
-                );
-            }
-            // CIV-COMP: seed loop-carried scalars from their precomputed
-            // traces at the chunk's first iteration (the whole point of the
-            // slice precomputation — chunks become independent).
-            for (s, trace) in civs {
-                if let Some(view) = frame.array(*trace) {
-                    if let Some(v) = view.get_lin(c_lo) {
-                        local.set_scalar(*s, v);
-                    }
-                }
-            }
-            for &(s, entry, step) in &affine {
-                local.set_scalar(s, stepped(entry, step, c_lo - lo));
-            }
-            // Scalar reductions start from the identity.
-            for s in scalar_reds {
-                local.set_scalar(*s, zero(sub.ty_of(*s)));
-            }
-            // Dynamic last values need the chunk's write masks.
-            let mut st = ExecState::default();
-            let tracer: Option<&dyn AccessTracer> = if masks.masks.is_empty() {
-                env.tracer()
-            } else {
-                Some(&masks)
+            let view = ArrayView {
+                buf,
+                ..view.clone()
             };
-            let mut f = cb.frame(&local);
-            cb.run(env, &mut f, Some((slot, c_lo, c_hi)), &mut st, tracer)?;
-            f.writeback_scalars(cb.chunk(), &mut local);
-            out.dlv = masks.masks;
-            for s in scalar_reds {
-                if let Some(v) = local.scalar(*s) {
-                    out.scalars.push((*s, v));
-                }
+            local
+                .get_or_insert_with(|| frame.clone())
+                .bind_array(*arr, view);
+        }
+        let mut f = cb.frame(local.as_ref().unwrap_or(frame));
+        // CIV-COMP: seed loop-carried scalars from their precomputed
+        // traces at the chunk's first iteration (the whole point of the
+        // slice precomputation — chunks become independent).
+        for (s, trace) in plan.civs {
+            if let Some(v) = frame.array(*trace).and_then(|t| t.get_lin(c_lo)) {
+                f.set_scalar(slot(*s), v);
             }
-            // Live-out loop variable (sequential semantics: the interpreter
-            // leaves the variable at its last executed value). The last
-            // chunk ran its iterations in order ending at `hi`, so its
-            // private copies of the `scalar_finals` syms hold exactly the
-            // sequential-final values too — and so do its CIVs, seeded
-            // from their traces at the chunk's first iteration.
-            if chunk_idx == nchunks - 1 {
-                out.last_scalar_values.push((var, Value::Int(hi)));
-                for s in scalar_finals.iter().chain(civs.iter().map(|(s, _)| s)) {
-                    if let Some(v) = local.scalar(*s) {
-                        out.last_scalar_values.push((*s, v));
-                    }
-                }
-            }
-            *total_cost.lock().unwrap() += st.cost;
-            outs.lock().unwrap().push(out);
-            Ok::<(), RunError>(())
-        },
-    )?;
-
-    // Merge phase (sequential, deterministic order): typed flat-slice
-    // kernels from [`crate::merge`] — Int buffers merge in `i64`, Real
-    // buffers in `f64`, never through a boxed round-trip.
-    let merge_start = env.cache.obs.enabled().then(std::time::Instant::now);
+        }
+        for &(s, entry, step) in &affine {
+            f.set_scalar(slot(s), stepped(entry, step, c_lo - lo));
+        }
+        // Scalar reductions start from the identity.
+        for &s in plan.scalar_reds {
+            f.set_scalar(slot(s), zero(sub.ty_of(s)));
+        }
+        // Dynamic last values need the chunk's write masks.
+        let tracer: Option<&dyn AccessTracer> = if masks.masks.is_empty() {
+            env.tracer()
+        } else {
+            Some(&masks)
+        };
+        let mut c = ChunkRun {
+            idx,
+            lo: c_lo,
+            hi: c_hi,
+            cb: &cb,
+            f,
+            var: slot(var),
+            st: ExecState::default(),
+            tracer,
+        };
+        runner(&mut c)?;
+        let value = |s: &Sym| Some((*s, c.f.scalar(slot(*s))?));
+        out.sums = plan.scalar_reds.iter().filter_map(value).collect();
+        // The last chunk ran its iterations in order ending at `hi`, so
+        // its copies of the privatized scalars and the CIVs hold the
+        // sequential loop's final values; the interpreter leaves the
+        // loop variable at its last value.
+        if idx == nchunks - 1 {
+            let finals = plan.scalar_finals.iter();
+            let finals = finals.chain(plan.civs.iter().map(|(s, _)| s));
+            out.finals = std::iter::once((var, Value::Int(hi)))
+                .chain(finals.filter_map(value))
+                .collect();
+        }
+        *units.lock().unwrap() += c.st.cost;
+        out.dlv = masks.masks;
+        outs.lock().unwrap().push((idx, out));
+        Ok::<(), RunError>(())
+    })?;
     let mut outs = outs.into_inner().unwrap();
-    outs.sort_by_key(|o| o.idx);
-    for out in &outs {
-        // Reductions merge in any order.
-        for (arr, buf, op) in &out.red {
-            let shared = frame.array(*arr).expect("bound").buf.clone();
-            merge_into(&shared, buf, *op);
-        }
-        // DLV: chunk order, the elements each chunk's mask marks.
-        for (arr, buf, mask) in &out.dlv {
-            let shared = &frame.array(*arr).expect("bound").buf;
-            for (idx, written) in mask.iter().enumerate() {
-                if written.load(Ordering::Relaxed) {
-                    shared.set(idx, buf.get(idx));
+    outs.sort_by_key(|(idx, _)| *idx);
+    chunks.outs = outs.into_iter().map(|(_, out)| out).collect();
+    chunks.units = units.into_inner().unwrap();
+    Ok(chunks)
+}
+
+impl Chunks<'_> {
+    /// Leaves `frame` as the sequential loop leaves it, in chunk order:
+    /// reduction buffers merged, each dynamic-last-value element from
+    /// the last chunk that wrote it, static last values and the final
+    /// scalars from the last chunk, each scalar reduction its entry
+    /// value plus every chunk's partial sum. Typed flat-slice kernels
+    /// from [`crate::merge`] — Int buffers merge in `i64`, Real buffers
+    /// in `f64`, never through a boxed round-trip.
+    pub(crate) fn commit(self, frame: &mut Store) {
+        let Some(last) = self.outs.last() else {
+            return;
+        };
+        let merge_start = self.obs.enabled().then(std::time::Instant::now);
+        for out in &self.outs {
+            // Reductions merge in any order.
+            for (arr, buf, op) in &out.red {
+                let shared = frame.array(*arr).expect("bound").buf.clone();
+                merge_into(&shared, buf, *op);
+            }
+            for (arr, buf, mask) in &out.dlv {
+                let shared = &frame.array(*arr).expect("bound").buf;
+                for (idx, written) in mask.iter().enumerate() {
+                    if written.load(Ordering::Relaxed) {
+                        shared.set(idx, buf.get(idx));
+                    }
                 }
             }
         }
-    }
-    // SLV: the chunk containing the last iteration writes back wholesale.
-    if let Some(last) = outs.last() {
         for (arr, buf) in &last.slv {
             copy_back(&frame.array(*arr).expect("bound").buf, buf);
         }
-        for (s, v) in &last.last_scalar_values {
+        for (s, v) in &last.finals {
             frame.set_scalar(*s, *v);
         }
+        for &s in self.scalar_reds {
+            let sums = self
+                .outs
+                .iter()
+                .flat_map(|o| &o.sums)
+                .filter(|(t, _)| *t == s);
+            let v = reduced(self.sub.ty_of(s), frame.scalar(s), sums.map(|(_, v)| *v));
+            frame.set_scalar(s, v);
+        }
+        if let Some(start) = merge_start {
+            (self.obs).record_ns("exec.merge_ns", start.elapsed().as_nanos() as u64);
+        }
     }
-    for s in scalar_reds {
-        let deltas = outs.iter().flat_map(|o| &o.scalars).filter(|(t, _)| t == s);
-        let v = reduced(sub.ty_of(*s), frame.scalar(*s), deltas.map(|(_, v)| *v));
-        frame.set_scalar(*s, v);
-    }
-    if let Some(start) = merge_start {
-        env.cache
-            .obs
-            .record_ns("exec.merge_ns", start.elapsed().as_nanos() as u64);
-    }
-    Ok(total_cost.into_inner().unwrap())
 }
 
 #[cfg(test)]

@@ -1,13 +1,19 @@
 //! LRPD-style thread-level speculation (the paper's last-resort test,
 //! citing Rauchwerger & Padua \[25\]).
 //!
-//! The loop runs speculatively in parallel while *shadow arrays* mark,
-//! per element, the last iteration that wrote it and the least and the
-//! greatest that read it. An element written by one iteration and read
-//! by another (its reader witnesses are not both the writer), or written
-//! by two (the second swap of the writer sees the first: swaps of one
-//! element are totally ordered), is a cross-iteration dependence: the
-//! arrays are restored from a backup and the loop re-runs sequentially.
+//! The loop runs speculatively in chunks, through the executor's one
+//! chunked-DO driver ([`crate::exec::run_chunks`]): each chunk starts
+//! from the scalars the sequential loop has at its first iteration, and
+//! a commit leaves the loop's scalars as the parallel path's does. Every
+//! monitored array is shared; what LRPD adds is the chunk's runner, one
+//! activation per iteration under an [`IterTracer`], while *shadow
+//! arrays* mark, per element, the last iteration that wrote it and the
+//! least and the greatest that read it. An element written by one
+//! iteration and read by another (its reader witnesses are not both the
+//! writer), or written by two (the second swap of the writer sees the
+//! first: swaps of one element are totally ordered), is a
+//! cross-iteration dependence: the arrays are restored from a backup and
+//! the loop re-runs sequentially.
 //! Shadows are per buffer: each monitored array's buffer gets one, and
 //! an access finds it by the buffer's address, so an access through a
 //! callee's formal, whatever its name, is marked like one through the
@@ -23,15 +29,12 @@
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use lip_ir::{
-    AccessTracer, ArrayBuf, ArrayView, ExecState, RunError, Stmt, Store, Subroutine, Value,
-};
-use lip_symbolic::{Sym, SymExpr};
+use lip_ir::{AccessTracer, ArrayBuf, ArrayView, RunError, Store, Subroutine, Value};
+use lip_symbolic::Sym;
 
-use crate::backend::{exec_stmt_seq, ExecEnv};
-use crate::exec::{affine_entries, reduced, stepped, zero};
+use crate::backend::{DoShape, ExecEnv};
+use crate::exec::{run_chunks, run_seq_do, BodyPlan, Chunks};
 use crate::merge::{clone_buf, copy_back};
-use crate::pool::parallel_chunks;
 
 /// No writer / no reader yet: iterations are ordinals from 0.
 const NONE: i64 = -1;
@@ -204,88 +207,53 @@ pub enum LrpdOutcome {
     Aborted,
 }
 
-/// The scalars a speculated loop leaves behind, as the executor's
-/// parallel path handles them: the privatized ones
-/// (`LoopAnalysis::private_scalars`), which a commit takes from the
-/// chunk that ran the last iteration; the affine induction scalars
-/// among them, which each chunk starts where the sequential loop has
-/// them; and the scalar reductions, which each chunk sums from zero and
-/// a commit adds to the entry value.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct Scalars<'a> {
-    pub finals: &'a [Sym],
-    pub affine: &'a [(Sym, SymExpr)],
-    pub reductions: &'a [Sym],
-}
-
-/// The speculation driver: [`speculate`] on the shared arrays, restored
-/// from a backup and re-run sequentially on conflict. A step other than
-/// 1 runs sequentially instead (and trivially commits). Either way
-/// `frame` ends as the sequential loop leaves it, `scalars` and the
-/// loop variable included.
+/// The speculation driver on the unit-step DO `shape`: a chunked run
+/// under the shadows of `arrays`, committed when no two iterations
+/// met, otherwise restored from a backup and re-run sequentially.
+/// Either way `frame` ends as the sequential loop leaves it, the
+/// scalars `plan` names and the loop variable included.
 ///
-/// The units are those of the run that produced the result. An aborted
-/// attempt's units depend on how far each chunk got before the conflict
-/// stopped it — on the schedule — so they are not charged to the loop
-/// but counted apart, as `lrpd.aborted_units`.
+/// The units are the bounds' and those of the run that produced the
+/// result. An aborted attempt's units depend on how far each chunk got
+/// before the conflict stopped it — on the schedule — so they are not
+/// charged to the loop but counted apart, as `lrpd.aborted_units`.
 pub(crate) fn lrpd_execute_impl(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
-    target: &Stmt,
+    shape: &DoShape<'_>,
     frame: &mut Store,
     arrays: &[Sym],
-    scalars: Scalars<'_>,
+    plan: &BodyPlan<'_>,
 ) -> Result<(LrpdOutcome, u64), RunError> {
-    let mut state = ExecState::default();
-    if let Stmt::Do { step: Some(e), .. } = target {
-        if env.eval(sub, frame, e, &mut state)? != 1 {
-            let mut st = ExecState::default();
-            exec_stmt_seq(env, sub, target, frame, &mut st)?;
-            return Ok((LrpdOutcome::Committed, state.cost + st.cost));
-        }
-    }
     let backups: Vec<(Arc<ArrayBuf>, Arc<ArrayBuf>)> = arrays
         .iter()
         .filter_map(|a| frame.array(*a))
         .map(|view| (view.buf.clone(), clone_buf(&view.buf)))
         .collect();
-    let spec = speculate(
-        env,
-        sub,
-        target,
-        frame,
-        arrays,
-        scalars,
-        state,
-        env.tracer(),
-    )?;
-    if !spec.conflict {
-        for (s, v) in spec.finals {
-            frame.set_scalar(s, v);
-        }
-        for &s in scalars.reductions {
-            let partials = spec.partials.iter().filter(|(t, _)| *t == s);
-            let v = reduced(sub.ty_of(s), frame.scalar(s), partials.map(|(_, v)| *v));
-            frame.set_scalar(s, v);
-        }
-        return Ok((LrpdOutcome::Committed, spec.units));
+    let (conflict, chunks) = marked(env, sub, shape, frame, arrays, plan, env.tracer())?;
+    if !conflict {
+        let units = shape.units + chunks.units;
+        chunks.commit(frame);
+        return Ok((LrpdOutcome::Committed, units));
     }
     for (buf, backup) in &backups {
         copy_back(buf, backup);
     }
-    env.cache.obs.count("lrpd.aborted_units", spec.units);
-    let mut st = ExecState::default();
-    exec_stmt_seq(env, sub, target, frame, &mut st)?;
-    Ok((LrpdOutcome::Aborted, st.cost))
+    env.cache.obs.count("lrpd.aborted_units", chunks.units);
+    // The DO statement and its bounds, then the body, as the
+    // interpreter charges them.
+    let units = 1 + shape.units + run_seq_do(env, sub, shape, frame)?;
+    Ok((LrpdOutcome::Aborted, units))
 }
 
 /// The inspector's dry run (paper §1, citing Rauchwerger, Amato &
-/// Padua \[26\]): [`speculate`] on disposable copies of `arrays`,
-/// `frame` untouched. Whether it found a conflict, and the units.
+/// Padua \[26\]): LRPD's marking run of the unit-step DO `shape` on
+/// disposable copies of `arrays`, `frame` untouched. Whether it found a
+/// conflict, and the units.
 pub(crate) fn dry_run(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
-    target: &Stmt,
+    shape: &DoShape<'_>,
     frame: &Store,
     arrays: &[Sym],
 ) -> Result<(bool, u64), RunError> {
@@ -300,107 +268,48 @@ pub(crate) fn dry_run(
             },
         );
     }
-    let spec = speculate(
-        env,
-        sub,
-        target,
-        &scratch,
-        arrays,
-        Scalars::default(),
-        ExecState::default(),
-        None,
-    )?;
-    Ok((spec.conflict, spec.units))
+    let plan = BodyPlan::default();
+    let (conflict, chunks) = marked(env, sub, shape, &scratch, arrays, &plan, None)?;
+    Ok((conflict, shape.units + chunks.units))
 }
 
-/// What a speculative attempt found.
-struct Attempt {
-    conflict: bool,
-    units: u64,
-    /// The loop variable and `Scalars::finals` as the chunk that ran
-    /// the last iteration left them.
-    finals: Vec<(Sym, Value)>,
-    /// Each chunk's sum of each `Scalars::reductions` scalar.
-    partials: Vec<(Sym, Value)>,
-}
-
-/// Runs the DO loop `target` in parallel on `frame`, marking `arrays`'
-/// shadows (the bounds charged to `state`): the verdict, the units and
-/// the scalars the loop leaves. Without a conflict, the attempt's
-/// accesses go to `report` in chunk order.
-#[allow(clippy::too_many_arguments)]
-fn speculate(
-    env: &ExecEnv<'_>,
-    sub: &Subroutine,
-    target: &Stmt,
+/// `shape` run in chunks on `frame`, each iteration one activation
+/// under its [`IterTracer`], marking the shadows of `arrays`; a chunk
+/// stops once a mark noticed a conflict. The verdict and the chunks.
+/// Without a conflict, the accesses go to `report` in chunk order.
+fn marked<'a>(
+    env: &'a ExecEnv<'_>,
+    sub: &'a Subroutine,
+    shape: &DoShape<'_>,
     frame: &Store,
     arrays: &[Sym],
-    scalars: Scalars<'_>,
-    mut state: ExecState,
+    plan: &BodyPlan<'a>,
     report: Option<&dyn AccessTracer>,
-) -> Result<Attempt, RunError> {
-    let Stmt::Do {
-        var, lo, hi, body, ..
-    } = target
-    else {
-        return Err(RunError::Unsupported(lip_symbolic::sym(
-            "LRPD speculation takes a DO loop",
-        )));
-    };
-    let mut extra = vec![*var];
-    extra.extend_from_slice(scalars.finals);
-    extra.extend_from_slice(scalars.reductions);
-    let cb = env.body(sub, body, &[], &extra)?;
-    let lo_v = env.eval(sub, frame, lo, &mut state)?;
-    let hi_v = env.eval(sub, frame, hi, &mut state)?;
+) -> Result<(bool, Chunks<'a>), RunError> {
     let spec = SpecState::new(frame, arrays);
-    let slot = |s: Sym| cb.chunk().scalar_slot(s).expect("interned");
-    let var_slot = slot(*var);
-    let affine = affine_entries(frame, scalars.affine);
-    let cost = Mutex::new(state.cost);
     let held = Mutex::new(Vec::new());
-    let finals = Mutex::new(Vec::new());
-    let partials = Mutex::new(Vec::new());
-    parallel_chunks(env.cache.nthreads, lo_v, hi_v, |k, c_lo, c_hi| {
-        let mut st = ExecState::default();
-        let mut f = cb.frame(frame);
-        for &(s, entry, step) in &affine {
-            f.set_scalar(slot(s), stepped(entry, step, c_lo - lo_v));
-        }
-        for &s in scalars.reductions {
-            f.set_scalar(slot(s), zero(sub.ty_of(s)));
-        }
-        let mut tally = env.tally();
+    let chunks = run_chunks(env, sub, shape, frame, plan, |c| {
         let chunk = report.map(|_| Mutex::new(Held::new(frame)));
-        for i in c_lo..=c_hi {
+        let mut tally = env.tally();
+        for i in c.lo..=c.hi {
             if spec.noticed() {
                 break;
             }
             let tracer = IterTracer {
                 state: &spec,
-                iter: i.wrapping_sub(lo_v),
+                iter: i.wrapping_sub(shape.lo),
                 held: chunk.as_ref(),
             };
-            f.set_scalar(var_slot, Value::Int(i));
-            cb.activate(env, &mut f, None, &mut st, Some(&tracer), &mut tally)?;
+            c.f.set_scalar(c.var, Value::Int(i));
+            c.cb.activate(env, &mut c.f, None, &mut c.st, Some(&tracer), &mut tally)?;
         }
         env.publish(tally);
-        *cost.lock().unwrap() += st.cost;
         if let Some(chunk) = chunk {
-            held.lock().unwrap().push((k, chunk.into_inner().unwrap()));
+            held.lock()
+                .unwrap()
+                .push((c.idx, chunk.into_inner().unwrap()));
         }
-        let sums = scalars.reductions.iter().map(|&s| (s, f.scalar(slot(s))));
-        partials
-            .lock()
-            .unwrap()
-            .extend(sums.filter_map(|(s, v)| Some((s, v?))));
-        if c_hi == hi_v {
-            let mut last = vec![(*var, Value::Int(hi_v))];
-            let left = scalars.finals.iter().map(|&s| (s, f.scalar(slot(s))));
-            last.extend(left.filter_map(|(s, v)| Some((s, v?))));
-            *finals.lock().unwrap() = last;
-        }
-        Ok::<(), RunError>(())
+        Ok(())
     })?;
     let conflict = spec.conflict();
     if let (Some(to), false) = (report, conflict) {
@@ -408,19 +317,14 @@ fn speculate(
         held.sort_by_key(|(k, _)| *k);
         held.iter().for_each(|(_, chunk)| chunk.replay(to));
     }
-    Ok(Attempt {
-        conflict,
-        units: cost.into_inner().unwrap(),
-        finals: finals.into_inner().unwrap(),
-        partials: partials.into_inner().unwrap(),
-    })
+    Ok((conflict, chunks))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::Session;
-    use lip_ir::{parse_program, Machine};
+    use lip_ir::{parse_program, ExecState, Machine, Stmt};
     use lip_symbolic::sym;
 
     /// The order the on-the-fly detector missed: a later iteration
@@ -542,7 +446,7 @@ END
         let mut frame = Store::new();
         frame.set_int(sym("N"), 10);
         frame.alloc_real(sym("A"), 10);
-        let (outcome, _) = session2()
+        let (outcome, units) = session2()
             .lrpd_execute(&machine, &sub, &target, &frame, &[sym("A")])
             .expect("runs");
         assert_eq!(outcome, LrpdOutcome::Committed);
@@ -551,6 +455,12 @@ END
             let expected = if i % 2 == 0 { 1.0 } else { 0.0 };
             assert_eq!(a.get_f64(i - 1), expected, "A({i})");
         }
+        // Charged as the interpreter charges the loop: the step once.
+        let mut st = ExecState::default();
+        machine
+            .exec_stmt(&sub, &mut frame.clone(), &target, &mut st)
+            .expect("interpreter");
+        assert_eq!(units, st.cost);
     }
 
     #[test]

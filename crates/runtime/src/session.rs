@@ -431,12 +431,12 @@ pub mod compat {
 
     use lip_analysis::LoopAnalysis;
     use lip_ir::{ExecState, Machine, RunError, Stmt, Store, Subroutine};
-    use lip_symbolic::Sym;
+    use lip_symbolic::{sym, Sym};
 
     use super::{Session, SessionBuilder};
-    use crate::backend::ExecEnv;
+    use crate::backend::{exec_stmt_seq, DoShape, ExecEnv};
     use crate::cache::ProgramCache;
-    use crate::exec::RunStats;
+    use crate::exec::{BodyPlan, RunStats};
     use crate::lrpd::LrpdOutcome;
 
     /// The execution engine: fused `lip_vm` bytecode.
@@ -475,7 +475,8 @@ pub mod compat {
     ///
     /// # Errors
     ///
-    /// VM failures; [`RunError::Unsupported`] for a non-`DO` target.
+    /// VM failures; [`RunError::Unsupported`] for a target other than a
+    /// DO with step 1.
     pub fn inspect(
         machine: &Machine,
         sub: &Subroutine,
@@ -484,15 +485,32 @@ pub mod compat {
         arrays: &[Sym],
     ) -> Result<(InspectVerdict, u64), RunError> {
         let one_chunk = Session::builder().nthreads(1).build();
-        let (conflict, units) = one_chunk.compat_env(machine, |env| {
-            crate::lrpd::dry_run(env, sub, target, frame, arrays)
-        })?;
+        let (conflict, units) =
+            one_chunk.compat_env(machine, |env| match lrpd_shape(env, sub, target, frame)? {
+                shape if shape.step == 1 => crate::lrpd::dry_run(env, sub, &shape, frame, arrays),
+                _ => Err(RunError::Unsupported(sym(
+                    "the dry run takes a DO with step 1",
+                ))),
+            })?;
         let verdict = if conflict {
             InspectVerdict::Dependent
         } else {
             InspectVerdict::Independent
         };
         Ok((verdict, units))
+    }
+
+    /// `target`'s shape, for LRPD and the inspector.
+    fn lrpd_shape<'t>(
+        env: &ExecEnv<'_>,
+        sub: &Subroutine,
+        target: &'t Stmt,
+        frame: &Store,
+    ) -> Result<DoShape<'t>, RunError> {
+        let shape = env.do_shape(sub, target, frame, &mut ExecState::default())?;
+        shape.ok_or(RunError::Unsupported(sym(
+            "LRPD speculation takes a DO loop",
+        )))
     }
 
     impl SessionBuilder {
@@ -556,7 +574,8 @@ pub mod compat {
         }
 
         /// LRPD speculation on the DO loop `target`, monitoring `arrays`:
-        /// the outcome and the work units.
+        /// the outcome and the work units. A step other than 1 runs
+        /// sequentially instead, and trivially commits.
         ///
         /// # Errors
         ///
@@ -570,15 +589,18 @@ pub mod compat {
             arrays: &[Sym],
         ) -> Result<(LrpdOutcome, u64), RunError> {
             self.compat_env(machine, |env| {
-                let scalars = crate::lrpd::Scalars::default();
-                crate::lrpd::lrpd_execute_impl(
-                    env,
-                    sub,
-                    target,
-                    &mut frame.clone(),
-                    arrays,
-                    scalars,
-                )
+                let frame = &mut frame.clone();
+                match lrpd_shape(env, sub, target, frame)? {
+                    shape if shape.step == 1 => {
+                        let plan = BodyPlan::default();
+                        crate::lrpd::lrpd_execute_impl(env, sub, &shape, frame, arrays, &plan)
+                    }
+                    _ => {
+                        let mut st = ExecState::default();
+                        exec_stmt_seq(env, sub, target, frame, &mut st)?;
+                        Ok((LrpdOutcome::Committed, st.cost))
+                    }
+                }
             })
         }
 

@@ -51,17 +51,13 @@ pub(crate) fn per_iteration_costs(
 ) -> Result<Vec<u64>, RunError> {
     let state = &mut state;
     let mut tally = env.tally();
-    let costs = match target {
-        Stmt::Do {
-            var, lo, hi, body, ..
-        } => {
-            let cb = env.body(sub, body, &[], &[*var])?;
-            let lo_v = env.eval(sub, frame, lo, state)?;
-            let hi_v = env.eval(sub, frame, hi, state)?;
-            let var_slot = cb.chunk().scalar_slot(*var).expect("interned");
+    let costs = match (env.do_shape(sub, target, frame, state)?, target) {
+        (Some(shape), _) => {
+            let cb = env.body(sub, shape.body, &[], &[shape.var])?;
+            let var_slot = cb.chunk().scalar_slot(shape.var).expect("interned");
             let mut f = cb.frame(frame);
             let mut costs = Vec::new();
-            for i in lo_v..=hi_v {
+            for i in shape.iters() {
                 f.set_scalar(var_slot, Value::Int(i));
                 let before = state.cost;
                 cb.activate(env, &mut f, None, state, env.tracer(), &mut tally)?;
@@ -72,7 +68,7 @@ pub(crate) fn per_iteration_costs(
             f.writeback_scalars(cb.chunk(), frame);
             costs
         }
-        Stmt::While { cond, body, .. } => {
+        (None, Stmt::While { cond, body, .. }) => {
             let cb = env.body(sub, body, &[cond], &[])?;
             let vm = cb.vm(env);
             let mut f = cb.frame(frame);
@@ -92,7 +88,7 @@ pub(crate) fn per_iteration_costs(
             f.writeback_scalars(cb.chunk(), frame);
             costs
         }
-        other => {
+        (None, other) => {
             let before = state.cost;
             exec_stmt_seq(env, sub, other, frame, state)?;
             vec![state.cost - before]
@@ -214,5 +210,33 @@ END
         };
         assert_eq!(run(i64::MAX - 2), Ok((3, Some(Value::Int(i64::MAX)))));
         assert_eq!(run(1), Err(RunError::StepLimit));
+    }
+
+    /// A DO written with a step is measured over the iterations the
+    /// interpreter runs.
+    #[test]
+    fn a_stepped_do_is_measured_over_its_own_iterations() {
+        let prog = parse_program(
+            "
+SUBROUTINE t(A, N)
+  DIMENSION A(*)
+  INTEGER i, N
+  DO l1 i = N, 1, -2
+    A(i) = 1.0
+  ENDDO
+END
+",
+        )
+        .expect("parses");
+        let lp = Session::default()
+            .load(prog)
+            .prepare(sym("t"), "l1")
+            .expect("loop");
+        let mut frame = Store::new();
+        frame.set_int(sym("N"), 9);
+        frame.alloc_real(sym("A"), 9);
+        let costs = lp.per_iteration_costs(&mut frame).expect("measures");
+        assert_eq!(costs.len(), 5, "i = 9, 7, 5, 3, 1");
+        assert_eq!(frame.scalar(sym("i")), Some(Value::Int(1)));
     }
 }

@@ -34,9 +34,22 @@ fn all_session_combinations_match_the_oracle_in_one_process() {
 /// attempt is the run: its accesses are the loop's. The same loop with
 /// scalars the caller sees afterwards — an affine `K`, which each chunk
 /// must start where the sequential loop has it, the privatized `pos`,
-/// and the sum `S` — leaves them as the sequential loop does.
+/// and the sum `S` — leaves them as the sequential loop does; so does
+/// the loop with `K` counted under a condition, a CIV, which each chunk
+/// must start from its trace.
 #[test]
 fn speculation_commits_and_aborts_like_the_sequential_loop() {
+    let with_civ = "
+SUBROUTINE t(A, B, W, K, N)
+  DIMENSION A(*), B(*), W(*)
+  INTEGER i, N, K, pos
+  DO l1 i = 1, N
+    IF (B(i) .GT. 0.0) K = K + 1
+    pos = INT(W(i))
+    A(pos) = A(pos + 1) * 0.5 + K
+  ENDDO
+END
+";
     let with_scalars = "
 SUBROUTINE t(A, W, K, N)
   DIMENSION A(*), W(*)
@@ -67,9 +80,12 @@ END
             let mut input = p.frame.clone();
             input.set_int(sym("K"), 0).set_int(sym("pos"), 0);
             input.set_scalar(sym("S"), Value::Real(0.25));
+            let b = input.alloc_real(sym("B"), n);
+            (0..n).for_each(|k| b.set(k, Value::Real(if k % 3 == 0 { 1.0 } else { -1.0 })));
             let reports = [
                 check::kernel(&sess, p),
                 check_source(&sess, with_scalars, "l1", &input),
+                check_source(&sess, with_civ, "l1", &input),
             ];
             for report in reports {
                 report.assert_sequential();
@@ -106,6 +122,31 @@ SUBROUTINE t(A, W, N, M)
     IF (A(i) .GT. 2.0) THEN
       s = s + A(i)
     ENDIF
+  ENDDO
+END
+";
+    for (fission, obs, nthreads) in matrix() {
+        let report = check_source(&session(fission, obs, nthreads), src, "l1", &input);
+        report.assert_sequential();
+        assert_eq!(report.stats.outcome, ExecOutcome::StaticParallel);
+    }
+}
+
+/// A DO written with its step, `, 1`, runs in chunks like one without,
+/// and its step is charged once, as the interpreter charges it.
+#[test]
+fn an_explicit_unit_step_is_charged_as_the_interpreter_charges_it() {
+    let mut input = Store::new();
+    input.set_int(sym("N"), 64);
+    input.alloc_real(sym("A"), 64);
+    let b = input.alloc_real(sym("B"), 64);
+    (0..64).for_each(|k| b.set(k, Value::Real(k as f64 * 0.5)));
+    let src = "
+SUBROUTINE t(A, B, N)
+  DIMENSION A(*), B(*)
+  INTEGER i, N
+  DO l1 i = 1, N, 1
+    A(i) = B(i) * 2.0 + 1.0
   ENDDO
 END
 ";

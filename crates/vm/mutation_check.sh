@@ -30,6 +30,9 @@
 # through `lip_suite::check`:
 #   * the DO statement's own unit charged on the parallel path (the
 #     loop-units comparison);
+#   * the shared chunk driver no longer seeding CIVs from their traces
+#     (a chunk past the first, parallel or speculated, restarts the
+#     counter: the store comparison);
 #   * the CIV slice run under the caller's tracer again (its reads reach
 #     the access comparison as if the loop made them);
 #   * LRPD's committed attempt no longer replayed to the caller's tracer
@@ -68,8 +71,13 @@ crates/vm/src/typed.rs
 
 $check_tests
 crates/runtime/src/exec.rs
-        loop_units: loop_units + st.cost,
-        loop_units: loop_units + st.cost + 1,
+        loop_units: loop_units + shape.units,
+        loop_units: loop_units + shape.units + 1,
+
+$check_tests
+crates/runtime/src/exec.rs
+                f.set_scalar(slot(*s), v);
+                let _ = (s, v);
 
 $check_tests
 crates/runtime/src/civ.rs

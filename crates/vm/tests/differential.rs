@@ -3,10 +3,10 @@
 //! The bytecode VM is only admissible if it is *observationally
 //! identical* to the tree-walk interpreter: same outputs, same stream
 //! of traced array accesses, same work-unit counts. These tests check
-//! all three on every suite kernel shape, on the example programs, and
-//! through the full predicate-guarded executor (parallel chunks, CIV
-//! slices, LRPD speculation) with the interpreter — and `Pdag::eval`
-//! for the cascade — as the reference.
+//! all three on every suite kernel shape and on the example programs,
+//! and send the full predicate-guarded executor (parallel chunks, CIV
+//! slices, LRPD speculation) through `lip_suite::check`, which holds it
+//! to the interpreter and the reference tests.
 //!
 //! The second half pins the chunk entry point: [`Vm::run_range`] — one
 //! activation for a whole iteration range — against the per-iteration
@@ -14,16 +14,14 @@
 //! the final frame, the cost and the access stream, on success and on
 //! a mid-range error alike.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use lip_analysis::{analyze_loop, AnalysisConfig, FallbackKind, LoopAnalysis, LoopClass};
 use lip_ir::{
-    AccessTracer, ArrayBuf, ArrayView, ExecState, Machine, Program, RunError, Stmt, Store,
-    StoreCtx, Subroutine, Value,
+    AccessTracer, ArrayBuf, ExecState, Machine, Program, RunError, Stmt, Store, Subroutine, Value,
 };
-use lip_runtime::{ExecOutcome, LrpdOutcome, Session};
-use lip_suite::Prepared;
+use lip_runtime::{ExecOutcome, Session};
+use lip_suite::{check, KernelShape, Prepared};
 use lip_symbolic::{sym, Sym};
 use lip_vm::{add_block, compile_program, Frame, Vm};
 
@@ -77,35 +75,6 @@ fn assert_stores_match(interp: &Store, vm: &Store, ctx: &str) {
             assert_eq!(x, y, "{ctx}: {name}[{k}]");
         }
     }
-}
-
-/// [`assert_stores_match`] over a loop's outputs: everything `inputs`
-/// bound before the run plus `loop_var`. The oracle also leaves the
-/// body's private temporaries behind (dead by classification, so the
-/// parallel paths do not restore them) and the executor its CIV trace
-/// arrays and trip counts.
-fn assert_outputs_match(
-    inputs: &Store,
-    loop_var: Option<Sym>,
-    oracle: &Store,
-    session: &Store,
-    ctx: &str,
-) {
-    let outputs = |store: &Store| {
-        let mut out = Store::new();
-        for (s, v) in store.scalars() {
-            if loop_var == Some(s) || inputs.scalar(s).is_some() {
-                out.set_scalar(s, v);
-            }
-        }
-        for (s, view) in store.arrays() {
-            if inputs.array(s).is_some() {
-                out.bind_array(s, view.clone());
-            }
-        }
-        out
-    };
-    assert_stores_match(&outputs(oracle), &outputs(session), ctx);
 }
 
 /// Runs a prepared kernel's target loop sequentially under the
@@ -164,189 +133,18 @@ fn all_suite_kernels_match_sequentially() {
     }
 }
 
-/// The reference for the runtime tests `run_loop` charges before it
-/// executes `target`: the CIV slice on the interpreter (each CIV's
-/// value at every iteration entry bound under its trace name, a while
-/// loop's trip count under `<label>@niters`), then the cascade on
-/// `Pdag::eval`, then — where the executor gets that far — the exact
-/// test's own count. `fragment`: `target` is one fragment of a
-/// distributed loop. Returns the charged units.
-fn oracle_tests(
-    machine: &Machine,
-    sub: &Subroutine,
-    target: &Stmt,
-    a: &LoopAnalysis,
-    frame: &mut Store,
-    fragment: bool,
-) -> u64 {
-    let mut st = ExecState::default();
-    let civ_syms: BTreeSet<Sym> = a.civs.iter().map(|(s, _)| *s).collect();
-    let mut traces = vec![Vec::new(); a.civs.len()];
-    let mut f = frame.clone();
-    let mut record = |f: &Store| {
-        for ((s, _), vals) in a.civs.iter().zip(&mut traces) {
-            vals.push(f.scalar(*s).map_or(0, Value::as_i64));
-        }
-    };
-    let mut unit_step_do = false;
-    match target {
-        Stmt::Do {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-            ..
-        } => {
-            unit_step_do = step.as_ref().is_none_or(|e| {
-                let step = machine.eval(sub, &f, e, &mut ExecState::default());
-                step.map(Value::as_i64) == Ok(1)
-            });
-            if !a.civs.is_empty() {
-                let slice = lip_runtime::extract_slice(body, &civ_syms);
-                let lo = machine.eval(sub, &f, lo, &mut st).expect("lo").as_i64();
-                let hi = machine.eval(sub, &f, hi, &mut st).expect("hi").as_i64();
-                for i in lo..=hi {
-                    f.set_scalar(*var, Value::Int(i));
-                    record(&f);
-                    machine
-                        .exec_block(sub, &mut f, &slice, &mut st)
-                        .expect("slice");
-                }
-                record(&f);
-            }
-        }
-        Stmt::While { cond, body, .. } => {
-            let slice = lip_runtime::extract_slice(body, &civ_syms);
-            let mut n = 0;
-            loop {
-                let c = machine.eval(sub, &f, cond, &mut st).expect("cond");
-                record(&f);
-                if !c.truthy() {
-                    break;
-                }
-                n += 1;
-                machine
-                    .exec_block(sub, &mut f, &slice, &mut st)
-                    .expect("slice");
-            }
-            frame.set_scalar(sym(&format!("{}@niters", a.label)), Value::Int(n));
-        }
-        _ => {}
-    }
-    for ((_, trace), vals) in a.civs.iter().zip(&traces) {
-        let view = ArrayView {
-            buf: ArrayBuf::from_i64(vals),
-            offset: 0,
-            extents: vec![i64::MAX],
-        };
-        frame.bind_array(*trace, view);
-    }
-    let mut units = st.cost;
-    let ctx = StoreCtx(frame);
-    let mut cascade_failed = false;
-    if unit_step_do && matches!(a.class, LoopClass::Predicated { .. }) {
-        let hit = a.cascade.first_success(&ctx, lip_runtime::TEST_BUDGET);
-        let evaluated = hit.map_or(a.cascade.stages.len(), |k| k + 1);
-        units += a.cascade.stages[..evaluated]
-            .iter()
-            .map(|stage| stage.pred.eval_cost(&ctx))
-            .sum::<u64>();
-        cascade_failed = hit.is_none();
-    }
-    // The exact test runs on a fragment whose cascade failed or that
-    // is a HOIST-USR fallback, and on a whole loop whose cascade failed
-    // — unless its plan already holds a statically sequential fragment:
-    // then the executor distributes without asking.
-    let doomed = a.fission.as_deref().is_some_and(|plan| {
-        let mut classes = plan.fragments.iter().map(|f| &f.analysis.class);
-        classes.any(|c| *c == LoopClass::StaticSequential)
-    });
-    let runs_exact = match a.class {
-        LoopClass::Predicated { .. } => cascade_failed && (fragment || !doomed),
-        LoopClass::NeedsFallback(FallbackKind::HoistUsr) => fragment,
-        _ => false,
-    };
-    if let (true, Some(u)) = (runs_exact, &a.ind_usr) {
-        units += lip_usr::exact::independent(u, &ctx, lip_runtime::TEST_BUDGET).units;
-    }
-    units
-}
-
-/// Runs a prepared kernel through the full analyzed executor and, as
-/// the reference, its target loop on the interpreter and its runtime
-/// tests through [`oracle_tests`]; asserts identical units and final
-/// state (every scalar and array bound before the run).
-fn differential_run_loop(shape: &'static lip_suite::KernelShape, n: usize, nthreads: usize) {
-    let ctx = format!("{} (n={n}, nthreads={nthreads})", shape.name);
-    let mut oracle = shape.prepared(n);
-    let prog = oracle.machine.program().clone();
-    let sub = prog.subroutine(sym(oracle.sub)).expect("sub").clone();
-    let target = sub.find_loop(oracle.label).expect("loop").clone();
-    let analysis =
-        analyze_loop(&prog, sub.name, oracle.label, &AnalysisConfig::default()).expect("analysis");
-
-    let mut p = shape.prepared(n);
-    let stats = Session::builder()
-        .nthreads(nthreads)
-        .build()
-        .run_loop(&p.machine, &sub, &target, &analysis, &mut p.frame)
-        .unwrap_or_else(|e| panic!("{ctx}: session failed: {e}"));
-
-    // Test units: the whole loop's tests, then — when the executor
-    // distributed the loop — each fragment's, on the state the
-    // fragments before it left.
-    let mut tests_frame = shape.prepared(n).frame;
-    let m = &oracle.machine;
-    let mut test_units = oracle_tests(m, &sub, &target, &analysis, &mut tests_frame, false);
-    if let ExecOutcome::Fissioned { .. } = stats.outcome {
-        let plan = analysis
-            .fission
-            .as_deref()
-            .expect("fissioned without a plan");
-        for frag in &plan.fragments {
-            let (target, a) = (&frag.target, &frag.analysis);
-            test_units += oracle_tests(m, &sub, target, a, &mut tests_frame, true);
-            m.exec_stmt(
-                &sub,
-                &mut tests_frame,
-                &frag.target,
-                &mut ExecState::default(),
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: fragment failed on the oracle: {e}"));
-        }
-    }
-    assert_eq!(stats.test_units, test_units, "{ctx}: test units diverged");
-
-    let mut st = ExecState::default();
-    oracle
-        .machine
-        .exec_stmt(&sub, &mut oracle.frame, &target, &mut st)
-        .unwrap_or_else(|e| panic!("{ctx}: oracle failed: {e}"));
-    match stats.outcome {
-        // An aborted speculation's unit count depends on how far chunks
-        // ran before observing the conflict flag.
-        ExecOutcome::Speculated(LrpdOutcome::Aborted) => {}
-        ExecOutcome::Sequential | ExecOutcome::Fissioned { .. } => {
-            assert_eq!(stats.loop_units, st.cost, "{ctx}: loop units diverged")
-        }
-        // The parallel paths do not charge the DO statement's own unit.
-        _ => assert_eq!(stats.loop_units, st.cost - 1, "{ctx}: loop units diverged"),
-    }
-    // Speculation runs on a shared `&Store`: it writes arrays only.
-    let loop_var = match (&target, &stats.outcome) {
-        (_, ExecOutcome::Speculated(_)) => None,
-        (Stmt::Do { var, .. }, _) => Some(*var),
-        _ => None,
-    };
-    let inputs = shape.prepared(n).frame;
-    assert_outputs_match(&inputs, loop_var, &oracle.frame, &p.frame, &ctx);
+/// A prepared kernel through the full analyzed executor on `nthreads`
+/// chunks, checked by `lip_suite::check` against the interpreter and
+/// the reference tests.
+fn check_run_loop(shape: &KernelShape, n: usize, nthreads: usize) {
+    let session = Session::builder().nthreads(nthreads).build();
+    check::kernel(&session, &shape.prepared(n)).assert_sequential();
 }
 
 #[test]
 fn executor_paths_match_on_all_kernels() {
     for shape in lip_suite::all_shapes() {
-        differential_run_loop(shape, 32, 2);
+        check_run_loop(shape, 32, 2);
     }
 }
 
@@ -356,7 +154,7 @@ fn executor_paths_match_on_all_kernels() {
 fn executor_paths_match_across_chunk_counts() {
     for shape in lip_suite::all_shapes() {
         for nthreads in [1, 3, 7] {
-            differential_run_loop(shape, 32, nthreads);
+            check_run_loop(shape, 32, nthreads);
         }
     }
 }
@@ -375,43 +173,18 @@ SUBROUTINE kernel(A, N, M)
 END
 ";
     let prog = lip_ir::parse_program(src).expect("parses");
-    let sub = prog.units[0].clone();
-    let target = sub.find_loop("main_loop").expect("loop").clone();
-    let analysis =
-        analyze_loop(&prog, sub.name, "main_loop", &AnalysisConfig::default()).expect("analyzable");
-    for m_factor in [1i64, 0] {
-        let n = 200i64;
-        let m = if m_factor == 1 { n } else { 1 };
-        let ctx = format!("quickstart M={m}");
-        let machine = Machine::new(prog.clone());
-        let mk_frame = || {
-            let mut frame = Store::new();
-            frame.set_int(sym("N"), n).set_int(sym("M"), m);
-            let a = frame.alloc_real(sym("A"), (2 * n) as usize);
-            for i in 0..(2 * n) as usize {
-                a.set(i, Value::Real(i as f64));
-            }
-            frame
-        };
-        let (mut oracle, mut frame) = (mk_frame(), mk_frame());
-        let mut st = ExecState::default();
-        machine
-            .exec_stmt(&sub, &mut oracle, &target, &mut st)
-            .expect("oracle runs");
-        let stats = Session::builder()
-            .nthreads(2)
-            .build()
-            .run_loop(&machine, &sub, &target, &analysis, &mut frame)
-            .expect("runs");
-        let expected = if m == n {
-            ExecOutcome::PredicatePassed { stage: 0 }
-        } else {
-            ExecOutcome::Sequential
-        };
-        assert_eq!(stats.outcome, expected, "{ctx}");
-        let parallel = stats.outcome != ExecOutcome::Sequential;
-        assert_eq!(stats.loop_units, st.cost - u64::from(parallel), "{ctx}");
-        assert_outputs_match(&mk_frame(), Some(sym("i")), &oracle, &frame, &ctx);
+    let session = Session::builder().nthreads(2).build();
+    for (m, expected) in [
+        (200, ExecOutcome::PredicatePassed { stage: 0 }),
+        (1, ExecOutcome::Sequential),
+    ] {
+        let mut input = Store::new();
+        input.set_int(sym("N"), 200).set_int(sym("M"), m);
+        let a = input.alloc_real(sym("A"), 400);
+        (0..400).for_each(|i| a.set(i, Value::Real(i as f64)));
+        let report = check::cold(&session, &prog, sym("kernel"), "main_loop", &input);
+        report.assert_sequential();
+        assert_eq!(report.stats.outcome, expected, "quickstart M={m}");
     }
 }
 
@@ -513,10 +286,10 @@ END
 /// above; here the example-sized workloads run end to end.
 #[test]
 fn example_workloads_match_through_executor() {
-    differential_run_loop(&lip_suite::INDEX_REDUCTION, 64, 2);
-    differential_run_loop(&lip_suite::CIV_CONDITIONAL, 64, 2);
-    differential_run_loop(&lip_suite::CIV_WHILE, 64, 2);
-    differential_run_loop(&lip_suite::SOLVH, 24, 2);
+    check_run_loop(&lip_suite::INDEX_REDUCTION, 64, 2);
+    check_run_loop(&lip_suite::CIV_CONDITIONAL, 64, 2);
+    check_run_loop(&lip_suite::CIV_WHILE, 64, 2);
+    check_run_loop(&lip_suite::SOLVH, 24, 2);
 }
 
 /// Tag and payload bits: NaNs and signed zeros compare exactly.
