@@ -23,10 +23,12 @@
 //!    arrays, are not outputs and are skipped;
 //! 2. **loop units**: the oracle's cost, less the DO statement's own
 //!    unit on the paths that run the body in chunks;
-//! 3. **test units**: the cascade's charge by `Pdag::eval`, plus
-//!    `lip_usr::exact::independent`'s units when the cascade fails
-//!    ([`reference_tests`], which the measurement table's tests also
-//!    compare with);
+//! 3. **test units**: the CIV slice run on the interpreter (which binds
+//!    the traces the cascade reads), then the cascade's charge by
+//!    `Pdag::eval`, plus `lip_usr::exact::independent`'s units when the
+//!    cascade fails ([`reference_tests`], which the measurement table's
+//!    tests also compare with); for a fissioned run, each fragment's
+//!    slice and tests too, on the store the fragments before it left;
 //! 4. **accesses**: per array name, the sorted `(kind, index)` events
 //!    of the traced leg against the oracle's;
 //! 5. **stage**: for a predicated loop, the stage that passed is the
@@ -35,7 +37,7 @@
 //!    and units.
 //!
 //! A comparison that cannot be made for a run says why, and every such
-//! reason is written in one `match` (`not_compared`), so no caller can
+//! reason is written in one function (`not_compared`), so no caller can
 //! switch a comparison off. ROADMAP item 1(b)'s race oracle goes beside
 //! `accesses`: the oracle leg already sees every access, and would
 //! record them per iteration to check the plan's claims.
@@ -44,9 +46,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use lip_analysis::{LoopAnalysis, LoopClass};
+use lip_analysis::{FallbackKind, LoopAnalysis, LoopClass};
 use lip_ir::{
-    AccessTracer, ArrayBuf, ArrayView, ExecState, Machine, Program, Stmt, Store, StoreCtx, Value,
+    AccessTracer, ArrayBuf, ArrayView, ExecState, Machine, Program, Stmt, Store, StoreCtx,
+    Subroutine, Ty, Value,
 };
 use lip_runtime::{ExecOutcome, LoopHandle, LrpdOutcome, RunStats, Session, TEST_BUDGET};
 use lip_symbolic::Sym;
@@ -74,7 +77,8 @@ pub struct Report {
     pub store: Verdict,
     /// `loop_units` against the oracle's cost.
     pub loop_units: Verdict,
-    /// `test_units` against the reference cascade and exact test.
+    /// `test_units` against the reference: the CIV slice, the cascade,
+    /// the exact test, and a fissioned run's fragments.
     pub test_units: Verdict,
     /// The traced access multiset against the oracle's.
     pub accesses: Verdict,
@@ -162,16 +166,10 @@ pub fn observationally_sequential(session: &Session, handle: &LoopHandle, input:
     );
     let stats = run.unwrap_or_else(|e| panic!("{context}: the traced run failed: {e}"));
 
-    let unit_step = match target {
-        Stmt::Do { step: None, .. } => true,
-        Stmt::Do { step: Some(e), .. } => {
-            let step = machine.eval(unit, input, e, &mut ExecState::default());
-            step.map(Value::as_i64) == Ok(1)
-        }
-        _ => false,
-    };
-    let reason = |c| not_compared(c, analysis, target, unit_step, &stats.outcome);
-    let reference = reference_tests(analysis, input);
+    let unit_step = unit_step(&machine, unit, target, input);
+    let outcome = &stats.outcome;
+    let (reference, charged) =
+        reference_run(&machine, unit, target, analysis, input, unit_step, outcome);
     let passed = match stats.outcome {
         ExecOutcome::PredicatePassed { stage } => Some(stage),
         _ => None,
@@ -202,12 +200,9 @@ pub fn observationally_sequential(session: &Session, handle: &LoopHandle, input:
             v => v,
         })),
         loop_units: compare("loop units", &(st.cost - do_unit), &stats.loop_units),
-        test_units: reason(Compared::TestUnits).map_or_else(
-            || compare("test units", &reference.units, &stats.test_units),
-            Verdict::NotCompared,
-        ),
+        test_units: compare("test units", &charged, &stats.test_units),
         accesses: compare_accesses(&seen.by_array(), &traced.by_array()),
-        stage: reason(Compared::Stage).map_or_else(
+        stage: not_compared(analysis, unit_step).map_or_else(
             || compare("passed stage", &reference.first_success, &passed),
             Verdict::NotCompared,
         ),
@@ -233,38 +228,147 @@ pub fn kernel(session: &Session, p: &crate::Prepared) -> Report {
     cold(session, prog, lip_symbolic::sym(p.sub), p.label, &p.frame)
 }
 
-/// The comparisons a run can leave out.
-#[derive(Clone, Copy)]
-enum Compared {
-    TestUnits,
-    Stage,
+/// Why the stage comparison is not made for a run under `a`, if it is
+/// not: the one place such a reason is written.
+fn not_compared(a: &LoopAnalysis, unit_step: bool) -> Option<&'static str> {
+    if !unit_step {
+        Some("a WHILE, or a DO with a step other than 1, runs sequentially, untested")
+    } else if !matches!(a.class, LoopClass::Predicated { .. }) {
+        Some("the loop has no cascade")
+    } else {
+        None
+    }
 }
 
-/// Why comparison `c` is not made for a run of `target` under `a` that
-/// ended in `outcome`, if it is not: the one place such a reason is
-/// written.
-fn not_compared(
-    c: Compared,
-    a: &LoopAnalysis,
+/// The whole loop's [`Reference`], read after its CIV slice bound the
+/// traces, and the test units the executor must charge for a run of
+/// `target` under `a` on `input` that ended in `outcome`: the slice,
+/// then — for a DO with step 1 — the whole loop's tests and, when the
+/// run was fissioned, each fragment's slice and tests on the store the
+/// fragments before it left. The exact test is left out where the
+/// executor skips it: after a failed cascade, a plan that holds a
+/// statically sequential fragment distributes the loop without asking.
+fn reference_run(
+    machine: &Machine,
+    unit: &Subroutine,
     target: &Stmt,
+    a: &LoopAnalysis,
+    input: &Store,
     unit_step: bool,
     outcome: &ExecOutcome,
-) -> Option<&'static str> {
-    let slice = !a.civs.is_empty() || matches!(target, Stmt::While { .. });
-    match (c, outcome) {
-        _ if slice => Some("the tests read the CIV slice's traces and are charged its units"),
-        _ if !unit_step => Some("a DO with a step other than 1 runs sequentially, untested"),
-        (Compared::Stage, _) if !matches!(a.class, LoopClass::Predicated { .. }) => {
-            Some("the loop has no cascade")
-        }
-        (Compared::TestUnits, ExecOutcome::Fissioned { .. }) => {
-            Some("the charge includes the fission fragments' own tests")
-        }
-        (Compared::TestUnits, ExecOutcome::Speculated(_)) => {
-            Some("LRPD marking decided the loop, and has no reference")
-        }
+) -> (Reference, u64) {
+    let mut frame = deep_copy(input);
+    let mut units = slice_reference(machine, unit, target, a, &mut frame);
+    let plan = match outcome {
+        ExecOutcome::Fissioned { .. } => a.fission.as_deref(),
         _ => None,
+    };
+    let sequential_fragment = |p: &lip_analysis::FissionPlan| {
+        (p.fragments.iter()).any(|f| f.analysis.class == LoopClass::StaticSequential)
+    };
+    let exact = !plan.is_some_and(sequential_fragment);
+    let whole = tests_reference(a, &frame, exact);
+    if unit_step {
+        units += whole.units;
     }
+    for frag in plan.iter().flat_map(|p| &p.fragments) {
+        let fa = &frag.analysis;
+        units += slice_reference(machine, unit, &frag.target, fa, &mut frame);
+        units += match fa.class {
+            // A fragment the exact test may rescue runs it.
+            LoopClass::NeedsFallback(FallbackKind::HoistUsr) => exact_units(fa, &frame),
+            _ => tests_reference(fa, &frame, true).units,
+        };
+        let ran = machine.exec_stmt(unit, &mut frame, &frag.target, &mut ExecState::default());
+        ran.unwrap_or_else(|e| panic!("a fragment failed on the oracle: {e}"));
+    }
+    (whole, units)
+}
+
+/// Whether `target` is a DO with step 1 on `input`: one the executor
+/// may run in chunks.
+fn unit_step(machine: &Machine, unit: &Subroutine, target: &Stmt, input: &Store) -> bool {
+    match target {
+        Stmt::Do { step: None, .. } => true,
+        Stmt::Do { step: Some(e), .. } => {
+            let step = machine.eval(unit, input, e, &mut ExecState::default());
+            step.map(Value::as_i64) == Ok(1)
+        }
+        _ => false,
+    }
+}
+
+/// The CIV slice of `target` under `a` run on the interpreter, as the
+/// executor runs it before its tests: each CIV's value at every
+/// iteration entry and after the loop, bound in `frame` under its trace
+/// name in the CIV's declared type, and a WHILE's trip count under
+/// `<label>@niters`. Its units; none when the loop has no slice.
+fn slice_reference(
+    machine: &Machine,
+    unit: &Subroutine,
+    target: &Stmt,
+    a: &LoopAnalysis,
+    frame: &mut Store,
+) -> u64 {
+    let (Stmt::Do { body, .. } | Stmt::While { body, .. }) = target else {
+        return 0;
+    };
+    if a.civs.is_empty() && matches!(target, Stmt::Do { .. }) {
+        return 0;
+    }
+    let slice = lip_runtime::extract_slice(body, &a.civs.iter().map(|(s, _)| *s).collect());
+    let (mut f, mut st) = (frame.clone(), ExecState::default());
+    let mut traces = vec![Vec::new(); a.civs.len()];
+    let mut record = |f: &Store| {
+        for ((s, _), values) in a.civs.iter().zip(&mut traces) {
+            values.push(f.scalar(*s).unwrap_or(Value::Int(0)));
+        }
+    };
+    let failed = "the oracle's CIV slice failed";
+    let run = |f: &mut Store, st: &mut ExecState| {
+        machine.exec_block(unit, f, &slice, st).expect(failed);
+    };
+    if let Stmt::Do {
+        var, lo, hi, step, ..
+    } = target
+    {
+        let mut eval = |e| machine.eval(unit, &f, e, &mut st).expect(failed).as_i64();
+        let (lo, hi) = (eval(lo), eval(hi));
+        let step = step.as_ref().map_or(1, eval);
+        let mut i = Some(lo);
+        while let Some(v) = i.filter(|&v| (step > 0 && v <= hi) || (step < 0 && v >= hi)) {
+            f.set_scalar(*var, Value::Int(v));
+            record(&f);
+            run(&mut f, &mut st);
+            i = v.checked_add(step);
+        }
+        record(&f);
+    } else if let Stmt::While { cond, .. } = target {
+        let mut n = 0;
+        loop {
+            let c = machine.eval(unit, &f, cond, &mut st).expect(failed);
+            record(&f);
+            if !c.truthy() {
+                break;
+            }
+            n += 1;
+            run(&mut f, &mut st);
+        }
+        frame.set_scalar(LoopAnalysis::niters_sym(&a.label), Value::Int(n));
+    }
+    for ((s, trace), values) in a.civs.iter().zip(traces) {
+        let buf = match unit.ty_of(*s) {
+            Ty::Int => ArrayBuf::from_i64(&values.iter().map(|v| v.as_i64()).collect::<Vec<_>>()),
+            Ty::Real => ArrayBuf::from_f64(&values.iter().map(|v| v.as_f64()).collect::<Vec<_>>()),
+        };
+        let view = ArrayView {
+            buf,
+            offset: 0,
+            extents: vec![i64::MAX],
+        };
+        frame.bind_array(*trace, view);
+    }
+    st.cost
 }
 
 /// What a loop's tests decide and charge on an input, computed apart
@@ -282,10 +386,16 @@ pub struct Reference {
     pub units: u64,
 }
 
-/// The reference of `a`'s tests on `input`: the charge the check's
-/// `test units` verdict compares with, and what the measurement table
-/// records for a loop without a CIV slice.
+/// The reference of `a`'s tests on `input`: what the measurement table
+/// records for a loop without a CIV slice, and the whole loop's share
+/// of the check's `test units`.
 pub fn reference_tests(a: &LoopAnalysis, input: &Store) -> Reference {
+    tests_reference(a, input, true)
+}
+
+/// [`reference_tests`], with the exact test after a failed cascade only
+/// when `exact`.
+fn tests_reference(a: &LoopAnalysis, input: &Store, exact: bool) -> Reference {
     if !matches!(a.class, LoopClass::Predicated { .. }) {
         return Reference {
             first_success: None,
@@ -299,7 +409,7 @@ pub fn reference_tests(a: &LoopAnalysis, input: &Store) -> Reference {
     let stages = a.cascade.stages[..evaluated].iter();
     let mut units: u64 = stages.map(|stage| stage.pred.eval_cost(&ctx)).sum();
     let mut passes = hit.is_some();
-    if let (None, Some(u)) = (hit, &a.ind_usr) {
+    if let (None, Some(u), true) = (hit, &a.ind_usr, exact) {
         let exact = lip_usr::exact::independent(u, &ctx, TEST_BUDGET);
         units += exact.units;
         passes = exact.verdict == Some(true);
@@ -309,6 +419,12 @@ pub fn reference_tests(a: &LoopAnalysis, input: &Store) -> Reference {
         passes,
         units,
     }
+}
+
+/// The exact test's units for `a` on `input`.
+fn exact_units(a: &LoopAnalysis, input: &Store) -> u64 {
+    let exact = |u| lip_usr::exact::independent(u, &StoreCtx(input), TEST_BUDGET).units;
+    a.ind_usr.as_ref().map_or(0, exact)
 }
 
 /// The first verdict that is not `Equal`, if any.
