@@ -693,14 +693,20 @@ fn zero(ty: Ty) -> Value {
     }
 }
 
-/// A scalar reduction after a chunked run: its entry value plus each
-/// chunk's partial sum, accumulated in the scalar's declared type (the
-/// `Int` path wraps, matching `apply_bin`'s in-loop arithmetic).
+/// A scalar reduction after a chunked run: its entry value (zero when
+/// unbound) plus each chunk's partial sum, accumulated in the scalar's
+/// declared type (the `Int` path wraps, matching `apply_bin`'s in-loop
+/// arithmetic).
 fn reduced(ty: Ty, entry: Option<Value>, partials: impl Iterator<Item = Value>) -> Value {
-    let init = entry.unwrap_or(zero(ty));
     match ty {
-        Ty::Int => Value::Int(partials.fold(init.as_i64(), |a, v| a.wrapping_add(v.as_i64()))),
-        Ty::Real => Value::Real(partials.fold(init.as_f64(), |a, v| a + v.as_f64())),
+        Ty::Int => {
+            let init = entry.map_or(0, Value::as_i64);
+            Value::Int(partials.fold(init, |a, v| a.wrapping_add(v.as_i64())))
+        }
+        Ty::Real => {
+            let init = entry.map_or(0.0, Value::as_f64);
+            Value::Real(partials.fold(init, |a, v| a + v.as_f64()))
+        }
     }
 }
 
@@ -823,8 +829,8 @@ pub(crate) struct Chunks<'a> {
 /// its CIVs seeded from their traces and its affine scalars stepped in
 /// from their entry values, at its first iteration, and its scalar
 /// reductions from zero; `runner` runs it, and the chunk's outputs and
-/// units are collected. Nothing reaches `frame` before
-/// [`Chunks::commit`].
+/// units are collected. Shared arrays are written in place; nothing
+/// else reaches `frame` before [`Chunks::commit`].
 pub(crate) fn run_chunks<'a>(
     env: &'a ExecEnv<'_>,
     sub: &'a lip_ir::Subroutine,
