@@ -105,6 +105,14 @@ pub(crate) struct DoShape<'a> {
 }
 
 impl DoShape<'_> {
+    /// Whether this DO's CIV traces are indexed by its variable
+    /// (`civ::civ_traces`): a unit step from `lo` ≥ 1, padded by no
+    /// more elements than the trace holds. Only then do CIVs run chunked.
+    pub fn traces_by_var(&self) -> bool {
+        let trip = (self.hi as i128 - self.lo as i128 + 1).max(0);
+        self.step == 1 && self.lo >= 1 && self.lo as i128 - 1 <= trip + 1
+    }
+
     /// The loop variable's values in order, as the interpreter steps
     /// it, ending at `hi` rather than stepping past `i64::MAX`.
     pub fn iters(&self) -> impl Iterator<Item = i64> {
@@ -193,8 +201,9 @@ impl ExecEnv<'_> {
     }
 }
 
-/// Executes one statement sequentially (sequential loop fallbacks and
-/// LRPD recovery re-runs).
+/// Executes one statement sequentially (a WHILE loop, which the
+/// executor never runs in chunks, and the measurement pass's target
+/// when it is not a loop).
 pub(crate) fn exec_stmt_seq(
     env: &ExecEnv<'_>,
     sub: &Subroutine,

@@ -16,7 +16,7 @@ use lip_ir::{ArrayBuf, ExecState, LValue, RunError, Stmt, Store, Subroutine, Ty,
 use lip_symbolic::Sym;
 use lip_vm::Frame;
 
-use crate::backend::ExecEnv;
+use crate::backend::{DoShape, ExecEnv};
 use crate::cache::CompiledBody;
 
 /// Extracts the slice of `body` needed to compute `targets` each
@@ -190,11 +190,12 @@ fn expr_syms(e: &lip_ir::Expr) -> BTreeSet<Sym> {
 }
 
 /// [`crate::LoopHandle::civ_traces`] of `target` under `analysis` (a
-/// run's first step).
+/// run's first step), a DO's bounds evaluated in `shape`.
 pub(crate) fn loop_traces(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
     target: &Stmt,
+    shape: Option<&DoShape<'_>>,
     analysis: &LoopAnalysis,
     frame: &mut Store,
 ) -> Result<u64, RunError> {
@@ -203,28 +204,36 @@ pub(crate) fn loop_traces(
         return Ok(0);
     }
     let niters = is_while.then(|| LoopAnalysis::niters_sym(&analysis.label));
-    let state = ExecState::default();
-    civ_traces(env, sub, target, &analysis.civs, frame, niters, state)
+    let (civs, state) = (&analysis.civs, ExecState::default());
+    civ_traces(env, sub, target, shape, civs, frame, niters, state)
 }
 
 /// The slice driver: runs the CIV slice sequentially and records each
 /// traced scalar's value at every iteration entry (plus the post-loop
-/// value); `niters_sym` (for while loops) receives the trip count.
+/// value), a DO's indexed by its loop variable, a WHILE's by its trip
+/// from 1; `niters_sym` (for while loops) receives the trip count.
 /// Returns the work units charged to `state` (the tests give it a step
 /// budget). The slice — the dominant runtime-test cost for the
 /// `track`-style while loops — is compiled once per program. It is a
 /// runtime test, charged to `test_units`, so it runs with no tracer:
-/// its reads are not the loop's.
+/// its reads are not the loop's. A DO's bounds are charged to it too,
+/// but read from `shape`, the caller's evaluation of them (`None` for a
+/// WHILE), so a run reads them once.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn civ_traces(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
     target: &Stmt,
+    shape: Option<&DoShape<'_>>,
     civs: &[(Sym, Sym)],
     frame: &mut Store,
     niters_sym: Option<Sym>,
     mut state: ExecState,
 ) -> Result<u64, RunError> {
     let state = &mut state;
+    if let Some(shape) = shape {
+        state.charge(shape.units)?;
+    }
     let targets: BTreeSet<Sym> = civs.iter().map(|(s, _)| *s).collect();
     let mut extra: Vec<Sym> = civs.iter().map(|(s, _)| *s).collect();
     let mut traces: Vec<(Sym, Sym, Vec<Value>)> =
@@ -233,7 +242,7 @@ pub(crate) fn civ_traces(
     let mut step = |cb: &CompiledBody, f: &mut Frame, state: &mut ExecState| {
         cb.activate(env, f, None, state, None, &mut tally)
     };
-    match (env.do_shape(sub, target, frame, state)?, target) {
+    match (shape.copied(), target) {
         (Some(shape), _) => {
             extra.push(shape.var);
             let slice = extract_slice(shape.body, &targets);
@@ -244,6 +253,12 @@ pub(crate) fn civ_traces(
                 .map(|(s, _)| cb.chunk().scalar_slot(*s).expect("interned"))
                 .collect();
             let mut f = cb.frame(frame);
+            // Element `i` is the value on entry to iteration `i`, as
+            // the analysis' `s@trace(i)` and the chunks' seeding read
+            // it: the first `lo - 1` elements pad with the entry value.
+            if shape.traces_by_var() {
+                (1..shape.lo).for_each(|_| record(&f, &civ_slots, &mut traces));
+            }
             for i in shape.iters() {
                 f.set_scalar(var_slot, Value::Int(i));
                 record(&f, &civ_slots, &mut traces);
@@ -458,8 +473,12 @@ END
             let mut frame = Store::new();
             frame.set_int(sym("LO"), lo).set_int(sym("HI"), i64::MAX);
             frame.set_int(sym("civ"), 0);
-            let state = ExecState::with_budget(10_000);
-            let r = civ_traces(&env, &sub, &target, &civs, &mut frame, None, state);
+            let mut state = ExecState::with_budget(10_000);
+            let shape = env
+                .do_shape(&sub, &target, &frame, &mut state)
+                .expect("bounds");
+            let shape = shape.as_ref();
+            let r = civ_traces(&env, &sub, &target, shape, &civs, &mut frame, None, state);
             (r, frame)
         };
         // The last three iterations of the i64 range, then done.

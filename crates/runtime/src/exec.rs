@@ -43,7 +43,7 @@ use lip_usr::Exact;
 use crate::backend::{exec_stmt_seq, DoShape, ExecEnv};
 use crate::cache::CompiledBody;
 use crate::digest::{InputDigests, KeyCost};
-use crate::lrpd::LrpdOutcome;
+use crate::lrpd::{lrpd_execute_impl, LrpdOutcome};
 use crate::merge::{clone_buf, copy_back, identity_buf, merge_into};
 use crate::pool::{chunk_bounds, parallel_chunks_obs};
 use lip_vm::Frame;
@@ -377,18 +377,22 @@ fn run_loop_inner(
     frame: &mut Store,
     dt: &mut DecisionTrace,
 ) -> Result<RunStats, RunError> {
+    let shape = env.do_shape(sub, target, frame, &mut ExecState::default())?;
     // CIV-COMP: materialize traces + while-loop trip counts.
-    let mut test_units = crate::civ::loop_traces(env, sub, target, analysis, frame)?;
+    let mut test_units =
+        crate::civ::loop_traces(env, sub, target, shape.as_ref(), analysis, frame)?;
 
     // While loops execute sequentially in this executor (their parallel
     // form requires iteration re-indexing); the simulator models their
-    // parallel execution from the traces. The same goes for DO loops
-    // with a step other than 1: the chunked driver below assumes a
-    // unit-stride iteration space, so anything else runs sequentially
-    // rather than silently mis-iterating.
-    let shape = match env.do_shape(sub, target, frame, &mut ExecState::default())? {
-        Some(shape) if shape.step == 1 => shape,
-        _ => return run_sequential(env, sub, target, frame, test_units),
+    // parallel execution from the traces.
+    let Some(shape) = shape else {
+        let mut st = ExecState::default();
+        exec_stmt_seq(env, sub, target, frame, &mut st)?;
+        return Ok(RunStats {
+            outcome: ExecOutcome::Sequential,
+            test_units,
+            loop_units: st.cost,
+        });
     };
 
     // The whole-loop test phase: cascade, exact test and the reduction
@@ -398,7 +402,16 @@ fn run_loop_inner(
     // The analysis' fission plan, iff the session's fission knob is on.
     let fission = analysis.fission.as_deref().filter(|_| env.cache.fission);
     let tracing = env.cache.obs.trace_enabled();
+    let holds_sequential = |p: &lip_analysis::FissionPlan| {
+        (p.fragments.iter()).any(|f| f.analysis.class == LoopClass::StaticSequential)
+    };
     let route = match &analysis.class {
+        // The chunked driver assumes a unit stride, and seeds CIVs from
+        // traces indexed by the loop variable; anything else runs
+        // sequentially rather than silently mis-iterating.
+        _ if shape.step != 1 || !(analysis.civs.is_empty() || shape.traces_by_var()) => {
+            Route::Sequential
+        }
         LoopClass::StaticParallel => Route::Parallel(ExecOutcome::StaticParallel),
         LoopClass::StaticSequential => Route::Sequential,
         // Straight to speculation on the written arrays.
@@ -420,14 +433,7 @@ fn run_loop_inner(
                 // fragments that can be rescued run their own, smaller
                 // tests, and the sequential residue runs as it would
                 // have anyway.
-                (None, Some(fp))
-                    if fp
-                        .fragments
-                        .iter()
-                        .any(|f| f.analysis.class == LoopClass::StaticSequential) =>
-                {
-                    Route::Fission(fp)
-                }
+                (None, Some(fp)) if holds_sequential(fp) => Route::Fission(fp),
                 // Last resort (§5): exact USR evaluation, then TLS.
                 (None, _) => {
                     let (exact, hit) = exact_test(env, analysis, &mut inputs);
@@ -447,47 +453,29 @@ fn run_loop_inner(
             }
         }
     };
-    let outcome = match route {
-        Route::Parallel(outcome) => outcome,
-        Route::Sequential => return run_sequential(env, sub, target, frame, test_units),
+    let (outcome, loop_units) = match route {
         Route::Fission(fp) => return run_fissioned(env, sub, &shape, fp, frame, test_units, dt),
+        Route::Sequential => {
+            let units = run_seq_do(env, sub, &shape, frame)?;
+            (ExecOutcome::Sequential, 1 + shape.units + units)
+        }
         Route::Speculate => {
             let arrays: Vec<Sym> = analysis.arrays.keys().copied().collect();
             let plan = BodyPlan::of(analysis, &[]);
-            let (out, loop_units) =
-                crate::lrpd::lrpd_execute_impl(env, sub, &shape, frame, &arrays, &plan)?;
-            return Ok(RunStats {
-                outcome: ExecOutcome::Speculated(out),
-                test_units,
-                loop_units,
-            });
+            let (out, units) = lrpd_execute_impl(env, sub, &shape, frame, &arrays, &plan)?;
+            (ExecOutcome::Speculated(out), units)
+        }
+        Route::Parallel(outcome) => {
+            let plans = build_exec_plans(env, analysis, &mut inputs);
+            let plan = BodyPlan::of(analysis, &plans);
+            let units = run_parallel_do(env, sub, &shape, frame, &plan)?;
+            (outcome, units + shape.units)
         }
     };
-
-    let plans = build_exec_plans(env, analysis, &mut inputs);
-    let loop_units = run_parallel_do(env, sub, &shape, frame, &BodyPlan::of(analysis, &plans))?;
     Ok(RunStats {
         outcome,
         test_units,
-        loop_units: loop_units + shape.units,
-    })
-}
-
-/// The loop executed sequentially; reductions and privatization are
-/// unnecessary.
-fn run_sequential(
-    env: &ExecEnv<'_>,
-    sub: &lip_ir::Subroutine,
-    target: &Stmt,
-    frame: &mut Store,
-    test_units: u64,
-) -> Result<RunStats, RunError> {
-    let mut st = ExecState::default();
-    exec_stmt_seq(env, sub, target, frame, &mut st)?;
-    Ok(RunStats {
-        outcome: ExecOutcome::Sequential,
-        test_units,
-        loop_units: st.cost,
+        loop_units,
     })
 }
 
@@ -539,7 +527,8 @@ fn build_exec_plans(
 /// fragments) — so `loop_units` of a fissioned run equals the
 /// unfissioned sequential run on the same state. Fragments never enter
 /// speculation: LRPD's misspeculation re-runs would break that
-/// determinism for no model payoff.
+/// determinism for no model payoff. Each fragment's run, in chunks or
+/// sequential, leaves the loop variable where the sequential loop does.
 fn run_fissioned(
     env: &ExecEnv<'_>,
     sub: &lip_ir::Subroutine,
@@ -563,7 +552,7 @@ fn run_fissioned(
         let fshape = DoShape { body, ..*shape };
         let tests_before = test_units;
         // CIV traces first: a fragment's cascade may reference them.
-        test_units += crate::civ::loop_traces(env, sub, &frag.target, a, frame)?;
+        test_units += crate::civ::loop_traces(env, sub, &frag.target, Some(&fshape), a, frame)?;
         // The fragment's own tests, against the store as the fragments
         // before it left it; stage reports only for the explain record.
         let tracing = env.cache.obs.trace_enabled();
@@ -594,10 +583,6 @@ fn run_fissioned(
             dt.fragments.push(report);
         }
     }
-    // Sequential DO semantics leave the variable at its last value.
-    if shape.hi >= shape.lo {
-        frame.set_scalar(shape.var, Value::Int(shape.hi));
-    }
     Ok(RunStats {
         outcome: ExecOutcome::Fissioned {
             fragments: plan.fragments.len(),
@@ -609,23 +594,27 @@ fn run_fissioned(
     })
 }
 
-/// The unit-step DO `shape` run sequentially, charging only the body's
+/// The DO `shape` run sequentially, charging only the body's
 /// per-iteration costs (the DO and its bounds are the caller's): a
-/// fissioned loop's sequential residue, an aborted speculation's re-run.
+/// loop whose step or tests sent it sequential, a fissioned loop's
+/// sequential residue, an aborted speculation's re-run. A unit step
+/// runs as one activation, any other one per iteration.
 pub(crate) fn run_seq_do(
     env: &ExecEnv<'_>,
     sub: &lip_ir::Subroutine,
     shape: &DoShape<'_>,
     frame: &mut Store,
 ) -> Result<u64, RunError> {
-    if shape.hi < shape.lo {
-        return Ok(0);
-    }
     let cb = env.body(sub, shape.body, &[], &[shape.var])?;
     let mut f = cb.frame(frame);
     let slot = cb.chunk().scalar_slot(shape.var).expect("interned");
-    let (range, mut st) = (Some((slot, shape.lo, shape.hi)), ExecState::default());
-    cb.run(env, &mut f, range, &mut st, env.tracer())?;
+    let mut st = ExecState::default();
+    let mut run = |lo, hi| cb.run(env, &mut f, Some((slot, lo, hi)), &mut st, env.tracer());
+    match shape.step {
+        1 if shape.lo <= shape.hi => run(shape.lo, shape.hi)?,
+        1 => {}
+        _ => shape.iters().try_for_each(|i| run(i, i))?,
+    }
     f.writeback_scalars(cb.chunk(), frame);
     Ok(st.cost)
 }
@@ -777,9 +766,7 @@ fn run_parallel_do(
         let range = Some((c.var, c.lo, c.hi));
         c.cb.run(env, &mut c.f, range, &mut c.st, c.tracer)
     })?;
-    let units = chunks.units;
-    chunks.commit(frame);
-    Ok(units)
+    Ok(chunks.commit(frame))
 }
 
 /// One chunk of a chunked DO as [`run_chunks`] hands it to its runner:
@@ -970,10 +957,10 @@ impl Chunks<'_> {
     /// scalars from the last chunk, each scalar reduction its entry
     /// value plus every chunk's partial sum. Typed flat-slice kernels
     /// from [`crate::merge`] — Int buffers merge in `i64`, Real buffers
-    /// in `f64`, never through a boxed round-trip.
-    pub(crate) fn commit(self, frame: &mut Store) {
+    /// in `f64`, never through a boxed round-trip. The chunks' units.
+    pub(crate) fn commit(self, frame: &mut Store) -> u64 {
         let Some(last) = self.outs.last() else {
-            return;
+            return self.units;
         };
         let merge_start = self.obs.enabled().then(std::time::Instant::now);
         for out in &self.outs {
@@ -1009,6 +996,7 @@ impl Chunks<'_> {
         if let Some(start) = merge_start {
             (self.obs).record_ns("exec.merge_ns", start.elapsed().as_nanos() as u64);
         }
+        self.units
     }
 }
 

@@ -138,7 +138,9 @@ impl LoopHandle {
     /// work units; nothing to trace runs nothing.
     pub fn civ_traces(&self, frame: &mut Store) -> Result<u64, RunError> {
         let env = self.loaded.env();
-        crate::civ::loop_traces(&env, self.sub(), self.target(), self.analysis(), frame)
+        let (sub, target) = (self.sub(), self.target());
+        let shape = env.do_shape(sub, target, frame, &mut ExecState::default())?;
+        crate::civ::loop_traces(&env, sub, target, shape.as_ref(), self.analysis(), frame)
     }
 
     /// Runs the loop once sequentially on `frame` and returns the work

@@ -232,9 +232,7 @@ pub(crate) fn lrpd_execute_impl(
         .collect();
     let (conflict, chunks) = marked(env, sub, shape, frame, arrays, plan, env.tracer())?;
     if !conflict {
-        let units = shape.units + chunks.units;
-        chunks.commit(frame);
-        return Ok((LrpdOutcome::Committed, units));
+        return Ok((LrpdOutcome::Committed, shape.units + chunks.commit(frame)));
     }
     for (buf, backup) in &backups {
         copy_back(buf, backup);

@@ -434,9 +434,9 @@ pub mod compat {
     use lip_symbolic::{sym, Sym};
 
     use super::{Session, SessionBuilder};
-    use crate::backend::{exec_stmt_seq, DoShape, ExecEnv};
+    use crate::backend::{DoShape, ExecEnv};
     use crate::cache::ProgramCache;
-    use crate::exec::{BodyPlan, RunStats};
+    use crate::exec::{run_seq_do, BodyPlan, RunStats};
     use crate::lrpd::LrpdOutcome;
 
     /// The execution engine: fused `lip_vm` bytecode.
@@ -567,9 +567,11 @@ pub mod compat {
             frame: &mut Store,
             niters_sym: Option<Sym>,
         ) -> Result<u64, RunError> {
-            let state = ExecState::default();
+            let mut state = ExecState::default();
             self.compat_env(machine, |env| {
-                crate::civ::civ_traces(env, sub, target, civs, frame, niters_sym, state)
+                let shape = env.do_shape(sub, target, frame, &mut state)?;
+                let (shape, niters) = (shape.as_ref(), niters_sym);
+                crate::civ::civ_traces(env, sub, target, shape, civs, frame, niters, state)
             })
         }
 
@@ -595,10 +597,9 @@ pub mod compat {
                         let plan = BodyPlan::default();
                         crate::lrpd::lrpd_execute_impl(env, sub, &shape, frame, arrays, &plan)
                     }
-                    _ => {
-                        let mut st = ExecState::default();
-                        exec_stmt_seq(env, sub, target, frame, &mut st)?;
-                        Ok((LrpdOutcome::Committed, st.cost))
+                    shape => {
+                        let units = run_seq_do(env, sub, &shape, frame)?;
+                        Ok((LrpdOutcome::Committed, 1 + shape.units + units))
                     }
                 }
             })

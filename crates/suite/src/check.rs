@@ -18,9 +18,9 @@
 //! The [`Report`] holds one [`Verdict`] per comparison:
 //!
 //! 1. **store**: each session leg's store against the oracle's, on
-//!    every scalar and array the input binds, as tagged bits (`Int` or
-//!    `Real`, then the 64 bits). Names the run mints, such as CIV trace
-//!    arrays, are not outputs and are skipped;
+//!    every scalar and array the input binds and on a DO's variable, as
+//!    tagged bits (`Int` or `Real`, then the 64 bits). Names the run
+//!    mints, such as CIV trace arrays, are not outputs and are skipped;
 //! 2. **loop units**: the oracle's cost, less the DO statement's own
 //!    unit on the paths that run the body in chunks;
 //! 3. **test units**: the CIV slice run on the interpreter (which binds
@@ -166,10 +166,10 @@ pub fn observationally_sequential(session: &Session, handle: &LoopHandle, input:
     );
     let stats = run.unwrap_or_else(|e| panic!("{context}: the traced run failed: {e}"));
 
-    let unit_step = unit_step(&machine, unit, target, input);
+    let chunked = chunked(&machine, unit, target, analysis, input);
     let outcome = &stats.outcome;
     let (reference, charged) =
-        reference_run(&machine, unit, target, analysis, input, unit_step, outcome);
+        reference_run(&machine, unit, target, analysis, input, chunked, outcome);
     let passed = match stats.outcome {
         ExecOutcome::PredicatePassed { stage } => Some(stage),
         _ => None,
@@ -190,9 +190,15 @@ pub fn observationally_sequential(session: &Session, handle: &LoopHandle, input:
         compare("test units", &stats.test_units, &plain.test_units),
         compare("loop units", &stats.loop_units, &plain.loop_units),
     ];
+    // What the DO leaves in its variable is an output whether or not
+    // the input binds it.
+    let var = match target {
+        Stmt::Do { var, .. } => Some(*var),
+        _ => None,
+    };
     let stores = [
-        ("traced leg", compare_stores(input, &want, &after)),
-        ("handle leg", compare_stores(input, &want, &untraced)),
+        ("traced leg", compare_stores(input, var, &want, &after)),
+        ("handle leg", compare_stores(input, var, &want, &untraced)),
     ];
     Report {
         store: first_difference(stores.into_iter().map(|(leg, v)| match v {
@@ -202,7 +208,7 @@ pub fn observationally_sequential(session: &Session, handle: &LoopHandle, input:
         loop_units: compare("loop units", &(st.cost - do_unit), &stats.loop_units),
         test_units: compare("test units", &charged, &stats.test_units),
         accesses: compare_accesses(&seen.by_array(), &traced.by_array()),
-        stage: not_compared(analysis, unit_step).map_or_else(
+        stage: not_compared(analysis, chunked).map_or_else(
             || compare("passed stage", &reference.first_success, &passed),
             Verdict::NotCompared,
         ),
@@ -230,9 +236,9 @@ pub fn kernel(session: &Session, p: &crate::Prepared) -> Report {
 
 /// Why the stage comparison is not made for a run under `a`, if it is
 /// not: the one place such a reason is written.
-fn not_compared(a: &LoopAnalysis, unit_step: bool) -> Option<&'static str> {
-    if !unit_step {
-        Some("a WHILE, or a DO with a step other than 1, runs sequentially, untested")
+fn not_compared(a: &LoopAnalysis, chunked: bool) -> Option<&'static str> {
+    if !chunked {
+        Some("a WHILE, a DO with a step other than 1, or a CIV loop its variable cannot index, runs sequentially, untested")
     } else if !matches!(a.class, LoopClass::Predicated { .. }) {
         Some("the loop has no cascade")
     } else {
@@ -243,9 +249,9 @@ fn not_compared(a: &LoopAnalysis, unit_step: bool) -> Option<&'static str> {
 /// The whole loop's [`Reference`], read after its CIV slice bound the
 /// traces, and the test units the executor must charge for a run of
 /// `target` under `a` on `input` that ended in `outcome`: the slice,
-/// then — for a DO with step 1 — the whole loop's tests and, when the
-/// run was fissioned, each fragment's slice and tests on the store the
-/// fragments before it left. The exact test is left out where the
+/// then — for a DO it may run in chunks — the whole loop's tests and,
+/// when the run was fissioned, each fragment's slice and tests on the
+/// store the fragments before it left. The exact test is left out where the
 /// executor skips it: after a failed cascade, a plan that holds a
 /// statically sequential fragment distributes the loop without asking.
 fn reference_run(
@@ -254,7 +260,7 @@ fn reference_run(
     target: &Stmt,
     a: &LoopAnalysis,
     input: &Store,
-    unit_step: bool,
+    chunked: bool,
     outcome: &ExecOutcome,
 ) -> (Reference, u64) {
     let mut frame = deep_copy(input);
@@ -268,7 +274,7 @@ fn reference_run(
     };
     let exact = !plan.is_some_and(sequential_fragment);
     let whole = tests_reference(a, &frame, exact);
-    if unit_step {
+    if chunked {
         units += whole.units;
     }
     for frag in plan.iter().flat_map(|p| &p.fragments) {
@@ -285,24 +291,43 @@ fn reference_run(
     (whole, units)
 }
 
-/// Whether `target` is a DO with step 1 on `input`: one the executor
-/// may run in chunks.
-fn unit_step(machine: &Machine, unit: &Subroutine, target: &Stmt, input: &Store) -> bool {
-    match target {
-        Stmt::Do { step: None, .. } => true,
-        Stmt::Do { step: Some(e), .. } => {
-            let step = machine.eval(unit, input, e, &mut ExecState::default());
-            step.map(Value::as_i64) == Ok(1)
-        }
+/// Whether `target` under `a` is a DO the executor may run in chunks
+/// on `input`: step 1, and its CIVs' traces, if any, indexed by its
+/// variable.
+fn chunked(
+    machine: &Machine,
+    unit: &Subroutine,
+    target: &Stmt,
+    a: &LoopAnalysis,
+    input: &Store,
+) -> bool {
+    let Stmt::Do { lo, hi, step, .. } = target else {
+        return false;
+    };
+    let eval = |e| machine.eval(unit, input, e, &mut ExecState::default());
+    let (lo, hi) = (eval(lo).map(Value::as_i64), eval(hi).map(Value::as_i64));
+    let step = step.as_ref().map_or(Ok(1), |e| eval(e).map(Value::as_i64));
+    match (lo, hi, step) {
+        (Ok(lo), Ok(hi), Ok(1)) => a.civs.is_empty() || traces_by_var(lo, hi),
         _ => false,
     }
+}
+
+/// Whether the CIV traces of a unit-step DO from `lo` to `hi` are
+/// indexed by its variable: it starts at 1 or after, and the `lo - 1`
+/// elements that pad each trace are no more than the trace holds.
+fn traces_by_var(lo: i64, hi: i64) -> bool {
+    let trip = (hi as i128 - lo as i128 + 1).max(0);
+    lo >= 1 && lo as i128 - 1 <= trip + 1
 }
 
 /// The CIV slice of `target` under `a` run on the interpreter, as the
 /// executor runs it before its tests: each CIV's value at every
 /// iteration entry and after the loop, bound in `frame` under its trace
-/// name in the CIV's declared type, and a WHILE's trip count under
-/// `<label>@niters`. Its units; none when the loop has no slice.
+/// name in the CIV's declared type (a chunked DO's at the index of its
+/// loop variable, the elements before `lo` padded with the entry
+/// value), and a WHILE's trip count under `<label>@niters`. Its units;
+/// none when the loop has no slice.
 fn slice_reference(
     machine: &Machine,
     unit: &Subroutine,
@@ -335,6 +360,9 @@ fn slice_reference(
         let mut eval = |e| machine.eval(unit, &f, e, &mut st).expect(failed).as_i64();
         let (lo, hi) = (eval(lo), eval(hi));
         let step = step.as_ref().map_or(1, eval);
+        if step == 1 && traces_by_var(lo, hi) {
+            (1..lo).for_each(|_| record(&f));
+        }
         let mut i = Some(lo);
         while let Some(v) = i.filter(|&v| (step > 0 && v <= hi) || (step < 0 && v >= hi)) {
             f.set_scalar(*var, Value::Int(v));
@@ -452,11 +480,13 @@ fn tagged(v: Value) -> (char, u64) {
     }
 }
 
-/// `got` against `want` on every scalar and array `input` binds.
-fn compare_stores(input: &Store, want: &Store, got: &Store) -> Verdict {
-    let mut scalars: Vec<Sym> = input.scalars().map(|(s, _)| s).collect();
+/// `got` against `want` on every scalar and array `input` binds, and on
+/// `var`.
+fn compare_stores(input: &Store, var: Option<Sym>, want: &Store, got: &Store) -> Verdict {
+    let mut scalars: Vec<Sym> = input.scalars().map(|(s, _)| s).chain(var).collect();
     let mut arrays: Vec<Sym> = input.arrays().map(|(s, _)| s).collect();
     scalars.sort_unstable();
+    scalars.dedup();
     arrays.sort_unstable();
     for s in scalars {
         let (w, g) = (want.scalar(s).map(tagged), got.scalar(s).map(tagged));

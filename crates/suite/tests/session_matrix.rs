@@ -132,38 +132,20 @@ END
     }
 }
 
-/// A DO written with its step, `, 1`, runs in chunks like one without,
-/// and its step is charged once, as the interpreter charges it.
-#[test]
-fn an_explicit_unit_step_is_charged_as_the_interpreter_charges_it() {
-    let mut input = Store::new();
-    input.set_int(sym("N"), 64);
-    input.alloc_real(sym("A"), 64);
-    let b = input.alloc_real(sym("B"), 64);
-    (0..64).for_each(|k| b.set(k, Value::Real(k as f64 * 0.5)));
-    let src = "
-SUBROUTINE t(A, B, N)
-  DIMENSION A(*), B(*)
-  INTEGER i, N
-  DO l1 i = 1, N, 1
-    A(i) = B(i) * 2.0 + 1.0
-  ENDDO
-END
-";
-    for (fission, obs, nthreads) in matrix() {
-        let report = check_source(&session(fission, obs, nthreads), src, "l1", &input);
-        report.assert_sequential();
-        assert_eq!(report.stats.outcome, ExecOutcome::StaticParallel);
-    }
-}
-
 /// Scalars a loop carries or leaves behind: an affine induction
 /// variable read in the body (each chunk must start where the
 /// sequential loop has it), a `REAL` carried from one iteration into
 /// the next (its trace must not truncate it), a privatized scalar the
-/// caller sees afterwards (the last iteration's value, restored), and
-/// one assigned only under a condition that no iteration of the second
-/// half meets (the value an iteration of the first half left).
+/// caller sees afterwards (the last iteration's value, restored), one
+/// assigned only under a condition that no iteration of the second
+/// half meets (the value an iteration of the first half left), and a
+/// DO written with its step, `, 1`, which runs in chunks like one
+/// without and is charged its step once, as the interpreter charges
+/// it. A counter under a condition, a CIV, in a loop from 5: its trace
+/// is read at the loop variable's index, by the tests of the first row
+/// and by the chunks' seeding of the second, which the analysis proves
+/// parallel outright; from 0, no trace is so indexed, and the loop runs
+/// sequentially.
 #[test]
 fn scalars_a_loop_carries_or_leaves_are_the_sequential_ones() {
     let mut input = Store::new();
@@ -173,18 +155,32 @@ fn scalars_a_loop_carries_or_leaves_are_the_sequential_ones() {
     (0..42).for_each(|k| a.set(k, Value::Real(k as f64 * 0.75)));
     let b = input.alloc_real(sym("B"), 42);
     (0..42).for_each(|k| b.set(k, Value::Real((20.0 - k as f64) * 0.75)));
-    for body in [
-        "K = K + 2\n    A(i) = K",
-        "A(i) = T\n    T = B(i)",
-        "T = B(i) + 1.0\n    A(i) = T",
-        "A(i) = B(i) * 2.0\n    IF (B(i) .GT. 0) T = B(i)",
+    let civ = |cond: &str| format!("IF ({cond}) THEN\n K = K + 1\n A(K) = K\n ENDIF");
+    let (tested, proved) = (civ("B(i) .GT. 0"), civ("B(i) .LT. 16.0"));
+    let from_zero = civ("B(i + 1) .GT. 0");
+    for (bounds, body, chunked) in [
+        ("1, N", "K = K + 2\n    A(i) = K", true),
+        ("1, N", "A(i) = T\n    T = B(i)", true),
+        ("1, N", "T = B(i) + 1.0\n    A(i) = T", true),
+        (
+            "1, N",
+            "A(i) = B(i) * 2.0\n    IF (B(i) .GT. 0) T = B(i)",
+            true,
+        ),
+        ("5, N", &tested, true),
+        ("5, N", &proved, true),
+        ("0, N", &from_zero, false),
+        ("1, N, 1", "A(i) = B(i) * 2.0 + 1.0", true),
+        ("1, INT(B(1))", "A(i) = B(i) * 2.0 + 1.0", true),
+        ("1, INT(B(1))", "A(i + 1) = A(i) + B(i)", false),
+        ("2, INT(B(1))", &proved, true),
     ] {
         let src = format!(
             "
 SUBROUTINE t(A, B, T, K, N)
   DIMENSION A(*), B(*)
   INTEGER i, N, K
-  DO l1 i = 1, N
+  DO l1 i = {bounds}
     {body}
   ENDDO
 END
@@ -193,7 +189,8 @@ END
         for (fission, obs, nthreads) in matrix() {
             let report = check_source(&session(fission, obs, nthreads), &src, "l1", &input);
             report.assert_sequential();
-            assert_ne!(report.stats.outcome, ExecOutcome::Sequential, "{body}");
+            let sequential = report.stats.outcome == ExecOutcome::Sequential;
+            assert_eq!(sequential, !chunked, "{bounds}: {body}");
         }
     }
 }

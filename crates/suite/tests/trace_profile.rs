@@ -248,20 +248,35 @@ fn exact_test_is_counted_spanned_and_explained() {
 /// must report its reduction superinstructions like a parallel run.
 #[test]
 fn sequential_fallback_reports_reduction_dispatches_at_trace_level() {
-    let session = traced_session(2);
-    let mut p = lip_suite::INDEX_REDUCTION.prepared(256);
-    let loaded = session.load(p.machine.program().clone());
-    let (sub, label) = (sym(p.sub), p.label);
-    let mut analysis = session
-        .analyze(loaded.program(), sub, label)
-        .expect("analysis");
-    analysis.class = lip_analysis::LoopClass::StaticSequential;
-    let handle = loaded.prepare_analyzed(sub, label, Rc::new(analysis));
-    let stats = handle.expect("loop").run(&mut p.frame).expect("runs");
-    assert_eq!(stats.outcome, lip_runtime::ExecOutcome::Sequential);
-    let m = session.metrics();
-    let count = |name: &str| m.counter(name).unwrap_or(0);
-    assert!(count("vm.red_ops") > 0, "vm.red_ops missing: {m:?}");
-    assert!(count("vm.fused_ops") >= count("vm.red_ops"));
-    assert!(count("vm.ops") > count("vm.fused_ops"));
+    let dispatches = |class: Option<lip_analysis::LoopClass>| {
+        let session = traced_session(2);
+        let mut p = lip_suite::INDEX_REDUCTION.prepared(256);
+        let loaded = session.load(p.machine.program().clone());
+        let (sub, label) = (sym(p.sub), p.label);
+        let mut analysis = session
+            .analyze(loaded.program(), sub, label)
+            .expect("analysis");
+        if let Some(class) = class {
+            analysis.class = class;
+        }
+        let handle = loaded.prepare_analyzed(sub, label, Rc::new(analysis));
+        let stats = handle.expect("loop").run(&mut p.frame).expect("runs");
+        let m = session.metrics();
+        let count = |name: &str| m.counter(name).unwrap_or(0);
+        let counts = [count("vm.ops"), count("vm.fused_ops"), count("vm.red_ops")];
+        (stats.outcome, counts, format!("{m:?}"))
+    };
+    let (outcome, [ops, fused, red], m) =
+        dispatches(Some(lip_analysis::LoopClass::StaticSequential));
+    assert_eq!(outcome, lip_runtime::ExecOutcome::Sequential);
+    assert!(red > 0, "vm.red_ops missing: {m}");
+    assert!(fused >= red);
+    assert!(ops >= fused);
+    let (outcome, parallel, _) = dispatches(None);
+    assert_eq!(outcome, lip_runtime::ExecOutcome::StaticParallel);
+    assert_eq!(
+        [ops, fused, red],
+        parallel,
+        "the sequential run's dispatches"
+    );
 }

@@ -33,6 +33,9 @@
 #   * the shared chunk driver no longer seeding CIVs from their traces
 #     (a chunk past the first, parallel or speculated, restarts the
 #     counter: the store comparison);
+#   * the shared chunk driver no longer leaving the DO variable at its
+#     last value (the store comparison, which covers a DO's variable
+#     whether or not the input binds it);
 #   * the CIV slice run under the caller's tracer again (its reads reach
 #     the access comparison as if the loop made them);
 #   * LRPD's committed attempt no longer replayed to the caller's tracer
@@ -71,13 +74,18 @@ crates/vm/src/typed.rs
 
 $check_tests
 crates/runtime/src/exec.rs
-        loop_units: loop_units + shape.units,
-        loop_units: loop_units + shape.units + 1,
+            (outcome, units + shape.units)
+            (outcome, units + shape.units + 1)
 
 $check_tests
 crates/runtime/src/exec.rs
                 f.set_scalar(slot(*s), v);
                 let _ = (s, v);
+
+$check_tests
+crates/runtime/src/exec.rs
+            out.finals = std::iter::once((var, Value::Int(hi)))
+            out.finals = std::iter::empty()
 
 $check_tests
 crates/runtime/src/civ.rs
