@@ -647,11 +647,15 @@ fn classify(
         // "no iteration ever writes" case. Emitting it buries the
         // cascade under a constant-fail stage; privatization (§5) is
         // the sound plan, so the predicated arms below step aside.
-        let wf_invariant = !s.wf.is_empty() && !addresses_mention(&s.wf, it.var);
+        let wf_invariant = !s.wf.is_empty() && !addresses_mention(&s.wf, Some(it.var));
 
-        // Static last value.
+        // Static last value. An opaque address (`A(K)` after an IF
+        // that may have bumped `K`) stands for a value that may differ
+        // per iteration, so substituting `hi` for the loop variable
+        // does not make it the last iteration's: the equation would
+        // see every iteration write where the last one does.
         let slv = slv_equation(it.var, &it.lo, &it.hi, &s.wf);
-        let slv_static = prove_empty(cx, &mut f, &slv).is_true();
+        let slv_static = !addresses_mention(&s.wf, None) && prove_empty(cx, &mut f, &slv).is_true();
 
         if extended {
             techniques.insert(Technique::ExtRred);
@@ -891,13 +895,13 @@ fn mark_monotonicity(cascade: &Cascade, techniques: &mut BTreeSet<Technique>) {
     }
 }
 
-/// Whether any access *address* in `u` depends on `var`. Gate
-/// predicates are skipped on purpose: a gate decides whether the
-/// accesses happen, not where they land, and for output independence
-/// only the landing sites matter. Recurrence bounds count as
-/// address-varying (different iterations produce different index
-/// sets).
-fn addresses_mention(u: &Usr, var: Sym) -> bool {
+/// Whether any access *address* in `u` depends on `var`, or (with no
+/// `var`, only) on an opaque value. Gate predicates are skipped on
+/// purpose: a gate decides whether the accesses happen, not where they
+/// land, and for output independence only the landing sites matter.
+/// Recurrence bounds count as address-varying (different iterations
+/// produce different index sets).
+fn addresses_mention(u: &Usr, var: Option<Sym>) -> bool {
     match u.node() {
         UsrNode::Empty => false,
         // An opaque sym is a havoc placeholder for a runtime value the
@@ -906,7 +910,8 @@ fn addresses_mention(u: &Usr, var: Sym) -> bool {
         // `pos = INT(W(i))`). Addresses built on one are never
         // loop-invariant, whatever syms they mention textually.
         UsrNode::Leaf(set) => {
-            set.contains_sym(var) || set.syms().iter().any(|s| opaque_sym(&s.name()))
+            var.is_some_and(|v| set.contains_sym(v))
+                || set.syms().iter().any(|s| opaque_sym(&s.name()))
         }
         UsrNode::Union(a, b) | UsrNode::Intersect(a, b) | UsrNode::Subtract(a, b) => {
             addresses_mention(a, var) || addresses_mention(b, var)
@@ -930,8 +935,8 @@ fn addresses_mention(u: &Usr, var: Sym) -> bool {
             // same first element, so collisions persist. Only when the
             // body's addresses track the recurrence variable does an
             // outer-variant bound make the addresses outer-variant.
-            addresses_mention(body, var)
-                || ((lo.contains_sym(var) || hi.contains_sym(var)) && addresses_mention(body, *rv))
+            let bounds_vary = var.is_some_and(|v| lo.contains_sym(v) || hi.contains_sym(v));
+            addresses_mention(body, var) || (bounds_vary && addresses_mention(body, Some(*rv)))
         }
     }
 }

@@ -84,6 +84,13 @@ impl FissionPlan {
             .filter(|f| fragment_rescuable(&f.analysis))
             .count()
     }
+
+    /// Whether a fragment is statically sequential: it carries a
+    /// dependence the whole loop's exact test is certain to find again,
+    /// so a loop whose cascade failed is distributed without that test.
+    pub fn holds_sequential(&self) -> bool {
+        (self.fragments.iter()).any(|f| f.analysis.class == LoopClass::StaticSequential)
+    }
 }
 
 /// Whether a fragment classification admits deterministic parallel

@@ -242,6 +242,12 @@ fn try_cond(sub: &Subroutine, env: &SymEnv, e: &Expr) -> Option<BoolExpr> {
                 _ => None,
             };
             if let Some(cmp) = cmp {
+                // A predicate reads its operands as integers, so a REAL
+                // comparison is not one: `B(i) .GT. 0` on a `B(i)` of
+                // 0.75 holds where `0 > 0` does not.
+                if reads_real(sub, x) || reads_real(sub, y) {
+                    return None;
+                }
                 let a = expr_to_sym(sub, env, x)?;
                 let b = expr_to_sym(sub, env, y)?;
                 return Some(BoolExpr::cmp(cmp, a, b));
@@ -262,6 +268,17 @@ fn try_cond(sub: &Subroutine, env: &SymEnv, e: &Expr) -> Option<BoolExpr> {
         }
         Expr::Un(UnOp::Not, x) => Some(try_cond(sub, env, x)?.negated()),
         _ => None,
+    }
+}
+
+/// Whether `e` reads a `REAL` variable or element outside subscripts.
+fn reads_real(sub: &Subroutine, e: &Expr) -> bool {
+    match e {
+        Expr::Var(s) | Expr::Elem(s, _) => sub.ty_of(*s) == lip_ir::Ty::Real,
+        Expr::Bin(_, a, b) => reads_real(sub, a) || reads_real(sub, b),
+        Expr::Un(_, a) => reads_real(sub, a),
+        Expr::Intrin(_, args) => args.iter().any(|a| reads_real(sub, a)),
+        Expr::Int(_) | Expr::Real(_) => false,
     }
 }
 
@@ -316,13 +333,22 @@ END
     fn conditions_convert_with_complements() {
         let sub = simple_sub();
         let mut env = SymEnv::new();
-        let c = Expr::Bin(
-            BinOp::Ne,
-            Box::new(Expr::Var(sym("SYM"))),
-            Box::new(Expr::Int(1)),
+        let ne = |v: &str| {
+            Expr::Bin(
+                BinOp::Ne,
+                Box::new(Expr::Var(sym(v))),
+                Box::new(Expr::Int(1)),
+            )
+        };
+        let b = cond_to_bool(&sub, &mut env, &ne("KSYM"));
+        assert_eq!(
+            b,
+            BoolExpr::ne(SymExpr::var(sym("KSYM")), SymExpr::konst(1))
         );
-        let b = cond_to_bool(&sub, &mut env, &c);
-        assert_eq!(b, BoolExpr::ne(SymExpr::var(sym("SYM")), SymExpr::konst(1)));
+        // `SYM` is REAL (implicitly), and an integer predicate over it
+        // would truncate it: the condition stays opaque.
+        let real = cond_to_bool(&sub, &mut env, &ne("SYM"));
+        assert!(!real.syms().contains(&sym("SYM")), "{real:?}");
         // An unconvertible (real-valued) condition still yields a gate.
         let r = Expr::Bin(
             BinOp::Gt,

@@ -16,8 +16,10 @@
 //!   a serializable [`MetricsSnapshot`].
 //! - **[`LoopDecision`]** — the per-loop decision report behind
 //!   `Session::explain`: classification, every cascade stage tried
-//!   with cost and verdict, the fission plan and rescued fraction,
-//!   and the executor chosen; rendered as text or JSON.
+//!   with cost and verdict, the run's plan ([`PlanReport`]: why it
+//!   ran sequentially, each array's treatment, the test units by
+//!   component), the fission plan and rescued fraction, and the
+//!   executor chosen; rendered as text or JSON.
 //!
 //! The [`Obs`] handle bundles all three behind an [`ObsLevel`]: every
 //! recording call is gated on a single enum compare, so an `Off`
@@ -508,6 +510,90 @@ pub struct FragmentReport {
     pub exact_units: u64,
     /// Whether its verdict came out of the session's memo.
     pub exact_memo_hit: bool,
+    /// The fragment's plan: sequential reason, arrays, test units.
+    pub plan: PlanReport,
+}
+
+/// What a run tested before it ran, by component: work units, `None`
+/// for a test that did not run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TestUnits {
+    /// The CIV slice, which binds the traces the tests and the chunks
+    /// read (and a WHILE's trip count).
+    pub slice: Option<u64>,
+    /// The cascade stages evaluated.
+    pub stages: Option<u64>,
+    /// The exact test (charged on a memo hit as on a miss).
+    pub exact: Option<u64>,
+    /// A fissioned run's fragments' own tests.
+    pub fragments: u64,
+}
+
+impl TestUnits {
+    /// Every component's units.
+    pub fn total(&self) -> u64 {
+        let ran = [self.slice, self.stages, self.exact];
+        ran.iter().flatten().sum::<u64>() + self.fragments
+    }
+}
+
+/// A run's plan as a decision record shows it.
+#[derive(Clone, Debug, Default)]
+pub struct PlanReport {
+    /// Why the run was sequential, when it was so planned.
+    pub sequential_reason: Option<String>,
+    /// Each array's treatment on a chunked run: `(array, treatment)`.
+    pub arrays: Vec<(String, String)>,
+    /// What the tests charged, by component.
+    pub units: TestUnits,
+}
+
+impl PlanReport {
+    /// The report's text lines, each after `indent`.
+    fn render(&self, indent: &str, out: &mut String) {
+        if let Some(why) = &self.sequential_reason {
+            out.push_str(&format!("{indent}sequential: {why}\n"));
+        }
+        if !self.arrays.is_empty() {
+            let arrays: Vec<String> = (self.arrays.iter())
+                .map(|(a, t)| format!("{a} {t}"))
+                .collect();
+            out.push_str(&format!("{indent}arrays: {}\n", arrays.join(", ")));
+        }
+        let u = &self.units;
+        if u.slice.or(u.stages).or(u.exact).is_some() || u.fragments > 0 {
+            let part = |v: Option<u64>| v.map_or("-".to_owned(), |v| v.to_string());
+            let (slice, stages, exact) = (part(u.slice), part(u.stages), part(u.exact));
+            out.push_str(&format!(
+                "{indent}test units: slice {slice}, stages {stages}, exact {exact}"
+            ));
+            if u.fragments > 0 {
+                out.push_str(&format!(", fragments {}", u.fragments));
+            }
+            out.push('\n');
+        }
+    }
+
+    /// The report's members of a loop or fragment JSON object.
+    fn json(&self, w: &mut json::Writer<'_>) {
+        w.key("sequential_reason")
+            .opt_str(self.sequential_reason.as_deref());
+        w.key("arrays").begin_arr();
+        for (a, t) in &self.arrays {
+            w.begin_obj();
+            w.key("array").str(a);
+            w.key("treatment").str(t);
+            w.end_obj();
+        }
+        w.end_arr();
+        let u = &self.units;
+        w.key("test_units_by").begin_obj();
+        w.key("slice").opt_u64(u.slice);
+        w.key("stages").opt_u64(u.stages);
+        w.key("exact").opt_u64(u.exact);
+        w.key("fragments").u64(u.fragments);
+        w.end_obj();
+    }
 }
 
 /// The fission rescue as planned and executed for one loop.
@@ -555,6 +641,8 @@ pub struct LoopDecision {
     pub exact_units: u64,
     /// Whether its verdict came out of the session's memo.
     pub exact_memo_hit: bool,
+    /// The run's plan: sequential reason, arrays, test units.
+    pub plan: PlanReport,
     /// The fission rescue, when a plan existed.
     pub fission: Option<FissionReport>,
     /// The executor finally chosen (`parallel`, `sequential`,
@@ -583,6 +671,7 @@ impl LoopDecision {
             exact_test: None,
             exact_units: 0,
             exact_memo_hit: false,
+            plan: PlanReport::default(),
             fission: None,
             executor: String::new(),
             test_units: 0,
@@ -626,6 +715,7 @@ impl LoopDecision {
         if let Some(line) = exact_line(self.exact_test, self.exact_units, self.exact_memo_hit) {
             out.push_str(&format!("  {line}\n"));
         }
+        self.plan.render("  ", &mut out);
         if let Some(f) = &self.fission {
             out.push_str(&format!(
                 "  fission: {} fragments, rescued {}/{} units ({:.2})\n",
@@ -675,6 +765,7 @@ impl LoopDecision {
                 if let Some(line) = exact_line(fr.exact_test, fr.exact_units, fr.exact_memo_hit) {
                     out.push_str(&format!("      {line}\n"));
                 }
+                fr.plan.render("      ", &mut out);
                 out.push_str(&format!(
                     "      {}\n",
                     test_to_loop_line(fr.test_units, fr.units)
@@ -708,6 +799,7 @@ impl LoopDecision {
             w.key("passed_stage")
                 .opt_u64(self.passed_stage.map(|s| s as u64));
             exact_json(w, self.exact_test, self.exact_units, self.exact_memo_hit);
+            self.plan.json(w);
             w.key("fission");
             match &self.fission {
                 None => w.null(),
@@ -737,6 +829,7 @@ impl LoopDecision {
                         w.key("stages");
                         stages_json(w, &fr.stages);
                         exact_json(w, fr.exact_test, fr.exact_units, fr.exact_memo_hit);
+                        fr.plan.json(w);
                         w.end_obj();
                     }
                     w.end_arr();
@@ -1115,6 +1208,7 @@ mod tests {
                     exact_test: Some(true),
                     exact_units: 9,
                     exact_memo_hit: true,
+                    plan: PlanReport::default(),
                 },
                 FragmentReport {
                     label: "do20~f1".into(),
@@ -1126,6 +1220,7 @@ mod tests {
                     exact_test: None,
                     exact_units: 0,
                     exact_memo_hit: false,
+                    plan: PlanReport::default(),
                 },
             ],
             rescued_units: 50,

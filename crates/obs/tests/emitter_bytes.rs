@@ -3,11 +3,13 @@
 //! pinned here were captured from those (commit 90826ed), so the three
 //! `to_json`s kept theirs. The Chrome trace export did not, on purpose:
 //! its events used to be separated by `",\n"` and are now separated like
-//! everything else, by `", "`.
+//! everything else, by `", "`. A decision has since gained its plan's
+//! three members (`sequential_reason`, `arrays`, `test_units_by`), on a
+//! loop and on each fragment; every other byte is as captured.
 
 use lip_obs::{
-    FissionReport, FragmentReport, LoopDecision, MetricsSnapshot, Obs, ObsLevel, ProfileReport,
-    StageReport, TraceEvent, TraceKind, WORKER_LANE_BASE,
+    FissionReport, FragmentReport, LoopDecision, MetricsSnapshot, Obs, ObsLevel, PlanReport,
+    ProfileReport, StageReport, TestUnits, TraceEvent, TraceKind, WORKER_LANE_BASE,
 };
 
 fn stage(index: usize, complexity: u32, verdict: Option<bool>) -> StageReport {
@@ -72,6 +74,10 @@ fn the_three_to_jsons_keep_their_bytes() {
                 exact_test: None,
                 exact_units: 0,
                 exact_memo_hit: false,
+                plan: PlanReport {
+                    arrays: vec![("A".to_owned(), "shared".to_owned())],
+                    ..PlanReport::default()
+                },
             },
             FragmentReport {
                 label: "do1~f1".to_owned(),
@@ -83,23 +89,39 @@ fn the_three_to_jsons_keep_their_bytes() {
                 exact_test: Some(true),
                 exact_units: 40,
                 exact_memo_hit: true,
+                plan: PlanReport {
+                    sequential_reason: Some("its tests failed".to_owned()),
+                    arrays: Vec::new(),
+                    units: TestUnits {
+                        slice: Some(576),
+                        stages: Some(7),
+                        exact: Some(40),
+                        fragments: 0,
+                    },
+                },
             },
         ],
         rescued_units: 104,
         loop_units: 211,
     });
+    d.plan.units = TestUnits {
+        slice: None,
+        stages: Some(24),
+        exact: None,
+        fragments: 623,
+    };
     d.executor = "fissioned".to_owned();
     d.test_units = 623;
     d.loop_units = 211;
     assert_eq!(
         d.to_json(),
-        "{\"label\": \"do1\", \"kernel\": \"hoist \\\"indirect\\\"\", \"class\": \"Predicated\", \"stages\": [{\"index\": 0, \"complexity\": 0, \"cost_units\": 7, \"verdict\": \"fail\"}, {\"index\": 1, \"complexity\": 1, \"cost_units\": 17, \"verdict\": null}], \"passed_stage\": null, \"exact_test\": \"dependent\", \"exact_units\": 8822, \"exact_memo\": \"miss\", \"fission\": {\"fragments\": 2, \"parallel_fragments\": 1, \"rescued_units\": 104, \"loop_units\": 211, \"rescued_fraction\": 0.493, \"per_fragment\": [{\"label\": \"do1~f0\", \"class\": \"StaticParallel\", \"parallel\": true, \"units\": 104, \"test_units\": 0, \"share\": 0.493, \"stages\": [], \"exact_test\": null, \"exact_units\": 0, \"exact_memo\": null}, {\"label\": \"do1~f1\", \"class\": \"Predicated\", \"parallel\": false, \"units\": 107, \"test_units\": 623, \"share\": 0.507, \"stages\": [{\"index\": 0, \"complexity\": 2, \"cost_units\": 7, \"verdict\": \"pass\"}], \"exact_test\": \"independent\", \"exact_units\": 40, \"exact_memo\": \"hit\"}]}, \"executor\": \"fissioned\", \"test_units\": 623, \"loop_units\": 211}"
+        "{\"label\": \"do1\", \"kernel\": \"hoist \\\"indirect\\\"\", \"class\": \"Predicated\", \"stages\": [{\"index\": 0, \"complexity\": 0, \"cost_units\": 7, \"verdict\": \"fail\"}, {\"index\": 1, \"complexity\": 1, \"cost_units\": 17, \"verdict\": null}], \"passed_stage\": null, \"exact_test\": \"dependent\", \"exact_units\": 8822, \"exact_memo\": \"miss\", \"sequential_reason\": null, \"arrays\": [], \"test_units_by\": {\"slice\": null, \"stages\": 24, \"exact\": null, \"fragments\": 623}, \"fission\": {\"fragments\": 2, \"parallel_fragments\": 1, \"rescued_units\": 104, \"loop_units\": 211, \"rescued_fraction\": 0.493, \"per_fragment\": [{\"label\": \"do1~f0\", \"class\": \"StaticParallel\", \"parallel\": true, \"units\": 104, \"test_units\": 0, \"share\": 0.493, \"stages\": [], \"exact_test\": null, \"exact_units\": 0, \"exact_memo\": null, \"sequential_reason\": null, \"arrays\": [{\"array\": \"A\", \"treatment\": \"shared\"}], \"test_units_by\": {\"slice\": null, \"stages\": null, \"exact\": null, \"fragments\": 0}}, {\"label\": \"do1~f1\", \"class\": \"Predicated\", \"parallel\": false, \"units\": 107, \"test_units\": 623, \"share\": 0.507, \"stages\": [{\"index\": 0, \"complexity\": 2, \"cost_units\": 7, \"verdict\": \"pass\"}], \"exact_test\": \"independent\", \"exact_units\": 40, \"exact_memo\": \"hit\", \"sequential_reason\": \"its tests failed\", \"arrays\": [], \"test_units_by\": {\"slice\": 576, \"stages\": 7, \"exact\": 40, \"fragments\": 0}}]}, \"executor\": \"fissioned\", \"test_units\": 623, \"loop_units\": 211}"
     );
     let mut plain = LoopDecision::new("l");
     plain.passed_stage = Some(3);
     assert_eq!(
         plain.to_json(),
-        "{\"label\": \"l\", \"kernel\": null, \"class\": \"\", \"stages\": [], \"passed_stage\": 3, \"exact_test\": null, \"exact_units\": 0, \"exact_memo\": null, \"fission\": null, \"executor\": \"\", \"test_units\": 0, \"loop_units\": 0}"
+        "{\"label\": \"l\", \"kernel\": null, \"class\": \"\", \"stages\": [], \"passed_stage\": 3, \"exact_test\": null, \"exact_units\": 0, \"exact_memo\": null, \"sequential_reason\": null, \"arrays\": [], \"test_units_by\": {\"slice\": null, \"stages\": null, \"exact\": null, \"fragments\": 0}, \"fission\": null, \"executor\": \"\", \"test_units\": 0, \"loop_units\": 0}"
     );
 
     let obs = Obs::with_level(ObsLevel::Metrics);

@@ -1,18 +1,21 @@
 //! The one execution path: compiled, fused register bytecode.
 //!
-//! Every driver — the chunked DO of the predicate-guarded parallel path
-//! and of LRPD speculation, CIV slice precomputation, the measurement
-//! pass and the sequential fallbacks — takes one [`ExecEnv`] and runs
-//! loop iterations on the `lip_vm` VM through a `CompiledBody` fetched
-//! from the program's compile cache. The VM shares `lip_ir`'s
-//! value/runtime model (`Value`, `ArrayBuf`, `AccessTracer`, work-unit
-//! accounting), so outputs, traced access streams and work-unit counts
-//! are those of the tree-walking `lip_ir::Machine` — which is what the
-//! differential suites check. The environment's machine delivers READ
-//! inputs and the tracer, and evaluates a DO's bounds, in one place
-//! ([`ExecEnv::do_shape`]); no statement runs on it. A program beyond
-//! the VM's static limits is an explicit [`RunError::Unsupported`];
-//! `Machine::exec_stmt` remains the way to run one.
+//! Every driver a [`crate::Plan`] sends a run to — the chunked DO of
+//! the predicate-guarded parallel path and of LRPD speculation, the
+//! fission fragments, the sequential fallbacks — and those the plan
+//! runs itself (the CIV slice) or the cost model does (the measurement
+//! pass) take one [`ExecEnv`] and run loop iterations on the `lip_vm` VM
+//! through a `CompiledBody` fetched from the program's compile cache.
+//! The VM shares `lip_ir`'s value/runtime model (`Value`, `ArrayBuf`,
+//! `AccessTracer`, work-unit accounting), so outputs, traced access
+//! streams and work-unit counts are those of the tree-walking
+//! `lip_ir::Machine` — which is what the differential suites check. The
+//! environment's machine delivers READ inputs and the tracer, and
+//! evaluates a DO's bounds once per run ([`ExecEnv::do_shape`]) into the
+//! [`DoShape`] the plan carries and every driver reads; no statement
+//! runs on it. A program beyond the VM's static limits is an explicit
+//! [`RunError::Unsupported`]; `Machine::exec_stmt` remains the way to
+//! run one.
 
 use std::sync::Arc;
 
@@ -39,22 +42,17 @@ impl<'a> ExecEnv<'a> {
 
     /// The evaluated iteration space of `target`, `None` unless it is a
     /// DO: `lo`, `hi` and `step` in `frame`, each charged to `st` as the
-    /// interpreter charges them. The one place a driver evaluates an
+    /// interpreter charges them. The one place the runtime evaluates an
     /// expression on the tree-walker.
-    pub fn do_shape<'t>(
+    pub fn do_shape(
         &self,
         sub: &Subroutine,
-        target: &'t Stmt,
+        target: &Stmt,
         frame: &Store,
         st: &mut ExecState,
-    ) -> Result<Option<DoShape<'t>>, RunError> {
+    ) -> Result<Option<DoShape>, RunError> {
         let Stmt::Do {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-            ..
+            var, lo, hi, step, ..
         } = target
         else {
             return Ok(None);
@@ -71,7 +69,6 @@ impl<'a> ExecEnv<'a> {
             lo,
             hi,
             step,
-            body,
             units: st.cost - before,
         }))
     }
@@ -92,22 +89,35 @@ impl<'a> ExecEnv<'a> {
     }
 }
 
-/// The evaluated iteration space of a DO loop ([`ExecEnv::do_shape`]).
-#[derive(Clone, Copy)]
-pub(crate) struct DoShape<'a> {
+/// The evaluated iteration space of a DO loop, as a run evaluates it
+/// once, before it plans.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DoShape {
+    /// The loop variable.
     pub var: Sym,
+    /// The first value of the variable.
     pub lo: i64,
+    /// The bound it runs to.
     pub hi: i64,
+    /// The step (never 0).
     pub step: i64,
-    pub body: &'a [Stmt],
     /// What evaluating `lo`, `hi` and `step` charged.
     pub units: u64,
 }
 
-impl DoShape<'_> {
+/// The body of the DO statement `target`.
+pub(crate) fn do_body(target: &Stmt) -> &[Stmt] {
+    match target {
+        Stmt::Do { body, .. } => body,
+        _ => &[],
+    }
+}
+
+impl DoShape {
     /// Whether this DO's CIV traces are indexed by its variable
     /// (`civ::civ_traces`): a unit step from `lo` ≥ 1, padded by no
-    /// more elements than the trace holds. Only then do CIVs run chunked.
+    /// more elements than the trace holds. Only then do CIVs run
+    /// chunked. The one statement of the rule.
     pub fn traces_by_var(&self) -> bool {
         let trip = (self.hi as i128 - self.lo as i128 + 1).max(0);
         self.step == 1 && self.lo >= 1 && self.lo as i128 - 1 <= trip + 1

@@ -11,12 +11,11 @@
 
 use std::collections::BTreeSet;
 
-use lip_analysis::LoopAnalysis;
 use lip_ir::{ArrayBuf, ExecState, LValue, RunError, Stmt, Store, Subroutine, Ty, Value};
 use lip_symbolic::Sym;
 use lip_vm::Frame;
 
-use crate::backend::{DoShape, ExecEnv};
+use crate::backend::{do_body, DoShape, ExecEnv};
 use crate::cache::CompiledBody;
 
 /// Extracts the slice of `body` needed to compute `targets` each
@@ -189,25 +188,6 @@ fn expr_syms(e: &lip_ir::Expr) -> BTreeSet<Sym> {
     out
 }
 
-/// [`crate::LoopHandle::civ_traces`] of `target` under `analysis` (a
-/// run's first step), a DO's bounds evaluated in `shape`.
-pub(crate) fn loop_traces(
-    env: &ExecEnv<'_>,
-    sub: &Subroutine,
-    target: &Stmt,
-    shape: Option<&DoShape<'_>>,
-    analysis: &LoopAnalysis,
-    frame: &mut Store,
-) -> Result<u64, RunError> {
-    let is_while = matches!(target, Stmt::While { .. });
-    if analysis.civs.is_empty() && !is_while {
-        return Ok(0);
-    }
-    let niters = is_while.then(|| LoopAnalysis::niters_sym(&analysis.label));
-    let (civs, state) = (&analysis.civs, ExecState::default());
-    civ_traces(env, sub, target, shape, civs, frame, niters, state)
-}
-
 /// The slice driver: runs the CIV slice sequentially and records each
 /// traced scalar's value at every iteration entry (plus the post-loop
 /// value), a DO's indexed by its loop variable, a WHILE's by its trip
@@ -224,7 +204,7 @@ pub(crate) fn civ_traces(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
     target: &Stmt,
-    shape: Option<&DoShape<'_>>,
+    shape: Option<&DoShape>,
     civs: &[(Sym, Sym)],
     frame: &mut Store,
     niters_sym: Option<Sym>,
@@ -245,7 +225,7 @@ pub(crate) fn civ_traces(
     match (shape.copied(), target) {
         (Some(shape), _) => {
             extra.push(shape.var);
-            let slice = extract_slice(shape.body, &targets);
+            let slice = extract_slice(do_body(target), &targets);
             let cb = env.body(sub, &slice, &[], &extra)?;
             let var_slot = cb.chunk().scalar_slot(shape.var).expect("interned");
             let civ_slots: Vec<u16> = civs

@@ -1,24 +1,14 @@
 //! The conditional-parallelization executor (paper §5).
 //!
-//! [`crate::LoopHandle::run`] puts everything together for one
-//! analyzed loop:
-//!
-//! 1. precompute CIV traces via the loop slice (CIV-COMP),
-//! 2. evaluate the predicate cascade against live state (cheapest
-//!    stage first; the first success disables the rest), and when
-//!    every stage fails the hoisted exact USR test —
-//!    every verdict memoized under a key over the inputs it read, built
-//!    from one [`InputDigests`] table per test phase (the whole loop's
-//!    cascade, exact test and reduction cascades; each fission
-//!    fragment's), so a warm run reads each index array once, at memory
-//!    speed, and `run.fingerprint_ns` says what that cost,
-//! 3. execute: in parallel — with privatized copies (+ static/dynamic
-//!    last value), per-thread reduction buffers (or direct shared
-//!    updates when the runtime test proved independence) — or through
-//!    LRPD speculation when every predicate failed, or sequentially.
-//!    A dynamic last value merges, in chunk order, the elements each
-//!    chunk's write mask marks; the mask is keyed by the chunk's private
-//!    buffer, so writes through a callee's formal count.
+//! [`crate::LoopHandle::run`] is a [`crate::plan`] and its `execute`:
+//! the [`Plan`] sends the run in parallel — with privatized copies (+
+//! static/dynamic last value), per-thread reduction buffers (or direct
+//! shared updates when the runtime test proved independence) — through
+//! LRPD speculation, into fission fragments (each planned on the store
+//! the fragments before it left), or sequentially. A dynamic last value
+//! merges, in chunk order, the elements each chunk's write mask marks;
+//! the mask is keyed by the chunk's private buffer, so writes through a
+//! callee's formal count.
 //!
 //! The parallel path and LRPD run a DO's chunks through one driver,
 //! [`run_chunks`], which sets up every chunk, and leave what the loop
@@ -32,19 +22,17 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use lip_analysis::{ArrayPlan, FissionFragment, LastValue, LoopAnalysis, LoopClass};
+use lip_analysis::{FissionPlan, LoopAnalysis};
 use lip_ir::{
     AccessTracer, ArrayBuf, ArrayView, BinOp, ExecState, RunError, Stmt, Store, StoreCtx, Ty, Value,
 };
-use lip_obs::{FissionReport, FragmentReport, LoopDecision, StageReport};
 use lip_symbolic::Sym;
-use lip_usr::Exact;
 
-use crate::backend::{exec_stmt_seq, DoShape, ExecEnv};
+use crate::backend::{do_body, exec_stmt_seq, DoShape, ExecEnv};
 use crate::cache::CompiledBody;
-use crate::digest::{InputDigests, KeyCost};
 use crate::lrpd::{lrpd_execute_impl, LrpdOutcome};
 use crate::merge::{clone_buf, copy_back, identity_buf, merge_into};
+use crate::plan::{decide, fragment_label, plan, ExecPlan, Fragment, Plan, Route};
 use crate::pool::{chunk_bounds, parallel_chunks_obs};
 use lip_vm::Frame;
 
@@ -53,165 +41,6 @@ use lip_vm::Frame;
 /// trip counts. A constant, not a knob — a budget proportional to the
 /// guarded loop's work is ROADMAP's cost gate.
 pub const TEST_BUDGET: u64 = 100_000_000;
-
-/// [`crate::LoopHandle::cascade_test`] of any cascade (a loop's, a
-/// fragment's, a reduction plan's).
-pub(crate) fn cascade_test(
-    env: &ExecEnv<'_>,
-    cascade: &lip_core::Cascade,
-    inputs: &mut InputDigests<'_>,
-    report: Option<&mut Vec<StageReport>>,
-) -> (Option<usize>, u64) {
-    let ctx = StoreCtx(inputs.frame());
-    let mut fp =
-        |prog: &lip_pred::PredProgram| Some(inputs.key(prog.scalar_syms(), prog.array_syms()));
-    env.cache.pred.first_success(
-        cascade,
-        &ctx,
-        TEST_BUDGET,
-        env.cache.nthreads,
-        &mut fp,
-        report,
-    )
-}
-
-/// [`crate::LoopHandle::exact_test`] of `analysis`: the one-pass
-/// evaluator ([`lip_usr::exact`]) behind the program's memo.
-pub(crate) fn exact_test(
-    env: &ExecEnv<'_>,
-    analysis: &LoopAnalysis,
-    inputs: &mut InputDigests<'_>,
-) -> (Exact, bool) {
-    let (Some(usr), Some(key)) = (&analysis.ind_usr, analysis.exact_key()) else {
-        let undecided = Exact {
-            verdict: None,
-            units: 0,
-        };
-        return (undecided, false);
-    };
-    let obs = &env.cache.obs;
-    let span = obs.span("run.exact", || analysis.label.clone());
-    // Each free symbol is looked up both ways: the frame binds it as a
-    // scalar or as an array, and the side it does not bind hashes as
-    // "unbound".
-    let fingerprint = inputs.key(&key.syms, &key.syms);
-    let frame = inputs.frame();
-    let ((verdict, units), hit) =
-        env.cache
-            .pred
-            .exact_memo(&key.key, fingerprint, TEST_BUDGET, || {
-                let e = lip_usr::exact::independent(usr, &StoreCtx(frame), TEST_BUDGET);
-                (e.verdict, e.units)
-            });
-    obs.exit_span(
-        span,
-        match (verdict, hit) {
-            (Some(true), false) => "independent",
-            (Some(false), false) => "dependent",
-            (None, false) => "undecided",
-            (Some(true), true) => "independent (memo)",
-            (Some(false), true) => "dependent (memo)",
-            (None, true) => "undecided (memo)",
-        },
-    );
-    obs.count(
-        if hit {
-            "run.exact_memo_hits"
-        } else {
-            "run.exact_evals"
-        },
-        1,
-    );
-    obs.count("run.exact_units", units);
-    (Exact { verdict, units }, hit)
-}
-
-/// One fission fragment's runtime decision.
-pub struct FragmentTests {
-    /// Whether the fragment may run parallel.
-    pub parallel: bool,
-    /// Units its cascade and its exact test charged.
-    pub units: u64,
-    /// The cascade stages evaluated (empty unless asked for).
-    pub stages: Vec<StageReport>,
-    /// The exact test's result and memo hit, when it ran.
-    pub exact: Option<(Exact, bool)>,
-}
-
-/// [`crate::LoopHandle::fragment_tests`] of `a`, against `inputs` — a
-/// fresh table over the store as the fragments before it left it,
-/// shared with the fragment's reduction cascades (fragments never
-/// speculate).
-pub(crate) fn fragment_tests(
-    env: &ExecEnv<'_>,
-    a: &LoopAnalysis,
-    inputs: &mut InputDigests<'_>,
-    report: bool,
-) -> FragmentTests {
-    let mut t = FragmentTests {
-        parallel: false,
-        units: 0,
-        stages: Vec::new(),
-        exact: None,
-    };
-    let cascade_passed = match &a.class {
-        LoopClass::StaticParallel => true,
-        LoopClass::Predicated { .. } => {
-            let stages = report.then_some(&mut t.stages);
-            let (passed, units) = cascade_test(env, &a.cascade, inputs, stages);
-            t.units += units;
-            passed.is_some()
-        }
-        LoopClass::NeedsFallback(lip_analysis::FallbackKind::HoistUsr) => false,
-        _ => return t,
-    };
-    t.parallel = cascade_passed || {
-        let (exact, hit) = exact_test(env, a, inputs);
-        t.units += exact.units;
-        t.exact = Some((exact, hit));
-        exact.verdict == Some(true)
-    };
-    t
-}
-
-impl FragmentTests {
-    /// The explain record of `frag`, fragment number `k`, once it ran
-    /// (`parallel` or not) for `units` after `test_units` of tests.
-    pub fn report(
-        self,
-        frag: &FissionFragment,
-        k: usize,
-        parallel: bool,
-        units: u64,
-        test_units: u64,
-    ) -> FragmentReport {
-        let label = match &frag.target {
-            Stmt::Do { label: Some(l), .. } => l.clone(),
-            _ => format!("fragment {k}"),
-        };
-        let (exact_test, exact_units, exact_memo_hit) = exact_report(self.exact);
-        FragmentReport {
-            label,
-            class: format!("{:?}", frag.analysis.class),
-            parallel,
-            units,
-            test_units,
-            stages: self.stages,
-            exact_test,
-            exact_units,
-            exact_memo_hit,
-        }
-    }
-}
-
-/// An exact test's result as decision records carry it: `exact_test`,
-/// `exact_units`, `exact_memo_hit` (all blank when it did not run).
-pub fn exact_report(exact: Option<(Exact, bool)>) -> (Option<bool>, u64, bool) {
-    match exact {
-        Some((found, memo_hit)) => (found.verdict, found.units, memo_hit),
-        None => (None, 0, false),
-    }
-}
 
 /// How the loop ended up being executed.
 #[derive(Clone, Debug, PartialEq)]
@@ -245,6 +74,22 @@ pub enum ExecOutcome {
     },
 }
 
+impl ExecOutcome {
+    /// Whether the loop's iterations ran as chunks: a parallel run, or
+    /// a speculation that committed. Such a run charges the DO's bounds
+    /// but not the DO statement's own unit, which every other run
+    /// charges, as the interpreter does.
+    pub fn ran_in_chunks(&self) -> bool {
+        matches!(
+            self,
+            ExecOutcome::StaticParallel
+                | ExecOutcome::PredicatePassed { .. }
+                | ExecOutcome::ExactPredicatePassed
+                | ExecOutcome::Speculated(LrpdOutcome::Committed)
+        )
+    }
+}
+
 /// Execution statistics (work units are the deterministic interpreter
 /// cost model shared with the simulator).
 #[derive(Clone, Debug)]
@@ -252,34 +97,12 @@ pub struct RunStats {
     /// How the loop executed.
     pub outcome: ExecOutcome,
     /// Units spent on runtime tests (CIV slices, cascade stages and
-    /// the exact test's own count, memo hit or miss).
+    /// the exact test's own count, memo hit or miss): the plan's.
     pub test_units: u64,
     /// Units spent executing the loop body.
     pub loop_units: u64,
-}
-
-/// Per-array parallel-execution mode derived from the analysis.
-#[derive(Clone, Debug)]
-pub(crate) enum ExecPlan {
-    /// Access the shared buffer directly.
-    Shared,
-    /// Per-chunk private copy; `true` = static last value (the chunk
-    /// holding the last iteration writes back), `false` = dynamic last
-    /// value (chunk-ordered merge of written elements).
-    Private(bool),
-    /// Per-chunk identity-initialized buffer merged with the operator.
-    ReductionBuffer(BinOp),
-}
-
-/// Decision evidence of one run — stages, exact test, fragments (kept
-/// only when the observer keeps decisions) and what keying the tests
-/// cost — folded into a [`LoopDecision`] by [`run_loop_impl`].
-#[derive(Default)]
-struct DecisionTrace {
-    stages: Vec<StageReport>,
-    exact: Option<(Exact, bool)>,
-    fragments: Vec<FragmentReport>,
-    keys: KeyCost,
+    /// The run's plan, a fissioned run's fragments included.
+    pub plan: Plan,
 }
 
 /// How the chosen execution path reads in a decision report.
@@ -298,10 +121,10 @@ fn executor_name(outcome: &ExecOutcome) -> String {
     }
 }
 
-/// The executor driver behind [`crate::LoopHandle::run`]. When the
-/// session's observer is on, every run additionally records a
-/// [`LoopDecision`] under the loop's label (cascade stage verdicts,
-/// exact-test outcome, fission accounting, final executor).
+/// The executor driver behind [`crate::LoopHandle::run`]: [`plan`],
+/// then [`execute`]. When the session's observer is on, every run
+/// additionally records a [`lip_obs::LoopDecision`] under the loop's
+/// label (the plan, fission accounting, final executor).
 pub(crate) fn run_loop_impl(
     env: &ExecEnv<'_>,
     sub: &lip_ir::Subroutine,
@@ -309,303 +132,177 @@ pub(crate) fn run_loop_impl(
     analysis: &LoopAnalysis,
     frame: &mut Store,
 ) -> Result<RunStats, RunError> {
-    let mut dt = DecisionTrace::default();
-    dt.keys.timed = env.cache.obs.enabled();
-    let span = env.cache.obs.span("run.loop", || analysis.label.clone());
-    let result = run_loop_inner(env, sub, target, analysis, frame, &mut dt);
-    match &result {
-        Ok(stats) => {
-            env.cache
-                .obs
-                .exit_span(span, &executor_name(&stats.outcome));
-            if env.cache.obs.enabled() {
-                env.cache.obs.count("run.loops", 1);
-                env.cache.obs.count("run.test_units", stats.test_units);
-                env.cache.obs.count("run.loop_units", stats.loop_units);
-                // Key time apart from evaluation time: one sample per
-                // run that keyed a test, whatever the memo then answered.
-                if dt.keys.ns > 0 {
-                    env.cache.obs.count("run.fingerprint_elems", dt.keys.elems);
-                    env.cache.obs.record_ns("run.fingerprint_ns", dt.keys.ns);
-                }
-            }
-            // Decision records allocate (stage strings, map inserts);
-            // like spans, they are a `trace`-level instrument so the
-            // `metrics` level stays pure cheap aggregates.
-            if env.cache.obs.trace_enabled() {
-                let mut d = LoopDecision::new(&analysis.label);
-                d.class = format!("{:?}", analysis.class);
-                d.stages = std::mem::take(&mut dt.stages);
-                d.passed_stage = match stats.outcome {
-                    ExecOutcome::PredicatePassed { stage } => Some(stage),
-                    _ => None,
-                };
-                (d.exact_test, d.exact_units, d.exact_memo_hit) = exact_report(dt.exact);
-                d.executor = executor_name(&stats.outcome);
-                d.test_units = stats.test_units;
-                d.loop_units = stats.loop_units;
-                d.key_elems = dt.keys.elems;
-                d.key_ns = dt.keys.ns;
-                if let ExecOutcome::Fissioned { rescued_units, .. } = stats.outcome {
-                    d.fission = Some(FissionReport {
-                        fragments: std::mem::take(&mut dt.fragments),
-                        rescued_units,
-                        loop_units: stats.loop_units,
-                    });
-                }
-                env.cache.obs.record_decision(d);
-            }
+    let obs = &env.cache.obs;
+    let span = obs.span("run.loop", || analysis.label.clone());
+    let result = plan(env, sub, target, analysis, frame).and_then(|mut plan| {
+        let (outcome, loop_units, fragments) = execute(env, sub, target, analysis, &plan, frame)?;
+        for f in &fragments {
+            plan.units.fragments += f.plan.units.total();
+            plan.keys.elems += f.plan.keys.elems;
+            plan.keys.ns += f.plan.keys.ns;
         }
-        Err(e) => env.cache.obs.exit_span(span, &format!("error: {e:?}")),
+        plan.fragments = fragments;
+        Ok(RunStats {
+            outcome,
+            test_units: plan.units.total(),
+            loop_units,
+            plan,
+        })
+    });
+    let stats = match &result {
+        Ok(stats) => stats,
+        Err(e) => {
+            obs.exit_span(span, &format!("error: {e:?}"));
+            return result;
+        }
+    };
+    obs.exit_span(span, &executor_name(&stats.outcome));
+    if obs.enabled() {
+        obs.count("run.loops", 1);
+        obs.count("run.test_units", stats.test_units);
+        obs.count("run.loop_units", stats.loop_units);
+        // Key time apart from evaluation time: one sample per run that
+        // keyed a test, whatever the memo then answered.
+        let keys = stats.plan.keys;
+        if keys.ns > 0 {
+            obs.count("run.fingerprint_elems", keys.elems);
+            obs.record_ns("run.fingerprint_ns", keys.ns);
+        }
+    }
+    // Decision records allocate (stage strings, map inserts); like
+    // spans, they are a `trace`-level instrument so the `metrics` level
+    // stays pure cheap aggregates.
+    if obs.trace_enabled() {
+        let mut d = stats.plan.decision(analysis);
+        d.executor = executor_name(&stats.outcome);
+        d.loop_units = stats.loop_units;
+        if let Some(f) = &mut d.fission {
+            f.loop_units = stats.loop_units;
+        }
+        obs.record_decision(d);
     }
     result
 }
 
-/// Where a unit-stride DO loop's tests sent it.
-enum Route<'a> {
-    Parallel(ExecOutcome),
-    Sequential,
-    Speculate,
-    Fission(&'a lip_analysis::FissionPlan),
-}
-
-fn run_loop_inner(
+/// Runs `plan` for `target` on `frame`: the outcome, the loop units —
+/// the DO statement's own unit, unless the body ran as chunks, its
+/// bounds and the body's units, as the interpreter charges them — and
+/// a fissioned run's fragments.
+fn execute(
     env: &ExecEnv<'_>,
     sub: &lip_ir::Subroutine,
     target: &Stmt,
     analysis: &LoopAnalysis,
+    plan: &Plan,
     frame: &mut Store,
-    dt: &mut DecisionTrace,
-) -> Result<RunStats, RunError> {
-    let shape = env.do_shape(sub, target, frame, &mut ExecState::default())?;
-    // CIV-COMP: materialize traces + while-loop trip counts.
-    let mut test_units =
-        crate::civ::loop_traces(env, sub, target, shape.as_ref(), analysis, frame)?;
-
+) -> Result<(ExecOutcome, u64, Vec<Fragment>), RunError> {
     // While loops execute sequentially in this executor (their parallel
     // form requires iteration re-indexing); the simulator models their
     // parallel execution from the traces.
-    let Some(shape) = shape else {
+    let Some(shape) = plan.shape else {
         let mut st = ExecState::default();
         exec_stmt_seq(env, sub, target, frame, &mut st)?;
-        return Ok(RunStats {
-            outcome: ExecOutcome::Sequential,
-            test_units,
-            loop_units: st.cost,
-        });
+        return Ok((ExecOutcome::Sequential, st.cost, Vec::new()));
     };
-
-    // The whole-loop test phase: cascade, exact test and the reduction
-    // cascades of the plans all read this frame before anything writes
-    // it, so they share one digest table.
-    let mut inputs = InputDigests::new(frame, &mut dt.keys);
-    // The analysis' fission plan, iff the session's fission knob is on.
-    let fission = analysis.fission.as_deref().filter(|_| env.cache.fission);
-    let tracing = env.cache.obs.trace_enabled();
-    let holds_sequential = |p: &lip_analysis::FissionPlan| {
-        (p.fragments.iter()).any(|f| f.analysis.class == LoopClass::StaticSequential)
-    };
-    let route = match &analysis.class {
-        // The chunked driver assumes a unit stride, and seeds CIVs from
-        // traces indexed by the loop variable; anything else runs
-        // sequentially rather than silently mis-iterating.
-        _ if shape.step != 1 || !(analysis.civs.is_empty() || shape.traces_by_var()) => {
-            Route::Sequential
-        }
-        LoopClass::StaticParallel => Route::Parallel(ExecOutcome::StaticParallel),
-        LoopClass::StaticSequential => Route::Sequential,
-        // Straight to speculation on the written arrays.
-        LoopClass::NeedsFallback(_) => Route::Speculate,
-        // Knob off at run time (or a plan-less class, which the
-        // analysis never produces): plain sequential execution.
-        LoopClass::Fissioned { .. } => fission.map_or(Route::Sequential, Route::Fission),
-        LoopClass::Predicated { .. } => {
-            // Stage reports render predicate strings — only pay for
-            // that when the observer keeps decision records (trace).
-            let report = tracing.then_some(&mut dt.stages);
-            let (passed, units) = cascade_test(env, &analysis.cascade, &mut inputs, report);
-            test_units += units;
-            match (passed, fission) {
-                (Some(stage), _) => Route::Parallel(ExecOutcome::PredicatePassed { stage }),
-                // A fragment already classified statically sequential
-                // carries a dependence the whole-loop exact test is
-                // certain to find again, so distribute right away:
-                // fragments that can be rescued run their own, smaller
-                // tests, and the sequential residue runs as it would
-                // have anyway.
-                (None, Some(fp)) if holds_sequential(fp) => Route::Fission(fp),
-                // Last resort (§5): exact USR evaluation, then TLS.
-                (None, _) => {
-                    let (exact, hit) = exact_test(env, analysis, &mut inputs);
-                    test_units += exact.units;
-                    if tracing {
-                        dt.exact = Some((exact, hit));
-                    }
-                    match exact.verdict {
-                        Some(true) => Route::Parallel(ExecOutcome::ExactPredicatePassed),
-                        // Genuine dependences: the whole loop can't run
-                        // parallel, but a fission plan may still
-                        // salvage the independent fragments.
-                        Some(false) => fission.map_or(Route::Sequential, Route::Fission),
-                        None => Route::Speculate,
-                    }
-                }
-            }
-        }
-    };
-    let (outcome, loop_units) = match route {
-        Route::Fission(fp) => return run_fissioned(env, sub, &shape, fp, frame, test_units, dt),
-        Route::Sequential => {
-            let units = run_seq_do(env, sub, &shape, frame)?;
-            (ExecOutcome::Sequential, 1 + shape.units + units)
-        }
+    let body = do_body(target);
+    let mut fragments = Vec::new();
+    let (outcome, units) = match plan.route {
+        Route::Sequential(_) => (
+            ExecOutcome::Sequential,
+            run_seq_do(env, sub, &shape, body, frame)?,
+        ),
         Route::Speculate => {
             let arrays: Vec<Sym> = analysis.arrays.keys().copied().collect();
             let plan = BodyPlan::of(analysis, &[]);
-            let (out, units) = lrpd_execute_impl(env, sub, &shape, frame, &arrays, &plan)?;
+            let (out, units) = lrpd_execute_impl(env, sub, &shape, body, frame, &arrays, &plan)?;
             (ExecOutcome::Speculated(out), units)
         }
-        Route::Parallel(outcome) => {
-            let plans = build_exec_plans(env, analysis, &mut inputs);
-            let plan = BodyPlan::of(analysis, &plans);
-            let units = run_parallel_do(env, sub, &shape, frame, &plan)?;
-            (outcome, units + shape.units)
+        Route::Fission => {
+            let fp = analysis.fission.as_deref().expect("fissioned");
+            run_fissioned(env, sub, &shape, fp, frame, &mut fragments)?
+        }
+        route => {
+            let outcome = match route {
+                Route::Stage(stage) => ExecOutcome::PredicatePassed { stage },
+                Route::Exact => ExecOutcome::ExactPredicatePassed,
+                _ => ExecOutcome::StaticParallel,
+            };
+            let plan = BodyPlan::of(analysis, &plan.arrays);
+            (
+                outcome,
+                run_parallel_do(env, sub, &shape, body, frame, &plan)?,
+            )
         }
     };
-    Ok(RunStats {
-        outcome,
-        test_units,
-        loop_units,
-    })
+    let do_unit = u64::from(!outcome.ran_in_chunks());
+    Ok((outcome, do_unit + shape.units + units, fragments))
 }
 
-/// Lowers the per-array analysis plans to execution modes against live
-/// state (reduction cascades are evaluated here: a pass means direct
-/// shared updates, a fail means buffered merge).
-fn build_exec_plans(
-    env: &ExecEnv<'_>,
-    analysis: &LoopAnalysis,
-    inputs: &mut InputDigests<'_>,
-) -> Vec<(Sym, ExecPlan)> {
-    let mut plans = Vec::new();
-    for (arr, plan) in &analysis.arrays {
-        let mode = match plan {
-            ArrayPlan::ReadOnly | ArrayPlan::Independent | ArrayPlan::Predicated(_) => {
-                ExecPlan::Shared
-            }
-            ArrayPlan::Privatized { last_value, .. } => {
-                ExecPlan::Private(matches!(last_value, LastValue::Static))
-            }
-            ArrayPlan::Reduction { op, cascade, .. } => {
-                // No cascade stored = statically independent; a passing
-                // cascade proves distinct iterations touch distinct
-                // elements. Either way direct shared updates are safe;
-                // otherwise buffer per thread and merge. Reduction
-                // cascades were never charged to test_units (the plan
-                // decision is part of the codegen template).
-                let passes = |c| cascade_test(env, c, inputs, None).0.is_some();
-                if cascade.as_ref().is_none_or(passes) {
-                    ExecPlan::Shared
-                } else {
-                    ExecPlan::ReductionBuffer(*op)
-                }
-            }
-            ArrayPlan::Fallback(_) => ExecPlan::Shared, // handled above
-        };
-        plans.push((*arr, mode));
-    }
-    plans
-}
-
-/// Executes a distributed loop: fragments in program order, parallel
-/// where each fragment's own verdict (cascade / exact test) allows,
-/// sequentially otherwise.
-///
-/// Work-unit accounting reproduces the sequential interpreter exactly —
-/// one unit for the DO statement, bounds evaluated once, then every
-/// body statement charged per iteration (just partitioned across
-/// fragments) — so `loop_units` of a fissioned run equals the
-/// unfissioned sequential run on the same state. Fragments never enter
+/// Executes a distributed loop: fragments in program order, each
+/// planned on the store the fragments before it left (its plan and
+/// units pushed on `runs`), parallel where its own tests allow,
+/// sequentially otherwise. The body's units,
+/// every statement charged per iteration as the sequential loop charges
+/// it (just partitioned across fragments). Fragments never enter
 /// speculation: LRPD's misspeculation re-runs would break that
 /// determinism for no model payoff. Each fragment's run, in chunks or
 /// sequential, leaves the loop variable where the sequential loop does.
 fn run_fissioned(
     env: &ExecEnv<'_>,
     sub: &lip_ir::Subroutine,
-    shape: &DoShape<'_>,
-    plan: &lip_analysis::FissionPlan,
+    shape: &DoShape,
+    fp: &FissionPlan,
     frame: &mut Store,
-    mut test_units: u64,
-    dt: &mut DecisionTrace,
-) -> Result<RunStats, RunError> {
-    // Mirror the interpreter's DO accounting: the statement itself,
-    // then its bounds, once.
-    let mut loop_units = 1 + shape.units;
-    let mut rescued_units = 0u64;
-    let mut parallel = 0usize;
-
-    for frag in &plan.fragments {
-        let a = &frag.analysis;
-        let Stmt::Do { body, .. } = &frag.target else {
-            continue;
-        };
-        let fshape = DoShape { body, ..*shape };
-        let tests_before = test_units;
-        // CIV traces first: a fragment's cascade may reference them.
-        test_units += crate::civ::loop_traces(env, sub, &frag.target, Some(&fshape), a, frame)?;
-        // The fragment's own tests, against the store as the fragments
-        // before it left it; stage reports only for the explain record.
-        let tracing = env.cache.obs.trace_enabled();
-        let mut inputs = InputDigests::new(frame, &mut dt.keys);
-        let tests = fragment_tests(env, a, &mut inputs, tracing);
-        test_units += tests.units;
-        let ran_parallel = tests.parallel && shape.hi >= shape.lo;
+    runs: &mut Vec<Fragment>,
+) -> Result<(ExecOutcome, u64), RunError> {
+    let (mut units, mut rescued_units, mut parallel) = (0u64, 0u64, 0usize);
+    runs.reserve_exact(fp.fragments.len());
+    for (k, frag) in fp.fragments.iter().enumerate() {
+        let (target, a) = (&frag.target, &frag.analysis);
+        let plan = decide(env, sub, target, Some(*shape), a, frame, None, true)?;
+        let body = do_body(&frag.target);
+        let ran_parallel = plan.route.parallel() && shape.hi >= shape.lo;
         let frag_units = if ran_parallel {
-            let plans = build_exec_plans(env, a, &mut inputs);
-            let units = run_parallel_do(env, sub, &fshape, frame, &BodyPlan::of(a, &plans))?;
+            let body_plan = BodyPlan::of(&frag.analysis, &plan.arrays);
+            let units = run_parallel_do(env, sub, shape, body, frame, &body_plan)?;
             rescued_units += units;
             parallel += 1;
             units
         } else {
-            run_seq_do(env, sub, &fshape, frame)?
+            run_seq_do(env, sub, shape, body, frame)?
         };
-        loop_units += frag_units;
-        if tracing {
-            let (k, tested) = (dt.fragments.len(), test_units - tests_before);
-            let report = tests.report(frag, k, ran_parallel, frag_units, tested);
-            let how = if ran_parallel {
-                "parallel"
-            } else {
-                "sequential"
-            };
-            let what = || format!("{}: {how} ({frag_units} units)", report.label);
-            env.cache.obs.event("run.fragment", what);
-            dt.fragments.push(report);
-        }
+        units += frag_units;
+        env.cache.obs.event("run.fragment", || {
+            let how = ["sequential", "parallel"][usize::from(ran_parallel)];
+            format!("{}: {how} ({frag_units} units)", fragment_label(frag, k))
+        });
+        runs.push(Fragment {
+            plan,
+            parallel: ran_parallel,
+            units: frag_units,
+        });
     }
-    Ok(RunStats {
-        outcome: ExecOutcome::Fissioned {
-            fragments: plan.fragments.len(),
-            parallel,
-            rescued_units,
-        },
-        test_units,
-        loop_units,
-    })
+    let outcome = ExecOutcome::Fissioned {
+        fragments: fp.fragments.len(),
+        parallel,
+        rescued_units,
+    };
+    Ok((outcome, units))
 }
 
-/// The DO `shape` run sequentially, charging only the body's
-/// per-iteration costs (the DO and its bounds are the caller's): a
-/// loop whose step or tests sent it sequential, a fissioned loop's
+/// The DO `shape` over `body` run sequentially, charging only the
+/// body's per-iteration costs (the DO and its bounds are the caller's):
+/// a loop whose step or tests sent it sequential, a fissioned loop's
 /// sequential residue, an aborted speculation's re-run. A unit step
 /// runs as one activation, any other one per iteration.
 pub(crate) fn run_seq_do(
     env: &ExecEnv<'_>,
     sub: &lip_ir::Subroutine,
-    shape: &DoShape<'_>,
+    shape: &DoShape,
+    body: &[Stmt],
     frame: &mut Store,
 ) -> Result<u64, RunError> {
-    let cb = env.body(sub, shape.body, &[], &[shape.var])?;
+    let cb = env.body(sub, body, &[], &[shape.var])?;
     let mut f = cb.frame(frame);
     let slot = cb.chunk().scalar_slot(shape.var).expect("interned");
     let mut st = ExecState::default();
@@ -753,16 +450,17 @@ impl AccessTracer for WriteMasks<'_> {
     }
 }
 
-/// The unit-step DO `shape` run in chunks on `frame` under `plan`,
-/// then committed: the chunks' units.
+/// The unit-step DO `shape` over `body` run in chunks on `frame` under
+/// `plan`, then committed: the chunks' units.
 fn run_parallel_do(
     env: &ExecEnv<'_>,
     sub: &lip_ir::Subroutine,
-    shape: &DoShape<'_>,
+    shape: &DoShape,
+    body: &[Stmt],
     frame: &mut Store,
     plan: &BodyPlan<'_>,
 ) -> Result<u64, RunError> {
-    let chunks = run_chunks(env, sub, shape, frame, plan, |c| {
+    let chunks = run_chunks(env, sub, shape, body, frame, plan, |c| {
         let range = Some((c.var, c.lo, c.hi));
         c.cb.run(env, &mut c.f, range, &mut c.st, c.tracer)
     })?;
@@ -821,14 +519,13 @@ pub(crate) struct Chunks<'a> {
 pub(crate) fn run_chunks<'a>(
     env: &'a ExecEnv<'_>,
     sub: &'a lip_ir::Subroutine,
-    shape: &DoShape<'_>,
+    shape: &DoShape,
+    body: &[Stmt],
     frame: &Store,
     plan: &BodyPlan<'a>,
     runner: impl Fn(&mut ChunkRun<'_>) -> Result<(), RunError> + Sync,
 ) -> Result<Chunks<'a>, RunError> {
-    let DoShape {
-        var, lo, hi, body, ..
-    } = *shape;
+    let DoShape { var, lo, hi, .. } = *shape;
     let mut chunks = Chunks {
         outs: Vec::new(),
         units: 0,
@@ -842,10 +539,16 @@ pub(crate) fn run_chunks<'a>(
     let affine = affine_entries(frame, plan.affine);
     // Compile the loop body once; every worker thread then executes
     // bytecode through its own `Send` frame.
-    let mut extra: Vec<Sym> = vec![var];
-    extra.extend(plan.scalar_reds.iter().copied());
-    extra.extend(plan.civs.iter().map(|(s, _)| *s));
-    extra.extend(plan.scalar_finals.iter().copied());
+    // Slots for the loop variable and the scalars the chunks seed or
+    // leave, in a list only when there is more than the variable.
+    let (reds, civs, finals) = (plan.scalar_reds, plan.civs, plan.scalar_finals);
+    let extra: std::borrow::Cow<[Sym]> = if reds.is_empty() && civs.is_empty() && finals.is_empty()
+    {
+        std::slice::from_ref(&var).into()
+    } else {
+        let scalars = reds.iter().chain(civs.iter().map(|(s, _)| s)).chain(finals);
+        std::iter::once(var).chain(scalars.copied()).collect()
+    };
     let cb = env.body(sub, body, &[], &extra)?;
     let slot = |s: Sym| cb.chunk().scalar_slot(s).expect("interned");
     let nchunks = chunk_bounds(env.cache.nthreads, lo, hi).len();

@@ -1,13 +1,15 @@
 //! The parallel execution substrate (paper §5 "putting everything
 //! together").
 //!
-//! Given a [`lip_analysis::LoopAnalysis`], the [`exec`] module runs the
-//! loop: it evaluates the predicate cascade against live program state,
-//! precomputes CIV traces via a loop slice ([`civ`]), then executes the
-//! iterations — in parallel over real threads ([`pool`]) with
-//! privatization, last-value restoration and reduction merging, falling
-//! back to LRPD thread-level speculation ([`lrpd`]) or sequential
-//! execution when every test fails.
+//! Given a [`lip_analysis::LoopAnalysis`], a run is one decision and
+//! its execution. [`plan`] decides it — precomputing CIV traces via a
+//! loop slice ([`civ`]) and evaluating the predicate cascade against
+//! live program state — into one [`Plan`] value, which `explain`, the
+//! check and the cost model read too; the [`exec`] module runs it: the
+//! iterations in parallel over real threads ([`pool`]) with
+//! privatization, last-value restoration and reduction merging, LRPD
+//! thread-level speculation ([`lrpd`]), fission fragments, or
+//! sequential execution when every test fails.
 //!
 //! The [`sim`] module provides the pieces of the deterministic cost
 //! model (virtual `P` processors over interpreter work units:
@@ -33,17 +35,21 @@ pub mod exec;
 mod loaded;
 pub mod lrpd;
 pub mod merge;
+pub mod plan;
 pub mod pool;
 pub mod session;
 pub mod sim;
 
+pub use backend::DoShape;
 pub use cache::store_fingerprint;
 pub use civ::extract_slice;
 pub use digest::{InputDigests, KeyCost};
-pub use exec::{exact_report, ExecOutcome, FragmentTests, RunStats, TEST_BUDGET};
+pub use exec::{ExecOutcome, RunStats, TEST_BUDGET};
+pub use lip_obs::TestUnits;
 pub use loaded::{Loaded, LoopHandle};
 pub use lrpd::LrpdOutcome;
 pub use merge::{clone_buf, copy_back, identity_buf, merge_into};
+pub use plan::{ExecPlan, Fragment, Plan, Route, SeqReason};
 pub use pool::parallel_chunks;
 pub use session::compat::*;
 pub use session::{ConfigError, Session, SessionBuilder, SessionConfig};

@@ -2,22 +2,20 @@
 //! (§5) resolves once per loop — summaries, factorized cascade,
 //! compiled tests — so that an invocation pays only the test and the
 //! execution. A [`LoopHandle`]'s methods take only what changes between
-//! invocations: the `Store`, or the [`InputDigests`] of a test phase.
+//! invocations: the `Store`.
 
 use std::rc::Rc;
 use std::sync::Arc;
 
-use lip_analysis::{analyze_loop, AnalysisConfig, FissionFragment, LoopAnalysis};
+use lip_analysis::{analyze_loop, AnalysisConfig, LoopAnalysis};
 use lip_ir::{ExecState, Machine, Program, RunError, Stmt, Store, Subroutine};
-use lip_obs::StageReport;
 use lip_pred::EngineStats;
 use lip_symbolic::Sym;
-use lip_usr::Exact;
 
 use crate::backend::ExecEnv;
 use crate::cache::ProgramCache;
-use crate::digest::InputDigests;
-use crate::exec::{FragmentTests, RunStats};
+use crate::exec::RunStats;
+use crate::plan::Plan;
 use crate::Session;
 
 impl Session {
@@ -125,22 +123,24 @@ impl LoopHandle {
         &self.analysis
     }
 
-    /// Runs the loop on `frame`: CIV traces, predicate cascade, then
-    /// parallel, speculative or sequential execution (paper §5).
+    /// Runs the loop on `frame`: its [`LoopHandle::plan`], then
+    /// parallel, speculative, distributed or sequential execution
+    /// (paper §5).
     pub fn run(&self, frame: &mut Store) -> Result<RunStats, RunError> {
         let env = self.loaded.env();
         crate::exec::run_loop_impl(&env, self.sub(), self.target(), self.analysis(), frame)
     }
 
-    /// CIV-COMP (§3.3), a run's first step: binds the analysis' CIV
-    /// traces and, for a WHILE loop, the trip count (under
-    /// [`LoopAnalysis::niters_sym`]) into `frame`. Returns the slice's
-    /// work units; nothing to trace runs nothing.
-    pub fn civ_traces(&self, frame: &mut Store) -> Result<u64, RunError> {
+    /// How a run on `frame` would execute: the evaluated shape, the
+    /// route (for a sequential one, its reason), each array's treatment
+    /// and the test units by component. Planning runs what a run's
+    /// decision runs — the CIV slice, which binds its traces (and a
+    /// WHILE's trip count) into `frame`, and the tests — and executes
+    /// nothing; a fissioned route's fragments are planned as a run
+    /// reaches them, so here there are none.
+    pub fn plan(&self, frame: &mut Store) -> Result<Plan, RunError> {
         let env = self.loaded.env();
-        let (sub, target) = (self.sub(), self.target());
-        let shape = env.do_shape(sub, target, frame, &mut ExecState::default())?;
-        crate::civ::loop_traces(&env, sub, target, shape.as_ref(), self.analysis(), frame)
+        crate::plan::plan(&env, self.sub(), self.target(), self.analysis(), frame)
     }
 
     /// Runs the loop once sequentially on `frame` and returns the work
@@ -148,53 +148,6 @@ impl LoopHandle {
     pub fn per_iteration_costs(&self, frame: &mut Store) -> Result<Vec<u64>, RunError> {
         let (env, state) = (self.loaded.env(), ExecState::default());
         crate::sim::per_iteration_costs(&env, self.sub(), self.target(), frame, state)
-    }
-
-    /// The loop's cascade on `inputs.frame()`: the first passing stage
-    /// and the units charged. Verdicts are memoized under keys from
-    /// `inputs`, one test phase's digest table, so an array several
-    /// tests read is read once. `report` gets a [`StageReport`] per
-    /// evaluated stage (predicate strings: ask only for a decision
-    /// record); verdict and charge do not depend on it.
-    pub fn cascade_test(
-        &self,
-        inputs: &mut InputDigests<'_>,
-        report: Option<&mut Vec<StageReport>>,
-    ) -> (Option<usize>, u64) {
-        let env = self.loaded.env();
-        crate::exec::cascade_test(&env, &self.analysis().cascade, inputs, report)
-    }
-
-    /// The cascade's last resort (§5; HOIST-USR, §7): whether the
-    /// loop's `ind_usr` is empty on `inputs.frame()`, memoized under the
-    /// USR and a key over what it reads. The units are the evaluation's
-    /// count, charged on memo hit (the `bool`) and miss alike; no
-    /// `ind_usr` is undecided at no cost.
-    pub fn exact_test(&self, inputs: &mut InputDigests<'_>) -> (Exact, bool) {
-        crate::exec::exact_test(&self.loaded.env(), self.analysis(), inputs)
-    }
-
-    /// Decides fragment `frag` of this loop's fission plan as the
-    /// executor does: static parallel passes, a predicated fragment
-    /// tests its cascade, then the exact test, a hoisted-USR fallback
-    /// the exact test alone, anything else stays sequential.
-    pub fn fragment_tests(
-        &self,
-        frag: &FissionFragment,
-        inputs: &mut InputDigests<'_>,
-        report: bool,
-    ) -> FragmentTests {
-        crate::exec::fragment_tests(&self.loaded.env(), &frag.analysis, inputs, report)
-    }
-
-    /// [`LoopHandle::per_iteration_costs`] of fragment `frag`'s loop.
-    pub fn fragment_costs(
-        &self,
-        frag: &FissionFragment,
-        frame: &mut Store,
-    ) -> Result<Vec<u64>, RunError> {
-        let (env, state) = (self.loaded.env(), ExecState::default());
-        crate::sim::per_iteration_costs(&env, self.sub(), &frag.target, frame, state)
     }
 }
 

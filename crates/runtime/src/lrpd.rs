@@ -29,7 +29,7 @@
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use lip_ir::{AccessTracer, ArrayBuf, ArrayView, RunError, Store, Subroutine, Value};
+use lip_ir::{AccessTracer, ArrayBuf, ArrayView, RunError, Stmt, Store, Subroutine, Value};
 use lip_symbolic::Sym;
 
 use crate::backend::{DoShape, ExecEnv};
@@ -207,20 +207,21 @@ pub enum LrpdOutcome {
     Aborted,
 }
 
-/// The speculation driver on the unit-step DO `shape`: a chunked run
-/// under the shadows of `arrays`, committed when no two iterations
-/// met, otherwise restored from a backup and re-run sequentially.
-/// Either way `frame` ends as the sequential loop leaves it, the
-/// scalars `plan` names and the loop variable included.
+/// The speculation driver on the unit-step DO `shape` over `body`: a
+/// chunked run under the shadows of `arrays`, committed when no two
+/// iterations met, otherwise restored from a backup and re-run
+/// sequentially. Either way `frame` ends as the sequential loop leaves
+/// it, the scalars `plan` names and the loop variable included.
 ///
-/// The units are the bounds' and those of the run that produced the
-/// result. An aborted attempt's units depend on how far each chunk got
-/// before the conflict stopped it — on the schedule — so they are not
-/// charged to the loop but counted apart, as `lrpd.aborted_units`.
+/// The units are the body's in the run that produced the result. An
+/// aborted attempt's units depend on how far each chunk got before the
+/// conflict stopped it — on the schedule — so they are not charged to
+/// the loop but counted apart, as `lrpd.aborted_units`.
 pub(crate) fn lrpd_execute_impl(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
-    shape: &DoShape<'_>,
+    shape: &DoShape,
+    body: &[Stmt],
     frame: &mut Store,
     arrays: &[Sym],
     plan: &BodyPlan<'_>,
@@ -230,18 +231,19 @@ pub(crate) fn lrpd_execute_impl(
         .filter_map(|a| frame.array(*a))
         .map(|view| (view.buf.clone(), clone_buf(&view.buf)))
         .collect();
-    let (conflict, chunks) = marked(env, sub, shape, frame, arrays, plan, env.tracer())?;
+    let tracer = env.tracer();
+    let (conflict, chunks) = marked(env, sub, shape, body, frame, arrays, plan, tracer)?;
     if !conflict {
-        return Ok((LrpdOutcome::Committed, shape.units + chunks.commit(frame)));
+        return Ok((LrpdOutcome::Committed, chunks.commit(frame)));
     }
     for (buf, backup) in &backups {
         copy_back(buf, backup);
     }
     env.cache.obs.count("lrpd.aborted_units", chunks.units);
-    // The DO statement and its bounds, then the body, as the
-    // interpreter charges them.
-    let units = 1 + shape.units + run_seq_do(env, sub, shape, frame)?;
-    Ok((LrpdOutcome::Aborted, units))
+    Ok((
+        LrpdOutcome::Aborted,
+        run_seq_do(env, sub, shape, body, frame)?,
+    ))
 }
 
 /// The inspector's dry run (paper §1, citing Rauchwerger, Amato &
@@ -251,7 +253,8 @@ pub(crate) fn lrpd_execute_impl(
 pub(crate) fn dry_run(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
-    shape: &DoShape<'_>,
+    shape: &DoShape,
+    body: &[Stmt],
     frame: &Store,
     arrays: &[Sym],
 ) -> Result<(bool, u64), RunError> {
@@ -267,7 +270,7 @@ pub(crate) fn dry_run(
         );
     }
     let plan = BodyPlan::default();
-    let (conflict, chunks) = marked(env, sub, shape, &scratch, arrays, &plan, None)?;
+    let (conflict, chunks) = marked(env, sub, shape, body, &scratch, arrays, &plan, None)?;
     Ok((conflict, shape.units + chunks.units))
 }
 
@@ -275,10 +278,12 @@ pub(crate) fn dry_run(
 /// under its [`IterTracer`], marking the shadows of `arrays`; a chunk
 /// stops once a mark noticed a conflict. The verdict and the chunks.
 /// Without a conflict, the accesses go to `report` in chunk order.
+#[allow(clippy::too_many_arguments)]
 fn marked<'a>(
     env: &'a ExecEnv<'_>,
     sub: &'a Subroutine,
-    shape: &DoShape<'_>,
+    shape: &DoShape,
+    body: &[Stmt],
     frame: &Store,
     arrays: &[Sym],
     plan: &BodyPlan<'a>,
@@ -286,7 +291,7 @@ fn marked<'a>(
 ) -> Result<(bool, Chunks<'a>), RunError> {
     let spec = SpecState::new(frame, arrays);
     let held = Mutex::new(Vec::new());
-    let chunks = run_chunks(env, sub, shape, frame, plan, |c| {
+    let chunks = run_chunks(env, sub, shape, body, frame, plan, |c| {
         let chunk = report.map(|_| Mutex::new(Held::new(frame)));
         let mut tally = env.tally();
         for i in c.lo..=c.hi {

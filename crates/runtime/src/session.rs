@@ -434,9 +434,9 @@ pub mod compat {
     use lip_symbolic::{sym, Sym};
 
     use super::{Session, SessionBuilder};
-    use crate::backend::{DoShape, ExecEnv};
+    use crate::backend::{do_body, DoShape, ExecEnv};
     use crate::cache::ProgramCache;
-    use crate::exec::{run_seq_do, BodyPlan, RunStats};
+    use crate::exec::{run_seq_do, BodyPlan, ExecOutcome, RunStats};
     use crate::lrpd::LrpdOutcome;
 
     /// The execution engine: fused `lip_vm` bytecode.
@@ -487,7 +487,9 @@ pub mod compat {
         let one_chunk = Session::builder().nthreads(1).build();
         let (conflict, units) =
             one_chunk.compat_env(machine, |env| match lrpd_shape(env, sub, target, frame)? {
-                shape if shape.step == 1 => crate::lrpd::dry_run(env, sub, &shape, frame, arrays),
+                shape if shape.step == 1 => {
+                    crate::lrpd::dry_run(env, sub, &shape, do_body(target), frame, arrays)
+                }
                 _ => Err(RunError::Unsupported(sym(
                     "the dry run takes a DO with step 1",
                 ))),
@@ -501,12 +503,12 @@ pub mod compat {
     }
 
     /// `target`'s shape, for LRPD and the inspector.
-    fn lrpd_shape<'t>(
+    fn lrpd_shape(
         env: &ExecEnv<'_>,
         sub: &Subroutine,
-        target: &'t Stmt,
+        target: &Stmt,
         frame: &Store,
-    ) -> Result<DoShape<'t>, RunError> {
+    ) -> Result<DoShape, RunError> {
         let shape = env.do_shape(sub, target, frame, &mut ExecState::default())?;
         shape.ok_or(RunError::Unsupported(sym(
             "LRPD speculation takes a DO loop",
@@ -592,16 +594,16 @@ pub mod compat {
         ) -> Result<(LrpdOutcome, u64), RunError> {
             self.compat_env(machine, |env| {
                 let frame = &mut frame.clone();
-                match lrpd_shape(env, sub, target, frame)? {
-                    shape if shape.step == 1 => {
-                        let plan = BodyPlan::default();
-                        crate::lrpd::lrpd_execute_impl(env, sub, &shape, frame, arrays, &plan)
-                    }
-                    shape => {
-                        let units = run_seq_do(env, sub, &shape, frame)?;
-                        Ok((LrpdOutcome::Committed, 1 + shape.units + units))
-                    }
+                let (shape, body) = (lrpd_shape(env, sub, target, frame)?, do_body(target));
+                if shape.step != 1 {
+                    let units = run_seq_do(env, sub, &shape, body, frame)?;
+                    return Ok((LrpdOutcome::Committed, 1 + shape.units + units));
                 }
+                let plan = BodyPlan::default();
+                let (out, units) =
+                    crate::lrpd::lrpd_execute_impl(env, sub, &shape, body, frame, arrays, &plan)?;
+                let chunked = ExecOutcome::Speculated(out.clone()).ran_in_chunks();
+                Ok((out, u64::from(!chunked) + shape.units + units))
             })
         }
 

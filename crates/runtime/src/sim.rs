@@ -18,7 +18,7 @@
 
 use lip_ir::{ExecState, RunError, Stmt, Store, Subroutine, Value};
 
-use crate::backend::{exec_stmt_seq, ExecEnv};
+use crate::backend::{do_body, exec_stmt_seq, ExecEnv};
 use crate::pool::chunk_bounds;
 
 /// Runtime-test units charged on the critical path: small (O(1)-ish)
@@ -53,7 +53,7 @@ pub(crate) fn per_iteration_costs(
     let mut tally = env.tally();
     let costs = match (env.do_shape(sub, target, frame, state)?, target) {
         (Some(shape), _) => {
-            let cb = env.body(sub, shape.body, &[], &[shape.var])?;
+            let cb = env.body(sub, do_body(target), &[], &[shape.var])?;
             let var_slot = cb.chunk().scalar_slot(shape.var).expect("interned");
             let mut f = cb.frame(frame);
             let mut costs = Vec::new();

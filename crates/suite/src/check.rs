@@ -15,44 +15,48 @@
 //!   `Session::run_loop`, on `Machine::with_tracer`. It is the only
 //!   entry into the drivers that can trace.
 //!
-//! The [`Report`] holds one [`Verdict`] per comparison:
+//! The check reads the route from the traced leg's `Plan` rather than
+//! deciding it again, and its [`Report`] holds one [`Verdict`] per
+//! comparison:
 //!
 //! 1. **store**: each session leg's store against the oracle's, on
 //!    every scalar and array the input binds and on a DO's variable, as
 //!    tagged bits (`Int` or `Real`, then the 64 bits). Names the run
 //!    mints, such as CIV trace arrays, are not outputs and are skipped;
 //! 2. **loop units**: the oracle's cost, less the DO statement's own
-//!    unit on the paths that run the body in chunks;
-//! 3. **test units**: the CIV slice run on the interpreter (which binds
-//!    the traces the cascade reads), then the cascade's charge by
-//!    `Pdag::eval`, plus `lip_usr::exact::independent`'s units when the
-//!    cascade fails ([`reference_tests`], which the measurement table's
-//!    tests also compare with); for a fissioned run, each fragment's
-//!    slice and tests too, on the store the fragments before it left;
+//!    unit when the body ran as chunks;
+//! 3. **test units**: the reference of each test the plan ran — the
+//!    CIV slice on the interpreter (which binds the traces the cascade
+//!    reads), the cascade's charge by `Pdag::eval`,
+//!    `lip_usr::exact::independent`'s units ([`reference_tests`]) — and
+//!    for a fissioned run each fragment's, on the store the fragments
+//!    before it left;
 //! 4. **accesses**: per array name, the sorted `(kind, index)` events
 //!    of the traced leg against the oracle's;
-//! 5. **stage**: for a predicated loop, the stage that passed is the
-//!    reference's first success;
-//! 6. **legs**: the handle leg and the traced leg agree on outcome
-//!    and units.
+//! 5. **plan**: each claim of the plan, the loop's and each fragment's:
+//!    its shape is the interpreter's evaluation of the bounds, a route
+//!    that runs in chunks has the unit step and traces the chunk driver
+//!    assumes, and the route's licence or reason holds ("step ≠ 1" of
+//!    the shape, "fission off" of the session, "stage k passed" and
+//!    "tests failed" of the reference tests);
+//! 6. **legs**: the handle leg and the traced leg agree on route,
+//!    outcome and units.
 //!
-//! A comparison that cannot be made for a run says why, and every such
-//! reason is written in one function (`not_compared`), so no caller can
-//! switch a comparison off. ROADMAP item 1(b)'s race oracle goes beside
-//! `accesses`: the oracle leg already sees every access, and would
-//! record them per iteration to check the plan's claims.
+//! ROADMAP item 4's race oracle goes beside `accesses`, and would check
+//! the plan's per-array claims on the oracle's per-iteration accesses.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use lip_analysis::{FallbackKind, LoopAnalysis, LoopClass};
+use lip_analysis::{fragment_rescuable, FissionPlan, LoopAnalysis, LoopClass};
 use lip_ir::{
     AccessTracer, ArrayBuf, ArrayView, ExecState, Machine, Program, Stmt, Store, StoreCtx,
     Subroutine, Ty, Value,
 };
-use lip_runtime::{ExecOutcome, LoopHandle, LrpdOutcome, RunStats, Session, TEST_BUDGET};
+use lip_runtime::{DoShape, LoopHandle, Plan, Route, RunStats, SeqReason, Session, TEST_BUDGET};
 use lip_symbolic::Sym;
+use lip_usr::Exact;
 
 /// How one comparison ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -61,15 +65,13 @@ pub enum Verdict {
     Equal,
     /// They disagree, as described.
     Differs(String),
-    /// Not compared on this run, for the reason given.
-    NotCompared(&'static str),
 }
 
 /// What [`observationally_sequential`] found.
 pub struct Report {
     /// The loop and the session configuration it ran under.
     context: String,
-    /// The traced leg's outcome and units.
+    /// The traced leg's outcome, units and plan.
     pub stats: RunStats,
     /// The traced leg's store after the run.
     pub after: Store,
@@ -77,14 +79,15 @@ pub struct Report {
     pub store: Verdict,
     /// `loop_units` against the oracle's cost.
     pub loop_units: Verdict,
-    /// `test_units` against the reference: the CIV slice, the cascade,
-    /// the exact test, and a fissioned run's fragments.
+    /// `test_units` against the reference of each test the plan ran.
     pub test_units: Verdict,
     /// The traced access multiset against the oracle's.
     pub accesses: Verdict,
-    /// The stage that passed against the reference's first success.
-    pub stage: Verdict,
-    /// The handle leg's outcome and units against the traced leg's.
+    /// The plan's claims against the bounds, the analysis, the session
+    /// and the reference tests.
+    pub plan: Verdict,
+    /// The handle leg's route, outcome and units against the traced
+    /// leg's.
     pub legs: Verdict,
 }
 
@@ -95,7 +98,7 @@ impl Report {
             ("loop units", &self.loop_units),
             ("test units", &self.test_units),
             ("accesses", &self.accesses),
-            ("stage", &self.stage),
+            ("plan", &self.plan),
             ("legs", &self.legs),
         ]
     }
@@ -116,12 +119,12 @@ impl Report {
 
 impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {:?}", self.context, self.stats.outcome)?;
+        let route = self.stats.plan.route;
+        write!(f, "{}: {:?} by {route:?}", self.context, self.stats.outcome)?;
         for (name, v) in self.verdicts() {
             match v {
                 Verdict::Equal => write!(f, "\n  {name}: equal")?,
                 Verdict::Differs(d) => write!(f, "\n  {name}: DIFFERS: {d}")?,
-                Verdict::NotCompared(why) => write!(f, "\n  {name}: not compared: {why}")?,
             }
         }
         Ok(())
@@ -166,26 +169,10 @@ pub fn observationally_sequential(session: &Session, handle: &LoopHandle, input:
     );
     let stats = run.unwrap_or_else(|e| panic!("{context}: the traced run failed: {e}"));
 
-    let chunked = chunked(&machine, unit, target, analysis, input);
-    let outcome = &stats.outcome;
-    let (reference, charged) =
-        reference_run(&machine, unit, target, analysis, input, chunked, outcome);
-    let passed = match stats.outcome {
-        ExecOutcome::PredicatePassed { stage } => Some(stage),
-        _ => None,
-    };
-    // The paths that run the body in chunks evaluate the bounds but do
-    // not charge the DO statement itself.
-    let do_unit = match stats.outcome {
-        ExecOutcome::StaticParallel
-        | ExecOutcome::PredicatePassed { .. }
-        | ExecOutcome::ExactPredicatePassed
-        | ExecOutcome::Speculated(LrpdOutcome::Committed) => 1,
-        ExecOutcome::Sequential
-        | ExecOutcome::Fissioned { .. }
-        | ExecOutcome::Speculated(LrpdOutcome::Aborted) => 0,
-    };
+    let fission = analysis.fission.as_deref().filter(|_| cfg.fission);
+    let (charged, plan) = reference_run(&machine, unit, target, analysis, fission, input, &stats);
     let legs = [
+        compare("route", &stats.plan.route, &plain.plan.route),
         compare("outcome", &stats.outcome, &plain.outcome),
         compare("test units", &stats.test_units, &plain.test_units),
         compare("loop units", &stats.loop_units, &plain.loop_units),
@@ -200,6 +187,7 @@ pub fn observationally_sequential(session: &Session, handle: &LoopHandle, input:
         ("traced leg", compare_stores(input, var, &want, &after)),
         ("handle leg", compare_stores(input, var, &want, &untraced)),
     ];
+    let do_unit = u64::from(stats.outcome.ran_in_chunks());
     Report {
         store: first_difference(stores.into_iter().map(|(leg, v)| match v {
             Verdict::Differs(d) => Verdict::Differs(format!("{leg}: {d}")),
@@ -208,10 +196,7 @@ pub fn observationally_sequential(session: &Session, handle: &LoopHandle, input:
         loop_units: compare("loop units", &(st.cost - do_unit), &stats.loop_units),
         test_units: compare("test units", &charged, &stats.test_units),
         accesses: compare_accesses(&seen.by_array(), &traced.by_array()),
-        stage: not_compared(analysis, chunked).map_or_else(
-            || compare("passed stage", &reference.first_success, &passed),
-            Verdict::NotCompared,
-        ),
+        plan,
         legs: first_difference(legs),
         context,
         stats,
@@ -234,113 +219,165 @@ pub fn kernel(session: &Session, p: &crate::Prepared) -> Report {
     cold(session, prog, lip_symbolic::sym(p.sub), p.label, &p.frame)
 }
 
-/// Why the stage comparison is not made for a run under `a`, if it is
-/// not: the one place such a reason is written.
-fn not_compared(a: &LoopAnalysis, chunked: bool) -> Option<&'static str> {
-    if !chunked {
-        Some("a WHILE, a DO with a step other than 1, or a CIV loop its variable cannot index, runs sequentially, untested")
-    } else if !matches!(a.class, LoopClass::Predicated { .. }) {
-        Some("the loop has no cascade")
-    } else {
-        None
-    }
-}
-
-/// The whole loop's [`Reference`], read after its CIV slice bound the
-/// traces, and the test units the executor must charge for a run of
-/// `target` under `a` on `input` that ended in `outcome`: the slice,
-/// then — for a DO it may run in chunks — the whole loop's tests and,
-/// when the run was fissioned, each fragment's slice and tests on the
-/// store the fragments before it left. The exact test is left out where the
-/// executor skips it: after a failed cascade, a plan that holds a
-/// statically sequential fragment distributes the loop without asking.
+/// The test units a run of `target` under `a` on `input` must charge
+/// for the tests `stats`' plan says it ran, and whether the plan's
+/// claims hold: the loop's, then, for a fissioned run, each fragment's,
+/// on the store the fragments before it left. `fission` is the
+/// analysis' fission plan when the session honours it.
 fn reference_run(
     machine: &Machine,
     unit: &Subroutine,
     target: &Stmt,
     a: &LoopAnalysis,
+    fission: Option<&FissionPlan>,
     input: &Store,
-    chunked: bool,
-    outcome: &ExecOutcome,
-) -> (Reference, u64) {
-    let mut frame = deep_copy(input);
-    let mut units = slice_reference(machine, unit, target, a, &mut frame);
-    let plan = match outcome {
-        ExecOutcome::Fissioned { .. } => a.fission.as_deref(),
+    stats: &RunStats,
+) -> (u64, Verdict) {
+    let plan = &stats.plan;
+    let bounds = |s: DoShape| (s.var, s.lo, s.hi, s.step, s.units);
+    let shape = match target {
+        Stmt::Do {
+            var, lo, hi, step, ..
+        } => {
+            let mut st = ExecState::default();
+            let mut eval = |e| {
+                let v = machine.eval(unit, input, e, &mut st);
+                v.expect("the oracle evaluates the bounds").as_i64()
+            };
+            let (lo, hi, step) = (eval(lo), eval(hi), step.as_ref().map_or(1, &mut eval));
+            Some((*var, lo, hi, step, st.cost))
+        }
         _ => None,
     };
-    let sequential_fragment = |p: &lip_analysis::FissionPlan| {
-        (p.fragments.iter()).any(|f| f.analysis.class == LoopClass::StaticSequential)
-    };
-    let exact = !plan.is_some_and(sequential_fragment);
-    let whole = tests_reference(a, &frame, exact);
-    if chunked {
-        units += whole.units;
+    let mut frame = deep_copy(input);
+    let (mut units, r) = planned(machine, unit, target, a, &mut frame, plan);
+    let mut claims = route_holds(plan, a, &r, fission, false);
+    if plan.shape.map(bounds) != shape {
+        claims = Err(format!("shape {:?} against {shape:?}", plan.shape));
     }
-    for frag in plan.iter().flat_map(|p| &p.fragments) {
-        let fa = &frag.analysis;
-        units += slice_reference(machine, unit, &frag.target, fa, &mut frame);
-        units += match fa.class {
-            // A fragment the exact test may rescue runs it.
-            LoopClass::NeedsFallback(FallbackKind::HoistUsr) => exact_units(fa, &frame),
-            _ => tests_reference(fa, &frame, true).units,
+    let frags = match (plan.route, fission) {
+        (Route::Fission, Some(f)) => &f.fragments[..],
+        _ => &[],
+    };
+    if frags.len() != plan.fragments.len() {
+        let n = plan.fragments.len();
+        claims = Err(format!("{n} fragment plans for {} fragments", frags.len()));
+    }
+    for (k, (frag, run)) in frags.iter().zip(&plan.fragments).enumerate() {
+        let (fa, ft, fp) = (&frag.analysis, &frag.target, &run.plan);
+        let (u, r) = planned(machine, unit, ft, fa, &mut frame, fp);
+        units += u;
+        let holds = if fp.shape == plan.shape {
+            route_holds(fp, fa, &r, None, true)
+        } else {
+            Err(format!("shape {:?}", fp.shape))
         };
-        let ran = machine.exec_stmt(unit, &mut frame, &frag.target, &mut ExecState::default());
+        claims = claims.and(holds.map_err(|e| format!("fragment {k}: {e}")));
+        let ran = machine.exec_stmt(unit, &mut frame, ft, &mut ExecState::default());
         ran.unwrap_or_else(|e| panic!("a fragment failed on the oracle: {e}"));
     }
-    (whole, units)
+    (
+        units,
+        claims.map_or_else(Verdict::Differs, |()| Verdict::Equal),
+    )
 }
 
-/// Whether `target` under `a` is a DO the executor may run in chunks
-/// on `input`: step 1, and its CIVs' traces, if any, indexed by its
-/// variable.
-fn chunked(
-    machine: &Machine,
-    unit: &Subroutine,
-    target: &Stmt,
-    a: &LoopAnalysis,
-    input: &Store,
-) -> bool {
-    let Stmt::Do { lo, hi, step, .. } = target else {
-        return false;
-    };
-    let eval = |e| machine.eval(unit, input, e, &mut ExecState::default());
-    let (lo, hi) = (eval(lo).map(Value::as_i64), eval(hi).map(Value::as_i64));
-    let step = step.as_ref().map_or(Ok(1), |e| eval(e).map(Value::as_i64));
-    match (lo, hi, step) {
-        (Ok(lo), Ok(hi), Ok(1)) => a.civs.is_empty() || traces_by_var(lo, hi),
-        _ => false,
-    }
-}
-
-/// Whether the CIV traces of a unit-step DO from `lo` to `hi` are
-/// indexed by its variable: it starts at 1 or after, and the `lo - 1`
-/// elements that pad each trace are no more than the trace holds.
-fn traces_by_var(lo: i64, hi: i64) -> bool {
-    let trip = (hi as i128 - lo as i128 + 1).max(0);
-    lo >= 1 && lo as i128 - 1 <= trip + 1
-}
-
-/// The CIV slice of `target` under `a` run on the interpreter, as the
-/// executor runs it before its tests: each CIV's value at every
-/// iteration entry and after the loop, bound in `frame` under its trace
-/// name in the CIV's declared type (a chunked DO's at the index of its
-/// loop variable, the elements before `lo` padded with the entry
-/// value), and a WHILE's trip count under `<label>@niters`. Its units;
-/// none when the loop has no slice.
-fn slice_reference(
+/// One plan, a loop's or a fragment's, against the interpreter on
+/// `frame`: the slice the plan ran, run on the interpreter, which binds
+/// its traces into `frame`, and the reference of the tests the plan
+/// ran. Their units, and that reference.
+fn planned(
     machine: &Machine,
     unit: &Subroutine,
     target: &Stmt,
     a: &LoopAnalysis,
     frame: &mut Store,
+    plan: &Plan,
+) -> (u64, Reference) {
+    let slice = match plan.units.slice {
+        Some(_) => slice_reference(machine, unit, target, a, plan.shape, frame),
+        None => 0,
+    };
+    let (cascade, exact) = (plan.units.stages.is_some(), plan.units.exact.is_some());
+    let r = tests_reference(a, frame, cascade, exact);
+    (slice + r.units, r)
+}
+
+/// Whether `plan`'s route holds of `a`'s loop, a `fragment` of a
+/// fissioned run or not: a route that runs in chunks has the unit step
+/// and traces the chunk driver assumes, and each licence or reason is
+/// true of the shape, the class, the session (`fission`: the analysis'
+/// plan when the session honours it) and the reference `r` of the
+/// tests the plan ran. A test-decided route of a predicated class ran
+/// its cascade.
+fn route_holds(
+    plan: &Plan,
+    a: &LoopAnalysis,
+    r: &Reference,
+    fission: Option<&FissionPlan>,
+    fragment: bool,
+) -> Result<(), String> {
+    use LoopClass as C;
+    use Route::*;
+    use SeqReason as Why;
+    let exact = r.exact.map(|e| e.verdict);
+    let holds = plan
+        .shape
+        .map_or(plan.route == Sequential(Why::While), |s| {
+            let chunkable = s.step == 1 && (a.civs.is_empty() || s.traces_by_var());
+            let tested = plan.units.stages.is_some();
+            // No stage passed, and the cascade ran iff the class has one.
+            let failed =
+                r.first_success.is_none() && tested == matches!(a.class, C::Predicated { .. });
+            let fissioned = matches!(a.class, C::Fissioned { .. });
+            let dependent = exact == Some(Some(false));
+            match plan.route {
+                Sequential(Why::Step) => s.step != 1,
+                Sequential(Why::Traces) => s.step == 1 && !chunkable,
+                _ if !chunkable => false,
+                Sequential(Why::While) => false,
+                Sequential(Why::StaticSequential) => {
+                    a.class == C::StaticSequential || fragment && !fragment_rescuable(a)
+                }
+                Sequential(Why::FissionOff) => fissioned && fission.is_none(),
+                Sequential(Why::TestsFailed) => {
+                    failed && fission.is_none() && (dependent || fragment && exact == Some(None))
+                }
+                Static => a.class == C::StaticParallel,
+                Stage(k) => tested && r.first_success == Some(k),
+                Exact => failed && exact == Some(Some(true)),
+                Speculate => {
+                    let undecided = failed && exact == Some(None);
+                    !fragment && (matches!(a.class, C::NeedsFallback(_)) || undecided)
+                }
+                Fission => fission.is_some_and(|f| {
+                    let skipped = exact.is_none() && f.holds_sequential();
+                    fissioned || failed && (dependent || skipped)
+                }),
+            }
+        });
+    let why = || format!("first success {:?}, exact test {exact:?}", r.first_success);
+    (holds.then_some(())).ok_or_else(|| format!("{:?} does not hold ({})", plan.route, why()))
+}
+
+/// The CIV slice of `target` under `a` run on the interpreter, as the
+/// executor runs it before its tests: each CIV's value at every
+/// iteration entry and after the loop, bound in `frame` under its trace
+/// name in the CIV's declared type (a DO's at the index of its loop
+/// variable, the elements before `lo` padded with the entry value), and
+/// a WHILE's trip count under `<label>@niters`. Its units, a DO's
+/// bounds (`shape`, evaluated once) included.
+fn slice_reference(
+    machine: &Machine,
+    unit: &Subroutine,
+    target: &Stmt,
+    a: &LoopAnalysis,
+    shape: Option<DoShape>,
+    frame: &mut Store,
 ) -> u64 {
     let (Stmt::Do { body, .. } | Stmt::While { body, .. }) = target else {
         return 0;
     };
-    if a.civs.is_empty() && matches!(target, Stmt::Do { .. }) {
-        return 0;
-    }
     let slice = lip_runtime::extract_slice(body, &a.civs.iter().map(|(s, _)| *s).collect());
     let (mut f, mut st) = (frame.clone(), ExecState::default());
     let mut traces = vec![Vec::new(); a.civs.len()];
@@ -353,19 +390,14 @@ fn slice_reference(
     let run = |f: &mut Store, st: &mut ExecState| {
         machine.exec_block(unit, f, &slice, st).expect(failed);
     };
-    if let Stmt::Do {
-        var, lo, hi, step, ..
-    } = target
-    {
-        let mut eval = |e| machine.eval(unit, &f, e, &mut st).expect(failed).as_i64();
-        let (lo, hi) = (eval(lo), eval(hi));
-        let step = step.as_ref().map_or(1, eval);
-        if step == 1 && traces_by_var(lo, hi) {
-            (1..lo).for_each(|_| record(&f));
+    if let Some(s) = shape {
+        st.cost = s.units;
+        if s.traces_by_var() {
+            (1..s.lo).for_each(|_| record(&f));
         }
-        let mut i = Some(lo);
+        let (step, hi, mut i) = (s.step, s.hi, Some(s.lo));
         while let Some(v) = i.filter(|&v| (step > 0 && v <= hi) || (step < 0 && v >= hi)) {
-            f.set_scalar(*var, Value::Int(v));
+            f.set_scalar(s.var, Value::Int(v));
             record(&f);
             run(&mut f, &mut st);
             i = v.checked_add(step);
@@ -405,6 +437,9 @@ fn slice_reference(
 pub struct Reference {
     /// The cascade's first passing stage, by `Pdag::eval`.
     pub first_success: Option<usize>,
+    /// The exact test's verdict and units, when it ran: every stage
+    /// failed.
+    pub exact: Option<Exact>,
     /// Whether the tests license a parallel run: a stage passes, or
     /// else the exact test finds the loop independent. A loop with no
     /// cascade has no test to fail.
@@ -414,45 +449,47 @@ pub struct Reference {
     pub units: u64,
 }
 
-/// The reference of `a`'s tests on `input`: what the measurement table
-/// records for a loop without a CIV slice, and the whole loop's share
-/// of the check's `test units`.
+/// The reference of `a`'s tests on `input`: a predicated loop's
+/// cascade and, when it fails, its exact test. What the measurement
+/// table records for a loop without a CIV slice (unless production
+/// skips the exact test), and what the check's "tests failed" claims
+/// are held to.
 pub fn reference_tests(a: &LoopAnalysis, input: &Store) -> Reference {
-    tests_reference(a, input, true)
+    let predicated = matches!(a.class, LoopClass::Predicated { .. });
+    tests_reference(a, input, predicated, predicated)
 }
 
-/// [`reference_tests`], with the exact test after a failed cascade only
-/// when `exact`.
-fn tests_reference(a: &LoopAnalysis, input: &Store, exact: bool) -> Reference {
-    if !matches!(a.class, LoopClass::Predicated { .. }) {
-        return Reference {
-            first_success: None,
-            passes: true,
+/// The reference of the tests a plan ran: the cascade when `cascade`
+/// (and `a` has one), then the exact test when `exact` and no stage
+/// passed.
+fn tests_reference(a: &LoopAnalysis, input: &Store, cascade: bool, exact: bool) -> Reference {
+    let ctx = StoreCtx(input);
+    let mut r = Reference {
+        first_success: None,
+        exact: None,
+        passes: true,
+        units: 0,
+    };
+    if cascade && matches!(a.class, LoopClass::Predicated { .. }) {
+        r.first_success = a.cascade.first_success(&ctx, TEST_BUDGET);
+        let evaluated = r.first_success.map_or(a.cascade.stages.len(), |k| k + 1);
+        let stages = a.cascade.stages[..evaluated].iter();
+        r.units = stages.map(|stage| stage.pred.eval_cost(&ctx)).sum();
+        r.passes = r.first_success.is_some();
+    }
+    if exact && r.first_success.is_none() {
+        let undecided = Exact {
+            verdict: None,
             units: 0,
         };
+        let e = (a.ind_usr.as_ref()).map_or(undecided, |u| {
+            lip_usr::exact::independent(u, &ctx, TEST_BUDGET)
+        });
+        r.units += e.units;
+        r.passes = e.verdict == Some(true);
+        r.exact = Some(e);
     }
-    let ctx = StoreCtx(input);
-    let hit = a.cascade.first_success(&ctx, TEST_BUDGET);
-    let evaluated = hit.map_or(a.cascade.stages.len(), |k| k + 1);
-    let stages = a.cascade.stages[..evaluated].iter();
-    let mut units: u64 = stages.map(|stage| stage.pred.eval_cost(&ctx)).sum();
-    let mut passes = hit.is_some();
-    if let (None, Some(u), true) = (hit, &a.ind_usr, exact) {
-        let exact = lip_usr::exact::independent(u, &ctx, TEST_BUDGET);
-        units += exact.units;
-        passes = exact.verdict == Some(true);
-    }
-    Reference {
-        first_success: hit,
-        passes,
-        units,
-    }
-}
-
-/// The exact test's units for `a` on `input`.
-fn exact_units(a: &LoopAnalysis, input: &Store) -> u64 {
-    let exact = |u| lip_usr::exact::independent(u, &StoreCtx(input), TEST_BUDGET).units;
-    a.ind_usr.as_ref().map_or(0, exact)
+    r
 }
 
 /// The first verdict that is not `Equal`, if any.

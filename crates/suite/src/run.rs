@@ -8,12 +8,11 @@
 
 use std::rc::Rc;
 
-use lip_analysis::{baseline_parallel, LoopAnalysis, LoopClass};
-use lip_obs::{FissionReport, LoopDecision, StageReport};
+use lip_analysis::{baseline_parallel, FallbackKind, LoopAnalysis, LoopClass};
+use lip_obs::FissionReport;
 use lip_runtime::sim::{charged_test_units, makespan};
-use lip_runtime::{exact_report, InputDigests, KeyCost, Session};
+use lip_runtime::{Route, SeqReason, Session};
 use lip_symbolic::sym;
-use lip_usr::Exact;
 
 use crate::bench_def::BenchDef;
 use crate::kernels::KernelShape;
@@ -71,50 +70,27 @@ impl LoopMeasurement {
     }
 }
 
-/// Accounts a fission rescue plan for the explain report: runs the
-/// fragments in program order on a fresh workload, loaded afresh (each
-/// fragment's cascade is tested against the store state its execution
-/// would see, exactly as the fissioned executor does) and tallies the
-/// work units a parallel fragment rescues.
+/// The fission rescue for the explain report: the loop run on a fresh
+/// workload, loaded afresh, as production runs it (each fragment
+/// planned on the store the fragments before it left).
 fn account_fission(
     session: &Session,
     shape: &'static KernelShape,
     size: usize,
     analysis: &LoopAnalysis,
-) -> FissionReport {
+) -> Option<FissionReport> {
     let mut fw = shape.prepared(size);
     let whole = session
         .load(fw.machine.program().clone())
         .prepare_analyzed(sym(fw.sub), fw.label, Rc::new(analysis.clone()))
         .expect("loop");
-    let mut fragments = Vec::new();
-    let mut rescued_units = 0u64;
-    let mut loop_units = 0u64;
-    for frag in whole.analysis().fission.iter().flat_map(|p| &p.fragments) {
-        // The executor's own per-fragment decision (a fresh digest
-        // table per fragment, as there), stage reports kept.
-        let mut keys = KeyCost::default();
-        let mut inputs = InputDigests::new(&fw.frame, &mut keys);
-        let tests = whole.fragment_tests(frag, &mut inputs, true);
-        let units: u64 = whole
-            .fragment_costs(frag, &mut fw.frame)
-            .map(|v| v.iter().sum())
-            .unwrap_or(0);
-        loop_units += units;
-        if tests.parallel {
-            rescued_units += units;
-        }
-        let (parallel, test_units) = (tests.parallel, tests.units);
-        fragments.push(tests.report(frag, fragments.len(), parallel, units, test_units));
-    }
-    FissionReport {
-        fragments,
-        rescued_units,
-        loop_units,
-    }
+    let stats = whole.run(&mut fw.frame).expect("a fissioned run");
+    stats.plan.decision(analysis).fission
 }
 
-/// Measures one loop of a benchmark through `session`.
+/// Measures one loop of a benchmark through `session`: the runtime's
+/// own plan on the live workload (its CIV slice and tests, charged as a
+/// run charges them), then the per-iteration costs.
 pub fn measure_loop(
     session: &Session,
     shape: &'static KernelShape,
@@ -132,104 +108,43 @@ pub fn measure_loop(
         .expect("loop");
     let analysis = handle.analysis();
     let base = baseline_parallel(handle.sub(), handle.target());
-
-    // Runtime tests on the live workload.
-    let mut test_units = handle.civ_traces(&mut p.frame).expect("civ slice");
-    let obs_on = session.obs().trace_enabled();
-    let mut stages: Vec<StageReport> = Vec::new();
-    let mut passed_stage: Option<usize> = None;
-    let mut exact: Option<(Exact, bool)> = None;
-    let mut tls_speculated = false;
-    let parallel = match &analysis.class {
-        LoopClass::StaticParallel => true,
-        LoopClass::StaticSequential => false,
-        LoopClass::Predicated { .. } => {
-            let mut keys = KeyCost::default();
-            let mut inputs = InputDigests::new(&p.frame, &mut keys);
-            // Stage reports are for `Session::explain`; verdicts and
-            // charged units are the same with and without them.
-            let report = obs_on.then_some(&mut stages);
-            let (hit, units) = handle.cascade_test(&mut inputs, report);
-            test_units += units;
-            passed_stage = hit;
-            let mut passed = hit.is_some();
-            if !passed && analysis.ind_usr.is_some() {
-                // The paper's last resort: exact (hoisted) USR
-                // evaluation, then TLS (§5). It costs the units the
-                // evaluation counts, whatever it finds, as in the
-                // executor; across invocations it is memoized (§7's
-                // apsi discussion).
-                let (found, memo_hit) = handle.exact_test(&mut inputs);
-                test_units += found.units;
-                exact = Some((found, memo_hit));
-                match found.verdict {
-                    Some(independent) => passed = independent,
-                    None => {
-                        // Not evaluable: thread-level speculation.
-                        // LRPD commits on independent workloads at
-                        // the cost of shadowing every reference.
-                        tls_speculated = true;
-                        passed = true;
-                    }
-                }
-            }
-            passed
-        }
-        // Fallbacks (HOIST-USR / TLS) extract maximal parallelism at a
-        // cost proportional to the loop's references (paper §7): model
-        // as parallel with a test as expensive as one sequential pass.
-        LoopClass::NeedsFallback(_) => true,
-        // Fissioned loops are partial wins: the tables' PAR/SEQ column
-        // stays conservative (SEQ) here; `Session::explain` reports
-        // the rescued fraction per fragment.
-        LoopClass::Fissioned { .. } => false,
-    };
-
+    let plan = handle.plan(&mut p.frame).expect("plan");
     let per_iter = handle.per_iteration_costs(&mut p.frame).expect("measure");
-    if tls_speculated {
-        test_units += per_iter.iter().sum::<u64>() / 4;
-    }
-    if let LoopClass::NeedsFallback(kind) = &analysis.class {
-        // TLS shadows every reference (expensive); hoisted USR
-        // evaluation amortizes across loop invocations (paper: apsi's
-        // RUN loops are hoisted and memoized).
-        let seq: u64 = per_iter.iter().sum();
-        test_units += match kind {
-            lip_analysis::FallbackKind::Tls => seq / 4,
-            lip_analysis::FallbackKind::HoistUsr => seq / 20,
-        };
-    }
+    let seq: u64 = per_iter.iter().sum();
 
-    if obs_on {
-        let executor = match (&analysis.class, parallel) {
-            (LoopClass::StaticParallel, _) => "parallel (static)".to_string(),
-            (LoopClass::Predicated { .. }, true) => match passed_stage {
-                Some(k) => format!("parallel (stage {k} passed)"),
-                None if exact.is_some_and(|(e, _)| e.verdict == Some(true)) => {
-                    "parallel (exact test passed)".to_string()
-                }
-                None => "speculated (modelled)".to_string(),
-            },
-            (LoopClass::NeedsFallback(_), _) => "parallel (fallback, modelled)".to_string(),
-            (LoopClass::Fissioned { .. }, _) => "fissioned (modelled)".to_string(),
-            _ => "sequential".to_string(),
-        };
-        let mut d = LoopDecision::new(&analysis.label);
+    // The model's one rule: a route runs as planned, but speculation is
+    // modelled parallel, with a test as expensive as shadowing every
+    // reference (a quarter of a sequential pass), or — HOIST-USR,
+    // hoisted and memoized across invocations as apsi's RUN loops are
+    // (paper §7) — a twentieth. A fissioned loop is a partial win: the
+    // tables' PAR/SEQ column stays SEQ, and `Session::explain` reports
+    // the rescued fraction per fragment.
+    let (parallel, modelled_units) = match plan.route {
+        Route::Speculate => {
+            let hoisted = analysis.class == LoopClass::NeedsFallback(FallbackKind::HoistUsr);
+            (true, seq / if hoisted { 20 } else { 4 })
+        }
+        // The one exception: production runs every WHILE sequentially
+        // (ROADMAP item 6), while the model runs a `StaticParallel` one
+        // in parallel from its traces.
+        Route::Sequential(SeqReason::While) => (analysis.class == LoopClass::StaticParallel, 0),
+        route => (route.parallel(), 0),
+    };
+    let test_units = plan.units.total() + modelled_units;
+
+    if session.obs().trace_enabled() {
+        let mut d = plan.decision(analysis);
         d.kernel = Some(shape.name.to_string());
-        d.class = format!("{:?}", analysis.class);
-        d.stages = stages;
-        d.passed_stage = passed_stage;
-        (d.exact_test, d.exact_units, d.exact_memo_hit) = exact_report(exact);
-        d.executor = executor;
+        let modelled = if parallel == plan.route.parallel() {
+            ""
+        } else {
+            ", modelled parallel"
+        };
+        d.executor = format!("{:?}{modelled}", plan.route);
         d.test_units = test_units;
-        d.loop_units = per_iter.iter().sum();
-        // A fission plan only matters when the whole loop did not go
-        // parallel: it is the rescue the executor would apply.
-        if !parallel {
-            d.fission = analysis
-                .fission
-                .is_some()
-                .then(|| account_fission(session, shape, size, analysis));
+        d.loop_units = seq;
+        if plan.route == Route::Fission {
+            d.fission = account_fission(session, shape, size, analysis);
         }
         session.obs().record_decision(d);
     }
@@ -447,7 +362,10 @@ mod tests {
             "stage reports must show the failing cascade: {:?}",
             d.stages
         );
-        assert_eq!(d.exact_test, Some(false), "exact test finds dependences");
+        // Its fission plan holds a statically sequential fragment, so
+        // the loop is distributed without the exact test, which would
+        // only find the dependence that fragment carries.
+        assert_eq!(d.exact_test, None, "distributed without the exact test");
         let f = d.fission.as_ref().expect("fission rescue plan");
         assert_eq!(f.fragments.len(), 2);
         assert_eq!(f.fragments.iter().filter(|fr| fr.parallel).count(), 1);
@@ -461,6 +379,17 @@ mod tests {
         assert!(text.contains(&m.label), "{text}");
         // An off-session records nothing.
         assert!(Session::default().explain("hoist_indirect").is_none());
+
+        // Without fission, the exact test runs and finds it.
+        let whole = Session::builder()
+            .observer(lip_obs::ObsLevel::Trace)
+            .fission(false)
+            .build();
+        measure_loop(&whole, &crate::kernels::HOIST_INDIRECT, 64, 0.1, "-");
+        let d = whole.explain_decision("hoist_indirect").expect("decision");
+        assert_eq!(d.exact_test, Some(false), "exact test finds dependences");
+        let why = d.plan.sequential_reason.as_deref();
+        assert_eq!(why, Some("its tests failed"));
     }
 
     #[test]

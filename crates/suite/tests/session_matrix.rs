@@ -5,7 +5,8 @@
 //! observer level, the chunk count), also from concurrent sessions in
 //! one process. The measurement table built on the same runs
 //! (per-iteration costs, verdicts, charged test units) must not depend
-//! on the configuration either. The cascade's pass, fail and exact rows
+//! on the configuration either, but for the fission knob, which decides
+//! whether production runs `hoist_indirect`'s exact test. The cascade's pass, fail and exact rows
 //! are `pred_backend.rs`'s.
 
 mod common;
@@ -13,7 +14,7 @@ mod common;
 use common::{check_source, matrix, session};
 use lip_ir::{ExecState, Stmt, Store, Value};
 use lip_obs::ObsLevel;
-use lip_runtime::{ExecOutcome, LrpdOutcome, Session};
+use lip_runtime::{ExecOutcome, LrpdOutcome, Route, SeqReason, Session};
 use lip_suite::check;
 use lip_suite::{measure_loop, KernelShape, LoopMeasurement};
 use lip_symbolic::sym;
@@ -145,7 +146,8 @@ END
 /// is read at the loop variable's index, by the tests of the first row
 /// and by the chunks' seeding of the second, which the analysis proves
 /// parallel outright; from 0, no trace is so indexed, and the loop runs
-/// sequentially.
+/// sequentially, as the counter's loop with a step of 2 does. A loop
+/// its shape sends sequential pays no slice and no test.
 #[test]
 fn scalars_a_loop_carries_or_leaves_are_the_sequential_ones() {
     let mut input = Store::new();
@@ -155,9 +157,11 @@ fn scalars_a_loop_carries_or_leaves_are_the_sequential_ones() {
     (0..42).for_each(|k| a.set(k, Value::Real(k as f64 * 0.75)));
     let b = input.alloc_real(sym("B"), 42);
     (0..42).for_each(|k| b.set(k, Value::Real((20.0 - k as f64) * 0.75)));
+    let c = input.alloc_int(sym("C"), 42);
+    (0..42).for_each(|k| c.set(k, Value::Int(20 - k as i64)));
     let civ = |cond: &str| format!("IF ({cond}) THEN\n K = K + 1\n A(K) = K\n ENDIF");
-    let (tested, proved) = (civ("B(i) .GT. 0"), civ("B(i) .LT. 16.0"));
-    let from_zero = civ("B(i + 1) .GT. 0");
+    let (tested, proved) = (civ("C(i) .GT. 0"), civ("B(i) .LT. 16.0"));
+    let from_zero = civ("C(i + 1) .GT. 0");
     for (bounds, body, chunked) in [
         ("1, N", "K = K + 2\n    A(i) = K", true),
         ("1, N", "A(i) = T\n    T = B(i)", true),
@@ -174,11 +178,17 @@ fn scalars_a_loop_carries_or_leaves_are_the_sequential_ones() {
         ("1, INT(B(1))", "A(i) = B(i) * 2.0 + 1.0", true),
         ("1, INT(B(1))", "A(i + 1) = A(i) + B(i)", false),
         ("2, INT(B(1))", &proved, true),
+        (
+            "1, N, 2",
+            "IF (B(i) .GT. 0.0) THEN\n K = K + 1\n A(K) = B(i)\n ENDIF",
+            false,
+        ),
     ] {
         let src = format!(
             "
-SUBROUTINE t(A, B, T, K, N)
+SUBROUTINE t(A, B, C, T, K, N)
   DIMENSION A(*), B(*)
+  INTEGER C(*)
   INTEGER i, N, K
   DO l1 i = {bounds}
     {body}
@@ -191,6 +201,58 @@ END
             report.assert_sequential();
             let sequential = report.stats.outcome == ExecOutcome::Sequential;
             assert_eq!(sequential, !chunked, "{bounds}: {body}");
+            let plan = &report.stats.plan;
+            if let Route::Sequential(SeqReason::Step | SeqReason::Traces) = plan.route {
+                assert_eq!(report.stats.test_units, 0, "{bounds}: {body}");
+            }
+            if *body == tested {
+                assert!(plan.units.stages.is_some(), "{bounds}: {body} is tested");
+            }
+        }
+    }
+}
+
+/// A counter under a condition, a CIV, addressing a write after the
+/// condition: each value of `K` has an element of its own, so the last
+/// iteration's write does not cover the loop's, and `A` cannot take
+/// its last values from the last chunk (a static last value left 8 of
+/// 26 elements wrong at two chunks). The same with a step of 2 under
+/// the condition, with the write one element on, and as one fragment of
+/// a loop from 5 whose scan beside it is sequential, so that fission
+/// rescues the counter's half.
+#[test]
+fn a_civ_addressed_write_after_its_update_has_no_static_last_value() {
+    let n = 24;
+    let mut input = Store::new();
+    input.set_int(sym("N"), n as i64).set_int(sym("K"), 1);
+    let a = input.alloc_real(sym("A"), 2 * n + 2);
+    (0..2 * n + 2).for_each(|k| a.set(k, Value::Real(0.5)));
+    let b = input.alloc_real(sym("B"), n);
+    (0..n).for_each(|k| b.set(k, Value::Real(if k % 3 == 2 { -1.0 } else { k as f64 })));
+    input.alloc_real(sym("C"), n);
+    for (bounds, body) in [
+        ("1, N", "IF (B(i) .GT. 0.0) K = K + 1\n    A(K) = B(i)"),
+        ("1, N", "IF (B(i) .GT. 0.0) K = K + 2\n    A(K) = B(i)"),
+        ("1, N", "IF (B(i) .GT. 0.0) K = K + 1\n    A(K + 1) = B(i)"),
+        (
+            "5, N",
+            "IF (B(i) .GT. 0.0) K = K + 1\n    A(K) = B(i)\n    C(i) = C(i - 1) + B(i)",
+        ),
+    ] {
+        let src = format!(
+            "
+SUBROUTINE t(A, B, C, K, N)
+  DIMENSION A(*), B(*), C(*)
+  INTEGER i, N, K
+  DO l1 i = {bounds}
+    {body}
+  ENDDO
+END
+"
+        );
+        for (fission, obs, nthreads) in matrix() {
+            let report = check_source(&session(fission, obs, nthreads), &src, "l1", &input);
+            report.assert_sequential();
         }
     }
 }
@@ -287,12 +349,13 @@ fn measure_all(session: &Session) -> Vec<Row> {
         .collect()
 }
 
-/// One session's rows, checked against the reference: the verdict and
-/// the charged test units of each loop without a CIV slice against
-/// `check::reference_tests`, the per-iteration costs against a loop
-/// over `Machine::exec_block`.
-fn reference_rows() -> Vec<Row> {
-    let sess = session(true, ObsLevel::Off, 2);
+/// One session's rows, with `fission` on or off, checked against the
+/// reference: the verdict and the charged test units of each loop
+/// without a CIV slice against `check::reference_tests` (less the exact
+/// test where production skips it), the per-iteration costs against a
+/// loop over `Machine::exec_block`.
+fn reference_rows(fission: bool) -> Vec<Row> {
+    let sess = session(fission, ObsLevel::Off, 2);
     let rows = measure_all(&sess);
     for ((shape, n), got) in kernels().into_iter().zip(&rows) {
         let mut p = shape.prepared(n);
@@ -307,7 +370,15 @@ fn reference_rows() -> Vec<Row> {
                 shape.name
             );
             assert_eq!(got.2, reference.passes, "{}: verdict diverged", shape.name);
-            assert_eq!(got.5, reference.units, "{}: charged test units", shape.name);
+            // With fission on, `hoist_indirect`'s plan holds a
+            // statically sequential fragment, so the loop is
+            // distributed without the exact test, and the table charges
+            // what production charges.
+            let skipped = reference
+                .exact
+                .filter(|_| fission && shape.name == "hoist_indirect");
+            let charged = reference.units - skipped.map_or(0, |e| e.units);
+            assert_eq!(got.5, charged, "{}: charged test units", shape.name);
         }
         let sub = prog.subroutine(sym(p.sub)).expect("sub");
         let Some(Stmt::Do {
@@ -348,9 +419,13 @@ fn observer_legs_measure_identically() {
     }
 }
 
+/// The table follows production, and production skips
+/// `hoist_indirect`'s exact test only when it may distribute the loop,
+/// so each combination is held to the reference rows of its fission
+/// setting.
 #[test]
 fn concurrent_sessions_with_different_seams_are_bit_identical() {
-    let reference = reference_rows();
+    let reference = [reference_rows(false), reference_rows(true)];
 
     // Every combination measuring the same kernels at the same time
     // from separate threads — differently configured callers in one
@@ -366,9 +441,10 @@ fn concurrent_sessions_with_different_seams_are_bit_identical() {
             .collect()
     });
 
-    for (k, conc) in concurrent.iter().enumerate() {
+    for (k, ((fission, ..), conc)) in matrix().into_iter().zip(&concurrent).enumerate() {
         assert_eq!(
-            &reference, conc,
+            &reference[usize::from(fission)],
+            conc,
             "combination {k} diverged under concurrency"
         );
     }

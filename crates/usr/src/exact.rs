@@ -27,7 +27,7 @@
 //!    and the bindings (never on threads, observers or caches), and
 //!    `budget` is in the same units: when it runs out the verdict is
 //!    `None`, as the reference's element `limit` does.
-//! 5. **Hoisting** is the caller's half (`lip_runtime::exact_test`): the
+//! 5. **Hoisting** is the caller's half (`exact_test` in `lip_runtime`'s plan): the
 //!    verdict *and* its units are memoized per input fingerprint, and
 //!    charged identically on hit and miss.
 //!

@@ -26,10 +26,17 @@
 #   * the typed register bound admitting two registers too many (a
 #     chunk of 255 or 256 registers is typed, and its scratch registers
 #     alias r0 and r1 of the 256-entry file).
-# The runtime's entries run `lip_suite`'s session matrix, whose rows go
-# through `lip_suite::check`:
+# The runtime's and the analysis' entries run `lip_suite`'s session
+# matrix, whose rows go through `lip_suite::check`:
 #   * the DO statement's own unit charged on the parallel path (the
 #     loop-units comparison);
+#   * the plan sending a DO with a step other than 1 past its step
+#     guard (the step-2 CIV row then runs sequentially for "CIV traces
+#     its variable cannot index", which its step 1 would not make true:
+#     only the check's verification of the plan's claims sees it);
+#   * static last values proved for a write whose address is an opaque
+#     per-iteration value again (`A(K)` after `IF (..) K = K + 1`: the
+#     store comparison at two chunks and more);
 #   * the shared chunk driver no longer seeding CIVs from their traces
 #     (a chunk past the first, parallel or speculated, restarts the
 #     counter: the store comparison);
@@ -74,8 +81,18 @@ crates/vm/src/typed.rs
 
 $check_tests
 crates/runtime/src/exec.rs
-            (outcome, units + shape.units)
-            (outcome, units + shape.units + 1)
+    let do_unit = u64::from(!outcome.ran_in_chunks());
+    let do_unit = 1;
+
+$check_tests
+crates/runtime/src/plan.rs
+        (Some(s), _) if s.step != 1 => Some(Sequential(SeqReason::Step)),
+        (Some(s), _) if s.step != 1 && false => Some(Sequential(SeqReason::Step)),
+
+$check_tests
+crates/analysis/src/classify.rs
+        let slv_static = !addresses_mention(&s.wf, None) && prove_empty(cx, &mut f, &slv).is_true();
+        let slv_static = prove_empty(cx, &mut f, &slv).is_true();
 
 $check_tests
 crates/runtime/src/exec.rs

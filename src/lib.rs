@@ -26,9 +26,10 @@
 //! (re-exported from [`runtime`]): a builder owning the pool width and
 //! the fission and observer knobs. `Session::load` gives a program its
 //! own compile cache, `Loaded::prepare` resolves and analyzes a loop
-//! once, and the `LoopHandle` it returns runs it (`run`, `civ_traces`,
-//! `per_iteration_costs`, the runtime tests) as fused [`vm`] bytecode
-//! with predicates on the compiled [`pred`] engine; the tree-walking
+//! once, and the `LoopHandle` it returns plans a run (`plan`: the CIV
+//! slice, the runtime tests, the route) and runs it (`run`,
+//! `per_iteration_costs`) as fused [`vm`] bytecode with predicates on
+//! the compiled [`pred`] engine; the tree-walking
 //! `ir::Machine` is the differential reference.
 //! Environment variables (`LIP_PRED_PAR_MIN`, `LIP_FISSION`, `LIP_OBS`)
 //! are read in exactly one place, [`SessionConfig::from_env`], with
