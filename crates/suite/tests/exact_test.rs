@@ -14,6 +14,13 @@
 //!   changing anything else does not — also inside a fissioned run,
 //!   where the fragment's test sees the store as earlier fragments
 //!   left it.
+//! * **Units golden.** Verdict and units of every independence USR of
+//!   every suite kernel and its fission fragments, at n = 64 and 192, on
+//!   the shaped inputs (and on the prepared input of a kernel that has
+//!   none), with the whole budget and with half the units it took, are
+//!   `tests/golden/exact_units.txt` byte for byte: the evaluator may get
+//!   faster, never count differently. Re-capture with
+//!   `-- --ignored bless` only when the count is meant to change.
 
 use lip_analysis::{analyze_loop, AnalysisConfig, LoopAnalysis};
 use lip_ir::{Program, Store, StoreCtx, Value};
@@ -98,6 +105,14 @@ const KERNELS: [&KernelShape; 5] = [
     &lip_suite::OFFSET_CROSSOVER,
 ];
 
+/// `shape`'s input at `n`, shaped when the kernel has shaped inputs.
+fn input(shape: &'static KernelShape, n: usize, pass: Option<bool>) -> Store {
+    match pass {
+        Some(pass) => shaped(shape, n, pass),
+        None => shape.prepared(n).frame,
+    }
+}
+
 /// `shape`'s program and the analysis of its loop.
 fn analyzed(shape: &'static KernelShape) -> (Program, LoopAnalysis) {
     let prog = shape.prepared(8).machine.program().clone();
@@ -128,6 +143,58 @@ fn usrs(a: &LoopAnalysis) -> Vec<(String, Usr)> {
         );
     }
     out
+}
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/exact_units.txt");
+
+/// One line per kernel, USR, size and input: the verdict and units of
+/// the exact test with the whole budget, then with half the units it
+/// took (which pins where they are charged, not only how many).
+fn render_units() -> String {
+    let mut out = String::new();
+    for shape in lip_suite::all_shapes() {
+        let (_, a) = analyzed(shape);
+        let inputs: &[Option<bool>] = if KERNELS.iter().any(|k| k.name == shape.name) {
+            &[Some(true), Some(false)]
+        } else {
+            &[None]
+        };
+        for (which, u) in usrs(&a) {
+            for n in [64, 192] {
+                for pass in inputs {
+                    let frame = input(shape, n, *pass);
+                    let ctx = StoreCtx(&frame);
+                    let whole = exact::independent(&u, &ctx, TEST_BUDGET);
+                    let half = exact::independent(&u, &ctx, whole.units / 2);
+                    let said = ["prepared", "pass", "fail"][pass.map_or(0, |p| 2 - usize::from(p))];
+                    out += &format!(
+                        "{} {which} n={n} {said}: {:?} {} | half {:?} {}\n",
+                        shape.name, whole.verdict, whole.units, half.verdict, half.units
+                    );
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn units_match_the_golden() {
+    let want = std::fs::read_to_string(GOLDEN).expect("golden file present (see module docs)");
+    let got = render_units();
+    for (g, w) in got.lines().zip(want.lines()) {
+        assert_eq!(g, w, "exact test units diverged from the golden capture");
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "line count");
+    assert_eq!(got, want);
+}
+
+#[test]
+#[ignore = "writes the golden file; run only when the exact test's count is meant to change"]
+fn bless() {
+    std::fs::create_dir_all(std::path::Path::new(GOLDEN).parent().expect("has a parent"))
+        .expect("golden dir");
+    std::fs::write(GOLDEN, render_units()).expect("golden written");
 }
 
 #[test]

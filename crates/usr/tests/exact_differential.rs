@@ -213,24 +213,30 @@ fn partial_depth(u: &Usr, enclosing: &[Sym]) -> usize {
     }
 }
 
-#[test]
-fn random_usrs_agree_with_the_reference() {
+/// The random corpus: 6000 USRs and bindings, the same on every run.
+fn corpus() -> impl Iterator<Item = (Usr, MapCtx)> {
     let mut rng = TestRng::from_name("random_usrs_agree_with_the_reference");
     let tapes = proptest::collection::vec(0u8..=255, 96);
     let index = proptest::collection::vec(0i64..24, 7);
     let bounds = proptest::collection::vec(-1i64..5, 6);
-    // What the corpus reached: (reference defined and empty, defined
-    // and not, undefined), early exits past an undefined operand, and
-    // prefixes nested under two recurrences.
-    let (mut empty, mut inhabited, mut undefined, mut early, mut nested) = (0, 0, 0, 0, 0);
-    for _ in 0..6000 {
+    (0..6000).map(move |_| {
         let tape = tapes.generate(&mut rng);
         let ctx = ctx_for(&index.generate(&mut rng), &bounds.generate(&mut rng));
         let mut t = Tape {
             codes: &tape,
             at: 0,
         };
-        let u = usr(&mut t, 0, 6);
+        (usr(&mut t, 0, 6), ctx)
+    })
+}
+
+#[test]
+fn random_usrs_agree_with_the_reference() {
+    // What the corpus reached: (reference defined and empty, defined
+    // and not, undefined), early exits past an undefined operand, and
+    // prefixes nested under two recurrences.
+    let (mut empty, mut inhabited, mut undefined, mut early, mut nested) = (0, 0, 0, 0, 0);
+    for (u, ctx) in corpus() {
         let (reference, got) = check(&u, &ctx);
         match reference {
             Some(true) => empty += 1,
@@ -248,6 +254,55 @@ fn random_usrs_agree_with_the_reference() {
         nested > 100,
         "{nested} prefixes under two recurrences mentioning an outer variable"
     );
+}
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/exact_corpus_units.txt");
+
+/// One line per corpus case: its index, the verdict (`T`rue,
+/// `F`alse, `N`one) and units with the whole budget, then with half the
+/// units it took (which pins where they are charged, not only how
+/// many).
+fn render_units() -> String {
+    let tri = |v: Option<bool>| match v {
+        Some(true) => 'T',
+        Some(false) => 'F',
+        None => 'N',
+    };
+    let mut out = String::new();
+    for (k, (u, ctx)) in corpus().enumerate() {
+        let whole = exact::independent(&u, &ctx, BUDGET);
+        let half = exact::independent(&u, &ctx, whole.units / 2);
+        out += &format!(
+            "{k} {} {} {} {}\n",
+            tri(whole.verdict),
+            whole.units,
+            tri(half.verdict),
+            half.units
+        );
+    }
+    out
+}
+
+/// The corpus' verdicts and units are `tests/golden/exact_corpus_units.txt`
+/// byte for byte: the evaluator may get faster, never count
+/// differently. Re-capture with `-- --ignored bless` only when the
+/// count is meant to change.
+#[test]
+fn corpus_units_match_the_golden() {
+    let want = std::fs::read_to_string(GOLDEN).expect("golden file present");
+    let got = render_units();
+    for (g, w) in got.lines().zip(want.lines()) {
+        assert_eq!(g, w, "exact test units diverged from the golden capture");
+    }
+    assert_eq!(got, want);
+}
+
+#[test]
+#[ignore = "writes the golden file; run only when the exact test's count is meant to change"]
+fn bless() {
+    std::fs::create_dir_all(std::path::Path::new(GOLDEN).parent().expect("has a parent"))
+        .expect("golden dir");
+    std::fs::write(GOLDEN, render_units()).expect("golden written");
 }
 
 proptest! {
