@@ -17,6 +17,7 @@ use std::sync::Arc;
 use lip_core::{complexity, ArrayExtent, Cascade, FactorConfig, Factorizer, Pdag, PredCtx};
 use lip_ir::{BinOp, Program, Stmt, Subroutine};
 use lip_symbolic::{BoolExpr, RangeEnv, Sym, SymExpr};
+use lip_usr::exact::ExactPlan;
 use lip_usr::{
     flow_independence, output_independence, reshape, slv_equation, ReshapeConfig, Usr, UsrNode,
 };
@@ -214,7 +215,8 @@ pub struct LoopAnalysis {
 }
 
 /// What the runtime memoizes the exact test's verdict under: `ind_usr`
-/// rendered, and the symbols whose bindings it reads.
+/// rendered, and the symbols whose bindings it reads — and, beside
+/// them, the USR lowered once for the test itself.
 #[derive(Clone, Debug)]
 pub struct ExactKey {
     /// The USR's rendering (structural, so equal keys denote equal
@@ -223,6 +225,8 @@ pub struct ExactKey {
     /// `Usr::free_syms()` — scalars and index arrays alike; which is
     /// which is the frame's to say.
     pub syms: Vec<Sym>,
+    /// `ind_usr`'s evaluation plan: what a memo miss evaluates.
+    pub plan: ExactPlan,
 }
 
 impl LoopAnalysis {
@@ -233,14 +237,16 @@ impl LoopAnalysis {
         lip_symbolic::sym(&format!("{label}@niters"))
     }
 
-    /// The memo key of the exact test over [`LoopAnalysis::ind_usr`],
-    /// computed once per analysis (as `Stage::key` is per stage) and
-    /// only if the executor ever gets that far.
+    /// The memo key and evaluation plan of the exact test over
+    /// [`LoopAnalysis::ind_usr`], computed once per analysis (as
+    /// `Stage::key` is per stage) and only if the executor ever gets
+    /// that far.
     pub fn exact_key(&self) -> Option<&ExactKey> {
         let u = self.ind_usr.as_ref()?;
         Some(self.exact_key.get_or_init(|| ExactKey {
             key: format!("exact {u}").into(),
             syms: u.free_syms().into_iter().collect(),
+            plan: ExactPlan::new(u),
         }))
     }
 }

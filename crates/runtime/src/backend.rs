@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use lip_ir::{AccessTracer, ExecState, Expr, Machine, RunError, Stmt, Store, Subroutine};
 use lip_symbolic::Sym;
-use lip_vm::{DispatchCounts, Frame, Vm};
+use lip_vm::{DispatchCounts, Frame, IterObserver, Vm};
 
 use crate::cache::{CompiledBody, ProgramCache};
 
@@ -171,8 +171,27 @@ impl CompiledBody {
         Ok(())
     }
 
+    /// The body once per value of `range`'s scalar as one activation,
+    /// `obs` called before each iteration ([`Vm::run_range_observed`]:
+    /// the CIV slice records its scalars through it); the counts add to
+    /// `tally`, which the driver publishes once.
+    #[allow(clippy::too_many_arguments)]
+    pub fn observe<O: IterObserver>(
+        &self,
+        env: &ExecEnv<'_>,
+        f: &mut Frame,
+        range: (u16, i64, i64),
+        st: &mut ExecState,
+        tracer: Option<&dyn AccessTracer>,
+        tally: &mut Option<DispatchCounts>,
+        obs: &mut O,
+    ) -> Result<(), RunError> {
+        let vm = self.vm(env);
+        vm.run_range_observed(self.block, f, range, st, tracer, tally.as_mut(), obs)
+    }
+
     /// [`CompiledBody::run`] for a driver that activates the body once
-    /// per iteration (LRPD, the CIV slice, the measurement pass): the
+    /// per iteration (LRPD, the WHILE slice, the measurement pass): the
     /// counts add to `tally`, which the driver publishes once.
     pub fn activate(
         &self,

@@ -11,9 +11,11 @@
 
 use std::collections::BTreeSet;
 
-use lip_ir::{ArrayBuf, ExecState, LValue, RunError, Stmt, Store, Subroutine, Ty, Value};
+use lip_ir::{
+    AccessTracer, ArrayBuf, ExecState, LValue, RunError, Stmt, Store, Subroutine, Ty, Value,
+};
 use lip_symbolic::Sym;
-use lip_vm::Frame;
+use lip_vm::{IterObserver, Scalars};
 
 use crate::backend::{do_body, DoShape, ExecEnv};
 use crate::cache::CompiledBody;
@@ -191,7 +193,10 @@ fn expr_syms(e: &lip_ir::Expr) -> BTreeSet<Sym> {
 /// The slice driver: runs the CIV slice sequentially and records each
 /// traced scalar's value at every iteration entry (plus the post-loop
 /// value), a DO's indexed by its loop variable, a WHILE's by its trip
-/// from 1; `niters_sym` (for while loops) receives the trip count.
+/// from 1; `niters_sym` (for while loops) receives the trip count. A
+/// unit-step DO's slice is one VM activation, recording through an
+/// [`IterObserver`]; a WHILE's runs trip by trip, its condition
+/// between them.
 /// Returns the work units charged to `state` (the tests give it a step
 /// budget). The slice — the dominant runtime-test cost for the
 /// `track`-style while loops — is compiled once per program. It is a
@@ -216,55 +221,58 @@ pub(crate) fn civ_traces(
     }
     let targets: BTreeSet<Sym> = civs.iter().map(|(s, _)| *s).collect();
     let mut extra: Vec<Sym> = civs.iter().map(|(s, _)| *s).collect();
-    let mut traces: Vec<(Sym, Sym, Vec<Value>)> =
-        civs.iter().map(|(s, t)| (*s, *t, Vec::new())).collect();
-    let mut tally = env.tally();
-    let mut step = |cb: &CompiledBody, f: &mut Frame, state: &mut ExecState| {
-        cb.activate(env, f, None, state, None, &mut tally)
+    let traces = civs.iter().map(|(s, t)| (*s, *t, Vec::new())).collect();
+    let mut seen = Entries {
+        slots: Vec::new(),
+        traces,
     };
+    let civ_slots = |cb: &CompiledBody| {
+        let slot = |s: Sym| cb.chunk().scalar_slot(s).expect("interned");
+        civs.iter().map(|(s, _)| slot(*s)).collect()
+    };
+    let mut tally = env.tally();
+    // A runtime test: its reads are not the loop's.
+    let tracer: Option<&dyn AccessTracer> = None;
     match (shape.copied(), target) {
         (Some(shape), _) => {
             extra.push(shape.var);
             let slice = extract_slice(do_body(target), &targets);
             let cb = env.body(sub, &slice, &[], &extra)?;
             let var_slot = cb.chunk().scalar_slot(shape.var).expect("interned");
-            let civ_slots: Vec<u16> = civs
-                .iter()
-                .map(|(s, _)| cb.chunk().scalar_slot(*s).expect("interned"))
-                .collect();
+            seen.slots = civ_slots(&cb);
             let mut f = cb.frame(frame);
             // Element `i` is the value on entry to iteration `i`, as
             // the analysis' `s@trace(i)` and the chunks' seeding read
             // it: the first `lo - 1` elements pad with the entry value.
             if shape.traces_by_var() {
-                (1..shape.lo).for_each(|_| record(&f, &civ_slots, &mut traces));
+                (1..shape.lo).for_each(|_| seen.push(|s| f.scalar(s)));
             }
-            for i in shape.iters() {
-                f.set_scalar(var_slot, Value::Int(i));
-                record(&f, &civ_slots, &mut traces);
-                step(&cb, &mut f, state)?;
+            let mut run = |r| cb.observe(env, &mut f, r, state, tracer, &mut tally, &mut seen);
+            // A step other than 1 (only the compat entry point asks for
+            // one: the plan runs such a DO sequentially, with no slice)
+            // is one activation per iteration.
+            match shape.step {
+                1 => run((var_slot, shape.lo, shape.hi))?,
+                _ => shape.iters().try_for_each(|i| run((var_slot, i, i)))?,
             }
             // Post-loop entry (trace(hi+1)).
-            record(&f, &civ_slots, &mut traces);
+            seen.push(|s| f.scalar(s));
         }
         (None, Stmt::While { cond, body, .. }) => {
             let slice = extract_slice(body, &targets);
             let cb = env.body(sub, &slice, &[cond], &extra)?;
-            let civ_slots: Vec<u16> = civs
-                .iter()
-                .map(|(s, _)| cb.chunk().scalar_slot(*s).expect("interned"))
-                .collect();
+            seen.slots = civ_slots(&cb);
             let mut f = cb.frame(frame);
             let vm = cb.vm(env);
             let mut n: i64 = 0;
             loop {
-                let c = vm.eval_block_expr(cb.block, 0, &mut f, state, None)?;
-                record(&f, &civ_slots, &mut traces);
+                let c = vm.eval_block_expr(cb.block, 0, &mut f, state, tracer)?;
+                seen.push(|s| f.scalar(s));
                 if !c.truthy() {
                     break;
                 }
                 n += 1;
-                step(&cb, &mut f, state)?;
+                cb.activate(env, &mut f, None, state, tracer, &mut tally)?;
                 if n as u64 > crate::exec::TEST_BUDGET {
                     return Err(RunError::StepLimit);
                 }
@@ -277,13 +285,33 @@ pub(crate) fn civ_traces(
         _ => {}
     }
     env.publish(tally);
-    bind_traces(sub, frame, traces);
+    bind_traces(sub, frame, seen.traces);
     Ok(state.cost)
 }
 
-fn record(f: &Frame, slots: &[u16], traces: &mut [(Sym, Sym, Vec<Value>)]) {
-    for (slot, (_, _, vals)) in slots.iter().zip(traces.iter_mut()) {
-        vals.push(f.scalar(*slot).unwrap_or(Value::Int(0)));
+/// The traces a slice records: each traced scalar's slot, and per
+/// scalar, its values on entry to each iteration so far.
+struct Entries {
+    slots: Vec<u16>,
+    traces: Vec<(Sym, Sym, Vec<Value>)>,
+}
+
+impl Entries {
+    /// Records each traced scalar's value as `read` gives it (an
+    /// unbound one as 0).
+    fn push(&mut self, read: impl Fn(u16) -> Option<Value>) {
+        for (slot, (_, _, vals)) in self.slots.iter().zip(&mut self.traces) {
+            vals.push(read(*slot).unwrap_or(Value::Int(0)));
+        }
+    }
+}
+
+/// A DO slice records on entry to each iteration, from the activation
+/// that runs them all.
+impl IterObserver for Entries {
+    fn enter(&mut self, _: i64, scalars: Scalars<'_>) -> bool {
+        self.push(|s| scalars.get(s));
+        true
     }
 }
 

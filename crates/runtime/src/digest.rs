@@ -178,22 +178,41 @@ pub struct KeyCost {
 /// reduction cascade or the exact test reads from `frame` is digested
 /// once, on first use, and a test's memo key is a combine of its
 /// scalars' values and its arrays' digests. A table is only as good as
-/// the frame is unchanged: one per whole-loop test phase, a fresh one
-/// per fission fragment (fragments write between tests).
+/// the frame is unchanged: one per whole-loop test phase, carried into
+/// the first fission fragment's (nothing runs between them), a fresh
+/// one per later fragment (fragments write between tests).
 pub struct InputDigests<'a> {
     frame: &'a Store,
     cost: &'a mut KeyCost,
-    arrays: Vec<(Sym, u128)>,
+    arrays: Digests,
 }
+
+/// The digests a test phase computed, by array.
+pub(crate) type Digests = Vec<(Sym, u128)>;
 
 impl<'a> InputDigests<'a> {
     /// An empty table over `frame`, charging `cost`.
     pub fn new(frame: &'a Store, cost: &'a mut KeyCost) -> InputDigests<'a> {
+        InputDigests::resume(frame, cost, Digests::new())
+    }
+
+    /// A table over `frame` holding `arrays`, digests of its arrays as
+    /// they are now.
+    pub(crate) fn resume(
+        frame: &'a Store,
+        cost: &'a mut KeyCost,
+        arrays: Digests,
+    ) -> InputDigests<'a> {
         InputDigests {
             frame,
             cost,
-            arrays: Vec::new(),
+            arrays,
         }
+    }
+
+    /// The digests computed so far.
+    pub(crate) fn into_digests(self) -> Digests {
+        self.arrays
     }
 
     /// The store the digests are of.

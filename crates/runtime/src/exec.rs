@@ -30,6 +30,7 @@ use lip_symbolic::Sym;
 
 use crate::backend::{do_body, exec_stmt_seq, DoShape, ExecEnv};
 use crate::cache::CompiledBody;
+use crate::digest::Digests;
 use crate::lrpd::{lrpd_execute_impl, LrpdOutcome};
 use crate::merge::{clone_buf, copy_back, identity_buf, merge_into};
 use crate::plan::{decide, fragment_label, plan, ExecPlan, Fragment, Plan, Route};
@@ -134,8 +135,9 @@ pub(crate) fn run_loop_impl(
 ) -> Result<RunStats, RunError> {
     let obs = &env.cache.obs;
     let span = obs.span("run.loop", || analysis.label.clone());
-    let result = plan(env, sub, target, analysis, frame).and_then(|mut plan| {
-        let (outcome, loop_units, fragments) = execute(env, sub, target, analysis, &plan, frame)?;
+    let result = plan(env, sub, target, analysis, frame).and_then(|(mut plan, digests)| {
+        let (outcome, loop_units, fragments) =
+            execute(env, sub, target, analysis, &plan, digests, frame)?;
         for f in &fragments {
             plan.units.fragments += f.plan.units.total();
             plan.keys.elems += f.plan.keys.elems;
@@ -187,13 +189,15 @@ pub(crate) fn run_loop_impl(
 /// Runs `plan` for `target` on `frame`: the outcome, the loop units —
 /// the DO statement's own unit, unless the body ran as chunks, its
 /// bounds and the body's units, as the interpreter charges them — and
-/// a fissioned run's fragments.
+/// a fissioned run's fragments (the first keying its tests with
+/// `digests`, the plan's).
 fn execute(
     env: &ExecEnv<'_>,
     sub: &lip_ir::Subroutine,
     target: &Stmt,
     analysis: &LoopAnalysis,
     plan: &Plan,
+    digests: Digests,
     frame: &mut Store,
 ) -> Result<(ExecOutcome, u64, Vec<Fragment>), RunError> {
     // While loops execute sequentially in this executor (their parallel
@@ -219,7 +223,7 @@ fn execute(
         }
         Route::Fission => {
             let fp = analysis.fission.as_deref().expect("fissioned");
-            run_fissioned(env, sub, &shape, fp, frame, &mut fragments)?
+            run_fissioned(env, sub, &shape, fp, digests, frame, &mut fragments)?
         }
         route => {
             let outcome = match route {
@@ -252,6 +256,7 @@ fn run_fissioned(
     sub: &lip_ir::Subroutine,
     shape: &DoShape,
     fp: &FissionPlan,
+    mut digests: Digests,
     frame: &mut Store,
     runs: &mut Vec<Fragment>,
 ) -> Result<(ExecOutcome, u64), RunError> {
@@ -259,7 +264,23 @@ fn run_fissioned(
     runs.reserve_exact(fp.fragments.len());
     for (k, frag) in fp.fragments.iter().enumerate() {
         let (target, a) = (&frag.target, &frag.analysis);
-        let plan = decide(env, sub, target, Some(*shape), a, frame, None, true)?;
+        // The whole loop's digests hold for the first fragment's tests
+        // unless its CIV slice rebinds traces first; every later
+        // fragment tests the store its predecessors wrote.
+        if k > 0 || !a.civs.is_empty() {
+            digests.clear();
+        }
+        let plan = decide(
+            env,
+            sub,
+            target,
+            Some(*shape),
+            a,
+            frame,
+            None,
+            true,
+            &mut digests,
+        )?;
         let body = do_body(&frag.target);
         let ran_parallel = plan.route.parallel() && shape.hi >= shape.lo;
         let frag_units = if ran_parallel {

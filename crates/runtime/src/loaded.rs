@@ -140,7 +140,7 @@ impl LoopHandle {
     /// reaches them, so here there are none.
     pub fn plan(&self, frame: &mut Store) -> Result<Plan, RunError> {
         let env = self.loaded.env();
-        crate::plan::plan(&env, self.sub(), self.target(), self.analysis(), frame)
+        crate::plan::plan(&env, self.sub(), self.target(), self.analysis(), frame).map(|(p, _)| p)
     }
 
     /// Runs the loop once sequentially on `frame` and returns the work

@@ -24,7 +24,7 @@ use lip_usr::Exact;
 
 use crate::backend::{DoShape, ExecEnv};
 use crate::civ::civ_traces;
-use crate::digest::{InputDigests, KeyCost};
+use crate::digest::{Digests, InputDigests, KeyCost};
 use crate::exec::TEST_BUDGET;
 
 /// How one run of a loop executes, decided before it runs.
@@ -153,22 +153,38 @@ impl fmt::Display for ExecPlan {
 }
 
 /// Plans a run of `target` under `analysis` on `frame`, binding what
-/// its CIV slice computes into `frame`.
+/// its CIV slice computes into `frame`; with the plan, the digests its
+/// tests took of `frame` (a fissioned run's first fragment keys its
+/// tests with them).
 pub(crate) fn plan(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
     target: &Stmt,
     analysis: &LoopAnalysis,
     frame: &mut Store,
-) -> Result<Plan, RunError> {
+) -> Result<(Plan, Digests), RunError> {
     let shape = env.do_shape(sub, target, frame, &mut ExecState::default())?;
     let fission = analysis.fission.as_deref().filter(|_| env.cache.fission);
-    decide(env, sub, target, shape, analysis, frame, fission, false)
+    let mut digests = Digests::new();
+    let p = decide(
+        env,
+        sub,
+        target,
+        shape,
+        analysis,
+        frame,
+        fission,
+        false,
+        &mut digests,
+    )?;
+    Ok((p, digests))
 }
 
 /// [`plan`] of a loop whose bounds `shape` holds: a whole loop, which
 /// may speculate and distribute by `fission` (its plan, when the session
 /// honours it), or a `fragment` of a fissioned run, which does neither.
+/// The tests key their memo lookups with `digests`, digests of `frame`
+/// as it is when they run, extended with what they digest.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decide(
     env: &ExecEnv<'_>,
@@ -179,6 +195,7 @@ pub(crate) fn decide(
     frame: &mut Store,
     fission: Option<&FissionPlan>,
     fragment: bool,
+    digests: &mut Digests,
 ) -> Result<Plan, RunError> {
     use Route::*;
     // What the shape and the class decide before any test. The chunk
@@ -229,7 +246,7 @@ pub(crate) fn decide(
         timed: env.cache.obs.enabled(),
         ..KeyCost::default()
     };
-    let mut inputs = InputDigests::new(frame, &mut keys);
+    let mut inputs = InputDigests::resume(frame, &mut keys, std::mem::take(digests));
     p.route = match decided {
         Some(route) => route,
         None => tested(env, a, fission, fragment, &mut inputs, &mut p),
@@ -237,6 +254,7 @@ pub(crate) fn decide(
     if p.route.parallel() {
         p.arrays = exec_plans(env, a, &mut inputs);
     }
+    *digests = inputs.into_digests();
     p.keys = keys;
     Ok(p)
 }
@@ -346,8 +364,8 @@ fn cascade_test(
 
 /// The cascade's last resort (§5; HOIST-USR, §7): whether `analysis`'
 /// `ind_usr` is empty on `inputs.frame()`, by the one-pass evaluator
-/// ([`lip_usr::exact`]) behind the program's memo, under the USR and a
-/// key over what it reads. The units are the evaluation's count,
+/// ([`lip_usr::exact`], on the plan the analysis lowered once) behind
+/// the program's memo, under the USR and a key over what it reads. The units are the evaluation's count,
 /// charged on memo hit (the `bool`) and miss alike; no `ind_usr` is
 /// undecided at no cost.
 fn exact_test(
@@ -355,7 +373,7 @@ fn exact_test(
     analysis: &LoopAnalysis,
     inputs: &mut InputDigests<'_>,
 ) -> (Exact, bool) {
-    let (Some(usr), Some(key)) = (&analysis.ind_usr, analysis.exact_key()) else {
+    let Some(key) = analysis.exact_key() else {
         let undecided = Exact {
             verdict: None,
             units: 0,
@@ -373,7 +391,7 @@ fn exact_test(
         env.cache
             .pred
             .exact_memo(&key.key, fingerprint, TEST_BUDGET, || {
-                let e = lip_usr::exact::independent(usr, &StoreCtx(frame), TEST_BUDGET);
+                let e = key.plan.independent(&StoreCtx(frame), TEST_BUDGET);
                 (e.verdict, e.units)
             });
     let fresh = ["undecided", "dependent", "independent"];

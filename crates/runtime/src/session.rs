@@ -569,10 +569,11 @@ pub mod compat {
             frame: &mut Store,
             niters_sym: Option<Sym>,
         ) -> Result<u64, RunError> {
-            let mut state = ExecState::default();
             self.compat_env(machine, |env| {
-                let shape = env.do_shape(sub, target, frame, &mut state)?;
-                let (shape, niters) = (shape.as_ref(), niters_sym);
+                // The bounds on a state of their own: the slice charges
+                // them from the shape, as the plan's does.
+                let shape = env.do_shape(sub, target, frame, &mut ExecState::default())?;
+                let (shape, niters, state) = (shape.as_ref(), niters_sym, ExecState::default());
                 crate::civ::civ_traces(env, sub, target, shape, civs, frame, niters, state)
             })
         }

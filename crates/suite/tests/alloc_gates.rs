@@ -8,17 +8,28 @@
 //! Each bound is the count the executor made before its decision became
 //! one `Plan` value; a run may allocate less, never more.
 //!
+//! The exact USR test's evaluation is gated the same way: one
+//! evaluation of a lowered plan (what a memo miss runs) allocates its
+//! slot and reader tables, its kept prefixes and a few recycled run
+//! vectors, never per iteration or per run.
+//!
 //! Its own test binary, because of the counting `#[global_allocator]`,
-//! and one test, because the count is taken on every thread: a chunk
-//! may run on a pool worker, and no other test runs meanwhile.
+//! and its tests take turns (`SERIAL`), because the count is taken on
+//! every thread: a chunk may run on a pool worker, and no other test
+//! runs meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
+use lip_analysis::{analyze_loop, AnalysisConfig};
+use lip_ir::{Store, StoreCtx, Value};
 use lip_obs::ObsLevel;
-use lip_runtime::Session;
+use lip_runtime::{Session, TEST_BUDGET};
 use lip_suite::check::deep_copy;
+use lip_suite::KernelShape;
 use lip_symbolic::sym;
+use lip_usr::exact::ExactPlan;
 
 /// `System`, counting every thread's calls.
 struct Counting;
@@ -49,6 +60,9 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Held by each test while it counts.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Per suite kernel, the allocations of one warm run at n = 64 and at
 /// n = 256 (fission on, observer off, two chunks).
@@ -87,6 +101,7 @@ fn warm_run(session: &Session, shape: &lip_suite::KernelShape, n: usize) -> u64 
 
 #[test]
 fn a_warm_run_allocates_no_more_than_its_bound() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let session = Session::builder()
         .fission(true)
         .observer(ObsLevel::Off)
@@ -109,4 +124,67 @@ fn a_warm_run_allocates_no_more_than_its_bound() {
         }
     }
     assert!(over.is_empty(), "allocations over their bounds: {over:?}");
+}
+
+/// `shape`'s last independence USR (a fissioned loop's: its indirect
+/// fragment's) lowered, and its input at `n` with `ints` written into
+/// the index array `array`.
+fn exact_case(
+    shape: &'static KernelShape,
+    n: usize,
+    array: &str,
+    ints: impl IntoIterator<Item = i64>,
+) -> (ExactPlan, Store) {
+    let p = shape.prepared(n);
+    let prog = p.machine.program().clone();
+    let cfg = AnalysisConfig::default();
+    let a = analyze_loop(&prog, sym(shape.sub), shape.label, &cfg).expect("analysis");
+    let frags = a.fission.iter().flat_map(|f| &f.fragments);
+    let usr = (frags.filter_map(|f| f.analysis.ind_usr.clone()).last())
+        .or(a.ind_usr.clone())
+        .expect("an independence USR");
+    let buf = &p.frame.array(sym(array)).expect("index array").buf;
+    for (k, v) in ints.into_iter().enumerate() {
+        buf.set(k, Value::Int(v));
+    }
+    (ExactPlan::new(&usr), p.frame)
+}
+
+/// One exact evaluation's allocations: `hoist_indirect`'s fragment on a
+/// shuffled pass-shaped input at n = 192 (`P` a permutation of 1..=n,
+/// `Q` one of n+1..=2n) and `solvh` on its fail-shaped input at n = 48
+/// (`IB(i) = i`, each section overlapping the next). The tree-walking
+/// evaluator this replaced made 3 972 and 2 078; a bound is a ceiling,
+/// never raise it.
+#[test]
+fn one_exact_evaluation_allocates_no_more_than_its_bound() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let shuffled = |n: usize| (0..n).map(move |k| ((k * 7919 + 13) % n) as i64 + 1);
+    let (n, mut rows) = (192, Vec::new());
+    let (plan, frame) = exact_case(&lip_suite::HOIST_INDIRECT, n, "P", shuffled(n));
+    let q = &frame.array(sym("Q")).expect("Q").buf;
+    for (k, v) in shuffled(n).enumerate() {
+        q.set(n - 1 - k, Value::Int(v + n as i64));
+    }
+    rows.push((
+        "hoist_indirect fragment, n = 192",
+        plan,
+        frame,
+        Some(true),
+        32,
+    ));
+    let (plan, frame) = exact_case(&lip_suite::SOLVH, 48, "IB", 1..=48);
+    rows.push(("solvh, n = 48, fail-shaped", plan, frame, Some(false), 35));
+    for (name, plan, frame, verdict, bound) in rows {
+        let ctx = StoreCtx(&frame);
+        let before = ALLOCATED.load(Ordering::Relaxed);
+        let e = plan.independent(&ctx, TEST_BUDGET);
+        let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
+        println!("{name}: {allocated} allocations, {} units", e.units);
+        assert_eq!(e.verdict, verdict, "{name}");
+        assert!(
+            allocated <= bound,
+            "{name}: {allocated} allocations against {bound}"
+        );
+    }
 }

@@ -33,3 +33,30 @@ fn civ_scalar_and_arrays_match_the_interpreter_at_every_chunk_count() {
         }
     }
 }
+
+/// The `Machine`-taking `Session::civ_traces` charges what the plan's
+/// slice charges — the DO's bounds once, then the slice — on the same
+/// input: it used to charge the bounds twice (476 against 474 units at
+/// n = 64).
+#[test]
+fn the_compat_slice_charges_what_the_plans_slice_charges() {
+    let p = lip_suite::CIV_CONDITIONAL.prepared(64);
+    let sess = Session::builder().nthreads(2).build();
+    let loaded = sess.load(p.machine.program().clone());
+    let handle = loaded.prepare(sym(p.sub), p.label).expect("analysis");
+    let plan = handle.plan(&mut p.frame.clone()).expect("plans");
+    let planned = plan.units.slice.expect("the plan runs the slice");
+    let civs = &handle.analysis().civs;
+    let compat = sess
+        .civ_traces(
+            &p.machine,
+            handle.sub(),
+            handle.target(),
+            civs,
+            &mut p.frame.clone(),
+            None,
+        )
+        .expect("slice runs");
+    assert_eq!(compat, planned);
+    assert_eq!(planned, 474);
+}

@@ -5,9 +5,10 @@
 //! kernels has one, so a fallback here is a lost typed form, seen as
 //! a count instead of as a slowdown.
 //!
-//! The drivers that activate the body once per iteration — the CIV
-//! slice, LRPD speculation — count those activations too, or the
-//! counts above would say nothing about them.
+//! The drivers that activate the body once per iteration — a WHILE's
+//! CIV slice, LRPD speculation — count those activations too, or the
+//! counts above would say nothing about them; a DO's CIV slice is one
+//! activation.
 
 use lip_ir::Value;
 use lip_obs::ObsLevel;
@@ -64,10 +65,10 @@ fn every_hot_large_kernel_runs_typed() {
     assert!(untyped.is_empty(), "untyped activations: {untyped:?}");
 }
 
-/// `civ_conditional`'s slice runs once per iteration before the loop
-/// does, `civ_while`'s once per trip, and a committed speculation of
-/// `tls_feedback`'s loop once per iteration: each of those activations
-/// is counted.
+/// `civ_while`'s slice runs once per trip, and a committed speculation
+/// of `tls_feedback`'s loop once per iteration: each of those
+/// activations is counted. `civ_conditional`'s DO slice is one
+/// activation before the loop's two chunks.
 #[test]
 fn per_iteration_drivers_count_every_activation() {
     let n = 256;
@@ -78,8 +79,13 @@ fn per_iteration_drivers_count_every_activation() {
         (0..n).for_each(|i| w.set(i, Value::Real((2 * i + 1) as f64)));
         p
     };
+    let (typed, untyped) = activations(lip_suite::CIV_CONDITIONAL.prepared(n));
+    assert_eq!(
+        (typed, untyped),
+        (3, 0),
+        "civ_conditional: the slice and two chunks"
+    );
     let rows = [
-        ("civ_conditional", lip_suite::CIV_CONDITIONAL.prepared(n), n),
         ("civ_while", lip_suite::CIV_WHILE.prepared(n), n / 2),
         ("tls_feedback", commit, n),
     ];

@@ -6,8 +6,9 @@
 //!   over the *distinct* arrays that phase's tests read, however many
 //!   stages, reduction cascades and exact tests name them (two
 //!   SipHash passes per test used to make it 2–4× that); a fission
-//!   fragment is a phase of its own, because fragments write between
-//!   tests.
+//!   fragment after the first is a phase of its own, because fragments
+//!   write between tests, while the first tests the store the whole
+//!   loop's tests just digested.
 //! * **Same verdict traffic.** A cheaper key must not change which
 //!   lookups hit: the engine's `evals` / `memo_hits` / `exact_evals` /
 //!   `exact_memo_hits` and the block cache's `vm.block_hits` /
@@ -80,14 +81,15 @@ fn counts(shape: &KernelShape, phases: &[&[&str]]) -> Counts {
 #[test]
 fn each_array_is_digested_once_per_test_phase() {
     // The arrays the tests of each phase read. `hoist_indirect`: the
-    // whole-loop cascade and exact test, then the rescued fragment's
-    // (the other fragment is statically sequential and tests nothing).
+    // whole-loop cascade, whose digests the rescued fragment's cascade
+    // and exact test reuse (the other fragment is statically sequential
+    // and tests nothing).
     let kernels: [(&KernelShape, &[&[&str]]); 6] = [
         (&lip_suite::INDEX_REDUCTION, &[&["J"]]),
         (&lip_suite::INT_HISTOGRAM, &[&["J"]]),
         (&lip_suite::EXT_REDUCTION, &[&["B"]]),
         (&lip_suite::CIV_CONDITIONAL, &[&["C", "civ@trace1"]]),
-        (&lip_suite::HOIST_INDIRECT, &[&["P", "Q"], &["P", "Q"]]),
+        (&lip_suite::HOIST_INDIRECT, &[&["P", "Q"]]),
         (&lip_suite::SOLVH, &[&["IA", "IB"]]),
     ];
     for (shape, phases) in kernels {
@@ -134,5 +136,25 @@ fn verdict_and_block_traffic_is_what_the_old_keys_produced() {
     for (shape, (name, want)) in shapes.iter().zip(parent) {
         assert_eq!(shape.name, name);
         assert_eq!(counts(shape, &[]).traffic, want, "{name}");
+    }
+}
+
+/// The first fission fragment keys its tests with the digests the whole
+/// loop's tests took: nothing writes the store between the two phases.
+/// `hoist_indirect` at n = 2 048 digests `P` and `Q` once per run, not
+/// once for the loop and again for its indirect fragment.
+#[test]
+fn the_first_fragment_reuses_the_loops_digests() {
+    let session = Session::builder().nthreads(2).build();
+    let p = lip_suite::HOIST_INDIRECT.prepared(2048);
+    let loaded = session.load(p.machine.program().clone());
+    let handle = loaded.prepare(sym(p.sub), p.label).expect("analysis");
+    for _ in 0..2 {
+        let stats = handle.run(&mut p.frame.clone()).expect("runs");
+        assert!(matches!(
+            stats.outcome,
+            lip_runtime::ExecOutcome::Fissioned { parallel: 1, .. }
+        ));
+        assert_eq!(stats.plan.keys.elems, 4096, "P and Q, 2 048 elements each");
     }
 }

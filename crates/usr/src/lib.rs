@@ -21,7 +21,8 @@
 //!   (subtraction reassociation and UMEG preservation),
 //! * [`exact`] — the production independence test: one-pass USR
 //!   emptiness (running prefix unions, early exit, run-length sets),
-//!   counted in work units,
+//!   counted in work units, on an [`exact::ExactPlan`] the USR is
+//!   lowered into once,
 //! * [`eval`] — the set-valued reference semantics [`exact`] is tested
 //!   against.
 

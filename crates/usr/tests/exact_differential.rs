@@ -256,7 +256,10 @@ fn random_usrs_agree_with_the_reference() {
     );
 }
 
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/exact_corpus_units.txt");
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/exact_corpus_units.txt"
+);
 
 /// One line per corpus case: its index, the verdict (`T`rue,
 /// `F`alse, `N`one) and units with the whole budget, then with half the

@@ -46,7 +46,14 @@
 #   * the CIV slice run under the caller's tracer again (its reads reach
 #     the access comparison as if the loop made them);
 #   * LRPD's committed attempt no longer replayed to the caller's tracer
-#     (the access comparison sees none of the loop's accesses).
+#     (the access comparison sees none of the loop's accesses);
+#   * the DO slice's traces as an observer recording each iteration's
+#     scalars after the iteration instead of before it would leave them
+#     (the first iteration's entry value missing, the post-loop value
+#     twice: a chunk is seeded one increment late, the store comparison).
+# The exact USR test's entry runs `lip_usr`'s units golden:
+#   * one `charge` dropped from the lowered evaluator (a kept prefix's
+#     iterations go uncounted: `exact_corpus_units.txt` diverges).
 set -eu
 scratch=${1:?usage: $0 SCRATCH_DIR}
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
@@ -54,6 +61,7 @@ mutant="$scratch/mutant"
 
 vm_tests='-p lip_vm --lib --test proptest_programs --test typed_fallback'
 check_tests='-p lip_suite --test session_matrix'
+units_tests='-p lip_usr --test exact_differential'
 mutations="$vm_tests
 crates/vm/src/typed.rs
         Add => a.wrapping_add(b),
@@ -106,13 +114,23 @@ crates/runtime/src/exec.rs
 
 $check_tests
 crates/runtime/src/civ.rs
-        cb.activate(env, f, None, state, None, &mut tally)
-        cb.activate(env, f, None, state, env.tracer(), &mut tally)
+    let tracer: Option<&dyn AccessTracer> = None;
+    let tracer: Option<&dyn AccessTracer> = env.tracer();
 
 $check_tests
 crates/runtime/src/lrpd.rs
         held.iter().for_each(|(_, chunk)| chunk.replay(to));
         held.iter().for_each(|_| ());
+
+$check_tests
+crates/runtime/src/civ.rs
+            seen.push(|s| f.scalar(s));
+            seen.traces.iter_mut().for_each(|t| drop(t.2.remove(shape.lo.max(1) as usize - 1))); seen.push(|s| f.scalar(s)); seen.push(|s| f.scalar(s));
+
+$units_tests
+crates/usr/src/exact.rs
+            self.charge()?;
+            // self.charge()?;
 "
 
 printf '%s\n' "$mutations" | while IFS= read -r tests && IFS= read -r file &&

@@ -79,7 +79,7 @@ pub use chunk::{BlockId, Chunk, CompileError, CompiledProgram, Op};
 pub use compile::{add_block, add_block_with_exprs, compile_program, expr_cost};
 pub use peephole::{optimize_block, optimize_chunk, optimize_program};
 pub use typed::Typed;
-pub use vm::{DispatchCounts, Frame, Vm};
+pub use vm::{DispatchCounts, Frame, IterObserver, Scalars, Vm};
 
 #[cfg(test)]
 mod tests {

@@ -59,7 +59,7 @@ use lip_ir::{
 
 use crate::chunk::{ArgSpec, Chunk, Op, Reg};
 use crate::peephole;
-use crate::vm::{DispatchCounts, Frame, Slot, Vm};
+use crate::vm::{DispatchCounts, Frame, IterObserver, Scalars, Slot, Vm};
 
 /// Type bit: the slot or register may hold an `Int` (also a bound
 /// slot's tag).
@@ -1671,7 +1671,7 @@ impl Vm<'_> {
     /// The typed dispatch loop: [`Vm`]'s `Value` loop on raw registers,
     /// for an activation [`Typed::admits`]. `range` as for that loop.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_typed<const COUNT: bool>(
+    pub(crate) fn exec_typed<const COUNT: bool, O: IterObserver>(
         &self,
         chunk: &Chunk,
         t: &Typed,
@@ -1680,6 +1680,7 @@ impl Vm<'_> {
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
         counts: &mut DispatchCounts,
+        obs: &mut O,
     ) -> Result<(), RunError> {
         let Frame {
             regs: vregs,
@@ -1746,6 +1747,9 @@ impl Vm<'_> {
         loop {
             if let Some(v) = var_slot {
                 s[v as usize] = Slot::int(iter);
+                if !obs.enter(iter, Scalars(s)) {
+                    return Ok(());
+                }
             }
             let mut pc = 0usize;
             while pc < ops.len() {

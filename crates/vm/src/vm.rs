@@ -234,6 +234,39 @@ impl Frame {
     }
 }
 
+/// What a driver runs at the start of each iteration of a range
+/// ([`Vm::run_range_observed`]): the iteration and the frame's scalar
+/// slots, the loop variable already seeded. Answering `false` ends the
+/// range before that iteration runs (the loop variable stays seeded
+/// with it). The dispatch loops are generic over the observer, as they
+/// are over counting, so a range with none ([`Unobserved`]) compiles to
+/// the loop it always was.
+pub trait IterObserver {
+    /// Called before iteration `iter` runs; `false` stops the range.
+    fn enter(&mut self, iter: i64, scalars: Scalars<'_>) -> bool;
+}
+
+/// No observer: every range the executor runs without one.
+pub struct Unobserved;
+
+impl IterObserver for Unobserved {
+    #[inline(always)]
+    fn enter(&mut self, _: i64, _: Scalars<'_>) -> bool {
+        true
+    }
+}
+
+/// A frame's scalar slots, as an [`IterObserver`] reads them.
+#[derive(Clone, Copy)]
+pub struct Scalars<'a>(pub(crate) &'a [Slot]);
+
+impl Scalars<'_> {
+    /// The value in `slot`, `None` while unbound (as [`Frame::scalar`]).
+    pub fn get(&self, slot: u16) -> Option<Value> {
+        self.0[slot as usize].get()
+    }
+}
+
 /// The tracer, per array slot, when it wants the writes to the buffer
 /// bound there. [`AccessTracer::wants_writes`] is asked at the slot's
 /// first write in the activation, so an activation that writes no array
@@ -386,7 +419,8 @@ impl<'p> Vm<'p> {
         let ran = self
             .alloc_locals::<COUNT>(csub, &mut frame, state, tracer, counts)
             .and_then(|()| {
-                self.activate::<COUNT>(&csub.chunk, None, &mut frame, state, tracer, counts)
+                let obs = &mut Unobserved;
+                self.activate::<COUNT, _>(&csub.chunk, None, &mut frame, state, tracer, counts, obs)
             });
         // Published on failure too: the interpreter runs the entry in
         // the store itself, so its partial state is there either way.
@@ -395,9 +429,10 @@ impl<'p> Vm<'p> {
     }
 
     /// Runs a standalone block against `frame` once: the entry point
-    /// for drivers that need a hook between iterations (LRPD's
-    /// per-iteration tracer, CIV trace recording, per-iteration cost
-    /// sampling — seed the loop variable, then call this) and for
+    /// for drivers that still take a hook between iterations this way
+    /// (LRPD's per-iteration tracer, per-iteration cost sampling, a
+    /// WHILE slice's trips — seed the loop variable, then call this;
+    /// [`Vm::run_range_observed`] is the one-activation form) and for
     /// running a whole statement as one block.
     ///
     /// # Errors
@@ -411,14 +446,8 @@ impl<'p> Vm<'p> {
         tracer: Option<&dyn AccessTracer>,
     ) -> Result<(), RunError> {
         let chunk = &self.prog.block(b).chunk;
-        self.activate::<false>(
-            chunk,
-            None,
-            frame,
-            state,
-            tracer,
-            &mut DispatchCounts::default(),
-        )
+        let counts = &mut DispatchCounts::default();
+        self.activate::<false, _>(chunk, None, frame, state, tracer, counts, &mut Unobserved)
     }
 
     /// Runs a loop-body block once per `i` in `lo..=hi` as a single VM
@@ -444,15 +473,37 @@ impl<'p> Vm<'p> {
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
     ) -> Result<(), RunError> {
-        let chunk = &self.prog.block(b).chunk;
-        self.activate::<false>(
-            chunk,
-            Some((var_slot, lo, hi)),
-            frame,
-            state,
-            tracer,
-            &mut DispatchCounts::default(),
-        )
+        let (chunk, range) = (&self.prog.block(b).chunk, Some((var_slot, lo, hi)));
+        let counts = &mut DispatchCounts::default();
+        self.activate::<false, _>(chunk, range, frame, state, tracer, counts, &mut Unobserved)
+    }
+
+    /// [`Vm::run_range`] with `obs` called at the start of each
+    /// iteration ([`IterObserver`]), through the counting dispatch loop
+    /// when `counts` is given (as [`Vm::run_counting`]).
+    ///
+    /// # Errors
+    ///
+    /// Any [`RunError`] raised during execution.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_range_observed<O: IterObserver>(
+        &self,
+        b: BlockId,
+        frame: &mut Frame,
+        (var_slot, lo, hi): (u16, i64, i64),
+        state: &mut ExecState,
+        tracer: Option<&dyn AccessTracer>,
+        counts: Option<&mut DispatchCounts>,
+        obs: &mut O,
+    ) -> Result<(), RunError> {
+        let (chunk, range) = (&self.prog.block(b).chunk, Some((var_slot, lo, hi)));
+        match counts {
+            Some(dc) => self.activate::<true, O>(chunk, range, frame, state, tracer, dc, obs),
+            None => {
+                let dc = &mut DispatchCounts::default();
+                self.activate::<false, O>(chunk, range, frame, state, tracer, dc, obs)
+            }
+        }
     }
 
     /// [`Vm::run_block`] (`range` = `None`) or [`Vm::run_range`]
@@ -474,7 +525,7 @@ impl<'p> Vm<'p> {
         counts: &mut DispatchCounts,
     ) -> Result<(), RunError> {
         let chunk = &self.prog.block(b).chunk;
-        self.activate::<true>(chunk, range, frame, state, tracer, counts)
+        self.activate::<true, _>(chunk, range, frame, state, tracer, counts, &mut Unobserved)
     }
 
     /// Evaluates attached expression fragment `k` of block `b` against
@@ -512,7 +563,8 @@ impl<'p> Vm<'p> {
         counts: &mut DispatchCounts,
     ) -> Result<Value, RunError> {
         frame.value_regs(chunk);
-        self.exec::<COUNT>(chunk, &code.ops, None, frame, state, tracer, counts)?;
+        let obs = &mut Unobserved;
+        self.exec::<COUNT, _>(chunk, &code.ops, None, frame, state, tracer, counts, obs)?;
         Ok(frame.regs[code.result as usize])
     }
 
@@ -647,7 +699,8 @@ impl<'p> Vm<'p> {
     /// first iteration would seed it anyway; an empty range is no
     /// activation at all.
     #[inline]
-    fn activate<const COUNT: bool>(
+    #[allow(clippy::too_many_arguments)]
+    fn activate<const COUNT: bool, O: IterObserver>(
         &self,
         chunk: &Chunk,
         range: Option<(u16, i64, i64)>,
@@ -655,6 +708,7 @@ impl<'p> Vm<'p> {
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
         counts: &mut DispatchCounts,
+        obs: &mut O,
     ) -> Result<(), RunError> {
         if matches!(range, Some((_, lo, hi)) if lo > hi) {
             return Ok(());
@@ -675,14 +729,15 @@ impl<'p> Vm<'p> {
                     // A call hands its arguments over in `Value` registers.
                     frame.value_regs(chunk);
                 }
-                return self.exec_typed::<COUNT>(chunk, t, range, frame, state, tracer, counts);
+                return self
+                    .exec_typed::<COUNT, O>(chunk, t, range, frame, state, tracer, counts, obs);
             }
         }
         if COUNT {
             counts.untyped_runs += 1;
         }
         frame.value_regs(chunk);
-        self.exec::<COUNT>(chunk, &chunk.ops, range, frame, state, tracer, counts)
+        self.exec::<COUNT, O>(chunk, &chunk.ops, range, frame, state, tracer, counts, obs)
     }
 
     /// Reads a scalar slot, erroring like `Op::LoadScalar` when
@@ -757,7 +812,7 @@ impl<'p> Vm<'p> {
     /// loop-variable slot verbatim and restarting at `pc = 0` each
     /// iteration; with `None` it runs `ops` once and seeds nothing.
     #[allow(clippy::too_many_arguments)]
-    fn exec<const COUNT: bool>(
+    fn exec<const COUNT: bool, O: IterObserver>(
         &self,
         chunk: &Chunk,
         ops: &[Op],
@@ -766,6 +821,7 @@ impl<'p> Vm<'p> {
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
         counts: &mut DispatchCounts,
+        obs: &mut O,
     ) -> Result<(), RunError> {
         let reader = tracer.filter(|t| t.wants_reads());
         let mut writers = Writers::new(tracer);
@@ -778,6 +834,9 @@ impl<'p> Vm<'p> {
         loop {
             if let Some(slot) = var_slot {
                 frame.scalars[slot as usize] = Slot::int(iter);
+                if !obs.enter(iter, Scalars(&frame.scalars)) {
+                    return Ok(());
+                }
             }
             let mut pc = 0usize;
             while pc < ops.len() {
@@ -1417,7 +1476,8 @@ impl<'p> Vm<'p> {
         let ran = self
             .alloc_locals::<COUNT>(callee, inner, state, tracer, counts)
             .and_then(|()| {
-                self.activate::<COUNT>(&callee.chunk, None, inner, state, tracer, counts)
+                let obs = &mut Unobserved;
+                self.activate::<COUNT, _>(&callee.chunk, None, inner, state, tracer, counts, obs)
             });
         state.leave_call();
         ran?;
