@@ -5,7 +5,10 @@
 //! fission fragments, the sequential fallbacks — and those the plan
 //! runs itself (the CIV slice) or the cost model does (the measurement
 //! pass) take one [`ExecEnv`] and run loop iterations on the `lip_vm` VM
-//! through a `CompiledBody` fetched from the program's compile cache.
+//! through a `CompiledBody` fetched from the program's compile cache:
+//! a DO's iterations at any step — a chunk, a sequential DO, a CIV
+//! slice, the measured loop — as one VM activation, a WHILE trip by
+//! trip.
 //! The VM shares `lip_ir`'s value/runtime model (`Value`, `ArrayBuf`,
 //! `AccessTracer`, work-unit accounting), so outputs, traced access
 //! streams and work-unit counts are those of the tree-walking
@@ -21,7 +24,7 @@ use std::sync::Arc;
 
 use lip_ir::{AccessTracer, ExecState, Expr, Machine, RunError, Stmt, Store, Subroutine};
 use lip_symbolic::Sym;
-use lip_vm::{DispatchCounts, Frame, IterObserver, Vm};
+use lip_vm::{DispatchCounts, Frame, IterObserver, Unobserved, Vm};
 
 use crate::cache::{CompiledBody, ProgramCache};
 
@@ -123,13 +126,10 @@ impl DoShape {
         self.step == 1 && self.lo >= 1 && self.lo as i128 - 1 <= trip + 1
     }
 
-    /// The loop variable's values in order, as the interpreter steps
-    /// it, ending at `hi` rather than stepping past `i64::MAX`.
-    pub fn iters(&self) -> impl Iterator<Item = i64> {
-        let (lo, hi, by) = (self.lo, self.hi, self.step.unsigned_abs() as usize);
-        let up = (self.step > 0).then(|| (lo..=hi).step_by(by));
-        let down = (self.step < 0).then(|| (hi..=lo).rev().step_by(by));
-        up.into_iter().flatten().chain(down.into_iter().flatten())
+    /// This DO's iterations as the VM runs them ([`Vm::run_range`]),
+    /// its variable in scalar slot `slot`.
+    pub fn range(&self, slot: u16) -> (u16, i64, i64, i64) {
+        (slot, self.lo, self.hi, self.step)
     }
 }
 
@@ -149,84 +149,60 @@ impl CompiledBody {
         Vm::for_machine(&self.prog, env.machine)
     }
 
-    /// [`Vm::run_block`], or with `range = (slot, lo, hi)` the body once
-    /// per value of that scalar as one activation ([`Vm::run_range`]:
-    /// what every driver with no work between iterations uses); at
-    /// trace level through the counting dispatch loops — the typed
+    /// The body over a DO's iterations as one activation
+    /// ([`Vm::run_range`]): `range` is `(slot, lo, hi, step)`
+    /// ([`DoShape::range`]), and `obs` is called at each iteration's
+    /// start ([`Unobserved`] when the driver has nothing to do there).
+    /// At trace level through the counting dispatch loops — the typed
     /// stream or the `Value` stream, whichever the guard picks, as in
     /// production — publishing their tally (~2 extra ALU ops per
     /// dispatch, so `metrics` skips it) and the activation counts
     /// `vm.typed_runs` / `vm.untyped_runs`, callee bodies included.
-    pub fn run(
+    pub fn run<O: IterObserver>(
         &self,
         env: &ExecEnv<'_>,
         f: &mut Frame,
-        range: Option<(u16, i64, i64)>,
+        range: (u16, i64, i64, i64),
         st: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
-    ) -> Result<(), RunError> {
-        let mut tally = env.tally();
-        self.activate(env, f, range, st, tracer, &mut tally)?;
-        env.publish(tally);
-        Ok(())
-    }
-
-    /// The body once per value of `range`'s scalar as one activation,
-    /// `obs` called before each iteration ([`Vm::run_range_observed`]:
-    /// the CIV slice records its scalars through it); the counts add to
-    /// `tally`, which the driver publishes once.
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe<O: IterObserver>(
-        &self,
-        env: &ExecEnv<'_>,
-        f: &mut Frame,
-        range: (u16, i64, i64),
-        st: &mut ExecState,
-        tracer: Option<&dyn AccessTracer>,
-        tally: &mut Option<DispatchCounts>,
         obs: &mut O,
     ) -> Result<(), RunError> {
         let vm = self.vm(env);
-        vm.run_range_observed(self.block, f, range, st, tracer, tally.as_mut(), obs)
+        env.tallied(|dc| vm.run_range(self.block, f, Some(range), st, tracer, dc, obs))
     }
 
-    /// [`CompiledBody::run`] for a driver that activates the body once
-    /// per iteration (LRPD, the WHILE slice, the measurement pass): the
-    /// counts add to `tally`, which the driver publishes once.
-    pub fn activate(
+    /// The body once — a WHILE trip, a whole statement — counted as
+    /// [`CompiledBody::run`] counts.
+    pub fn run_once(
         &self,
         env: &ExecEnv<'_>,
         f: &mut Frame,
-        range: Option<(u16, i64, i64)>,
         st: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
-        tally: &mut Option<DispatchCounts>,
     ) -> Result<(), RunError> {
-        let (vm, b) = (self.vm(env), self.block);
-        match (tally, range) {
-            (Some(dc), _) => vm.run_counting(b, f, range, st, tracer, dc),
-            (None, Some((slot, lo, hi))) => vm.run_range(b, f, slot, lo, hi, st, tracer),
-            (None, None) => vm.run_block(b, f, st, tracer),
-        }
+        let (vm, obs) = (self.vm(env), &mut Unobserved);
+        env.tallied(|dc| vm.run_range(self.block, f, None, st, tracer, dc, obs))
     }
 }
 
 impl ExecEnv<'_> {
-    /// An empty dispatch tally at trace level, none below it.
-    pub fn tally(&self) -> Option<DispatchCounts> {
-        self.cache.obs.trace_enabled().then(DispatchCounts::default)
-    }
-
-    /// Publishes a driver's dispatch tally.
-    pub fn publish(&self, tally: Option<DispatchCounts>) {
-        let (Some(dc), obs) = (tally, &self.cache.obs) else {
-            return;
-        };
-        obs.count("vm.ops", dc.ops);
-        obs.count("vm.fused_ops", dc.fused_ops);
-        obs.count("vm.red_ops", dc.red_ops);
-        obs.count("vm.typed_runs", dc.typed_runs);
-        obs.count("vm.untyped_runs", dc.untyped_runs);
+    /// `run` with a dispatch tally at trace level (none below it),
+    /// published when it succeeds.
+    fn tallied(
+        &self,
+        run: impl FnOnce(Option<&mut DispatchCounts>) -> Result<(), RunError>,
+    ) -> Result<(), RunError> {
+        let obs = &self.cache.obs;
+        let mut tally = obs.trace_enabled().then(DispatchCounts::default);
+        run(tally.as_mut())?;
+        if let Some(dc) = tally {
+            obs.count("vm.ops", dc.ops);
+            obs.count("vm.fused_ops", dc.fused_ops);
+            obs.count("vm.red_ops", dc.red_ops);
+            obs.count("vm.typed_runs", dc.typed_runs);
+            obs.count("vm.untyped_runs", dc.untyped_runs);
+        }
+        Ok(())
     }
 }
 
@@ -242,7 +218,7 @@ pub(crate) fn exec_stmt_seq(
 ) -> Result<(), RunError> {
     let cb = env.body(sub, std::slice::from_ref(target), &[], &[])?;
     let mut f = cb.frame(frame);
-    cb.run(env, &mut f, None, state, env.tracer())?;
+    cb.run_once(env, &mut f, state, env.tracer())?;
     f.writeback_scalars(cb.chunk(), frame);
     Ok(())
 }

@@ -194,7 +194,7 @@ fn expr_syms(e: &lip_ir::Expr) -> BTreeSet<Sym> {
 /// traced scalar's value at every iteration entry (plus the post-loop
 /// value), a DO's indexed by its loop variable, a WHILE's by its trip
 /// from 1; `niters_sym` (for while loops) receives the trip count. A
-/// unit-step DO's slice is one VM activation, recording through an
+/// DO's slice is one VM activation at any step, recording through an
 /// [`IterObserver`]; a WHILE's runs trip by trip, its condition
 /// between them.
 /// Returns the work units charged to `state` (the tests give it a step
@@ -230,7 +230,6 @@ pub(crate) fn civ_traces(
         let slot = |s: Sym| cb.chunk().scalar_slot(s).expect("interned");
         civs.iter().map(|(s, _)| slot(*s)).collect()
     };
-    let mut tally = env.tally();
     // A runtime test: its reads are not the loop's.
     let tracer: Option<&dyn AccessTracer> = None;
     match (shape.copied(), target) {
@@ -238,7 +237,7 @@ pub(crate) fn civ_traces(
             extra.push(shape.var);
             let slice = extract_slice(do_body(target), &targets);
             let cb = env.body(sub, &slice, &[], &extra)?;
-            let var_slot = cb.chunk().scalar_slot(shape.var).expect("interned");
+            let range = shape.range(cb.chunk().scalar_slot(shape.var).expect("interned"));
             seen.slots = civ_slots(&cb);
             let mut f = cb.frame(frame);
             // Element `i` is the value on entry to iteration `i`, as
@@ -247,14 +246,7 @@ pub(crate) fn civ_traces(
             if shape.traces_by_var() {
                 (1..shape.lo).for_each(|_| seen.push(|s| f.scalar(s)));
             }
-            let mut run = |r| cb.observe(env, &mut f, r, state, tracer, &mut tally, &mut seen);
-            // A step other than 1 (only the compat entry point asks for
-            // one: the plan runs such a DO sequentially, with no slice)
-            // is one activation per iteration.
-            match shape.step {
-                1 => run((var_slot, shape.lo, shape.hi))?,
-                _ => shape.iters().try_for_each(|i| run((var_slot, i, i)))?,
-            }
+            cb.run(env, &mut f, range, state, tracer, &mut seen)?;
             // Post-loop entry (trace(hi+1)).
             seen.push(|s| f.scalar(s));
         }
@@ -272,7 +264,7 @@ pub(crate) fn civ_traces(
                     break;
                 }
                 n += 1;
-                cb.activate(env, &mut f, None, state, tracer, &mut tally)?;
+                cb.run_once(env, &mut f, state, tracer)?;
                 if n as u64 > crate::exec::TEST_BUDGET {
                     return Err(RunError::StepLimit);
                 }
@@ -284,7 +276,6 @@ pub(crate) fn civ_traces(
         // Non-loop targets still bind (empty) trace arrays.
         _ => {}
     }
-    env.publish(tally);
     bind_traces(sub, frame, seen.traces);
     Ok(state.cost)
 }
@@ -309,7 +300,7 @@ impl Entries {
 /// A DO slice records on entry to each iteration, from the activation
 /// that runs them all.
 impl IterObserver for Entries {
-    fn enter(&mut self, _: i64, scalars: Scalars<'_>) -> bool {
+    fn enter(&mut self, _: i64, _: u64, scalars: Scalars<'_>) -> bool {
         self.push(|s| scalars.get(s));
         true
     }
@@ -451,35 +442,32 @@ END
         assert_eq!(tr.get_i64(4), 9);
     }
 
-    /// A DO slice whose upper bound is `i64::MAX` used to step its
-    /// counter past the end (`while i <= hi { …; i += 1 }`): a debug
-    /// panic, a wrapped endless loop in release. Under a step budget so
-    /// a regression ends in `StepLimit`, not a hang.
-    #[test]
-    fn do_slice_ending_at_i64_max_terminates() {
-        let prog = parse_program(
+    /// The CIV slice of `DO l1 i = LO, HI, <step>` with `HI` given,
+    /// under a step budget, as `LO` varies: the result and the frame.
+    fn slice_to(step: i64, hi: i64) -> impl Fn(i64) -> (Result<u64, RunError>, Store) {
+        let prog = parse_program(&format!(
             "
 SUBROUTINE t(LO, HI)
   INTEGER i, civ, LO, HI
-  DO l1 i = LO, HI
+  DO l1 i = LO, HI, {step}
     civ = civ + 1
   ENDDO
 END
-",
-        )
+"
+        ))
         .expect("parses");
         let sub = prog.units[0].clone();
         let machine = Machine::new(prog.clone());
         let target = sub.find_loop("l1").expect("loop").clone();
         let civs = vec![(sym("civ"), sym("civ@tr"))];
         let cache = crate::backend::test_cache();
-        let env = ExecEnv {
-            machine: &machine,
-            cache: &cache,
-        };
-        let run = |lo: i64| {
+        move |lo: i64| {
+            let env = ExecEnv {
+                machine: &machine,
+                cache: &cache,
+            };
             let mut frame = Store::new();
-            frame.set_int(sym("LO"), lo).set_int(sym("HI"), i64::MAX);
+            frame.set_int(sym("LO"), lo).set_int(sym("HI"), hi);
             frame.set_int(sym("civ"), 0);
             let mut state = ExecState::with_budget(10_000);
             let shape = env
@@ -488,7 +476,16 @@ END
             let shape = shape.as_ref();
             let r = civ_traces(&env, &sub, &target, shape, &civs, &mut frame, None, state);
             (r, frame)
-        };
+        }
+    }
+
+    /// A DO slice whose upper bound is `i64::MAX` used to step its
+    /// counter past the end (`while i <= hi { …; i += 1 }`): a debug
+    /// panic, a wrapped endless loop in release. Under a step budget so
+    /// a regression ends in `StepLimit`, not a hang.
+    #[test]
+    fn do_slice_ending_at_i64_max_terminates() {
+        let run = slice_to(1, i64::MAX);
         // The last three iterations of the i64 range, then done.
         let (r, frame) = run(i64::MAX - 2);
         assert!(r.is_ok(), "{r:?}");
@@ -497,5 +494,19 @@ END
         assert_eq!(tr.get_i64(3), 3);
         // The whole positive range: the budget ends it.
         assert_eq!(run(1).0, Err(RunError::StepLimit));
+    }
+
+    /// The stepped twin: a slice counting down to `i64::MIN` by 2 is one
+    /// activation that ends there, its trace the three entries in order
+    /// and the post-loop value; the whole negative range hits the budget.
+    #[test]
+    fn do_slice_counting_down_to_i64_min_terminates() {
+        let run = slice_to(-2, i64::MIN);
+        let (r, frame) = run(i64::MIN + 4);
+        assert!(r.is_ok(), "{r:?}");
+        let tr = frame.array(sym("civ@tr")).expect("trace bound");
+        let got: Vec<i64> = (0..tr.buf.len()).map(|k| tr.get_i64(k)).collect();
+        assert_eq!(got, [0, 1, 2, 3], "three entries + post-loop");
+        assert_eq!(run(-1).0, Err(RunError::StepLimit));
     }
 }

@@ -11,8 +11,9 @@
 //! callee's formal count.
 //!
 //! The parallel path and LRPD run a DO's chunks through one driver,
-//! [`run_chunks`], which sets up every chunk, and leave what the loop
-//! leaves through one [`Chunks::commit`].
+//! `run_chunks`, which sets up every chunk, and leave what the loop
+//! leaves through one `Chunks::commit`. Each chunk, like a sequential
+//! DO at any step, is one VM activation.
 //!
 //! Every access hook the runtime installs — those masks, LRPD's shadows
 //! — finds its array by the buffer the access reaches, never by name.
@@ -35,7 +36,7 @@ use crate::lrpd::{lrpd_execute_impl, LrpdOutcome};
 use crate::merge::{clone_buf, copy_back, identity_buf, merge_into};
 use crate::plan::{decide, fragment_label, plan, ExecPlan, Fragment, Plan, Route};
 use crate::pool::{chunk_bounds, parallel_chunks_obs};
-use lip_vm::Frame;
+use lip_vm::{Frame, Unobserved};
 
 /// What any one runtime test may spend before it gives up: cascade
 /// stage iterations, exact-test work units, CIV-slice and measurement
@@ -314,8 +315,8 @@ fn run_fissioned(
 /// The DO `shape` over `body` run sequentially, charging only the
 /// body's per-iteration costs (the DO and its bounds are the caller's):
 /// a loop whose step or tests sent it sequential, a fissioned loop's
-/// sequential residue, an aborted speculation's re-run. A unit step
-/// runs as one activation, any other one per iteration.
+/// sequential residue, an aborted speculation's re-run: one activation
+/// at any step.
 pub(crate) fn run_seq_do(
     env: &ExecEnv<'_>,
     sub: &lip_ir::Subroutine,
@@ -324,15 +325,9 @@ pub(crate) fn run_seq_do(
     frame: &mut Store,
 ) -> Result<u64, RunError> {
     let cb = env.body(sub, body, &[], &[shape.var])?;
-    let mut f = cb.frame(frame);
-    let slot = cb.chunk().scalar_slot(shape.var).expect("interned");
-    let mut st = ExecState::default();
-    let mut run = |lo, hi| cb.run(env, &mut f, Some((slot, lo, hi)), &mut st, env.tracer());
-    match shape.step {
-        1 if shape.lo <= shape.hi => run(shape.lo, shape.hi)?,
-        1 => {}
-        _ => shape.iters().try_for_each(|i| run(i, i))?,
-    }
+    let (mut f, mut st) = (cb.frame(frame), ExecState::default());
+    let range = shape.range(cb.chunk().scalar_slot(shape.var).expect("interned"));
+    cb.run(env, &mut f, range, &mut st, env.tracer(), &mut Unobserved)?;
     f.writeback_scalars(cb.chunk(), frame);
     Ok(st.cost)
 }
@@ -482,8 +477,8 @@ fn run_parallel_do(
     plan: &BodyPlan<'_>,
 ) -> Result<u64, RunError> {
     let chunks = run_chunks(env, sub, shape, body, frame, plan, |c| {
-        let range = Some((c.var, c.lo, c.hi));
-        c.cb.run(env, &mut c.f, range, &mut c.st, c.tracer)
+        let range = (c.var, c.lo, c.hi, 1);
+        c.cb.run(env, &mut c.f, range, &mut c.st, c.tracer, &mut Unobserved)
     })?;
     Ok(chunks.commit(frame))
 }

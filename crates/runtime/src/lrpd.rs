@@ -2,16 +2,17 @@
 //! citing Rauchwerger & Padua \[25\]).
 //!
 //! The loop runs speculatively in chunks, through the executor's one
-//! chunked-DO driver ([`crate::exec::run_chunks`]): each chunk starts
-//! from the scalars the sequential loop has at its first iteration, and
-//! a commit leaves the loop's scalars as the parallel path's does. Every
-//! monitored array is shared; what LRPD adds is the chunk's runner, one
-//! activation per iteration under an [`IterTracer`], while *shadow
-//! arrays* mark, per element, the last iteration that wrote it and the
-//! least and the greatest that read it. An element written by one
-//! iteration and read by another (its reader witnesses are not both the
-//! writer), or written by two (the second swap of the writer sees the
-//! first: swaps of one element are totally ordered), is a
+//! chunked-DO driver (`exec::run_chunks`): each chunk starts from the
+//! scalars the sequential loop has at its first iteration, and a commit
+//! leaves the loop's scalars as the parallel path's does. Every
+//! monitored array is shared; what LRPD adds is the chunk's runner: one
+//! VM activation under an `IterTracer`, which is also the activation's
+//! observer and takes each iteration's ordinal as it starts, while
+//! *shadow arrays* mark, per element, the last iteration that wrote it
+//! and the least and the greatest that read it. An element written by
+//! one iteration and read by another (its reader witnesses are not both
+//! the writer), or written by two (the second swap of the writer sees
+//! the first: swaps of one element are totally ordered), is a
 //! cross-iteration dependence: the arrays are restored from a backup and
 //! the loop re-runs sequentially.
 //! Shadows are per buffer: each monitored array's buffer gets one, and
@@ -29,8 +30,9 @@
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use lip_ir::{AccessTracer, ArrayBuf, ArrayView, RunError, Stmt, Store, Subroutine, Value};
+use lip_ir::{AccessTracer, ArrayBuf, ArrayView, RunError, Stmt, Store, Subroutine};
 use lip_symbolic::Sym;
+use lip_vm::{IterObserver, Scalars};
 
 use crate::backend::{DoShape, ExecEnv};
 use crate::exec::{run_chunks, run_seq_do, BodyPlan, Chunks};
@@ -150,12 +152,23 @@ impl Held {
     }
 }
 
-/// The tracer bound to one iteration (its ordinal), holding its
-/// accesses for the caller's tracer when there is one.
+/// One chunk's tracer: it marks as the iteration that runs, by its
+/// ordinal from the loop's `lo`, and holds its accesses for the
+/// caller's tracer when there is one.
 struct IterTracer<'s> {
     state: &'s SpecState,
-    iter: i64,
+    lo: i64,
+    iter: AtomicI64,
     held: Option<&'s Mutex<Held>>,
+}
+
+/// The chunk's observer: each iteration's start sets the ordinal the
+/// tracer marks as, and a conflict noticed anywhere ends the chunk.
+impl IterObserver for &IterTracer<'_> {
+    fn enter(&mut self, i: i64, _: u64, _: Scalars<'_>) -> bool {
+        self.iter.store(i.wrapping_sub(self.lo), Ordering::Relaxed);
+        !self.state.noticed()
+    }
 }
 
 impl IterTracer<'_> {
@@ -175,10 +188,11 @@ impl AccessTracer for IterTracer<'_> {
         let Some(sh) = self.shadow(buf) else {
             return;
         };
-        sh.min_reader[idx].fetch_min(self.iter, Ordering::Relaxed);
-        sh.max_reader[idx].fetch_max(self.iter, Ordering::Relaxed);
+        let iter = self.iter.load(Ordering::Relaxed);
+        sh.min_reader[idx].fetch_min(iter, Ordering::Relaxed);
+        sh.max_reader[idx].fetch_max(iter, Ordering::Relaxed);
         let w = sh.writer[idx].load(Ordering::Relaxed);
-        if w != NONE && w != self.iter {
+        if w != NONE && w != iter {
             self.state.noticed.store(true, Ordering::Relaxed);
         }
     }
@@ -190,8 +204,9 @@ impl AccessTracer for IterTracer<'_> {
         let Some(sh) = self.shadow(buf) else {
             return;
         };
-        let prev = sh.writer[idx].swap(self.iter, Ordering::Relaxed);
-        if (prev != NONE && prev != self.iter) || sh.read_by_other(idx, self.iter) {
+        let iter = self.iter.load(Ordering::Relaxed);
+        let prev = sh.writer[idx].swap(iter, Ordering::Relaxed);
+        if (prev != NONE && prev != iter) || sh.read_by_other(idx, iter) {
             self.state.noticed.store(true, Ordering::Relaxed);
         }
     }
@@ -274,10 +289,11 @@ pub(crate) fn dry_run(
     Ok((conflict, shape.units + chunks.units))
 }
 
-/// `shape` run in chunks on `frame`, each iteration one activation
-/// under its [`IterTracer`], marking the shadows of `arrays`; a chunk
-/// stops once a mark noticed a conflict. The verdict and the chunks.
-/// Without a conflict, the accesses go to `report` in chunk order.
+/// `shape` run in chunks on `frame`, each chunk one activation under
+/// its [`IterTracer`], marking the shadows of `arrays`; a chunk stops
+/// at its next iteration once a mark noticed a conflict. The verdict
+/// and the chunks. Without a conflict, the accesses go to `report` in
+/// chunk order.
 #[allow(clippy::too_many_arguments)]
 fn marked<'a>(
     env: &'a ExecEnv<'_>,
@@ -293,20 +309,14 @@ fn marked<'a>(
     let held = Mutex::new(Vec::new());
     let chunks = run_chunks(env, sub, shape, body, frame, plan, |c| {
         let chunk = report.map(|_| Mutex::new(Held::new(frame)));
-        let mut tally = env.tally();
-        for i in c.lo..=c.hi {
-            if spec.noticed() {
-                break;
-            }
-            let tracer = IterTracer {
-                state: &spec,
-                iter: i.wrapping_sub(shape.lo),
-                held: chunk.as_ref(),
-            };
-            c.f.set_scalar(c.var, Value::Int(i));
-            c.cb.activate(env, &mut c.f, None, &mut c.st, Some(&tracer), &mut tally)?;
-        }
-        env.publish(tally);
+        let tracer = IterTracer {
+            state: &spec,
+            lo: shape.lo,
+            iter: AtomicI64::new(NONE),
+            held: chunk.as_ref(),
+        };
+        let range = (c.var, c.lo, c.hi, 1);
+        c.cb.run(env, &mut c.f, range, &mut c.st, Some(&tracer), &mut &tracer)?;
         if let Some(chunk) = chunk {
             held.lock()
                 .unwrap()
@@ -327,7 +337,7 @@ fn marked<'a>(
 mod tests {
     use super::*;
     use crate::session::Session;
-    use lip_ir::{parse_program, ExecState, Machine, Stmt};
+    use lip_ir::{parse_program, ExecState, Machine, Stmt, Value};
     use lip_symbolic::sym;
 
     /// The order the on-the-fly detector missed: a later iteration
@@ -342,12 +352,14 @@ mod tests {
         let spec = SpecState::new(&frame, &[sym("A")]);
         let later = IterTracer {
             state: &spec,
-            iter: 32,
+            lo: 0,
+            iter: AtomicI64::new(32),
             held: None,
         };
         let writer = IterTracer {
             state: &spec,
-            iter: 0,
+            lo: 0,
+            iter: AtomicI64::new(0),
             held: None,
         };
         later.read(sym("A"), &a, 0);
@@ -358,7 +370,8 @@ mod tests {
         let spec = SpecState::new(&frame, &[sym("A")]);
         let own = IterTracer {
             state: &spec,
-            iter: 5,
+            lo: 0,
+            iter: AtomicI64::new(5),
             held: None,
         };
         own.read(sym("A"), &a, 1);

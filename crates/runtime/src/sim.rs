@@ -16,7 +16,8 @@
 //! [`crate::LoopHandle::per_iteration_costs`], [`makespan`] and
 //! [`charged_test_units`].
 
-use lip_ir::{ExecState, RunError, Stmt, Store, Subroutine, Value};
+use lip_ir::{ExecState, RunError, Stmt, Store, Subroutine};
+use lip_vm::{IterObserver, Scalars};
 
 use crate::backend::{do_body, exec_stmt_seq, ExecEnv};
 use crate::pool::chunk_bounds;
@@ -41,7 +42,9 @@ pub fn charged_test_units(test_units: u64, procs: usize, spawn: u64) -> u64 {
 /// The measurement driver behind
 /// [`crate::LoopHandle::per_iteration_costs`] (this is where the
 /// measurement harness spends most of its wall-clock), charging
-/// `state` (the tests give it a step budget).
+/// `state` (the tests give it a step budget). A DO is one activation,
+/// its iterations' costs read off where each started ([`Starts`]); a
+/// WHILE runs trip by trip, its condition between them.
 pub(crate) fn per_iteration_costs(
     env: &ExecEnv<'_>,
     sub: &Subroutine,
@@ -50,23 +53,19 @@ pub(crate) fn per_iteration_costs(
     mut state: ExecState,
 ) -> Result<Vec<u64>, RunError> {
     let state = &mut state;
-    let mut tally = env.tally();
     let costs = match (env.do_shape(sub, target, frame, state)?, target) {
         (Some(shape), _) => {
             let cb = env.body(sub, do_body(target), &[], &[shape.var])?;
-            let var_slot = cb.chunk().scalar_slot(shape.var).expect("interned");
-            let mut f = cb.frame(frame);
-            let mut costs = Vec::new();
-            for i in shape.iters() {
-                f.set_scalar(var_slot, Value::Int(i));
-                let before = state.cost;
-                cb.activate(env, &mut f, None, state, env.tracer(), &mut tally)?;
-                costs.push(state.cost - before);
-            }
+            let range = shape.range(cb.chunk().scalar_slot(shape.var).expect("interned"));
+            let (mut f, mut starts) = (cb.frame(frame), Starts(Vec::new()));
+            cb.run(env, &mut f, range, state, env.tracer(), &mut starts)?;
             // The driver mutates `frame` so program state stays
             // correct for whatever follows.
             f.writeback_scalars(cb.chunk(), frame);
-            costs
+            // An iteration costs what was charged from its start to the
+            // next one's, the last one's to the end of the activation.
+            starts.0.push(state.cost);
+            starts.0.windows(2).map(|w| w[1] - w[0]).collect()
         }
         (None, Stmt::While { cond, body, .. }) => {
             let cb = env.body(sub, body, &[cond], &[])?;
@@ -79,7 +78,7 @@ pub(crate) fn per_iteration_costs(
                     break;
                 }
                 let before = state.cost;
-                cb.activate(env, &mut f, None, state, env.tracer(), &mut tally)?;
+                cb.run_once(env, &mut f, state, env.tracer())?;
                 costs.push(state.cost - before);
                 if costs.len() as u64 > crate::exec::TEST_BUDGET {
                     return Err(RunError::StepLimit);
@@ -94,8 +93,17 @@ pub(crate) fn per_iteration_costs(
             vec![state.cost - before]
         }
     };
-    env.publish(tally);
     Ok(costs)
+}
+
+/// The units charged when each iteration of a measured DO started.
+struct Starts(Vec<u64>);
+
+impl IterObserver for Starts {
+    fn enter(&mut self, _: i64, units: u64, _: Scalars<'_>) -> bool {
+        self.0.push(units);
+        true
+    }
 }
 
 /// Block-scheduled makespan of the per-iteration costs on `procs`
@@ -120,7 +128,7 @@ pub fn makespan(per_iter: &[u64], procs: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::session::Session;
-    use lip_ir::{parse_program, Machine};
+    use lip_ir::{parse_program, Machine, Value};
     use lip_symbolic::sym;
 
     #[test]
@@ -176,40 +184,63 @@ END
         assert!(s < 1.0, "speedup {s}");
     }
 
-    /// `per_iteration_costs` over a DO ending at `i64::MAX` (see the
-    /// twin test in `civ.rs`): three iterations and out, and the whole
-    /// positive range ends in `StepLimit` under a budget.
-    #[test]
-    fn do_loop_ending_at_i64_max_terminates() {
-        let prog = parse_program(
+    /// `per_iteration_costs` over `DO l1 i = LO, HI, <step>` with `HI`
+    /// given, under a budget: each iteration's cost and where `i` ends,
+    /// as `LO` varies.
+    fn measure_to(
+        step: i64,
+        hi: i64,
+    ) -> impl Fn(i64) -> Result<(Vec<u64>, Option<Value>), RunError> {
+        let prog = parse_program(&format!(
             "
 SUBROUTINE t(LO, HI)
   INTEGER i, s, LO, HI
-  DO l1 i = LO, HI
+  DO l1 i = LO, HI, {step}
     s = s + 1
   ENDDO
 END
-",
-        )
+"
+        ))
         .expect("parses");
         let sub = prog.units[0].clone();
         let target = sub.find_loop("l1").expect("loop").clone();
         let machine = Machine::new(prog);
         let cache = crate::backend::test_cache();
-        let env = ExecEnv {
-            machine: &machine,
-            cache: &cache,
-        };
-        let run = |lo: i64| {
+        move |lo: i64| {
+            let env = ExecEnv {
+                machine: &machine,
+                cache: &cache,
+            };
             let mut frame = Store::new();
-            frame.set_int(sym("LO"), lo).set_int(sym("HI"), i64::MAX);
+            frame.set_int(sym("LO"), lo).set_int(sym("HI"), hi);
             frame.set_int(sym("s"), 0);
             let state = ExecState::with_budget(10_000);
             per_iteration_costs(&env, &sub, &target, &mut frame, state)
-                .map(|costs| (costs.len(), frame.scalar(sym("i"))))
-        };
-        assert_eq!(run(i64::MAX - 2), Ok((3, Some(Value::Int(i64::MAX)))));
+                .map(|costs| (costs, frame.scalar(sym("i"))))
+        }
+    }
+
+    /// `per_iteration_costs` over a DO ending at `i64::MAX` (see the
+    /// twin test in `civ.rs`): three iterations and out, and the whole
+    /// positive range ends in `StepLimit` under a budget.
+    #[test]
+    fn do_loop_ending_at_i64_max_terminates() {
+        let run = measure_to(1, i64::MAX);
+        let (costs, i) = run(i64::MAX - 2).expect("three iterations");
+        assert_eq!((costs.len(), i), (3, Some(Value::Int(i64::MAX))));
         assert_eq!(run(1), Err(RunError::StepLimit));
+    }
+
+    /// The stepped twin: a DO counting down to `i64::MIN` by 2 measures
+    /// its three last iterations, each at the same cost, and the whole
+    /// negative range ends in `StepLimit`.
+    #[test]
+    fn do_loop_counting_down_to_i64_min_terminates() {
+        let run = measure_to(-2, i64::MIN);
+        let (costs, i) = run(i64::MIN + 4).expect("three iterations");
+        assert_eq!((costs.len(), i), (3, Some(Value::Int(i64::MIN))));
+        assert!(costs.iter().all(|c| *c == costs[0] && *c > 0), "{costs:?}");
+        assert_eq!(run(-1), Err(RunError::StepLimit));
     }
 
     /// A DO written with a step is measured over the iterations the

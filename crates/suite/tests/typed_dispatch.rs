@@ -1,16 +1,16 @@
 //! Every activation of a `hot_large` kernel runs the VM's typed stream:
-//! the loop body, its chunk ranges, the per-iteration runs and every
-//! callee body. The guard falls back to the `Value` stream only for
-//! bindings that do not match the declared types, and none of these
-//! kernels has one, so a fallback here is a lost typed form, seen as
-//! a count instead of as a slowdown.
+//! the loop body, its chunk ranges, its CIV slice and every callee
+//! body. The guard falls back to the `Value` stream only for bindings
+//! that do not match the declared types, and none of these kernels has
+//! one, so a fallback here is a lost typed form, seen as a count
+//! instead of as a slowdown.
 //!
-//! The drivers that activate the body once per iteration — a WHILE's
-//! CIV slice, LRPD speculation — count those activations too, or the
-//! counts above would say nothing about them; a DO's CIV slice is one
-//! activation.
+//! Every driver counts its activations, and the counts pin how many
+//! there are: a DO range is one activation on every driver — a chunk,
+//! an LRPD chunk, a DO's CIV slice, a sequential DO at any step — and
+//! only a WHILE's CIV slice activates once per trip.
 
-use lip_ir::Value;
+use lip_ir::{parse_program, Machine, Store, Value};
 use lip_obs::ObsLevel;
 use lip_runtime::Session;
 use lip_suite::{KernelShape, Prepared};
@@ -65,9 +65,10 @@ fn every_hot_large_kernel_runs_typed() {
     assert!(untyped.is_empty(), "untyped activations: {untyped:?}");
 }
 
-/// `civ_while`'s slice runs once per trip, and a committed speculation
-/// of `tls_feedback`'s loop once per iteration: each of those
-/// activations is counted. `civ_conditional`'s DO slice is one
+/// `civ_while`'s slice runs once per trip; a speculation of
+/// `tls_feedback`'s loop is one activation per chunk (and one for the
+/// sequential re-run when it aborts), as a DO run sequentially at any
+/// step is one activation. `civ_conditional`'s DO slice is one
 /// activation before the loop's two chunks.
 #[test]
 fn per_iteration_drivers_count_every_activation() {
@@ -79,21 +80,49 @@ fn per_iteration_drivers_count_every_activation() {
         (0..n).for_each(|i| w.set(i, Value::Real((2 * i + 1) as f64)));
         p
     };
-    let (typed, untyped) = activations(lip_suite::CIV_CONDITIONAL.prepared(n));
-    assert_eq!(
-        (typed, untyped),
-        (3, 0),
-        "civ_conditional: the slice and two chunks"
-    );
-    let rows = [
-        ("civ_while", lip_suite::CIV_WHILE.prepared(n), n / 2),
-        ("tls_feedback", commit, n),
+    let stepped = {
+        let src = "
+SUBROUTINE t(A, N)
+  DIMENSION A(*)
+  INTEGER i, N
+  DO l1 i = N, 1, -2
+    A(i) = A(i) + 1.0
+  ENDDO
+END
+";
+        let mut frame = Store::new();
+        frame.set_int(sym("N"), n as i64);
+        frame.alloc_real(sym("A"), n);
+        let machine = Machine::new(parse_program(src).expect("parses"));
+        let (sub, label) = ("t", "l1");
+        Prepared {
+            machine,
+            frame,
+            sub,
+            label,
+        }
+    };
+    let exact = [
+        (
+            "civ_conditional: the slice and two chunks",
+            lip_suite::CIV_CONDITIONAL.prepared(n),
+            3,
+        ),
+        ("tls_feedback, committed: two chunks", commit, 2),
+        (
+            "tls_feedback, aborted: two chunks and the sequential re-run",
+            lip_suite::TLS_FEEDBACK.prepared(n),
+            3,
+        ),
+        ("DO i = N, 1, -2: one activation", stepped, 1),
     ];
-    for (name, p, per_iteration) in rows {
-        let (typed, untyped) = activations(p);
-        assert!(
-            typed + untyped >= per_iteration as u64,
-            "{name}: {typed} typed + {untyped} untyped activations, {per_iteration} iterations"
-        );
+    for (name, p, runs) in exact {
+        assert_eq!(activations(p), (runs, 0), "{name}");
     }
+    let (typed, untyped) = activations(lip_suite::CIV_WHILE.prepared(n));
+    assert!(
+        typed + untyped >= n as u64 / 2,
+        "civ_while: {typed} typed + {untyped} untyped activations, {} trips",
+        n / 2
+    );
 }

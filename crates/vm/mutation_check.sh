@@ -50,7 +50,16 @@
 #   * the DO slice's traces as an observer recording each iteration's
 #     scalars after the iteration instead of before it would leave them
 #     (the first iteration's entry value missing, the post-loop value
-#     twice: a chunk is seeded one increment late, the store comparison).
+#     twice: a chunk is seeded one increment late, the store comparison);
+#   * LRPD's observer giving its tracer the ordinal 0 at every
+#     iteration (a chunk's iterations all mark as one, so a conflict
+#     inside a chunk goes unseen and a wrong speculation commits:
+#     `speculation_commits_and_aborts_like_the_sequential_loop`);
+#   * the simulator's per-iteration costs, read off its observer's
+#     iteration starts, each given to the next iteration (the first
+#     measured at 0, the last one's dropped: the per-iteration costs
+#     against the interpreter's loop in
+#     `concurrent_sessions_with_different_seams_are_bit_identical`).
 # The exact USR test's entry runs `lip_usr`'s units golden:
 #   * one `charge` dropped from the lowered evaluator (a kept prefix's
 #     iterations go uncounted: `exact_corpus_units.txt` diverges).
@@ -127,12 +136,23 @@ crates/runtime/src/civ.rs
             seen.push(|s| f.scalar(s));
             seen.traces.iter_mut().for_each(|t| drop(t.2.remove(shape.lo.max(1) as usize - 1))); seen.push(|s| f.scalar(s)); seen.push(|s| f.scalar(s));
 
+$check_tests
+crates/runtime/src/lrpd.rs
+        self.iter.store(i.wrapping_sub(self.lo), Ordering::Relaxed);
+        self.iter.store(0, Ordering::Relaxed);
+
+$check_tests
+crates/runtime/src/sim.rs
+            starts.0.windows(2).map(|w| w[1] - w[0]).collect()
+            std::iter::once(0).chain(starts.0.windows(2).map(|w| w[1] - w[0])).take(starts.0.len() - 1).collect()
+
 $units_tests
 crates/usr/src/exact.rs
             self.charge()?;
             // self.charge()?;
 "
 
+mutated=
 printf '%s\n' "$mutations" | while IFS= read -r tests && IFS= read -r file &&
     IFS= read -r from && IFS= read -r to; do
     read -r _ || true
@@ -140,6 +160,11 @@ printf '%s\n' "$mutations" | while IFS= read -r tests && IFS= read -r file &&
     mkdir -p "$mutant"
     (cd "$root" && git ls-files -z --cached --others --exclude-standard |
         xargs -0 tar -cf -) | tar -xf - -C "$mutant"
+    # The copy keeps each file's time, so a file an earlier entry mutated
+    # comes back older than the build of its mutant in the shared target
+    # directory, and cargo would keep that build: touch it to rebuild it.
+    for f in $mutated; do touch "$mutant/$f"; done
+    mutated="$mutated $file"
     target="$mutant/$file"
     test "$(grep -cxF -- "$from" "$target")" = 1 || {
         echo "mutation site not found exactly once in $file: $from" >&2

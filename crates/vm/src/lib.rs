@@ -16,13 +16,15 @@
 //! Every `lip_runtime` session executes loops on this engine, with
 //! `lip_ir::Machine` as the differential reference; per-thread
 //! [`Frame`]s are `Send`, so the parallel executor runs compiled loop
-//! bodies directly on its worker threads. Two entry points run a compiled
-//! block: [`Vm::run_range`] is the chunk entry point — one activation
-//! of the dispatch loop for a whole iteration range, for every driver
-//! with nothing to do between iterations — and [`Vm::run_block`] runs
-//! the block once, for drivers that need a hook per iteration (LRPD's
-//! per-iteration tracer, CIV trace recording, per-iteration cost
-//! sampling) or that run a whole statement as one block.
+//! bodies directly on its worker threads. [`Vm::run_range`] runs a
+//! compiled block as one activation of the dispatch loop: once, or once
+//! per value of a DO's variable at any step — a parallel chunk, an LRPD
+//! chunk, a sequential DO, a CIV slice, the measurement pass. A driver
+//! that must see each iteration (LRPD's iteration ordinal, the CIV
+//! slice's recorded scalars, per-iteration costs) passes an
+//! [`IterObserver`], called at each iteration's start. [`Vm::run_block`]
+//! is its single pass with nothing to tally or observe: a WHILE trip, a
+//! whole statement run as one block.
 //!
 //! # Two streams, one guard
 //!
@@ -79,7 +81,7 @@ pub use chunk::{BlockId, Chunk, CompileError, CompiledProgram, Op};
 pub use compile::{add_block, add_block_with_exprs, compile_program, expr_cost};
 pub use peephole::{optimize_block, optimize_chunk, optimize_program};
 pub use typed::Typed;
-pub use vm::{DispatchCounts, Frame, IterObserver, Scalars, Vm};
+pub use vm::{DispatchCounts, Frame, IterObserver, Scalars, Unobserved, Vm};
 
 #[cfg(test)]
 mod tests {

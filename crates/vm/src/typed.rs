@@ -1675,7 +1675,7 @@ impl Vm<'_> {
         &self,
         chunk: &Chunk,
         t: &Typed,
-        range: Option<(u16, i64, i64)>,
+        range: Option<(u16, i64, i64, i64)>,
         frame: &mut Frame,
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
@@ -1713,10 +1713,9 @@ impl Vm<'_> {
                 .index(i as i64)
                 .ok_or_else(|| bad_index(chunk, arr))
         };
-        let (var_slot, mut iter, last) = match range {
-            Some((_, lo, hi)) if lo > hi => return Ok(()),
-            Some((slot, lo, hi)) => (Some(slot), lo, hi),
-            None => (None, 0, 0),
+        let (var_slot, mut iter, last, step) = match range {
+            Some((slot, first, last, step)) => (Some(slot), first, last, step),
+            None => (None, 0, 0, 0),
         };
         macro_rules! charge {
             ($c:expr) => {
@@ -1747,7 +1746,7 @@ impl Vm<'_> {
         loop {
             if let Some(v) = var_slot {
                 s[v as usize] = Slot::int(iter);
-                if !obs.enter(iter, Scalars(s)) {
+                if !obs.enter(iter, state.cost, Scalars(s)) {
                     return Ok(());
                 }
             }
@@ -2197,7 +2196,7 @@ impl Vm<'_> {
             if iter == last {
                 return Ok(());
             }
-            iter += 1;
+            iter += step;
         }
     }
 }
@@ -2617,13 +2616,14 @@ mod tests {
         frame.set_scalar(0, Value::Int(n));
         let mut counts = DispatchCounts::default();
         Vm::new(&prog)
-            .run_counting(
+            .run_range(
                 BlockId(0),
                 &mut frame,
                 None,
                 &mut ExecState::default(),
                 None,
-                &mut counts,
+                Some(&mut counts),
+                &mut crate::vm::Unobserved,
             )
             .expect("runs");
         (frame.scalar(1), counts)

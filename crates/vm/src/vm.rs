@@ -6,11 +6,13 @@
 //! compiled loop bodies directly instead of re-walking the AST.
 //!
 //! There is one dispatch function, `Vm::exec`, and the per-iteration
-//! loop of a chunk runs *inside* it: [`Vm::run_range`] enters it once
-//! for `lo..=hi`, so its frame, prologue and loop-invariant loads are
-//! paid per chunk, not per iteration. [`Vm::run_block`] enters it for
-//! a single pass over the block — the per-iteration entry for drivers
-//! with a hook between iterations, and the whole-block one. The arms
+//! loop of a DO range runs *inside* it: [`Vm::run_range`] enters it
+//! once for the range's values at its step, so its frame, prologue and
+//! loop-invariant loads are paid per activation, not per iteration. A
+//! driver with work between iterations does it in an [`IterObserver`]
+//! the loop calls at each iteration's start, within the same activation.
+//! [`Vm::run_block`] enters it for a single pass over the block — a
+//! WHILE trip, a whole statement. The arms
 //! that are rare in a loop body (`Call`, `Read`, `Fail`) are
 //! out-of-line functions so they add nothing to that frame — as is
 //! register-subscript addressing (`linearize`, which every rank > 1
@@ -235,15 +237,17 @@ impl Frame {
 }
 
 /// What a driver runs at the start of each iteration of a range
-/// ([`Vm::run_range_observed`]): the iteration and the frame's scalar
-/// slots, the loop variable already seeded. Answering `false` ends the
-/// range before that iteration runs (the loop variable stays seeded
-/// with it). The dispatch loops are generic over the observer, as they
-/// are over counting, so a range with none ([`Unobserved`]) compiles to
-/// the loop it always was.
+/// ([`Vm::run_range`]): the iteration, the units the activation's
+/// state had charged before it, and the frame's scalar slots, the loop
+/// variable already seeded. Answering `false` ends the range before
+/// that iteration runs (the loop variable stays seeded with it). The
+/// dispatch loops are generic over the observer, as they are over
+/// counting, so a range with none ([`Unobserved`]) compiles to the loop
+/// it always was.
 pub trait IterObserver {
-    /// Called before iteration `iter` runs; `false` stops the range.
-    fn enter(&mut self, iter: i64, scalars: Scalars<'_>) -> bool;
+    /// Called before iteration `iter` runs, `units` charged so far;
+    /// `false` stops the range.
+    fn enter(&mut self, iter: i64, units: u64, scalars: Scalars<'_>) -> bool;
 }
 
 /// No observer: every range the executor runs without one.
@@ -251,7 +255,7 @@ pub struct Unobserved;
 
 impl IterObserver for Unobserved {
     #[inline(always)]
-    fn enter(&mut self, _: i64, _: Scalars<'_>) -> bool {
+    fn enter(&mut self, _: i64, _: u64, _: Scalars<'_>) -> bool {
         true
     }
 }
@@ -308,8 +312,8 @@ impl<'t> Writers<'t> {
 
 /// Dispatch statistics for one counted execution: how many
 /// instructions ran and how many of them were peephole
-/// superinstructions. Filled by [`Vm::run_counting`]; the
-/// uncounted entry points compile the tally out entirely (the dispatch
+/// superinstructions. Filled by [`Vm::run_range`] when it is given
+/// one; the uncounted runs compile the tally out entirely (the dispatch
 /// loop is monomorphized over a `COUNT` const), so the default paths
 /// cost exactly what they did before this type existed.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -337,6 +341,14 @@ impl DispatchCounts {
         self.typed_runs += other.typed_runs;
         self.untyped_runs += other.untyped_runs;
     }
+}
+
+/// The last value a DO from `lo` to `hi` by `step` gives its variable,
+/// as the interpreter steps it; `None` when it runs no iteration.
+pub(crate) fn last_value(lo: i64, hi: i64, step: i64) -> Option<i64> {
+    let span = (i128::from(hi) - i128::from(lo)) * i128::from(step.signum());
+    let trips = span / i128::from(step.unsigned_abs());
+    (span >= 0).then(|| (i128::from(lo) + trips * i128::from(step)) as i64)
 }
 
 /// The virtual machine: a compiled program plus READ-input bindings.
@@ -388,7 +400,7 @@ impl<'p> Vm<'p> {
     }
 
     /// [`Vm::run_with_state`] with dispatch counting, as
-    /// [`Vm::run_counting`] is for a block.
+    /// [`Vm::run_range`] counts a block.
     ///
     /// # Errors
     ///
@@ -428,12 +440,9 @@ impl<'p> Vm<'p> {
         ran
     }
 
-    /// Runs a standalone block against `frame` once: the entry point
-    /// for drivers that still take a hook between iterations this way
-    /// (LRPD's per-iteration tracer, per-iteration cost sampling, a
-    /// WHILE slice's trips — seed the loop variable, then call this;
-    /// [`Vm::run_range_observed`] is the one-activation form) and for
-    /// running a whole statement as one block.
+    /// Runs a standalone block against `frame` once: a WHILE trip, a
+    /// whole statement run as one block. [`Vm::run_range`] with no
+    /// range, no tally and no observer.
     ///
     /// # Errors
     ///
@@ -445,58 +454,46 @@ impl<'p> Vm<'p> {
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
     ) -> Result<(), RunError> {
-        let chunk = &self.prog.block(b).chunk;
-        let counts = &mut DispatchCounts::default();
-        self.activate::<false, _>(chunk, None, frame, state, tracer, counts, &mut Unobserved)
+        self.run_range(b, frame, None, state, tracer, None, &mut Unobserved)
     }
 
-    /// Runs a loop-body block once per `i` in `lo..=hi` as a single VM
-    /// activation — the chunk entry point for the parallel executor.
-    /// Each iteration writes `Value::Int(i)` to `var_slot` verbatim and
+    /// Runs block `b` against `frame` as one VM activation: once when
+    /// `range` is `None`, else once per value of a DO's variable —
+    /// `Some((var_slot, lo, hi, step))`, from `lo` towards `hi` by
+    /// `step`, as the interpreter steps it. Each iteration writes
+    /// `Value::Int(i)` to `var_slot` verbatim, calls `obs` with the
+    /// iteration and the units charged so far ([`IterObserver`]), and
     /// restarts the body at its first instruction, exactly as a
-    /// [`Frame::set_scalar`] + [`Vm::run_block`] loop would; `lo > hi`
-    /// runs nothing and leaves the slot untouched, `hi == i64::MAX`
-    /// terminates. On error the frame, arrays and `state` are as that
-    /// per-iteration loop leaves them.
+    /// [`Frame::set_scalar`] + [`Vm::run_block`] loop would. An empty
+    /// range runs nothing and leaves the slot untouched; a range ending
+    /// at `i64::MAX` or `i64::MIN` ends there. On error the frame,
+    /// arrays and `state` are as that per-iteration loop leaves them.
+    ///
+    /// With `counts`, through the counting dispatch loop: tallies
+    /// executed and fused instructions and the activations into it
+    /// (adding to whatever is already there). A separately
+    /// monomorphized dispatch loop, so the uncounted runs pay nothing
+    /// for it.
     ///
     /// # Errors
     ///
     /// Any [`RunError`] raised during execution.
+    ///
+    /// # Panics
+    ///
+    /// If `step` is 0 (a DO's never is: it is a run-time error first).
     #[allow(clippy::too_many_arguments)]
-    pub fn run_range(
+    pub fn run_range<O: IterObserver>(
         &self,
         b: BlockId,
         frame: &mut Frame,
-        var_slot: u16,
-        lo: i64,
-        hi: i64,
-        state: &mut ExecState,
-        tracer: Option<&dyn AccessTracer>,
-    ) -> Result<(), RunError> {
-        let (chunk, range) = (&self.prog.block(b).chunk, Some((var_slot, lo, hi)));
-        let counts = &mut DispatchCounts::default();
-        self.activate::<false, _>(chunk, range, frame, state, tracer, counts, &mut Unobserved)
-    }
-
-    /// [`Vm::run_range`] with `obs` called at the start of each
-    /// iteration ([`IterObserver`]), through the counting dispatch loop
-    /// when `counts` is given (as [`Vm::run_counting`]).
-    ///
-    /// # Errors
-    ///
-    /// Any [`RunError`] raised during execution.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_range_observed<O: IterObserver>(
-        &self,
-        b: BlockId,
-        frame: &mut Frame,
-        (var_slot, lo, hi): (u16, i64, i64),
+        range: Option<(u16, i64, i64, i64)>,
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
         counts: Option<&mut DispatchCounts>,
         obs: &mut O,
     ) -> Result<(), RunError> {
-        let (chunk, range) = (&self.prog.block(b).chunk, Some((var_slot, lo, hi)));
+        let chunk = &self.prog.block(b).chunk;
         match counts {
             Some(dc) => self.activate::<true, O>(chunk, range, frame, state, tracer, dc, obs),
             None => {
@@ -504,28 +501,6 @@ impl<'p> Vm<'p> {
                 self.activate::<false, O>(chunk, range, frame, state, tracer, dc, obs)
             }
         }
-    }
-
-    /// [`Vm::run_block`] (`range` = `None`) or [`Vm::run_range`]
-    /// (`Some((var_slot, lo, hi))`) with dispatch counting: tallies
-    /// executed and fused instructions into `counts` (adding to whatever
-    /// is already there). A separately monomorphized dispatch loop, so
-    /// the uncounted paths pay nothing for it.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RunError`] raised during execution.
-    pub fn run_counting(
-        &self,
-        b: BlockId,
-        frame: &mut Frame,
-        range: Option<(u16, i64, i64)>,
-        state: &mut ExecState,
-        tracer: Option<&dyn AccessTracer>,
-        counts: &mut DispatchCounts,
-    ) -> Result<(), RunError> {
-        let chunk = &self.prog.block(b).chunk;
-        self.activate::<true, _>(chunk, range, frame, state, tracer, counts, &mut Unobserved)
     }
 
     /// Evaluates attached expression fragment `k` of block `b` against
@@ -695,29 +670,34 @@ impl<'p> Vm<'p> {
     /// One activation of `chunk`: the typed stream when the chunk has
     /// one and [`typed::Typed::admits`] the frame (for a range of more than one
     /// iteration, also [`typed::Typed::loops`]), the `Value` stream otherwise.
-    /// A range's loop variable is seeded before the guard looks, as the
-    /// first iteration would seed it anyway; an empty range is no
-    /// activation at all.
+    /// A range's last value is computed here, once, and the dispatch
+    /// loops end on it; its loop variable is seeded before the guard
+    /// looks, as the first iteration would seed it anyway. An empty
+    /// range is no activation at all.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn activate<const COUNT: bool, O: IterObserver>(
         &self,
         chunk: &Chunk,
-        range: Option<(u16, i64, i64)>,
+        range: Option<(u16, i64, i64, i64)>,
         frame: &mut Frame,
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
         counts: &mut DispatchCounts,
         obs: &mut O,
     ) -> Result<(), RunError> {
-        if matches!(range, Some((_, lo, hi)) if lo > hi) {
-            return Ok(());
-        }
+        let range = match range {
+            Some((slot, lo, hi, step)) => match last_value(lo, hi, step) {
+                Some(last) => Some((slot, lo, last, step)),
+                None => return Ok(()),
+            },
+            None => None,
+        };
         if let Some(t) = chunk.typed.as_deref() {
             let restarts = match range {
-                Some((slot, lo, hi)) => {
-                    frame.scalars[slot as usize] = Slot::int(lo);
-                    lo != hi
+                Some((slot, first, last, _)) => {
+                    frame.scalars[slot as usize] = Slot::int(first);
+                    first != last
                 }
                 None => false,
             };
@@ -807,16 +787,18 @@ impl<'p> Vm<'p> {
         Ok((name, lin, view))
     }
 
-    /// The dispatch loop. With `range = Some((var_slot, lo, hi))` one
-    /// activation runs `ops` once per `i` in `lo..=hi`, seeding the
-    /// loop-variable slot verbatim and restarting at `pc = 0` each
-    /// iteration; with `None` it runs `ops` once and seeds nothing.
+    /// The dispatch loop. With `range = Some((var_slot, first, last,
+    /// step))` — a non-empty range, `last` reached from `first` by
+    /// `step` ([`last_value`]) — one activation runs `ops` once per
+    /// value from `first` to `last`, seeding the loop-variable slot
+    /// verbatim and restarting at `pc = 0` each iteration; with `None`
+    /// it runs `ops` once and seeds nothing.
     #[allow(clippy::too_many_arguments)]
     fn exec<const COUNT: bool, O: IterObserver>(
         &self,
         chunk: &Chunk,
         ops: &[Op],
-        range: Option<(u16, i64, i64)>,
+        range: Option<(u16, i64, i64, i64)>,
         frame: &mut Frame,
         state: &mut ExecState,
         tracer: Option<&dyn AccessTracer>,
@@ -826,15 +808,14 @@ impl<'p> Vm<'p> {
         let reader = tracer.filter(|t| t.wants_reads());
         let mut writers = Writers::new(tracer);
         // No range is one pass: `iter == last` from the start.
-        let (var_slot, mut iter, last) = match range {
-            Some((_, lo, hi)) if lo > hi => return Ok(()),
-            Some((slot, lo, hi)) => (Some(slot), lo, hi),
-            None => (None, 0, 0),
+        let (var_slot, mut iter, last, step) = match range {
+            Some((slot, first, last, step)) => (Some(slot), first, last, step),
+            None => (None, 0, 0, 0),
         };
         loop {
             if let Some(slot) = var_slot {
                 frame.scalars[slot as usize] = Slot::int(iter);
-                if !obs.enter(iter, Scalars(&frame.scalars)) {
+                if !obs.enter(iter, state.cost, Scalars(&frame.scalars)) {
                     return Ok(());
                 }
             }
@@ -1377,12 +1358,12 @@ impl<'p> Vm<'p> {
                 }
                 pc += 1;
             }
-            // Tested before the increment, so a range ending at
-            // `i64::MAX` terminates instead of overflowing.
+            // Tested before the step, so a range ending at `i64::MAX`
+            // or `i64::MIN` ends instead of overflowing.
             if iter == last {
                 return Ok(());
             }
-            iter += 1;
+            iter += step;
         }
     }
 

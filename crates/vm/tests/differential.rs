@@ -8,11 +8,12 @@
 //! slices, LRPD speculation) through `lip_suite::check`, which holds it
 //! to the interpreter and the reference tests.
 //!
-//! The second half pins the chunk entry point: [`Vm::run_range`] — one
-//! activation for a whole iteration range — against the per-iteration
-//! `set_scalar` + `run_block` loop it replaced in the executor, down to
-//! the final frame, the cost and the access stream, on success and on
-//! a mid-range error alike.
+//! The second half pins the range entry point: [`Vm::run_range`] — one
+//! activation for a whole DO range, at steps 1, 2, 3, −1 and −2 —
+//! against the per-iteration `set_scalar` + `run_block` loop over the
+//! same values that it replaced in every driver, down to the final
+//! frame, the cost and the access stream, on success and on a
+//! mid-range error alike, on the unfused, fused and typed streams.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -23,7 +24,7 @@ use lip_ir::{
 use lip_runtime::{ExecOutcome, Session};
 use lip_suite::{check, KernelShape, Prepared};
 use lip_symbolic::{sym, Sym};
-use lip_vm::{add_block, compile_program, Frame, Vm};
+use lip_vm::{add_block, compile_program, CompiledProgram, Frame, Unobserved, Vm};
 
 /// Records every traced access in order.
 #[derive(Default)]
@@ -326,20 +327,58 @@ struct RangeCase<'a> {
     inputs: &'a dyn Fn() -> (Machine, Store),
 }
 
+/// The steps every range test runs at.
+const STEPS: [i64; 5] = [1, 2, 3, -1, -2];
+
+/// The range over `lo..=hi` at `step`: up from `lo`, or down from `hi`.
+fn stepped(lo: i64, hi: i64, step: i64) -> (i64, i64, i64) {
+    if step > 0 {
+        (lo, hi, step)
+    } else {
+        (hi, lo, step)
+    }
+}
+
+/// The values a DO from `lo` to `hi` by `step` gives its variable, as
+/// the interpreter steps it, stopping where the next value would leave
+/// the `i64` range.
+fn do_values(lo: i64, hi: i64, step: i64) -> impl Iterator<Item = i64> {
+    std::iter::successors(Some(lo), move |i| i.checked_add(step)).take_while(move |&i| {
+        if step > 0 {
+            i <= hi
+        } else {
+            i >= hi
+        }
+    })
+}
+
+/// `c` with every typed stream removed: the fused `Value` stream.
+fn strip_typed(c: &mut CompiledProgram) {
+    let chunks = c.subs.iter_mut().map(|s| &mut s.chunk);
+    chunks
+        .chain(c.blocks.iter_mut().map(|b| &mut b.chunk))
+        .for_each(|chunk| chunk.typed = None);
+}
+
 impl RangeCase<'_> {
-    /// Runs the body over `lo..=hi` through `run_range` and through the
-    /// per-iteration `set_scalar` + `run_block` loop, on the unfused and
-    /// the fused stream; asserts the two drivers leave identical
-    /// everything and returns what `run_range` left (fused stream).
-    fn check(&self, ctx: &str, lo: i64, hi: i64, budget: Option<u64>) -> Driven {
+    /// Runs the body over the DO range `(lo, hi, step)` through
+    /// `run_range` and through the per-iteration `set_scalar` +
+    /// `run_block` loop over [`do_values`], on the unfused stream, the
+    /// fused `Value` stream and the typed stream; asserts the two
+    /// drivers leave identical everything and returns what `run_range`
+    /// left (typed stream).
+    fn check(&self, ctx: &str, (lo, hi, step): (i64, i64, i64), budget: Option<u64>) -> Driven {
         let mut last = None;
-        for fused in [false, true] {
+        for leg in ["unfused", "fused", "typed"] {
             let mut compiled = compile_program(self.prog).expect("compiles");
             let block =
                 add_block(&mut compiled, self.sub, self.body, &[self.var]).expect("block compiles");
-            if fused {
+            if leg != "unfused" {
                 lip_vm::optimize_program(&mut compiled);
                 lip_vm::optimize_block(&mut compiled, block);
+            }
+            if leg == "fused" {
+                strip_typed(&mut compiled);
             }
             let drive = |ranged: bool| {
                 let (machine, store) = (self.inputs)();
@@ -350,9 +389,11 @@ impl RangeCase<'_> {
                 let rec = Recorder::default();
                 let mut state = budget.map_or_else(ExecState::default, ExecState::with_budget);
                 let result = if ranged {
-                    vm.run_range(block, &mut frame, slot, lo, hi, &mut state, Some(&rec))
+                    let range = Some((slot, lo, hi, step));
+                    let obs = &mut Unobserved;
+                    vm.run_range(block, &mut frame, range, &mut state, Some(&rec), None, obs)
                 } else {
-                    (lo..=hi).try_for_each(|i| {
+                    do_values(lo, hi, step).try_for_each(|i| {
                         frame.set_scalar(slot, Value::Int(i));
                         vm.run_block(block, &mut frame, &mut state, Some(&rec))
                     })
@@ -378,11 +419,11 @@ impl RangeCase<'_> {
             let (per_iteration, ranged) = (drive(false), drive(true));
             assert_eq!(
                 per_iteration, ranged,
-                "{ctx} (fused={fused}): run_range diverged from the per-iteration driver"
+                "{ctx} (step {step}, {leg}): run_range diverged from the per-iteration driver"
             );
             last = Some(ranged);
         }
-        last.expect("two legs ran")
+        last.expect("three legs ran")
     }
 }
 
@@ -414,12 +455,19 @@ fn run_range_matches_per_iteration_on_all_suite_kernels() {
             };
             let ctx = format!("{} (n={n})", shape.name);
             let (lo, hi) = (lo.as_i64(), hi.as_i64());
-            let full = case.check(&ctx, lo, hi, None).cost;
-            // A chunk-shaped interior range, and a budget that trips
-            // somewhere inside the full one.
-            case.check(&ctx, lo + (hi - lo) / 3, hi - (hi - lo) / 3, None);
-            let tripped = case.check(&ctx, lo, hi, Some(full / 2));
-            assert_eq!(tripped.result, Err(RunError::StepLimit), "{ctx}");
+            for step in STEPS {
+                let full = case.check(&ctx, stepped(lo, hi, step), None).cost;
+                // A chunk-shaped interior range, and a budget that trips
+                // somewhere inside the full one.
+                let interior = stepped(lo + (hi - lo) / 3, hi - (hi - lo) / 3, step);
+                case.check(&ctx, interior, None);
+                let tripped = case.check(&ctx, stepped(lo, hi, step), Some(full / 2));
+                assert_eq!(
+                    tripped.result,
+                    Err(RunError::StepLimit),
+                    "{ctx} (step {step})"
+                );
+            }
         }
     }
 }
@@ -473,12 +521,16 @@ fn with_range_case(len: usize, f: impl FnOnce(&RangeCase<'_>)) {
 
 /// A body that ends at a different instruction from one iteration to
 /// the next (IF arm, inner-DO exit, after a CALL) restarts at its first
-/// instruction every time, and matches the interpreter's loop.
+/// instruction every time, at every step, and at step 1 matches the
+/// interpreter's loop.
 #[test]
 fn run_range_restarts_the_body_each_iteration() {
     with_range_case(24, |case| {
-        let d = case.check("if/do/call body", 1, 24, None);
-        assert_eq!(d.result, Ok(()));
+        for step in STEPS {
+            let d = case.check("if/do/call body", stepped(1, 24, step), None);
+            assert_eq!(d.result, Ok(()), "step {step}");
+        }
+        let d = case.check("if/do/call body", (1, 24, 1), None);
         let (machine, mut store) = (case.inputs)();
         let target = case.sub.find_loop("l1").expect("loop");
         machine
@@ -495,41 +547,52 @@ fn run_range_restarts_the_body_each_iteration() {
 #[test]
 fn run_range_with_lo_above_hi_runs_nothing() {
     with_range_case(8, |case| {
-        let d = case.check("empty range", 5, 4, None);
-        assert_eq!((&d.result, d.cost, d.events.len()), (&Ok(()), 0, 0));
-        // The variable keeps the value it came in with.
-        assert_eq!(d.var, Some(value_bits(Value::Int(77))));
-        case.check("far-empty range", i64::MAX, i64::MIN, None);
+        for step in STEPS {
+            // `lo > hi` walked up, `lo < hi` walked down.
+            let d = case.check("empty range", stepped(5, 4, step), None);
+            assert_eq!((&d.result, d.cost, d.events.len()), (&Ok(()), 0, 0));
+            // The variable keeps the value it came in with.
+            assert_eq!(d.var, Some(value_bits(Value::Int(77))), "step {step}");
+            case.check("far-empty range", stepped(i64::MAX, i64::MIN, step), None);
+        }
     });
 }
 
 #[test]
 fn run_range_stops_at_a_bad_index_like_the_per_iteration_driver() {
     with_range_case(10, |case| {
-        // Iteration 11 subscripts past `A`.
-        let d = case.check("bad index", 1, 20, None);
-        assert_eq!(d.result, Err(RunError::BadIndex(sym("A"))));
-        assert_eq!(d.var, Some(value_bits(Value::Int(11))));
+        for step in STEPS {
+            // The first iteration past 10 subscripts past `A`.
+            let (lo, hi, step) = stepped(1, 20, step);
+            let d = case.check("bad index", (lo, hi, step), None);
+            assert_eq!(d.result, Err(RunError::BadIndex(sym("A"))), "step {step}");
+            let first_bad = do_values(lo, hi, step).find(|&i| i > 10);
+            assert_eq!(d.var, first_bad.map(|i| value_bits(Value::Int(i))));
+        }
     });
 }
 
 #[test]
 fn run_range_trips_the_step_budget_mid_range() {
     with_range_case(64, |case| {
-        let full = case.check("unbudgeted", 1, 64, None).cost;
-        for budget in [1, full / 3, full - 1] {
-            let d = case.check("budget", 1, 64, Some(budget));
-            assert_eq!(d.result, Err(RunError::StepLimit), "budget {budget}");
+        for step in STEPS {
+            let range = stepped(1, 64, step);
+            let full = case.check("unbudgeted", range, None).cost;
+            for budget in [1, full / 3, full - 1] {
+                let d = case.check("budget", range, Some(budget));
+                assert_eq!(
+                    d.result,
+                    Err(RunError::StepLimit),
+                    "step {step} budget {budget}"
+                );
+            }
+            assert_eq!(case.check("exact budget", range, Some(full)).result, Ok(()));
         }
-        assert_eq!(case.check("exact budget", 1, 64, Some(full)).result, Ok(()));
     });
 }
 
-/// A range ending at `i64::MAX` stops after its last iteration instead
-/// of stepping the counter past the end; the whole positive range is
-/// ended by the budget.
-#[test]
-fn run_range_ending_at_i64_max_terminates() {
+/// Runs `f` on the body `s = s + 1`.
+fn with_counting_case(f: impl FnOnce(&RangeCase<'_>)) {
     let prog = lip_ir::parse_program(
         "
 SUBROUTINE t()
@@ -545,7 +608,7 @@ END
     let Stmt::Do { var, body, .. } = sub.find_loop("l1").expect("loop").clone() else {
         panic!("l1 is a DO loop")
     };
-    let case = RangeCase {
+    f(&RangeCase {
         prog: &prog,
         sub: &sub,
         body: &body,
@@ -555,10 +618,47 @@ END
             store.set_int(sym("s"), 0);
             (Machine::new(prog.clone()), store)
         },
-    };
-    let d = case.check("last three", i64::MAX - 2, i64::MAX, Some(10_000));
-    assert_eq!(d.result, Ok(()));
-    assert_eq!(d.var, Some(value_bits(Value::Int(i64::MAX))));
-    let d = case.check("whole range", 1, i64::MAX, Some(10_000));
-    assert_eq!(d.result, Err(RunError::StepLimit));
+    });
+}
+
+/// A range ending at `i64::MAX` stops after its last iteration instead
+/// of stepping the counter past the end, as does one whose next value
+/// would pass it; the whole positive range is ended by the budget.
+#[test]
+fn run_range_ending_at_i64_max_terminates() {
+    with_counting_case(|case| {
+        let d = case.check("last three", (i64::MAX - 2, i64::MAX, 1), Some(10_000));
+        assert_eq!(d.result, Ok(()));
+        assert_eq!(d.var, Some(value_bits(Value::Int(i64::MAX))));
+        let d = case.check("last three by 2", (i64::MAX - 5, i64::MAX, 2), Some(10_000));
+        assert_eq!(
+            (d.result, d.cost),
+            (Ok(()), case.check("", (1, 3, 1), None).cost)
+        );
+        assert_eq!(d.var, Some(value_bits(Value::Int(i64::MAX - 1))));
+        let d = case.check("whole range", (1, i64::MAX, 1), Some(10_000));
+        assert_eq!(d.result, Err(RunError::StepLimit));
+    });
+}
+
+/// The stepped twin: a range counting down to `i64::MIN` stops at its
+/// last value, whether it lands on `i64::MIN` or would step past it;
+/// the whole negative range is ended by the budget.
+#[test]
+fn run_range_counting_down_to_i64_min_terminates() {
+    with_counting_case(|case| {
+        let three = case.check("", (1, 3, 1), None).cost;
+        let d = case.check("last three", (i64::MIN + 4, i64::MIN, -2), Some(10_000));
+        assert_eq!((&d.result, d.cost), (&Ok(()), three));
+        assert_eq!(d.var, Some(value_bits(Value::Int(i64::MIN))));
+        let d = case.check(
+            "last three, past",
+            (i64::MIN + 5, i64::MIN, -2),
+            Some(10_000),
+        );
+        assert_eq!((&d.result, d.cost), (&Ok(()), three));
+        assert_eq!(d.var, Some(value_bits(Value::Int(i64::MIN + 1))));
+        let d = case.check("whole range", (-1, i64::MIN, -1), Some(10_000));
+        assert_eq!(d.result, Err(RunError::StepLimit));
+    });
 }

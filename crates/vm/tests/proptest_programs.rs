@@ -41,7 +41,7 @@ use lip_ir::{
 };
 use lip_symbolic::{sym, Sym};
 use lip_vm::typed::TOp;
-use lip_vm::{compile_program, optimize_program, CompiledProgram, DispatchCounts, Vm};
+use lip_vm::{compile_program, optimize_program, CompiledProgram, DispatchCounts, Unobserved, Vm};
 use proptest::prelude::*;
 
 /// Records every traced access in order.
@@ -1148,13 +1148,26 @@ fn the_corpus_reaches_every_typed_element_form() {
 /// rendering for the registers.
 type Driven = (Observed, Vec<Option<(u8, u64)>>, String);
 
-/// Runs `body` once per `i` in `lo..=hi` against fresh inputs, through
-/// `Vm::run_range` (`ranged`) or the per-iteration `set_scalar` +
-/// `run_block` loop the executor used before it.
+/// The values a DO from `lo` to `hi` by `step` gives its variable, as
+/// the interpreter steps it.
+fn do_values(lo: i64, hi: i64, step: i64) -> impl Iterator<Item = i64> {
+    std::iter::successors(Some(lo), move |i| i.checked_add(step)).take_while(move |&i| {
+        if step > 0 {
+            i <= hi
+        } else {
+            i >= hi
+        }
+    })
+}
+
+/// Runs `body` once per value of the DO range `(lo, hi, step)` against
+/// fresh inputs, through `Vm::run_range` (`ranged`) or the
+/// per-iteration `set_scalar` + `run_block` loop over [`do_values`]
+/// that the drivers used before it.
 fn drive_body(
     prog: &Program,
     body: &[Stmt],
-    range: (i64, i64),
+    range: (i64, i64, i64),
     budget: u64,
     ranged: bool,
     leg: Leg,
@@ -1162,8 +1175,10 @@ fn drive_body(
     let mut compiled = compile_program(prog).expect("compiles");
     let block = lip_vm::add_block(&mut compiled, &prog.units[0], body, &[sym("i")])
         .expect("block compiles");
-    optimize_program(&mut compiled);
-    lip_vm::optimize_block(&mut compiled, block);
+    if leg != Leg::Unfused {
+        optimize_program(&mut compiled);
+        lip_vm::optimize_block(&mut compiled, block);
+    }
     if leg == Leg::FusedValue {
         strip_typed(&mut compiled);
     }
@@ -1197,28 +1212,29 @@ fn drive_body(
     let vm = Vm::new(&compiled);
     let rec = Recorder::default();
     let mut state = lip_ir::ExecState::with_budget(budget);
-    let (lo, hi) = range;
-    let result = if ranged && leg == Leg::Typed && lo <= hi {
+    let (lo, hi, step) = range;
+    let result = if ranged {
         // Counted, to check the guard admitted the whole range.
         let mut counts = DispatchCounts::default();
-        let r = vm.run_counting(
+        let r = vm.run_range(
             block,
             &mut frame,
-            Some((slot, lo, hi)),
+            Some((slot, lo, hi, step)),
             &mut state,
             Some(&rec),
-            &mut counts,
+            Some(&mut counts),
+            &mut Unobserved,
         );
+        let runs = u64::from(do_values(lo, hi, step).next().is_some());
+        let typed = runs * u64::from(leg == Leg::Typed);
         assert_eq!(
             (counts.typed_runs, counts.untyped_runs),
-            (1, 0),
-            "not typed"
+            (typed, runs - typed),
+            "one activation, typed on the typed leg"
         );
         r
-    } else if ranged {
-        vm.run_range(block, &mut frame, slot, lo, hi, &mut state, Some(&rec))
     } else {
-        (lo..=hi).try_for_each(|i| {
+        do_values(lo, hi, step).try_for_each(|i| {
             frame.set_scalar(slot, lip_ir::Value::Int(i));
             vm.run_block(block, &mut frame, &mut state, Some(&rec))
         })
@@ -1235,9 +1251,10 @@ fn drive_body(
 }
 
 proptest! {
-    // The chunk entry point on the random corpus: a generated body that
-    // reads the loop variable, over a short (sometimes empty) range,
-    // sometimes under a budget small enough to trip mid-range.
+    // The range entry point on the random corpus: a generated body that
+    // reads the loop variable, over a short (sometimes empty) range at
+    // steps 1, 2, 3, -1 and -2, sometimes under a budget small enough to
+    // trip mid-range; against the per-iteration driver on each stream.
     #![proptest_config(ProptestConfig::with_cases(256))]
     #[test]
     fn run_range_matches_the_per_iteration_driver(seed in 0u64..1_000_000_000u64) {
@@ -1254,18 +1271,27 @@ proptest! {
         // `main` only supplies the declarations the body compiles under.
         let mut prog = gen_program(0);
         prog.units[0].body.clear();
-        let per_iteration = drive_body(&prog, &body, (lo, hi), budget, false, Leg::Typed);
-        let ranged = drive_body(&prog, &body, (lo, hi), budget, true, Leg::Typed);
-        prop_assert_eq!(&per_iteration, &ranged, "run_range diverged (seed {})", seed);
-        // The same range on the `Value` stream: everything but the
-        // register files (each stream keeps its own).
-        let value = drive_body(&prog, &body, (lo, hi), budget, true, Leg::FusedValue);
-        prop_assert_eq!(
-            (&value.0, &value.1),
-            (&ranged.0, &ranged.1),
-            "typed vs Value run_range diverged (seed {})",
-            seed
-        );
+        for step in [1, 2, 3, -1, -2] {
+            // Up from `lo`, or down from `hi`.
+            let range = if step > 0 { (lo, hi, step) } else { (hi, lo, step) };
+            let drive = |ranged, leg| drive_body(&prog, &body, range, budget, ranged, leg);
+            let typed = drive(true, Leg::Typed);
+            for leg in [Leg::Unfused, Leg::FusedValue, Leg::Typed] {
+                let ranged = drive(true, leg);
+                let per_iteration = drive(false, leg);
+                prop_assert_eq!(
+                    &per_iteration, &ranged,
+                    "run_range diverged (seed {}, step {}, {:?})", seed, step, leg
+                );
+                // Across streams: everything but the register files
+                // (each stream keeps its own).
+                prop_assert_eq!(
+                    (&ranged.0, &ranged.1),
+                    (&typed.0, &typed.1),
+                    "{:?} vs typed run_range diverged (seed {}, step {})", leg, seed, step
+                );
+            }
+        }
     }
 }
 
